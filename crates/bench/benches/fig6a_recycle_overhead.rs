@@ -5,7 +5,7 @@
 //! stable — "the impact of the back-end log recycle process on update
 //! performance is negligible".
 
-use ecfs::run_trace;
+use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{print_table, ssd_replay};
 
@@ -20,7 +20,7 @@ fn main() {
         rcfg.cluster.tsue_unit_bytes = 1 << 20;
         // A longer run so the series has enough buckets.
         rcfg.ops_per_client = tsue_bench::ops_per_client() * 8;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         let series = &res.series;
         if header_secs.is_empty() {
             header_secs = series.iter().map(|(t, _)| format!("{t:.0}s")).collect();

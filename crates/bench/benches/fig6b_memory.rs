@@ -5,7 +5,7 @@
 //! quota to 20 only grows memory (up to ~3.8 GB per SSD at paper scale)
 //! without improving throughput — hence the paper's default of 4.
 
-use ecfs::run_trace;
+use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{kfmt, print_table, ssd_replay};
 
@@ -15,7 +15,7 @@ fn main() {
         let mut rcfg = ssd_replay(6, 2, ecfs::MethodKind::Tsue, TraceFamily::AliCloud, 64);
         rcfg.cluster.tsue_max_units = max_units;
         rcfg.cluster.tsue_unit_bytes = 1 << 20;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         let mem_mib = res.log_memory_bytes as f64 / (1 << 20) as f64;
         rows.push(vec![
             format!("{max_units}"),

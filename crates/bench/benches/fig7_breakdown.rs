@@ -5,7 +5,7 @@
 //! Paper claims: O1 contributes more than O2; O3 (the log pool) is the
 //! largest single jump; O4 is minimal; O5 adds ~30%.
 
-use ecfs::{run_trace, TsueFeatures};
+use ecfs::{Replay, TsueFeatures};
 use traces::TraceFamily;
 use tsue_bench::{kfmt, print_table, ssd_replay};
 
@@ -28,7 +28,7 @@ fn main() {
                 // (simulation-scale) run; the paper's 16 MiB units assume
                 // minute-long runs.
                 rcfg.cluster.tsue_unit_bytes = 2 << 20;
-                let res = run_trace(&rcfg);
+                let res = Replay::run(&rcfg).result;
                 assert_eq!(res.oracle_violations, 0, "{label} violated consistency");
                 row.push(kfmt(res.update_iops));
                 prev = res.update_iops;

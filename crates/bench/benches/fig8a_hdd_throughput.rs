@@ -6,7 +6,7 @@
 //! 9.1× PLR, 3.6× PARIX; FO is the *worst* method on HDDs (every update is
 //! a seek storm), inverting the SSD ordering.
 
-use ecfs::{run_trace, MethodKind};
+use ecfs::{MethodKind, Replay};
 use traces::workload::MsrVolume;
 use traces::TraceFamily;
 use tsue_bench::{hdd_replay, kfmt, print_table};
@@ -27,7 +27,7 @@ fn main() {
         let mut tsue = 0.0;
         for method in methods {
             let rcfg = hdd_replay(6, 4, method, TraceFamily::Msr(volume), 16);
-            let res = run_trace(&rcfg);
+            let res = Replay::run(&rcfg).result;
             assert_eq!(res.oracle_violations, 0);
             row.push(kfmt(res.update_iops));
             if method == MethodKind::Fo {

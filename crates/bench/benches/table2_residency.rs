@@ -6,7 +6,7 @@
 //! dominates (seconds); total residency is ~10 s, short enough that
 //! dual-copy logs provide the needed reliability window.
 
-use ecfs::run_trace;
+use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{print_table, ssd_replay};
 
@@ -20,7 +20,7 @@ fn main() {
         };
         let mut rcfg = ssd_replay(12, 4, ecfs::MethodKind::Tsue, family, 16);
         rcfg.ops_per_client = tsue_bench::ops_per_client() * 2;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         for (layer, r) in [
             ("DATA_LOG", res.data_residency),
             ("DELTA_LOG", res.delta_residency),

@@ -1,4 +1,4 @@
-//! The bench regression gate: re-reads the nine sweeps' machine-readable
+//! The bench regression gate: re-reads the eight sweeps' machine-readable
 //! reports (`BENCH_<sweep>.json`) and asserts the shape invariants the
 //! repository's findings rest on. Runs as the final bench-smoke step in
 //! CI, so a perf or behaviour regression **fails the workflow** instead of
@@ -20,30 +20,28 @@
 //!    one injected error detected *and* repaired), the full maintenance
 //!    plan's wear spread stays below the no-maintenance baseline, and
 //!    scrub coverage is nonzero while the foreground p99 stays finite.
-//! 6. `engine_sweep`: the sharded replay reproduced the serial run field
-//!    for field (`sharded_equals_serial`), the scheduler micro-throughput
-//!    and shard-scaling findings are present and positive, and — across
-//!    **every** report — each row carries a positive `events_per_sec`,
-//!    so no sweep silently drops the engine-speed cells.
-//! 7. `scale_sweep`: the open-loop runtime stays O(active) as the client
+//! 6. `scale_sweep`: the open-loop runtime stays O(active) as the client
 //!    population grows 1 k → 1 M — peak active clients track the window
 //!    math (bounded, nowhere near the population), resident client-state
 //!    bytes at the largest population stay within 2x of the smallest,
 //!    replay speed stays within a bounded factor across the whole ramp,
 //!    and the TSUE >= FO knee ranking survives at every population with
 //!    both methods' knees non-decreasing as the cluster scales up.
-//! 8. `trace_sweep`: tracing is honest at smoke scale — zero dropped
+//! 7. `trace_sweep`: tracing is honest at smoke scale — zero dropped
 //!    spans per method, the stage spans attribute >= 95% of the retained
 //!    ops' client-observed latency (it is 100% by construction unless a
 //!    driver forgets a stage), and the rollup's mean update latency
 //!    reconciles with the independently-derived `latency_mean_us` within
 //!    1%; the exported TSUE trace has spans and utilization lanes.
-//! 9. `cache_sweep`: the node-local cache & staging decorator behaves —
+//! 8. `cache_sweep`: the node-local cache & staging decorator behaves —
 //!    every row's spec string round-trips through `MethodSpec::parse`
 //!    unchanged, each method's hit ratio is monotone in cache size and
 //!    stays in [0, 1], `lru(64MiB)+FO` rides at least bare FO's IOPS,
 //!    TSUE's relative cache gain is the smallest of the swept methods,
 //!    and every staged cell actually coalesced bytes.
+//! 9. Across **every** report, each row carries a positive
+//!    `events_per_sec`, so no sweep silently drops the engine-speed
+//!    cells.
 //!
 //! Usage: `bench_gate [report-dir]` (default: `TSUE_BENCH_REPORT_DIR` or
 //! `target/bench-report`). Exits non-zero listing every violated
@@ -121,7 +119,6 @@ fn main() {
         "load_sweep",
         "hetero_sweep",
         "maint_sweep",
-        "engine_sweep",
         "scale_sweep",
         "trace_sweep",
         "cache_sweep",
@@ -285,54 +282,7 @@ fn main() {
         }
     }
 
-    // 6. Engine sweep: the parallel engine's determinism contract and the
-    // speed trajectory's presence. Speedup *values* are not gated — they
-    // measure the host (a 1-core runner honestly reports ~1.0x) — but the
-    // findings must exist and be positive so the trajectory stays
-    // machine-readable, and the sharded replay must have reproduced the
-    // serial run exactly.
-    if let Some(engine) = get("engine_sweep") {
-        println!("\nengine_sweep:");
-        let _ = rows(engine, "engine_sweep", &mut gate);
-        let equal = engine
-            .get("findings")
-            .and_then(|f| f.get("sharded_equals_serial"))
-            .and_then(|v| v.as_bool());
-        gate.check(
-            equal == Some(true),
-            "sharded replay equals serial field for field on the smoke cell",
-        );
-        let boxed = gate.finding(engine, "micro_boxed_mevps");
-        let unboxed = gate.finding(engine, "micro_unboxed_mevps");
-        gate.check_cmp(
-            &[boxed, unboxed],
-            boxed > 0.0 && unboxed > 0.0,
-            &format!(
-                "scheduler micro-throughput is positive \
-                 (boxed {boxed:.1} Mev/s, unboxed {unboxed:.1} Mev/s)"
-            ),
-        );
-        let threads = gate.finding(engine, "threads_available");
-        gate.check_cmp(
-            &[threads],
-            threads >= 1.0,
-            &format!("host parallel budget recorded ({threads:.0} threads)"),
-        );
-        for shards in [2, 4, 8] {
-            let synth = gate.finding(engine, &format!("synthetic_speedup_{shards}"));
-            let replay = gate.finding(engine, &format!("replay_speedup_{shards}"));
-            gate.check_cmp(
-                &[synth, replay],
-                synth > 0.0 && replay > 0.0,
-                &format!(
-                    "{shards}-shard speedups reported \
-                     (synthetic {synth:.2}x, replay {replay:.2}x)"
-                ),
-            );
-        }
-    }
-
-    // 7. Scale sweep: the million-client trajectory holds flat. The
+    // 6. Scale sweep: the million-client trajectory holds flat. The
     // population list is read off the rows, so the gate follows whatever
     // grid the sweep ran (smoke's 1 k → 50 k or the full 1 k → 1 M ramp).
     if let Some(scale) = get("scale_sweep") {
@@ -432,7 +382,7 @@ fn main() {
         }
     }
 
-    // 8. Trace sweep: the tracing layer accounts for the latency it
+    // 7. Trace sweep: the tracing layer accounts for the latency it
     // claims to decompose, and loses nothing at smoke scale.
     if let Some(trace) = get("trace_sweep") {
         println!("\ntrace_sweep:");
@@ -477,7 +427,7 @@ fn main() {
         );
     }
 
-    // 9. Cache sweep: the node-local cache & write-staging decorator.
+    // 8. Cache sweep: the node-local cache & write-staging decorator.
     if let Some(cache) = get("cache_sweep") {
         println!("\ncache_sweep:");
         let cache_rows = rows(cache, "cache_sweep", &mut gate);
@@ -558,7 +508,7 @@ fn main() {
         }
     }
 
-    // 10. Every report, every row: the engine-speed cells are present and
+    // 9. Every report, every row: the engine-speed cells are present and
     // positive — a sweep that stops carrying `events_per_sec` breaks the
     // speed trajectory even if its own findings still hold.
     println!("\nengine cells across all reports:");

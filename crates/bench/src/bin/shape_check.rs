@@ -1,4 +1,4 @@
-use ecfs::{run_trace, ClusterConfig, MethodKind, ReplayConfig};
+use ecfs::{ClusterConfig, MethodKind, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
@@ -27,7 +27,7 @@ fn main() {
             let mut r = ReplayConfig::new(cluster, TraceFamily::AliCloud);
             r.ops_per_client = ops;
             r.volume_bytes = 128 << 20;
-            let res = run_trace(&r);
+            let res = Replay::run(&r).result;
             println!("{:6} iops={:8.0} lat_us={:7.1} rw_ops={:8} ow_ops={:7} net_gib={:6.2} erases={:5} drain_s={:6.3} stalls={}",
                 method.name(), res.update_iops, res.latency_mean_us, res.disk.rw_ops(), res.disk.overwrites.ops, res.net_gib, res.erases, res.drain_s, res.stalls);
             results.push((method, res.update_iops));

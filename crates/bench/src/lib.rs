@@ -42,15 +42,26 @@ pub fn ops_per_client() -> usize {
     }
 }
 
+/// Worker threads for [`run_grid`]: the `TSUE_BENCH_THREADS` override
+/// when set (an unparseable value means 1), otherwise the machine's
+/// available parallelism.
+fn grid_threads() -> usize {
+    match std::env::var("TSUE_BENCH_THREADS") {
+        Ok(v) => v.trim().parse().unwrap_or(1).max(1),
+        Err(_) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
+}
+
 /// Runs a grid of independent replays in parallel across OS threads and
 /// returns the results in input order.
 ///
 /// Each `Sim`/`Cluster` pair is self-contained and every replay is
 /// deterministic, so fanning the grid out across worker threads changes
 /// wall-clock time only — the `RunResult`s are identical to a serial
-/// loop. The worker count follows [`ecfs::replay_threads`]: the
-/// `TSUE_BENCH_THREADS` environment override when set, otherwise
-/// `std::thread::available_parallelism()`.
+/// loop. The worker count is the `TSUE_BENCH_THREADS` environment
+/// override when set, otherwise `std::thread::available_parallelism()`.
 pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -58,7 +69,7 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
     if configs.is_empty() {
         return Vec::new();
     }
-    let workers = ecfs::replay_threads().min(configs.len());
+    let workers = grid_threads().min(configs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunResult>>> = configs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -68,7 +79,7 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
                 let Some(rcfg) = configs.get(i) else {
                     break;
                 };
-                let result = run_trace(rcfg);
+                let result = Replay::run(rcfg).result;
                 *slots[i].lock().unwrap() = Some(result);
             });
         }
@@ -288,7 +299,7 @@ mod tests {
         let parallel = run_grid(&configs);
         assert_eq!(parallel.len(), configs.len());
         for (rcfg, p) in configs.iter().zip(&parallel) {
-            let s = run_trace(rcfg);
+            let s = Replay::run(rcfg).result;
             assert_eq!(p.method, s.method);
             assert_eq!(p.completed_updates, s.completed_updates);
             assert_eq!(p.net_msgs, s.net_msgs);

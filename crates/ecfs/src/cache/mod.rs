@@ -27,9 +27,9 @@
 //! loop flushes staging before declaring quiescence.
 //!
 //! Flush replays go straight to the wrapped driver, bypassing the
-//! degraded-mode dispatch in [`crate::methods::begin_update`]; arm
-//! staging together with a fault timeline only when the flushed stripes
-//! are known live.
+//! degraded-mode dispatch in [`crate::methods::begin_update`], so
+//! [`crate::replay::ReplayConfig::validate`] rejects staging armed
+//! together with a non-empty fault plan.
 
 pub mod policy;
 
@@ -120,7 +120,7 @@ impl StagingConfig {
 
 /// One node's write-staging buffer: coalesced byte ranges per block,
 /// keyed deterministically (BTreeMap — flush replay order must be
-/// identical across serial and sharded engines).
+/// identical from run to run).
 #[derive(Debug, Default)]
 struct StageBuf {
     /// Staged ranges and the last client to touch each block (the flush

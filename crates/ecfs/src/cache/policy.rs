@@ -4,7 +4,7 @@
 //! The cache tracks *presence* only — 4 KiB page keys, no payload bytes —
 //! because the simulator models timing and placement, not data content.
 //! All three policies are strictly deterministic (no clocks, no RNG), so a
-//! cached replay stays byte-identical across serial and sharded engines.
+//! cached replay stays byte-identical from run to run.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -281,9 +281,7 @@ impl OpenLoopRt {
     }
 }
 
-/// A parked continuation awaiting log-recycle progress. `Send` so a whole
-/// cluster (parked waiters included) can run on a sharded-engine worker
-/// thread.
+/// A parked continuation awaiting log-recycle progress.
 pub type Waiter = Box<dyn FnOnce(&mut Sim<Cluster>, &mut Cluster) + Send>;
 
 /// One OSD node: a disk, method-specific log state, and stalled waiters.
@@ -381,10 +379,6 @@ pub struct Cluster {
     /// single-branch no-op, keeping untraced replays byte-for-byte on
     /// their goldens).
     pub trace: TraceState,
-    /// Cross-shard outbox, installed only by the sharded replay engine:
-    /// when present, telemetry records and oracle bookkeeping are shipped
-    /// to sink shards instead of applied locally (see [`crate::shard`]).
-    pub shard_tx: Option<crate::shard::ReplayOutbox>,
 }
 
 impl Cluster {
@@ -438,7 +432,6 @@ impl Cluster {
             faults: FaultState::default(),
             maint: MaintState::default(),
             trace: TraceState::new(),
-            shard_tx: None,
             cfg,
         }
     }
@@ -583,18 +576,11 @@ impl Cluster {
         }
         self.metrics.completed_updates += 1;
         let latency = done_at.saturating_sub(ctx.issued_at);
-        if let Some(tx) = &mut self.shard_tx {
-            tx.telemetry(crate::shard::ReplayMsg::Update {
-                at: done_at,
-                ns: latency,
-            });
-        } else {
-            self.metrics.update_latency.record(latency);
-            if let Some(log) = &mut self.metrics.latency_samples {
-                log.record(done_at, latency);
-            }
-            self.metrics.completions.record(done_at, 1);
+        self.metrics.update_latency.record(latency);
+        if let Some(log) = &mut self.metrics.latency_samples {
+            log.record(done_at, latency);
         }
+        self.metrics.completions.record(done_at, 1);
         // Attach the metrics-path latency to the op the driver just
         // traced: the determinism tests pin `sum(stage spans) == latency`
         // as two independently derived numbers.
@@ -617,16 +603,9 @@ impl Cluster {
         if is_read {
             self.metrics.completed_reads += 1;
             let latency = done_at.saturating_sub(ctx.issued_at);
-            if let Some(tx) = &mut self.shard_tx {
-                tx.telemetry(crate::shard::ReplayMsg::Read {
-                    at: done_at,
-                    ns: latency,
-                });
-            } else {
-                self.metrics.read_latency.record(latency);
-                if let Some(log) = &mut self.metrics.read_latency_samples {
-                    log.record(done_at, latency);
-                }
+            self.metrics.read_latency.record(latency);
+            if let Some(log) = &mut self.metrics.read_latency_samples {
+                log.record(done_at, latency);
             }
         } else {
             self.metrics.completed_writes += 1;
@@ -717,11 +696,6 @@ impl Cluster {
 
     /// Oracle helpers: record an ack on a data-block range.
     pub fn oracle_ack(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        if let Some(tx) = &mut self.shard_tx {
-            if tx.oracle(addr, crate::shard::ReplayMsg::Ack { addr, offset, len }) {
-                return;
-            }
-        }
         self.oracle
             .acked
             .entry(addr)
@@ -731,11 +705,6 @@ impl Cluster {
 
     /// Oracle helpers: record data applied in place.
     pub fn oracle_apply_data(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        if let Some(tx) = &mut self.shard_tx {
-            if tx.oracle(addr, crate::shard::ReplayMsg::Data { addr, offset, len }) {
-                return;
-            }
-        }
         self.oracle
             .applied_data
             .entry(addr)
@@ -745,11 +714,6 @@ impl Cluster {
 
     /// Oracle helpers: record parity effect applied for a stripe range.
     pub fn oracle_apply_parity(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        if let Some(tx) = &mut self.shard_tx {
-            if tx.oracle(addr, crate::shard::ReplayMsg::Parity { addr, offset, len }) {
-                return;
-            }
-        }
         self.oracle
             .applied_parity
             .entry(addr)

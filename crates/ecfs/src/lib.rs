@@ -36,7 +36,6 @@ pub mod methods;
 pub mod placement;
 pub mod recovery;
 pub mod replay;
-pub mod shard;
 pub mod telemetry;
 
 pub use cache::{CacheConfig, CachePolicy, Cached, PageCache, StagingConfig};
@@ -51,11 +50,7 @@ pub use methods::{
     Decorator, MethodRegistry, MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod,
 };
 pub use placement::{PlacementKind, PlacementPolicy, RackMap};
-pub use replay::{
-    run_trace, run_traced, Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult,
-    Workload,
-};
-pub use shard::{replay_threads, run_sharded, ReplayMsg, ReplayOutbox};
+pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 
 /// The coherent public surface, re-exported for one-line imports in
@@ -93,10 +88,9 @@ pub mod prelude {
         inject_fault, recover_node, recover_rack, recover_scope, RecoveryError, RecoveryResult,
     };
     pub use crate::replay::{
-        run_trace, run_traced, run_update_phase, Replay, ReplayConfig, ReplayConfigBuilder,
-        ResidencySummary, RunOutcome, RunResult, Workload, SATURATION_GOODPUT_RATIO,
+        run_update_phase, Replay, ReplayConfig, ReplayConfigBuilder, ResidencySummary, RunOutcome,
+        RunResult, Workload, SATURATION_GOODPUT_RATIO,
     };
-    pub use crate::shard::{replay_threads, run_sharded, ReplayMsg, ReplayOutbox};
     pub use crate::telemetry::{
         OpClass, OpRecord, Stage, StageRow, Trace, TraceConfig, TraceState, UtilKind, UtilLane,
     };

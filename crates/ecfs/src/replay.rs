@@ -13,6 +13,7 @@ use crate::cluster::{Cluster, OpSource, OpenLoopRt};
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
+use crate::methods::spec::{Decorator, MethodSpec};
 use crate::methods::{self, UpdateCtx};
 use crate::recovery;
 use crate::telemetry::{StageRow, Trace, TraceConfig};
@@ -84,16 +85,10 @@ pub struct ReplayConfig {
     /// The default (empty) plan arms nothing and reproduces the
     /// maintenance-free replay byte for byte.
     pub maintenance: MaintenancePlan,
-    /// Engine shards for the update phase. `1` (the default) is the
-    /// serial event loop; `>= 2` runs the same replay on the sharded
-    /// engine ([`crate::shard`]) with **byte-for-byte identical results**
-    /// — shard 1 carries telemetry, shards 2.. carry oracle partitions.
-    pub shards: usize,
     /// Deterministic tracing. The default (off) arms nothing and
     /// reproduces the untraced replay byte for byte; when enabled the run
     /// records per-op lifecycle spans, the stage-attribution rollup
-    /// (`RunResult::stage_breakdown`), and utilization lanes — identical
-    /// between serial and sharded runs of the same cell.
+    /// (`RunResult::stage_breakdown`), and utilization lanes.
     pub trace: TraceConfig,
 }
 
@@ -110,7 +105,6 @@ impl ReplayConfig {
             faults: FaultPlan::default(),
             workload: Workload::ClosedLoop,
             maintenance: MaintenancePlan::default(),
-            shards: 1,
             trace: TraceConfig::default(),
         }
     }
@@ -155,10 +149,25 @@ impl ReplayConfig {
                 self.volume_bytes
             )));
         }
-        if self.shards == 0 {
-            return Err("shards must be >= 1 (1 = the serial engine)".into());
-        }
         self.faults.validate(&self.cluster)?;
+        // A staged flush replays through the wrapped driver directly,
+        // bypassing the degraded-mode dispatch in `methods::begin_update`:
+        // on a stripe that lost a block it would write to a dead node.
+        // (`Cached` names itself by its canonical spec, so the name says
+        // whether a staging buffer is armed, builder- or spec-built.)
+        let method = self.cluster.method.name();
+        let staged = MethodSpec::parse(method).is_ok_and(|spec| {
+            spec.decorators
+                .iter()
+                .any(|d| matches!(d, Decorator::Stage { .. }))
+        });
+        if staged && !self.faults.is_empty() {
+            return Err(crate::config::ConfigError(format!(
+                "method {method:?} arms a staging buffer and the fault plan is non-empty: \
+                 staged flushes bypass degraded-mode dispatch, so staging cannot be \
+                 combined with a fault timeline"
+            )));
+        }
         self.maintenance.validate(&self.cluster)?;
         self.trace.validate().map_err(crate::config::ConfigError)?;
         match &self.workload {
@@ -261,26 +270,6 @@ impl ReplayConfigBuilder {
     /// ```
     pub fn maintenance(mut self, plan: MaintenancePlan) -> Self {
         self.inner.maintenance = plan;
-        self
-    }
-
-    /// Engine shards for the update phase (`1` = serial; `>= 2` = the
-    /// sharded engine with byte-identical results).
-    ///
-    /// ```
-    /// use ecfs::{ClusterConfig, MethodKind, ReplayConfig};
-    /// use rscode::CodeParams;
-    /// use traces::TraceFamily;
-    ///
-    /// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), MethodKind::Tsue);
-    /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
-    ///     .shards(4)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(rcfg.shards, 4);
-    /// ```
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.inner.shards = shards;
         self
     }
 
@@ -543,8 +532,7 @@ pub struct RunResult {
     /// ([`TraceConfig::capacity`]). Sampling and filter exclusions are
     /// *not* drops — this is honest data loss only.
     pub trace_dropped_spans: u64,
-    /// Simulation events executed by the (core) event loop — identical
-    /// between serial and sharded runs of the same cell.
+    /// Simulation events executed by the event loop.
     pub sim_events: u64,
     /// Wall-clock milliseconds the replay took (build → harvest).
     /// Nondeterministic, along with [`Self::events_per_sec`] and
@@ -821,42 +809,8 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
         }
     }
     cl.metrics.setup_ms = setup_start.elapsed().as_secs_f64() * 1_000.0;
-    if rcfg.shards >= 2 {
-        // The sharded engine: bookkeeping offloads to sink shards, the
-        // causal core replays the identical event stream. Results are
-        // byte-for-byte the serial run's. The oracle stays on the core
-        // when the defragmenter (its one mid-run reader) is armed.
-        let oracle_local = rcfg.maintenance.defrag.is_some();
-        let threads = crate::shard::replay_threads();
-        let (s, c, _stats) = crate::shard::run_sharded(sim, cl, rcfg.shards, threads, oracle_local);
-        sim = s;
-        cl = c;
-    } else {
-        sim.run(&mut cl);
-    }
+    sim.run(&mut cl);
     (sim, cl)
-}
-
-/// Runs one full replay: build cluster, generate per-client traces, replay
-/// closed-loop, drain logs, verify the oracle, and harvest metrics.
-///
-/// **Deprecation path:** thin shim over [`Replay::run`] — the unified
-/// entry point returning a [`RunOutcome`] (result *and* optional trace).
-/// Kept for the many call sites that only want the result.
-pub fn run_trace(rcfg: &ReplayConfig) -> RunResult {
-    Replay::run(rcfg).result
-}
-
-/// [`run_trace`], plus the retained trace when [`ReplayConfig::trace`] is
-/// enabled. The `RunResult` is identical to what `run_trace` returns for
-/// the same config — tracing changes what is *recorded*, never what is
-/// *simulated*.
-///
-/// **Deprecation path:** thin shim over [`Replay::run`]; prefer the named
-/// [`RunOutcome`] fields over this positional tuple.
-pub fn run_traced(rcfg: &ReplayConfig) -> (RunResult, Option<Trace>) {
-    let RunOutcome { result, trace } = Replay::run(rcfg);
-    (result, trace)
 }
 
 /// Everything one replay produces: the harvested metrics and, when
@@ -869,8 +823,8 @@ pub struct RunOutcome {
     pub trace: Option<Trace>,
 }
 
-/// The unified replay entry point: [`Replay::run`] subsumes the historical
-/// `run_trace`/`run_traced` split behind one call returning [`RunOutcome`].
+/// The replay entry point: [`Replay::run`] is the one way to run a
+/// replay, returning a [`RunOutcome`] (result *and* optional trace).
 #[derive(Debug, Clone, Copy)]
 pub struct Replay;
 

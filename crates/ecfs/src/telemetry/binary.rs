@@ -4,7 +4,7 @@
 //! (`TSUETRC` + version). The format exists because the Chrome JSON
 //! export is ~20x larger and lossy (microsecond display units); this one
 //! round-trips a [`Trace`] exactly, which is also what the determinism
-//! tests pin (`sharded bytes == serial bytes`).
+//! tests pin (same config ⇒ same bytes).
 
 use simdes::Span;
 
@@ -200,7 +200,7 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back, trace);
         // Identical traces serialise to identical bytes — the property
-        // the sharded==serial determinism pin compares.
+        // the run-twice determinism pin compares.
         assert_eq!(to_bytes(&back), bytes);
     }
 

@@ -17,13 +17,12 @@
 //!   Perfetto) and a compact binary log ([`binary`], read by
 //!   `trace_dump`).
 //!
-//! Determinism contract: spans carry only simulation timestamps, all
-//! span-producing events execute on the core engine shard, and the
+//! Determinism contract: spans carry only simulation timestamps and the
 //! bounded [`simdes::SpanLog`] retains a prefix that is a pure function
-//! of the event sequence — so a 4-shard replay's trace is **bit-identical**
-//! to the serial trace, and tracing *off* (the default) leaves the replay
-//! byte-for-byte on its pinned goldens because nothing in this module
-//! runs.
+//! of the event sequence — so two runs of one config serialise to the
+//! **bit-identical** trace, and tracing *off* (the default) leaves the
+//! replay byte-for-byte on its pinned goldens because nothing in this
+//! module runs.
 //!
 //! Attribution is exact by construction: an op's stages are contiguous
 //! half-open intervals partitioning `[issued_at, ack]`, so their durations

@@ -192,6 +192,49 @@ fn replay_builder_validates_ops_and_volume() {
 }
 
 #[test]
+fn replay_builder_rejects_staging_with_a_fault_plan() {
+    let staged = || {
+        ClusterConfig::builder()
+            .code(code64())
+            .method(MethodKind::Tsue)
+            .staging(StagingConfig::new(8 << 20, 2_000_000))
+            .build()
+            .unwrap()
+    };
+    let faults = || FaultPlan::new().fail_node(10_000_000, 3);
+
+    // Reject: staged flushes bypass degraded-mode dispatch. The spelling
+    // of the decorator (builder setter or spec string) does not matter.
+    let from_spec = ClusterConfig::builder()
+        .code(code64())
+        .method_name("stage(8MiB,2ms)+lru(64MiB)+FO")
+        .build()
+        .unwrap();
+    for cluster in [staged(), from_spec] {
+        let err = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
+            .faults(faults())
+            .build()
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("staging") && msg.contains("fault"), "{msg}");
+    }
+
+    // Accept: staging without faults, and faults behind a read cache only.
+    ReplayConfig::builder(staged(), TraceFamily::AliCloud)
+        .build()
+        .expect("staging alone is valid");
+    let cached = ClusterConfig::builder()
+        .code(code64())
+        .method_name("lru(64MiB)+TSUE")
+        .build()
+        .unwrap();
+    ReplayConfig::builder(cached, TraceFamily::AliCloud)
+        .faults(faults())
+        .build()
+        .expect("a read cache composes with a fault plan");
+}
+
+#[test]
 fn engine_builder_validates_pipeline_shape() {
     let code = CodeParams::new(4, 2).unwrap();
 

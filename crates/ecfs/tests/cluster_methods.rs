@@ -2,7 +2,7 @@
 //! satisfies the consistency oracle; relative performance matches the
 //! paper's ordering.
 
-use ecfs::{run_trace, ClusterConfig, MethodKind, ReplayConfig};
+use ecfs::{ClusterConfig, MethodKind, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
@@ -20,7 +20,7 @@ fn small_replay(method: MethodKind, family: TraceFamily) -> ReplayConfig {
 fn every_method_completes_and_is_consistent() {
     for method in MethodKind::ALL {
         let rcfg = small_replay(method, TraceFamily::AliCloud);
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         assert_eq!(
             res.oracle_violations,
             0,
@@ -48,8 +48,8 @@ fn every_method_completes_and_is_consistent() {
 #[test]
 fn replay_is_deterministic() {
     let rcfg = small_replay(MethodKind::Tsue, TraceFamily::TenCloud);
-    let a = run_trace(&rcfg);
-    let b = run_trace(&rcfg);
+    let a = Replay::run(&rcfg).result;
+    let b = Replay::run(&rcfg).result;
     assert_eq!(a.completed_updates, b.completed_updates);
     assert_eq!(a.duration_s, b.duration_s);
     assert_eq!(a.disk.rw_ops(), b.disk.rw_ops());
@@ -68,7 +68,7 @@ fn tsue_beats_every_baseline_on_ssd() {
         MethodKind::Tsue,
     ] {
         let rcfg = small_replay(method, TraceFamily::AliCloud);
-        iops.insert(method, run_trace(&rcfg).update_iops);
+        iops.insert(method, Replay::run(&rcfg).result.update_iops);
     }
     let tsue = iops[&MethodKind::Tsue];
     for (m, v) in &iops {
@@ -93,7 +93,7 @@ fn tsue_beats_every_baseline_on_ssd() {
 fn tsue_has_lowest_overwrites() {
     let overwrites = |method| {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
-        run_trace(&rcfg).disk.overwrites.ops
+        Replay::run(&rcfg).result.disk.overwrites.ops
     };
     let tsue = overwrites(MethodKind::Tsue);
     let fo = overwrites(MethodKind::Fo);
@@ -107,7 +107,7 @@ fn tsue_has_lowest_overwrites() {
 fn tsue_erases_fewer_flash_blocks_than_fo() {
     let erases = |method| {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
-        run_trace(&rcfg).erases
+        Replay::run(&rcfg).result.erases
     };
     let tsue = erases(MethodKind::Tsue);
     let fo = erases(MethodKind::Fo);
@@ -121,7 +121,7 @@ fn tsue_erases_fewer_flash_blocks_than_fo() {
 fn update_latency_tsue_below_fo() {
     let lat = |method| {
         let rcfg = small_replay(method, TraceFamily::AliCloud);
-        run_trace(&rcfg).latency_mean_us
+        Replay::run(&rcfg).result.latency_mean_us
     };
     let tsue = lat(MethodKind::Tsue);
     let fo = lat(MethodKind::Fo);

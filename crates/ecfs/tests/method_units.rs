@@ -1,7 +1,7 @@
 //! Per-method unit tests over a minimal cluster: each driver's I/O and
 //! network signature must match its paper description.
 
-use ecfs::{run_trace, ClusterConfig, DiskFleet, DiskKind, MethodKind, ReplayConfig, RunResult};
+use ecfs::{ClusterConfig, DiskFleet, DiskKind, MethodKind, Replay, ReplayConfig, RunResult};
 use rscode::CodeParams;
 use simdisk::SsdConfig;
 use traces::TraceFamily;
@@ -15,7 +15,7 @@ fn run(method: MethodKind, m: usize) -> RunResult {
     rcfg.ops_per_client = 300;
     rcfg.volume_bytes = 32 << 20;
     rcfg.seed = 99;
-    run_trace(&rcfg)
+    Replay::run(&rcfg).result
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn fl_completes_and_stays_consistent() {
     let mut rcfg = ReplayConfig::new(cluster, TraceFamily::TenCloud);
     rcfg.ops_per_client = 400;
     rcfg.volume_bytes = 32 << 20;
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
     assert_eq!(r.oracle_violations, 0);
     assert!(r.completed_updates > 0);
 }

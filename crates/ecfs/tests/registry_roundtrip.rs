@@ -97,7 +97,7 @@ fn custom_method_registers_and_replays() {
         .build()
         .expect("valid replay config");
 
-    let res = run_trace(&rcfg);
+    let res = Replay::run(&rcfg).result;
     assert_eq!(res.method, "TELEPORT");
     assert_eq!(
         res.oracle_violations, 0,
@@ -153,7 +153,7 @@ fn custom_method_mixes_with_builtins() {
         .volume_bytes(32 << 20)
         .build()
         .unwrap();
-    let res = run_trace(&rcfg);
+    let res = Replay::run(&rcfg).result;
     assert_eq!(res.method, "PL");
     assert_eq!(res.oracle_violations, 0);
 }

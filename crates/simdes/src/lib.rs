@@ -17,10 +17,7 @@
 //! * [`stats`] — counters, windowed time series (for IOPS-over-time plots),
 //!   and log-bucketed histograms with quantiles (for latency tables);
 //! * [`span`] — bounded append-only span logs for deterministic tracing
-//!   (per-op lifecycle waterfalls, per-node busy lanes);
-//! * [`shard`] — the conservative-epoch parallel engine: many `Sim`
-//!   timelines on worker threads, cross-shard envelopes routed at epoch
-//!   barriers in a deterministic `(time, source_shard, seq)` order.
+//!   (per-op lifecycle waterfalls, per-node busy lanes).
 //!
 //! # Example
 //!
@@ -46,13 +43,11 @@
 #![warn(missing_docs)]
 
 pub mod resource;
-pub mod shard;
 pub mod sim;
 pub mod span;
 pub mod stats;
 
 pub use resource::Resource;
-pub use shard::{CrossSend, Delivery, RunStats, Shard, ShardWorld, ShardedSim, SimShard};
 pub use sim::{Sim, SimTime};
 pub use span::{Span, SpanLog};
 

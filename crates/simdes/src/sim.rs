@@ -15,9 +15,7 @@ pub type BoxedCallback<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W) + Send>;
 /// word of state — e.g. "drive client `c`" or "the next open-loop arrival".
 /// Representing those unboxed removes a heap allocation per event, which is
 /// the bulk of the scheduler's per-event overhead; only genuinely capturing
-/// closures pay for a `Box`. `Send` is required throughout so a whole
-/// `Sim` (queue included) can migrate onto a worker thread in the sharded
-/// engine ([`crate::shard`]).
+/// closures pay for a `Box`.
 enum Callback<W> {
     /// A capturing closure (the general case).
     Boxed(BoxedCallback<W>),
@@ -111,12 +109,6 @@ impl<W> Sim<W> {
         self.queue.len()
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(ev)| ev.time)
-    }
-
     #[inline]
     fn push(&mut self, t: SimTime, cb: Callback<W>) {
         assert!(
@@ -155,12 +147,6 @@ impl<W> Sim<W> {
         self.push(self.now.saturating_add(delay), Callback::Fn0(f));
     }
 
-    /// Schedules a plain function pointer at absolute time `t`, without a
-    /// heap allocation. Panics on past times like [`Sim::schedule_at`].
-    pub fn schedule_call_at(&mut self, t: SimTime, f: fn(&mut Sim<W>, &mut W)) {
-        self.push(t, Callback::Fn0(f));
-    }
-
     /// Schedules a function pointer carrying one word of state `delay`
     /// nanoseconds from now, without a heap allocation.
     pub fn schedule_call_u(&mut self, delay: SimTime, f: fn(&mut Sim<W>, &mut W, u64), arg: u64) {
@@ -194,26 +180,6 @@ impl<W> Sim<W> {
             if ev.time > deadline {
                 self.now = deadline.max(self.now);
                 return self.now;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            debug_assert!(ev.time >= self.now, "event queue went backwards");
-            self.now = ev.time;
-            self.executed += 1;
-            ev.cb.invoke(self, world);
-        }
-        self.now
-    }
-
-    /// Runs every event strictly before `until`, leaving the clock at the
-    /// last executed event (it is **not** advanced to `until`). This is the
-    /// epoch-sized slice the sharded engine ([`crate::shard`]) executes
-    /// between barriers: events at exactly `until` belong to the next
-    /// epoch, and the clock must stay put so a cross-shard delivery inside
-    /// `[now, until)` is still schedulable.
-    pub fn run_before(&mut self, world: &mut W, until: SimTime) -> SimTime {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time >= until {
-                break;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked");
             debug_assert!(ev.time >= self.now, "event queue went backwards");
@@ -300,25 +266,6 @@ mod tests {
         assert_eq!(sim.pending(), 1);
         sim.run(&mut world);
         assert_eq!(world, 3);
-    }
-
-    #[test]
-    fn run_before_excludes_the_bound_and_keeps_the_clock() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        sim.schedule(10, |_, w: &mut u32| *w += 1);
-        sim.schedule(20, |_, w| *w += 1);
-        sim.schedule(30, |_, w| *w += 1);
-        // Strict bound: the event at exactly 20 must NOT run, and the
-        // clock stays at the last executed event (10), not at 20.
-        sim.run_before(&mut world, 20);
-        assert_eq!(world, 1);
-        assert_eq!(sim.now(), 10);
-        assert_eq!(sim.next_event_time(), Some(20));
-        // A cross-epoch delivery inside [now, until) is still schedulable.
-        sim.schedule_at(15, |_, w| *w += 10);
-        sim.run(&mut world);
-        assert_eq!(world, 13);
     }
 
     #[test]

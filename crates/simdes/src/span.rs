@@ -49,7 +49,7 @@ impl Span {
 ///
 /// `push` keeps the first `capacity` spans and counts the rest — the
 /// deterministic choice (the retained prefix is a pure function of the
-/// event sequence, so sharded and serial runs retain identical spans).
+/// event sequence, so two runs of one config retain identical spans).
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     spans: Vec<Span>,
@@ -104,16 +104,6 @@ impl SpanLog {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Absorbs `other`'s spans (subject to this log's capacity) and its
-    /// drop count — the shard-merge path: appending sink logs in canonical
-    /// shard order reproduces the serial append order.
-    pub fn merge(&mut self, other: SpanLog) {
-        self.dropped += other.dropped;
-        for span in other.spans {
-            self.push(span);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,21 +143,5 @@ mod tests {
         assert_eq!(log.len(), 2, "first-N retained");
         assert_eq!(log.dropped(), 2, "honest drop count");
         assert_eq!(log.spans()[1].op, 2);
-    }
-
-    #[test]
-    fn span_log_merge_preserves_order_and_drops() {
-        let mut a = SpanLog::new(3);
-        a.push(span(1, 0, 1));
-        let mut b = SpanLog::new(3);
-        b.push(span(2, 1, 2));
-        b.push(span(3, 2, 3));
-        b.push(span(4, 3, 4));
-        b.push(span(5, 4, 5)); // dropped in b
-        a.merge(b);
-        assert_eq!(a.len(), 3, "capacity of the destination wins");
-        let ops: Vec<u64> = a.spans().iter().map(|s| s.op).collect();
-        assert_eq!(ops, vec![1, 2, 3], "append order preserved");
-        assert_eq!(a.dropped(), 2, "b's drop + the overflow of op 4");
     }
 }

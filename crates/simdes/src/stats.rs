@@ -195,17 +195,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A level gauge tracking a current value and its high-water mark — queue
@@ -252,17 +241,6 @@ impl Gauge {
     /// The highest level ever held.
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// Merges another gauge into this one: levels sum (the merged gauge
-    /// tracks the combined population) and peaks take the max — but never
-    /// less than the combined current level, preserving `peak >= current`.
-    ///
-    /// Note the merged peak is a lower bound on the true combined peak:
-    /// per-shard peaks need not coincide in time.
-    pub fn merge(&mut self, other: &Gauge) {
-        self.cur += other.cur;
-        self.peak = self.peak.max(other.peak).max(self.cur);
     }
 }
 
@@ -482,18 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(10);
-        let mut b = Histogram::new();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
-    }
-
-    #[test]
     fn window_set_merges_and_contains() {
         let mut w = WindowSet::new();
         assert!(w.is_empty());
@@ -591,25 +557,6 @@ mod tests {
         assert_eq!(g.peak(), 5, "peak survives the drain");
         g.add(2);
         assert_eq!(g.peak(), 5, "lower refill leaves the peak");
-    }
-
-    #[test]
-    fn gauge_merge_sums_levels_and_maxes_peaks() {
-        let mut a = Gauge::new();
-        a.add(5); // peak 5
-        a.sub(3); // cur 2
-        let mut b = Gauge::new();
-        b.add(4); // cur 4, peak 4
-        a.merge(&b);
-        assert_eq!(a.current(), 6, "levels sum");
-        assert_eq!(a.peak(), 6, "peak rises to the combined level");
-        // Disjoint peaks: max wins, invariant peak >= current holds.
-        let mut c = Gauge::new();
-        c.add(10);
-        c.sub(10);
-        a.merge(&c);
-        assert_eq!(a.current(), 6);
-        assert_eq!(a.peak(), 10);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
         .build()
         .expect("valid faulted replay");
 
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
 
     println!("== mid-replay rack failure ({}) ==", r.method);
     println!("completed updates     : {}", r.completed_updates);

@@ -52,7 +52,7 @@ fn main() {
 
     let mut results = Vec::new();
     for method in [MethodKind::Fo, MethodKind::Tsue] {
-        let r = run_trace(&replay(method, spec.clone()));
+        let r = Replay::run(&replay(method, spec.clone())).result;
         assert_eq!(r.oracle_violations, 0);
         println!("{}:", r.method);
         println!(

@@ -33,7 +33,7 @@ fn main() {
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
         rcfg.ops_per_client = 1000;
         rcfg.volume_bytes = 128 << 20;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         assert_eq!(res.oracle_violations, 0, "consistency oracle violated");
         println!(
             "{:<7} {:>10.0} {:>10.0} {:>12} {:>10.2} {:>9.2}",

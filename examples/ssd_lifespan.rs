@@ -33,7 +33,7 @@ fn main() {
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::TenCloud);
         rcfg.ops_per_client = 1200;
         rcfg.volume_bytes = 96 << 20;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         println!(
             "{:<7} {:>9} {:>13} {:>12.2} {:>9.0}",
             method.name(),

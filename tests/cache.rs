@@ -64,8 +64,8 @@ fn cache_off_is_byte_identical_to_plain_replay() {
     for kind in MethodKind::ALL {
         let plain = builder(code).method(kind).build().unwrap();
         let spec = builder(code).method_name(kind.name()).build().unwrap();
-        let a = run_trace(&replay_cfg(plain, 150));
-        let b = run_trace(&replay_cfg(spec, 150));
+        let a = Replay::run(&replay_cfg(plain, 150)).result;
+        let b = Replay::run(&replay_cfg(spec, 150)).result;
         assert_eq!(canon(&a), canon(&b), "{}: spec-built diverged", kind.name());
         assert_eq!(a.cache_lookups, 0, "{}", kind.name());
         assert_eq!(a.cache_hits, 0, "{}", kind.name());
@@ -84,8 +84,8 @@ fn decorated_replay_is_deterministic() {
     let code = CodeParams::new(6, 3).unwrap();
     for spec in ["lru(1MiB)+FO", "stage(64KiB,2ms)+plru(1MiB)+TSUE"] {
         let mk = || builder(code).method_name(spec).build().unwrap();
-        let a = run_trace(&replay_cfg(mk(), 150));
-        let b = run_trace(&replay_cfg(mk(), 150));
+        let a = Replay::run(&replay_cfg(mk(), 150)).result;
+        let b = Replay::run(&replay_cfg(mk(), 150)).result;
         assert_eq!(canon(&a), canon(&b), "{spec}: nondeterministic replay");
     }
 }
@@ -102,7 +102,7 @@ fn read_cache_serves_hits() {
             .cache(CacheConfig::new(policy, 64 << 20))
             .build()
             .unwrap();
-        let res = run_trace(&replay_cfg(cluster, 300));
+        let res = Replay::run(&replay_cfg(cluster, 300)).result;
         assert_eq!(res.oracle_violations, 0, "{policy}");
         assert!(res.cache_lookups > 0, "{policy}: no lookups recorded");
         assert!(res.cache_hits > 0, "{policy}: cache never hit");
@@ -129,7 +129,7 @@ fn staging_coalesces_and_stays_consistent() {
     // A small volume concentrates updates, forcing range overlap.
     let mut rcfg = replay_cfg(cluster, 400);
     rcfg.volume_bytes = 8 << 20;
-    let res = run_trace(&rcfg);
+    let res = Replay::run(&rcfg).result;
     assert_eq!(res.oracle_violations, 0);
     assert!(res.completed_updates > 0);
     assert!(res.staged_bytes > 0, "nothing was staged");
@@ -155,7 +155,7 @@ fn composes_over_all_seven_builtins() {
         assert_eq!(parsed.to_string(), spec, "{spec}: name must round-trip");
         let mut rcfg = replay_cfg(cluster, 120);
         rcfg.volume_bytes = 8 << 20;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         assert_eq!(res.oracle_violations, 0, "{spec}");
         assert!(res.completed_updates > 0, "{spec}");
         assert!(res.staged_bytes > 0, "{spec}: staging bypassed");
@@ -173,7 +173,7 @@ fn replay_run_unifies_trace_and_result() {
         replay_cfg(cluster, 120)
     };
     let out = Replay::run(&mk());
-    let legacy = run_trace(&mk());
+    let legacy = Replay::run(&mk()).result;
     assert_eq!(canon(&out.result), canon(&legacy));
     assert!(out.trace.is_none());
 
@@ -202,7 +202,7 @@ fn staged_ranges_serve_reads() {
         .unwrap();
     let mut rcfg = replay_cfg(cluster, 300);
     rcfg.volume_bytes = 8 << 20;
-    let res = run_trace(&rcfg);
+    let res = Replay::run(&rcfg).result;
     assert_eq!(res.oracle_violations, 0);
     assert!(res.cache_lookups > 0);
     assert!(res.cache_hits > 0, "staged ranges did not serve reads");

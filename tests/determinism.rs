@@ -1,10 +1,11 @@
-//! The sharded-engine determinism contract: a replay with `shards >= 2`
-//! must equal the serial replay **byte for byte** — every deterministic
-//! `RunResult` field identical — across all seven update methods, with
-//! non-empty fault *and* maintenance plans armed. This extends the
-//! parallel==serial `run_grid` precedent (`tests/fault_timeline.rs`,
-//! `tests/maintenance.rs`) from across-cell to inside-one-replay
-//! parallelism.
+//! The determinism contract: same config ⇒ same bytes. Running one
+//! `ReplayConfig` twice must produce **byte-for-byte** equal results —
+//! every deterministic `RunResult` field identical — across all seven
+//! update methods, with non-empty fault *and* maintenance plans armed,
+//! on the open loop, and behind the cache/staging decorator. Any
+//! hash-order or wall-clock dependence in a driver shows up here. The
+//! across-cell counterpart (parallel `run_grid` == serial loop) lives in
+//! `tests/fault_timeline.rs` and `tests/maintenance.rs`.
 
 use std::fmt::Write as _;
 
@@ -143,74 +144,72 @@ fn canon(r: &RunResult) -> String {
     s
 }
 
-fn assert_sharded_matches_serial(mut rcfg: ReplayConfig, shards: usize) {
-    rcfg.shards = 1;
-    rcfg.validate().expect("serial config validates");
-    let serial = run_trace(&rcfg);
-    rcfg.shards = shards;
-    rcfg.validate().expect("sharded config validates");
-    let sharded = run_trace(&rcfg);
+fn assert_runs_twice_equal(rcfg: ReplayConfig) {
+    rcfg.validate().expect("config validates");
+    let first = Replay::run(&rcfg).result;
+    let second = Replay::run(&rcfg).result;
     assert_eq!(
-        canon(&serial),
-        canon(&sharded),
-        "{}: sharded({shards}) diverged from serial",
-        serial.method
+        canon(&first),
+        canon(&second),
+        "{}: second run diverged from the first",
+        first.method
     );
     assert!(
-        sharded.events_per_sec > 0.0,
+        first.events_per_sec > 0.0,
         "engine-speed instrumentation missing"
     );
 }
 
-/// The headline: all seven methods, faults + maintenance armed, 2 shards.
+/// The headline: all seven methods, faults + maintenance armed.
 #[test]
-fn sharded_equals_serial_all_methods_with_plans_armed() {
+fn run_twice_equal_all_methods_with_plans_armed() {
     for method in MethodKind::ALL {
         let mut rcfg = replay(method, 3, 100);
         armed_plans(&mut rcfg);
-        assert_sharded_matches_serial(rcfg, 2);
+        assert_runs_twice_equal(rcfg);
     }
 }
 
-/// Wider fan-out: 4 shards partitions the oracle across two sinks.
+/// A wider plan: twice the clients and a second node failure while the
+/// first repair is still in flight.
 #[test]
-fn sharded_equals_serial_at_four_shards() {
+fn run_twice_equal_at_the_wider_plan() {
     for method in [MethodKind::Fo, MethodKind::Tsue] {
-        let mut rcfg = replay(method, 3, 100);
+        let mut rcfg = replay(method, 6, 100);
         armed_plans(&mut rcfg);
-        assert_sharded_matches_serial(rcfg, 4);
+        rcfg.faults = rcfg.faults.clone().fail_node(6 * simdes::units::MILLIS, 9);
+        assert_runs_twice_equal(rcfg);
     }
 }
 
-/// Defrag reads the oracle mid-run, which forces the oracle to stay on
-/// the core shard (`oracle_local`): the colocated path must be just as
-/// byte-exact.
+/// Defrag is the one policy that reads the oracle mid-run (acked span
+/// counts are its fragmentation signal).
 #[test]
-fn sharded_equals_serial_with_defrag_colocation() {
+fn run_twice_equal_with_defrag() {
     let mut rcfg = replay(MethodKind::Tsue, 3, 100);
     armed_plans(&mut rcfg);
     rcfg.maintenance = rcfg
         .maintenance
         .clone()
         .with_defrag(DefragConfig::default());
-    assert_sharded_matches_serial(rcfg, 4);
+    assert_runs_twice_equal(rcfg);
 }
 
 /// The open-loop path (the load_sweep cell shape): arrival events, the
-/// admission window, and saturation accounting all survive sharding.
+/// admission window, and saturation accounting, with a node failure.
 #[test]
-fn sharded_equals_serial_open_loop() {
+fn run_twice_equal_open_loop() {
     let mut rcfg = replay(MethodKind::Tsue, 6, 100);
     rcfg.workload = Workload::Open(OpenLoopSpec::poisson(64_000.0).with_window(4));
     rcfg.faults = FaultPlan::new().fail_node(5 * simdes::units::MILLIS, 2);
-    assert_sharded_matches_serial(rcfg, 4);
+    assert_runs_twice_equal(rcfg);
 }
 
-/// A cache + staging decorator over TSUE: the new node-local layers
+/// A cache + staging decorator over TSUE: the node-local layers
 /// (BTreeMap staging buffers, deterministic page caches, age-timer
-/// flushes) must survive sharding byte for byte like everything else.
+/// flushes) repeat byte for byte like everything else.
 #[test]
-fn sharded_equals_serial_with_cache_and_staging() {
+fn run_twice_equal_with_cache_and_staging() {
     let code = CodeParams::new(6, 3).unwrap();
     let cluster = ClusterConfig::builder()
         .code(code)
@@ -221,15 +220,11 @@ fn sharded_equals_serial_with_cache_and_staging() {
     let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
     rcfg.ops_per_client = 100;
     rcfg.volume_bytes = 32 << 20;
-    assert_sharded_matches_serial(rcfg, 2);
+    assert_runs_twice_equal(rcfg);
 }
 
-/// `shards = 1` is the serial loop itself — the degenerate case is free.
+/// The plain cell: no plan, no decorator, closed loop.
 #[test]
-fn one_shard_is_serial() {
-    let mut rcfg = replay(MethodKind::Pl, 3, 80);
-    rcfg.shards = 1;
-    let a = run_trace(&rcfg);
-    let b = run_trace(&rcfg);
-    assert_eq!(canon(&a), canon(&b));
+fn run_twice_equal_plain() {
+    assert_runs_twice_equal(replay(MethodKind::Pl, 3, 80));
 }

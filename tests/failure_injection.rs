@@ -83,13 +83,13 @@ fn tiny_log_quota_still_completes_via_backpressure() {
     let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
     rcfg.ops_per_client = 250;
     rcfg.volume_bytes = 32 << 20;
-    let constrained = run_trace(&rcfg);
+    let constrained = Replay::run(&rcfg).result;
     assert_eq!(constrained.oracle_violations, 0);
     assert!(constrained.stalls > 0, "quota 2 must hit back-pressure");
 
     let mut roomy = rcfg.clone();
     roomy.cluster.tsue_max_units = 8;
-    let free = run_trace(&roomy);
+    let free = Replay::run(&roomy).result;
     assert_eq!(free.oracle_violations, 0);
     assert_eq!(free.stalls, 0, "quota 8 must absorb the same load");
     // Back-pressure throttles but never loses work; with this run length

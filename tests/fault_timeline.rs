@@ -30,12 +30,12 @@ const FAULT_AT: u64 = 40 * simdes::units::MILLIS;
 #[test]
 fn node_failure_mid_replay_repairs_and_stays_consistent() {
     for method in [MethodKind::Tsue, MethodKind::Fo, MethodKind::Pl] {
-        let baseline = run_trace(&replay(method, 4, 250));
+        let baseline = Replay::run(&replay(method, 4, 250)).result;
 
         let mut rcfg = replay(method, 4, 250);
         rcfg.faults = FaultPlan::new().fail_node(FAULT_AT, 3);
         rcfg.validate().expect("faulted config validates");
-        let r = run_trace(&rcfg);
+        let r = Replay::run(&rcfg).result;
         let name = method.name();
 
         assert_eq!(r.oracle_violations, 0, "{name}");
@@ -79,7 +79,7 @@ fn rack_failure_mid_replay_serves_degraded_reads() {
     rcfg.faults = FaultPlan::new()
         .fail_rack(FAULT_AT, 1)
         .with_recovery_delay(20 * simdes::units::MILLIS);
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
     assert_eq!(r.oracle_violations, 0);
     assert_eq!(r.failed_ops, 0, "rack-aware keeps every stripe readable");
     assert_eq!(r.data_loss_blocks, 0);
@@ -118,7 +118,7 @@ fn parallel_faulted_grid_matches_serial() {
     let parallel = tsue_bench::run_grid(&configs);
     assert_eq!(parallel.len(), configs.len());
     for (rcfg, p) in configs.iter().zip(&parallel) {
-        let s = run_trace(rcfg);
+        let s = Replay::run(rcfg).result;
         assert_eq!(p.method, s.method);
         assert_eq!(p.completed_updates, s.completed_updates);
         assert_eq!(p.completed_reads, s.completed_reads);
@@ -142,7 +142,7 @@ fn parallel_faulted_grid_matches_serial() {
 fn faulted_scenario_golden() {
     let mut rcfg = replay(MethodKind::Tsue, 4, 250);
     rcfg.faults = FaultPlan::new().fail_node(FAULT_AT, 3);
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
     assert_eq!(r.completed_updates, 768);
     assert_eq!(r.completed_reads, 157);
     assert_eq!(r.completed_writes, 75);
@@ -248,14 +248,14 @@ fn repair_throttle_stretches_mttr() {
     let base = {
         let mut r = replay(MethodKind::Fo, 4, 200);
         r.faults = FaultPlan::new().fail_node(FAULT_AT, 2);
-        run_trace(&r)
+        Replay::run(&r).result
     };
     let throttled = {
         let mut r = replay(MethodKind::Fo, 4, 200);
         r.faults = FaultPlan::new()
             .fail_node(FAULT_AT, 2)
             .with_repair_bandwidth(20 << 20); // 20 MiB/s
-        run_trace(&r)
+        Replay::run(&r).result
     };
     // Every lost block is rebuilt exactly once (by the pump or inline);
     // the throttle only shifts the pump/inline split and the timing.
@@ -282,7 +282,7 @@ fn deferred_logs_slow_mid_replay_repair() {
     let mttr_of = |method: MethodKind| {
         let mut r = replay(method, 4, 250);
         r.faults = FaultPlan::new().fail_node(80 * simdes::units::MILLIS, 3);
-        run_trace(&r).mttr_s
+        Replay::run(&r).result.mttr_s
     };
     let tsue = mttr_of(MethodKind::Tsue);
     let pl = mttr_of(MethodKind::Pl);
@@ -302,7 +302,7 @@ fn flat_rotate_rack_failure_reports_data_loss() {
         let mut rcfg = racked_replay(MethodKind::Fo, 4, 150);
         rcfg.cluster.placement = PlacementKind::FlatRotate.policy();
         rcfg.faults = FaultPlan::new().fail_rack(FAULT_AT, rack);
-        let r = run_trace(&rcfg);
+        let r = Replay::run(&rcfg).result;
         if r.data_loss_blocks > 0 || r.failed_ops > 0 {
             any_loss = true;
             break;

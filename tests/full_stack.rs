@@ -23,7 +23,7 @@ fn trace_to_cluster_to_oracle_all_families() {
         TraceFamily::TenCloud,
         TraceFamily::Msr(MsrVolume::Src10),
     ] {
-        let res = run_trace(&replay(MethodKind::Tsue, family, 6));
+        let res = Replay::run(&replay(MethodKind::Tsue, family, 6)).result;
         assert_eq!(res.oracle_violations, 0, "{family:?}");
         assert!(res.completed_updates > 0, "{family:?}");
     }
@@ -112,7 +112,7 @@ fn hdd_cluster_inverts_fo_ranking() {
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::Msr(MsrVolume::Src10));
         rcfg.ops_per_client = 120;
         rcfg.volume_bytes = 64 << 20;
-        run_trace(&rcfg)
+        Replay::run(&rcfg).result
     };
     let fo = run(MethodKind::Fo);
     let pl = run(MethodKind::Pl);
@@ -147,7 +147,7 @@ fn fig7_ladder_is_monotonic_enough() {
         rcfg.cluster.tsue_unit_bytes = 2 << 20; // small units: recycling active
         rcfg.ops_per_client = 400;
         rcfg.volume_bytes = 96 << 20;
-        let res = run_trace(&rcfg);
+        let res = Replay::run(&rcfg).result;
         assert_eq!(res.oracle_violations, 0, "{label}");
         if label == "O3" {
             o3_gain = res.update_iops / prev.max(1.0);

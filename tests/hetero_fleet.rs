@@ -133,7 +133,7 @@ fn recovery_runs_at_target_disk_rates() {
 /// The fleet-resource metrics surface through `RunResult` on every run.
 #[test]
 fn run_result_reports_fill_wear_and_copysets() {
-    let r = run_trace(&skewed_replay(PlacementKind::FlatRotate));
+    let r = Replay::run(&skewed_replay(PlacementKind::FlatRotate)).result;
     assert_eq!(r.oracle_violations, 0);
     assert!(r.disk_fill_max >= r.disk_fill_min && r.disk_fill_min > 0.0);
     assert!(r.disk_fill_max < 1.0, "nothing overflows in a short run");
@@ -147,7 +147,7 @@ fn run_result_reports_fill_wear_and_copysets() {
 
     // A copyset policy bounds the co-location sets end to end.
     let budget = 5;
-    let copy = run_trace(&skewed_replay(PlacementKind::Copyset(budget)));
+    let copy = Replay::run(&skewed_replay(PlacementKind::Copyset(budget))).result;
     assert_eq!(copy.oracle_violations, 0);
     assert!(
         copy.copysets_used <= budget,
@@ -172,7 +172,7 @@ fn tiered_fleet_survives_mid_replay_fault() {
     r.faults = FaultPlan::new()
         .fail_node(20 * simdes::units::MILLIS, 2)
         .fail_node(30 * simdes::units::MILLIS, 12);
-    let res = run_trace(&r);
+    let res = Replay::run(&r).result;
     assert_eq!(res.oracle_violations, 0);
     assert_eq!(res.data_loss_blocks, 0);
     assert!(res.repaired_blocks + res.inline_rebuilds > 0);

@@ -52,7 +52,7 @@ fn empty_plan_reproduces_maintenance_free_golden() {
     assert!(rcfg.maintenance.is_empty());
     rcfg.validate().expect("empty plan validates");
 
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
     assert_eq!(r.completed_updates, 768);
     assert_eq!(r.completed_reads, 157);
     assert_eq!(r.completed_writes, 75);
@@ -87,7 +87,7 @@ fn scrub_finds_and_repairs_injected_lses() {
             .with_scrub(fast_scrub())
             .with_lse(dense_lse());
         rcfg.validate().expect("scrub plan validates");
-        let r = run_trace(&rcfg);
+        let r = Replay::run(&rcfg).result;
         let name = method.name();
 
         assert_eq!(r.oracle_violations, 0, "{name}");
@@ -112,7 +112,7 @@ fn scrub_finds_and_repairs_injected_lses() {
 /// be real (counted) work.
 #[test]
 fn rebalancer_narrows_wear_spread() {
-    let baseline = run_trace(&replay(MethodKind::Tsue, 4, 250));
+    let baseline = Replay::run(&replay(MethodKind::Tsue, 4, 250)).result;
     assert!(baseline.wear_spread > 1.0, "workload wear is already even");
 
     let mut rcfg = replay(MethodKind::Tsue, 4, 250);
@@ -123,7 +123,7 @@ fn rebalancer_narrows_wear_spread() {
         .with_rebalance(RebalanceConfig::default())
         .with_horizon(200 * simdes::units::MILLIS);
     rcfg.validate().expect("rebalance plan validates");
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
 
     assert_eq!(r.oracle_violations, 0);
     assert!(r.maint_migrated_gib > 0.0, "rebalancer moved nothing");
@@ -147,7 +147,7 @@ fn demotion_moves_parity_off_flash_on_tiered_fleet() {
     let mut rcfg = tiered_replay(MethodKind::Tsue, 4, 250);
     rcfg.maintenance = MaintenancePlan::new().with_demote(DemoteConfig::default());
     rcfg.validate().expect("demote plan validates");
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
 
     assert_eq!(r.oracle_violations, 0);
     assert_eq!(r.failed_ops, 0);
@@ -173,7 +173,7 @@ fn defrag_works_the_idle_tail() {
         .with_defrag(DefragConfig::default())
         .with_horizon(100 * simdes::units::MILLIS);
     rcfg.validate().expect("defrag plan validates");
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
 
     assert_eq!(r.oracle_violations, 0);
     assert!(
@@ -208,7 +208,7 @@ fn parallel_maintained_grid_matches_serial() {
     let parallel = tsue_bench::run_grid(&configs);
     assert_eq!(parallel.len(), configs.len());
     for (rcfg, p) in configs.iter().zip(&parallel) {
-        let s = run_trace(rcfg);
+        let s = Replay::run(rcfg).result;
         assert_eq!(p.method, s.method);
         assert_eq!(p.completed_updates, s.completed_updates);
         assert_eq!(p.completed_reads, s.completed_reads);
@@ -240,7 +240,7 @@ fn maintenance_composes_with_fault_timeline() {
         .with_scrub(fast_scrub())
         .with_lse(dense_lse());
     rcfg.validate().expect("composed config validates");
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
 
     assert_eq!(r.oracle_violations, 0);
     assert_eq!(r.failed_ops, 0);

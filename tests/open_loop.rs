@@ -45,7 +45,7 @@ fn open_loop_parallel_grid_matches_serial() {
     }
     let parallel = tsue_bench::run_grid(&configs);
     for (rcfg, p) in configs.iter().zip(&parallel) {
-        let s = run_trace(rcfg);
+        let s = Replay::run(rcfg).result;
         assert_eq!(p.method, s.method);
         assert_eq!(p.completed_updates, s.completed_updates);
         assert_eq!(p.completed_reads, s.completed_reads);
@@ -64,13 +64,13 @@ fn unsaturated_open_loop_tracks_offered_rate() {
     // Closed loop measures the self-throttled capacity; an open loop
     // offered well below it must ride the schedule: goodput ≈ offered,
     // no saturation, near-empty admission queues.
-    let closed = run_trace(&closed_replay(MethodKind::Tsue, 4, 250));
+    let closed = Replay::run(&closed_replay(MethodKind::Tsue, 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
     assert!(capacity > 0.0);
     assert_eq!(closed.offered_ops, 0, "closed loop offers no schedule");
     assert!(!closed.saturated);
 
-    let low = run_trace(&open_replay(MethodKind::Tsue, 4, 250, capacity * 0.4));
+    let low = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, capacity * 0.4)).result;
     assert_eq!(low.oracle_violations, 0);
     assert!(!low.saturated, "40% of capacity must not saturate");
     assert!(
@@ -90,10 +90,10 @@ fn unsaturated_open_loop_tracks_offered_rate() {
 fn overdriven_open_loop_saturates_and_caps_at_capacity() {
     // Offered far above capacity: the saturation flag trips, goodput
     // decouples from the schedule, and the queue-delay signature appears.
-    let closed = run_trace(&closed_replay(MethodKind::Fo, 4, 250));
+    let closed = Replay::run(&closed_replay(MethodKind::Fo, 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
 
-    let hot = run_trace(&open_replay(MethodKind::Fo, 4, 250, capacity * 8.0));
+    let hot = Replay::run(&open_replay(MethodKind::Fo, 4, 250, capacity * 8.0)).result;
     assert_eq!(hot.oracle_violations, 0);
     assert!(hot.saturated, "8x capacity must saturate");
     assert!(
@@ -125,7 +125,7 @@ fn overdriven_open_loop_saturates_and_caps_at_capacity() {
 /// functions of the config.
 #[test]
 fn open_loop_golden() {
-    let r = run_trace(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0));
+    let r = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0)).result;
     assert_eq!(r.offered_ops, 1000);
     // The op mix differs slightly from the closed-loop golden (768/157/75):
     // arrivals are drawn per client, so clients consume different depths of
@@ -142,7 +142,7 @@ fn open_loop_golden() {
 
 /// The sparse O(active) runtime must be byte-for-byte the dense runtime it
 /// replaced at the old population sizes — pinned via an exhaustive
-/// `RunResult` destructure (mirroring `tests/engine_shard.rs::canon`): a
+/// `RunResult` destructure (mirroring `tests/determinism.rs::canon`): a
 /// new field breaks this compile until it is classified, and any drift in
 /// the scale fields means the sparse bookkeeping changed.
 #[test]
@@ -220,7 +220,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
         wall_ms: _,
         events_per_sec: _,
         setup_ms: _,
-    } = run_trace(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0));
+    } = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0)).result;
 
     // The open_loop_golden pins (same run, re-asserted here so this test
     // stands alone).
@@ -302,8 +302,8 @@ fn million_client_population_stays_o_active() {
         r.validate().unwrap();
         r
     };
-    let small = run_trace(&build(1_000));
-    let huge = run_trace(&build(1_000_000));
+    let small = Replay::run(&build(1_000)).result;
+    let huge = Replay::run(&build(1_000_000)).result;
 
     for r in [&small, &huge] {
         assert_eq!(r.oracle_violations, 0);
@@ -363,7 +363,7 @@ fn timed_stream_replays_imported_arrivals() {
         .scale_rate(0.05);
     rcfg.workload = Workload::Timed { stream, window: 2 };
     rcfg.validate().unwrap();
-    let r = run_trace(&rcfg);
+    let r = Replay::run(&rcfg).result;
     assert_eq!(r.offered_ops, 6);
     assert_eq!(r.completed_reads, 2);
     assert_eq!(r.completed_updates + r.completed_writes, 4);
@@ -404,7 +404,7 @@ fn bursty_and_skewed_specs_replay_consistently() {
         let mut r = closed_replay(MethodKind::Tsue, 4, 150);
         r.workload = Workload::Open(spec);
         r.validate().unwrap();
-        let res = run_trace(&r);
+        let res = Replay::run(&r).result;
         assert_eq!(res.oracle_violations, 0);
         assert_eq!(res.offered_ops, 600);
         assert_eq!(

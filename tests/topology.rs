@@ -68,7 +68,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
         },
     ];
     for g in goldens {
-        let r = run_trace(&replay(g.method, 4, 250));
+        let r = Replay::run(&replay(g.method, 4, 250)).result;
         let name = g.method.name();
         assert_eq!(r.completed_updates, 768, "{name}");
         assert_eq!(r.completed_reads, 157, "{name}");
@@ -104,7 +104,7 @@ fn per_tier_traffic_partitions_the_total() {
     assert!(t.intra_rack_bytes() > 0, "some traffic must stay in-rack");
 
     // One rack: everything is intra-rack by definition.
-    let flat = run_trace(&replay(MethodKind::Pl, 4, 150));
+    let flat = Replay::run(&replay(MethodKind::Pl, 4, 150)).result;
     assert_eq!(flat.net_cross_rack_gib, 0.0);
     assert!(flat.net_gib > 0.0);
 }
@@ -113,18 +113,20 @@ fn per_tier_traffic_partitions_the_total() {
 fn oversubscription_slows_cross_rack_replay() {
     // The same racked workload under a starved spine must take longer in
     // simulated time (identical op mix, shared uplinks serialise).
-    let fat = run_trace(&racked_replay(
+    let fat = Replay::run(&racked_replay(
         MethodKind::Fo,
         PlacementKind::RackAware,
         4,
         1.0,
-    ));
-    let thin = run_trace(&racked_replay(
+    ))
+    .result;
+    let thin = Replay::run(&racked_replay(
         MethodKind::Fo,
         PlacementKind::RackAware,
         4,
         16.0,
-    ));
+    ))
+    .result;
     assert_eq!(fat.completed_updates, thin.completed_updates);
     assert!(
         thin.duration_s > fat.duration_s,
@@ -233,18 +235,20 @@ fn sequential_drills_compose() {
 fn rack_local_cuts_tsue_spine_traffic_vs_rack_aware() {
     // The acceptance shape of the topology refactor, at test scale: TSUE's
     // parity→parity pipeline stays in-rack under rack-local placement.
-    let aware = run_trace(&racked_replay(
+    let aware = Replay::run(&racked_replay(
         MethodKind::Tsue,
         PlacementKind::RackAware,
         4,
         4.0,
-    ));
-    let local = run_trace(&racked_replay(
+    ))
+    .result;
+    let local = Replay::run(&racked_replay(
         MethodKind::Tsue,
         PlacementKind::RackLocal,
         4,
         4.0,
-    ));
+    ))
+    .result;
     assert_eq!(aware.oracle_violations, 0);
     assert_eq!(local.oracle_violations, 0);
     assert!(

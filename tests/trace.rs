@@ -4,9 +4,9 @@
 //!    nothing and a traced run reproduces every deterministic legacy
 //!    `RunResult` field of the untraced run byte for byte: tracing changes
 //!    what is *recorded*, never what is *simulated*.
-//! 2. **Sharded == serial** — with fault *and* maintenance plans armed,
-//!    the 4-shard trace serialises to the identical binary log as the
-//!    serial trace (extending `tests/engine_shard.rs` to the span stream).
+//! 2. **Same config ⇒ same bytes** — with fault *and* maintenance plans
+//!    armed, two runs serialise to the identical binary log (extending
+//!    `tests/determinism.rs` to the span stream).
 //! 3. **Exact attribution** — for every method and every traced op, the
 //!    sum of the op's stage spans equals the client-observed latency
 //!    within 1 ns (the spans partition `[issued_at, ack]` by
@@ -84,34 +84,23 @@ fn tracing_changes_no_legacy_field() {
 }
 
 #[test]
-fn sharded_trace_is_bit_identical_to_serial() {
+fn trace_is_bit_identical_across_runs() {
     let mut rcfg = replay(MethodKind::Tsue, 3, 100);
     armed_plans(&mut rcfg);
     rcfg.trace = TraceConfig::on();
+    rcfg.validate().expect("traced config validates");
 
-    rcfg.shards = 1;
-    rcfg.validate().expect("serial config validates");
-    let serial = Replay::run(&rcfg);
-    rcfg.shards = 4;
-    rcfg.validate().expect("sharded config validates");
-    let sharded = Replay::run(&rcfg);
-    let (serial_result, serial_trace) = (serial.result, serial.trace);
-    let (sharded_result, sharded_trace) = (sharded.result, sharded.trace);
-
-    let serial_trace = serial_trace.expect("serial trace");
-    let sharded_trace = sharded_trace.expect("sharded trace");
+    let first = Replay::run(&rcfg);
+    let second = Replay::run(&rcfg);
     assert_eq!(
-        binary::to_bytes(&serial_trace),
-        binary::to_bytes(&sharded_trace),
-        "sharded(4) trace diverged from serial"
+        binary::to_bytes(&first.trace.expect("first trace")),
+        binary::to_bytes(&second.trace.expect("second trace")),
+        "second run's trace diverged from the first"
     );
+    assert_eq!(first.result.stage_breakdown, second.result.stage_breakdown);
     assert_eq!(
-        serial_result.stage_breakdown,
-        sharded_result.stage_breakdown
-    );
-    assert_eq!(
-        serial_result.trace_dropped_spans,
-        sharded_result.trace_dropped_spans
+        first.result.trace_dropped_spans,
+        second.result.trace_dropped_spans
     );
 }
 
