@@ -546,17 +546,6 @@ pub struct RunResult {
     pub setup_ms: f64,
 }
 
-impl RunResult {
-    /// Lifespan multiplier vs a baseline erase count (paper §5.3.4).
-    pub fn lifespan_vs(&self, baseline_erases: u64) -> f64 {
-        if self.erases == 0 {
-            baseline_erases.max(1) as f64
-        } else {
-            baseline_erases as f64 / self.erases as f64
-        }
-    }
-}
-
 fn client_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
     issue_next_op(sim, cl, client, sim.now());
 }

@@ -33,7 +33,7 @@ pub mod stats;
 pub use hdd::{Hdd, HddConfig};
 pub use lse::{LseModel, LseSite};
 pub use ssd::{Ssd, SsdConfig};
-pub use stats::DeviceStats;
+pub use stats::{erase_ratio, DeviceStats};
 
 use simdes::SimTime;
 

@@ -52,7 +52,7 @@ pub struct LseModel {
 
 /// splitmix64: the tiny, high-quality mixer used to derive site offsets and
 /// onsets without a `rand` dependency.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -73,14 +73,19 @@ impl Default for SsdConfig {
 ///
 /// Logical pages map to physical pages; overwrites invalidate the old
 /// physical page. When the pool of free blocks falls below the GC
-/// threshold, greedy GC picks the block with the fewest valid pages,
-/// relocates them, and erases it. Erases and relocations are returned to
-/// the caller so they can be charged to the device timeline and to the
-/// wear counters.
+/// threshold, greedy GC picks the closed block with the fewest valid
+/// pages — the lowest-index one among equals, a tie-break every pinned
+/// erase count and digest depends on — relocates them, and erases it.
+/// Erases and relocations are returned to the caller so they can be
+/// charged to the device timeline and to the wear counters.
+///
+/// A block is exactly one of *free* (erased, on `free_blocks`), *active*
+/// (receiving writes) or *closed* (retired from active, indexed in
+/// `closed` by its valid-page count so the victim is found without
+/// visiting every block).
 #[derive(Debug, Clone)]
 pub struct Ftl {
     pages_per_block: u32,
-    logical_pages: u64,
     /// lpn -> ppa
     map: Vec<u32>,
     /// ppa -> lpn
@@ -89,14 +94,75 @@ pub struct Ftl {
     valid: Vec<u16>,
     /// stack of free (erased) block ids
     free_blocks: Vec<u32>,
+    /// closed blocks by valid-page count
+    closed: ValidBuckets,
     active_block: u32,
     active_next_page: u32,
     gc_threshold_blocks: usize,
-    total_blocks: usize,
     /// Re-entrancy guard: relocations during GC allocate pages, which must
     /// not trigger a nested GC pass (the inner pass could erase and reuse
     /// the outer pass's victim mid-relocation).
     gc_active: bool,
+    /// Check every GC round's victim against the scan the index replaced.
+    #[cfg(test)]
+    check_victims: bool,
+}
+
+/// Closed blocks indexed by valid-page count: bucket `v` is a bitset over
+/// block ids of the closed blocks holding `v` valid pages, with its
+/// population, so the greedy victim is the lowest set bit of the lowest
+/// non-empty bucket.
+#[derive(Debug, Clone)]
+struct ValidBuckets {
+    /// `u64` words per bucket.
+    words: usize,
+    /// Bucket `v` is `bits[v * words..][..words]`.
+    bits: Vec<u64>,
+    /// Blocks per bucket.
+    len: Vec<u32>,
+}
+
+impl ValidBuckets {
+    fn new(buckets: usize, blocks: usize) -> ValidBuckets {
+        let words = blocks.div_ceil(64);
+        ValidBuckets {
+            words,
+            bits: vec![0; buckets * words],
+            len: vec![0; buckets],
+        }
+    }
+
+    fn insert(&mut self, valid: u16, block: usize) {
+        let word = &mut self.bits[valid as usize * self.words + block / 64];
+        debug_assert_eq!(*word >> (block % 64) & 1, 0, "block already filed");
+        *word |= 1 << (block % 64);
+        self.len[valid as usize] += 1;
+    }
+
+    fn remove(&mut self, valid: u16, block: usize) {
+        let word = &mut self.bits[valid as usize * self.words + block / 64];
+        debug_assert_eq!(*word >> (block % 64) & 1, 1, "block not in its bucket");
+        *word &= !(1 << (block % 64));
+        self.len[valid as usize] -= 1;
+    }
+
+    /// Lowest-index block of the lowest non-empty bucket; every bucket
+    /// head and bitset word examined adds one to `scanned`.
+    fn lowest(&self, scanned: &mut u64) -> Option<usize> {
+        let bucket = self.len.iter().position(|&n| {
+            *scanned += 1;
+            n != 0
+        })?;
+        let bits = &self.bits[bucket * self.words..][..self.words];
+        let word = bits
+            .iter()
+            .position(|&w| {
+                *scanned += 1;
+                w != 0
+            })
+            .expect("a non-empty bucket has a set bit");
+        Some(word * 64 + bits[word].trailing_zeros() as usize)
+    }
 }
 
 /// GC/wear cost of a batch of page writes.
@@ -108,6 +174,8 @@ pub struct FlashCost {
     pub moved_pages: u64,
     /// Blocks erased.
     pub erases: u64,
+    /// Positions (bucket heads and bitset words) victim selection examined.
+    pub blocks_scanned: u64,
 }
 
 impl Ftl {
@@ -119,49 +187,51 @@ impl Ftl {
             total_blocks >= 4,
             "SSD too small: needs at least 4 erase blocks"
         );
-        let mut free_blocks: Vec<u32> = (1..total_blocks as u32).rev().collect();
+        let free_blocks: Vec<u32> = (1..total_blocks as u32).rev().collect();
         let active_block = 0;
         let gc_threshold_blocks =
             ((total_blocks as f64 * cfg.gc_free_threshold).ceil() as usize).max(2);
-        let _ = &mut free_blocks;
         Ftl {
             pages_per_block: cfg.pages_per_block,
-            logical_pages,
             map: vec![UNMAPPED; logical_pages as usize],
             rmap: vec![UNMAPPED; total_blocks * cfg.pages_per_block as usize],
             valid: vec![0; total_blocks],
             free_blocks,
+            closed: ValidBuckets::new(cfg.pages_per_block as usize + 1, total_blocks),
             active_block,
             active_next_page: 0,
             gc_threshold_blocks,
-            total_blocks,
             gc_active: false,
+            #[cfg(test)]
+            check_victims: false,
         }
     }
 
-    /// Number of logical pages.
-    pub fn logical_pages(&self) -> u64 {
-        self.logical_pages
-    }
-
-    /// Writes one logical page; returns the wear cost incurred (including
-    /// any GC this write triggered).
-    pub fn write_page(&mut self, lpn: u64) -> FlashCost {
-        debug_assert!(lpn < self.logical_pages, "lpn out of range");
-        let mut cost = FlashCost::default();
+    /// Writes one logical page, adding the wear cost incurred (including
+    /// any GC this write triggered) to `cost`; returns whether the page
+    /// had been written before.
+    pub fn write_page(&mut self, lpn: u64, cost: &mut FlashCost) -> bool {
+        debug_assert!(lpn < self.map.len() as u64, "lpn out of range");
         // Invalidate the previous location.
         let old = self.map[lpn as usize];
-        if old != UNMAPPED {
-            let blk = (old / self.pages_per_block) as usize;
-            self.valid[blk] -= 1;
+        let overwrite = old != UNMAPPED;
+        if overwrite {
+            let blk = old / self.pages_per_block;
+            let v = self.valid[blk as usize];
+            self.valid[blk as usize] = v - 1;
+            // A mapped page sits in the active block or in a closed one.
+            if blk != self.active_block {
+                self.closed.remove(v, blk as usize);
+                self.closed.insert(v - 1, blk as usize);
+            }
             self.rmap[old as usize] = UNMAPPED;
         }
-        let ppa = self.allocate_page(&mut cost);
+        let ppa = self.allocate_page(cost);
         self.map[lpn as usize] = ppa;
         self.rmap[ppa as usize] = lpn as u32;
         self.valid[(ppa / self.pages_per_block) as usize] += 1;
         cost.host_pages += 1;
-        cost
+        overwrite
     }
 
     fn allocate_page(&mut self, cost: &mut FlashCost) -> u32 {
@@ -170,6 +240,10 @@ impl Ftl {
             if !self.gc_active && self.free_blocks.len() < self.gc_threshold_blocks {
                 self.collect_garbage(cost);
             }
+            // Retire the active block (part-filled if relocations of the
+            // pass above just opened it) into the closed index.
+            let retired = self.active_block as usize;
+            self.closed.insert(self.valid[retired], retired);
             self.active_block = self
                 .free_blocks
                 .pop()
@@ -184,25 +258,17 @@ impl Ftl {
     fn collect_garbage(&mut self, cost: &mut FlashCost) {
         self.gc_active = true;
         while self.free_blocks.len() < self.gc_threshold_blocks {
-            // Greedy victim: fewest valid pages, excluding active and free.
-            let mut victim = usize::MAX;
-            let mut best = u16::MAX;
-            for b in 0..self.total_blocks {
-                if b as u32 == self.active_block {
-                    continue;
-                }
-                if self.free_blocks.contains(&(b as u32)) {
-                    continue;
-                }
-                if self.valid[b] < best {
-                    best = self.valid[b];
-                    victim = b;
-                    if best == 0 {
-                        break;
-                    }
-                }
+            // Greedy victim: the lowest-index closed block among those with
+            // the fewest valid pages.
+            let victim = self
+                .closed
+                .lowest(&mut cost.blocks_scanned)
+                .expect("no GC victim available");
+            #[cfg(test)]
+            if self.check_victims {
+                assert_eq!(victim, self.reference_victim());
             }
-            assert!(victim != usize::MAX, "no GC victim available");
+            self.closed.remove(self.valid[victim], victim);
             // Relocate the victim's valid pages into the active stream.
             let base = victim as u32 * self.pages_per_block;
             for p in 0..self.pages_per_block {
@@ -234,8 +300,6 @@ pub struct Ssd {
     ftl: Ftl,
     queue: Resource,
     stats: DeviceStats,
-    /// Page-granularity "has been written" bitmap for overwrite accounting.
-    written: Vec<u64>,
     /// Latent-sector-error oracle, if installed.
     lse: Option<LseModel>,
 }
@@ -243,12 +307,9 @@ pub struct Ssd {
 impl Ssd {
     /// Builds an SSD from its configuration.
     pub fn new(cfg: SsdConfig) -> Ssd {
-        let ftl = Ftl::new(&cfg);
-        let words = (ftl.logical_pages() as usize).div_ceil(64);
         Ssd {
             queue: Resource::new(cfg.queue_depth),
-            ftl,
-            written: vec![0; words],
+            ftl: Ftl::new(&cfg),
             stats: DeviceStats::default(),
             lse: None,
             cfg,
@@ -345,32 +406,24 @@ impl Ssd {
                 if op.pattern == Pattern::Random {
                     self.stats.random_writes.record(op.len);
                 }
-                // Overwrite accounting at page granularity.
+                // FTL programming + GC, with overwrite accounting at page
+                // granularity: a page was written before iff it is mapped.
                 let first = op.offset / self.cfg.page_size;
                 let last = (op.offset + op.len - 1) / self.cfg.page_size;
                 let mut over_bytes = 0u64;
+                let mut cost = FlashCost::default();
                 for lpn in first..=last {
-                    let (w, b) = ((lpn / 64) as usize, lpn % 64);
-                    if self.written[w] >> b & 1 == 1 {
+                    if self.ftl.write_page(lpn, &mut cost) {
                         over_bytes += self.page_overlap(op.offset, op.len, lpn);
-                    } else {
-                        self.written[w] |= 1 << b;
                     }
                 }
                 if over_bytes > 0 {
                     self.stats.overwrites.record(over_bytes);
                 }
-                // FTL programming + GC.
-                let mut cost = FlashCost::default();
-                for lpn in first..=last {
-                    let c = self.ftl.write_page(lpn);
-                    cost.host_pages += c.host_pages;
-                    cost.moved_pages += c.moved_pages;
-                    cost.erases += c.erases;
-                }
                 self.stats.nand_pages_programmed += cost.host_pages + cost.moved_pages;
                 self.stats.gc_relocated_pages += cost.moved_pages;
                 self.stats.erases += cost.erases;
+                self.stats.gc_blocks_scanned += cost.blocks_scanned;
                 self.stats.wear_bytes += (cost.host_pages + cost.moved_pages) * self.cfg.page_size;
                 service += cost.moved_pages * self.cfg.gc_page_move_time
                     + cost.erases * self.cfg.erase_time;
@@ -400,24 +453,16 @@ impl Ssd {
         let last = (offset + len - 1) / block_bytes;
         let blocks = last - first + 1;
         self.stats.erases += blocks;
+        self.stats.region_erases += blocks;
         self.queue.reserve(now, blocks * self.cfg.erase_time)
-    }
-
-    /// Projected lifespan multiplier relative to a baseline erase count:
-    /// `baseline_erases / self.erases` (∞-safe: returns baseline when this
-    /// device has zero erases).
-    pub fn lifespan_vs(&self, baseline_erases: u64) -> f64 {
-        if self.stats.erases == 0 {
-            baseline_erases.max(1) as f64
-        } else {
-            baseline_erases as f64 / self.stats.erases as f64
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erase_ratio;
+    use crate::lse::splitmix64;
     use simdes::units::{MICROS, SECS};
 
     fn small_ssd() -> Ssd {
@@ -425,6 +470,146 @@ mod tests {
             capacity: 16 << 20, // 16 MiB
             ..SsdConfig::default()
         })
+    }
+
+    impl Ftl {
+        /// The scan the closed-block index replaced, kept as the reference:
+        /// visit every block in index order, skip the active and the free
+        /// ones, keep the first with strictly fewer valid pages.
+        pub(super) fn reference_victim(&self) -> usize {
+            let mut victim = usize::MAX;
+            let mut best = u16::MAX;
+            for b in 0..self.valid.len() {
+                if b as u32 == self.active_block {
+                    continue;
+                }
+                if self.free_blocks.contains(&(b as u32)) {
+                    continue;
+                }
+                if self.valid[b] < best {
+                    best = self.valid[b];
+                    victim = b;
+                    if best == 0 {
+                        break;
+                    }
+                }
+            }
+            victim
+        }
+
+        /// Free, active and closed partition the blocks; every closed block
+        /// sits in exactly the bucket of its valid count; valid counts add
+        /// up to the mapped pages.
+        fn check_invariants(&self) {
+            let filed = |v: usize, b: usize| {
+                self.closed.bits[v * self.closed.words + b / 64] >> (b % 64) & 1 == 1
+            };
+            let mut closed = 0;
+            for b in 0..self.valid.len() {
+                let free = self
+                    .free_blocks
+                    .iter()
+                    .filter(|&&f| f as usize == b)
+                    .count();
+                let active = usize::from(b as u32 == self.active_block);
+                let buckets: Vec<usize> = (0..self.closed.len.len())
+                    .filter(|&v| filed(v, b))
+                    .collect();
+                assert_eq!(
+                    free + active + buckets.len(),
+                    1,
+                    "block {b}: free {free} active {active} buckets {buckets:?}"
+                );
+                if let [v] = buckets[..] {
+                    assert_eq!(v, self.valid[b] as usize, "block {b} in the wrong bucket");
+                    closed += 1;
+                }
+            }
+            for (v, &n) in self.closed.len.iter().enumerate() {
+                let bits = &self.closed.bits[v * self.closed.words..][..self.closed.words];
+                let ones: u32 = bits.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(ones, n, "bucket {v} population");
+            }
+            let filed_total: u32 = self.closed.len.iter().sum();
+            assert_eq!(filed_total as usize, closed);
+            let mapped = self.map.iter().filter(|&&p| p != UNMAPPED).count();
+            let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
+            assert_eq!(valid, mapped);
+        }
+    }
+
+    /// Runs 4 KiB writes at `pages` on a 4 MiB / 25 %-OP device with every
+    /// GC round checked against the reference scan and the invariants
+    /// checked every 1 000 writes; returns the device.
+    fn differential(pages: impl Iterator<Item = u64>) -> Ssd {
+        let mut ssd = Ssd::new(SsdConfig {
+            capacity: 4 << 20, // 16 logical blocks of 256 KiB, 20 physical
+            over_provision: 0.25,
+            ..SsdConfig::default()
+        });
+        ssd.ftl.check_victims = true;
+        for (i, lpn) in pages.enumerate() {
+            ssd.submit(0, IoOp::write(lpn * 4096, 4096, Pattern::Random));
+            if i % 1000 == 0 {
+                ssd.ftl.check_invariants();
+            }
+        }
+        ssd.ftl.check_invariants();
+        let stats = ssd.stats();
+        assert!(stats.erases > 100, "only {} GC rounds", stats.erases);
+        ssd
+    }
+
+    #[test]
+    fn indexed_victim_matches_the_scan_uniform_random() {
+        let mut x = 7;
+        let ssd = differential((0..40_000).map(|_| splitmix64(&mut x) % 1024));
+        assert!(ssd.stats().gc_relocated_pages > 0, "random GC relocates");
+    }
+
+    #[test]
+    fn indexed_victim_matches_the_scan_hammering_even_pages() {
+        // Fill once, then hammer only the even pages: victims keep their
+        // odd pages valid, so every round relocates.
+        let fill = 0..1024;
+        let hammer = (0..60).flat_map(|_| (0..1024).step_by(2));
+        let ssd = differential(fill.chain(hammer));
+        assert!(ssd.stats().gc_relocated_pages > 0, "hammering relocates");
+    }
+
+    #[test]
+    fn indexed_victim_matches_the_scan_sequential_wraparound() {
+        let ssd = differential((0..40_000).map(|i| i % 1024));
+        assert_eq!(
+            ssd.stats().gc_relocated_pages,
+            0,
+            "sequential victims are fully invalid"
+        );
+    }
+
+    #[test]
+    fn victim_selection_examines_a_bounded_number_of_positions() {
+        // Default 2 GiB device (9 216 blocks, where the scan visited all of
+        // them per erase) and a 256 MiB one.
+        for capacity in [SsdConfig::default().capacity, 256 << 20] {
+            let mut ssd = Ssd::new(SsdConfig {
+                capacity,
+                ..SsdConfig::default()
+            });
+            let pages = capacity / 4096;
+            let mut x = 11;
+            while ssd.stats().erases < 2000 {
+                let lpn = splitmix64(&mut x) % pages;
+                ssd.submit(0, IoOp::write(lpn * 4096, 4096, Pattern::Random));
+            }
+            let stats = ssd.stats();
+            assert!(
+                stats.gc_blocks_scanned > 0 && stats.gc_blocks_scanned <= 256 * stats.erases,
+                "{capacity} B: {} positions over {} erases",
+                stats.gc_blocks_scanned,
+                stats.erases
+            );
+        }
     }
 
     #[test]
@@ -527,7 +712,8 @@ mod tests {
             }
         }
         assert!(b.stats().erases > a.stats().erases);
-        assert!(a.lifespan_vs(b.stats().erases) > 1.0);
+        let ratio = erase_ratio(b.stats().erases, a.stats().erases);
+        assert!(ratio.is_some_and(|r| r > 1.0), "{ratio:?}");
     }
 
     #[test]
