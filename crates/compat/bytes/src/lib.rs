@@ -1,6 +1,6 @@
-//! Offline stand-in for the `bytes` crate: an `Arc<[u8]>`-backed immutable
-//! buffer with O(1) `clone`/`slice`, and a growable `BytesMut` that freezes
-//! into it.
+//! Offline stand-in for the `bytes` crate: an `Arc<Vec<u8>>`-backed
+//! immutable buffer with O(1) `clone`/`slice`/`From<Vec<u8>>`, and a growable
+//! `BytesMut` that freezes into it without copying.
 
 #![forbid(unsafe_code)]
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// Cheaply cloneable immutable byte buffer (a view into shared storage).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -21,7 +21,7 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer (one copy).
     pub fn copy_from_slice(src: &[u8]) -> Bytes {
         Bytes::from(src.to_vec())
     }
@@ -57,12 +57,12 @@ impl Default for Bytes {
     }
 }
 
+/// Takes ownership of the vector's allocation: O(1), no copy.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -164,6 +164,39 @@ mod tests {
         m[0] = 7;
         let b = m.freeze();
         assert_eq!(&b[..], &[7, 8]);
+    }
+
+    #[test]
+    fn freeze_keeps_the_allocation() {
+        let mut m = BytesMut::with_capacity(8);
+        m.extend_from_slice(&[1, 2, 3]);
+        let before = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), before);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![4u8, 5, 6];
+        let before = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), before);
+        assert_eq!(&b[..], &[4, 5, 6]);
+    }
+
+    #[test]
+    fn copy_from_slice_does_not_alias() {
+        let src = [7u8, 8, 9];
+        let b = Bytes::copy_from_slice(&src);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        assert_eq!(&b[..], &src);
+    }
+
+    #[test]
+    fn slices_and_clones_share_storage() {
+        let b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
+        assert_eq!(b.slice(2..).as_ptr(), b[2..].as_ptr());
+        assert_eq!(b.slice(1..4).slice(1..).as_ptr(), b[2..].as_ptr());
+        assert_eq!(b.clone().as_ptr(), b.as_ptr());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use rscode::{CodeParams, ReedSolomon};
+use rscode::{delta::data_delta, CodeParams, ReedSolomon};
 
 use crate::index::MergeMode;
 use crate::layers::{
@@ -188,6 +188,9 @@ impl EngineConfigBuilder {
 struct Shared {
     cfg: EngineConfig,
     rs: ReedSolomon,
+    /// `coeffs[j]` = ∂(0..m, j): data block `j`'s coefficient into each
+    /// parity, built once (the `cs` of every parity-delta kernel call).
+    coeffs: Vec<Vec<u8>>,
     /// All blocks: stripe-major, `k` data then `m` parity per stripe.
     blocks: Vec<RwLock<Vec<u8>>>,
     data_log: Mutex<LogPoolSet<BlockId, Data>>,
@@ -255,11 +258,12 @@ impl Shared {
                 let mut block = self.blocks[slot].write();
                 for (off, data) in &job.ranges {
                     let bytes = data.as_slice();
-                    let start = *off as usize;
-                    let old = &block[start..start + bytes.len()];
-                    let delta: Vec<u8> = old.iter().zip(bytes).map(|(o, n)| o ^ n).collect();
-                    deltas.push((*off, Data::copy_from(&delta)));
-                    block[start..start + bytes.len()].copy_from_slice(bytes);
+                    let range = *off as usize..*off as usize + bytes.len();
+                    deltas.push((
+                        *off,
+                        Data::from_vec(data_delta(&block[range.clone()], bytes)),
+                    ));
+                    block[range].copy_from_slice(bytes);
                     self.applied_ranges.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -294,31 +298,32 @@ impl Shared {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let m = self.cfg.code.m();
         for job in group_delta_jobs(taken.contents) {
-            // For each parity block: one combined delta per union range.
-            for p in 0..m as u16 {
-                for (off, len) in crate::layers::union_ranges(&job.deltas) {
-                    let mut acc = vec![0u8; len as usize];
-                    for (block_idx, doff, delta) in &job.deltas {
-                        let dlen = delta.len();
-                        // Overlap of [doff, doff+dlen) with [off, off+len).
-                        let lo = (*doff).max(off);
-                        let hi = (doff + dlen).min(off + len);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let coeff = self.rs.coefficient(p as usize, *block_idx as usize);
-                        let piece = delta.slice(lo - doff, hi - doff);
-                        gf256::slice::mul_acc(
-                            &mut acc[(lo - off) as usize..(hi - off) as usize],
-                            piece.as_slice(),
-                            coeff.value(),
-                        );
+            // One combined delta per parity block per union range; each data
+            // delta piece is read once for all m parities.
+            for (off, len) in crate::layers::union_ranges(&job.deltas) {
+                let mut accs = vec![vec![0u8; len as usize]; m];
+                for (block_idx, doff, delta) in &job.deltas {
+                    // Overlap of [doff, doff+dlen) with [off, off+len).
+                    let lo = (*doff).max(off);
+                    let hi = (doff + delta.len()).min(off + len);
+                    if lo >= hi {
+                        continue;
                     }
+                    let window = (lo - off) as usize..(hi - off) as usize;
+                    let mut dsts: Vec<&mut [u8]> =
+                        accs.iter_mut().map(|a| &mut a[window.clone()]).collect();
+                    gf256::slice::mul_acc_rows(
+                        &mut dsts,
+                        &delta.as_slice()[(lo - doff) as usize..(hi - doff) as usize],
+                        &self.coeffs[*block_idx as usize],
+                    );
+                }
+                for (p, acc) in accs.into_iter().enumerate() {
                     let key = ParityKey {
                         stripe: job.stripe,
-                        parity_idx: p,
+                        parity_idx: p as u16,
                     };
-                    let payload = Data::copy_from(&acc);
+                    let payload = Data::from_vec(acc);
                     self.append_with_backpressure(Layer::Parity, move |sh| {
                         let mut log = sh.parity_log.lock();
                         log.append(key, off, payload.clone(), 0).1
@@ -433,6 +438,7 @@ impl TsueEngine {
             mode,
         };
         let shared = Arc::new(Shared {
+            coeffs: (0..cfg.code.k()).map(|j| rs.data_coefficients(j)).collect(),
             rs,
             blocks: (0..total_blocks)
                 .map(|_| RwLock::new(vec![0u8; cfg.block_len as usize]))

@@ -2,6 +2,7 @@
 //! cluster simulator.
 
 use bytes::{Bytes, BytesMut};
+use gf256::slice;
 
 /// What a log record carries.
 ///
@@ -44,9 +45,14 @@ impl Data {
         Data(Bytes::copy_from_slice(bytes))
     }
 
+    /// Takes ownership of `bytes` as a payload, without copying.
+    pub fn from_vec(bytes: Vec<u8>) -> Data {
+        Data(Bytes::from(bytes))
+    }
+
     /// A zero-filled payload of `len` bytes.
     pub fn zeroed(len: u32) -> Data {
-        Data(Bytes::from(vec![0u8; len as usize]))
+        Data::from_vec(vec![0u8; len as usize])
     }
 
     /// Borrow of the bytes.
@@ -79,11 +85,9 @@ impl Payload for Data {
 
     fn xor_with(&mut self, other: &Self) {
         assert_eq!(self.0.len(), other.0.len(), "xor_with: length mismatch");
-        let mut buf = BytesMut::from(&self.0[..]);
-        for (b, o) in buf.iter_mut().zip(other.0.iter()) {
-            *b ^= o;
-        }
-        self.0 = buf.freeze();
+        let mut buf = self.0.to_vec();
+        slice::xor(&mut buf, &other.0);
+        *self = Data::from_vec(buf);
     }
 }
 
@@ -120,6 +124,7 @@ mod tests {
     #[test]
     fn data_roundtrip() {
         let d = Data::copy_from(&[1, 2, 3, 4, 5]);
+        assert_eq!(Data::from_vec(vec![1, 2, 3, 4, 5]), d);
         assert_eq!(d.len(), 5);
         assert!(!d.is_empty());
         assert_eq!(d.slice(1, 4).as_slice(), &[2, 3, 4]);

@@ -8,8 +8,9 @@
 //!   choice for storage Reed-Solomon codes ([`field`]);
 //! * compile-time generated log/exp and full multiplication tables
 //!   ([`tables`]);
-//! * cache-friendly slice kernels — bulk XOR and multiply-accumulate — that
-//!   the codec uses to stream whole blocks through the field ([`mod@slice`]);
+//! * vectorised slice kernels — bulk XOR and multiply-accumulate, one source
+//!   into up to four outputs per pass — that the codec uses to stream whole
+//!   blocks through the field ([`mod@slice`]);
 //! * dense matrices over the field with multiplication, Gaussian inversion,
 //!   and Vandermonde / Cauchy constructors ([`matrix`]).
 //!

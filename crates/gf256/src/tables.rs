@@ -62,9 +62,9 @@ const fn build_mul_table() -> [[u8; 256]; 256] {
 
 /// Full 64 KiB multiplication table: `MUL[a][b] = a * b` in the field.
 ///
-/// Row `MUL[c]` is the multiply-by-`c` map used by the slice kernels; a whole
-/// row fits in one or two cache lines' worth of L1 sets, so streaming a block
-/// through a fixed coefficient is fast.
+/// Row `MUL[c]` is the multiply-by-`c` map: 256 bytes, i.e. four 64-byte
+/// cache lines. The slice kernel reads it only to build its per-coefficient
+/// lane constants and to finish the < 16-byte tail of a slice.
 pub static MUL: [[u8; 256]; 256] = build_mul_table();
 
 const fn build_inv_table() -> [u8; 256] {

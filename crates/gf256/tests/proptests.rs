@@ -87,6 +87,30 @@ proptest! {
     }
 
     #[test]
+    fn slice_mul_acc_rows_matches_scalar(
+        src in proptest::collection::vec(any::<u8>(), 0..2048),
+        init in any::<u8>(),
+        cs in proptest::collection::vec(any::<u8>(), 1..10),
+    ) {
+        let mut rows: Vec<Vec<u8>> = (0..cs.len())
+            .map(|r| vec![init.wrapping_add(r as u8); src.len()])
+            .collect();
+        let expect: Vec<Vec<u8>> = rows
+            .iter()
+            .zip(&cs)
+            .map(|(row, &c)| {
+                row.iter()
+                    .zip(&src)
+                    .map(|(&d, &s)| (Gf(d) + Gf(c) * Gf(s)).0)
+                    .collect()
+            })
+            .collect();
+        let mut refs: Vec<&mut [u8]> = rows.iter_mut().map(|r| r.as_mut_slice()).collect();
+        slice::mul_acc_rows(&mut refs, &src, &cs);
+        prop_assert_eq!(rows, expect);
+    }
+
+    #[test]
     fn slice_xor_matches_scalar(
         a in proptest::collection::vec(any::<u8>(), 0..2048),
         seed in any::<u8>(),

@@ -168,6 +168,18 @@ impl ReedSolomon {
         self.parity.get(parity_idx, data_idx)
     }
 
+    /// The coefficients `∂(0..m, data_idx)` with which data block
+    /// `data_idx` enters each parity: the `cs` of one
+    /// [`slice::mul_acc_rows`] call that folds its delta into all `m`.
+    ///
+    /// # Panics
+    /// Panics if `data_idx >= k`.
+    pub fn data_coefficients(&self, data_idx: usize) -> Vec<u8> {
+        (0..self.params.m)
+            .map(|i| self.parity.get(i, data_idx).value())
+            .collect()
+    }
+
     /// Borrow of the `m × k` parity matrix.
     #[inline]
     pub fn parity_matrix(&self) -> &Matrix {
@@ -225,12 +237,10 @@ impl ReedSolomon {
                 });
             }
         }
-        for (i, p) in parity.iter_mut().enumerate() {
+        for p in parity.iter_mut() {
             p.fill(0);
-            for (j, d) in data.iter().enumerate() {
-                slice::mul_acc(p, d, self.parity.get(i, j).value());
-            }
         }
+        fold(parity, data, |i, j| self.parity.get(i, j));
         Ok(())
     }
 
@@ -247,17 +257,10 @@ impl ReedSolomon {
     /// Checks that the parity shards are consistent with the data shards.
     pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, RsError> {
         let len = self.check_shard_lengths(shards)?;
-        let mut buf = vec![0u8; len];
-        for i in 0..self.params.m {
-            buf.fill(0);
-            for (j, shard) in shards.iter().take(self.params.k).enumerate() {
-                slice::mul_acc(&mut buf, shard, self.parity.get(i, j).value());
-            }
-            if buf != shards[self.params.k + i] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let (data, parity) = shards.split_at(self.params.k);
+        let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let expect = combine(len, self.params.m, &data, |i, j| self.parity.get(i, j));
+        Ok(expect == parity)
     }
 
     /// Rebuilds every missing shard (`None` entry) from the survivors.
@@ -305,44 +308,33 @@ impl ReedSolomon {
             .inverted()
             .expect("any k rows of an MDS generator are invertible");
 
-        // data[j] = Σ_b inv(j, b) * shard[basis[b]]; compute only the data
-        // blocks we actually need, then re-encode missing parity from them.
+        // data[j] = Σ_b inv(j, b) * shard[basis[b]] for every missing data
+        // block; then missing parity is re-encoded from the full data set.
         let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < k).collect();
         let missing_parity: Vec<usize> = missing.iter().copied().filter(|&i| i >= k).collect();
-
-        // Recover all data blocks needed: every missing data block, plus (if
-        // any parity is missing) every data block, because parity re-encode
-        // reads them all.
-        let need_all_data = !missing_parity.is_empty();
-        let mut data_blocks: Vec<Option<Vec<u8>>> = vec![None; k];
-        for j in 0..k {
-            if let Some(buf) = &shards[j] {
-                data_blocks[j] = Some(buf.clone());
-            }
+        let solved = {
+            let srcs: Vec<&[u8]> = basis
+                .iter()
+                .map(|&b| shards[b].as_deref().expect("basis shards are present"))
+                .collect();
+            combine(len, missing_data.len(), &srcs, |r, b| {
+                inv.get(missing_data[r], b)
+            })
+        };
+        for (&j, block) in missing_data.iter().zip(solved) {
+            shards[j] = Some(block);
         }
-        let to_solve: Vec<usize> = (0..k)
-            .filter(|&j| data_blocks[j].is_none() && (need_all_data || missing_data.contains(&j)))
-            .collect();
-        for &j in &to_solve {
-            let mut out = vec![0u8; len];
-            for (b, &src) in basis.iter().enumerate() {
-                let c = inv.get(j, b).value();
-                slice::mul_acc(&mut out, shards[src].as_ref().unwrap(), c);
+        if !missing_parity.is_empty() {
+            let data: Vec<&[u8]> = shards[..k]
+                .iter()
+                .map(|s| s.as_deref().expect("all data present or solved"))
+                .collect();
+            let rebuilt = combine(len, missing_parity.len(), &data, |r, j| {
+                self.parity.get(missing_parity[r] - k, j)
+            });
+            for (&p, block) in missing_parity.iter().zip(rebuilt) {
+                shards[p] = Some(block);
             }
-            data_blocks[j] = Some(out);
-        }
-
-        for &j in &missing_data {
-            shards[j] = Some(data_blocks[j].clone().expect("solved above"));
-        }
-        for &p in &missing_parity {
-            let i = p - k;
-            let mut out = vec![0u8; len];
-            for (j, db) in data_blocks.iter().enumerate() {
-                let d = db.as_ref().expect("all data recovered for parity");
-                slice::mul_acc(&mut out, d, self.parity.get(i, j).value());
-            }
-            shards[p] = Some(out);
         }
         Ok(())
     }
@@ -361,6 +353,31 @@ impl ReedSolomon {
         }
         full
     }
+}
+
+/// `outs[r] ^= Σ_s coeff(r, s) · srcs[s]`, reading each source once for all
+/// outputs (one [`slice::mul_acc_rows`] call per source).
+fn fold(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeff: impl Fn(usize, usize) -> Gf) {
+    let mut cs = vec![0u8; outs.len()];
+    for (s, src) in srcs.iter().enumerate() {
+        for (r, c) in cs.iter_mut().enumerate() {
+            *c = coeff(r, s).value();
+        }
+        slice::mul_acc_rows(outs, src, &cs);
+    }
+}
+
+/// [`fold`] into `rows` fresh zeroed outputs of `len` bytes.
+fn combine(
+    len: usize,
+    rows: usize,
+    srcs: &[&[u8]],
+    coeff: impl Fn(usize, usize) -> Gf,
+) -> Vec<Vec<u8>> {
+    let mut out = vec![vec![0u8; len]; rows];
+    let mut refs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+    fold(&mut refs, srcs, coeff);
+    out
 }
 
 #[cfg(test)]

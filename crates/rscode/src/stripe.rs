@@ -98,14 +98,12 @@ impl Stripe {
             offset + new.len() <= self.block_len,
             "update: range out of bounds"
         );
-        let old = &self.blocks[idx][offset..offset + new.len()];
-        let dd = delta::data_delta(old, new);
-        self.blocks[idx][offset..offset + new.len()].copy_from_slice(new);
-        for p in 0..self.params().m() {
-            let c = self.rs.coefficient(p, idx).value();
-            let parity = &mut self.blocks[k + p][offset..offset + new.len()];
-            slice::mul_acc(parity, &dd, c);
-        }
+        let range = offset..offset + new.len();
+        let (data, parity) = self.blocks.split_at_mut(k);
+        let dd = delta::data_delta(&data[idx][range.clone()], new);
+        data[idx][range.clone()].copy_from_slice(new);
+        let mut parity: Vec<&mut [u8]> = parity.iter_mut().map(|b| &mut b[range.clone()]).collect();
+        slice::mul_acc_rows(&mut parity, &dd, &self.rs.data_coefficients(idx));
         dd
     }
 
