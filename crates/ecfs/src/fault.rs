@@ -159,7 +159,10 @@ pub struct InjectedFault {
 #[derive(Debug, Clone, Default)]
 pub struct FaultState {
     /// Whether any node has ever failed — the cheap gate on the degraded
-    /// dispatch path (false = the exact pre-fault-timeline hot path).
+    /// dispatch path (false = the exact pre-fault-timeline hot path). It
+    /// stays set after repair: rebuilt blocks are relocated, but a block
+    /// never written before the failure still has the dead node as its
+    /// policy home and must be re-homed on first touch.
     pub degraded_mode: bool,
     /// Detection lag copied from the plan.
     pub recovery_delay: SimTime,

@@ -313,10 +313,10 @@ fn prepare_write_path(
     redispatch: fn(&mut Sim<Cluster>, &mut Cluster, UpdateCtx),
 ) -> bool {
     let addr = ctx.slice.addr;
-    let mut needed = vec![addr];
-    needed.extend(cl.layout.parity_addrs(addr.volume, addr.stripe));
+    let k = cl.cfg.code.k() as u16;
+    let parities = (k..k + cl.cfg.code.m() as u16).map(|index| BlockAddr { index, ..addr });
     let mut ready = ctx.start_at;
-    for a in needed {
+    for a in std::iter::once(addr).chain(parities) {
         let home = cl.layout.current_node(a);
         if !cl.nodes[home].failed {
             continue;

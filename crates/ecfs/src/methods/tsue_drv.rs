@@ -52,7 +52,7 @@ impl UpdateMethod for Tsue {
     }
 
     fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        drain(sim, cl);
+        drain_tick(sim, cl, SimTime::MAX);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
@@ -61,7 +61,10 @@ impl UpdateMethod for Tsue {
         // (their exact completion is not known up front), so the recovery
         // gate charges the backlog at a conservative replay rate — the
         // paper's point survives intact: this is typically megabytes,
-        // versus the gigabytes deferred methods must replay.
+        // versus the gigabytes deferred methods must replay. The replay
+        // itself is bounded by that gate: force-seal ticks stop there, and
+        // appends arriving later recycle through the ordinary seal-driven
+        // chains, as in steady state.
         let now = sim.now();
         let backlog = methods::pending_log_bytes(cl);
         // Charge the replay scan to the disks that actually perform it:
@@ -86,10 +89,11 @@ impl UpdateMethod for Tsue {
             let t = cl.disk_io(replayer, now, IoOp::read(base, len, Pattern::Sequential));
             gate = gate.max(t);
         }
-        drain(sim, cl);
         // ~2 GB/s merge CPU on top of the booked scan, plus one
         // scheduling quantum.
-        gate.max(now + backlog / 2) + simdes::units::MILLIS
+        let gate = gate.max(now + backlog / 2) + simdes::units::MILLIS;
+        drain_tick(sim, cl, gate);
+        gate
     }
 }
 
@@ -271,16 +275,6 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     }
 
     let t_ack = cl.ack(t_local.max(t_replica), dnode, client_ep);
-    if std::env::var("TSUE_TRACE_OPS").is_ok() && ctx.client == 0 {
-        eprintln!(
-            "op: issue={} arrive=+{} local=+{} replica=+{} ack=+{}",
-            ctx.issued_at,
-            t_arrive - ctx.issued_at,
-            t_local.saturating_sub(t_arrive),
-            t_replica.saturating_sub(t_arrive),
-            t_ack.saturating_sub(t_local.max(t_replica)),
-        );
-    }
     cl.oracle_ack(slice.addr, slice.offset, slice.len);
     // The replica append is TSUE's redundancy work on the critical path —
     // charged to ParityIo so cross-method waterfalls compare like for like
@@ -701,12 +695,16 @@ pub fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     });
 }
 
-/// Drain: repeatedly seal and recycle everything until no log bytes remain.
-fn drain(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-    drain_tick(sim, cl);
-}
-
-fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
+/// One drain tick: force-seals every active unit on every node and starts
+/// a recycle wherever none is running, then reschedules itself one
+/// simulated millisecond later while log bytes remain and `now < until`.
+///
+/// The end-of-run drain passes [`SimTime::MAX`] and ticks until no log
+/// bytes remain. [`UpdateMethod::drain_until`] passes its recovery gate,
+/// so the §2.3.2 replay covers the backlog outstanding at the failure and
+/// does not keep slicing the units the foreground fills afterwards; units
+/// still recycling at the bound finish through their own chains.
+fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, until: SimTime) {
     let now = sim.now();
     let mut pending = 0u64;
     for node in 0..cl.cfg.nodes {
@@ -733,9 +731,9 @@ fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
             recycle_parity(sim, cl, node);
         }
     }
-    if pending > 0 {
-        sim.schedule(simdes::units::MILLIS, |sim, cl: &mut Cluster| {
-            drain_tick(sim, cl);
+    if pending > 0 && now < until {
+        sim.schedule(simdes::units::MILLIS, move |sim, cl: &mut Cluster| {
+            drain_tick(sim, cl, until);
         });
     }
 }

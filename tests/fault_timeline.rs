@@ -293,6 +293,37 @@ fn deferred_logs_slow_mid_replay_repair() {
 }
 
 #[test]
+fn tsue_failure_replay_does_not_grow_with_run_length() {
+    // §2.3.2: a failure replays the log backlog outstanding at that
+    // instant, so the extra work a fault costs TSUE under open-loop load
+    // is set by the failure, not by how long the foreground keeps
+    // appending afterwards. Doubling the run (same fault time) must leave
+    // the faulted-minus-calm event count where it was.
+    let extra_events = |ops_per_client: usize| {
+        let run = |faults: FaultPlan| {
+            let mut r = replay(MethodKind::Tsue, 16, ops_per_client);
+            r.workload = Workload::Open(OpenLoopSpec::poisson(24_000.0).with_window(4));
+            r.faults = faults;
+            r.validate().expect("open-loop faulted config validates");
+            let res = Replay::run(&r).result;
+            assert_eq!(res.oracle_violations, 0);
+            assert_eq!(res.failed_ops, 0);
+            res.sim_events
+        };
+        let faulted = run(FaultPlan::new().fail_node(20 * simdes::units::MILLIS, 3));
+        faulted as i64 - run(FaultPlan::new()) as i64
+    };
+    let short = extra_events(125);
+    let long = extra_events(250);
+    assert!(short > 0, "the failure must cost events: {short}");
+    assert!(
+        long as f64 <= 1.25 * short as f64 + 500.0,
+        "failure replay grows with run length: {short} extra events at 2 000 ops, \
+         {long} at 4 000"
+    );
+}
+
+#[test]
 fn flat_rotate_rack_failure_reports_data_loss() {
     // Topology-blind placement can lose more than m blocks of a stripe to
     // one rack: mid-replay the timeline must report data loss and failed
