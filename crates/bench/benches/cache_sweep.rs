@@ -26,23 +26,22 @@ use tsue_bench::{kfmt, print_table, run_grid, ssd_replay, BenchReport};
 /// scale, 64 MiB holds effectively all of it.
 const CACHE_SIZES: [&str; 3] = ["64KiB", "1MiB", "64MiB"];
 
-fn methods() -> Vec<MethodKind> {
-    if tsue_bench::smoke() {
-        vec![MethodKind::Fo, MethodKind::Plr, MethodKind::Tsue]
-    } else {
-        MethodKind::ALL.to_vec()
-    }
+/// Every built-in method; the smoke scale keeps FO, PLR and TSUE.
+fn methods() -> Vec<Arc<dyn UpdateMethod>> {
+    builtins()
+        .into_iter()
+        .filter(|m| !tsue_bench::smoke() || matches!(m.name(), "FO" | "PLR" | "TSUE"))
+        .collect()
 }
 
-/// One replay cell: the standard SSD testbed with the cluster's method
-/// swapped for the decorated spec (bare specs resolve to the same driver
-/// `ssd_replay` installs).
-fn cell(method: MethodKind, spec: &str) -> ReplayConfig {
+/// One replay cell: the standard SSD testbed running the method `spec`
+/// builds.
+fn cell(spec: &str) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
+    let parsed = MethodSpec::parse(spec).expect("sweep specs are well-formed");
+    let method = build_method(&parsed).expect("sweep specs resolve");
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.volume_bytes = 32 << 20;
-    let parsed = MethodSpec::parse(spec).expect("sweep specs are well-formed");
-    r.cluster.method = build_method(&parsed).expect("sweep specs resolve");
     r
 }
 
@@ -51,31 +50,24 @@ fn main() {
 
     // The grid, labelled by (method, spec, swept-size-if-lru).
     let mut grid = Vec::new();
-    let mut labels: Vec<(MethodKind, String, Option<&str>)> = Vec::new();
-    for &method in &methods {
-        let mut push = |spec: String, size: Option<&'static str>, grid: &mut Vec<ReplayConfig>| {
-            grid.push(cell(method, &spec));
+    let mut labels: Vec<(&str, String, Option<&str>)> = Vec::new();
+    for method in methods.iter().map(|m| m.name()) {
+        let mut push = |spec: String, size: Option<&'static str>| {
+            grid.push(cell(&spec));
             labels.push((method, spec, size));
         };
-        push(method.name().to_string(), None, &mut grid);
+        push(method.to_string(), None);
         for size in CACHE_SIZES {
-            push(
-                format!("lru({size})+{}", method.name()),
-                Some(size),
-                &mut grid,
-            );
+            push(format!("lru({size})+{method}"), Some(size));
         }
-        push(
-            format!("stage(8MiB,2ms)+lru(16MiB)+{}", method.name()),
-            None,
-            &mut grid,
-        );
+        push(format!("stage(8MiB,2ms)+lru(16MiB)+{method}"), None);
     }
     // Policy comparison on TSUE at the middle size (LRU's 16 MiB cell
     // above is the third point).
     for policy in ["plru", "adaptive"] {
-        grid.push(cell(MethodKind::Tsue, &format!("{policy}(16MiB)+TSUE")));
-        labels.push((MethodKind::Tsue, format!("{policy}(16MiB)+TSUE"), None));
+        let spec = format!("{policy}(16MiB)+TSUE");
+        grid.push(cell(&spec));
+        labels.push(("TSUE", spec, None));
     }
     let results = run_grid(&grid);
 
@@ -101,7 +93,7 @@ fn main() {
             assert!(res.stage_flushes > 0, "{spec}: staging never flushed");
         }
         let mut cells = vec![
-            ("method", method.name().into()),
+            ("method", (*method).into()),
             ("spec", spec.as_str().into()),
             ("update_iops", res.update_iops.into()),
             ("cache_lookups", res.cache_lookups.into()),
@@ -139,7 +131,7 @@ fn main() {
 
     // Per-method findings: the hit-ratio ramp and the relative IOPS gain
     // from the largest cache.
-    let lookup = |m: MethodKind, want: &dyn Fn(&str, Option<&str>) -> bool| -> &RunResult {
+    let lookup = |m: &str, want: &dyn Fn(&str, Option<&str>) -> bool| -> &RunResult {
         labels
             .iter()
             .zip(&results)
@@ -149,29 +141,26 @@ fn main() {
     };
     println!();
     let mut gains = Vec::new();
-    for &method in &methods {
-        let bare = lookup(method, &|spec, _| spec == method.name());
+    for method in methods.iter().map(|m| m.name()) {
+        let bare = lookup(method, &|spec, _| spec == method);
         let mut ramp = Vec::new();
         for swept in CACHE_SIZES {
             let res = lookup(method, &|_, size| size == Some(swept));
-            report.add_finding(
-                &format!("hit_ratio_{}_{}", method.name(), swept),
-                res.cache_hit_ratio,
-            );
+            report.add_finding(&format!("hit_ratio_{method}_{swept}"), res.cache_hit_ratio);
             ramp.push(res.cache_hit_ratio);
         }
         let best = lookup(method, &|_, size| size == Some("64MiB"));
         let gain = best.update_iops / bare.update_iops;
-        report.add_finding(&format!("cache_gain_{}", method.name()), gain);
+        report.add_finding(&format!("cache_gain_{method}"), gain);
         let staged = lookup(method, &|spec, _| spec.starts_with("stage("));
         report.add_finding(
-            &format!("coalesced_frac_{}", method.name()),
+            &format!("coalesced_frac_{method}"),
             staged.coalesced_bytes as f64 / staged.staged_bytes.max(1) as f64,
         );
         println!(
             "  -> {:>5}: hit ratio {:.3} -> {:.3} -> {:.3} across {:?}, \
              64 MiB cache gain {:.3}x, staging coalesces {:.1}% of staged bytes",
-            method.name(),
+            method,
             ramp[0],
             ramp[1],
             ramp[2],
@@ -184,7 +173,7 @@ fn main() {
 
     // The sweep's own shape assertions (the gate re-checks them from the
     // report so a regression fails CI even when nobody reruns the bench).
-    for &method in &methods {
+    for method in methods.iter().map(|m| m.name()) {
         let ramp: Vec<f64> = CACHE_SIZES
             .iter()
             .map(|&swept| lookup(method, &|_, size| size == Some(swept)).cache_hit_ratio)
@@ -192,24 +181,21 @@ fn main() {
         for pair in ramp.windows(2) {
             assert!(
                 pair[1] >= pair[0] - 0.01,
-                "{}: hit ratio not monotone in cache size ({ramp:?})",
-                method.name()
+                "{method}: hit ratio not monotone in cache size ({ramp:?})"
             );
         }
     }
-    let gain_of = |m: MethodKind| gains.iter().find(|(k, _)| *k == m).unwrap().1;
+    let gain_of = |m: &str| gains.iter().find(|(k, _)| *k == m).unwrap().1;
     assert!(
-        gain_of(MethodKind::Fo) >= 1.0,
+        gain_of("FO") >= 1.0,
         "a read cache must not slow FO down ({:.3}x)",
-        gain_of(MethodKind::Fo)
+        gain_of("FO")
     );
     for &(method, gain) in &gains {
         assert!(
-            gain_of(MethodKind::Tsue) <= gain + 0.02,
-            "TSUE's cache gain ({:.3}x) must be the smallest, but {} gains {:.3}x",
-            gain_of(MethodKind::Tsue),
-            method.name(),
-            gain
+            gain_of("TSUE") <= gain + 0.02,
+            "TSUE's cache gain ({:.3}x) must be the smallest, but {method} gains {gain:.3}x",
+            gain_of("TSUE"),
         );
     }
 

@@ -52,39 +52,45 @@ impl Plan {
     }
 }
 
-fn sweep_replay(method: MethodKind, placement: PlacementKind, plan: Plan) -> ReplayConfig {
+fn sweep_replay(
+    method: Arc<dyn UpdateMethod>,
+    placement: Arc<dyn PlacementPolicy>,
+    plan: Plan,
+) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 8 } else { 16 };
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.cluster.racks = RACKS;
     r.cluster.oversubscription = OVERSUB;
-    r.cluster.placement = placement.policy();
+    r.cluster.placement = placement;
     r.faults = plan.build();
     r
 }
 
 fn main() {
-    let methods = [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Tsue,
-    ];
+    let methods: [Arc<dyn UpdateMethod>; 4] =
+        [Arc::new(Fo), Arc::new(Pl), Arc::new(Plr), Arc::new(Tsue)];
+    let flat: Arc<dyn PlacementPolicy> = Arc::new(FlatRotate);
+    let aware: Arc<dyn PlacementPolicy> = Arc::new(RackAware);
     let plans = [Plan::None, Plan::Node, Plan::Rack];
 
     let mut grid = Vec::new();
     let mut labels = Vec::new();
     for plan in plans {
-        for method in methods {
+        for method in &methods {
             // Rack failures need the rack-aware stripe budget to stay
             // recoverable; node failures also run under the topology-blind
             // default to show placement does not change single-node MTTR.
             let placements = match plan {
-                Plan::Node => vec![PlacementKind::FlatRotate, PlacementKind::RackAware],
-                _ => vec![PlacementKind::RackAware],
+                Plan::Node => vec![&flat, &aware],
+                _ => vec![&aware],
             };
             for placement in placements {
-                grid.push(sweep_replay(method, placement, plan));
-                labels.push((method, placement, plan));
+                grid.push(sweep_replay(
+                    Arc::clone(method),
+                    Arc::clone(placement),
+                    plan,
+                ));
+                labels.push((method.name(), placement.name(), plan));
             }
         }
     }
@@ -96,15 +102,14 @@ fn main() {
         assert_eq!(
             res.oracle_violations,
             0,
-            "{} under {:?} fault plan violated consistency",
-            method.name(),
+            "{method} under {:?} fault plan violated consistency",
             plan.name()
         );
         assert_eq!(res.data_loss_blocks, 0, "sweep scenarios are recoverable");
         assert_eq!(res.failed_ops, 0);
         let mut cells = vec![
-            ("method", method.name().into()),
-            ("placement", placement.name().into()),
+            ("method", (*method).into()),
+            ("placement", (*placement).into()),
             ("fault", plan.name().into()),
             ("update_iops", res.update_iops.into()),
             ("mttr_ms", (res.mttr_s * 1e3).into()),
@@ -125,8 +130,8 @@ fn main() {
         cells.extend(tsue_bench::engine_cells(res));
         report.add_row(cells);
         rows.push(vec![
-            method.name().to_string(),
-            placement.name().to_string(),
+            method.to_string(),
+            placement.to_string(),
             plan.name().to_string(),
             kfmt(res.update_iops),
             format!("{:.1}", res.mttr_s * 1e3),
@@ -158,29 +163,27 @@ fn main() {
         &rows,
     );
 
-    let cell = |method: MethodKind, plan: Plan| {
+    let cell = |method: &str, plan: Plan| {
         labels
             .iter()
             .zip(&results)
-            .find(|((m, p, pl), _)| *m == method && *pl == plan && *p == PlacementKind::RackAware)
+            .find(|((m, p, pl), _)| *m == method && *pl == plan && *p == aware.name())
             .map(|(_, res)| res)
             .unwrap()
     };
 
     // Shape checks the sweep exists to demonstrate.
-    for method in methods {
+    for method in methods.iter().map(|m| m.name()) {
         let baseline = cell(method, Plan::None);
         assert_eq!(baseline.mttr_s, 0.0, "no faults, no MTTR");
         assert_eq!(baseline.repaired_blocks + baseline.inline_rebuilds, 0);
         assert_eq!(baseline.net_repair_gib, 0.0);
         // Without faults the read SLO split degenerates: everything is
         // steady state.
-        assert_eq!(baseline.degraded_read_p99_us, 0.0, "{}", method.name());
+        assert_eq!(baseline.degraded_read_p99_us, 0.0, "{method}");
         assert_eq!(
-            baseline.steady_read_p99_us,
-            baseline.read_p99_us,
-            "{}",
-            method.name()
+            baseline.steady_read_p99_us, baseline.read_p99_us,
+            "{method}"
         );
         // A rack failure makes some reads pay the k-survivor decode: the
         // degraded-window read p99 must not undercut steady state while
@@ -189,8 +192,7 @@ fn main() {
         if rack.degraded_reads > 0 {
             assert!(
                 rack.degraded_read_p99_us >= rack.steady_read_p99_us,
-                "{}: degraded-window read p99 ({:.0} us) below steady ({:.0} us)",
-                method.name(),
+                "{method}: degraded-window read p99 ({:.0} us) below steady ({:.0} us)",
                 rack.degraded_read_p99_us,
                 rack.steady_read_p99_us
             );
@@ -202,8 +204,7 @@ fn main() {
         assert!(
             rack.repaired_blocks + rack.inline_rebuilds
                 > node.repaired_blocks + node.inline_rebuilds,
-            "{}: a rack loses more blocks than a node",
-            method.name()
+            "{method}: a rack loses more blocks than a node"
         );
     }
     // The log-layer absorption claim: while the rack rebuild storms the
@@ -211,15 +212,15 @@ fn main() {
     // the critical path, so their p99 inside the degraded window stays
     // far below the in-place/deferred methods whose foreground I/O queues
     // directly behind the repair streams.
-    let tsue = cell(MethodKind::Tsue, Plan::Rack);
+    let tsue = cell("TSUE", Plan::Rack);
     println!();
-    for method in [MethodKind::Fo, MethodKind::Pl, MethodKind::Plr] {
+    for method in ["FO", "PL", "PLR"] {
         let other = cell(method, Plan::Rack);
         println!(
             "  -> rebuild interference: TSUE degraded p99 {:.1} ms vs {} {:.1} ms \
              ({:.1}x absorbed); MTTR {:.0} ms vs {:.0} ms",
             tsue.degraded_p99_us / 1e3,
-            method.name(),
+            method,
             other.degraded_p99_us / 1e3,
             other.degraded_p99_us / tsue.degraded_p99_us.max(1e-12),
             tsue.mttr_s * 1e3,
@@ -229,16 +230,14 @@ fn main() {
         // one bucket; the strict separation is asserted on throughput.
         assert!(
             tsue.degraded_p99_us <= other.degraded_p99_us,
-            "TSUE must absorb the rebuild interference at least as well as {}: \
+            "TSUE must absorb the rebuild interference at least as well as {method}: \
              {:.0} us vs {:.0} us",
-            method.name(),
             tsue.degraded_p99_us,
             other.degraded_p99_us
         );
         assert!(
             tsue.update_iops > other.update_iops,
-            "TSUE must out-serve {} during the rebuild window",
-            method.name()
+            "TSUE must out-serve {method} during the rebuild window"
         );
     }
 

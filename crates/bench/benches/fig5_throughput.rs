@@ -5,8 +5,10 @@
 //! advantage grows with M (≈1.5× FO at M=2 → ≈2.9× at M=4), it is larger on
 //! Ten-Cloud than Ali-Cloud, and throughput scales with client count.
 
+use std::sync::Arc;
+
 use traces::TraceFamily;
-use tsue_bench::{fig5_codes, kfmt, print_table, run_grid, ssd_replay, FIG5_METHODS};
+use tsue_bench::{fig5_codes, fig5_methods, kfmt, print_table, run_grid, ssd_replay};
 
 fn main() {
     let clients = if tsue_bench::full_scale() {
@@ -23,34 +25,32 @@ fn main() {
                 _ => unreachable!(),
             };
             // One subplot's method x clients grid replays in parallel.
-            let grid: Vec<_> = FIG5_METHODS
+            let configs: Vec<_> = fig5_methods()
                 .iter()
-                .flat_map(|&method| clients.iter().map(move |&c| (method, c)))
-                .collect();
-            let configs: Vec<_> = grid
-                .iter()
-                .map(|&(method, c)| ssd_replay(k, m, method, family, c))
+                .flat_map(|method| {
+                    clients
+                        .iter()
+                        .map(move |&c| ssd_replay(k, m, Arc::clone(method), family, c))
+                })
                 .collect();
             let results = run_grid(&configs);
 
             let mut rows = Vec::new();
             let mut tsue_by_clients: Vec<f64> = Vec::new();
             let mut fo_by_clients: Vec<f64> = Vec::new();
-            for (chunk, method) in results.chunks(clients.len()).zip(FIG5_METHODS) {
-                let mut row = vec![method.name().to_string()];
+            for chunk in results.chunks(clients.len()) {
+                let method = chunk[0].method.as_str();
+                let mut row = vec![method.to_string()];
                 for res in chunk {
                     assert_eq!(
-                        res.oracle_violations,
-                        0,
-                        "consistency violated: {} RS({k},{m})",
-                        method.name()
+                        res.oracle_violations, 0,
+                        "consistency violated: {method} RS({k},{m})"
                     );
                     row.push(kfmt(res.update_iops));
-                    if method == ecfs::MethodKind::Tsue {
-                        tsue_by_clients.push(res.update_iops);
-                    }
-                    if method == ecfs::MethodKind::Fo {
-                        fo_by_clients.push(res.update_iops);
+                    match method {
+                        "TSUE" => tsue_by_clients.push(res.update_iops),
+                        "FO" => fo_by_clients.push(res.update_iops),
+                        _ => {}
                     }
                 }
                 rows.push(row);

@@ -5,6 +5,9 @@
 //! stable — "the impact of the back-end log recycle process on update
 //! performance is negligible".
 
+use std::sync::Arc;
+
+use ecfs::methods::Tsue;
 use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{print_table, ssd_replay};
@@ -15,7 +18,7 @@ fn main() {
     for max_units in [2usize, 4, 8] {
         // The paper's peak configuration (64 clients) — the quota only
         // matters when append pressure approaches the recycle rate.
-        let mut rcfg = ssd_replay(6, 2, ecfs::MethodKind::Tsue, TraceFamily::AliCloud, 64);
+        let mut rcfg = ssd_replay(6, 2, Arc::new(Tsue), TraceFamily::AliCloud, 64);
         rcfg.cluster.tsue_max_units = max_units;
         rcfg.cluster.tsue_unit_bytes = 1 << 20;
         // A longer run so the series has enough buckets.

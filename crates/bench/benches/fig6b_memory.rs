@@ -5,6 +5,9 @@
 //! quota to 20 only grows memory (up to ~3.8 GB per SSD at paper scale)
 //! without improving throughput — hence the paper's default of 4.
 
+use std::sync::Arc;
+
+use ecfs::methods::Tsue;
 use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{kfmt, print_table, ssd_replay};
@@ -12,7 +15,7 @@ use tsue_bench::{kfmt, print_table, ssd_replay};
 fn main() {
     let mut rows = Vec::new();
     for max_units in [2usize, 4, 6, 8, 12, 16, 20] {
-        let mut rcfg = ssd_replay(6, 2, ecfs::MethodKind::Tsue, TraceFamily::AliCloud, 64);
+        let mut rcfg = ssd_replay(6, 2, Arc::new(Tsue), TraceFamily::AliCloud, 64);
         rcfg.cluster.tsue_max_units = max_units;
         rcfg.cluster.tsue_unit_bytes = 1 << 20;
         let res = Replay::run(&rcfg).result;

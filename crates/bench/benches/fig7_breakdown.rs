@@ -5,6 +5,9 @@
 //! Paper claims: O1 contributes more than O2; O3 (the log pool) is the
 //! largest single jump; O4 is minimal; O5 adds ~30%.
 
+use std::sync::Arc;
+
+use ecfs::methods::Tsue;
 use ecfs::{Replay, TsueFeatures};
 use traces::TraceFamily;
 use tsue_bench::{kfmt, print_table, ssd_replay};
@@ -22,7 +25,7 @@ fn main() {
             let mut row = vec![format!("{fam_name}_RS(6,{m})")];
             let mut prev = 0.0f64;
             for (label, feats) in ladder {
-                let mut rcfg = ssd_replay(6, m, ecfs::MethodKind::Tsue, family, 48);
+                let mut rcfg = ssd_replay(6, m, Arc::new(Tsue), family, 48);
                 rcfg.cluster.tsue = feats;
                 // Smaller units so the recycle pipeline is active during the
                 // (simulation-scale) run; the paper's 16 MiB units assume

@@ -6,35 +6,33 @@
 //! 9.1× PLR, 3.6× PARIX; FO is the *worst* method on HDDs (every update is
 //! a seek storm), inverting the SSD ordering.
 
-use ecfs::{MethodKind, Replay};
+use std::sync::Arc;
+
+use ecfs::Replay;
 use traces::workload::MsrVolume;
 use traces::TraceFamily;
-use tsue_bench::{hdd_replay, kfmt, print_table};
+use tsue_bench::{fig5_methods, hdd_replay, kfmt, print_table};
 
 fn main() {
-    let methods = [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Tsue,
-    ];
+    let methods: Vec<_> = fig5_methods()
+        .into_iter()
+        .filter(|m| m.name() != "CoRD")
+        .collect();
     let mut rows = Vec::new();
     let mut best_ratio_fo = 0.0f64;
     for volume in MsrVolume::ALL {
         let mut row = vec![volume.name().to_string()];
         let mut fo = 0.0;
         let mut tsue = 0.0;
-        for method in methods {
-            let rcfg = hdd_replay(6, 4, method, TraceFamily::Msr(volume), 16);
+        for method in &methods {
+            let rcfg = hdd_replay(6, 4, Arc::clone(method), TraceFamily::Msr(volume), 16);
             let res = Replay::run(&rcfg).result;
             assert_eq!(res.oracle_violations, 0);
             row.push(kfmt(res.update_iops));
-            if method == MethodKind::Fo {
-                fo = res.update_iops;
-            }
-            if method == MethodKind::Tsue {
-                tsue = res.update_iops;
+            match method.name() {
+                "FO" => fo = res.update_iops,
+                "TSUE" => tsue = res.update_iops,
+                _ => {}
             }
         }
         best_ratio_fo = best_ratio_fo.max(tsue / fo.max(1e-9));

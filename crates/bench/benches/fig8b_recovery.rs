@@ -6,26 +6,24 @@
 //! pending — real-time recycling), while deferred-log methods must replay
 //! logs first, depressing their effective recovery bandwidth.
 
+use std::sync::Arc;
+
 use ecfs::recovery::recover_node;
 use ecfs::replay::run_update_phase;
-use ecfs::MethodKind;
 use traces::workload::MsrVolume;
 use traces::TraceFamily;
-use tsue_bench::{hdd_replay, print_table};
+use tsue_bench::{fig5_methods, hdd_replay, print_table};
 
 fn main() {
-    let methods = [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Tsue,
-    ];
+    let methods: Vec<_> = fig5_methods()
+        .into_iter()
+        .filter(|m| m.name() != "CoRD")
+        .collect();
     let mut rows = Vec::new();
     for volume in MsrVolume::ALL {
         let mut row = vec![volume.name().to_string()];
-        for method in methods {
-            let mut rcfg = hdd_replay(6, 4, method, TraceFamily::Msr(volume), 8);
+        for method in &methods {
+            let mut rcfg = hdd_replay(6, 4, Arc::clone(method), TraceFamily::Msr(volume), 8);
             // Large volumes: the rebuild must be node-scale (as in the
             // paper, which rebuilds a whole 2 TB node) so that residual-log
             // drains are measured *relative* to a real reconstruction.

@@ -46,11 +46,15 @@ fn fleets() -> Vec<(&'static str, DiskFleet)> {
     ]
 }
 
-fn sweep_replay(method: MethodKind, fleet: &DiskFleet, placement: PlacementKind) -> ReplayConfig {
+fn sweep_replay(
+    method: Arc<dyn UpdateMethod>,
+    fleet: &DiskFleet,
+    placement: Arc<dyn PlacementPolicy>,
+) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 12 };
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.cluster.fleet = fleet.clone();
-    r.cluster.placement = placement.policy();
+    r.cluster.placement = placement;
     // Small log units keep TSUE's real-time recycling active on the
     // HDD-homed log regions within a short run (cf. `hdd_replay`).
     r.cluster.tsue_unit_bytes = 1 << 20;
@@ -61,31 +65,33 @@ fn sweep_replay(method: MethodKind, fleet: &DiskFleet, placement: PlacementKind)
 }
 
 fn main() {
-    let methods = [MethodKind::Fo, MethodKind::Pl, MethodKind::Tsue];
-    let placements = [PlacementKind::FlatRotate, PlacementKind::CapacityWeighted];
+    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
+    let placements: [Arc<dyn PlacementPolicy>; 2] =
+        [Arc::new(FlatRotate), Arc::new(CapacityWeighted)];
+    let copyset: Arc<dyn PlacementPolicy> = Arc::new(Copyset::new(COPYSET_BUDGET));
 
     let mut grid = Vec::new();
     let mut labels = Vec::new();
     for (fleet_name, fleet) in fleets() {
-        for placement in placements {
-            for method in methods {
-                grid.push(sweep_replay(method, &fleet, placement));
-                labels.push((fleet_name, placement, method));
+        for placement in &placements {
+            for method in &methods {
+                grid.push(sweep_replay(
+                    Arc::clone(method),
+                    &fleet,
+                    Arc::clone(placement),
+                ));
+                labels.push((fleet_name, placement.name(), method.name()));
             }
         }
     }
     // The copyset trio: uniform fleet, blast radius capped at the budget.
-    for method in methods {
+    for method in &methods {
         grid.push(sweep_replay(
-            method,
+            Arc::clone(method),
             &DiskFleet::uniform_ssd(),
-            PlacementKind::Copyset(COPYSET_BUDGET),
+            Arc::clone(&copyset),
         ));
-        labels.push((
-            "uniform-ssd",
-            PlacementKind::Copyset(COPYSET_BUDGET),
-            method,
-        ));
+        labels.push(("uniform-ssd", copyset.name(), method.name()));
     }
     let results = run_grid(&grid);
 
@@ -93,16 +99,13 @@ fn main() {
     let mut rows = Vec::new();
     for ((fleet, placement, method), res) in labels.iter().zip(&results) {
         assert_eq!(
-            res.oracle_violations,
-            0,
-            "{} on {fleet} under {} placement violated consistency",
-            method.name(),
-            placement.name()
+            res.oracle_violations, 0,
+            "{method} on {fleet} under {placement} placement violated consistency"
         );
         let mut cells = vec![
             ("fleet", (*fleet).into()),
-            ("placement", placement.name().into()),
-            ("method", method.name().into()),
+            ("placement", (*placement).into()),
+            ("method", (*method).into()),
             ("update_iops", res.update_iops.into()),
             ("latency_mean_us", res.latency_mean_us.into()),
             ("fill_min", res.disk_fill_min.into()),
@@ -115,8 +118,8 @@ fn main() {
         report.add_row(cells);
         rows.push(vec![
             (*fleet).to_string(),
-            placement.name().to_string(),
-            method.name().to_string(),
+            (*placement).to_string(),
+            (*method).to_string(),
             kfmt(res.update_iops),
             format!("{:.0}", res.latency_mean_us),
             format!("{:.3}", res.disk_fill_min),
@@ -141,7 +144,7 @@ fn main() {
         &rows,
     );
 
-    let cell = |fleet: &str, placement: PlacementKind, method: MethodKind| {
+    let cell = |fleet: &str, placement: &str, method: &str| {
         labels
             .iter()
             .zip(&results)
@@ -152,8 +155,8 @@ fn main() {
 
     // 1. The headline question: TSUE's lead over FO, all-flash vs tiered.
     let ratio = |fleet: &str| {
-        let tsue = cell(fleet, PlacementKind::FlatRotate, MethodKind::Tsue);
-        let fo = cell(fleet, PlacementKind::FlatRotate, MethodKind::Fo);
+        let tsue = cell(fleet, "flat-rotate", "TSUE");
+        let fo = cell(fleet, "flat-rotate", "FO");
         tsue.update_iops / fo.update_iops.max(1e-9)
     };
     let uniform_ratio = ratio("uniform-ssd");
@@ -173,67 +176,50 @@ fn main() {
 
     // 2. The capacity story: on the skewed fleet the flat rotation
     // overfills the quarter-size disk; capacity weighting flattens it.
-    for method in methods {
-        let flat = cell("skewed-ssd", PlacementKind::FlatRotate, method);
-        let capw = cell("skewed-ssd", PlacementKind::CapacityWeighted, method);
+    for method in methods.iter().map(|m| m.name()) {
+        let flat = cell("skewed-ssd", "flat-rotate", method);
+        let capw = cell("skewed-ssd", "capacity-weighted", method);
         println!(
-            "  -> {}: skewed-fleet fill max {:.3} (flat-rotate) vs {:.3} (capacity-weighted)",
-            method.name(),
-            flat.disk_fill_max,
-            capw.disk_fill_max
+            "  -> {method}: skewed-fleet fill max {:.3} (flat-rotate) vs {:.3} (capacity-weighted)",
+            flat.disk_fill_max, capw.disk_fill_max
         );
         assert!(
             capw.disk_fill_max < flat.disk_fill_max,
-            "{}: capacity weighting must lower the worst-disk fill \
+            "{method}: capacity weighting must lower the worst-disk fill \
              ({:.3} vs {:.3})",
-            method.name(),
             capw.disk_fill_max,
             flat.disk_fill_max
         );
     }
 
     // 3. The blast-radius budget: copyset placement confines stripes.
-    for method in methods {
-        let copy = cell(
-            "uniform-ssd",
-            PlacementKind::Copyset(COPYSET_BUDGET),
-            method,
-        );
-        let flat = cell("uniform-ssd", PlacementKind::FlatRotate, method);
+    for method in methods.iter().map(|m| m.name()) {
+        let copy = cell("uniform-ssd", "copyset", method);
+        let flat = cell("uniform-ssd", "flat-rotate", method);
         assert!(
             copy.copysets_used <= COPYSET_BUDGET,
-            "{}: {} copysets exceed the budget of {COPYSET_BUDGET}",
-            method.name(),
+            "{method}: {} copysets exceed the budget of {COPYSET_BUDGET}",
             copy.copysets_used
         );
         assert!(
             flat.copysets_used > COPYSET_BUDGET,
-            "{}: flat rotation should scatter stripes over many sets \
+            "{method}: flat rotation should scatter stripes over many sets \
              (got {})",
-            method.name(),
             flat.copysets_used
         );
     }
 
     report.add_finding("tsue_fo_ratio_uniform_ssd", uniform_ratio);
     report.add_finding("tsue_fo_ratio_tiered", tiered_ratio);
-    let skew_flat = cell("skewed-ssd", PlacementKind::FlatRotate, MethodKind::Tsue);
-    let skew_capw = cell(
-        "skewed-ssd",
-        PlacementKind::CapacityWeighted,
-        MethodKind::Tsue,
-    );
+    let skew_flat = cell("skewed-ssd", "flat-rotate", "TSUE");
+    let skew_capw = cell("skewed-ssd", "capacity-weighted", "TSUE");
     report.add_finding("tsue_fill_max_skewed_flat_rotate", skew_flat.disk_fill_max);
     report.add_finding(
         "tsue_fill_max_skewed_capacity_weighted",
         skew_capw.disk_fill_max,
     );
     report.add_finding("copyset_budget", COPYSET_BUDGET);
-    let copy_tsue = cell(
-        "uniform-ssd",
-        PlacementKind::Copyset(COPYSET_BUDGET),
-        MethodKind::Tsue,
-    );
+    let copy_tsue = cell("uniform-ssd", "copyset", "TSUE");
     report.add_finding("tsue_copysets_used", copy_tsue.copysets_used);
     report.write_and_announce();
 }

@@ -33,7 +33,7 @@ fn rates() -> Vec<f64> {
     }
 }
 
-fn sweep_replay(method: MethodKind, rate: f64) -> ReplayConfig {
+fn sweep_replay(method: Arc<dyn UpdateMethod>, rate: f64) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.volume_bytes = 32 << 20;
@@ -42,15 +42,15 @@ fn sweep_replay(method: MethodKind, rate: f64) -> ReplayConfig {
 }
 
 fn main() {
-    let methods = MethodKind::ALL;
+    let methods = builtins();
     let rates = rates();
 
     let mut grid = Vec::new();
     let mut labels = Vec::new();
-    for method in methods {
+    for method in &methods {
         for &rate in &rates {
-            grid.push(sweep_replay(method, rate));
-            labels.push((method, rate));
+            grid.push(sweep_replay(Arc::clone(method), rate));
+            labels.push((method.name(), rate));
         }
     }
     let results = run_grid(&grid);
@@ -59,7 +59,7 @@ fn main() {
     let mut rows = Vec::new();
     for ((method, rate), res) in labels.iter().zip(&results) {
         let mut cells = vec![
-            ("method", method.name().into()),
+            ("method", (*method).into()),
             ("rate", (*rate).into()),
             ("offered_ops_per_s", res.offered_ops_per_s.into()),
             ("goodput_ops_per_s", res.goodput_ops_per_s.into()),
@@ -70,19 +70,16 @@ fn main() {
         cells.extend(tsue_bench::engine_cells(res));
         report.add_row(cells);
         assert_eq!(
-            res.oracle_violations,
-            0,
-            "{} at {rate} ops/s violated consistency",
-            method.name()
+            res.oracle_violations, 0,
+            "{method} at {rate} ops/s violated consistency"
         );
         assert_eq!(
             res.offered_ops,
             res.completed_updates + res.completed_reads + res.completed_writes,
-            "{}: open loop must ack every offered op",
-            method.name()
+            "{method}: open loop must ack every offered op"
         );
         rows.push(vec![
-            method.name().to_string(),
+            method.to_string(),
             kfmt(*rate),
             kfmt(res.offered_ops_per_s),
             kfmt(res.goodput_ops_per_s),
@@ -114,7 +111,7 @@ fn main() {
     // one-rung queue-depth blip from a real capacity cliff).
     println!();
     let mut knees = Vec::new();
-    for method in methods {
+    for method in methods.iter().map(|m| m.name()) {
         let cells: Vec<(f64, &RunResult)> = labels
             .iter()
             .zip(&results)
@@ -123,22 +120,17 @@ fn main() {
             .collect();
         let sat_flags: Vec<bool> = cells.iter().map(|(_, res)| res.saturated).collect();
         let knee = knee_index(&sat_flags).map(|i| &cells[i]);
-        let (knee_rate, knee_res) = knee.unwrap_or_else(|| {
-            panic!(
-                "{} never saturated: raise the top swept rate",
-                method.name()
-            )
-        });
+        let (knee_rate, knee_res) =
+            knee.unwrap_or_else(|| panic!("{method} never saturated: raise the top swept rate"));
         // Below the knee the method must actually ride the schedule.
         let floor = &cells.first().expect("rates is non-empty").1;
         assert!(
             !floor.saturated,
-            "{} saturated at the bottom rung: lower the base swept rate",
-            method.name()
+            "{method} saturated at the bottom rung: lower the base swept rate"
         );
         println!(
             "  -> {:>5} knee at offered {:>6}/s: goodput caps at {:>6}/s (queue p99 {:.1} ms)",
-            method.name(),
+            method,
             kfmt(*knee_rate),
             kfmt(knee_res.goodput_ops_per_s),
             knee_res.queue_delay_p99_us / 1e3,
@@ -149,17 +141,15 @@ fn main() {
     // The ranking claim the sweep exists to demonstrate: TSUE sustains at
     // least as high an offered rate as every other method, and strictly
     // out-serves the in-place baseline at the collapse point.
-    let knee_of = |m: MethodKind| knees.iter().find(|(k, _, _)| *k == m).unwrap();
-    let (_, tsue_knee, tsue_cap) = knee_of(MethodKind::Tsue);
-    for method in methods {
-        let (_, knee, _) = knee_of(method);
+    let knee_of = |m: &str| knees.iter().find(|(k, _, _)| *k == m).unwrap();
+    let (_, tsue_knee, tsue_cap) = knee_of("TSUE");
+    for (method, knee, _) in &knees {
         assert!(
             tsue_knee >= knee,
-            "TSUE's knee ({tsue_knee}) must not come before {}'s ({knee})",
-            method.name()
+            "TSUE's knee ({tsue_knee}) must not come before {method}'s ({knee})"
         );
     }
-    let (_, _, fo_cap) = knee_of(MethodKind::Fo);
+    let (_, _, fo_cap) = knee_of("FO");
     assert!(
         tsue_cap > fo_cap,
         "TSUE's saturated goodput ({tsue_cap:.0}/s) must exceed FO's ({fo_cap:.0}/s)"
@@ -168,8 +158,8 @@ fn main() {
     // Headline findings for the regression gate: each method's knee rate
     // and the goodput it caps at there.
     for (method, knee_rate, knee_cap) in &knees {
-        report.add_finding(&format!("knee_rate_{}", method.name()), *knee_rate);
-        report.add_finding(&format!("knee_goodput_{}", method.name()), *knee_cap);
+        report.add_finding(&format!("knee_rate_{method}"), *knee_rate);
+        report.add_finding(&format!("knee_goodput_{method}"), *knee_cap);
     }
     report.write_and_announce();
 }

@@ -103,7 +103,11 @@ fn plans() -> Vec<(&'static str, MaintenancePlan)> {
     ]
 }
 
-fn sweep_replay(method: MethodKind, plan: &MaintenancePlan, curve: &RateCurve) -> ReplayConfig {
+fn sweep_replay(
+    method: Arc<dyn UpdateMethod>,
+    plan: &MaintenancePlan,
+    curve: &RateCurve,
+) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 12 };
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.cluster.fleet = DiskFleet::tiered(8, 8);
@@ -117,15 +121,15 @@ fn sweep_replay(method: MethodKind, plan: &MaintenancePlan, curve: &RateCurve) -
 }
 
 fn main() {
-    let methods = [MethodKind::Fo, MethodKind::Pl, MethodKind::Tsue];
+    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
 
     let mut grid = Vec::new();
     let mut labels = Vec::new();
     for (curve_name, curve) in curves() {
         for (plan_name, plan) in plans() {
-            for method in methods {
-                grid.push(sweep_replay(method, &plan, &curve));
-                labels.push((curve_name, plan_name, method));
+            for method in &methods {
+                grid.push(sweep_replay(Arc::clone(method), &plan, &curve));
+                labels.push((curve_name, plan_name, method.name()));
             }
         }
     }
@@ -135,17 +139,15 @@ fn main() {
     let mut rows = Vec::new();
     for ((curve, plan, method), res) in labels.iter().zip(&results) {
         assert_eq!(
-            res.oracle_violations,
-            0,
-            "{} plan {plan} under {curve} load violated consistency",
-            method.name()
+            res.oracle_violations, 0,
+            "{method} plan {plan} under {curve} load violated consistency"
         );
-        assert_eq!(res.data_loss_blocks, 0, "{} plan {plan}", method.name());
+        assert_eq!(res.data_loss_blocks, 0, "{method} plan {plan}");
         let latent = res.lse_injected - res.lse_repaired;
         let mut cells = vec![
             ("curve", (*curve).into()),
             ("plan", (*plan).into()),
-            ("method", method.name().into()),
+            ("method", (*method).into()),
             ("update_iops", res.update_iops.into()),
             ("p99_us", res.steady_p99_us.into()),
             ("maint_busy_p99_us", res.maint_busy_p99_us.into()),
@@ -164,7 +166,7 @@ fn main() {
         rows.push(vec![
             (*curve).to_string(),
             (*plan).to_string(),
-            method.name().to_string(),
+            (*method).to_string(),
             format!("{:.0}", res.steady_p99_us),
             format!("{:.2}", res.scrub_gib),
             format!("{}/{}", res.lse_found, res.lse_injected),
@@ -191,7 +193,7 @@ fn main() {
         &rows,
     );
 
-    let cell = |curve: &str, plan: &str, method: MethodKind| {
+    let cell = |curve: &str, plan: &str, method: &str| {
         labels
             .iter()
             .zip(&results)
@@ -203,8 +205,8 @@ fn main() {
     // 1. The data-protection story: unscrubbed LSEs stay latent for the
     // whole run — exactly the exposure a correlated disk death turns
     // into data loss — while a scrubbed run finds and repairs them.
-    let exposed = cell("diurnal", "lse-only", MethodKind::Tsue);
-    let scrubbed = cell("diurnal", "scrub", MethodKind::Tsue);
+    let exposed = cell("diurnal", "lse-only", "TSUE");
+    let scrubbed = cell("diurnal", "scrub", "TSUE");
     let latent_exposed = exposed.lse_injected - exposed.lse_repaired;
     let latent_scrubbed = scrubbed.lse_injected - scrubbed.lse_repaired;
     println!(
@@ -225,8 +227,8 @@ fn main() {
 
     // 2. The wear story: the full plan's rebalancer narrows the fleet's
     // wear spread below the no-maintenance baseline.
-    let none = cell("diurnal", "none", MethodKind::Tsue);
-    let full = cell("diurnal", "full", MethodKind::Tsue);
+    let none = cell("diurnal", "none", "TSUE");
+    let full = cell("diurnal", "full", "TSUE");
     println!(
         "  -> TSUE wear spread: {:.2} without maintenance, {:.2} under the full plan",
         none.wear_spread, full.wear_spread
@@ -241,26 +243,20 @@ fn main() {
 
     // 3. The cost story: what the full plan costs each method's
     // foreground p99 under the diurnal day.
-    for method in methods {
+    for method in methods.iter().map(|m| m.name()) {
         let base = cell("diurnal", "none", method);
         let loaded = cell("diurnal", "full", method);
         let cost = loaded.steady_p99_us - base.steady_p99_us;
         println!(
-            "  -> {}: foreground p99 {:.0} us -> {:.0} us with the full plan ({cost:+.0} us)",
-            method.name(),
-            base.steady_p99_us,
-            loaded.steady_p99_us
+            "  -> {method}: foreground p99 {:.0} us -> {:.0} us with the full plan ({cost:+.0} us)",
+            base.steady_p99_us, loaded.steady_p99_us
         );
         assert!(
             loaded.steady_p99_us.is_finite() && loaded.steady_p99_us > 0.0,
-            "{}: foreground p99 must stay finite under maintenance",
-            method.name()
+            "{method}: foreground p99 must stay finite under maintenance"
         );
-        report.add_finding(&format!("maint_p99_cost_us_{}", method.name()), cost);
-        report.add_finding(
-            &format!("p99_us_full_{}", method.name()),
-            loaded.steady_p99_us,
-        );
+        report.add_finding(&format!("maint_p99_cost_us_{method}"), cost);
+        report.add_finding(&format!("p99_us_full_{method}"), loaded.steady_p99_us);
     }
 
     report.add_finding("lse_latent_unscrubbed", latent_exposed as f64);

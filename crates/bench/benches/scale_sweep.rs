@@ -80,7 +80,12 @@ fn past_capacity(res: &RunResult, nominal_rate: f64) -> bool {
     res.saturated || res.goodput_ops_per_s < 0.75 * nominal_rate
 }
 
-fn sweep_replay(method: MethodKind, population: u64, nodes: usize, rate: f64) -> ReplayConfig {
+fn sweep_replay(
+    method: Arc<dyn UpdateMethod>,
+    population: u64,
+    nodes: usize,
+    rate: f64,
+) -> ReplayConfig {
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, population);
     r.cluster.nodes = nodes;
     r.volume_bytes = 32 << 20;
@@ -94,16 +99,16 @@ fn sweep_replay(method: MethodKind, population: u64, nodes: usize, rate: f64) ->
 }
 
 fn main() {
-    let methods = [MethodKind::Fo, MethodKind::Tsue];
+    let methods: [Arc<dyn UpdateMethod>; 2] = [Arc::new(Fo), Arc::new(Tsue)];
     let pops = populations();
 
     let mut grid = Vec::new();
     let mut labels = Vec::new();
     for &(population, nodes) in &pops {
-        for method in methods {
+        for method in &methods {
             for rate in rates(nodes) {
-                grid.push(sweep_replay(method, population, nodes, rate));
-                labels.push((population, nodes, method, rate));
+                grid.push(sweep_replay(Arc::clone(method), population, nodes, rate));
+                labels.push((population, nodes, method.name(), rate));
             }
         }
     }
@@ -115,7 +120,7 @@ fn main() {
         let mut cells = vec![
             ("population", (*population).into()),
             ("nodes", (*nodes as u64).into()),
-            ("method", method.name().into()),
+            ("method", (*method).into()),
             ("rate", (*rate).into()),
             ("offered_ops_per_s", res.offered_ops_per_s.into()),
             ("goodput_ops_per_s", res.goodput_ops_per_s.into()),
@@ -129,21 +134,18 @@ fn main() {
         cells.extend(tsue_bench::engine_cells(res));
         report.add_row(cells);
         assert_eq!(
-            res.oracle_violations,
-            0,
-            "{} at population {population} rate {rate} violated consistency",
-            method.name()
+            res.oracle_violations, 0,
+            "{method} at population {population} rate {rate} violated consistency"
         );
         assert_eq!(
             res.offered_ops,
             res.completed_updates + res.completed_reads + res.completed_writes,
-            "{} at population {population}: open loop must ack every offered op",
-            method.name()
+            "{method} at population {population}: open loop must ack every offered op"
         );
         rows.push(vec![
             kfmt(*population as f64),
             format!("{nodes}"),
-            method.name().to_string(),
+            method.to_string(),
             kfmt(*rate),
             kfmt(res.goodput_ops_per_s),
             format!("{}", res.active_clients_peak),
@@ -179,7 +181,7 @@ fn main() {
     println!();
     for &(population, nodes) in &pops {
         let mut knee_of = Vec::new();
-        for method in methods {
+        for method in methods.iter().map(|m| m.name()) {
             let cells: Vec<(f64, &RunResult)> = labels
                 .iter()
                 .zip(&results)
@@ -195,40 +197,27 @@ fn main() {
                     .map(|i| &cells[i])
                     .unwrap_or_else(|| {
                         panic!(
-                            "{} never saturated at population {population}: raise the knee rungs",
-                            method.name()
-                        )
+                        "{method} never saturated at population {population}: raise the knee rungs"
+                    )
                     });
             assert!(
                 !sat_flags[0],
-                "{} saturated at the reference rung for population {population}: \
-                 lower REF_RATE below the smallest cluster's knee",
-                method.name()
+                "{method} saturated at the reference rung for population {population}: \
+                 lower REF_RATE below the smallest cluster's knee"
             );
             println!(
                 "  -> pop {:>5} {:>4} knee at offered {:>7}/s (goodput {:>6}/s)",
                 kfmt(population as f64),
-                method.name(),
+                method,
                 kfmt(*knee_rate),
                 kfmt(knee_res.goodput_ops_per_s),
             );
-            report.add_finding(
-                &format!("knee_rate_{}_{population}", method.name()),
-                *knee_rate,
-            );
+            report.add_finding(&format!("knee_rate_{method}_{population}"), *knee_rate);
             knee_of.push((method, *knee_rate));
         }
         // The ranking claim must survive every population.
-        let tsue = knee_of
-            .iter()
-            .find(|(m, _)| *m == MethodKind::Tsue)
-            .unwrap()
-            .1;
-        let fo = knee_of
-            .iter()
-            .find(|(m, _)| *m == MethodKind::Fo)
-            .unwrap()
-            .1;
+        let tsue = knee_of.iter().find(|(m, _)| *m == "TSUE").unwrap().1;
+        let fo = knee_of.iter().find(|(m, _)| *m == "FO").unwrap().1;
         assert!(
             tsue >= fo,
             "population {population}: TSUE's knee ({tsue}) fell below FO's ({fo})"
@@ -239,9 +228,7 @@ fn main() {
         let (_, reference) = labels
             .iter()
             .zip(&results)
-            .find(|((p, _, m, rate), _)| {
-                *p == population && *m == MethodKind::Tsue && *rate == REF_RATE
-            })
+            .find(|((p, _, m, rate), _)| *p == population && *m == "TSUE" && *rate == REF_RATE)
             .expect("every population runs the TSUE reference rung");
         report.add_finding(
             &format!("active_peak_{population}"),

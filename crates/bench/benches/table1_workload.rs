@@ -8,18 +8,18 @@
 //! than PARIX/CoRD because of its replicated logs. SSDs under TSUE endure
 //! 2.5×–13× longer (erase ratio).
 
-use ecfs::{DiskKind, MethodKind, ReplayConfig, RunResult};
+use ecfs::{DiskKind, ReplayConfig, RunResult};
 use simdisk::{erase_ratio, SsdConfig};
 use traces::TraceFamily;
-use tsue_bench::{print_table, run_grid, ssd_replay, FIG5_METHODS};
+use tsue_bench::{fig5_methods, print_table, run_grid, ssd_replay};
 
 /// One replay per Fig. 5 method on devices shrunk to `capacity` so the
 /// FTL cycles within one run (the paper replays far longer traces on real
 /// 400 GB drives).
 fn grid(capacity: u64, ops_per_client: usize) -> Vec<RunResult> {
-    let configs: Vec<ReplayConfig> = FIG5_METHODS
-        .iter()
-        .map(|&method| {
+    let configs: Vec<ReplayConfig> = fig5_methods()
+        .into_iter()
+        .map(|method| {
             let mut rcfg = ssd_replay(6, 4, method, TraceFamily::TenCloud, 16);
             rcfg.cluster.fleet = ecfs::DiskFleet::uniform(DiskKind::Ssd(SsdConfig {
                 capacity,
@@ -37,10 +37,10 @@ fn main() {
     let results = grid(768 << 20, tsue_bench::ops_per_client() * 2);
 
     let mut rows = Vec::new();
-    for (method, res) in FIG5_METHODS.iter().zip(&results) {
+    for res in &results {
         assert_eq!(res.oracle_violations, 0);
         rows.push(vec![
-            method.name().to_string(),
+            res.method.clone(),
             format!("{}", res.disk.rw_ops()),
             format!("{:.2}", res.disk.rw_bytes() as f64 / (1u64 << 30) as f64),
             format!("{}", res.disk.overwrites.ops),
@@ -76,17 +76,15 @@ fn main() {
     } else {
         grid(320 << 20, 12_000)
     };
-    let tsue = FIG5_METHODS
+    let tsue = cycled
         .iter()
-        .zip(&cycled)
-        .find(|(&m, _)| m == MethodKind::Tsue)
-        .map_or(0, |(_, r)| r.erases);
-    let rows: Vec<Vec<String>> = FIG5_METHODS
+        .find(|r| r.method == "TSUE")
+        .map_or(0, |r| r.erases);
+    let rows: Vec<Vec<String>> = cycled
         .iter()
-        .zip(&cycled)
-        .map(|(method, res)| {
+        .map(|res| {
             vec![
-                method.name().to_string(),
+                res.method.clone(),
                 format!("{}", res.erases),
                 format!("{}", res.disk.gc_erases()),
                 format!("{}", res.disk.region_erases),

@@ -6,6 +6,9 @@
 //! dominates (seconds); total residency is ~10 s, short enough that
 //! dual-copy logs provide the needed reliability window.
 
+use std::sync::Arc;
+
+use ecfs::methods::Tsue;
 use ecfs::Replay;
 use traces::TraceFamily;
 use tsue_bench::{print_table, ssd_replay};
@@ -18,7 +21,7 @@ fn main() {
             TraceFamily::TenCloud => "Ten-Cloud",
             _ => unreachable!(),
         };
-        let mut rcfg = ssd_replay(12, 4, ecfs::MethodKind::Tsue, family, 16);
+        let mut rcfg = ssd_replay(12, 4, Arc::new(Tsue), family, 16);
         rcfg.ops_per_client = tsue_bench::ops_per_client() * 2;
         let res = Replay::run(&rcfg).result;
         for (layer, r) in [

@@ -25,44 +25,62 @@ use tsue_bench::{kfmt, print_table, run_grid, ssd_replay, BenchReport};
 const RACKS: usize = 4;
 const OVERSUB: f64 = 4.0;
 
-fn sweep_replay(method: MethodKind, placement: PlacementKind, racks: usize) -> ReplayConfig {
+fn sweep_replay(
+    method: Arc<dyn UpdateMethod>,
+    placement: Arc<dyn PlacementPolicy>,
+    racks: usize,
+) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 8 } else { 16 };
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.cluster.racks = racks;
     r.cluster.oversubscription = if racks > 1 { OVERSUB } else { 1.0 };
-    r.cluster.placement = placement.policy();
+    r.cluster.placement = placement;
     r
 }
 
 fn main() {
-    let methods = [MethodKind::Fo, MethodKind::Pl, MethodKind::Tsue];
+    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
+    let placements: [Arc<dyn PlacementPolicy>; 3] = [
+        Arc::new(FlatRotate),
+        Arc::new(RackAware),
+        Arc::new(RackLocal),
+    ];
 
     let mut grid = Vec::new();
-    let mut labels = Vec::new();
-    for &racks in &[1usize, RACKS] {
-        for placement in PlacementKind::ALL {
-            for method in methods {
-                grid.push(sweep_replay(method, placement, racks));
-                labels.push((racks, placement, method));
+    for racks in [1usize, RACKS] {
+        for placement in &placements {
+            for method in &methods {
+                grid.push(sweep_replay(
+                    Arc::clone(method),
+                    Arc::clone(placement),
+                    racks,
+                ));
             }
         }
     }
     let results = run_grid(&grid);
+    let labels: Vec<(usize, &str, &str)> = grid
+        .iter()
+        .map(|r| {
+            (
+                r.cluster.racks,
+                r.cluster.placement.name(),
+                r.cluster.method.name(),
+            )
+        })
+        .collect();
 
     let mut report = BenchReport::new("topo_sweep");
     let mut rows = Vec::new();
     for ((racks, placement, method), res) in labels.iter().zip(&results) {
         assert_eq!(
-            res.oracle_violations,
-            0,
-            "{} under {} placement violated consistency",
-            method.name(),
-            placement.name()
+            res.oracle_violations, 0,
+            "{method} under {placement} placement violated consistency"
         );
         let mut cells = vec![
             ("racks", (*racks).into()),
-            ("placement", placement.name().into()),
-            ("method", method.name().into()),
+            ("placement", (*placement).into()),
+            ("method", (*method).into()),
             ("update_iops", res.update_iops.into()),
             ("net_gib", res.net_gib.into()),
             ("cross_rack_gib", res.net_cross_rack_gib.into()),
@@ -75,8 +93,8 @@ fn main() {
             } else {
                 format!("{racks} @ {OVERSUB}:1")
             },
-            placement.name().to_string(),
-            method.name().to_string(),
+            placement.to_string(),
+            method.to_string(),
             kfmt(res.update_iops),
             format!("{:.2}", res.net_gib),
             format!("{:.2}", res.net_cross_rack_gib),
@@ -101,7 +119,7 @@ fn main() {
     );
 
     // Shape checks the sweep exists to demonstrate.
-    let cross_of = |placement: PlacementKind, method: MethodKind| {
+    let cross_of = |placement: &str, method: &str| {
         labels
             .iter()
             .zip(&results)
@@ -109,25 +127,23 @@ fn main() {
             .map(|(_, res)| res.net_cross_rack_gib)
             .unwrap()
     };
-    for method in methods {
-        let aware = cross_of(PlacementKind::RackAware, method);
-        let local = cross_of(PlacementKind::RackLocal, method);
+    for method in methods.iter().map(|m| m.name()) {
+        let aware = cross_of("rack-aware", method);
+        let local = cross_of("rack-local", method);
         println!(
-            "  -> {}: rack-aware sends {:.2}x the spine traffic of rack-local",
-            method.name(),
+            "  -> {method}: rack-aware sends {:.2}x the spine traffic of rack-local",
             aware / local.max(1e-12)
         );
         assert!(
             (aware - local).abs() / aware.max(1e-12) > 0.02,
-            "{}: placement must move spine traffic measurably \
-             (rack-aware {aware:.3} GiB vs rack-local {local:.3} GiB)",
-            method.name()
+            "{method}: placement must move spine traffic measurably \
+             (rack-aware {aware:.3} GiB vs rack-local {local:.3} GiB)"
         );
     }
     // The clustered-network-coding win: TSUE's parity→parity pipeline
     // stays in-rack under rack-local placement.
-    let tsue_aware = cross_of(PlacementKind::RackAware, MethodKind::Tsue);
-    let tsue_local = cross_of(PlacementKind::RackLocal, MethodKind::Tsue);
+    let tsue_aware = cross_of("rack-aware", "TSUE");
+    let tsue_local = cross_of("rack-local", "TSUE");
     assert!(
         tsue_local < tsue_aware,
         "TSUE: rack-local ({tsue_local:.3} GiB) must cross the spine less \

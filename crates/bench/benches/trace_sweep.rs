@@ -24,9 +24,9 @@
 use ecfs::prelude::*;
 use ecfs::telemetry::{binary, chrome, OpClass};
 use traces::TraceFamily;
-use tsue_bench::{print_table, report_dir, ssd_replay, BenchReport, FIG5_METHODS};
+use tsue_bench::{fig5_methods, print_table, report_dir, ssd_replay, BenchReport};
 
-fn traced_cell(method: MethodKind) -> ReplayConfig {
+fn traced_cell(method: Arc<dyn UpdateMethod>) -> ReplayConfig {
     let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, 6);
     r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
     r.volume_bytes = 32 << 20;
@@ -39,7 +39,7 @@ fn main() {
     let mut report = BenchReport::new("trace_sweep");
     let mut rows = Vec::new();
 
-    for method in FIG5_METHODS {
+    for method in fig5_methods() {
         let rcfg = traced_cell(method);
         let RunOutcome { result: res, trace } = Replay::run(&rcfg);
         let trace = trace.expect("traced run returns a trace");
@@ -112,7 +112,7 @@ fn main() {
         );
 
         // Export the TSUE trace for the inspector and the CI check.
-        if method == MethodKind::Tsue {
+        if name == "TSUE" {
             let dir = report_dir();
             std::fs::create_dir_all(&dir).expect("report dir");
             std::fs::write(dir.join("BENCH_trace.json"), chrome::to_json(&trace))

@@ -1,4 +1,4 @@
-use ecfs::{ClusterConfig, MethodKind, Replay, ReplayConfig};
+use ecfs::{ClusterConfig, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
@@ -14,14 +14,7 @@ fn main() {
         let code = CodeParams::new(6, m).unwrap();
         println!("== RS(6,{m}) Ali-Cloud, {clients} clients, {ops} ops/client ==");
         let mut results = vec![];
-        for method in [
-            MethodKind::Fo,
-            MethodKind::Pl,
-            MethodKind::Plr,
-            MethodKind::Parix,
-            MethodKind::Cord,
-            MethodKind::Tsue,
-        ] {
+        for method in tsue_bench::fig5_methods() {
             let mut cluster = ClusterConfig::ssd_testbed(code, method);
             cluster.clients = clients;
             let mut r = ReplayConfig::new(cluster, TraceFamily::AliCloud);
@@ -29,17 +22,13 @@ fn main() {
             r.volume_bytes = 128 << 20;
             let res = Replay::run(&r).result;
             println!("{:6} iops={:8.0} lat_us={:7.1} rw_ops={:8} ow_ops={:7} net_gib={:6.2} erases={:5} drain_s={:6.3} stalls={}",
-                method.name(), res.update_iops, res.latency_mean_us, res.disk.rw_ops(), res.disk.overwrites.ops, res.net_gib, res.erases, res.drain_s, res.stalls);
-            results.push((method, res.update_iops));
+                res.method, res.update_iops, res.latency_mean_us, res.disk.rw_ops(), res.disk.overwrites.ops, res.net_gib, res.erases, res.drain_s, res.stalls);
+            results.push((res.method, res.update_iops));
         }
-        let tsue = results
-            .iter()
-            .find(|(m, _)| *m == MethodKind::Tsue)
-            .unwrap()
-            .1;
+        let tsue = results.iter().find(|(m, _)| m == "TSUE").unwrap().1;
         for (method, iops) in &results {
-            if *method != MethodKind::Tsue {
-                println!("  TSUE/{} = {:.2}x", method.name(), tsue / iops);
+            if method != "TSUE" {
+                println!("  TSUE/{method} = {:.2}x", tsue / iops);
             }
         }
     }

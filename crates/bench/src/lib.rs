@@ -106,15 +106,17 @@ pub fn engine_cells(r: &RunResult) -> [(&'static str, Json); 3] {
     ]
 }
 
-/// The six methods of Fig. 5, in the paper's order.
-pub const FIG5_METHODS: [MethodKind; 6] = [
-    MethodKind::Fo,
-    MethodKind::Pl,
-    MethodKind::Plr,
-    MethodKind::Parix,
-    MethodKind::Cord,
-    MethodKind::Tsue,
-];
+/// The six methods of Fig. 5 (every built-in but FL), in the paper's order.
+pub fn fig5_methods() -> [Arc<dyn UpdateMethod>; 6] {
+    [
+        Arc::new(Fo),
+        Arc::new(Pl),
+        Arc::new(Plr),
+        Arc::new(Parix),
+        Arc::new(Cord),
+        Arc::new(Tsue),
+    ]
+}
 
 /// The six RS codes of Fig. 5.
 pub fn fig5_codes() -> Vec<(usize, usize)> {
@@ -125,7 +127,7 @@ pub fn fig5_codes() -> Vec<(usize, usize)> {
 pub fn ssd_replay(
     k: usize,
     m: usize,
-    method: MethodKind,
+    method: Arc<dyn UpdateMethod>,
     family: TraceFamily,
     clients: u64,
 ) -> ReplayConfig {
@@ -142,7 +144,7 @@ pub fn ssd_replay(
 pub fn hdd_replay(
     k: usize,
     m: usize,
-    method: MethodKind,
+    method: Arc<dyn UpdateMethod>,
     family: TraceFamily,
     clients: u64,
 ) -> ReplayConfig {
@@ -246,15 +248,15 @@ mod tests {
     #[test]
     fn grid_definitions() {
         assert_eq!(fig5_codes().len(), 6);
-        assert_eq!(FIG5_METHODS.len(), 6);
+        assert_eq!(fig5_methods().len(), 6);
         assert!(ops_per_client() > 0);
     }
 
     #[test]
     fn replay_builders_validate() {
-        let r = ssd_replay(6, 4, MethodKind::Tsue, TraceFamily::AliCloud, 8);
+        let r = ssd_replay(6, 4, Arc::new(Tsue), TraceFamily::AliCloud, 8);
         assert!(r.cluster.validate().is_ok());
-        let h = hdd_replay(6, 4, MethodKind::Pl, TraceFamily::TenCloud, 8);
+        let h = hdd_replay(6, 4, Arc::new(Pl), TraceFamily::TenCloud, 8);
         assert!(h.cluster.validate().is_ok());
         assert!(matches!(
             h.cluster.fleet,
@@ -290,7 +292,11 @@ mod tests {
         // Parallel fan-out must be a pure wall-clock optimisation: results
         // arrive in input order and match a serial run field for field.
         let mut configs = Vec::new();
-        for method in [MethodKind::Fo, MethodKind::Pl, MethodKind::Tsue] {
+        for method in [
+            Arc::new(Fo) as Arc<dyn UpdateMethod>,
+            Arc::new(Pl),
+            Arc::new(Tsue),
+        ] {
             let mut r = ssd_replay(4, 2, method, TraceFamily::AliCloud, 3);
             r.ops_per_client = 120;
             r.volume_bytes = 32 << 20;

@@ -507,11 +507,11 @@ impl UpdateMethod for Cached {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MethodKind;
+    use crate::methods::{Fo, Plr, Tsue};
 
     #[test]
     fn wrap_is_identity_with_no_layers() {
-        let fo = MethodKind::Fo.driver();
+        let fo: Arc<dyn UpdateMethod> = Arc::new(Fo);
         let wrapped = Cached::wrap(Arc::clone(&fo), None, None).unwrap();
         assert_eq!(wrapped.name(), "FO");
         assert!(Arc::ptr_eq(&fo, &wrapped));
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn wrap_name_is_a_parseable_spec() {
         let m = Cached::wrap(
-            MethodKind::Plr.driver(),
+            Arc::new(Plr),
             Some(CacheConfig::new(CachePolicy::Lru, 64 << 20)),
             Some(StagingConfig::new(8 << 20, 2_000_000)),
         )
@@ -534,7 +534,7 @@ mod tests {
     #[test]
     fn wrap_rejects_stacking() {
         let once = Cached::wrap(
-            MethodKind::Fo.driver(),
+            Arc::new(Fo),
             Some(CacheConfig::new(CachePolicy::Plru, 1 << 20)),
             None,
         )
@@ -550,23 +550,18 @@ mod tests {
     #[test]
     fn wrap_validates_sizes() {
         assert!(Cached::wrap(
-            MethodKind::Fo.driver(),
+            Arc::new(Fo),
             Some(CacheConfig::new(CachePolicy::Lru, 100)),
             None,
         )
         .is_err());
-        assert!(Cached::wrap(
-            MethodKind::Fo.driver(),
-            None,
-            Some(StagingConfig::new(8 << 20, 0)),
-        )
-        .is_err());
+        assert!(Cached::wrap(Arc::new(Fo), None, Some(StagingConfig::new(8 << 20, 0))).is_err());
     }
 
     #[test]
     fn node_state_looks_through_to_wrapped() {
         let m = Cached::wrap(
-            MethodKind::Tsue.driver(),
+            Arc::new(Tsue),
             Some(CacheConfig::new(CachePolicy::Lru, 1 << 20)),
             None,
         )

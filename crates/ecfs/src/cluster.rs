@@ -184,7 +184,7 @@ pub enum OpSource {
     /// the generator (alias tables, RNG streams, per-client cursors) is
     /// an order of magnitude larger than the `Stream` cursor.
     Lazy(Box<workload::ArrivalSource>),
-    /// A pre-materialised op list (imported traces, compat paths).
+    /// A pre-materialised op list (`Workload::Timed`, e.g. imported traces).
     Stream {
         /// The time-sorted ops.
         ops: Vec<workload::TimedOp>,

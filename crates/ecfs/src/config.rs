@@ -1,10 +1,8 @@
 //! Cluster and method configuration.
 //!
 //! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
-//! driver implementing the trait, built-in or registered out-of-tree via
-//! [`crate::methods::MethodRegistry`]. [`MethodKind`] survives purely as a
-//! convenience constructor over the seven built-ins so benches and tests
-//! keep the paper's Fig. 5 ordering.
+//! driver implementing the trait, built-in ([`crate::methods::builtins`])
+//! or registered out-of-tree via [`crate::methods::MethodRegistry`].
 
 use std::sync::Arc;
 
@@ -16,7 +14,7 @@ use tsue::MergeMode;
 use crate::cache::{CacheConfig, Cached, StagingConfig};
 use crate::fleet::DiskFleet;
 use crate::methods::spec::MethodSpec;
-use crate::methods::{cord, fl, fo, parix, pl, plr, tsue_drv, UpdateMethod};
+use crate::methods::UpdateMethod;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// A rejected configuration, with the reason.
@@ -50,71 +48,6 @@ pub enum DiskKind {
     Ssd(SsdConfig),
     /// Mechanical HDD (the §5.4 cluster).
     Hdd(HddConfig),
-}
-
-/// The seven built-in update methods, in the paper's Fig. 5 order — a
-/// convenience constructor over the registry's built-ins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MethodKind {
-    /// Full overwrite: in-place data and parity.
-    Fo,
-    /// Full logging: log data and parity deltas, threshold recycle.
-    Fl,
-    /// Parity logging.
-    Pl,
-    /// Parity logging with reserved space.
-    Plr,
-    /// Speculative partial writes.
-    Parix,
-    /// Collector-aggregated deltas through a single buffer log.
-    Cord,
-    /// The paper's two-stage method.
-    Tsue,
-}
-
-impl MethodKind {
-    /// All methods in the paper's Fig. 5 order.
-    pub const ALL: [MethodKind; 7] = [
-        MethodKind::Fo,
-        MethodKind::Fl,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Cord,
-        MethodKind::Tsue,
-    ];
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MethodKind::Fo => "FO",
-            MethodKind::Fl => "FL",
-            MethodKind::Pl => "PL",
-            MethodKind::Plr => "PLR",
-            MethodKind::Parix => "PARIX",
-            MethodKind::Cord => "CoRD",
-            MethodKind::Tsue => "TSUE",
-        }
-    }
-
-    /// Builds the built-in driver for this kind.
-    pub fn driver(&self) -> Arc<dyn UpdateMethod> {
-        match self {
-            MethodKind::Fo => Arc::new(fo::Fo),
-            MethodKind::Fl => Arc::new(fl::Fl),
-            MethodKind::Pl => Arc::new(pl::Pl),
-            MethodKind::Plr => Arc::new(plr::Plr),
-            MethodKind::Parix => Arc::new(parix::Parix),
-            MethodKind::Cord => Arc::new(cord::Cord),
-            MethodKind::Tsue => Arc::new(tsue_drv::Tsue),
-        }
-    }
-}
-
-impl From<MethodKind> for Arc<dyn UpdateMethod> {
-    fn from(kind: MethodKind) -> Arc<dyn UpdateMethod> {
-        kind.driver()
-    }
 }
 
 /// TSUE's optimisation toggles, matching the Fig. 7 breakdown points.
@@ -216,12 +149,12 @@ pub struct ClusterConfig {
     /// Spine oversubscription ratio (`1.0` = full bisection; only
     /// meaningful with `racks > 1`).
     pub oversubscription: f64,
-    /// Block-placement policy (trait object; see
-    /// [`crate::placement::PlacementKind`] for the built-ins).
+    /// Block-placement policy (trait object; see [`crate::placement`] for
+    /// the built-ins).
     pub placement: Arc<dyn PlacementPolicy>,
-    /// Update method under test (trait object; see [`MethodKind::driver`]
-    /// for the built-ins and [`crate::methods::MethodRegistry`] for
-    /// out-of-tree drivers).
+    /// Update method under test (trait object; see
+    /// [`crate::methods::builtins`] for the built-ins and
+    /// [`crate::methods::MethodRegistry`] for out-of-tree drivers).
     pub method: Arc<dyn UpdateMethod>,
     /// TSUE feature toggles (ignored by other methods).
     pub tsue: TsueFeatures,
@@ -251,10 +184,7 @@ impl ClusterConfig {
     }
 
     /// The paper's SSD testbed: 16 nodes, 25 Gb/s, one SSD each.
-    pub fn ssd_testbed(
-        code: CodeParams,
-        method: impl Into<Arc<dyn UpdateMethod>>,
-    ) -> ClusterConfig {
+    pub fn ssd_testbed(code: CodeParams, method: Arc<dyn UpdateMethod>) -> ClusterConfig {
         ClusterConfig {
             nodes: 16,
             clients: 16,
@@ -266,7 +196,7 @@ impl ClusterConfig {
             racks: 1,
             oversubscription: 1.0,
             placement: Arc::new(FlatRotate),
-            method: method.into(),
+            method,
             tsue: TsueFeatures::full(),
             tsue_unit_bytes: 16 << 20,
             tsue_max_units: 4,
@@ -280,10 +210,7 @@ impl ClusterConfig {
 
     /// The paper's HDD testbed: 16 nodes, 40 Gb/s InfiniBand. The paper
     /// disables the DeltaLog on HDDs (§5.4).
-    pub fn hdd_testbed(
-        code: CodeParams,
-        method: impl Into<Arc<dyn UpdateMethod>>,
-    ) -> ClusterConfig {
+    pub fn hdd_testbed(code: CodeParams, method: Arc<dyn UpdateMethod>) -> ClusterConfig {
         let mut cfg = Self::ssd_testbed(code, method);
         cfg.fleet = DiskFleet::uniform_hdd();
         cfg.net_bandwidth = 40_000_000_000 / 8;
@@ -437,12 +364,15 @@ impl ClusterConfig {
 /// (either [`Self::method`] or [`Self::method_name`]) before building:
 ///
 /// ```
-/// use ecfs::{ClusterConfig, MethodKind};
+/// use std::sync::Arc;
+///
+/// use ecfs::methods::{Fo, Tsue};
+/// use ecfs::ClusterConfig;
 /// use rscode::CodeParams;
 ///
 /// let cfg = ClusterConfig::builder()
 ///     .code(CodeParams::new(6, 3).unwrap())
-///     .method(MethodKind::Tsue)
+///     .method(Arc::new(Tsue))
 ///     .clients(8)
 ///     .build()
 ///     .unwrap();
@@ -451,7 +381,7 @@ impl ClusterConfig {
 /// // Invalid shapes are rejected with the reason:
 /// let err = ClusterConfig::builder()
 ///     .code(CodeParams::new(12, 4).unwrap())
-///     .method(MethodKind::Fo)
+///     .method(Arc::new(Fo))
 ///     .nodes(10)
 ///     .build()
 ///     .unwrap_err();
@@ -516,6 +446,8 @@ impl ClusterConfigBuilder {
         racks: usize,
         /// Spine oversubscription ratio.
         oversubscription: f64,
+        /// The block-placement policy, e.g. `Arc::new(RackAware)`.
+        placement: Arc<dyn PlacementPolicy>,
         /// TSUE feature toggles.
         tsue: TsueFeatures,
         /// Log-unit size for TSUE layers.
@@ -534,23 +466,18 @@ impl ClusterConfigBuilder {
         tsue_recycle_cpu_per_record: u64,
     }
 
-    /// Every OSD carries this device model (shorthand for
-    /// [`DiskFleet::Uniform`]; use [`Self::fleet`] for heterogeneous
-    /// populations).
-    pub fn disk(mut self, kind: DiskKind) -> Self {
-        self.fleet = Some(DiskFleet::uniform(kind));
-        self
-    }
-
     /// The per-node disk population.
     ///
     /// ```
-    /// use ecfs::{ClusterConfig, DiskFleet, MethodKind};
+    /// use std::sync::Arc;
+    ///
+    /// use ecfs::methods::Tsue;
+    /// use ecfs::{ClusterConfig, DiskFleet};
     /// use rscode::CodeParams;
     ///
     /// let cfg = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method(MethodKind::Tsue)
+    ///     .method(Arc::new(Tsue))
     ///     .fleet(DiskFleet::tiered(8, 8))
     ///     .build()
     ///     .unwrap();
@@ -559,7 +486,7 @@ impl ClusterConfigBuilder {
     /// // A fleet not covering every node is rejected with the reason:
     /// let err = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method(MethodKind::Tsue)
+    ///     .method(Arc::new(Tsue))
     ///     .fleet(DiskFleet::tiered(8, 4))
     ///     .build()
     ///     .unwrap_err();
@@ -570,16 +497,9 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// The update method, as a driver or a built-in [`MethodKind`].
-    pub fn method(mut self, method: impl Into<Arc<dyn UpdateMethod>>) -> Self {
-        self.method = Some(MethodChoice::Driver(method.into()));
-        self
-    }
-
-    /// The block-placement policy, as a driver or a built-in
-    /// [`crate::placement::PlacementKind`].
-    pub fn placement(mut self, placement: impl Into<Arc<dyn PlacementPolicy>>) -> Self {
-        self.placement = Some(placement.into());
+    /// The update method's driver, e.g. `Arc::new(Tsue)`.
+    pub fn method(mut self, method: Arc<dyn UpdateMethod>) -> Self {
+        self.method = Some(MethodChoice::Driver(method));
         self
     }
 
@@ -671,14 +591,15 @@ impl ClusterConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::{Cord, Fo, Pl, Tsue};
 
     #[test]
     fn testbed_configs_validate() {
         let code = CodeParams::new(6, 4).unwrap();
-        assert!(ClusterConfig::ssd_testbed(code, MethodKind::Tsue)
+        assert!(ClusterConfig::ssd_testbed(code, Arc::new(Tsue))
             .validate()
             .is_ok());
-        assert!(ClusterConfig::hdd_testbed(code, MethodKind::Pl)
+        assert!(ClusterConfig::hdd_testbed(code, Arc::new(Pl))
             .validate()
             .is_ok());
     }
@@ -686,7 +607,7 @@ mod tests {
     #[test]
     fn too_few_nodes_rejected() {
         let code = CodeParams::new(12, 4).unwrap();
-        let mut cfg = ClusterConfig::ssd_testbed(code, MethodKind::Fo);
+        let mut cfg = ClusterConfig::ssd_testbed(code, Arc::new(Fo));
         cfg.nodes = 10;
         assert!(cfg.validate().is_err());
     }
@@ -703,19 +624,9 @@ mod tests {
     #[test]
     fn hdd_testbed_disables_delta_log() {
         let code = CodeParams::new(6, 4).unwrap();
-        let cfg = ClusterConfig::hdd_testbed(code, MethodKind::Tsue);
+        let cfg = ClusterConfig::hdd_testbed(code, Arc::new(Tsue));
         assert!(!cfg.tsue.delta_log);
         assert!(matches!(cfg.fleet, DiskFleet::Uniform(DiskKind::Hdd(_))));
-    }
-
-    #[test]
-    fn method_names_match_paper() {
-        assert_eq!(MethodKind::Tsue.name(), "TSUE");
-        assert_eq!(MethodKind::Cord.name(), "CoRD");
-        assert_eq!(MethodKind::ALL.len(), 7);
-        for kind in MethodKind::ALL {
-            assert_eq!(kind.driver().name(), kind.name());
-        }
     }
 
     #[test]
@@ -723,10 +634,10 @@ mod tests {
         let code = CodeParams::new(6, 3).unwrap();
         let cfg = ClusterConfig::builder()
             .code(code)
-            .method(MethodKind::Cord)
+            .method(Arc::new(Cord))
             .build()
             .unwrap();
-        let reference = ClusterConfig::ssd_testbed(code, MethodKind::Cord);
+        let reference = ClusterConfig::ssd_testbed(code, Arc::new(Cord));
         assert_eq!(cfg.nodes, reference.nodes);
         assert_eq!(cfg.block_bytes, reference.block_bytes);
         assert_eq!(cfg.method.name(), "CoRD");
@@ -764,7 +675,7 @@ mod tests {
         use crate::cache::{CacheConfig, CachePolicy, StagingConfig};
         let cfg = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method(MethodKind::Fo)
+            .method(Arc::new(Fo))
             .cache(CacheConfig::new(CachePolicy::Lru, 64 << 20))
             .staging(StagingConfig::new(8 << 20, 2_000_000))
             .build()
@@ -774,7 +685,7 @@ mod tests {
         // Invalid layer sizes surface as ConfigError, not a panic.
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method(MethodKind::Fo)
+            .method(Arc::new(Fo))
             .cache(CacheConfig::new(CachePolicy::Lru, 16))
             .build()
             .unwrap_err();
@@ -804,7 +715,7 @@ mod tests {
     fn builder_rejects_bad_unit_size() {
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method(MethodKind::Tsue)
+            .method(Arc::new(Tsue))
             .tsue_unit_bytes(512)
             .build()
             .unwrap_err();

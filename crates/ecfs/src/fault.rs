@@ -231,12 +231,14 @@ impl FaultState {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::config::MethodKind;
+    use crate::methods::Tsue;
     use rscode::CodeParams;
 
     fn cfg() -> ClusterConfig {
-        let mut c = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), MethodKind::Tsue);
+        let mut c = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue));
         c.racks = 4;
         c
     }

@@ -1,14 +1,12 @@
 //! Per-node disk fleets: the device population behind the OSDs.
 //!
-//! The cluster used to carry a single [`DiskKind`] cloned onto every node,
-//! which made the heterogeneous scenarios the paper hints at (§5.4 runs an
-//! all-HDD cluster; Koh et al. show online EC behaves qualitatively
-//! differently on mixed flash/HDD arrays) unreachable. A [`DiskFleet`]
-//! describes the whole population:
+//! A [`DiskFleet`] describes the whole population, one [`DiskKind`] device
+//! model per node, so the heterogeneous scenarios the paper hints at (§5.4
+//! runs an all-HDD cluster; Koh et al. show online EC behaves qualitatively
+//! differently on mixed flash/HDD arrays) are reachable:
 //!
 //! * [`DiskFleet::Uniform`] — every node carries the same device. This is
-//!   the default and reproduces the pre-fleet cluster **byte for byte**
-//!   (the topology/fault/open-loop goldens pin it).
+//!   the default (the topology/fault/open-loop goldens pin it).
 //! * [`DiskFleet::Tiered`] — the first `ssd_nodes` nodes carry flash, the
 //!   remaining `hdd_nodes` carry spinning disks: the classic mixed fleet a
 //!   partial hardware refresh leaves behind.

@@ -40,16 +40,14 @@ pub mod telemetry;
 
 pub use cache::{CacheConfig, CachePolicy, Cached, PageCache, StagingConfig};
 pub use cluster::Cluster;
-pub use config::{
-    ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, MethodKind, TsueFeatures,
-};
+pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures};
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::{MaintenancePlan, MaintenancePolicy};
 pub use methods::{
     Decorator, MethodRegistry, MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod,
 };
-pub use placement::{PlacementKind, PlacementPolicy, RackMap};
+pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 
@@ -59,7 +57,7 @@ pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 /// ```
 /// use ecfs::prelude::*;
 ///
-/// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), MethodKind::Tsue);
+/// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue));
 /// let rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
 /// assert!(rcfg.validate().is_ok());
 /// ```
@@ -67,7 +65,7 @@ pub mod prelude {
     pub use crate::cache::{CacheConfig, CachePolicy, Cached, PageCache, StagingConfig};
     pub use crate::cluster::{Cluster, IntervalSet, Metrics, Oracle, Osd};
     pub use crate::config::{
-        ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, MethodKind, TsueFeatures,
+        ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures,
     };
     pub use crate::fault::{FaultEvent, FaultPlan, FaultScope, FaultState, InjectedFault};
     pub use crate::fleet::{DiskFleet, DiskProfile};
@@ -77,12 +75,12 @@ pub mod prelude {
         RebalanceConfig, ScrubConfig,
     };
     pub use crate::methods::{
-        build_method, register_method, resolve_method, Decorator, MethodRegistry, MethodSpec,
-        NodeLogState, PlainState, RegistryError, ResolveError, UpdateCtx, UpdateMethod,
+        build_method, builtins, register_method, Cord, Decorator, Fl, Fo, MethodRegistry,
+        MethodSpec, NodeLogState, Parix, Pl, PlainState, Plr, RegistryError, ResolveError, Tsue,
+        UpdateCtx, UpdateMethod,
     };
     pub use crate::placement::{
-        CapacityWeighted, Copyset, FlatRotate, PlacementKind, PlacementPolicy, RackAware,
-        RackLocal, RackMap,
+        CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,
     };
     pub use crate::recovery::{
         inject_fault, recover_node, recover_rack, recover_scope, RecoveryError, RecoveryResult,
@@ -94,9 +92,11 @@ pub mod prelude {
     pub use crate::telemetry::{
         OpClass, OpRecord, Stage, StageRow, Trace, TraceConfig, TraceState, UtilKind, UtilLane,
     };
-    // The foreign types every experiment needs alongside the cluster.
+    // The foreign types every experiment needs alongside the cluster
+    // (`Arc` names a method or placement: `Arc::new(Tsue)`).
     pub use rscode::CodeParams;
     pub use simdisk::{HddConfig, SsdConfig};
+    pub use std::sync::Arc;
     pub use traces::{TraceFamily, WorkloadGen, WorkloadParams};
     // The open-loop offered-load engine (crate `workload`).
     pub use workload::{

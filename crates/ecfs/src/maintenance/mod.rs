@@ -449,11 +449,11 @@ fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, policy: Arc<dyn MaintenancePol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MethodKind;
+    use crate::methods::Tsue;
     use rscode::CodeParams;
 
     fn cfg() -> ClusterConfig {
-        ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), MethodKind::Tsue)
+        ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue))
     }
 
     #[test]

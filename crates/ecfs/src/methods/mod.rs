@@ -17,10 +17,12 @@
 //! * [`UpdateMethod::new_node_state`] — the constructor hook producing the
 //!   method's per-node log state ([`NodeLogState`]).
 //!
-//! Built-in drivers are reachable through [`crate::config::MethodKind`]
-//! (the paper's seven, in Fig. 5 order) or by name through the
-//! [`MethodRegistry`]; custom methods register with the registry and need
-//! no changes inside this crate — see `crates/ecfs/tests/registry_roundtrip.rs`.
+//! A method is its driver: the paper's seven are the unit structs
+//! re-exported here ([`Fo`], [`Fl`], [`Pl`], [`Plr`], [`Parix`], [`Cord`],
+//! [`Tsue`]), listed in Fig. 5 order by [`builtins`], and named by what
+//! [`UpdateMethod::name`] returns. Custom methods register with the
+//! [`MethodRegistry`] under their own name and need no changes inside this
+//! crate — see `crates/ecfs/tests/registry_roundtrip.rs`.
 
 pub mod cord;
 pub mod fl;
@@ -43,8 +45,30 @@ use crate::config::ClusterConfig;
 use crate::layout::{BlockAddr, BlockSlice};
 use crate::telemetry::{OpClass, Stage};
 
-pub use registry::{build_method, register_method, resolve_method, MethodRegistry, RegistryError};
+pub use cord::Cord;
+pub use fl::Fl;
+pub use fo::Fo;
+pub use parix::Parix;
+pub use pl::Pl;
+pub use plr::Plr;
+pub use registry::{build_method, register_method, MethodRegistry, RegistryError};
 pub use spec::{Decorator, MethodSpec, ResolveError};
+pub use tsue_drv::Tsue;
+
+/// The paper's seven update methods, one driver each, in Fig. 5 order
+/// (`FO FL PL PLR PARIX CoRD TSUE`). They seed
+/// [`MethodRegistry::with_builtins`], and sweeps iterate them.
+pub fn builtins() -> [Arc<dyn UpdateMethod>; 7] {
+    [
+        Arc::new(Fo),
+        Arc::new(Fl),
+        Arc::new(Pl),
+        Arc::new(Plr),
+        Arc::new(Parix),
+        Arc::new(Cord),
+        Arc::new(Tsue),
+    ]
+}
 
 /// Per-node, method-specific log state, held as a trait object on every
 /// [`crate::cluster::Osd`]. Drivers downcast to their concrete state via

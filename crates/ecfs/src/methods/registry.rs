@@ -1,11 +1,12 @@
-//! Name-to-factory registry for [`UpdateMethod`] drivers.
+//! Name-to-driver registry for [`UpdateMethod`]s.
 //!
 //! The registry is how experiments plug new update methods into the replay
-//! engine **without touching `ecfs` internals**: register a factory under a
-//! name, then build a cluster with
-//! [`crate::config::ClusterConfigBuilder::method_name`]. The process-wide
+//! engine **without touching `ecfs` internals**: register a driver, then
+//! build a cluster with [`crate::config::ClusterConfigBuilder::method_name`].
+//! A driver is registered under its own [`UpdateMethod::name`], so the name
+//! a run reports is the name that builds it. The process-wide
 //! [`MethodRegistry::global`] instance comes pre-seeded with the paper's
-//! seven built-ins (`FO`, `FL`, `PL`, `PLR`, `PARIX`, `CoRD`, `TSUE`).
+//! seven built-ins ([`super::builtins`]).
 //!
 //! Lookups take a full method-spec string ([`crate::methods::spec`]), so
 //! cache/staging decorators compose over any registered driver:
@@ -22,7 +23,7 @@
 //! let cached = build_method(&"lru(64MiB)+cord".parse().unwrap()).unwrap();
 //! assert_eq!(cached.name(), "lru(64MiB)+CoRD");
 //!
-//! // Failures are typed, not `None`.
+//! // Failures are typed.
 //! assert_eq!(
 //!     reg.build(&MethodSpec::base_only("no-such-method")).unwrap_err(),
 //!     ResolveError::UnknownMethod("no-such-method".to_string())
@@ -35,19 +36,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 use super::spec::{MethodSpec, ResolveError};
 use super::UpdateMethod;
 use crate::cache::Cached;
-use crate::config::MethodKind;
-
-/// Builds one method instance per call. Factories rather than instances so
-/// a registered method may carry its own per-resolution configuration.
-pub type MethodFactory = Arc<dyn Fn() -> Arc<dyn UpdateMethod> + Send + Sync>;
 
 /// Errors from registry mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
     /// The (case-folded) name is already registered.
     Duplicate(String),
-    /// The name is empty.
-    EmptyName,
+    /// The name is not a bare method spec (empty, padded, or containing
+    /// decorator syntax), so no spec string could ever resolve it.
+    BadName(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -56,26 +53,20 @@ impl std::fmt::Display for RegistryError {
             RegistryError::Duplicate(name) => {
                 write!(f, "update method {name:?} is already registered")
             }
-            RegistryError::EmptyName => write!(f, "update method name must not be empty"),
+            RegistryError::BadName(name) => {
+                write!(f, "update method name {name:?} is not a bare method spec")
+            }
         }
     }
 }
 
 impl std::error::Error for RegistryError {}
 
-/// Maps method names to driver factories. Lookups fold ASCII case, so
-/// `"CoRD"`, `"CORD"` and `"cord"` resolve to the same driver.
-#[derive(Clone, Default)]
+/// Maps method names to drivers. Lookups fold ASCII case, so `"CoRD"`,
+/// `"CORD"` and `"cord"` resolve to the same driver.
+#[derive(Debug, Clone, Default)]
 pub struct MethodRegistry {
-    factories: BTreeMap<String, MethodFactory>,
-}
-
-impl std::fmt::Debug for MethodRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MethodRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
+    drivers: BTreeMap<String, Arc<dyn UpdateMethod>>,
 }
 
 impl MethodRegistry {
@@ -87,9 +78,8 @@ impl MethodRegistry {
     /// A registry pre-seeded with the paper's seven built-in methods.
     pub fn with_builtins() -> MethodRegistry {
         let mut reg = MethodRegistry::empty();
-        for kind in MethodKind::ALL {
-            reg.register(kind.name(), move || kind.driver())
-                .expect("built-in names are unique");
+        for driver in super::builtins() {
+            reg.register(driver).expect("built-in names are unique");
         }
         reg
     }
@@ -102,164 +92,132 @@ impl MethodRegistry {
         GLOBAL.get_or_init(|| Mutex::new(MethodRegistry::with_builtins()))
     }
 
-    /// Registers `factory` under `name`. Rejects duplicates so two
-    /// experiments cannot silently shadow each other's drivers.
-    pub fn register<F>(&mut self, name: &str, factory: F) -> Result<(), RegistryError>
-    where
-        F: Fn() -> Arc<dyn UpdateMethod> + Send + Sync + 'static,
-    {
-        if name.is_empty() {
-            return Err(RegistryError::EmptyName);
+    /// Registers `driver` under its own [`UpdateMethod::name`]. Rejects a
+    /// name that [`MethodSpec::parse`] would not read back as itself, and
+    /// duplicates, so two experiments cannot silently shadow each other's
+    /// drivers.
+    pub fn register(&mut self, driver: Arc<dyn UpdateMethod>) -> Result<(), RegistryError> {
+        let name = driver.name();
+        if MethodSpec::parse(name) != Ok(MethodSpec::base_only(name)) {
+            return Err(RegistryError::BadName(name.to_string()));
         }
         let key = name.to_ascii_uppercase();
-        if self.factories.contains_key(&key) {
+        if self.drivers.contains_key(&key) {
             return Err(RegistryError::Duplicate(name.to_string()));
         }
-        self.factories.insert(key, Arc::new(factory));
+        self.drivers.insert(key, driver);
         Ok(())
     }
 
-    /// Builds the method registered under `name` (ASCII-case-insensitive).
-    ///
-    /// **Deprecation path:** this is the legacy stringly lookup — it takes
-    /// a bare registered name (no decorators) and collapses every failure
-    /// to `None`. New code should parse a full spec with
-    /// [`MethodSpec::parse`] and call [`MethodRegistry::build`] (or the
-    /// free [`build_method`]), which accept cache/staging decorators and
-    /// return a typed [`ResolveError`]. Kept as a thin shim for existing
-    /// callers.
-    ///
-    /// This invokes the factory. On the shared [`MethodRegistry::global`]
-    /// instance prefer [`resolve_method`], which releases the registry lock
-    /// *before* the factory runs — so factories may themselves consult the
-    /// registry (e.g. decorators wrapping a built-in).
-    pub fn resolve(&self, name: &str) -> Option<Arc<dyn UpdateMethod>> {
-        self.factory(name).map(|factory| factory())
-    }
-
-    /// Builds a driver from a parsed [`MethodSpec`]: resolves the base
-    /// name, then wraps it in the spec's cache/staging decorators
-    /// ([`Cached::apply`]). The typed replacement for
-    /// [`MethodRegistry::resolve`].
+    /// Builds a driver from a parsed [`MethodSpec`]: looks up the base
+    /// name (ASCII-case-insensitive), then wraps it in the spec's
+    /// cache/staging decorators ([`Cached::apply`]).
     pub fn build(&self, spec: &MethodSpec) -> Result<Arc<dyn UpdateMethod>, ResolveError> {
         let base = self
-            .resolve(&spec.base)
+            .drivers
+            .get(&spec.base.to_ascii_uppercase())
             .ok_or_else(|| ResolveError::UnknownMethod(spec.base.clone()))?;
-        Cached::apply(base, &spec.decorators)
-    }
-
-    /// The registered factory for `name`, if any (does not invoke it).
-    pub fn factory(&self, name: &str) -> Option<MethodFactory> {
-        self.factories.get(&name.to_ascii_uppercase()).cloned()
+        Cached::apply(Arc::clone(base), &spec.decorators)
     }
 
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(&name.to_ascii_uppercase())
+        self.drivers.contains_key(&name.to_ascii_uppercase())
     }
 
     /// All registered (case-folded) names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
+        self.drivers.keys().cloned().collect()
     }
 }
 
-/// Registers a method with the process-wide registry.
-pub fn register_method<F>(name: &str, factory: F) -> Result<(), RegistryError>
-where
-    F: Fn() -> Arc<dyn UpdateMethod> + Send + Sync + 'static,
-{
+/// Registers `driver` with the process-wide registry under its own name.
+pub fn register_method(driver: Arc<dyn UpdateMethod>) -> Result<(), RegistryError> {
     MethodRegistry::global()
         .lock()
         .expect("method registry lock")
-        .register(name, factory)
-}
-
-/// Resolves a method from the process-wide registry. The registry lock is
-/// released before the factory runs, so factories may re-enter the
-/// registry (e.g. to wrap a built-in driver):
-///
-/// ```
-/// use ecfs::cache::{CacheConfig, CachePolicy, Cached};
-/// use ecfs::methods::{register_method, resolve_method};
-///
-/// // A decorator factory: wraps the registry's own TSUE in a read cache.
-/// // Resolving it re-enters `global()` — no deadlock, the lock is free.
-/// register_method("tsue-cached-doc", || {
-///     let base = resolve_method("TSUE").unwrap();
-///     Cached::wrap(
-///         base,
-///         Some(CacheConfig::new(CachePolicy::Lru, 16 << 20)),
-///         None,
-///     )
-///     .unwrap()
-/// })
-/// .unwrap();
-/// assert_eq!(resolve_method("tsue-cached-doc").unwrap().name(), "lru(16MiB)+TSUE");
-/// ```
-///
-/// **Deprecation path:** bare-name lookup only — prefer [`build_method`]
-/// with a parsed [`MethodSpec`] for decorator support and typed errors.
-pub fn resolve_method(name: &str) -> Option<Arc<dyn UpdateMethod>> {
-    let factory = MethodRegistry::global()
-        .lock()
-        .expect("method registry lock")
-        .factory(name);
-    factory.map(|factory| factory())
+        .register(driver)
 }
 
 /// Builds a driver from a parsed [`MethodSpec`] against the process-wide
-/// registry. Like [`resolve_method`], the registry lock is released before
-/// the base factory runs, so decorator factories may re-enter the
 /// registry.
 pub fn build_method(spec: &MethodSpec) -> Result<Arc<dyn UpdateMethod>, ResolveError> {
-    let base =
-        resolve_method(&spec.base).ok_or_else(|| ResolveError::UnknownMethod(spec.base.clone()))?;
-    Cached::apply(base, &spec.decorators)
+    MethodRegistry::global()
+        .lock()
+        .expect("method registry lock")
+        .build(spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::{builtins, Fo, Tsue, UpdateCtx};
+    use crate::Cluster;
 
+    /// A driver whose name is whatever the test needs.
+    #[derive(Debug)]
+    struct Named(&'static str);
+
+    impl UpdateMethod for Named {
+        fn name(&self) -> &str {
+            self.0
+        }
+
+        fn begin_update(&self, _: &mut simdes::Sim<Cluster>, _: &mut Cluster, _: UpdateCtx) {
+            unreachable!("registry tests never run a replay")
+        }
+    }
+
+    /// The single-identity contract: a built-in's name is its driver's
+    /// `name()`, in Fig. 5 order, and that name (in any case) builds it.
     #[test]
     fn builtins_resolve_by_any_case() {
-        let reg = MethodRegistry::with_builtins();
-        assert_eq!(reg.names().len(), 7);
-        for kind in MethodKind::ALL {
-            let m = reg.resolve(kind.name()).expect("builtin resolves");
-            assert_eq!(m.name(), kind.name());
+        let names: Vec<String> = builtins().iter().map(|m| m.name().to_string()).collect();
+        assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
+        for name in &names {
+            for spelled in [name.clone(), name.to_lowercase(), name.to_uppercase()] {
+                let m = build_method(&MethodSpec::parse(&spelled).unwrap()).unwrap();
+                assert_eq!(m.name(), name);
+            }
         }
-        assert_eq!(reg.resolve("tsue").unwrap().name(), "TSUE");
-        assert_eq!(reg.resolve("CORD").unwrap().name(), "CoRD");
-    }
-
-    #[test]
-    fn unknown_name_is_none() {
-        assert!(MethodRegistry::with_builtins().resolve("nope").is_none());
-    }
-
-    #[test]
-    fn duplicate_registration_rejected() {
-        let mut reg = MethodRegistry::with_builtins();
-        let err = reg
-            .register("tsue", || MethodKind::Tsue.driver())
-            .unwrap_err();
-        assert_eq!(err, RegistryError::Duplicate("tsue".to_string()));
+        assert_eq!(
+            register_method(Arc::new(Fo)),
+            Err(RegistryError::Duplicate("FO".to_string()))
+        );
     }
 
     #[test]
     fn empty_name_rejected() {
         let mut reg = MethodRegistry::empty();
         assert_eq!(
-            reg.register("", || MethodKind::Fo.driver()),
-            Err(RegistryError::EmptyName)
+            reg.register(Arc::new(Named(""))),
+            Err(RegistryError::BadName(String::new()))
         );
     }
 
+    /// A name the spec grammar reads as decorators, or trims, could be
+    /// registered but never built.
     #[test]
-    fn global_has_builtins() {
-        assert!(resolve_method("PLR").is_some());
+    fn unresolvable_names_rejected() {
+        let mut reg = MethodRegistry::empty();
+        for name in ["x(1)", "a+b", " padded "] {
+            assert_eq!(
+                reg.register(Arc::new(Named(name))),
+                Err(RegistryError::BadName(name.to_string()))
+            );
+        }
+        assert!(reg.names().is_empty());
+        reg.register(Arc::new(Named("my-method"))).unwrap();
+        assert!(reg.contains("MY-METHOD"));
+    }
+
+    #[test]
+    fn duplicate_registration_rejected() {
+        let mut reg = MethodRegistry::with_builtins();
+        let err = reg.register(Arc::new(Named("tsue"))).unwrap_err();
+        assert_eq!(err, RegistryError::Duplicate("tsue".to_string()));
+        let err = reg.register(Arc::new(Tsue)).unwrap_err();
+        assert_eq!(err, RegistryError::Duplicate("TSUE".to_string()));
     }
 
     #[test]
@@ -290,14 +248,5 @@ mod tests {
         let spec = MethodSpec::parse("plru(32MiB)+PL").unwrap();
         let m = build_method(&spec).unwrap();
         assert_eq!(m.name(), "plru(32MiB)+PL");
-    }
-
-    #[test]
-    fn factories_may_reenter_the_global_registry() {
-        // A decorator-style factory consults the registry from inside its
-        // own resolution; the global lock must already be released.
-        register_method("reenter-probe", || resolve_method("TSUE").unwrap()).expect("fresh name");
-        let m = resolve_method("reenter-probe").expect("resolves");
-        assert_eq!(m.name(), "TSUE");
     }
 }

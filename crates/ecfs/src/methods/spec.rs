@@ -23,10 +23,9 @@
 //! (largest exact unit), so `parse → display → parse` is the identity —
 //! the property `crates/ecfs/tests/spec_props.rs` pins.
 //!
-//! [`MethodSpec::parse`] returns a typed [`ResolveError`] instead of the
-//! registry's historical `Option`; [`super::MethodRegistry::build`] and
-//! [`super::build_method`] turn a spec into a ready
-//! [`crate::methods::UpdateMethod`].
+//! [`MethodSpec::parse`] returns a typed [`ResolveError`];
+//! [`super::MethodRegistry::build`] and [`super::build_method`] turn a spec
+//! into a ready [`crate::methods::UpdateMethod`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -103,8 +102,7 @@ impl fmt::Display for FmtDur {
     }
 }
 
-/// Why a method spec failed to parse or resolve. The typed replacement for
-/// the registry's historical `Option<Arc<dyn UpdateMethod>>` answer.
+/// Why a method spec failed to parse or resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolveError {
     /// The spec (or one of its `+`-separated segments) is empty.

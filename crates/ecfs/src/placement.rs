@@ -1,9 +1,8 @@
 //! Pluggable block placement: the policy deciding which OSD hosts each
 //! block of a stripe, rack-aware where the topology has racks.
 //!
-//! The MDS's placement decision used to be a hard-coded hash rotation in
-//! [`crate::layout::Layout`]; it is now an object-safe [`PlacementPolicy`]
-//! so clusters can trade fault tolerance against cross-rack traffic:
+//! The MDS's placement decision is an object-safe [`PlacementPolicy`], so
+//! clusters can trade fault tolerance against cross-rack traffic:
 //!
 //! | policy | stripe blocks | rack failure | cross-rack update traffic |
 //! |---|---|---|---|
@@ -24,10 +23,9 @@
 //! Cidon et al.).
 //!
 //! Every policy must map the `k + m` blocks of one stripe to distinct
-//! nodes. [`FlatRotate`] on a single rack is the default and reproduces the
-//! pre-policy placement bit-for-bit.
-
-use std::sync::Arc;
+//! nodes. [`FlatRotate`] on a single rack is the default. A cluster takes
+//! a policy as `Arc<dyn PlacementPolicy>`, e.g. `Arc::new(RackAware)` or
+//! `Arc::new(Copyset::new(4))`; reports print its [`PlacementPolicy::name`].
 
 use rscode::CodeParams;
 
@@ -410,64 +408,14 @@ impl PlacementPolicy for Copyset {
     }
 }
 
-/// The built-in placement policies, as a convenience selector mirroring
-/// [`crate::config::MethodKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlacementKind {
-    /// Topology-blind hash rotation (the default).
-    FlatRotate,
-    /// Spread each stripe across racks for rack fault tolerance.
-    RackAware,
-    /// Co-rack each stripe's parity to minimise cross-rack update traffic.
-    RackLocal,
-    /// Weight node selection by disk capacity (heterogeneous fleets).
-    CapacityWeighted,
-    /// Confine stripes to at most this many distinct co-location sets.
-    Copyset(usize),
-}
-
-impl PlacementKind {
-    /// The topology trio the `topo_sweep` bench crosses (the resource-aware
-    /// policies — [`Self::CapacityWeighted`], [`Self::Copyset`] — are swept
-    /// separately by `hetero_sweep` against heterogeneous fleets).
-    pub const ALL: [PlacementKind; 3] = [
-        PlacementKind::FlatRotate,
-        PlacementKind::RackAware,
-        PlacementKind::RackLocal,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlacementKind::FlatRotate => "flat-rotate",
-            PlacementKind::RackAware => "rack-aware",
-            PlacementKind::RackLocal => "rack-local",
-            PlacementKind::CapacityWeighted => "capacity-weighted",
-            PlacementKind::Copyset(_) => "copyset",
-        }
-    }
-
-    /// Builds the policy object.
-    pub fn policy(&self) -> Arc<dyn PlacementPolicy> {
-        match self {
-            PlacementKind::FlatRotate => Arc::new(FlatRotate),
-            PlacementKind::RackAware => Arc::new(RackAware),
-            PlacementKind::RackLocal => Arc::new(RackLocal),
-            PlacementKind::CapacityWeighted => Arc::new(CapacityWeighted),
-            PlacementKind::Copyset(budget) => Arc::new(Copyset::new(*budget)),
-        }
-    }
-}
-
-impl From<PlacementKind> for Arc<dyn PlacementPolicy> {
-    fn from(kind: PlacementKind) -> Arc<dyn PlacementPolicy> {
-        kind.policy()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+
+    /// The weight-blind topology trio.
+    const TRIO: [&dyn PlacementPolicy; 3] = [&FlatRotate, &RackAware, &RackLocal];
 
     fn addr(volume: u32, stripe: u64, index: u16) -> BlockAddr {
         BlockAddr {
@@ -533,10 +481,9 @@ mod tests {
         let code = CodeParams::new(6, 3).unwrap();
         for racks in [1usize, 2, 3, 4] {
             let rm = RackMap::contiguous(16, racks);
-            for kind in PlacementKind::ALL {
-                let policy = kind.policy();
+            for policy in TRIO {
                 policy.check(code, &rm).unwrap();
-                assert_distinct(policy.as_ref(), code, &rm);
+                assert_distinct(policy, code, &rm);
             }
         }
     }
@@ -632,19 +579,17 @@ mod tests {
         assert!(RackLocal.check(code, &rm).is_err());
         // Too few nodes is rejected by every policy.
         let tiny = RackMap::contiguous(8, 2);
-        for kind in PlacementKind::ALL {
-            assert!(kind.policy().check(code, &tiny).is_err());
+        for policy in TRIO {
+            assert!(policy.check(code, &tiny).is_err());
         }
     }
 
     #[test]
-    fn kind_names_match_policies() {
-        for kind in PlacementKind::ALL {
-            assert_eq!(kind.policy().name(), kind.name());
-        }
-        for kind in [PlacementKind::CapacityWeighted, PlacementKind::Copyset(4)] {
-            assert_eq!(kind.policy().name(), kind.name());
-        }
+    fn policy_names_are_report_keys() {
+        let names: Vec<&str> = TRIO.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["flat-rotate", "rack-aware", "rack-local"]);
+        assert_eq!(CapacityWeighted.name(), "capacity-weighted");
+        assert_eq!(Copyset::new(4).name(), "copyset");
     }
 
     #[test]
@@ -732,8 +677,8 @@ mod tests {
     fn zero_copyset_budget_is_a_config_error_not_a_panic() {
         let err = crate::ClusterConfig::builder()
             .code(CodeParams::new(6, 3).unwrap())
-            .method(crate::MethodKind::Tsue)
-            .placement(PlacementKind::Copyset(0))
+            .method(Arc::new(crate::methods::Tsue))
+            .placement(Arc::new(Copyset::new(0)))
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
@@ -747,8 +692,7 @@ mod tests {
         let plain = RackMap::contiguous(16, 4);
         let weighted = RackMap::contiguous(16, 4).with_node_weights(vec![1; 16]);
         assert_eq!(plain, weighted);
-        for kind in PlacementKind::ALL {
-            let policy = kind.policy();
+        for policy in TRIO {
             for stripe in 0..50u64 {
                 for index in 0..9u16 {
                     let a = addr(0, stripe, index);

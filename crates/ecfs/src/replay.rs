@@ -112,13 +112,16 @@ impl ReplayConfig {
     /// A builder over [`Self::new`]'s defaults with fail-fast validation.
     ///
     /// ```
-    /// use ecfs::{ClusterConfig, MethodKind, ReplayConfig};
+    /// use std::sync::Arc;
+    ///
+    /// use ecfs::methods::Tsue;
+    /// use ecfs::{ClusterConfig, ReplayConfig};
     /// use rscode::CodeParams;
     /// use traces::TraceFamily;
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .ops_per_client(500)
@@ -207,7 +210,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .workload(Workload::Open(OpenLoopSpec::poisson(20_000.0)))
@@ -240,7 +243,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .faults(FaultPlan::new().fail_node(10_000_000, 3))
@@ -260,7 +263,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .maintenance(MaintenancePlan::new().with_scrub(ScrubConfig::default()))
@@ -280,7 +283,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .trace(TraceConfig::on())
@@ -301,7 +304,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     MethodKind::Tsue,
+    ///     Arc::new(Tsue),
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .workload(Workload::Open(OpenLoopSpec::poisson(20_000.0)))
@@ -794,7 +797,7 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
         }
         for c in 0..rcfg.cluster.clients {
             let stagger = c.wrapping_mul(137) % 4096 * simdes::units::MICROS / 8;
-            sim.schedule_call_u(stagger, kick, c);
+            sim.schedule_call_u_at(sim.now().saturating_add(stagger), kick, c);
         }
     }
     cl.metrics.setup_ms = setup_start.elapsed().as_secs_f64() * 1_000.0;
@@ -827,7 +830,7 @@ impl Replay {
     ///
     /// let cluster = ClusterConfig::builder()
     ///     .code(CodeParams::new(4, 2).unwrap())
-    ///     .method(MethodKind::Fo)
+    ///     .method(Arc::new(Fo))
     ///     .nodes(6)
     ///     .clients(2)
     ///     .build()

@@ -11,13 +11,13 @@ fn code64() -> CodeParams {
 #[test]
 fn cluster_builder_accepts_paper_shapes() {
     for (k, m) in [(6, 2), (12, 2), (6, 3), (12, 3), (6, 4), (12, 4)] {
-        for kind in MethodKind::ALL {
+        for method in builtins() {
             let cfg = ClusterConfig::builder()
                 .code(CodeParams::new(k, m).unwrap())
-                .method(kind)
+                .method(Arc::clone(&method))
                 .build()
-                .unwrap_or_else(|e| panic!("RS({k},{m}) x {}: {e}", kind.name()));
-            assert_eq!(cfg.method.name(), kind.name());
+                .unwrap_or_else(|e| panic!("RS({k},{m}) x {}: {e}", method.name()));
+            assert_eq!(cfg.method.name(), method.name());
             assert_eq!(cfg.nodes, 16);
         }
     }
@@ -28,7 +28,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Too few nodes for the stripe width.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .nodes(6)
         .build()
         .unwrap_err();
@@ -37,7 +37,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Zero clients.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .clients(0)
         .build()
         .unwrap_err();
@@ -46,7 +46,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Unaligned block size.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .block_bytes(6000)
         .build()
         .unwrap_err();
@@ -55,7 +55,7 @@ fn cluster_builder_rejects_with_reasons() {
     // TSUE log unit below the slice granularity.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Tsue)
+        .method(Arc::new(Tsue))
         .tsue_unit_bytes(100)
         .build()
         .unwrap_err();
@@ -64,7 +64,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Dead network.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Tsue)
+        .method(Arc::new(Tsue))
         .net_bandwidth(0)
         .build()
         .unwrap_err();
@@ -73,7 +73,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Zero racks.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .racks(0)
         .build()
         .unwrap_err();
@@ -82,7 +82,7 @@ fn cluster_builder_rejects_with_reasons() {
     // More racks than nodes.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .racks(17)
         .build()
         .unwrap_err();
@@ -92,7 +92,7 @@ fn cluster_builder_rejects_with_reasons() {
     for bad in [0.5, 0.0, f64::NAN, f64::INFINITY] {
         let err = ClusterConfig::builder()
             .code(code64())
-            .method(MethodKind::Fo)
+            .method(Arc::new(Fo))
             .racks(4)
             .oversubscription(bad)
             .build()
@@ -104,9 +104,9 @@ fn cluster_builder_rejects_with_reasons() {
     // 4 parity slots in one rack, but 16 nodes / 8 racks = 2 per rack.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .racks(8)
-        .placement(PlacementKind::RackLocal)
+        .placement(Arc::new(RackLocal))
         .build()
         .unwrap_err();
     assert!(err.to_string().contains("rack-local"), "{err}");
@@ -116,10 +116,10 @@ fn cluster_builder_rejects_with_reasons() {
 fn cluster_builder_topology_overrides_apply() {
     let cfg = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Tsue)
+        .method(Arc::new(Tsue))
         .racks(4)
         .oversubscription(4.0)
-        .placement(PlacementKind::RackAware)
+        .placement(Arc::new(RackAware))
         .build()
         .unwrap();
     assert_eq!(cfg.racks, 4);
@@ -142,7 +142,7 @@ fn cluster_builder_topology_overrides_apply() {
 fn cluster_builder_overrides_apply() {
     let cfg = ClusterConfig::builder()
         .code(code64())
-        .method(MethodKind::Tsue)
+        .method(Arc::new(Tsue))
         .nodes(24)
         .clients(48)
         .tsue(TsueFeatures::baseline())
@@ -160,7 +160,7 @@ fn cluster_builder_overrides_apply() {
 
 #[test]
 fn replay_builder_validates_ops_and_volume() {
-    let cluster = || ClusterConfig::ssd_testbed(code64(), MethodKind::Tsue);
+    let cluster = || ClusterConfig::ssd_testbed(code64(), Arc::new(Tsue));
 
     let err = ReplayConfig::builder(cluster(), TraceFamily::AliCloud)
         .ops_per_client(0)
@@ -196,7 +196,7 @@ fn replay_builder_rejects_staging_with_a_fault_plan() {
     let staged = || {
         ClusterConfig::builder()
             .code(code64())
-            .method(MethodKind::Tsue)
+            .method(Arc::new(Tsue))
             .staging(StagingConfig::new(8 << 20, 2_000_000))
             .build()
             .unwrap()

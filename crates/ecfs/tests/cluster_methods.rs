@@ -2,11 +2,14 @@
 //! satisfies the consistency oracle; relative performance matches the
 //! paper's ordering.
 
-use ecfs::{ClusterConfig, MethodKind, Replay, ReplayConfig};
+use std::sync::Arc;
+
+use ecfs::methods::{builtins, Fo, Tsue, UpdateMethod};
+use ecfs::{ClusterConfig, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
-fn small_replay(method: MethodKind, family: TraceFamily) -> ReplayConfig {
+fn small_replay(method: Arc<dyn UpdateMethod>, family: TraceFamily) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = 8;
@@ -18,8 +21,8 @@ fn small_replay(method: MethodKind, family: TraceFamily) -> ReplayConfig {
 
 #[test]
 fn every_method_completes_and_is_consistent() {
-    for method in MethodKind::ALL {
-        let rcfg = small_replay(method, TraceFamily::AliCloud);
+    for method in builtins() {
+        let rcfg = small_replay(Arc::clone(&method), TraceFamily::AliCloud);
         let res = Replay::run(&rcfg).result;
         assert_eq!(
             res.oracle_violations,
@@ -47,7 +50,7 @@ fn every_method_completes_and_is_consistent() {
 
 #[test]
 fn replay_is_deterministic() {
-    let rcfg = small_replay(MethodKind::Tsue, TraceFamily::TenCloud);
+    let rcfg = small_replay(Arc::new(Tsue), TraceFamily::TenCloud);
     let a = Replay::run(&rcfg).result;
     let b = Replay::run(&rcfg).result;
     assert_eq!(a.completed_updates, b.completed_updates);
@@ -59,33 +62,22 @@ fn replay_is_deterministic() {
 #[test]
 fn tsue_beats_every_baseline_on_ssd() {
     let mut iops = std::collections::HashMap::new();
-    for method in [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Cord,
-        MethodKind::Tsue,
-    ] {
-        let rcfg = small_replay(method, TraceFamily::AliCloud);
-        iops.insert(method, Replay::run(&rcfg).result.update_iops);
+    for method in builtins().into_iter().filter(|m| m.name() != "FL") {
+        let r = Replay::run(&small_replay(method, TraceFamily::AliCloud)).result;
+        iops.insert(r.method, r.update_iops);
     }
-    let tsue = iops[&MethodKind::Tsue];
+    let tsue = iops["TSUE"];
     for (m, v) in &iops {
-        if *m != MethodKind::Tsue {
-            assert!(
-                tsue > *v,
-                "TSUE ({tsue:.0}) must beat {} ({v:.0})",
-                m.name()
-            );
+        if m != "TSUE" {
+            assert!(tsue > *v, "TSUE ({tsue:.0}) must beat {m} ({v:.0})");
         }
     }
     // PLR is the weakest SSD method in the paper.
     assert!(
-        iops[&MethodKind::Plr] < iops[&MethodKind::Pl],
+        iops["PLR"] < iops["PL"],
         "PLR ({:.0}) must trail PL ({:.0})",
-        iops[&MethodKind::Plr],
-        iops[&MethodKind::Pl]
+        iops["PLR"],
+        iops["PL"]
     );
 }
 
@@ -95,8 +87,8 @@ fn tsue_has_lowest_overwrites() {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
         Replay::run(&rcfg).result.disk.overwrites.ops
     };
-    let tsue = overwrites(MethodKind::Tsue);
-    let fo = overwrites(MethodKind::Fo);
+    let tsue = overwrites(Arc::new(Tsue));
+    let fo = overwrites(Arc::new(Fo));
     assert!(
         tsue * 3 < fo,
         "TSUE overwrites ({tsue}) must be well below FO's ({fo})"
@@ -109,8 +101,8 @@ fn tsue_erases_fewer_flash_blocks_than_fo() {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
         Replay::run(&rcfg).result.erases
     };
-    let tsue = erases(MethodKind::Tsue);
-    let fo = erases(MethodKind::Fo);
+    let tsue = erases(Arc::new(Tsue));
+    let fo = erases(Arc::new(Fo));
     assert!(
         tsue <= fo,
         "TSUE erases ({tsue}) must not exceed FO's ({fo})"
@@ -123,8 +115,8 @@ fn update_latency_tsue_below_fo() {
         let rcfg = small_replay(method, TraceFamily::AliCloud);
         Replay::run(&rcfg).result.latency_mean_us
     };
-    let tsue = lat(MethodKind::Tsue);
-    let fo = lat(MethodKind::Fo);
+    let tsue = lat(Arc::new(Tsue));
+    let fo = lat(Arc::new(Fo));
     assert!(
         tsue < fo,
         "TSUE mean latency ({tsue:.0} us) must be below FO's ({fo:.0} us)"

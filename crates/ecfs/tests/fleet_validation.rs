@@ -8,7 +8,7 @@ use simdisk::Disk;
 fn builder() -> ClusterConfigBuilder {
     ClusterConfig::builder()
         .code(CodeParams::new(6, 3).unwrap())
-        .method(MethodKind::Tsue)
+        .method(Arc::new(Tsue))
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn degenerate_multipliers_rejected_at_build() {
 fn replay_validation_covers_the_fleet() {
     // The fleet check also runs through ReplayConfig::validate, so a bad
     // fleet cannot reach a replay.
-    let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), MethodKind::Fo);
+    let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Fo));
     cluster.fleet = DiskFleet::tiered(2, 2);
     let rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
     assert!(rcfg.validate().is_err());
@@ -79,7 +79,7 @@ fn replay_validation_covers_the_fleet() {
 fn hdd_testbed_routes_through_uniform_hdd() {
     // Exactly one way to say "all-HDD": the testbed constructor and the
     // canonical constructor must agree on every node's device.
-    let cfg = ClusterConfig::hdd_testbed(CodeParams::new(6, 4).unwrap(), MethodKind::Pl);
+    let cfg = ClusterConfig::hdd_testbed(CodeParams::new(6, 4).unwrap(), Arc::new(Pl));
     let canonical = DiskFleet::uniform_hdd();
     assert_eq!(cfg.fleet.name(), canonical.name());
     for n in 0..cfg.nodes {
@@ -114,14 +114,4 @@ fn fleet_capacities_reach_placement_weights() {
     let uniform = builder().build().unwrap();
     let urm = uniform.rack_map();
     assert!((0..16).all(|n| urm.weight_of(n) == urm.weight_of(0)));
-}
-
-#[test]
-fn builder_disk_shorthand_is_uniform_fleet() {
-    let cfg = builder()
-        .disk(DiskKind::Hdd(HddConfig::default()))
-        .build()
-        .unwrap();
-    assert!(matches!(cfg.fleet, DiskFleet::Uniform(DiskKind::Hdd(_))));
-    assert_eq!(cfg.fleet.name(), "uniform-hdd");
 }

@@ -17,8 +17,19 @@ use simdisk::{IoOp, Pattern};
 /// path is truly open.
 #[derive(Debug)]
 struct Teleport {
+    /// The name it registers and reports under.
+    name: &'static str,
     /// Updates routed through this driver (proves *this* code ran).
     updates: Arc<AtomicU64>,
+}
+
+impl Teleport {
+    fn named(name: &'static str) -> Arc<Teleport> {
+        Arc::new(Teleport {
+            name,
+            updates: Arc::new(AtomicU64::new(0)),
+        })
+    }
 }
 
 /// Per-node state for the custom method (exercises the constructor hook
@@ -36,7 +47,7 @@ impl NodeLogState for TeleportState {
 
 impl UpdateMethod for Teleport {
     fn name(&self) -> &str {
-        "TELEPORT"
+        self.name
     }
 
     fn new_node_state(&self, _cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
@@ -72,14 +83,9 @@ impl UpdateMethod for Teleport {
 
 #[test]
 fn custom_method_registers_and_replays() {
-    let updates = Arc::new(AtomicU64::new(0));
-    let handle = Arc::clone(&updates);
-    register_method("teleport", move || {
-        Arc::new(Teleport {
-            updates: Arc::clone(&handle),
-        })
-    })
-    .expect("fresh name registers");
+    let driver = Teleport::named("TELEPORT");
+    let updates = Arc::clone(&driver.updates);
+    register_method(driver).expect("fresh name registers");
 
     // Resolved by name (case-insensitively), through the global registry.
     let cluster = ClusterConfig::builder()
@@ -124,12 +130,7 @@ fn custom_method_registers_and_replays() {
 #[test]
 fn custom_method_mixes_with_builtins() {
     // Registering a custom method must not disturb built-in resolution.
-    register_method("noop-check", || {
-        Arc::new(Teleport {
-            updates: Arc::new(AtomicU64::new(0)),
-        })
-    })
-    .ok(); // may already exist if tests share the process
+    register_method(Teleport::named("noop-check")).expect("fresh name registers");
 
     let names = MethodRegistry::global().lock().unwrap().names();
     for builtin in ["FO", "FL", "PL", "PLR", "PARIX", "CORD", "TSUE"] {
@@ -138,12 +139,13 @@ fn custom_method_mixes_with_builtins() {
             "{builtin} missing from {names:?}"
         );
     }
-    assert!(resolve_method("noop-check").is_some());
+    let custom = build_method(&MethodSpec::parse("NOOP-CHECK").unwrap()).unwrap();
+    assert_eq!(custom.name(), "noop-check");
 
     // A built-in still replays fine after custom registrations.
     let cluster = ClusterConfig::builder()
         .code(CodeParams::new(4, 2).unwrap())
-        .method(MethodKind::Pl)
+        .method(Arc::new(Pl))
         .nodes(8)
         .clients(2)
         .build()
@@ -160,8 +162,8 @@ fn custom_method_mixes_with_builtins() {
 
 #[test]
 fn duplicate_registration_is_rejected() {
-    register_method("dup-probe", || MethodKind::Fo.driver()).expect("first registration");
-    let err = register_method("DUP-PROBE", || MethodKind::Fl.driver())
+    register_method(Teleport::named("dup-probe")).expect("first registration");
+    let err = register_method(Teleport::named("DUP-PROBE"))
         .expect_err("case-folded duplicate must be rejected");
     assert!(matches!(err, RegistryError::Duplicate(_)));
 }

@@ -147,12 +147,6 @@ impl<W> Sim<W> {
         self.push(self.now.saturating_add(delay), Callback::Fn0(f));
     }
 
-    /// Schedules a function pointer carrying one word of state `delay`
-    /// nanoseconds from now, without a heap allocation.
-    pub fn schedule_call_u(&mut self, delay: SimTime, f: fn(&mut Sim<W>, &mut W, u64), arg: u64) {
-        self.push(self.now.saturating_add(delay), Callback::FnU(f, arg));
-    }
-
     /// Schedules a function pointer carrying one word of state at absolute
     /// time `t`, without a heap allocation. Panics on past times like
     /// [`Sim::schedule_at`].
@@ -324,7 +318,7 @@ mod tests {
         }
         sim.schedule(5, |_, w: &mut Vec<u32>| w.push(1));
         sim.schedule_call(5, push7);
-        sim.schedule_call_u(5, push_arg, 9);
+        sim.schedule_call_u_at(5, push_arg, 9);
         sim.schedule_boxed(5, Box::new(|_, w: &mut Vec<u32>| w.push(2)));
         sim.run(&mut world);
         assert_eq!(world, vec![1, 7, 9, 2]);

@@ -17,11 +17,12 @@
 //!   per arrival (uniform, Zipfian hot clients, hot-spot subsets) and
 //!   [`OffsetSkew`] reshapes each client's address locality (family
 //!   default, tightened hot ranges, flattened uniform);
-//! * [`stream`] — *what* arrives: a [`TimedStream`] of `(client, op)` pairs
-//!   carrying absolute arrival timestamps. Synthetic specs materialise into
-//!   one ([`OpenLoopSpec::materialize`]), and imported real traces
-//!   (`traces::io::msr_to_ops`, `traces::io::ali_to_ops`) convert into one
-//!   with their *real* arrival times preserved.
+//! * [`source`] / [`stream`] — *what* arrives: `(client, op)` pairs
+//!   carrying absolute arrival timestamps. A synthetic spec yields them
+//!   lazily from an [`ArrivalSource`] ([`OpenLoopSpec::source`]); imported
+//!   real traces (`traces::io::msr_to_ops`, `traces::io::ali_to_ops`)
+//!   convert into a [`TimedStream`] with their *real* arrival times
+//!   preserved.
 //!
 //! The replay engine consumes a [`TimedStream`] with a bounded
 //! outstanding-op window per client and an admission queue, and reports
@@ -149,23 +150,6 @@ impl OpenLoopSpec {
     ) -> ArrivalSource {
         ArrivalSource::new(self, base, clients, total_ops, seed)
     }
-
-    /// Materialises the spec into a [`TimedStream`] of `total_ops`
-    /// arrivals — the eager compat path: exactly
-    /// [`Self::source`]`.collect()`, byte-identical op for op (pinned by
-    /// the `lazy_equals_eager_*` tests), at O(total_ops) memory.
-    ///
-    /// # Panics
-    /// Panics if the spec or `base` fail validation, or `clients == 0`.
-    pub fn materialize(
-        &self,
-        base: &WorkloadParams,
-        clients: u64,
-        total_ops: u64,
-        seed: u64,
-    ) -> TimedStream {
-        TimedStream::new(self.source(base, clients, total_ops, seed).collect())
-    }
 }
 
 #[cfg(test)]
@@ -179,6 +163,11 @@ mod tests {
         WorkloadParams::ali_cloud(VOL)
     }
 
+    /// Every arrival of `spec`'s source, collected into a stream.
+    fn collect(spec: &OpenLoopSpec, clients: u64, total_ops: u64, seed: u64) -> TimedStream {
+        TimedStream::new(spec.source(&base(), clients, total_ops, seed).collect())
+    }
+
     #[test]
     fn spec_validates() {
         assert!(OpenLoopSpec::poisson(10_000.0).validate().is_ok());
@@ -190,20 +179,20 @@ mod tests {
     }
 
     #[test]
-    fn materialize_is_deterministic() {
+    fn source_is_deterministic() {
         let spec =
             OpenLoopSpec::poisson(50_000.0).with_client_skew(ClientSkew::Zipf { theta: 0.9 });
-        let a = spec.materialize(&base(), 8, 2000, 42);
-        let b = spec.materialize(&base(), 8, 2000, 42);
+        let a = collect(&spec, 8, 2000, 42);
+        let b = collect(&spec, 8, 2000, 42);
         assert_eq!(a, b);
-        let c = spec.materialize(&base(), 8, 2000, 43);
+        let c = collect(&spec, 8, 2000, 43);
         assert_ne!(a, c);
     }
 
     #[test]
-    fn materialize_produces_sorted_valid_stream() {
+    fn source_produces_sorted_valid_stream() {
         let spec = OpenLoopSpec::poisson(20_000.0);
-        let s = spec.materialize(&base(), 4, 1000, 7);
+        let s = collect(&spec, 4, 1000, 7);
         assert_eq!(s.len(), 1000);
         s.validate(4, VOL).unwrap();
         // Arrival times strictly increase (gaps are clamped to >= 1 ns).
@@ -212,9 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn materialize_rate_is_close_to_spec() {
+    fn source_rate_is_close_to_spec() {
         let spec = OpenLoopSpec::poisson(100_000.0);
-        let s = spec.materialize(&base(), 8, 10_000, 11);
+        let s = collect(&spec, 8, 10_000, 11);
         let secs = s.horizon_ns() as f64 / 1e9;
         let rate = s.len() as f64 / secs;
         assert!(
@@ -227,7 +216,7 @@ mod tests {
     fn zipf_clients_concentrate_arrivals() {
         let spec =
             OpenLoopSpec::poisson(50_000.0).with_client_skew(ClientSkew::Zipf { theta: 0.95 });
-        let s = spec.materialize(&base(), 16, 8000, 3);
+        let s = collect(&spec, 16, 8000, 3);
         let mut counts = [0usize; 16];
         for t in s.ops() {
             counts[t.client as usize] += 1;
@@ -243,12 +232,10 @@ mod tests {
 
     #[test]
     fn lazy_equals_eager_across_all_specs() {
-        // The tentpole invariant: the lazy ArrivalSource yields the exact
-        // op sequence the eager materialize path builds — byte for byte —
-        // for every BaseProcess × RateCurve × ClientSkew × OffsetSkew
-        // combination. (materialize() itself now collects the source, so
-        // this pins the iterator against an independently-driven copy:
-        // per-item pulls with interleaved state inspection.)
+        // A source pulled one op at a time, with its state inspected
+        // between pulls, yields the exact op sequence an independent source
+        // collected in one go does — byte for byte — for every
+        // BaseProcess × RateCurve × ClientSkew × OffsetSkew combination.
         let processes = [BaseProcess::Poisson, BaseProcess::Periodic];
         let rates = [
             RateCurve::Constant {
@@ -291,13 +278,16 @@ mod tests {
                             .with_rate(rate.clone())
                             .with_client_skew(cs)
                             .with_offset_skew(os);
-                        let eager = spec.materialize(&base(), 32, 400, 99);
+                        let eager: Vec<TimedOp> = spec.source(&base(), 32, 400, 99).collect();
                         let mut source = spec.source(&base(), 32, 400, 99);
-                        assert_eq!(source.remaining(), 400);
-                        let lazy: Vec<TimedOp> = source.by_ref().collect();
+                        let mut lazy = Vec::new();
+                        while source.remaining() > 0 {
+                            let left = source.remaining();
+                            lazy.push(source.next().expect("remaining ops are yielded"));
+                            assert_eq!(source.remaining(), left - 1);
+                        }
                         assert_eq!(
-                            eager.ops(),
-                            lazy.as_slice(),
+                            eager, lazy,
                             "lazy != eager for {process:?} × {rate:?} × {cs:?} × {os:?}"
                         );
                         assert_eq!(source.remaining(), 0);
@@ -338,7 +328,7 @@ mod tests {
     #[test]
     fn uniform_offset_skew_flattens_locality() {
         let spec = OpenLoopSpec::poisson(50_000.0).with_offset_skew(OffsetSkew::Uniform);
-        let s = spec.materialize(&base(), 2, 4000, 9);
+        let s = collect(&spec, 2, 4000, 9);
         // With locality flattened, update/read offsets spread over the
         // whole written region instead of piling into the 10 % hot set.
         let mut hits = std::collections::HashSet::new();

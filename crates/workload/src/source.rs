@@ -1,21 +1,20 @@
 //! Lazy arrival generation: the O(active) alternative to materialising a
 //! whole [`TimedStream`](crate::TimedStream) up front.
 //!
-//! [`ArrivalSource`] is an iterator producing the **byte-identical** op
-//! sequence `OpenLoopSpec::materialize` would build (same seeds, same
-//! draws, same order — pinned by `lazy_equals_eager_*` tests), but with
-//! memory proportional to the *touched* client set instead of the
-//! population: per-client content generators are created on a client's
-//! first pick and nothing is ever pre-allocated per client. Combined with
-//! the alias-table Zipf picker (`traces::AliasZipf`, O(min(n, 1024))
-//! setup), a `clients: 1_000_000` spec costs a few KiB to stand up and
-//! then O(1) per arrival.
+//! [`ArrivalSource`] is an iterator over a spec's arrivals with memory
+//! proportional to the *touched* client set instead of the population:
+//! per-client content generators are created on a client's first pick and
+//! nothing is ever pre-allocated per client. Combined with the alias-table
+//! Zipf picker (`traces::AliasZipf`, O(min(n, 1024)) setup), a
+//! `clients: 1_000_000` spec costs a few KiB to stand up and then O(1) per
+//! arrival.
 //!
-//! Laziness is sound because the eager path already used one independent
-//! seeded RNG per concern: each client's `WorkloadGen` consumes only its
-//! own `seed + client` stream, arrival times their own salted stream, and
+//! Laziness is sound because there is one independent seeded RNG per
+//! concern: each client's `WorkloadGen` consumes only its own
+//! `seed + client` stream, arrival times their own salted stream, and
 //! client picks a third — so deferring a generator's construction to first
-//! use cannot perturb any other draw.
+//! use cannot perturb any other draw (pinned by
+//! `lazy_equals_eager_across_all_specs`).
 
 use std::collections::HashMap;
 

@@ -3,11 +3,10 @@
 //!
 //! A [`TimedStream`] is a time-sorted sequence of `(client, op)` pairs
 //! whose `op.at_ns` is an **absolute arrival time** — the moment the op is
-//! offered to the cluster regardless of what else is in flight. Synthetic
-//! specs materialise into one (`OpenLoopSpec::materialize`), and imported
+//! offered to the cluster regardless of what else is in flight. Imported
 //! traces (`traces::io::msr_to_ops`, `traces::io::ali_to_ops`) convert
-//! into one with their real timestamps preserved, so the replay engine has
-//! a single open-loop consumption path.
+//! into one with their real timestamps preserved; synthetic specs yield
+//! the same pairs lazily ([`crate::ArrivalSource`]).
 
 use std::collections::HashSet;
 

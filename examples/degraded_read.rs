@@ -12,11 +12,11 @@ fn main() {
     // every stripe within the m-erasure budget per rack, so the rack
     // failure is survivable.
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, MethodKind::Tsue);
+    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
     cluster.clients = 8;
     cluster.racks = 4;
     cluster.oversubscription = 2.0;
-    cluster.placement = PlacementKind::RackAware.policy();
+    cluster.placement = Arc::new(RackAware);
 
     // Rack 1 dies 40 ms into the replay (well after its blocks are
     // populated); detection takes another 20 ms, and repair is throttled

@@ -16,13 +16,13 @@ fn main() {
         "method", "blocks", "drain (s)", "rebuild (s)", "recovery MiB/s"
     );
     for method in [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Tsue,
+        Arc::new(Fo) as Arc<dyn UpdateMethod>,
+        Arc::new(Pl),
+        Arc::new(Plr),
+        Arc::new(Parix),
+        Arc::new(Tsue),
     ] {
-        let mut cluster = ClusterConfig::hdd_testbed(code, method);
+        let mut cluster = ClusterConfig::hdd_testbed(code, Arc::clone(&method));
         cluster.clients = 8;
         // Small units keep TSUE's real-time recycling active in a short run.
         cluster.tsue_unit_bytes = 1 << 20;
@@ -54,12 +54,15 @@ fn main() {
     // at m, the topology-blind default does not.
     println!("\nrack drill: 16 nodes in 4 racks (4:1 spine), rack 1 fails; RS(6,3), SSD\n");
     let code = CodeParams::new(6, 3).unwrap();
-    for placement in [PlacementKind::RackAware, PlacementKind::FlatRotate] {
-        let mut cluster = ClusterConfig::ssd_testbed(code, MethodKind::Tsue);
+    for placement in [
+        Arc::new(RackAware) as Arc<dyn PlacementPolicy>,
+        Arc::new(FlatRotate),
+    ] {
+        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
         cluster.clients = 8;
         cluster.racks = 4;
         cluster.oversubscription = 4.0;
-        cluster.placement = placement.policy();
+        cluster.placement = Arc::clone(&placement);
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
         rcfg.ops_per_client = 300;
         rcfg.volume_bytes = 96 << 20;

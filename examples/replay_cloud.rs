@@ -20,14 +20,7 @@ fn main() {
     );
     let mut tsue_iops = 0.0;
     let mut rows = Vec::new();
-    for method in [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Cord,
-        MethodKind::Tsue,
-    ] {
+    for method in tsue_bench::fig5_methods() {
         let mut cluster = ClusterConfig::ssd_testbed(code, method);
         cluster.clients = 16;
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
@@ -37,25 +30,21 @@ fn main() {
         assert_eq!(res.oracle_violations, 0, "consistency oracle violated");
         println!(
             "{:<7} {:>10.0} {:>10.0} {:>12} {:>10.2} {:>9.2}",
-            method.name(),
+            res.method,
             res.update_iops,
             res.latency_mean_us,
             res.disk.overwrites.ops,
             res.net_gib,
             res.drain_s,
         );
-        if method == MethodKind::Tsue {
+        if res.method == "TSUE" {
             tsue_iops = res.update_iops;
         } else {
-            rows.push((method, res.update_iops));
+            rows.push((res.method, res.update_iops));
         }
     }
     println!("\nTSUE speedup:");
     for (method, iops) in rows {
-        println!(
-            "  {:>5}x vs {}",
-            format!("{:.2}", tsue_iops / iops),
-            method.name()
-        );
+        println!("  {:>5}x vs {}", format!("{:.2}", tsue_iops / iops), method);
     }
 }

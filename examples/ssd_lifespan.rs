@@ -26,14 +26,7 @@ fn main() {
         "method", "erases", "GC erases", "region erases", "GC moved pg", "write amp", "IOPS"
     );
     let mut results = Vec::new();
-    for method in [
-        MethodKind::Fo,
-        MethodKind::Pl,
-        MethodKind::Plr,
-        MethodKind::Parix,
-        MethodKind::Cord,
-        MethodKind::Tsue,
-    ] {
+    for method in tsue_bench::fig5_methods() {
         let mut cluster = ClusterConfig::ssd_testbed(code, method);
         cluster.clients = 16;
         cluster.fleet = DiskFleet::uniform(DiskKind::Ssd(SsdConfig {
@@ -46,7 +39,7 @@ fn main() {
         let res = Replay::run(&rcfg).result;
         println!(
             "{:<7} {:>9} {:>10} {:>14} {:>13} {:>10.2} {:>9.0}",
-            method.name(),
+            res.method,
             res.erases,
             res.disk.gc_erases(),
             res.disk.region_erases,
@@ -54,24 +47,24 @@ fn main() {
             res.disk.write_amplification(4096),
             res.update_iops
         );
-        assert!(res.erases > 0, "{} never cycled its flash", method.name());
-        results.push((method, res.erases));
+        assert!(res.erases > 0, "{} never cycled its flash", res.method);
+        results.push((res.method, res.erases));
     }
     let tsue = results
         .iter()
-        .find(|(m, _)| *m == MethodKind::Tsue)
+        .find(|(m, _)| m == "TSUE")
         .map(|&(_, e)| e)
         .unwrap();
     println!("\nlifespan extension vs TSUE (erase ratio; paper reports 2.5x-13x):");
     for (m, e) in results {
-        if m == MethodKind::Tsue {
+        if m == "TSUE" {
             continue;
         }
         match erase_ratio(e, tsue) {
-            Some(r) => println!("  {:<7} {r:.1}x", m.name()),
-            None => println!("  {:<7} n/a (device never cycled)", m.name()),
+            Some(r) => println!("  {m:<7} {r:.1}x"),
+            None => println!("  {m:<7} n/a (device never cycled)"),
         }
-        if m == MethodKind::Cord {
+        if m == "CoRD" {
             println!("          ^ below 1x: CoRD erases fewer than TSUE here, ROADMAP arc 1's open question");
         }
     }

@@ -56,23 +56,24 @@ fn canon(r: &RunResult) -> String {
 }
 
 /// Cache-off golden: a spec-built bare method replays byte-identically to
-/// the `MethodKind`-built driver, and every new counter stays zero — the
-/// decorator API redesign cannot perturb undecorated runs.
+/// the driver it names, and every new counter stays zero — the decorator
+/// API redesign cannot perturb undecorated runs.
 #[test]
 fn cache_off_is_byte_identical_to_plain_replay() {
     let code = CodeParams::new(6, 3).unwrap();
-    for kind in MethodKind::ALL {
-        let plain = builder(code).method(kind).build().unwrap();
-        let spec = builder(code).method_name(kind.name()).build().unwrap();
+    for method in builtins() {
+        let name = method.name().to_string();
+        let plain = builder(code).method(method).build().unwrap();
+        let spec = builder(code).method_name(&name).build().unwrap();
         let a = Replay::run(&replay_cfg(plain, 150)).result;
         let b = Replay::run(&replay_cfg(spec, 150)).result;
-        assert_eq!(canon(&a), canon(&b), "{}: spec-built diverged", kind.name());
-        assert_eq!(a.cache_lookups, 0, "{}", kind.name());
-        assert_eq!(a.cache_hits, 0, "{}", kind.name());
-        assert_eq!(a.cache_hit_ratio, 0.0, "{}", kind.name());
-        assert_eq!(a.staged_bytes, 0, "{}", kind.name());
-        assert_eq!(a.coalesced_bytes, 0, "{}", kind.name());
-        assert_eq!(a.stage_flushes, 0, "{}", kind.name());
+        assert_eq!(canon(&a), canon(&b), "{name}: spec-built diverged");
+        assert_eq!(a.cache_lookups, 0, "{name}");
+        assert_eq!(a.cache_hits, 0, "{name}");
+        assert_eq!(a.cache_hit_ratio, 0.0, "{name}");
+        assert_eq!(a.staged_bytes, 0, "{name}");
+        assert_eq!(a.coalesced_bytes, 0, "{name}");
+        assert_eq!(a.stage_flushes, 0, "{name}");
     }
 }
 
@@ -98,7 +99,7 @@ fn read_cache_serves_hits() {
     let code = CodeParams::new(6, 3).unwrap();
     for policy in CachePolicy::ALL {
         let cluster = builder(code)
-            .method(MethodKind::Fo)
+            .method(Arc::new(Fo))
             .cache(CacheConfig::new(policy, 64 << 20))
             .build()
             .unwrap();
@@ -122,7 +123,7 @@ fn read_cache_serves_hits() {
 fn staging_coalesces_and_stays_consistent() {
     let code = CodeParams::new(6, 3).unwrap();
     let cluster = builder(code)
-        .method(MethodKind::Pl)
+        .method(Arc::new(Pl))
         .staging(StagingConfig::new(256 << 10, 2_000_000))
         .build()
         .unwrap();
@@ -147,8 +148,8 @@ fn staging_coalesces_and_stays_consistent() {
 #[test]
 fn composes_over_all_seven_builtins() {
     let code = CodeParams::new(6, 3).unwrap();
-    for kind in MethodKind::ALL {
-        let spec = format!("stage(64KiB,1ms)+lru(1MiB)+{}", kind.name());
+    for method in builtins() {
+        let spec = format!("stage(64KiB,1ms)+lru(1MiB)+{}", method.name());
         let cluster = builder(code).method_name(&spec).build().unwrap();
         assert_eq!(cluster.method.name(), spec);
         let parsed = MethodSpec::parse(cluster.method.name()).unwrap();
@@ -196,7 +197,7 @@ fn staged_ranges_serve_reads() {
     // Huge size threshold + long age: most staged data is still buffered
     // when reads arrive.
     let cluster = builder(code)
-        .method(MethodKind::Fo)
+        .method(Arc::new(Fo))
         .staging(StagingConfig::new(1 << 30, 1_000_000_000))
         .build()
         .unwrap();

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use ecfs::prelude::*;
 
-fn replay(method: MethodKind, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -163,7 +163,7 @@ fn assert_runs_twice_equal(rcfg: ReplayConfig) {
 /// The headline: all seven methods, faults + maintenance armed.
 #[test]
 fn run_twice_equal_all_methods_with_plans_armed() {
-    for method in MethodKind::ALL {
+    for method in builtins() {
         let mut rcfg = replay(method, 3, 100);
         armed_plans(&mut rcfg);
         assert_runs_twice_equal(rcfg);
@@ -174,7 +174,7 @@ fn run_twice_equal_all_methods_with_plans_armed() {
 /// first repair is still in flight.
 #[test]
 fn run_twice_equal_at_the_wider_plan() {
-    for method in [MethodKind::Fo, MethodKind::Tsue] {
+    for method in [Arc::new(Fo) as Arc<dyn UpdateMethod>, Arc::new(Tsue)] {
         let mut rcfg = replay(method, 6, 100);
         armed_plans(&mut rcfg);
         rcfg.faults = rcfg.faults.clone().fail_node(6 * simdes::units::MILLIS, 9);
@@ -186,7 +186,7 @@ fn run_twice_equal_at_the_wider_plan() {
 /// counts are its fragmentation signal).
 #[test]
 fn run_twice_equal_with_defrag() {
-    let mut rcfg = replay(MethodKind::Tsue, 3, 100);
+    let mut rcfg = replay(Arc::new(Tsue), 3, 100);
     armed_plans(&mut rcfg);
     rcfg.maintenance = rcfg
         .maintenance
@@ -199,7 +199,7 @@ fn run_twice_equal_with_defrag() {
 /// admission window, and saturation accounting, with a node failure.
 #[test]
 fn run_twice_equal_open_loop() {
-    let mut rcfg = replay(MethodKind::Tsue, 6, 100);
+    let mut rcfg = replay(Arc::new(Tsue), 6, 100);
     rcfg.workload = Workload::Open(OpenLoopSpec::poisson(64_000.0).with_window(4));
     rcfg.faults = FaultPlan::new().fail_node(5 * simdes::units::MILLIS, 2);
     assert_runs_twice_equal(rcfg);
@@ -226,5 +226,5 @@ fn run_twice_equal_with_cache_and_staging() {
 /// The plain cell: no plan, no decorator, closed loop.
 #[test]
 fn run_twice_equal_plain() {
-    assert_runs_twice_equal(replay(MethodKind::Pl, 3, 80));
+    assert_runs_twice_equal(replay(Arc::new(Pl), 3, 80));
 }

@@ -21,12 +21,12 @@ fn skewed_fleet() -> DiskFleet {
     )
 }
 
-fn skewed_replay(placement: PlacementKind) -> ReplayConfig {
+fn skewed_replay(placement: Arc<dyn PlacementPolicy>) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, MethodKind::Tsue);
+    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
     cluster.clients = 6;
     cluster.fleet = skewed_fleet();
-    cluster.placement = placement.policy();
+    cluster.placement = placement;
     // 1 MiB blocks over a 48 MiB volume: enough stripes for stable
     // placement statistics in a short run.
     cluster.block_bytes = 1 << 20;
@@ -42,8 +42,8 @@ fn skewed_replay(placement: PlacementKind) -> ReplayConfig {
 /// stripes away from it.
 #[test]
 fn capacity_weighted_shifts_placement_off_the_small_disk() {
-    let (_, flat) = run_update_phase(&skewed_replay(PlacementKind::FlatRotate));
-    let (_, capw) = run_update_phase(&skewed_replay(PlacementKind::CapacityWeighted));
+    let (_, flat) = run_update_phase(&skewed_replay(Arc::new(FlatRotate)));
+    let (_, capw) = run_update_phase(&skewed_replay(Arc::new(CapacityWeighted)));
 
     let allocated = |cl: &Cluster| -> (u64, f64) {
         let on_small = cl.layout.allocated(0);
@@ -107,7 +107,7 @@ const PINNED_FLAT_SMALL_BYTES: u64 = 10 << 20;
 fn recovery_runs_at_target_disk_rates() {
     let drill = |fleet: DiskFleet| {
         let code = CodeParams::new(6, 3).unwrap();
-        let mut cluster = ClusterConfig::ssd_testbed(code, MethodKind::Tsue);
+        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
         cluster.clients = 4;
         cluster.fleet = fleet;
         let mut r = ReplayConfig::new(cluster, TraceFamily::AliCloud);
@@ -133,7 +133,7 @@ fn recovery_runs_at_target_disk_rates() {
 /// The fleet-resource metrics surface through `RunResult` on every run.
 #[test]
 fn run_result_reports_fill_wear_and_copysets() {
-    let r = Replay::run(&skewed_replay(PlacementKind::FlatRotate)).result;
+    let r = Replay::run(&skewed_replay(Arc::new(FlatRotate))).result;
     assert_eq!(r.oracle_violations, 0);
     assert!(r.disk_fill_max >= r.disk_fill_min && r.disk_fill_min > 0.0);
     assert!(r.disk_fill_max < 1.0, "nothing overflows in a short run");
@@ -147,7 +147,7 @@ fn run_result_reports_fill_wear_and_copysets() {
 
     // A copyset policy bounds the co-location sets end to end.
     let budget = 5;
-    let copy = Replay::run(&skewed_replay(PlacementKind::Copyset(budget))).result;
+    let copy = Replay::run(&skewed_replay(Arc::new(Copyset::new(budget)))).result;
     assert_eq!(copy.oracle_violations, 0);
     assert!(
         copy.copysets_used <= budget,
@@ -161,7 +161,7 @@ fn run_result_reports_fill_wear_and_copysets() {
 #[test]
 fn tiered_fleet_survives_mid_replay_fault() {
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, MethodKind::Tsue);
+    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
     cluster.clients = 4;
     cluster.fleet = DiskFleet::tiered(8, 8);
     cluster.tsue_unit_bytes = 1 << 20;

@@ -4,7 +4,7 @@
 
 use ecfs::prelude::*;
 
-fn closed_replay(method: MethodKind, clients: u64, ops: usize) -> ReplayConfig {
+fn closed_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -14,7 +14,7 @@ fn closed_replay(method: MethodKind, clients: u64, ops: usize) -> ReplayConfig {
     r
 }
 
-fn open_replay(method: MethodKind, clients: u64, ops: usize, rate: f64) -> ReplayConfig {
+fn open_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize, rate: f64) -> ReplayConfig {
     let mut r = closed_replay(method, clients, ops);
     r.workload = Workload::Open(OpenLoopSpec::poisson(rate).with_window(4));
     r
@@ -22,7 +22,7 @@ fn open_replay(method: MethodKind, clients: u64, ops: usize, rate: f64) -> Repla
 
 #[test]
 fn open_loop_validates() {
-    let mut r = open_replay(MethodKind::Tsue, 4, 100, 10_000.0);
+    let mut r = open_replay(Arc::new(Tsue), 4, 100, 10_000.0);
     r.validate().unwrap();
     r.workload = Workload::Open(OpenLoopSpec::poisson(0.0));
     assert!(r.validate().is_err(), "zero rate must be rejected");
@@ -40,7 +40,11 @@ fn open_loop_parallel_grid_matches_serial() {
     // The open-loop engine must stay a pure function of its config: the
     // parallel grid fan-out returns field-for-field the serial results.
     let mut configs = Vec::new();
-    for method in [MethodKind::Fo, MethodKind::Pl, MethodKind::Tsue] {
+    for method in [
+        Arc::new(Fo) as Arc<dyn UpdateMethod>,
+        Arc::new(Pl),
+        Arc::new(Tsue),
+    ] {
         configs.push(open_replay(method, 3, 120, 24_000.0));
     }
     let parallel = tsue_bench::run_grid(&configs);
@@ -64,13 +68,13 @@ fn unsaturated_open_loop_tracks_offered_rate() {
     // Closed loop measures the self-throttled capacity; an open loop
     // offered well below it must ride the schedule: goodput ≈ offered,
     // no saturation, near-empty admission queues.
-    let closed = Replay::run(&closed_replay(MethodKind::Tsue, 4, 250)).result;
+    let closed = Replay::run(&closed_replay(Arc::new(Tsue), 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
     assert!(capacity > 0.0);
     assert_eq!(closed.offered_ops, 0, "closed loop offers no schedule");
     assert!(!closed.saturated);
 
-    let low = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, capacity * 0.4)).result;
+    let low = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, capacity * 0.4)).result;
     assert_eq!(low.oracle_violations, 0);
     assert!(!low.saturated, "40% of capacity must not saturate");
     assert!(
@@ -90,10 +94,10 @@ fn unsaturated_open_loop_tracks_offered_rate() {
 fn overdriven_open_loop_saturates_and_caps_at_capacity() {
     // Offered far above capacity: the saturation flag trips, goodput
     // decouples from the schedule, and the queue-delay signature appears.
-    let closed = Replay::run(&closed_replay(MethodKind::Fo, 4, 250)).result;
+    let closed = Replay::run(&closed_replay(Arc::new(Fo), 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
 
-    let hot = Replay::run(&open_replay(MethodKind::Fo, 4, 250, capacity * 8.0)).result;
+    let hot = Replay::run(&open_replay(Arc::new(Fo), 4, 250, capacity * 8.0)).result;
     assert_eq!(hot.oracle_violations, 0);
     assert!(hot.saturated, "8x capacity must saturate");
     assert!(
@@ -125,7 +129,7 @@ fn overdriven_open_loop_saturates_and_caps_at_capacity() {
 /// functions of the config.
 #[test]
 fn open_loop_golden() {
-    let r = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0)).result;
+    let r = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, 30_000.0)).result;
     assert_eq!(r.offered_ops, 1000);
     // The op mix differs slightly from the closed-loop golden (768/157/75):
     // arrivals are drawn per client, so clients consume different depths of
@@ -220,7 +224,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
         wall_ms: _,
         events_per_sec: _,
         setup_ms: _,
-    } = Replay::run(&open_replay(MethodKind::Tsue, 4, 250, 30_000.0)).result;
+    } = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, 30_000.0)).result;
 
     // The open_loop_golden pins (same run, re-asserted here so this test
     // stands alone).
@@ -292,7 +296,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
 #[test]
 fn million_client_population_stays_o_active() {
     let build = |pop: u64| {
-        let mut r = closed_replay(MethodKind::Tsue, pop, 250);
+        let mut r = closed_replay(Arc::new(Tsue), pop, 250);
         r.total_ops = Some(1_000);
         r.workload = Workload::Open(
             OpenLoopSpec::poisson(30_000.0)
@@ -355,7 +359,7 @@ fn timed_stream_replays_imported_arrivals() {
         .count();
     assert_eq!(updates, 1, "fixture has one overwrite");
 
-    let mut rcfg = closed_replay(MethodKind::Tsue, 2, 1);
+    let mut rcfg = closed_replay(Arc::new(Tsue), 2, 1);
     // Stretch the 2 ms excerpt to 40 ms — the knob that replays a
     // recorded trace slower or faster than real time.
     let stream = TimedStream::round_robin(2, ops)
@@ -401,7 +405,7 @@ fn bursty_and_skewed_specs_replay_consistently() {
             .with_offset_skew(OffsetSkew::Uniform),
     ];
     for spec in specs {
-        let mut r = closed_replay(MethodKind::Tsue, 4, 150);
+        let mut r = closed_replay(Arc::new(Tsue), 4, 150);
         r.workload = Workload::Open(spec);
         r.validate().unwrap();
         let res = Replay::run(&r).result;

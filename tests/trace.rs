@@ -16,7 +16,7 @@
 use ecfs::prelude::*;
 use ecfs::telemetry::{binary, chrome};
 
-fn replay(method: MethodKind, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -58,7 +58,7 @@ fn legacy_canon(r: &RunResult) -> String {
 
 #[test]
 fn tracing_changes_no_legacy_field() {
-    let mut off = replay(MethodKind::Tsue, 3, 100);
+    let mut off = replay(Arc::new(Tsue), 3, 100);
     armed_plans(&mut off);
     let mut on = off.clone();
     on.trace = TraceConfig::on();
@@ -85,7 +85,7 @@ fn tracing_changes_no_legacy_field() {
 
 #[test]
 fn trace_is_bit_identical_across_runs() {
-    let mut rcfg = replay(MethodKind::Tsue, 3, 100);
+    let mut rcfg = replay(Arc::new(Tsue), 3, 100);
     armed_plans(&mut rcfg);
     rcfg.trace = TraceConfig::on();
     rcfg.validate().expect("traced config validates");
@@ -106,8 +106,8 @@ fn trace_is_bit_identical_across_runs() {
 
 #[test]
 fn stage_spans_partition_client_latency_for_every_method() {
-    for method in MethodKind::ALL {
-        let mut rcfg = replay(method, 3, 100);
+    for method in builtins() {
+        let mut rcfg = replay(Arc::clone(&method), 3, 100);
         rcfg.trace = TraceConfig::on();
         let RunOutcome { result, trace } = Replay::run(&rcfg);
         let trace = trace.expect("trace");
@@ -132,7 +132,7 @@ fn stage_spans_partition_client_latency_for_every_method() {
 
 #[test]
 fn binary_log_round_trips_and_chrome_export_parses() {
-    let mut rcfg = replay(MethodKind::Fo, 2, 60);
+    let mut rcfg = replay(Arc::new(Fo), 2, 60);
     rcfg.trace = TraceConfig::on();
     let trace = Replay::run(&rcfg).trace.expect("trace");
 
@@ -192,17 +192,17 @@ fn sampling_and_filters_are_validated_and_bound_retention() {
             ..TraceConfig::on()
         },
     ] {
-        let mut rcfg = replay(MethodKind::Fo, 2, 60);
+        let mut rcfg = replay(Arc::new(Fo), 2, 60);
         rcfg.trace = bad;
         assert!(rcfg.validate().is_err(), "accepted invalid {bad:?}");
     }
 
     // Sampling bounds retention but never the rollup.
-    let mut all = replay(MethodKind::Fo, 2, 60);
+    let mut all = replay(Arc::new(Fo), 2, 60);
     all.trace = TraceConfig::on();
     let out_all = Replay::run(&all);
     let (r_all, t_all) = (out_all.result, out_all.trace);
-    let mut sampled = replay(MethodKind::Fo, 2, 60);
+    let mut sampled = replay(Arc::new(Fo), 2, 60);
     sampled.trace = TraceConfig::on().with_sampling(10);
     let out_sampled = Replay::run(&sampled);
     let (r_sampled, t_sampled) = (out_sampled.result, out_sampled.trace);
@@ -212,7 +212,7 @@ fn sampling_and_filters_are_validated_and_bound_retention() {
     assert_eq!(r_sampled.trace_dropped_spans, 0, "sampling is not a drop");
 
     // A tiny capacity drops honestly instead of silently.
-    let mut tiny = replay(MethodKind::Fo, 2, 60);
+    let mut tiny = replay(Arc::new(Fo), 2, 60);
     tiny.trace = TraceConfig::on().with_capacity(8);
     let out_tiny = Replay::run(&tiny);
     let (r_tiny, t_tiny) = (out_tiny.result, out_tiny.trace);
