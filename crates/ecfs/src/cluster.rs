@@ -9,6 +9,7 @@ use simnet::{FlowClass, NetConfig, Network};
 use rscode::ReedSolomon;
 
 use crate::config::ClusterConfig;
+use crate::fastmap::FastMap;
 use crate::fault::FaultState;
 use crate::layout::{BlockAddr, Layout};
 use crate::maintenance::MaintState;
@@ -35,7 +36,12 @@ impl IntervalSet {
             new.1 = new.1.max(self.spans[remove_to].1);
             remove_to += 1;
         }
-        self.spans.splice(idx..remove_to, [new]);
+        if remove_to == idx {
+            self.spans.insert(idx, new);
+        } else {
+            self.spans[idx] = new;
+            self.spans.drain(idx + 1..remove_to);
+        }
     }
 
     /// Whether `[start, end)` is fully covered.
@@ -307,11 +313,11 @@ pub struct Osd {
 #[derive(Debug, Clone, Default)]
 pub struct Oracle {
     /// Per data block: byte ranges acknowledged to clients.
-    pub acked: std::collections::HashMap<BlockAddr, IntervalSet>,
+    pub acked: FastMap<BlockAddr, IntervalSet>,
     /// Per data block: byte ranges folded into the block on disk.
-    pub applied_data: std::collections::HashMap<BlockAddr, IntervalSet>,
+    pub applied_data: FastMap<BlockAddr, IntervalSet>,
     /// Per parity block: byte ranges whose parity effect has been applied.
-    pub applied_parity: std::collections::HashMap<BlockAddr, IntervalSet>,
+    pub applied_parity: FastMap<BlockAddr, IntervalSet>,
 }
 
 impl Oracle {
@@ -356,14 +362,11 @@ pub struct Cluster {
     /// Client driver installed by the replay engine: called to issue the
     /// client's next op after a completion.
     pub client_driver: Option<fn(&mut Sim<Cluster>, &mut Cluster, u64)>,
-    /// Reverse map from compact stripe keys to `(volume, stripe)`.
-    pub stripe_names: std::collections::HashMap<u64, (u32, u64)>,
     /// Per-client op queues installed by the replay engine, keyed by
     /// client id. Sparse: an entry exists only while the client has queued
     /// op content, and is removed when drained — at million-client scale
     /// the map never grows past the concurrently active set.
-    pub client_ops:
-        std::collections::HashMap<u64, std::collections::VecDeque<(u64, u32, traces::OpKind)>>,
+    pub client_ops: FastMap<u64, std::collections::VecDeque<(u64, u32, traces::OpKind)>>,
     /// Scheduled-but-not-yet-executed log-forwarding events (drain guard).
     pub forwards_in_flight: u64,
     /// Open-loop runtime state (window, admission queues, offered-load
@@ -425,8 +428,7 @@ impl Cluster {
             metrics: Metrics::default(),
             oracle: Oracle::default(),
             client_driver: None,
-            stripe_names: std::collections::HashMap::new(),
-            client_ops: std::collections::HashMap::new(),
+            client_ops: FastMap::default(),
             forwards_in_flight: 0,
             open_loop: None,
             faults: FaultState::default(),
@@ -449,13 +451,6 @@ impl Cluster {
         let off = osd.log_cursor;
         osd.log_cursor += len;
         off
-    }
-
-    /// Registers (and returns) the compact key of `(volume, stripe)`.
-    pub fn stripe_id(&mut self, volume: u32, stripe: u64) -> u64 {
-        let key = crate::layout::stripe_key(volume, stripe);
-        self.stripe_names.insert(key, (volume, stripe));
-        key
     }
 
     /// Books a disk op on `node`, returning its completion time.

@@ -7,11 +7,11 @@
 //! [`FlatRotate`] rotates a per-stripe hash over all nodes), and each OSD
 //! allocates device space for its blocks with a bump allocator.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rscode::CodeParams;
 
+use crate::fastmap::FastMap;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// Globally unique block id: `(volume, stripe, index within stripe)`.
@@ -62,6 +62,13 @@ pub fn stripe_key(volume: u32, stripe: u64) -> u64 {
     (volume as u64) << 40 ^ stripe
 }
 
+/// The `(volume, stripe)` a [`stripe_key`] was built from — its inverse
+/// over the key's range (volume below 2^24, stripe below 2^40), so a key
+/// carried through a log names its stripe without a reverse map.
+pub fn stripe_of(key: u64) -> (u32, u64) {
+    ((key >> 40) as u32, key & ((1 << 40) - 1))
+}
+
 /// One sub-update after splitting a volume-offset range on block
 /// boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +79,43 @@ pub struct BlockSlice {
     pub offset: u32,
     /// Length in bytes.
     pub len: u32,
+}
+
+/// The per-data-block slices of one volume byte range, in offset order:
+/// the iterator [`Layout::slices`] returns. It owns its (`Copy`) cursor
+/// and borrows nothing, so a caller can mutate the cluster between slices.
+#[derive(Debug, Clone, Copy)]
+pub struct Slices {
+    volume: u32,
+    block_bytes: u64,
+    stripe_span: u64,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Slices {
+    type Item = BlockSlice;
+
+    fn next(&mut self) -> Option<BlockSlice> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let b = self.block_bytes;
+        let stripe = self.cur / self.stripe_span;
+        let within = self.cur % self.stripe_span;
+        let block_off = within % b;
+        let take = (b - block_off).min(self.end - self.cur);
+        self.cur += take;
+        Some(BlockSlice {
+            addr: BlockAddr {
+                volume: self.volume,
+                stripe,
+                index: (within / b) as u16,
+            },
+            offset: block_off as u32,
+            len: take as u32,
+        })
+    }
 }
 
 /// The layout/placement service.
@@ -89,7 +133,7 @@ pub struct Layout {
     /// Device-offset allocation per node.
     cursors: Vec<u64>,
     /// Block → (node, device offset).
-    table: HashMap<BlockAddr, (usize, u64)>,
+    table: FastMap<BlockAddr, (usize, u64)>,
 }
 
 impl Layout {
@@ -137,7 +181,7 @@ impl Layout {
             racks,
             parity_extra,
             cursors: vec![0; nodes],
-            table: HashMap::new(),
+            table: FastMap::default(),
         }
     }
 
@@ -162,31 +206,14 @@ impl Layout {
     }
 
     /// Splits a volume byte range into per-data-block slices.
-    pub fn slices(&self, volume: u32, offset: u64, len: u32) -> Vec<BlockSlice> {
-        let k = self.code.k() as u64;
-        let b = self.block_bytes;
-        let stripe_span = k * b;
-        let mut out = Vec::new();
-        let mut cur = offset;
-        let end = offset + len as u64;
-        while cur < end {
-            let stripe = cur / stripe_span;
-            let within = cur % stripe_span;
-            let index = (within / b) as u16;
-            let block_off = within % b;
-            let take = (b - block_off).min(end - cur);
-            out.push(BlockSlice {
-                addr: BlockAddr {
-                    volume,
-                    stripe,
-                    index,
-                },
-                offset: block_off as u32,
-                len: take as u32,
-            });
-            cur += take;
+    pub fn slices(&self, volume: u32, offset: u64, len: u32) -> Slices {
+        Slices {
+            volume,
+            block_bytes: self.block_bytes,
+            stripe_span: self.code.k() as u64 * self.block_bytes,
+            cur: offset,
+            end: offset + len as u64,
         }
-        out
     }
 
     /// The OSD hosting a block, per the configured [`PlacementPolicy`];
@@ -310,15 +337,20 @@ impl Layout {
         sets.len()
     }
 
-    /// The parity block addresses of a stripe.
-    pub fn parity_addrs(&self, volume: u32, stripe: u64) -> Vec<BlockAddr> {
-        (0..self.code.m() as u16)
-            .map(|p| BlockAddr {
-                volume,
-                stripe,
-                index: self.code.k() as u16 + p,
-            })
-            .collect()
+    /// The parity block addresses of a stripe, in parity order. The
+    /// iterator borrows nothing, so a caller can place blocks while
+    /// walking it.
+    pub fn parity_addrs(
+        &self,
+        volume: u32,
+        stripe: u64,
+    ) -> impl ExactSizeIterator<Item = BlockAddr> + Clone {
+        let k = self.code.k() as u16;
+        (k..k + self.code.m() as u16).map(move |index| BlockAddr {
+            volume,
+            stripe,
+            index,
+        })
     }
 }
 
@@ -333,7 +365,7 @@ mod tests {
     #[test]
     fn slices_within_one_block() {
         let l = layout();
-        let s = l.slices(0, 100, 4096);
+        let s: Vec<_> = l.slices(0, 100, 4096).collect();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].addr.stripe, 0);
         assert_eq!(s[0].addr.index, 0);
@@ -345,7 +377,7 @@ mod tests {
     fn slices_split_on_block_boundary() {
         let l = layout();
         let b = 1u64 << 20;
-        let s = l.slices(3, b - 1000, 4096);
+        let s: Vec<_> = l.slices(3, b - 1000, 4096).collect();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].addr.index, 0);
         assert_eq!(s[0].offset as u64, b - 1000);
@@ -359,7 +391,7 @@ mod tests {
     fn slices_cross_stripe_boundary() {
         let l = layout();
         let stripe_span = 6 * (1u64 << 20);
-        let s = l.slices(0, stripe_span - 100, 200);
+        let s: Vec<_> = l.slices(0, stripe_span - 100, 200).collect();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].addr.stripe, 0);
         assert_eq!(s[0].addr.index, 5);
@@ -537,6 +569,27 @@ mod tests {
         };
         l.locate(a);
         l.place_on(a, 3);
+    }
+
+    #[test]
+    fn stripe_of_inverts_stripe_key() {
+        for (volume, stripe) in [
+            (0, 0),
+            (1, 7),
+            (65_535, 1 << 20),
+            ((1 << 24) - 1, (1 << 40) - 1),
+        ] {
+            assert_eq!(stripe_of(stripe_key(volume, stripe)), (volume, stripe));
+        }
+    }
+
+    #[test]
+    fn parity_addrs_follow_the_data_blocks() {
+        let l = layout();
+        let p: Vec<_> = l.parity_addrs(2, 9).collect();
+        assert_eq!(l.parity_addrs(2, 9).len(), 3);
+        assert_eq!(p.iter().map(|a| a.index).collect::<Vec<_>>(), [6, 7, 8]);
+        assert!(p.iter().all(|a| (a.volume, a.stripe) == (2, 9)));
     }
 
     #[test]

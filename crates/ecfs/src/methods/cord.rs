@@ -13,6 +13,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
+use crate::layout::{stripe_key, stripe_of};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 use tsue::index::{MergeMode, TwoLevelIndex};
@@ -56,7 +57,11 @@ impl NodeLogState for CordState {
 
 /// The collector for a stripe: the node hosting its first parity block.
 fn collector_of(cl: &mut Cluster, volume: u32, stripe: u64) -> usize {
-    let paddr = cl.layout.parity_addrs(volume, stripe)[0];
+    let paddr = cl
+        .layout
+        .parity_addrs(volume, stripe)
+        .next()
+        .expect("a code has at least one parity block");
     cl.layout.locate(paddr).0
 }
 
@@ -75,7 +80,7 @@ fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t_done = from;
     for (skey, ranges) in contents {
-        let (volume, stripe) = cl.stripe_names[&skey];
+        let (volume, stripe) = stripe_of(skey);
         for paddr in cl.layout.parity_addrs(volume, stripe) {
             let (pnode, pdev) = cl.layout.locate(paddr);
             let mut t = from;
@@ -135,7 +140,7 @@ impl UpdateMethod for Cord {
             return;
         }
 
-        let skey = cl.stripe_id(slice.addr.volume, slice.addr.stripe);
+        let skey = stripe_key(slice.addr.volume, slice.addr.stripe);
         let must_flush = match cl.nodes[collector].state.downcast_mut::<CordState>() {
             Some(state) => {
                 state.buffer.insert(skey, slice.offset, Ghost(slice.len));

@@ -12,6 +12,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
+use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
@@ -27,7 +28,7 @@ pub struct FlState {
     /// Merged view of logged data (data node) / deltas (parity node).
     pub log: TwoLevelIndex<u64, Ghost>,
     /// Block addr per key.
-    pub addr_of: std::collections::HashMap<u64, BlockAddr>,
+    pub addr_of: FastMap<u64, BlockAddr>,
     /// Raw logged bytes.
     pub bytes: u64,
     /// Recycle threshold.
@@ -41,7 +42,7 @@ impl FlState {
     pub fn new(cfg: &ClusterConfig) -> FlState {
         FlState {
             log: TwoLevelIndex::new(MergeMode::Overwrite),
-            addr_of: std::collections::HashMap::new(),
+            addr_of: FastMap::default(),
             bytes: 0,
             threshold: cfg.fl_threshold_bytes,
             recycling: false,
@@ -71,8 +72,9 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let (mut contents, addr_of) = match cl.nodes[node].state.downcast_mut::<FlState>() {
         Some(state) => {
             state.bytes = 0;
-            let a = state.addr_of.clone();
-            (state.log.drain_all(), a)
+            // Every key the drained log holds was mapped when it was
+            // appended, so the whole map leaves with the log.
+            (state.log.drain_all(), std::mem::take(&mut state.addr_of))
         }
         None => return from,
     };
@@ -215,5 +217,42 @@ impl UpdateMethod for Fl {
         }
         sim.schedule_at(t_end, |_, _| {});
         t_end
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::BlockSlice;
+    use rscode::CodeParams;
+    use std::sync::Arc;
+
+    #[test]
+    fn recycle_empties_the_address_map() {
+        let code = CodeParams::new(6, 3).unwrap();
+        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Arc::new(Fl)));
+        let mut sim = Sim::new();
+        let addr = |stripe| BlockAddr {
+            volume: 0,
+            stripe,
+            index: 0,
+        };
+        for stripe in 0..4 {
+            let slice = BlockSlice {
+                addr: addr(stripe),
+                offset: 0,
+                len: 4096,
+            };
+            Fl.begin_update(&mut sim, &mut cl, UpdateCtx::new(0, slice, 0));
+        }
+        let node = cl.layout.current_node(addr(0));
+        let state = |cl: &Cluster| {
+            let s = cl.nodes[node].state.downcast_ref::<FlState>().unwrap();
+            (s.addr_of.len(), s.bytes)
+        };
+        assert!(state(&cl).0 > 0, "the update logged its block");
+        recycle_node(&mut cl, node, 0);
+        assert_eq!(state(&cl), (0, 0), "a recycle leaves no mapped key behind");
+        assert!(cl.oracle.applied_data.contains_key(&addr(0)));
     }
 }

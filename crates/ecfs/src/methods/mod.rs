@@ -434,10 +434,12 @@ pub fn default_begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     );
     // Amortised parity share: the encoded parity written alongside.
     let pshare = (len * cl.cfg.code.m() as u64 / cl.cfg.code.k() as u64).max(1);
-    let parity_addrs = cl
+    let mut parity_addrs = cl
         .layout
         .parity_addrs(ctx.slice.addr.volume, ctx.slice.addr.stripe);
-    let p0 = parity_addrs[ctx.slice.addr.stripe as usize % parity_addrs.len()];
+    let p0 = parity_addrs
+        .nth(ctx.slice.addr.stripe as usize % parity_addrs.len())
+        .expect("a code has at least one parity block");
     let (pnode, pdev) = cl.layout.locate(p0);
     let t_psend = cl.send(now, client_ep, pnode, pshare);
     let poff = pdev + (ctx.slice.offset as u64 % cl.cfg.block_bytes.saturating_sub(pshare).max(1));

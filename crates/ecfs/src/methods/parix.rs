@@ -12,10 +12,9 @@
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::collections::HashMap;
-
 use crate::cluster::{Cluster, IntervalSet};
 use crate::config::ClusterConfig;
+use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
 use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
@@ -30,13 +29,13 @@ pub struct Parix;
 pub struct ParixState {
     /// At data nodes: which byte ranges of each local data block already
     /// have their *original* value at the parity logs (cleared on recycle).
-    pub old_sent: HashMap<BlockAddr, IntervalSet>,
+    pub old_sent: FastMap<BlockAddr, IntervalSet>,
     /// At parity nodes: logged locations, merged newest-wins — PARIX's
     /// temporal-locality exploitation: only the latest value per location
     /// matters at recycle, plus the retained original.
     pub log: TwoLevelIndex<u64, Ghost>,
     /// Parity block addr per log key.
-    pub addr_of: HashMap<u64, BlockAddr>,
+    pub addr_of: FastMap<u64, BlockAddr>,
     /// Raw logged bytes (new data + forwarded originals).
     pub bytes: u64,
 }
@@ -44,9 +43,9 @@ pub struct ParixState {
 impl Default for ParixState {
     fn default() -> Self {
         ParixState {
-            old_sent: HashMap::new(),
+            old_sent: FastMap::default(),
             log: TwoLevelIndex::new(MergeMode::Overwrite),
-            addr_of: HashMap::new(),
+            addr_of: FastMap::default(),
             bytes: 0,
         }
     }

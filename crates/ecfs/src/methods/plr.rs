@@ -14,10 +14,9 @@
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::collections::HashMap;
-
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
+use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
 use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
@@ -39,7 +38,7 @@ pub struct Reserved {
 #[derive(Debug, Default)]
 pub struct PlrState {
     /// Reserved-region occupancy per parity block hosted here.
-    pub reserved: HashMap<BlockAddr, Reserved>,
+    pub reserved: FastMap<BlockAddr, Reserved>,
 }
 
 impl NodeLogState for PlrState {

@@ -20,11 +20,10 @@
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::collections::HashMap;
-
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::layout::BlockAddr;
+use crate::fastmap::FastMap;
+use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 use tsue::layers::{
@@ -113,7 +112,7 @@ pub struct TsueState {
     /// ParityLog pools (keyed by stripe + parity index).
     pub parity: LogPoolSet<ParityKey, Ghost>,
     /// Data-block address per DataLog key.
-    pub addr_of: HashMap<u64, BlockAddr>,
+    pub addr_of: FastMap<u64, BlockAddr>,
     /// Recycles in flight per layer (drives the O3-off exclusivity and the
     /// drain loop).
     pub recycling: [u32; 3],
@@ -129,7 +128,7 @@ impl TsueState {
             data: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Overwrite)),
             delta: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Xor)),
             parity: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Xor)),
-            addr_of: HashMap::new(),
+            addr_of: FastMap::default(),
             recycling: [0; 3],
             pending: [0; 3],
         }
@@ -432,12 +431,12 @@ fn forward_block_deltas(
 ) {
     let now = sim.now();
     let delta_log_on = cl.cfg.tsue.delta_log && cl.cfg.code.m() >= 2;
-    let skey = cl.stripe_id(addr.volume, addr.stripe);
-    let parity_addrs = cl.layout.parity_addrs(addr.volume, addr.stripe);
+    let skey = stripe_key(addr.volume, addr.stripe);
+    let mut parity_addrs = cl.layout.parity_addrs(addr.volume, addr.stripe);
     if delta_log_on {
         // Delta to the first parity node's DeltaLog + copy on second.
-        let (p1, _) = cl.layout.locate(parity_addrs[0]);
-        let (p2, _) = cl.layout.locate(parity_addrs[1]);
+        let (p1, _) = cl.layout.locate(parity_addrs.next().expect("m >= 2"));
+        let (p2, _) = cl.layout.locate(parity_addrs.next().expect("m >= 2"));
         for (off, g) in ranges {
             let len = g.0 as u64;
             let t_send = cl.send(now, node, p1, len);
@@ -467,8 +466,8 @@ fn forward_block_deltas(
         }
     } else {
         // O5 off: parity deltas straight to every parity node's log.
-        for (p, paddr) in parity_addrs.iter().enumerate() {
-            let (pn, _) = cl.layout.locate(*paddr);
+        for (p, paddr) in parity_addrs.enumerate() {
+            let (pn, _) = cl.layout.locate(paddr);
             for (off, g) in ranges {
                 let len = g.0 as u64;
                 let t_send = cl.send(now, node, pn, len);
@@ -561,7 +560,7 @@ fn forward_stripe_deltas(
     let now = sim.now();
     let m = cl.cfg.code.m();
     for job in jobs {
-        let (volume, stripe) = cl.stripe_names[&job.stripe];
+        let (volume, stripe) = stripe_of(job.stripe);
         // Eq. 5: one combined parity delta per union range per parity.
         let union = union_ranges(&job.deltas);
         for p in 0..m as u16 {
@@ -625,7 +624,7 @@ pub fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     let mut t_end = cl.nodes[node].recycle_cpu.reserve(now, cpu);
     if use_merged {
         for job in group_parity_jobs(taken.contents.clone()) {
-            let (volume, stripe) = cl.stripe_names[&job.parity.stripe];
+            let (volume, stripe) = stripe_of(job.parity.stripe);
             let paddr = BlockAddr {
                 volume,
                 stripe,
@@ -658,7 +657,7 @@ pub fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
         }
         t_end = t;
         for job in group_parity_jobs(taken.contents.clone()) {
-            let (volume, stripe) = cl.stripe_names[&job.parity.stripe];
+            let (volume, stripe) = stripe_of(job.parity.stripe);
             let paddr = BlockAddr {
                 volume,
                 stripe,

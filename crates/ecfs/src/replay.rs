@@ -570,14 +570,13 @@ fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_a
         cl.client_ops.remove(&client);
     }
     let now = sim.now();
-    let slices = cl.layout.slices(client as u32, offset, len);
     // Multi-block ops are issued as their first slice only for latency
     // accounting; the remaining slices are issued concurrently and complete
     // in the background (rare: ops cross 4 MiB boundaries). `ctx.drive`
     // marks the driving slice, so a background slice never advances the
     // closed loop — even when its dispatch is deferred by a park or a
     // degraded-path rebuild.
-    for (i, slice) in slices.into_iter().enumerate() {
+    for (i, slice) in cl.layout.slices(client as u32, offset, len).enumerate() {
         let mut ctx = UpdateCtx::new(client, slice, now);
         ctx.issued_at = issued_at;
         ctx.drive = i == 0;
@@ -687,7 +686,7 @@ fn open_loop_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
 /// state is O(concurrently active clients) regardless of population or
 /// schedule length.
 fn install_source(sim: &mut Sim<Cluster>, cl: &mut Cluster, source: OpSource, window: usize) {
-    cl.client_ops = std::collections::HashMap::new();
+    cl.client_ops.clear();
     cl.client_driver = Some(open_loop_next);
     let mut ol = OpenLoopRt::new(cl.cfg.clients, window, source);
     if let Some(first) = ol.source.next_op() {

@@ -4,8 +4,18 @@ use std::collections::VecDeque;
 
 use crate::sim::SimTime;
 
-/// Busy intervals of the (bounded) future schedule of a single server.
-#[derive(Debug, Clone, Default)]
+/// The bounded future schedule of a single server: sorted, disjoint busy
+/// intervals above a horizon.
+///
+/// A booking takes the earliest gap at or after its `now` that fits its
+/// duration. Intervals that end at or before `now` cannot hold that gap, so
+/// a search over the (sorted) interval ends skips them: a booking costs
+/// O(log n) in the common case, and a few comparisons when it lands among
+/// the newest intervals, as bookings at the present do. Once more than
+/// [`MAX_INTERVALS`] intervals are live, the oldest collapse into the
+/// horizon, below which nothing can be booked: that cap decides which gaps
+/// stay bookable, so it is part of the model, not a tuning knob.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct GapBook {
     /// Nothing can be scheduled before this time (old bookings collapsed).
     horizon: SimTime,
@@ -13,25 +23,49 @@ struct GapBook {
     intervals: VecDeque<(SimTime, SimTime)>,
 }
 
+/// Live intervals a [`GapBook`] keeps before collapsing the oldest.
 const MAX_INTERVALS: usize = 128;
 
 impl GapBook {
     /// Books `dur` at the earliest gap at or after `now`; returns the end.
     fn reserve(&mut self, now: SimTime, dur: SimTime) -> SimTime {
         let mut cur = now.max(self.horizon);
+        // None of the intervals ending at or before `cur` can delay the
+        // booking.
+        let first = self.first_ending_after(cur);
         let mut idx = self.intervals.len();
-        for (i, &(s, e)) in self.intervals.iter().enumerate() {
+        for (i, &(s, e)) in self.intervals.range(first..).enumerate() {
             if e <= cur {
                 continue;
             }
             if cur + dur <= s {
-                idx = i;
+                idx = first + i;
                 break;
             }
             cur = cur.max(e);
         }
-        let start = cur;
-        let end = start + dur;
+        self.book(idx, cur, cur + dur)
+    }
+
+    /// Index of the first interval that ends after `t`. Ends are sorted,
+    /// so the intervals ending at or before `t` form a prefix. A book at
+    /// its cap usually holds only a few intervals beyond the present, so
+    /// a short walk back from the newest finds the split before a binary
+    /// search over the whole book is needed.
+    fn first_ending_after(&self, t: SimTime) -> usize {
+        let n = self.intervals.len();
+        for i in (n.saturating_sub(4)..n).rev() {
+            if self.intervals[i].1 <= t {
+                return i + 1;
+            }
+        }
+        self.intervals.partition_point(|&(_, e)| e <= t)
+    }
+
+    /// Inserts the busy interval `[start, end)` found at scan position
+    /// `idx`, merges it with touching neighbours and collapses the oldest
+    /// intervals beyond [`MAX_INTERVALS`]. Returns `end`.
+    fn book(&mut self, idx: usize, start: SimTime, end: SimTime) -> SimTime {
         // Insert keeping order; merge with touching neighbours.
         let mut insert_at = idx.min(self.intervals.len());
         // idx from the scan may be one past intervals that end before cur.
@@ -60,14 +94,6 @@ impl GapBook {
         }
         end
     }
-
-    fn earliest_free(&self) -> SimTime {
-        match self.intervals.front() {
-            Some(&(s, _)) if s > self.horizon => self.horizon,
-            Some(&(_, e)) => e, // busy right from the horizon
-            None => self.horizon,
-        }
-    }
 }
 
 /// A `c`-server FIFO station.
@@ -83,8 +109,11 @@ impl GapBook {
 /// booking would let such future reservations falsely queue later-issued
 /// requests that arrive *earlier* in simulated time, so:
 ///
-/// * **single-server** stations keep a bounded gap list and backfill idle
-///   holes between future bookings;
+/// * **single-server** stations keep a gap list bounded at 128 busy
+///   intervals and backfill idle holes between future bookings; a booking
+///   skips the intervals that end before it by a short walk back from the
+///   newest, then a binary search, so it costs O(log n) unless it has to
+///   walk gaps too short for it;
 /// * **multi-server** stations choose best-fit: a server already free at
 ///   `now` if one exists (a serial chain keeps reusing its own lane),
 ///   otherwise the earliest-free server.
@@ -96,7 +125,6 @@ pub struct Resource {
     book: Option<GapBook>,
     busy: u64,
     completed: u64,
-    last_end: SimTime,
 }
 
 impl Resource {
@@ -111,7 +139,6 @@ impl Resource {
             book: (servers == 1).then(GapBook::default),
             busy: 0,
             completed: 0,
-            last_end: 0,
         }
     }
 
@@ -126,43 +153,25 @@ impl Resource {
     pub fn reserve(&mut self, now: SimTime, duration: SimTime) -> SimTime {
         self.busy += duration;
         self.completed += 1;
-        let end = if let Some(book) = &mut self.book {
-            book.reserve(now, duration)
-        } else {
-            // Best fit: prefer the server free at or before `now` with the
-            // latest free time; otherwise the earliest-free server.
-            let mut best_fit: Option<usize> = None;
-            let mut earliest: usize = 0;
-            for (i, &f) in self.free_at.iter().enumerate() {
-                if f <= now && best_fit.is_none_or(|b| f > self.free_at[b]) {
-                    best_fit = Some(i);
-                }
-                if f < self.free_at[earliest] {
-                    earliest = i;
-                }
-            }
-            let chosen = best_fit.unwrap_or(earliest);
-            let start = now.max(self.free_at[chosen]);
-            let end = start + duration;
-            self.free_at[chosen] = end;
-            end
-        };
-        self.last_end = self.last_end.max(end);
-        end
-    }
-
-    /// Books service that must additionally wait for `ready` (e.g. data
-    /// arriving over the network) before it can start.
-    pub fn reserve_after(&mut self, now: SimTime, ready: SimTime, duration: SimTime) -> SimTime {
-        self.reserve(now.max(ready), duration)
-    }
-
-    /// Earliest time a server is free (without booking).
-    pub fn earliest_free(&self) -> SimTime {
-        match &self.book {
-            Some(b) => b.earliest_free(),
-            None => self.free_at.iter().copied().min().unwrap_or(0),
+        if let Some(book) = &mut self.book {
+            return book.reserve(now, duration);
         }
+        // Best fit: prefer the server free at or before `now` with the
+        // latest free time; otherwise the earliest-free server.
+        let mut best_fit: Option<usize> = None;
+        let mut earliest: usize = 0;
+        for (i, &f) in self.free_at.iter().enumerate() {
+            if f <= now && best_fit.is_none_or(|b| f > self.free_at[b]) {
+                best_fit = Some(i);
+            }
+            if f < self.free_at[earliest] {
+                earliest = i;
+            }
+        }
+        let chosen = best_fit.unwrap_or(earliest);
+        let end = now.max(self.free_at[chosen]) + duration;
+        self.free_at[chosen] = end;
+        end
     }
 
     /// Total booked busy time across servers.
@@ -173,19 +182,6 @@ impl Resource {
     /// Jobs completed (booked) so far.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Completion time of the latest-finishing booking.
-    pub fn last_completion(&self) -> SimTime {
-        self.last_end
-    }
-
-    /// Utilisation of the station over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == 0 {
-            return 0.0;
-        }
-        self.busy as f64 / (horizon as f64 * self.servers() as f64)
     }
 }
 
@@ -257,36 +253,90 @@ mod tests {
     }
 
     #[test]
-    fn reserve_after_waits_for_ready_time() {
-        let mut r = Resource::new(1);
-        assert_eq!(r.reserve_after(0, 100, 10), 110);
-        // The earlier-ready request backfills the gap before t = 100.
-        assert_eq!(r.reserve_after(0, 0, 10), 10);
-        // But a request that cannot fit before 100 queues after 110.
-        assert_eq!(r.reserve_after(0, 95, 10), 120);
-    }
-
-    #[test]
-    fn utilization_accounts_all_servers() {
-        let mut r = Resource::new(2);
-        r.reserve(0, 50);
-        r.reserve(0, 50);
-        assert!((r.utilization(100) - 0.5).abs() < 1e-12);
-        assert_eq!(r.last_completion(), 50);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         let _ = Resource::new(0);
     }
 
+    impl GapBook {
+        /// The front-to-back scan [`GapBook::reserve`] replaced, kept as
+        /// the reference: walk every interval from the oldest, skipping
+        /// those that end at or before the running start.
+        fn reference_reserve(&mut self, now: SimTime, dur: SimTime) -> SimTime {
+            let mut cur = now.max(self.horizon);
+            let mut idx = self.intervals.len();
+            for (i, &(s, e)) in self.intervals.iter().enumerate() {
+                if e <= cur {
+                    continue;
+                }
+                if cur + dur <= s {
+                    idx = i;
+                    break;
+                }
+                cur = cur.max(e);
+            }
+            self.book(idx, cur, cur + dur)
+        }
+    }
+
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x >> 33
+    }
+
+    /// The searched booking against the reference scan on seeded,
+    /// non-monotone `now` sequences: equal ends and equal books after
+    /// every call, through zero-length bookings, exact gap fills (the
+    /// merge path) and the 128-interval collapse.
     #[test]
-    fn earliest_free_tracks_min() {
-        let mut r = Resource::new(2);
-        r.reserve(0, 10);
-        assert_eq!(r.earliest_free(), 0);
-        r.reserve(0, 20);
-        assert_eq!(r.earliest_free(), 10);
+    fn gap_booking_matches_reference_scan() {
+        // A request ready at 95 cannot fit the 5 ns left before the
+        // booking at 100, so it queues behind that booking's end at 110.
+        let (mut fast, mut slow) = (GapBook::default(), GapBook::default());
+        for (now, dur, end) in [(100, 10, 110), (0, 10, 10), (95, 10, 120)] {
+            assert_eq!(fast.reserve(now, dur), end);
+            assert_eq!(slow.reference_reserve(now, dur), end);
+        }
+        assert_eq!(fast, slow);
+
+        let (mut zero_length, mut gap_fills, mut collapses) = (0, 0, 0);
+        for seed in 1..=8u64 {
+            let (mut fast, mut slow) = (GapBook::default(), GapBook::default());
+            let mut x = seed;
+            let mut clock = 0u64;
+            for call in 0..3_000 {
+                clock += lcg(&mut x) % 50;
+                let live = slow.intervals.len();
+                // A short gap between two live intervals, if one was drawn.
+                let gap = (live >= 2)
+                    .then(|| lcg(&mut x) as usize % (live - 1))
+                    .map(|i| (slow.intervals[i].1, slow.intervals[i + 1].0))
+                    .filter(|&(e, s)| s - e <= 200);
+                let (now, dur) = match (lcg(&mut x) % 8, gap) {
+                    // Fill the gap exactly: the booking touches both
+                    // neighbours and merges with them.
+                    (0 | 1, Some((e, s))) => (e, s - e),
+                    (2, _) => (clock.saturating_sub(lcg(&mut x) % 2_000), 0),
+                    (3, _) => (
+                        clock.saturating_sub(lcg(&mut x) % 5_000),
+                        1 + lcg(&mut x) % 40,
+                    ),
+                    (4 | 5, _) => (clock + lcg(&mut x) % 100_000, 1 + lcg(&mut x) % 40),
+                    _ => (clock, 1 + lcg(&mut x) % 80),
+                };
+                let horizon = slow.horizon;
+                let end = slow.reference_reserve(now, dur);
+                assert_eq!(fast.reserve(now, dur), end, "seed {seed} call {call}");
+                assert_eq!(fast, slow, "seed {seed} call {call}");
+                zero_length += (dur == 0) as u32;
+                gap_fills += (slow.intervals.len() < live) as u32;
+                collapses += (slow.horizon > horizon) as u32;
+            }
+        }
+        assert!(zero_length > 0, "no zero-length booking");
+        assert!(gap_fills > 0, "no booking merged with both neighbours");
+        assert!(collapses > 0, "the book never reached its cap");
     }
 }

@@ -446,11 +446,6 @@ impl Network {
         self.egress[ep].busy_time()
     }
 
-    /// Busy time booked on an endpoint's ingress link (diagnostics).
-    pub fn ingress_busy(&self, ep: usize) -> u64 {
-        self.ingress[ep].busy_time()
-    }
-
     /// Busy time booked on a rack's spine uplink (diagnostics).
     pub fn uplink_busy(&self, rack: usize) -> u64 {
         self.uplink[rack].busy_time()
@@ -459,17 +454,6 @@ impl Network {
     /// Busy time booked on a rack's spine downlink (diagnostics).
     pub fn downlink_busy(&self, rack: usize) -> u64 {
         self.downlink[rack].busy_time()
-    }
-
-    /// Latest completion ever booked on an endpoint's ingress (diagnostics:
-    /// a value far beyond the simulation clock reveals a runaway queue).
-    pub fn ingress_backlog(&self, ep: usize) -> u64 {
-        self.ingress[ep].last_completion()
-    }
-
-    /// Latest completion ever booked on an endpoint's egress.
-    pub fn egress_backlog(&self, ep: usize) -> u64 {
-        self.egress[ep].last_completion()
     }
 }
 
