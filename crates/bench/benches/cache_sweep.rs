@@ -6,8 +6,8 @@
 //! replacement policy and one `stage(8MiB,2ms)+lru(16MiB)+<method>` cell
 //! that exercises write coalescing. The table reports the spec string the
 //! cell was built from (every one must round-trip through
-//! `MethodSpec::parse` — the regression gate re-checks this), the hit
-//! ratio, update IOPS, and coalesced bytes.
+//! `MethodSpec::parse`, which the sweep asserts per row), the hit ratio,
+//! update IOPS, and coalesced bytes.
 //!
 //! Expected shape: hit ratio grows monotonically with cache size for every
 //! method (the workload's Zipf hot set fits progressively better); caching
@@ -92,7 +92,7 @@ fn main() {
             assert!(res.staged_bytes > 0, "{spec}: staging bypassed");
             assert!(res.stage_flushes > 0, "{spec}: staging never flushed");
         }
-        let mut cells = vec![
+        let cells = vec![
             ("method", (*method).into()),
             ("spec", spec.as_str().into()),
             ("update_iops", res.update_iops.into()),
@@ -103,8 +103,7 @@ fn main() {
             ("coalesced_bytes", res.coalesced_bytes.into()),
             ("stage_flushes", res.stage_flushes.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         rows.push(vec![
             spec.clone(),
             kfmt(res.update_iops),
@@ -129,8 +128,9 @@ fn main() {
         &rows,
     );
 
-    // Per-method findings: the hit-ratio ramp and the relative IOPS gain
-    // from the largest cache.
+    // Per-method findings and their shape: the hit-ratio ramp, the
+    // relative IOPS gain from the largest cache, and staging's coalesced
+    // fraction.
     let lookup = |m: &str, want: &dyn Fn(&str, Option<&str>) -> bool| -> &RunResult {
         labels
             .iter()
@@ -153,10 +153,8 @@ fn main() {
         let gain = best.update_iops / bare.update_iops;
         report.add_finding(&format!("cache_gain_{method}"), gain);
         let staged = lookup(method, &|spec, _| spec.starts_with("stage("));
-        report.add_finding(
-            &format!("coalesced_frac_{method}"),
-            staged.coalesced_bytes as f64 / staged.staged_bytes.max(1) as f64,
-        );
+        let coalesced_frac = staged.coalesced_bytes as f64 / staged.staged_bytes.max(1) as f64;
+        report.add_finding(&format!("coalesced_frac_{method}"), coalesced_frac);
         println!(
             "  -> {:>5}: hit ratio {:.3} -> {:.3} -> {:.3} across {:?}, \
              64 MiB cache gain {:.3}x, staging coalesces {:.1}% of staged bytes",
@@ -166,24 +164,23 @@ fn main() {
             ramp[2],
             CACHE_SIZES,
             gain,
-            100.0 * staged.coalesced_bytes as f64 / staged.staged_bytes.max(1) as f64,
+            100.0 * coalesced_frac,
         );
-        gains.push((method, gain));
-    }
-
-    // The sweep's own shape assertions (the gate re-checks them from the
-    // report so a regression fails CI even when nobody reruns the bench).
-    for method in methods.iter().map(|m| m.name()) {
-        let ramp: Vec<f64> = CACHE_SIZES
-            .iter()
-            .map(|&swept| lookup(method, &|_, size| size == Some(swept)).cache_hit_ratio)
-            .collect();
+        assert!(
+            ramp.iter().all(|r| (0.0..=1.0).contains(r)),
+            "{method}: hit ratio outside [0, 1] ({ramp:?})"
+        );
         for pair in ramp.windows(2) {
             assert!(
                 pair[1] >= pair[0] - 0.01,
                 "{method}: hit ratio not monotone in cache size ({ramp:?})"
             );
         }
+        assert!(
+            coalesced_frac > 0.0 && coalesced_frac < 1.0,
+            "{method}: staging coalesced {coalesced_frac:.3} of staged bytes, not a fraction in (0, 1)"
+        );
+        gains.push((method, gain));
     }
     let gain_of = |m: &str| gains.iter().find(|(k, _)| *k == m).unwrap().1;
     assert!(

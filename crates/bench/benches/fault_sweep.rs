@@ -107,7 +107,16 @@ fn main() {
         );
         assert_eq!(res.data_loss_blocks, 0, "sweep scenarios are recoverable");
         assert_eq!(res.failed_ops, 0);
-        let mut cells = vec![
+        // Repair always completes under the default (unthrottled) policy.
+        if *plan != Plan::None {
+            assert!(
+                res.mttr_s.is_finite() && res.mttr_s > 0.0,
+                "{method}/{placement}/{}: MTTR {} s is not finite and positive",
+                plan.name(),
+                res.mttr_s
+            );
+        }
+        let cells = vec![
             ("method", (*method).into()),
             ("placement", (*placement).into()),
             ("fault", plan.name().into()),
@@ -127,8 +136,7 @@ fn main() {
             // stripes (post-rebuild) span.
             ("copysets_used", res.copysets_used.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         rows.push(vec![
             method.to_string(),
             placement.to_string(),

@@ -2,8 +2,10 @@
 //! × {Ali-Cloud, Ten-Cloud} × six methods on the 16-node SSD cluster.
 //!
 //! The paper's claims this reproduces: TSUE is highest everywhere, its
-//! advantage grows with M (≈1.5× FO at M=2 → ≈2.9× at M=4), it is larger on
-//! Ten-Cloud than Ali-Cloud, and throughput scales with client count.
+//! advantage grows with M (≈1.5× FO at M=2 → ≈2.9× at M=4), and throughput
+//! scales with client count. The paper also reports the advantage larger
+//! on Ten-Cloud than Ali-Cloud; the bench prints both families, and that
+//! ordering is not reproduced here (an open fidelity row in ROADMAP.md).
 
 use std::sync::Arc;
 

@@ -23,7 +23,6 @@ fn main() {
         };
         for m in [2usize, 3, 4] {
             let mut row = vec![format!("{fam_name}_RS(6,{m})")];
-            let mut prev = 0.0f64;
             for (label, feats) in ladder {
                 let mut rcfg = ssd_replay(6, m, Arc::new(Tsue), family, 48);
                 rcfg.cluster.tsue = feats;
@@ -34,9 +33,7 @@ fn main() {
                 let res = Replay::run(&rcfg).result;
                 assert_eq!(res.oracle_violations, 0, "{label} violated consistency");
                 row.push(kfmt(res.update_iops));
-                prev = res.update_iops;
             }
-            let _ = prev;
             rows.push(row);
         }
     }

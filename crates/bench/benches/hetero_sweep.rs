@@ -102,7 +102,7 @@ fn main() {
             res.oracle_violations, 0,
             "{method} on {fleet} under {placement} placement violated consistency"
         );
-        let mut cells = vec![
+        let cells = vec![
             ("fleet", (*fleet).into()),
             ("placement", (*placement).into()),
             ("method", (*method).into()),
@@ -114,8 +114,7 @@ fn main() {
             ("copysets_used", res.copysets_used.into()),
             ("net_gib", res.net_gib.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         rows.push(vec![
             (*fleet).to_string(),
             (*placement).to_string(),

@@ -58,7 +58,7 @@ fn main() {
     let mut report = BenchReport::new("load_sweep");
     let mut rows = Vec::new();
     for ((method, rate), res) in labels.iter().zip(&results) {
-        let mut cells = vec![
+        let cells = vec![
             ("method", (*method).into()),
             ("rate", (*rate).into()),
             ("offered_ops_per_s", res.offered_ops_per_s.into()),
@@ -67,8 +67,7 @@ fn main() {
             ("peak_queue_depth", res.peak_queue_depth.into()),
             ("saturated", res.saturated.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         assert_eq!(
             res.oracle_violations, 0,
             "{method} at {rate} ops/s violated consistency"
@@ -155,8 +154,8 @@ fn main() {
         "TSUE's saturated goodput ({tsue_cap:.0}/s) must exceed FO's ({fo_cap:.0}/s)"
     );
 
-    // Headline findings for the regression gate: each method's knee rate
-    // and the goodput it caps at there.
+    // Headline findings: each method's knee rate and the goodput it caps
+    // at there.
     for (method, knee_rate, knee_cap) in &knees {
         report.add_finding(&format!("knee_rate_{method}"), *knee_rate);
         report.add_finding(&format!("knee_goodput_{method}"), *knee_cap);

@@ -17,7 +17,7 @@
 //! - `full` — scrub + wear-leveling rebalance + tier demotion + lazy
 //!   defrag, all competing with the foreground for the same disks.
 //!
-//! Findings the gate pins: scrubbing shrinks the latent-error exposure
+//! Findings the sweep asserts: scrubbing shrinks the latent-error exposure
 //! (`lse_latent`), the rebalancer narrows the fleet's wear spread below
 //! the no-maintenance baseline, scrub coverage is nonzero while the
 //! foreground p99 stays finite, and the per-method foreground-p99 cost
@@ -144,7 +144,7 @@ fn main() {
         );
         assert_eq!(res.data_loss_blocks, 0, "{method} plan {plan}");
         let latent = res.lse_injected - res.lse_repaired;
-        let mut cells = vec![
+        let cells = vec![
             ("curve", (*curve).into()),
             ("plan", (*plan).into()),
             ("method", (*method).into()),
@@ -161,8 +161,7 @@ fn main() {
             ("defrag_gib", res.defrag_gib.into()),
             ("wear_spread", res.wear_spread.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         rows.push(vec![
             (*curve).to_string(),
             (*plan).to_string(),
@@ -254,6 +253,10 @@ fn main() {
         assert!(
             loaded.steady_p99_us.is_finite() && loaded.steady_p99_us > 0.0,
             "{method}: foreground p99 must stay finite under maintenance"
+        );
+        assert!(
+            cost.is_finite(),
+            "{method}: the full plan's foreground p99 cost ({cost} us) must be finite"
         );
         report.add_finding(&format!("maint_p99_cost_us_{method}"), cost);
         report.add_finding(&format!("p99_us_full_{method}"), loaded.steady_p99_us);

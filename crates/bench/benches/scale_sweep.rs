@@ -18,10 +18,11 @@
 //! the eager runtime could not even have allocated its dense per-client
 //! vectors.
 //!
-//! The regression gate (`bench_gate`) holds flat: events/s at 1 M within
-//! a bounded factor of 1 k, peak active tracking window math not
+//! The sweep asserts the trajectory flat: events/s at 1 M within a
+//! bounded factor of 1 k, peak active tracking window math not
 //! population, client-state bytes at 1 M within 2x of 1 k, and the
-//! TSUE >= FO knee ranking surviving at every population.
+//! TSUE >= FO knee ranking surviving at every population with both knees
+//! non-decreasing as the cluster grows.
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
@@ -117,7 +118,7 @@ fn main() {
     let mut report = BenchReport::new("scale_sweep");
     let mut rows = Vec::new();
     for ((population, nodes, method, rate), res) in labels.iter().zip(&results) {
-        let mut cells = vec![
+        let cells = vec![
             ("population", (*population).into()),
             ("nodes", (*nodes as u64).into()),
             ("method", (*method).into()),
@@ -131,8 +132,7 @@ fn main() {
             ("workload_state_bytes", res.workload_state_bytes.into()),
             ("setup_ms", res.setup_ms.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         assert_eq!(
             res.oracle_violations, 0,
             "{method} at population {population} rate {rate} violated consistency"
@@ -179,7 +179,10 @@ fn main() {
     // Per-population knees (hysteresis, as in load_sweep) and the scale
     // findings off the constant-rate reference rung.
     println!();
-    for &(population, nodes) in &pops {
+    // Per population, ascending: (population, TSUE reference cell, TSUE
+    // knee, FO knee).
+    let mut trajectory: Vec<(u64, &RunResult, f64, f64)> = Vec::new();
+    for &(population, _) in &pops {
         let mut knee_of = Vec::new();
         for method in methods.iter().map(|m| m.name()) {
             let cells: Vec<(f64, &RunResult)> = labels
@@ -224,7 +227,7 @@ fn main() {
         );
 
         // Scale findings from TSUE's unsaturated reference cell: this is
-        // the apples-to-apples trajectory the gate holds flat.
+        // the apples-to-apples trajectory asserted flat below.
         let (_, reference) = labels
             .iter()
             .zip(&results)
@@ -247,7 +250,72 @@ fn main() {
             reference.events_per_sec,
         );
         report.add_finding(&format!("setup_ms_{population}"), reference.setup_ms);
-        let _ = nodes;
+        trajectory.push((population, reference, tsue, fo));
+    }
+
+    // The O(active) contract across the ramp, smallest population against
+    // largest.
+    assert!(
+        trajectory.len() >= 2,
+        "scale_sweep must ramp the population ({} sizes)",
+        trajectory.len()
+    );
+    let (min_pop, small, _, _) = trajectory[0];
+    let (max_pop, large, _, _) = trajectory[trajectory.len() - 1];
+    // The peak of concurrently-active clients tracks the arrival/window
+    // math, not the id space: growing the population by orders of
+    // magnitude must not grow it past a small factor, and it must stay
+    // nowhere near the population.
+    let (peak_min, peak_max) = (
+        small.active_clients_peak as f64,
+        large.active_clients_peak as f64,
+    );
+    assert!(
+        peak_max <= (4.0 * peak_min).max(64.0),
+        "peak active clients track population, not window math \
+         ({peak_max} at {max_pop} vs {peak_min} at {min_pop})"
+    );
+    assert!(
+        peak_max * 100.0 <= max_pop as f64,
+        "peak active clients ({peak_max}) approach the {max_pop}-client population"
+    );
+    // Resident client state is O(active), so the largest population costs
+    // what the smallest does.
+    let (bytes_min, bytes_max) = (
+        small.client_state_bytes as f64,
+        large.client_state_bytes as f64,
+    );
+    assert!(
+        bytes_max <= 2.0 * bytes_min,
+        "client state at {max_pop} clients ({bytes_max} B) exceeds 2x of \
+         {min_pop} clients ({bytes_min} B)"
+    );
+    // Replay speed must not collapse with the id space. This is a
+    // wall-clock measurement, so the bound is deliberately loose (the
+    // largest cell also runs a 6x bigger cluster): a factor 4 catches an
+    // O(population) regression (the eager runtime was ~1000x here)
+    // without flaking on runner noise.
+    assert!(
+        large.events_per_sec * 4.0 >= small.events_per_sec,
+        "replay speed at {max_pop} clients ({:.0} ev/s) below 1/4 of {min_pop} \
+         clients ({:.0} ev/s)",
+        large.events_per_sec,
+        small.events_per_sec
+    );
+    // Setup is streamed, not materialised.
+    assert!(
+        large.setup_ms.is_finite(),
+        "setup at {max_pop} clients took {} ms",
+        large.setup_ms
+    );
+    // Both methods' knees grow (or hold) as the cluster scales up.
+    for pair in trajectory.windows(2) {
+        let ((prev_pop, _, prev_tsue, prev_fo), (pop, _, tsue, fo)) = (pair[0], pair[1]);
+        assert!(
+            tsue >= prev_tsue && fo >= prev_fo,
+            "knees fell from {prev_pop} to {pop} clients \
+             (TSUE {prev_tsue} -> {tsue}, FO {prev_fo} -> {fo})"
+        );
     }
 
     report.write_and_announce();

@@ -77,7 +77,7 @@ fn main() {
             res.oracle_violations, 0,
             "{method} under {placement} placement violated consistency"
         );
-        let mut cells = vec![
+        let cells = vec![
             ("racks", (*racks).into()),
             ("placement", (*placement).into()),
             ("method", (*method).into()),
@@ -85,8 +85,7 @@ fn main() {
             ("net_gib", res.net_gib.into()),
             ("cross_rack_gib", res.net_cross_rack_gib.into()),
         ];
-        cells.extend(tsue_bench::engine_cells(res));
-        report.add_row(cells);
+        report.add_row(res, cells);
         rows.push(vec![
             if *racks == 1 {
                 "1 (flat)".to_string()
@@ -160,8 +159,8 @@ fn main() {
     println!("\n(flat rows are identical across placements: every built-in");
     println!(" placement degenerates to the same rotation on one rack.)");
 
-    // Headline findings for the regression gate: TSUE's spine traffic per
-    // placement on the racked fabric.
+    // Headline findings: TSUE's spine traffic per placement on the racked
+    // fabric.
     report.add_finding("tsue_cross_gib_rack_aware", tsue_aware);
     report.add_finding("tsue_cross_gib_rack_local", tsue_local);
     report.write_and_announce();

@@ -10,7 +10,7 @@
 //! loads in Perfetto; CI validates it with `trace_dump --check`) and
 //! `BENCH_trace.bin` (the compact log `trace_dump` inspects).
 //!
-//! Findings per method, all gated by `bench_gate`:
+//! Findings per method, each asserted by the sweep:
 //!
 //! * `trace_dropped_spans_<m>` — must be 0 at smoke scale (the default
 //!   retention budget fits the whole run, so a drop means a leak);
@@ -20,6 +20,8 @@
 //! * `recon_err_<m>` — relative gap between the rollup's mean update
 //!   latency (Σ Update-row total / completed updates) and the
 //!   independently-derived `latency_mean_us`, must be within 1%.
+//!
+//! The exported TSUE trace must carry spans and utilization lanes.
 
 use ecfs::prelude::*;
 use ecfs::telemetry::{binary, chrome, OpClass};
@@ -53,7 +55,7 @@ fn main() {
             .collect();
         let update_total_us: f64 = update_rows.iter().map(|r| r.total_us).sum();
         for row in &update_rows {
-            let mut cells = vec![
+            let cells = vec![
                 ("method", name.as_str().into()),
                 ("stage", row.stage.name().into()),
                 ("count", row.count.into()),
@@ -61,8 +63,7 @@ fn main() {
                 ("mean_us", row.mean_us.into()),
                 ("p99_us", row.p99_us.into()),
             ];
-            cells.extend(tsue_bench::engine_cells(&res));
-            report.add_row(cells);
+            report.add_row(&res, cells);
             rows.push(vec![
                 name.clone(),
                 row.stage.name().to_string(),
@@ -105,6 +106,11 @@ fn main() {
             "{name}: smoke-scale run overflowed the default trace budget"
         );
         assert!(
+            attribution >= 0.95,
+            "{name}: stage spans attribute only {:.1}% of client latency",
+            attribution * 100.0
+        );
+        assert!(
             recon_err < 0.01,
             "{name}: rollup mean {rollup_mean_us:.2} us disagrees with \
              latency_mean_us {:.2}",
@@ -119,6 +125,12 @@ fn main() {
                 .expect("chrome trace export");
             std::fs::write(dir.join("BENCH_trace.bin"), binary::to_bytes(&trace))
                 .expect("binary trace export");
+            assert!(
+                !trace.spans.is_empty() && !trace.util.is_empty(),
+                "exported TSUE trace lacks spans ({}) or utilization lanes ({})",
+                trace.spans.len(),
+                trace.util.len()
+            );
             report.add_finding("trace_spans_tsue", trace.spans.len());
             report.add_finding("trace_util_lanes_tsue", trace.util.len());
         }

@@ -183,56 +183,24 @@ fn print_diff(a: &Trace, b: &Trace) {
     }
 }
 
-/// Validates a Chrome Trace Event export: parses as JSON, every complete
-/// event has non-negative `ts`/`dur`, and `ts` is monotone per
-/// `(pid, tid)` lane in file order. The CI trace leg runs this on the
-/// sweep's `BENCH_trace.json`.
+/// Validates a Chrome Trace Event export with
+/// [`tsue_bench::report::check_chrome_trace`]. The CI trace leg runs this
+/// on the sweep's `BENCH_trace.json`.
 fn check(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("trace_dump: cannot read {path}: {e}");
         exit(2);
     });
-    let doc = tsue_bench::report::parse(&text).unwrap_or_else(|e| {
-        eprintln!("trace_dump: {path}: JSON parse failed: {e}");
-        exit(1);
-    });
-    let Some(events) = doc.get("traceEvents").and_then(|e| e.as_arr()) else {
-        eprintln!("trace_dump: {path}: no traceEvents array");
-        exit(1);
-    };
-    let mut lanes: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut complete = 0u64;
-    for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(|p| p.as_str()).unwrap_or("");
-        if ph != "X" && ph != "C" {
-            continue;
+    match tsue_bench::report::check_chrome_trace(&text) {
+        Ok(timed) => {
+            println!("ok: {path}: {timed} timed events, all lanes monotone");
+            exit(0);
         }
-        let field = |name: &str| {
-            ev.get(name).and_then(|v| v.as_f64()).unwrap_or_else(|| {
-                eprintln!("trace_dump: {path}: event {i} lacks numeric {name}");
-                exit(1);
-            })
-        };
-        let (pid, tid, ts) = (field("pid") as u64, field("tid") as u64, field("ts"));
-        let dur = if ph == "X" { field("dur") } else { 0.0 };
-        if ts < 0.0 || dur < 0.0 {
-            eprintln!("trace_dump: {path}: event {i} has negative ts/dur");
+        Err(e) => {
+            eprintln!("trace_dump: {path}: {e}");
             exit(1);
         }
-        if let Some(prev) = lanes.insert((pid, tid), ts) {
-            if prev > ts {
-                eprintln!("trace_dump: {path}: lane ({pid},{tid}) not monotone at event {i}");
-                exit(1);
-            }
-        }
-        complete += 1;
     }
-    if complete == 0 {
-        eprintln!("trace_dump: {path}: no complete/counter events");
-        exit(1);
-    }
-    println!("ok: {path}: {complete} timed events, all lanes monotone");
-    exit(0);
 }
 
 fn main() {

@@ -13,7 +13,7 @@ use ecfs::prelude::*;
 
 pub mod report;
 
-pub use report::{load_report, report_dir, BenchReport, Json};
+pub use report::{report_dir, BenchReport, Json};
 
 /// Whether the full-scale grid was requested.
 pub fn full_scale() -> bool {
@@ -92,18 +92,6 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
                 .expect("worker completed every claimed slot")
         })
         .collect()
-}
-
-/// The engine-speed cells every sweep row carries: the simulated event
-/// count plus the wall-clock replay rate. `sim_events` is deterministic;
-/// `wall_ms` and `events_per_sec` measure this machine, so the gate
-/// checks only that they are present and positive.
-pub fn engine_cells(r: &RunResult) -> [(&'static str, Json); 3] {
-    [
-        ("sim_events", r.sim_events.into()),
-        ("wall_ms", r.wall_ms.into()),
-        ("events_per_sec", r.events_per_sec.into()),
-    ]
 }
 
 /// The six methods of Fig. 5 (every built-in but FL), in the paper's order.

@@ -3,10 +3,10 @@
 //!
 //! Every sweep bench builds a [`BenchReport`] alongside its printed table
 //! and writes it to `target/bench-report/BENCH_<sweep>.json` (override the
-//! directory with `TSUE_BENCH_REPORT_DIR`). CI uploads the files as
-//! artifacts and the `bench_gate` binary re-reads them to assert shape
-//! invariants — a perf/behaviour regression fails the workflow instead of
-//! scrolling past in a log.
+//! directory with `TSUE_BENCH_REPORT_DIR`). The sweep asserts its shape
+//! invariants on the typed results it computed; the report is the artifact
+//! CI uploads for humans diffing runs. The parser reads JSON back for
+//! [`check_chrome_trace`], the validator of the Perfetto trace export.
 //!
 //! Report schema (version 1):
 //!
@@ -20,12 +20,16 @@
 //! }
 //! ```
 //!
-//! `rows` mirrors the printed table with typed cells; `findings` holds the
-//! sweep's headline numbers (the quantities its shape assertions are
-//! about), so the gate does not have to re-derive them.
+//! `rows` mirrors the printed table with typed cells, each row ending in
+//! the engine-speed cells `sim_events`, `wall_ms` and `events_per_sec`;
+//! `findings` holds the sweep's headline numbers (the quantities its shape
+//! assertions are about).
 
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
+
+use ecfs::prelude::RunResult;
 
 /// A JSON value (the subset the reports need).
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +110,6 @@ impl Json {
         }
     }
 
-    /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -144,7 +140,7 @@ impl Json {
                     }
                 } else {
                     // JSON has no NaN/inf: serialise honestly as null so
-                    // the gate treats the value as missing, not huge.
+                    // a reader treats the value as missing, not huge.
                     out.push_str("null");
                 }
             }
@@ -191,11 +187,15 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound keeps hostile input from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (the writer's subset plus standard escapes).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -218,8 +218,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -235,7 +239,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -257,7 +261,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -364,9 +368,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 /// The cargo target directory the running binary was built into (the
-/// ancestor above the `release`/`debug` profile component), so sweeps and
-/// the gate agree on a location no matter which package directory cargo
-/// set as the working directory.
+/// ancestor above the `release`/`debug` profile component), so every sweep
+/// writes to one location no matter which package directory cargo set as
+/// the working directory.
 fn target_dir() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let mut dir = exe.parent()?;
@@ -392,7 +396,7 @@ pub fn report_dir() -> PathBuf {
 }
 
 /// One sweep's machine-readable output: typed table rows plus headline
-/// findings, written as `BENCH_<sweep>.json` for CI to archive and gate on.
+/// findings, written as `BENCH_<sweep>.json` for CI to archive.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     sweep: String,
@@ -410,15 +414,37 @@ impl BenchReport {
         }
     }
 
-    /// Appends one table row of `(column, value)` cells.
-    pub fn add_row(&mut self, cells: Vec<(&str, Json)>) {
+    /// Appends one table row: the `(column, value)` cells, then the
+    /// engine-speed cells of the run `res` they describe (`sim_events`,
+    /// `wall_ms`, `events_per_sec`).
+    ///
+    /// # Panics
+    /// Panics unless `res.events_per_sec` is finite and positive, so no
+    /// sweep silently drops the engine-speed trajectory.
+    pub fn add_row(&mut self, res: &RunResult, cells: Vec<(&str, Json)>) {
+        assert!(
+            res.events_per_sec.is_finite() && res.events_per_sec > 0.0,
+            "{}: {} row has events_per_sec {}",
+            self.sweep,
+            res.method,
+            res.events_per_sec
+        );
+        let engine = [
+            ("sim_events", res.sim_events.into()),
+            ("wall_ms", res.wall_ms.into()),
+            ("events_per_sec", res.events_per_sec.into()),
+        ];
         self.rows.push(Json::Obj(
-            cells.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            cells
+                .into_iter()
+                .chain(engine)
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
         ));
     }
 
     /// Records a headline finding (the numbers the sweep's shape
-    /// assertions are about; the regression gate reads these).
+    /// assertions are about).
     pub fn add_finding(&mut self, key: &str, value: impl Into<Json>) {
         self.findings.push((key.to_string(), value.into()));
     }
@@ -458,24 +484,58 @@ impl BenchReport {
     ///
     /// # Panics
     /// Panics when the report cannot be written — in CI a silently missing
-    /// report would disable the regression gate.
+    /// report would leave nothing to diff.
     pub fn write_and_announce(&self) {
         let path = self.write().expect("bench report must be writable");
         println!("\nbench report: {}", path.display());
     }
 }
 
-/// Reads and parses `BENCH_<sweep>.json` from `dir`.
-pub fn load_report(dir: &std::path::Path, sweep: &str) -> Result<Json, String> {
-    let path = dir.join(format!("BENCH_{sweep}.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+/// Validates a Chrome Trace Event export and returns its number of timed
+/// (`X` complete and `C` counter) events: the text parses as JSON with a
+/// `traceEvents` array, every timed event has a numeric `pid`, `tid` and
+/// non-negative `ts` (plus `dur` for `X`), `ts` is monotone per
+/// `(pid, tid)` lane in file order, and there is at least one timed event.
+pub fn check_chrome_trace(text: &str) -> Result<usize, String> {
+    let doc = parse(text).map_err(|e| format!("JSON parse failed: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .ok_or("no traceEvents array")?;
+    let mut lanes: HashMap<(u64, u64), f64> = HashMap::new();
+    let mut timed = 0;
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev.get("ph").and_then(|p| p.as_str()).unwrap_or("");
+        if ph != "X" && ph != "C" {
+            continue;
+        }
+        let field = |name: &str| {
+            ev.get(name)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("event {i} lacks numeric {name}"))
+        };
+        let (pid, tid, ts) = (field("pid")? as u64, field("tid")? as u64, field("ts")?);
+        let dur = if ph == "X" { field("dur")? } else { 0.0 };
+        if ts < 0.0 || dur < 0.0 {
+            return Err(format!("event {i} has negative ts/dur"));
+        }
+        if let Some(prev) = lanes.insert((pid, tid), ts) {
+            if prev > ts {
+                return Err(format!("lane ({pid},{tid}) not monotone at event {i}"));
+            }
+        }
+        timed += 1;
+    }
+    if timed == 0 {
+        return Err("no complete/counter events".to_string());
+    }
+    Ok(timed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecfs::prelude::{Arc, Fo, Replay, TraceFamily};
 
     #[test]
     fn render_parse_roundtrip() {
@@ -512,15 +572,36 @@ mod tests {
 
     #[test]
     fn accessors_navigate_reports() {
+        let mut rcfg = crate::ssd_replay(4, 2, Arc::new(Fo), TraceFamily::AliCloud, 2);
+        rcfg.ops_per_client = 25;
+        rcfg.volume_bytes = 32 << 20;
+        let res = Replay::run(&rcfg).result;
         let mut report = BenchReport::new("unit_test");
-        report.add_row(vec![("method", "TSUE".into()), ("iops", 123.0.into())]);
-        report.add_row(vec![("method", "FO".into()), ("iops", 45.0.into())]);
+        report.add_row(
+            &res,
+            vec![("method", "TSUE".into()), ("iops", 123.0.into())],
+        );
+        report.add_row(&res, vec![("method", "FO".into()), ("iops", 45.0.into())]);
         report.add_finding("winner", "TSUE");
         let doc = report.to_json();
         assert_eq!(doc.get("sweep").unwrap().as_str(), Some("unit_test"));
         let rows = doc.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("iops").unwrap().as_f64(), Some(45.0));
+        // The engine cells follow the given cells, taken from the run.
+        let Json::Obj(cells) = &rows[0] else {
+            panic!("rows are objects")
+        };
+        let keys: Vec<&str> = cells.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["method", "iops", "sim_events", "wall_ms", "events_per_sec"]
+        );
+        assert_eq!(
+            rows[0].get("sim_events").unwrap().as_f64(),
+            Some(res.sim_events as f64)
+        );
+        assert!(rows[0].get("events_per_sec").unwrap().as_f64().unwrap() > 0.0);
         assert_eq!(
             doc.get("findings").unwrap().get("winner").unwrap().as_str(),
             Some("TSUE")
@@ -539,6 +620,27 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        let nested = format!("{}{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse(&nested).is_ok());
+    }
+
+    #[test]
+    fn chrome_check_rejects_bad_traces() {
+        let trace = |events: &str| format!("{{\"traceEvents\":[{events}]}}");
+        let x = |ts: f64| format!("{{\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":{ts},\"dur\":1}}");
+        let ok = trace(&format!("{},{}", x(1.0), x(2.0)));
+        assert_eq!(check_chrome_trace(&ok), Ok(2));
+        assert!(check_chrome_trace(&trace(&format!("{},{}", x(2.0), x(1.0)))).is_err());
+        assert!(check_chrome_trace(&trace(&x(-1.0))).is_err());
+        assert!(check_chrome_trace(&trace("{\"ph\":\"M\"}")).is_err());
+        assert!(check_chrome_trace("{}").is_err());
     }
 
     #[test]

@@ -140,31 +140,11 @@ fn binary_log_round_trips_and_chrome_export_parses() {
     let back = binary::from_bytes(&bytes).expect("binary trace parses");
     assert_eq!(back, trace);
 
+    // Timed events carry non-negative ts/dur, monotone per lane in file
+    // order (the exporter sorts by (pid, tid, ts)).
     let json = chrome::to_json(&trace);
-    let doc = tsue_bench::report::parse(&json).expect("chrome JSON parses");
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .expect("traceEvents array");
-    assert!(!events.is_empty());
-    // Complete events carry non-negative ts/dur, monotone per lane in
-    // file order (the exporter sorts by (pid, tid, ts)).
-    let mut last: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
-    for ev in events {
-        if ev.get("ph").and_then(|p| p.as_str()) != Some("X") {
-            continue;
-        }
-        let pid = ev.get("pid").and_then(|v| v.as_f64()).unwrap() as u64;
-        let tid = ev.get("tid").and_then(|v| v.as_f64()).unwrap() as u64;
-        let ts = ev.get("ts").and_then(|v| v.as_f64()).unwrap();
-        let dur = ev.get("dur").and_then(|v| v.as_f64()).unwrap();
-        assert!(ts >= 0.0 && dur >= 0.0);
-        let prev = last.insert((pid, tid), ts);
-        assert!(
-            prev.is_none_or(|p| p <= ts),
-            "lane ({pid},{tid}) not monotone"
-        );
-    }
+    let timed = tsue_bench::report::check_chrome_trace(&json);
+    assert!(matches!(timed, Ok(n) if n > 0), "{timed:?}");
 }
 
 #[test]
