@@ -533,7 +533,10 @@ impl TsueEngine {
         let cfg = &self.shared.cfg;
         assert!(stripe < cfg.stripes, "stripe out of range");
         assert!((block_idx as usize) < cfg.code.k(), "not a data block");
-        assert!(offset + len <= cfg.block_len, "read beyond block");
+        assert!(
+            offset as usize + len as usize <= cfg.block_len as usize,
+            "read beyond block"
+        );
         let slot = self.shared.block_slot(stripe, block_idx as usize);
         let mut out = {
             let block = self.shared.blocks[slot].read();
@@ -755,5 +758,12 @@ mod tests {
     fn updating_parity_block_panics() {
         let e = engine();
         e.update(0, 4, 0, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read beyond block")]
+    fn read_past_u32_max_is_rejected() {
+        let e = engine();
+        let _ = e.read(0, 0, u32::MAX - 15, 32);
     }
 }

@@ -11,6 +11,12 @@
 //!   small random I/Os into few large ones;
 //! * a per-block bitmap gives O(1) "definitely not present" answers so read
 //!   lookups skip blocks that never saw an update.
+//!
+//! An insert costs the record plus the entries it absorbs, not the merged
+//! range: it marks only its own chunks in the bitmap (a merged range's
+//! chunks are the union of its parts', each marked when it was inserted,
+//! and bits are never cleared), and it splices the merged payload from the
+//! removed entries one at a time, with no scratch vectors.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -67,14 +73,18 @@ impl<P: Payload> BlockIndex<P> {
         self.live_bytes
     }
 
+    /// Sets the presence bits of every chunk `[start, end)` touches, a word
+    /// at a time. An insert marks only its own record: the entries it
+    /// absorbs had their chunks marked when they were inserted, so the
+    /// merged range's bits are already the union of its parts'.
     fn mark_bitmap(&mut self, start: u32, end: u32) {
         let first = (start / SUB_GRAIN) as usize;
         let last = ((end - 1) / SUB_GRAIN) as usize;
         if last / 64 >= self.bitmap.len() {
             self.bitmap.resize(last / 64 + 1, 0);
         }
-        for chunk in first..=last {
-            self.bitmap[chunk / 64] |= 1 << (chunk % 64);
+        for (word, mask) in chunk_words(first, last) {
+            self.bitmap[word] |= mask;
         }
     }
 
@@ -86,18 +96,20 @@ impl<P: Payload> BlockIndex<P> {
         }
         let first = (off / SUB_GRAIN) as usize;
         let last = ((off + len - 1) / SUB_GRAIN) as usize;
-        for chunk in first..=last {
-            if let Some(word) = self.bitmap.get(chunk / 64) {
-                if word >> (chunk % 64) & 1 == 1 {
-                    return false;
-                }
-            }
-        }
-        true
+        chunk_words(first, last)
+            .map_while(|(word, mask)| self.bitmap.get(word).map(|w| w & mask))
+            .all(|hits| hits == 0)
     }
 
     /// Inserts a record at `off`, merging with everything it overlaps or
     /// touches.
+    ///
+    /// The touching predecessor and then each entry in `[off, end]` are
+    /// removed in offset order. Each contributes, in address order, the new
+    /// record's gap before it, its head before `off`, the overlap (the new
+    /// bytes, or old XOR new), and its tail past `end`; the new record's
+    /// remaining tail closes the range. Runs of new bytes are spliced in as
+    /// one slice, so an overwrite costs at most head + record + tail.
     ///
     /// # Panics
     /// Panics on empty payloads or offset overflow.
@@ -105,90 +117,49 @@ impl<P: Payload> BlockIndex<P> {
         let len = payload.len();
         assert!(len > 0, "empty payload");
         let end = off.checked_add(len).expect("offset overflow");
+        self.mark_bitmap(off, end);
 
-        // Gather every entry overlapping or exactly touching [off, end].
         // Entries are non-overlapping and non-adjacent, so at most one can
-        // start before `off` and still reach it.
-        let mut collected: Vec<(u32, P)> = Vec::new();
-        if let Some((&s, e)) = self.entries.range(..off).next_back() {
-            if s + e.len() >= off {
-                collected.push((s, self.entries.remove(&s).unwrap()));
+        // start before `off` and still reach it, and no entry starts
+        // between it and `off`.
+        let span_start = match self.entries.range(..off).next_back() {
+            Some((&s, e)) if s + e.len() >= off => s,
+            _ => off,
+        };
+        let mut merged: Option<P> = None;
+        // New bytes `[off, spliced)` are already in `merged`.
+        let mut spliced = off;
+        while let Some((&s, _)) = self.entries.range(span_start..=end).next() {
+            let e = self.entries.remove(&s).expect("entry just found");
+            let e_end = s + e.len();
+            self.live_bytes -= e.len() as u64;
+            if s < off {
+                append(&mut merged, e.slice(0, off - s));
             }
-        }
-        let overlapping: Vec<u32> = self.entries.range(off..=end).map(|(&s, _)| s).collect();
-        for s in overlapping {
-            let e = self.entries.remove(&s).unwrap();
-            collected.push((s, e));
-        }
-
-        let removed_bytes: u64 = collected.iter().map(|(_, e)| e.len() as u64).sum();
-        let merged = Self::sweep_merge(off, payload, &collected, mode);
-        let (span_start, merged_payload) = merged;
-        let added_bytes = merged_payload.len() as u64;
-        let span_end = span_start + merged_payload.len();
-        self.entries.insert(span_start, merged_payload);
-        self.live_bytes = self.live_bytes - removed_bytes + added_bytes;
-        self.mark_bitmap(span_start, span_end);
-    }
-
-    /// Segment sweep producing the single merged range covering the new
-    /// record and everything it collided with.
-    fn sweep_merge(off: u32, new: P, old: &[(u32, P)], mode: MergeMode) -> (u32, P) {
-        let end = off + new.len();
-        if old.is_empty() {
-            return (off, new);
-        }
-        let span_start = off.min(old[0].0);
-        let span_end = end.max(old.last().map(|(s, e)| s + e.len()).unwrap());
-
-        // Boundary points: span edges, new edges, old edges.
-        let mut points: Vec<u32> = Vec::with_capacity(old.len() * 2 + 4);
-        points.push(span_start);
-        points.push(span_end);
-        points.push(off.clamp(span_start, span_end));
-        points.push(end.clamp(span_start, span_end));
-        for &(s, ref e) in old {
-            points.push(s);
-            points.push(s + e.len());
-        }
-        points.sort_unstable();
-        points.dedup();
-
-        let mut result: Option<P> = None;
-        for w in points.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a == b {
-                continue;
-            }
-            let in_new = a >= off && b <= end;
-            // Old entries are sorted and disjoint: binary-search the one
-            // containing `a`, if any.
-            let old_piece = old
-                .iter()
-                .find(|(s, e)| *s <= a && a < s + e.len())
-                .map(|(s, e)| e.slice(a - s, b - s));
-            let piece = match (old_piece, in_new) {
-                (Some(op), true) => match mode {
-                    MergeMode::Overwrite => new.slice(a - off, b - off),
-                    MergeMode::Xor => {
-                        let mut x = op;
-                        x.xor_with(&new.slice(a - off, b - off));
-                        x
-                    }
-                },
-                (Some(op), false) => op,
-                (None, true) => new.slice(a - off, b - off),
-                (None, false) => {
-                    debug_assert!(false, "uncovered segment [{a}, {b})");
-                    continue;
+            let (lo, hi) = (s.max(off), e_end.min(end));
+            if mode == MergeMode::Xor && lo < hi {
+                if spliced < lo {
+                    append(&mut merged, payload.slice(spliced - off, lo - off));
                 }
-            };
-            result = Some(match result {
-                None => piece,
-                Some(acc) => acc.concat(piece),
-            });
+                let mut x = e.slice(lo - s, hi - s);
+                x.xor_with(&payload.slice(lo - off, hi - off));
+                append(&mut merged, x);
+                spliced = hi;
+            }
+            if e_end > end {
+                if spliced < end {
+                    append(&mut merged, payload.slice(spliced - off, len));
+                    spliced = end;
+                }
+                append(&mut merged, e.slice(end - s, e_end - s));
+            }
         }
-        (span_start, result.expect("at least one segment"))
+        if spliced < end {
+            append(&mut merged, payload.slice(spliced - off, len));
+        }
+        let merged = merged.expect("the record is never empty");
+        self.live_bytes += merged.len() as u64;
+        self.entries.insert(span_start, merged);
     }
 
     /// Pieces of `[off, off+len)` that are present, clipped to the query,
@@ -214,16 +185,22 @@ impl<P: Payload> BlockIndex<P> {
 
     /// Whether `[off, off+len)` is fully covered by live ranges.
     pub fn covers(&self, off: u32, len: u32) -> bool {
-        let mut cursor = off;
+        if len == 0 {
+            return true;
+        }
+        if self.definitely_absent(off, len) {
+            return false;
+        }
         let end = off + len;
-        for (s, p) in self.lookup(off, len) {
-            if s > cursor {
-                return false;
+        let mut cursor = match self.entries.range(..off).next_back() {
+            Some((&s, e)) => off.max(s + e.len()),
+            None => off,
+        };
+        for (&s, e) in self.entries.range(off..end) {
+            if cursor >= end || s > cursor {
+                break;
             }
-            cursor = cursor.max(s + p.len());
-            if cursor >= end {
-                return true;
-            }
+            cursor = cursor.max(s + e.len());
         }
         cursor >= end
     }
@@ -237,6 +214,23 @@ impl<P: Payload> BlockIndex<P> {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &P)> {
         self.entries.iter().map(|(&o, p)| (o, p))
     }
+}
+
+/// `(word, mask)` pairs covering bitmap chunks `first..=last`.
+fn chunk_words(first: usize, last: usize) -> impl Iterator<Item = (usize, u64)> {
+    (first / 64..=last / 64).map(move |word| {
+        let lo = first.max(word * 64) % 64;
+        let hi = last.min(word * 64 + 63) % 64;
+        (word, (u64::MAX >> (63 - hi)) & (u64::MAX << lo))
+    })
+}
+
+/// Appends `piece` to the range being spliced.
+fn append<P: Payload>(merged: &mut Option<P>, piece: P) {
+    *merged = Some(match merged.take() {
+        None => piece,
+        Some(acc) => acc.concat(piece),
+    });
 }
 
 /// Cumulative merge statistics for one index.
@@ -505,6 +499,253 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].1, vec![(0, Ghost(8)), (40, Ghost(8))]);
         assert_eq!(idx.block_count(), 0);
+    }
+
+    impl<P: Payload> BlockIndex<P> {
+        /// The insert the splice replaced, kept as the reference: collect
+        /// every colliding entry, sweep their boundary points, and re-mark
+        /// the whole merged span one chunk at a time.
+        fn reference_insert(&mut self, off: u32, payload: P, mode: MergeMode) {
+            let len = payload.len();
+            assert!(len > 0, "empty payload");
+            let end = off.checked_add(len).expect("offset overflow");
+
+            let mut collected: Vec<(u32, P)> = Vec::new();
+            if let Some((&s, e)) = self.entries.range(..off).next_back() {
+                if s + e.len() >= off {
+                    collected.push((s, self.entries.remove(&s).unwrap()));
+                }
+            }
+            let overlapping: Vec<u32> = self.entries.range(off..=end).map(|(&s, _)| s).collect();
+            for s in overlapping {
+                let e = self.entries.remove(&s).unwrap();
+                collected.push((s, e));
+            }
+
+            let removed_bytes: u64 = collected.iter().map(|(_, e)| e.len() as u64).sum();
+            let merged = Self::sweep_merge(off, payload, &collected, mode);
+            let (span_start, merged_payload) = merged;
+            let added_bytes = merged_payload.len() as u64;
+            let span_end = span_start + merged_payload.len();
+            self.entries.insert(span_start, merged_payload);
+            self.live_bytes = self.live_bytes - removed_bytes + added_bytes;
+
+            let first = (span_start / SUB_GRAIN) as usize;
+            let last = ((span_end - 1) / SUB_GRAIN) as usize;
+            if last / 64 >= self.bitmap.len() {
+                self.bitmap.resize(last / 64 + 1, 0);
+            }
+            for chunk in first..=last {
+                self.bitmap[chunk / 64] |= 1 << (chunk % 64);
+            }
+        }
+
+        /// Segment sweep producing the single merged range covering the new
+        /// record and everything it collided with.
+        fn sweep_merge(off: u32, new: P, old: &[(u32, P)], mode: MergeMode) -> (u32, P) {
+            let end = off + new.len();
+            if old.is_empty() {
+                return (off, new);
+            }
+            let span_start = off.min(old[0].0);
+            let span_end = end.max(old.last().map(|(s, e)| s + e.len()).unwrap());
+
+            let mut points: Vec<u32> = Vec::with_capacity(old.len() * 2 + 4);
+            points.push(span_start);
+            points.push(span_end);
+            points.push(off.clamp(span_start, span_end));
+            points.push(end.clamp(span_start, span_end));
+            for &(s, ref e) in old {
+                points.push(s);
+                points.push(s + e.len());
+            }
+            points.sort_unstable();
+            points.dedup();
+
+            let mut result: Option<P> = None;
+            for w in points.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                if a == b {
+                    continue;
+                }
+                let in_new = a >= off && b <= end;
+                let old_piece = old
+                    .iter()
+                    .find(|(s, e)| *s <= a && a < s + e.len())
+                    .map(|(s, e)| e.slice(a - s, b - s));
+                let piece = match (old_piece, in_new) {
+                    (Some(op), true) => match mode {
+                        MergeMode::Overwrite => new.slice(a - off, b - off),
+                        MergeMode::Xor => {
+                            let mut x = op;
+                            x.xor_with(&new.slice(a - off, b - off));
+                            x
+                        }
+                    },
+                    (Some(op), false) => op,
+                    (None, true) => new.slice(a - off, b - off),
+                    (None, false) => {
+                        debug_assert!(false, "uncovered segment [{a}, {b})");
+                        continue;
+                    }
+                };
+                result = Some(match result {
+                    None => piece,
+                    Some(acc) => acc.concat(piece),
+                });
+            }
+            (span_start, result.expect("at least one segment"))
+        }
+
+        /// The per-chunk definite-miss test the word masks replaced.
+        fn reference_definitely_absent(&self, off: u32, len: u32) -> bool {
+            if len == 0 {
+                return true;
+            }
+            let first = (off / SUB_GRAIN) as usize;
+            let last = ((off + len - 1) / SUB_GRAIN) as usize;
+            for chunk in first..=last {
+                if let Some(word) = self.bitmap.get(chunk / 64) {
+                    if word >> (chunk % 64) & 1 == 1 {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        /// Coverage read off [`BlockIndex::lookup`]'s clipped pieces.
+        fn reference_covers(&self, off: u32, len: u32) -> bool {
+            let mut cursor = off;
+            let end = off + len;
+            for (s, p) in self.lookup(off, len) {
+                if s > cursor {
+                    return false;
+                }
+                cursor = cursor.max(s + p.len());
+                if cursor >= end {
+                    return true;
+                }
+            }
+            cursor >= end
+        }
+    }
+
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x >> 33
+    }
+
+    fn random_data(x: &mut u64, len: u32) -> Data {
+        let mut bytes = vec![0u8; len as usize];
+        for chunk in bytes.chunks_mut(4) {
+            chunk.copy_from_slice(&lcg(x).to_le_bytes()[..chunk.len()]);
+        }
+        Data::from_vec(bytes)
+    }
+
+    fn assert_same(fast: &BlockIndex<Data>, slow: &BlockIndex<Data>, what: &str) {
+        fn entries(b: &BlockIndex<Data>) -> Vec<(u32, &[u8])> {
+            b.iter().map(|(o, p)| (o, p.as_slice())).collect()
+        }
+        assert!(entries(fast) == entries(slow), "{what}: entries differ");
+        assert_eq!(fast.live_bytes, slow.live_bytes, "{what}: live bytes");
+        assert_eq!(fast.bitmap, slow.bitmap, "{what}: bitmap");
+    }
+
+    /// The splicing insert against the reference sweep on real bytes:
+    /// equal entries, bytes, live bytes and bitmap words after every
+    /// insert, in both merge modes, through a fixed prefix of the edge
+    /// cases and then seeded churn; `definitely_absent` and `covers` are
+    /// checked on random queries against their per-chunk and
+    /// lookup-based references.
+    #[test]
+    fn insert_matches_reference_sweep() {
+        const BLOCK: u32 = 512 << 10;
+        const WORD: u32 = 64 * SUB_GRAIN;
+        // (offset, length), in order, starting from an empty block.
+        let prefix = [
+            (10_000, 100),
+            (10_100, 50),      // touches on the left
+            (9_900, 100),      // touches on the right
+            (20_000, 10),      // a separate entry
+            (20_000, 10),      // a duplicate of it
+            (10_150, 9_850),   // touches on both sides
+            (12_000, 30),      // inside one entry
+            (40_000, 500),     // three more separate entries
+            (41_000, 500),     // ...
+            (42_000, 500),     // ...
+            (39_800, 3_000),   // bridges all three
+            (WORD - 100, 101), // crosses a word, ending one byte into chunk 64
+        ];
+        for mode in [MergeMode::Overwrite, MergeMode::Xor] {
+            let mut x = 99;
+            let (mut fast, mut slow) = (BlockIndex::new(), BlockIndex::new());
+            for (i, &(off, len)) in prefix.iter().enumerate() {
+                let p = random_data(&mut x, len);
+                fast.insert(off, p.clone(), mode);
+                slow.reference_insert(off, p, mode);
+                assert_same(&fast, &slow, &format!("{mode:?} prefix {i}"));
+            }
+            assert_eq!(fast.range_count(), 3, "{mode:?}");
+        }
+
+        let (mut absorbed, mut absent_queries, mut covered_queries) = (0, 0, 0);
+        for seed in 1..=8u64 {
+            for mode in [MergeMode::Overwrite, MergeMode::Xor] {
+                let mut x = seed;
+                let (mut fast, mut slow) = (BlockIndex::new(), BlockIndex::<Data>::new());
+                for call in 0..2_000 {
+                    // A log unit's index starts empty after each recycle;
+                    // restarting every 125 inserts keeps the block partly
+                    // covered.
+                    if call % 125 == 0 {
+                        (fast, slow) = (BlockIndex::new(), BlockIndex::new());
+                    }
+                    let entries: Vec<(u32, u32)> = slow.iter().map(|(o, p)| (o, p.len())).collect();
+                    let pick = (!entries.is_empty())
+                        .then(|| entries[lcg(&mut x) as usize % entries.len()]);
+                    let len = match lcg(&mut x) % 8 {
+                        0 => 1 + (lcg(&mut x) % (12 << 10)) as u32,
+                        _ => 1 + (lcg(&mut x) % 512) as u32,
+                    };
+                    let (off, len) = match (lcg(&mut x) % 8, pick) {
+                        (0, Some((s, l))) => (s + l, len),
+                        (1, Some((s, _))) if s >= len => (s - len, len),
+                        (2, Some((s, l))) => (s, l.min(12 << 10)),
+                        _ => ((lcg(&mut x) % (BLOCK - len) as u64) as u32, len),
+                    };
+                    let off = off.min(BLOCK - len);
+                    let before = slow.range_count();
+                    let p = random_data(&mut x, len);
+                    fast.insert(off, p.clone(), mode);
+                    slow.reference_insert(off, p, mode);
+                    let what = format!("seed {seed} {mode:?} call {call} [{off}, +{len})");
+                    assert_same(&fast, &slow, &what);
+                    absorbed += (slow.range_count() < before) as u32;
+
+                    for _ in 0..4 {
+                        let q_off = (lcg(&mut x) % (BLOCK + WORD) as u64) as u32;
+                        let q_len = (lcg(&mut x) % (1 << (lcg(&mut x) % 17))) as u32;
+                        let absent = fast.definitely_absent(q_off, q_len);
+                        assert_eq!(
+                            absent,
+                            fast.reference_definitely_absent(q_off, q_len),
+                            "{what}"
+                        );
+                        let covers = fast.covers(q_off, q_len);
+                        assert_eq!(covers, fast.reference_covers(q_off, q_len), "{what}");
+                        absent_queries += (absent && q_len > 0) as u32;
+                        covered_queries += (covers && q_len > 0) as u32;
+                    }
+                }
+            }
+        }
+        assert!(absorbed > 0, "no insert absorbed two or more entries");
+        assert!(absent_queries > 0, "no query was definitely absent");
+        assert!(covered_queries > 0, "no query was covered");
     }
 
     #[test]

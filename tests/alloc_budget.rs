@@ -76,22 +76,22 @@ fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
 }
 
 /// FO and PL allocate nothing per op of their own: what is left is the
-/// amortised growth of per-block maps and interval sets. The other
-/// methods' logs allocate as they index and recycle; their bounds pin
-/// today's counts so a regression shows.
+/// amortised growth of per-block maps and interval sets. The log-based
+/// methods' index inserts allocate nothing either, so what they have left
+/// is recycling and their logs' growth; each bound pins today's count so
+/// a regression shows.
 #[test]
 fn op_path_allocations_stay_within_budget() {
-    // (method, bound, marginal allocations per op before the op path
-    // stopped allocating its slice and parity lists and hashing through
-    // a reverse stripe map)
+    // (method, bound, marginal allocations per op before index inserts
+    // stopped building scratch vectors)
     let budgets: [(Arc<dyn UpdateMethod>, f64, f64); 7] = [
-        (Arc::new(Fo), 0.1, 1.888),
-        (Arc::new(Fl), 7.0, 8.259),
-        (Arc::new(Pl), 0.1, 1.897),
-        (Arc::new(Plr), 1.0, 2.628),
-        (Arc::new(Parix), 5.5, 6.647),
-        (Arc::new(Cord), 2.0, 3.374),
-        (Arc::new(Tsue), 2.5, 3.212),
+        (Arc::new(Fo), 0.1, 0.035),
+        (Arc::new(Fl), 1.0, 6.406),
+        (Arc::new(Pl), 0.1, 0.043),
+        (Arc::new(Plr), 1.0, 0.775),
+        (Arc::new(Parix), 0.5, 4.793),
+        (Arc::new(Cord), 0.25, 1.519),
+        (Arc::new(Tsue), 1.0, 2.108),
     ];
     let mut over = Vec::new();
     for (method, bound, before) in budgets {
