@@ -2,12 +2,11 @@
 //! over every update method via the method-spec grammar.
 //!
 //! Each method replays the Ali-Cloud mix bare and under `lru(S)+<method>`
-//! for a ramp of cache sizes, plus one policy-comparison cell per
-//! replacement policy and one `stage(8MiB,2ms)+lru(16MiB)+<method>` cell
-//! that exercises write coalescing. The table reports the spec string the
-//! cell was built from (every one must round-trip through
-//! `MethodSpec::parse`, which the sweep asserts per row), the hit ratio,
-//! update IOPS, and coalesced bytes.
+//! for a ramp of cache sizes, plus one
+//! `stage(8MiB,2ms)+lru(16MiB)+<method>` cell that exercises write
+//! coalescing. The table reports the spec string the cell was built from
+//! (every one must round-trip through `MethodSpec::parse`, which the sweep
+//! asserts per row), the hit ratio, update IOPS, and coalesced bytes.
 //!
 //! Expected shape: hit ratio grows monotonically with cache size for every
 //! method (the workload's Zipf hot set fits progressively better); caching
@@ -61,13 +60,6 @@ fn main() {
             push(format!("lru({size})+{method}"), Some(size));
         }
         push(format!("stage(8MiB,2ms)+lru(16MiB)+{method}"), None);
-    }
-    // Policy comparison on TSUE at the middle size (LRU's 16 MiB cell
-    // above is the third point).
-    for policy in ["plru", "adaptive"] {
-        let spec = format!("{policy}(16MiB)+TSUE");
-        grid.push(cell(&spec));
-        labels.push(("TSUE", spec, None));
     }
     let results = run_grid(&grid);
 

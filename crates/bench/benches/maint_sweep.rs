@@ -14,12 +14,14 @@
 //!   loss.
 //! - `scrub` — periodic scrubbing over the same LSE injection: the
 //!   detector working alone.
-//! - `full` — scrub + wear-leveling rebalance + tier demotion + lazy
-//!   defrag, all competing with the foreground for the same disks.
+//! - `full` — scrub + wear-leveling rebalance + tier demotion, all
+//!   competing with the foreground for the same disks.
 //!
 //! Findings the sweep asserts: scrubbing shrinks the latent-error exposure
-//! (`lse_latent`), the rebalancer narrows the fleet's wear spread below
-//! the no-maintenance baseline, scrub coverage is nonzero while the
+//! (`lse_latent`), rebalance and demotion together narrow the fleet's wear
+//! spread below the no-maintenance baseline (at default scale a full plan
+//! without demotion leaves TSUE at 1.59 against the baseline's 1.42, so
+//! demotion owns part of this finding), scrub coverage is nonzero while the
 //! foreground p99 stays finite, and the per-method foreground-p99 cost
 //! of the full plan under diurnal load is reported explicitly.
 
@@ -158,7 +160,6 @@ fn main() {
             ("lse_repaired", res.lse_repaired.into()),
             ("lse_latent", latent.into()),
             ("migrated_gib", res.maint_migrated_gib.into()),
-            ("defrag_gib", res.defrag_gib.into()),
             ("wear_spread", res.wear_spread.into()),
         ];
         report.add_row(res, cells);
@@ -171,7 +172,6 @@ fn main() {
             format!("{}/{}", res.lse_found, res.lse_injected),
             format!("{latent}"),
             format!("{:.2}", res.maint_migrated_gib),
-            format!("{:.2}", res.defrag_gib),
             format!("{:.2}", res.wear_spread),
         ]);
     }
@@ -186,7 +186,6 @@ fn main() {
             "LSE found",
             "latent",
             "migr GiB",
-            "defrag GiB",
             "wear spread",
         ],
         &rows,
@@ -224,8 +223,10 @@ fn main() {
         "scrubbing must shrink the latent exposure ({latent_scrubbed} vs {latent_exposed})"
     );
 
-    // 2. The wear story: the full plan's rebalancer narrows the fleet's
-    // wear spread below the no-maintenance baseline.
+    // 2. The wear story: the full plan's rebalancer and demoter together
+    // narrow the fleet's wear spread below the no-maintenance baseline.
+    // Demotion carries its share: at default scale, dropping it from the
+    // full plan leaves TSUE at 1.59 against the baseline's 1.42.
     let none = cell("diurnal", "none", "TSUE");
     let full = cell("diurnal", "full", "TSUE");
     println!(
@@ -234,7 +235,7 @@ fn main() {
     );
     assert!(
         full.wear_spread < none.wear_spread,
-        "the rebalancer must narrow the wear spread ({:.3} vs {:.3})",
+        "rebalance + demotion must narrow the wear spread ({:.3} vs {:.3})",
         full.wear_spread,
         none.wear_spread
     );

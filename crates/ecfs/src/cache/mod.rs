@@ -2,12 +2,12 @@
 //! [`UpdateMethod`] as a decorator.
 //!
 //! [`Cached`] wraps a registered driver (built-in or out-of-tree) without
-//! the driver knowing: it interposes on the read path with a pluggable
-//! page cache ([`PageCache`], policies in [`CachePolicy`]) and on the
-//! update path with a per-node write-coalescing staging buffer that
-//! absorbs overlapping 4 KiB updates into one downstream delta. Flushes
-//! happen on the simulation timeline — at a size threshold, at an age
-//! deadline after the first unflushed byte, and unconditionally at drain.
+//! the driver knowing: it interposes on the read path with an LRU page
+//! cache ([`PageCache`]) and on the update path with a per-node
+//! write-coalescing staging buffer that absorbs overlapping 4 KiB updates
+//! into one downstream delta. Flushes happen on the simulation timeline —
+//! at a size threshold, at an age deadline after the first unflushed
+//! byte, and unconditionally at drain.
 //!
 //! Composition is spelled in the method-spec grammar
 //! ([`crate::methods::spec`]): `"lru(64MiB)+FO"` is FO behind a 64 MiB
@@ -46,22 +46,20 @@ use crate::methods::spec::{Decorator, MethodSpec, ResolveError};
 use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 
-pub use policy::{CachePolicy, PageCache, PAGE_BYTES};
+pub use policy::{PageCache, PAGE_BYTES};
 
 /// Read-cache configuration for [`Cached`] /
 /// [`crate::config::ClusterConfigBuilder::cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Replacement policy.
-    pub policy: CachePolicy,
     /// Per-node capacity in bytes (at least one 4 KiB page).
     pub bytes: u64,
 }
 
 impl CacheConfig {
-    /// A cache of `bytes` capacity under `policy`.
-    pub fn new(policy: CachePolicy, bytes: u64) -> CacheConfig {
-        CacheConfig { policy, bytes }
+    /// An LRU cache of `bytes` capacity.
+    pub fn new(bytes: u64) -> CacheConfig {
+        CacheConfig { bytes }
     }
 
     fn validate(&self) -> Result<(), ResolveError> {
@@ -75,10 +73,7 @@ impl CacheConfig {
     }
 
     fn decorator(&self) -> Decorator {
-        Decorator::Cache {
-            policy: self.policy,
-            bytes: self.bytes,
-        }
+        Decorator::Cache { bytes: self.bytes }
     }
 }
 
@@ -246,8 +241,8 @@ impl Cached {
         let mut staging = None;
         for d in decorators {
             match *d {
-                Decorator::Cache { policy, bytes } => {
-                    if cache.replace(CacheConfig { policy, bytes }).is_some() {
+                Decorator::Cache { bytes } => {
+                    if cache.replace(CacheConfig { bytes }).is_some() {
                         return Err(ResolveError::BadDecorator {
                             what: d.to_string(),
                             reason: "duplicate cache decorator".to_string(),
@@ -265,11 +260,6 @@ impl Cached {
             }
         }
         Cached::wrap(inner, cache, staging)
-    }
-
-    /// The wrapped method.
-    pub fn inner(&self) -> &Arc<dyn UpdateMethod> {
-        &self.inner
     }
 
     /// Stages `ctx`'s range on its data node and acks the client. Returns
@@ -404,7 +394,7 @@ impl UpdateMethod for Cached {
 
     fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
         Box::new(CacheNodeState {
-            cache: self.cache.map(|c| PageCache::new(c.policy, c.bytes)),
+            cache: self.cache.map(|c| PageCache::new(c.bytes)),
             stage: self.staging.map(|_| StageBuf::default()),
             wrapped: self.inner.new_node_state(cfg),
         })
@@ -521,7 +511,7 @@ mod tests {
     fn wrap_name_is_a_parseable_spec() {
         let m = Cached::wrap(
             Arc::new(Plr),
-            Some(CacheConfig::new(CachePolicy::Lru, 64 << 20)),
+            Some(CacheConfig::new(64 << 20)),
             Some(StagingConfig::new(8 << 20, 2_000_000)),
         )
         .unwrap();
@@ -533,39 +523,20 @@ mod tests {
 
     #[test]
     fn wrap_rejects_stacking() {
-        let once = Cached::wrap(
-            Arc::new(Fo),
-            Some(CacheConfig::new(CachePolicy::Plru, 1 << 20)),
-            None,
-        )
-        .unwrap();
-        let twice = Cached::wrap(
-            once,
-            Some(CacheConfig::new(CachePolicy::Lru, 1 << 20)),
-            None,
-        );
+        let once = Cached::wrap(Arc::new(Fo), Some(CacheConfig::new(1 << 20)), None).unwrap();
+        let twice = Cached::wrap(once, Some(CacheConfig::new(1 << 20)), None);
         assert!(matches!(twice, Err(ResolveError::BadDecorator { .. })));
     }
 
     #[test]
     fn wrap_validates_sizes() {
-        assert!(Cached::wrap(
-            Arc::new(Fo),
-            Some(CacheConfig::new(CachePolicy::Lru, 100)),
-            None,
-        )
-        .is_err());
+        assert!(Cached::wrap(Arc::new(Fo), Some(CacheConfig::new(100)), None).is_err());
         assert!(Cached::wrap(Arc::new(Fo), None, Some(StagingConfig::new(8 << 20, 0))).is_err());
     }
 
     #[test]
     fn node_state_looks_through_to_wrapped() {
-        let m = Cached::wrap(
-            Arc::new(Tsue),
-            Some(CacheConfig::new(CachePolicy::Lru, 1 << 20)),
-            None,
-        )
-        .unwrap();
+        let m = Cached::wrap(Arc::new(Tsue), Some(CacheConfig::new(1 << 20)), None).unwrap();
         let cfg =
             crate::config::ClusterConfig::ssd_testbed(rscode::CodeParams::new(6, 3).unwrap(), m);
         let mut state = cfg.method.new_node_state(&cfg);

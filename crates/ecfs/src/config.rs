@@ -672,11 +672,11 @@ mod tests {
 
     #[test]
     fn builder_arms_cache_and_staging() {
-        use crate::cache::{CacheConfig, CachePolicy, StagingConfig};
+        use crate::cache::{CacheConfig, StagingConfig};
         let cfg = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .method(Arc::new(Fo))
-            .cache(CacheConfig::new(CachePolicy::Lru, 64 << 20))
+            .cache(CacheConfig::new(64 << 20))
             .staging(StagingConfig::new(8 << 20, 2_000_000))
             .build()
             .unwrap();
@@ -686,7 +686,7 @@ mod tests {
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .method(Arc::new(Fo))
-            .cache(CacheConfig::new(CachePolicy::Lru, 16))
+            .cache(CacheConfig::new(16))
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("cache size"));

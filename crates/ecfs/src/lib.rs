@@ -39,7 +39,7 @@ pub mod recovery;
 pub mod replay;
 pub mod telemetry;
 
-pub use cache::{CacheConfig, CachePolicy, Cached, PageCache, StagingConfig};
+pub use cache::{CacheConfig, Cached, PageCache, StagingConfig};
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures};
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
@@ -63,7 +63,7 @@ pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 /// assert!(rcfg.validate().is_ok());
 /// ```
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, CachePolicy, Cached, PageCache, StagingConfig};
+    pub use crate::cache::{CacheConfig, Cached, PageCache, StagingConfig};
     pub use crate::cluster::{Cluster, IntervalSet, Metrics, Oracle, Osd};
     pub use crate::config::{
         ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures,
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::fleet::{DiskFleet, DiskProfile};
     pub use crate::layout::{BlockAddr, BlockSlice, Layout};
     pub use crate::maintenance::{
-        DefragConfig, DemoteConfig, LseConfig, MaintState, MaintenancePlan, MaintenancePolicy,
-        RebalanceConfig, ScrubConfig,
+        DemoteConfig, LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, RebalanceConfig,
+        ScrubConfig,
     };
     pub use crate::methods::{
         build_method, builtins, register_method, Cord, Decorator, Fl, Fo, MethodRegistry,

@@ -7,8 +7,8 @@
 //! fine. On a mixed fleet this policy therefore (a) drains parity
 //! blocks — recycle targets, never read synchronously — from flash
 //! nodes to the emptiest spindle node, one block per tick, and (b)
-//! optionally pins TSUE's replica append to flash nodes
-//! ([`crate::maintenance::DemoteConfig::pin_appends`]) so the
+//! pins TSUE's replica append to flash nodes
+//! ([`crate::maintenance::MaintState::pin_appends`]) so the
 //! two-append critical path never waits on a seek.
 
 use simdes::{Sim, SimTime};

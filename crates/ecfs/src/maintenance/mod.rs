@@ -2,10 +2,10 @@
 //! foreground traffic on the shared simulation timeline.
 //!
 //! Real EC clusters spend a standing fraction of their I/O budget on
-//! maintenance — scrubbing for latent sector errors, wear leveling,
-//! tier migration, defragmentation — and that traffic contends with
-//! clients on the very same disks, racks, and spines. This module
-//! generalises the one-shot repair pump into a policy engine:
+//! maintenance — scrubbing for latent sector errors, wear leveling, tier
+//! migration — and that traffic contends with clients on the very same
+//! disks, racks, and spines. This module generalises the one-shot repair
+//! pump into a policy engine:
 //!
 //! * [`MaintenancePolicy`] — the object-safe contract a background task
 //!   implements: a pacing interval plus a `tick` that books one bounded
@@ -14,15 +14,13 @@
 //!   carried by [`crate::replay::ReplayConfig`]. An **empty plan is
 //!   byte-for-byte the old behaviour**: nothing is armed, no state is
 //!   touched, every existing golden holds;
-//! * four built-in policies:
+//! * three built-in policies:
 //!   [`scrub::Scrub`] (periodic media scan that detects injected latent
 //!   sector errors and repairs them through the normal rebuild path),
 //!   [`rebalance::Rebalance`] (migrates block extents off the most-worn
 //!   device, closing the loop on the observed-only `wear_bytes`
 //!   counters), [`demote::Demote`] (the paper's §5.4 insight automated:
-//!   parity blocks drain from flash to spindles on mixed fleets), and
-//!   [`defrag::Defrag`] (compacts update-fragmented stripes, but only
-//!   during idle valleys).
+//!   parity blocks drain from flash to spindles on mixed fleets).
 //!
 //! Every policy runs under one horizon-bounded scheduler (`tick`):
 //! one work item per event, rescheduled at
@@ -31,7 +29,6 @@
 //! [`WindowSet`] so the replay engine can attribute foreground latency
 //! to maintenance-busy versus maintenance-idle windows.
 
-pub mod defrag;
 pub mod demote;
 pub mod rebalance;
 pub mod scrub;
@@ -40,7 +37,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use simdes::stats::WindowSet;
-use simdes::units::{MICROS, MILLIS};
+use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::LseModel;
 
@@ -82,45 +79,19 @@ impl Default for RebalanceConfig {
     }
 }
 
-/// Tier-aware demotion configuration (§5.4 automated).
+/// Tier-aware demotion configuration (§5.4 automated). While demotion
+/// is armed, TSUE's synchronous log appends also prefer flash nodes
+/// ([`MaintState::pin_appends`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemoteConfig {
     /// Pacing interval between demotion moves.
     pub interval_ns: SimTime,
-    /// Whether synchronous log appends should prefer flash nodes while
-    /// the plan is active (TSUE replica placement).
-    pub pin_appends: bool,
 }
 
 impl Default for DemoteConfig {
     fn default() -> Self {
         DemoteConfig {
             interval_ns: 4 * MILLIS,
-            pin_appends: true,
-        }
-    }
-}
-
-/// Lazy-defrag configuration: compaction runs only when the cluster has
-/// been idle for at least `idle_ns`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DefragConfig {
-    /// Pacing interval between defrag probes.
-    pub interval_ns: SimTime,
-    /// Minimum time since the last foreground completion before a
-    /// compaction is allowed to start (the idle-valley gate).
-    pub idle_ns: SimTime,
-    /// A data block qualifies once it carries at least this many
-    /// distinct applied update ranges.
-    pub min_spans: usize,
-}
-
-impl Default for DefragConfig {
-    fn default() -> Self {
-        DefragConfig {
-            interval_ns: MILLIS,
-            idle_ns: 500 * MICROS,
-            min_spans: 3,
         }
     }
 }
@@ -174,8 +145,6 @@ pub struct MaintenancePlan {
     pub rebalance: Option<RebalanceConfig>,
     /// Tier-aware parity demotion, if enabled.
     pub demote: Option<DemoteConfig>,
-    /// Lazy defragmentation, if enabled.
-    pub defrag: Option<DefragConfig>,
     /// Latent-sector-error injection, if enabled. An LSE-only plan is
     /// legal: it seeds errors without any policy to find them — the
     /// exposure baseline the scrub policy is measured against.
@@ -192,7 +161,6 @@ impl Default for MaintenancePlan {
             scrub: None,
             rebalance: None,
             demote: None,
-            defrag: None,
             lse: None,
             horizon_ns: 80 * MILLIS,
         }
@@ -205,14 +173,13 @@ impl MaintenancePlan {
         MaintenancePlan::default()
     }
 
-    /// All four policies plus LSE injection, at default settings — the
+    /// All three policies plus LSE injection, at default settings — the
     /// bench's "full hygiene" configuration.
     pub fn full() -> MaintenancePlan {
         MaintenancePlan::new()
             .with_scrub(ScrubConfig::default())
             .with_rebalance(RebalanceConfig::default())
             .with_demote(DemoteConfig::default())
-            .with_defrag(DefragConfig::default())
             .with_lse(LseConfig::default())
     }
 
@@ -234,12 +201,6 @@ impl MaintenancePlan {
         self
     }
 
-    /// Enables lazy defragmentation.
-    pub fn with_defrag(mut self, cfg: DefragConfig) -> MaintenancePlan {
-        self.defrag = Some(cfg);
-        self
-    }
-
     /// Enables latent-sector-error injection.
     pub fn with_lse(mut self, cfg: LseConfig) -> MaintenancePlan {
         self.lse = Some(cfg);
@@ -257,7 +218,6 @@ impl MaintenancePlan {
         self.scrub.is_none()
             && self.rebalance.is_none()
             && self.demote.is_none()
-            && self.defrag.is_none()
             && self.lse.is_none()
     }
 
@@ -290,14 +250,6 @@ impl MaintenancePlan {
             let any_hdd = (0..cfg.nodes).any(|n| !cfg.fleet.is_ssd(n));
             if !any_ssd || !any_hdd {
                 return Err("tier demotion needs a mixed fleet (>=1 SSD and >=1 HDD node)".into());
-            }
-        }
-        if let Some(d) = &self.defrag {
-            if d.interval_ns == 0 || d.idle_ns == 0 {
-                return Err("defrag interval and idle gate must be non-zero".into());
-            }
-            if d.min_spans < 2 {
-                return Err("defrag min_spans must be >= 2 (1 span is not fragmented)".into());
             }
         }
         if let Some(l) = &self.lse {
@@ -349,8 +301,8 @@ pub struct MaintState {
     /// Union of maintenance-busy time spans, for foreground-latency
     /// cost attribution.
     pub windows: WindowSet,
-    /// Whether TSUE appends should prefer flash replicas (set by an
-    /// armed [`DemoteConfig::pin_appends`]).
+    /// Whether TSUE appends should prefer flash replicas (set whenever
+    /// the plan arms demotion).
     pub pin_appends: bool,
     /// Media bytes scanned by the scrubber.
     pub scrub_bytes: u64,
@@ -364,10 +316,6 @@ pub struct MaintState {
     pub migrated_bytes: u64,
     /// Bytes demoted from flash to spindles.
     pub demoted_bytes: u64,
-    /// Bytes rewritten by the defragmenter.
-    pub defrag_bytes: u64,
-    /// Fragmented blocks the defragmenter compacted.
-    pub defrag_stripes: u64,
     /// Live-fleet wear spread (max/mean) sampled at the rebalancer's
     /// first sight of non-zero wear — the "before" of before/after.
     pub wear_spread_before: f64,
@@ -392,7 +340,7 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
             cl.nodes[node].disk.install_lse(model);
         }
     }
-    cl.maint.pin_appends = plan.demote.as_ref().is_some_and(|d| d.pin_appends);
+    cl.maint.pin_appends = plan.demote.is_some();
 
     let mut policies: Vec<Arc<dyn MaintenancePolicy>> = Vec::new();
     if let Some(c) = plan.scrub {
@@ -403,9 +351,6 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
     }
     if let Some(c) = plan.demote {
         policies.push(Arc::new(demote::Demote::new(c)));
-    }
-    if let Some(c) = plan.defrag {
-        policies.push(Arc::new(defrag::Defrag::new(c)));
     }
     for policy in policies {
         let slot = cl.maint.slots.len();
@@ -471,7 +416,6 @@ mod tests {
         assert!(plan.scrub.is_some());
         assert!(plan.rebalance.is_some());
         assert!(plan.demote.is_some());
-        assert!(plan.defrag.is_some());
         assert!(plan.lse.is_some());
         assert!(!plan.is_empty());
     }
@@ -519,17 +463,14 @@ mod tests {
     }
 
     #[test]
-    fn defrag_and_lse_bounds_rejected() {
-        let d = DefragConfig {
-            min_spans: 1,
-            ..DefragConfig::default()
-        };
-        assert!(MaintenancePlan::new()
-            .with_defrag(d)
-            .validate(&cfg())
-            .is_err());
+    fn lse_bounds_rejected() {
         let l = LseConfig {
             per_device: 0,
+            ..LseConfig::default()
+        };
+        assert!(MaintenancePlan::new().with_lse(l).validate(&cfg()).is_err());
+        let l = LseConfig {
+            span_bytes: 0,
             ..LseConfig::default()
         };
         assert!(MaintenancePlan::new().with_lse(l).validate(&cfg()).is_err());

@@ -245,8 +245,8 @@ mod tests {
 
     #[test]
     fn build_method_matches_registry_build() {
-        let spec = MethodSpec::parse("plru(32MiB)+PL").unwrap();
+        let spec = MethodSpec::parse("lru(32MiB)+PL").unwrap();
         let m = build_method(&spec).unwrap();
-        assert_eq!(m.name(), "plru(32MiB)+PL");
+        assert_eq!(m.name(), "lru(32MiB)+PL");
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Decorator segments are `name(args)`:
 //!
-//! * `lru(SIZE)` / `plru(SIZE)` / `adaptive(SIZE)` — a node-local read
-//!   cache with that replacement policy ([`crate::cache::CachePolicy`]);
+//! * `lru(SIZE)` — a node-local LRU read cache of `SIZE` bytes per node
+//!   ([`crate::cache::PageCache`]);
 //! * `stage(SIZE,AGE)` — a write-coalescing staging buffer flushed at
 //!   `SIZE` staged bytes or `AGE` after the first unflushed byte.
 //!
@@ -30,16 +30,14 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::cache::{CachePolicy, PAGE_BYTES};
+use crate::cache::PAGE_BYTES;
 
 /// A cache-layer decorator in front of a base method, as parsed from one
 /// `name(args)` spec segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decorator {
-    /// A node-local read cache: `lru(SIZE)`, `plru(SIZE)`, `adaptive(SIZE)`.
+    /// A node-local LRU read cache: `lru(SIZE)`.
     Cache {
-        /// Replacement policy (the segment name).
-        policy: CachePolicy,
         /// Cache capacity in bytes.
         bytes: u64,
     },
@@ -55,9 +53,7 @@ pub enum Decorator {
 impl fmt::Display for Decorator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Decorator::Cache { policy, bytes } => {
-                write!(f, "{policy}({})", FmtBytes(*bytes))
-            }
+            Decorator::Cache { bytes } => write!(f, "lru({})", FmtBytes(*bytes)),
             Decorator::Stage { bytes, age_ns } => {
                 write!(f, "stage({},{})", FmtBytes(*bytes), FmtDur(*age_ns))
             }
@@ -309,17 +305,14 @@ fn parse_decorator(seg: &str) -> Result<Decorator, ResolveError> {
         }
         return Ok(Decorator::Stage { bytes, age_ns });
     }
-    let Some(policy) = CachePolicy::parse(name) else {
-        return Err(bad(
-            seg,
-            "unknown decorator (expected stage, lru, plru, or adaptive)",
-        ));
-    };
+    if !name.eq_ignore_ascii_case("lru") {
+        return Err(bad(seg, "unknown decorator (expected stage or lru)"));
+    }
     let bytes = parse_bytes(args).map_err(|e| bad(seg, e))?;
     if bytes < PAGE_BYTES {
         return Err(bad(seg, format!("cache size must be >= {PAGE_BYTES} B")));
     }
-    Ok(Decorator::Cache { policy, bytes })
+    Ok(Decorator::Cache { bytes })
 }
 
 impl FromStr for MethodSpec {
@@ -360,10 +353,7 @@ mod tests {
                     bytes: 8 << 20,
                     age_ns: 2_000_000
                 },
-                Decorator::Cache {
-                    policy: CachePolicy::Lru,
-                    bytes: 64 << 20
-                },
+                Decorator::Cache { bytes: 64 << 20 },
             ]
         );
         // Canonical rendering: largest exact units, no spaces.
@@ -397,6 +387,15 @@ mod tests {
         ));
         assert!(matches!(
             MethodSpec::parse("stage(8MiB,0ms)+FO"),
+            Err(ResolveError::BadDecorator { .. })
+        ));
+        // LRU is the only cache policy.
+        assert!(matches!(
+            MethodSpec::parse("plru(16MiB)+FO"),
+            Err(ResolveError::BadDecorator { .. })
+        ));
+        assert!(matches!(
+            MethodSpec::parse("adaptive(16MiB)+FO"),
             Err(ResolveError::BadDecorator { .. })
         ));
     }

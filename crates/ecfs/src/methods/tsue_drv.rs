@@ -173,11 +173,11 @@ fn tsue_state(cl: &mut Cluster, node: usize) -> &mut TsueState {
 }
 
 /// The replica node for a data log: the next live OSD on the ring — or,
-/// when the maintenance plan pins appends to flash
-/// ([`crate::maintenance::DemoteConfig::pin_appends`]), the next live
+/// when the maintenance plan arms demotion
+/// ([`crate::maintenance::MaintState::pin_appends`]), the next live
 /// *flash* OSD, so the synchronous replica append never waits on a
-/// spindle seek. Without an armed plan the flag is false and the path
-/// is byte-for-byte the plain ring walk.
+/// spindle seek. Without demotion the flag is false and the path is
+/// byte-for-byte the plain ring walk.
 fn replica_of(cl: &Cluster, node: usize) -> usize {
     let n = cl.cfg.nodes;
     let mut r = (node + 1) % n;

@@ -510,8 +510,6 @@ pub struct RunResult {
     pub lse_repaired: u64,
     /// GiB migrated by wear-leveling rebalance plus tier demotion.
     pub maint_migrated_gib: f64,
-    /// GiB rewritten by the lazy defragmenter.
-    pub defrag_gib: f64,
     /// Live-fleet wear spread (max/mean) at the rebalancer's first
     /// non-zero sample — compare against the end-of-run
     /// [`RunResult::wear_spread`] for the before/after story.
@@ -1095,7 +1093,6 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         lse_found: lse_detected,
         lse_repaired,
         maint_migrated_gib: (cl.maint.migrated_bytes + cl.maint.demoted_bytes) as f64 / GIB,
-        defrag_gib: cl.maint.defrag_bytes as f64 / GIB,
         wear_spread_before: cl.maint.wear_spread_before,
         maint_busy_p99_us,
         maint_idle_p99_us,

@@ -70,7 +70,7 @@ pub enum Stage {
     Recycle = 8,
     /// Background: post-fault block rebuild.
     Repair = 9,
-    /// Background: maintenance window (scrub, rebalance, demote, defrag).
+    /// Background: maintenance window (scrub, rebalance, demote).
     Maintenance = 10,
     /// Served from the node-local cache layer (read hit: no disk touched).
     CacheHit = 11,

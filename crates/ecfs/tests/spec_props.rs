@@ -19,25 +19,17 @@ const BASES: [&str; 8] = [
     "my_method-9",
 ];
 
-fn policy_of(idx: u64) -> CachePolicy {
-    CachePolicy::ALL[idx as usize % CachePolicy::ALL.len()]
-}
-
 /// Builds a structurally valid spec from raw draws. `shape` picks the
 /// decorator combination (none, cache, stage, stage+cache, cache+stage —
 /// the grammar admits either order).
 fn build_spec(
     shape: u64,
-    policy_idx: u64,
     cache_bytes: u64,
     stage_bytes: u64,
     age_ns: u64,
     base_idx: u64,
 ) -> MethodSpec {
-    let cache = Decorator::Cache {
-        policy: policy_of(policy_idx),
-        bytes: cache_bytes,
-    };
+    let cache = Decorator::Cache { bytes: cache_bytes };
     let stage = Decorator::Stage {
         bytes: stage_bytes,
         age_ns,
@@ -59,17 +51,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Display → parse is the identity on every structurally valid spec,
-    /// for any decorator shape, policy, and in-range sizes/ages.
+    /// for any decorator shape and in-range sizes/ages.
     #[test]
     fn structured_specs_round_trip(
         shape in 0u64..5,
-        policy_idx in 0u64..3,
         cache_bytes in PAGE_BYTES..(1u64 << 40),
         stage_bytes in PAGE_BYTES..(1u64 << 40),
         age_ns in 1u64..(1u64 << 40),
         base_idx in 0u64..8,
     ) {
-        let spec = build_spec(shape, policy_idx, cache_bytes, stage_bytes, age_ns, base_idx);
+        let spec = build_spec(shape, cache_bytes, stage_bytes, age_ns, base_idx);
         let rendered = spec.to_string();
         let parsed = MethodSpec::parse(&rendered).expect("canonical rendering must parse");
         prop_assert_eq!(&parsed, &spec, "{} did not round-trip", rendered);
@@ -83,7 +74,6 @@ proptest! {
     #[test]
     fn decorator_prefix_tolerates_case_and_spaces(
         shape in 1u64..5,
-        policy_idx in 0u64..3,
         cache_bytes in PAGE_BYTES..(1u64 << 30),
         stage_bytes in PAGE_BYTES..(1u64 << 30),
         age_ns in 1u64..(1u64 << 30),
@@ -91,7 +81,7 @@ proptest! {
         flips in proptest::collection::vec(any::<bool>(), 64),
         pad in 0usize..3,
     ) {
-        let spec = build_spec(shape, policy_idx, cache_bytes, stage_bytes, age_ns, base_idx);
+        let spec = build_spec(shape, cache_bytes, stage_bytes, age_ns, base_idx);
         let rendered = spec.to_string();
         let split = rendered.rfind('+').expect("shape >= 1 has a decorator") + 1;
         let (prefix, base) = rendered.split_at(split);

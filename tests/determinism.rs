@@ -106,7 +106,6 @@ fn canon(r: &RunResult) -> String {
         lse_found,
         lse_repaired,
         maint_migrated_gib,
-        defrag_gib,
         wear_spread_before,
         maint_busy_p99_us,
         maint_idle_p99_us,
@@ -137,7 +136,7 @@ fn canon(r: &RunResult) -> String {
          scale=({active_clients_peak},{client_state_bytes},{workload_state_bytes}) \
          fleet=({disk_fill_max:?},{disk_fill_min:?},{wear_max_bytes},{wear_spread:?},{copysets_used}) \
          maint=({scrub_gib:?},{lse_injected},{lse_found},{lse_repaired},{maint_migrated_gib:?},\
-         {defrag_gib:?},{wear_spread_before:?},{maint_busy_p99_us:?},{maint_idle_p99_us:?}) \
+         {wear_spread_before:?},{maint_busy_p99_us:?},{maint_idle_p99_us:?}) \
          trace=({stage_breakdown:?},{trace_dropped_spans}) \
          events={sim_events}"
     );
@@ -180,19 +179,6 @@ fn run_twice_equal_at_the_wider_plan() {
         rcfg.faults = rcfg.faults.clone().fail_node(6 * simdes::units::MILLIS, 9);
         assert_runs_twice_equal(rcfg);
     }
-}
-
-/// Defrag is the one policy that reads the oracle mid-run (acked span
-/// counts are its fragmentation signal).
-#[test]
-fn run_twice_equal_with_defrag() {
-    let mut rcfg = replay(Arc::new(Tsue), 3, 100);
-    armed_plans(&mut rcfg);
-    rcfg.maintenance = rcfg
-        .maintenance
-        .clone()
-        .with_defrag(DefragConfig::default());
-    assert_runs_twice_equal(rcfg);
 }
 
 /// The open-loop path (the load_sweep cell shape): arrival events, the

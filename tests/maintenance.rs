@@ -1,6 +1,6 @@
 //! Maintenance-subsystem integration tests: the empty-plan byte-for-byte
 //! guarantee, scrub/LSE detection and repair, wear-leveling rebalance,
-//! tier demotion, idle-valley defrag, and parallel-grid determinism with
+//! tier demotion, and parallel-grid determinism with
 //! non-empty plans — mirroring the fault-plan precedent in
 //! `tests/fault_timeline.rs`.
 
@@ -70,7 +70,6 @@ fn empty_plan_reproduces_maintenance_free_golden() {
     assert_eq!(r.lse_found, 0);
     assert_eq!(r.lse_repaired, 0);
     assert_eq!(r.maint_migrated_gib, 0.0);
-    assert_eq!(r.defrag_gib, 0.0);
     assert_eq!(r.wear_spread_before, 0.0);
     assert_eq!(r.maint_busy_p99_us, 0.0);
     assert_eq!(r.maint_idle_p99_us, 0.0);
@@ -163,26 +162,6 @@ fn demotion_moves_parity_off_flash_on_tiered_fleet() {
     assert!(flat.validate().is_err(), "demote on flash-only fleet");
 }
 
-/// Defrag only runs in idle valleys: a short run with a maintenance
-/// horizon past the last completion gives it an idle tail to work in,
-/// and it rewrites fragmented stripes there.
-#[test]
-fn defrag_works_the_idle_tail() {
-    let mut rcfg = replay(Arc::new(Tsue), 4, 100);
-    rcfg.maintenance = MaintenancePlan::new()
-        .with_defrag(DefragConfig::default())
-        .with_horizon(100 * simdes::units::MILLIS);
-    rcfg.validate().expect("defrag plan validates");
-    let r = Replay::run(&rcfg).result;
-
-    assert_eq!(r.oracle_violations, 0);
-    assert!(
-        r.defrag_gib > 0.0,
-        "defrag never fired in the idle tail (defrag_gib = {})",
-        r.defrag_gib
-    );
-}
-
 /// Maintenance must preserve the parallel-replay guarantee: a grid with
 /// non-empty maintenance plans fans out across threads and produces
 /// results identical to serial runs, field for field — including every
@@ -224,7 +203,6 @@ fn parallel_maintained_grid_matches_serial() {
         assert_eq!(p.failed_ops, s.failed_ops);
         assert!((p.scrub_gib - s.scrub_gib).abs() < 1e-12, "{}", p.method);
         assert!((p.maint_migrated_gib - s.maint_migrated_gib).abs() < 1e-12);
-        assert!((p.defrag_gib - s.defrag_gib).abs() < 1e-12);
         assert!((p.wear_spread - s.wear_spread).abs() < 1e-12);
         assert!((p.wear_spread_before - s.wear_spread_before).abs() < 1e-12);
         assert!((p.maint_busy_p99_us - s.maint_busy_p99_us).abs() < 1e-9);

@@ -208,7 +208,6 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
         lse_found,
         lse_repaired,
         maint_migrated_gib,
-        defrag_gib,
         wear_spread_before,
         maint_busy_p99_us,
         maint_idle_p99_us,
@@ -275,7 +274,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
     assert!(disk_fill_max >= disk_fill_min && disk_fill_min >= 0.0);
     assert!(wear_max_bytes > 0 && wear_spread >= 1.0);
     assert!(copysets_used > 0);
-    assert_eq!((scrub_gib, maint_migrated_gib, defrag_gib), (0.0, 0.0, 0.0));
+    assert_eq!((scrub_gib, maint_migrated_gib), (0.0, 0.0));
     assert_eq!((lse_injected, lse_found, lse_repaired), (0, 0, 0));
     assert_eq!(wear_spread_before, 0.0);
     assert_eq!((maint_busy_p99_us, maint_idle_p99_us), (0.0, 0.0));
