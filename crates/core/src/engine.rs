@@ -16,6 +16,7 @@
 //! payloads for performance modelling; this engine runs them with real
 //! bytes and real `parking_lot`/`crossbeam` concurrency.
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,12 +25,9 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rscode::{delta::data_delta, CodeParams, ReedSolomon};
 
 use crate::index::MergeMode;
-use crate::layers::{
-    group_data_jobs, group_delta_jobs, group_parity_jobs, BlockId, LogPoolSet, ParityKey,
-    StripeBlock,
-};
+use crate::layers::{group_delta_jobs, union_ranges, BlockId, LogPoolSet, ParityKey, StripeBlock};
 use crate::payload::{Data, Payload};
-use crate::pool::{AppendOutcome, PoolConfig};
+use crate::pool::{AppendOutcome, PoolConfig, TakenUnit};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -228,150 +226,134 @@ impl Shared {
     /// was nothing to do. Terminal layers first so stalled upper layers
     /// drain fastest.
     fn recycle_once(&self) -> bool {
-        if self.recycle_parity_once() {
-            return true;
-        }
-        if self.recycle_delta_once() {
-            return true;
-        }
-        self.recycle_data_once()
+        self.recycle_parity_once() || self.recycle_delta_once() || self.recycle_data_once()
+    }
+
+    /// The lifecycle every layer shares: take a unit with `take` under the
+    /// layer lock, fold its contents with `fold` with the lock released,
+    /// then hand the unit back and wake waiters. Returns false if there was
+    /// nothing to take.
+    fn recycle_unit<K, T, F>(&self, log: &Mutex<LogPoolSet<K, Data>>, take: T, fold: F) -> bool
+    where
+        K: Hash + Eq + Ord + Clone,
+        T: FnOnce(&mut LogPoolSet<K, Data>) -> Option<(usize, TakenUnit<K, Data>)>,
+        F: FnOnce(Vec<(K, Vec<(u32, Data)>)>),
+    {
+        let taken = take(&mut log.lock());
+        let Some((pool, taken)) = taken else {
+            return false;
+        };
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        fold(taken.contents);
+        log.lock().finish_recycle(pool, taken.id);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.work_cv.notify_all();
+        true
     }
 
     /// DataLog recycle: fold newest data into blocks, forward deltas.
     fn recycle_data_once(&self) -> bool {
-        let taken = {
-            let mut log = self.data_log.lock();
-            // Ordered take: per-pool serialisation keeps newest-wins safe.
-            log.take_recyclable_ordered()
-        };
-        let Some((pool_idx, taken)) = taken else {
-            return false;
-        };
-        let unit_id = taken.id;
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        for job in group_data_jobs(taken.contents) {
-            let (stripe, block_idx) = self.id_to_stripe_block(job.block);
-            let slot = self.block_slot(stripe, block_idx as usize);
-            // Compute deltas and apply new data under the block lock.
-            let mut deltas: Vec<(u32, Data)> = Vec::with_capacity(job.ranges.len());
-            {
-                let mut block = self.blocks[slot].write();
-                for (off, data) in &job.ranges {
-                    let bytes = data.as_slice();
-                    let range = *off as usize..*off as usize + bytes.len();
-                    deltas.push((
-                        *off,
-                        Data::from_vec(data_delta(&block[range.clone()], bytes)),
-                    ));
-                    block[range].copy_from_slice(bytes);
-                    self.applied_ranges.fetch_add(1, Ordering::Relaxed);
+        // Ordered take: per-pool serialisation keeps newest-wins safe.
+        self.recycle_unit(
+            &self.data_log,
+            LogPoolSet::take_recyclable_ordered,
+            |contents| {
+                for (block, ranges) in contents {
+                    let (stripe, block_idx) = self.id_to_stripe_block(block);
+                    let slot = self.block_slot(stripe, block_idx as usize);
+                    // Compute deltas and apply new data under the block lock.
+                    let mut deltas: Vec<(u32, Data)> = Vec::with_capacity(ranges.len());
+                    {
+                        let mut block = self.blocks[slot].write();
+                        for (off, data) in &ranges {
+                            let bytes = data.as_slice();
+                            let range = *off as usize..*off as usize + bytes.len();
+                            deltas.push((
+                                *off,
+                                Data::from_vec(data_delta(&block[range.clone()], bytes)),
+                            ));
+                            block[range].copy_from_slice(bytes);
+                            self.applied_ranges.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    // Forward each delta to the DeltaLog (Eq. 2's ΔD).
+                    let key = StripeBlock { stripe, block_idx };
+                    for (off, delta) in deltas {
+                        self.append_with_backpressure(Layer::Delta, move |sh| {
+                            let mut log = sh.delta_log.lock();
+                            log.append(key, off, delta.clone(), 0).1
+                        });
+                    }
                 }
-            }
-            // Forward each delta to the DeltaLog (Eq. 2's ΔD).
-            let key = StripeBlock { stripe, block_idx };
-            for (off, delta) in deltas {
-                self.append_with_backpressure(Layer::Delta, move |sh| {
-                    let mut log = sh.delta_log.lock();
-                    log.append(key, off, delta.clone(), 0).1
-                });
-            }
-        }
-        self.data_log
-            .lock()
-            .pool_mut(pool_idx)
-            .finish_recycle(unit_id);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.work_cv.notify_all();
-        true
+            },
+        )
     }
 
     /// DeltaLog recycle: combine per stripe (Eq. 5), forward parity deltas.
     fn recycle_delta_once(&self) -> bool {
-        let taken = {
-            let mut log = self.delta_log.lock();
-            log.take_recyclable_any()
-        };
-        let Some((pool_idx, taken)) = taken else {
-            return false;
-        };
-        let unit_id = taken.id;
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
         let m = self.cfg.code.m();
-        for job in group_delta_jobs(taken.contents) {
-            // One combined delta per parity block per union range; each data
-            // delta piece is read once for all m parities.
-            for (off, len) in crate::layers::union_ranges(&job.deltas) {
-                let mut accs = vec![vec![0u8; len as usize]; m];
-                for (block_idx, doff, delta) in &job.deltas {
-                    // Overlap of [doff, doff+dlen) with [off, off+len).
-                    let lo = (*doff).max(off);
-                    let hi = (doff + delta.len()).min(off + len);
-                    if lo >= hi {
-                        continue;
+        self.recycle_unit(
+            &self.delta_log,
+            LogPoolSet::take_recyclable_any,
+            |contents| {
+                for job in group_delta_jobs(contents) {
+                    // One combined delta per parity block per union range; each
+                    // data delta piece is read once for all m parities.
+                    for (off, len) in union_ranges(&job.deltas) {
+                        let mut accs = vec![vec![0u8; len as usize]; m];
+                        for (block_idx, doff, delta) in &job.deltas {
+                            // Overlap of [doff, doff+dlen) with [off, off+len).
+                            let lo = (*doff).max(off);
+                            let hi = (doff + delta.len()).min(off + len);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let window = (lo - off) as usize..(hi - off) as usize;
+                            let mut dsts: Vec<&mut [u8]> =
+                                accs.iter_mut().map(|a| &mut a[window.clone()]).collect();
+                            gf256::slice::mul_acc_rows(
+                                &mut dsts,
+                                &delta.as_slice()[(lo - doff) as usize..(hi - doff) as usize],
+                                &self.coeffs[*block_idx as usize],
+                            );
+                        }
+                        for (p, acc) in accs.into_iter().enumerate() {
+                            let key = ParityKey {
+                                stripe: job.stripe,
+                                parity_idx: p as u16,
+                            };
+                            let payload = Data::from_vec(acc);
+                            self.append_with_backpressure(Layer::Parity, move |sh| {
+                                let mut log = sh.parity_log.lock();
+                                log.append(key, off, payload.clone(), 0).1
+                            });
+                        }
                     }
-                    let window = (lo - off) as usize..(hi - off) as usize;
-                    let mut dsts: Vec<&mut [u8]> =
-                        accs.iter_mut().map(|a| &mut a[window.clone()]).collect();
-                    gf256::slice::mul_acc_rows(
-                        &mut dsts,
-                        &delta.as_slice()[(lo - doff) as usize..(hi - doff) as usize],
-                        &self.coeffs[*block_idx as usize],
-                    );
                 }
-                for (p, acc) in accs.into_iter().enumerate() {
-                    let key = ParityKey {
-                        stripe: job.stripe,
-                        parity_idx: p as u16,
-                    };
-                    let payload = Data::from_vec(acc);
-                    self.append_with_backpressure(Layer::Parity, move |sh| {
-                        let mut log = sh.parity_log.lock();
-                        log.append(key, off, payload.clone(), 0).1
-                    });
-                }
-            }
-        }
-        self.delta_log
-            .lock()
-            .pool_mut(pool_idx)
-            .finish_recycle(unit_id);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.work_cv.notify_all();
-        true
+            },
+        )
     }
 
     /// ParityLog recycle: XOR parity deltas into parity blocks (terminal).
     fn recycle_parity_once(&self) -> bool {
-        let taken = {
-            let mut log = self.parity_log.lock();
-            log.take_recyclable_any()
-        };
-        let Some((pool_idx, taken)) = taken else {
-            return false;
-        };
-        let unit_id = taken.id;
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        for job in group_parity_jobs(taken.contents) {
-            let slot = self.block_slot(
-                job.parity.stripe,
-                self.cfg.code.k() + job.parity.parity_idx as usize,
-            );
-            let mut block = self.blocks[slot].write();
-            for (off, delta) in &job.ranges {
-                let start = *off as usize;
-                gf256::slice::xor(
-                    &mut block[start..start + delta.len() as usize],
-                    delta.as_slice(),
-                );
-            }
-        }
-        self.parity_log
-            .lock()
-            .pool_mut(pool_idx)
-            .finish_recycle(unit_id);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.work_cv.notify_all();
-        true
+        let k = self.cfg.code.k();
+        self.recycle_unit(
+            &self.parity_log,
+            LogPoolSet::take_recyclable_any,
+            |contents| {
+                for (parity, ranges) in contents {
+                    let slot = self.block_slot(parity.stripe, k + parity.parity_idx as usize);
+                    let mut block = self.blocks[slot].write();
+                    for (off, delta) in &ranges {
+                        let start = *off as usize;
+                        gf256::slice::xor(
+                            &mut block[start..start + delta.len() as usize],
+                            delta.as_slice(),
+                        );
+                    }
+                }
+            },
+        )
     }
 
     /// Appends via `try_append`, handling [`AppendOutcome::Stalled`] by
@@ -543,10 +525,7 @@ impl TsueEngine {
             block[offset as usize..(offset + len) as usize].to_vec()
         };
         let id = self.shared.data_block_id(stripe, block_idx);
-        let pieces = {
-            let mut log = self.shared.data_log.lock();
-            log.lookup(&id, offset, len)
-        };
+        let pieces = self.shared.data_log.lock().lookup(&id, offset, len);
         for (o, p) in pieces {
             let rel = (o - offset) as usize;
             out[rel..rel + p.len() as usize].copy_from_slice(p.as_slice());
@@ -563,9 +542,9 @@ impl TsueEngine {
     pub fn flush(&self) {
         loop {
             {
-                self.shared.data_log.lock().seal_all_active(0);
-                self.shared.delta_log.lock().seal_all_active(0);
-                self.shared.parity_log.lock().seal_all_active(0);
+                self.shared.data_log.lock().seal_all_active();
+                self.shared.delta_log.lock().seal_all_active();
+                self.shared.parity_log.lock().seal_all_active();
             }
             // Help recycle inline.
             while self.shared.recycle_once() {}

@@ -44,7 +44,6 @@ pub enum MergeMode {
 pub struct BlockIndex<P> {
     entries: BTreeMap<u32, P>,
     bitmap: Vec<u64>,
-    live_bytes: u64,
 }
 
 impl<P: Payload> Default for BlockIndex<P> {
@@ -59,18 +58,12 @@ impl<P: Payload> BlockIndex<P> {
         BlockIndex {
             entries: BTreeMap::new(),
             bitmap: Vec::new(),
-            live_bytes: 0,
         }
     }
 
     /// Number of live (merged) ranges.
     pub fn range_count(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Bytes held across live ranges.
-    pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
     }
 
     /// Sets the presence bits of every chunk `[start, end)` touches, a word
@@ -132,7 +125,6 @@ impl<P: Payload> BlockIndex<P> {
         while let Some((&s, _)) = self.entries.range(span_start..=end).next() {
             let e = self.entries.remove(&s).expect("entry just found");
             let e_end = s + e.len();
-            self.live_bytes -= e.len() as u64;
             if s < off {
                 append(&mut merged, e.slice(0, off - s));
             }
@@ -158,7 +150,6 @@ impl<P: Payload> BlockIndex<P> {
             append(&mut merged, payload.slice(spliced - off, len));
         }
         let merged = merged.expect("the record is never empty");
-        self.live_bytes += merged.len() as u64;
         self.entries.insert(span_start, merged);
     }
 
@@ -233,21 +224,11 @@ fn append<P: Payload>(merged: &mut Option<P>, piece: P) {
     });
 }
 
-/// Cumulative merge statistics for one index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Records inserted.
-    pub records_in: u64,
-    /// Bytes inserted.
-    pub bytes_in: u64,
-}
-
 /// The two-level index: block hash map over [`BlockIndex`]es.
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex<K, P> {
     blocks: HashMap<K, BlockIndex<P>>,
     mode: MergeMode,
-    stats: IndexStats,
 }
 
 impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
@@ -256,19 +237,11 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
         TwoLevelIndex {
             blocks: HashMap::new(),
             mode,
-            stats: IndexStats::default(),
         }
-    }
-
-    /// The merge mode in force.
-    pub fn mode(&self) -> MergeMode {
-        self.mode
     }
 
     /// Inserts one record.
     pub fn insert(&mut self, key: K, off: u32, payload: P) {
-        self.stats.records_in += 1;
-        self.stats.bytes_in += payload.len() as u64;
         match self.blocks.entry(key) {
             Entry::Occupied(mut e) => e.get_mut().insert(off, payload, self.mode),
             Entry::Vacant(v) => {
@@ -319,37 +292,14 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
         self.blocks.keys()
     }
 
-    /// Number of blocks with live ranges.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Live (merged) ranges across all blocks.
     pub fn range_count(&self) -> usize {
         self.blocks.values().map(|b| b.range_count()).sum()
     }
 
-    /// Live bytes across all blocks.
-    pub fn live_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.live_bytes()).sum()
-    }
-
-    /// Insert-side statistics.
-    pub fn stats(&self) -> IndexStats {
-        self.stats
-    }
-
-    /// Records-in over ranges-out: how much the index shrank the workload
-    /// (≥ 1; higher is better for recycle efficiency).
-    pub fn merge_ratio(&self) -> f64 {
-        let live = self.range_count().max(1) as f64;
-        self.stats.records_in as f64 / live
-    }
-
     /// Clears everything (unit reuse), keeping allocation capacity.
     pub fn clear(&mut self) {
         self.blocks.clear();
-        self.stats = IndexStats::default();
     }
 }
 
@@ -364,8 +314,7 @@ mod tests {
         for _ in 0..10 {
             b.insert(100, Ghost(50), MergeMode::Overwrite);
         }
-        assert_eq!(b.range_count(), 1);
-        assert_eq!(b.live_bytes(), 50);
+        assert_eq!(b.into_sorted_ranges(), vec![(100, Ghost(50))]);
     }
 
     #[test]
@@ -457,15 +406,13 @@ mod tests {
         idx.insert(1, 0, Ghost(10));
         idx.insert(2, 0, Ghost(20));
         idx.insert(1, 10, Ghost(10));
-        assert_eq!(idx.block_count(), 2);
         assert_eq!(idx.range_count(), 2);
-        assert_eq!(idx.live_bytes(), 40);
         assert_eq!(idx.lookup(&1, 0, 100), vec![(0, Ghost(20))]);
         assert!(idx.covers(&1, 5, 10));
         assert!(!idx.covers(&3, 0, 1));
         assert_eq!(idx.remove_block(&1), Some(vec![(0, Ghost(20))]));
         assert_eq!(idx.remove_block(&1), None);
-        assert_eq!(idx.block_count(), 1);
+        assert_eq!(idx.range_count(), 1);
     }
 
     #[test]
@@ -474,9 +421,8 @@ mod tests {
         for _ in 0..100 {
             idx.insert(1, 0, Ghost(4096));
         }
-        assert_eq!(idx.stats().records_in, 100);
         assert_eq!(idx.range_count(), 1);
-        assert!((idx.merge_ratio() - 100.0).abs() < 1e-9);
+        assert_eq!(idx.lookup(&1, 0, u32::MAX), vec![(0, Ghost(4096))]);
     }
 
     #[test]
@@ -484,8 +430,8 @@ mod tests {
         let mut idx: TwoLevelIndex<u64, Ghost> = TwoLevelIndex::new(MergeMode::Xor);
         idx.insert(1, 0, Ghost(10));
         idx.clear();
-        assert_eq!(idx.block_count(), 0);
-        assert_eq!(idx.stats(), IndexStats::default());
+        assert_eq!(idx.range_count(), 0);
+        assert!(idx.definitely_absent(&1, 0, 10));
     }
 
     #[test]
@@ -498,7 +444,7 @@ mod tests {
         all.sort_by_key(|(k, _)| *k);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].1, vec![(0, Ghost(8)), (40, Ghost(8))]);
-        assert_eq!(idx.block_count(), 0);
+        assert_eq!(idx.range_count(), 0);
     }
 
     impl<P: Payload> BlockIndex<P> {
@@ -522,13 +468,9 @@ mod tests {
                 collected.push((s, e));
             }
 
-            let removed_bytes: u64 = collected.iter().map(|(_, e)| e.len() as u64).sum();
-            let merged = Self::sweep_merge(off, payload, &collected, mode);
-            let (span_start, merged_payload) = merged;
-            let added_bytes = merged_payload.len() as u64;
+            let (span_start, merged_payload) = Self::sweep_merge(off, payload, &collected, mode);
             let span_end = span_start + merged_payload.len();
             self.entries.insert(span_start, merged_payload);
-            self.live_bytes = self.live_bytes - removed_bytes + added_bytes;
 
             let first = (span_start / SUB_GRAIN) as usize;
             let last = ((span_end - 1) / SUB_GRAIN) as usize;
@@ -651,12 +593,11 @@ mod tests {
             b.iter().map(|(o, p)| (o, p.as_slice())).collect()
         }
         assert!(entries(fast) == entries(slow), "{what}: entries differ");
-        assert_eq!(fast.live_bytes, slow.live_bytes, "{what}: live bytes");
         assert_eq!(fast.bitmap, slow.bitmap, "{what}: bitmap");
     }
 
     /// The splicing insert against the reference sweep on real bytes:
-    /// equal entries, bytes, live bytes and bitmap words after every
+    /// equal entries, bytes and bitmap words after every
     /// insert, in both merge modes, through a fixed prefix of the edge
     /// cases and then seeded churn; `definitely_absent` and `covers` are
     /// checked on random queries against their per-chunk and

@@ -1,5 +1,6 @@
-//! The three-layer log schema (§3.1.2): layer keys, multi-pool sets, and
-//! per-layer recycle grouping.
+//! The three-layer log schema (§3.1.2): layer keys, multi-pool sets with
+//! the recycle protocol both executors share, and the DeltaLog's stripe
+//! grouping.
 //!
 //! * **DataLog** — keyed by global data-block id; holds update *data*
 //!   (newest-wins merge). Recycled per block.
@@ -8,13 +9,21 @@
 //!   deltas from different blocks combine into one parity delta (Eq. 5).
 //! * **ParityLog** — keyed by (stripe, parity index); holds parity
 //!   *deltas* (XOR merge). Recycled per parity block.
+//!
+//! Every layer shares one lifecycle: take a RECYCLABLE unit
+//! ([`LogPoolSet::take_recyclable_any`] or, for newest-wins layers,
+//! [`LogPoolSet::take_recyclable_ordered`]), fold its contents — already in
+//! ascending key order, so per-block and per-parity work needs no further
+//! grouping — and hand it back with [`LogPoolSet::finish_recycle`], whose
+//! answer says whether that pool has more work.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::payload::Payload;
-use crate::pool::{AppendOutcome, LogPool, PoolConfig, PoolStats, TakenUnit};
+use crate::pool::{AppendOutcome, LogPool, PoolConfig, TakenUnit};
+use crate::unit::UnitState;
 
 /// Global data-block identifier (the hash input the paper derives from
 /// inode, stripe and block numbers).
@@ -57,11 +66,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
         }
     }
 
-    /// Number of pools.
-    pub fn pool_count(&self) -> usize {
-        self.pools.len()
-    }
-
     /// The pool index a key routes to.
     pub fn pool_for(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
@@ -89,48 +93,43 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
         (idx, out)
     }
 
-    /// Direct access to a pool.
-    pub fn pool(&self, idx: usize) -> &LogPool<K, P> {
-        &self.pools[idx]
-    }
-
-    /// Direct mutable access to a pool.
-    pub fn pool_mut(&mut self, idx: usize) -> &mut LogPool<K, P> {
-        &mut self.pools[idx]
-    }
-
     /// Takes a recyclable unit from any pool (scanning over pools),
     /// returning `(pool_idx, taken_unit)`.
     pub fn take_recyclable_any(&mut self) -> Option<(usize, TakenUnit<K, P>)> {
-        for (i, pool) in self.pools.iter_mut().enumerate() {
-            if let Some(taken) = pool.take_recyclable() {
-                return Some((i, taken));
-            }
-        }
-        None
+        self.pools
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, p)| Some((i, p.take_recyclable()?)))
     }
 
     /// Ordered variant of [`Self::take_recyclable_any`]: only takes from
     /// pools with no unit currently RECYCLING (newest-wins layers).
     pub fn take_recyclable_ordered(&mut self) -> Option<(usize, TakenUnit<K, P>)> {
-        for (i, pool) in self.pools.iter_mut().enumerate() {
-            if let Some(taken) = pool.take_recyclable_exclusive() {
-                return Some((i, taken));
-            }
-        }
-        None
+        self.pools
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, p)| Some((i, p.take_recyclable_exclusive()?)))
+    }
+
+    /// Marks unit `unit_id` of pool `pool` RECYCLED (see
+    /// [`LogPool::finish_recycle`]). Returns whether that pool still holds a
+    /// RECYCLABLE unit, i.e. whether the recycler should go again.
+    pub fn finish_recycle(&mut self, pool: usize, unit_id: u64) -> bool {
+        let pool = &mut self.pools[pool];
+        pool.finish_recycle(unit_id);
+        pool.count_state(UnitState::Recyclable) > 0
     }
 
     /// Force-seals every non-empty active unit (end-of-run drain).
-    pub fn seal_all_active(&mut self, now: u64) -> usize {
+    pub fn seal_all_active(&mut self) -> usize {
         self.pools
             .iter_mut()
-            .filter_map(|p| p.seal_active(now))
+            .filter_map(|p| p.seal_active())
             .count()
     }
 
     /// Read-cache lookup in the key's pool.
-    pub fn lookup(&mut self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
+    pub fn lookup(&self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
         let idx = self.pool_for(key);
         self.pools[idx].lookup(key, off, len)
     }
@@ -145,61 +144,14 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
         self.pools.iter().map(|p| p.active_bytes()).sum()
     }
 
-    /// Aggregated statistics across pools.
-    pub fn stats(&self) -> PoolStats {
-        let mut agg = PoolStats::default();
-        for p in &self.pools {
-            let s = p.stats();
-            agg.appends += s.appends;
-            agg.bytes += s.bytes;
-            agg.seals += s.seals;
-            agg.stalls += s.stalls;
-            agg.overflows += s.overflows;
-            agg.units_recycled += s.units_recycled;
-            agg.cache_hits += s.cache_hits;
-            agg.cache_misses += s.cache_misses;
-        }
-        agg
-    }
-
     /// Whether every pool is drained: nothing RECYCLABLE or RECYCLING.
     /// Unsealed active data is not covered — call [`Self::seal_all_active`]
     /// first when draining at end of run.
     pub fn is_fully_drained(&self) -> bool {
         self.pools.iter().all(|p| {
-            p.count_state(crate::unit::UnitState::Recyclable) == 0
-                && p.count_state(crate::unit::UnitState::Recycling) == 0
+            p.count_state(UnitState::Recyclable) == 0 && p.count_state(UnitState::Recycling) == 0
         })
     }
-
-    /// Shrinks idle pools (releases RECYCLED units above the minimum).
-    pub fn shrink_idle(&mut self) {
-        for p in &mut self.pools {
-            p.shrink_idle();
-        }
-    }
-}
-
-/// DataLog recycle job: the merged ranges to fold into one data block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataRecycleJob<P> {
-    /// The data block being recycled into.
-    pub block: BlockId,
-    /// Merged, offset-sorted ranges of newest data.
-    pub ranges: Vec<(u32, P)>,
-}
-
-/// Groups a drained DataLog unit into per-block jobs, sorted by block so
-/// that records for one block always land on one recycle thread (§3.2.1).
-pub fn group_data_jobs<P: Payload>(
-    contents: Vec<(BlockId, Vec<(u32, P)>)>,
-) -> Vec<DataRecycleJob<P>> {
-    let mut jobs: Vec<DataRecycleJob<P>> = contents
-        .into_iter()
-        .map(|(block, ranges)| DataRecycleJob { block, ranges })
-        .collect();
-    jobs.sort_by_key(|j| j.block);
-    jobs
 }
 
 /// DeltaLog recycle job: all merged deltas of one stripe, ready for the
@@ -234,27 +186,6 @@ pub fn group_delta_jobs<P: Payload>(
     jobs
 }
 
-/// ParityLog recycle job: merged parity-delta ranges for one parity block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParityRecycleJob<P> {
-    /// The parity block.
-    pub parity: ParityKey,
-    /// Merged, offset-sorted parity-delta ranges.
-    pub ranges: Vec<(u32, P)>,
-}
-
-/// Groups a drained ParityLog unit into per-parity-block jobs.
-pub fn group_parity_jobs<P: Payload>(
-    contents: Vec<(ParityKey, Vec<(u32, P)>)>,
-) -> Vec<ParityRecycleJob<P>> {
-    let mut jobs: Vec<ParityRecycleJob<P>> = contents
-        .into_iter()
-        .map(|(parity, ranges)| ParityRecycleJob { parity, ranges })
-        .collect();
-    jobs.sort_by_key(|j| j.parity);
-    jobs
-}
-
 /// Interval union of a stripe job's deltas: the distinct `(offset, len)`
 /// ranges that need one parity delta each per parity block (Eq. 5 — deltas
 /// at the same offset across blocks collapse into a single parity delta).
@@ -282,6 +213,7 @@ mod tests {
     use super::*;
     use crate::index::MergeMode;
     use crate::payload::Ghost;
+    use crate::unit::LogUnit;
 
     #[test]
     fn pool_set_routes_consistently() {
@@ -319,23 +251,67 @@ mod tests {
             let (_, out) = set.append(i % 8, (i as u32) * 100, Ghost(100), i);
             assert_ne!(out, AppendOutcome::Stalled);
         }
-        let sealed = set.seal_all_active(100);
+        let sealed = set.seal_all_active();
         assert!(sealed > 0);
-        let mut recycled = 0;
+        let mut records = 0;
         while let Some((pool, taken)) = set.take_recyclable_any() {
             assert!(!taken.contents.is_empty());
-            set.pool_mut(pool).finish_recycle(taken.id);
-            recycled += 1;
+            records += taken.records;
+            set.finish_recycle(pool, taken.id);
         }
-        assert!(recycled > 0);
-        assert_eq!(set.stats().appends, 40);
+        assert_eq!(records, 40);
+        assert!(set.is_fully_drained());
     }
 
     #[test]
-    fn data_jobs_sorted_by_block() {
-        let jobs = group_data_jobs(vec![(9u64, vec![(0, Ghost(10))]), (3, vec![(5, Ghost(5))])]);
-        assert_eq!(jobs[0].block, 3);
-        assert_eq!(jobs[1].block, 9);
+    fn finish_recycle_reports_more_work_in_that_pool() {
+        let mut set: LogPoolSet<BlockId, Ghost> = LogPoolSet::new(
+            1,
+            PoolConfig {
+                unit_bytes: 100,
+                min_units: 2,
+                max_units: 4,
+                mode: MergeMode::Overwrite,
+            },
+        );
+        for i in 0..3u64 {
+            let _ = set.append(i, 0, Ghost(100), i);
+        }
+        // Units 0 and 1 are sealed; 2 is active.
+        let (pool, first) = set.take_recyclable_any().unwrap();
+        assert!(
+            set.finish_recycle(pool, first.id),
+            "unit 1 is still waiting"
+        );
+        let (pool, second) = set.take_recyclable_any().unwrap();
+        assert!(!set.finish_recycle(pool, second.id));
+    }
+
+    /// Both executors iterate a taken unit's contents as the per-key jobs,
+    /// so every layer's keys must come back in ascending order however they
+    /// were inserted.
+    #[test]
+    fn start_recycle_returns_keys_ascending() {
+        fn taken_keys<K: Hash + Eq + Ord + Clone>(keys: &[K]) -> Vec<K> {
+            let mut unit: LogUnit<K, Ghost> = LogUnit::new(0, 1 << 20, MergeMode::Xor);
+            for (i, k) in keys.iter().enumerate() {
+                unit.append(k.clone(), i as u32 * 8, Ghost(4), 0);
+            }
+            unit.seal();
+            unit.start_recycle().into_iter().map(|(k, _)| k).collect()
+        }
+        fn check<K: Hash + Eq + Ord + Clone + std::fmt::Debug>(keys: Vec<K>) {
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_ne!(keys, sorted, "inserted out of order");
+            assert_eq!(taken_keys(&keys), sorted);
+        }
+        check(vec![9u64, 3, 700, 3, 0, 41]);
+        let sb = |stripe, block_idx| StripeBlock { stripe, block_idx };
+        check(vec![sb(2, 0), sb(1, 5), sb(1, 2), sb(0, 9), sb(2, 0)]);
+        let pk = |stripe, parity_idx| ParityKey { stripe, parity_idx };
+        check(vec![pk(2, 1), pk(1, 0), pk(2, 0), pk(1, 2)]);
     }
 
     #[test]
@@ -398,27 +374,5 @@ mod tests {
             (3u16, 100u32, Ghost(1)), // distinct
         ];
         assert_eq!(union_ranges(&deltas), vec![(0, 20), (100, 1)]);
-    }
-
-    #[test]
-    fn parity_jobs_sorted() {
-        let jobs = group_parity_jobs(vec![
-            (
-                ParityKey {
-                    stripe: 2,
-                    parity_idx: 1,
-                },
-                vec![(0, Ghost(4))],
-            ),
-            (
-                ParityKey {
-                    stripe: 1,
-                    parity_idx: 0,
-                },
-                vec![(8, Ghost(4))],
-            ),
-        ]);
-        assert_eq!(jobs[0].parity.stripe, 1);
-        assert_eq!(jobs[1].parity.stripe, 2);
     }
 }

@@ -8,11 +8,13 @@
 //! * fixed-size **log units** with the EMPTY → RECYCLABLE → RECYCLING →
 //!   RECYCLED lifecycle ([`mod@unit`]);
 //! * a FIFO **log pool** of those units that supports concurrent append and
-//!   recycle, grows/shrinks between a minimum and a quota, and retains
-//!   recycled units as a read cache ([`pool`]);
+//!   recycle, grows from a minimum up to its quota (nothing shrinks it:
+//!   allocated units stay allocated), and retains recycled units as a read
+//!   cache ([`pool`]);
 //! * the **three-layer log schema** — DataLog, DeltaLog, ParityLog — with
-//!   the per-layer recycle grouping (per block; per stripe for the Eq. 5
-//!   cross-block merge; per parity block) ([`layers`]);
+//!   the recycle protocol both executors share (take a unit, fold its
+//!   contents in key order, finish it) and the per-stripe grouping of the
+//!   Eq. 5 cross-block merge ([`layers`]);
 //! * a real **multi-threaded engine** wiring the three layers over an
 //!   in-memory stripe with a Reed-Solomon codec: front-end appends return
 //!   as soon as the data log holds the update, back-end recycler threads

@@ -1,5 +1,5 @@
 //! The FIFO log pool (§3.2): a queue of fixed-size units supporting
-//! concurrent append and recycle, bounded memory, dynamic sizing, and
+//! concurrent append and recycle, bounded memory, growth up to a quota, and
 //! read-cache retention.
 
 use std::collections::VecDeque;
@@ -53,8 +53,8 @@ impl PoolConfig {
 }
 
 /// A unit handed to a recycler: identity, pre-merge footprint (for the
-/// locality-ablation accounting), residency timestamps, and the merged
-/// contents.
+/// locality-ablation accounting), its first-append time (for residency),
+/// and the merged contents.
 #[derive(Debug, Clone)]
 pub struct TakenUnit<K, P> {
     /// Unit id within its pool.
@@ -65,9 +65,8 @@ pub struct TakenUnit<K, P> {
     pub bytes: u64,
     /// Time of the first append.
     pub first_append_at: Option<u64>,
-    /// Time the unit was sealed.
-    pub sealed_at: Option<u64>,
-    /// Merged contents: per key, offset-sorted ranges.
+    /// Merged contents: per key in ascending key order, offset-sorted
+    /// ranges.
     pub contents: Vec<(K, Vec<(u32, P)>)>,
 }
 
@@ -85,27 +84,6 @@ pub enum AppendOutcome {
     Stalled,
 }
 
-/// Cumulative pool statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolStats {
-    /// Records appended.
-    pub appends: u64,
-    /// Bytes appended.
-    pub bytes: u64,
-    /// Units sealed.
-    pub seals: u64,
-    /// Appends rejected with [`AppendOutcome::Stalled`].
-    pub stalls: u64,
-    /// Emergency beyond-quota allocations by [`LogPool::append_overflow`].
-    pub overflows: u64,
-    /// Units fully recycled.
-    pub units_recycled: u64,
-    /// Read-cache lookups that found at least one byte.
-    pub cache_hits: u64,
-    /// Read-cache lookups that found nothing.
-    pub cache_misses: u64,
-}
-
 /// A FIFO pool of log units for one (device, layer, pool-index) triple.
 #[derive(Debug, Clone)]
 pub struct LogPool<K, P> {
@@ -118,7 +96,6 @@ pub struct LogPool<K, P> {
     /// exhausted the quota (the next append re-claims or stalls).
     active: Option<usize>,
     next_id: u64,
-    stats: PoolStats,
 }
 
 impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
@@ -133,7 +110,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
             order: VecDeque::with_capacity(cfg.max_units),
             active: None,
             next_id: 0,
-            stats: PoolStats::default(),
             cfg,
         };
         for _ in 0..pool.cfg.min_units {
@@ -153,21 +129,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
         slot
     }
 
-    /// The pool configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.cfg
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &PoolStats {
-        &self.stats
-    }
-
-    /// Number of allocated units.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
     /// Memory footprint: allocated units times unit size (the quota-based
     /// accounting of §5.3.2).
     pub fn memory_bytes(&self) -> u64 {
@@ -182,13 +143,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
     /// Bytes sitting in the active (unsealed) unit.
     pub fn active_bytes(&self) -> u64 {
         self.active.map_or(0, |a| self.units[a].used())
-    }
-
-    /// Whether an append of `len` bytes would currently succeed.
-    pub fn can_append(&self, len: u32) -> bool {
-        self.active.is_some_and(|a| self.units[a].fits(len))
-            || self.find_reusable().is_some()
-            || self.units.len() < self.cfg.max_units
     }
 
     fn find_reusable(&self) -> Option<usize> {
@@ -219,64 +173,50 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
         if let Some(a) = self.active {
             if self.units[a].fits(len) {
                 self.units[a].append(key, off, payload, now);
-                self.stats.appends += 1;
-                self.stats.bytes += len as u64;
                 return AppendOutcome::Appended;
             }
         }
         // No active unit, or it is full: rotate.
         match self.claim_replacement() {
-            Some(slot) => {
-                let sealed_id = self.active.map(|a| {
-                    let id = self.units[a].id();
-                    self.units[a].seal(now);
-                    self.stats.seals += 1;
-                    id
-                });
-                self.active = Some(slot);
-                self.units[slot].append(key, off, payload, now);
-                self.stats.appends += 1;
-                self.stats.bytes += len as u64;
-                match sealed_id {
-                    Some(id) => AppendOutcome::AppendedAndSealed(id),
-                    None => AppendOutcome::Appended,
-                }
-            }
-            None => {
-                self.stats.stalls += 1;
-                AppendOutcome::Stalled
-            }
+            Some(slot) => self.rotate_into(slot, key, off, payload, now),
+            None => AppendOutcome::Stalled,
         }
     }
 
     /// Like [`Self::append`], but never stalls: when the quota is exhausted
-    /// it allocates an emergency unit beyond `max_units` and counts an
-    /// overflow. Intended for *internal* pipeline appends whose caller
-    /// cannot park (client-facing appends should use [`Self::append`] and
-    /// honour back-pressure). The emergency unit is released again by
-    /// [`Self::shrink_idle`] once recycled.
+    /// it allocates an emergency unit beyond `max_units`. Intended for
+    /// *internal* pipeline appends whose caller cannot park (client-facing
+    /// appends should use [`Self::append`] and honour back-pressure). The
+    /// emergency unit stays allocated: pools never shrink.
     pub fn append_overflow(&mut self, key: K, off: u32, payload: P, now: u64) -> AppendOutcome {
         match self.append(key.clone(), off, payload.clone(), now) {
             AppendOutcome::Stalled => {
-                self.stats.overflows += 1;
                 let slot = self.alloc_unit();
-                let sealed = self.active.map(|a| {
-                    let id = self.units[a].id();
-                    self.units[a].seal(now);
-                    self.stats.seals += 1;
-                    id
-                });
-                self.active = Some(slot);
-                let len = payload.len();
-                self.units[slot].append(key, off, payload, now);
-                self.stats.appends += 1;
-                self.stats.bytes += len as u64;
-                match sealed {
-                    Some(id) => AppendOutcome::AppendedAndSealed(id),
-                    None => AppendOutcome::Appended,
-                }
+                self.rotate_into(slot, key, off, payload, now)
             }
             other => other,
+        }
+    }
+
+    /// Seals the active unit (if any), makes `slot` active, and appends the
+    /// record there.
+    fn rotate_into(
+        &mut self,
+        slot: usize,
+        key: K,
+        off: u32,
+        payload: P,
+        now: u64,
+    ) -> AppendOutcome {
+        let sealed = self.active.map(|a| {
+            self.units[a].seal();
+            self.units[a].id()
+        });
+        self.active = Some(slot);
+        self.units[slot].append(key, off, payload, now);
+        match sealed {
+            Some(id) => AppendOutcome::AppendedAndSealed(id),
+            None => AppendOutcome::Appended,
         }
     }
 
@@ -309,14 +249,13 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
     /// Unlike the rotation inside [`Self::append`], sealing here does not
     /// require a replacement: the pool may be left without an active unit,
     /// and the next append claims or allocates one (or stalls at quota).
-    pub fn seal_active(&mut self, now: u64) -> Option<u64> {
+    pub fn seal_active(&mut self) -> Option<u64> {
         let a = self.active?;
         if self.units[a].used() == 0 {
             return None;
         }
         let id = self.units[a].id();
-        self.units[a].seal(now);
-        self.stats.seals += 1;
+        self.units[a].seal();
         self.active = self.claim_replacement();
         Some(id)
     }
@@ -336,7 +275,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
             records: u.records(),
             bytes: u.used(),
             first_append_at: u.first_append_at,
-            sealed_at: u.sealed_at,
             contents,
         })
     }
@@ -356,65 +294,28 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
         self.take_recyclable()
     }
 
-    /// Marks a RECYCLING unit as done (RECYCLED). Returns residency info
-    /// `(first_append_at, sealed_at)` for Table 2 accounting.
+    /// Marks a RECYCLING unit as done (RECYCLED).
     ///
     /// # Panics
     /// Panics if no RECYCLING unit has this id.
-    pub fn finish_recycle(&mut self, unit_id: u64) -> (Option<u64>, Option<u64>) {
-        let unit = self
-            .units
+    pub fn finish_recycle(&mut self, unit_id: u64) {
+        self.units
             .iter_mut()
             .find(|u| u.id() == unit_id && u.state() == UnitState::Recycling)
-            .expect("no such recycling unit");
-        unit.finish_recycle();
-        self.stats.units_recycled += 1;
-        (unit.first_append_at, unit.sealed_at)
+            .expect("no such recycling unit")
+            .finish_recycle();
     }
 
     /// Read-cache lookup across all units in **overlay order**: pieces from
     /// older units come first, so a reader reconstructs the newest view by
     /// applying the returned pieces in order (later pieces overwrite earlier
     /// ones where they overlap).
-    pub fn lookup(&mut self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
+    pub fn lookup(&self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
         let mut out: Vec<(u32, P)> = Vec::new();
         for &slot in self.order.iter() {
             out.extend(self.units[slot].lookup(key, off, len));
         }
-        if out.is_empty() {
-            self.stats.cache_misses += 1;
-        } else {
-            self.stats.cache_hits += 1;
-        }
         out
-    }
-
-    /// Releases idle RECYCLED units above `min_units` (the shrink half of
-    /// §3.2.2's elasticity).
-    pub fn shrink_idle(&mut self) {
-        while self.units.len() > self.cfg.min_units {
-            // Find the oldest recycled unit that is not active.
-            let Some(pos) = self.order.iter().position(|&i| {
-                self.units[i].state() == UnitState::Recycled && Some(i) != self.active
-            }) else {
-                break;
-            };
-            let slot = self.order[pos];
-            self.order.remove(pos);
-            // Swap-remove from the unit vector; fix up indices in `order`.
-            let last = self.units.len() - 1;
-            self.units.swap_remove(slot);
-            if slot != last {
-                for idx in self.order.iter_mut() {
-                    if *idx == last {
-                        *idx = slot;
-                    }
-                }
-                if self.active == Some(last) {
-                    self.active = Some(slot);
-                }
-            }
-        }
     }
 }
 
@@ -450,7 +351,8 @@ mod tests {
             other => panic!("expected seal, got {other:?}"),
         }
         assert_eq!(p.count_state(UnitState::Recyclable), 1);
-        assert_eq!(p.stats().appends, 11);
+        assert_eq!(p.take_recyclable().unwrap().records, 10);
+        assert_eq!(p.active_bytes(), 100);
     }
 
     #[test]
@@ -461,8 +363,8 @@ mod tests {
             let _ = p.append(1, i * 100, Ghost(100), 0);
         }
         assert_eq!(p.append(1, 5000, Ghost(100), 0), AppendOutcome::Stalled);
-        assert!(p.stats().stalls >= 1);
-        assert!(!p.can_append(100));
+        assert_eq!(p.append(1, 5000, Ghost(1), 0), AppendOutcome::Stalled);
+        assert_eq!(p.memory_bytes(), 2000, "a stall allocates nothing");
     }
 
     #[test]
@@ -477,18 +379,17 @@ mod tests {
         assert!(!taken.contents.is_empty());
         let id = taken.id;
         p.finish_recycle(id);
-        assert!(p.can_append(100));
+        assert_eq!(p.count_state(UnitState::Recycled), 1);
         assert!(matches!(
             p.append(1, 9000, Ghost(100), 1),
             AppendOutcome::AppendedAndSealed(_)
         ));
-        assert_eq!(p.stats().units_recycled, 1);
     }
 
     #[test]
     fn pool_grows_to_quota_then_reuses() {
         let mut p = pool(3);
-        assert_eq!(p.unit_count(), 2);
+        assert_eq!(p.memory_bytes(), 2000);
         for i in 0..25 {
             let out = p.append(1, i * 100, Ghost(100), 0);
             if out == AppendOutcome::Stalled {
@@ -498,8 +399,7 @@ mod tests {
                 assert_ne!(retry, AppendOutcome::Stalled);
             }
         }
-        assert_eq!(p.unit_count(), 3, "grew to quota and stopped");
-        assert_eq!(p.memory_bytes(), 3000);
+        assert_eq!(p.memory_bytes(), 3000, "grew to quota and stopped");
     }
 
     #[test]
@@ -529,10 +429,7 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0], (0, Ghost(100)));
         assert_eq!(hits[1], (0, Ghost(100)));
-        assert_eq!(p.stats().cache_hits, 1);
-        let miss = p.lookup(&99, 0, 10);
-        assert!(miss.is_empty());
-        assert_eq!(p.stats().cache_misses, 1);
+        assert!(p.lookup(&99, 0, 10).is_empty());
     }
 
     #[test]
@@ -562,9 +459,9 @@ mod tests {
     #[test]
     fn seal_active_flushes_partial_unit() {
         let mut p = pool(4);
-        assert_eq!(p.seal_active(0), None, "empty active unit: nothing to seal");
+        assert_eq!(p.seal_active(), None, "empty active unit: nothing to seal");
         let _ = p.append(1, 0, Ghost(50), 0);
-        let id = p.seal_active(5).expect("sealed");
+        let id = p.seal_active().expect("sealed");
         assert_eq!(id, 0);
         assert_eq!(p.count_state(UnitState::Recyclable), 1);
         let taken = p.take_recyclable().unwrap();
@@ -575,39 +472,20 @@ mod tests {
     }
 
     #[test]
-    fn shrink_idle_releases_units() {
-        let mut p = pool(6);
-        for i in 0..55 {
-            let _ = p.append(1, i * 100, Ghost(100), 0);
-        }
-        while let Some(taken) = p.take_recyclable() {
-            p.finish_recycle(taken.id);
-        }
-        assert_eq!(p.unit_count(), 6);
-        p.shrink_idle();
-        assert_eq!(p.unit_count(), 2, "shrank to min_units");
-        // Pool still functional after shrink.
-        for i in 0..30 {
-            let out = p.append(2, i * 100, Ghost(100), 1);
-            if out == AppendOutcome::Stalled {
-                let id = p.take_recyclable().unwrap().id;
-                p.finish_recycle(id);
-                let _ = p.append(2, i * 100, Ghost(100), 1);
-            }
-        }
-        assert!(p.stats().appends >= 80);
-    }
-
-    #[test]
     fn residency_times_flow_through() {
         let mut p = pool(2);
         for i in 0..11 {
             let _ = p.append(1, i * 100, Ghost(100), 100 + i as u64);
         }
         let taken = p.take_recyclable().unwrap();
-        let (first, sealed) = p.finish_recycle(taken.id);
-        assert_eq!(first, Some(100));
-        assert_eq!(sealed, Some(110));
+        assert_eq!(taken.first_append_at, Some(100));
+        p.finish_recycle(taken.id);
+        // The next unit's clock starts at its own first append: the record
+        // that sealed the first unit.
+        for i in 0..10 {
+            let _ = p.append(1, i * 100, Ghost(100), 200 + i as u64);
+        }
+        assert_eq!(p.take_recyclable().unwrap().first_append_at, Some(110));
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub struct LogUnit<K, P> {
     /// Timestamp of the first append since (re)activation; used for
     /// residency accounting (paper Table 2).
     pub first_append_at: Option<u64>,
-    /// Timestamp when the unit was sealed (marked RECYCLABLE).
-    pub sealed_at: Option<u64>,
 }
 
 impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
@@ -57,7 +55,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
             records: 0,
             index: TwoLevelIndex::new(mode),
             first_append_at: None,
-            sealed_at: None,
         }
     }
 
@@ -71,11 +68,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
         self.state
     }
 
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Appended bytes (pre-merge: the raw log volume).
     pub fn used(&self) -> u64 {
         self.used
@@ -84,11 +76,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
     /// Appended record count (pre-merge).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The unit's index (merged view of its contents).
-    pub fn index(&self) -> &TwoLevelIndex<K, P> {
-        &self.index
     }
 
     /// Whether a record of `len` bytes fits.
@@ -117,23 +104,23 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
     ///
     /// # Panics
     /// Panics if not EMPTY.
-    pub fn seal(&mut self, now: u64) {
+    pub fn seal(&mut self) {
         assert_eq!(self.state, UnitState::Empty, "seal of non-active unit");
         self.state = UnitState::Recyclable;
-        self.sealed_at = Some(now);
     }
 
     /// Attaches the unit to a recycler: RECYCLABLE → RECYCLING. Returns the
-    /// merged contents, leaving the index intact for read-cache lookups.
+    /// merged contents in ascending key order, leaving the index intact for
+    /// read-cache lookups.
     ///
     /// # Panics
     /// Panics if not RECYCLABLE.
     pub fn start_recycle(&mut self) -> Vec<(K, Vec<(u32, P)>)> {
         assert_eq!(self.state, UnitState::Recyclable, "unit not recyclable");
         self.state = UnitState::Recycling;
-        // Sorted block order keeps recycle processing deterministic across
-        // processes (the backing index iterates in hash order) and mirrors
-        // the engine-side `group_data_jobs` dispatch rule.
+        // Sorted key order keeps recycle processing deterministic across
+        // processes (the backing index iterates in hash order), and both
+        // executors recycle a unit's keys in the order returned here.
         let mut keys: Vec<K> = self.index.block_keys().cloned().collect();
         keys.sort_unstable();
         keys.into_iter()
@@ -165,7 +152,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
         self.used = 0;
         self.records = 0;
         self.first_append_at = None;
-        self.sealed_at = None;
         self.state = UnitState::Empty;
     }
 
@@ -194,9 +180,8 @@ mod tests {
         assert_eq!(u.records(), 2);
         assert_eq!(u.first_append_at, Some(5));
 
-        u.seal(10);
+        u.seal();
         assert_eq!(u.state(), UnitState::Recyclable);
-        assert_eq!(u.sealed_at, Some(10));
 
         let contents = u.start_recycle();
         assert_eq!(u.state(), UnitState::Recycling);
@@ -236,7 +221,7 @@ mod tests {
     fn append_after_seal_panics() {
         let mut u = unit();
         u.append(1, 0, Ghost(10), 0);
-        u.seal(1);
+        u.seal();
         u.append(1, 10, Ghost(10), 2);
     }
 
@@ -252,7 +237,7 @@ mod tests {
     fn reuse_of_unrecycled_panics() {
         let mut u = unit();
         u.append(1, 0, Ghost(10), 0);
-        u.seal(1);
+        u.seal();
         u.reuse();
     }
 }

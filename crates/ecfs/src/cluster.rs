@@ -119,12 +119,9 @@ pub struct Metrics {
     pub coalesced_bytes: u64,
     /// Staged-buffer flush events (size, age, pressure, or drain).
     pub stage_flushes: u64,
-    /// DataLog residency (TSUE).
-    pub data_residency: LayerResidency,
-    /// DeltaLog residency (TSUE).
-    pub delta_residency: LayerResidency,
-    /// ParityLog residency (TSUE / PL-family logs).
-    pub parity_residency: LayerResidency,
+    /// Residency per TSUE log layer, indexed by
+    /// [`crate::methods::tsue_drv::Layer`].
+    pub residency: [LayerResidency; 3],
     /// Reads served by decoding the lost block from `k` survivors.
     pub degraded_reads: u64,
     /// Bytes produced by degraded-read decoding.
@@ -162,9 +159,7 @@ impl Default for Metrics {
             staged_bytes: 0,
             coalesced_bytes: 0,
             stage_flushes: 0,
-            data_residency: LayerResidency::default(),
-            delta_residency: LayerResidency::default(),
-            parity_residency: LayerResidency::default(),
+            residency: Default::default(),
             degraded_reads: 0,
             degraded_bytes_decoded: 0,
             failed_ops: 0,

@@ -11,6 +11,14 @@
 //! node (with a copy on the second), stripe-merged parity deltas (Eq. 5)
 //! flow to each ParityLog, and finally fold into parity blocks.
 //!
+//! The three layers share one recycle lifecycle (§3.2): `start_recycle`
+//! takes a unit from any pool and charges its records' CPU,
+//! `recycle_{data,delta,parity}` book only their own I/O and forwarding,
+//! and `end_recycle` hands the unit back, settles the per-[`Layer`]
+//! ledgers, wakes stalled clients and re-chains while the pool has work.
+//! Every append into a downstream log goes through `log_downstream`,
+//! which schedules that layer's recycle when the append seals a unit.
+//!
 //! The [`crate::config::TsueFeatures`] toggles reproduce the Fig. 7
 //! breakdown: without `data_locality`/`parity_locality` the recycle pays
 //! per-*record* I/O instead of per-merged-range; without `log_pool` a
@@ -27,10 +35,10 @@ use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 use tsue::layers::{
-    group_delta_jobs, group_parity_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock,
+    group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
 };
 use tsue::payload::Ghost;
-use tsue::pool::AppendOutcome;
+use tsue::pool::{AppendOutcome, TakenUnit};
 use tsue::MergeMode;
 
 /// The paper's two-stage update driver.
@@ -96,12 +104,23 @@ impl UpdateMethod for Tsue {
     }
 }
 
-/// Layer indices for the pending-bytes ledger.
-const DATA: usize = 0;
-/// DeltaLog ledger slot.
-const DELTA: usize = 1;
-/// ParityLog ledger slot.
-const PARITY: usize = 2;
+/// One of TSUE's three log layers. It indexes the per-layer ledgers of
+/// [`TsueState`] and the residency histograms of
+/// [`crate::cluster::Metrics::residency`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The DataLog: update data, on the data block's node.
+    Data,
+    /// The DeltaLog: data deltas, on the stripe's first parity node.
+    Delta,
+    /// The ParityLog: parity deltas, on each parity block's node.
+    Parity,
+}
+
+impl Layer {
+    /// Every layer, in ledger order.
+    pub const ALL: [Layer; 3] = [Layer::Data, Layer::Delta, Layer::Parity];
+}
 
 /// Per-node TSUE state: the three log-pool sets plus bookkeeping.
 pub struct TsueState {
@@ -113,10 +132,10 @@ pub struct TsueState {
     pub parity: LogPoolSet<ParityKey, Ghost>,
     /// Data-block address per DataLog key.
     pub addr_of: FastMap<u64, BlockAddr>,
-    /// Recycles in flight per layer (drives the O3-off exclusivity and the
-    /// drain loop).
+    /// Recycles in flight per [`Layer`] (drives the O3-off exclusivity and
+    /// the drain loop).
     pub recycling: [u32; 3],
-    /// Bytes appended minus bytes recycled, per layer.
+    /// Bytes appended minus bytes recycled, per [`Layer`].
     pub pending: [u64; 3],
 }
 
@@ -134,24 +153,23 @@ impl TsueState {
         }
     }
 
-    /// Bytes still buffered across the three layers.
-    pub fn buffered_bytes(&self) -> u64 {
-        self.pending.iter().sum()
-    }
-
-    /// Total log memory footprint.
-    pub fn log_memory_bytes(&self) -> u64 {
-        self.data.memory_bytes() + self.delta.memory_bytes() + self.parity.memory_bytes()
+    /// Whether `layer` has nothing RECYCLABLE or RECYCLING.
+    pub fn is_drained(&self, layer: Layer) -> bool {
+        match layer {
+            Layer::Data => self.data.is_fully_drained(),
+            Layer::Delta => self.delta.is_fully_drained(),
+            Layer::Parity => self.parity.is_fully_drained(),
+        }
     }
 }
 
 impl NodeLogState for TsueState {
     fn pending_bytes(&self) -> u64 {
-        self.buffered_bytes()
+        self.pending.iter().sum()
     }
 
     fn memory_bytes(&self) -> u64 {
-        self.log_memory_bytes()
+        self.data.memory_bytes() + self.delta.memory_bytes() + self.parity.memory_bytes()
     }
 
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
@@ -212,7 +230,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         let busy = cl.nodes[dnode]
             .state
             .downcast_ref::<TsueState>()
-            .is_some_and(|ts| ts.recycling[DATA] > 0);
+            .is_some_and(|ts| ts.recycling[Layer::Data as usize] > 0);
         if busy {
             cl.park_on(
                 dnode,
@@ -233,7 +251,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
             .data
             .append(key, slice.offset, Ghost(slice.len), t_arrive);
         if !matches!(out, AppendOutcome::Stalled) {
-            ts.pending[DATA] += len;
+            ts.pending[Layer::Data as usize] += len;
         }
         out
     };
@@ -244,7 +262,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
             Box::new(move |sim, cl| methods::begin_update(sim, cl, ctx)),
         );
         // Make sure a recycle is actually running.
-        schedule_data_recycle(sim, cl, dnode, sim.now());
+        schedule_recycle(sim, Layer::Data, dnode, sim.now());
         return;
     }
 
@@ -255,8 +273,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         t_arrive,
         IoOp::write(log_off, len, Pattern::Sequential),
     );
-    cl.metrics
-        .data_residency
+    cl.metrics.residency[Layer::Data as usize]
         .append
         .record(t_local.saturating_sub(t_arrive));
 
@@ -270,7 +287,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     );
 
     if let AppendOutcome::AppendedAndSealed(_) = outcome {
-        schedule_data_recycle(sim, cl, dnode, t_local);
+        schedule_recycle(sim, Layer::Data, dnode, t_local);
     }
 
     let t_ack = cl.ack(t_local.max(t_replica), dnode, client_ep);
@@ -291,53 +308,135 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     cl.finish_update(sim, ctx, t_ack);
 }
 
-fn schedule_data_recycle(sim: &mut Sim<Cluster>, _cl: &mut Cluster, node: usize, at: SimTime) {
+/// Schedules a recycle of `layer` on `node` at `at` (or now, if later).
+fn schedule_recycle(sim: &mut Sim<Cluster>, layer: Layer, node: usize, at: SimTime) {
     sim.schedule_at(at.max(sim.now()), move |sim, cl: &mut Cluster| {
-        recycle_data(sim, cl, node);
+        recycle(sim, cl, node, layer);
     });
 }
 
-fn schedule_delta_recycle(sim: &mut Sim<Cluster>, node: usize, at: SimTime) {
-    sim.schedule_at(at.max(sim.now()), move |sim, cl: &mut Cluster| {
-        recycle_delta(sim, cl, node);
-    });
+/// Recycles one unit of `layer` on `node`, if one is RECYCLABLE.
+fn recycle(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize, layer: Layer) {
+    match layer {
+        Layer::Data => recycle_data(sim, cl, node),
+        Layer::Delta => recycle_delta(sim, cl, node),
+        Layer::Parity => recycle_parity(sim, cl, node),
+    }
 }
 
-fn schedule_parity_recycle(sim: &mut Sim<Cluster>, node: usize, at: SimTime) {
-    sim.schedule_at(at.max(sim.now()), move |sim, cl: &mut Cluster| {
-        recycle_parity(sim, cl, node);
-    });
+/// A unit taken for recycling: what [`end_recycle`] needs to hand it back.
+#[derive(Clone, Copy)]
+struct Ticket {
+    node: usize,
+    layer: Layer,
+    pool: usize,
+    unit: u64,
+    bytes: u64,
+    started: SimTime,
 }
 
-/// DataLog recycle: one unit per invocation.
-pub fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
-    let now = sim.now();
-    let taken = {
-        let ts = tsue_state(cl, node);
-        // Units recycle concurrently (the paper's recycle thread pool);
-        // per-block ordering is preserved by routing one block's records to
-        // one thread, which the coverage-level simulation inherits.
-        let taken = ts.data.take_recyclable_any();
-        if taken.is_some() {
-            ts.recycling[DATA] += 1;
-        }
-        taken
-    };
-    let Some((pool_idx, taken)) = taken else {
-        return;
-    };
+/// Starts a recycle: takes a unit with `take` (every layer takes from any
+/// pool: units recycle concurrently, like the paper's recycle thread pool),
+/// counts it in `recycling`, records how long it was buffered and reserves
+/// recycle CPU for its raw records — every record is walked once (index
+/// scan, merge bookkeeping, checksum) before the merged I/O is issued.
+/// Returns the ticket, the unit and the time the CPU work starts.
+fn start_recycle<K>(
+    cl: &mut Cluster,
+    node: usize,
+    layer: Layer,
+    now: SimTime,
+    take: impl FnOnce(&mut TsueState) -> Option<(usize, TakenUnit<K, Ghost>)>,
+) -> Option<(Ticket, TakenUnit<K, Ghost>, SimTime)> {
+    let ts = tsue_state(cl, node);
+    let (pool, taken) = take(ts)?;
+    ts.recycling[layer as usize] += 1;
     if let Some(first) = taken.first_append_at {
-        cl.metrics
-            .data_residency
+        cl.metrics.residency[layer as usize]
             .buffer
             .record(now.saturating_sub(first));
     }
-
-    let use_merged = cl.cfg.tsue.data_locality;
-    // Recycle-thread CPU: every raw record is walked once (index scan,
-    // merge bookkeeping, checksum) before the merged I/O is issued.
     let cpu = taken.records * cl.cfg.tsue_recycle_cpu_per_record;
     let start = cl.nodes[node].recycle_cpu.reserve(now, cpu);
+    let ticket = Ticket {
+        node,
+        layer,
+        pool,
+        unit: taken.id,
+        bytes: taken.bytes,
+        started: now,
+    };
+    Some((ticket, taken, start))
+}
+
+/// Ends a recycle whose bookings complete at `t_end`: traces it, then at
+/// `t_end` frees the unit, settles the ledgers, records the recycle time,
+/// wakes stalled clients, and goes again if that pool has more work.
+fn end_recycle(sim: &mut Sim<Cluster>, cl: &mut Cluster, ticket: Ticket, t_end: SimTime) {
+    let t_end = t_end.max(ticket.started);
+    cl.trace_child(Stage::Recycle, ticket.node, ticket.started, t_end);
+    sim.schedule_at(t_end, move |sim, cl: &mut Cluster| {
+        let l = ticket.layer as usize;
+        let more = {
+            let ts = tsue_state(cl, ticket.node);
+            let more = match ticket.layer {
+                Layer::Data => ts.data.finish_recycle(ticket.pool, ticket.unit),
+                Layer::Delta => ts.delta.finish_recycle(ticket.pool, ticket.unit),
+                Layer::Parity => ts.parity.finish_recycle(ticket.pool, ticket.unit),
+            };
+            ts.recycling[l] -= 1;
+            ts.pending[l] = ts.pending[l].saturating_sub(ticket.bytes);
+            more
+        };
+        cl.metrics.residency[l]
+            .recycle
+            .record(sim.now().saturating_sub(ticket.started));
+        cl.wake_waiters(sim, ticket.node);
+        if more {
+            recycle(sim, cl, ticket.node, ticket.layer);
+        }
+    });
+}
+
+/// Appends `len` bytes shipped from `from` to `to`'s `layer` log at the
+/// simulation present: the send, the sequential persist, the append
+/// residency and the pending ledger, then `append` into the pool set; if
+/// that sealed a unit, a recycle is scheduled for when the persist lands.
+fn log_downstream(
+    sim: &mut Sim<Cluster>,
+    cl: &mut Cluster,
+    from: usize,
+    to: usize,
+    layer: Layer,
+    len: u32,
+    append: impl FnOnce(&mut TsueState, SimTime) -> AppendOutcome,
+) {
+    let bytes = len as u64;
+    let t_send = cl.send(sim.now(), from, to, bytes);
+    let log_off = cl.log_offset(to, bytes);
+    let t_persist = cl.disk_io(to, t_send, IoOp::write(log_off, bytes, Pattern::Sequential));
+    cl.metrics.residency[layer as usize]
+        .append
+        .record(t_persist.saturating_sub(t_send));
+    let ts = tsue_state(cl, to);
+    ts.pending[layer as usize] += bytes;
+    if let AppendOutcome::AppendedAndSealed(_) = append(ts, t_send) {
+        schedule_recycle(sim, layer, to, t_persist);
+    }
+}
+
+/// DataLog recycle: one unit per invocation.
+fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
+    let now = sim.now();
+    // Per-block ordering is preserved by routing one block's records to
+    // one recycle thread, which the coverage-level simulation inherits.
+    let Some((ticket, taken, start)) = start_recycle(cl, node, Layer::Data, now, |ts| {
+        ts.data.take_recyclable_any()
+    }) else {
+        return;
+    };
+
+    let use_merged = cl.cfg.tsue.data_locality;
     let range_total: u64 = taken
         .contents
         .iter()
@@ -351,18 +450,17 @@ pub fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     // Process block by block: write-after-read the merged ranges, then
     // forward that block's deltas immediately — sends pace out across the
     // recycle window instead of bursting on the egress link at the end.
-    let mut t_end = start;
     let mut t_io = start;
-    for (key, ranges) in &taken.contents {
-        let addr = tsue_state(cl, node).addr_of[key];
+    for (key, ranges) in taken.contents {
+        let addr = tsue_state(cl, node).addr_of[&key];
         let (bnode, bdev) = cl.layout.locate(addr);
-        for (off, g) in ranges {
+        for &(off, g) in &ranges {
             let len = g.0 as u64;
             if use_merged {
                 // A failure may have re-homed the block since its updates
                 // were logged: the merged range is then folded at its
                 // rebuild target, one network hop away.
-                let boff = bdev + *off as u64;
+                let boff = bdev + off as u64;
                 let t_at = if bnode != node {
                     cl.send(t_io, node, bnode, len)
                 } else {
@@ -378,45 +476,19 @@ pub fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
                     t_io = cl.disk_io(node, t_r, IoOp::write(roff, avg, Pattern::Random));
                 }
             }
-            cl.oracle_apply_data(addr, *off, g.0);
+            cl.oracle_apply_data(addr, off, g.0);
         }
         // Forward this block's deltas once its I/O completes. Scheduling a
         // real event (instead of forward-booking the network now) keeps
         // link reservations at the simulation present, so foreground
         // traffic is never falsely queued behind far-future bookings.
-        let ranges_owned: Vec<(u32, Ghost)> = ranges.clone();
         cl.forwards_in_flight += 1;
         sim.schedule_at(t_io.max(now), move |sim, cl: &mut Cluster| {
             cl.forwards_in_flight -= 1;
-            forward_block_deltas(sim, cl, node, addr, &ranges_owned);
+            forward_block_deltas(sim, cl, node, addr, &ranges);
         });
     }
-    t_end = t_end.max(t_io);
-    cl.trace_child(Stage::Recycle, node, now, t_end.max(now));
-
-    // Finish: free the unit, wake stalled clients, account residency.
-    let unit_id = taken.id;
-    let bytes = taken.bytes;
-    sim.schedule_at(t_end.max(now), move |sim, cl: &mut Cluster| {
-        let more = {
-            let ts = tsue_state(cl, node);
-            ts.data.pool_mut(pool_idx).finish_recycle(unit_id);
-            ts.recycling[DATA] -= 1;
-            ts.pending[DATA] = ts.pending[DATA].saturating_sub(bytes);
-            ts.data
-                .pool(pool_idx)
-                .count_state(tsue::UnitState::Recyclable)
-                > 0
-        };
-        cl.metrics
-            .data_residency
-            .recycle
-            .record(sim.now().saturating_sub(now));
-        cl.wake_waiters(sim, node);
-        if more {
-            recycle_data(sim, cl, node);
-        }
-    });
+    end_recycle(sim, cl, ticket, t_io);
 }
 
 /// Forwards one recycled block's data deltas downstream at the simulation
@@ -431,35 +503,22 @@ fn forward_block_deltas(
 ) {
     let now = sim.now();
     let delta_log_on = cl.cfg.tsue.delta_log && cl.cfg.code.m() >= 2;
-    let skey = stripe_key(addr.volume, addr.stripe);
+    let stripe = stripe_key(addr.volume, addr.stripe);
     let mut parity_addrs = cl.layout.parity_addrs(addr.volume, addr.stripe);
     if delta_log_on {
         // Delta to the first parity node's DeltaLog + copy on second.
         let (p1, _) = cl.layout.locate(parity_addrs.next().expect("m >= 2"));
         let (p2, _) = cl.layout.locate(parity_addrs.next().expect("m >= 2"));
-        for (off, g) in ranges {
-            let len = g.0 as u64;
-            let t_send = cl.send(now, node, p1, len);
-            let plog = cl.log_offset(p1, len);
-            let t_persist = cl.disk_io(p1, t_send, IoOp::write(plog, len, Pattern::Sequential));
-            cl.metrics
-                .delta_residency
-                .append
-                .record(t_persist.saturating_sub(t_send));
-            let sealed = {
-                let ts1 = tsue_state(cl, p1);
-                ts1.pending[DELTA] += len;
-                let sb = StripeBlock {
-                    stripe: skey,
-                    block_idx: addr.index,
-                };
-                let (_, out) = ts1.delta.append_overflow(sb, *off, Ghost(g.0), t_send);
-                matches!(out, AppendOutcome::AppendedAndSealed(_))
-            };
-            if sealed {
-                schedule_delta_recycle(sim, p1, t_persist);
-            }
+        let key = StripeBlock {
+            stripe,
+            block_idx: addr.index,
+        };
+        for &(off, g) in ranges {
+            log_downstream(sim, cl, node, p1, Layer::Delta, g.0, |ts, t| {
+                ts.delta.append_overflow(key, off, g, t).1
+            });
             // Copy on the second parity node: disk + net only.
+            let len = g.0 as u64;
             let t_send2 = cl.send(now, node, p2, len);
             let plog2 = cl.log_offset(p2, len);
             cl.disk_io(p2, t_send2, IoOp::write(plog2, len, Pattern::Sequential));
@@ -468,86 +527,37 @@ fn forward_block_deltas(
         // O5 off: parity deltas straight to every parity node's log.
         for (p, paddr) in parity_addrs.enumerate() {
             let (pn, _) = cl.layout.locate(paddr);
-            for (off, g) in ranges {
-                let len = g.0 as u64;
-                let t_send = cl.send(now, node, pn, len);
-                let plog = cl.log_offset(pn, len);
-                let t_persist = cl.disk_io(pn, t_send, IoOp::write(plog, len, Pattern::Sequential));
-                let sealed = {
-                    let tsp = tsue_state(cl, pn);
-                    tsp.pending[PARITY] += len;
-                    let pk = ParityKey {
-                        stripe: skey,
-                        parity_idx: p as u16,
-                    };
-                    let (_, out) = tsp.parity.append_overflow(pk, *off, Ghost(g.0), t_send);
-                    matches!(out, AppendOutcome::AppendedAndSealed(_))
-                };
-                if sealed {
-                    schedule_parity_recycle(sim, pn, t_persist);
-                }
+            let key = ParityKey {
+                stripe,
+                parity_idx: p as u16,
+            };
+            for &(off, g) in ranges {
+                log_downstream(sim, cl, node, pn, Layer::Parity, g.0, |ts, t| {
+                    ts.parity.append_overflow(key, off, g, t).1
+                });
             }
         }
     }
 }
 
 /// DeltaLog recycle: one unit per invocation (Eq. 5 merge per stripe).
-pub fn recycle_delta(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
+fn recycle_delta(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     let now = sim.now();
-    let taken = {
-        let ts = tsue_state(cl, node);
-        let taken = ts.delta.take_recyclable_any();
-        if taken.is_some() {
-            ts.recycling[DELTA] += 1;
-        }
-        taken
-    };
-    let Some((pool_idx, taken)) = taken else {
+    let Some((ticket, taken, start)) = start_recycle(cl, node, Layer::Delta, now, |ts| {
+        ts.delta.take_recyclable_any()
+    }) else {
         return;
     };
-    if let Some(first) = taken.first_append_at {
-        cl.metrics
-            .delta_residency
-            .buffer
-            .record(now.saturating_sub(first));
-    }
-
-    let cpu = taken.records * cl.cfg.tsue_recycle_cpu_per_record;
-    let start = cl.nodes[node].recycle_cpu.reserve(now, cpu);
-    let t_end = start;
     // Eq. 5 combination happens on the recycle thread; the combined parity
     // deltas are shipped by a properly-timed event at CPU completion so
     // network reservations stay at the simulation present.
-    let jobs = group_delta_jobs(taken.contents.clone());
+    let jobs = group_delta_jobs(taken.contents);
     cl.forwards_in_flight += 1;
     sim.schedule_at(start.max(now), move |sim, cl: &mut Cluster| {
         cl.forwards_in_flight -= 1;
         forward_stripe_deltas(sim, cl, node, &jobs);
     });
-    cl.trace_child(Stage::Recycle, node, now, t_end.max(now));
-
-    let unit_id = taken.id;
-    let bytes = taken.bytes;
-    sim.schedule_at(t_end.max(now), move |sim, cl: &mut Cluster| {
-        let more = {
-            let ts = tsue_state(cl, node);
-            ts.delta.pool_mut(pool_idx).finish_recycle(unit_id);
-            ts.recycling[DELTA] -= 1;
-            ts.pending[DELTA] = ts.pending[DELTA].saturating_sub(bytes);
-            ts.delta
-                .pool(pool_idx)
-                .count_state(tsue::UnitState::Recyclable)
-                > 0
-        };
-        cl.metrics
-            .delta_residency
-            .recycle
-            .record(sim.now().saturating_sub(now));
-        cl.wake_waiters(sim, node);
-        if more {
-            recycle_delta(sim, cl, node);
-        }
-    });
+    end_recycle(sim, cl, ticket, start);
 }
 
 /// Ships combined (Eq. 5) parity deltas to every parity node's ParityLog.
@@ -555,9 +565,8 @@ fn forward_stripe_deltas(
     sim: &mut Sim<Cluster>,
     cl: &mut Cluster,
     node: usize,
-    jobs: &[tsue::layers::StripeDeltaJob<Ghost>],
+    jobs: &[StripeDeltaJob<Ghost>],
 ) {
-    let now = sim.now();
     let m = cl.cfg.code.m();
     for job in jobs {
         let (volume, stripe) = stripe_of(job.stripe);
@@ -570,70 +579,43 @@ fn forward_stripe_deltas(
                 index: cl.cfg.code.k() as u16 + p,
             };
             let (pn, _) = cl.layout.locate(paddr);
+            let key = ParityKey {
+                stripe: job.stripe,
+                parity_idx: p,
+            };
             for &(off, len) in &union {
-                let blen = len as u64;
-                let t_send = cl.send(now, node, pn, blen);
-                let plog = cl.log_offset(pn, blen);
-                let t_persist =
-                    cl.disk_io(pn, t_send, IoOp::write(plog, blen, Pattern::Sequential));
-                cl.metrics
-                    .parity_residency
-                    .append
-                    .record(t_persist.saturating_sub(t_send));
-                let sealed = {
-                    let tsp = tsue_state(cl, pn);
-                    tsp.pending[PARITY] += blen;
-                    let pk = ParityKey {
-                        stripe: job.stripe,
-                        parity_idx: p,
-                    };
-                    let (_, out) = tsp.parity.append_overflow(pk, off, Ghost(len), t_send);
-                    matches!(out, AppendOutcome::AppendedAndSealed(_))
-                };
-                if sealed {
-                    schedule_parity_recycle(sim, pn, t_persist);
-                }
+                log_downstream(sim, cl, node, pn, Layer::Parity, len, |ts, t| {
+                    ts.parity.append_overflow(key, off, Ghost(len), t).1
+                });
             }
         }
     }
 }
 
 /// ParityLog recycle: one unit per invocation.
-pub fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
+fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     let now = sim.now();
-    let taken = {
-        let ts = tsue_state(cl, node);
-        let taken = ts.parity.take_recyclable_any();
-        if taken.is_some() {
-            ts.recycling[PARITY] += 1;
-        }
-        taken
-    };
-    let Some((pool_idx, taken)) = taken else {
+    let Some((ticket, taken, start)) = start_recycle(cl, node, Layer::Parity, now, |ts| {
+        ts.parity.take_recyclable_any()
+    }) else {
         return;
     };
-    if let Some(first) = taken.first_append_at {
-        cl.metrics
-            .parity_residency
-            .buffer
-            .record(now.saturating_sub(first));
-    }
-
-    let use_merged = cl.cfg.tsue.parity_locality;
-    let cpu = taken.records * cl.cfg.tsue_recycle_cpu_per_record;
-    let mut t_end = cl.nodes[node].recycle_cpu.reserve(now, cpu);
-    if use_merged {
-        for job in group_parity_jobs(taken.contents.clone()) {
-            let (volume, stripe) = stripe_of(job.parity.stripe);
-            let paddr = BlockAddr {
-                volume,
-                stripe,
-                index: cl.cfg.code.k() as u16 + job.parity.parity_idx,
-            };
+    let parity_addr = |cl: &Cluster, key: ParityKey| {
+        let (volume, stripe) = stripe_of(key.stripe);
+        BlockAddr {
+            volume,
+            stripe,
+            index: cl.cfg.code.k() as u16 + key.parity_idx,
+        }
+    };
+    let mut t_end = start;
+    if cl.cfg.tsue.parity_locality {
+        for (key, ranges) in taken.contents {
+            let paddr = parity_addr(cl, key);
             let (pn, pdev) = cl.layout.locate(paddr);
-            for (off, g) in &job.ranges {
+            for (off, g) in ranges {
                 let len = g.0 as u64;
-                let poff = pdev + *off as u64;
+                let poff = pdev + off as u64;
                 // Fold at the parity block's current home (a rebuild may
                 // have moved it off this node mid-replay).
                 let t_at = if pn != node {
@@ -643,55 +625,25 @@ pub fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
                 };
                 let t_r = cl.disk_io(pn, t_at, IoOp::read(poff, len, Pattern::Random));
                 t_end = cl.disk_io(pn, t_r, IoOp::write(poff, len, Pattern::Random));
-                cl.oracle_apply_parity(paddr, *off, g.0);
+                cl.oracle_apply_parity(paddr, off, g.0);
             }
         }
     } else {
         // O2 off: per-record read-modify-write.
         let avg = (taken.bytes / taken.records.max(1)).max(1);
-        let mut t = t_end;
         for _ in 0..taken.records {
             let off = cl.log_offset(node, avg);
-            let t_r = cl.disk_io(node, t, IoOp::read(off, avg, Pattern::Random));
-            t = cl.disk_io(node, t_r, IoOp::write(off, avg, Pattern::Random));
+            let t_r = cl.disk_io(node, t_end, IoOp::read(off, avg, Pattern::Random));
+            t_end = cl.disk_io(node, t_r, IoOp::write(off, avg, Pattern::Random));
         }
-        t_end = t;
-        for job in group_parity_jobs(taken.contents.clone()) {
-            let (volume, stripe) = stripe_of(job.parity.stripe);
-            let paddr = BlockAddr {
-                volume,
-                stripe,
-                index: cl.cfg.code.k() as u16 + job.parity.parity_idx,
-            };
-            for (off, g) in &job.ranges {
-                cl.oracle_apply_parity(paddr, *off, g.0);
+        for (key, ranges) in taken.contents {
+            let paddr = parity_addr(cl, key);
+            for (off, g) in ranges {
+                cl.oracle_apply_parity(paddr, off, g.0);
             }
         }
     }
-
-    cl.trace_child(Stage::Recycle, node, now, t_end.max(now));
-    let unit_id = taken.id;
-    let bytes = taken.bytes;
-    sim.schedule_at(t_end.max(now), move |sim, cl: &mut Cluster| {
-        let more = {
-            let ts = tsue_state(cl, node);
-            ts.parity.pool_mut(pool_idx).finish_recycle(unit_id);
-            ts.recycling[PARITY] -= 1;
-            ts.pending[PARITY] = ts.pending[PARITY].saturating_sub(bytes);
-            ts.parity
-                .pool(pool_idx)
-                .count_state(tsue::UnitState::Recyclable)
-                > 0
-        };
-        cl.metrics
-            .parity_residency
-            .recycle
-            .record(sim.now().saturating_sub(now));
-        cl.wake_waiters(sim, node);
-        if more {
-            recycle_parity(sim, cl, node);
-        }
-    });
+    end_recycle(sim, cl, ticket, t_end);
 }
 
 /// One drain tick: force-seals every active unit on every node and starts
@@ -707,32 +659,76 @@ fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, until: SimTime) {
     let now = sim.now();
     let mut pending = 0u64;
     for node in 0..cl.cfg.nodes {
-        let (has_data, has_delta, has_parity, p) = {
+        let idle = {
             let ts = tsue_state(cl, node);
-            ts.data.seal_all_active(now);
-            ts.delta.seal_all_active(now);
-            ts.parity.seal_all_active(now);
-            (
-                !ts.data.is_fully_drained() && ts.recycling[DATA] == 0,
-                !ts.delta.is_fully_drained() && ts.recycling[DELTA] == 0,
-                !ts.parity.is_fully_drained() && ts.recycling[PARITY] == 0,
-                ts.pending_bytes(),
-            )
+            ts.data.seal_all_active();
+            ts.delta.seal_all_active();
+            ts.parity.seal_all_active();
+            pending += ts.pending_bytes();
+            Layer::ALL.map(|l| !ts.is_drained(l) && ts.recycling[l as usize] == 0)
         };
-        pending += p;
-        if has_data {
-            recycle_data(sim, cl, node);
-        }
-        if has_delta {
-            recycle_delta(sim, cl, node);
-        }
-        if has_parity {
-            recycle_parity(sim, cl, node);
+        for layer in Layer::ALL {
+            if idle[layer as usize] {
+                recycle(sim, cl, node, layer);
+            }
         }
     }
     if pending > 0 && now < until {
         sim.schedule(simdes::units::MILLIS, move |sim, cl: &mut Cluster| {
             drain_tick(sim, cl, until);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+
+    /// A short TSUE replay whose small log units make every layer recycle.
+    fn small_replay(delta_log: bool) -> ReplayConfig {
+        let code = CodeParams::new(6, 3).unwrap();
+        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        cluster.clients = 8;
+        cluster.tsue.delta_log = delta_log;
+        cluster.tsue_unit_bytes = 256 << 10;
+        let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
+        rcfg.ops_per_client = 300;
+        rcfg.volume_bytes = 32 << 20;
+        rcfg
+    }
+
+    /// Every recycle started is finished and every byte appended is
+    /// recycled: once a replay has drained, each node's ledgers are zero
+    /// and its three pool sets hold nothing RECYCLABLE or RECYCLING.
+    #[test]
+    fn ledgers_balance_after_drain() {
+        for delta_log in [true, false] {
+            let (mut sim, mut cl) = run_update_phase(&small_replay(delta_log));
+            loop {
+                methods::drain(&mut sim, &mut cl);
+                sim.run(&mut cl);
+                if methods::pending_log_bytes(&cl) == 0 {
+                    break;
+                }
+            }
+            let recycled = Layer::ALL.map(|l| cl.metrics.residency[l as usize].recycle.count());
+            assert!(recycled[Layer::Data as usize] > 0, "{recycled:?}");
+            assert!(recycled[Layer::Parity as usize] > 0, "{recycled:?}");
+            assert_eq!(
+                recycled[Layer::Delta as usize] > 0,
+                delta_log,
+                "{recycled:?}"
+            );
+            for node in 0..cl.cfg.nodes {
+                let ts = tsue_state(&mut cl, node);
+                let what = format!("delta_log {delta_log}, node {node}");
+                assert_eq!(ts.recycling, [0; 3], "{what}");
+                assert_eq!(ts.pending, [0; 3], "{what}");
+                for layer in Layer::ALL {
+                    assert!(ts.is_drained(layer), "{what}: {layer:?}");
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,7 @@ use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
 use crate::methods::spec::{Decorator, MethodSpec};
+use crate::methods::tsue_drv::Layer;
 use crate::methods::{self, UpdateCtx};
 use crate::recovery;
 use crate::telemetry::{StageRow, Trace, TraceConfig};
@@ -1042,9 +1043,9 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         erases: cl.total_erases(),
         series: m.completions.rates_per_sec(),
         log_memory_bytes: log_memory(&cl),
-        data_residency: ResidencySummary::from_layer(&m.data_residency),
-        delta_residency: ResidencySummary::from_layer(&m.delta_residency),
-        parity_residency: ResidencySummary::from_layer(&m.parity_residency),
+        data_residency: ResidencySummary::from_layer(&m.residency[Layer::Data as usize]),
+        delta_residency: ResidencySummary::from_layer(&m.residency[Layer::Delta as usize]),
+        parity_residency: ResidencySummary::from_layer(&m.residency[Layer::Parity as usize]),
         stalls: m.stall_waits,
         cache_read_hits: m.cache_read_hits,
         cache_lookups: m.cache_lookups,

@@ -91,7 +91,7 @@ fn op_path_allocations_stay_within_budget() {
         (Arc::new(Plr), 1.0, 0.775),
         (Arc::new(Parix), 0.5, 4.793),
         (Arc::new(Cord), 0.25, 1.519),
-        (Arc::new(Tsue), 1.0, 2.108),
+        (Arc::new(Tsue), 0.8, 2.108),
     ];
     let mut over = Vec::new();
     for (method, bound, before) in budgets {

@@ -166,6 +166,24 @@ fn fig7_ladder_is_monotonic_enough() {
 }
 
 #[test]
+fn parity_append_residency_is_recorded_without_the_delta_log() {
+    // With the DeltaLog off (the HDD testbed, Fig. 7's rungs below O5),
+    // data deltas go straight to every ParityLog: those appends are the
+    // ParityLog's append residency, and there is no DeltaLog traffic.
+    let mut rcfg = replay(Arc::new(Tsue), TraceFamily::AliCloud, 8);
+    rcfg.cluster.tsue.delta_log = false;
+    rcfg.cluster.tsue_unit_bytes = 256 << 10; // small units: recycling active
+    let res = Replay::run(&rcfg).result;
+    assert_eq!(res.oracle_violations, 0);
+    assert!(
+        res.parity_residency.append_us > 0.0,
+        "{:?}",
+        res.parity_residency
+    );
+    assert_eq!(res.delta_residency.append_us, 0.0);
+}
+
+#[test]
 fn trace_csv_roundtrips_through_replay_pipeline() {
     // Generated traces survive CSV export/import unchanged.
     let mut gen = traces::WorkloadGen::new(traces::WorkloadParams::ten_cloud(32 << 20), 7);
