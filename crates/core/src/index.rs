@@ -196,6 +196,13 @@ impl<P: Payload> BlockIndex<P> {
         cursor >= end
     }
 
+    /// End of the live range holding byte `off`, if one does.
+    pub fn range_end_at(&self, off: u32) -> Option<u32> {
+        let (&s, e) = self.entries.range(..=off).next_back()?;
+        let end = s + e.len();
+        (end > off).then_some(end)
+    }
+
     /// Consumes the index, yielding sorted `(offset, payload)` ranges.
     pub fn into_sorted_ranges(self) -> Vec<(u32, P)> {
         self.entries.into_iter().collect()
@@ -264,6 +271,11 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
             .get(key)
             .map(|b| b.covers(off, len))
             .unwrap_or(false)
+    }
+
+    /// End of the live range under `key` holding byte `off`, if one does.
+    pub fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
+        self.blocks.get(key)?.range_end_at(off)
     }
 
     /// Fast definite-miss test.

@@ -134,6 +134,12 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
         self.pools[idx].lookup(key, off, len)
     }
 
+    /// Whether the key's pool holds every byte of `[off, off+len)` (see
+    /// [`LogPool::covers`]).
+    pub fn covers(&self, key: &K, off: u32, len: u32) -> bool {
+        self.pools[self.pool_for(key)].covers(key, off, len)
+    }
+
     /// Total memory footprint across pools.
     pub fn memory_bytes(&self) -> u64 {
         self.pools.iter().map(|p| p.memory_bytes()).sum()

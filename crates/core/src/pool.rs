@@ -317,6 +317,26 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
         }
         out
     }
+
+    /// Whether the read cache holds every byte of `[off, off+len)`: the
+    /// union of all units' pieces covers it. Pieces of different units may
+    /// overlap, and an overlapped byte counts once.
+    pub fn covers(&self, key: &K, off: u32, len: u32) -> bool {
+        let end = off + len;
+        let mut cursor = off;
+        while cursor < end {
+            // Jump to the farthest end among the ranges holding `cursor`.
+            let reach = self
+                .units
+                .iter()
+                .filter_map(|u| u.range_end_at(key, cursor));
+            let Some(next) = reach.max() else {
+                return false;
+            };
+            cursor = next;
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -430,6 +450,23 @@ mod tests {
         assert_eq!(hits[0], (0, Ghost(100)));
         assert_eq!(hits[1], (0, Ghost(100)));
         assert!(p.lookup(&99, 0, 10).is_empty());
+    }
+
+    #[test]
+    fn covers_counts_bytes_held_by_two_units_once() {
+        let mut p = pool(4);
+        // Unit 0 holds [0, 100) of key 7 (key 8 fills it); unit 1 holds
+        // [50, 150). The pieces of [0, 200) add up to 200 bytes, but only
+        // [0, 150) is held.
+        let _ = p.append(7, 0, Ghost(100), 0);
+        let _ = p.append(8, 0, Ghost(900), 0);
+        let _ = p.append(7, 50, Ghost(100), 1);
+        assert_eq!(p.lookup(&7, 0, 200).len(), 2);
+        assert!(p.covers(&7, 0, 150));
+        assert!(p.covers(&7, 25, 100));
+        assert!(!p.covers(&7, 0, 200), "[150, 200) is in no unit");
+        assert!(!p.covers(&9, 0, 1));
+        assert!(p.covers(&9, 0, 0));
     }
 
     #[test]

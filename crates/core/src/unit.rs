@@ -159,6 +159,12 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
     pub fn lookup(&self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
         self.index.lookup(key, off, len)
     }
+
+    /// End of the live range under `key` holding byte `off`, if one does
+    /// (valid in any state holding data).
+    pub fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
+        self.index.range_end_at(key, off)
+    }
 }
 
 #[cfg(test)]

@@ -173,13 +173,7 @@ impl NodeLogState for TsueState {
     }
 
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
-        let key = addr.key();
-        self.data
-            .lookup(&key, offset, len)
-            .iter()
-            .map(|(_, g)| g.0 as u64)
-            .sum::<u64>()
-            >= len as u64
+        self.data.covers(&addr.key(), offset, len)
     }
 }
 
@@ -696,6 +690,34 @@ mod tests {
         rcfg.ops_per_client = 300;
         rcfg.volume_bytes = 32 << 20;
         rcfg
+    }
+
+    /// A read is a cache hit only when the DataLog holds every byte of it:
+    /// two units holding overlapping pieces of one block must not add up to
+    /// a hit on a range that neither reaches.
+    #[test]
+    fn read_cache_counts_overlapping_pieces_once() {
+        let code = CodeParams::new(6, 3).unwrap();
+        let mut cfg = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        cfg.tsue_unit_bytes = 64 << 10;
+        let mut ts = TsueState::new(&cfg);
+        let addr = BlockAddr {
+            volume: 0,
+            stripe: 3,
+            index: 1,
+        };
+        let key = addr.key();
+        // Unit 0: [0, 4 KiB) plus a record that fills it; unit 1: [2 KiB,
+        // 6 KiB).
+        ts.data.append(key, 0, Ghost(4096), 0);
+        ts.data.append(key, 1 << 20, Ghost((64 << 10) - 4096), 0);
+        ts.data.append(key, 2048, Ghost(4096), 1);
+        assert!(ts.read_cache_covers(addr, 0, 6144));
+        assert!(ts.read_cache_covers(addr, 1024, 4096));
+        assert!(
+            !ts.read_cache_covers(addr, 0, 8192),
+            "[6 KiB, 8 KiB) is in no unit"
+        );
     }
 
     /// Every recycle started is finished and every byte appended is
