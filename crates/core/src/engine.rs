@@ -357,8 +357,8 @@ impl Shared {
     }
 
     /// Appends via `try_append`, handling [`AppendOutcome::Stalled`] by
-    /// inline-recycling downstream layers (guaranteed progress: the parity
-    /// layer is terminal).
+    /// recycling `layer` and the layers downstream of it inline (guaranteed
+    /// progress: the parity layer is terminal).
     fn append_with_backpressure<F>(&self, layer: Layer, try_append: F)
     where
         F: Fn(&Shared) -> AppendOutcome,
@@ -370,9 +370,8 @@ impl Shared {
                     return;
                 }
                 AppendOutcome::Stalled => {
-                    // Free space in this layer by recycling it (and, for the
-                    // delta layer, its downstream parity layer) inline.
                     let progressed = match layer {
+                        Layer::Data => self.recycle_once(),
                         Layer::Delta => self.recycle_delta_once() || self.recycle_parity_once(),
                         Layer::Parity => self.recycle_parity_once(),
                     };
@@ -388,10 +387,10 @@ impl Shared {
     }
 }
 
-/// Internal marker for downstream layers (data-layer appends come from the
-/// public API and handle back-pressure separately).
+/// The log layer an append targets (see [`Shared::append_with_backpressure`]).
 #[derive(Clone, Copy)]
 enum Layer {
+    Data,
     Delta,
     Parity,
 }
@@ -484,28 +483,12 @@ impl TsueEngine {
         assert!(!bytes.is_empty(), "empty update");
         let id = self.shared.data_block_id(stripe, block_idx);
         let payload = Data::copy_from(bytes);
-        loop {
-            let outcome = {
-                let mut log = self.shared.data_log.lock();
-                log.append(id, offset, payload.clone(), 0).1
-            };
-            match outcome {
-                AppendOutcome::Appended | AppendOutcome::AppendedAndSealed(_) => {
-                    self.shared.acked.fetch_add(1, Ordering::Relaxed);
-                    self.shared.work_cv.notify_all();
-                    return;
-                }
-                AppendOutcome::Stalled => {
-                    // Help out rather than spin.
-                    if !self.shared.recycle_once() {
-                        let mut guard = self.shared.work_mx.lock();
-                        self.shared
-                            .work_cv
-                            .wait_for(&mut guard, std::time::Duration::from_millis(1));
-                    }
-                }
-            }
-        }
+        // Under back-pressure the writer helps recycle rather than spin.
+        self.shared
+            .append_with_backpressure(Layer::Data, move |sh| {
+                sh.data_log.lock().append(id, offset, payload.clone(), 0).1
+            });
+        self.shared.acked.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads `len` bytes at `offset` of a data block through the log cache:

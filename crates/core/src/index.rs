@@ -428,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_ratio_reflects_consolidation() {
+    fn repeated_records_consolidate_to_one_range() {
         let mut idx: TwoLevelIndex<u64, Ghost> = TwoLevelIndex::new(MergeMode::Overwrite);
         for _ in 0..100 {
             idx.insert(1, 0, Ghost(4096));

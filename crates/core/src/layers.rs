@@ -102,13 +102,20 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
             .find_map(|(i, p)| Some((i, p.take_recyclable()?)))
     }
 
-    /// Ordered variant of [`Self::take_recyclable_any`]: only takes from
-    /// pools with no unit currently RECYCLING (newest-wins layers).
+    /// Like [`Self::take_recyclable_any`], but skips pools that still have
+    /// a unit RECYCLING.
+    ///
+    /// Newest-wins layers (the DataLog) need per-block recycle ordering;
+    /// since a block's records always hash to one pool, serialising recycles
+    /// *within* a pool is exactly the paper's "log records for the same
+    /// block are assigned to the same recycle thread" rule, while distinct
+    /// pools still recycle in parallel.
     pub fn take_recyclable_ordered(&mut self) -> Option<(usize, TakenUnit<K, P>)> {
         self.pools
             .iter_mut()
             .enumerate()
-            .find_map(|(i, p)| Some((i, p.take_recyclable_exclusive()?)))
+            .filter(|(_, p)| p.count_state(UnitState::Recycling) == 0)
+            .find_map(|(i, p)| Some((i, p.take_recyclable()?)))
     }
 
     /// Marks unit `unit_id` of pool `pool` RECYCLED (see
@@ -121,11 +128,10 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
     }
 
     /// Force-seals every non-empty active unit (end-of-run drain).
-    pub fn seal_all_active(&mut self) -> usize {
-        self.pools
-            .iter_mut()
-            .filter_map(|p| p.seal_active())
-            .count()
+    pub fn seal_all_active(&mut self) {
+        for pool in &mut self.pools {
+            pool.seal_active();
+        }
     }
 
     /// Read-cache lookup in the key's pool.
@@ -221,10 +227,19 @@ mod tests {
     use crate::payload::Ghost;
     use crate::unit::LogUnit;
 
+    fn set(pools: usize, unit_bytes: u64) -> LogPoolSet<BlockId, Ghost> {
+        let cfg = PoolConfig {
+            unit_bytes,
+            min_units: 2,
+            max_units: 4,
+            mode: MergeMode::Overwrite,
+        };
+        LogPoolSet::new(pools, cfg)
+    }
+
     #[test]
     fn pool_set_routes_consistently() {
-        let set: LogPoolSet<BlockId, Ghost> =
-            LogPoolSet::new(4, PoolConfig::paper_default(MergeMode::Overwrite));
+        let set = set(4, 16 << 20);
         for key in 0..100u64 {
             assert_eq!(set.pool_for(&key), set.pool_for(&key));
             assert!(set.pool_for(&key) < 4);
@@ -233,8 +248,7 @@ mod tests {
 
     #[test]
     fn pool_set_spreads_keys() {
-        let set: LogPoolSet<BlockId, Ghost> =
-            LogPoolSet::new(4, PoolConfig::paper_default(MergeMode::Overwrite));
+        let set = set(4, 16 << 20);
         let mut used = [false; 4];
         for key in 0..64u64 {
             used[set.pool_for(&key)] = true;
@@ -244,21 +258,12 @@ mod tests {
 
     #[test]
     fn append_and_recycle_through_set() {
-        let mut set: LogPoolSet<BlockId, Ghost> = LogPoolSet::new(
-            2,
-            PoolConfig {
-                unit_bytes: 500,
-                min_units: 2,
-                max_units: 4,
-                mode: MergeMode::Overwrite,
-            },
-        );
+        let mut set = set(2, 500);
         for i in 0..40u64 {
             let (_, out) = set.append(i % 8, (i as u32) * 100, Ghost(100), i);
             assert_ne!(out, AppendOutcome::Stalled);
         }
-        let sealed = set.seal_all_active();
-        assert!(sealed > 0);
+        set.seal_all_active();
         let mut records = 0;
         while let Some((pool, taken)) = set.take_recyclable_any() {
             assert!(!taken.contents.is_empty());
@@ -271,15 +276,7 @@ mod tests {
 
     #[test]
     fn finish_recycle_reports_more_work_in_that_pool() {
-        let mut set: LogPoolSet<BlockId, Ghost> = LogPoolSet::new(
-            1,
-            PoolConfig {
-                unit_bytes: 100,
-                min_units: 2,
-                max_units: 4,
-                mode: MergeMode::Overwrite,
-            },
-        );
+        let mut set = set(1, 100);
         for i in 0..3u64 {
             let _ = set.append(i, 0, Ghost(100), i);
         }

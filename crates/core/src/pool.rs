@@ -24,16 +24,6 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// The paper's default: 16 MiB units, 2–4 units.
-    pub fn paper_default(mode: MergeMode) -> PoolConfig {
-        PoolConfig {
-            unit_bytes: 16 << 20,
-            min_units: 2,
-            max_units: 4,
-            mode,
-        }
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.unit_bytes == 0 {
@@ -277,21 +267,6 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
             first_append_at: u.first_append_at,
             contents,
         })
-    }
-
-    /// Like [`Self::take_recyclable`], but refuses while another unit of
-    /// this pool is still RECYCLING.
-    ///
-    /// Newest-wins layers (the DataLog) need per-block recycle ordering;
-    /// since a block's records always hash to one pool, serialising recycles
-    /// *within* a pool is exactly the paper's "log records for the same
-    /// block are assigned to the same recycle thread" rule, while distinct
-    /// pools still recycle in parallel.
-    pub fn take_recyclable_exclusive(&mut self) -> Option<TakenUnit<K, P>> {
-        if self.count_state(UnitState::Recycling) > 0 {
-            return None;
-        }
-        self.take_recyclable()
     }
 
     /// Marks a RECYCLING unit as done (RECYCLED).
@@ -555,6 +530,5 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(PoolConfig::paper_default(MergeMode::Xor).validate().is_ok());
     }
 }
