@@ -197,7 +197,7 @@ impl<P: Payload> BlockIndex<P> {
     }
 
     /// End of the live range holding byte `off`, if one does.
-    pub fn range_end_at(&self, off: u32) -> Option<u32> {
+    pub(crate) fn range_end_at(&self, off: u32) -> Option<u32> {
         let (&s, e) = self.entries.range(..=off).next_back()?;
         let end = s + e.len();
         (end > off).then_some(end)
@@ -274,7 +274,7 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
     }
 
     /// End of the live range under `key` holding byte `off`, if one does.
-    pub fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
+    pub(crate) fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
         self.blocks.get(key)?.range_end_at(off)
     }
 

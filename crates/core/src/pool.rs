@@ -14,7 +14,7 @@ use crate::unit::{LogUnit, UnitState};
 pub struct PoolConfig {
     /// Bytes per log unit (the paper uses 16 MiB).
     pub unit_bytes: u64,
-    /// Units kept allocated even when idle.
+    /// Units allocated up front; the pool grows from here to the quota.
     pub min_units: usize,
     /// Hard quota on units (the paper's memory-limit knob; Fig. 6b sweeps
     /// this from 2 to 20).

@@ -162,7 +162,7 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
 
     /// End of the live range under `key` holding byte `off`, if one does
     /// (valid in any state holding data).
-    pub fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
+    pub(crate) fn range_end_at(&self, key: &K, off: u32) -> Option<u32> {
         self.index.range_end_at(key, off)
     }
 }

@@ -154,7 +154,7 @@ impl TsueState {
     }
 
     /// Whether `layer` has nothing RECYCLABLE or RECYCLING.
-    pub fn is_drained(&self, layer: Layer) -> bool {
+    pub(crate) fn is_drained(&self, layer: Layer) -> bool {
         match layer {
             Layer::Data => self.data.is_fully_drained(),
             Layer::Delta => self.delta.is_fully_drained(),
