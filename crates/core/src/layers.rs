@@ -290,19 +290,37 @@ mod tests {
         assert!(!set.finish_recycle(pool, second.id));
     }
 
+    /// The keys of a sealed unit holding one record per entry of `keys`, in
+    /// the order [`LogUnit::start_recycle`] hands them to a recycler.
+    fn taken_keys<K: Hash + Eq + Ord + Clone>(keys: &[K]) -> Vec<K> {
+        let mut unit: LogUnit<K, Ghost> = LogUnit::new(0, 1 << 20, MergeMode::Xor);
+        for (i, k) in keys.iter().enumerate() {
+            unit.append(k.clone(), i as u32 * 8, Ghost(4), 0);
+        }
+        unit.seal();
+        unit.start_recycle().into_iter().map(|(k, _)| k).collect()
+    }
+
+    /// DataLog recycling applies each block's records as one job, in
+    /// ascending block order.
+    #[test]
+    fn data_jobs_sorted_by_block() {
+        assert_eq!(taken_keys(&[9u64, 3]), vec![3, 9]);
+    }
+
+    /// ParityLog recycling applies each parity block's deltas as one job,
+    /// ordered by stripe, then parity index.
+    #[test]
+    fn parity_jobs_sorted() {
+        let pk = |stripe, parity_idx| ParityKey { stripe, parity_idx };
+        assert_eq!(taken_keys(&[pk(2, 1), pk(1, 0)]), vec![pk(1, 0), pk(2, 1)]);
+    }
+
     /// Both executors iterate a taken unit's contents as the per-key jobs,
     /// so every layer's keys must come back in ascending order however they
     /// were inserted.
     #[test]
     fn start_recycle_returns_keys_ascending() {
-        fn taken_keys<K: Hash + Eq + Ord + Clone>(keys: &[K]) -> Vec<K> {
-            let mut unit: LogUnit<K, Ghost> = LogUnit::new(0, 1 << 20, MergeMode::Xor);
-            for (i, k) in keys.iter().enumerate() {
-                unit.append(k.clone(), i as u32 * 8, Ghost(4), 0);
-            }
-            unit.seal();
-            unit.start_recycle().into_iter().map(|(k, _)| k).collect()
-        }
         fn check<K: Hash + Eq + Ord + Clone + std::fmt::Debug>(keys: Vec<K>) {
             let mut sorted = keys.clone();
             sorted.sort_unstable();
