@@ -148,7 +148,7 @@ impl Hdd {
     pub fn submit(&mut self, now: SimTime, op: IoOp) -> SimTime {
         assert!(op.len > 0, "zero-length I/O");
         assert!(
-            op.offset + op.len <= self.cfg.capacity,
+            op.len <= self.cfg.capacity && op.offset <= self.cfg.capacity - op.len,
             "I/O beyond device capacity"
         );
         let service = self.service_time_at(&op, self.head, self.seq_end);
@@ -253,6 +253,13 @@ mod tests {
         // Magnetic media has no write amplification: wear = host bytes.
         assert_eq!(hdd.stats().wear_bytes, 8192 + 4096);
         assert_eq!(hdd.stats().wear_bytes, hdd.stats().writes.bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond device capacity")]
+    fn io_wrapping_the_address_space_rejected() {
+        let mut hdd = Hdd::with_defaults();
+        hdd.submit(0, IoOp::read(u64::MAX - 100, 4096, Pattern::Random));
     }
 
     #[test]

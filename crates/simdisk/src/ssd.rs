@@ -83,6 +83,16 @@ impl Default for SsdConfig {
 /// (receiving writes) or *closed* (retired from active, indexed in
 /// `closed` by its valid-page count so the victim is found without
 /// visiting every block).
+///
+/// A write command arrives as one run of logical pages and is programmed
+/// in chunks that fit the active block. A page that finds the active block
+/// full takes the per-page path (`write_page`), the only place a
+/// block retires and GC runs. Every other chunk lands in the active block
+/// as one contiguous range, and its old locations are invalidated grouped
+/// by old block: one bucket move per stretch of consecutive pages sharing
+/// an old block. This leaves exactly the state page-by-page writes would.
+/// Nothing inside a chunk can retire a block or start GC, and a closed
+/// block's bucket depends only on its final valid count.
 #[derive(Debug, Clone)]
 pub struct Ftl {
     pages_per_block: u32,
@@ -167,15 +177,15 @@ impl ValidBuckets {
 
 /// GC/wear cost of a batch of page writes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlashCost {
+struct FlashCost {
     /// Pages programmed on behalf of the host.
-    pub host_pages: u64,
+    host_pages: u64,
     /// Pages relocated by garbage collection.
-    pub moved_pages: u64,
+    moved_pages: u64,
     /// Blocks erased.
-    pub erases: u64,
+    erases: u64,
     /// Positions (bucket heads and bitset words) victim selection examined.
-    pub blocks_scanned: u64,
+    blocks_scanned: u64,
 }
 
 impl Ftl {
@@ -207,23 +217,38 @@ impl Ftl {
         }
     }
 
+    /// Writes the `pages` logical pages from `first` on, chunk by chunk
+    /// (see [`Ftl`]), adding the wear cost incurred (including any GC the
+    /// writes triggered) to `cost`; returns how many of them had been
+    /// written before.
+    fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> u64 {
+        let end = first + pages;
+        let mut lpn = first;
+        let mut mapped = 0;
+        while lpn < end {
+            let room = self.pages_per_block - self.active_next_page;
+            if room == 0 {
+                mapped += u64::from(self.write_page(lpn, cost));
+                lpn += 1;
+            } else {
+                let k = (end - lpn).min(u64::from(room)) as u32;
+                mapped += self.fill_active(lpn, k, cost);
+                lpn += u64::from(k);
+            }
+        }
+        mapped
+    }
+
     /// Writes one logical page, adding the wear cost incurred (including
     /// any GC this write triggered) to `cost`; returns whether the page
     /// had been written before.
-    pub fn write_page(&mut self, lpn: u64, cost: &mut FlashCost) -> bool {
+    fn write_page(&mut self, lpn: u64, cost: &mut FlashCost) -> bool {
         debug_assert!(lpn < self.map.len() as u64, "lpn out of range");
         // Invalidate the previous location.
         let old = self.map[lpn as usize];
         let overwrite = old != UNMAPPED;
         if overwrite {
-            let blk = old / self.pages_per_block;
-            let v = self.valid[blk as usize];
-            self.valid[blk as usize] = v - 1;
-            // A mapped page sits in the active block or in a closed one.
-            if blk != self.active_block {
-                self.closed.remove(v, blk as usize);
-                self.closed.insert(v - 1, blk as usize);
-            }
+            self.invalidate(old / self.pages_per_block, 1);
             self.rmap[old as usize] = UNMAPPED;
         }
         let ppa = self.allocate_page(cost);
@@ -232,6 +257,52 @@ impl Ftl {
         self.valid[(ppa / self.pages_per_block) as usize] += 1;
         cost.host_pages += 1;
         overwrite
+    }
+
+    /// Writes the `k` logical pages from `lpn` on into the next `k` pages
+    /// of the active block, which must have room for them; returns how
+    /// many had been written before.
+    fn fill_active(&mut self, lpn: u64, k: u32, cost: &mut FlashCost) -> u64 {
+        debug_assert!(k <= self.pages_per_block - self.active_next_page);
+        let base = self.active_block * self.pages_per_block + self.active_next_page;
+        let mut mapped = 0;
+        // The stretch of consecutive old locations in one block.
+        let (mut stretch_block, mut stretch) = (UNMAPPED, 0);
+        for i in 0..k {
+            let lpn = lpn as usize + i as usize;
+            let old = self.map[lpn];
+            if old != UNMAPPED {
+                let blk = old / self.pages_per_block;
+                if blk != stretch_block {
+                    self.invalidate(stretch_block, stretch);
+                    (stretch_block, stretch) = (blk, 0);
+                }
+                stretch += 1;
+                mapped += 1;
+                self.rmap[old as usize] = UNMAPPED;
+            }
+            self.map[lpn] = base + i;
+            self.rmap[(base + i) as usize] = lpn as u32;
+        }
+        self.invalidate(stretch_block, stretch);
+        self.valid[self.active_block as usize] += k as u16;
+        self.active_next_page += k;
+        cost.host_pages += u64::from(k);
+        mapped
+    }
+
+    /// Drops `n` valid pages from block `blk`, refiling it once if closed.
+    fn invalidate(&mut self, blk: u32, n: u16) {
+        if n == 0 {
+            return;
+        }
+        let v = self.valid[blk as usize];
+        self.valid[blk as usize] = v - n;
+        // A mapped page sits in the active block or in a closed one.
+        if blk != self.active_block {
+            self.closed.remove(v, blk as usize);
+            self.closed.insert(v - n, blk as usize);
+        }
     }
 
     fn allocate_page(&mut self, cost: &mut FlashCost) -> u32 {
@@ -378,16 +449,18 @@ impl Ssd {
 
     /// Submits an I/O; returns its completion time.
     ///
-    /// Writes run through the FTL page by page; GC relocations and erases
-    /// extend this command's service time (foreground GC), which is how
-    /// sustained random overwrite load degrades latency on real drives.
+    /// A write reaches the FTL as one run of pages, programmed a chunk at
+    /// a time (see [`Ftl`]) into exactly the state page-by-page writes
+    /// would leave; GC relocations and erases extend this command's
+    /// service time (foreground GC), which is how sustained random
+    /// overwrite load degrades latency on real drives.
     ///
     /// # Panics
     /// Panics if the op exceeds the device capacity or has zero length.
     pub fn submit(&mut self, now: SimTime, op: IoOp) -> SimTime {
         assert!(op.len > 0, "zero-length I/O");
         assert!(
-            op.offset + op.len <= self.cfg.capacity,
+            op.len <= self.cfg.capacity && op.offset <= self.cfg.capacity - op.len,
             "I/O beyond device capacity: offset {} len {} cap {}",
             op.offset,
             op.len,
@@ -406,39 +479,53 @@ impl Ssd {
                 if op.pattern == Pattern::Random {
                     self.stats.random_writes.record(op.len);
                 }
-                // FTL programming + GC, with overwrite accounting at page
-                // granularity: a page was written before iff it is mapped.
-                let first = op.offset / self.cfg.page_size;
-                let last = (op.offset + op.len - 1) / self.cfg.page_size;
-                let mut over_bytes = 0u64;
-                let mut cost = FlashCost::default();
-                for lpn in first..=last {
-                    if self.ftl.write_page(lpn, &mut cost) {
-                        over_bytes += self.page_overlap(op.offset, op.len, lpn);
-                    }
-                }
-                if over_bytes > 0 {
-                    self.stats.overwrites.record(over_bytes);
-                }
-                self.stats.nand_pages_programmed += cost.host_pages + cost.moved_pages;
-                self.stats.gc_relocated_pages += cost.moved_pages;
-                self.stats.erases += cost.erases;
-                self.stats.gc_blocks_scanned += cost.blocks_scanned;
-                self.stats.wear_bytes += (cost.host_pages + cost.moved_pages) * self.cfg.page_size;
-                service += cost.moved_pages * self.cfg.gc_page_move_time
-                    + cost.erases * self.cfg.erase_time;
+                service += self.program(op.offset, op.len);
             }
         }
         self.queue.reserve(now, service)
     }
 
-    fn page_overlap(&self, offset: u64, len: u64, lpn: u64) -> u64 {
+    /// Programs `[offset, offset + len)` through the FTL and books the
+    /// wear; returns the GC time it adds to the command.
+    ///
+    /// Overwrites count at page granularity: a page was written before iff
+    /// it is mapped, which holds for the whole command (GC moves mapped
+    /// pages, it never unmaps one). So the overwritten bytes are the
+    /// mapped pages, less the unwritten head of the first page and tail of
+    /// the last one where those were mapped.
+    fn program(&mut self, offset: u64, len: u64) -> SimTime {
         let ps = self.cfg.page_size;
-        let page_start = lpn * ps;
-        let page_end = page_start + ps;
-        let start = offset.max(page_start);
-        let end = (offset + len).min(page_end);
-        end.saturating_sub(start)
+        let end = offset + len;
+        let first = offset / ps;
+        let last = (end - 1) / ps;
+        let mapped = |lpn: u64| self.ftl.map[lpn as usize] != UNMAPPED;
+        let head = if mapped(first) {
+            offset - first * ps
+        } else {
+            0
+        };
+        let tail = if mapped(last) {
+            (last + 1) * ps - end
+        } else {
+            0
+        };
+        let mut cost = FlashCost::default();
+        let overwritten = self.ftl.write_run(first, last - first + 1, &mut cost);
+        self.book_flash(overwritten * ps - head - tail, cost)
+    }
+
+    /// Books a write's overwritten bytes and flash cost in the statistics;
+    /// returns the GC time it adds to the command.
+    fn book_flash(&mut self, over_bytes: u64, cost: FlashCost) -> SimTime {
+        if over_bytes > 0 {
+            self.stats.overwrites.record(over_bytes);
+        }
+        self.stats.nand_pages_programmed += cost.host_pages + cost.moved_pages;
+        self.stats.gc_relocated_pages += cost.moved_pages;
+        self.stats.erases += cost.erases;
+        self.stats.gc_blocks_scanned += cost.blocks_scanned;
+        self.stats.wear_bytes += (cost.host_pages + cost.moved_pages) * self.cfg.page_size;
+        cost.moved_pages * self.cfg.gc_page_move_time + cost.erases * self.cfg.erase_time
     }
 
     /// Explicitly erases the flash blocks backing `[offset, offset+len)` —
@@ -447,7 +534,10 @@ impl Ssd {
     /// cycles and books erase time on the device queue.
     pub fn erase_region(&mut self, now: SimTime, offset: u64, len: u64) -> SimTime {
         assert!(len > 0, "zero-length erase");
-        assert!(offset + len <= self.cfg.capacity, "erase beyond capacity");
+        assert!(
+            len <= self.cfg.capacity && offset <= self.cfg.capacity - len,
+            "erase beyond capacity"
+        );
         let block_bytes = self.cfg.page_size * self.cfg.pages_per_block as u64;
         let first = offset / block_bytes;
         let last = (offset + len - 1) / block_bytes;
@@ -536,6 +626,171 @@ mod tests {
             let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
             assert_eq!(valid, mapped);
         }
+
+        /// Same mapping, valid counts, closed buckets, free list and
+        /// active block and page as `other`.
+        fn assert_same(&self, other: &Ftl, command: usize) {
+            assert!(self.map == other.map, "map differs after command {command}");
+            assert!(self.rmap == other.rmap, "rmap differs after {command}");
+            assert!(self.valid == other.valid, "valid differs after {command}");
+            assert!(
+                self.closed.bits == other.closed.bits && self.closed.len == other.closed.len,
+                "closed buckets differ after {command}"
+            );
+            assert!(
+                self.free_blocks == other.free_blocks,
+                "free list differs after {command}"
+            );
+            assert_eq!(
+                (self.active_block, self.active_next_page),
+                (other.active_block, other.active_next_page),
+                "active block and page after {command}"
+            );
+        }
+    }
+
+    impl Ssd {
+        /// The page-by-page loop the run replaced, kept as the reference:
+        /// one `write_page` per page, each overwritten page adding its
+        /// overlap with the command.
+        fn program_per_page(&mut self, offset: u64, len: u64) -> SimTime {
+            let ps = self.cfg.page_size;
+            let mut over_bytes = 0;
+            let mut cost = FlashCost::default();
+            for lpn in offset / ps..=(offset + len - 1) / ps {
+                if self.ftl.write_page(lpn, &mut cost) {
+                    let start = offset.max(lpn * ps);
+                    let end = (offset + len).min((lpn + 1) * ps);
+                    over_bytes += end.saturating_sub(start);
+                }
+            }
+            self.book_flash(over_bytes, cost)
+        }
+    }
+
+    /// Runs `(offset, len)` writes on two 4 MiB / 25 %-OP devices, one
+    /// programming runs and one page by page, with every GC round checked
+    /// against the reference scan. After each command both must agree on
+    /// completion time, FTL state and wear counters; the invariants are
+    /// checked every 1 000 commands. Returns the run device and how many
+    /// commands ran GC after their first page.
+    fn run_matches_per_page(commands: impl Iterator<Item = (u64, u64)>) -> (Ssd, u64) {
+        let cfg = SsdConfig {
+            capacity: 4 << 20,
+            over_provision: 0.25,
+            ..SsdConfig::default()
+        };
+        let ppb = u64::from(cfg.pages_per_block);
+        let (mut run, mut page) = (Ssd::new(cfg.clone()), Ssd::new(cfg));
+        run.ftl.check_victims = true;
+        page.ftl.check_victims = true;
+        let mut mid_command_gc = 0;
+        for (i, (offset, len)) in commands.enumerate() {
+            let op = IoOp::write(offset, len, Pattern::Random);
+            let room = ppb - u64::from(run.ftl.active_next_page);
+            let pages = (offset + len - 1) / 4096 - offset / 4096 + 1;
+            let erases = run.stats().erases;
+            let done = run.submit(0, op);
+            let service = page.service_time(&op) + page.program_per_page(offset, len);
+            assert_eq!(done, page.queue.reserve(0, service), "command {i}");
+            run.ftl.assert_same(&page.ftl, i);
+            let (a, b) = (run.stats(), page.stats());
+            assert_eq!(a.overwrites, b.overwrites, "overwrites after {i}");
+            assert_eq!(
+                (a.erases, a.gc_relocated_pages, a.gc_blocks_scanned),
+                (b.erases, b.gc_relocated_pages, b.gc_blocks_scanned),
+                "GC after {i}"
+            );
+            assert_eq!(
+                (a.nand_pages_programmed, a.wear_bytes),
+                (b.nand_pages_programmed, b.wear_bytes),
+                "wear after {i}"
+            );
+            if (1..pages).contains(&room) && run.stats().erases > erases {
+                mid_command_gc += 1;
+            }
+            if i % 1000 == 0 {
+                run.ftl.check_invariants();
+            }
+        }
+        run.ftl.check_invariants();
+        assert!(
+            run.stats().erases > 100,
+            "only {} GC rounds",
+            run.stats().erases
+        );
+        (run, mid_command_gc)
+    }
+
+    #[test]
+    fn run_matches_per_page_unaligned_random() {
+        let cap = 4 << 20;
+        let mut x = 7;
+        let (ssd, _) = run_matches_per_page((0..20_000).map(|_| {
+            // 1 B to 1 MiB, log-spread so short and long runs both occur.
+            let len = 1 + splitmix64(&mut x) % (1 << (splitmix64(&mut x) % 21));
+            (splitmix64(&mut x) % (cap - len + 1), len)
+        }));
+        assert!(ssd.stats().overwrites.ops > 0);
+    }
+
+    #[test]
+    fn run_matches_per_page_sequential_wraparound() {
+        // Three blocks and a ragged page per command, wrapping at the end.
+        let cap = 4 << 20;
+        let mut pos = 0;
+        run_matches_per_page((0..2_000).map(|_| {
+            let offset = pos % cap;
+            let len = (3 * (256 << 10) + 12_388).min(cap - offset);
+            pos = offset + len;
+            (offset, len)
+        }));
+    }
+
+    #[test]
+    fn run_matches_per_page_gc_inside_a_command() {
+        // Fill all but one page, so the active block's fill stays odd,
+        // then hammer alternate page pairs: victims keep the other pairs
+        // valid, and a 2-page write finds the block full after its first
+        // page.
+        let fill = std::iter::once((0, 1023 * 4096));
+        let hammer = (0..60).flat_map(|_| (0..1024).step_by(4).map(|p| (p * 4096, 8192)));
+        let (ssd, mid_command_gc) = run_matches_per_page(fill.chain(hammer));
+        assert!(ssd.stats().gc_relocated_pages > 0, "hammering relocates");
+        assert!(mid_command_gc > 0, "no GC ran inside a command");
+    }
+
+    #[test]
+    fn gc_relocation_counts_are_pinned() {
+        // Mixed 512 B to 64 KiB writes, three quarters of them on an eighth
+        // of an 8 MiB device: GC relocates the cold pages. The values were
+        // recorded with the page-by-page FTL.
+        let mut ssd = Ssd::new(SsdConfig {
+            capacity: 8 << 20,
+            ..SsdConfig::default()
+        });
+        let cap = ssd.capacity();
+        let mut x = 23;
+        for _ in 0..10_000 {
+            let len = 512 * (1 + splitmix64(&mut x) % 128);
+            let span = if splitmix64(&mut x).is_multiple_of(4) {
+                cap
+            } else {
+                cap / 8
+            };
+            let offset = splitmix64(&mut x) % (span - len + 1) / 512 * 512;
+            ssd.submit(0, IoOp::write(offset, len, Pattern::Random));
+        }
+        let s = ssd.stats();
+        assert_eq!(
+            (
+                s.erases,
+                s.gc_relocated_pages,
+                s.overwrites.bytes,
+                s.nand_pages_programmed
+            ),
+            (8_176, 429_414, 322_900_480, 518_752)
+        );
     }
 
     /// Runs 4 KiB writes at `pages` on a 4 MiB / 25 %-OP device with every
@@ -757,6 +1012,20 @@ mod tests {
     fn oversized_io_rejected() {
         let mut ssd = small_ssd();
         ssd.submit(0, IoOp::read((16 << 20) - 100, 4096, Pattern::Random));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond device capacity")]
+    fn io_wrapping_the_address_space_rejected() {
+        let mut ssd = small_ssd();
+        ssd.submit(0, IoOp::read(u64::MAX - 100, 4096, Pattern::Random));
+    }
+
+    #[test]
+    #[should_panic(expected = "erase beyond capacity")]
+    fn erase_wrapping_the_address_space_rejected() {
+        let mut ssd = small_ssd();
+        ssd.erase_region(0, u64::MAX - 100, 4096);
     }
 
     #[test]
