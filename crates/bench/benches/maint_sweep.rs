@@ -68,7 +68,6 @@ fn lse() -> LseConfig {
     LseConfig {
         per_device: 4,
         span_bytes: 8 << 20,
-        ..LseConfig::default()
     }
 }
 

@@ -400,8 +400,8 @@ impl UpdateMethod for Cached {
         })
     }
 
-    fn parity_reserved_bytes(&self, cfg: &ClusterConfig) -> u64 {
-        self.inner.parity_reserved_bytes(cfg)
+    fn parity_reserved_bytes(&self) -> u64 {
+        self.inner.parity_reserved_bytes()
     }
 
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {

@@ -387,7 +387,7 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Cluster {
         cfg.validate().expect("invalid cluster config");
         let rs = ReedSolomon::new(cfg.code);
-        let parity_extra = cfg.method.parity_reserved_bytes(&cfg);
+        let parity_extra = cfg.method.parity_reserved_bytes();
         let layout = Layout::with_placement(
             cfg.code,
             cfg.block_bytes,

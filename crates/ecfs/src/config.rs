@@ -3,6 +3,12 @@
 //! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
 //! driver implementing the trait, built-in ([`crate::methods::builtins`])
 //! or registered out-of-tree via [`crate::methods::MethodRegistry`].
+//!
+//! [`ClusterConfig`] holds what experiments vary: the cluster's shape,
+//! devices and fabric, TSUE's Fig. 7 toggles, log-unit size and Fig. 6b
+//! quota, and FL's recycle threshold. A method's other sizes (PLR's
+//! reserved space, CoRD's collector buffer, PARIX's epoch length, TSUE's
+//! recycle CPU cost) are constants in its driver.
 
 use std::sync::Arc;
 
@@ -160,20 +166,11 @@ pub struct ClusterConfig {
     pub tsue: TsueFeatures,
     /// Log-unit size for TSUE layers.
     pub tsue_unit_bytes: u64,
-    /// Unit quota per TSUE pool (Fig. 6b sweeps this).
+    /// Unit quota per TSUE pool (Fig. 6b sweeps this; at least 2, so one
+    /// unit can take appends while another recycles).
     pub tsue_max_units: usize,
-    /// PLR reserved-space bytes per parity block.
-    pub plr_reserved_bytes: u64,
-    /// CoRD collector buffer bytes.
-    pub cord_buffer_bytes: u64,
-    /// PARIX parity-log recycle threshold per node (epoch length; each
-    /// epoch reset re-exposes the first-touch network round).
-    pub parix_threshold_bytes: u64,
     /// FL log-recycle threshold in bytes per node.
     pub fl_threshold_bytes: u64,
-    /// Per-record CPU time (ns) spent by TSUE's recycle threads (index
-    /// walk, memcpy, checksum) — the thread-pool cost of §3.2.1.
-    pub tsue_recycle_cpu_per_record: u64,
 }
 
 impl ClusterConfig {
@@ -200,11 +197,7 @@ impl ClusterConfig {
             tsue: TsueFeatures::full(),
             tsue_unit_bytes: 16 << 20,
             tsue_max_units: 4,
-            plr_reserved_bytes: 256 << 10,
-            cord_buffer_bytes: 12 << 20,
-            parix_threshold_bytes: 4 << 20,
             fl_threshold_bytes: 256 << 20,
-            tsue_recycle_cpu_per_record: 25_000,
         }
     }
 
@@ -224,8 +217,8 @@ impl ClusterConfig {
         if self.tsue.log_pool {
             PoolConfig {
                 unit_bytes: self.tsue_unit_bytes,
-                min_units: 2.min(self.tsue_max_units),
-                max_units: self.tsue_max_units.max(2),
+                min_units: 2,
+                max_units: self.tsue_max_units,
                 mode,
             }
         } else {
@@ -238,20 +231,6 @@ impl ClusterConfig {
                 mode,
             }
         }
-    }
-
-    /// CoRD's collector buffer, budgeted per parity block (scales with m).
-    pub fn cord_buffer_for(&self) -> u64 {
-        self.cord_buffer_bytes * self.code.m() as u64 / 2
-    }
-
-    /// PARIX's per-node log-epoch length. A stripe's first-touch state
-    /// resets when *any* of its m parity nodes rolls an epoch, so the
-    /// per-node budget scales with m² to keep the per-stripe reset rate
-    /// comparable across code shapes.
-    pub fn parix_threshold_for(&self) -> u64 {
-        let m = self.code.m() as u64;
-        self.parix_threshold_bytes * m * m / 4
     }
 
     /// Pools per device per layer under the current toggles.
@@ -329,8 +308,11 @@ impl ClusterConfig {
                 self.tsue_unit_bytes
             )));
         }
-        if self.tsue_max_units == 0 {
-            return Err("tsue_max_units must be at least 1".into());
+        if self.tsue_max_units < 2 {
+            return Err(ConfigError(format!(
+                "tsue_max_units = {} must be at least 2 (one appending, one recycling)",
+                self.tsue_max_units
+            )));
         }
         if self.net_bandwidth == 0 {
             return Err("net_bandwidth must be positive".into());
@@ -403,11 +385,7 @@ pub struct ClusterConfigBuilder {
     tsue: Option<TsueFeatures>,
     tsue_unit_bytes: Option<u64>,
     tsue_max_units: Option<usize>,
-    plr_reserved_bytes: Option<u64>,
-    cord_buffer_bytes: Option<u64>,
-    parix_threshold_bytes: Option<u64>,
     fl_threshold_bytes: Option<u64>,
-    tsue_recycle_cpu_per_record: Option<u64>,
     cache: Option<CacheConfig>,
     staging: Option<StagingConfig>,
 }
@@ -454,16 +432,8 @@ impl ClusterConfigBuilder {
         tsue_unit_bytes: u64,
         /// Unit quota per TSUE pool.
         tsue_max_units: usize,
-        /// PLR reserved-space bytes per parity block.
-        plr_reserved_bytes: u64,
-        /// CoRD collector buffer bytes.
-        cord_buffer_bytes: u64,
-        /// PARIX parity-log recycle threshold per node.
-        parix_threshold_bytes: u64,
         /// FL log-recycle threshold in bytes per node.
         fl_threshold_bytes: u64,
-        /// Per-record recycle-thread CPU time in nanoseconds.
-        tsue_recycle_cpu_per_record: u64,
     }
 
     /// The per-node disk population.
@@ -569,19 +539,9 @@ impl ClusterConfigBuilder {
             tsue: self.tsue.unwrap_or(defaults.tsue),
             tsue_unit_bytes: self.tsue_unit_bytes.unwrap_or(defaults.tsue_unit_bytes),
             tsue_max_units: self.tsue_max_units.unwrap_or(defaults.tsue_max_units),
-            plr_reserved_bytes: self
-                .plr_reserved_bytes
-                .unwrap_or(defaults.plr_reserved_bytes),
-            cord_buffer_bytes: self.cord_buffer_bytes.unwrap_or(defaults.cord_buffer_bytes),
-            parix_threshold_bytes: self
-                .parix_threshold_bytes
-                .unwrap_or(defaults.parix_threshold_bytes),
             fl_threshold_bytes: self
                 .fl_threshold_bytes
                 .unwrap_or(defaults.fl_threshold_bytes),
-            tsue_recycle_cpu_per_record: self
-                .tsue_recycle_cpu_per_record
-                .unwrap_or(defaults.tsue_recycle_cpu_per_record),
         };
         cfg.validate()?;
         Ok(cfg)

@@ -11,8 +11,9 @@
 //!   remaining `hdd_nodes` carry spinning disks: the classic mixed fleet a
 //!   partial hardware refresh leaves behind.
 //! * [`DiskFleet::Explicit`] — one [`DiskProfile`] per node, each a base
-//!   device scaled by capacity/throughput multipliers: arbitrary
-//!   per-generation skew ("rack 3 got the 4 TB drives").
+//!   device scaled by a capacity multiplier: arbitrary per-generation
+//!   skew ("rack 3 got the 4 TB drives"). A different media rate is a
+//!   different base config.
 //!
 //! [`crate::Cluster::new`] builds one device *per node* from the fleet, so
 //! every disk booking — foreground I/O, log recycling, and crucially the
@@ -27,18 +28,14 @@ use simdisk::{Disk, Hdd, HddConfig, Ssd, SsdConfig};
 
 use crate::config::DiskKind;
 
-/// One node's device: a base model scaled by capacity and throughput
-/// multipliers (a cheap way to express drive generations without
-/// hand-writing full configs).
+/// One node's device: a base model scaled by a capacity multiplier (a
+/// cheap way to express drive sizes without hand-writing full configs).
 #[derive(Debug, Clone)]
 pub struct DiskProfile {
     /// The base device model.
     pub kind: DiskKind,
     /// Capacity scale factor (1.0 = the base config's capacity).
     pub capacity_mult: f64,
-    /// Bandwidth scale factor applied to the media transfer rates (command
-    /// overheads and seek/rotation are mechanical constants and stay).
-    pub throughput_mult: f64,
 }
 
 impl DiskProfile {
@@ -47,7 +44,6 @@ impl DiskProfile {
         DiskProfile {
             kind,
             capacity_mult: 1.0,
-            throughput_mult: 1.0,
         }
     }
 
@@ -67,26 +63,17 @@ impl DiskProfile {
         self
     }
 
-    /// Sets the throughput multiplier (builder-style).
-    pub fn with_throughput_mult(mut self, mult: f64) -> DiskProfile {
-        self.throughput_mult = mult;
-        self
-    }
-
     /// The concrete (scaled) device model this profile builds.
     pub fn device(&self) -> DiskKind {
         match &self.kind {
             DiskKind::Ssd(c) => {
                 let mut c = c.clone();
                 c.capacity = scale_to(c.capacity, self.capacity_mult, c.page_size);
-                c.read_bandwidth = scale_to(c.read_bandwidth, self.throughput_mult, 1);
-                c.write_bandwidth = scale_to(c.write_bandwidth, self.throughput_mult, 1);
                 DiskKind::Ssd(c)
             }
             DiskKind::Hdd(c) => {
                 let mut c = c.clone();
                 c.capacity = scale_to(c.capacity, self.capacity_mult, 4096);
-                c.transfer_bandwidth = scale_to(c.transfer_bandwidth, self.throughput_mult, 1);
                 DiskKind::Hdd(c)
             }
         }
@@ -101,15 +88,11 @@ impl DiskProfile {
     }
 
     fn validate(&self, node: usize) -> Result<(), String> {
-        for (name, mult) in [
-            ("capacity_mult", self.capacity_mult),
-            ("throughput_mult", self.throughput_mult),
-        ] {
-            if !mult.is_finite() || mult <= 0.0 {
-                return Err(format!(
-                    "node {node}: {name} = {mult} must be a finite positive factor"
-                ));
-            }
+        let mult = self.capacity_mult;
+        if !mult.is_finite() || mult <= 0.0 {
+            return Err(format!(
+                "node {node}: capacity_mult = {mult} must be a finite positive factor"
+            ));
         }
         match self.device() {
             DiskKind::Ssd(c) => {
@@ -123,7 +106,7 @@ impl DiskProfile {
                     ));
                 }
                 if c.read_bandwidth == 0 || c.write_bandwidth == 0 {
-                    return Err(format!("node {node}: scaled SSD bandwidth is zero"));
+                    return Err(format!("node {node}: SSD bandwidth is zero"));
                 }
             }
             DiskKind::Hdd(c) => {
@@ -134,7 +117,7 @@ impl DiskProfile {
                     ));
                 }
                 if c.transfer_bandwidth == 0 {
-                    return Err(format!("node {node}: scaled HDD bandwidth is zero"));
+                    return Err(format!("node {node}: HDD bandwidth is zero"));
                 }
             }
         }
@@ -344,10 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_profiles_scale_capacity_and_bandwidth() {
+    fn explicit_profiles_scale_capacity() {
         let fleet = DiskFleet::explicit(vec![
             DiskProfile::ssd().with_capacity_mult(0.25),
-            DiskProfile::ssd().with_throughput_mult(2.0),
+            DiskProfile::ssd(),
             DiskProfile::hdd(),
         ]);
         assert!(fleet.validate(3).is_ok());
@@ -355,12 +338,13 @@ mod tests {
         let base = SsdConfig::default();
         assert_eq!(fleet.capacity_of(0), base.capacity / 4);
         assert_eq!(fleet.capacity_of(1), base.capacity);
-        match fleet.kind_of(1) {
+        // A smaller drive of the same model keeps the model's media rates.
+        match fleet.kind_of(0) {
             DiskKind::Ssd(c) => {
-                assert_eq!(c.read_bandwidth, base.read_bandwidth * 2);
-                assert_eq!(c.write_bandwidth, base.write_bandwidth * 2);
+                assert_eq!(c.read_bandwidth, base.read_bandwidth);
+                assert_eq!(c.write_bandwidth, base.write_bandwidth);
             }
-            DiskKind::Hdd(_) => panic!("node 1 must be flash"),
+            DiskKind::Hdd(_) => panic!("node 0 must be flash"),
         }
         assert_eq!(fleet.capacity_of(2), HddConfig::default().capacity);
     }
@@ -381,7 +365,7 @@ mod tests {
         assert!(tiny.validate(1).is_err());
         // Non-finite and negative multipliers.
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let f = DiskFleet::explicit(vec![DiskProfile::hdd().with_throughput_mult(bad)]);
+            let f = DiskFleet::explicit(vec![DiskProfile::hdd().with_capacity_mult(bad)]);
             assert!(f.validate(1).is_err(), "mult {bad} must be rejected");
         }
     }

@@ -72,8 +72,7 @@ pub mod prelude {
     pub use crate::fleet::{DiskFleet, DiskProfile};
     pub use crate::layout::{BlockAddr, BlockSlice, Layout};
     pub use crate::maintenance::{
-        DemoteConfig, LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, RebalanceConfig,
-        ScrubConfig,
+        LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, ScrubConfig,
     };
     pub use crate::methods::{
         build_method, builtins, register_method, Cord, Decorator, Fl, Fo, MethodRegistry,

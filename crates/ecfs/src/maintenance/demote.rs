@@ -11,26 +11,21 @@
 //! ([`crate::maintenance::MaintState::pin_appends`]) so the
 //! two-append critical path never waits on a seek.
 
+use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
 use std::any::Any;
 
 use crate::cluster::Cluster;
-use crate::maintenance::{DemoteConfig, MaintenancePolicy};
+use crate::maintenance::MaintenancePolicy;
+
+/// Pacing interval between demotion moves.
+const INTERVAL_NS: SimTime = 4 * MILLIS;
 
 /// The tier-demotion policy (see module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct Demote {
-    cfg: DemoteConfig,
-}
-
-impl Demote {
-    /// Builds the policy from its configuration.
-    pub fn new(cfg: DemoteConfig) -> Demote {
-        Demote { cfg }
-    }
-}
+pub struct Demote;
 
 impl MaintenancePolicy for Demote {
     fn name(&self) -> &'static str {
@@ -38,7 +33,7 @@ impl MaintenancePolicy for Demote {
     }
 
     fn interval_ns(&self, _cl: &Cluster) -> SimTime {
-        self.cfg.interval_ns
+        INTERVAL_NS
     }
 
     fn init_state(&self) -> Box<dyn Any + Send> {
@@ -85,7 +80,7 @@ impl MaintenancePolicy for Demote {
         }
         let target = target?;
 
-        let span = cl.cfg.block_bytes + cl.cfg.method.parity_reserved_bytes(&cl.cfg);
+        let span = cl.cfg.block_bytes + cl.cfg.method.parity_reserved_bytes();
         let t_read = cl.disk_io(node, now, IoOp::read(dev_off, span, Pattern::Sequential));
         let t_net = cl.send_repair(t_read, node, target, span);
         let new_off = cl.log_offset(target, span);

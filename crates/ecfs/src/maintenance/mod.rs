@@ -13,7 +13,10 @@
 //! * [`MaintenancePlan`] — the validated, declarative configuration
 //!   carried by [`crate::replay::ReplayConfig`]. An **empty plan is
 //!   byte-for-byte the old behaviour**: nothing is armed, no state is
-//!   touched, every existing golden holds;
+//!   touched, every existing golden holds. Scrub and LSE injection carry
+//!   their rates and densities; rebalance and demotion are switched on
+//!   or off and pace themselves by constants in their own modules, as
+//!   does the LSE model's seed;
 //! * three built-in policies:
 //!   [`scrub::Scrub`] (periodic media scan that detects injected latent
 //!   sector errors and repairs them through the normal rebuild path),
@@ -60,53 +63,16 @@ impl Default for ScrubConfig {
     }
 }
 
-/// Wear-leveling rebalance configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceConfig {
-    /// Pacing interval between rebalance decisions.
-    pub interval_ns: SimTime,
-    /// Migration triggers when `max_wear > trigger_ratio * mean_wear`
-    /// across live devices (1.0 = always rebalance, higher = lazier).
-    pub trigger_ratio: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            interval_ns: 2 * MILLIS,
-            trigger_ratio: 1.05,
-        }
-    }
-}
-
-/// Tier-aware demotion configuration (§5.4 automated). While demotion
-/// is armed, TSUE's synchronous log appends also prefer flash nodes
-/// ([`MaintState::pin_appends`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DemoteConfig {
-    /// Pacing interval between demotion moves.
-    pub interval_ns: SimTime,
-}
-
-impl Default for DemoteConfig {
-    fn default() -> Self {
-        DemoteConfig {
-            interval_ns: 4 * MILLIS,
-        }
-    }
-}
+/// Base seed of the LSE model; each device mixes in its node id.
+const LSE_SEED: u64 = 0x5eed_15e5;
 
 /// Latent-sector-error injection: how many deterministic error sites to
-/// seed per device (see [`simdisk::lse`]).
+/// seed per device (see [`simdisk::lse`]). Every site is present from the
+/// start of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LseConfig {
     /// Error sites drawn per device.
     pub per_device: usize,
-    /// Base seed; each device mixes in its node id.
-    pub seed: u64,
-    /// Onsets are drawn in `[0, onset_horizon_ns]`; 0 = all sites are
-    /// present from the start.
-    pub onset_horizon_ns: SimTime,
     /// Sites land in `[0, span_bytes)` (clamped to the device). The
     /// layout allocates block extents from offset 0 upward, so a span
     /// near the expected placed footprint puts errors *under data* —
@@ -119,8 +85,6 @@ impl Default for LseConfig {
     fn default() -> Self {
         LseConfig {
             per_device: 2,
-            seed: 0x5eed_15e5,
-            onset_horizon_ns: 0,
             span_bytes: 64 << 20,
         }
     }
@@ -141,10 +105,12 @@ impl Default for LseConfig {
 pub struct MaintenancePlan {
     /// Periodic scrubbing, if enabled.
     pub scrub: Option<ScrubConfig>,
-    /// Wear-leveling rebalance, if enabled.
-    pub rebalance: Option<RebalanceConfig>,
-    /// Tier-aware parity demotion, if enabled.
-    pub demote: Option<DemoteConfig>,
+    /// Whether wear-leveling rebalance is enabled.
+    pub rebalance: bool,
+    /// Whether tier-aware parity demotion is enabled. While it is, TSUE's
+    /// synchronous log appends also prefer flash nodes
+    /// ([`MaintState::pin_appends`]).
+    pub demote: bool,
     /// Latent-sector-error injection, if enabled. An LSE-only plan is
     /// legal: it seeds errors without any policy to find them — the
     /// exposure baseline the scrub policy is measured against.
@@ -159,8 +125,8 @@ impl Default for MaintenancePlan {
     fn default() -> Self {
         MaintenancePlan {
             scrub: None,
-            rebalance: None,
-            demote: None,
+            rebalance: false,
+            demote: false,
             lse: None,
             horizon_ns: 80 * MILLIS,
         }
@@ -178,8 +144,8 @@ impl MaintenancePlan {
     pub fn full() -> MaintenancePlan {
         MaintenancePlan::new()
             .with_scrub(ScrubConfig::default())
-            .with_rebalance(RebalanceConfig::default())
-            .with_demote(DemoteConfig::default())
+            .with_rebalance()
+            .with_demote()
             .with_lse(LseConfig::default())
     }
 
@@ -190,14 +156,14 @@ impl MaintenancePlan {
     }
 
     /// Enables wear-leveling rebalance.
-    pub fn with_rebalance(mut self, cfg: RebalanceConfig) -> MaintenancePlan {
-        self.rebalance = Some(cfg);
+    pub fn with_rebalance(mut self) -> MaintenancePlan {
+        self.rebalance = true;
         self
     }
 
     /// Enables tier-aware parity demotion.
-    pub fn with_demote(mut self, cfg: DemoteConfig) -> MaintenancePlan {
-        self.demote = Some(cfg);
+    pub fn with_demote(mut self) -> MaintenancePlan {
+        self.demote = true;
         self
     }
 
@@ -215,10 +181,7 @@ impl MaintenancePlan {
 
     /// Whether the plan enables anything at all.
     pub fn is_empty(&self) -> bool {
-        self.scrub.is_none()
-            && self.rebalance.is_none()
-            && self.demote.is_none()
-            && self.lse.is_none()
+        self.scrub.is_none() && !self.rebalance && !self.demote && self.lse.is_none()
     }
 
     /// Validates the plan against the cluster it will run on.
@@ -234,18 +197,7 @@ impl MaintenancePlan {
                 return Err("scrub rate must be non-zero".into());
             }
         }
-        if let Some(r) = &self.rebalance {
-            if r.interval_ns == 0 {
-                return Err("rebalance interval must be non-zero".into());
-            }
-            if !r.trigger_ratio.is_finite() || r.trigger_ratio < 1.0 {
-                return Err("rebalance trigger ratio must be finite and >= 1.0".into());
-            }
-        }
-        if let Some(d) = &self.demote {
-            if d.interval_ns == 0 {
-                return Err("demote interval must be non-zero".into());
-            }
+        if self.demote {
             let any_ssd = (0..cfg.nodes).any(|n| cfg.fleet.is_ssd(n));
             let any_hdd = (0..cfg.nodes).any(|n| !cfg.fleet.is_ssd(n));
             if !any_ssd || !any_hdd {
@@ -332,25 +284,25 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
         for node in 0..cl.cfg.nodes {
             let cap = cl.nodes[node].disk.capacity();
             let model = LseModel::seeded(
-                lse.seed ^ node as u64,
+                LSE_SEED ^ node as u64,
                 lse.span_bytes.min(cap).max(4096),
                 lse.per_device,
-                lse.onset_horizon_ns,
+                0,
             );
             cl.nodes[node].disk.install_lse(model);
         }
     }
-    cl.maint.pin_appends = plan.demote.is_some();
+    cl.maint.pin_appends = plan.demote;
 
     let mut policies: Vec<Arc<dyn MaintenancePolicy>> = Vec::new();
     if let Some(c) = plan.scrub {
         policies.push(Arc::new(scrub::Scrub::new(c)));
     }
-    if let Some(c) = plan.rebalance {
-        policies.push(Arc::new(rebalance::Rebalance::new(c)));
+    if plan.rebalance {
+        policies.push(Arc::new(rebalance::Rebalance));
     }
-    if let Some(c) = plan.demote {
-        policies.push(Arc::new(demote::Demote::new(c)));
+    if plan.demote {
+        policies.push(Arc::new(demote::Demote));
     }
     for policy in policies {
         let slot = cl.maint.slots.len();
@@ -414,8 +366,8 @@ mod tests {
     fn builders_accumulate() {
         let plan = MaintenancePlan::full();
         assert!(plan.scrub.is_some());
-        assert!(plan.rebalance.is_some());
-        assert!(plan.demote.is_some());
+        assert!(plan.rebalance);
+        assert!(plan.demote);
         assert!(plan.lse.is_some());
         assert!(!plan.is_empty());
     }
@@ -435,26 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn bad_trigger_ratio_rejected() {
-        let bad = RebalanceConfig {
-            trigger_ratio: 0.5,
-            ..RebalanceConfig::default()
-        };
-        let plan = MaintenancePlan::new().with_rebalance(bad);
-        assert!(plan.validate(&cfg()).is_err());
-        let nan = RebalanceConfig {
-            trigger_ratio: f64::NAN,
-            ..RebalanceConfig::default()
-        };
-        assert!(MaintenancePlan::new()
-            .with_rebalance(nan)
-            .validate(&cfg())
-            .is_err());
-    }
-
-    #[test]
     fn demote_requires_mixed_fleet() {
-        let plan = MaintenancePlan::new().with_demote(DemoteConfig::default());
+        let plan = MaintenancePlan::new().with_demote();
         // ssd_testbed is a uniform all-SSD fleet: no spindles to demote to.
         assert!(plan.validate(&cfg()).is_err());
         let mut mixed = cfg();

@@ -2,10 +2,11 @@
 //! device onto the least-worn one, closing the loop on the per-device
 //! `wear_bytes` counters that were previously observed-only.
 //!
-//! Each tick compares the live fleet's maximum wear against the mean;
-//! when `max > trigger_ratio * mean` one block is moved from the
-//! most-worn device to the least-worn (sequential read, repair-class
-//! transfer, sequential log-region write, metadata relocate). The
+//! Every `INTERVAL_NS` the policy compares the live fleet's maximum
+//! wear against the mean; when `max > TRIGGER_RATIO * mean` one block is
+//! moved from the most-worn device to the least-worn (sequential read,
+//! repair-class transfer, sequential log-region write, metadata
+//! relocate). The
 //! migration itself costs a write on the target — wear leveling is
 //! never free — but the write lands where it hurts least, so the
 //! max/mean spread falls.
@@ -15,19 +16,25 @@
 //! spindle would concentrate block traffic on a single HDD (slow for
 //! the foreground, meaningless for endurance).
 
+use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
 use std::any::Any;
 
 use crate::cluster::Cluster;
-use crate::maintenance::{MaintenancePolicy, RebalanceConfig};
+use crate::maintenance::MaintenancePolicy;
+
+/// Pacing interval between rebalance decisions.
+const INTERVAL_NS: SimTime = 2 * MILLIS;
+
+/// Migration triggers when `max_wear > TRIGGER_RATIO * mean_wear` across
+/// live devices (1.0 would always rebalance; higher is lazier).
+const TRIGGER_RATIO: f64 = 1.05;
 
 /// The wear-leveling policy (see module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct Rebalance {
-    cfg: RebalanceConfig,
-}
+pub struct Rebalance;
 
 /// Rotation cursor over the worn node's blocks plus the one-shot
 /// before-spread sample flag.
@@ -36,20 +43,13 @@ struct RebState {
     sampled: bool,
 }
 
-impl Rebalance {
-    /// Builds the policy from its configuration.
-    pub fn new(cfg: RebalanceConfig) -> Rebalance {
-        Rebalance { cfg }
-    }
-}
-
 impl MaintenancePolicy for Rebalance {
     fn name(&self) -> &'static str {
         "rebalance"
     }
 
     fn interval_ns(&self, _cl: &Cluster) -> SimTime {
-        self.cfg.interval_ns
+        INTERVAL_NS
     }
 
     fn init_state(&self) -> Box<dyn Any + Send> {
@@ -102,7 +102,7 @@ impl MaintenancePolicy for Rebalance {
                 .sampled = true;
         }
 
-        if mean <= 0.0 || (max_wear as f64) <= self.cfg.trigger_ratio * mean {
+        if mean <= 0.0 || (max_wear as f64) <= TRIGGER_RATIO * mean {
             return None;
         }
         let worn = worn?;
@@ -135,7 +135,7 @@ impl MaintenancePolicy for Rebalance {
 
         let mut span = cl.cfg.block_bytes;
         if !addr.is_data(cl.cfg.code) {
-            span += cl.cfg.method.parity_reserved_bytes(&cl.cfg);
+            span += cl.cfg.method.parity_reserved_bytes();
         }
         let t_read = cl.disk_io(worn, now, IoOp::read(dev_off, span, Pattern::Sequential));
         let t_net = cl.send_repair(t_read, worn, target, span);

@@ -19,6 +19,10 @@ use crate::telemetry::{OpClass, Stage};
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
 
+/// Collector buffer bytes per node at `m = 2`; the budget scales with `m`
+/// (one share per parity block).
+const BUFFER_BYTES_AT_M2: u64 = 12 << 20;
+
 /// The CoRD collector-aggregation driver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cord;
@@ -43,7 +47,7 @@ impl CordState {
         CordState {
             buffer: TwoLevelIndex::new(MergeMode::Xor),
             buffered: 0,
-            capacity: cfg.cord_buffer_for(),
+            capacity: BUFFER_BYTES_AT_M2 * cfg.code.m() as u64 / 2,
             flushing: false,
         }
     }
@@ -193,16 +197,6 @@ impl UpdateMethod for Cord {
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let now = sim.now();
-        let mut t_end = now;
-        for node in 0..cl.cfg.nodes {
-            let t_node = flush_collector(cl, node, now);
-            if t_node > now {
-                cl.trace_child(Stage::Recycle, node, now, t_node);
-            }
-            t_end = t_end.max(t_node);
-        }
-        sim.schedule_at(t_end, |_, _| {});
-        t_end
+        methods::drain_nodes(sim, cl, flush_collector)
     }
 }

@@ -209,8 +209,7 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
 
     /// Extra device bytes the layout must reserve adjacent to each parity
     /// block (PLR's reserved log space; zero for everything else).
-    fn parity_reserved_bytes(&self, cfg: &ClusterConfig) -> u64 {
-        let _ = cfg;
+    fn parity_reserved_bytes(&self) -> u64 {
         0
     }
 
@@ -312,6 +311,28 @@ pub fn drain(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
 pub fn drain_until(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
     let method = Arc::clone(&cl.cfg.method);
     method.drain_until(sim, cl)
+}
+
+/// The drain of a deferred-recycling driver: replays every node's backlog
+/// with the driver's `recycle_node` from the simulation present, traces
+/// each node's replay as a [`Stage::Recycle`] span, and advances the clock
+/// to the last completion, which it returns.
+pub(crate) fn drain_nodes(
+    sim: &mut Sim<Cluster>,
+    cl: &mut Cluster,
+    recycle_node: fn(&mut Cluster, usize, SimTime) -> SimTime,
+) -> SimTime {
+    let now = sim.now();
+    let mut t_end = now;
+    for node in 0..cl.cfg.nodes {
+        let t_node = recycle_node(cl, node, now);
+        if t_node > now {
+            cl.trace_child(Stage::Recycle, node, now, t_node);
+        }
+        t_end = t_end.max(t_node);
+    }
+    sim.schedule_at(t_end, |_, _| {});
+    t_end
 }
 
 /// Restores the write path of `ctx`'s stripe on a degraded cluster: every

@@ -16,10 +16,17 @@ use crate::cluster::{Cluster, IntervalSet};
 use crate::config::ClusterConfig;
 use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
-use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
+
+/// Per-node parity-log epoch length at `m = 2`, in bytes. Each epoch reset
+/// re-exposes the first-touch network round. A stripe's first-touch state
+/// resets when *any* of its `m` parity nodes rolls an epoch, so the
+/// per-node budget scales with `m²` to keep the per-stripe reset rate
+/// comparable across code shapes.
+const EPOCH_BYTES_AT_M2: u64 = 4 << 20;
 
 /// The PARIX speculative-partial-write driver.
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,6 +108,8 @@ impl UpdateMethod for Parix {
             t_arrive
         };
 
+        let m = cl.cfg.code.m() as u64;
+        let epoch_bytes = EPOCH_BYTES_AT_M2 * m * m / 4;
         let mut t_done = t_write;
         for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
             let (pnode, _) = cl.layout.locate(paddr);
@@ -127,7 +136,7 @@ impl UpdateMethod for Parix {
                     state.log.insert(key, slice.offset, Ghost(slice.len));
                     state.addr_of.insert(key, paddr);
                     state.bytes += len * if first_touch { 2 } else { 1 };
-                    state.bytes >= cl.cfg.parix_threshold_for()
+                    state.bytes >= epoch_bytes
                 } else {
                     false
                 };
@@ -163,21 +172,12 @@ impl UpdateMethod for Parix {
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let now = sim.now();
-        let mut t_end = now;
-        for node in 0..cl.cfg.nodes {
-            let t_node = recycle_node(cl, node, now);
-            if t_node > now {
-                cl.trace_child(Stage::Recycle, node, now, t_node);
-            }
-            t_end = t_end.max(t_node);
-        }
+        let t_end = methods::drain_nodes(sim, cl, recycle_node);
         for osd in cl.nodes.iter_mut() {
             if let Some(state) = osd.state.downcast_mut::<ParixState>() {
                 state.old_sent.clear();
             }
         }
-        sim.schedule_at(t_end, |_, _| {});
         t_end
     }
 }

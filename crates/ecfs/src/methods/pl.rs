@@ -15,7 +15,7 @@ use simdisk::{IoOp, Pattern};
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
-use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 
 /// The Parity-Logging driver.
@@ -112,18 +112,7 @@ impl UpdateMethod for Pl {
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let now = sim.now();
-        let mut t_end = now;
-        for node in 0..cl.cfg.nodes {
-            let t_node = recycle_node(cl, node, now);
-            if t_node > now {
-                cl.trace_child(Stage::Recycle, node, now, t_node);
-            }
-            t_end = t_end.max(t_node);
-        }
-        // Advance the clock to the drain's completion.
-        sim.schedule_at(t_end, |_, _| {});
-        t_end
+        methods::drain_nodes(sim, cl, recycle_node)
     }
 }
 

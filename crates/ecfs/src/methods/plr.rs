@@ -18,8 +18,11 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
-use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
+
+/// Reserved log space adjacent to each parity block, in bytes.
+const RESERVED_BYTES: u64 = 256 << 10;
 
 /// The Parity-Logging-with-Reserved-space driver.
 #[derive(Debug, Clone, Copy, Default)]
@@ -90,8 +93,25 @@ fn recycle_reserved(cl: &mut Cluster, node: usize, paddr: BlockAddr, from: SimTi
     // The reserved region is a *fixed* device extent: reusing it requires
     // erasing its flash blocks (no FTL remapping for in-place log space).
     // This is PLR's lifespan and latency killer on SSDs.
-    let reserved = cl.cfg.plr_reserved_bytes.max(1);
-    t = cl.nodes[pnode].disk.erase_region(t, pdev + block, reserved);
+    cl.nodes[pnode]
+        .disk
+        .erase_region(t, pdev + block, RESERVED_BYTES)
+}
+
+/// Applies every reserved log tracked on `node`, one parity block after
+/// another from `from`. Returns completion time.
+fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+    let mut addrs: Vec<BlockAddr> = match cl.nodes[node].state.downcast_ref::<PlrState>() {
+        Some(state) => state.reserved.keys().copied().collect(),
+        None => return from,
+    };
+    // HashMap iteration order is nondeterministic; sorted replay keeps the
+    // drain reproducible.
+    addrs.sort_unstable();
+    let mut t = from;
+    for paddr in addrs {
+        t = recycle_reserved(cl, node, paddr, t);
+    }
     t
 }
 
@@ -104,8 +124,8 @@ impl UpdateMethod for Plr {
         Box::<PlrState>::default()
     }
 
-    fn parity_reserved_bytes(&self, cfg: &ClusterConfig) -> u64 {
-        cfg.plr_reserved_bytes
+    fn parity_reserved_bytes(&self) -> u64 {
+        RESERVED_BYTES
     }
 
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
@@ -120,7 +140,6 @@ impl UpdateMethod for Plr {
         let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
         cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
-        let reserved_cap = cl.cfg.plr_reserved_bytes;
         let block = cl.cfg.block_bytes;
         let mut t_done = t_write;
         for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
@@ -132,7 +151,7 @@ impl UpdateMethod for Plr {
             let needs_recycle = match cl.nodes[pnode].state.downcast_mut::<PlrState>() {
                 Some(state) => {
                     let r = state.reserved.entry(paddr).or_default();
-                    r.used + len > reserved_cap
+                    r.used + len > RESERVED_BYTES
                 }
                 None => false,
             };
@@ -184,26 +203,6 @@ impl UpdateMethod for Plr {
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let now = sim.now();
-        let mut t_end = now;
-        for node in 0..cl.cfg.nodes {
-            let mut addrs: Vec<BlockAddr> = match cl.nodes[node].state.downcast_ref::<PlrState>() {
-                Some(state) => state.reserved.keys().copied().collect(),
-                None => continue,
-            };
-            // HashMap iteration order is nondeterministic; sorted replay
-            // keeps the drain reproducible.
-            addrs.sort_unstable();
-            let mut t = now;
-            for paddr in addrs {
-                t = recycle_reserved(cl, node, paddr, t);
-            }
-            if t > now {
-                cl.trace_child(Stage::Recycle, node, now, t);
-            }
-            t_end = t_end.max(t);
-        }
-        sim.schedule_at(t_end, |_, _| {});
-        t_end
+        methods::drain_nodes(sim, cl, recycle_node)
     }
 }

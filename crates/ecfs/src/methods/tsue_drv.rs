@@ -41,6 +41,10 @@ use tsue::payload::Ghost;
 use tsue::pool::{AppendOutcome, TakenUnit};
 use tsue::MergeMode;
 
+/// Per-record CPU time (ns) spent by the recycle threads (index walk,
+/// memcpy, checksum): the thread-pool cost of §3.2.1.
+const RECYCLE_CPU_PER_RECORD_NS: u64 = 25_000;
+
 /// The paper's two-stage update driver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tsue;
@@ -350,7 +354,7 @@ fn start_recycle<K>(
             .buffer
             .record(now.saturating_sub(first));
     }
-    let cpu = taken.records * cl.cfg.tsue_recycle_cpu_per_record;
+    let cpu = taken.records * RECYCLE_CPU_PER_RECORD_NS;
     let start = cl.nodes[node].recycle_cpu.reserve(now, cpu);
     let ticket = Ticket {
         node,

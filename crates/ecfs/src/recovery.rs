@@ -425,7 +425,7 @@ pub(crate) fn rebuild_block(
     let span = if addr.is_data(cl.cfg.code) {
         block_bytes
     } else {
-        block_bytes + cl.cfg.method.parity_reserved_bytes(&cl.cfg)
+        block_bytes + cl.cfg.method.parity_reserved_bytes()
     };
     let rebuilt_off = cl.log_offset(target, span);
     let t_write = cl.disk_io(

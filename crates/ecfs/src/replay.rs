@@ -160,7 +160,8 @@ impl ReplayConfig {
         // (`Cached` names itself by its canonical spec, so the name says
         // whether a staging buffer is armed, builder- or spec-built.)
         let method = self.cluster.method.name();
-        let staged = MethodSpec::parse(method).is_ok_and(|spec| {
+        let spec = MethodSpec::parse(method).ok();
+        let staged = spec.as_ref().is_some_and(|spec| {
             spec.decorators
                 .iter()
                 .any(|d| matches!(d, Decorator::Stage { .. }))
@@ -184,6 +185,37 @@ impl ReplayConfig {
                 stream
                     .validate(self.cluster.clients, self.volume_bytes)
                     .map_err(crate::config::ConfigError)?;
+            }
+        }
+        // TSUE appends each update slice to one DataLog unit whole, so a
+        // unit smaller than the largest slice would panic mid-replay. A
+        // slice is at most one block and one op; a staged flush replays a
+        // coalesced range of up to a whole block.
+        if spec.is_some_and(|spec| spec.base.eq_ignore_ascii_case("TSUE")) {
+            let block = self.cluster.block_bytes;
+            let largest_op = match &self.workload {
+                Workload::Timed { stream, .. } => {
+                    stream.ops().iter().map(|t| t.op.len as u64).max()
+                }
+                Workload::ClosedLoop | Workload::Open(_) => {
+                    WorkloadParams::for_family(self.family, self.volume_bytes)
+                        .size_dist
+                        .iter()
+                        .map(|&(size, _)| size as u64)
+                        .max()
+                }
+            };
+            let largest = if staged {
+                block
+            } else {
+                block.min(largest_op.unwrap_or(0))
+            };
+            if largest > self.cluster.tsue_unit_bytes {
+                return Err(crate::config::ConfigError(format!(
+                    "tsue_unit_bytes = {} cannot hold the largest TSUE log record, \
+                     {largest} bytes",
+                    self.cluster.tsue_unit_bytes
+                )));
             }
         }
         Ok(())

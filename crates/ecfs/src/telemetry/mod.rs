@@ -17,6 +17,10 @@
 //!   Perfetto) and a compact binary log ([`binary`], read by
 //!   `trace_dump`).
 //!
+//! Retention has one knob, [`TraceConfig::capacity`]: every op's spans
+//! are kept until that many are held, and the rest are counted as
+//! dropped. Utilization lanes use fixed 10 ms buckets.
+//!
 //! Determinism contract: spans carry only simulation timestamps and the
 //! bounded [`simdes::SpanLog`] retains a prefix that is a pure function
 //! of the event sequence — so two runs of one config serialise to the
@@ -212,69 +216,41 @@ impl UtilKind {
     }
 }
 
+/// Bucket width of the utilization lanes, nanoseconds.
+const UTIL_BUCKET_NS: u64 = 10 * simdes::units::MILLIS;
+
 /// Tracing configuration, validated and carried on `ReplayConfig`.
 ///
 /// The default is **off**: no state is touched, so a traced build replays
-/// byte-for-byte identically to the pinned goldens. When enabled, the
-/// rollup (`stage_breakdown`) always sees every op — sampling and filters
-/// bound only the *retained* spans, and everything not retained is counted
-/// in `trace_dropped_spans` rather than silently forgotten.
+/// byte-for-byte identically to the pinned goldens. When enabled, every
+/// op's spans are retained until `capacity` spans are held; the rollup
+/// (`stage_breakdown`) sees every op regardless, and every span past the
+/// budget is counted in `trace_dropped_spans` rather than silently
+/// forgotten.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Master switch (default `false` — byte-for-byte identical replay).
     pub enabled: bool,
-    /// Retain every Nth op's spans (1 = all ops). Filtered ops count as
-    /// sampled-out, not dropped.
-    pub sample_every: u64,
-    /// Half-open `[lo, hi)` op-id filter on retained spans (`None` = all).
-    pub op_filter: Option<(u64, u64)>,
-    /// Bitmask over [`Stage::id`]s retained in the span log (`!0` = all).
-    /// The rollup ignores this mask so attribution stays complete.
-    pub stage_mask: u32,
     /// Maximum retained spans; overflow increments `trace_dropped_spans`.
     pub capacity: usize,
-    /// Bucket width of the utilization lanes, nanoseconds.
-    pub util_bucket_ns: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
             enabled: false,
-            sample_every: 1,
-            op_filter: None,
-            stage_mask: !0,
             capacity: 1 << 20,
-            util_bucket_ns: 10 * simdes::units::MILLIS,
         }
     }
 }
 
 impl TraceConfig {
-    /// Tracing on with the default budget (all ops, all stages, 1M spans).
+    /// Tracing on with the default budget (1M spans).
     pub fn on() -> TraceConfig {
         TraceConfig {
             enabled: true,
             ..TraceConfig::default()
         }
-    }
-
-    /// Retain every `n`-th op's spans.
-    pub fn with_sampling(mut self, n: u64) -> TraceConfig {
-        self.sample_every = n;
-        self
-    }
-
-    /// Retain only ops with id in `[lo, hi)`.
-    pub fn with_op_range(mut self, lo: u64, hi: u64) -> TraceConfig {
-        self.op_filter = Some((lo, hi));
-        self
-    }
-
-    /// Retain only the given stages in the span log.
-    pub fn with_stages(mut self, stages: &[Stage]) -> TraceConfig {
-        self.stage_mask = stages.iter().fold(0, |m, s| m | (1u32 << s.id()));
-        self
     }
 
     /// Cap the retained span count.
@@ -288,28 +264,14 @@ impl TraceConfig {
         if !self.enabled {
             return Ok(());
         }
-        if self.sample_every == 0 {
-            return Err("trace.sample_every must be >= 1".into());
-        }
         if self.capacity == 0 {
             return Err("trace.capacity must be positive when tracing".into());
-        }
-        if self.stage_mask == 0 {
-            return Err("trace.stage_mask retains no stages".into());
-        }
-        if let Some((lo, hi)) = self.op_filter {
-            if lo >= hi {
-                return Err("trace.op_filter range is empty".into());
-            }
-        }
-        if self.util_bucket_ns == 0 {
-            return Err("trace.util_bucket_ns must be positive".into());
         }
         Ok(())
     }
 }
 
-/// One sampled op in the trace index: identity plus the exact interval its
+/// One traced op in the trace index: identity plus the exact interval its
 /// stage spans partition. `latency` is attached independently by the
 /// completion path, so tests can pin `sum(stage spans) == latency` as two
 /// separately-derived numbers.
@@ -361,7 +323,7 @@ pub struct StageRow {
     pub p99_us: f64,
 }
 
-/// A finished run's trace: retained spans, the sampled-op index, and the
+/// A finished run's trace: retained spans, the op index, and the
 /// utilization lanes — everything the exporters and `trace_dump` need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -369,7 +331,7 @@ pub struct Trace {
     pub method: String,
     /// Retained spans in canonical (completion) order.
     pub spans: Vec<Span>,
-    /// Sampled-op index aligned with the spans' op ids.
+    /// Op index aligned with the spans' op ids.
     pub ops: Vec<OpRecord>,
     /// Utilization lanes in (kind, id) order.
     pub util: Vec<UtilLane>,
@@ -389,7 +351,6 @@ struct RollupCell {
 /// nothing.
 #[derive(Debug, Default)]
 pub struct TraceState {
-    cfg: TraceConfig,
     on: bool,
     op_seq: u64,
     spans: SpanLog,
@@ -412,7 +373,6 @@ impl TraceState {
         if !cfg.enabled {
             return;
         }
-        self.cfg = cfg;
         self.on = true;
         self.spans = SpanLog::new(cfg.capacity);
     }
@@ -428,12 +388,6 @@ impl TraceState {
         cell.count += 1;
         cell.total_ns += dur as u128;
         cell.hist.record(dur);
-    }
-
-    fn retain(&mut self, span: Span) {
-        if (self.cfg.stage_mask >> span.kind) & 1 == 1 {
-            self.spans.push(span);
-        }
     }
 
     /// Records a finished op's critical-path decomposition.
@@ -456,47 +410,35 @@ impl TraceState {
         }
         let op = self.op_seq;
         self.op_seq += 1;
-        let sampled = op.is_multiple_of(self.cfg.sample_every)
-            && self
-                .cfg
-                .op_filter
-                .map(|(lo, hi)| (lo..hi).contains(&op))
-                .unwrap_or(true);
         let lane = client as u32;
         let mut prev = issued_at;
         let queue_end = start_at.max(issued_at);
         let emit = |state: &mut TraceState, stage: Stage, end: SimTime, prev: &mut SimTime| {
             let end = end.max(*prev);
             state.rollup_span(class, stage, end - *prev);
-            if sampled {
-                state.retain(Span {
-                    lane,
-                    kind: stage.id(),
-                    class: class.id(),
-                    op,
-                    start: *prev,
-                    end,
-                });
-            }
+            state.spans.push(Span {
+                lane,
+                kind: stage.id(),
+                class: class.id(),
+                op,
+                start: *prev,
+                end,
+            });
             *prev = end;
         };
         emit(self, Stage::QueueWait, queue_end, &mut prev);
         for &(stage, end) in marks {
             emit(self, stage, end, &mut prev);
         }
-        if sampled {
-            self.ops.push(OpRecord {
-                op,
-                client,
-                class,
-                start: issued_at,
-                end: prev,
-                latency: 0,
-            });
-            self.pending = Some(self.ops.len() - 1);
-        } else {
-            self.pending = None;
-        }
+        self.ops.push(OpRecord {
+            op,
+            client,
+            class,
+            start: issued_at,
+            end: prev,
+            latency: 0,
+        });
+        self.pending = Some(self.ops.len() - 1);
     }
 
     /// Attaches the metrics-path latency to the op just recorded (called
@@ -515,7 +457,7 @@ impl TraceState {
         }
         let end = end.max(start);
         self.rollup_span(OpClass::Background, stage, end - start);
-        self.retain(Span {
+        self.spans.push(Span {
             lane: node as u32,
             kind: stage.id(),
             class: OpClass::Background.id(),
@@ -531,10 +473,9 @@ impl TraceState {
         if !self.on || busy_ns == 0 {
             return;
         }
-        let bucket = self.cfg.util_bucket_ns;
         self.util
             .entry((kind.id(), id))
-            .or_insert_with(|| TimeSeries::new(bucket))
+            .or_insert_with(|| TimeSeries::new(UTIL_BUCKET_NS))
             .record(t, busy_ns);
     }
 
@@ -551,10 +492,9 @@ impl TraceState {
         let last = self.last_busy.insert(key, total_busy).unwrap_or(0);
         let delta = total_busy.saturating_sub(last);
         if delta > 0 {
-            let bucket = self.cfg.util_bucket_ns;
             self.util
                 .entry(key)
-                .or_insert_with(|| TimeSeries::new(bucket))
+                .or_insert_with(|| TimeSeries::new(UTIL_BUCKET_NS))
                 .record(t, delta);
         }
     }
@@ -652,7 +592,7 @@ mod tests {
         assert!(!t.enabled());
         // A nonsense config validates fine while disabled...
         let off = TraceConfig {
-            sample_every: 0,
+            capacity: 0,
             ..TraceConfig::default()
         };
         assert!(off.validate().is_ok());
@@ -663,8 +603,6 @@ mod tests {
         };
         assert!(on.validate().is_err());
         assert!(TraceConfig::on().with_capacity(0).validate().is_err());
-        assert!(TraceConfig::on().with_op_range(5, 5).validate().is_err());
-        assert!(TraceConfig::on().with_stages(&[]).validate().is_err());
         assert!(TraceConfig::on().validate().is_ok());
     }
 
@@ -730,32 +668,6 @@ mod tests {
         let net = trace.spans.iter().find(|s| s.kind == Stage::NetSend.id());
         assert_eq!(net.unwrap().dur(), 0);
         assert_eq!(trace.op_span_sum(0), Some(210));
-    }
-
-    #[test]
-    fn sampling_and_filters_bound_retention_not_rollup() {
-        let mut t = TraceState::new();
-        t.arm(
-            TraceConfig::on()
-                .with_sampling(2)
-                .with_stages(&[Stage::Ack]),
-        );
-        for i in 0..10u64 {
-            t.record_op(i, OpClass::Update, 0, 0, &[(Stage::Ack, 100)]);
-            t.close_op(100);
-        }
-        let (rows, dropped, trace) = t.finish("TSUE");
-        let trace = trace.unwrap();
-        assert_eq!(dropped, 0, "filtered spans are not drops");
-        // 5 sampled ops x 1 retained stage (queue_wait masked out).
-        assert_eq!(trace.spans.len(), 5);
-        assert_eq!(trace.ops.len(), 5);
-        // The rollup still saw all 10 ops in both stages.
-        let ack = rows
-            .iter()
-            .find(|r| r.stage == Stage::Ack && r.class == OpClass::Update)
-            .unwrap();
-        assert_eq!(ack.count, 10);
     }
 
     #[test]

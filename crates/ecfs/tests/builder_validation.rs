@@ -61,6 +61,15 @@ fn cluster_builder_rejects_with_reasons() {
         .unwrap_err();
     assert!(err.to_string().contains("slice"), "{err}");
 
+    // A TSUE pool quota that leaves no unit to append while one recycles.
+    let err = ClusterConfig::builder()
+        .code(code64())
+        .method(Arc::new(Tsue))
+        .tsue_max_units(1)
+        .build()
+        .unwrap_err();
+    assert!(err.to_string().contains("tsue_max_units"), "{err}");
+
     // Dead network.
     let err = ClusterConfig::builder()
         .code(code64())
@@ -232,6 +241,40 @@ fn replay_builder_rejects_staging_with_a_fault_plan() {
         .faults(faults())
         .build()
         .expect("a read cache composes with a fault plan");
+}
+
+#[test]
+fn replay_builder_rejects_tsue_units_below_the_largest_record() {
+    let cluster = |method: &str, unit_bytes: u64| {
+        ClusterConfig::builder()
+            .code(code64())
+            .method_name(method)
+            .tsue_unit_bytes(unit_bytes)
+            .build()
+            .unwrap()
+    };
+    let build = |cluster, family| ReplayConfig::builder(cluster, family).build();
+
+    // Ali-Cloud issues 256 KiB ops: a 64 KiB unit cannot take one, plain
+    // or behind a read cache.
+    for method in ["TSUE", "lru(64MiB)+TSUE"] {
+        let err = build(cluster(method, 64 << 10), TraceFamily::AliCloud).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("65536") && msg.contains("262144"), "{msg}");
+    }
+    // A staged flush can replay a whole 4 MiB block.
+    let err = build(
+        cluster("stage(8MiB,2ms)+TSUE", 1 << 20),
+        TraceFamily::AliCloud,
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("4194304"), "{err}");
+
+    // Accept: units that hold the largest op, Ten-Cloud's smaller ops,
+    // and methods that keep no TSUE log.
+    build(cluster("TSUE", 256 << 10), TraceFamily::AliCloud).expect("256 KiB units");
+    build(cluster("TSUE", 128 << 10), TraceFamily::TenCloud).expect("Ten-Cloud ops");
+    build(cluster("FO", 64 << 10), TraceFamily::AliCloud).expect("FO has no log units");
 }
 
 #[test]

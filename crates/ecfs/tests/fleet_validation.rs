@@ -54,13 +54,13 @@ fn zero_capacity_node_rejected_at_build() {
 fn degenerate_multipliers_rejected_at_build() {
     for bad in [f64::NAN, f64::INFINITY, -2.0, 0.0] {
         let mut profiles = vec![DiskProfile::hdd(); 16];
-        profiles[0] = DiskProfile::hdd().with_throughput_mult(bad);
+        profiles[0] = DiskProfile::hdd().with_capacity_mult(bad);
         assert!(
             builder()
                 .fleet(DiskFleet::explicit(profiles))
                 .build()
                 .is_err(),
-            "throughput_mult {bad} must be rejected"
+            "capacity_mult {bad} must be rejected"
         );
     }
 }

@@ -32,9 +32,8 @@ fn armed_plans(r: &mut ReplayConfig) {
         .with_lse(LseConfig {
             per_device: 4,
             span_bytes: 8 << 20,
-            ..LseConfig::default()
         })
-        .with_rebalance(RebalanceConfig::default());
+        .with_rebalance();
 }
 
 /// Canonical rendering of every *deterministic* `RunResult` field.

@@ -36,7 +36,6 @@ fn dense_lse() -> LseConfig {
     LseConfig {
         per_device: 4,
         span_bytes: 8 << 20,
-        ..LseConfig::default()
     }
 }
 
@@ -119,7 +118,7 @@ fn rebalancer_narrows_wear_spread() {
     // wear after the clients stop, and the leveler must outlive it to be
     // judged on the final wear census.
     rcfg.maintenance = MaintenancePlan::new()
-        .with_rebalance(RebalanceConfig::default())
+        .with_rebalance()
         .with_horizon(200 * simdes::units::MILLIS);
     rcfg.validate().expect("rebalance plan validates");
     let r = Replay::run(&rcfg).result;
@@ -144,7 +143,7 @@ fn rebalancer_narrows_wear_spread() {
 #[test]
 fn demotion_moves_parity_off_flash_on_tiered_fleet() {
     let mut rcfg = tiered_replay(Arc::new(Tsue), 4, 250);
-    rcfg.maintenance = MaintenancePlan::new().with_demote(DemoteConfig::default());
+    rcfg.maintenance = MaintenancePlan::new().with_demote();
     rcfg.validate().expect("demote plan validates");
     let r = Replay::run(&rcfg).result;
 
@@ -158,7 +157,7 @@ fn demotion_moves_parity_off_flash_on_tiered_fleet() {
     // Demotion on a flash-only fleet is a configuration error, caught at
     // validation time rather than silently doing nothing.
     let mut flat = replay(Arc::new(Tsue), 4, 250);
-    flat.maintenance = MaintenancePlan::new().with_demote(DemoteConfig::default());
+    flat.maintenance = MaintenancePlan::new().with_demote();
     assert!(flat.validate().is_err(), "demote on flash-only fleet");
 }
 
@@ -178,7 +177,7 @@ fn parallel_maintained_grid_matches_serial() {
         r.maintenance = MaintenancePlan::new()
             .with_scrub(fast_scrub())
             .with_lse(dense_lse())
-            .with_rebalance(RebalanceConfig::default());
+            .with_rebalance();
         configs.push(r);
     }
     let mut full = tiered_replay(Arc::new(Tsue), 4, 120);
