@@ -1,7 +1,5 @@
 //! Queued service stations: the contention model for disks, NICs and CPUs.
 
-use std::collections::VecDeque;
-
 use crate::sim::SimTime;
 
 /// The bounded future schedule of a single server: sorted, disjoint busy
@@ -9,90 +7,153 @@ use crate::sim::SimTime;
 ///
 /// A booking takes the earliest gap at or after its `now` that fits its
 /// duration. Intervals that end at or before `now` cannot hold that gap, so
-/// a search over the (sorted) interval ends skips them: a booking costs
-/// O(log n) in the common case, and a few comparisons when it lands among
-/// the newest intervals, as bookings at the present do. Once more than
-/// [`MAX_INTERVALS`] intervals are live, the oldest collapse into the
+/// the walk starts at the first interval ending after `now`, found by a
+/// short walk back from the newest, then a binary search. A booking that
+/// ends up at or after the newest interval's end, as bookings at the
+/// present do, extends that interval or takes the next ring slot; only a
+/// booking that lands between intervals shifts the ones after it. Once more
+/// than [`MAX_INTERVALS`] intervals are live, the oldest collapse into the
 /// horizon, below which nothing can be booked: that cap decides which gaps
 /// stay bookable, so it is part of the model, not a tuning knob.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone)]
 struct GapBook {
     /// Nothing can be scheduled before this time (old bookings collapsed).
     horizon: SimTime,
-    /// Sorted, disjoint busy intervals at or after `horizon`.
-    intervals: VecDeque<(SimTime, SimTime)>,
+    /// A ring of [`SLOTS`] slots, allocated once. The live intervals are
+    /// the `len` slots from `head` on, each at or after `horizon` and
+    /// ending at or before the next one starts.
+    ring: Box<[(SimTime, SimTime)]>,
+    head: usize,
+    len: usize,
 }
 
 /// Live intervals a [`GapBook`] keeps before collapsing the oldest.
 const MAX_INTERVALS: usize = 128;
 
+/// Ring slots of a [`GapBook`]: one spare, so a booking at the cap writes
+/// its interval before the oldest, in the slot next to it, collapses.
+const SLOTS: usize = MAX_INTERVALS + 1;
+
 impl GapBook {
+    fn new() -> GapBook {
+        GapBook {
+            horizon: 0,
+            ring: vec![(0, 0); SLOTS].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Ring slot of the `i`-th live interval, for `i <= len`.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        let s = self.head + i;
+        if s >= SLOTS {
+            s - SLOTS
+        } else {
+            s
+        }
+    }
+
+    /// The `i`-th live interval, oldest first.
+    #[inline]
+    fn at(&self, i: usize) -> (SimTime, SimTime) {
+        self.ring[self.slot(i)]
+    }
+
     /// Books `dur` at the earliest gap at or after `now`; returns the end.
     fn reserve(&mut self, now: SimTime, dur: SimTime) -> SimTime {
         let mut cur = now.max(self.horizon);
-        // None of the intervals ending at or before `cur` can delay the
-        // booking.
-        let first = self.first_ending_after(cur);
-        let mut idx = self.intervals.len();
-        for (i, &(s, e)) in self.intervals.range(first..).enumerate() {
+        for i in self.first_ending_after(cur)..self.len {
+            let (s, e) = self.at(i);
             if e <= cur {
                 continue;
             }
             if cur + dur <= s {
-                idx = first + i;
-                break;
+                self.insert(i, cur, cur + dur);
+                return cur + dur;
             }
-            cur = cur.max(e);
+            cur = e;
         }
-        self.book(idx, cur, cur + dur)
+        self.append(cur, cur + dur);
+        cur + dur
     }
 
     /// Index of the first interval that ends after `t`. Ends are sorted,
     /// so the intervals ending at or before `t` form a prefix. A book at
     /// its cap usually holds only a few intervals beyond the present, so
     /// a short walk back from the newest finds the split before a binary
-    /// search over the whole book is needed.
+    /// search over the rest is needed.
     fn first_ending_after(&self, t: SimTime) -> usize {
-        let n = self.intervals.len();
+        let n = self.len;
         for i in (n.saturating_sub(4)..n).rev() {
-            if self.intervals[i].1 <= t {
+            if self.at(i).1 <= t {
                 return i + 1;
             }
         }
-        self.intervals.partition_point(|&(_, e)| e <= t)
+        let (mut lo, mut hi) = (0, n.saturating_sub(4));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.at(mid).1 <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
-    /// Inserts the busy interval `[start, end)` found at scan position
-    /// `idx`, merges it with touching neighbours and collapses the oldest
-    /// intervals beyond [`MAX_INTERVALS`]. Returns `end`.
-    fn book(&mut self, idx: usize, start: SimTime, end: SimTime) -> SimTime {
-        // Insert keeping order; merge with touching neighbours.
-        let mut insert_at = idx.min(self.intervals.len());
-        // idx from the scan may be one past intervals that end before cur.
-        while insert_at > 0 && self.intervals[insert_at - 1].0 > start {
-            insert_at -= 1;
+    /// Books `[start, end)` at or after the newest interval's end: extends
+    /// that interval when the booking touches it, else takes the next slot.
+    fn append(&mut self, start: SimTime, end: SimTime) {
+        if self.len > 0 {
+            let newest = self.slot(self.len - 1);
+            if self.ring[newest].1 == start {
+                self.ring[newest].1 = end;
+                return;
+            }
         }
-        while insert_at < self.intervals.len() && self.intervals[insert_at].0 < start {
-            insert_at += 1;
+        let tail = self.slot(self.len);
+        self.ring[tail] = (start, end);
+        self.grow();
+    }
+
+    /// Books `[start, end)` just before the `idx`-th interval, merging it
+    /// with the neighbours it touches.
+    fn insert(&mut self, idx: usize, start: SimTime, end: SimTime) {
+        let right = self.slot(idx);
+        let left = (idx > 0)
+            .then(|| self.slot(idx - 1))
+            .filter(|&l| self.ring[l].1 == start);
+        match (left, self.ring[right].0 == end) {
+            (Some(l), true) => {
+                self.ring[l].1 = self.ring[right].1;
+                for i in idx..self.len - 1 {
+                    self.ring[self.slot(i)] = self.at(i + 1);
+                }
+                self.len -= 1;
+            }
+            (Some(l), false) => self.ring[l].1 = end,
+            (None, true) => self.ring[right].0 = start,
+            (None, false) => {
+                for i in (idx..self.len).rev() {
+                    self.ring[self.slot(i + 1)] = self.at(i);
+                }
+                self.ring[right] = (start, end);
+                self.grow();
+            }
         }
-        self.intervals.insert(insert_at, (start, end));
-        // Merge left and right if touching.
-        if insert_at + 1 < self.intervals.len()
-            && self.intervals[insert_at].1 == self.intervals[insert_at + 1].0
-        {
-            let (_, e2) = self.intervals.remove(insert_at + 1).unwrap();
-            self.intervals[insert_at].1 = e2;
+    }
+
+    /// Counts the interval just written past the newest; beyond the cap,
+    /// collapses the oldest into the horizon.
+    fn grow(&mut self) {
+        self.len += 1;
+        if self.len > MAX_INTERVALS {
+            self.horizon = self.horizon.max(self.ring[self.head].1);
+            self.head = self.slot(1);
+            self.len -= 1;
         }
-        if insert_at > 0 && self.intervals[insert_at - 1].1 == self.intervals[insert_at].0 {
-            let (_, e2) = self.intervals.remove(insert_at).unwrap();
-            self.intervals[insert_at - 1].1 = e2;
-        }
-        // Bound memory: collapse the oldest intervals into the horizon.
-        while self.intervals.len() > MAX_INTERVALS {
-            let (_, e) = self.intervals.pop_front().unwrap();
-            self.horizon = self.horizon.max(e);
-        }
-        end
     }
 }
 
@@ -111,20 +172,26 @@ impl GapBook {
 ///
 /// * **single-server** stations keep a gap list bounded at 128 busy
 ///   intervals and backfill idle holes between future bookings; a booking
-///   skips the intervals that end before it by a short walk back from the
-///   newest, then a binary search, so it costs O(log n) unless it has to
-///   walk gaps too short for it;
+///   at or after the newest interval, the common case, costs a few loads,
+///   and one between intervals also shifts the intervals after it;
 /// * **multi-server** stations choose best-fit: a server already free at
 ///   `now` if one exists (a serial chain keeps reusing its own lane),
-///   otherwise the earliest-free server.
+///   otherwise the earliest-free server. The free times are kept sorted,
+///   so best fit is the last one at or before `now`, or the first.
 #[derive(Debug, Clone)]
 pub struct Resource {
-    /// Multi-server: earliest time each server becomes free.
-    free_at: Vec<SimTime>,
-    /// Single-server: gap-aware schedule.
-    book: Option<GapBook>,
+    station: Station,
     busy: u64,
     completed: u64,
+}
+
+/// The servers of a [`Resource`], by how they are booked.
+#[derive(Debug, Clone)]
+enum Station {
+    /// One server: its gap-aware schedule.
+    Single(GapBook),
+    /// Several servers: the time each becomes free, ascending.
+    Lanes(Box<[SimTime]>),
 }
 
 impl Resource {
@@ -134,18 +201,16 @@ impl Resource {
     /// Panics if `servers == 0`.
     pub fn new(servers: usize) -> Resource {
         assert!(servers > 0, "resource needs at least one server");
+        let station = if servers == 1 {
+            Station::Single(GapBook::new())
+        } else {
+            Station::Lanes(vec![0; servers].into_boxed_slice())
+        };
         Resource {
-            free_at: vec![0; servers],
-            book: (servers == 1).then(GapBook::default),
+            station,
             busy: 0,
             completed: 0,
         }
-    }
-
-    /// Number of servers.
-    #[inline]
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Books `duration` of service starting no earlier than `now`; returns
@@ -153,25 +218,10 @@ impl Resource {
     pub fn reserve(&mut self, now: SimTime, duration: SimTime) -> SimTime {
         self.busy += duration;
         self.completed += 1;
-        if let Some(book) = &mut self.book {
-            return book.reserve(now, duration);
+        match &mut self.station {
+            Station::Single(book) => book.reserve(now, duration),
+            Station::Lanes(free_at) => book_lane(free_at, now, duration),
         }
-        // Best fit: prefer the server free at or before `now` with the
-        // latest free time; otherwise the earliest-free server.
-        let mut best_fit: Option<usize> = None;
-        let mut earliest: usize = 0;
-        for (i, &f) in self.free_at.iter().enumerate() {
-            if f <= now && best_fit.is_none_or(|b| f > self.free_at[b]) {
-                best_fit = Some(i);
-            }
-            if f < self.free_at[earliest] {
-                earliest = i;
-            }
-        }
-        let chosen = best_fit.unwrap_or(earliest);
-        let end = now.max(self.free_at[chosen]) + duration;
-        self.free_at[chosen] = end;
-        end
     }
 
     /// Total booked busy time across servers.
@@ -185,8 +235,26 @@ impl Resource {
     }
 }
 
+/// Books `dur` on the best-fit lane of the ascending `free_at`: the latest
+/// lane free at or before `now`, else the earliest-free one. The end
+/// depends only on the chosen free time, so ties between lanes cannot
+/// change it. Moves the new free time right to keep the order; returns it.
+fn book_lane(free_at: &mut [SimTime], now: SimTime, dur: SimTime) -> SimTime {
+    let free = free_at.iter().filter(|&&f| f <= now).count();
+    let mut k = free.saturating_sub(1);
+    let end = now.max(free_at[k]) + dur;
+    while k + 1 < free_at.len() && free_at[k + 1] < end {
+        free_at[k] = free_at[k + 1];
+        k += 1;
+    }
+    free_at[k] = end;
+    end
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     #[test]
@@ -258,11 +326,17 @@ mod tests {
         let _ = Resource::new(0);
     }
 
-    impl GapBook {
-        /// The front-to-back scan [`GapBook::reserve`] replaced, kept as
-        /// the reference: walk every interval from the oldest, skipping
-        /// those that end at or before the running start.
-        fn reference_reserve(&mut self, now: SimTime, dur: SimTime) -> SimTime {
+    /// The `VecDeque` book the ring replaced, kept as the reference: a
+    /// front-to-back scan over every interval, then a generic insert, a
+    /// merge with touching neighbours and a collapse beyond the cap.
+    #[derive(Debug, Default)]
+    struct DequeBook {
+        horizon: SimTime,
+        intervals: VecDeque<(SimTime, SimTime)>,
+    }
+
+    impl DequeBook {
+        fn reserve(&mut self, now: SimTime, dur: SimTime) -> SimTime {
             let mut cur = now.max(self.horizon);
             let mut idx = self.intervals.len();
             for (i, &(s, e)) in self.intervals.iter().enumerate() {
@@ -275,8 +349,51 @@ mod tests {
                 }
                 cur = cur.max(e);
             }
-            self.book(idx, cur, cur + dur)
+            let (start, end) = (cur, cur + dur);
+            let mut insert_at = idx;
+            while insert_at > 0 && self.intervals[insert_at - 1].0 > start {
+                insert_at -= 1;
+            }
+            while insert_at < self.intervals.len() && self.intervals[insert_at].0 < start {
+                insert_at += 1;
+            }
+            self.intervals.insert(insert_at, (start, end));
+            if insert_at + 1 < self.intervals.len()
+                && self.intervals[insert_at].1 == self.intervals[insert_at + 1].0
+            {
+                let (_, e2) = self.intervals.remove(insert_at + 1).unwrap();
+                self.intervals[insert_at].1 = e2;
+            }
+            if insert_at > 0 && self.intervals[insert_at - 1].1 == self.intervals[insert_at].0 {
+                let (_, e2) = self.intervals.remove(insert_at).unwrap();
+                self.intervals[insert_at - 1].1 = e2;
+            }
+            while self.intervals.len() > MAX_INTERVALS {
+                let (_, e) = self.intervals.pop_front().unwrap();
+                self.horizon = self.horizon.max(e);
+            }
+            end
         }
+    }
+
+    /// The unsorted best-fit scan [`book_lane`] replaced, kept as the
+    /// reference: the lane free at or before `now` with the latest free
+    /// time, else the earliest-free lane, lowest index on ties.
+    fn reference_book_lane(free_at: &mut [SimTime], now: SimTime, dur: SimTime) -> SimTime {
+        let mut best_fit: Option<usize> = None;
+        let mut earliest: usize = 0;
+        for (i, &f) in free_at.iter().enumerate() {
+            if f <= now && best_fit.is_none_or(|b| f > free_at[b]) {
+                best_fit = Some(i);
+            }
+            if f < free_at[earliest] {
+                earliest = i;
+            }
+        }
+        let chosen = best_fit.unwrap_or(earliest);
+        let end = now.max(free_at[chosen]) + dur;
+        free_at[chosen] = end;
+        end
     }
 
     fn lcg(x: &mut u64) -> u64 {
@@ -286,24 +403,36 @@ mod tests {
         *x >> 33
     }
 
-    /// The searched booking against the reference scan on seeded,
+    /// Asserts that the ring holds the reference's horizon and intervals.
+    fn assert_same_book(ring: &GapBook, deque: &DequeBook, ctx: &str) {
+        assert_eq!(ring.horizon, deque.horizon, "{ctx}: horizon");
+        assert!(ring.len <= MAX_INTERVALS, "{ctx}: over the cap");
+        assert!(
+            (0..ring.len)
+                .map(|i| ring.at(i))
+                .eq(deque.intervals.iter().copied()),
+            "{ctx}: intervals"
+        );
+    }
+
+    /// The ring book against the `VecDeque` reference on seeded,
     /// non-monotone `now` sequences: equal ends and equal books after
     /// every call, through zero-length bookings, exact gap fills (the
-    /// merge path) and the 128-interval collapse.
+    /// merge path), the 128-interval collapse and ring wrap-around.
     #[test]
     fn gap_booking_matches_reference_scan() {
         // A request ready at 95 cannot fit the 5 ns left before the
         // booking at 100, so it queues behind that booking's end at 110.
-        let (mut fast, mut slow) = (GapBook::default(), GapBook::default());
+        let (mut fast, mut slow) = (GapBook::new(), DequeBook::default());
         for (now, dur, end) in [(100, 10, 110), (0, 10, 10), (95, 10, 120)] {
             assert_eq!(fast.reserve(now, dur), end);
-            assert_eq!(slow.reference_reserve(now, dur), end);
+            assert_eq!(slow.reserve(now, dur), end);
         }
-        assert_eq!(fast, slow);
+        assert_same_book(&fast, &slow, "fixed");
 
-        let (mut zero_length, mut gap_fills, mut collapses) = (0, 0, 0);
+        let (mut zero_length, mut gap_fills, mut collapses, mut wraps) = (0, 0, 0, 0);
         for seed in 1..=8u64 {
-            let (mut fast, mut slow) = (GapBook::default(), GapBook::default());
+            let (mut fast, mut slow) = (GapBook::new(), DequeBook::default());
             let mut x = seed;
             let mut clock = 0u64;
             for call in 0..3_000 {
@@ -326,17 +455,57 @@ mod tests {
                     (4 | 5, _) => (clock + lcg(&mut x) % 100_000, 1 + lcg(&mut x) % 40),
                     _ => (clock, 1 + lcg(&mut x) % 80),
                 };
-                let horizon = slow.horizon;
-                let end = slow.reference_reserve(now, dur);
+                let (horizon, head) = (slow.horizon, fast.head);
+                let end = slow.reserve(now, dur);
                 assert_eq!(fast.reserve(now, dur), end, "seed {seed} call {call}");
-                assert_eq!(fast, slow, "seed {seed} call {call}");
+                assert_same_book(&fast, &slow, &format!("seed {seed} call {call}"));
                 zero_length += (dur == 0) as u32;
                 gap_fills += (slow.intervals.len() < live) as u32;
                 collapses += (slow.horizon > horizon) as u32;
+                wraps += (fast.head < head) as u32;
             }
         }
         assert!(zero_length > 0, "no zero-length booking");
         assert!(gap_fills > 0, "no booking merged with both neighbours");
         assert!(collapses > 0, "the book never reached its cap");
+        assert!(wraps > 0, "the ring never wrapped");
+    }
+
+    /// Sorted lanes against the unsorted reference scan on seeded streams
+    /// with many tied free times and out-of-order `now`s: equal ends, and
+    /// equal free times as a multiset, after every call.
+    #[test]
+    fn lane_booking_matches_reference_scan() {
+        let (mut ties, mut backwards) = (0, 0);
+        for servers in 2..=8usize {
+            for seed in 1..=4u64 {
+                let mut lanes = vec![0; servers];
+                let mut slow = vec![0; servers];
+                let mut x = seed * 31 + servers as u64;
+                let mut clock = 0u64;
+                for call in 0..2_000 {
+                    clock += 10 * (lcg(&mut x) % 3);
+                    // Coarse times and durations make free times collide.
+                    let now = match lcg(&mut x) % 4 {
+                        0 => clock.saturating_sub(10 * (lcg(&mut x) % 20)),
+                        1 => slow[lcg(&mut x) as usize % servers],
+                        _ => clock,
+                    };
+                    let dur = 10 * (lcg(&mut x) % 4);
+                    let fit = slow.iter().filter(|&&f| f <= now).max();
+                    ties +=
+                        fit.is_some_and(|m| slow.iter().filter(|&&f| f == *m).count() > 1) as u32;
+                    backwards += (now < clock) as u32;
+                    let end = reference_book_lane(&mut slow, now, dur);
+                    let ctx = format!("servers {servers} seed {seed} call {call}");
+                    assert_eq!(book_lane(&mut lanes, now, dur), end, "{ctx}");
+                    let mut sorted = slow.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(lanes, sorted, "{ctx}");
+                }
+            }
+        }
+        assert!(ties > 0, "no best fit among tied free times");
+        assert!(backwards > 0, "no out-of-order booking");
     }
 }

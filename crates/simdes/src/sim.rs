@@ -103,12 +103,6 @@ impl<W> Sim<W> {
         self.executed
     }
 
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     #[inline]
     fn push(&mut self, t: SimTime, cb: Callback<W>) {
         assert!(
@@ -169,7 +163,7 @@ impl<W> Sim<W> {
 
     /// Runs until the queue drains or the next event would be after
     /// `deadline`; the clock never passes `deadline`. Returns current time.
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
+    fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
         while let Some(Reverse(ev)) = self.queue.peek() {
             if ev.time > deadline {
                 self.now = deadline.max(self.now);
@@ -182,24 +176,6 @@ impl<W> Sim<W> {
             ev.cb.invoke(self, world);
         }
         self.now
-    }
-
-    /// Runs at most `n` further events. Returns how many actually ran.
-    pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
-        let mut ran = 0;
-        while ran < n {
-            match self.queue.pop() {
-                Some(Reverse(ev)) => {
-                    debug_assert!(ev.time >= self.now, "event queue went backwards");
-                    self.now = ev.time;
-                    self.executed += 1;
-                    ev.cb.invoke(self, world);
-                    ran += 1;
-                }
-                None => break,
-            }
-        }
-        ran
     }
 }
 
@@ -257,7 +233,7 @@ mod tests {
         sim.run_until(&mut world, 20);
         assert_eq!(world, 2);
         assert_eq!(sim.now(), 20);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.queue.len(), 1);
         sim.run(&mut world);
         assert_eq!(world, 3);
     }
@@ -271,39 +247,6 @@ mod tests {
             sim.schedule_at(5, |_, _| {});
         });
         sim.run(&mut world);
-    }
-
-    #[test]
-    fn step_limits_execution() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        for i in 0..10 {
-            sim.schedule(i, |_, w: &mut u32| *w += 1);
-        }
-        assert_eq!(sim.step(&mut world, 4), 4);
-        assert_eq!(world, 4);
-        assert_eq!(sim.step(&mut world, 100), 6);
-        assert_eq!(world, 10);
-    }
-
-    #[test]
-    fn step_advances_the_clock_monotonically() {
-        // Regression test for the guard `run_until` always had but `step`
-        // lacked: stepping through a queue must never rewind `now`. (With a
-        // healthy queue it cannot; the debug_assert in `step` now catches a
-        // corrupted one loudly instead of silently rewinding.)
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        sim.schedule(30, |_, w: &mut u32| *w += 1);
-        sim.schedule(10, |_, w| *w += 1);
-        sim.schedule(20, |_, w| *w += 1);
-        let mut last = 0;
-        while sim.step(&mut world, 1) == 1 {
-            assert!(sim.now() >= last, "step rewound the clock");
-            last = sim.now();
-        }
-        assert_eq!(world, 3);
-        assert_eq!(last, 30);
     }
 
     #[test]

@@ -158,6 +158,7 @@ impl Histogram {
     /// Approximate quantile `q` in `[0, 1]`: returns the **upper bound**
     /// (exclusive) of the log2 bucket containing the q-th sample, so the
     /// reported value is always `>=` the true quantile and within 2x of it.
+    /// The top bucket's bound, 2^64, saturates to `u64::MAX`.
     ///
     /// Reports and waterfalls that mix exact per-span sums with histogram
     /// quantiles must keep this convention in mind: a p99 of `1024` means
@@ -172,7 +173,7 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return 1u64 << (i + 1).min(63);
+                return 1u64.checked_shl(i as u32 + 1).unwrap_or(u64::MAX);
             }
         }
         self.max
@@ -421,6 +422,16 @@ mod tests {
         assert!(p50 <= 1024, "p50 = {p50}");
         let p100 = h.quantile(1.0);
         assert!(p100 >= 1000);
+    }
+
+    #[test]
+    fn histogram_quantile_bounds_the_top_bucket() {
+        // A sample at or above 2^63 lands in bucket 63, whose exclusive
+        // upper bound 2^64 does not fit a u64.
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX, "at or above every sample");
+        assert_eq!(h.quantile_lower(1.0), 1 << 63);
     }
 
     #[test]
