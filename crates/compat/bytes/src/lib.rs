@@ -1,10 +1,10 @@
 //! Offline stand-in for the `bytes` crate: an `Arc<Vec<u8>>`-backed
-//! immutable buffer with O(1) `clone`/`slice`/`From<Vec<u8>>`, and a growable
-//! `BytesMut` that freezes into it without copying.
+//! immutable buffer with O(1) `clone`/`slice`/`From<Vec<u8>>`, convertible
+//! back into a `Vec<u8>` without copying when it is the storage's only view.
 
 #![forbid(unsafe_code)]
 
-use std::ops::{Deref, DerefMut, RangeBounds};
+use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Cheaply cloneable immutable byte buffer (a view into shared storage).
@@ -69,6 +69,22 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Takes the allocation back when this view is the storage's only owner
+/// (trimmed to the viewed bytes in place); copies the viewed bytes otherwise,
+/// so no other view ever changes.
+impl From<Bytes> for Vec<u8> {
+    fn from(b: Bytes) -> Vec<u8> {
+        match Arc::try_unwrap(b.data) {
+            Ok(mut v) => {
+                v.truncate(b.end);
+                v.drain(..b.start);
+                v
+            }
+            Err(shared) => shared[b.start..b.end].to_vec(),
+        }
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -96,46 +112,6 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-
-    /// Converts into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(src: &[u8]) -> BytesMut {
-        BytesMut(src.to_vec())
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,23 +131,6 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = Bytes::copy_from_slice(&[1]);
         let _ = b.slice(0..2);
-    }
-
-    #[test]
-    fn freeze_roundtrip() {
-        let mut m = BytesMut::with_capacity(4);
-        m.extend_from_slice(&[9, 8]);
-        m[0] = 7;
-        let b = m.freeze();
-        assert_eq!(&b[..], &[7, 8]);
-    }
-
-    #[test]
-    fn freeze_keeps_the_allocation() {
-        let mut m = BytesMut::with_capacity(8);
-        m.extend_from_slice(&[1, 2, 3]);
-        let before = m.as_ptr();
-        assert_eq!(m.freeze().as_ptr(), before);
     }
 
     #[test]
@@ -197,6 +156,53 @@ mod tests {
         assert_eq!(b.slice(2..).as_ptr(), b[2..].as_ptr());
         assert_eq!(b.slice(1..4).slice(1..).as_ptr(), b[2..].as_ptr());
         assert_eq!(b.clone().as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn into_vec_takes_a_unique_full_view_back() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let before = b.as_ptr();
+        let v = Vec::from(b);
+        assert_eq!(v.as_ptr(), before);
+        assert_eq!(v, [1, 2, 3]);
+    }
+
+    #[test]
+    fn into_vec_copies_a_shared_view() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let held = b.clone();
+        let mut v = Vec::from(b);
+        assert_ne!(v.as_ptr(), held.as_ptr());
+        v[0] = 9;
+        assert_eq!(&held[..], &[1, 2, 3]);
+        assert_eq!(Vec::from(held.slice(1..)), [2, 3]);
+    }
+
+    #[test]
+    fn into_vec_returns_exactly_the_viewed_bytes() {
+        // A view of `[1, 2, 3, 4, 5]` that owns its storage alone.
+        fn unique(start: usize, end: usize) -> Bytes {
+            Bytes::from(vec![1u8, 2, 3, 4, 5]).slice(start..end)
+        }
+        for (start, end, want) in [
+            (1, 5, &[2u8, 3, 4, 5][..]),
+            (0, 2, &[1, 2]),
+            (1, 4, &[2, 3, 4]),
+            (2, 2, &[]),
+        ] {
+            let view = unique(start, end);
+            let storage = view.as_ptr().wrapping_sub(start);
+            let v = Vec::from(view);
+            assert_eq!(v, want, "{start}..{end}");
+            assert_eq!(v.as_ptr(), storage, "{start}..{end} kept the allocation");
+            let whole = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+            assert_eq!(
+                Vec::from(whole.slice(start..end)),
+                want,
+                "shared {start}..{end}"
+            );
+            assert_eq!(&whole[..], &[1, 2, 3, 4, 5]);
+        }
     }
 
     #[test]

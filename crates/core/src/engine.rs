@@ -194,10 +194,21 @@ struct Shared {
     data_log: Mutex<LogPoolSet<BlockId, Data>>,
     delta_log: Mutex<LogPoolSet<StripeBlock, Data>>,
     parity_log: Mutex<LogPoolSet<ParityKey, Data>>,
-    /// Signalled whenever a unit is sealed or recycled (wakes recyclers and
-    /// stalled appenders).
+    /// Signalled by [`Shared::wake`] when an append seals a unit or a
+    /// recycle finishes, the only events that give a recycler or a stalled
+    /// appender something to do; a plain append wakes nobody.
     work_cv: Condvar,
     work_mx: Mutex<()>,
+    /// Wake-ups sent so far, bumped under `work_mx`: a waiter that read it
+    /// before its failed take waits only while it is unchanged, so a wake
+    /// between the take and the wait is never lost.
+    wakes: AtomicU64,
+    /// The other [`EngineStats`] counters.
+    sealed: AtomicU64,
+    waits: AtomicU64,
+    timed_out_waits: AtomicU64,
+    inline_recycles: AtomicU64,
+    recycled: [AtomicU64; 3],
     /// Units currently being recycled across all layers.
     in_flight: AtomicU64,
     shutdown: AtomicBool,
@@ -222,6 +233,30 @@ impl Shared {
         (id / k, (id % k) as u16)
     }
 
+    /// Signals that a unit was sealed or recycled: bumps the wake counter
+    /// and notifies every waiter, under `work_mx`.
+    fn wake(&self) {
+        let _guard = self.work_mx.lock();
+        self.wakes.fetch_add(1, Ordering::SeqCst);
+        self.work_cv.notify_all();
+    }
+
+    /// Waits for a wake after `seen`, the wake counter read before the
+    /// failed take; the 1 ms timeout is a safety net, not the protocol.
+    fn wait(&self, seen: u64) {
+        let mut guard = self.work_mx.lock();
+        if self.wakes.load(Ordering::SeqCst) != seen {
+            return;
+        }
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        let waited = self
+            .work_cv
+            .wait_for(&mut guard, std::time::Duration::from_millis(1));
+        if waited.timed_out() {
+            self.timed_out_waits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Processes one recyclable unit from any layer; returns false if there
     /// was nothing to do. Terminal layers first so stalled upper layers
     /// drain fastest.
@@ -233,7 +268,13 @@ impl Shared {
     /// layer lock, fold its contents with `fold` with the lock released,
     /// then hand the unit back and wake waiters. Returns false if there was
     /// nothing to take.
-    fn recycle_unit<K, T, F>(&self, log: &Mutex<LogPoolSet<K, Data>>, take: T, fold: F) -> bool
+    fn recycle_unit<K, T, F>(
+        &self,
+        layer: Layer,
+        log: &Mutex<LogPoolSet<K, Data>>,
+        take: T,
+        fold: F,
+    ) -> bool
     where
         K: Hash + Eq + Ord + Clone,
         T: FnOnce(&mut LogPoolSet<K, Data>) -> Option<(usize, TakenUnit<K, Data>)>,
@@ -247,7 +288,8 @@ impl Shared {
         fold(taken.contents);
         log.lock().finish_recycle(pool, taken.id);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.work_cv.notify_all();
+        self.recycled[layer as usize].fetch_add(1, Ordering::Relaxed);
+        self.wake();
         true
     }
 
@@ -255,6 +297,7 @@ impl Shared {
     fn recycle_data_once(&self) -> bool {
         // Ordered take: per-pool serialisation keeps newest-wins safe.
         self.recycle_unit(
+            Layer::Data,
             &self.data_log,
             LogPoolSet::take_recyclable_ordered,
             |contents| {
@@ -293,6 +336,7 @@ impl Shared {
     fn recycle_delta_once(&self) -> bool {
         let m = self.cfg.code.m();
         self.recycle_unit(
+            Layer::Delta,
             &self.delta_log,
             LogPoolSet::take_recyclable_any,
             |contents| {
@@ -338,6 +382,7 @@ impl Shared {
     fn recycle_parity_once(&self) -> bool {
         let k = self.cfg.code.k();
         self.recycle_unit(
+            Layer::Parity,
             &self.parity_log,
             LogPoolSet::take_recyclable_any,
             |contents| {
@@ -358,15 +403,19 @@ impl Shared {
 
     /// Appends via `try_append`, handling [`AppendOutcome::Stalled`] by
     /// recycling `layer` and the layers downstream of it inline (guaranteed
-    /// progress: the parity layer is terminal).
+    /// progress: the parity layer is terminal). Only an append that seals a
+    /// unit wakes the recyclers.
     fn append_with_backpressure<F>(&self, layer: Layer, try_append: F)
     where
         F: Fn(&Shared) -> AppendOutcome,
     {
         loop {
+            let seen = self.wakes.load(Ordering::SeqCst);
             match try_append(self) {
-                AppendOutcome::Appended | AppendOutcome::AppendedAndSealed(_) => {
-                    self.work_cv.notify_all();
+                AppendOutcome::Appended => return,
+                AppendOutcome::AppendedAndSealed(_) => {
+                    self.sealed.fetch_add(1, Ordering::Relaxed);
+                    self.wake();
                     return;
                 }
                 AppendOutcome::Stalled => {
@@ -375,11 +424,11 @@ impl Shared {
                         Layer::Delta => self.recycle_delta_once() || self.recycle_parity_once(),
                         Layer::Parity => self.recycle_parity_once(),
                     };
-                    if !progressed {
+                    if progressed {
+                        self.inline_recycles.fetch_add(1, Ordering::Relaxed);
+                    } else {
                         // Another thread holds the unit: wait for it.
-                        let mut guard = self.work_mx.lock();
-                        self.work_cv
-                            .wait_for(&mut guard, std::time::Duration::from_millis(1));
+                        self.wait(seen);
                     }
                 }
             }
@@ -387,12 +436,35 @@ impl Shared {
     }
 }
 
-/// The log layer an append targets (see [`Shared::append_with_backpressure`]).
+/// The log layer an append targets (see [`Shared::append_with_backpressure`]),
+/// in pipeline order (the index of its [`EngineStats::recycled`] slot).
 #[derive(Clone, Copy)]
 enum Layer {
     Data,
     Delta,
     Parity,
+}
+
+/// Exact counters of the engine's back-pressure protocol (see
+/// [`TsueEngine::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Wake-ups sent: one per unit sealed by an append, one per finished
+    /// recycle.
+    pub wakes: u64,
+    /// Units sealed by an append that rotated to a fresh unit (a flush's
+    /// seals wake nobody: the flush recycles them itself).
+    pub sealed: u64,
+    /// Waits on the work condvar, by recyclers with nothing to take and by
+    /// stalled appenders.
+    pub waits: u64,
+    /// Waits that ended at the 1 ms timeout rather than by a wake.
+    pub timed_out_waits: u64,
+    /// Units recycled inline by an appender stalled on back-pressure (the
+    /// writer, or a recycler forwarding to a full downstream layer).
+    pub inline_recycles: u64,
+    /// Units recycled per layer: DataLog, DeltaLog, ParityLog.
+    pub recycled: [u64; 3],
 }
 
 /// The public engine handle. Dropping it stops the recycler threads.
@@ -438,6 +510,12 @@ impl TsueEngine {
             )),
             work_cv: Condvar::new(),
             work_mx: Mutex::new(()),
+            wakes: AtomicU64::new(0),
+            sealed: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
+            timed_out_waits: AtomicU64::new(0),
+            inline_recycles: AtomicU64::new(0),
+            recycled: Default::default(),
             in_flight: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             acked: AtomicU64::new(0),
@@ -449,10 +527,9 @@ impl TsueEngine {
                 let sh = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     while !sh.shutdown.load(Ordering::SeqCst) {
+                        let seen = sh.wakes.load(Ordering::SeqCst);
                         if !sh.recycle_once() {
-                            let mut guard = sh.work_mx.lock();
-                            sh.work_cv
-                                .wait_for(&mut guard, std::time::Duration::from_millis(1));
+                            sh.wait(seen);
                         }
                     }
                 })
@@ -590,6 +667,20 @@ impl TsueEngine {
         self.shared.applied_ranges.load(Ordering::Relaxed)
     }
 
+    /// Exact counters of the back-pressure protocol so far.
+    pub fn stats(&self) -> EngineStats {
+        let sh = &self.shared;
+        let get = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        EngineStats {
+            wakes: get(&sh.wakes),
+            sealed: get(&sh.sealed),
+            waits: get(&sh.waits),
+            timed_out_waits: get(&sh.timed_out_waits),
+            inline_recycles: get(&sh.inline_recycles),
+            recycled: sh.recycled.each_ref().map(get),
+        }
+    }
+
     /// A raw copy of a block (data or parity) for test oracles.
     pub fn raw_block(&self, stripe: u64, idx: usize) -> Vec<u8> {
         self.shared.blocks[self.shared.block_slot(stripe, idx)]
@@ -601,7 +692,7 @@ impl TsueEngine {
 impl Drop for TsueEngine {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_cv.notify_all();
+        self.shared.wake();
         for h in self.recyclers.drain(..) {
             let _ = h.join();
         }
@@ -704,6 +795,27 @@ mod tests {
         e.flush();
         assert!(e.verify_parity());
         assert_eq!(e.acked_updates(), 3200);
+    }
+
+    #[test]
+    fn wakes_follow_seals_and_recycles_not_appends() {
+        let e = engine();
+        let mut x = 5u64;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let off = ((x >> 30) % ((16 << 10) - 256)) as u32;
+            e.update((x >> 10) % 3, ((x >> 20) % 4) as u16, off, &[x as u8; 256]);
+        }
+        e.flush();
+        assert!(e.verify_parity());
+        let stats = e.stats();
+        let recycled: u64 = stats.recycled.iter().sum();
+        assert!(stats.recycled.iter().all(|&n| n > 0), "{stats:?}");
+        assert!(stats.sealed > 0, "{stats:?}");
+        assert!(stats.wakes > 0, "{stats:?}");
+        assert!(stats.wakes <= stats.sealed + recycled, "{stats:?}");
+        assert!(stats.wakes < e.acked_updates(), "{stats:?}");
+        assert!(stats.timed_out_waits <= stats.waits, "{stats:?}");
     }
 
     #[test]

@@ -97,12 +97,16 @@ impl<P: Payload> BlockIndex<P> {
     /// Inserts a record at `off`, merging with everything it overlaps or
     /// touches.
     ///
-    /// The touching predecessor and then each entry in `[off, end]` are
+    /// A record inside one live range folds into it in place (its bytes
+    /// overwrite, or XOR into, the range's), with no tree edit. Otherwise
+    /// the touching predecessor and then each entry in `[off, end]` are
     /// removed in offset order. Each contributes, in address order, the new
     /// record's gap before it, its head before `off`, the overlap (the new
     /// bytes, or old XOR new), and its tail past `end`; the new record's
     /// remaining tail closes the range. Runs of new bytes are spliced in as
-    /// one slice, so an overwrite costs at most head + record + tail.
+    /// one slice, and each entry is dropped before its pieces are spliced,
+    /// so the range grows in place and an overwrite costs at most head +
+    /// record + tail.
     ///
     /// # Panics
     /// Panics on empty payloads or offset overflow.
@@ -113,9 +117,16 @@ impl<P: Payload> BlockIndex<P> {
         self.mark_bitmap(off, end);
 
         // Entries are non-overlapping and non-adjacent, so at most one can
-        // start before `off` and still reach it, and no entry starts
+        // start at or before `off` and still reach it, and no entry starts
         // between it and `off`.
-        let span_start = match self.entries.range(..off).next_back() {
+        let span_start = match self.entries.range_mut(..=off).next_back() {
+            Some((&s, e)) if s + e.len() >= end => {
+                match mode {
+                    MergeMode::Overwrite => e.overwrite_at(off - s, &payload),
+                    MergeMode::Xor => e.xor_at(off - s, &payload),
+                }
+                return;
+            }
             Some((&s, e)) if s + e.len() >= off => s,
             _ => off,
         };
@@ -125,25 +136,33 @@ impl<P: Payload> BlockIndex<P> {
         while let Some((&s, _)) = self.entries.range(span_start..=end).next() {
             let e = self.entries.remove(&s).expect("entry just found");
             let e_end = s + e.len();
-            if s < off {
-                append(&mut merged, e.slice(0, off - s));
-            }
+            // Outside the in-place case an entry has a head or a tail, not
+            // both.
+            let head = (s < off).then(|| e.slice(0, off - s));
             let (lo, hi) = (s.max(off), e_end.min(end));
-            if mode == MergeMode::Xor && lo < hi {
+            let overlap = (mode == MergeMode::Xor && lo < hi).then(|| {
+                let mut x = e.slice(lo - s, hi - s);
+                x.xor_with(&payload.slice(lo - off, hi - off));
+                x
+            });
+            let tail = (e_end > end).then(|| e.slice(end - s, e_end - s));
+            drop(e);
+            if let Some(head) = head {
+                append(&mut merged, head);
+            }
+            if let Some(x) = overlap {
                 if spliced < lo {
                     append(&mut merged, payload.slice(spliced - off, lo - off));
                 }
-                let mut x = e.slice(lo - s, hi - s);
-                x.xor_with(&payload.slice(lo - off, hi - off));
                 append(&mut merged, x);
                 spliced = hi;
             }
-            if e_end > end {
+            if let Some(tail) = tail {
                 if spliced < end {
                     append(&mut merged, payload.slice(spliced - off, len));
                     spliced = end;
                 }
-                append(&mut merged, e.slice(end - s, e_end - s));
+                append(&mut merged, tail);
             }
         }
         if spliced < end {
@@ -608,12 +627,24 @@ mod tests {
         assert_eq!(fast.bitmap, slow.bitmap, "{what}: bitmap");
     }
 
+    /// Views a reader holds, each with a copy of its bytes.
+    fn hold(views: impl Iterator<Item = Data>) -> Vec<(Data, Vec<u8>)> {
+        views.map(|v| (v.clone(), v.as_slice().to_vec())).collect()
+    }
+
+    fn assert_unchanged(held: &[(Data, Vec<u8>)], what: &str) {
+        for (view, bytes) in held {
+            assert!(view.as_slice() == bytes, "{what}: a held view changed");
+        }
+    }
+
     /// The splicing insert against the reference sweep on real bytes:
     /// equal entries, bytes and bitmap words after every
     /// insert, in both merge modes, through a fixed prefix of the edge
     /// cases and then seeded churn; `definitely_absent` and `covers` are
     /// checked on random queries against their per-chunk and
-    /// lookup-based references.
+    /// lookup-based references. Lookup pieces and entry slices held across
+    /// an insert, in-place folds included, keep their bytes.
     #[test]
     fn insert_matches_reference_sweep() {
         const BLOCK: u32 = 512 << 10;
@@ -637,15 +668,19 @@ mod tests {
             let mut x = 99;
             let (mut fast, mut slow) = (BlockIndex::new(), BlockIndex::new());
             for (i, &(off, len)) in prefix.iter().enumerate() {
+                let held = hold(fast.lookup(off, len).into_iter().map(|(_, p)| p));
                 let p = random_data(&mut x, len);
                 fast.insert(off, p.clone(), mode);
                 slow.reference_insert(off, p, mode);
-                assert_same(&fast, &slow, &format!("{mode:?} prefix {i}"));
+                let what = format!("{mode:?} prefix {i}");
+                assert_same(&fast, &slow, &what);
+                assert_unchanged(&held, &what);
             }
             assert_eq!(fast.range_count(), 3, "{mode:?}");
         }
 
         let (mut absorbed, mut absent_queries, mut covered_queries) = (0, 0, 0);
+        let mut held_in_place = 0;
         for seed in 1..=8u64 {
             for mode in [MergeMode::Overwrite, MergeMode::Xor] {
                 let mut x = seed;
@@ -672,12 +707,22 @@ mod tests {
                     };
                     let off = off.min(BLOCK - len);
                     let before = slow.range_count();
+                    let in_place = entries.iter().any(|&(s, l)| s <= off && off + len <= s + l);
+                    // Views a reader may hold across the insert: the pieces
+                    // of a lookup, or a slice of every entry.
+                    let held = match lcg(&mut x) % 4 {
+                        0 => hold(fast.lookup(off, len).into_iter().map(|(_, p)| p)),
+                        1 => hold(fast.iter().map(|(_, p)| p.slice(0, p.len() / 2 + 1))),
+                        _ => Vec::new(),
+                    };
                     let p = random_data(&mut x, len);
                     fast.insert(off, p.clone(), mode);
                     slow.reference_insert(off, p, mode);
                     let what = format!("seed {seed} {mode:?} call {call} [{off}, +{len})");
                     assert_same(&fast, &slow, &what);
+                    assert_unchanged(&held, &what);
                     absorbed += (slow.range_count() < before) as u32;
+                    held_in_place += (in_place && !held.is_empty()) as u32;
 
                     for _ in 0..4 {
                         let q_off = (lcg(&mut x) % (BLOCK + WORD) as u64) as u32;
@@ -697,6 +742,10 @@ mod tests {
             }
         }
         assert!(absorbed > 0, "no insert absorbed two or more entries");
+        assert!(
+            held_in_place > 0,
+            "no view was held across an in-place insert"
+        );
         assert!(absent_queries > 0, "no query was definitely absent");
         assert!(covered_queries > 0, "no query was covered");
     }

@@ -68,6 +68,21 @@ fn main() {
         start.elapsed()
     );
 
+    let stats = engine.stats();
+    println!(
+        "protocol : {} wakes ({} seals + {} recycled units: data {} / delta {} / parity {}), \
+         {} waits ({} timed out), {} inline recycles",
+        stats.wakes,
+        stats.sealed,
+        stats.recycled.iter().sum::<u64>(),
+        stats.recycled[0],
+        stats.recycled[1],
+        stats.recycled[2],
+        stats.waits,
+        stats.timed_out_waits,
+        stats.inline_recycles
+    );
+
     assert!(
         engine.verify_parity(),
         "parity mismatch after concurrent churn"
