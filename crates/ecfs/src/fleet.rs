@@ -96,15 +96,9 @@ impl DiskProfile {
         }
         match self.device() {
             DiskKind::Ssd(c) => {
-                // The FTL needs at least four erase blocks to run GC.
-                let min = c.page_size * c.pages_per_block as u64 * 4;
-                if c.capacity < min {
-                    return Err(format!(
-                        "node {node}: scaled SSD capacity {} is below the {min}-byte \
-                         FTL minimum (4 erase blocks)",
-                        c.capacity
-                    ));
-                }
+                // The FTL's geometry: enough erase blocks and spare area
+                // for GC always to find a victim.
+                c.validate().map_err(|e| format!("node {node}: {e}"))?;
                 if c.read_bandwidth == 0 || c.write_bandwidth == 0 {
                     return Err(format!("node {node}: SSD bandwidth is zero"));
                 }
@@ -360,7 +354,7 @@ mod tests {
         // Zero capacity.
         let zero = DiskFleet::explicit(vec![DiskProfile::ssd().with_capacity_mult(0.0)]);
         assert!(zero.validate(1).is_err());
-        // Capacity below the FTL minimum.
+        // Capacity below the FTL's four erase blocks.
         let tiny = DiskFleet::explicit(vec![DiskProfile::ssd().with_capacity_mult(1e-7)]);
         assert!(tiny.validate(1).is_err());
         // Non-finite and negative multipliers.

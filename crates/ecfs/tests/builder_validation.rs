@@ -306,3 +306,100 @@ fn engine_builder_validates_pipeline_shape() {
     engine.flush();
     assert!(engine.verify_parity());
 }
+
+/// A cluster on `ssd` everywhere.
+fn ssd_fleet(ssd: SsdConfig) -> Result<ClusterConfig, ConfigError> {
+    ClusterConfig::builder()
+        .code(code64())
+        .method(Arc::new(Fo))
+        .fleet(DiskFleet::uniform(DiskKind::Ssd(ssd)))
+        .build()
+}
+
+/// A 16 MiB device: 72 erase blocks, GC keeps 5 free.
+fn small_ssd() -> SsdConfig {
+    SsdConfig {
+        capacity: 16 << 20,
+        ..SsdConfig::default()
+    }
+}
+
+#[test]
+fn ssd_gc_threshold_reaching_the_block_count_rejected() {
+    // 1.0 would leave GC with no victim after one erase block of writes.
+    for bad in [1.0, 0.99, f64::NAN, f64::INFINITY] {
+        let err = ssd_fleet(SsdConfig {
+            gc_free_threshold: bad,
+            ..small_ssd()
+        })
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("gc_free_threshold"),
+            "{bad}: {err}"
+        );
+    }
+}
+
+#[test]
+fn ssd_spare_area_below_the_gc_reserve_rejected() {
+    // Negative over-provisioning would loop GC forever; none at all leaves
+    // no spare for the blocks GC keeps free.
+    for bad in [-0.5, 0.0, 0.05] {
+        let err = ssd_fleet(SsdConfig {
+            over_provision: bad,
+            ..small_ssd()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("spare area"), "{bad}: {err}");
+    }
+}
+
+#[test]
+fn ssd_pages_per_block_outside_u16_rejected() {
+    for bad in [0, u32::from(u16::MAX) + 1] {
+        let err = ssd_fleet(SsdConfig {
+            pages_per_block: bad,
+            ..small_ssd()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("pages_per_block"), "{bad}: {err}");
+    }
+}
+
+#[test]
+fn ssd_devices_in_use_stay_valid() {
+    // The default drive, the quarter-size hetero drive, the lifespan,
+    // Table 1, mid-run-GC and FTL-test sizes, and a full-size erase block.
+    assert!(ssd_fleet(SsdConfig::default()).is_ok());
+    let quarter = DiskFleet::explicit(
+        (0..16)
+            .map(|n| {
+                let p = DiskProfile::ssd();
+                if n == 0 {
+                    p.with_capacity_mult(0.25)
+                } else {
+                    p
+                }
+            })
+            .collect(),
+    );
+    assert!(ClusterConfig::builder()
+        .code(code64())
+        .method(Arc::new(Fo))
+        .fleet(quarter)
+        .build()
+        .is_ok());
+    for capacity in [768 << 20, 320 << 20, 16 << 20, 8 << 20, 6 << 20, 4 << 20] {
+        let ok = ssd_fleet(SsdConfig {
+            capacity,
+            ..SsdConfig::default()
+        });
+        assert!(ok.is_ok(), "{capacity} B: {:?}", ok.err());
+    }
+    assert!(ssd_fleet(SsdConfig {
+        pages_per_block: u32::from(u16::MAX),
+        capacity: 4 << 30,
+        ..SsdConfig::default()
+    })
+    .is_ok());
+}

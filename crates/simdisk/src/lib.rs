@@ -15,7 +15,11 @@
 //!    in-place overwrites invalidate pages and eventually force garbage
 //!    collection, whose relocations and block erases are both charged to
 //!    the device timeline and counted for the lifespan analysis
-//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]).
+//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). Until GC can first run,
+//!    allocation is a bump and the FTL updates only its logical map; it
+//!    derives the reverse map, valid counts and closed-block index in one
+//!    pass when the device reaches that point. [`SsdConfig::validate`]
+//!    rejects geometries the FTL cannot run.
 //!
 //! All devices expose the same [`IoOp`]/[`submit`](Disk::submit) interface
 //! returning completion times against a [`simdes::Resource`] queue, plus

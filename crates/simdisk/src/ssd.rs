@@ -69,6 +69,88 @@ impl Default for SsdConfig {
     }
 }
 
+/// The FTL's block geometry, derived from an [`SsdConfig`].
+struct Geometry {
+    logical_pages: u64,
+    total_blocks: usize,
+    gc_threshold_blocks: usize,
+}
+
+impl SsdConfig {
+    /// Checks that the FTL can run this configuration: a non-empty page,
+    /// 1 to `u16::MAX` pages per erase block (valid counts are `u16`), at
+    /// least four erase blocks, physical page numbers below `u32::MAX`, a
+    /// finite GC threshold below the block count, and a spare area
+    /// (physical minus logical pages) of at least `gc_threshold_blocks`
+    /// erase blocks. That spare is enough: when GC picks a victim, at most
+    /// `gc_threshold_blocks − 1` blocks are free, and the active block
+    /// holds a valid page or the page being rewritten is counted nowhere,
+    /// so the closed blocks hold fewer valid pages than fit in them and
+    /// some victim has fewer than `pages_per_block`. With less spare, GC
+    /// can find no victim or loop forever. [`Ssd::new`] panics with the
+    /// same message.
+    pub fn validate(&self) -> Result<(), String> {
+        self.geometry().map(|_| ())
+    }
+
+    fn geometry(&self) -> Result<Geometry, String> {
+        if self.page_size == 0 {
+            return Err("SSD page_size is zero".into());
+        }
+        let ppb = self.pages_per_block;
+        if ppb == 0 || ppb > u32::from(u16::MAX) {
+            return Err(format!(
+                "SSD pages_per_block = {ppb} must be in 1..={} (valid counts are u16)",
+                u16::MAX
+            ));
+        }
+        let op = self.over_provision;
+        if !op.is_finite() {
+            return Err(format!("SSD over_provision = {op} must be finite"));
+        }
+        let logical_pages = self.capacity.div_ceil(self.page_size);
+        let physical_pages = ((logical_pages as f64) * (1.0 + op)).ceil() as u64;
+        let total_blocks = physical_pages.div_ceil(u64::from(ppb));
+        if total_blocks < 4 {
+            return Err(format!(
+                "SSD too small: {total_blocks} erase blocks, the FTL needs at least 4"
+            ));
+        }
+        if total_blocks > (u64::from(UNMAPPED) - 1) / u64::from(ppb) {
+            return Err(format!(
+                "SSD too large: {total_blocks} erase blocks of {ppb} pages overflow \
+                 32-bit page numbers"
+            ));
+        }
+        let total_blocks = total_blocks as usize;
+        let threshold = self.gc_free_threshold;
+        if !threshold.is_finite() {
+            return Err(format!(
+                "SSD gc_free_threshold = {threshold} must be finite"
+            ));
+        }
+        let gc_threshold_blocks = ((total_blocks as f64 * threshold).ceil() as usize).max(2);
+        if gc_threshold_blocks >= total_blocks {
+            return Err(format!(
+                "SSD gc_free_threshold = {threshold} keeps {gc_threshold_blocks} of \
+                 {total_blocks} erase blocks free, leaving none to write"
+            ));
+        }
+        let spare = (total_blocks as u64 * u64::from(ppb)).saturating_sub(logical_pages);
+        if spare < gc_threshold_blocks as u64 * u64::from(ppb) {
+            return Err(format!(
+                "SSD spare area of {spare} pages is below the {gc_threshold_blocks} \
+                 erase blocks GC keeps free (over_provision = {op})"
+            ));
+        }
+        Ok(Geometry {
+            logical_pages,
+            total_blocks,
+            gc_threshold_blocks,
+        })
+    }
+}
+
 /// Page-mapped flash translation layer.
 ///
 /// Logical pages map to physical pages; overwrites invalidate the old
@@ -79,10 +161,26 @@ impl Default for SsdConfig {
 /// Erases and relocations are returned to the caller so they can be
 /// charged to the device timeline and to the wear counters.
 ///
-/// A block is exactly one of *free* (erased, on `free_blocks`), *active*
-/// (receiving writes) or *closed* (retired from active, indexed in
-/// `closed` by its valid-page count so the victim is found without
-/// visiting every block).
+/// **Before its first GC** the device updates only `map`. Until then
+/// allocation is a pure bump: block 0 is active first and free blocks pop
+/// in ascending order, so the n-th programmed page sits at physical page
+/// n, and the active block and page alone say how many pages were
+/// programmed. A write run therefore stores its new locations into one
+/// contiguous `map` slice, advances the active page, and touches nothing
+/// else. GC first runs when the active block fills with fewer than
+/// `gc_threshold_blocks` blocks free, at page index `(total_blocks −
+/// gc_threshold_blocks + 1) × pages_per_block`: the *GC horizon*. The
+/// first run that would program a page there first derives the other
+/// tables from `map` in one pass (`derive_tables`): `rmap` is the inverse
+/// of `map`, a block's valid count is the number of mapped pages in it,
+/// every block below the active one is closed, and the free list is the
+/// untouched tail. From then on every block is exactly one of *free*
+/// (erased, on `free_blocks`), *active* (receiving writes) or *closed*
+/// (retired from active, indexed in `closed` by its valid-page count so
+/// the victim is found without visiting every block). `rmap` is
+/// allocated, all unmapped, at construction: allocated at derivation,
+/// mid-run, its place among a replay's other allocations would set the
+/// process's peak memory, which would then vary from run to run.
 ///
 /// A write command arrives as one run of logical pages and is programmed
 /// in chunks that fit the active block. A page that finds the active block
@@ -98,7 +196,7 @@ pub struct Ftl {
     pages_per_block: u32,
     /// lpn -> ppa
     map: Vec<u32>,
-    /// ppa -> lpn
+    /// ppa -> lpn (all unmapped before derivation)
     rmap: Vec<u32>,
     /// valid page count per physical block
     valid: Vec<u16>,
@@ -109,6 +207,9 @@ pub struct Ftl {
     active_block: u32,
     active_next_page: u32,
     gc_threshold_blocks: usize,
+    /// Whether the tables beyond `map` are derived (see the type doc);
+    /// false in the map-only state before the GC horizon.
+    derived: bool,
     /// Re-entrancy guard: relocations during GC allocate pages, which must
     /// not trigger a nested GC pass (the inner pass could erase and reuse
     /// the outer pass's victim mid-relocation).
@@ -190,31 +291,59 @@ struct FlashCost {
 
 impl Ftl {
     fn new(cfg: &SsdConfig) -> Ftl {
-        let logical_pages = cfg.capacity.div_ceil(cfg.page_size);
-        let physical_pages = ((logical_pages as f64) * (1.0 + cfg.over_provision)).ceil() as u64;
-        let total_blocks = physical_pages.div_ceil(cfg.pages_per_block as u64) as usize;
-        assert!(
-            total_blocks >= 4,
-            "SSD too small: needs at least 4 erase blocks"
-        );
-        let free_blocks: Vec<u32> = (1..total_blocks as u32).rev().collect();
-        let active_block = 0;
-        let gc_threshold_blocks =
-            ((total_blocks as f64 * cfg.gc_free_threshold).ceil() as usize).max(2);
+        let Geometry {
+            logical_pages,
+            total_blocks,
+            gc_threshold_blocks,
+        } = cfg.geometry().unwrap_or_else(|e| panic!("{e}"));
         Ftl {
             pages_per_block: cfg.pages_per_block,
             map: vec![UNMAPPED; logical_pages as usize],
             rmap: vec![UNMAPPED; total_blocks * cfg.pages_per_block as usize],
             valid: vec![0; total_blocks],
-            free_blocks,
+            free_blocks: (1..total_blocks as u32).rev().collect(),
             closed: ValidBuckets::new(cfg.pages_per_block as usize + 1, total_blocks),
-            active_block,
+            active_block: 0,
             active_next_page: 0,
             gc_threshold_blocks,
+            derived: false,
             gc_active: false,
             #[cfg(test)]
             check_victims: false,
         }
+    }
+
+    /// Pages programmed so far, while allocation is still a bump.
+    fn programmed(&self) -> u64 {
+        u64::from(self.active_block) * u64::from(self.pages_per_block)
+            + u64::from(self.active_next_page)
+    }
+
+    /// Index of the first programmed page that can start GC.
+    fn horizon(&self) -> u64 {
+        (self.valid.len() - self.gc_threshold_blocks + 1) as u64 * u64::from(self.pages_per_block)
+    }
+
+    /// Derives `rmap`, the valid counts, the closed buckets and the free
+    /// list from `map` and the active block (see [`Ftl`]), leaving the
+    /// map-only state; a no-op once derived.
+    fn derive_tables(&mut self) {
+        if self.derived {
+            return;
+        }
+        let ppb = self.pages_per_block;
+        self.derived = true;
+        for (lpn, &ppa) in self.map.iter().enumerate() {
+            if ppa != UNMAPPED {
+                self.rmap[ppa as usize] = lpn as u32;
+                self.valid[(ppa / ppb) as usize] += 1;
+            }
+        }
+        let active = self.active_block as usize;
+        for b in 0..active {
+            self.closed.insert(self.valid[b], b);
+        }
+        self.free_blocks.truncate(self.valid.len() - 1 - active);
     }
 
     /// Writes the `pages` logical pages from `first` on, chunk by chunk
@@ -222,6 +351,13 @@ impl Ftl {
     /// writes triggered) to `cost`; returns how many of them had been
     /// written before.
     fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> u64 {
+        if !self.derived {
+            let n = self.programmed();
+            if n + pages <= self.horizon() {
+                return self.bump_map(first, pages, n, cost);
+            }
+            self.derive_tables();
+        }
         let end = first + pages;
         let mut lpn = first;
         let mut mapped = 0;
@@ -236,6 +372,26 @@ impl Ftl {
                 lpn += u64::from(k);
             }
         }
+        mapped
+    }
+
+    /// Writes the `pages` logical pages from `first` on before the first
+    /// GC, where the `n`-th programmed page sits at physical page `n`:
+    /// only `map` and the active page change. Returns how many had been
+    /// written before.
+    fn bump_map(&mut self, first: u64, pages: u64, n: u64, cost: &mut FlashCost) -> u64 {
+        let slots = &mut self.map[first as usize..(first + pages) as usize];
+        let mut mapped = 0;
+        for (slot, ppa) in slots.iter_mut().zip(n as u32..) {
+            mapped += u64::from(*slot != UNMAPPED);
+            *slot = ppa;
+        }
+        // A full active block stays active until the next allocation.
+        let (end, ppb) = (n + pages, u64::from(self.pages_per_block));
+        let active = (end - 1) / ppb;
+        self.active_block = active as u32;
+        self.active_next_page = (end - active * ppb) as u32;
+        cost.host_pages += pages;
         mapped
     }
 
@@ -377,6 +533,10 @@ pub struct Ssd {
 
 impl Ssd {
     /// Builds an SSD from its configuration.
+    ///
+    /// # Panics
+    /// Panics with [`SsdConfig::validate`]'s message if the FTL cannot run
+    /// the configuration.
     pub fn new(cfg: SsdConfig) -> Ssd {
         Ssd {
             queue: Resource::new(cfg.queue_depth),
@@ -589,8 +749,10 @@ mod tests {
 
         /// Free, active and closed partition the blocks; every closed block
         /// sits in exactly the bucket of its valid count; valid counts add
-        /// up to the mapped pages.
-        fn check_invariants(&self) {
+        /// up to the mapped pages; `rmap` inverts `map`. Derives the tables
+        /// first.
+        fn check_invariants(&mut self) {
+            self.derive_tables();
             let filed = |v: usize, b: usize| {
                 self.closed.bits[v * self.closed.words + b / 64] >> (b % 64) & 1 == 1
             };
@@ -625,11 +787,21 @@ mod tests {
             let mapped = self.map.iter().filter(|&&p| p != UNMAPPED).count();
             let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
             assert_eq!(valid, mapped);
+            for (lpn, &ppa) in self.map.iter().enumerate() {
+                if ppa != UNMAPPED {
+                    assert_eq!(self.rmap[ppa as usize], lpn as u32, "rmap of lpn {lpn}");
+                }
+            }
+            let inverse = self.rmap.iter().filter(|&&l| l != UNMAPPED).count();
+            assert_eq!(inverse, mapped, "rmap holds stale pages");
         }
 
         /// Same mapping, valid counts, closed buckets, free list and
-        /// active block and page as `other`.
-        fn assert_same(&self, other: &Ftl, command: usize) {
+        /// active block and page as `other`. Derives both sides' tables
+        /// first.
+        fn assert_same(&mut self, other: &mut Ftl, command: usize) {
+            self.derive_tables();
+            other.derive_tables();
             assert!(self.map == other.map, "map differs after command {command}");
             assert!(self.rmap == other.rmap, "rmap differs after {command}");
             assert!(self.valid == other.valid, "valid differs after {command}");
@@ -650,6 +822,15 @@ mod tests {
     }
 
     impl Ssd {
+        /// The eager FTL the map-only state replaced, kept as the
+        /// reference: a device that derives its tables at construction and
+        /// so keeps every table from its first write on.
+        fn eager(cfg: SsdConfig) -> Ssd {
+            let mut ssd = Ssd::new(cfg);
+            ssd.ftl.derive_tables();
+            ssd
+        }
+
         /// The page-by-page loop the run replaced, kept as the reference:
         /// one `write_page` per page, each overwritten page adding its
         /// overlap with the command.
@@ -669,10 +850,10 @@ mod tests {
     }
 
     /// Runs `(offset, len)` writes on two 4 MiB / 25 %-OP devices, one
-    /// programming runs and one page by page, with every GC round checked
-    /// against the reference scan. After each command both must agree on
-    /// completion time, FTL state and wear counters; the invariants are
-    /// checked every 1 000 commands. Returns the run device and how many
+    /// programming runs and one page by page (derived at construction),
+    /// with every GC round checked against the reference scan. After each
+    /// command both must agree on completion time, FTL state and wear
+    /// counters; the invariants are checked every 1 000 commands. Returns the run device and how many
     /// commands ran GC after their first page.
     fn run_matches_per_page(commands: impl Iterator<Item = (u64, u64)>) -> (Ssd, u64) {
         let cfg = SsdConfig {
@@ -681,7 +862,7 @@ mod tests {
             ..SsdConfig::default()
         };
         let ppb = u64::from(cfg.pages_per_block);
-        let (mut run, mut page) = (Ssd::new(cfg.clone()), Ssd::new(cfg));
+        let (mut run, mut page) = (Ssd::new(cfg.clone()), Ssd::eager(cfg));
         run.ftl.check_victims = true;
         page.ftl.check_victims = true;
         let mut mid_command_gc = 0;
@@ -693,7 +874,7 @@ mod tests {
             let done = run.submit(0, op);
             let service = page.service_time(&op) + page.program_per_page(offset, len);
             assert_eq!(done, page.queue.reserve(0, service), "command {i}");
-            run.ftl.assert_same(&page.ftl, i);
+            run.ftl.assert_same(&mut page.ftl, i);
             let (a, b) = (run.stats(), page.stats());
             assert_eq!(a.overwrites, b.overwrites, "overwrites after {i}");
             assert_eq!(
@@ -791,6 +972,180 @@ mod tests {
             ),
             (8_176, 429_414, 322_900_480, 518_752)
         );
+    }
+
+    /// 16 logical blocks of 256 KiB, 20 physical: the GC horizon is page
+    /// 19 × 64 = 1 216.
+    fn op25() -> SsdConfig {
+        SsdConfig {
+            capacity: 4 << 20,
+            over_provision: 0.25,
+            ..SsdConfig::default()
+        }
+    }
+
+    /// Runs `(offset, len)` writes on two `op25` devices, one keeping only
+    /// its map until its GC horizon and one derived at construction. After
+    /// each command both must agree on completion time, every counter and
+    /// the map, and once the first has derived, on every table. Returns the
+    /// command that derived it, if any did.
+    fn map_only_matches_eager(commands: impl Iterator<Item = (u64, u64)>) -> Option<usize> {
+        let (mut lazy, mut eager) = (Ssd::new(op25()), Ssd::eager(op25()));
+        let mut derived_at = None;
+        for (i, (offset, len)) in commands.enumerate() {
+            let op = IoOp::write(offset, len, Pattern::Random);
+            assert_eq!(lazy.submit(0, op), eager.submit(0, op), "command {i}");
+            assert_eq!(lazy.stats(), eager.stats(), "stats after {i}");
+            assert!(lazy.ftl.map == eager.ftl.map, "map differs after {i}");
+            if lazy.ftl.derived {
+                if derived_at.is_none() {
+                    derived_at = Some(i);
+                    lazy.ftl.check_invariants();
+                }
+                lazy.ftl.assert_same(&mut eager.ftl, i);
+            }
+        }
+        if derived_at.is_some() {
+            lazy.ftl.check_invariants();
+        }
+        derived_at
+    }
+
+    /// `map_only_matches_eager` on a stream that must run well past the
+    /// horizon: the device derives after its first command and collects.
+    fn map_only_matches_eager_past_the_horizon(commands: impl Iterator<Item = (u64, u64)>) {
+        let derived_at = map_only_matches_eager(commands).expect("the stream never derived");
+        assert!(derived_at > 0, "derived at the first command");
+    }
+
+    #[test]
+    fn map_only_matches_eager_unaligned_random() {
+        let cap = 4 << 20;
+        let mut x = 19;
+        map_only_matches_eager_past_the_horizon((0..5_000).map(|_| {
+            // 1 B to 256 KiB, log-spread.
+            let len = 1 + splitmix64(&mut x) % (1 << (splitmix64(&mut x) % 19));
+            (splitmix64(&mut x) % (cap - len + 1), len)
+        }));
+    }
+
+    #[test]
+    fn map_only_matches_eager_sequential_wraparound() {
+        // Three blocks and a ragged page per command: the deriving command
+        // crosses the horizon mid-run.
+        let cap = 4 << 20;
+        let mut pos = 0;
+        map_only_matches_eager_past_the_horizon((0..300).map(|_| {
+            let offset = pos % cap;
+            let len = (3 * (256 << 10) + 12_388).min(cap - offset);
+            pos = offset + len;
+            (offset, len)
+        }));
+    }
+
+    #[test]
+    fn map_only_matches_eager_hammering_even_pages() {
+        let fill = (0..1024).map(|p| (p * 4096, 4096));
+        let hammer = (0..8).flat_map(|_| (0..1024).step_by(2).map(|p| (p * 4096, 4096)));
+        map_only_matches_eager_past_the_horizon(fill.chain(hammer));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Any write stream keeps a map-only device and an eager one in
+        /// agreement after every command.
+        #[test]
+        fn map_only_matches_eager_on_any_stream(
+            commands in proptest::collection::vec((0u64..4 << 20, 1u64..128 << 10), 200..500)
+        ) {
+            let cap = 4 << 20;
+            map_only_matches_eager(
+                commands.into_iter().map(|(offset, len)| (offset % (cap - len + 1), len)),
+            );
+        }
+    }
+
+    #[test]
+    fn map_only_until_the_horizon_then_derive_and_collect() {
+        let mut ssd = Ssd::new(op25());
+        let horizon = ssd.ftl.horizon();
+        assert_eq!(horizon, 19 * 64);
+        for p in 0..horizon {
+            ssd.submit(0, IoOp::write(p % 1024 * 4096, 4096, Pattern::Random));
+        }
+        assert!(!ssd.ftl.derived);
+        assert_eq!(ssd.ftl.programmed(), horizon);
+        assert_eq!((ssd.ftl.active_block, ssd.ftl.active_next_page), (18, 64));
+        assert!(
+            ssd.ftl.rmap.iter().all(|&l| l == UNMAPPED),
+            "rmap written before the horizon"
+        );
+        assert!(ssd.ftl.valid.iter().all(|&v| v == 0), "valid counted");
+        assert!(ssd.ftl.closed.len.iter().all(|&n| n == 0), "blocks closed");
+        assert_eq!(ssd.stats().erases, 0);
+        ssd.submit(0, IoOp::write(0, 4096, Pattern::Random));
+        assert!(ssd.ftl.derived, "the horizon page derives");
+        assert!(ssd.stats().erases > 0, "the horizon page collects");
+        ssd.ftl.check_invariants();
+    }
+
+    #[test]
+    fn validate_bounds_blocks_and_spare_exactly() {
+        // Three erase blocks; four pass.
+        let blocks = |capacity| SsdConfig {
+            capacity,
+            over_provision: 0.0,
+            gc_free_threshold: 0.0,
+            ..SsdConfig::default()
+        };
+        let err = blocks(3 << 18).validate().unwrap_err();
+        assert!(err.contains("at least 4"), "{err}");
+        // Four blocks of which GC keeps two free need two spare blocks.
+        let err = blocks(4 << 18).validate().unwrap_err();
+        assert!(err.contains("spare area"), "{err}");
+        // One page short of the spare GC needs: 1 025 logical pages in 18
+        // blocks of 64 keep 127 spare pages, two blocks (the threshold)
+        // are 128.
+        let short = SsdConfig {
+            capacity: 1025 * 4096,
+            over_provision: 0.12,
+            ..SsdConfig::default()
+        };
+        let err = short.validate().unwrap_err();
+        assert!(err.contains("spare area"), "{err}");
+    }
+
+    #[test]
+    fn spare_of_exactly_the_threshold_keeps_collecting() {
+        // 1 024 logical pages in 18 blocks: 128 spare pages, the two
+        // blocks GC keeps free. Random overwrites always find a victim.
+        let cfg = SsdConfig {
+            capacity: 4 << 20,
+            over_provision: 0.12,
+            ..SsdConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        let mut ssd = Ssd::new(cfg);
+        let mut x = 5;
+        for _ in 0..20_000 {
+            let lpn = splitmix64(&mut x) % 1024;
+            ssd.submit(0, IoOp::write(lpn * 4096, 4096, Pattern::Random));
+        }
+        assert!(ssd.stats().erases > 100, "{} erases", ssd.stats().erases);
+        ssd.ftl.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "gc_free_threshold = 1")]
+    fn new_panics_with_the_validate_message() {
+        // Before validation this device panicked with "no GC victim
+        // available" after one erase block of writes.
+        Ssd::new(SsdConfig {
+            capacity: 16 << 20,
+            gc_free_threshold: 1.0,
+            ..SsdConfig::default()
+        });
     }
 
     /// Runs 4 KiB writes at `pages` on a 4 MiB / 25 %-OP device with every

@@ -8,7 +8,7 @@ use simdes::stats::OpCounter;
 /// "write penalty" column of Table 1: they are what invalidates flash pages
 /// and burns erase cycles, so the paper reports them separately from total
 /// read/write traffic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// All read commands.
     pub reads: OpCounter,

@@ -142,7 +142,8 @@ fn canon(r: &RunResult) -> String {
     s
 }
 
-fn assert_runs_twice_equal(rcfg: ReplayConfig) {
+/// Runs `rcfg` twice, asserts the results equal, and returns the first.
+fn assert_runs_twice_equal(rcfg: ReplayConfig) -> RunResult {
     rcfg.validate().expect("config validates");
     let first = Replay::run(&rcfg).result;
     let second = Replay::run(&rcfg).result;
@@ -156,6 +157,7 @@ fn assert_runs_twice_equal(rcfg: ReplayConfig) {
         first.events_per_sec > 0.0,
         "engine-speed instrumentation missing"
     );
+    first
 }
 
 /// The headline: all seven methods, faults + maintenance armed.
@@ -206,6 +208,37 @@ fn run_twice_equal_with_cache_and_staging() {
     rcfg.ops_per_client = 100;
     rcfg.volume_bytes = 32 << 20;
     assert_runs_twice_equal(rcfg);
+}
+
+/// Devices small enough that every one passes its GC horizon while the
+/// updates run, so each SSD derives its FTL tables from its logical map
+/// mid-replay: every method still checks clean and repeats byte for byte.
+#[test]
+fn run_twice_equal_when_every_device_collects_mid_run() {
+    for method in builtins() {
+        let name = method.name().to_string();
+        let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), method);
+        // 6 MiB devices collect once 6.5 MiB are written; 256 KiB blocks
+        // over sixteen 2 MiB volumes reach every node.
+        cluster.block_bytes = 256 << 10;
+        cluster.fleet = DiskFleet::uniform(DiskKind::Ssd(SsdConfig {
+            capacity: 6 << 20,
+            ..SsdConfig::default()
+        }));
+        let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
+        rcfg.ops_per_client = 400;
+        rcfg.volume_bytes = 2 << 20;
+        let (_, cl) = run_update_phase(&rcfg);
+        for (node, osd) in cl.nodes.iter().enumerate() {
+            assert!(
+                osd.disk.stats().erases > 0,
+                "{name}: node {node} never collected"
+            );
+        }
+        let res = assert_runs_twice_equal(rcfg);
+        assert_eq!(res.oracle_violations, 0, "{name}");
+        assert_eq!(res.failed_ops, 0, "{name}");
+    }
 }
 
 /// The plain cell: no plan, no decorator, closed loop.
