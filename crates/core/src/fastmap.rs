@@ -1,18 +1,25 @@
-//! Seedless hashing for the maps a replay touches on every op.
+//! Seedless hashing for the maps an update touches on every op.
 //!
 //! `std`'s `HashMap` hashes with SipHash under a per-map random seed. The
-//! replay's op path looks up small integer keys (block addresses, compact
-//! block and stripe keys, client ids) several times per simulated op, where
-//! SipHash's rounds show in the host cost. [`FastMap`] swaps in
+//! two-level index looks up its block map on every insert and query, and
+//! the cluster simulator looks up small integer keys (block addresses,
+//! compact block and stripe keys, client ids) several times per simulated
+//! op, where SipHash's rounds show in the host cost. [`FastMap`] swaps in
 //! [`FastHasher`], a multiply-rotate hash in the style of FxHash: a few
 //! instructions per word, **deterministic and seedless**, so every map
-//! hashes a key the same way in every process.
+//! hashes a key the same way in every process, and two maps built by one
+//! insert sequence iterate in one order.
 //!
 //! No result depends on a map's iteration order — under the seeded hasher
-//! that order already changed from run to run, so every driver that
+//! that order already changed from run to run, so every caller that
 //! replays a map's contents sorts them first. The hash is not
 //! collision-resistant against chosen keys; the keys here come from the
-//! simulation itself, never from outside input.
+//! workload itself, never from outside input.
+//!
+//! One map keeps `std`'s hasher on purpose:
+//! [`LogPoolSet::pool_for`](crate::layers::LogPoolSet::pool_for) routes
+//! records to pools with a fixed-key `DefaultHasher`, and another hash
+//! would route them, and so every result, differently.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -31,9 +38,10 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 ///
 /// A product carries entropy only upward, so its low bits depend on the
 /// low bits of the input alone. The table takes its bucket index from the
-/// low bits of the hash, and keys such as [`crate::layout::BlockAddr::key`]
-/// keep a small block index in their low byte, so the final rotation moves
-/// the well-mixed high half of the product down to where it is used.
+/// low bits of the hash, and compact block keys (a stripe shifted above a
+/// small block index in the low byte) differ mostly above their low bits,
+/// so the final rotation moves the well-mixed high half of the product
+/// down to where it is used.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastHasher {
     hash: u64,
@@ -98,19 +106,18 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::BlockAddr;
+    use crate::layers::StripeBlock;
     use std::hash::BuildHasher;
 
     #[test]
     fn seedless_across_maps() {
-        let addr = BlockAddr {
-            volume: 3,
+        let key = StripeBlock {
             stripe: 41,
-            index: 2,
+            block_idx: 2,
         };
         let (a, b) = (FastBuild::default(), FastBuild::default());
-        assert_eq!(a.hash_one(addr), b.hash_one(addr));
-        assert_eq!(a.hash_one(addr.key()), b.hash_one(addr.key()));
+        assert_eq!(a.hash_one(key), b.hash_one(key));
+        assert_eq!(a.hash_one(41u64 << 8 | 2), b.hash_one(41u64 << 8 | 2));
     }
 
     /// Compact block keys differ mostly above their low byte (the block
@@ -121,13 +128,7 @@ mod tests {
         let build = FastBuild::default();
         let mut buckets = std::collections::HashSet::new();
         for stripe in 0..1024u64 {
-            let key = BlockAddr {
-                volume: 0,
-                stripe,
-                index: 0,
-            }
-            .key();
-            buckets.insert(build.hash_one(key) & 1023);
+            buckets.insert(build.hash_one(stripe << 8) & 1023);
         }
         assert!(buckets.len() > 500, "{} of 1024 buckets", buckets.len());
     }

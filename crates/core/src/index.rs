@@ -12,16 +12,27 @@
 //! * a per-block bitmap gives O(1) "definitely not present" answers so read
 //!   lookups skip blocks that never saw an update.
 //!
+//! The upper level is a [`FastMap`], hashed without a per-map seed, so two
+//! indexes built by one insert sequence list their blocks in one order. The
+//! lower level is an offset-sorted vector: ranges never touch, so a block
+//! of `block_len` bytes holds at most `block_len / 2` of them, and far
+//! fewer in practice. Merging the paper's 4 KiB-aligned records leaves a
+//! gap of at least 4 KiB after every range, so a 4 MiB block holds at most
+//! 512, and an insert's shift moves a few KiB at most.
+//!
 //! An insert costs the record plus the entries it absorbs, not the merged
 //! range: it marks only its own chunks in the bitmap (a merged range's
 //! chunks are the union of its parts', each marked when it was inserted,
 //! and bits are never cleared), and it splices the merged payload from the
 //! removed entries one at a time, with no scratch vectors.
+//!
+//! Offsets are `u32`. A query's range may run past `u32::MAX`: it answers
+//! for its part below `u32::MAX`, since no range can hold a byte there.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
+use crate::fastmap::FastMap;
 use crate::payload::Payload;
 
 /// Bitmap chunk granularity (bytes per presence bit).
@@ -39,10 +50,14 @@ pub enum MergeMode {
 }
 
 /// Per-block second level: offset-sorted, non-overlapping, non-adjacent
-/// ranges plus the presence bitmap.
+/// ranges in one vector, plus the presence bitmap.
+///
+/// Lookups find a range's predecessor by binary search; an insert that
+/// absorbs entries drains them and inserts the merged range in their
+/// place, shifting the entries after it.
 #[derive(Debug, Clone)]
 pub struct BlockIndex<P> {
-    entries: BTreeMap<u32, P>,
+    entries: Vec<(u32, P)>,
     bitmap: Vec<u64>,
 }
 
@@ -56,7 +71,7 @@ impl<P: Payload> BlockIndex<P> {
     /// Empty block index.
     pub fn new() -> BlockIndex<P> {
         BlockIndex {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             bitmap: Vec::new(),
         }
     }
@@ -81,14 +96,22 @@ impl<P: Payload> BlockIndex<P> {
         }
     }
 
+    /// Index of the first entry starting after `off`: the entry before it,
+    /// if any, is the only one that can hold byte `off`.
+    fn after(&self, off: u32) -> usize {
+        self.entries.partition_point(|&(s, _)| s <= off)
+    }
+
     /// Definite-miss test: `true` means no byte of `[off, off+len)` can be
-    /// present (the fast path that spares the tree walk).
+    /// present (the fast path that spares the binary search).
     pub fn definitely_absent(&self, off: u32, len: u32) -> bool {
-        if len == 0 {
+        // Clipped to `u32::MAX`: no range holds a byte past it.
+        let end = off.saturating_add(len);
+        if end == off {
             return true;
         }
         let first = (off / SUB_GRAIN) as usize;
-        let last = ((off + len - 1) / SUB_GRAIN) as usize;
+        let last = ((end - 1) / SUB_GRAIN) as usize;
         chunk_words(first, last)
             .map_while(|(word, mask)| self.bitmap.get(word).map(|w| w & mask))
             .all(|hits| hits == 0)
@@ -98,15 +121,16 @@ impl<P: Payload> BlockIndex<P> {
     /// touches.
     ///
     /// A record inside one live range folds into it in place (its bytes
-    /// overwrite, or XOR into, the range's), with no tree edit. Otherwise
-    /// the touching predecessor and then each entry in `[off, end]` are
-    /// removed in offset order. Each contributes, in address order, the new
-    /// record's gap before it, its head before `off`, the overlap (the new
-    /// bytes, or old XOR new), and its tail past `end`; the new record's
-    /// remaining tail closes the range. Runs of new bytes are spliced in as
-    /// one slice, and each entry is dropped before its pieces are spliced,
-    /// so the range grows in place and an overwrite costs at most head +
-    /// record + tail.
+    /// overwrite, or XOR into, the range's), with no vector edit. Otherwise
+    /// the absorbed run — the touching predecessor, then each entry
+    /// starting in `[off, end]` — is drained in offset order. Each entry
+    /// contributes, in address order, the new record's gap before it, its
+    /// head before `off`, the overlap (the new bytes, or old XOR new), and
+    /// its tail past `end`; the new record's remaining tail closes the
+    /// range, which is inserted where the run was. Runs of new bytes are
+    /// spliced in as one slice, and each entry is dropped before its pieces
+    /// are spliced, so the range grows in place and an overwrite costs at
+    /// most head + record + tail.
     ///
     /// # Panics
     /// Panics on empty payloads or offset overflow.
@@ -119,22 +143,27 @@ impl<P: Payload> BlockIndex<P> {
         // Entries are non-overlapping and non-adjacent, so at most one can
         // start at or before `off` and still reach it, and no entry starts
         // between it and `off`.
-        let span_start = match self.entries.range_mut(..=off).next_back() {
-            Some((&s, e)) if s + e.len() >= end => {
+        let after = self.after(off);
+        let (first, span_start) = match after.checked_sub(1).map(|i| (i, &mut self.entries[i])) {
+            Some((_, (s, e))) if *s + e.len() >= end => {
                 match mode {
-                    MergeMode::Overwrite => e.overwrite_at(off - s, &payload),
-                    MergeMode::Xor => e.xor_at(off - s, &payload),
+                    MergeMode::Overwrite => e.overwrite_at(off - *s, &payload),
+                    MergeMode::Xor => e.xor_at(off - *s, &payload),
                 }
                 return;
             }
-            Some((&s, e)) if s + e.len() >= off => s,
-            _ => off,
+            Some((i, (s, e))) if *s + e.len() >= off => (i, *s),
+            _ => (after, off),
         };
+        let last = after
+            + self.entries[after..]
+                .iter()
+                .take_while(|&&(s, _)| s <= end)
+                .count();
         let mut merged: Option<P> = None;
         // New bytes `[off, spliced)` are already in `merged`.
         let mut spliced = off;
-        while let Some((&s, _)) = self.entries.range(span_start..=end).next() {
-            let e = self.entries.remove(&s).expect("entry just found");
+        for (s, e) in self.entries.drain(first..last) {
             let e_end = s + e.len();
             // Outside the in-place case an entry has a head or a tail, not
             // both.
@@ -169,31 +198,33 @@ impl<P: Payload> BlockIndex<P> {
             append(&mut merged, payload.slice(spliced - off, len));
         }
         let merged = merged.expect("the record is never empty");
-        self.entries.insert(span_start, merged);
+        self.entries.insert(first, (span_start, merged));
     }
 
     /// Pieces of `[off, off+len)` that are present, clipped to the query,
     /// as `(piece_offset, payload)` sorted by offset.
     pub fn lookup(&self, off: u32, len: u32) -> Vec<(u32, P)> {
-        if len == 0 || self.definitely_absent(off, len) {
+        if self.definitely_absent(off, len) {
             return Vec::new();
         }
-        let end = off + len;
+        let end = off.saturating_add(len);
+        let after = self.after(off);
         let mut out = Vec::new();
-        if let Some((&s, e)) = self.entries.range(..off).next_back() {
+        if let Some((s, e)) = after.checked_sub(1).map(|i| &self.entries[i]) {
             let e_end = s + e.len();
             if e_end > off {
                 out.push((off, e.slice(off - s, e_end.min(end) - s)));
             }
         }
-        for (&s, e) in self.entries.range(off..end) {
+        for (s, e) in self.entries[after..].iter().take_while(|&&(s, _)| s < end) {
             let e_end = s + e.len();
-            out.push((s, e.slice(0, e_end.min(end) - s)));
+            out.push((*s, e.slice(0, e_end.min(end) - s)));
         }
         out
     }
 
-    /// Whether `[off, off+len)` is fully covered by live ranges.
+    /// Whether `[off, off+len)` is fully covered by live ranges. Bytes past
+    /// `u32::MAX` are never covered.
     pub fn covers(&self, off: u32, len: u32) -> bool {
         if len == 0 {
             return true;
@@ -201,13 +232,16 @@ impl<P: Payload> BlockIndex<P> {
         if self.definitely_absent(off, len) {
             return false;
         }
-        let end = off + len;
-        let mut cursor = match self.entries.range(..off).next_back() {
-            Some((&s, e)) => off.max(s + e.len()),
+        let Some(end) = off.checked_add(len) else {
+            return false;
+        };
+        let after = self.after(off);
+        let mut cursor = match after.checked_sub(1).map(|i| &self.entries[i]) {
+            Some((s, e)) => off.max(s + e.len()),
             None => off,
         };
-        for (&s, e) in self.entries.range(off..end) {
-            if cursor >= end || s > cursor {
+        for (s, e) in &self.entries[after..] {
+            if cursor >= end || *s > cursor {
                 break;
             }
             cursor = cursor.max(s + e.len());
@@ -217,19 +251,19 @@ impl<P: Payload> BlockIndex<P> {
 
     /// End of the live range holding byte `off`, if one does.
     pub(crate) fn range_end_at(&self, off: u32) -> Option<u32> {
-        let (&s, e) = self.entries.range(..=off).next_back()?;
+        let (s, e) = &self.entries[self.after(off).checked_sub(1)?];
         let end = s + e.len();
         (end > off).then_some(end)
     }
 
     /// Consumes the index, yielding sorted `(offset, payload)` ranges.
     pub fn into_sorted_ranges(self) -> Vec<(u32, P)> {
-        self.entries.into_iter().collect()
+        self.entries
     }
 
     /// Iterates live ranges in offset order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &P)> {
-        self.entries.iter().map(|(&o, p)| (o, p))
+        self.entries.iter().map(|(o, p)| (*o, p))
     }
 }
 
@@ -253,7 +287,7 @@ fn append<P: Payload>(merged: &mut Option<P>, piece: P) {
 /// The two-level index: block hash map over [`BlockIndex`]es.
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex<K, P> {
-    blocks: HashMap<K, BlockIndex<P>>,
+    blocks: FastMap<K, BlockIndex<P>>,
     mode: MergeMode,
 }
 
@@ -261,7 +295,7 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
     /// Empty index with the given merge mode.
     pub fn new(mode: MergeMode) -> TwoLevelIndex<K, P> {
         TwoLevelIndex {
-            blocks: HashMap::new(),
+            blocks: FastMap::default(),
             mode,
         }
     }
@@ -478,30 +512,61 @@ mod tests {
         assert_eq!(idx.range_count(), 0);
     }
 
+    /// A query running past `u32::MAX` answers for its part below it, and
+    /// the bytes past it are never covered.
+    #[test]
+    fn queries_past_u32_max_answer_for_their_part_below_it() {
+        let mut b: BlockIndex<Ghost> = BlockIndex::new();
+        b.insert(0, Ghost(16), MergeMode::Overwrite);
+        assert_eq!(b.lookup(5, u32::MAX), vec![(5, Ghost(11))]);
+        assert!(!b.covers(5, u32::MAX));
+
+        let mut idx: TwoLevelIndex<u64, Ghost> = TwoLevelIndex::new(MergeMode::Xor);
+        idx.insert(7, u32::MAX - 16, Ghost(16));
+        assert!(!idx.definitely_absent(&7, u32::MAX - 8, 16));
+        assert_eq!(
+            idx.lookup(&7, u32::MAX - 8, 16),
+            vec![(u32::MAX - 8, Ghost(8))]
+        );
+        assert!(!idx.covers(&7, u32::MAX - 8, 16));
+        assert!(idx.covers(&7, u32::MAX - 8, 8));
+    }
+
+    /// The block map is seedless: two indexes built by one insert sequence
+    /// list and drain their blocks in one order.
+    #[test]
+    fn equal_insert_sequences_give_equal_block_orders() {
+        let build = || {
+            let mut idx: TwoLevelIndex<u64, Ghost> = TwoLevelIndex::new(MergeMode::Overwrite);
+            for k in 0..64u64 {
+                idx.insert(k * 977 % 1000, (k % 8) as u32 * 8192, Ghost(4096));
+            }
+            idx
+        };
+        let (mut a, mut b) = (build(), build());
+        assert!(a.block_keys().eq(b.block_keys()));
+        assert_eq!(a.drain_all(), b.drain_all());
+    }
+
     impl<P: Payload> BlockIndex<P> {
         /// The insert the splice replaced, kept as the reference: collect
-        /// every colliding entry, sweep their boundary points, and re-mark
-        /// the whole merged span one chunk at a time.
+        /// every colliding entry by a linear scan, sweep their boundary
+        /// points, re-sort, and re-mark the whole merged span one chunk at
+        /// a time.
         fn reference_insert(&mut self, off: u32, payload: P, mode: MergeMode) {
             let len = payload.len();
             assert!(len > 0, "empty payload");
             let end = off.checked_add(len).expect("offset overflow");
 
-            let mut collected: Vec<(u32, P)> = Vec::new();
-            if let Some((&s, e)) = self.entries.range(..off).next_back() {
-                if s + e.len() >= off {
-                    collected.push((s, self.entries.remove(&s).unwrap()));
-                }
-            }
-            let overlapping: Vec<u32> = self.entries.range(off..=end).map(|(&s, _)| s).collect();
-            for s in overlapping {
-                let e = self.entries.remove(&s).unwrap();
-                collected.push((s, e));
-            }
+            let (collected, mut kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.entries)
+                .into_iter()
+                .partition(|(s, e)| *s <= end && s + e.len() >= off);
 
             let (span_start, merged_payload) = Self::sweep_merge(off, payload, &collected, mode);
             let span_end = span_start + merged_payload.len();
-            self.entries.insert(span_start, merged_payload);
+            kept.push((span_start, merged_payload));
+            kept.sort_by_key(|&(s, _)| s);
+            self.entries = kept;
 
             let first = (span_start / SUB_GRAIN) as usize;
             let last = ((span_end - 1) / SUB_GRAIN) as usize;
@@ -641,7 +706,8 @@ mod tests {
     /// The splicing insert against the reference sweep on real bytes:
     /// equal entries, bytes and bitmap words after every
     /// insert, in both merge modes, through a fixed prefix of the edge
-    /// cases and then seeded churn; `definitely_absent` and `covers` are
+    /// cases, a stream that fills a block with the most ranges it can
+    /// hold, and then seeded churn; `definitely_absent` and `covers` are
     /// checked on random queries against their per-chunk and
     /// lookup-based references. Lookup pieces and entry slices held across
     /// an insert, in-place folds included, keep their bytes.
@@ -677,6 +743,30 @@ mod tests {
                 assert_unchanged(&held, &what);
             }
             assert_eq!(fast.range_count(), 3, "{mode:?}");
+        }
+
+        // The longest vector a block can hold: every other 4 KiB slot of a
+        // 4 MiB block, then the gaps in seeded order, each absorbing both
+        // of its neighbours; a shift moves up to 511 entries.
+        const SLOTS: u32 = 1024;
+        let mut gaps: Vec<u32> = (1..SLOTS).step_by(2).collect();
+        let mut x = 7;
+        for i in (1..gaps.len()).rev() {
+            gaps.swap(i, lcg(&mut x) as usize % (i + 1));
+        }
+        for mode in [MergeMode::Overwrite, MergeMode::Xor] {
+            let (mut fast, mut slow) = (BlockIndex::new(), BlockIndex::new());
+            let slots = (0..SLOTS).step_by(2).chain(gaps.iter().copied());
+            for (i, slot) in slots.enumerate() {
+                let p = random_data(&mut x, SUB_GRAIN);
+                fast.insert(slot * SUB_GRAIN, p.clone(), mode);
+                slow.reference_insert(slot * SUB_GRAIN, p, mode);
+                assert_same(&fast, &slow, &format!("{mode:?} maximal {i}"));
+                if i + 1 == SLOTS as usize / 2 {
+                    assert_eq!(fast.range_count(), SLOTS as usize / 2, "{mode:?}");
+                }
+            }
+            assert_eq!(fast.range_count(), 1, "{mode:?}");
         }
 
         let (mut absorbed, mut absent_queries, mut covered_queries) = (0, 0, 0);

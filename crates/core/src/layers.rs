@@ -18,9 +18,9 @@
 //! answer says whether that pool has more work.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use crate::fastmap::FastMap;
 use crate::payload::Payload;
 use crate::pool::{AppendOutcome, LogPool, PoolConfig, TakenUnit};
 use crate::unit::UnitState;
@@ -67,6 +67,10 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
     }
 
     /// The pool index a key routes to.
+    ///
+    /// Routing hashes with `std`'s fixed-key `DefaultHasher`, not
+    /// [`FastMap`]'s hasher: which pool a record lands in sets when it is
+    /// recycled, so another hash would move every result.
     pub fn pool_for(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -180,7 +184,7 @@ pub struct StripeDeltaJob<P> {
 pub fn group_delta_jobs<P: Payload>(
     contents: Vec<(StripeBlock, Vec<(u32, P)>)>,
 ) -> Vec<StripeDeltaJob<P>> {
-    let mut by_stripe: HashMap<u64, Vec<(u16, u32, P)>> = HashMap::new();
+    let mut by_stripe: FastMap<u64, Vec<(u16, u32, P)>> = FastMap::default();
     for (key, ranges) in contents {
         let entry = by_stripe.entry(key.stripe).or_default();
         for (off, p) in ranges {

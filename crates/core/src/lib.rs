@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod fastmap;
 pub mod index;
 pub mod layers;
 pub mod payload;

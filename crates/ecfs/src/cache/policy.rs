@@ -5,7 +5,7 @@
 //! Eviction is exact least-recently-used order with no clocks and no RNG,
 //! so a cached replay stays byte-identical from run to run.
 
-use std::collections::HashMap;
+use tsue::fastmap::FastMap;
 
 use crate::layout::BlockAddr;
 
@@ -33,7 +33,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct PageCache {
     cap: usize,
-    map: HashMap<PageKey, u32>,
+    map: FastMap<PageKey, u32>,
     slots: Vec<Slot>,
     /// MRU end of the LRU list.
     head: u32,
@@ -47,7 +47,7 @@ impl PageCache {
         let cap = ((capacity_bytes / PAGE_BYTES).max(1)) as usize;
         PageCache {
             cap,
-            map: HashMap::with_capacity(cap.min(1 << 16)),
+            map: FastMap::with_capacity_and_hasher(cap.min(1 << 16), Default::default()),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,

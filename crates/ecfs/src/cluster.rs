@@ -7,9 +7,9 @@ use simdisk::{Disk, IoOp};
 use simnet::{FlowClass, NetConfig, Network};
 
 use rscode::ReedSolomon;
+use tsue::fastmap::FastMap;
 
 use crate::config::ClusterConfig;
-use crate::fastmap::FastMap;
 use crate::fault::FaultState;
 use crate::layout::{BlockAddr, Layout};
 use crate::maintenance::MaintState;
@@ -246,7 +246,7 @@ pub struct OpenLoopRt {
     /// Configured client population (ids are drawn from `0..population`).
     pub population: u64,
     /// Window state of currently active clients, keyed by client id.
-    pub active: std::collections::HashMap<u64, ClientWindow>,
+    pub active: FastMap<u64, ClientWindow>,
     /// Concurrently active clients (current + peak).
     pub active_clients: Gauge,
     /// Admission-queue delay per op (0 for ops issued on arrival).
@@ -270,7 +270,7 @@ impl OpenLoopRt {
         OpenLoopRt {
             window,
             population,
-            active: std::collections::HashMap::new(),
+            active: FastMap::default(),
             active_clients: Gauge::new(),
             queue_delay: Histogram::new(),
             queue_depth: Gauge::new(),

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use rscode::CodeParams;
+use tsue::fastmap::FastMap;
 
-use crate::fastmap::FastMap;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// Globally unique block id: `(volume, stripe, index within stripe)`.

@@ -28,7 +28,6 @@
 pub mod cache;
 pub mod cluster;
 pub mod config;
-pub mod fastmap;
 pub mod fault;
 pub mod fleet;
 pub mod layout;

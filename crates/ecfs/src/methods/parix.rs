@@ -14,10 +14,10 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::{Cluster, IntervalSet};
 use crate::config::ClusterConfig;
-use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
+use tsue::fastmap::FastMap;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
 

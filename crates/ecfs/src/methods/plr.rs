@@ -13,10 +13,10 @@
 
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
+use tsue::fastmap::FastMap;
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::fastmap::FastMap;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};

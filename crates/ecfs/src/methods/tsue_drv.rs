@@ -30,10 +30,10 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::fastmap::FastMap;
 use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
+use tsue::fastmap::FastMap;
 use tsue::layers::{
     group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
 };

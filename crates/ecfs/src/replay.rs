@@ -584,15 +584,12 @@ fn client_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
     issue_next_op(sim, cl, client, sim.now());
 }
 
-/// Pops and issues `client`'s next op. `issued_at` anchors the
-/// client-observed latency: on the closed loop it is always `sim.now()`;
-/// on the open loop it is the op's *arrival* time, so admission-queue
-/// delay lands in the latency the client sees.
+/// Pops and issues `client`'s next op (see [`issue_op`]).
 fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_at: SimTime) {
     let Some(queue) = cl.client_ops.get_mut(&client) else {
         return; // this client is done
     };
-    let Some((offset, len, kind)) = queue.pop_front() else {
+    let Some(op) = queue.pop_front() else {
         return; // this client is done
     };
     if queue.is_empty() {
@@ -600,6 +597,20 @@ fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_a
         // op-content state never exceeds the concurrently active set.
         cl.client_ops.remove(&client);
     }
+    issue_op(sim, cl, client, op, issued_at);
+}
+
+/// Issues one of `client`'s ops. `issued_at` anchors the client-observed
+/// latency: on the closed loop it is always `sim.now()`; on the open loop
+/// it is the op's *arrival* time, so admission-queue delay lands in the
+/// latency the client sees.
+fn issue_op(
+    sim: &mut Sim<Cluster>,
+    cl: &mut Cluster,
+    client: u64,
+    (offset, len, kind): (u64, u32, OpKind),
+    issued_at: SimTime,
+) {
     let now = sim.now();
     // Multi-block ops are issued as their first slice only for latency
     // accounting; the remaining slices are issued concurrently and complete
@@ -664,23 +675,23 @@ fn open_loop_deliver(sim: &mut Sim<Cluster>, cl: &mut Cluster, _u: u64) {
     }
     let window = ol.window;
     let cw = ol.active.entry(client).or_default();
+    let op = (t.op.offset, t.op.len, t.op.kind);
     // Window room implies an empty admission queue (admissions only grow
     // while the window is full, and completions drain them first), so an
-    // immediately-issued op always issues its own content.
-    let admit = cw.outstanding < window;
-    if admit {
+    // op admitted on arrival is issued directly, without passing through
+    // the client's op queue.
+    if cw.outstanding < window {
         cw.outstanding += 1;
         ol.queue_delay.record(0);
+        debug_assert!(
+            !cl.client_ops.contains_key(&client),
+            "client {client} admitted an arrival past its queued ops"
+        );
+        issue_op(sim, cl, client, op, now);
     } else {
         cw.admission.push_back(now);
         ol.queue_depth.inc();
-    }
-    cl.client_ops
-        .entry(client)
-        .or_default()
-        .push_back((t.op.offset, t.op.len, t.op.kind));
-    if admit {
-        issue_next_op(sim, cl, client, now);
+        cl.client_ops.entry(client).or_default().push_back(op);
     }
 }
 

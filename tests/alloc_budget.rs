@@ -1,10 +1,10 @@
 //! The replay's op path as an exact allocation count. A counting global
 //! allocator tallies the heap allocations (fresh and resized) the test
-//! thread makes while a small closed-loop cell replays, one cell per
-//! built-in method. The budget is the *marginal* count: the cell runs at
-//! two lengths and the difference is divided by the extra completed ops,
-//! so cluster construction and workload generation, which do not grow
-//! with the run, drop out.
+//! thread makes while a small cell replays: a closed-loop cell per
+//! built-in method, and open-loop cells for FO and TSUE. The budget is the
+//! *marginal* count: the cell runs at two lengths and the difference is
+//! divided by the extra completed ops, so cluster construction and
+//! workload generation, which do not grow with the run, drop out.
 //!
 //! Allocations are counted per thread, so the harness's other threads do
 //! not leak into a measurement.
@@ -50,16 +50,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations and completed client ops of one closed-loop replay.
-fn replay(method: Arc<dyn UpdateMethod>, ops_per_client: usize) -> (u64, u64) {
+/// A small replay cell: 32 MiB volumes on an RS(6, 3) SSD testbed.
+fn cell(method: Arc<dyn UpdateMethod>, clients: u64) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
-    cluster.clients = 4;
+    cluster.clients = clients;
     let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
-    rcfg.ops_per_client = ops_per_client;
     rcfg.volume_bytes = 32 << 20;
+    rcfg
+}
+
+/// Allocations and completed client ops of one replay.
+fn replay(rcfg: &ReplayConfig) -> (u64, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    let r = Replay::run(&rcfg).result;
+    let r = Replay::run(rcfg).result;
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(r.oracle_violations, 0, "{}", r.method);
     (
@@ -68,11 +72,51 @@ fn replay(method: Arc<dyn UpdateMethod>, ops_per_client: usize) -> (u64, u64) {
     )
 }
 
-/// Marginal allocations per completed op between a 300- and a 900-op run.
-fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
-    let (short_allocs, short_ops) = replay(Arc::clone(&method), 300);
-    let (long_allocs, long_ops) = replay(method, 900);
+/// Marginal allocations per completed op between two runs of one cell.
+fn marginal(short: &ReplayConfig, long: &ReplayConfig) -> f64 {
+    let (short_allocs, short_ops) = replay(short);
+    let (long_allocs, long_ops) = replay(long);
     (long_allocs - short_allocs) as f64 / (long_ops - short_ops) as f64
+}
+
+/// Marginal allocations per completed op between a 300- and a 900-op
+/// closed-loop run of 4 clients.
+fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
+    let mut short = cell(method, 4);
+    short.ops_per_client = 300;
+    let mut long = short.clone();
+    long.ops_per_client = 900;
+    marginal(&short, &long)
+}
+
+/// Marginal allocations per completed op between 1 200 and 3 600 ops
+/// offered open-loop: Poisson arrivals at 8 000 ops/s over 16 clients,
+/// each holding at most 4 ops outstanding.
+fn open_loop_allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
+    let mut short = cell(method, 16);
+    short.workload = Workload::Open(OpenLoopSpec::poisson(8_000.0).with_window(4));
+    short.total_ops = Some(1_200);
+    let mut long = short.clone();
+    long.total_ops = Some(3_600);
+    marginal(&short, &long)
+}
+
+/// Checks each `(method, bound, before)` budget and lists the methods over
+/// their bound.
+fn over_budget(
+    budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)>,
+    per_op: fn(Arc<dyn UpdateMethod>) -> f64,
+) -> Vec<String> {
+    let mut over = Vec::new();
+    for (method, bound, before) in budgets {
+        let name = method.name().to_string();
+        let per_op = per_op(method);
+        eprintln!("{name}: {per_op:.3} allocations per op (bound {bound}, was {before})");
+        if per_op > bound {
+            over.push(format!("{name} {per_op:.3} > {bound}"));
+        }
+    }
+    over
 }
 
 /// FO and PL allocate nothing per op of their own: what is left is the
@@ -82,25 +126,34 @@ fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
 /// a regression shows.
 #[test]
 fn op_path_allocations_stay_within_budget() {
-    // (method, bound, marginal allocations per op before index inserts
-    // stopped building scratch vectors)
-    let budgets: [(Arc<dyn UpdateMethod>, f64, f64); 7] = [
-        (Arc::new(Fo), 0.1, 0.035),
-        (Arc::new(Fl), 1.0, 6.406),
-        (Arc::new(Pl), 0.1, 0.043),
-        (Arc::new(Plr), 1.0, 0.775),
-        (Arc::new(Parix), 0.5, 4.793),
-        (Arc::new(Cord), 0.25, 1.519),
-        (Arc::new(Tsue), 0.8, 2.108),
+    // (method, bound, marginal allocations per op before the log index
+    // kept each block's ranges in a sorted vector)
+    let budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)> = vec![
+        (Arc::new(Fo), 0.05, 0.022),
+        (Arc::new(Fl), 0.05, 0.080),
+        (Arc::new(Pl), 0.05, 0.030),
+        (Arc::new(Plr), 1.0, 0.762),
+        (Arc::new(Parix), 0.3, 0.130),
+        (Arc::new(Cord), 0.05, 0.048),
+        (Arc::new(Tsue), 0.8, 0.364),
     ];
-    let mut over = Vec::new();
-    for (method, bound, before) in budgets {
-        let name = method.name().to_string();
-        let per_op = allocations_per_op(method);
-        eprintln!("{name}: {per_op:.3} allocations per op (bound {bound}, was {before})");
-        if per_op > bound {
-            over.push(format!("{name} {per_op:.3} > {bound}"));
-        }
-    }
+    let over = over_budget(budgets, allocations_per_op);
     assert!(over.is_empty(), "over the allocation budget: {over:?}");
+}
+
+/// The open loop adds admission to the op path: an op admitted on arrival
+/// is issued directly, so it allocates no queue of its own. FO then
+/// allocates about as little as on the closed loop; what TSUE has left is
+/// its logs.
+#[test]
+fn open_loop_allocations_stay_within_budget() {
+    // (method, bound, marginal allocations per op when every admitted
+    // arrival passed through a freshly allocated client queue)
+    let budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)> =
+        vec![(Arc::new(Fo), 0.1, 1.064), (Arc::new(Tsue), 0.6, 1.495)];
+    let over = over_budget(budgets, open_loop_allocations_per_op);
+    assert!(
+        over.is_empty(),
+        "over the open-loop allocation budget: {over:?}"
+    );
 }
