@@ -6,7 +6,8 @@
 //! paper reports, so `cargo bench --workspace` reproduces the entire
 //! evaluation.
 //!
-//! Scale knobs: the default grid is sized to finish in minutes; set
+//! Scale knobs: all fourteen targets' default grids finish in about 15 s
+//! after the build (14.2 s measured on a 2-CPU VM); set
 //! `TSUE_BENCH_FULL=1` for the paper-scale grid (more clients, more ops).
 
 use ecfs::prelude::*;

@@ -18,8 +18,10 @@
 //!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). Until GC can first run,
 //!    allocation is a bump and the FTL updates only its logical map; it
 //!    derives the reverse map, valid counts and closed-block index in one
-//!    pass when the device reaches that point. [`SsdConfig::validate`]
-//!    rejects geometries the FTL cannot run.
+//!    pass when the device reaches that point. Both maps hold 64 KiB pages
+//!    only where the device has written, so building one costs almost no
+//!    memory. [`SsdConfig::validate`] rejects geometries the FTL cannot
+//!    run.
 //!
 //! All devices expose the same [`IoOp`]/[`submit`](Disk::submit) interface
 //! returning completion times against a [`simdes::Resource`] queue, plus

@@ -9,13 +9,125 @@ use crate::{IoKind, IoOp, Pattern};
 
 const UNMAPPED: u32 = u32::MAX;
 
+/// Entries per flash-table page: 64 KiB of `u32`s.
+const TABLE_PAGE: usize = 16 << 10;
+
+/// A flash table (`map` or `rmap`) of `u32` entries, all `UNMAPPED` until
+/// written. Only a directory is allocated up front; a page of
+/// [`TABLE_PAGE`] entries is created, all unmapped, by the first write
+/// into it, and reading an absent page returns `UNMAPPED`. So a device
+/// holds table memory only where it has written. 64 KiB pages keep the
+/// allocations per simulated op at the dense tables' count; 4 KiB pages
+/// did not.
+#[derive(Debug, Clone)]
+enum Table {
+    Paged(Vec<Option<Box<[u32; TABLE_PAGE]>>>),
+    /// The dense table the pages replaced, kept as the reference.
+    #[cfg(test)]
+    Dense(Box<[u32]>),
+}
+
+impl Table {
+    /// A table of `len` entries holding no page.
+    fn new(len: usize) -> Table {
+        Table::Paged(vec![None; len.div_ceil(TABLE_PAGE)])
+    }
+
+    /// Entry `i`.
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            Table::Paged(pages) => pages[i / TABLE_PAGE]
+                .as_ref()
+                .map_or(UNMAPPED, |page| page[i % TABLE_PAGE]),
+            #[cfg(test)]
+            Table::Dense(entries) => entries[i],
+        }
+    }
+
+    /// Entry `i` for writing, creating its page.
+    fn slot(&mut self, i: usize) -> &mut u32 {
+        match self {
+            Table::Paged(pages) => &mut page_mut(&mut pages[i / TABLE_PAGE])[i % TABLE_PAGE],
+            #[cfg(test)]
+            Table::Dense(entries) => &mut entries[i],
+        }
+    }
+
+    /// Calls `f` on the entries `start..start + len`, one slice per page
+    /// they span, creating absent pages.
+    fn segments(&mut self, start: usize, len: usize, mut f: impl FnMut(&mut [u32])) {
+        match self {
+            Table::Paged(pages) => {
+                // Nearly every run lies in one page: one slice, no loop.
+                let (page, offset) = (start / TABLE_PAGE, start % TABLE_PAGE);
+                if len <= TABLE_PAGE - offset {
+                    return f(&mut page_mut(&mut pages[page])[offset..offset + len]);
+                }
+                let end = start + len;
+                let mut at = start;
+                while at < end {
+                    let (page, offset) = (at / TABLE_PAGE, at % TABLE_PAGE);
+                    let n = (TABLE_PAGE - offset).min(end - at);
+                    f(&mut page_mut(&mut pages[page])[offset..offset + n]);
+                    at += n;
+                }
+            }
+            #[cfg(test)]
+            Table::Dense(entries) => f(&mut entries[start..start + len]),
+        }
+    }
+
+    /// Calls `f(i, entry)` on every entry `i` that is not `UNMAPPED`, in
+    /// index order, visiting only present pages.
+    fn for_each_mapped(&self, mut f: impl FnMut(usize, u32)) {
+        let mut visit = |base: usize, entries: &[u32]| {
+            for (i, &e) in entries.iter().enumerate() {
+                if e != UNMAPPED {
+                    f(base + i, e);
+                }
+            }
+        };
+        match self {
+            Table::Paged(pages) => {
+                for (p, page) in pages.iter().enumerate() {
+                    if let Some(page) = page {
+                        visit(p * TABLE_PAGE, &page[..]);
+                    }
+                }
+            }
+            #[cfg(test)]
+            Table::Dense(entries) => visit(0, entries),
+        }
+    }
+}
+
+/// The page behind a directory slot, created all unmapped if absent.
+fn page_mut(page: &mut Option<Box<[u32; TABLE_PAGE]>>) -> &mut [u32; TABLE_PAGE] {
+    match page {
+        Some(page) => page,
+        None => page.insert(new_page()),
+    }
+}
+
+/// A table page, all unmapped; out of line, as it runs once per page.
+#[cold]
+#[inline(never)]
+fn new_page() -> Box<[u32; TABLE_PAGE]> {
+    vec![UNMAPPED; TABLE_PAGE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a table page holds TABLE_PAGE entries")
+}
+
 /// SSD configuration.
 ///
 /// Defaults model a datacenter SATA/NVMe-class drive of the kind the paper's
-/// Chameleon nodes carried, scaled down in capacity so sixteen simulated
-/// devices stay memory-cheap. The latency constants encode the property the
-/// paper leans on: a small random command costs two orders of magnitude more
-/// than its share of a large sequential stream.
+/// Chameleon nodes carried, scaled down in capacity (2 GiB) to keep
+/// simulated write volumes small. A device's flash tables cost memory only
+/// for the 64 KiB table pages it has written, so a cluster of sixteen
+/// costs little until its devices fill. The latency constants encode the
+/// property the paper leans on: a small random command costs two orders of
+/// magnitude more than its share of a large sequential stream.
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// NAND page size in bytes.
@@ -177,10 +289,16 @@ impl SsdConfig {
 /// untouched tail. From then on every block is exactly one of *free*
 /// (erased, on `free_blocks`), *active* (receiving writes) or *closed*
 /// (retired from active, indexed in `closed` by its valid-page count so
-/// the victim is found without visiting every block). `rmap` is
-/// allocated, all unmapped, at construction: allocated at derivation,
-/// mid-run, its place among a replay's other allocations would set the
-/// process's peak memory, which would then vary from run to run.
+/// the victim is found without visiting every block).
+///
+/// `map` and `rmap` are paged (see `Table`): a device holds only the
+/// 64 KiB table pages it has written, `rmap` none before derivation.
+/// An overwrite does not clear the old page's `rmap` entry. As on a real
+/// FTL's out-of-band check, physical page `ppa` is valid iff
+/// `map[rmap[ppa]] == ppa`: `rmap[ppa]` names the last logical page
+/// programmed there, which still maps there iff the page holds its
+/// current copy. GC scans a victim only until it has relocated the
+/// block's valid count, so a fully invalid victim costs no scan.
 ///
 /// A write command arrives as one run of logical pages and is programmed
 /// in chunks that fit the active block. A page that finds the active block
@@ -195,9 +313,10 @@ impl SsdConfig {
 pub struct Ftl {
     pages_per_block: u32,
     /// lpn -> ppa
-    map: Vec<u32>,
-    /// ppa -> lpn (all unmapped before derivation)
-    rmap: Vec<u32>,
+    map: Table,
+    /// ppa -> the lpn last programmed there (see the type doc); empty
+    /// before derivation
+    rmap: Table,
     /// valid page count per physical block
     valid: Vec<u16>,
     /// stack of free (erased) block ids
@@ -289,6 +408,40 @@ struct FlashCost {
     blocks_scanned: u64,
 }
 
+/// Which of a write's logical pages had been written before it.
+#[derive(Debug, Default)]
+struct Overwritten {
+    /// How many had.
+    pages: u64,
+    /// Whether the first had; `None` before any page is counted.
+    head: Option<bool>,
+    /// Whether the last one counted had.
+    tail: bool,
+}
+
+impl Overwritten {
+    /// Notes the ends of the `slots` a write is about to store into, in
+    /// order, after the ones noted so far; the caller counts `pages`.
+    fn note_ends(&mut self, slots: &[u32]) {
+        self.head.get_or_insert(slots[0] != UNMAPPED);
+        self.tail = slots[slots.len() - 1] != UNMAPPED;
+    }
+}
+
+/// Drops `n` valid pages from block `blk`, refiling it once if closed.
+fn invalidate(valid: &mut [u16], closed: &mut ValidBuckets, active: u32, blk: u32, n: u16) {
+    if n == 0 {
+        return;
+    }
+    let v = valid[blk as usize];
+    valid[blk as usize] = v - n;
+    // A mapped page sits in the active block or in a closed one.
+    if blk != active {
+        closed.remove(v, blk as usize);
+        closed.insert(v - n, blk as usize);
+    }
+}
+
 impl Ftl {
     fn new(cfg: &SsdConfig) -> Ftl {
         let Geometry {
@@ -298,8 +451,8 @@ impl Ftl {
         } = cfg.geometry().unwrap_or_else(|e| panic!("{e}"));
         Ftl {
             pages_per_block: cfg.pages_per_block,
-            map: vec![UNMAPPED; logical_pages as usize],
-            rmap: vec![UNMAPPED; total_blocks * cfg.pages_per_block as usize],
+            map: Table::new(logical_pages as usize),
+            rmap: Table::new(total_blocks * cfg.pages_per_block as usize),
             valid: vec![0; total_blocks],
             free_blocks: (1..total_blocks as u32).rev().collect(),
             closed: ValidBuckets::new(cfg.pages_per_block as usize + 1, total_blocks),
@@ -333,12 +486,10 @@ impl Ftl {
         }
         let ppb = self.pages_per_block;
         self.derived = true;
-        for (lpn, &ppa) in self.map.iter().enumerate() {
-            if ppa != UNMAPPED {
-                self.rmap[ppa as usize] = lpn as u32;
-                self.valid[(ppa / ppb) as usize] += 1;
-            }
-        }
+        self.map.for_each_mapped(|lpn, ppa| {
+            *self.rmap.slot(ppa as usize) = lpn as u32;
+            self.valid[(ppa / ppb) as usize] += 1;
+        });
         let active = self.active_block as usize;
         for b in 0..active {
             self.closed.insert(self.valid[b], b);
@@ -348,117 +499,121 @@ impl Ftl {
 
     /// Writes the `pages` logical pages from `first` on, chunk by chunk
     /// (see [`Ftl`]), adding the wear cost incurred (including any GC the
-    /// writes triggered) to `cost`; returns how many of them had been
-    /// written before.
-    fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> u64 {
+    /// writes triggered) to `cost`; returns which of them had been written
+    /// before.
+    fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> Overwritten {
+        let mut over = Overwritten::default();
         if !self.derived {
             let n = self.programmed();
             if n + pages <= self.horizon() {
-                return self.bump_map(first, pages, n, cost);
+                self.bump_map(first, pages, n, &mut over);
+                cost.host_pages += pages;
+                return over;
             }
             self.derive_tables();
         }
         let end = first + pages;
         let mut lpn = first;
-        let mut mapped = 0;
         while lpn < end {
             let room = self.pages_per_block - self.active_next_page;
             if room == 0 {
-                mapped += u64::from(self.write_page(lpn, cost));
+                self.write_page(lpn, cost, &mut over);
                 lpn += 1;
             } else {
                 let k = (end - lpn).min(u64::from(room)) as u32;
-                mapped += self.fill_active(lpn, k, cost);
+                self.fill_active(lpn, k, cost, &mut over);
                 lpn += u64::from(k);
             }
         }
-        mapped
+        over
     }
 
     /// Writes the `pages` logical pages from `first` on before the first
     /// GC, where the `n`-th programmed page sits at physical page `n`:
-    /// only `map` and the active page change. Returns how many had been
-    /// written before.
-    fn bump_map(&mut self, first: u64, pages: u64, n: u64, cost: &mut FlashCost) -> u64 {
-        let slots = &mut self.map[first as usize..(first + pages) as usize];
-        let mut mapped = 0;
-        for (slot, ppa) in slots.iter_mut().zip(n as u32..) {
-            mapped += u64::from(*slot != UNMAPPED);
-            *slot = ppa;
-        }
+    /// only `map` and the active page change. Counts the pages written
+    /// before into `over`.
+    fn bump_map(&mut self, first: u64, pages: u64, n: u64, over: &mut Overwritten) {
+        let mut ppa = n as u32;
+        self.map.segments(first as usize, pages as usize, |slots| {
+            over.note_ends(slots);
+            for slot in slots {
+                over.pages += u64::from(*slot != UNMAPPED);
+                *slot = ppa;
+                ppa += 1;
+            }
+        });
         // A full active block stays active until the next allocation.
         let (end, ppb) = (n + pages, u64::from(self.pages_per_block));
         let active = (end - 1) / ppb;
         self.active_block = active as u32;
         self.active_next_page = (end - active * ppb) as u32;
-        cost.host_pages += pages;
-        mapped
     }
 
     /// Writes one logical page, adding the wear cost incurred (including
-    /// any GC this write triggered) to `cost`; returns whether the page
-    /// had been written before.
-    fn write_page(&mut self, lpn: u64, cost: &mut FlashCost) -> bool {
-        debug_assert!(lpn < self.map.len() as u64, "lpn out of range");
-        // Invalidate the previous location.
-        let old = self.map[lpn as usize];
-        let overwrite = old != UNMAPPED;
-        if overwrite {
-            self.invalidate(old / self.pages_per_block, 1);
-            self.rmap[old as usize] = UNMAPPED;
+    /// any GC this write triggered) to `cost` and counting the page into
+    /// `over` if it had been written before.
+    fn write_page(&mut self, lpn: u64, cost: &mut FlashCost, over: &mut Overwritten) {
+        // Unmap the page while GC may run, so no victim relocates it.
+        let slot = self.map.slot(lpn as usize);
+        over.note_ends(std::slice::from_ref(slot));
+        let old = std::mem::replace(slot, UNMAPPED);
+        if old != UNMAPPED {
+            over.pages += 1;
+            let ppb = self.pages_per_block;
+            invalidate(
+                &mut self.valid,
+                &mut self.closed,
+                self.active_block,
+                old / ppb,
+                1,
+            );
         }
         let ppa = self.allocate_page(cost);
-        self.map[lpn as usize] = ppa;
-        self.rmap[ppa as usize] = lpn as u32;
+        *self.map.slot(lpn as usize) = ppa;
+        *self.rmap.slot(ppa as usize) = lpn as u32;
         self.valid[(ppa / self.pages_per_block) as usize] += 1;
         cost.host_pages += 1;
-        overwrite
     }
 
     /// Writes the `k` logical pages from `lpn` on into the next `k` pages
-    /// of the active block, which must have room for them; returns how
-    /// many had been written before.
-    fn fill_active(&mut self, lpn: u64, k: u32, cost: &mut FlashCost) -> u64 {
-        debug_assert!(k <= self.pages_per_block - self.active_next_page);
-        let base = self.active_block * self.pages_per_block + self.active_next_page;
-        let mut mapped = 0;
+    /// of the active block, which must have room for them, counting the
+    /// pages written before into `over`.
+    fn fill_active(&mut self, lpn: u64, k: u32, cost: &mut FlashCost, over: &mut Overwritten) {
+        let ppb = self.pages_per_block;
+        debug_assert!(k <= ppb - self.active_next_page);
+        let active = self.active_block;
+        let base = active * ppb + self.active_next_page;
+        let (valid, closed) = (&mut self.valid, &mut self.closed);
         // The stretch of consecutive old locations in one block.
         let (mut stretch_block, mut stretch) = (UNMAPPED, 0);
-        for i in 0..k {
-            let lpn = lpn as usize + i as usize;
-            let old = self.map[lpn];
-            if old != UNMAPPED {
-                let blk = old / self.pages_per_block;
-                if blk != stretch_block {
-                    self.invalidate(stretch_block, stretch);
-                    (stretch_block, stretch) = (blk, 0);
+        let mut ppa = base;
+        self.map.segments(lpn as usize, k as usize, |slots| {
+            over.note_ends(slots);
+            for slot in slots {
+                let old = std::mem::replace(slot, ppa);
+                ppa += 1;
+                if old != UNMAPPED {
+                    over.pages += 1;
+                    let blk = old / ppb;
+                    if blk != stretch_block {
+                        invalidate(valid, closed, active, stretch_block, stretch);
+                        (stretch_block, stretch) = (blk, 0);
+                    }
+                    stretch += 1;
                 }
-                stretch += 1;
-                mapped += 1;
-                self.rmap[old as usize] = UNMAPPED;
             }
-            self.map[lpn] = base + i;
-            self.rmap[(base + i) as usize] = lpn as u32;
-        }
-        self.invalidate(stretch_block, stretch);
-        self.valid[self.active_block as usize] += k as u16;
+        });
+        invalidate(valid, closed, active, stretch_block, stretch);
+        let mut next = lpn as u32;
+        self.rmap.segments(base as usize, k as usize, |slots| {
+            for slot in slots {
+                *slot = next;
+                next += 1;
+            }
+        });
+        self.valid[active as usize] += k as u16;
         self.active_next_page += k;
         cost.host_pages += u64::from(k);
-        mapped
-    }
-
-    /// Drops `n` valid pages from block `blk`, refiling it once if closed.
-    fn invalidate(&mut self, blk: u32, n: u16) {
-        if n == 0 {
-            return;
-        }
-        let v = self.valid[blk as usize];
-        self.valid[blk as usize] = v - n;
-        // A mapped page sits in the active block or in a closed one.
-        if blk != self.active_block {
-            self.closed.remove(v, blk as usize);
-            self.closed.insert(v - n, blk as usize);
-        }
     }
 
     fn allocate_page(&mut self, cost: &mut FlashCost) -> u32 {
@@ -482,6 +637,13 @@ impl Ftl {
         ppa
     }
 
+    /// The logical page whose current copy physical page `ppa` holds, if
+    /// any (see [`Ftl`]).
+    fn holder(&self, ppa: u32) -> Option<u32> {
+        let lpn = self.rmap.get(ppa as usize);
+        (lpn != UNMAPPED && self.map.get(lpn as usize) == ppa).then_some(lpn)
+    }
+
     fn collect_garbage(&mut self, cost: &mut FlashCost) {
         self.gc_active = true;
         while self.free_blocks.len() < self.gc_threshold_blocks {
@@ -496,21 +658,21 @@ impl Ftl {
                 assert_eq!(victim, self.reference_victim());
             }
             self.closed.remove(self.valid[victim], victim);
-            // Relocate the victim's valid pages into the active stream.
+            // Relocate the victim's valid pages, in page order, into the
+            // active stream; the scan stops at the last of them.
             let base = victim as u32 * self.pages_per_block;
-            for p in 0..self.pages_per_block {
-                let ppa = base + p;
-                let lpn = self.rmap[ppa as usize];
-                if lpn == UNMAPPED {
-                    continue;
+            for ppa in base..base + self.pages_per_block {
+                if self.valid[victim] == 0 {
+                    break;
                 }
-                self.rmap[ppa as usize] = UNMAPPED;
-                self.valid[victim] -= 1;
-                let new_ppa = self.allocate_page(cost);
-                self.map[lpn as usize] = new_ppa;
-                self.rmap[new_ppa as usize] = lpn;
-                self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
-                cost.moved_pages += 1;
+                if let Some(lpn) = self.holder(ppa) {
+                    self.valid[victim] -= 1;
+                    let new_ppa = self.allocate_page(cost);
+                    *self.map.slot(lpn as usize) = new_ppa;
+                    *self.rmap.slot(new_ppa as usize) = lpn;
+                    self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
+                    cost.moved_pages += 1;
+                }
             }
             debug_assert_eq!(self.valid[victim], 0);
             cost.erases += 1;
@@ -650,28 +812,24 @@ impl Ssd {
     ///
     /// Overwrites count at page granularity: a page was written before iff
     /// it is mapped, which holds for the whole command (GC moves mapped
-    /// pages, it never unmaps one). So the overwritten bytes are the
-    /// mapped pages, less the unwritten head of the first page and tail of
-    /// the last one where those were mapped.
+    /// pages, it never unmaps one), so the write loop reports it as it
+    /// stores each page. The overwritten bytes are the mapped pages, less
+    /// the unwritten head of the first page and tail of the last one where
+    /// those were mapped.
     fn program(&mut self, offset: u64, len: u64) -> SimTime {
         let ps = self.cfg.page_size;
         let end = offset + len;
         let first = offset / ps;
         let last = (end - 1) / ps;
-        let mapped = |lpn: u64| self.ftl.map[lpn as usize] != UNMAPPED;
-        let head = if mapped(first) {
+        let mut cost = FlashCost::default();
+        let over = self.ftl.write_run(first, last - first + 1, &mut cost);
+        let head = if over.head == Some(true) {
             offset - first * ps
         } else {
             0
         };
-        let tail = if mapped(last) {
-            (last + 1) * ps - end
-        } else {
-            0
-        };
-        let mut cost = FlashCost::default();
-        let overwritten = self.ftl.write_run(first, last - first + 1, &mut cost);
-        self.book_flash(overwritten * ps - head - tail, cost)
+        let tail = if over.tail { (last + 1) * ps - end } else { 0 };
+        self.book_flash(over.pages * ps - head - tail, cost)
     }
 
     /// Books a write's overwritten bytes and flash cost in the statistics;
@@ -747,10 +905,59 @@ mod tests {
             victim
         }
 
+        /// Every entry of a table of `len` entries, dense.
+        fn entries(table: &Table, len: usize) -> Vec<u32> {
+            match table {
+                Table::Paged(pages) => {
+                    let mut all = Vec::with_capacity(pages.len() * TABLE_PAGE);
+                    for page in pages {
+                        match page {
+                            Some(page) => all.extend_from_slice(&page[..]),
+                            None => all.resize(all.len() + TABLE_PAGE, UNMAPPED),
+                        }
+                    }
+                    assert!(
+                        all[len..].iter().all(|&e| e == UNMAPPED),
+                        "entry past the end"
+                    );
+                    all.truncate(len);
+                    all
+                }
+                Table::Dense(entries) => {
+                    assert_eq!(entries.len(), len);
+                    entries.to_vec()
+                }
+            }
+        }
+
+        /// Entries `map` has room for: whole pages when paged, so at least
+        /// the logical page count.
+        fn map_room(&self) -> usize {
+            match &self.map {
+                Table::Paged(pages) => pages.len() * TABLE_PAGE,
+                Table::Dense(entries) => entries.len(),
+            }
+        }
+
+        /// The dense `rmap`.
+        fn dense_rmap(&self) -> Vec<u32> {
+            Ftl::entries(&self.rmap, self.valid.len() * self.pages_per_block as usize)
+        }
+
+        /// Table pages held by `map` and by `rmap`.
+        fn table_pages(&self) -> (usize, usize) {
+            let held = |table: &Table| match table {
+                Table::Paged(pages) => pages.iter().filter(|p| p.is_some()).count(),
+                Table::Dense(_) => panic!("a dense table holds no pages"),
+            };
+            (held(&self.map), held(&self.rmap))
+        }
+
         /// Free, active and closed partition the blocks; every closed block
-        /// sits in exactly the bucket of its valid count; valid counts add
-        /// up to the mapped pages; `rmap` inverts `map`. Derives the tables
-        /// first.
+        /// sits in exactly the bucket of its valid count; each block's
+        /// valid count is the number of mapped pages in it and the number
+        /// of its pages with a `holder`; `rmap` inverts `map`. Derives
+        /// the tables first.
         fn check_invariants(&mut self) {
             self.derive_tables();
             let filed = |v: usize, b: usize| {
@@ -784,26 +991,38 @@ mod tests {
             }
             let filed_total: u32 = self.closed.len.iter().sum();
             assert_eq!(filed_total as usize, closed);
-            let mapped = self.map.iter().filter(|&&p| p != UNMAPPED).count();
-            let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
-            assert_eq!(valid, mapped);
-            for (lpn, &ppa) in self.map.iter().enumerate() {
+            let ppb = self.pages_per_block;
+            let (map, rmap) = (Ftl::entries(&self.map, self.map_room()), self.dense_rmap());
+            let mut mapped = vec![0u16; self.valid.len()];
+            for (lpn, &ppa) in map.iter().enumerate() {
                 if ppa != UNMAPPED {
-                    assert_eq!(self.rmap[ppa as usize], lpn as u32, "rmap of lpn {lpn}");
+                    assert_eq!(rmap[ppa as usize], lpn as u32, "rmap of lpn {lpn}");
+                    mapped[(ppa / ppb) as usize] += 1;
                 }
             }
-            let inverse = self.rmap.iter().filter(|&&l| l != UNMAPPED).count();
-            assert_eq!(inverse, mapped, "rmap holds stale pages");
+            assert_eq!(self.valid, mapped, "valid counts");
+            let mut accepted = vec![0u16; self.valid.len()];
+            for ppa in 0..rmap.len() as u32 {
+                accepted[(ppa / ppb) as usize] += u16::from(self.holder(ppa).is_some());
+            }
+            assert_eq!(self.valid, accepted, "a stale page has a holder");
         }
 
-        /// Same mapping, valid counts, closed buckets, free list and
-        /// active block and page as `other`. Derives both sides' tables
-        /// first.
+        /// Same mapping, `rmap` on valid pages, valid counts, closed
+        /// buckets, free list and active block and page as `other`.
+        /// Derives both sides' tables first.
         fn assert_same(&mut self, other: &mut Ftl, command: usize) {
             self.derive_tables();
             other.derive_tables();
-            assert!(self.map == other.map, "map differs after command {command}");
-            assert!(self.rmap == other.rmap, "rmap differs after {command}");
+            let len = self.map_room().min(other.map_room());
+            let map = Ftl::entries(&self.map, len);
+            let same = map == Ftl::entries(&other.map, len);
+            assert!(same, "map differs after command {command}");
+            let (rmap, other_rmap) = (self.dense_rmap(), other.dense_rmap());
+            for &ppa in map.iter().filter(|&&ppa| ppa != UNMAPPED) {
+                let ppa = ppa as usize;
+                assert_eq!(rmap[ppa], other_rmap[ppa], "rmap of {ppa} after {command}");
+            }
             assert!(self.valid == other.valid, "valid differs after {command}");
             assert!(
                 self.closed.bits == other.closed.bits && self.closed.len == other.closed.len,
@@ -822,11 +1041,16 @@ mod tests {
     }
 
     impl Ssd {
-        /// The eager FTL the map-only state replaced, kept as the
-        /// reference: a device that derives its tables at construction and
-        /// so keeps every table from its first write on.
+        /// The eager FTL the map-only state replaced, on the dense tables
+        /// the pages replaced, kept as the reference: a device that holds
+        /// every table entry from construction and derives its tables
+        /// there, so it keeps every table from its first write on.
         fn eager(cfg: SsdConfig) -> Ssd {
             let mut ssd = Ssd::new(cfg);
+            let geometry = ssd.cfg.geometry().unwrap();
+            let ppb = ssd.cfg.pages_per_block as usize;
+            ssd.ftl.map = Table::Dense(vec![UNMAPPED; geometry.logical_pages as usize].into());
+            ssd.ftl.rmap = Table::Dense(vec![UNMAPPED; geometry.total_blocks * ppb].into());
             ssd.ftl.derive_tables();
             ssd
         }
@@ -839,7 +1063,9 @@ mod tests {
             let mut over_bytes = 0;
             let mut cost = FlashCost::default();
             for lpn in offset / ps..=(offset + len - 1) / ps {
-                if self.ftl.write_page(lpn, &mut cost) {
+                let mut over = Overwritten::default();
+                self.ftl.write_page(lpn, &mut cost, &mut over);
+                if over.pages == 1 {
                     let start = offset.max(lpn * ps);
                     let end = (offset + len).min((lpn + 1) * ps);
                     over_bytes += end.saturating_sub(start);
@@ -984,49 +1210,80 @@ mod tests {
         }
     }
 
-    /// Runs `(offset, len)` writes on two `op25` devices, one keeping only
-    /// its map until its GC horizon and one derived at construction. After
-    /// each command both must agree on completion time, every counter and
-    /// the map, and once the first has derived, on every table. Returns the
+    /// 32 768 logical pages of 512 B (two `map` pages) in 854 blocks of
+    /// 48 (three `rmap` pages, with blocks straddling their edges): the
+    /// GC horizon is page 803 × 48 = 38 544.
+    fn across_table_pages() -> SsdConfig {
+        SsdConfig {
+            page_size: 512,
+            pages_per_block: 48,
+            capacity: 16 << 20,
+            over_provision: 0.25,
+            ..SsdConfig::default()
+        }
+    }
+
+    /// Runs `(offset, len)` writes on two `cfg` devices, one on paged
+    /// tables keeping only its map until its GC horizon, and one on dense
+    /// tables derived at construction. After each command both must agree
+    /// on completion time, every counter and the map, and once the first
+    /// has derived, on every table. Returns the paged device and the
     /// command that derived it, if any did.
-    fn map_only_matches_eager(commands: impl Iterator<Item = (u64, u64)>) -> Option<usize> {
-        let (mut lazy, mut eager) = (Ssd::new(op25()), Ssd::eager(op25()));
+    fn map_only_matches_eager(
+        cfg: SsdConfig,
+        commands: impl Iterator<Item = (u64, u64)>,
+    ) -> (Ssd, Option<usize>) {
+        let (mut lazy, mut eager) = (Ssd::new(cfg.clone()), Ssd::eager(cfg));
         let mut derived_at = None;
+        let logical = eager.ftl.map_room();
         for (i, (offset, len)) in commands.enumerate() {
             let op = IoOp::write(offset, len, Pattern::Random);
             assert_eq!(lazy.submit(0, op), eager.submit(0, op), "command {i}");
             assert_eq!(lazy.stats(), eager.stats(), "stats after {i}");
-            assert!(lazy.ftl.map == eager.ftl.map, "map differs after {i}");
             if lazy.ftl.derived {
                 if derived_at.is_none() {
                     derived_at = Some(i);
                     lazy.ftl.check_invariants();
                 }
                 lazy.ftl.assert_same(&mut eager.ftl, i);
+            } else {
+                let same =
+                    Ftl::entries(&lazy.ftl.map, logical) == Ftl::entries(&eager.ftl.map, logical);
+                assert!(same, "map differs after {i}");
             }
         }
         if derived_at.is_some() {
             lazy.ftl.check_invariants();
         }
-        derived_at
+        (lazy, derived_at)
     }
 
     /// `map_only_matches_eager` on a stream that must run well past the
     /// horizon: the device derives after its first command and collects.
-    fn map_only_matches_eager_past_the_horizon(commands: impl Iterator<Item = (u64, u64)>) {
-        let derived_at = map_only_matches_eager(commands).expect("the stream never derived");
+    /// Returns the paged device.
+    fn map_only_matches_eager_past_the_horizon(
+        cfg: SsdConfig,
+        commands: impl Iterator<Item = (u64, u64)>,
+    ) -> Ssd {
+        let (ssd, derived_at) = map_only_matches_eager(cfg, commands);
+        let derived_at = derived_at.expect("the stream never derived");
         assert!(derived_at > 0, "derived at the first command");
+        assert!(ssd.stats().erases > 0, "the stream never collected");
+        ssd
     }
 
     #[test]
     fn map_only_matches_eager_unaligned_random() {
         let cap = 4 << 20;
         let mut x = 19;
-        map_only_matches_eager_past_the_horizon((0..5_000).map(|_| {
-            // 1 B to 256 KiB, log-spread.
-            let len = 1 + splitmix64(&mut x) % (1 << (splitmix64(&mut x) % 19));
-            (splitmix64(&mut x) % (cap - len + 1), len)
-        }));
+        map_only_matches_eager_past_the_horizon(
+            op25(),
+            (0..5_000).map(|_| {
+                // 1 B to 256 KiB, log-spread.
+                let len = 1 + splitmix64(&mut x) % (1 << (splitmix64(&mut x) % 19));
+                (splitmix64(&mut x) % (cap - len + 1), len)
+            }),
+        );
     }
 
     #[test]
@@ -1035,19 +1292,48 @@ mod tests {
         // crosses the horizon mid-run.
         let cap = 4 << 20;
         let mut pos = 0;
-        map_only_matches_eager_past_the_horizon((0..300).map(|_| {
-            let offset = pos % cap;
-            let len = (3 * (256 << 10) + 12_388).min(cap - offset);
-            pos = offset + len;
-            (offset, len)
-        }));
+        map_only_matches_eager_past_the_horizon(
+            op25(),
+            (0..300).map(|_| {
+                let offset = pos % cap;
+                let len = (3 * (256 << 10) + 12_388).min(cap - offset);
+                pos = offset + len;
+                (offset, len)
+            }),
+        );
     }
 
     #[test]
     fn map_only_matches_eager_hammering_even_pages() {
         let fill = (0..1024).map(|p| (p * 4096, 4096));
         let hammer = (0..8).flat_map(|_| (0..1024).step_by(2).map(|p| (p * 4096, 4096)));
-        map_only_matches_eager_past_the_horizon(fill.chain(hammer));
+        let ssd = map_only_matches_eager_past_the_horizon(op25(), fill.chain(hammer));
+        assert!(ssd.stats().gc_relocated_pages > 0, "hammering relocates");
+    }
+
+    #[test]
+    fn map_only_matches_eager_across_table_pages() {
+        // Fill the device with ragged commands that straddle the map's
+        // page edge, then write 512 B to 64 KiB, three quarters of it on
+        // an eighth of the device: GC relocates the cold pages.
+        let cap = 16 << 20;
+        let fill = (0..cap)
+            .step_by(208 << 10)
+            .map(|o| (o, (208 << 10).min(cap - o)));
+        let mut x = 29;
+        let hot_cold = (0..1_500).map(move |_| {
+            let len = 512 * (1 + splitmix64(&mut x) % 128);
+            let span = if splitmix64(&mut x).is_multiple_of(4) {
+                cap
+            } else {
+                cap / 8
+            };
+            (splitmix64(&mut x) % (span - len + 1), len)
+        });
+        let ssd =
+            map_only_matches_eager_past_the_horizon(across_table_pages(), fill.chain(hot_cold));
+        assert_eq!(ssd.ftl.table_pages(), (2, 3));
+        assert!(ssd.stats().gc_relocated_pages > 0, "cold pages relocate");
     }
 
     proptest::proptest! {
@@ -1061,6 +1347,7 @@ mod tests {
         ) {
             let cap = 4 << 20;
             map_only_matches_eager(
+                op25(),
                 commands.into_iter().map(|(offset, len)| (offset % (cap - len + 1), len)),
             );
         }
@@ -1077,8 +1364,9 @@ mod tests {
         assert!(!ssd.ftl.derived);
         assert_eq!(ssd.ftl.programmed(), horizon);
         assert_eq!((ssd.ftl.active_block, ssd.ftl.active_next_page), (18, 64));
-        assert!(
-            ssd.ftl.rmap.iter().all(|&l| l == UNMAPPED),
+        assert_eq!(
+            ssd.ftl.table_pages(),
+            (1, 0),
             "rmap written before the horizon"
         );
         assert!(ssd.ftl.valid.iter().all(|&v| v == 0), "valid counted");
@@ -1087,6 +1375,33 @@ mod tests {
         ssd.submit(0, IoOp::write(0, 4096, Pattern::Random));
         assert!(ssd.ftl.derived, "the horizon page derives");
         assert!(ssd.stats().erases > 0, "the horizon page collects");
+        ssd.ftl.check_invariants();
+    }
+
+    #[test]
+    fn tables_hold_pages_only_where_written() {
+        let mut ssd = Ssd::with_defaults();
+        assert_eq!(ssd.ftl.table_pages(), (0, 0), "a fresh device");
+        // A `map` page covers 64 MiB of logical space. These writes touch
+        // map pages 0, 5, 9 and 10 and program physical pages 0 to 3.
+        let span = TABLE_PAGE as u64 * 4096;
+        for (offset, len) in [
+            (0, 4096),
+            (5 * span + 7 * 4096, 4096),
+            (10 * span - 4096, 8192),
+        ] {
+            ssd.submit(0, IoOp::write(offset, len, Pattern::Random));
+        }
+        assert_eq!(ssd.ftl.table_pages(), (4, 0));
+        // Map pages 1 to 4, programming physical pages 4 to 65 539.
+        for page in 1..5 {
+            ssd.submit(0, IoOp::write(page * span, span, Pattern::Sequential));
+        }
+        assert_eq!(ssd.ftl.table_pages(), (8, 0));
+        assert!(!ssd.ftl.derived);
+        // Every programmed page is mapped: `rmap` pages 0 to 4.
+        ssd.ftl.derive_tables();
+        assert_eq!(ssd.ftl.table_pages(), (8, 5));
         ssd.ftl.check_invariants();
     }
 

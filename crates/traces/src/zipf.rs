@@ -13,10 +13,12 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^θ`, rank 1's weight: a draw with `u · ζ(n)` in `[1, 1 + 0.5^θ)`
+    /// is rank 1.
+    half_pow_theta: f64,
 }
 
 impl Zipf {
@@ -33,10 +35,10 @@ impl Zipf {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipf {
             n,
-            theta,
             alpha,
             zetan,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -57,11 +59,6 @@ impl Zipf {
         self.n
     }
 
-    /// Skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws one sample in `0..n` (0 is the most popular item).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.random();
@@ -69,7 +66,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1.min(self.n - 1);
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
