@@ -58,11 +58,6 @@ impl Table {
     fn segments(&mut self, start: usize, len: usize, mut f: impl FnMut(&mut [u32])) {
         match self {
             Table::Paged(pages) => {
-                // Nearly every run lies in one page: one slice, no loop.
-                let (page, offset) = (start / TABLE_PAGE, start % TABLE_PAGE);
-                if len <= TABLE_PAGE - offset {
-                    return f(&mut page_mut(&mut pages[page])[offset..offset + len]);
-                }
                 let end = start + len;
                 let mut at = start;
                 while at < end {
@@ -292,12 +287,9 @@ impl SsdConfig {
 /// the victim is found without visiting every block).
 ///
 /// `map` and `rmap` are paged (see `Table`): a device holds only the
-/// 64 KiB table pages it has written, `rmap` none before derivation.
-/// An overwrite does not clear the old page's `rmap` entry. As on a real
-/// FTL's out-of-band check, physical page `ppa` is valid iff
-/// `map[rmap[ppa]] == ppa`: `rmap[ppa]` names the last logical page
-/// programmed there, which still maps there iff the page holds its
-/// current copy. GC scans a victim only until it has relocated the
+/// 64 KiB table pages it has written, `rmap` none before derivation. An
+/// overwrite clears the old page's `rmap` entry, so `rmap` maps exactly
+/// the valid pages. GC scans a victim only until it has relocated the
 /// block's valid count, so a fully invalid victim costs no scan.
 ///
 /// A write command arrives as one run of logical pages and is programmed
@@ -314,8 +306,7 @@ pub struct Ftl {
     pages_per_block: u32,
     /// lpn -> ppa
     map: Table,
-    /// ppa -> the lpn last programmed there (see the type doc); empty
-    /// before derivation
+    /// ppa -> lpn (no page before derivation)
     rmap: Table,
     /// valid page count per physical block
     valid: Vec<u16>,
@@ -408,26 +399,6 @@ struct FlashCost {
     blocks_scanned: u64,
 }
 
-/// Which of a write's logical pages had been written before it.
-#[derive(Debug, Default)]
-struct Overwritten {
-    /// How many had.
-    pages: u64,
-    /// Whether the first had; `None` before any page is counted.
-    head: Option<bool>,
-    /// Whether the last one counted had.
-    tail: bool,
-}
-
-impl Overwritten {
-    /// Notes the ends of the `slots` a write is about to store into, in
-    /// order, after the ones noted so far; the caller counts `pages`.
-    fn note_ends(&mut self, slots: &[u32]) {
-        self.head.get_or_insert(slots[0] != UNMAPPED);
-        self.tail = slots[slots.len() - 1] != UNMAPPED;
-    }
-}
-
 /// Drops `n` valid pages from block `blk`, refiling it once if closed.
 fn invalidate(valid: &mut [u16], closed: &mut ValidBuckets, active: u32, blk: u32, n: u16) {
     if n == 0 {
@@ -499,45 +470,43 @@ impl Ftl {
 
     /// Writes the `pages` logical pages from `first` on, chunk by chunk
     /// (see [`Ftl`]), adding the wear cost incurred (including any GC the
-    /// writes triggered) to `cost`; returns which of them had been written
-    /// before.
-    fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> Overwritten {
-        let mut over = Overwritten::default();
+    /// writes triggered) to `cost`; returns how many of them had been
+    /// written before.
+    fn write_run(&mut self, first: u64, pages: u64, cost: &mut FlashCost) -> u64 {
         if !self.derived {
             let n = self.programmed();
             if n + pages <= self.horizon() {
-                self.bump_map(first, pages, n, &mut over);
-                cost.host_pages += pages;
-                return over;
+                return self.bump_map(first, pages, n, cost);
             }
             self.derive_tables();
         }
         let end = first + pages;
         let mut lpn = first;
+        let mut mapped = 0;
         while lpn < end {
             let room = self.pages_per_block - self.active_next_page;
             if room == 0 {
-                self.write_page(lpn, cost, &mut over);
+                mapped += u64::from(self.write_page(lpn, cost));
                 lpn += 1;
             } else {
                 let k = (end - lpn).min(u64::from(room)) as u32;
-                self.fill_active(lpn, k, cost, &mut over);
+                mapped += self.fill_active(lpn, k, cost);
                 lpn += u64::from(k);
             }
         }
-        over
+        mapped
     }
 
     /// Writes the `pages` logical pages from `first` on before the first
     /// GC, where the `n`-th programmed page sits at physical page `n`:
-    /// only `map` and the active page change. Counts the pages written
-    /// before into `over`.
-    fn bump_map(&mut self, first: u64, pages: u64, n: u64, over: &mut Overwritten) {
+    /// only `map` and the active page change. Returns how many had been
+    /// written before.
+    fn bump_map(&mut self, first: u64, pages: u64, n: u64, cost: &mut FlashCost) -> u64 {
         let mut ppa = n as u32;
+        let mut mapped = 0;
         self.map.segments(first as usize, pages as usize, |slots| {
-            over.note_ends(slots);
             for slot in slots {
-                over.pages += u64::from(*slot != UNMAPPED);
+                mapped += u64::from(*slot != UNMAPPED);
                 *slot = ppa;
                 ppa += 1;
             }
@@ -547,19 +516,19 @@ impl Ftl {
         let active = (end - 1) / ppb;
         self.active_block = active as u32;
         self.active_next_page = (end - active * ppb) as u32;
+        cost.host_pages += pages;
+        mapped
     }
 
     /// Writes one logical page, adding the wear cost incurred (including
-    /// any GC this write triggered) to `cost` and counting the page into
-    /// `over` if it had been written before.
-    fn write_page(&mut self, lpn: u64, cost: &mut FlashCost, over: &mut Overwritten) {
-        // Unmap the page while GC may run, so no victim relocates it.
-        let slot = self.map.slot(lpn as usize);
-        over.note_ends(std::slice::from_ref(slot));
-        let old = std::mem::replace(slot, UNMAPPED);
-        if old != UNMAPPED {
-            over.pages += 1;
-            let ppb = self.pages_per_block;
+    /// any GC this write triggered) to `cost`; returns whether the page
+    /// had been written before.
+    fn write_page(&mut self, lpn: u64, cost: &mut FlashCost) -> bool {
+        let ppb = self.pages_per_block;
+        // Invalidate the previous location.
+        let old = self.map.get(lpn as usize);
+        let overwrite = old != UNMAPPED;
+        if overwrite {
             invalidate(
                 &mut self.valid,
                 &mut self.closed,
@@ -567,33 +536,36 @@ impl Ftl {
                 old / ppb,
                 1,
             );
+            *self.rmap.slot(old as usize) = UNMAPPED;
         }
         let ppa = self.allocate_page(cost);
         *self.map.slot(lpn as usize) = ppa;
         *self.rmap.slot(ppa as usize) = lpn as u32;
-        self.valid[(ppa / self.pages_per_block) as usize] += 1;
+        self.valid[(ppa / ppb) as usize] += 1;
         cost.host_pages += 1;
+        overwrite
     }
 
     /// Writes the `k` logical pages from `lpn` on into the next `k` pages
-    /// of the active block, which must have room for them, counting the
-    /// pages written before into `over`.
-    fn fill_active(&mut self, lpn: u64, k: u32, cost: &mut FlashCost, over: &mut Overwritten) {
+    /// of the active block, which must have room for them; returns how
+    /// many had been written before.
+    fn fill_active(&mut self, lpn: u64, k: u32, cost: &mut FlashCost) -> u64 {
         let ppb = self.pages_per_block;
         debug_assert!(k <= ppb - self.active_next_page);
         let active = self.active_block;
         let base = active * ppb + self.active_next_page;
-        let (valid, closed) = (&mut self.valid, &mut self.closed);
+        let (valid, closed, rmap) = (&mut self.valid, &mut self.closed, &mut self.rmap);
+        let mut mapped = 0;
         // The stretch of consecutive old locations in one block.
         let (mut stretch_block, mut stretch) = (UNMAPPED, 0);
         let mut ppa = base;
         self.map.segments(lpn as usize, k as usize, |slots| {
-            over.note_ends(slots);
             for slot in slots {
                 let old = std::mem::replace(slot, ppa);
                 ppa += 1;
                 if old != UNMAPPED {
-                    over.pages += 1;
+                    mapped += 1;
+                    *rmap.slot(old as usize) = UNMAPPED;
                     let blk = old / ppb;
                     if blk != stretch_block {
                         invalidate(valid, closed, active, stretch_block, stretch);
@@ -604,16 +576,19 @@ impl Ftl {
             }
         });
         invalidate(valid, closed, active, stretch_block, stretch);
+        // The new locations are erased pages of the active block, none of
+        // them an old location cleared above.
         let mut next = lpn as u32;
-        self.rmap.segments(base as usize, k as usize, |slots| {
+        rmap.segments(base as usize, k as usize, |slots| {
             for slot in slots {
                 *slot = next;
                 next += 1;
             }
         });
-        self.valid[active as usize] += k as u16;
+        valid[active as usize] += k as u16;
         self.active_next_page += k;
         cost.host_pages += u64::from(k);
+        mapped
     }
 
     fn allocate_page(&mut self, cost: &mut FlashCost) -> u32 {
@@ -637,13 +612,6 @@ impl Ftl {
         ppa
     }
 
-    /// The logical page whose current copy physical page `ppa` holds, if
-    /// any (see [`Ftl`]).
-    fn holder(&self, ppa: u32) -> Option<u32> {
-        let lpn = self.rmap.get(ppa as usize);
-        (lpn != UNMAPPED && self.map.get(lpn as usize) == ppa).then_some(lpn)
-    }
-
     fn collect_garbage(&mut self, cost: &mut FlashCost) {
         self.gc_active = true;
         while self.free_blocks.len() < self.gc_threshold_blocks {
@@ -665,14 +633,17 @@ impl Ftl {
                 if self.valid[victim] == 0 {
                     break;
                 }
-                if let Some(lpn) = self.holder(ppa) {
-                    self.valid[victim] -= 1;
-                    let new_ppa = self.allocate_page(cost);
-                    *self.map.slot(lpn as usize) = new_ppa;
-                    *self.rmap.slot(new_ppa as usize) = lpn;
-                    self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
-                    cost.moved_pages += 1;
+                let lpn = self.rmap.get(ppa as usize);
+                if lpn == UNMAPPED {
+                    continue;
                 }
+                *self.rmap.slot(ppa as usize) = UNMAPPED;
+                self.valid[victim] -= 1;
+                let new_ppa = self.allocate_page(cost);
+                *self.map.slot(lpn as usize) = new_ppa;
+                *self.rmap.slot(new_ppa as usize) = lpn;
+                self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
+                cost.moved_pages += 1;
             }
             debug_assert_eq!(self.valid[victim], 0);
             cost.erases += 1;
@@ -812,24 +783,28 @@ impl Ssd {
     ///
     /// Overwrites count at page granularity: a page was written before iff
     /// it is mapped, which holds for the whole command (GC moves mapped
-    /// pages, it never unmaps one), so the write loop reports it as it
-    /// stores each page. The overwritten bytes are the mapped pages, less
-    /// the unwritten head of the first page and tail of the last one where
-    /// those were mapped.
+    /// pages, it never unmaps one). The overwritten bytes are the mapped
+    /// pages, less the unwritten head of the first page and tail of the
+    /// last one where those were mapped.
     fn program(&mut self, offset: u64, len: u64) -> SimTime {
         let ps = self.cfg.page_size;
         let end = offset + len;
         let first = offset / ps;
         let last = (end - 1) / ps;
-        let mut cost = FlashCost::default();
-        let over = self.ftl.write_run(first, last - first + 1, &mut cost);
-        let head = if over.head == Some(true) {
+        let mapped = |lpn: u64| self.ftl.map.get(lpn as usize) != UNMAPPED;
+        let head = if mapped(first) {
             offset - first * ps
         } else {
             0
         };
-        let tail = if over.tail { (last + 1) * ps - end } else { 0 };
-        self.book_flash(over.pages * ps - head - tail, cost)
+        let tail = if mapped(last) {
+            (last + 1) * ps - end
+        } else {
+            0
+        };
+        let mut cost = FlashCost::default();
+        let overwritten = self.ftl.write_run(first, last - first + 1, &mut cost);
+        self.book_flash(overwritten * ps - head - tail, cost)
     }
 
     /// Books a write's overwritten bytes and flash cost in the statistics;
@@ -955,9 +930,8 @@ mod tests {
 
         /// Free, active and closed partition the blocks; every closed block
         /// sits in exactly the bucket of its valid count; each block's
-        /// valid count is the number of mapped pages in it and the number
-        /// of its pages with a `holder`; `rmap` inverts `map`. Derives
-        /// the tables first.
+        /// valid count is the number of mapped pages in it; `rmap` inverts
+        /// `map` and holds no other page. Derives the tables first.
         fn check_invariants(&mut self) {
             self.derive_tables();
             let filed = |v: usize, b: usize| {
@@ -1001,28 +975,22 @@ mod tests {
                 }
             }
             assert_eq!(self.valid, mapped, "valid counts");
-            let mut accepted = vec![0u16; self.valid.len()];
-            for ppa in 0..rmap.len() as u32 {
-                accepted[(ppa / ppb) as usize] += u16::from(self.holder(ppa).is_some());
-            }
-            assert_eq!(self.valid, accepted, "a stale page has a holder");
+            let inverse = rmap.iter().filter(|&&l| l != UNMAPPED).count();
+            let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
+            assert_eq!(inverse, valid, "rmap holds stale pages");
         }
 
-        /// Same mapping, `rmap` on valid pages, valid counts, closed
-        /// buckets, free list and active block and page as `other`.
-        /// Derives both sides' tables first.
+        /// Same mapping, valid counts, closed buckets, free list and
+        /// active block and page as `other`. Derives both sides' tables
+        /// first.
         fn assert_same(&mut self, other: &mut Ftl, command: usize) {
             self.derive_tables();
             other.derive_tables();
             let len = self.map_room().min(other.map_room());
-            let map = Ftl::entries(&self.map, len);
-            let same = map == Ftl::entries(&other.map, len);
+            let same = Ftl::entries(&self.map, len) == Ftl::entries(&other.map, len);
             assert!(same, "map differs after command {command}");
-            let (rmap, other_rmap) = (self.dense_rmap(), other.dense_rmap());
-            for &ppa in map.iter().filter(|&&ppa| ppa != UNMAPPED) {
-                let ppa = ppa as usize;
-                assert_eq!(rmap[ppa], other_rmap[ppa], "rmap of {ppa} after {command}");
-            }
+            let same = self.dense_rmap() == other.dense_rmap();
+            assert!(same, "rmap differs after {command}");
             assert!(self.valid == other.valid, "valid differs after {command}");
             assert!(
                 self.closed.bits == other.closed.bits && self.closed.len == other.closed.len,
@@ -1063,9 +1031,7 @@ mod tests {
             let mut over_bytes = 0;
             let mut cost = FlashCost::default();
             for lpn in offset / ps..=(offset + len - 1) / ps {
-                let mut over = Overwritten::default();
-                self.ftl.write_page(lpn, &mut cost, &mut over);
-                if over.pages == 1 {
+                if self.ftl.write_page(lpn, &mut cost) {
                     let start = offset.max(lpn * ps);
                     let end = (offset + len).min((lpn + 1) * ps);
                     over_bytes += end.saturating_sub(start);
