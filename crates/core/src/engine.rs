@@ -14,7 +14,7 @@
 //! its data blocks, no matter how many writer and recycler threads raced.
 //! The cluster simulator reuses the same pool/index types with ghost
 //! payloads for performance modelling; this engine runs them with real
-//! bytes and real `parking_lot`/`crossbeam` concurrency.
+//! bytes on real threads, locking through the `parking_lot` API.
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,20 +1,18 @@
 //! Node-local read cache and write-staging layer, composable over any
-//! [`UpdateMethod`] as a decorator.
+//! built-in [`UpdateMethod`] as a decorator.
 //!
-//! [`Cached`] wraps a registered driver (built-in or out-of-tree) without
-//! the driver knowing: it interposes on the read path with an LRU page
-//! cache ([`PageCache`]) and on the update path with a per-node
-//! write-coalescing staging buffer that absorbs overlapping 4 KiB updates
-//! into one downstream delta. Flushes happen on the simulation timeline —
+//! [`Cached`] wraps a built-in driver without the driver knowing: it
+//! interposes on the read path with an LRU page cache ([`PageCache`]) and
+//! on the update path with a per-node write-coalescing staging buffer
+//! that absorbs overlapping 4 KiB updates into one downstream delta. Flushes happen on the simulation timeline —
 //! at a size threshold, at an age deadline after the first unflushed
 //! byte, and unconditionally at drain.
 //!
 //! Composition is spelled in the method-spec grammar
-//! ([`crate::methods::spec`]): `"lru(64MiB)+FO"` is FO behind a 64 MiB
-//! LRU; `"stage(8MiB,2ms)+lru(64MiB)+PLR"` stages writes *and* caches
-//! reads over PLR. [`crate::config::ClusterConfigBuilder::cache`] /
-//! [`crate::config::ClusterConfigBuilder::staging`] arm the same layers
-//! programmatically.
+//! ([`crate::methods::spec`]), the only way to arm these layers:
+//! `"lru(64MiB)+FO"` is FO behind a 64 MiB LRU;
+//! `"stage(8MiB,2ms)+lru(64MiB)+PLR"` stages writes *and* caches reads
+//! over PLR.
 //!
 //! Semantics under the consistency oracle: a staged update is acked to
 //! the client at arrival (the buffer is the durability point, as in a
@@ -34,7 +32,6 @@
 pub mod policy;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use simdes::{Sim, SimTime};
@@ -42,76 +39,11 @@ use simdes::{Sim, SimTime};
 use crate::cluster::{Cluster, IntervalSet};
 use crate::config::ClusterConfig;
 use crate::layout::{BlockAddr, BlockSlice};
-use crate::methods::spec::{Decorator, MethodSpec, ResolveError};
+use crate::methods::spec::{Decorator, MethodSpec};
 use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 
 pub use policy::{PageCache, PAGE_BYTES};
-
-/// Read-cache configuration for [`Cached`] /
-/// [`crate::config::ClusterConfigBuilder::cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Per-node capacity in bytes (at least one 4 KiB page).
-    pub bytes: u64,
-}
-
-impl CacheConfig {
-    /// An LRU cache of `bytes` capacity.
-    pub fn new(bytes: u64) -> CacheConfig {
-        CacheConfig { bytes }
-    }
-
-    fn validate(&self) -> Result<(), ResolveError> {
-        if self.bytes < PAGE_BYTES {
-            return Err(ResolveError::BadDecorator {
-                what: self.decorator().to_string(),
-                reason: format!("cache size must be >= {PAGE_BYTES} B"),
-            });
-        }
-        Ok(())
-    }
-
-    fn decorator(&self) -> Decorator {
-        Decorator::Cache { bytes: self.bytes }
-    }
-}
-
-/// Write-staging configuration for [`Cached`] /
-/// [`crate::config::ClusterConfigBuilder::staging`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagingConfig {
-    /// Per-node flush threshold: staged (post-coalescing) bytes.
-    pub bytes: u64,
-    /// Flush age: nanoseconds after the first byte staged into an empty
-    /// buffer.
-    pub age_ns: u64,
-}
-
-impl StagingConfig {
-    /// A staging buffer flushing at `bytes` staged or `age_ns` after the
-    /// first unflushed byte, whichever comes first.
-    pub fn new(bytes: u64, age_ns: u64) -> StagingConfig {
-        StagingConfig { bytes, age_ns }
-    }
-
-    fn validate(&self) -> Result<(), ResolveError> {
-        if self.bytes < PAGE_BYTES || self.age_ns == 0 {
-            return Err(ResolveError::BadDecorator {
-                what: self.decorator().to_string(),
-                reason: format!("stage needs size >= {PAGE_BYTES} B and a positive age"),
-            });
-        }
-        Ok(())
-    }
-
-    fn decorator(&self) -> Decorator {
-        Decorator::Stage {
-            bytes: self.bytes,
-            age_ns: self.age_ns,
-        }
-    }
-}
 
 /// One node's write-staging buffer: coalesced byte ranges per block,
 /// keyed deterministically (BTreeMap — flush replay order must be
@@ -174,92 +106,49 @@ impl NodeLogState for CacheNodeState {
 
 /// The cache/staging decorator: an [`UpdateMethod`] wrapping another.
 ///
-/// Build one with [`Cached::wrap`] (explicit configs) or [`Cached::apply`]
-/// (parsed [`Decorator`]s); the usual entry points are a method-spec
-/// string (`"stage(8MiB,2ms)+lru(64MiB)+PLR"`) through
-/// [`crate::methods::build_method`], or the
-/// [`crate::config::ClusterConfigBuilder`] setters.
+/// [`crate::methods::build_method`] builds one from a decorated spec
+/// string (`"stage(8MiB,2ms)+lru(64MiB)+PLR"`), wrapping a built-in once.
 #[derive(Debug)]
 pub struct Cached {
     name: String,
     inner: Arc<dyn UpdateMethod>,
-    cache: Option<CacheConfig>,
-    staging: Option<StagingConfig>,
+    /// `lru(SIZE)`: per-node read-cache capacity in bytes.
+    cache_bytes: Option<u64>,
+    /// `stage(SIZE,AGE)`: per-node flush threshold in staged
+    /// (post-coalescing) bytes, and flush age in nanoseconds after the
+    /// first byte staged into an empty buffer.
+    stage: Option<(u64, u64)>,
 }
 
 impl Cached {
-    /// Wraps `inner` with the given layers. With both `None` the wrap is
-    /// an identity (returns `inner` unchanged). Rejects invalid sizes and
-    /// double-wrapping (an `inner` whose name already carries decorators):
-    /// the outermost [`CacheNodeState`] would shadow the nested one in
-    /// every downcast, so stacked cache layers are refused, not silently
-    /// misbehaving.
-    pub fn wrap(
-        inner: Arc<dyn UpdateMethod>,
-        cache: Option<CacheConfig>,
-        staging: Option<StagingConfig>,
-    ) -> Result<Arc<dyn UpdateMethod>, ResolveError> {
-        if cache.is_none() && staging.is_none() {
-            return Ok(inner);
-        }
-        if let Some(c) = &cache {
-            c.validate()?;
-        }
-        if let Some(s) = &staging {
-            s.validate()?;
-        }
-        if let Ok(spec) = MethodSpec::parse(inner.name()) {
-            if !spec.decorators.is_empty() {
-                return Err(ResolveError::BadDecorator {
-                    what: inner.name().to_string(),
-                    reason: "method is already wrapped in a cache/staging layer".to_string(),
-                });
-            }
-        }
-        let mut name = String::new();
-        if let Some(s) = &staging {
-            let _ = write!(name, "{}+", s.decorator());
-        }
-        if let Some(c) = &cache {
-            let _ = write!(name, "{}+", c.decorator());
-        }
-        name.push_str(inner.name());
-        Ok(Arc::new(Cached {
-            name,
-            inner,
-            cache,
-            staging,
-        }))
-    }
-
-    /// Applies parsed spec decorators to `inner` (empty slice → identity).
-    pub fn apply(
-        inner: Arc<dyn UpdateMethod>,
-        decorators: &[Decorator],
-    ) -> Result<Arc<dyn UpdateMethod>, ResolveError> {
-        let mut cache = None;
-        let mut staging = None;
+    /// Wraps `inner` in the layers `decorators` arm (as parsed, so valid
+    /// and at most one of each). The name renders them in canonical order,
+    /// stage before lru, whatever order the spec wrote them in. `inner`
+    /// must not be a `Cached`: an outer [`CacheNodeState`] would shadow
+    /// the inner one in every downcast. [`crate::methods::build_method`],
+    /// the only caller, passes a built-in.
+    pub(crate) fn new(inner: Arc<dyn UpdateMethod>, decorators: &[Decorator]) -> Cached {
+        let mut cache_bytes = None;
+        let mut stage = None;
         for d in decorators {
             match *d {
-                Decorator::Cache { bytes } => {
-                    if cache.replace(CacheConfig { bytes }).is_some() {
-                        return Err(ResolveError::BadDecorator {
-                            what: d.to_string(),
-                            reason: "duplicate cache decorator".to_string(),
-                        });
-                    }
-                }
-                Decorator::Stage { bytes, age_ns } => {
-                    if staging.replace(StagingConfig { bytes, age_ns }).is_some() {
-                        return Err(ResolveError::BadDecorator {
-                            what: d.to_string(),
-                            reason: "duplicate stage decorator".to_string(),
-                        });
-                    }
-                }
+                Decorator::Cache { bytes } => cache_bytes = Some(bytes),
+                Decorator::Stage { bytes, age_ns } => stage = Some((bytes, age_ns)),
             }
         }
-        Cached::wrap(inner, cache, staging)
+        let mut decorators = decorators.to_vec();
+        decorators.sort_by_key(|d| matches!(d, Decorator::Cache { .. }));
+        let name = MethodSpec {
+            decorators,
+            base: inner.name().to_string(),
+        }
+        .to_string();
+        Cached {
+            name,
+            inner,
+            cache_bytes,
+            stage,
+        }
     }
 
     /// Stages `ctx`'s range on its data node and acks the client. Returns
@@ -269,7 +158,7 @@ impl Cached {
         sim: &mut Sim<Cluster>,
         cl: &mut Cluster,
         ctx: UpdateCtx,
-        scfg: StagingConfig,
+        (flush_bytes, age_ns): (u64, u64),
     ) {
         let slice = ctx.slice;
         let len = slice.len as u64;
@@ -300,7 +189,7 @@ impl Cached {
             sb.bytes += added;
             // Arm the age timer only on the empty→nonempty transition.
             let arm_epoch = (sb.bytes == added && added > 0).then_some(sb.epoch);
-            (added, arm_epoch, sb.bytes >= scfg.bytes)
+            (added, arm_epoch, sb.bytes >= flush_bytes)
         };
 
         cl.metrics.staged_bytes += len;
@@ -321,7 +210,7 @@ impl Cached {
             flush_node(sim, cl, &self.inner, node, t_arrive);
         } else if let Some(epoch) = arm_epoch {
             let inner = Arc::clone(&self.inner);
-            let deadline = t_arrive + scfg.age_ns;
+            let deadline = t_arrive + age_ns;
             sim.schedule_at(deadline.max(sim.now()), move |sim, cl: &mut Cluster| {
                 let live = cl.nodes[node]
                     .state
@@ -394,8 +283,8 @@ impl UpdateMethod for Cached {
 
     fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
         Box::new(CacheNodeState {
-            cache: self.cache.map(|c| PageCache::new(c.bytes)),
-            stage: self.staging.map(|_| StageBuf::default()),
+            cache: self.cache_bytes.map(PageCache::new),
+            stage: self.stage.map(|_| StageBuf::default()),
             wrapped: self.inner.new_node_state(cfg),
         })
     }
@@ -405,8 +294,8 @@ impl UpdateMethod for Cached {
     }
 
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        if let Some(scfg) = self.staging {
-            self.stage_update(sim, cl, ctx, scfg);
+        if let Some(stage) = self.stage {
+            self.stage_update(sim, cl, ctx, stage);
             return;
         }
         // Cache-only: write-allocate so subsequent reads hit, then run
@@ -497,24 +386,22 @@ impl UpdateMethod for Cached {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{Fo, Plr, Tsue};
+    use crate::methods::{build_method, Fo};
+
+    fn build(spec: &str) -> Arc<dyn UpdateMethod> {
+        build_method(&MethodSpec::parse(spec).unwrap()).unwrap()
+    }
 
     #[test]
     fn wrap_is_identity_with_no_layers() {
-        let fo: Arc<dyn UpdateMethod> = Arc::new(Fo);
-        let wrapped = Cached::wrap(Arc::clone(&fo), None, None).unwrap();
-        assert_eq!(wrapped.name(), "FO");
-        assert!(Arc::ptr_eq(&fo, &wrapped));
+        let fo = build("fo");
+        assert_eq!(fo.name(), "FO");
+        assert_eq!(format!("{fo:?}"), format!("{Fo:?}"));
     }
 
     #[test]
     fn wrap_name_is_a_parseable_spec() {
-        let m = Cached::wrap(
-            Arc::new(Plr),
-            Some(CacheConfig::new(64 << 20)),
-            Some(StagingConfig::new(8 << 20, 2_000_000)),
-        )
-        .unwrap();
+        let m = build("lru(64MiB)+stage(8MiB,2ms)+plr");
         assert_eq!(m.name(), "stage(8MiB,2ms)+lru(64MiB)+PLR");
         let spec = MethodSpec::parse(m.name()).unwrap();
         assert_eq!(spec.decorators.len(), 2);
@@ -522,21 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn wrap_rejects_stacking() {
-        let once = Cached::wrap(Arc::new(Fo), Some(CacheConfig::new(1 << 20)), None).unwrap();
-        let twice = Cached::wrap(once, Some(CacheConfig::new(1 << 20)), None);
-        assert!(matches!(twice, Err(ResolveError::BadDecorator { .. })));
-    }
-
-    #[test]
-    fn wrap_validates_sizes() {
-        assert!(Cached::wrap(Arc::new(Fo), Some(CacheConfig::new(100)), None).is_err());
-        assert!(Cached::wrap(Arc::new(Fo), None, Some(StagingConfig::new(8 << 20, 0))).is_err());
-    }
-
-    #[test]
     fn node_state_looks_through_to_wrapped() {
-        let m = Cached::wrap(Arc::new(Tsue), Some(CacheConfig::new(1 << 20)), None).unwrap();
+        let m = build("lru(1MiB)+TSUE");
         let cfg =
             crate::config::ClusterConfig::ssd_testbed(rscode::CodeParams::new(6, 3).unwrap(), m);
         let mut state = cfg.method.new_node_state(&cfg);

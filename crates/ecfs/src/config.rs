@@ -1,8 +1,10 @@
 //! Cluster and method configuration.
 //!
 //! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
-//! driver implementing the trait, built-in ([`crate::methods::builtins`])
-//! or registered out-of-tree via [`crate::methods::MethodRegistry`].
+//! driver implementing the trait: a built-in
+//! ([`crate::methods::builtins`]), possibly behind cache/staging
+//! decorators named by a spec string, or one defined outside this crate
+//! and passed by handle.
 //!
 //! [`ClusterConfig`] holds what experiments vary: the cluster's shape,
 //! devices and fabric, TSUE's Fig. 7 toggles, log-unit size and Fig. 6b
@@ -17,10 +19,8 @@ use simdisk::{HddConfig, SsdConfig};
 use tsue::pool::PoolConfig;
 use tsue::MergeMode;
 
-use crate::cache::{CacheConfig, Cached, StagingConfig};
 use crate::fleet::DiskFleet;
-use crate::methods::spec::MethodSpec;
-use crate::methods::UpdateMethod;
+use crate::methods::{build_method, MethodSpec, UpdateMethod};
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// A rejected configuration, with the reason.
@@ -160,7 +160,7 @@ pub struct ClusterConfig {
     pub placement: Arc<dyn PlacementPolicy>,
     /// Update method under test (trait object; see
     /// [`crate::methods::builtins`] for the built-ins and
-    /// [`crate::methods::MethodRegistry`] for out-of-tree drivers).
+    /// [`crate::methods::build_method`] for decorated spec strings).
     pub method: Arc<dyn UpdateMethod>,
     /// TSUE feature toggles (ignored by other methods).
     pub tsue: TsueFeatures,
@@ -386,8 +386,6 @@ pub struct ClusterConfigBuilder {
     tsue_unit_bytes: Option<u64>,
     tsue_max_units: Option<usize>,
     fl_threshold_bytes: Option<u64>,
-    cache: Option<CacheConfig>,
-    staging: Option<StagingConfig>,
 }
 
 #[derive(Debug, Clone)]
@@ -467,17 +465,18 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// The update method's driver, e.g. `Arc::new(Tsue)`.
+    /// The update method's driver, e.g. `Arc::new(Tsue)`: any
+    /// [`UpdateMethod`], including one defined outside this crate.
     pub fn method(mut self, method: Arc<dyn UpdateMethod>) -> Self {
         self.method = Some(MethodChoice::Driver(method));
         self
     }
 
-    /// The update method as a *spec string* — a registry name with
+    /// The update method as a *spec string* — a built-in's name with
     /// optional cache/staging decorators ([`crate::methods::spec`]) —
-    /// parsed and resolved against
-    /// [`crate::methods::MethodRegistry::global`] at [`Self::build`] time:
-    /// the hook for out-of-tree methods and decorated configurations alike.
+    /// parsed and resolved by [`crate::methods::build_method`] at
+    /// [`Self::build`] time. It is the only way to arm the cache and
+    /// staging layers.
     ///
     /// ```
     /// use ecfs::ClusterConfig;
@@ -495,34 +494,16 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Arms a node-local read cache ([`crate::cache`]) in front of the
-    /// configured method; validated and wrapped at [`Self::build`] time.
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Arms a per-node write-coalescing staging buffer ([`crate::cache`])
-    /// in front of the configured method; validated and wrapped at
-    /// [`Self::build`] time.
-    pub fn staging(mut self, staging: StagingConfig) -> Self {
-        self.staging = Some(staging);
-        self
-    }
-
     /// Assembles and validates the configuration.
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
         let code = self.code.ok_or(ConfigError::from("code is required"))?;
         let method = match self.method {
             Some(MethodChoice::Driver(driver)) => driver,
-            Some(MethodChoice::Name(name)) => {
-                let spec = MethodSpec::parse(&name).map_err(|e| ConfigError(e.to_string()))?;
-                crate::methods::build_method(&spec).map_err(|e| ConfigError(e.to_string()))?
-            }
+            Some(MethodChoice::Name(name)) => MethodSpec::parse(&name)
+                .and_then(|spec| build_method(&spec))
+                .map_err(|e| ConfigError(e.to_string()))?,
             None => return Err("an update method is required".into()),
         };
-        let method = Cached::wrap(method, self.cache, self.staging)
-            .map_err(|e| ConfigError(e.to_string()))?;
         let defaults = ClusterConfig::ssd_testbed(code, Arc::clone(&method));
         let cfg = ClusterConfig {
             nodes: self.nodes.unwrap_or(defaults.nodes),
@@ -615,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_resolves_registry_names() {
+    fn builder_resolves_builtin_names() {
         let cfg = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .method_name("parix")
@@ -627,29 +608,8 @@ mod tests {
             .method_name("warp-drive")
             .build()
             .unwrap_err();
-        assert!(err.to_string().contains("warp-drive"));
-    }
-
-    #[test]
-    fn builder_arms_cache_and_staging() {
-        use crate::cache::{CacheConfig, StagingConfig};
-        let cfg = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method(Arc::new(Fo))
-            .cache(CacheConfig::new(64 << 20))
-            .staging(StagingConfig::new(8 << 20, 2_000_000))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.method.name(), "stage(8MiB,2ms)+lru(64MiB)+FO");
-
-        // Invalid layer sizes surface as ConfigError, not a panic.
-        let err = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method(Arc::new(Fo))
-            .cache(CacheConfig::new(16))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("cache size"));
+        let msg = err.to_string();
+        assert!(msg.contains("warp-drive") && msg.contains("TSUE"), "{msg}");
     }
 
     #[test]
@@ -660,15 +620,21 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.method.name(), "lru(1MiB)+TSUE");
-        // A decorated name plus builder-armed layers would double-wrap:
-        // rejected with the reason.
+        // Out of canonical order and in another case, a spec still reports
+        // the canonical name: stage, then lru, then the driver's own name.
+        let cfg = ClusterConfig::builder()
+            .code(CodeParams::new(4, 2).unwrap())
+            .method_name("lru(1MiB)+stage(64KiB,1ms)+cord")
+            .build()
+            .unwrap();
+        assert_eq!(cfg.method.name(), "stage(64KiB,1ms)+lru(1MiB)+CoRD");
+        // A malformed decorator surfaces as a ConfigError, not a panic.
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method_name("lru(1MiB)+tsue")
-            .staging(crate::cache::StagingConfig::new(8 << 20, 1_000_000))
+            .method_name("lru(16B)+FO")
             .build()
             .unwrap_err();
-        assert!(err.to_string().contains("already wrapped"));
+        assert!(err.to_string().contains("cache size"));
     }
 
     #[test]

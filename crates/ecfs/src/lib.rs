@@ -38,15 +38,13 @@ pub mod recovery;
 pub mod replay;
 pub mod telemetry;
 
-pub use cache::{CacheConfig, Cached, PageCache, StagingConfig};
+pub use cache::{Cached, PageCache};
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures};
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::{MaintenancePlan, MaintenancePolicy};
-pub use methods::{
-    Decorator, MethodRegistry, MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod,
-};
+pub use methods::{Decorator, MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod};
 pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
@@ -62,7 +60,7 @@ pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 /// assert!(rcfg.validate().is_ok());
 /// ```
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, Cached, PageCache, StagingConfig};
+    pub use crate::cache::{Cached, PageCache};
     pub use crate::cluster::{Cluster, IntervalSet, Metrics, Oracle, Osd};
     pub use crate::config::{
         ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures,
@@ -74,9 +72,8 @@ pub mod prelude {
         LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, ScrubConfig,
     };
     pub use crate::methods::{
-        build_method, builtins, register_method, Cord, Decorator, Fl, Fo, MethodRegistry,
-        MethodSpec, NodeLogState, Parix, Pl, PlainState, Plr, RegistryError, ResolveError, Tsue,
-        UpdateCtx, UpdateMethod,
+        build_method, builtins, Cord, Decorator, Fl, Fo, MethodSpec, NodeLogState, Parix, Pl,
+        PlainState, Plr, ResolveError, Tsue, UpdateCtx, UpdateMethod,
     };
     pub use crate::placement::{
         CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,

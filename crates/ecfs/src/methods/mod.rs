@@ -20,9 +20,12 @@
 //! A method is its driver: the paper's seven are the unit structs
 //! re-exported here ([`Fo`], [`Fl`], [`Pl`], [`Plr`], [`Parix`], [`Cord`],
 //! [`Tsue`]), listed in Fig. 5 order by [`builtins`], and named by what
-//! [`UpdateMethod::name`] returns. Custom methods register with the
-//! [`MethodRegistry`] under their own name and need no changes inside this
-//! crate — see `crates/ecfs/tests/registry_roundtrip.rs`.
+//! [`UpdateMethod::name`] returns. A spec string ([`spec`]) names a
+//! built-in, optionally behind cache/staging decorators, and
+//! [`build_method`] resolves it. A custom method needs no changes inside
+//! this crate: its driver is passed by handle to
+//! [`crate::config::ClusterConfigBuilder::method`] — see
+//! `crates/ecfs/tests/custom_method.rs`.
 
 pub mod cord;
 pub mod fl;
@@ -30,7 +33,6 @@ pub mod fo;
 pub mod parix;
 pub mod pl;
 pub mod plr;
-pub mod registry;
 pub mod spec;
 pub mod tsue_drv;
 
@@ -51,13 +53,12 @@ pub use fo::Fo;
 pub use parix::Parix;
 pub use pl::Pl;
 pub use plr::Plr;
-pub use registry::{build_method, register_method, MethodRegistry, RegistryError};
-pub use spec::{Decorator, MethodSpec, ResolveError};
+pub use spec::{build_method, Decorator, MethodSpec, ResolveError};
 pub use tsue_drv::Tsue;
 
 /// The paper's seven update methods, one driver each, in Fig. 5 order
-/// (`FO FL PL PLR PARIX CoRD TSUE`). They seed
-/// [`MethodRegistry::with_builtins`], and sweeps iterate them.
+/// (`FO FL PL PLR PARIX CoRD TSUE`). [`build_method`] resolves spec names
+/// against them, and sweeps iterate them.
 pub fn builtins() -> [Arc<dyn UpdateMethod>; 7] {
     [
         Arc::new(Fo),
@@ -198,7 +199,7 @@ impl UpdateCtx {
 /// state lives in per-node [`NodeLogState`]), so one `Arc<dyn UpdateMethod>`
 /// serves a whole cluster.
 pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
-    /// Display name (used in results, tables, and registry lookups).
+    /// Display name (used in results, tables, and spec-string lookups).
     fn name(&self) -> &str;
 
     /// Builds the method's per-node log state. The default keeps none.

@@ -1,8 +1,8 @@
 //! The parsed method-spec grammar: how experiments name an update method
 //! *plus* the node-local cache/staging decorators layered in front of it.
 //!
-//! A spec is `+`-separated segments, decorators first, ending in a bare
-//! registered method name:
+//! A spec is `+`-separated segments, decorators first, ending in the name
+//! of one of the seven built-in methods ([`super::builtins`]), in any case:
 //!
 //! ```text
 //! TSUE                            # a bare driver, no decorators
@@ -23,14 +23,35 @@
 //! (largest exact unit), so `parse → display → parse` is the identity —
 //! the property `crates/ecfs/tests/spec_props.rs` pins.
 //!
-//! [`MethodSpec::parse`] returns a typed [`ResolveError`];
-//! [`super::MethodRegistry::build`] and [`super::build_method`] turn a spec
-//! into a ready [`crate::methods::UpdateMethod`].
+//! [`MethodSpec::parse`] returns a typed [`ResolveError`]; [`build_method`]
+//! turns a spec into a ready [`UpdateMethod`]. A driver defined outside
+//! this crate has no spec name: it is passed by handle to
+//! [`crate::config::ClusterConfigBuilder::method`].
+//!
+//! ```
+//! use ecfs::methods::{build_method, ResolveError, UpdateMethod};
+//! use ecfs::MethodSpec;
+//!
+//! let tsue = build_method(&MethodSpec::parse("tsue").unwrap()).unwrap();
+//! assert_eq!(tsue.name(), "TSUE");
+//!
+//! // A decorated spec wraps the base driver in the cache layer.
+//! let cached = build_method(&"lru(64MiB)+cord".parse().unwrap()).unwrap();
+//! assert_eq!(cached.name(), "lru(64MiB)+CoRD");
+//!
+//! // Failures are typed.
+//! assert_eq!(
+//!     build_method(&MethodSpec::parse("no-such-method").unwrap()).unwrap_err(),
+//!     ResolveError::UnknownMethod("no-such-method".to_string())
+//! );
+//! ```
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
-use crate::cache::PAGE_BYTES;
+use super::{builtins, UpdateMethod};
+use crate::cache::{Cached, PAGE_BYTES};
 
 /// A cache-layer decorator in front of a base method, as parsed from one
 /// `name(args)` spec segment.
@@ -103,7 +124,7 @@ impl fmt::Display for FmtDur {
 pub enum ResolveError {
     /// The spec (or one of its `+`-separated segments) is empty.
     EmptySpec,
-    /// The base name is not registered.
+    /// The base name is not one of the built-ins.
     UnknownMethod(String),
     /// A decorator segment is malformed, duplicated, or carries a bad
     /// argument.
@@ -120,7 +141,13 @@ impl fmt::Display for ResolveError {
         match self {
             ResolveError::EmptySpec => write!(f, "empty method spec"),
             ResolveError::UnknownMethod(name) => {
-                write!(f, "unknown update method {name:?} (not registered)")
+                let builtins = builtins();
+                let names: Vec<&str> = builtins.iter().map(|m| m.name()).collect();
+                write!(
+                    f,
+                    "unknown update method {name:?} (expected one of {})",
+                    names.join(", ")
+                )
             }
             ResolveError::BadDecorator { what, reason } => {
                 write!(f, "bad decorator {what:?}: {reason}")
@@ -201,25 +228,16 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 /// A parsed method spec: zero or more decorators over a base method name.
 ///
 /// Construct with [`MethodSpec::parse`] (or `str::parse`); resolve with
-/// [`super::MethodRegistry::build`] or [`super::build_method`]. `Display`
-/// renders the canonical spec string.
+/// [`build_method`]. `Display` renders the canonical spec string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodSpec {
     /// Decorators, outermost first (the spec's left-to-right order).
     pub decorators: Vec<Decorator>,
-    /// The base method name, verbatim (registry lookups fold case).
+    /// The base method name, verbatim ([`build_method`] folds case).
     pub base: String,
 }
 
 impl MethodSpec {
-    /// A bare spec: `name`, no decorators.
-    pub fn base_only(name: impl Into<String>) -> MethodSpec {
-        MethodSpec {
-            decorators: Vec::new(),
-            base: name.into(),
-        }
-    }
-
     /// Parses a spec string. Never panics: garbage input comes back as a
     /// typed [`ResolveError`].
     ///
@@ -315,6 +333,20 @@ fn parse_decorator(seg: &str) -> Result<Decorator, ResolveError> {
     Ok(Decorator::Cache { bytes })
 }
 
+/// Builds the driver `spec` names: the built-in whose name matches
+/// `spec.base` ignoring ASCII case, wrapped once in [`Cached`] when the
+/// spec carries decorators.
+pub fn build_method(spec: &MethodSpec) -> Result<Arc<dyn UpdateMethod>, ResolveError> {
+    let base = builtins()
+        .into_iter()
+        .find(|m| m.name().eq_ignore_ascii_case(&spec.base))
+        .ok_or_else(|| ResolveError::UnknownMethod(spec.base.clone()))?;
+    if spec.decorators.is_empty() {
+        return Ok(base);
+    }
+    Ok(Arc::new(Cached::new(base, &spec.decorators)))
+}
+
 impl FromStr for MethodSpec {
     type Err = ResolveError;
 
@@ -339,8 +371,47 @@ mod tests {
     #[test]
     fn bare_name_round_trips() {
         let spec = MethodSpec::parse(" TSUE ").unwrap();
-        assert_eq!(spec, MethodSpec::base_only("TSUE"));
+        assert!(spec.decorators.is_empty());
+        assert_eq!(spec.base, "TSUE");
         assert_eq!(spec.to_string(), "TSUE");
+    }
+
+    /// A built-in's name is its driver's `name()`, in Fig. 5 order, and
+    /// that name in any case builds it.
+    #[test]
+    fn builtins_resolve_by_any_case() {
+        let names: Vec<String> = builtins().iter().map(|m| m.name().to_string()).collect();
+        assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
+        for name in &names {
+            for spelled in [name.clone(), name.to_lowercase(), name.to_uppercase()] {
+                let m = build_method(&MethodSpec::parse(&spelled).unwrap()).unwrap();
+                assert_eq!(m.name(), name);
+            }
+        }
+    }
+
+    #[test]
+    fn build_composes_decorators_over_any_base() {
+        for name in ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"] {
+            let spec = MethodSpec::parse(&format!("stage(8MiB,2ms)+lru(64MiB)+{name}")).unwrap();
+            let m = build_method(&spec).unwrap();
+            assert_eq!(m.name(), format!("stage(8MiB,2ms)+lru(64MiB)+{name}"));
+            // The built name round-trips through the grammar.
+            assert_eq!(MethodSpec::parse(m.name()).unwrap(), spec);
+        }
+    }
+
+    #[test]
+    fn build_returns_typed_errors() {
+        let err = build_method(&MethodSpec::parse("warp-drive").unwrap()).unwrap_err();
+        assert_eq!(err, ResolveError::UnknownMethod("warp-drive".to_string()));
+        assert_eq!(
+            err.to_string(),
+            "unknown update method \"warp-drive\" \
+             (expected one of FO, FL, PL, PLR, PARIX, CoRD, TSUE)"
+        );
+        let err = MethodSpec::parse("arc(64MiB)+FO").unwrap_err();
+        assert!(matches!(err, ResolveError::BadDecorator { .. }));
     }
 
     #[test]
@@ -381,10 +452,12 @@ mod tests {
             MethodSpec::parse("lru(64QiB)+FO"),
             Err(ResolveError::BadDecorator { .. })
         ));
-        assert!(matches!(
-            MethodSpec::parse("lru(0B)+FO"),
-            Err(ResolveError::BadDecorator { .. })
-        ));
+        for below_a_page in ["lru(0B)+FO", "lru(100B)+FO"] {
+            assert!(matches!(
+                MethodSpec::parse(below_a_page),
+                Err(ResolveError::BadDecorator { .. })
+            ));
+        }
         assert!(matches!(
             MethodSpec::parse("stage(8MiB,0ms)+FO"),
             Err(ResolveError::BadDecorator { .. })

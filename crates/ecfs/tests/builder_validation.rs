@@ -205,21 +205,20 @@ fn replay_builder_rejects_staging_with_a_fault_plan() {
     let staged = || {
         ClusterConfig::builder()
             .code(code64())
-            .method(Arc::new(Tsue))
-            .staging(StagingConfig::new(8 << 20, 2_000_000))
+            .method_name("stage(8MiB,2ms)+TSUE")
             .build()
             .unwrap()
     };
     let faults = || FaultPlan::new().fail_node(10_000_000, 3);
 
-    // Reject: staged flushes bypass degraded-mode dispatch. The spelling
-    // of the decorator (builder setter or spec string) does not matter.
-    let from_spec = ClusterConfig::builder()
+    // Reject: staged flushes bypass degraded-mode dispatch, with or
+    // without a read cache in front of the staging buffer.
+    let behind_cache = ClusterConfig::builder()
         .code(code64())
         .method_name("stage(8MiB,2ms)+lru(64MiB)+FO")
         .build()
         .unwrap();
-    for cluster in [staged(), from_spec] {
+    for cluster in [staged(), behind_cache] {
         let err = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
             .faults(faults())
             .build()

@@ -1,8 +1,7 @@
 //! The API-openness acceptance test: a custom [`UpdateMethod`] defined
-//! entirely *outside* `crates/ecfs` registers with the [`MethodRegistry`],
-//! is resolved by name through the config builder, and replays a full
-//! trace — states, dispatch, drain, and the consistency oracle all flowing
-//! through trait objects.
+//! entirely *outside* `crates/ecfs` is passed by handle to the config
+//! builder and replays a full trace — states, dispatch, drain, and the
+//! consistency oracle all flowing through trait objects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,21 +14,10 @@ use simdisk::{IoOp, Pattern};
 /// "teleported" into place with zero I/O. Useful precisely because no
 /// built-in behaves like it — if this replays consistently, the dispatch
 /// path is truly open.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Teleport {
-    /// The name it registers and reports under.
-    name: &'static str,
     /// Updates routed through this driver (proves *this* code ran).
     updates: Arc<AtomicU64>,
-}
-
-impl Teleport {
-    fn named(name: &'static str) -> Arc<Teleport> {
-        Arc::new(Teleport {
-            name,
-            updates: Arc::new(AtomicU64::new(0)),
-        })
-    }
 }
 
 /// Per-node state for the custom method (exercises the constructor hook
@@ -47,7 +35,7 @@ impl NodeLogState for TeleportState {
 
 impl UpdateMethod for Teleport {
     fn name(&self) -> &str {
-        self.name
+        "TELEPORT"
     }
 
     fn new_node_state(&self, _cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
@@ -82,15 +70,13 @@ impl UpdateMethod for Teleport {
 }
 
 #[test]
-fn custom_method_registers_and_replays() {
-    let driver = Teleport::named("TELEPORT");
+fn custom_method_replays_by_handle() {
+    let driver = Teleport::default();
     let updates = Arc::clone(&driver.updates);
-    register_method(driver).expect("fresh name registers");
 
-    // Resolved by name (case-insensitively), through the global registry.
     let cluster = ClusterConfig::builder()
         .code(CodeParams::new(4, 2).unwrap())
-        .method_name("TeLePoRt")
+        .method(Arc::new(driver))
         .nodes(8)
         .clients(4)
         .build()
@@ -125,45 +111,4 @@ fn custom_method_registers_and_replays() {
         res.log_memory_bytes > 0,
         "custom node state must be consulted"
     );
-}
-
-#[test]
-fn custom_method_mixes_with_builtins() {
-    // Registering a custom method must not disturb built-in resolution.
-    register_method(Teleport::named("noop-check")).expect("fresh name registers");
-
-    let names = MethodRegistry::global().lock().unwrap().names();
-    for builtin in ["FO", "FL", "PL", "PLR", "PARIX", "CORD", "TSUE"] {
-        assert!(
-            names.contains(&builtin.to_string()),
-            "{builtin} missing from {names:?}"
-        );
-    }
-    let custom = build_method(&MethodSpec::parse("NOOP-CHECK").unwrap()).unwrap();
-    assert_eq!(custom.name(), "noop-check");
-
-    // A built-in still replays fine after custom registrations.
-    let cluster = ClusterConfig::builder()
-        .code(CodeParams::new(4, 2).unwrap())
-        .method(Arc::new(Pl))
-        .nodes(8)
-        .clients(2)
-        .build()
-        .unwrap();
-    let rcfg = ReplayConfig::builder(cluster, TraceFamily::TenCloud)
-        .ops_per_client(150)
-        .volume_bytes(32 << 20)
-        .build()
-        .unwrap();
-    let res = Replay::run(&rcfg).result;
-    assert_eq!(res.method, "PL");
-    assert_eq!(res.oracle_violations, 0);
-}
-
-#[test]
-fn duplicate_registration_is_rejected() {
-    register_method(Teleport::named("dup-probe")).expect("first registration");
-    let err = register_method(Teleport::named("DUP-PROBE"))
-        .expect_err("case-folded duplicate must be rejected");
-    assert!(matches!(err, RegistryError::Duplicate(_)));
 }

@@ -97,11 +97,7 @@ fn decorated_replay_is_deterministic() {
 #[test]
 fn read_cache_serves_hits() {
     let code = CodeParams::new(6, 3).unwrap();
-    let cluster = builder(code)
-        .method(Arc::new(Fo))
-        .cache(CacheConfig::new(64 << 20))
-        .build()
-        .unwrap();
+    let cluster = builder(code).method_name("lru(64MiB)+FO").build().unwrap();
     let res = Replay::run(&replay_cfg(cluster, 300)).result;
     assert_eq!(res.oracle_violations, 0);
     assert!(res.cache_lookups > 0, "no lookups recorded");
@@ -121,8 +117,7 @@ fn read_cache_serves_hits() {
 fn staging_coalesces_and_stays_consistent() {
     let code = CodeParams::new(6, 3).unwrap();
     let cluster = builder(code)
-        .method(Arc::new(Pl))
-        .staging(StagingConfig::new(256 << 10, 2_000_000))
+        .method_name("stage(256KiB,2ms)+PL")
         .build()
         .unwrap();
     // A small volume concentrates updates, forcing range overlap.
@@ -162,18 +157,18 @@ fn composes_over_all_seven_builtins() {
     }
 }
 
-/// The unified `Replay::run` entry point: same result as the legacy free
-/// functions, plus the trace when tracing is armed.
+/// Two runs of one config give equal results, and arming tracing retains
+/// a trace without changing the result.
 #[test]
-fn replay_run_unifies_trace_and_result() {
+fn rerun_and_tracing_leave_result_unchanged() {
     let code = CodeParams::new(6, 3).unwrap();
     let mk = || {
         let cluster = builder(code).method_name("lru(1MiB)+TSUE").build().unwrap();
         replay_cfg(cluster, 120)
     };
     let out = Replay::run(&mk());
-    let legacy = Replay::run(&mk()).result;
-    assert_eq!(canon(&out.result), canon(&legacy));
+    let rerun = Replay::run(&mk()).result;
+    assert_eq!(canon(&out.result), canon(&rerun));
     assert!(out.trace.is_none());
 
     let mut traced_cfg = mk();
@@ -182,7 +177,7 @@ fn replay_run_unifies_trace_and_result() {
     assert!(traced.trace.is_some(), "armed tracing must retain a trace");
     assert_eq!(
         canon(&traced.result),
-        canon(&legacy),
+        canon(&rerun),
         "tracing changed what was simulated"
     );
 }
@@ -195,8 +190,7 @@ fn staged_ranges_serve_reads() {
     // Huge size threshold + long age: most staged data is still buffered
     // when reads arrive.
     let cluster = builder(code)
-        .method(Arc::new(Fo))
-        .staging(StagingConfig::new(1 << 30, 1_000_000_000))
+        .method_name("stage(1GiB,1s)+FO")
         .build()
         .unwrap();
     let mut rcfg = replay_cfg(cluster, 300);
