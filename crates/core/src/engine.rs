@@ -9,6 +9,12 @@
 //!   DeltaLog, combine them per stripe into parity deltas (Eq. 5), forward
 //!   those to the ParityLog, and finally XOR them into parity blocks.
 //!
+//! The codec's generator has ones in its first row and first column, so the
+//! DeltaLog recycle multiplies only where a coefficient is not 1: a union
+//! range spanned by one delta forwards that delta itself, a shared view, as
+//! the parity delta of every coefficient-1 row (all `m` rows for data block
+//! 0), and only the other rows go through the multiply kernel.
+//!
 //! The engine exists to *prove the scheme correct under concurrency*: after
 //! [`TsueEngine::flush`], every stripe's parity equals a fresh re-encode of
 //! its data blocks, no matter how many writer and recycler threads raced.
@@ -124,8 +130,7 @@ impl EngineConfig {
         }
         if self.unit_bytes < 1024 {
             return Err(EngineConfigError(format!(
-                "unit_bytes = {} is below the 1 KiB slice floor — appends larger than a \
-                 unit can never be logged",
+                "unit_bytes = {} is below the 1 KiB floor",
                 self.unit_bytes
             )));
         }
@@ -209,6 +214,8 @@ struct Shared {
     timed_out_waits: AtomicU64,
     inline_recycles: AtomicU64,
     recycled: [AtomicU64; 3],
+    parity_mul_bytes: AtomicU64,
+    parity_shared_bytes: AtomicU64,
     /// Units currently being recycled across all layers.
     in_flight: AtomicU64,
     shutdown: AtomicBool,
@@ -334,39 +341,20 @@ impl Shared {
 
     /// DeltaLog recycle: combine per stripe (Eq. 5), forward parity deltas.
     fn recycle_delta_once(&self) -> bool {
-        let m = self.cfg.code.m();
         self.recycle_unit(
             Layer::Delta,
             &self.delta_log,
             LogPoolSet::take_recyclable_any,
             |contents| {
+                let mut tally = FoldTally::default();
                 for job in group_delta_jobs(contents) {
-                    // One combined delta per parity block per union range; each
-                    // data delta piece is read once for all m parities.
                     for (off, len) in union_ranges(&job.deltas) {
-                        let mut accs = vec![vec![0u8; len as usize]; m];
-                        for (block_idx, doff, delta) in &job.deltas {
-                            // Overlap of [doff, doff+dlen) with [off, off+len).
-                            let lo = (*doff).max(off);
-                            let hi = (doff + delta.len()).min(off + len);
-                            if lo >= hi {
-                                continue;
-                            }
-                            let window = (lo - off) as usize..(hi - off) as usize;
-                            let mut dsts: Vec<&mut [u8]> =
-                                accs.iter_mut().map(|a| &mut a[window.clone()]).collect();
-                            gf256::slice::mul_acc_rows(
-                                &mut dsts,
-                                &delta.as_slice()[(lo - doff) as usize..(hi - doff) as usize],
-                                &self.coeffs[*block_idx as usize],
-                            );
-                        }
-                        for (p, acc) in accs.into_iter().enumerate() {
+                        let deltas = parity_deltas(&self.coeffs, &job.deltas, off, len, &mut tally);
+                        for (p, payload) in deltas.into_iter().enumerate() {
                             let key = ParityKey {
                                 stripe: job.stripe,
                                 parity_idx: p as u16,
                             };
-                            let payload = Data::from_vec(acc);
                             self.append_with_backpressure(Layer::Parity, move |sh| {
                                 let mut log = sh.parity_log.lock();
                                 log.append(key, off, payload.clone(), 0).1
@@ -374,6 +362,10 @@ impl Shared {
                         }
                     }
                 }
+                self.parity_mul_bytes
+                    .fetch_add(tally.mul, Ordering::Relaxed);
+                self.parity_shared_bytes
+                    .fetch_add(tally.shared, Ordering::Relaxed);
             },
         )
     }
@@ -436,6 +428,88 @@ impl Shared {
     }
 }
 
+/// Bytes a DeltaLog fold sent through the multiply and forwarded without
+/// one (the [`EngineStats`] counters of the same names).
+#[derive(Default)]
+struct FoldTally {
+    mul: u64,
+    shared: u64,
+}
+
+/// Whether coefficient `c` costs a multiply (0 is skipped, 1 is an XOR).
+fn multiplies(c: u8) -> bool {
+    c > 1
+}
+
+/// The `m` parity deltas of the union range `[off, off + len)` of a stripe
+/// job's `deltas` (Eq. 5), `coeffs[j]` being data block `j`'s coefficients.
+/// A range spanned by a single delta forwards that delta, shared, for every
+/// coefficient-1 row and multiplies it into fresh buffers for the others
+/// in one pass; a range several deltas overlap takes [`accumulate`].
+fn parity_deltas(
+    coeffs: &[Vec<u8>],
+    deltas: &[(u16, u32, Data)],
+    off: u32,
+    len: u32,
+    tally: &mut FoldTally,
+) -> Vec<Data> {
+    let mut overlapping = deltas
+        .iter()
+        .filter(|(_, doff, d)| *doff < off + len && doff + d.len() > off);
+    let (Some((block_idx, doff, delta)), None) = (overlapping.next(), overlapping.next()) else {
+        return accumulate(coeffs, deltas, off, len, tally);
+    };
+    // A union range one delta overlaps is exactly that delta's span.
+    debug_assert_eq!((*doff, delta.len()), (off, len));
+    let cs = &coeffs[*block_idx as usize];
+    let scaled_cs: Vec<u8> = cs.iter().copied().filter(|&c| c != 1).collect();
+    let mut scaled = vec![vec![0u8; len as usize]; scaled_cs.len()];
+    let mut dsts: Vec<&mut [u8]> = scaled.iter_mut().map(Vec::as_mut_slice).collect();
+    gf256::slice::mul_acc_rows(&mut dsts, delta.as_slice(), &scaled_cs);
+    tally.mul += len as u64 * scaled_cs.iter().filter(|&&c| multiplies(c)).count() as u64;
+    let mut scaled = scaled.into_iter();
+    cs.iter()
+        .map(|&c| match c {
+            1 => {
+                tally.shared += len as u64;
+                delta.clone()
+            }
+            _ => Data::from_vec(scaled.next().expect("one buffer per scaled row")),
+        })
+        .collect()
+}
+
+/// [`parity_deltas`] by accumulation: one zeroed buffer per parity row, each
+/// overlapping piece of `deltas` read once and folded into all `m`.
+fn accumulate(
+    coeffs: &[Vec<u8>],
+    deltas: &[(u16, u32, Data)],
+    off: u32,
+    len: u32,
+    tally: &mut FoldTally,
+) -> Vec<Data> {
+    let m = coeffs.first().map_or(0, Vec::len);
+    let mut accs = vec![vec![0u8; len as usize]; m];
+    for (block_idx, doff, delta) in deltas {
+        // Overlap of [doff, doff+dlen) with [off, off+len).
+        let lo = (*doff).max(off);
+        let hi = (doff + delta.len()).min(off + len);
+        if lo >= hi {
+            continue;
+        }
+        let cs = &coeffs[*block_idx as usize];
+        let window = (lo - off) as usize..(hi - off) as usize;
+        let mut dsts: Vec<&mut [u8]> = accs.iter_mut().map(|a| &mut a[window.clone()]).collect();
+        gf256::slice::mul_acc_rows(
+            &mut dsts,
+            &delta.as_slice()[(lo - doff) as usize..(hi - doff) as usize],
+            cs,
+        );
+        tally.mul += (hi - lo) as u64 * cs.iter().filter(|&&c| multiplies(c)).count() as u64;
+    }
+    accs.into_iter().map(Data::from_vec).collect()
+}
+
 /// The log layer an append targets (see [`Shared::append_with_backpressure`]),
 /// in pipeline order (the index of its [`EngineStats::recycled`] slot).
 #[derive(Clone, Copy)]
@@ -465,6 +539,15 @@ pub struct EngineStats {
     pub inline_recycles: u64,
     /// Units recycled per layer: DataLog, DeltaLog, ParityLog.
     pub recycled: [u64; 3],
+    /// Delta bytes × parity rows the DeltaLog recycle sent through the
+    /// GF(2⁸) multiply (a coefficient other than 0 or 1). At most `m - 1`
+    /// per folded delta byte, since the first parity row is all ones, and
+    /// none for data block 0, whose column is all ones.
+    pub parity_mul_bytes: u64,
+    /// Delta bytes × parity rows forwarded as a parity delta without a
+    /// multiply: a range one delta spans shares that delta with every
+    /// coefficient-1 row.
+    pub parity_shared_bytes: u64,
 }
 
 /// The public engine handle. Dropping it stops the recycler threads.
@@ -516,6 +599,8 @@ impl TsueEngine {
             timed_out_waits: AtomicU64::new(0),
             inline_recycles: AtomicU64::new(0),
             recycled: Default::default(),
+            parity_mul_bytes: AtomicU64::new(0),
+            parity_shared_bytes: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             acked: AtomicU64::new(0),
@@ -545,7 +630,9 @@ impl TsueEngine {
 
     /// Front-end update: appends `bytes` at `offset` of data block
     /// `(stripe, block_idx)` to the DataLog and returns once logged — the
-    /// two-stage ack point. Blocks (briefly) under log back-pressure.
+    /// two-stage ack point. Blocks (briefly) under log back-pressure. A
+    /// write longer than a log unit is logged as records of at most
+    /// `unit_bytes` each and acknowledged once.
     ///
     /// # Panics
     /// Panics on out-of-range stripe/block/offset.
@@ -559,12 +646,16 @@ impl TsueEngine {
         );
         assert!(!bytes.is_empty(), "empty update");
         let id = self.shared.data_block_id(stripe, block_idx);
-        let payload = Data::copy_from(bytes);
-        // Under back-pressure the writer helps recycle rather than spin.
-        self.shared
-            .append_with_backpressure(Layer::Data, move |sh| {
-                sh.data_log.lock().append(id, offset, payload.clone(), 0).1
-            });
+        let unit = cfg.unit_bytes.min(cfg.block_len as u64) as usize;
+        for (i, chunk) in bytes.chunks(unit).enumerate() {
+            let at = offset + (i * unit) as u32;
+            let payload = Data::copy_from(chunk);
+            // Under back-pressure the writer helps recycle rather than spin.
+            self.shared
+                .append_with_backpressure(Layer::Data, move |sh| {
+                    sh.data_log.lock().append(id, at, payload.clone(), 0).1
+                });
+        }
         self.shared.acked.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -678,6 +769,8 @@ impl TsueEngine {
             timed_out_waits: get(&sh.timed_out_waits),
             inline_recycles: get(&sh.inline_recycles),
             recycled: sh.recycled.each_ref().map(get),
+            parity_mul_bytes: get(&sh.parity_mul_bytes),
+            parity_shared_bytes: get(&sh.parity_shared_bytes),
         }
     }
 
@@ -816,6 +909,142 @@ mod tests {
         assert!(stats.wakes <= stats.sealed + recycled, "{stats:?}");
         assert!(stats.wakes < e.acked_updates(), "{stats:?}");
         assert!(stats.timed_out_waits <= stats.waits, "{stats:?}");
+    }
+
+    #[test]
+    fn update_longer_than_a_unit_is_split_and_acked_once() {
+        // 9 000 bytes into 8 KiB units: two records, one ack.
+        let e = engine();
+        e.update(0, 0, 0, &[7; 9000]);
+        e.flush();
+        assert!(e.verify_parity());
+        assert_eq!(e.read(0, 0, 0, 9000), vec![7; 9000]);
+        assert_eq!(e.acked_updates(), 1);
+    }
+
+    fn rs63_engine() -> TsueEngine {
+        let cfg = EngineConfig::builder(CodeParams::new(6, 3).unwrap())
+            .block_len(16 << 10)
+            .stripes(3)
+            .unit_bytes(8 << 10)
+            .build()
+            .unwrap();
+        TsueEngine::new(cfg)
+    }
+
+    /// Issues `n` seeded updates of 1..=511 bytes at random offsets of
+    /// data blocks `0..blocks`; returns the bytes written.
+    fn seeded_stream(e: &TsueEngine, n: usize, blocks: u64) -> u64 {
+        let mut x = 11u64;
+        let mut written = 0;
+        for _ in 0..n {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let off = ((x >> 30) % ((16 << 10) - 512)) as u32;
+            let len = 1 + ((x >> 40) % 511) as usize;
+            e.update(
+                (x >> 10) % 3,
+                ((x >> 20) % blocks) as u16,
+                off,
+                &vec![x as u8 | 1; len],
+            );
+            written += len as u64;
+        }
+        written
+    }
+
+    #[test]
+    fn block_zero_deltas_cost_no_multiply() {
+        let e = rs63_engine();
+        seeded_stream(&e, 500, 1);
+        e.flush();
+        assert!(e.verify_parity());
+        let stats = e.stats();
+        assert_eq!(stats.parity_mul_bytes, 0, "{stats:?}");
+        assert!(stats.parity_shared_bytes > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn mixed_stream_multiplies_at_most_two_rows_per_byte() {
+        let e = rs63_engine();
+        let written = seeded_stream(&e, 2000, 6);
+        e.flush();
+        assert!(e.verify_parity());
+        // Merges only shrink the deltas, so the bytes folded are at most the
+        // bytes written, and each is multiplied into at most m - 1 = 2 rows.
+        let stats = e.stats();
+        assert!(stats.parity_mul_bytes > 0, "{stats:?}");
+        assert!(
+            stats.parity_mul_bytes <= 2 * written,
+            "{stats:?}, {written} written"
+        );
+    }
+
+    #[test]
+    fn disjoint_stream_multiplies_exactly_two_rows_outside_block_zero() {
+        // Each update gets its own 64-byte slot of its block: nothing merges
+        // away, so every written byte is folded exactly once.
+        let e = rs63_engine();
+        let mut x = 3u64;
+        let (mut outside_zero, mut total) = (0u64, 0u64);
+        for slot in 0..256u32 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let (stripe, block, len) = ((x >> 10) % 3, ((x >> 20) % 6) as u16, 1 + (x >> 40) % 64);
+            e.update(stripe, block, slot * 64, &vec![x as u8 | 1; len as usize]);
+            total += len;
+            if block != 0 {
+                outside_zero += len;
+            }
+        }
+        e.flush();
+        assert!(e.verify_parity());
+        let stats = e.stats();
+        assert_eq!(stats.parity_mul_bytes, 2 * outside_zero, "{stats:?}");
+        assert!(
+            stats.parity_shared_bytes >= total,
+            "{stats:?}, {total} folded"
+        );
+    }
+
+    #[test]
+    fn shared_delta_fold_equals_accumulation() {
+        // Seeded stripe jobs mixing ranges one delta spans, block-0 deltas
+        // and overlapping or touching deltas across blocks: every union
+        // range's parity deltas must match the accumulate path byte for
+        // byte, with the same multiply count.
+        let rs = ReedSolomon::new(CodeParams::new(6, 3).unwrap());
+        let coeffs: Vec<Vec<u8>> = (0..6).map(|j| rs.data_coefficients(j)).collect();
+        let mut x = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        let (mut single, mut multi) = (0, 0);
+        for _ in 0..200 {
+            let mut deltas: Vec<(u16, u32, Data)> = (0..1 + next(12))
+                .map(|_| {
+                    let block = next(6) as u16;
+                    let off = next(64) as u32 * 32;
+                    let bytes: Vec<u8> = (0..1 + next(200)).map(|_| next(256) as u8).collect();
+                    (block, off, Data::from_vec(bytes))
+                })
+                .collect();
+            deltas.sort_by_key(|&(b, o, _)| (b, o));
+            for (off, len) in union_ranges(&deltas) {
+                let (mut fast, mut slow) = (FoldTally::default(), FoldTally::default());
+                let got = parity_deltas(&coeffs, &deltas, off, len, &mut fast);
+                let want = accumulate(&coeffs, &deltas, off, len, &mut slow);
+                assert_eq!(got, want, "range ({off}, {len}) of {deltas:?}");
+                assert_eq!(fast.mul, slow.mul);
+                if fast.shared > 0 {
+                    single += 1;
+                } else {
+                    multi += 1;
+                }
+            }
+        }
+        assert!(single > 50 && multi > 50, "{single} single, {multi} multi");
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! runtime feature detection. The masks do not depend on `c`, so one pass
 //! over a source serves up to four outputs ([`mul_acc_rows`]). Only the
 //! < 16-byte tail looks bytes up in a [`MUL`] row.
+//!
+//! Coefficients 0 and 1 never reach the multiply kernel: [`mul_acc`] and
+//! [`mul_acc_rows`] skip a 0 row and send a 1 row to [`xor`], so a code
+//! whose generator has ones (rscode normalises its first parity row and
+//! first data column to ones) pays the multiply only where it needs it.
 
 use std::array;
 
@@ -62,8 +67,10 @@ pub fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
 /// folded into many outputs — a data delta into every parity (Eq. 2), or a
 /// data block into every parity it feeds (Eq. 1). Each group of up to four
 /// rows reads `src` once, so `m` parities cost `⌈m / 4⌉` passes over the
-/// source instead of `m`. Row `r` ends equal to a separate
-/// `mul_acc(dsts[r], src, cs[r])`.
+/// source instead of `m`. A row whose coefficient is 0 is skipped and one
+/// whose coefficient is 1 is a plain [`xor`]; only the other rows are
+/// grouped, in order, into the fused passes. Row `r` ends equal to a
+/// separate `mul_acc(dsts[r], src, cs[r])`.
 ///
 /// # Panics
 /// Panics if `dsts` and `cs` have different lengths, or any row's length
@@ -77,13 +84,32 @@ pub fn mul_acc_rows(dsts: &mut [&mut [u8]], src: &[u8], cs: &[u8]) {
     for d in dsts.iter() {
         assert_eq!(d.len(), src.len(), "mul_acc_rows: length mismatch");
     }
-    for (ds, cs) in dsts.chunks_mut(MAX_ROWS).zip(cs.chunks(MAX_ROWS)) {
-        match ds.len() {
-            1 => rows::<1>(ds, src, cs),
-            2 => rows::<2>(ds, src, cs),
-            3 => rows::<3>(ds, src, cs),
-            _ => rows::<4>(ds, src, cs),
+    // The rows that need the multiply, gathered on the stack a group at a
+    // time.
+    let mut group: [&mut [u8]; MAX_ROWS] = Default::default();
+    let mut group_cs = [0u8; MAX_ROWS];
+    let mut n = 0;
+    for (d, &c) in dsts.iter_mut().zip(cs) {
+        match c {
+            0 => {}
+            1 => xor(d, src),
+            _ => {
+                group[n] = d;
+                group_cs[n] = c;
+                n += 1;
+                if n == MAX_ROWS {
+                    rows::<MAX_ROWS>(&mut group, src, &group_cs);
+                    n = 0;
+                }
+            }
         }
+    }
+    let (ds, cs) = (&mut group[..n], &group_cs[..n]);
+    match n {
+        0 => {}
+        1 => rows::<1>(ds, src, cs),
+        2 => rows::<2>(ds, src, cs),
+        _ => rows::<3>(ds, src, cs),
     }
 }
 

@@ -63,6 +63,11 @@ impl fmt::Display for RsError {
 impl std::error::Error for RsError {}
 
 /// Which family of MDS matrix generates the parity blocks.
+///
+/// Either way the codec normalises the matrix it builds so that its first
+/// row and first column are all ones (see [`ReedSolomon::with_matrix_kind`]):
+/// the first parity (P) is the XOR of the data blocks, and data block 0
+/// enters every parity unscaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixKind {
     /// Cauchy matrix (every square submatrix invertible by construction).
@@ -135,11 +140,32 @@ impl ReedSolomon {
     }
 
     /// Codec with an explicit matrix family.
+    ///
+    /// The family's `m × k` matrix is normalised: each column is divided by
+    /// its row-0 entry, then each later row by its column-0 entry, so row 0
+    /// and column 0 are all ones and those coefficients cost an XOR, not a
+    /// multiply. Scaling rows and columns by non-zero factors scales every
+    /// square submatrix's determinant by a non-zero factor, so the code
+    /// stays MDS (Plank & Xu, NCA 2006).
     pub fn with_matrix_kind(params: CodeParams, kind: MatrixKind) -> ReedSolomon {
-        let parity = match kind {
+        let mut parity = match kind {
             MatrixKind::Cauchy => Matrix::cauchy(params.m, params.k),
             MatrixKind::Vandermonde => Matrix::rs_vandermonde(params.k, params.m),
         };
+        // An MDS parity matrix has no zero entry (each is a 1 × 1 submatrix),
+        // so every division here is defined.
+        for j in 0..params.k {
+            let scale = parity.get(0, j);
+            for i in 0..params.m {
+                parity.set(i, j, parity.get(i, j) / scale);
+            }
+        }
+        for i in 1..params.m {
+            let scale = parity.get(i, 0);
+            for j in 0..params.k {
+                parity.set(i, j, parity.get(i, j) / scale);
+            }
+        }
         ReedSolomon {
             params,
             kind,
@@ -515,6 +541,51 @@ mod tests {
         rs.reconstruct(&mut holes).unwrap();
         for i in 0..5 {
             assert_eq!(holes[i].as_deref(), Some(&shards[i][..]));
+        }
+    }
+
+    /// The subsets of `0..n`, grouped by size.
+    fn subsets_by_size(n: usize) -> Vec<Vec<Vec<usize>>> {
+        let mut by_size = vec![Vec::new(); n + 1];
+        for mask in 1u32..1 << n {
+            let set: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+            by_size[set.len()].push(set);
+        }
+        by_size
+    }
+
+    #[test]
+    fn normalised_matrix_has_unit_first_row_and_column_and_stays_mds() {
+        for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
+            for (k, m) in [(3, 2), (4, 2), (6, 3), (6, 4), (10, 4), (12, 4)] {
+                let rs = ReedSolomon::with_matrix_kind(CodeParams::new(k, m).unwrap(), kind);
+                let a = rs.parity_matrix();
+                assert!(
+                    (0..k).all(|j| a.get(0, j) == Gf::ONE),
+                    "{kind:?} RS({k},{m}) row 0"
+                );
+                assert!(
+                    (0..m).all(|i| a.get(i, 0) == Gf::ONE),
+                    "{kind:?} RS({k},{m}) col 0"
+                );
+                // Every square submatrix non-singular: [I; A] is MDS.
+                let (rows, cols) = (subsets_by_size(m), subsets_by_size(k));
+                for size in 1..=m {
+                    for r in &rows[size] {
+                        for c in &cols[size] {
+                            let bytes: Vec<u8> = r
+                                .iter()
+                                .flat_map(|&i| c.iter().map(move |&j| a.get(i, j).value()))
+                                .collect();
+                            let sub = Matrix::from_rows(size, size, &bytes);
+                            assert!(
+                                sub.inverted().is_some(),
+                                "{kind:?} RS({k},{m}) rows {r:?} cols {c:?} singular"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -4,7 +4,10 @@
 //!
 //! * **Eq. (1)** — full-stripe encoding `P = A · D` over GF(2^8), where `A`
 //!   is an `m × k` MDS parity-generation matrix (Cauchy by default,
-//!   Vandermonde-derived optionally) — see [`codec::ReedSolomon::encode`];
+//!   Vandermonde-derived optionally), normalised so its first row and
+//!   first column are ones: the first parity is the XOR of the data blocks
+//!   and data block 0 enters every parity unscaled — see
+//!   [`codec::ReedSolomon::encode`];
 //! * **reconstruction** of up to `m` lost blocks from any `k` survivors by
 //!   inverting the corresponding rows of the extended generator matrix —
 //!   see [`codec::ReedSolomon::reconstruct`];

@@ -71,7 +71,8 @@ fn main() {
     let stats = engine.stats();
     println!(
         "protocol : {} wakes ({} seals + {} recycled units: data {} / delta {} / parity {}), \
-         {} waits ({} timed out), {} inline recycles",
+         {} waits ({} timed out), {} inline recycles, {} parity bytes multiplied, \
+         {} shared",
         stats.wakes,
         stats.sealed,
         stats.recycled.iter().sum::<u64>(),
@@ -80,7 +81,9 @@ fn main() {
         stats.recycled[2],
         stats.waits,
         stats.timed_out_waits,
-        stats.inline_recycles
+        stats.inline_recycles,
+        stats.parity_mul_bytes,
+        stats.parity_shared_bytes
     );
 
     assert!(
