@@ -19,7 +19,8 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{kfmt, print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
+use tsue_bench::{ssd_replay, BenchReport, Json};
 
 /// The swept LRU capacities: 64 KiB misses most of the hot set at this
 /// scale, 64 MiB holds effectively all of it.
@@ -44,16 +45,16 @@ fn cell(spec: &str) -> ReplayConfig {
     r
 }
 
-fn main() {
-    let methods = methods();
+/// A cell: method, spec, the swept LRU size if the cell is on the ramp.
+type Label = (String, String, Option<&'static str>);
+type Column = tsue_bench::sweep::Column<Label>;
 
-    // The grid, labelled by (method, spec, swept-size-if-lru).
-    let mut grid = Vec::new();
-    let mut labels: Vec<(&str, String, Option<&str>)> = Vec::new();
-    for method in methods.iter().map(|m| m.name()) {
+pub fn sweep() -> Sweep<Label> {
+    let mut cells = Vec::new();
+    for method in methods().iter().map(|m| m.name()) {
         let mut push = |spec: String, size: Option<&'static str>| {
-            grid.push(cell(&spec));
-            labels.push((method, spec, size));
+            let rcfg = cell(&spec);
+            cells.push(((method.to_string(), spec, size), rcfg));
         };
         push(method.to_string(), None);
         for size in CACHE_SIZES {
@@ -61,15 +62,28 @@ fn main() {
         }
         push(format!("stage(8MiB,2ms)+lru(16MiB)+{method}"), None);
     }
-    let results = run_grid(&grid);
+    let title =
+        "Cache sweep: RS(6,3) Ali-Cloud, node-local cache & write staging over every method";
+    Sweep::new("cache", title, cells, check).columns([
+        Column::key("method", |r| r.label.0.clone()),
+        Column::key("spec", |r| r.label.1.clone()).show("spec", plain),
+        Column::key("update_iops", |r| r.res.update_iops).show("IOPS", kilo),
+        Column::key("cache_lookups", |r| r.res.cache_lookups),
+        Column::key("cache_hits", |r| r.res.cache_hits).show("hits", plain),
+        Column::key("cache_hit_ratio", |r| r.res.cache_hit_ratio).show("hit ratio", fixed::<3>),
+        Column::key("staged_bytes", |r| r.res.staged_bytes).show("staged MiB", mib),
+        Column::key("coalesced_bytes", |r| r.res.coalesced_bytes).show("coalesced MiB", mib),
+        Column::key("stage_flushes", |r| r.res.stage_flushes).show("flushes", plain),
+    ])
+}
 
-    let mut report = BenchReport::new("cache_sweep");
-    let mut rows = Vec::new();
-    for ((method, spec, _), res) in labels.iter().zip(&results) {
-        assert_eq!(
-            res.oracle_violations, 0,
-            "{spec}: cache/staging layer violated consistency"
-        );
+/// Bytes printed in MiB.
+fn mib(v: &Json) -> String {
+    format!("{:.2}", v.as_f64().unwrap_or(0.0) / (1 << 20) as f64)
+}
+
+fn check(results: &Results<Label>, report: &mut BenchReport) {
+    for ((_, spec, _), res) in results.iter() {
         assert_eq!(res.method, *spec, "{spec}: method name drifted");
         let parsed = MethodSpec::parse(spec).expect("row spec parses");
         assert_eq!(parsed.to_string(), *spec, "{spec}: not canonical");
@@ -84,54 +98,16 @@ fn main() {
             assert!(res.staged_bytes > 0, "{spec}: staging bypassed");
             assert!(res.stage_flushes > 0, "{spec}: staging never flushed");
         }
-        let cells = vec![
-            ("method", (*method).into()),
-            ("spec", spec.as_str().into()),
-            ("update_iops", res.update_iops.into()),
-            ("cache_lookups", res.cache_lookups.into()),
-            ("cache_hits", res.cache_hits.into()),
-            ("cache_hit_ratio", res.cache_hit_ratio.into()),
-            ("staged_bytes", res.staged_bytes.into()),
-            ("coalesced_bytes", res.coalesced_bytes.into()),
-            ("stage_flushes", res.stage_flushes.into()),
-        ];
-        report.add_row(res, cells);
-        rows.push(vec![
-            spec.clone(),
-            kfmt(res.update_iops),
-            format!("{:.3}", res.cache_hit_ratio),
-            format!("{}", res.cache_hits),
-            format!("{:.2}", res.staged_bytes as f64 / (1 << 20) as f64),
-            format!("{:.2}", res.coalesced_bytes as f64 / (1 << 20) as f64),
-            format!("{}", res.stage_flushes),
-        ]);
     }
-    print_table(
-        "Cache sweep: RS(6,3) Ali-Cloud, node-local cache & write staging over every method",
-        &[
-            "spec",
-            "IOPS",
-            "hit ratio",
-            "hits",
-            "staged MiB",
-            "coalesced MiB",
-            "flushes",
-        ],
-        &rows,
-    );
 
     // Per-method findings and their shape: the hit-ratio ramp, the
     // relative IOPS gain from the largest cache, and staging's coalesced
     // fraction.
     let lookup = |m: &str, want: &dyn Fn(&str, Option<&str>) -> bool| -> &RunResult {
-        labels
-            .iter()
-            .zip(&results)
-            .find(|((lm, spec, size), _)| *lm == m && want(spec, *size))
-            .map(|(_, res)| res)
-            .expect("grid covers every (method, variant)")
+        results.get(|(lm, spec, size)| lm == m && want(spec, *size))
     };
     println!();
+    let methods = methods();
     let mut gains = Vec::new();
     for method in methods.iter().map(|m| m.name()) {
         let bare = lookup(method, &|spec, _| spec == method);
@@ -187,6 +163,4 @@ fn main() {
             gain_of("TSUE"),
         );
     }
-
-    report.write_and_announce();
 }

@@ -25,9 +25,14 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{kfmt, print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
+use tsue_bench::{ssd_replay, BenchReport};
 
 const COPYSET_BUDGET: usize = 4;
+
+/// A cell: fleet, placement, method.
+type Label = (&'static str, String, String);
+type Column = tsue_bench::sweep::Column<Label>;
 
 fn fleets() -> Vec<(&'static str, DiskFleet)> {
     let skewed: Vec<DiskProfile> = (0..16)
@@ -46,110 +51,55 @@ fn fleets() -> Vec<(&'static str, DiskFleet)> {
     ]
 }
 
-fn sweep_replay(
-    method: Arc<dyn UpdateMethod>,
-    fleet: &DiskFleet,
-    placement: Arc<dyn PlacementPolicy>,
-) -> ReplayConfig {
-    let clients = if tsue_bench::smoke() { 6 } else { 12 };
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
-    r.cluster.fleet = fleet.clone();
-    r.cluster.placement = placement;
-    // Small log units keep TSUE's real-time recycling active on the
-    // HDD-homed log regions within a short run (cf. `hdd_replay`).
-    r.cluster.tsue_unit_bytes = 1 << 20;
-    // HDD random I/O is ~30x slower per op: half the ops keep mixed-fleet
-    // cells short while the rate comparison stays meaningful.
-    r.ops_per_client = tsue_bench::ops_per_client() / 2;
-    r
-}
-
-fn main() {
+pub fn sweep() -> Sweep<Label> {
     let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
     let placements: [Arc<dyn PlacementPolicy>; 2] =
         [Arc::new(FlatRotate), Arc::new(CapacityWeighted)];
-    let copyset: Arc<dyn PlacementPolicy> = Arc::new(Copyset::new(COPYSET_BUDGET));
-
-    let mut grid = Vec::new();
-    let mut labels = Vec::new();
+    let mut grid: Vec<(&str, DiskFleet, Arc<dyn PlacementPolicy>)> = Vec::new();
     for (fleet_name, fleet) in fleets() {
         for placement in &placements {
-            for method in &methods {
-                grid.push(sweep_replay(
-                    Arc::clone(method),
-                    &fleet,
-                    Arc::clone(placement),
-                ));
-                labels.push((fleet_name, placement.name(), method.name()));
-            }
+            grid.push((fleet_name, fleet.clone(), Arc::clone(placement)));
         }
     }
     // The copyset trio: uniform fleet, blast radius capped at the budget.
-    for method in &methods {
-        grid.push(sweep_replay(
-            Arc::clone(method),
-            &DiskFleet::uniform_ssd(),
-            Arc::clone(&copyset),
-        ));
-        labels.push(("uniform-ssd", copyset.name(), method.name()));
+    let copyset = Arc::new(Copyset::new(COPYSET_BUDGET));
+    grid.push(("uniform-ssd", DiskFleet::uniform_ssd(), copyset));
+    let clients = if tsue_bench::smoke() { 6 } else { 12 };
+    let mut cells = Vec::new();
+    for (fleet_name, fleet, placement) in grid {
+        for method in &methods {
+            let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+            r.cluster.fleet = fleet.clone();
+            r.cluster.placement = Arc::clone(&placement);
+            // Small log units keep TSUE's real-time recycling active on the
+            // HDD-homed log regions within a short run (cf. `hdd_replay`).
+            r.cluster.tsue_unit_bytes = 1 << 20;
+            // HDD random I/O is ~30x slower per op: half the ops keep
+            // mixed-fleet cells short while the rate comparison stays
+            // meaningful.
+            r.ops_per_client = tsue_bench::ops_per_client() / 2;
+            let (p, m) = (placement.name().to_string(), method.name().to_string());
+            cells.push(((fleet_name, p, m), r));
+        }
     }
-    let results = run_grid(&grid);
+    let title = "Hetero sweep: RS(6,3) Ali-Cloud, fleet x placement x method";
+    Sweep::new("hetero", title, cells, check).columns([
+        Column::key("fleet", |r| r.label.0).show("fleet", plain),
+        Column::key("placement", |r| r.label.1.clone()).show("placement", plain),
+        Column::key("method", |r| r.label.2.clone()).show("method", plain),
+        Column::key("update_iops", |r| r.res.update_iops).show("IOPS", kilo),
+        Column::key("latency_mean_us", |r| r.res.latency_mean_us).show("lat(us)", fixed::<0>),
+        Column::key("fill_min", |r| r.res.disk_fill_min).show("fill min", fixed::<3>),
+        Column::key("fill_max", |r| r.res.disk_fill_max).show("fill max", fixed::<3>),
+        Column::key("wear_spread", |r| r.res.wear_spread).show("wear spread", fixed::<2>),
+        Column::key("copysets_used", |r| r.res.copysets_used).show("copysets", plain),
+        Column::key("net_gib", |r| r.res.net_gib),
+    ])
+}
 
-    let mut report = BenchReport::new("hetero_sweep");
-    let mut rows = Vec::new();
-    for ((fleet, placement, method), res) in labels.iter().zip(&results) {
-        assert_eq!(
-            res.oracle_violations, 0,
-            "{method} on {fleet} under {placement} placement violated consistency"
-        );
-        let cells = vec![
-            ("fleet", (*fleet).into()),
-            ("placement", (*placement).into()),
-            ("method", (*method).into()),
-            ("update_iops", res.update_iops.into()),
-            ("latency_mean_us", res.latency_mean_us.into()),
-            ("fill_min", res.disk_fill_min.into()),
-            ("fill_max", res.disk_fill_max.into()),
-            ("wear_spread", res.wear_spread.into()),
-            ("copysets_used", res.copysets_used.into()),
-            ("net_gib", res.net_gib.into()),
-        ];
-        report.add_row(res, cells);
-        rows.push(vec![
-            (*fleet).to_string(),
-            (*placement).to_string(),
-            (*method).to_string(),
-            kfmt(res.update_iops),
-            format!("{:.0}", res.latency_mean_us),
-            format!("{:.3}", res.disk_fill_min),
-            format!("{:.3}", res.disk_fill_max),
-            format!("{:.2}", res.wear_spread),
-            format!("{}", res.copysets_used),
-        ]);
-    }
-    print_table(
-        "Hetero sweep: RS(6,3) Ali-Cloud, fleet x placement x method",
-        &[
-            "fleet",
-            "placement",
-            "method",
-            "IOPS",
-            "lat(us)",
-            "fill min",
-            "fill max",
-            "wear spread",
-            "copysets",
-        ],
-        &rows,
-    );
-
+fn check(results: &Results<Label>, report: &mut BenchReport) {
     let cell = |fleet: &str, placement: &str, method: &str| {
-        labels
-            .iter()
-            .zip(&results)
-            .find(|((f, p, m), _)| *f == fleet && *p == placement && *m == method)
-            .map(|(_, res)| res)
-            .unwrap()
+        results.get(|(f, p, m)| *f == fleet && p == placement && m == method)
     };
 
     // 1. The headline question: TSUE's lead over FO, all-flash vs tiered.
@@ -175,7 +125,7 @@ fn main() {
 
     // 2. The capacity story: on the skewed fleet the flat rotation
     // overfills the quarter-size disk; capacity weighting flattens it.
-    for method in methods.iter().map(|m| m.name()) {
+    for method in ["FO", "PL", "TSUE"] {
         let flat = cell("skewed-ssd", "flat-rotate", method);
         let capw = cell("skewed-ssd", "capacity-weighted", method);
         println!(
@@ -192,7 +142,7 @@ fn main() {
     }
 
     // 3. The blast-radius budget: copyset placement confines stripes.
-    for method in methods.iter().map(|m| m.name()) {
+    for method in ["FO", "PL", "TSUE"] {
         let copy = cell("uniform-ssd", "copyset", method);
         let flat = cell("uniform-ssd", "flat-rotate", method);
         assert!(
@@ -220,5 +170,4 @@ fn main() {
     report.add_finding("copyset_budget", COPYSET_BUDGET);
     let copy_tsue = cell("uniform-ssd", "copyset", "TSUE");
     report.add_finding("tsue_copysets_used", copy_tsue.copysets_used);
-    report.write_and_announce();
 }

@@ -18,123 +18,78 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{kfmt, knee_index, print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, kilo, plain, state, Results, Sweep};
+use tsue_bench::{kfmt, ladder_knee, ssd_replay, BenchReport};
+
+/// A cell: method, offered rate (ops/s).
+type Label = (String, f64);
+type Column = tsue_bench::sweep::Column<Label>;
 
 /// The swept aggregate arrival rates (ops/s). Chosen to bracket every
 /// method's knee at the default scale: the slowest method saturates well
 /// below the top rung, the fastest still rides the bottom rungs.
 fn rates() -> Vec<f64> {
-    let base: Vec<f64> = [8_000.0, 16_000.0, 32_000.0, 64_000.0, 128_000.0, 256_000.0].into();
     if tsue_bench::smoke() {
         // Smoke keeps the bracket but skips the middle rungs.
         vec![8_000.0, 64_000.0, 256_000.0]
     } else {
-        base
+        vec![8_000.0, 16_000.0, 32_000.0, 64_000.0, 128_000.0, 256_000.0]
     }
 }
 
-fn sweep_replay(method: Arc<dyn UpdateMethod>, rate: f64) -> ReplayConfig {
+pub fn sweep() -> Sweep<Label> {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
-    r.volume_bytes = 32 << 20;
-    r.workload = Workload::Open(OpenLoopSpec::poisson(rate).with_window(4));
-    r
-}
-
-fn main() {
-    let methods = builtins();
-    let rates = rates();
-
-    let mut grid = Vec::new();
-    let mut labels = Vec::new();
-    for method in &methods {
-        for &rate in &rates {
-            grid.push(sweep_replay(Arc::clone(method), rate));
-            labels.push((method.name(), rate));
+    let mut cells = Vec::new();
+    for method in builtins() {
+        for rate in rates() {
+            let mut r = ssd_replay(6, 3, Arc::clone(&method), TraceFamily::AliCloud, clients);
+            r.volume_bytes = 32 << 20;
+            r.workload = Workload::Open(OpenLoopSpec::poisson(rate).with_window(4));
+            cells.push(((method.name().to_string(), rate), r));
         }
     }
-    let results = run_grid(&grid);
+    let title = "Load sweep: RS(6,3) Ali-Cloud, open-loop Poisson arrivals, window 4";
+    Sweep::new("load", title, cells, check).columns([
+        Column::key("method", |r| r.label.0.clone()).show("method", plain),
+        Column::key("rate", |r| r.label.1).show("rate", kilo),
+        Column::key("offered_ops_per_s", |r| r.res.offered_ops_per_s).show("offered/s", kilo),
+        Column::key("goodput_ops_per_s", |r| r.res.goodput_ops_per_s).show("goodput/s", kilo),
+        Column::key("queue_delay_p99_us", |r| r.res.queue_delay_p99_us)
+            .show("qdelay p99 us", fixed::<0>),
+        Column::key("peak_queue_depth", |r| r.res.peak_queue_depth).show("peak queue", plain),
+        Column::key("saturated", |r| r.res.saturated).show("state", state),
+    ])
+}
 
-    let mut report = BenchReport::new("load_sweep");
-    let mut rows = Vec::new();
-    for ((method, rate), res) in labels.iter().zip(&results) {
-        let cells = vec![
-            ("method", (*method).into()),
-            ("rate", (*rate).into()),
-            ("offered_ops_per_s", res.offered_ops_per_s.into()),
-            ("goodput_ops_per_s", res.goodput_ops_per_s.into()),
-            ("queue_delay_p99_us", res.queue_delay_p99_us.into()),
-            ("peak_queue_depth", res.peak_queue_depth.into()),
-            ("saturated", res.saturated.into()),
-        ];
-        report.add_row(res, cells);
+fn check(results: &Results<Label>, report: &mut BenchReport) {
+    for ((method, rate), res) in results.iter() {
         assert_eq!(
-            res.oracle_violations, 0,
-            "{method} at {rate} ops/s violated consistency"
+            res.failed_ops, 0,
+            "{method} at {rate} ops/s: open loop must ack every offered op"
         );
-        assert_eq!(
-            res.offered_ops,
-            res.completed_updates + res.completed_reads + res.completed_writes,
-            "{method}: open loop must ack every offered op"
-        );
-        rows.push(vec![
-            method.to_string(),
-            kfmt(*rate),
-            kfmt(res.offered_ops_per_s),
-            kfmt(res.goodput_ops_per_s),
-            format!("{:.0}", res.queue_delay_p99_us),
-            format!("{}", res.peak_queue_depth),
-            if res.saturated {
-                "SAT".into()
-            } else {
-                "ok".into()
-            },
-        ]);
     }
-    print_table(
-        "Load sweep: RS(6,3) Ali-Cloud, open-loop Poisson arrivals, window 4",
-        &[
-            "method",
-            "rate",
-            "offered/s",
-            "goodput/s",
-            "qdelay p99 us",
-            "peak queue",
-            "state",
-        ],
-        &rows,
-    );
 
     // The knee: lowest offered rate whose saturation is *durable* (the
     // next rung is saturated too — `knee_index` hysteresis filters a
     // one-rung queue-depth blip from a real capacity cliff).
     println!();
+    let methods = builtins();
     let mut knees = Vec::new();
     for method in methods.iter().map(|m| m.name()) {
-        let cells: Vec<(f64, &RunResult)> = labels
+        let ladder: Vec<(f64, &RunResult)> = results
             .iter()
-            .zip(&results)
-            .filter(|((m, _), _)| *m == method)
+            .filter(|((m, _), _)| m == method)
             .map(|((_, rate), res)| (*rate, res))
             .collect();
-        let sat_flags: Vec<bool> = cells.iter().map(|(_, res)| res.saturated).collect();
-        let knee = knee_index(&sat_flags).map(|i| &cells[i]);
-        let (knee_rate, knee_res) =
-            knee.unwrap_or_else(|| panic!("{method} never saturated: raise the top swept rate"));
-        // Below the knee the method must actually ride the schedule.
-        let floor = &cells.first().expect("rates is non-empty").1;
-        assert!(
-            !floor.saturated,
-            "{method} saturated at the bottom rung: lower the base swept rate"
-        );
+        let (knee_rate, knee_res) = ladder_knee(method, &ladder, |_, res| res.saturated);
         println!(
             "  -> {:>5} knee at offered {:>6}/s: goodput caps at {:>6}/s (queue p99 {:.1} ms)",
             method,
-            kfmt(*knee_rate),
+            kfmt(knee_rate),
             kfmt(knee_res.goodput_ops_per_s),
             knee_res.queue_delay_p99_us / 1e3,
         );
-        knees.push((method, *knee_rate, knee_res.goodput_ops_per_s));
+        knees.push((method, knee_rate, knee_res.goodput_ops_per_s));
     }
 
     // The ranking claim the sweep exists to demonstrate: TSUE sustains at
@@ -160,5 +115,4 @@ fn main() {
         report.add_finding(&format!("knee_rate_{method}"), *knee_rate);
         report.add_finding(&format!("knee_goodput_{method}"), *knee_cap);
     }
-    report.write_and_announce();
 }

@@ -27,7 +27,8 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, plain, Results, Sweep};
+use tsue_bench::{ssd_replay, BenchReport};
 
 /// Offered aggregate rates (ops/s): the diurnal day swings around the
 /// same mean the steady curve holds, so the two curves offer the same
@@ -104,99 +105,64 @@ fn plans() -> Vec<(&'static str, MaintenancePlan)> {
     ]
 }
 
-fn sweep_replay(
-    method: Arc<dyn UpdateMethod>,
-    plan: &MaintenancePlan,
-    curve: &RateCurve,
-) -> ReplayConfig {
-    let clients = if tsue_bench::smoke() { 6 } else { 12 };
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
-    r.cluster.fleet = DiskFleet::tiered(8, 8);
-    // Small log units keep TSUE's real-time recycling active on the
-    // HDD-homed log regions within a short run (cf. `hdd_replay`).
-    r.cluster.tsue_unit_bytes = 1 << 20;
-    r.ops_per_client = tsue_bench::ops_per_client() / 2;
-    r.workload = Workload::Open(OpenLoopSpec::poisson(STEADY_OPS_PER_S).with_rate(curve.clone()));
-    r.maintenance = plan.clone();
-    r
-}
+/// A cell: rate curve, maintenance plan, method.
+type Label = (&'static str, &'static str, String);
+type Column = tsue_bench::sweep::Column<Label>;
 
-fn main() {
+pub fn sweep() -> Sweep<Label> {
     let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
-
-    let mut grid = Vec::new();
-    let mut labels = Vec::new();
+    let clients = if tsue_bench::smoke() { 6 } else { 12 };
+    let mut cells = Vec::new();
     for (curve_name, curve) in curves() {
         for (plan_name, plan) in plans() {
             for method in &methods {
-                grid.push(sweep_replay(Arc::clone(method), &plan, &curve));
-                labels.push((curve_name, plan_name, method.name()));
+                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+                r.cluster.fleet = DiskFleet::tiered(8, 8);
+                // Small log units keep TSUE's real-time recycling active on
+                // the HDD-homed log regions within a short run (cf.
+                // `hdd_replay`).
+                r.cluster.tsue_unit_bytes = 1 << 20;
+                r.ops_per_client = tsue_bench::ops_per_client() / 2;
+                let arrivals = OpenLoopSpec::poisson(STEADY_OPS_PER_S).with_rate(curve.clone());
+                r.workload = Workload::Open(arrivals);
+                r.maintenance = plan.clone();
+                cells.push(((curve_name, plan_name, method.name().to_string()), r));
             }
         }
     }
-    let results = run_grid(&grid);
+    let title = "Maintenance sweep: RS(6,3) Ali-Cloud, tiered fleet, curve x plan x method";
+    Sweep::new("maint", title, cells, check).columns([
+        Column::key("curve", |r| r.label.0).show("curve", plain),
+        Column::key("plan", |r| r.label.1).show("plan", plain),
+        Column::key("method", |r| r.label.2.clone()).show("method", plain),
+        Column::key("update_iops", |r| r.res.update_iops),
+        Column::key("p99_us", |r| r.res.steady_p99_us).show("p99(us)", fixed::<0>),
+        Column::key("maint_busy_p99_us", |r| r.res.maint_busy_p99_us),
+        Column::key("maint_idle_p99_us", |r| r.res.maint_idle_p99_us),
+        Column::key("scrub_gib", |r| r.res.scrub_gib).show("scrub GiB", fixed::<2>),
+        Column::key("lse_injected", |r| r.res.lse_injected),
+        Column::key("lse_found", |r| r.res.lse_found),
+        Column::shown("LSE found", plain, |r| {
+            format!("{}/{}", r.res.lse_found, r.res.lse_injected)
+        }),
+        Column::key("lse_repaired", |r| r.res.lse_repaired),
+        Column::key("lse_latent", |r| latent(r.res)).show("latent", plain),
+        Column::key("migrated_gib", |r| r.res.maint_migrated_gib).show("migr GiB", fixed::<2>),
+        Column::key("wear_spread", |r| r.res.wear_spread).show("wear spread", fixed::<2>),
+    ])
+}
 
-    let mut report = BenchReport::new("maint_sweep");
-    let mut rows = Vec::new();
-    for ((curve, plan, method), res) in labels.iter().zip(&results) {
-        assert_eq!(
-            res.oracle_violations, 0,
-            "{method} plan {plan} under {curve} load violated consistency"
-        );
+/// Injected LSEs no scrub repaired by the end of the run.
+fn latent(res: &RunResult) -> u64 {
+    res.lse_injected - res.lse_repaired
+}
+
+fn check(results: &Results<Label>, report: &mut BenchReport) {
+    for ((_, plan, method), res) in results.iter() {
         assert_eq!(res.data_loss_blocks, 0, "{method} plan {plan}");
-        let latent = res.lse_injected - res.lse_repaired;
-        let cells = vec![
-            ("curve", (*curve).into()),
-            ("plan", (*plan).into()),
-            ("method", (*method).into()),
-            ("update_iops", res.update_iops.into()),
-            ("p99_us", res.steady_p99_us.into()),
-            ("maint_busy_p99_us", res.maint_busy_p99_us.into()),
-            ("maint_idle_p99_us", res.maint_idle_p99_us.into()),
-            ("scrub_gib", res.scrub_gib.into()),
-            ("lse_injected", res.lse_injected.into()),
-            ("lse_found", res.lse_found.into()),
-            ("lse_repaired", res.lse_repaired.into()),
-            ("lse_latent", latent.into()),
-            ("migrated_gib", res.maint_migrated_gib.into()),
-            ("wear_spread", res.wear_spread.into()),
-        ];
-        report.add_row(res, cells);
-        rows.push(vec![
-            (*curve).to_string(),
-            (*plan).to_string(),
-            (*method).to_string(),
-            format!("{:.0}", res.steady_p99_us),
-            format!("{:.2}", res.scrub_gib),
-            format!("{}/{}", res.lse_found, res.lse_injected),
-            format!("{latent}"),
-            format!("{:.2}", res.maint_migrated_gib),
-            format!("{:.2}", res.wear_spread),
-        ]);
     }
-    print_table(
-        "Maintenance sweep: RS(6,3) Ali-Cloud, tiered fleet, curve x plan x method",
-        &[
-            "curve",
-            "plan",
-            "method",
-            "p99(us)",
-            "scrub GiB",
-            "LSE found",
-            "latent",
-            "migr GiB",
-            "wear spread",
-        ],
-        &rows,
-    );
-
     let cell = |curve: &str, plan: &str, method: &str| {
-        labels
-            .iter()
-            .zip(&results)
-            .find(|((c, p, m), _)| *c == curve && *p == plan && *m == method)
-            .map(|(_, res)| res)
-            .unwrap()
+        results.get(|(c, p, m)| *c == curve && *p == plan && m == method)
     };
 
     // 1. The data-protection story: unscrubbed LSEs stay latent for the
@@ -204,8 +170,8 @@ fn main() {
     // into data loss — while a scrubbed run finds and repairs them.
     let exposed = cell("diurnal", "lse-only", "TSUE");
     let scrubbed = cell("diurnal", "scrub", "TSUE");
-    let latent_exposed = exposed.lse_injected - exposed.lse_repaired;
-    let latent_scrubbed = scrubbed.lse_injected - scrubbed.lse_repaired;
+    let latent_exposed = latent(exposed);
+    let latent_scrubbed = latent(scrubbed);
     println!(
         "\n  -> latent LSEs at end of day: {latent_exposed} unscrubbed vs {latent_scrubbed} scrubbed \
          ({} found, {} repaired)",
@@ -242,7 +208,7 @@ fn main() {
 
     // 3. The cost story: what the full plan costs each method's
     // foreground p99 under the diurnal day.
-    for method in methods.iter().map(|m| m.name()) {
+    for method in ["FO", "PL", "TSUE"] {
         let base = cell("diurnal", "none", method);
         let loaded = cell("diurnal", "full", method);
         let cost = loaded.steady_p99_us - base.steady_p99_us;
@@ -269,5 +235,4 @@ fn main() {
     report.add_finding("wear_spread_none_tsue", none.wear_spread);
     report.add_finding("wear_spread_full_tsue", full.wear_spread);
     report.add_finding("scrub_gib_full_tsue", full.scrub_gib);
-    report.write_and_announce();
 }

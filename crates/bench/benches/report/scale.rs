@@ -26,7 +26,8 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{kfmt, knee_index, print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, kilo, plain, state, Results, Sweep};
+use tsue_bench::{kfmt, ladder_knee, ssd_replay, BenchReport};
 
 /// The constant-rate reference rung every population runs: well below the
 /// smallest (10-node) cluster's FO knee, so the per-population resident
@@ -77,104 +78,59 @@ fn rates(nodes: usize) -> Vec<f64> {
 /// (minus a small drain tail), a capped cell acks at the cluster's
 /// service rate no matter what was offered. Measured cells land either
 /// above 0.9x or below 0.7x of nominal — 0.75 splits the gap.
-fn past_capacity(res: &RunResult, nominal_rate: f64) -> bool {
+fn past_capacity(nominal_rate: f64, res: &RunResult) -> bool {
     res.saturated || res.goodput_ops_per_s < 0.75 * nominal_rate
 }
 
-fn sweep_replay(
-    method: Arc<dyn UpdateMethod>,
-    population: u64,
-    nodes: usize,
-    rate: f64,
-) -> ReplayConfig {
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, population);
-    r.cluster.nodes = nodes;
-    r.volume_bytes = 32 << 20;
-    r.total_ops = Some(cell_ops());
-    r.workload = Workload::Open(
-        OpenLoopSpec::poisson(rate)
-            .with_window(4)
-            .with_client_skew(ClientSkew::Zipf { theta: 0.9 }),
-    );
-    r
-}
+/// A cell: population, nodes, method, offered rate (ops/s).
+type Label = (u64, usize, String, f64);
+type Column = tsue_bench::sweep::Column<Label>;
 
-fn main() {
+pub fn sweep() -> Sweep<Label> {
     let methods: [Arc<dyn UpdateMethod>; 2] = [Arc::new(Fo), Arc::new(Tsue)];
-    let pops = populations();
-
-    let mut grid = Vec::new();
-    let mut labels = Vec::new();
-    for &(population, nodes) in &pops {
+    let mut cells = Vec::new();
+    for (population, nodes) in populations() {
         for method in &methods {
             for rate in rates(nodes) {
-                grid.push(sweep_replay(Arc::clone(method), population, nodes, rate));
-                labels.push((population, nodes, method.name(), rate));
+                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, population);
+                r.cluster.nodes = nodes;
+                r.volume_bytes = 32 << 20;
+                r.total_ops = Some(cell_ops());
+                let skew = ClientSkew::Zipf { theta: 0.9 };
+                let arrivals = OpenLoopSpec::poisson(rate)
+                    .with_window(4)
+                    .with_client_skew(skew);
+                r.workload = Workload::Open(arrivals);
+                cells.push(((population, nodes, method.name().to_string(), rate), r));
             }
         }
     }
-    let results = run_grid(&grid);
+    let title = "Scale sweep: RS(6,3) Ali-Cloud, Zipf(0.9) clients, window 4, fixed total ops";
+    Sweep::new("scale", title, cells, check).columns([
+        Column::key("population", |r| r.label.0).show("clients", kilo),
+        Column::key("nodes", |r| r.label.1).show("nodes", plain),
+        Column::key("method", |r| r.label.2.clone()).show("method", plain),
+        Column::key("rate", |r| r.label.3).show("rate", kilo),
+        Column::key("offered_ops_per_s", |r| r.res.offered_ops_per_s),
+        Column::key("goodput_ops_per_s", |r| r.res.goodput_ops_per_s).show("goodput/s", kilo),
+        Column::key("saturated", |r| past_capacity(r.label.3, r.res)).show("state", state),
+        Column::key("window_backlogged", |r| r.res.saturated),
+        Column::key("active_clients_peak", |r| r.res.active_clients_peak)
+            .show("active peak", plain),
+        Column::key("client_state_bytes", |r| r.res.client_state_bytes).show("client B", plain),
+        Column::key("workload_state_bytes", |r| r.res.workload_state_bytes)
+            .show("workload B", plain),
+        Column::key("setup_ms", |r| r.res.setup_ms).show("setup ms", fixed::<1>),
+    ])
+}
 
-    let mut report = BenchReport::new("scale_sweep");
-    let mut rows = Vec::new();
-    for ((population, nodes, method, rate), res) in labels.iter().zip(&results) {
-        let cells = vec![
-            ("population", (*population).into()),
-            ("nodes", (*nodes as u64).into()),
-            ("method", (*method).into()),
-            ("rate", (*rate).into()),
-            ("offered_ops_per_s", res.offered_ops_per_s.into()),
-            ("goodput_ops_per_s", res.goodput_ops_per_s.into()),
-            ("saturated", past_capacity(res, *rate).into()),
-            ("window_backlogged", res.saturated.into()),
-            ("active_clients_peak", res.active_clients_peak.into()),
-            ("client_state_bytes", res.client_state_bytes.into()),
-            ("workload_state_bytes", res.workload_state_bytes.into()),
-            ("setup_ms", res.setup_ms.into()),
-        ];
-        report.add_row(res, cells);
+fn check(results: &Results<Label>, report: &mut BenchReport) {
+    for ((population, _, method, rate), res) in results.iter() {
         assert_eq!(
-            res.oracle_violations, 0,
-            "{method} at population {population} rate {rate} violated consistency"
+            res.failed_ops, 0,
+            "{method} at population {population} rate {rate}: open loop must ack every offered op"
         );
-        assert_eq!(
-            res.offered_ops,
-            res.completed_updates + res.completed_reads + res.completed_writes,
-            "{method} at population {population}: open loop must ack every offered op"
-        );
-        rows.push(vec![
-            kfmt(*population as f64),
-            format!("{nodes}"),
-            method.to_string(),
-            kfmt(*rate),
-            kfmt(res.goodput_ops_per_s),
-            format!("{}", res.active_clients_peak),
-            format!("{}", res.client_state_bytes),
-            format!("{}", res.workload_state_bytes),
-            format!("{:.1}", res.setup_ms),
-            if past_capacity(res, *rate) {
-                "SAT".into()
-            } else {
-                "ok".into()
-            },
-        ]);
     }
-    print_table(
-        "Scale sweep: RS(6,3) Ali-Cloud, Zipf(0.9) clients, window 4, fixed total ops",
-        &[
-            "clients",
-            "nodes",
-            "method",
-            "rate",
-            "goodput/s",
-            "active peak",
-            "client B",
-            "workload B",
-            "setup ms",
-            "state",
-        ],
-        &rows,
-    );
 
     // Per-population knees (hysteresis, as in load_sweep) and the scale
     // findings off the constant-rate reference rung.
@@ -182,45 +138,28 @@ fn main() {
     // Per population, ascending: (population, TSUE reference cell, TSUE
     // knee, FO knee).
     let mut trajectory: Vec<(u64, &RunResult, f64, f64)> = Vec::new();
-    for &(population, _) in &pops {
-        let mut knee_of = Vec::new();
-        for method in methods.iter().map(|m| m.name()) {
-            let cells: Vec<(f64, &RunResult)> = labels
+    for (population, _) in populations() {
+        let mut knees = Vec::new();
+        for method in ["FO", "TSUE"] {
+            let ladder: Vec<(f64, &RunResult)> = results
                 .iter()
-                .zip(&results)
-                .filter(|((p, _, m, _), _)| *p == population && *m == method)
+                .filter(|((p, _, m, _), _)| *p == population && m == method)
                 .map(|((_, _, _, rate), res)| (*rate, res))
                 .collect();
-            let sat_flags: Vec<bool> = cells
-                .iter()
-                .map(|(rate, res)| past_capacity(res, *rate))
-                .collect();
-            let (knee_rate, knee_res) =
-                knee_index(&sat_flags)
-                    .map(|i| &cells[i])
-                    .unwrap_or_else(|| {
-                        panic!(
-                        "{method} never saturated at population {population}: raise the knee rungs"
-                    )
-                    });
-            assert!(
-                !sat_flags[0],
-                "{method} saturated at the reference rung for population {population}: \
-                 lower REF_RATE below the smallest cluster's knee"
-            );
+            let what = format!("{method} at population {population}");
+            let (knee_rate, knee_res) = ladder_knee(&what, &ladder, past_capacity);
             println!(
                 "  -> pop {:>5} {:>4} knee at offered {:>7}/s (goodput {:>6}/s)",
                 kfmt(population as f64),
                 method,
-                kfmt(*knee_rate),
+                kfmt(knee_rate),
                 kfmt(knee_res.goodput_ops_per_s),
             );
-            report.add_finding(&format!("knee_rate_{method}_{population}"), *knee_rate);
-            knee_of.push((method, *knee_rate));
+            report.add_finding(&format!("knee_rate_{method}_{population}"), knee_rate);
+            knees.push(knee_rate);
         }
         // The ranking claim must survive every population.
-        let tsue = knee_of.iter().find(|(m, _)| *m == "TSUE").unwrap().1;
-        let fo = knee_of.iter().find(|(m, _)| *m == "FO").unwrap().1;
+        let (fo, tsue) = (knees[0], knees[1]);
         assert!(
             tsue >= fo,
             "population {population}: TSUE's knee ({tsue}) fell below FO's ({fo})"
@@ -228,28 +167,17 @@ fn main() {
 
         // Scale findings from TSUE's unsaturated reference cell: this is
         // the apples-to-apples trajectory asserted flat below.
-        let (_, reference) = labels
-            .iter()
-            .zip(&results)
-            .find(|((p, _, m, rate), _)| *p == population && *m == "TSUE" && *rate == REF_RATE)
-            .expect("every population runs the TSUE reference rung");
+        let reference =
+            results.get(|(p, _, m, rate)| *p == population && m == "TSUE" && *rate == REF_RATE);
+        let key = |name: &str| format!("{name}_{population}");
+        report.add_finding(&key("active_peak"), reference.active_clients_peak as f64);
+        report.add_finding(&key("state_bytes"), reference.client_state_bytes as f64);
         report.add_finding(
-            &format!("active_peak_{population}"),
-            reference.active_clients_peak as f64,
-        );
-        report.add_finding(
-            &format!("state_bytes_{population}"),
-            reference.client_state_bytes as f64,
-        );
-        report.add_finding(
-            &format!("workload_bytes_{population}"),
+            &key("workload_bytes"),
             reference.workload_state_bytes as f64,
         );
-        report.add_finding(
-            &format!("events_per_sec_{population}"),
-            reference.events_per_sec,
-        );
-        report.add_finding(&format!("setup_ms_{population}"), reference.setup_ms);
+        report.add_finding(&key("events_per_sec"), reference.events_per_sec);
+        report.add_finding(&key("setup_ms"), reference.setup_ms);
         trajectory.push((population, reference, tsue, fo));
     }
 
@@ -317,6 +245,4 @@ fn main() {
              (TSUE {prev_tsue} -> {tsue}, FO {prev_fo} -> {fo})"
         );
     }
-
-    report.write_and_announce();
 }

@@ -20,113 +20,64 @@
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
-use tsue_bench::{kfmt, print_table, run_grid, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
+use tsue_bench::{ssd_replay, BenchReport};
 
 const RACKS: usize = 4;
 const OVERSUB: f64 = 4.0;
 
-fn sweep_replay(
-    method: Arc<dyn UpdateMethod>,
-    placement: Arc<dyn PlacementPolicy>,
-    racks: usize,
-) -> ReplayConfig {
-    let clients = if tsue_bench::smoke() { 8 } else { 16 };
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
-    r.cluster.racks = racks;
-    r.cluster.oversubscription = if racks > 1 { OVERSUB } else { 1.0 };
-    r.cluster.placement = placement;
-    r
-}
+/// A cell: racks, placement, method.
+type Label = (usize, String, String);
+type Column = tsue_bench::sweep::Column<Label>;
 
-fn main() {
+pub fn sweep() -> Sweep<Label> {
     let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
     let placements: [Arc<dyn PlacementPolicy>; 3] = [
         Arc::new(FlatRotate),
         Arc::new(RackAware),
         Arc::new(RackLocal),
     ];
-
-    let mut grid = Vec::new();
+    let clients = if tsue_bench::smoke() { 8 } else { 16 };
+    let mut cells = Vec::new();
     for racks in [1usize, RACKS] {
         for placement in &placements {
             for method in &methods {
-                grid.push(sweep_replay(
-                    Arc::clone(method),
-                    Arc::clone(placement),
-                    racks,
-                ));
+                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+                r.cluster.racks = racks;
+                r.cluster.oversubscription = if racks > 1 { OVERSUB } else { 1.0 };
+                r.cluster.placement = Arc::clone(placement);
+                let (p, m) = (placement.name().to_string(), method.name().to_string());
+                cells.push(((racks, p, m), r));
             }
         }
     }
-    let results = run_grid(&grid);
-    let labels: Vec<(usize, &str, &str)> = grid
-        .iter()
-        .map(|r| {
-            (
-                r.cluster.racks,
-                r.cluster.placement.name(),
-                r.cluster.method.name(),
-            )
-        })
-        .collect();
-
-    let mut report = BenchReport::new("topo_sweep");
-    let mut rows = Vec::new();
-    for ((racks, placement, method), res) in labels.iter().zip(&results) {
-        assert_eq!(
-            res.oracle_violations, 0,
-            "{method} under {placement} placement violated consistency"
-        );
-        let cells = vec![
-            ("racks", (*racks).into()),
-            ("placement", (*placement).into()),
-            ("method", (*method).into()),
-            ("update_iops", res.update_iops.into()),
-            ("net_gib", res.net_gib.into()),
-            ("cross_rack_gib", res.net_cross_rack_gib.into()),
-        ];
-        report.add_row(res, cells);
-        rows.push(vec![
-            if *racks == 1 {
-                "1 (flat)".to_string()
-            } else {
-                format!("{racks} @ {OVERSUB}:1")
-            },
-            placement.to_string(),
-            method.to_string(),
-            kfmt(res.update_iops),
-            format!("{:.2}", res.net_gib),
-            format!("{:.2}", res.net_cross_rack_gib),
-            format!(
-                "{:.0}%",
-                100.0 * res.net_cross_rack_gib / res.net_gib.max(1e-12)
-            ),
-        ]);
-    }
-    print_table(
-        "Topology sweep: RS(6,3) Ali-Cloud, racks x placement x method",
-        &[
-            "racks",
-            "placement",
-            "method",
-            "IOPS",
-            "net GiB",
-            "x-rack GiB",
+    let title = "Topology sweep: RS(6,3) Ali-Cloud, racks x placement x method";
+    Sweep::new("topo", title, cells, check).columns([
+        Column::key("racks", |r| r.label.0).show("racks", |v| match v.as_f64() {
+            Some(racks) if racks > 1.0 => format!("{racks} @ {OVERSUB}:1"),
+            _ => "1 (flat)".to_string(),
+        }),
+        Column::key("placement", |r| r.label.1.clone()).show("placement", plain),
+        Column::key("method", |r| r.label.2.clone()).show("method", plain),
+        Column::key("update_iops", |r| r.res.update_iops).show("IOPS", kilo),
+        Column::key("net_gib", |r| r.res.net_gib).show("net GiB", fixed::<2>),
+        Column::key("cross_rack_gib", |r| r.res.net_cross_rack_gib).show("x-rack GiB", fixed::<2>),
+        Column::shown(
             "x-rack %",
-        ],
-        &rows,
-    );
+            |v| format!("{}%", fixed::<0>(v)),
+            |r| 100.0 * r.res.net_cross_rack_gib / r.res.net_gib.max(1e-12),
+        ),
+    ])
+}
 
-    // Shape checks the sweep exists to demonstrate.
+/// Shape checks the sweep exists to demonstrate.
+fn check(results: &Results<Label>, report: &mut BenchReport) {
     let cross_of = |placement: &str, method: &str| {
-        labels
-            .iter()
-            .zip(&results)
-            .find(|((r, p, m), _)| *r == RACKS && *p == placement && *m == method)
-            .map(|(_, res)| res.net_cross_rack_gib)
-            .unwrap()
+        results
+            .get(|(r, p, m)| *r == RACKS && p == placement && m == method)
+            .net_cross_rack_gib
     };
-    for method in methods.iter().map(|m| m.name()) {
+    for method in ["FO", "PL", "TSUE"] {
         let aware = cross_of("rack-aware", method);
         let local = cross_of("rack-local", method);
         println!(
@@ -148,7 +99,7 @@ fn main() {
         "TSUE: rack-local ({tsue_local:.3} GiB) must cross the spine less \
          than rack-aware ({tsue_aware:.3} GiB)"
     );
-    for ((racks, _, _), res) in labels.iter().zip(&results) {
+    for ((racks, _, _), res) in results.iter() {
         if *racks == 1 {
             assert_eq!(
                 res.net_cross_rack_gib, 0.0,
@@ -163,5 +114,4 @@ fn main() {
     // fabric.
     report.add_finding("tsue_cross_gib_rack_aware", tsue_aware);
     report.add_finding("tsue_cross_gib_rack_local", tsue_local);
-    report.write_and_announce();
 }

@@ -24,55 +24,64 @@
 //! The exported TSUE trace must carry spans and utilization lanes.
 
 use ecfs::prelude::*;
-use ecfs::telemetry::{binary, chrome, OpClass};
+use ecfs::telemetry::{binary, chrome, OpClass, StageRow};
 use traces::TraceFamily;
-use tsue_bench::{fig5_methods, print_table, report_dir, ssd_replay, BenchReport};
+use tsue_bench::sweep::{fixed, plain, Results, Row, Sweep};
+use tsue_bench::{fig5_methods, report_dir, ssd_replay, BenchReport};
 
-fn traced_cell(method: Arc<dyn UpdateMethod>) -> ReplayConfig {
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, 6);
-    r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
-    r.volume_bytes = 32 << 20;
-    r.trace = TraceConfig::on();
-    r.validate().expect("traced cell validates");
-    r
+/// A cell: its method's name.
+type Label = String;
+type Column = tsue_bench::sweep::Column<Label>;
+
+/// The update-path stage table (what Fig. 7 plots per method).
+fn update_rows(res: &RunResult) -> Vec<&StageRow> {
+    res.stage_breakdown
+        .iter()
+        .filter(|r| r.class == OpClass::Update)
+        .collect()
 }
 
-fn main() {
-    let mut report = BenchReport::new("trace_sweep");
-    let mut rows = Vec::new();
+fn update_total_us(res: &RunResult) -> f64 {
+    update_rows(res).iter().map(|r| r.total_us).sum()
+}
 
+/// The stage a row of the table shows.
+fn stage<'a>(r: &Row<'a, Label>) -> &'a StageRow {
+    update_rows(r.res)[r.part]
+}
+
+pub fn sweep() -> Sweep<Label> {
+    let mut cells = Vec::new();
     for method in fig5_methods() {
-        let rcfg = traced_cell(method);
-        let RunOutcome { result: res, trace } = Replay::run(&rcfg);
-        let trace = trace.expect("traced run returns a trace");
-        let name = res.method.clone();
+        let mut r = ssd_replay(6, 3, Arc::clone(&method), TraceFamily::AliCloud, 6);
+        r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
+        r.volume_bytes = 32 << 20;
+        r.trace = TraceConfig::on();
+        r.validate().expect("traced cell validates");
+        cells.push((method.name().to_string(), r));
+    }
+    let title = "Trace sweep: per-stage update latency attribution (AliCloud smoke cell)";
+    Sweep::new("trace", title, cells, check)
+        .columns([
+            Column::key("method", |r| r.label.clone()).show("method", plain),
+            Column::key("stage", |r| stage(r).stage.name()).show("stage", plain),
+            Column::key("count", |r| stage(r).count).show("count", plain),
+            Column::key("total_us", |r| stage(r).total_us),
+            Column::key("mean_us", |r| stage(r).mean_us).show("mean us", fixed::<2>),
+            Column::key("p99_us", |r| stage(r).p99_us).show("p99 us", fixed::<2>),
+            Column::shown(
+                "share",
+                |v| format!("{}%", fixed::<1>(v)),
+                |r| 100.0 * stage(r).total_us / update_total_us(r.res).max(1e-9),
+            ),
+        ])
+        .rows(|_, res| update_rows(res).len())
+}
 
-        // The update-path stage table (what Fig. 7 plots per method).
-        let update_rows: Vec<_> = res
-            .stage_breakdown
-            .iter()
-            .filter(|r| r.class == OpClass::Update)
-            .collect();
-        let update_total_us: f64 = update_rows.iter().map(|r| r.total_us).sum();
-        for row in &update_rows {
-            let cells = vec![
-                ("method", name.as_str().into()),
-                ("stage", row.stage.name().into()),
-                ("count", row.count.into()),
-                ("total_us", row.total_us.into()),
-                ("mean_us", row.mean_us.into()),
-                ("p99_us", row.p99_us.into()),
-            ];
-            report.add_row(&res, cells);
-            rows.push(vec![
-                name.clone(),
-                row.stage.name().to_string(),
-                format!("{}", row.count),
-                format!("{:.2}", row.mean_us),
-                format!("{:.2}", row.p99_us),
-                format!("{:.1}%", 100.0 * row.total_us / update_total_us.max(1e-9)),
-            ]);
-        }
+fn check(results: &Results<Label>, report: &mut BenchReport) {
+    for (name, out) in &results.cells {
+        let res = &out.result;
+        let trace = out.trace.as_ref().expect("traced run returns a trace");
 
         // Attribution: the retained spans vs the op index's latencies,
         // two independently-derived sums.
@@ -90,8 +99,8 @@ fn main() {
         // completes once per 4 MiB slice in both the latency histogram
         // and the trace, while `completed_updates` counts the client op
         // once — so the rollup's own span count is the right divisor.
-        let traced_updates = update_rows.iter().map(|r| r.count).max().unwrap_or(0);
-        let rollup_mean_us = update_total_us / traced_updates.max(1) as f64;
+        let traced_updates = update_rows(res).iter().map(|r| r.count).max().unwrap_or(0);
+        let rollup_mean_us = update_total_us(res) / traced_updates.max(1) as f64;
         let recon_err =
             (rollup_mean_us - res.latency_mean_us).abs() / res.latency_mean_us.max(1e-9);
 
@@ -121,9 +130,9 @@ fn main() {
         if name == "TSUE" {
             let dir = report_dir();
             std::fs::create_dir_all(&dir).expect("report dir");
-            std::fs::write(dir.join("BENCH_trace.json"), chrome::to_json(&trace))
+            std::fs::write(dir.join("BENCH_trace.json"), chrome::to_json(trace))
                 .expect("chrome trace export");
-            std::fs::write(dir.join("BENCH_trace.bin"), binary::to_bytes(&trace))
+            std::fs::write(dir.join("BENCH_trace.bin"), binary::to_bytes(trace))
                 .expect("binary trace export");
             assert!(
                 !trace.spans.is_empty() && !trace.util.is_empty(),
@@ -136,13 +145,6 @@ fn main() {
         }
     }
 
-    print_table(
-        "Trace sweep: per-stage update latency attribution (AliCloud smoke cell)",
-        &["method", "stage", "count", "mean us", "p99 us", "share"],
-        &rows,
-    );
-
-    report.write_and_announce();
     println!(
         "perfetto trace: {} (load at ui.perfetto.dev)",
         report_dir().join("BENCH_trace.json").display()

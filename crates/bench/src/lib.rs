@@ -1,18 +1,21 @@
 //! Shared plumbing for the benchmark harness.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation (§5). Targets are plain `main` functions (`harness = false`)
-//! that run deterministic simulations and print the same rows/series the
-//! paper reports, so `cargo bench --workspace` reproduces the entire
-//! evaluation.
+//! The `report` bench target regenerates the paper's evaluation (§5):
+//! Figs. 5, 6b, 7 and 8a, Tables 1 and 2, and eight sweeps beyond the
+//! paper. Each is a [`sweep::Sweep`] value — cells, columns declared once,
+//! and a check asserting its findings — that runs deterministic
+//! simulations and prints the same rows/series the paper reports, so
+//! `cargo bench -p tsue-bench --bench report` reproduces the entire
+//! evaluation and `... -- load fig5` runs the named values only.
 //!
-//! Scale knobs: all fourteen targets' default grids finish in about 15 s
-//! after the build (14.2 s measured on a 2-CPU VM); set
+//! Scale knobs: all 14 values' default grids finish in about 9 s after
+//! the build (median of 5 runs through `cargo bench` on a 2-CPU VM); set
 //! `TSUE_BENCH_FULL=1` for the paper-scale grid (more clients, more ops).
 
 use ecfs::prelude::*;
 
 pub mod report;
+pub mod sweep;
 
 pub use report::{report_dir, BenchReport, Json};
 
@@ -43,9 +46,9 @@ pub fn ops_per_client() -> usize {
     }
 }
 
-/// Worker threads for [`run_grid`]: the `TSUE_BENCH_THREADS` override
-/// when set (an unparseable value means 1), otherwise the machine's
-/// available parallelism.
+/// Worker threads for [`run_grid`] and the sweep harness: the
+/// `TSUE_BENCH_THREADS` override when set (an unparseable value means 1),
+/// otherwise the machine's available parallelism.
 fn grid_threads() -> usize {
     match std::env::var("TSUE_BENCH_THREADS") {
         Ok(v) => v.trim().parse().unwrap_or(1).max(1),
@@ -64,33 +67,38 @@ fn grid_threads() -> usize {
 /// loop. The worker count is the `TSUE_BENCH_THREADS` environment
 /// override when set, otherwise `std::thread::available_parallelism()`.
 pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
+    fan_out(configs, |rcfg| Replay::run(rcfg).result)
+}
+
+/// Maps `run` over `items` on [`grid_threads`] workers, each claiming the
+/// next unclaimed item, and returns the outputs in input order.
+pub(crate) fn fan_out<C: Sync, T: Send>(items: &[C], run: impl Fn(&C) -> T + Sync) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    if configs.is_empty() {
+    if items.is_empty() {
         return Vec::new();
     }
-    let workers = grid_threads().min(configs.len());
+    let workers = grid_threads().min(items.len());
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = configs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(rcfg) = configs.get(i) else {
+                let Some(item) = items.get(i) else {
                     break;
                 };
-                let result = Replay::run(rcfg).result;
-                *slots[i].lock().unwrap() = Some(result);
+                let out = run(item);
+                *slots[i].lock().expect("no worker panics while storing") = Some(out);
             });
         }
     });
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("worker completed every claimed slot")
+            let out = slot.into_inner().expect("no worker panics while storing");
+            out.expect("worker completed every claimed slot")
         })
         .collect()
 }
@@ -164,32 +172,46 @@ pub fn knee_index(saturated: &[bool]) -> Option<usize> {
     (0..saturated.len()).find(|&i| saturated[i] && saturated.get(i + 1).copied().unwrap_or(true))
 }
 
+/// The knee of a rate ladder (`(rate, result)` rungs in rising rate
+/// order): the first rung past capacity that the next rung confirms
+/// ([`knee_index`]).
+///
+/// # Panics
+/// Panics, naming `what`, when the bottom rung is already past capacity
+/// (`past`) or no rung is: the ladder does not bracket the knee.
+pub fn ladder_knee<'a>(
+    what: &str,
+    ladder: &[(f64, &'a RunResult)],
+    past: impl Fn(f64, &RunResult) -> bool,
+) -> (f64, &'a RunResult) {
+    let saturated: Vec<bool> = ladder.iter().map(|&(rate, res)| past(rate, res)).collect();
+    // Below the knee the method must actually ride the schedule.
+    assert!(!saturated[0], "{what} saturated at the bottom rung");
+    let knee = knee_index(&saturated);
+    ladder[knee.unwrap_or_else(|| panic!("{what} never saturated: raise the top rung"))]
+}
+
 /// Renders a markdown-ish table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let headers: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
     let line = |cells: &[String]| {
         let padded: Vec<String> = cells
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
+            .zip(&widths)
+            .map(|(c, &w)| format!("{c:>w$}"))
             .collect();
         println!("| {} |", padded.join(" | "));
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    println!(
-        "|{}|",
-        widths
-            .iter()
-            .map(|w| "-".repeat(w + 2))
-            .collect::<Vec<_>>()
-            .join("|")
-    );
+    line(&headers);
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+    println!("|{}|", rule.join("|"));
     for row in rows {
         line(row);
     }
@@ -203,32 +225,6 @@ pub fn kfmt(v: f64) -> String {
         format!("{v:.0}")
     }
 }
-
-/// One-line summary of a run for method-comparison rows.
-pub fn summary_row(label: &str, r: &RunResult) -> Vec<String> {
-    vec![
-        label.to_string(),
-        kfmt(r.update_iops),
-        format!("{:.0}", r.latency_mean_us),
-        format!("{}", r.disk.rw_ops()),
-        format!("{:.1}", (r.disk.rw_bytes() as f64) / (1u64 << 30) as f64),
-        format!("{}", r.disk.overwrites.ops),
-        format!("{:.2}", r.net_gib),
-        format!("{}", r.erases),
-    ]
-}
-
-/// Header matching [`summary_row`].
-pub const SUMMARY_HEADERS: [&str; 8] = [
-    "method",
-    "IOPS",
-    "lat(us)",
-    "rw ops",
-    "rw GiB",
-    "overwrites",
-    "net GiB",
-    "erases",
-];
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,12 @@
 //! Machine-readable bench reports: a hand-rolled JSON value type, writer,
 //! and parser (the compat-shim constraint keeps serde out of the tree).
 //!
-//! Every sweep bench builds a [`BenchReport`] alongside its printed table
-//! and writes it to `target/bench-report/BENCH_<sweep>.json` (override the
-//! directory with `TSUE_BENCH_REPORT_DIR`). The sweep asserts its shape
-//! invariants on the typed results it computed; the report is the artifact
-//! CI uploads for humans diffing runs. The parser reads JSON back for
+//! The sweep harness ([`crate::sweep`]) builds one [`BenchReport`] per
+//! report value, from the same column list as its printed table, and
+//! writes it to `target/bench-report/BENCH_<name>_sweep.json` (override
+//! the directory with `TSUE_BENCH_REPORT_DIR`). The value asserts its
+//! findings on the typed results; the report is the artifact CI uploads
+//! for humans diffing runs. The parser reads JSON back for
 //! [`check_chrome_trace`], the validator of the Perfetto trace export.
 //!
 //! Report schema (version 1):
@@ -20,13 +21,12 @@
 //! }
 //! ```
 //!
-//! `rows` mirrors the printed table with typed cells, each row ending in
-//! the engine-speed cells `sim_events`, `wall_ms` and `events_per_sec`;
-//! `findings` holds the sweep's headline numbers (the quantities its shape
+//! `rows` holds the value's keyed columns as typed cells, each row ending
+//! in the engine-speed cells `sim_events`, `wall_ms` and `events_per_sec`;
+//! `findings` holds the value's headline numbers (the quantities its
 //! assertions are about).
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use ecfs::prelude::RunResult;
@@ -81,6 +81,12 @@ impl From<&str> for Json {
 impl From<String> for Json {
     fn from(v: String) -> Json {
         Json::Str(v)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -468,25 +474,18 @@ impl BenchReport {
     }
 
     /// Writes `BENCH_<sweep>.json` into [`report_dir`], creating the
-    /// directory, and returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = report_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.sweep));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.to_json().render().as_bytes())?;
-        f.write_all(b"\n")?;
-        Ok(path)
-    }
-
-    /// Writes the report and prints where it landed (the standard sweep
-    /// epilogue).
+    /// directory, and prints where it landed.
     ///
     /// # Panics
     /// Panics when the report cannot be written — in CI a silently missing
     /// report would leave nothing to diff.
     pub fn write_and_announce(&self) {
-        let path = self.write().expect("bench report must be writable");
+        let dir = report_dir();
+        let path = dir.join(format!("BENCH_{}.json", self.sweep));
+        let text = self.to_json().render() + "\n";
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, text))
+            .expect("bench report must be writable");
         println!("\nbench report: {}", path.display());
     }
 }

@@ -299,15 +299,21 @@ impl WindowSet {
     }
 }
 
+/// Samples per chunk of a [`SampleLog`] (64 KiB).
+const SAMPLE_CHUNK: usize = 4096;
+
 /// A log of `(time, value)` samples that can be re-aggregated against a
 /// [`WindowSet`] after the fact — latency quantiles *during* rebuild
 /// windows vs steady state, without deciding the windows up front.
 ///
 /// Memory grows with the sample count, so replay engines only attach one
-/// when a fault plan makes phase-aware aggregation necessary.
+/// when a fault plan makes phase-aware aggregation necessary. It grows in
+/// fixed chunks, not one doubling buffer: that buffer's late reallocation
+/// (2 MiB at 100 000 ops) lands wherever a busy heap has room, which makes
+/// the process's peak resident set vary from run to run.
 #[derive(Debug, Clone, Default)]
 pub struct SampleLog {
-    samples: Vec<(SimTime, u64)>,
+    chunks: Vec<Vec<(SimTime, u64)>>,
 }
 
 impl SampleLog {
@@ -318,30 +324,26 @@ impl SampleLog {
 
     /// Records one sample at time `t`.
     pub fn record(&mut self, t: SimTime, value: u64) {
-        self.samples.push((t, value));
+        if self.chunks.last().is_none_or(|c| c.len() == SAMPLE_CHUNK) {
+            self.chunks.push(Vec::with_capacity(SAMPLE_CHUNK));
+        }
+        self.chunks.last_mut().unwrap().push((t, value));
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.chunks.iter().map(Vec::len).sum()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.chunks.is_empty()
     }
 
-    /// Borrowing view of the raw `(time, value)` samples, in record order —
-    /// the allocation-free path for consumers that re-aggregate samples
-    /// their own way (per-stage attribution walks this instead of paying
-    /// [`SampleLog::split`]'s two-histogram clone per call).
-    pub fn samples(&self) -> &[(SimTime, u64)] {
-        &self.samples
-    }
-
-    /// Iterates `(time, value)` pairs without cloning or aggregating.
+    /// Iterates `(time, value)` pairs in record order without cloning or
+    /// aggregating.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
-        self.samples.iter().copied()
+        self.chunks.iter().flatten().copied()
     }
 
     /// Splits the samples into `(inside, outside)` histograms against the
@@ -530,13 +532,14 @@ mod tests {
     #[test]
     fn sample_log_borrowing_iteration_matches_split() {
         let mut log = SampleLog::new();
-        for t in 0..50u64 {
-            log.record(t, t * 10);
-        }
+        // Three full chunks and part of a fourth, none grown past its size.
+        let n = 3 * SAMPLE_CHUNK as u64 + 50;
+        (0..n).for_each(|t| log.record(t, t * 10));
+        assert_eq!((log.len() as u64, log.chunks.len()), (n, 4));
+        assert!(log.chunks.iter().all(|c| c.capacity() == SAMPLE_CHUNK));
         // The borrowing paths see every sample in record order without
         // cloning into histograms.
-        assert_eq!(log.samples().len(), 50);
-        assert_eq!(log.samples()[7], (7, 70));
+        assert!(log.iter().eq((0..n).map(|t| (t, t * 10))));
         let mut w = WindowSet::new();
         w.insert(10, 20);
         let inside_sum: u64 = log
@@ -550,7 +553,7 @@ mod tests {
         // split(empty windows) == (empty, all): the borrowing path agrees.
         let (ins, outs) = log.split(&WindowSet::new());
         assert_eq!(ins.count(), 0);
-        assert_eq!(outs.count() as usize, log.samples().len());
+        assert_eq!(outs.count() as usize, log.len());
     }
 
     #[test]
