@@ -269,12 +269,6 @@ impl ClusterConfig {
         RackMap::contiguous(self.nodes, self.racks).with_node_weights(weights)
     }
 
-    /// The rack hosting client `c` (endpoint slots round-robin over
-    /// racks; the rack follows the client's slot).
-    pub fn client_rack(&self, c: u64) -> usize {
-        (c % self.client_slots() as u64) as usize % self.racks
-    }
-
     /// The full fabric topology: OSD racks from [`Self::rack_map`], client
     /// endpoint slots round-robin over the same racks.
     pub fn topology(&self) -> simnet::Topology {

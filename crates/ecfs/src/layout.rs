@@ -314,12 +314,14 @@ impl Layout {
     /// grow it with the stripe count — it is the blast-radius currency a
     /// [`crate::fault::FaultPlan`] run reports.
     pub fn distinct_copysets(&self) -> usize {
-        let stripes: std::collections::HashSet<(u32, u64)> = self
+        let mut stripes: Vec<(u32, u64)> = self
             .table
             .keys()
             .map(|addr| (addr.volume, addr.stripe))
             .collect();
-        let mut sets = std::collections::HashSet::new();
+        stripes.sort_unstable();
+        stripes.dedup();
+        let mut sets = Vec::with_capacity(stripes.len());
         for (volume, stripe) in stripes {
             let mut nodes: Vec<usize> = (0..self.code.total() as u16)
                 .map(|index| {
@@ -332,8 +334,10 @@ impl Layout {
                 .collect();
             nodes.sort_unstable();
             nodes.dedup();
-            sets.insert(nodes);
+            sets.push(nodes);
         }
+        sets.sort_unstable();
+        sets.dedup();
         sets.len()
     }
 

@@ -2,7 +2,7 @@
 //! offered-load engine, and the measurement harvest every benchmark
 //! consumes.
 
-use simdes::stats::SampleLog;
+use simdes::stats::{SampleLog, WindowSet};
 use simdes::{Sim, SimTime};
 use std::collections::VecDeque;
 
@@ -917,26 +917,14 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     let sim_end = sim.now();
     let windows = cl.faults.windows(sim_end);
     let (degraded_p99_us, steady_p99_us) = match &cl.metrics.latency_samples {
-        Some(log) => {
-            let (inside, outside) = log.split(&windows);
-            (
-                inside.quantile(0.99) as f64 / 1_000.0,
-                outside.quantile(0.99) as f64 / 1_000.0,
-            )
-        }
+        Some(log) => p99_split_us(log, &windows),
         None => (
             0.0,
             cl.metrics.update_latency.quantile(0.99) as f64 / 1_000.0,
         ),
     };
     let (degraded_read_p99_us, steady_read_p99_us) = match &cl.metrics.read_latency_samples {
-        Some(log) => {
-            let (inside, outside) = log.split(&windows);
-            (
-                inside.quantile(0.99) as f64 / 1_000.0,
-                outside.quantile(0.99) as f64 / 1_000.0,
-            )
-        }
+        Some(log) => p99_split_us(log, &windows),
         None => (0.0, cl.metrics.read_latency.quantile(0.99) as f64 / 1_000.0),
     };
     let mttr_s = cl.faults.mttr_s(sim_end);
@@ -1050,13 +1038,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     }
     let (maint_busy_p99_us, maint_idle_p99_us) =
         match (&cl.metrics.latency_samples, cl.maint.active) {
-            (Some(log), true) => {
-                let (busy, idle) = log.split(&cl.maint.windows);
-                (
-                    busy.quantile(0.99) as f64 / 1_000.0,
-                    idle.quantile(0.99) as f64 / 1_000.0,
-                )
-            }
+            (Some(log), true) => p99_split_us(log, &cl.maint.windows),
             _ => (0.0, 0.0),
         };
     const GIB: f64 = (1u64 << 30) as f64;
@@ -1148,6 +1130,15 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         setup_ms: cl.metrics.setup_ms,
     };
     RunOutcome { result, trace }
+}
+
+/// The p99 (µs) of the samples inside `windows` and of those outside.
+fn p99_split_us(log: &SampleLog, windows: &WindowSet) -> (f64, f64) {
+    let (inside, outside) = log.split(windows);
+    (
+        inside.quantile(0.99) as f64 / 1_000.0,
+        outside.quantile(0.99) as f64 / 1_000.0,
+    )
 }
 
 fn log_memory(cl: &Cluster) -> u64 {

@@ -76,7 +76,7 @@ pub fn to_json(trace: &Trace) -> String {
     }
     for lane in &trace.util {
         let name = format!("{}/{}", lane.kind.name(), lane.id);
-        let tid = (lane.kind.id() as u32) << 16 | lane.id;
+        let tid = util_tid(lane.kind, lane.id);
         for (i, &busy) in lane.busy.iter().enumerate() {
             let ts = i as u64 * lane.bucket_ns;
             events.push((

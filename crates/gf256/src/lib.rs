@@ -12,7 +12,7 @@
 //!   into up to four outputs per pass — that the codec uses to stream whole
 //!   blocks through the field ([`mod@slice`]);
 //! * dense matrices over the field with multiplication, Gaussian inversion,
-//!   and Vandermonde / Cauchy constructors ([`matrix`]).
+//!   and the Cauchy constructor ([`matrix`]).
 //!
 //! # Example
 //!

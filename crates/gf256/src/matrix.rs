@@ -1,6 +1,6 @@
 //! Dense matrices over GF(2^8): multiplication, Gaussian inversion, and the
-//! Vandermonde / Cauchy constructors used to build erasure-coding matrices
-//! (Eq. 1 of the paper).
+//! Cauchy constructor that builds the erasure-coding matrix (Eq. 1 of the
+//! paper).
 
 use core::fmt;
 
@@ -51,26 +51,11 @@ impl Matrix {
         }
     }
 
-    /// `rows × cols` Vandermonde matrix: `a[i][j] = (i+1)^j`.
-    ///
-    /// Note: an *extended* Vandermonde matrix is not directly usable as the
-    /// parity part of a systematic code; see [`Matrix::rs_vandermonde`].
-    pub fn vandermonde(rows: usize, cols: usize) -> Matrix {
-        let mut m = Matrix::zero(rows, cols);
-        for i in 0..rows {
-            let x = Gf((i + 1) as u8);
-            for j in 0..cols {
-                m.set(i, j, x.pow(j as u32));
-            }
-        }
-        m
-    }
-
     /// `rows × cols` Cauchy matrix: `a[i][j] = 1 / (x_i + y_j)` with
     /// `x_i = i + cols` and `y_j = j`.
     ///
-    /// Every square submatrix of a Cauchy matrix is invertible, which is the
-    /// MDS property required of the parity-generation matrix.
+    /// Every square block of a Cauchy matrix is invertible, which is the MDS
+    /// property required of the parity-generation matrix.
     ///
     /// # Panics
     /// Panics if `rows + cols > 256` (the element sets must stay disjoint
@@ -90,53 +75,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    /// Parity-generation matrix for a systematic RS(k, m) code derived from
-    /// an extended Vandermonde matrix.
-    ///
-    /// Builds the `(k+m) × k` Vandermonde matrix, then column-reduces it so
-    /// the top `k × k` block becomes the identity; the bottom `m × k` block
-    /// is returned. Any `k` rows of `[I; B]` remain linearly independent, so
-    /// the code is MDS.
-    ///
-    /// # Panics
-    /// Panics if `k + m > 255` or `k == 0 || m == 0`.
-    pub fn rs_vandermonde(k: usize, m: usize) -> Matrix {
-        assert!(k > 0 && m > 0, "rs_vandermonde: k and m must be non-zero");
-        assert!(k + m <= 255, "rs_vandermonde: k + m must be <= 255");
-        let mut v = Matrix::vandermonde(k + m, k);
-        // Column-reduce so rows 0..k become the identity. Column operations
-        // preserve the "any k rows are independent" property.
-        for i in 0..k {
-            // Ensure pivot v[i][i] != 0 by swapping columns if needed.
-            if v.get(i, i).is_zero() {
-                let swap = (i + 1..k)
-                    .find(|&j| !v.get(i, j).is_zero())
-                    .expect("vandermonde rows are independent");
-                v.swap_cols(i, swap);
-            }
-            let pivot_inv = v.get(i, i).inverse().unwrap();
-            // Scale column i so the pivot is 1.
-            for r in 0..k + m {
-                v.set(r, i, v.get(r, i) * pivot_inv);
-            }
-            // Eliminate the rest of row i.
-            for j in 0..k {
-                if j == i {
-                    continue;
-                }
-                let factor = v.get(i, j);
-                if factor.is_zero() {
-                    continue;
-                }
-                for r in 0..k + m {
-                    let val = v.get(r, j) + v.get(r, i) * factor;
-                    v.set(r, j, val);
-                }
-            }
-        }
-        v.submatrix(k, k + m, 0, k)
     }
 
     /// Number of rows.
@@ -201,33 +139,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols`.
-    pub fn mul_vec(&self, v: &[Gf]) -> Vec<Gf> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch in mul_vec");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self.get(i, j) * v[j]).sum::<Gf>())
-            .collect()
-    }
-
-    /// Rectangular sub-block `[r0, r1) × [c0, c1)`.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or out of bounds.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 < r1 && r1 <= self.rows, "row range out of bounds");
-        assert!(c0 < c1 && c1 <= self.cols, "column range out of bounds");
-        let mut out = Matrix::zero(r1 - r0, c1 - c0);
-        for r in r0..r1 {
-            for c in c0..c1 {
-                out.set(r - r0, c - c0, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// New matrix made of the given rows of `self`, in order.
     ///
     /// # Panics
@@ -251,17 +162,6 @@ impl Matrix {
         let (lo, hi) = (a.min(b), a.max(b));
         let (head, tail) = self.data.split_at_mut(hi * self.cols);
         head[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
-    }
-
-    /// Swaps two columns in place.
-    pub fn swap_cols(&mut self, a: usize, b: usize) {
-        assert!(a < self.cols && b < self.cols, "column index out of bounds");
-        if a == b {
-            return;
-        }
-        for r in 0..self.rows {
-            self.data.swap(r * self.cols + a, r * self.cols + b);
-        }
     }
 
     /// Gauss-Jordan inverse. Returns `None` if the matrix is singular.
@@ -366,35 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn rs_vandermonde_is_mds_for_small_codes() {
-        // For RS(k, m): appending the parity rows to the identity must keep
-        // every k-row subset invertible.
-        for (k, m) in [(2usize, 2usize), (3, 2), (4, 3), (6, 4)] {
-            let b = Matrix::rs_vandermonde(k, m);
-            assert_eq!(b.rows(), m);
-            assert_eq!(b.cols(), k);
-            let mut full = Matrix::zero(k + m, k);
-            for i in 0..k {
-                full.set(i, i, Gf::ONE);
-            }
-            for i in 0..m {
-                for j in 0..k {
-                    full.set(k + i, j, b.get(i, j));
-                }
-            }
-            // Exhaustively check all k-subsets of rows for invertibility.
-            let idx: Vec<usize> = (0..k + m).collect();
-            for combo in combinations(&idx, k) {
-                let sub = full.select_rows(&combo);
-                assert!(
-                    sub.inverted().is_some(),
-                    "rows {combo:?} singular for RS({k},{m})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cauchy_parity_is_mds_for_paper_codes() {
         for (k, m) in [(6usize, 2usize), (6, 3), (6, 4), (12, 2), (12, 3), (12, 4)] {
             let b = Matrix::cauchy(m, k);
@@ -420,38 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::cauchy(3, 4);
-        let v = [Gf(9), Gf(200), Gf(3), Gf(77)];
-        let as_col = Matrix::from_rows(4, 1, &[9, 200, 3, 77]);
-        let prod = m.mul(&as_col);
-        let prod_vec = m.mul_vec(&v);
-        for (i, &got) in prod_vec.iter().enumerate() {
-            assert_eq!(prod.get(i, 0), got);
-        }
-    }
-
-    #[test]
-    fn submatrix_and_select_rows() {
-        let m = Matrix::vandermonde(4, 3);
-        let sub = m.submatrix(1, 3, 0, 2);
-        assert_eq!(sub.rows(), 2);
-        assert_eq!(sub.cols(), 2);
-        assert_eq!(sub.get(0, 0), m.get(1, 0));
-        assert_eq!(sub.get(1, 1), m.get(2, 1));
-
+    fn select_rows_keeps_the_given_order() {
+        let m = Matrix::cauchy(4, 3);
         let sel = m.select_rows(&[3, 0]);
+        assert_eq!(sel.rows(), 2);
+        assert_eq!(sel.cols(), 3);
         assert_eq!(sel.row(0), m.row(3));
         assert_eq!(sel.row(1), m.row(0));
     }
 
     #[test]
-    fn swap_rows_and_cols() {
+    fn swap_rows_in_place() {
         let mut m = Matrix::from_rows(2, 2, &[1, 2, 3, 4]);
         m.swap_rows(0, 1);
         assert_eq!(m.row(0), &[3, 4]);
-        m.swap_cols(0, 1);
-        assert_eq!(m.row(0), &[4, 3]);
+        assert_eq!(m.row(1), &[1, 2]);
     }
 
     /// All k-combinations of `items` (small inputs only; test helper).

@@ -62,21 +62,6 @@ impl fmt::Display for RsError {
 
 impl std::error::Error for RsError {}
 
-/// Which family of MDS matrix generates the parity blocks.
-///
-/// Either way the codec normalises the matrix it builds so that its first
-/// row and first column are all ones (see [`ReedSolomon::with_matrix_kind`]):
-/// the first parity (P) is the XOR of the data blocks, and data block 0
-/// enters every parity unscaled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatrixKind {
-    /// Cauchy matrix (every square submatrix invertible by construction).
-    #[default]
-    Cauchy,
-    /// Vandermonde matrix column-reduced into systematic form.
-    Vandermonde,
-}
-
 /// Validated RS(k, m) shape: `k` data blocks, `m` parity blocks per stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CodeParams {
@@ -128,32 +113,24 @@ impl CodeParams {
 #[derive(Debug, Clone)]
 pub struct ReedSolomon {
     params: CodeParams,
-    kind: MatrixKind,
     /// `m × k` parity-generation matrix (the `∂` coefficients of Eq. 1-5).
     parity: Matrix,
 }
 
 impl ReedSolomon {
-    /// Codec with the default (Cauchy) parity matrix.
-    pub fn new(params: CodeParams) -> ReedSolomon {
-        Self::with_matrix_kind(params, MatrixKind::Cauchy)
-    }
-
-    /// Codec with an explicit matrix family.
+    /// Codec whose parity matrix is the `m × k` Cauchy matrix, normalised.
     ///
-    /// The family's `m × k` matrix is normalised: each column is divided by
-    /// its row-0 entry, then each later row by its column-0 entry, so row 0
-    /// and column 0 are all ones and those coefficients cost an XOR, not a
-    /// multiply. Scaling rows and columns by non-zero factors scales every
-    /// square submatrix's determinant by a non-zero factor, so the code
+    /// Normalising divides each column by its row-0 entry, then each later
+    /// row by its column-0 entry, so row 0 and column 0 are all ones: the
+    /// first parity (P) is the XOR of the data blocks, data block 0 enters
+    /// every parity unscaled, and those coefficients cost an XOR, not a
+    /// multiply. Scaling rows and columns by non-zero factors scales the
+    /// determinant of every square block by a non-zero factor, so the code
     /// stays MDS (Plank & Xu, NCA 2006).
-    pub fn with_matrix_kind(params: CodeParams, kind: MatrixKind) -> ReedSolomon {
-        let mut parity = match kind {
-            MatrixKind::Cauchy => Matrix::cauchy(params.m, params.k),
-            MatrixKind::Vandermonde => Matrix::rs_vandermonde(params.k, params.m),
-        };
-        // An MDS parity matrix has no zero entry (each is a 1 × 1 submatrix),
-        // so every division here is defined.
+    pub fn new(params: CodeParams) -> ReedSolomon {
+        let mut parity = Matrix::cauchy(params.m, params.k);
+        // An MDS parity matrix has no zero entry (each is a 1 × 1 block), so
+        // every division here is defined.
         for j in 0..params.k {
             let scale = parity.get(0, j);
             for i in 0..params.m {
@@ -166,23 +143,13 @@ impl ReedSolomon {
                 parity.set(i, j, parity.get(i, j) / scale);
             }
         }
-        ReedSolomon {
-            params,
-            kind,
-            parity,
-        }
+        ReedSolomon { params, parity }
     }
 
     /// The codec's parameters.
     #[inline]
     pub fn params(&self) -> CodeParams {
         self.params
-    }
-
-    /// Which matrix family the codec uses.
-    #[inline]
-    pub fn matrix_kind(&self) -> MatrixKind {
-        self.kind
     }
 
     /// The encoding coefficient `∂(parity_idx, data_idx)` of Eq. (1)-(5).
@@ -204,12 +171,6 @@ impl ReedSolomon {
         (0..self.params.m)
             .map(|i| self.parity.get(i, data_idx).value())
             .collect()
-    }
-
-    /// Borrow of the `m × k` parity matrix.
-    #[inline]
-    pub fn parity_matrix(&self) -> &Matrix {
-        &self.parity
     }
 
     fn check_shard_lengths<T: AsRef<[u8]>>(&self, shards: &[T]) -> Result<usize, RsError> {
@@ -366,7 +327,7 @@ impl ReedSolomon {
     }
 
     /// The `(k+m) × k` extended generator `[I; A]`.
-    pub fn extended_generator(&self) -> Matrix {
+    fn extended_generator(&self) -> Matrix {
         let (k, m) = (self.params.k, self.params.m);
         let mut full = Matrix::zero(k + m, k);
         for i in 0..k {
@@ -433,14 +394,30 @@ mod tests {
     }
 
     #[test]
-    fn encode_verify_roundtrip_both_kinds() {
-        for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
-            let rs = ReedSolomon::with_matrix_kind(CodeParams::new(6, 3).unwrap(), kind);
-            let mut shards = make_shards(6, 3, 512);
-            rs.encode_shards(&mut shards).unwrap();
-            assert!(rs.verify(&shards).unwrap(), "{kind:?}");
-            shards[0][10] ^= 1;
-            assert!(!rs.verify(&shards).unwrap(), "{kind:?}");
+    fn encode_verify_roundtrip() {
+        let rs = ReedSolomon::new(CodeParams::new(6, 3).unwrap());
+        let mut shards = make_shards(6, 3, 512);
+        rs.encode_shards(&mut shards).unwrap();
+        assert!(rs.verify(&shards).unwrap());
+        shards[0][10] ^= 1;
+        assert!(!rs.verify(&shards).unwrap());
+    }
+
+    /// The normalised RS(6,3) generator, `∂(i, j)` for parity `i` and data
+    /// block `j`. Every parity block the engine, the simulator and stored
+    /// stripes hold depends on these bytes.
+    #[test]
+    fn rs_6_3_generator_is_pinned() {
+        const GENERATOR: [[u8; 6]; 3] = [
+            [0x01, 0x01, 0x01, 0x01, 0x01, 0x01],
+            [0x01, 0xe1, 0x97, 0xac, 0x52, 0xc8],
+            [0x01, 0xa6, 0xc4, 0xee, 0x53, 0x92],
+        ];
+        let rs = ReedSolomon::new(CodeParams::new(6, 3).unwrap());
+        for (i, row) in GENERATOR.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                assert_eq!(rs.coefficient(i, j), Gf(c), "∂({i}, {j})");
+            }
         }
     }
 
@@ -556,33 +533,25 @@ mod tests {
 
     #[test]
     fn normalised_matrix_has_unit_first_row_and_column_and_stays_mds() {
-        for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
-            for (k, m) in [(3, 2), (4, 2), (6, 3), (6, 4), (10, 4), (12, 4)] {
-                let rs = ReedSolomon::with_matrix_kind(CodeParams::new(k, m).unwrap(), kind);
-                let a = rs.parity_matrix();
-                assert!(
-                    (0..k).all(|j| a.get(0, j) == Gf::ONE),
-                    "{kind:?} RS({k},{m}) row 0"
-                );
-                assert!(
-                    (0..m).all(|i| a.get(i, 0) == Gf::ONE),
-                    "{kind:?} RS({k},{m}) col 0"
-                );
-                // Every square submatrix non-singular: [I; A] is MDS.
-                let (rows, cols) = (subsets_by_size(m), subsets_by_size(k));
-                for size in 1..=m {
-                    for r in &rows[size] {
-                        for c in &cols[size] {
-                            let bytes: Vec<u8> = r
-                                .iter()
-                                .flat_map(|&i| c.iter().map(move |&j| a.get(i, j).value()))
-                                .collect();
-                            let sub = Matrix::from_rows(size, size, &bytes);
-                            assert!(
-                                sub.inverted().is_some(),
-                                "{kind:?} RS({k},{m}) rows {r:?} cols {c:?} singular"
-                            );
-                        }
+        for (k, m) in [(3, 2), (4, 2), (6, 3), (6, 4), (10, 4), (12, 4)] {
+            let rs = ReedSolomon::new(CodeParams::new(k, m).unwrap());
+            let a = |i, j| rs.coefficient(i, j);
+            assert!((0..k).all(|j| a(0, j) == Gf::ONE), "RS({k},{m}) row 0");
+            assert!((0..m).all(|i| a(i, 0) == Gf::ONE), "RS({k},{m}) col 0");
+            // Every square block non-singular: [I; A] is MDS.
+            let (rows, cols) = (subsets_by_size(m), subsets_by_size(k));
+            for size in 1..=m {
+                for r in &rows[size] {
+                    for c in &cols[size] {
+                        let bytes: Vec<u8> = r
+                            .iter()
+                            .flat_map(|&i| c.iter().map(move |&j| a(i, j).value()))
+                            .collect();
+                        let block = Matrix::from_rows(size, size, &bytes);
+                        assert!(
+                            block.inverted().is_some(),
+                            "RS({k},{m}) rows {r:?} cols {c:?} singular"
+                        );
                     }
                 }
             }

@@ -1,16 +1,19 @@
-//! Incremental-update mathematics: Eq. (2) through Eq. (5) of the paper.
+//! Incremental-update mathematics: Eq. (2) of the paper, the primitive the
+//! log layers build Eq. (3)–(5) from.
 //!
 //! The whole point of delta-based erasure-code updates is that a small write
 //! to one data block can be folded into each parity block without touching
 //! the other `k − 1` data blocks:
 //!
-//! * Eq. (2): `Pᵢⁿ = Pᵢⁿ⁻¹ + ∂ᵢⱼ · ΔD` with `ΔD = Dⁿ − Dⁿ⁻¹`;
+//! * Eq. (2): `Pᵢⁿ = Pᵢⁿ⁻¹ + ∂ᵢⱼ · ΔD` with `ΔD = Dⁿ − Dⁿ⁻¹` — [`data_delta`]
+//!   and [`parity_delta`];
 //! * Eq. (3)/(4): repeated updates at one address collapse — XOR-merging the
-//!   data deltas first and multiplying once is equivalent to applying each
-//!   delta separately (associativity), so only the *net* change travels;
+//!   data deltas first and multiplying once equals applying each delta
+//!   separately, so only the *net* change travels. `tsue::index` realises
+//!   this as its XOR merge (`MergeMode::Xor`);
 //! * Eq. (5): same-offset deltas from *different* data blocks of one stripe
 //!   combine into a single parity delta per parity block, because parity is
-//!   linear in all data blocks.
+//!   linear in all data blocks. The `tsue` engine's DeltaLog fold does this.
 
 use gf256::slice;
 
@@ -43,94 +46,6 @@ pub fn parity_delta(
 ) {
     let c = rs.coefficient(parity_idx, data_idx).value();
     slice::mul_acc(parity_acc, data_delta, c);
-}
-
-/// Applies an already-computed parity delta to a parity block (plain XOR).
-///
-/// Parity deltas commute (§3.4 of the paper: "their specific sequence
-/// becomes inconsequential"), so callers may apply them in any order.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn apply_parity_delta(parity: &mut [u8], delta: &[u8]) {
-    slice::xor(parity, delta);
-}
-
-/// Eq. (5): combines same-offset data deltas from several data blocks of one
-/// stripe into the single parity delta for `parity_idx`.
-///
-/// `deltas` holds `(data_idx, ΔD)` pairs; all deltas must be equal length.
-/// Returns `Σ_j ∂(parity_idx, j) · ΔD_j`.
-///
-/// # Panics
-/// Panics if deltas is empty, lengths differ, or indices are out of range.
-pub fn combine_stripe_deltas(
-    rs: &ReedSolomon,
-    parity_idx: usize,
-    deltas: &[(usize, &[u8])],
-) -> Vec<u8> {
-    assert!(!deltas.is_empty(), "combine_stripe_deltas: no deltas");
-    let len = deltas[0].1.len();
-    let mut out = vec![0u8; len];
-    for &(data_idx, d) in deltas {
-        assert_eq!(d.len(), len, "combine_stripe_deltas: length mismatch");
-        parity_delta(rs, parity_idx, data_idx, d, &mut out);
-    }
-    out
-}
-
-/// Eq. (3)/(4): accumulator that XOR-merges successive data deltas for one
-/// address so that only the net delta is forwarded.
-///
-/// For a location updated `n` times, `P` needs only
-/// `∂ · (Dⁿ − D⁰) = ∂ · (ΔD₁ ⊕ ΔD₂ ⊕ … ⊕ ΔDₙ)`; this type maintains that
-/// running XOR.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaAccumulator {
-    acc: Vec<u8>,
-    merged: u64,
-}
-
-impl DeltaAccumulator {
-    /// Empty accumulator for a region of `len` bytes.
-    pub fn new(len: usize) -> DeltaAccumulator {
-        DeltaAccumulator {
-            acc: vec![0u8; len],
-            merged: 0,
-        }
-    }
-
-    /// Accumulator seeded with a first delta.
-    pub fn from_delta(delta: &[u8]) -> DeltaAccumulator {
-        DeltaAccumulator {
-            acc: delta.to_vec(),
-            merged: 1,
-        }
-    }
-
-    /// XOR-merges another delta for the same address (Eq. 3).
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn merge(&mut self, delta: &[u8]) {
-        slice::xor(&mut self.acc, delta);
-        self.merged += 1;
-    }
-
-    /// The net delta accumulated so far.
-    pub fn net(&self) -> &[u8] {
-        &self.acc
-    }
-
-    /// Number of deltas merged (useful for traffic-reduction accounting).
-    pub fn merged_count(&self) -> u64 {
-        self.merged
-    }
-
-    /// Consumes the accumulator, returning the net delta.
-    pub fn into_net(self) -> Vec<u8> {
-        self.acc
-    }
 }
 
 #[cfg(test)]
@@ -193,21 +108,20 @@ mod tests {
             cur = v.clone();
         }
 
-        // Merged (Eq. 3): accumulate deltas, apply once.
-        let mut acc = DeltaAccumulator::new(64);
+        // Merged (Eq. 3): XOR the deltas together, apply once.
+        let mut net = vec![0u8; 64];
         let mut cur = orig.clone();
         for v in [&v1, &v2, &v3] {
-            acc.merge(&data_delta(&cur, v));
+            slice::xor(&mut net, &data_delta(&cur, v));
             cur = v.clone();
         }
-        assert_eq!(acc.merged_count(), 3);
         let mut merged_parity = shards[4].clone();
-        parity_delta(&rs, 0, 1, acc.net(), &mut merged_parity);
+        parity_delta(&rs, 0, 1, &net, &mut merged_parity);
 
         assert_eq!(seq_parity, merged_parity);
 
         // Eq. 4 sanity: the net delta equals last-new XOR first-old.
-        assert_eq!(acc.into_net(), data_delta(&orig, &v3));
+        assert_eq!(net, data_delta(&orig, &v3));
     }
 
     #[test]
@@ -229,12 +143,14 @@ mod tests {
             for (j, dd) in &updates {
                 parity_delta(&rs, p, *j, dd, &mut indiv);
             }
-            // Combined (Eq. 5): one parity delta from all data deltas.
-            let refs: Vec<(usize, &[u8])> =
-                updates.iter().map(|(j, d)| (*j, d.as_slice())).collect();
-            let combined = combine_stripe_deltas(&rs, p, &refs);
+            // Combined (Eq. 5): one parity delta from all data deltas,
+            // then XOR-applied to the parity block.
+            let mut combined = vec![0u8; 96];
+            for (j, dd) in &updates {
+                parity_delta(&rs, p, *j, dd, &mut combined);
+            }
             let mut comb = shards[6 + p].clone();
-            apply_parity_delta(&mut comb, &combined);
+            slice::xor(&mut comb, &combined);
 
             assert_eq!(indiv, comb, "parity {p}");
         }
@@ -255,21 +171,5 @@ mod tests {
         parity_delta(&rs, 0, 0, &d1, &mut order_b);
 
         assert_eq!(order_a, order_b);
-    }
-
-    #[test]
-    fn delta_accumulator_identities() {
-        let mut acc = DeltaAccumulator::new(8);
-        assert_eq!(acc.net(), &[0u8; 8]);
-        assert_eq!(acc.merged_count(), 0);
-        let d = [1u8, 2, 3, 4, 5, 6, 7, 8];
-        acc.merge(&d);
-        acc.merge(&d); // self-inverse
-        assert_eq!(acc.net(), &[0u8; 8]);
-        assert_eq!(acc.merged_count(), 2);
-
-        let seeded = DeltaAccumulator::from_delta(&d);
-        assert_eq!(seeded.net(), &d);
-        assert_eq!(seeded.merged_count(), 1);
     }
 }

@@ -3,21 +3,22 @@
 //! Implements the coding substrate of the TSUE paper:
 //!
 //! * **Eq. (1)** — full-stripe encoding `P = A · D` over GF(2^8), where `A`
-//!   is an `m × k` MDS parity-generation matrix (Cauchy by default,
-//!   Vandermonde-derived optionally), normalised so its first row and
-//!   first column are ones: the first parity is the XOR of the data blocks
-//!   and data block 0 enters every parity unscaled — see
-//!   [`codec::ReedSolomon::encode`];
+//!   is the `m × k` Cauchy matrix, normalised so its first row and first
+//!   column are ones: the first parity is the XOR of the data blocks and
+//!   data block 0 enters every parity unscaled — see
+//!   [`codec::ReedSolomon::new`] and [`codec::ReedSolomon::encode`];
 //! * **reconstruction** of up to `m` lost blocks from any `k` survivors by
 //!   inverting the corresponding rows of the extended generator matrix —
 //!   see [`codec::ReedSolomon::reconstruct`];
 //! * **Eq. (2)** — incremental parity delta
-//!   `P₁ⁿ = P₁ⁿ⁻¹ + ∂₁₁ · (D₁ⁿ − D₁ⁿ⁻¹)` — see [`delta::parity_delta`];
-//! * **Eq. (3)/(4)** — merging repeated updates of the same address so only
-//!   the *net* delta is propagated — see [`delta::DeltaAccumulator`];
-//! * **Eq. (5)** — merging same-offset deltas from *different data blocks of
-//!   the same stripe* into a single parity delta, the DeltaLog trick that
-//!   cuts network traffic — see [`delta::combine_stripe_deltas`].
+//!   `P₁ⁿ = P₁ⁿ⁻¹ + ∂₁₁ · (D₁ⁿ − D₁ⁿ⁻¹)` — see [`delta::data_delta`] and
+//!   [`delta::parity_delta`].
+//!
+//! Eq. (3)–(5) are sums of Eq. (2) terms, so they need no API of their own:
+//! repeated updates of one address merge into the *net* delta (Eq. 3/4) in
+//! `tsue::index`'s XOR merge (`MergeMode::Xor`), and same-offset deltas from
+//! different data blocks of one stripe fold into one parity delta per
+//! parity block (Eq. 5) in the `tsue` engine's DeltaLog fold.
 //!
 //! # Example
 //!
@@ -45,5 +46,5 @@ pub mod codec;
 pub mod delta;
 pub mod stripe;
 
-pub use codec::{CodeParams, MatrixKind, ReedSolomon, RsError};
+pub use codec::{CodeParams, ReedSolomon, RsError};
 pub use stripe::Stripe;

@@ -1,7 +1,8 @@
 //! Property tests: the codec is MDS and the incremental paths are exact.
 
+use gf256::slice;
 use proptest::prelude::*;
-use rscode::{delta, CodeParams, MatrixKind, ReedSolomon, Stripe};
+use rscode::{delta, CodeParams, ReedSolomon, Stripe};
 
 /// Strategy over the paper's evaluated code shapes plus a few small ones.
 fn code_shape() -> impl Strategy<Value = (usize, usize)> {
@@ -26,9 +27,8 @@ proptest! {
         (k, m) in code_shape(),
         len in 1usize..300,
         seed in any::<u64>(),
-        kind in prop_oneof![Just(MatrixKind::Cauchy), Just(MatrixKind::Vandermonde)],
     ) {
-        let rs = ReedSolomon::with_matrix_kind(CodeParams::new(k, m).unwrap(), kind);
+        let rs = ReedSolomon::new(CodeParams::new(k, m).unwrap());
         let mut shards: Vec<Vec<u8>> = (0..k + m)
             .map(|i| {
                 (0..len)
@@ -89,45 +89,27 @@ proptest! {
     }
 
     #[test]
-    fn eq5_combination_equals_separate_application(
-        (k, m) in code_shape(),
-        raw_deltas in proptest::collection::vec(
-            (0usize..12, proptest::collection::vec(any::<u8>(), 32)),
-            1..8
-        ),
-    ) {
-        let rs = ReedSolomon::new(CodeParams::new(k, m).unwrap());
-        let deltas: Vec<(usize, Vec<u8>)> = raw_deltas
-            .into_iter()
-            .map(|(j, d)| (j % k, d))
-            .collect();
-        for p in 0..m {
-            let refs: Vec<(usize, &[u8])> =
-                deltas.iter().map(|(j, d)| (*j, d.as_slice())).collect();
-            let combined = delta::combine_stripe_deltas(&rs, p, &refs);
-
-            let mut separate = vec![0u8; 32];
-            for (j, d) in &deltas {
-                delta::parity_delta(&rs, p, *j, d, &mut separate);
-            }
-            prop_assert_eq!(&combined, &separate, "parity {}", p);
-        }
-    }
-
-    #[test]
     fn delta_accumulator_equals_endpoint_delta(
         versions in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 24),
             2..10
         ),
     ) {
-        // Folding per-step deltas must equal first-to-last delta (Eq. 4).
-        let mut acc = delta::DeltaAccumulator::new(24);
+        // XOR-folding per-step deltas must equal first-to-last delta (Eq. 4),
+        // and one parity delta of the net equals one per step (Eq. 3).
+        let rs = ReedSolomon::new(CodeParams::new(6, 3).unwrap());
+        let mut acc = vec![0u8; 24];
+        let mut per_step = vec![0u8; 24];
         for w in versions.windows(2) {
-            acc.merge(&delta::data_delta(&w[0], &w[1]));
+            let step = delta::data_delta(&w[0], &w[1]);
+            slice::xor(&mut acc, &step);
+            delta::parity_delta(&rs, 2, 3, &step, &mut per_step);
         }
         let endpoint = delta::data_delta(&versions[0], &versions[versions.len() - 1]);
-        prop_assert_eq!(acc.net(), &endpoint[..]);
+        prop_assert_eq!(&acc, &endpoint);
+        let mut once = vec![0u8; 24];
+        delta::parity_delta(&rs, 2, 3, &acc, &mut once);
+        prop_assert_eq!(once, per_step);
     }
 
     #[test]

@@ -68,9 +68,4 @@ pub mod units {
     pub fn as_secs_f64(t: SimTime) -> f64 {
         t as f64 / SECS as f64
     }
-
-    /// Converts a simulation time to fractional microseconds.
-    pub fn as_micros_f64(t: SimTime) -> f64 {
-        t as f64 / MICROS as f64
-    }
 }

@@ -17,6 +17,7 @@
 //! `lazy_equals_eager_across_all_specs`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +37,10 @@ use crate::OpenLoopSpec;
 pub struct ArrivalSource {
     params: WorkloadParams,
     seed: u64,
-    /// Per-client content generators, created on first pick.
-    gens: HashMap<u64, WorkloadGen>,
+    /// Per-client content generators, created on first pick. The hasher
+    /// has fixed keys, so the map allocates and frees in the same order on
+    /// every run.
+    gens: HashMap<u64, WorkloadGen, BuildHasherDefault<DefaultHasher>>,
     arrivals: ArrivalGen,
     picker: ClientPicker,
     pick_rng: StdRng,
@@ -63,7 +66,7 @@ impl ArrivalSource {
         ArrivalSource {
             params,
             seed,
-            gens: HashMap::new(),
+            gens: HashMap::default(),
             arrivals: ArrivalGen::new(
                 spec.process,
                 spec.rate.clone(),
