@@ -230,8 +230,9 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
         default_begin_read(sim, cl, ctx);
     }
 
-    /// Schedules the flush of all outstanding log state; the caller runs
-    /// the simulation and re-invokes until [`pending_log_bytes`] hits zero.
+    /// Schedules the flush of all outstanding log state; [`drain_all`]
+    /// runs the simulation and re-invokes until [`pending_log_bytes`] hits
+    /// zero.
     fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
         let _ = (sim, cl);
     }
@@ -305,6 +306,24 @@ pub fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
 pub fn drain(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
     let method = Arc::clone(&cl.cfg.method);
     method.drain(sim, cl);
+}
+
+/// Drains to quiescence: dispatches [`drain`] and runs the simulation
+/// until no log bytes remain pending.
+///
+/// # Panics
+/// Panics if the logs are not empty after 1 000 rounds.
+pub fn drain_all(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
+    let mut guard = 0;
+    loop {
+        drain(sim, cl);
+        sim.run(cl);
+        if pending_log_bytes(cl) == 0 {
+            return;
+        }
+        guard += 1;
+        assert!(guard < 1000, "drain did not converge");
+    }
 }
 
 /// Dispatches [`UpdateMethod::drain_until`]: schedules replay of the log

@@ -193,18 +193,24 @@ fn epoch_reset(cl: &mut Cluster, node: usize) {
         }
         None => return,
     };
-    let k = cl.cfg.code.k() as u16;
     for paddr in addrs {
-        for idx in 0..k {
-            let daddr = BlockAddr {
-                volume: paddr.volume,
-                stripe: paddr.stripe,
-                index: idx,
-            };
-            let dnode = cl.layout.current_node(daddr);
-            if let Some(ds) = cl.nodes[dnode].state.downcast_mut::<ParixState>() {
-                ds.old_sent.remove(&daddr);
-            }
+        forget_originals(cl, paddr);
+    }
+}
+
+/// Selective first-touch reset: the originals logged for `paddr`'s stripe
+/// are gone, so each of its data blocks must re-send its old value on
+/// its next update.
+fn forget_originals(cl: &mut Cluster, paddr: BlockAddr) {
+    for idx in 0..cl.cfg.code.k() as u16 {
+        let daddr = BlockAddr {
+            volume: paddr.volume,
+            stripe: paddr.stripe,
+            index: idx,
+        };
+        let dnode = cl.layout.current_node(daddr);
+        if let Some(ds) = cl.nodes[dnode].state.downcast_mut::<ParixState>() {
+            ds.old_sent.remove(&daddr);
         }
     }
 }
@@ -225,23 +231,9 @@ pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
-    let code = cl.cfg.code;
     for (key, ranges) in &contents {
         let paddr = addr_of[key];
-        // The recycled originals vanish: the data blocks of this stripe
-        // must re-send old values on their next update (selective
-        // first-touch reset).
-        for idx in 0..code.k() as u16 {
-            let daddr = crate::layout::BlockAddr {
-                volume: paddr.volume,
-                stripe: paddr.stripe,
-                index: idx,
-            };
-            let dnode = cl.layout.current_node(daddr);
-            if let Some(ds) = cl.nodes[dnode].state.downcast_mut::<ParixState>() {
-                ds.old_sent.remove(&daddr);
-            }
-        }
+        forget_originals(cl, paddr);
         let (pnode, pdev) = cl.layout.locate(paddr);
         for (off, g) in ranges {
             let len = g.0 as u64;

@@ -731,13 +731,7 @@ mod tests {
     fn ledgers_balance_after_drain() {
         for delta_log in [true, false] {
             let (mut sim, mut cl) = run_update_phase(&small_replay(delta_log));
-            loop {
-                methods::drain(&mut sim, &mut cl);
-                sim.run(&mut cl);
-                if methods::pending_log_bytes(&cl) == 0 {
-                    break;
-                }
-            }
+            methods::drain_all(&mut sim, &mut cl);
             let recycled = Layer::ALL.map(|l| cl.metrics.residency[l as usize].recycle.count());
             assert!(recycled[Layer::Data as usize] > 0, "{recycled:?}");
             assert!(recycled[Layer::Parity as usize] > 0, "{recycled:?}");

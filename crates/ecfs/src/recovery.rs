@@ -1,7 +1,12 @@
 //! Failure recovery: post-replay drills (Fig. 8b) and the mid-replay
 //! fault timeline — failures injected while clients are still issuing,
 //! with a repair scheduler whose rebuild streams compete with foreground
-//! traffic on the same disks and fabric.
+//! traffic on the same disks and fabric. Both rebuild every lost block
+//! through one path, `rebuild_block`: `k` survivors chosen by
+//! `select_survivors`, a live target from
+//! [`Cluster::next_live_target`], and transfers booked as repair traffic
+//! ([`simnet::FlowClass::Repair`]). A drill books its rebuilds from the
+//! end of its drain on an otherwise idle cluster.
 //!
 //! The paper's §2.3.2 argument materialises here: methods that defer log
 //! recycling must replay their logs *before* reconstruction can start, so
@@ -74,7 +79,7 @@ pub struct RecoveryResult {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryError {
     /// The unreconstructible block.
-    pub addr: crate::layout::BlockAddr,
+    pub addr: BlockAddr,
     /// Survivors available for its stripe.
     pub survivors: usize,
     /// Survivors needed (`k`).
@@ -94,8 +99,9 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {}
 
 /// The Fig. 8b drill: drains logs, fails `node`, and reconstructs its
-/// blocks onto the other nodes (round-robin). Returns the timing
-/// breakdown.
+/// blocks onto the other nodes, each block's target picked by
+/// [`Cluster::next_live_target`] as the repair pump picks it. Returns the
+/// timing breakdown.
 ///
 /// # Panics
 /// Panics if some stripe cannot be reconstructed (impossible for a single
@@ -119,10 +125,10 @@ pub fn recover_rack(
 }
 
 /// The general drill: drains logs, fails an arbitrary set of nodes, and
-/// reconstructs every lost block from `k` survivors per stripe onto the
-/// remaining live nodes, re-homing each rebuilt block in the layout.
-/// Drills compose: nodes failed by earlier drills stay failed, and blocks
-/// they lost are found at their rebuild targets.
+/// rebuilds every lost block through `rebuild_block` — the repair
+/// pump's path — re-homing each on a live node. Drills compose: nodes
+/// failed by earlier drills stay failed, and blocks they lost are found
+/// at their rebuild targets.
 pub fn recover_scope(
     sim: &mut Sim<Cluster>,
     cl: &mut Cluster,
@@ -133,122 +139,34 @@ pub fn recover_scope(
 
     // Phase 1: logs must be consistent before reconstruction (§2.3.2).
     let drain_start = sim.now();
-    methods::drain(sim, cl);
-    sim.run(cl);
-    let mut guard = 0;
-    while methods::pending_log_bytes(cl) > 0 {
-        methods::drain(sim, cl);
-        sim.run(cl);
-        guard += 1;
-        assert!(guard < 1000, "drain did not converge");
-    }
+    methods::drain_all(sim, cl);
     let drain_end = sim.now();
 
-    // Nodes downed by earlier drills stay down: they are neither survivors
-    // nor rebuild targets for this one.
-    let mut failed: Vec<bool> = cl.nodes.iter().map(|n| n.failed).collect();
     for &v in victims {
         cl.nodes[v].failed = true;
-        failed[v] = true;
     }
     cl.faults.degraded_mode = true;
     assert!(
-        failed.iter().any(|&f| !f),
+        cl.nodes.iter().any(|n| !n.failed),
         "cannot fail every node in the cluster"
     );
     let mut lost = Vec::new();
     for &v in victims {
-        lost.extend(cl.layout.blocks_on(v));
+        lost.extend(cl.layout.blocks_on(v).into_iter().map(|(a, _)| a));
     }
-    let block_bytes = cl.cfg.block_bytes;
-    let k = cl.cfg.code.k();
-    let anchor = victims[0];
 
     // Every stripe must still be reconstructible before any I/O is booked.
-    // `locate` (not `node_of`) honours relocations from earlier drills:
-    // a block rebuilt off a previously failed node counts as a survivor at
-    // its new home.
-    for (addr, _) in &lost {
-        let survivors = (0..cl.cfg.code.total() as u16)
-            .filter(|&idx| idx != addr.index)
-            .filter(|&idx| {
-                let saddr = crate::layout::BlockAddr {
-                    volume: addr.volume,
-                    stripe: addr.stripe,
-                    index: idx,
-                };
-                !failed[cl.layout.locate(saddr).0]
-            })
-            .count();
-        if survivors < k {
-            return Err(RecoveryError {
-                addr: *addr,
-                survivors,
-                needed: k,
-            });
-        }
+    for &addr in &lost {
+        select_survivors(cl, addr)?;
     }
 
-    // Phase 2: for each lost block, stream k survivor blocks to a rebuild
-    // target and write the reconstruction sequentially.
+    // Phase 2: rebuild each lost block from k survivors onto a live node.
     let mut t_end = drain_end;
-    let mut rebuilt = 0u64;
-    for (i, (addr, _)) in lost.iter().enumerate() {
-        let target = {
-            // Next live node round-robin.
-            let mut t = (anchor + 1 + i) % cl.cfg.nodes;
-            while failed[t] {
-                t = (t + 1) % cl.cfg.nodes;
-            }
-            t
-        };
-        // Pick k survivor blocks of this stripe.
-        let mut sources = Vec::with_capacity(k);
-        for idx in 0..cl.cfg.code.total() as u16 {
-            if idx == addr.index {
-                continue;
-            }
-            let saddr = crate::layout::BlockAddr {
-                volume: addr.volume,
-                stripe: addr.stripe,
-                index: idx,
-            };
-            let (snode, sdev) = cl.layout.locate(saddr);
-            if failed[snode] {
-                continue;
-            }
-            sources.push((snode, sdev));
-            if sources.len() == k {
-                break;
-            }
-        }
-        debug_assert_eq!(sources.len(), k, "survivor pre-check missed a stripe");
-        let mut ready = drain_end;
-        for &(snode, sdev) in &sources {
-            let t_read = cl.disk_io(
-                snode,
-                drain_end,
-                IoOp::read(sdev, block_bytes, Pattern::Sequential),
-            );
-            let t_net = cl.send(t_read, snode, target, block_bytes);
-            ready = ready.max(t_net);
-        }
-        // Decode (matrix multiply) is bandwidth-bound on memory: charge a
-        // small per-byte cost, then write the rebuilt block.
-        let decode_ns = block_bytes / 10; // ~10 bytes per ns ≈ 10 GB/s
-        let rebuilt_off = cl.log_offset(target, block_bytes);
-        let t_write = cl.disk_io(
-            target,
-            ready + decode_ns,
-            IoOp::write(rebuilt_off, block_bytes, Pattern::Sequential),
-        );
-        // Re-home the block so later drills (and diagnostics) see it at
-        // its rebuild target, not on the dead node.
-        cl.layout.relocate(*addr, target, rebuilt_off);
-        rebuilt += block_bytes;
-        t_end = t_end.max(t_write);
+    for &addr in &lost {
+        t_end = t_end.max(rebuild_block(cl, addr, drain_end)?);
     }
 
+    let rebuilt = lost.len() as u64 * cl.cfg.block_bytes;
     let drain_s = simdes::units::as_secs_f64(drain_end.saturating_sub(drain_start));
     let rebuild_s = simdes::units::as_secs_f64(t_end.saturating_sub(drain_end));
     let total_s = drain_s + rebuild_s;

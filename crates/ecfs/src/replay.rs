@@ -898,15 +898,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     // Drain all logs (real-time for TSUE means little remains; deferred
     // methods pay here).
     let drain_start = sim.now();
-    methods::drain(&mut sim, &mut cl);
-    sim.run(&mut cl);
-    let mut guard = 0;
-    while methods::pending_log_bytes(&cl) > 0 {
-        methods::drain(&mut sim, &mut cl);
-        sim.run(&mut cl);
-        guard += 1;
-        assert!(guard < 1000, "drain did not converge");
-    }
+    methods::drain_all(&mut sim, &mut cl);
     let drain_s = simdes::units::as_secs_f64(sim.now().saturating_sub(drain_start));
 
     let violations = cl.oracle.violations(&cl.layout);

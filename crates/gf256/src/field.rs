@@ -54,20 +54,6 @@ impl Gf {
         }
     }
 
-    /// `self` raised to the power `n` (with `0^0 == 1` by convention).
-    pub fn pow(self, n: u32) -> Gf {
-        if n == 0 {
-            return Gf::ONE;
-        }
-        if self.is_zero() {
-            return Gf::ZERO;
-        }
-        // log(a^n) = n * log(a) mod 255.
-        let l = LOG[self.0 as usize] as u64;
-        let e = (l * n as u64) % 255;
-        Gf(EXP[e as usize])
-    }
-
     /// `g^n` for the field generator `g`.
     #[inline]
     pub fn exp(n: u32) -> Gf {
@@ -215,23 +201,6 @@ mod tests {
         assert_eq!(Gf(0x80) * Gf(2), Gf(0x1d));
         assert_eq!(Gf(0x53) * Gf(0xca), Gf(0x8f));
         assert_eq!(Gf(0x53) * Gf(0x8c), Gf(1));
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        for a in [Gf(0), Gf(1), Gf(2), Gf(3), Gf(0x1d), Gf(0xff)] {
-            let mut acc = Gf::ONE;
-            for n in 0..520u32 {
-                assert_eq!(a.pow(n), acc, "a = {a:?}, n = {n}");
-                acc *= a;
-            }
-        }
-    }
-
-    #[test]
-    fn pow_zero_conventions() {
-        assert_eq!(Gf::ZERO.pow(0), Gf::ONE);
-        assert_eq!(Gf::ZERO.pow(5), Gf::ZERO);
     }
 
     #[test]

@@ -77,18 +77,6 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics
@@ -294,8 +282,6 @@ mod tests {
     fn select_rows_keeps_the_given_order() {
         let m = Matrix::cauchy(4, 3);
         let sel = m.select_rows(&[3, 0]);
-        assert_eq!(sel.rows(), 2);
-        assert_eq!(sel.cols(), 3);
         assert_eq!(sel.row(0), m.row(3));
         assert_eq!(sel.row(1), m.row(0));
     }

@@ -98,12 +98,6 @@ impl CodeParams {
     pub fn total(&self) -> usize {
         self.k + self.m
     }
-
-    /// Storage overhead factor `(k + m) / k`.
-    #[inline]
-    pub fn overhead(&self) -> f64 {
-        self.total() as f64 / self.k as f64
-    }
 }
 
 /// A systematic Reed-Solomon codec for one `(k, m)` shape.
@@ -390,7 +384,6 @@ mod tests {
         assert_eq!(p.k(), 6);
         assert_eq!(p.m(), 4);
         assert_eq!(p.total(), 10);
-        assert!((p.overhead() - 10.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

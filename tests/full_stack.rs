@@ -41,6 +41,10 @@ fn recovery_after_live_updates_is_complete() {
         let res = recover_node(&mut sim, &mut cl, 2);
         assert!(res.blocks > 0, "{method:?}: no blocks to recover");
         assert!(res.bandwidth_mib_s > 0.0, "{method:?}");
+        assert!(
+            cl.net.traffic().repair_bytes() > 0,
+            "{method:?}: rebuild transfers must count as repair traffic"
+        );
         // After the pre-recovery drain, nothing acked may be missing.
         let violations = cl.oracle.violations(&cl.layout);
         assert!(violations.is_empty(), "{method:?}: {violations:?}");

@@ -143,9 +143,14 @@ fn rack_failure_recovers_under_rack_aware_placement() {
         let violations = cl.oracle.violations(&cl.layout);
         assert!(violations.is_empty(), "{method:?}: {violations:?}");
         // The whole rack failed, not just one node's worth of blocks: the
-        // drill must have rebuilt blocks from every node of rack 1.
+        // drill must have rebuilt blocks from every node of rack 1, and
+        // left none homed there.
         for &n in cl.layout.racks().members(1) {
             assert!(cl.nodes[n].failed, "{method:?}: node {n} not failed");
+            assert!(
+                cl.layout.blocks_on(n).is_empty(),
+                "{method:?}: blocks still homed on dead node {n}"
+            );
         }
         assert_eq!(
             res.rebuilt_bytes,
@@ -203,17 +208,12 @@ fn sequential_drills_compose() {
     let second =
         recover_scope(&mut sim, &mut cl, &[5, 6]).expect("relocated blocks count as survivors");
     assert!(second.blocks > 0);
-    // Every block drill 2 rebuilt was re-homed onto a live node.
-    for victim in [5usize, 6] {
-        for (addr, _) in cl.layout.blocks_on(victim) {
-            // Only first-touch allocations from survivor probing may remain
-            // homed here; anything with written data was relocated, which
-            // the oracle check below would otherwise catch as a loss.
-            assert!(
-                !cl.oracle.acked.contains_key(&addr),
-                "written block {addr:?} still homed on dead node {victim}"
-            );
-        }
+    // Every block either drill rebuilt was re-homed onto a live node.
+    for victim in [4usize, 5, 6] {
+        assert!(
+            cl.layout.blocks_on(victim).is_empty(),
+            "blocks still homed on dead node {victim}"
+        );
     }
     let violations = cl.oracle.violations(&cl.layout);
     assert!(violations.is_empty(), "{violations:?}");
