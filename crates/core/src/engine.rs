@@ -548,6 +548,10 @@ pub struct EngineStats {
     /// multiply: a range one delta spans shares that delta with every
     /// coefficient-1 row.
     pub parity_shared_bytes: u64,
+    /// Payload bytes each layer's log units reference when [`TsueEngine::stats`]
+    /// runs: DataLog, DeltaLog, ParityLog. After [`TsueEngine::flush`] only
+    /// the DataLog holds any, as its read cache.
+    pub log_bytes: [u64; 3],
 }
 
 /// The public engine handle. Dropping it stops the recycler threads.
@@ -719,27 +723,25 @@ impl TsueEngine {
 
     /// Verifies that every stripe's parity equals a fresh re-encode of its
     /// data blocks. Call after [`Self::flush`].
+    ///
+    /// Each stripe is encoded straight from read guards over its data
+    /// blocks into one set of `m` buffers, allocated once for all stripes.
     pub fn verify_parity(&self) -> bool {
-        let cfg = &self.shared.cfg;
-        let (k, m) = (cfg.code.k(), cfg.code.m());
-        for stripe in 0..cfg.stripes {
-            let data: Vec<Vec<u8>> = (0..k)
-                .map(|j| {
-                    self.shared.blocks[self.shared.block_slot(stripe, j)]
-                        .read()
-                        .clone()
-                })
-                .collect();
-            let data_refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut expect: Vec<Vec<u8>> = vec![vec![0u8; cfg.block_len as usize]; m];
-            let mut expect_refs: Vec<&mut [u8]> =
-                expect.iter_mut().map(|v| v.as_mut_slice()).collect();
-            self.shared
-                .rs
-                .encode(&data_refs, &mut expect_refs)
-                .expect("encode");
+        let sh = &self.shared;
+        let (k, m) = (sh.cfg.code.k(), sh.cfg.code.m());
+        let mut expect = vec![vec![0u8; sh.cfg.block_len as usize]; m];
+        for stripe in 0..sh.cfg.stripes {
+            {
+                let data: Vec<_> = (0..k)
+                    .map(|j| sh.blocks[sh.block_slot(stripe, j)].read())
+                    .collect();
+                let data_refs: Vec<&[u8]> = data.iter().map(|g| g.as_slice()).collect();
+                let mut expect_refs: Vec<&mut [u8]> =
+                    expect.iter_mut().map(Vec::as_mut_slice).collect();
+                sh.rs.encode(&data_refs, &mut expect_refs).expect("encode");
+            }
             for (p, exp) in expect.iter().enumerate() {
-                let actual = self.shared.blocks[self.shared.block_slot(stripe, k + p)].read();
+                let actual = sh.blocks[sh.block_slot(stripe, k + p)].read();
                 if *actual != *exp {
                     return false;
                 }
@@ -771,6 +773,11 @@ impl TsueEngine {
             recycled: sh.recycled.each_ref().map(get),
             parity_mul_bytes: get(&sh.parity_mul_bytes),
             parity_shared_bytes: get(&sh.parity_shared_bytes),
+            log_bytes: [
+                sh.data_log.lock().held_bytes(),
+                sh.delta_log.lock().held_bytes(),
+                sh.parity_log.lock().held_bytes(),
+            ],
         }
     }
 
@@ -1045,6 +1052,24 @@ mod tests {
             }
         }
         assert!(single > 50 && multi > 50, "{single} single, {multi} multi");
+    }
+
+    #[test]
+    fn flush_leaves_no_delta_or_parity_bytes() {
+        let e = engine();
+        seeded_stream(&e, 2000, 4);
+        let before = e.stats().log_bytes;
+        assert!(before[0] > 0, "{before:?}");
+        e.flush();
+        assert!(e.verify_parity());
+        let [data, delta, parity] = e.stats().log_bytes;
+        assert_eq!((delta, parity), (0, 0), "a delta serves no read");
+        let cfg = e.config();
+        let quota = (cfg.pools_per_layer * cfg.max_units) as u64 * cfg.unit_bytes;
+        assert!(
+            data > 0 && data <= quota,
+            "{data} read-cache bytes, quota {quota}"
+        );
     }
 
     #[test]

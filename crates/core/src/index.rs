@@ -39,6 +39,11 @@ use crate::payload::Payload;
 const SUB_GRAIN: u32 = 4096;
 
 /// How same-position content resolves when records collide.
+///
+/// The mode also sets what a recycled log unit keeps (see
+/// [`crate::unit::LogUnit::start_recycle`]): an `Overwrite` unit keeps its
+/// data as a read cache, an `Xor` unit hands its deltas over and keeps
+/// nothing, since a delta cannot answer a read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeMode {
     /// Newest record wins (DataLog semantics: Eq. 4 — only the latest value
@@ -300,6 +305,11 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
         }
     }
 
+    /// The merge mode this index applies.
+    pub(crate) fn mode(&self) -> MergeMode {
+        self.mode
+    }
+
     /// Inserts one record.
     pub fn insert(&mut self, key: K, off: u32, payload: P) {
         match self.blocks.entry(key) {
@@ -360,6 +370,15 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
     /// Live (merged) ranges across all blocks.
     pub fn range_count(&self) -> usize {
         self.blocks.values().map(|b| b.range_count()).sum()
+    }
+
+    /// Payload bytes across all blocks' live ranges.
+    pub(crate) fn held_bytes(&self) -> u64 {
+        self.blocks
+            .values()
+            .flat_map(BlockIndex::iter)
+            .map(|(_, p)| p.len() as u64)
+            .sum()
     }
 
     /// Clears everything (unit reuse), keeping allocation capacity.

@@ -160,6 +160,12 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPoolSet<K, P> {
         self.pools.iter().map(|p| p.active_bytes()).sum()
     }
 
+    /// Payload bytes the units' indexes reference across pools (see
+    /// [`LogPool::held_bytes`]).
+    pub fn held_bytes(&self) -> u64 {
+        self.pools.iter().map(LogPool::held_bytes).sum()
+    }
+
     /// Whether every pool is drained: nothing RECYCLABLE or RECYCLING.
     /// Unsealed active data is not covered — call [`Self::seal_all_active`]
     /// first when draining at end of run.

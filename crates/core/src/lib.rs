@@ -9,8 +9,9 @@
 //!   RECYCLED lifecycle ([`mod@unit`]);
 //! * a FIFO **log pool** of those units that supports concurrent append and
 //!   recycle, grows from a minimum up to its quota (nothing shrinks it:
-//!   allocated units stay allocated), and retains recycled units as a read
-//!   cache ([`pool`]);
+//!   allocated units stay allocated), and retains recycled data units as a
+//!   read cache, while delta units hand their contents to the recycler by
+//!   move ([`pool`]);
 //! * the **three-layer log schema** — DataLog, DeltaLog, ParityLog — with
 //!   the recycle protocol both executors share (take a unit, fold its
 //!   contents in key order, finish it) and the per-stripe grouping of the

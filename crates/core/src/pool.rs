@@ -1,6 +1,12 @@
 //! The FIFO log pool (§3.2): a queue of fixed-size units supporting
 //! concurrent append and recycle, bounded memory, growth up to a quota, and
 //! read-cache retention.
+//!
+//! Only a data pool ([`MergeMode::Overwrite`]) retains what it recycled: its
+//! RECYCLED units answer reads until reused. A delta pool
+//! ([`MergeMode::Xor`]) moves each unit's contents to the recycler when it
+//! is taken (see [`LogUnit::start_recycle`]), so it holds only the records
+//! no recycler has taken yet.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -133,6 +139,12 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
     /// Bytes sitting in the active (unsealed) unit.
     pub fn active_bytes(&self) -> u64 {
         self.active.map_or(0, |a| self.units[a].used())
+    }
+
+    /// Payload bytes the units' indexes reference: merged records not yet
+    /// taken, plus a data pool's read cache.
+    pub fn held_bytes(&self) -> u64 {
+        self.units.iter().map(LogUnit::held_bytes).sum()
     }
 
     fn find_reusable(&self) -> Option<usize> {
@@ -284,7 +296,8 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
     /// Read-cache lookup across all units in **overlay order**: pieces from
     /// older units come first, so a reader reconstructs the newest view by
     /// applying the returned pieces in order (later pieces overwrite earlier
-    /// ones where they overlap).
+    /// ones where they overlap). In a delta pool only units no recycler has
+    /// taken answer.
     pub fn lookup(&self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
         let mut out: Vec<(u32, P)> = Vec::new();
         for &slot in self.order.iter() {
@@ -295,7 +308,8 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogPool<K, P> {
 
     /// Whether the read cache holds every byte of `[off, off+len)`: the
     /// union of all units' pieces covers it. Pieces of different units may
-    /// overlap, and an overlapped byte counts once.
+    /// overlap, and an overlapped byte counts once. Like [`Self::lookup`],
+    /// a delta pool answers only from units not yet taken.
     pub fn covers(&self, key: &K, off: u32, len: u32) -> bool {
         let end = off + len;
         let mut cursor = off;

@@ -11,8 +11,10 @@ use crate::payload::Payload;
 /// EMPTY --fill--> RECYCLABLE --attach--> RECYCLING --done--> RECYCLED --reuse--> EMPTY
 /// ```
 ///
-/// A RECYCLED unit keeps its index alive as a read cache until it is reused
-/// as the active unit (§3.3.3).
+/// A RECYCLED data unit ([`MergeMode::Overwrite`]) keeps its index alive as a
+/// read cache until it is reused as the active unit (§3.3.3). A delta unit
+/// ([`MergeMode::Xor`]) hands its index to the recycler when it is taken, so
+/// from RECYCLING on it holds nothing: a delta cannot answer a read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitState {
     /// Accepting appends (at most one unit per pool is active).
@@ -21,7 +23,8 @@ pub enum UnitState {
     Recyclable,
     /// Being recycled right now.
     Recycling,
-    /// Recycled; contents retained as read cache until reuse.
+    /// Recycled; a data unit's contents stay as read cache until reuse, a
+    /// delta unit is already empty.
     Recycled,
 }
 
@@ -110,29 +113,36 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
     }
 
     /// Attaches the unit to a recycler: RECYCLABLE → RECYCLING. Returns the
-    /// merged contents in ascending key order, leaving the index intact for
-    /// read-cache lookups.
+    /// merged contents in ascending key order.
+    ///
+    /// A data unit ([`MergeMode::Overwrite`]) hands out shared views and
+    /// keeps its index intact for read-cache lookups. A delta unit
+    /// ([`MergeMode::Xor`]) moves its index out: the recycler owns the
+    /// payloads and frees them when its fold ends, and the unit answers no
+    /// lookup from here on.
     ///
     /// # Panics
     /// Panics if not RECYCLABLE.
     pub fn start_recycle(&mut self) -> Vec<(K, Vec<(u32, P)>)> {
         assert_eq!(self.state, UnitState::Recyclable, "unit not recyclable");
         self.state = UnitState::Recycling;
+        let mut contents = match self.index.mode() {
+            MergeMode::Xor => self.index.drain_all(),
+            MergeMode::Overwrite => self
+                .index
+                .block_keys()
+                .map(|k| (k.clone(), self.index.lookup(k, 0, u32::MAX)))
+                .collect(),
+        };
         // Sorted key order keeps recycle processing deterministic across
         // processes (the backing index iterates in hash order), and both
         // executors recycle a unit's keys in the order returned here.
-        let mut keys: Vec<K> = self.index.block_keys().cloned().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|k| {
-                let ranges = self.index.lookup(&k, 0, u32::MAX);
-                (k, ranges)
-            })
-            .collect()
+        contents.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        contents
     }
 
-    /// Completes recycling: RECYCLING → RECYCLED. The index stays queryable
-    /// as a read cache.
+    /// Completes recycling: RECYCLING → RECYCLED. A data unit's index stays
+    /// queryable as a read cache.
     ///
     /// # Panics
     /// Panics if not RECYCLING.
@@ -155,6 +165,11 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
         self.state = UnitState::Empty;
     }
 
+    /// Payload bytes the unit's index references.
+    pub fn held_bytes(&self) -> u64 {
+        self.index.held_bytes()
+    }
+
     /// Read-cache lookup (valid in any state holding data).
     pub fn lookup(&self, key: &K, off: u32, len: u32) -> Vec<(u32, P)> {
         self.index.lookup(key, off, len)
@@ -170,7 +185,7 @@ impl<K: Hash + Eq + Ord + Clone, P: Payload> LogUnit<K, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::Ghost;
+    use crate::payload::{Data, Ghost};
 
     fn unit() -> LogUnit<u64, Ghost> {
         LogUnit::new(1, 1000, MergeMode::Overwrite)
@@ -196,6 +211,7 @@ mod tests {
 
         u.finish_recycle();
         assert_eq!(u.state(), UnitState::Recycled);
+        assert_eq!(u.held_bytes(), 200, "a data unit keeps its contents");
         // Read cache still works.
         assert_eq!(u.lookup(&7, 50, 10), vec![(50, Ghost(10))]);
 
@@ -203,6 +219,35 @@ mod tests {
         assert_eq!(u.state(), UnitState::Empty);
         assert_eq!(u.used(), 0);
         assert!(u.lookup(&7, 50, 10).is_empty());
+    }
+
+    #[test]
+    fn taken_delta_unit_hands_over_owned_contents() {
+        let mut u: LogUnit<u64, Data> = LogUnit::new(1, 1000, MergeMode::Xor);
+        u.append(9, 0, Data::copy_from(&[1; 8]), 0);
+        u.append(3, 16, Data::copy_from(&[2; 8]), 0);
+        u.append(3, 20, Data::copy_from(&[4; 8]), 0); // XOR-merged, then extended
+        u.seal();
+        let contents = u.start_recycle();
+        assert_eq!(u.held_bytes(), 0);
+        assert!(u.lookup(&3, 0, 100).is_empty() && u.lookup(&9, 0, 100).is_empty());
+        let keys: Vec<u64> = contents.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![3, 9]);
+        assert_eq!(
+            contents[0].1[0].1.as_slice(),
+            &[2, 2, 2, 2, 6, 6, 6, 6, 4, 4, 4, 4]
+        );
+        for (_, ranges) in contents {
+            for (_, d) in ranges {
+                // The unit kept no view, so the buffer comes back uncopied.
+                let storage = d.as_slice().as_ptr();
+                let owned = Vec::from(d.0);
+                assert_eq!(owned.as_ptr(), storage);
+            }
+        }
+        u.finish_recycle();
+        u.reuse();
+        assert_eq!(u.state(), UnitState::Empty);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use core::fmt;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::tables::{EXP, INV, LOG, MUL};
+use crate::tables::{INV, MUL};
 
 /// An element of GF(2^8) under the reducing polynomial `0x11d`.
 ///
@@ -51,22 +51,6 @@ impl Gf {
             None
         } else {
             Some(Gf(INV[self.0 as usize]))
-        }
-    }
-
-    /// `g^n` for the field generator `g`.
-    #[inline]
-    pub fn exp(n: u32) -> Gf {
-        Gf(EXP[(n % 255) as usize])
-    }
-
-    /// Discrete logarithm base `g`; `None` for zero.
-    #[inline]
-    pub fn log(self) -> Option<u8> {
-        if self.is_zero() {
-            None
-        } else {
-            Some(LOG[self.0 as usize])
         }
     }
 }
@@ -224,14 +208,5 @@ mod tests {
         let xs = [Gf(1), Gf(2), Gf(3)];
         assert_eq!(xs.iter().copied().sum::<Gf>(), Gf(1) + Gf(2) + Gf(3));
         assert_eq!(xs.iter().copied().product::<Gf>(), Gf(1) * Gf(2) * Gf(3));
-    }
-
-    #[test]
-    fn exp_log_scalar_api() {
-        for n in 0..255u32 {
-            let v = Gf::exp(n);
-            assert_eq!(v.log(), Some((n % 255) as u8));
-        }
-        assert_eq!(Gf::ZERO.log(), None);
     }
 }

@@ -1,6 +1,7 @@
 //! Concurrency demo: hammer one TSUE engine with parallel writer threads
 //! while its recycler threads drain the three-layer pipeline, then prove
-//! byte-exact parity consistency.
+//! byte-exact parity consistency and that, once flushed, only the DataLog
+//! still holds bytes (its read cache).
 //!
 //! ```text
 //! cargo run --release -p tsue-examples --example concurrent_logpool [writers] [ops]
@@ -84,6 +85,14 @@ fn main() {
         stats.inline_recycles,
         stats.parity_mul_bytes,
         stats.parity_shared_bytes
+    );
+
+    let [data, delta, parity] = stats.log_bytes;
+    println!("log held : data {data} B (read cache) / delta {delta} B / parity {parity} B");
+    assert_eq!(
+        (delta, parity),
+        (0, 0),
+        "recycled delta and parity units must hold nothing"
     );
 
     assert!(
