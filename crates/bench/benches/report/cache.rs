@@ -1,26 +1,31 @@
-//! Cache sweep: the node-local cache & write-staging decorator measured
-//! over every update method via the method-spec grammar.
+//! Cache sweep: the node-local LRU read-cache decorator measured over
+//! every update method via the method-spec grammar.
 //!
 //! Each method replays the Ali-Cloud mix bare and under `lru(S)+<method>`
-//! for a ramp of cache sizes, plus one
-//! `stage(8MiB,2ms)+lru(16MiB)+<method>` cell that exercises write
-//! coalescing. The table reports the spec string the cell was built from
-//! (every one must round-trip through `MethodSpec::parse`, which the sweep
-//! asserts per row), the hit ratio, update IOPS, and coalesced bytes.
+//! for a ramp of cache sizes. The table reports the spec string the cell
+//! was built from (every one must round-trip through `MethodSpec::parse`,
+//! which the sweep asserts per row), the hit ratio, update IOPS and the
+//! exact mean read latency.
 //!
 //! Expected shape: hit ratio grows monotonically with cache size for every
 //! method (the workload's Zipf hot set fits progressively better); caching
 //! never hurts a closed-loop replay, so `lru(64MiB)+FO` rides at least
-//! bare FO's IOPS; and TSUE's *relative* gain is the smallest of all
+//! bare FO's IOPS; and TSUE's *relative* IOPS gain is the smallest of all
 //! methods — its two-stage log front end already keeps the update path
 //! off the read-modify-write critical path, so a read cache has the least
 //! left to absorb (the same asymmetry PAPER.md §5 reports for absolute
 //! latency).
+//!
+//! The read gain is what keeps the cache in the tree: `lru(64MiB)` lowers
+//! the mean read latency of FO, PL, PLR, PARIX and CoRD by at least 10 %
+//! at the default scale, while FL and TSUE gain the least, since both
+//! already serve hot reads from their own log read cache. At smoke scale
+//! (≈ 110 reads a cell) only the direction is asserted, for FO and PLR.
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
 use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
-use tsue_bench::{ssd_replay, BenchReport, Json};
+use tsue_bench::{ssd_replay, BenchReport};
 
 /// The swept LRU capacities: 64 KiB misses most of the hot set at this
 /// scale, 64 MiB holds effectively all of it.
@@ -60,10 +65,8 @@ pub fn sweep() -> Sweep<Label> {
         for size in CACHE_SIZES {
             push(format!("lru({size})+{method}"), Some(size));
         }
-        push(format!("stage(8MiB,2ms)+lru(16MiB)+{method}"), None);
     }
-    let title =
-        "Cache sweep: RS(6,3) Ali-Cloud, node-local cache & write staging over every method";
+    let title = "Cache sweep: RS(6,3) Ali-Cloud, node-local LRU read cache over every method";
     Sweep::new("cache", title, cells, check).columns([
         Column::key("method", |r| r.label.0.clone()),
         Column::key("spec", |r| r.label.1.clone()).show("spec", plain),
@@ -71,15 +74,8 @@ pub fn sweep() -> Sweep<Label> {
         Column::key("cache_lookups", |r| r.res.cache_lookups),
         Column::key("cache_hits", |r| r.res.cache_hits).show("hits", plain),
         Column::key("cache_hit_ratio", |r| r.res.cache_hit_ratio).show("hit ratio", fixed::<3>),
-        Column::key("staged_bytes", |r| r.res.staged_bytes).show("staged MiB", mib),
-        Column::key("coalesced_bytes", |r| r.res.coalesced_bytes).show("coalesced MiB", mib),
-        Column::key("stage_flushes", |r| r.res.stage_flushes).show("flushes", plain),
+        Column::key("read_mean_us", |r| r.res.read_mean_us).show("read mean us", fixed::<1>),
     ])
-}
-
-/// Bytes printed in MiB.
-fn mib(v: &Json) -> String {
-    format!("{:.2}", v.as_f64().unwrap_or(0.0) / (1 << 20) as f64)
 }
 
 fn check(results: &Results<Label>, report: &mut BenchReport) {
@@ -87,28 +83,22 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
         assert_eq!(res.method, *spec, "{spec}: method name drifted");
         let parsed = MethodSpec::parse(spec).expect("row spec parses");
         assert_eq!(parsed.to_string(), *spec, "{spec}: not canonical");
-        let decorated = !parsed.decorators.is_empty();
-        if decorated {
+        if parsed.lru.is_some() {
             assert!(res.cache_lookups > 0, "{spec}: cache never consulted");
         } else {
             assert_eq!(res.cache_lookups, 0, "{spec}: bare cell probed a cache");
-            assert_eq!(res.staged_bytes, 0, "{spec}: bare cell staged writes");
-        }
-        if spec.starts_with("stage(") {
-            assert!(res.staged_bytes > 0, "{spec}: staging bypassed");
-            assert!(res.stage_flushes > 0, "{spec}: staging never flushed");
         }
     }
 
-    // Per-method findings and their shape: the hit-ratio ramp, the
-    // relative IOPS gain from the largest cache, and staging's coalesced
-    // fraction.
+    // Per-method findings and their shape: the hit-ratio ramp, and the
+    // relative IOPS and read-mean gains from the largest cache.
     let lookup = |m: &str, want: &dyn Fn(&str, Option<&str>) -> bool| -> &RunResult {
         results.get(|(lm, spec, size)| lm == m && want(spec, *size))
     };
     println!();
     let methods = methods();
     let mut gains = Vec::new();
+    let mut read_gains = Vec::new();
     for method in methods.iter().map(|m| m.name()) {
         let bare = lookup(method, &|spec, _| spec == method);
         let mut ramp = Vec::new();
@@ -120,19 +110,20 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
         let best = lookup(method, &|_, size| size == Some("64MiB"));
         let gain = best.update_iops / bare.update_iops;
         report.add_finding(&format!("cache_gain_{method}"), gain);
-        let staged = lookup(method, &|spec, _| spec.starts_with("stage("));
-        let coalesced_frac = staged.coalesced_bytes as f64 / staged.staged_bytes.max(1) as f64;
-        report.add_finding(&format!("coalesced_frac_{method}"), coalesced_frac);
+        let read_gain = bare.read_mean_us / best.read_mean_us;
+        report.add_finding(&format!("read_gain_{method}"), read_gain);
         println!(
             "  -> {:>5}: hit ratio {:.3} -> {:.3} -> {:.3} across {:?}, \
-             64 MiB cache gain {:.3}x, staging coalesces {:.1}% of staged bytes",
+             64 MiB cache gain {:.3}x, read mean {:.1} -> {:.1} us ({:+.1}%)",
             method,
             ramp[0],
             ramp[1],
             ramp[2],
             CACHE_SIZES,
             gain,
-            100.0 * coalesced_frac,
+            bare.read_mean_us,
+            best.read_mean_us,
+            100.0 * (best.read_mean_us / bare.read_mean_us - 1.0),
         );
         assert!(
             ramp.iter().all(|r| (0.0..=1.0).contains(r)),
@@ -144,11 +135,8 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
                 "{method}: hit ratio not monotone in cache size ({ramp:?})"
             );
         }
-        assert!(
-            coalesced_frac > 0.0 && coalesced_frac < 1.0,
-            "{method}: staging coalesced {coalesced_frac:.3} of staged bytes, not a fraction in (0, 1)"
-        );
         gains.push((method, gain));
+        read_gains.push((method, bare.read_mean_us, best.read_mean_us));
     }
     let gain_of = |m: &str| gains.iter().find(|(k, _)| *k == m).unwrap().1;
     assert!(
@@ -162,5 +150,52 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
             "TSUE's cache gain ({:.3}x) must be the smallest, but {method} gains {gain:.3}x",
             gain_of("TSUE"),
         );
+    }
+
+    check_read_gains(&read_gains);
+}
+
+/// The read-mean gate on `lru(64MiB)`, over `(method, bare read mean,
+/// cached read mean)` rows.
+fn check_read_gains(rows: &[(&str, f64, f64)]) {
+    let means = |m: &str| {
+        let &(_, bare, cached) = rows.iter().find(|(k, ..)| *k == m).unwrap();
+        (bare, cached)
+    };
+    if tsue_bench::smoke() {
+        // Too few reads a cell for a 10 % gate: the direction only.
+        for method in ["FO", "PLR"] {
+            let (bare, cached) = means(method);
+            assert!(
+                cached < bare,
+                "{method}: lru(64MiB) read mean {cached:.1} us is not below bare {bare:.1} us"
+            );
+        }
+        return;
+    }
+    for method in ["FO", "PL", "PLR", "PARIX", "CoRD"] {
+        let (bare, cached) = means(method);
+        assert!(
+            cached <= 0.9 * bare,
+            "{method}: lru(64MiB) must lower the read mean by >= 10 % \
+             ({bare:.1} -> {cached:.1} us)"
+        );
+    }
+    let gain = |m: &str| {
+        let (bare, cached) = means(m);
+        bare / cached
+    };
+    for own_cache in ["FL", "TSUE"] {
+        for &(method, ..) in rows {
+            if matches!(method, "FL" | "TSUE") {
+                continue;
+            }
+            assert!(
+                gain(own_cache) < gain(method),
+                "{own_cache}'s read gain ({:.3}x) must be below {method}'s ({:.3}x)",
+                gain(own_cache),
+                gain(method),
+            );
+        }
     }
 }

@@ -349,11 +349,6 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
             .unwrap_or(true)
     }
 
-    /// Removes one block's ranges (sorted) from the index.
-    pub fn remove_block(&mut self, key: &K) -> Option<Vec<(u32, P)>> {
-        self.blocks.remove(key).map(|b| b.into_sorted_ranges())
-    }
-
     /// Drains the whole index as `(key, sorted ranges)` pairs.
     pub fn drain_all(&mut self) -> Vec<(K, Vec<(u32, P)>)> {
         self.blocks
@@ -494,9 +489,6 @@ mod tests {
         assert_eq!(idx.lookup(&1, 0, 100), vec![(0, Ghost(20))]);
         assert!(idx.covers(&1, 5, 10));
         assert!(!idx.covers(&3, 0, 1));
-        assert_eq!(idx.remove_block(&1), Some(vec![(0, Ghost(20))]));
-        assert_eq!(idx.remove_block(&1), None);
-        assert_eq!(idx.range_count(), 1);
     }
 
     #[test]

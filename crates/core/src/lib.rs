@@ -37,9 +37,8 @@
 //! idx.insert(7, 0, Ghost(4096));
 //! idx.insert(7, 0, Ghost(4096));      // duplicate: overwritten in place
 //! idx.insert(7, 4096, Ghost(4096));   // adjacent: concatenated
-//! let drained = idx.remove_block(&7).unwrap();
-//! assert_eq!(drained.len(), 1);       // 3 records -> 1 range
-//! assert_eq!(drained[0], (0, Ghost(8192)));
+//! // 3 records -> 1 range.
+//! assert_eq!(idx.drain_all(), vec![(7, vec![(0, Ghost(8192))])]);
 //! ```
 
 #![forbid(unsafe_code)]

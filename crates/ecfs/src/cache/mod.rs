@@ -1,91 +1,48 @@
-//! Node-local read cache and write-staging layer, composable over any
-//! built-in [`UpdateMethod`] as a decorator.
+//! Node-local LRU read cache, composable over any built-in
+//! [`UpdateMethod`] as a decorator.
 //!
 //! [`Cached`] wraps a built-in driver without the driver knowing: it
-//! interposes on the read path with an LRU page cache ([`PageCache`]) and
-//! on the update path with a per-node write-coalescing staging buffer
-//! that absorbs overlapping 4 KiB updates into one downstream delta. Flushes happen on the simulation timeline —
-//! at a size threshold, at an age deadline after the first unflushed
-//! byte, and unconditionally at drain.
+//! interposes on the read path with an LRU page cache ([`PageCache`]). A
+//! read whose every page is resident is served from memory, with no disk
+//! touched; a miss runs the wrapped method's read and then fills the
+//! range. Updates and fresh writes fill the cache and run the wrapped
+//! method's own path unchanged, so every update is acked exactly when the
+//! wrapped method acks it.
 //!
 //! Composition is spelled in the method-spec grammar
-//! ([`crate::methods::spec`]), the only way to arm these layers:
-//! `"lru(64MiB)+FO"` is FO behind a 64 MiB LRU;
-//! `"stage(8MiB,2ms)+lru(64MiB)+PLR"` stages writes *and* caches reads
-//! over PLR.
-//!
-//! Semantics under the consistency oracle: a staged update is acked to
-//! the client at arrival (the buffer is the durability point, as in a
-//! battery-backed gateway), and the flush replays each coalesced span
-//! through the wrapped method as a *background* op
-//! ([`UpdateCtx::background`]) — the inner driver applies data and parity
-//! exactly as if a client had issued the delta, so every acked range
-//! still reaches data + all `m` parity blocks by end of run. Staged
-//! bytes count as [`NodeLogState::pending_bytes`], so the replay drain
-//! loop flushes staging before declaring quiescence.
-//!
-//! Flush replays go straight to the wrapped driver, bypassing the
-//! degraded-mode dispatch in [`crate::methods::begin_update`], so
-//! [`crate::replay::ReplayConfig::validate`] rejects staging armed
-//! together with a non-empty fault plan.
+//! ([`crate::methods::spec`]), the only way to arm the cache:
+//! `"lru(64MiB)+FO"` is FO behind a 64 MiB LRU per node.
 
 pub mod policy;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simdes::{Sim, SimTime};
 
-use crate::cluster::{Cluster, IntervalSet};
+use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::layout::{BlockAddr, BlockSlice};
-use crate::methods::spec::{Decorator, MethodSpec};
+use crate::layout::BlockAddr;
+use crate::methods::spec::MethodSpec;
 use crate::methods::{NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::{OpClass, Stage};
 
 pub use policy::{PageCache, PAGE_BYTES};
 
-/// One node's write-staging buffer: coalesced byte ranges per block,
-/// keyed deterministically (BTreeMap — flush replay order must be
-/// identical from run to run).
-#[derive(Debug, Default)]
-struct StageBuf {
-    /// Staged ranges and the last client to touch each block (the flush
-    /// replay attributes its background ops to that client endpoint).
-    spans: BTreeMap<BlockAddr, (IntervalSet, u64)>,
-    /// Post-coalescing staged bytes (the union size across blocks).
-    bytes: u64,
-    /// Bumped at every flush; an armed age timer fires only if the epoch
-    /// it captured is still current.
-    epoch: u64,
-}
-
-/// Decorator node state: the page cache and staging buffer in front of
-/// the wrapped method's own state. [`NodeLogState::inner`] exposes the
-/// wrapped state so driver downcasts look straight through this layer.
+/// Decorator node state: the page cache in front of the wrapped method's
+/// own state. [`NodeLogState::inner`] exposes the wrapped state so driver
+/// downcasts look straight through this layer.
 pub struct CacheNodeState {
-    cache: Option<PageCache>,
-    stage: Option<StageBuf>,
+    cache: PageCache,
     wrapped: Box<dyn NodeLogState>,
 }
 
 impl NodeLogState for CacheNodeState {
     fn pending_bytes(&self) -> u64 {
-        let staged = self.stage.as_ref().map_or(0, |s| s.bytes);
-        self.wrapped.pending_bytes() + staged
+        self.wrapped.pending_bytes()
     }
 
     fn memory_bytes(&self) -> u64 {
-        let cache = self.cache.as_ref().map_or(0, |c| c.memory_bytes());
-        // Staged payload plus per-span index overhead.
-        let staged = self.stage.as_ref().map_or(0, |s| {
-            s.bytes
-                + s.spans
-                    .values()
-                    .map(|(set, _)| set.span_count() as u64 * 48)
-                    .sum::<u64>()
-        });
-        self.wrapped.memory_bytes() + cache + staged
+        self.wrapped.memory_bytes() + self.cache.memory_bytes()
     }
 
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
@@ -104,42 +61,26 @@ impl NodeLogState for CacheNodeState {
     }
 }
 
-/// The cache/staging decorator: an [`UpdateMethod`] wrapping another.
+/// The read-cache decorator: an [`UpdateMethod`] wrapping another.
 ///
 /// [`crate::methods::build_method`] builds one from a decorated spec
-/// string (`"stage(8MiB,2ms)+lru(64MiB)+PLR"`), wrapping a built-in once.
+/// string (`"lru(64MiB)+PLR"`), wrapping a built-in once.
 #[derive(Debug)]
 pub struct Cached {
     name: String,
     inner: Arc<dyn UpdateMethod>,
     /// `lru(SIZE)`: per-node read-cache capacity in bytes.
-    cache_bytes: Option<u64>,
-    /// `stage(SIZE,AGE)`: per-node flush threshold in staged
-    /// (post-coalescing) bytes, and flush age in nanoseconds after the
-    /// first byte staged into an empty buffer.
-    stage: Option<(u64, u64)>,
+    cache_bytes: u64,
 }
 
 impl Cached {
-    /// Wraps `inner` in the layers `decorators` arm (as parsed, so valid
-    /// and at most one of each). The name renders them in canonical order,
-    /// stage before lru, whatever order the spec wrote them in. `inner`
-    /// must not be a `Cached`: an outer [`CacheNodeState`] would shadow
-    /// the inner one in every downcast. [`crate::methods::build_method`],
-    /// the only caller, passes a built-in.
-    pub(crate) fn new(inner: Arc<dyn UpdateMethod>, decorators: &[Decorator]) -> Cached {
-        let mut cache_bytes = None;
-        let mut stage = None;
-        for d in decorators {
-            match *d {
-                Decorator::Cache { bytes } => cache_bytes = Some(bytes),
-                Decorator::Stage { bytes, age_ns } => stage = Some((bytes, age_ns)),
-            }
-        }
-        let mut decorators = decorators.to_vec();
-        decorators.sort_by_key(|d| matches!(d, Decorator::Cache { .. }));
+    /// Wraps `inner` behind a `cache_bytes` LRU per node. `inner` must not
+    /// be a `Cached`: an outer [`CacheNodeState`] would shadow the inner
+    /// one in every downcast. [`crate::methods::build_method`], the only
+    /// caller, passes a built-in.
+    pub(crate) fn new(inner: Arc<dyn UpdateMethod>, cache_bytes: u64) -> Cached {
         let name = MethodSpec {
-            decorators,
+            lru: Some(cache_bytes),
             base: inner.name().to_string(),
         }
         .to_string();
@@ -147,132 +88,18 @@ impl Cached {
             name,
             inner,
             cache_bytes,
-            stage,
         }
     }
 
-    /// Stages `ctx`'s range on its data node and acks the client. Returns
-    /// without staging when staging is off (caller delegates instead).
-    fn stage_update(
-        &self,
-        sim: &mut Sim<Cluster>,
-        cl: &mut Cluster,
-        ctx: UpdateCtx,
-        (flush_bytes, age_ns): (u64, u64),
-    ) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (node, _dev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-        let t_arrive = cl.send(ctx.start_at, client_ep, node, len);
-        let t_done = cl.ack(t_arrive, node, client_ep);
-
-        let (added, arm_epoch, flush_now) = {
-            let state = cl.nodes[node]
-                .state
-                .downcast_mut::<CacheNodeState>()
-                .expect("staging armed without CacheNodeState");
-            if let Some(cache) = &mut state.cache {
-                cache.fill(slice.addr, slice.offset, slice.len);
-            }
-            let sb = state.stage.as_mut().expect("stage_update without buffer");
-            let entry = sb
-                .spans
-                .entry(slice.addr)
-                .or_insert_with(|| (IntervalSet::default(), ctx.client));
-            entry.1 = ctx.client;
-            let before = entry.0.total();
-            entry
-                .0
-                .insert(slice.offset as u64, slice.offset as u64 + len);
-            let added = entry.0.total() - before;
-            sb.bytes += added;
-            // Arm the age timer only on the empty→nonempty transition.
-            let arm_epoch = (sb.bytes == added && added > 0).then_some(sb.epoch);
-            (added, arm_epoch, sb.bytes >= flush_bytes)
-        };
-
-        cl.metrics.staged_bytes += len;
-        cl.metrics.coalesced_bytes += len - added;
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
-        cl.trace_op(
-            &ctx,
-            OpClass::Update,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::LogAppend, t_arrive),
-                (Stage::Ack, t_done),
-            ],
-        );
-        cl.finish_update(sim, ctx, t_done);
-
-        if flush_now {
-            flush_node(sim, cl, &self.inner, node, t_arrive);
-        } else if let Some(epoch) = arm_epoch {
-            let inner = Arc::clone(&self.inner);
-            let deadline = t_arrive + age_ns;
-            sim.schedule_at(deadline.max(sim.now()), move |sim, cl: &mut Cluster| {
-                let live = cl.nodes[node]
-                    .state
-                    .downcast_mut::<CacheNodeState>()
-                    .and_then(|s| s.stage.as_ref())
-                    .is_some_and(|sb| sb.epoch == epoch && sb.bytes > 0);
-                if live {
-                    let now = sim.now();
-                    flush_node(sim, cl, &inner, node, now);
-                }
-            });
+    /// Write-allocates `ctx`'s range in its data node's cache, so later
+    /// reads of it hit.
+    fn fill(cl: &mut Cluster, ctx: &UpdateCtx) {
+        let (node, _dev) = cl.layout.locate(ctx.slice.addr);
+        if let Some(state) = cl.nodes[node].state.downcast_mut::<CacheNodeState>() {
+            state
+                .cache
+                .fill(ctx.slice.addr, ctx.slice.offset, ctx.slice.len);
         }
-    }
-}
-
-/// Flushes `node`'s staging buffer at `now`: every coalesced span replays
-/// through the wrapped method as one background update, so the inner
-/// driver books the real downstream work (delta transfer, log appends,
-/// parity effect) exactly once per merged range.
-fn flush_node(
-    sim: &mut Sim<Cluster>,
-    cl: &mut Cluster,
-    inner: &Arc<dyn UpdateMethod>,
-    node: usize,
-    now: SimTime,
-) {
-    let spans = {
-        let Some(state) = cl.nodes[node].state.downcast_mut::<CacheNodeState>() else {
-            return;
-        };
-        let Some(sb) = state.stage.as_mut() else {
-            return;
-        };
-        sb.epoch += 1;
-        sb.bytes = 0;
-        std::mem::take(&mut sb.spans)
-    };
-    if spans.is_empty() {
-        return;
-    }
-    cl.metrics.stage_flushes += 1;
-    for (addr, (set, client)) in spans {
-        for (start, end) in set.iter() {
-            let ctx = UpdateCtx::background(
-                client,
-                BlockSlice {
-                    addr,
-                    offset: start as u32,
-                    len: (end - start) as u32,
-                },
-                now,
-            );
-            inner.begin_update(sim, cl, ctx);
-        }
-    }
-}
-
-/// Flushes every node's staging buffer at `now` (drain entry).
-fn flush_all(sim: &mut Sim<Cluster>, cl: &mut Cluster, inner: &Arc<dyn UpdateMethod>) {
-    let now = sim.now();
-    for node in 0..cl.nodes.len() {
-        flush_node(sim, cl, inner, node, now);
     }
 }
 
@@ -283,8 +110,7 @@ impl UpdateMethod for Cached {
 
     fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
         Box::new(CacheNodeState {
-            cache: self.cache_bytes.map(PageCache::new),
-            stage: self.stage.map(|_| StageBuf::default()),
+            cache: PageCache::new(self.cache_bytes),
             wrapped: self.inner.new_node_state(cfg),
         })
     }
@@ -294,62 +120,28 @@ impl UpdateMethod for Cached {
     }
 
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        if let Some(stage) = self.stage {
-            self.stage_update(sim, cl, ctx, stage);
-            return;
-        }
-        // Cache-only: write-allocate so subsequent reads hit, then run
-        // the wrapped method's real update path unchanged.
-        let (node, _dev) = cl.layout.locate(ctx.slice.addr);
-        if let Some(cache) = cl.nodes[node]
-            .state
-            .downcast_mut::<CacheNodeState>()
-            .and_then(|s| s.cache.as_mut())
-        {
-            cache.fill(ctx.slice.addr, ctx.slice.offset, ctx.slice.len);
-        }
+        Self::fill(cl, &ctx);
         self.inner.begin_update(sim, cl, ctx);
     }
 
     fn begin_write(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let (node, _dev) = cl.layout.locate(ctx.slice.addr);
-        if let Some(cache) = cl.nodes[node]
-            .state
-            .downcast_mut::<CacheNodeState>()
-            .and_then(|s| s.cache.as_mut())
-        {
-            cache.fill(ctx.slice.addr, ctx.slice.offset, ctx.slice.len);
-        }
+        Self::fill(cl, &ctx);
         self.inner.begin_write(sim, cl, ctx);
     }
 
     fn begin_read(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         let slice = ctx.slice;
         let (node, _dev) = cl.layout.locate(slice.addr);
-        let hit = {
-            let Some(state) = cl.nodes[node].state.downcast_mut::<CacheNodeState>() else {
-                self.inner.begin_read(sim, cl, ctx);
-                return;
-            };
-            let staged = state.stage.as_ref().is_some_and(|sb| {
-                sb.spans.get(&slice.addr).is_some_and(|(set, _)| {
-                    set.covers(slice.offset as u64, slice.offset as u64 + slice.len as u64)
-                })
-            });
-            let hit = staged
-                || state
-                    .cache
-                    .as_mut()
-                    .is_some_and(|c| c.probe(slice.addr, slice.offset, slice.len));
-            if !hit {
-                // Read-allocate: the range is resident once the wrapped
-                // method's read completes.
-                if let Some(cache) = state.cache.as_mut() {
-                    cache.fill(slice.addr, slice.offset, slice.len);
-                }
-            }
-            hit
+        let Some(state) = cl.nodes[node].state.downcast_mut::<CacheNodeState>() else {
+            self.inner.begin_read(sim, cl, ctx);
+            return;
         };
+        let hit = state.cache.probe(slice.addr, slice.offset, slice.len);
+        if !hit {
+            // Read-allocate: the range is resident once the wrapped
+            // method's read completes.
+            state.cache.fill(slice.addr, slice.offset, slice.len);
+        }
         cl.metrics.cache_lookups += 1;
         if !hit {
             self.inner.begin_read(sim, cl, ctx);
@@ -373,12 +165,10 @@ impl UpdateMethod for Cached {
     }
 
     fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        flush_all(sim, cl, &self.inner);
         self.inner.drain(sim, cl);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        flush_all(sim, cl, &self.inner);
         self.inner.drain_until(sim, cl)
     }
 }
@@ -401,10 +191,10 @@ mod tests {
 
     #[test]
     fn wrap_name_is_a_parseable_spec() {
-        let m = build("lru(64MiB)+stage(8MiB,2ms)+plr");
-        assert_eq!(m.name(), "stage(8MiB,2ms)+lru(64MiB)+PLR");
+        let m = build("LRU(65536KiB)+plr");
+        assert_eq!(m.name(), "lru(64MiB)+PLR");
         let spec = MethodSpec::parse(m.name()).unwrap();
-        assert_eq!(spec.decorators.len(), 2);
+        assert_eq!(spec.lru, Some(64 << 20));
         assert_eq!(spec.base, "PLR");
     }
 

@@ -61,19 +61,15 @@ impl IntervalSet {
     }
 
     /// Total bytes covered.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    fn total(&self) -> u64 {
         self.spans.iter().map(|&(s, e)| e - s).sum()
     }
 
     /// Number of disjoint spans.
-    pub fn span_count(&self) -> usize {
+    #[cfg(test)]
+    fn span_count(&self) -> usize {
         self.spans.len()
-    }
-
-    /// Iterates the disjoint `(start, end)` spans in ascending order —
-    /// e.g. the cache layer replaying a staged buffer as coalesced deltas.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.spans.iter().copied()
     }
 }
 
@@ -108,17 +104,10 @@ pub struct Metrics {
     /// Reads served from a log read-cache.
     pub cache_read_hits: u64,
     /// Reads checked against a node-local cache decorator
-    /// ([`crate::cache`]); 0 unless a cache/staging layer is armed.
+    /// ([`crate::cache`]); 0 unless a read cache is armed.
     pub cache_lookups: u64,
     /// Reads served from the node-local cache decorator (memory, no disk).
     pub cache_hits: u64,
-    /// Update bytes absorbed into write-staging buffers.
-    pub staged_bytes: u64,
-    /// Staged bytes that overlapped already-staged ranges — downstream
-    /// work the coalescing buffer absorbed outright.
-    pub coalesced_bytes: u64,
-    /// Staged-buffer flush events (size, age, pressure, or drain).
-    pub stage_flushes: u64,
     /// Residency per TSUE log layer, indexed by
     /// [`crate::methods::tsue_drv::Layer`].
     pub residency: [LayerResidency; 3],
@@ -156,9 +145,6 @@ impl Default for Metrics {
             cache_read_hits: 0,
             cache_lookups: 0,
             cache_hits: 0,
-            staged_bytes: 0,
-            coalesced_bytes: 0,
-            stage_flushes: 0,
             residency: Default::default(),
             degraded_reads: 0,
             degraded_bytes_decoded: 0,
@@ -516,17 +502,6 @@ impl Cluster {
         if !self.trace.enabled() {
             return;
         }
-        if ctx.background {
-            // A staged-flush replay through the wrapped method: attribute
-            // the whole span as background stage-flush work on the data
-            // node's lane instead of a client lifecycle op, so the Update
-            // rollup keeps reconciling against client latency exactly.
-            if let Some(&(_, end)) = marks.last() {
-                let node = self.layout.current_node(ctx.slice.addr);
-                self.trace.child(Stage::StageFlush, node, ctx.start_at, end);
-            }
-            return;
-        }
         self.trace
             .record_op(ctx.client, class, ctx.issued_at, ctx.start_at, marks);
     }
@@ -558,12 +533,7 @@ impl Cluster {
     }
 
     /// Records an update completion and drives the client's next op.
-    /// Background ops (staged flushes) book their I/O like any other but
-    /// are invisible here: no counters, no latency, no closed-loop drive.
     pub fn finish_update(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        if ctx.background {
-            return;
-        }
         self.metrics.completed_updates += 1;
         let latency = done_at.saturating_sub(ctx.issued_at);
         self.metrics.update_latency.record(latency);
@@ -587,9 +557,6 @@ impl Cluster {
         is_read: bool,
         done_at: SimTime,
     ) {
-        if ctx.background {
-            return;
-        }
         if is_read {
             self.metrics.completed_reads += 1;
             let latency = done_at.saturating_sub(ctx.issued_at);
@@ -620,9 +587,6 @@ impl Cluster {
         done_at: SimTime,
     ) {
         self.metrics.failed_ops += 1;
-        if ctx.background {
-            return;
-        }
         if !ctx.drive {
             let counter = match kind {
                 traces::OpKind::Update => &mut self.metrics.completed_updates,

@@ -2,8 +2,8 @@
 //!
 //! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
 //! driver implementing the trait: a built-in
-//! ([`crate::methods::builtins`]), possibly behind cache/staging
-//! decorators named by a spec string, or one defined outside this crate
+//! ([`crate::methods::builtins`]), possibly behind the LRU read-cache
+//! decorator named by a spec string, or one defined outside this crate
 //! and passed by handle.
 //!
 //! [`ClusterConfig`] holds what experiments vary: the cluster's shape,
@@ -466,11 +466,11 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// The update method as a *spec string* — a built-in's name with
-    /// optional cache/staging decorators ([`crate::methods::spec`]) —
-    /// parsed and resolved by [`crate::methods::build_method`] at
-    /// [`Self::build`] time. It is the only way to arm the cache and
-    /// staging layers.
+    /// The update method as a *spec string*, `[lru(SIZE)+]NAME` — a
+    /// built-in's name, optionally behind a node-local LRU read cache
+    /// ([`crate::methods::spec`]) — parsed and resolved by
+    /// [`crate::methods::build_method`] at [`Self::build`] time. It is the
+    /// only way to arm the read cache.
     ///
     /// ```
     /// use ecfs::ClusterConfig;
@@ -478,10 +478,10 @@ impl ClusterConfigBuilder {
     ///
     /// let cfg = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method_name("stage(8MiB,2ms)+lru(64MiB)+PLR")
+    ///     .method_name("LRU(65536KiB)+plr")
     ///     .build()
     ///     .unwrap();
-    /// assert_eq!(cfg.method.name(), "stage(8MiB,2ms)+lru(64MiB)+PLR");
+    /// assert_eq!(cfg.method.name(), "lru(64MiB)+PLR");
     /// ```
     pub fn method_name(mut self, name: impl Into<String>) -> Self {
         self.method = Some(MethodChoice::Name(name.into()));
@@ -614,14 +614,21 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.method.name(), "lru(1MiB)+TSUE");
-        // Out of canonical order and in another case, a spec still reports
-        // the canonical name: stage, then lru, then the driver's own name.
+        // In another case and unit, a spec still reports the canonical
+        // name: the largest exact unit, then the driver's own name.
         let cfg = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method_name("lru(1MiB)+stage(64KiB,1ms)+cord")
+            .method_name("LRU(1024KiB)+cord")
             .build()
             .unwrap();
-        assert_eq!(cfg.method.name(), "stage(64KiB,1ms)+lru(1MiB)+CoRD");
+        assert_eq!(cfg.method.name(), "lru(1MiB)+CoRD");
+        // Write staging is not a decorator.
+        let err = ClusterConfig::builder()
+            .code(CodeParams::new(4, 2).unwrap())
+            .method_name("stage(64KiB,1ms)+cord")
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("stage"), "{err}");
         // A malformed decorator surfaces as a ConfigError, not a panic.
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())

@@ -44,7 +44,7 @@ pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, Tsu
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::{MaintenancePlan, MaintenancePolicy};
-pub use methods::{Decorator, MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod};
+pub use methods::{MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod};
 pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
@@ -72,8 +72,8 @@ pub mod prelude {
         LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, ScrubConfig,
     };
     pub use crate::methods::{
-        build_method, builtins, Cord, Decorator, Fl, Fo, MethodSpec, NodeLogState, Parix, Pl,
-        PlainState, Plr, ResolveError, Tsue, UpdateCtx, UpdateMethod,
+        build_method, builtins, Cord, Fl, Fo, MethodSpec, NodeLogState, Parix, Pl, PlainState, Plr,
+        ResolveError, Tsue, UpdateCtx, UpdateMethod,
     };
     pub use crate::placement::{
         CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,

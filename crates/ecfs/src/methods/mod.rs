@@ -21,7 +21,7 @@
 //! re-exported here ([`Fo`], [`Fl`], [`Pl`], [`Plr`], [`Parix`], [`Cord`],
 //! [`Tsue`]), listed in Fig. 5 order by [`builtins`], and named by what
 //! [`UpdateMethod::name`] returns. A spec string ([`spec`]) names a
-//! built-in, optionally behind cache/staging decorators, and
+//! built-in, optionally behind the node-local LRU read cache, and
 //! [`build_method`] resolves it. A custom method needs no changes inside
 //! this crate: its driver is passed by handle to
 //! [`crate::config::ClusterConfigBuilder::method`] — see
@@ -53,7 +53,7 @@ pub use fo::Fo;
 pub use parix::Parix;
 pub use pl::Pl;
 pub use plr::Plr;
-pub use spec::{build_method, Decorator, MethodSpec, ResolveError};
+pub use spec::{build_method, MethodSpec, ResolveError};
 pub use tsue_drv::Tsue;
 
 /// The paper's seven update methods, one driver each, in Fig. 5 order
@@ -157,14 +157,6 @@ pub struct UpdateCtx {
     /// slice of a multi-slice op drives; background remainder slices
     /// complete without touching the closed loop.
     pub drive: bool,
-    /// Whether this op is cluster-internal background work rather than a
-    /// client op — e.g. a staged write-buffer flush replaying a coalesced
-    /// delta through the wrapped method ([`crate::cache`]). Background ops
-    /// book I/O and network like any other, but the completion hooks skip
-    /// the client-facing counters, latency histograms, and the closed
-    /// loop, and `trace_op` attributes them as [`Stage::StageFlush`] child
-    /// spans instead of client lifecycle spans.
-    pub background: bool,
 }
 
 impl UpdateCtx {
@@ -176,20 +168,6 @@ impl UpdateCtx {
             issued_at: now,
             start_at: now,
             drive: true,
-            background: false,
-        }
-    }
-
-    /// A background (non-client) op startable at `now` — used by the cache
-    /// layer's staged flushes. Never drives the closed loop.
-    pub fn background(client: u64, slice: BlockSlice, now: SimTime) -> UpdateCtx {
-        UpdateCtx {
-            client,
-            slice,
-            issued_at: now,
-            start_at: now,
-            drive: false,
-            background: true,
         }
     }
 }

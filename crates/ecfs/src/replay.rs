@@ -13,7 +13,7 @@ use crate::cluster::{Cluster, OpSource, OpenLoopRt};
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
-use crate::methods::spec::{Decorator, MethodSpec};
+use crate::methods::spec::MethodSpec;
 use crate::methods::tsue_drv::Layer;
 use crate::methods::{self, UpdateCtx};
 use crate::recovery;
@@ -154,25 +154,6 @@ impl ReplayConfig {
             )));
         }
         self.faults.validate(&self.cluster)?;
-        // A staged flush replays through the wrapped driver directly,
-        // bypassing the degraded-mode dispatch in `methods::begin_update`:
-        // on a stripe that lost a block it would write to a dead node.
-        // (`Cached` names itself by its canonical spec, so the name says
-        // whether a staging buffer is armed, builder- or spec-built.)
-        let method = self.cluster.method.name();
-        let spec = MethodSpec::parse(method).ok();
-        let staged = spec.as_ref().is_some_and(|spec| {
-            spec.decorators
-                .iter()
-                .any(|d| matches!(d, Decorator::Stage { .. }))
-        });
-        if staged && !self.faults.is_empty() {
-            return Err(crate::config::ConfigError(format!(
-                "method {method:?} arms a staging buffer and the fault plan is non-empty: \
-                 staged flushes bypass degraded-mode dispatch, so staging cannot be \
-                 combined with a fault timeline"
-            )));
-        }
         self.maintenance.validate(&self.cluster)?;
         self.trace.validate().map_err(crate::config::ConfigError)?;
         match &self.workload {
@@ -189,8 +170,9 @@ impl ReplayConfig {
         }
         // TSUE appends each update slice to one DataLog unit whole, so a
         // unit smaller than the largest slice would panic mid-replay. A
-        // slice is at most one block and one op; a staged flush replays a
-        // coalesced range of up to a whole block.
+        // slice is at most one block and one op. (`Cached` names itself by
+        // its canonical spec, so the base name is TSUE's behind a cache.)
+        let spec = MethodSpec::parse(self.cluster.method.name()).ok();
         if spec.is_some_and(|spec| spec.base.eq_ignore_ascii_case("TSUE")) {
             let block = self.cluster.block_bytes;
             let largest_op = match &self.workload {
@@ -205,11 +187,7 @@ impl ReplayConfig {
                         .max()
                 }
             };
-            let largest = if staged {
-                block
-            } else {
-                block.min(largest_op.unwrap_or(0))
-            };
+            let largest = block.min(largest_op.unwrap_or(0));
             if largest > self.cluster.tsue_unit_bytes {
                 return Err(crate::config::ConfigError(format!(
                     "tsue_unit_bytes = {} cannot hold the largest TSUE log record, \
@@ -427,7 +405,7 @@ pub struct RunResult {
     /// Reads served from log caches.
     pub cache_read_hits: u64,
     /// Reads checked against a node-local cache decorator
-    /// ([`crate::cache`]); 0 unless a cache/staging layer is armed.
+    /// ([`crate::cache`]); 0 unless a read cache is armed.
     pub cache_lookups: u64,
     /// Reads served from the node-local cache decorator (no disk, no
     /// delegation to the wrapped method).
@@ -435,13 +413,6 @@ pub struct RunResult {
     /// [`Self::cache_hits`] over [`Self::cache_lookups`] (0.0 when no
     /// lookups happened).
     pub cache_hit_ratio: f64,
-    /// Update bytes absorbed into write-staging buffers.
-    pub staged_bytes: u64,
-    /// Staged bytes that overlapped already-staged ranges — downstream
-    /// work the coalescing buffer absorbed outright.
-    pub coalesced_bytes: u64,
-    /// Staged-buffer flush events (size, age, or drain triggered).
-    pub stage_flushes: u64,
     /// Seconds spent draining logs after the run.
     pub drain_s: f64,
     /// Consistency-oracle violations (must be 0).
@@ -471,6 +442,8 @@ pub struct RunResult {
     /// p99 update latency (µs) outside degraded windows. Equals
     /// [`Self::latency_p99_us`] without faults.
     pub steady_p99_us: f64,
+    /// Mean client-observed read latency (µs), degraded decodes included.
+    pub read_mean_us: f64,
     /// p99 client-observed read latency (µs), degraded decodes included.
     pub read_p99_us: f64,
     /// p99 read latency (µs) inside degraded windows — the availability
@@ -1072,9 +1045,6 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         } else {
             0.0
         },
-        staged_bytes: m.staged_bytes,
-        coalesced_bytes: m.coalesced_bytes,
-        stage_flushes: m.stage_flushes,
         drain_s,
         oracle_violations: violations.len(),
         degraded_reads: m.degraded_reads,
@@ -1088,6 +1058,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         mttr_s,
         degraded_p99_us,
         steady_p99_us,
+        read_mean_us: m.read_latency.mean() / 1_000.0,
         read_p99_us: m.read_latency.quantile(0.99) as f64 / 1_000.0,
         degraded_read_p99_us,
         steady_read_p99_us,

@@ -78,13 +78,10 @@ pub enum Stage {
     Maintenance = 10,
     /// Served from the node-local cache layer (read hit: no disk touched).
     CacheHit = 11,
-    /// Background: a staged write-buffer flush replaying coalesced deltas
-    /// through the wrapped method ([`crate::cache`]).
-    StageFlush = 12,
 }
 
 /// Every stage, in id order (export tables iterate this).
-pub const STAGES: [Stage; 13] = [
+pub const STAGES: [Stage; 12] = [
     Stage::QueueWait,
     Stage::NetSend,
     Stage::DiskIo,
@@ -97,7 +94,6 @@ pub const STAGES: [Stage; 13] = [
     Stage::Repair,
     Stage::Maintenance,
     Stage::CacheHit,
-    Stage::StageFlush,
 ];
 
 impl Stage {
@@ -126,7 +122,6 @@ impl Stage {
             Stage::Repair => "repair",
             Stage::Maintenance => "maintenance",
             Stage::CacheHit => "cache_hit",
-            Stage::StageFlush => "stage_flush",
         }
     }
 }

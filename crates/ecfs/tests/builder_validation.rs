@@ -201,43 +201,14 @@ fn replay_builder_validates_ops_and_volume() {
 }
 
 #[test]
-fn replay_builder_rejects_staging_with_a_fault_plan() {
-    let staged = || {
-        ClusterConfig::builder()
-            .code(code64())
-            .method_name("stage(8MiB,2ms)+TSUE")
-            .build()
-            .unwrap()
-    };
-    let faults = || FaultPlan::new().fail_node(10_000_000, 3);
-
-    // Reject: staged flushes bypass degraded-mode dispatch, with or
-    // without a read cache in front of the staging buffer.
-    let behind_cache = ClusterConfig::builder()
-        .code(code64())
-        .method_name("stage(8MiB,2ms)+lru(64MiB)+FO")
-        .build()
-        .unwrap();
-    for cluster in [staged(), behind_cache] {
-        let err = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
-            .faults(faults())
-            .build()
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("staging") && msg.contains("fault"), "{msg}");
-    }
-
-    // Accept: staging without faults, and faults behind a read cache only.
-    ReplayConfig::builder(staged(), TraceFamily::AliCloud)
-        .build()
-        .expect("staging alone is valid");
+fn replay_builder_accepts_a_read_cache_with_a_fault_plan() {
     let cached = ClusterConfig::builder()
         .code(code64())
         .method_name("lru(64MiB)+TSUE")
         .build()
         .unwrap();
     ReplayConfig::builder(cached, TraceFamily::AliCloud)
-        .faults(faults())
+        .faults(FaultPlan::new().fail_node(10_000_000, 3))
         .build()
         .expect("a read cache composes with a fault plan");
 }
@@ -261,14 +232,6 @@ fn replay_builder_rejects_tsue_units_below_the_largest_record() {
         let msg = err.to_string();
         assert!(msg.contains("65536") && msg.contains("262144"), "{msg}");
     }
-    // A staged flush can replay a whole 4 MiB block.
-    let err = build(
-        cluster("stage(8MiB,2ms)+TSUE", 1 << 20),
-        TraceFamily::AliCloud,
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("4194304"), "{err}");
-
     // Accept: units that hold the largest op, Ten-Cloud's smaller ops,
     // and methods that keep no TSUE log.
     build(cluster("TSUE", 256 << 10), TraceFamily::AliCloud).expect("256 KiB units");

@@ -1,8 +1,9 @@
 //! Property tests for the method-spec grammar (proptest shim): structured
-//! specs round-trip through `Display` → `parse` exactly, case/whitespace
-//! noise in the decorator prefix parses to the same spec, and arbitrary
-//! garbage never panics — it either parses (and then canonicalises
-//! idempotently) or comes back as a typed [`ResolveError`].
+//! specs (bare or behind `lru(SIZE)`) round-trip through `Display` →
+//! `parse` exactly, case/whitespace noise in the decorator prefix parses
+//! to the same spec, and arbitrary garbage never panics — it either
+//! parses (and then canonicalises idempotently) or comes back as a typed
+//! [`ResolveError`].
 
 use ecfs::cache::PAGE_BYTES;
 use ecfs::prelude::*;
@@ -19,30 +20,11 @@ const BASES: [&str; 8] = [
     "my_method-9",
 ];
 
-/// Builds a structurally valid spec from raw draws. `shape` picks the
-/// decorator combination (none, cache, stage, stage+cache, cache+stage —
-/// the grammar admits either order).
-fn build_spec(
-    shape: u64,
-    cache_bytes: u64,
-    stage_bytes: u64,
-    age_ns: u64,
-    base_idx: u64,
-) -> MethodSpec {
-    let cache = Decorator::Cache { bytes: cache_bytes };
-    let stage = Decorator::Stage {
-        bytes: stage_bytes,
-        age_ns,
-    };
-    let decorators = match shape % 5 {
-        0 => vec![],
-        1 => vec![cache],
-        2 => vec![stage],
-        3 => vec![stage, cache],
-        _ => vec![cache, stage],
-    };
+/// Builds a structurally valid spec from raw draws: bare when `cached` is
+/// false, else behind `lru(cache_bytes)`.
+fn build_spec(cached: bool, cache_bytes: u64, base_idx: u64) -> MethodSpec {
     MethodSpec {
-        decorators,
+        lru: cached.then_some(cache_bytes),
         base: BASES[base_idx as usize % BASES.len()].to_string(),
     }
 }
@@ -51,16 +33,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Display → parse is the identity on every structurally valid spec,
-    /// for any decorator shape and in-range sizes/ages.
+    /// bare or cached, for any in-range cache size.
     #[test]
     fn structured_specs_round_trip(
-        shape in 0u64..5,
+        cached in any::<bool>(),
         cache_bytes in PAGE_BYTES..(1u64 << 40),
-        stage_bytes in PAGE_BYTES..(1u64 << 40),
-        age_ns in 1u64..(1u64 << 40),
         base_idx in 0u64..8,
     ) {
-        let spec = build_spec(shape, cache_bytes, stage_bytes, age_ns, base_idx);
+        let spec = build_spec(cached, cache_bytes, base_idx);
         let rendered = spec.to_string();
         let parsed = MethodSpec::parse(&rendered).expect("canonical rendering must parse");
         prop_assert_eq!(&parsed, &spec, "{} did not round-trip", rendered);
@@ -69,25 +49,22 @@ proptest! {
     }
 
     /// The decorator prefix is case-insensitive and whitespace-tolerant:
-    /// flipping letter case and padding around separators parses to the
-    /// same spec (the base segment stays verbatim by contract).
+    /// flipping letter case and padding around the separator parses to
+    /// the same spec (the base segment stays verbatim by contract).
     #[test]
     fn decorator_prefix_tolerates_case_and_spaces(
-        shape in 1u64..5,
         cache_bytes in PAGE_BYTES..(1u64 << 30),
-        stage_bytes in PAGE_BYTES..(1u64 << 30),
-        age_ns in 1u64..(1u64 << 30),
         base_idx in 0u64..8,
         flips in proptest::collection::vec(any::<bool>(), 64),
         pad in 0usize..3,
     ) {
-        let spec = build_spec(shape, cache_bytes, stage_bytes, age_ns, base_idx);
+        let spec = build_spec(true, cache_bytes, base_idx);
         let rendered = spec.to_string();
-        let split = rendered.rfind('+').expect("shape >= 1 has a decorator") + 1;
+        let split = rendered.rfind('+').expect("a cached spec has a decorator") + 1;
         let (prefix, base) = rendered.split_at(split);
         let mut noisy = String::new();
         for (i, c) in prefix.chars().enumerate() {
-            if c == '+' || c == ',' {
+            if c == '+' {
                 noisy.extend(std::iter::repeat_n(' ', pad));
                 noisy.push(c);
                 noisy.extend(std::iter::repeat_n(' ', pad));

@@ -1,8 +1,8 @@
-//! The node-local cache & write-staging layer ([`ecfs::cache`]) end to
-//! end: cache-off replays are byte-identical to the pre-decorator engine,
-//! armed layers keep the consistency oracle clean, coalescing actually
-//! absorbs overlapping updates, and the decorator composes over all seven
-//! built-in methods through the method-spec grammar.
+//! The node-local LRU read cache ([`ecfs::cache`]) end to end: cache-off
+//! replays are byte-identical to the pre-decorator engine, an armed cache
+//! serves hits and keeps the consistency oracle clean, and the decorator
+//! composes over all seven built-in methods through the method-spec
+//! grammar.
 
 use std::fmt::Write as _;
 
@@ -21,14 +21,14 @@ fn builder(code: CodeParams) -> ClusterConfigBuilder {
 
 /// Canonical rendering of the fields a cache layer could plausibly
 /// disturb: op counts, timing, device and network totals, and the new
-/// cache/staging counters. Byte-compared across configurations.
+/// read-cache counters. Byte-compared across configurations.
 fn canon(r: &RunResult) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
         "u={} r={} w={} dur={:?} iops={:?} lat=({:?},{:?}) disk={:?} \
          net=({:?},{}) logmem={} stalls={} legacycache={} \
-         cache=({},{},{:?}) staged=({},{},{}) drain={:?} viol={} events={}",
+         cache=({},{},{:?}) read_mean={:?} drain={:?} viol={} events={}",
         r.completed_updates,
         r.completed_reads,
         r.completed_writes,
@@ -45,9 +45,7 @@ fn canon(r: &RunResult) -> String {
         r.cache_lookups,
         r.cache_hits,
         r.cache_hit_ratio,
-        r.staged_bytes,
-        r.coalesced_bytes,
-        r.stage_flushes,
+        r.read_mean_us,
         r.drain_s,
         r.oracle_violations,
         r.sim_events,
@@ -71,19 +69,16 @@ fn cache_off_is_byte_identical_to_plain_replay() {
         assert_eq!(a.cache_lookups, 0, "{name}");
         assert_eq!(a.cache_hits, 0, "{name}");
         assert_eq!(a.cache_hit_ratio, 0.0, "{name}");
-        assert_eq!(a.staged_bytes, 0, "{name}");
-        assert_eq!(a.coalesced_bytes, 0, "{name}");
-        assert_eq!(a.stage_flushes, 0, "{name}");
     }
 }
 
-/// Armed layers replay deterministically: two runs of the same decorated
-/// config are byte-identical (BTreeMap staging order, deterministic
-/// LRU replacement, no clocks anywhere).
+/// An armed cache replays deterministically: two runs of the same
+/// decorated config are byte-identical (deterministic LRU replacement, no
+/// clocks anywhere).
 #[test]
 fn decorated_replay_is_deterministic() {
     let code = CodeParams::new(6, 3).unwrap();
-    for spec in ["lru(1MiB)+FO", "stage(64KiB,2ms)+lru(1MiB)+TSUE"] {
+    for spec in ["lru(1MiB)+FO", "lru(1MiB)+TSUE"] {
         let mk = || builder(code).method_name(spec).build().unwrap();
         let a = Replay::run(&replay_cfg(mk(), 150)).result;
         let b = Replay::run(&replay_cfg(mk(), 150)).result;
@@ -109,32 +104,6 @@ fn read_cache_serves_hits() {
     assert!(res.cache_hit_ratio <= 1.0);
 }
 
-/// Write staging absorbs overlapping updates: staged and coalesced bytes
-/// accumulate, flushes happen on the sim timeline, and — the §2.3.2-style
-/// consistency requirement — every acked-but-staged range still reaches
-/// data and all m parity blocks by end of run.
-#[test]
-fn staging_coalesces_and_stays_consistent() {
-    let code = CodeParams::new(6, 3).unwrap();
-    let cluster = builder(code)
-        .method_name("stage(256KiB,2ms)+PL")
-        .build()
-        .unwrap();
-    // A small volume concentrates updates, forcing range overlap.
-    let mut rcfg = replay_cfg(cluster, 400);
-    rcfg.volume_bytes = 8 << 20;
-    let res = Replay::run(&rcfg).result;
-    assert_eq!(res.oracle_violations, 0);
-    assert!(res.completed_updates > 0);
-    assert!(res.staged_bytes > 0, "nothing was staged");
-    assert!(res.stage_flushes > 0, "staging never flushed");
-    assert!(
-        res.coalesced_bytes > 0,
-        "overlapping updates were not coalesced"
-    );
-    assert!(res.coalesced_bytes < res.staged_bytes);
-}
-
 /// The decorator composes over every built-in driver via the spec
 /// grammar, unchanged: consistent oracle, live counters, and a method
 /// name that round-trips through `MethodSpec::parse`.
@@ -142,7 +111,7 @@ fn staging_coalesces_and_stays_consistent() {
 fn composes_over_all_seven_builtins() {
     let code = CodeParams::new(6, 3).unwrap();
     for method in builtins() {
-        let spec = format!("stage(64KiB,1ms)+lru(1MiB)+{}", method.name());
+        let spec = format!("lru(1MiB)+{}", method.name());
         let cluster = builder(code).method_name(&spec).build().unwrap();
         assert_eq!(cluster.method.name(), spec);
         let parsed = MethodSpec::parse(cluster.method.name()).unwrap();
@@ -152,7 +121,7 @@ fn composes_over_all_seven_builtins() {
         let res = Replay::run(&rcfg).result;
         assert_eq!(res.oracle_violations, 0, "{spec}");
         assert!(res.completed_updates > 0, "{spec}");
-        assert!(res.staged_bytes > 0, "{spec}: staging bypassed");
+        assert!(res.cache_lookups > 0, "{spec}: cache bypassed");
         assert_eq!(res.method, spec);
     }
 }
@@ -180,25 +149,4 @@ fn rerun_and_tracing_leave_result_unchanged() {
         canon(&rerun),
         "tracing changed what was simulated"
     );
-}
-
-/// Reads covered by a staged-but-unflushed range are served from the
-/// staging buffer — acked data is never invisible to readers.
-#[test]
-fn staged_ranges_serve_reads() {
-    let code = CodeParams::new(6, 3).unwrap();
-    // Huge size threshold + long age: most staged data is still buffered
-    // when reads arrive.
-    let cluster = builder(code)
-        .method_name("stage(1GiB,1s)+FO")
-        .build()
-        .unwrap();
-    let mut rcfg = replay_cfg(cluster, 300);
-    rcfg.volume_bytes = 8 << 20;
-    let res = Replay::run(&rcfg).result;
-    assert_eq!(res.oracle_violations, 0);
-    assert!(res.cache_lookups > 0);
-    assert!(res.cache_hits > 0, "staged ranges did not serve reads");
-    // Everything flushes at drain regardless of thresholds.
-    assert!(res.stage_flushes > 0);
 }

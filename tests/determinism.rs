@@ -2,7 +2,7 @@
 //! `ReplayConfig` twice must produce **byte-for-byte** equal results —
 //! every deterministic `RunResult` field identical — across all seven
 //! update methods, with non-empty fault *and* maintenance plans armed,
-//! on the open loop, and behind the cache/staging decorator. Any
+//! on the open loop, and behind the LRU read-cache decorator. Any
 //! hash-order or wall-clock dependence in a driver shows up here. The
 //! across-cell counterpart (parallel `run_grid` == serial loop) lives in
 //! `tests/fault_timeline.rs` and `tests/maintenance.rs`.
@@ -66,9 +66,6 @@ fn canon(r: &RunResult) -> String {
         cache_lookups,
         cache_hits,
         cache_hit_ratio,
-        staged_bytes,
-        coalesced_bytes,
-        stage_flushes,
         drain_s,
         oracle_violations,
         degraded_reads,
@@ -82,6 +79,7 @@ fn canon(r: &RunResult) -> String {
         mttr_s,
         degraded_p99_us,
         steady_p99_us,
+        read_mean_us,
         read_p99_us,
         degraded_read_p99_us,
         steady_read_p99_us,
@@ -124,11 +122,12 @@ fn canon(r: &RunResult) -> String {
          series={series:?} logmem={log_memory_bytes} \
          res=({data_residency:?},{delta_residency:?},{parity_residency:?}) \
          stalls={stalls} cache={cache_read_hits} \
-         nodecache=({cache_lookups},{cache_hits},{cache_hit_ratio:?},{staged_bytes},\
-         {coalesced_bytes},{stage_flushes}) drain={drain_s:?} viol={oracle_violations} \
+         nodecache=({cache_lookups},{cache_hits},{cache_hit_ratio:?}) \
+         drain={drain_s:?} viol={oracle_violations} \
          degr=({degraded_reads},{degraded_bytes_decoded},{failed_ops}) \
          repair=({inline_rebuilds},{repaired_blocks},{repaired_bytes},{data_loss_blocks},{net_repair_gib:?}) \
-         mttr={mttr_s:?} p99s=({degraded_p99_us:?},{steady_p99_us:?},{read_p99_us:?},\
+         mttr={mttr_s:?} read_mean={read_mean_us:?} \
+         p99s=({degraded_p99_us:?},{steady_p99_us:?},{read_p99_us:?},\
          {degraded_read_p99_us:?},{steady_read_p99_us:?}) \
          open=({offered_ops},{offered_ops_per_s:?},{goodput_ops_per_s:?},{queue_delay_mean_us:?},\
          {queue_delay_p99_us:?},{peak_queue_depth},{saturated}) \
@@ -192,15 +191,14 @@ fn run_twice_equal_open_loop() {
     assert_runs_twice_equal(rcfg);
 }
 
-/// A cache + staging decorator over TSUE: the node-local layers
-/// (BTreeMap staging buffers, deterministic page caches, age-timer
-/// flushes) repeat byte for byte like everything else.
+/// The LRU read cache over TSUE: the node-local page caches (exact LRU
+/// order, no clocks, no RNG) repeat byte for byte like everything else.
 #[test]
-fn run_twice_equal_with_cache_and_staging() {
+fn run_twice_equal_with_cache() {
     let code = CodeParams::new(6, 3).unwrap();
     let cluster = ClusterConfig::builder()
         .code(code)
-        .method_name("stage(64KiB,2ms)+lru(1MiB)+TSUE")
+        .method_name("lru(1MiB)+TSUE")
         .clients(3)
         .build()
         .unwrap();
