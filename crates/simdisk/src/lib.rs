@@ -17,8 +17,11 @@
 //!    the device timeline and counted for the lifespan analysis
 //!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). Until GC can first run,
 //!    allocation is a bump and the FTL updates only its logical map; it
-//!    derives the reverse map, valid counts and closed-block index in one
-//!    pass when the device reaches that point. Both maps hold 64 KiB pages
+//!    derives the page owners, valid counts and closed-block index in one
+//!    pass when the device reaches that point. A page is valid iff the
+//!    map points back at its owner, so an overwrite moves only the map,
+//!    and a closed block keeps its owners as runs of consecutive logical
+//!    pages, written once when it retires. The map holds 64 KiB pages
 //!    only where the device has written, so building one costs almost no
 //!    memory. [`SsdConfig::validate`] rejects geometries the FTL cannot
 //!    run.

@@ -12,13 +12,13 @@ const UNMAPPED: u32 = u32::MAX;
 /// Entries per flash-table page: 64 KiB of `u32`s.
 const TABLE_PAGE: usize = 16 << 10;
 
-/// A flash table (`map` or `rmap`) of `u32` entries, all `UNMAPPED` until
-/// written. Only a directory is allocated up front; a page of
+/// The logical map (`map`): a table of `u32` entries, all `UNMAPPED`
+/// until written. Only a directory is allocated up front; a page of
 /// [`TABLE_PAGE`] entries is created, all unmapped, by the first write
-/// into it, and reading an absent page returns `UNMAPPED`. So a device
-/// holds table memory only where it has written. 64 KiB pages keep the
-/// allocations per simulated op at the dense tables' count; 4 KiB pages
-/// did not.
+/// into it, and reading an absent page, or past the end, returns
+/// `UNMAPPED`. So a device holds map memory only where it has written.
+/// 64 KiB pages keep the allocations per simulated op at the dense
+/// table's count; 4 KiB pages did not.
 #[derive(Debug, Clone)]
 enum Table {
     Paged(Vec<Option<Box<[u32; TABLE_PAGE]>>>),
@@ -33,14 +33,16 @@ impl Table {
         Table::Paged(vec![None; len.div_ceil(TABLE_PAGE)])
     }
 
-    /// Entry `i`.
+    /// Entry `i`, `UNMAPPED` past the end (an owner run's continuation
+    /// can name a page past the last logical one).
     fn get(&self, i: usize) -> u32 {
         match self {
-            Table::Paged(pages) => pages[i / TABLE_PAGE]
-                .as_ref()
+            Table::Paged(pages) => pages
+                .get(i / TABLE_PAGE)
+                .and_then(Option::as_ref)
                 .map_or(UNMAPPED, |page| page[i % TABLE_PAGE]),
             #[cfg(test)]
-            Table::Dense(entries) => entries[i],
+            Table::Dense(entries) => entries.get(i).copied().unwrap_or(UNMAPPED),
         }
     }
 
@@ -118,9 +120,12 @@ fn new_page() -> Box<[u32; TABLE_PAGE]> {
 ///
 /// Defaults model a datacenter SATA/NVMe-class drive of the kind the paper's
 /// Chameleon nodes carried, scaled down in capacity (2 GiB) to keep
-/// simulated write volumes small. A device's flash tables cost memory only
-/// for the 64 KiB table pages it has written, so a cluster of sixteen
-/// costs little until its devices fill. The latency constants encode the
+/// simulated write volumes small. A device's logical map costs memory
+/// only for the 64 KiB map pages it has written, and its other FTL tables
+/// exist only from its GC horizon on, so a cluster of sixteen costs little
+/// until its devices fill; past the horizon a closed block's owners cost
+/// one 8-byte run per stretch of consecutive logical pages programmed into
+/// it. The latency constants encode the
 /// property the paper leans on: a small random command costs two orders of
 /// magnitude more than its share of a large sequential stream.
 #[derive(Debug, Clone)]
@@ -278,19 +283,27 @@ impl SsdConfig {
 /// `gc_threshold_blocks` blocks free, at page index `(total_blocks −
 /// gc_threshold_blocks + 1) × pages_per_block`: the *GC horizon*. The
 /// first run that would program a page there first derives the other
-/// tables from `map` in one pass (`derive_tables`): `rmap` is the inverse
-/// of `map`, a block's valid count is the number of mapped pages in it,
-/// every block below the active one is closed, and the free list is the
-/// untouched tail. From then on every block is exactly one of *free*
+/// tables from `map` in one pass (`derive_tables`): the page owners, a
+/// block's valid count (the number of mapped pages in it), the closed
+/// index (every block below the active one) and the free list (the
+/// untouched tail). From then on every block is exactly one of *free*
 /// (erased, on `free_blocks`), *active* (receiving writes) or *closed*
 /// (retired from active, indexed in `closed` by its valid-page count so
 /// the victim is found without visiting every block).
 ///
-/// `map` and `rmap` are paged (see `Table`): a device holds only the
-/// 64 KiB table pages it has written, `rmap` none before derivation. An
-/// overwrite clears the old page's `rmap` entry, so `rmap` maps exactly
-/// the valid pages. GC scans a victim only until it has relocated the
-/// block's valid count, so a fully invalid victim costs no scan.
+/// **Owners.** Every programmed page records the logical page it was
+/// programmed for, its *owner*, and a page is valid iff `map` points back
+/// at it: `map[owner] == ppa`. `map` is injective on valid pages, so an
+/// invalid page may carry any owner, and an overwrite writes no reverse
+/// entry; it only moves `map`. The active block keeps its owners dense,
+/// one per page; retiring it compresses them into *owner runs*, one
+/// `(first page, first lpn)` per stretch of pages whose lpns continue
+/// each other, written once and dropped when GC erases the block. A run
+/// covers its block's pages up to the next run's first page. `map` is
+/// paged (see `Table`), so a device holds only the 64 KiB map pages it
+/// has written, and no owner storage before derivation. GC scans a
+/// victim only until it has relocated the block's valid count, so a
+/// fully invalid victim costs no scan.
 ///
 /// A write command arrives as one run of logical pages and is programmed
 /// in chunks that fit the active block. A page that finds the active block
@@ -306,8 +319,12 @@ pub struct Ftl {
     pages_per_block: u32,
     /// lpn -> ppa
     map: Table,
-    /// ppa -> lpn (no page before derivation)
-    rmap: Table,
+    /// Owner runs of each block, empty unless closed (none before
+    /// derivation).
+    runs: Box<[Runs]>,
+    /// The owner of each page of the active block (empty before
+    /// derivation).
+    active_owners: Box<[u32]>,
     /// valid page count per physical block
     valid: Vec<u16>,
     /// stack of free (erased) block ids
@@ -328,6 +345,10 @@ pub struct Ftl {
     #[cfg(test)]
     check_victims: bool,
 }
+
+/// A closed block's owner runs, `(first page, first lpn)` in page order
+/// (see [`Ftl`]).
+type Runs = Box<[(u16, u32)]>;
 
 /// Closed blocks indexed by valid-page count: bucket `v` is a bitset over
 /// block ids of the closed blocks holding `v` valid pages, with its
@@ -413,6 +434,29 @@ fn invalidate(valid: &mut [u16], closed: &mut ValidBuckets, active: u32, blk: u3
     }
 }
 
+/// Compresses a block's owners, one per programmed page, into owner runs:
+/// a run starts wherever the lpn does not continue the previous page's.
+fn compress(owners: &[u32]) -> Runs {
+    let starts = |page: &usize| *page == 0 || owners[*page] != owners[page - 1].wrapping_add(1);
+    let mut runs = Vec::with_capacity((0..owners.len()).filter(starts).count());
+    runs.extend((0..owners.len()).filter(starts).map(|page| {
+        debug_assert!(page <= usize::from(u16::MAX), "page {page} is not a u16");
+        (page as u16, owners[page])
+    }));
+    runs.into_boxed_slice()
+}
+
+/// `(page, owner)` for every page a block's `runs` cover, in page order;
+/// pages before the first run have no owner.
+fn owners(runs: &[(u16, u32)], ppb: u32) -> impl Iterator<Item = (u32, usize)> + '_ {
+    runs.iter().enumerate().flat_map(move |(i, &(first, lpn))| {
+        let end = runs.get(i + 1).map_or(ppb, |&(next, _)| u32::from(next));
+        debug_assert!(u32::from(first) < end, "owner runs out of page order");
+        (u32::from(first)..end)
+            .map(move |page| (page, lpn as usize + (page - u32::from(first)) as usize))
+    })
+}
+
 impl Ftl {
     fn new(cfg: &SsdConfig) -> Ftl {
         let Geometry {
@@ -423,7 +467,8 @@ impl Ftl {
         Ftl {
             pages_per_block: cfg.pages_per_block,
             map: Table::new(logical_pages as usize),
-            rmap: Table::new(total_blocks * cfg.pages_per_block as usize),
+            runs: Box::default(),
+            active_owners: Box::default(),
             valid: vec![0; total_blocks],
             free_blocks: (1..total_blocks as u32).rev().collect(),
             closed: ValidBuckets::new(cfg.pages_per_block as usize + 1, total_blocks),
@@ -448,20 +493,50 @@ impl Ftl {
         (self.valid.len() - self.gc_threshold_blocks + 1) as u64 * u64::from(self.pages_per_block)
     }
 
-    /// Derives `rmap`, the valid counts, the closed buckets and the free
-    /// list from `map` and the active block (see [`Ftl`]), leaving the
-    /// map-only state; a no-op once derived.
+    /// Derives the owners, the valid counts, the closed buckets and the
+    /// free list from `map` and the active block (see [`Ftl`]), leaving
+    /// the map-only state; a no-op once derived. One walk of `map` finds
+    /// the extents where consecutive lpns sit on consecutive ppas; sorted
+    /// by ppa and cut at block edges, they are the owner runs.
     fn derive_tables(&mut self) {
         if self.derived {
             return;
         }
         let ppb = self.pages_per_block;
         self.derived = true;
+        // `(first ppa, first lpn, pages)`.
+        let mut extents: Vec<(u32, u32, u32)> = Vec::new();
         self.map.for_each_mapped(|lpn, ppa| {
-            *self.rmap.slot(ppa as usize) = lpn as u32;
             self.valid[(ppa / ppb) as usize] += 1;
+            match extents.last_mut() {
+                Some((p, l, n)) if *p + *n == ppa && *l as usize + *n as usize == lpn => *n += 1,
+                _ => extents.push((ppa, lpn as u32, 1)),
+            }
         });
+        extents.sort_unstable_by_key(|&(ppa, _, _)| ppa);
+        self.runs = vec![Box::default(); self.valid.len()].into();
+        let mut block_runs = Vec::new();
+        let mut block = 0;
+        for (mut ppa, mut lpn, mut pages) in extents {
+            while pages > 0 {
+                if ppa / ppb != block {
+                    self.runs[block as usize] = block_runs.as_slice().into();
+                    block_runs.clear();
+                    block = ppa / ppb;
+                }
+                let n = pages.min(ppb - ppa % ppb);
+                block_runs.push(((ppa % ppb) as u16, lpn));
+                (ppa, lpn, pages) = (ppa + n, lpn + n, pages - n);
+            }
+        }
+        self.runs[block as usize] = block_runs.into();
+        // The active block keeps its owners dense.
         let active = self.active_block as usize;
+        self.active_owners = vec![0; ppb as usize].into();
+        let runs = std::mem::take(&mut self.runs[active]);
+        for (page, lpn) in owners(&runs, self.active_next_page) {
+            self.active_owners[page as usize] = lpn as u32;
+        }
         for b in 0..active {
             self.closed.insert(self.valid[b], b);
         }
@@ -536,11 +611,12 @@ impl Ftl {
                 old / ppb,
                 1,
             );
-            *self.rmap.slot(old as usize) = UNMAPPED;
+            // GC inside `allocate_page` must not see the old page valid.
+            *self.map.slot(lpn as usize) = UNMAPPED;
         }
         let ppa = self.allocate_page(cost);
         *self.map.slot(lpn as usize) = ppa;
-        *self.rmap.slot(ppa as usize) = lpn as u32;
+        self.active_owners[(ppa % ppb) as usize] = lpn as u32;
         self.valid[(ppa / ppb) as usize] += 1;
         cost.host_pages += 1;
         overwrite
@@ -554,7 +630,7 @@ impl Ftl {
         debug_assert!(k <= ppb - self.active_next_page);
         let active = self.active_block;
         let base = active * ppb + self.active_next_page;
-        let (valid, closed, rmap) = (&mut self.valid, &mut self.closed, &mut self.rmap);
+        let (valid, closed) = (&mut self.valid, &mut self.closed);
         let mut mapped = 0;
         // The stretch of consecutive old locations in one block.
         let (mut stretch_block, mut stretch) = (UNMAPPED, 0);
@@ -565,7 +641,6 @@ impl Ftl {
                 ppa += 1;
                 if old != UNMAPPED {
                     mapped += 1;
-                    *rmap.slot(old as usize) = UNMAPPED;
                     let blk = old / ppb;
                     if blk != stretch_block {
                         invalidate(valid, closed, active, stretch_block, stretch);
@@ -576,15 +651,13 @@ impl Ftl {
             }
         });
         invalidate(valid, closed, active, stretch_block, stretch);
-        // The new locations are erased pages of the active block, none of
-        // them an old location cleared above.
-        let mut next = lpn as u32;
-        rmap.segments(base as usize, k as usize, |slots| {
-            for slot in slots {
-                *slot = next;
-                next += 1;
-            }
-        });
+        let page = (base % ppb) as usize;
+        for (owner, lpn) in self.active_owners[page..page + k as usize]
+            .iter_mut()
+            .zip(lpn as u32..)
+        {
+            *owner = lpn;
+        }
         valid[active as usize] += k as u16;
         self.active_next_page += k;
         cost.host_pages += u64::from(k);
@@ -601,6 +674,7 @@ impl Ftl {
             // pass above just opened it) into the closed index.
             let retired = self.active_block as usize;
             self.closed.insert(self.valid[retired], retired);
+            self.runs[retired] = compress(&self.active_owners[..self.active_next_page as usize]);
             self.active_block = self
                 .free_blocks
                 .pop()
@@ -627,22 +701,23 @@ impl Ftl {
             }
             self.closed.remove(self.valid[victim], victim);
             // Relocate the victim's valid pages, in page order, into the
-            // active stream; the scan stops at the last of them.
-            let base = victim as u32 * self.pages_per_block;
-            for ppa in base..base + self.pages_per_block {
+            // active stream; the scan stops at the last of them. The
+            // victim's runs go with its erase.
+            let ppb = self.pages_per_block;
+            let runs = std::mem::take(&mut self.runs[victim]);
+            let base = victim as u32 * ppb;
+            for (page, lpn) in owners(&runs, ppb) {
                 if self.valid[victim] == 0 {
                     break;
                 }
-                let lpn = self.rmap.get(ppa as usize);
-                if lpn == UNMAPPED {
+                if self.map.get(lpn) != base + page {
                     continue;
                 }
-                *self.rmap.slot(ppa as usize) = UNMAPPED;
                 self.valid[victim] -= 1;
                 let new_ppa = self.allocate_page(cost);
-                *self.map.slot(lpn as usize) = new_ppa;
-                *self.rmap.slot(new_ppa as usize) = lpn;
-                self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
+                *self.map.slot(lpn) = new_ppa;
+                self.active_owners[(new_ppa % ppb) as usize] = lpn as u32;
+                self.valid[(new_ppa / ppb) as usize] += 1;
                 cost.moved_pages += 1;
             }
             debug_assert_eq!(self.valid[victim], 0);
@@ -914,24 +989,44 @@ mod tests {
             }
         }
 
-        /// The dense `rmap`.
-        fn dense_rmap(&self) -> Vec<u32> {
-            Ftl::entries(&self.rmap, self.valid.len() * self.pages_per_block as usize)
+        /// The valid-owner view: for each physical page, the lpn whose
+        /// `map` entry points at it, read through the owner runs and the
+        /// active block's owners; `UNMAPPED` where the page is invalid.
+        fn valid_owners(&self) -> Vec<u32> {
+            let ppb = self.pages_per_block;
+            let mut view = vec![UNMAPPED; self.valid.len() * ppb as usize];
+            let mut own = |block: u32, page: u32, lpn: usize| {
+                let ppa = block * ppb + page;
+                if self.map.get(lpn) == ppa {
+                    view[ppa as usize] = lpn as u32;
+                }
+            };
+            for (block, runs) in self.runs.iter().enumerate() {
+                for (page, lpn) in owners(runs, ppb) {
+                    own(block as u32, page, lpn);
+                }
+            }
+            let active = &self.active_owners[..self.active_next_page as usize];
+            for (page, &lpn) in active.iter().enumerate() {
+                own(self.active_block, page as u32, lpn as usize);
+            }
+            view
         }
 
-        /// Table pages held by `map` and by `rmap`.
+        /// Table pages held by `map` and owner runs held by closed blocks.
         fn table_pages(&self) -> (usize, usize) {
-            let held = |table: &Table| match table {
+            let held = match &self.map {
                 Table::Paged(pages) => pages.iter().filter(|p| p.is_some()).count(),
                 Table::Dense(_) => panic!("a dense table holds no pages"),
             };
-            (held(&self.map), held(&self.rmap))
+            (held, self.runs.iter().map(|runs| runs.len()).sum())
         }
 
         /// Free, active and closed partition the blocks; every closed block
         /// sits in exactly the bucket of its valid count; each block's
-        /// valid count is the number of mapped pages in it; `rmap` inverts
-        /// `map` and holds no other page. Derives the tables first.
+        /// valid count is the number of mapped pages in it; every mapped
+        /// page's owner is the lpn mapped to it; only closed blocks hold
+        /// owner runs. Derives the tables first.
         fn check_invariants(&mut self) {
             self.derive_tables();
             let filed = |v: usize, b: usize| {
@@ -956,6 +1051,8 @@ mod tests {
                 if let [v] = buckets[..] {
                     assert_eq!(v, self.valid[b] as usize, "block {b} in the wrong bucket");
                     closed += 1;
+                } else {
+                    assert!(self.runs[b].is_empty(), "open block {b} holds owner runs");
                 }
             }
             for (v, &n) in self.closed.len.iter().enumerate() {
@@ -966,31 +1063,34 @@ mod tests {
             let filed_total: u32 = self.closed.len.iter().sum();
             assert_eq!(filed_total as usize, closed);
             let ppb = self.pages_per_block;
-            let (map, rmap) = (Ftl::entries(&self.map, self.map_room()), self.dense_rmap());
+            let (map, owners) = (
+                Ftl::entries(&self.map, self.map_room()),
+                self.valid_owners(),
+            );
             let mut mapped = vec![0u16; self.valid.len()];
             for (lpn, &ppa) in map.iter().enumerate() {
                 if ppa != UNMAPPED {
-                    assert_eq!(rmap[ppa as usize], lpn as u32, "rmap of lpn {lpn}");
+                    assert_eq!(
+                        owners[ppa as usize], lpn as u32,
+                        "owner of lpn {lpn}'s page"
+                    );
                     mapped[(ppa / ppb) as usize] += 1;
                 }
             }
             assert_eq!(self.valid, mapped, "valid counts");
-            let inverse = rmap.iter().filter(|&&l| l != UNMAPPED).count();
-            let valid: usize = self.valid.iter().map(|&v| v as usize).sum();
-            assert_eq!(inverse, valid, "rmap holds stale pages");
         }
 
-        /// Same mapping, valid counts, closed buckets, free list and
-        /// active block and page as `other`. Derives both sides' tables
-        /// first.
+        /// Same mapping, valid owners, valid counts, closed buckets, free
+        /// list and active block and page as `other`. Derives both sides'
+        /// tables first.
         fn assert_same(&mut self, other: &mut Ftl, command: usize) {
             self.derive_tables();
             other.derive_tables();
             let len = self.map_room().min(other.map_room());
             let same = Ftl::entries(&self.map, len) == Ftl::entries(&other.map, len);
             assert!(same, "map differs after command {command}");
-            let same = self.dense_rmap() == other.dense_rmap();
-            assert!(same, "rmap differs after {command}");
+            let same = self.valid_owners() == other.valid_owners();
+            assert!(same, "valid owners differ after {command}");
             assert!(self.valid == other.valid, "valid differs after {command}");
             assert!(
                 self.closed.bits == other.closed.bits && self.closed.len == other.closed.len,
@@ -1009,16 +1109,14 @@ mod tests {
     }
 
     impl Ssd {
-        /// The eager FTL the map-only state replaced, on the dense tables
-        /// the pages replaced, kept as the reference: a device that holds
-        /// every table entry from construction and derives its tables
-        /// there, so it keeps every table from its first write on.
+        /// The eager FTL the map-only state replaced, on the dense map the
+        /// pages replaced, kept as the reference: a device that holds every
+        /// map entry from construction and derives its tables there, so it
+        /// keeps every table from its first write on.
         fn eager(cfg: SsdConfig) -> Ssd {
             let mut ssd = Ssd::new(cfg);
             let geometry = ssd.cfg.geometry().unwrap();
-            let ppb = ssd.cfg.pages_per_block as usize;
             ssd.ftl.map = Table::Dense(vec![UNMAPPED; geometry.logical_pages as usize].into());
-            ssd.ftl.rmap = Table::Dense(vec![UNMAPPED; geometry.total_blocks * ppb].into());
             ssd.ftl.derive_tables();
             ssd
         }
@@ -1177,8 +1275,7 @@ mod tests {
     }
 
     /// 32 768 logical pages of 512 B (two `map` pages) in 854 blocks of
-    /// 48 (three `rmap` pages, with blocks straddling their edges): the
-    /// GC horizon is page 803 × 48 = 38 544.
+    /// 48: the GC horizon is page 803 × 48 = 38 544.
     fn across_table_pages() -> SsdConfig {
         SsdConfig {
             page_size: 512,
@@ -1298,7 +1395,7 @@ mod tests {
         });
         let ssd =
             map_only_matches_eager_past_the_horizon(across_table_pages(), fill.chain(hot_cold));
-        assert_eq!(ssd.ftl.table_pages(), (2, 3));
+        assert_eq!(ssd.ftl.table_pages(), (2, 1431));
         assert!(ssd.stats().gc_relocated_pages > 0, "cold pages relocate");
     }
 
@@ -1333,7 +1430,11 @@ mod tests {
         assert_eq!(
             ssd.ftl.table_pages(),
             (1, 0),
-            "rmap written before the horizon"
+            "owner runs before the horizon"
+        );
+        assert!(
+            ssd.ftl.runs.is_empty() && ssd.ftl.active_owners.is_empty(),
+            "owner storage before the horizon"
         );
         assert!(ssd.ftl.valid.iter().all(|&v| v == 0), "valid counted");
         assert!(ssd.ftl.closed.len.iter().all(|&n| n == 0), "blocks closed");
@@ -1365,9 +1466,66 @@ mod tests {
         }
         assert_eq!(ssd.ftl.table_pages(), (8, 0));
         assert!(!ssd.ftl.derived);
-        // Every programmed page is mapped: `rmap` pages 0 to 4.
+        // Every programmed page is mapped. Block 0 holds four runs (lpns
+        // 0, 81 927, 163 839 and 16 384 on), and the sequential stretch
+        // from physical page 4 on is cut into one run for each of closed
+        // blocks 1 to 1 023; active block 1 024 keeps its owners dense.
         ssd.ftl.derive_tables();
-        assert_eq!(ssd.ftl.table_pages(), (8, 5));
+        assert_eq!(ssd.ftl.active_block, 1024);
+        assert_eq!(ssd.ftl.table_pages(), (8, 4 + 1023));
+        ssd.ftl.check_invariants();
+    }
+
+    #[test]
+    fn sequential_fill_leaves_one_owner_run_per_closed_block() {
+        // Four passes of page-aligned commands of three blocks and five
+        // pages: lpns wrap at a block edge and no victim holds a valid
+        // page, so every block is programmed with 64 consecutive lpns.
+        let cap = 4 << 20;
+        let mut ssd = Ssd::new(op25());
+        let mut pos = 0;
+        while pos < 4 * cap {
+            let offset = pos % cap;
+            let len = (3 * (256 << 10) + 5 * 4096).min(cap - offset);
+            ssd.submit(0, IoOp::write(offset, len, Pattern::Sequential));
+            pos += len;
+        }
+        assert!(ssd.stats().erases > 0, "the stream never collected");
+        assert_eq!(ssd.stats().gc_relocated_pages, 0);
+        ssd.ftl.check_invariants();
+        let closed: u32 = ssd.ftl.closed.len.iter().sum();
+        for b in 0..ssd.ftl.valid.len() {
+            let filed = (0..ssd.ftl.closed.len.len()).any(|v| {
+                ssd.ftl.closed.bits[v * ssd.ftl.closed.words + b / 64] >> (b % 64) & 1 == 1
+            });
+            assert_eq!(ssd.ftl.runs[b].len(), usize::from(filed), "block {b}");
+        }
+        assert_eq!(ssd.ftl.table_pages(), (1, closed as usize));
+    }
+
+    #[test]
+    fn overwrite_whose_gc_collects_the_old_page() {
+        // Fill the 16 logical blocks, then overwrite lpns 2 to 63 of block
+        // 0, 60 pages each of blocks 1 and 2 and 10 of block 3: 1 216
+        // pages, the horizon, with block 0 holding the fewest valid pages
+        // (lpns 0 and 1). Overwriting lpn 0 leaves block 0 one valid page
+        // and finds the active block full: GC picks block 0 first, where
+        // the old page of lpn 0 sits before lpn 1. Relocating lpn 1 opens
+        // the last free block, so a second round collects block 1 (lpns
+        // 124 to 127).
+        let mut ssd = Ssd::new(op25());
+        let write =
+            |first: u64, pages: u64| IoOp::write(first * 4096, pages * 4096, Pattern::Random);
+        for (first, pages) in [(0, 1024), (2, 62), (64, 60), (128, 60), (192, 10)] {
+            ssd.submit(0, write(first, pages));
+        }
+        assert_eq!(ssd.ftl.programmed(), ssd.ftl.horizon());
+        ssd.submit(0, write(0, 1));
+        let s = ssd.stats();
+        assert_eq!((s.erases, s.gc_relocated_pages), (2, 5));
+        // lpn 1 moved to block 19 and lpn 0 went to block 1, active again.
+        assert_eq!(ssd.ftl.map.get(1), 19 * 64);
+        assert_eq!(ssd.ftl.map.get(0), 64);
         ssd.ftl.check_invariants();
     }
 
