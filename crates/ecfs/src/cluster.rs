@@ -157,54 +157,6 @@ impl Default for Metrics {
     }
 }
 
-/// Where an open-loop replay pulls its next offered op from.
-///
-/// The replay engine consumes ops one at a time (pull-one-ahead), so a
-/// synthetic schedule never has to be materialised: the `Lazy` variant
-/// wraps a [`workload::ArrivalSource`] iterator whose resident state is
-/// O(distinct touched clients), not O(offered ops). Imported traces
-/// ([`workload::TimedStream`]) arrive pre-materialised and stream out of
-/// the `Stream` variant by cursor.
-#[derive(Debug, Clone)]
-pub enum OpSource {
-    /// A lazy synthetic arrival schedule (generated op by op). Boxed:
-    /// the generator (alias tables, RNG streams, per-client cursors) is
-    /// an order of magnitude larger than the `Stream` cursor.
-    Lazy(Box<workload::ArrivalSource>),
-    /// A pre-materialised op list (`Workload::Timed`, e.g. imported traces).
-    Stream {
-        /// The time-sorted ops.
-        ops: Vec<workload::TimedOp>,
-        /// Cursor of the next op to offer.
-        next: usize,
-    },
-}
-
-impl OpSource {
-    /// Pulls the next offered op, `None` when the schedule is exhausted.
-    pub fn next_op(&mut self) -> Option<workload::TimedOp> {
-        match self {
-            OpSource::Lazy(src) => src.next(),
-            OpSource::Stream { ops, next } => {
-                let t = ops.get(*next).copied();
-                *next += 1;
-                t
-            }
-        }
-    }
-
-    /// Resident bytes held by the source itself (generator tables and
-    /// per-client cursors for `Lazy`, the whole op vector for `Stream`).
-    pub fn state_bytes(&self) -> u64 {
-        match self {
-            OpSource::Lazy(src) => src.state_bytes(),
-            OpSource::Stream { ops, .. } => {
-                (ops.capacity() * std::mem::size_of::<workload::TimedOp>()) as u64
-            }
-        }
-    }
-}
-
 /// Open-loop window state for one *active* client: a client with at least
 /// one op outstanding or admitted. Inactive clients hold no state at all.
 #[derive(Debug, Clone, Default)]
@@ -229,8 +181,6 @@ pub struct ClientWindow {
 pub struct OpenLoopRt {
     /// Maximum ops a client keeps outstanding.
     pub window: usize,
-    /// Configured client population (ids are drawn from `0..population`).
-    pub population: u64,
     /// Window state of currently active clients, keyed by client id.
     pub active: FastMap<u64, ClientWindow>,
     /// Concurrently active clients (current + peak).
@@ -243,19 +193,18 @@ pub struct OpenLoopRt {
     pub offered: u64,
     /// Arrival time of the latest offered op (the offered-rate horizon).
     pub horizon: SimTime,
-    /// The remaining arrival schedule.
-    pub source: OpSource,
+    /// The remaining arrival schedule, pulled one op ahead.
+    pub source: workload::ArrivalSource,
     /// The next op, pulled from the source but not yet delivered (its
     /// delivery event is on the calendar).
     pub pending: Option<workload::TimedOp>,
 }
 
 impl OpenLoopRt {
-    /// Fresh state over a `population`-client id space, consuming `source`.
-    pub fn new(population: u64, window: usize, source: OpSource) -> OpenLoopRt {
+    /// Fresh state with no client active, consuming `source`.
+    pub fn new(window: usize, source: workload::ArrivalSource) -> OpenLoopRt {
         OpenLoopRt {
             window,
-            population,
             active: FastMap::default(),
             active_clients: Gauge::new(),
             queue_delay: Histogram::new(),

@@ -95,8 +95,5 @@ pub mod prelude {
     pub use std::sync::Arc;
     pub use traces::{TraceFamily, WorkloadGen, WorkloadParams};
     // The open-loop offered-load engine (crate `workload`).
-    pub use workload::{
-        ArrivalGen, BaseProcess, ClientPicker, ClientSkew, OffsetSkew, OpenLoopSpec, RateCurve,
-        TimedOp, TimedStream,
-    };
+    pub use workload::{ClientSkew, OpenLoopSpec, RateCurve, TimedOp};
 }

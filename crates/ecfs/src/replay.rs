@@ -7,9 +7,9 @@ use simdes::{Sim, SimTime};
 use std::collections::VecDeque;
 
 use traces::{OpKind, TraceFamily, WorkloadGen, WorkloadParams};
-use workload::{OpenLoopSpec, TimedStream};
+use workload::OpenLoopSpec;
 
-use crate::cluster::{Cluster, OpSource, OpenLoopRt};
+use crate::cluster::{Cluster, OpenLoopRt};
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
@@ -36,16 +36,10 @@ pub enum Workload {
     ClosedLoop,
     /// Open loop: ops arrive on the spec's own schedule whether or not
     /// earlier ops finished; each client holds at most `spec.window` ops
-    /// outstanding and queues the rest at admission.
+    /// outstanding and queues the rest at admission. The schedule is
+    /// generated lazily, one arrival ahead of the simulation
+    /// ([`OpenLoopSpec::source`]).
     Open(OpenLoopSpec),
-    /// Open-loop replay of a pre-built timed stream — e.g. an imported
-    /// MSR/Alibaba trace with its *real* arrival times.
-    Timed {
-        /// The offered ops, time-sorted.
-        stream: TimedStream,
-        /// Per-client outstanding-op window.
-        window: usize,
-    },
 }
 
 impl Workload {
@@ -69,7 +63,7 @@ pub struct ReplayConfig {
     /// `Some(n)` decouples the offered-op count from the population — the
     /// scale sweep holds `n` fixed while growing clients to a million, so
     /// runtime cost tracks the offered load, not the id space. Ignored on
-    /// the closed-loop and timed paths.
+    /// the closed-loop path.
     pub total_ops: Option<u64>,
     /// Logical volume size per client.
     pub volume_bytes: u64,
@@ -156,17 +150,8 @@ impl ReplayConfig {
         self.faults.validate(&self.cluster)?;
         self.maintenance.validate(&self.cluster)?;
         self.trace.validate().map_err(crate::config::ConfigError)?;
-        match &self.workload {
-            Workload::ClosedLoop => {}
-            Workload::Open(spec) => spec.validate().map_err(crate::config::ConfigError)?,
-            Workload::Timed { stream, window } => {
-                if *window == 0 {
-                    return Err("open-loop window must admit at least one op".into());
-                }
-                stream
-                    .validate(self.cluster.clients, self.volume_bytes)
-                    .map_err(crate::config::ConfigError)?;
-            }
+        if let Workload::Open(spec) = &self.workload {
+            spec.validate().map_err(crate::config::ConfigError)?;
         }
         // TSUE appends each update slice to one DataLog unit whole, so a
         // unit smaller than the largest slice would panic mid-replay. A
@@ -175,18 +160,11 @@ impl ReplayConfig {
         let spec = MethodSpec::parse(self.cluster.method.name()).ok();
         if spec.is_some_and(|spec| spec.base.eq_ignore_ascii_case("TSUE")) {
             let block = self.cluster.block_bytes;
-            let largest_op = match &self.workload {
-                Workload::Timed { stream, .. } => {
-                    stream.ops().iter().map(|t| t.op.len as u64).max()
-                }
-                Workload::ClosedLoop | Workload::Open(_) => {
-                    WorkloadParams::for_family(self.family, self.volume_bytes)
-                        .size_dist
-                        .iter()
-                        .map(|&(size, _)| size as u64)
-                        .max()
-                }
-            };
+            let largest_op = WorkloadParams::for_family(self.family, self.volume_bytes)
+                .size_dist
+                .iter()
+                .map(|&(size, _)| size as u64)
+                .max();
             let largest = block.min(largest_op.unwrap_or(0));
             if largest > self.cluster.tsue_unit_bytes {
                 return Err(crate::config::ConfigError(format!(
@@ -483,9 +461,9 @@ pub struct RunResult {
     /// maps plus queued-op content). O(active clients), not
     /// O(population). 0 on the closed-loop path.
     pub client_state_bytes: u64,
-    /// Resident bytes held by the workload source itself: lazy generator
-    /// state scales with *distinct touched* clients; a pre-materialised
-    /// timed stream holds all its ops. 0 on the closed-loop path.
+    /// Resident bytes held by the open-loop arrival source: its
+    /// per-client generator state scales with *distinct touched* clients.
+    /// 0 on the closed-loop path.
     pub workload_state_bytes: u64,
     /// Highest per-disk fill fraction (block bytes placed / capacity) —
     /// the disk that would run out of space first. On a heterogeneous
@@ -637,7 +615,7 @@ fn open_loop_deliver(sim: &mut Sim<Cluster>, cl: &mut Cluster, _u: u64) {
         .expect("delivery event fired without a pending op");
     ol.offered += 1;
     ol.horizon = ol.horizon.max(t.op.at_ns);
-    if let Some(next) = ol.source.next_op() {
+    if let Some(next) = ol.source.next() {
         let at = next.op.at_ns;
         ol.pending = Some(next);
         sim.schedule_call_u_at(at, open_loop_deliver, 0);
@@ -694,24 +672,6 @@ fn open_loop_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
     }
 }
 
-/// Installs an open-loop op source into the cluster: the completion
-/// driver, the sparse window/queue state, and the *first* delivery event.
-/// Deliveries then self-schedule (pull one ahead), so neither the event
-/// calendar nor the cluster ever materialises the schedule — resident
-/// state is O(concurrently active clients) regardless of population or
-/// schedule length.
-fn install_source(sim: &mut Sim<Cluster>, cl: &mut Cluster, source: OpSource, window: usize) {
-    cl.client_ops.clear();
-    cl.client_driver = Some(open_loop_next);
-    let mut ol = OpenLoopRt::new(cl.cfg.clients, window, source);
-    if let Some(first) = ol.source.next_op() {
-        let at = first.op.at_ns;
-        ol.pending = Some(first);
-        sim.schedule_call_u_at(at, open_loop_deliver, 0);
-    }
-    cl.open_loop = Some(ol);
-}
-
 /// Runs only the update phase: builds the cluster, offers every client's
 /// trace (closed-loop by default, open-loop when
 /// [`ReplayConfig::workload`] says so) to completion, and returns the
@@ -742,25 +702,25 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
         Workload::Open(spec) => {
             // Same per-client content seeding as the closed loop, so an
             // unsaturated open-loop run replays statistically the same ops
-            // — but pulled lazily: nothing is materialised up front.
+            // — but pulled lazily: nothing is materialised up front. Only
+            // the first delivery is scheduled here; each delivery pulls
+            // and schedules the next, so neither the event calendar nor
+            // the cluster ever holds the schedule, and resident state is
+            // O(concurrently active clients) regardless of population or
+            // schedule length.
             let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
             let total = rcfg
                 .total_ops
                 .unwrap_or(rcfg.cluster.clients * rcfg.ops_per_client as u64);
             let source = spec.source(&params, rcfg.cluster.clients, total, rcfg.seed);
-            install_source(
-                &mut sim,
-                &mut cl,
-                OpSource::Lazy(Box::new(source)),
-                spec.window,
-            );
-        }
-        Workload::Timed { stream, window } => {
-            let source = OpSource::Stream {
-                ops: stream.ops().to_vec(),
-                next: 0,
-            };
-            install_source(&mut sim, &mut cl, source, *window);
+            let mut ol = OpenLoopRt::new(spec.window, source);
+            if let Some(first) = ol.source.next() {
+                let at = first.op.at_ns;
+                ol.pending = Some(first);
+                sim.schedule_call_u_at(at, open_loop_deliver, 0);
+            }
+            cl.client_driver = Some(open_loop_next);
+            cl.open_loop = Some(ol);
         }
     }
 

@@ -201,6 +201,29 @@ fn replay_builder_validates_ops_and_volume() {
 }
 
 #[test]
+fn replay_builder_rejects_an_on_off_curve_with_a_silent_burst() {
+    let cluster = || ClusterConfig::ssd_testbed(code64(), Arc::new(Fo));
+    let open = |on_ops_per_s: f64| {
+        ReplayConfig::builder(cluster(), TraceFamily::AliCloud)
+            .workload(Workload::Open(OpenLoopSpec::poisson(0.0).with_rate(
+                RateCurve::OnOff {
+                    on_ops_per_s,
+                    off_ops_per_s: 1000.0,
+                    period_ns: 1_000_000,
+                    duty: 0.5,
+                },
+            )))
+            .build()
+    };
+    // The mean rate is 500 ops/s, but arrivals hop out of the off phase
+    // into a burst that offers nothing: every arrival would land at the
+    // end of time.
+    let err = open(0.0).unwrap_err();
+    assert!(err.to_string().contains("on_ops_per_s"), "{err}");
+    open(2000.0).expect("an active burst");
+}
+
+#[test]
 fn replay_builder_accepts_a_read_cache_with_a_fault_plan() {
     let cached = ClusterConfig::builder()
         .code(code64())

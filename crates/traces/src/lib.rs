@@ -19,16 +19,21 @@
 //!
 //! Every preset has unit tests asserting the generated stream reproduces the
 //! table above within tolerance ([`stats`]).
+//!
+//! The generator decides *what* each op is, never *when* it arrives: every
+//! op it yields has `at_ns == 0`. Closed-loop replay issues an op when the
+//! client's previous one completes; open-loop schedules stamp arrival times
+//! in the `workload` crate. Nothing here reads recorded trace files; a
+//! reader belongs next to such files once the repository holds some.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod stats;
 pub mod workload;
 pub mod zipf;
 
-pub use workload::{ArrivalModel, TraceFamily, WorkloadGen, WorkloadParams};
+pub use workload::{TraceFamily, WorkloadGen, WorkloadParams};
 pub use zipf::{AliasZipf, Zipf};
 
 /// Request type.
@@ -45,7 +50,8 @@ pub enum OpKind {
 /// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
-    /// Arrival time offset in nanoseconds (0 for closed-loop replay).
+    /// Arrival time in nanoseconds: 0 from [`WorkloadGen`]; an open-loop
+    /// schedule stamps its absolute arrival time here.
     pub at_ns: u64,
     /// Byte offset within the workload's logical volume.
     pub offset: u64,

@@ -10,19 +10,6 @@ use crate::{OpKind, TraceOp};
 /// alignment of the original block traces).
 pub const SLOT: u64 = 4096;
 
-/// How request arrival times are produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalModel {
-    /// No timestamps: the replayer issues the next op when the previous one
-    /// completes (the paper's client model).
-    ClosedLoop,
-    /// Exponential interarrivals with the given mean, for open-loop tests.
-    OpenLoop {
-        /// Mean interarrival gap in nanoseconds.
-        mean_interarrival_ns: u64,
-    },
-}
-
 /// The three trace families of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceFamily {
@@ -97,8 +84,6 @@ pub struct WorkloadParams {
     /// Probability the next request continues where the previous ended
     /// (sequential run → adjacent-merge opportunities).
     pub seq_run_prob: f64,
-    /// Arrival model.
-    pub arrival: ArrivalModel,
 }
 
 impl WorkloadParams {
@@ -156,7 +141,6 @@ impl WorkloadParams {
             hot_fraction: 0.10,
             hot_access_fraction: 0.80,
             seq_run_prob: 0.15,
-            arrival: ArrivalModel::ClosedLoop,
         }
     }
 
@@ -181,7 +165,6 @@ impl WorkloadParams {
             hot_fraction: 0.04,
             hot_access_fraction: 0.90,
             seq_run_prob: 0.20,
-            arrival: ArrivalModel::ClosedLoop,
         }
     }
 
@@ -216,7 +199,6 @@ impl WorkloadParams {
             hot_fraction: hot,
             hot_access_fraction: 0.85,
             seq_run_prob: seq,
-            arrival: ArrivalModel::ClosedLoop,
         }
     }
 
@@ -244,7 +226,6 @@ pub struct WorkloadGen {
     hot_base: u64,
     /// Continuation point for sequential runs.
     last_end: Option<(OpKind, u64)>,
-    clock_ns: u64,
 }
 
 impl WorkloadGen {
@@ -268,7 +249,6 @@ impl WorkloadGen {
             frontier,
             hot_base,
             last_end: None,
-            clock_ns: 0,
         }
     }
 
@@ -345,19 +325,8 @@ impl WorkloadGen {
 
     fn emit(&mut self, kind: OpKind, offset: u64, len: u32) -> TraceOp {
         self.last_end = Some((kind, offset + len as u64));
-        let at_ns = match self.params.arrival {
-            ArrivalModel::ClosedLoop => 0,
-            ArrivalModel::OpenLoop {
-                mean_interarrival_ns,
-            } => {
-                // Exponential interarrival via inverse transform.
-                let u: f64 = self.rng.random::<f64>().max(1e-12);
-                self.clock_ns += (-u.ln() * mean_interarrival_ns as f64) as u64;
-                self.clock_ns
-            }
-        };
         TraceOp {
-            at_ns,
+            at_ns: 0,
             offset,
             len,
             kind,
@@ -430,22 +399,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn open_loop_timestamps_increase() {
-        let mut p = WorkloadParams::ali_cloud(VOL);
-        p.arrival = ArrivalModel::OpenLoop {
-            mean_interarrival_ns: 10_000,
-        };
-        let mut g = WorkloadGen::new(p, 11);
-        let ops = g.take_ops(1000);
-        let mut last = 0;
-        for op in &ops {
-            assert!(op.at_ns >= last);
-            last = op.at_ns;
-        }
-        assert!(last > 0);
     }
 
     #[test]

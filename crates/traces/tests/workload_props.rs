@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use traces::workload::SLOT;
-use traces::{ArrivalModel, OpKind, WorkloadGen, WorkloadParams};
+use traces::{OpKind, WorkloadGen, WorkloadParams};
 
 fn arb_params() -> impl Strategy<Value = WorkloadParams> {
     (
@@ -33,7 +33,6 @@ fn arb_params() -> impl Strategy<Value = WorkloadParams> {
                 hot_fraction: hot.max(0.01),
                 hot_access_fraction: hot_acc,
                 seq_run_prob: seq,
-                arrival: ArrivalModel::ClosedLoop,
             }
         })
 }

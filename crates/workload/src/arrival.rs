@@ -1,29 +1,18 @@
-//! Arrival processes: a base point process modulated by a rate curve.
+//! Arrival times: Poisson gaps drawn at the rate a [`RateCurve`] gives.
 //!
-//! The split keeps the pieces composable: [`BaseProcess`] decides the
-//! *statistics* of the gaps (memoryless Poisson vs a deterministic
-//! metronome), [`RateCurve`] decides the *intensity* over time (constant,
-//! bursty on/off, diurnal). Gaps are drawn from the instantaneous rate at
-//! the moment of the draw — the standard rate-function approximation of a
-//! non-homogeneous process, which is exact for constant curves and keeps
-//! generation O(1) per arrival and fully deterministic under a seed.
+//! [`RateCurve`] decides the *intensity* over time (constant, bursty
+//! on/off, diurnal); each gap is exponential at the instantaneous rate at
+//! the moment of the draw. That is the standard rate-function
+//! approximation of a non-homogeneous Poisson process: exact for constant
+//! curves, O(1) per arrival and fully deterministic under a seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Rates below this (ops/s) are treated as "off": the generator skips
-/// forward to the next active stretch instead of drawing a near-infinite
-/// gap.
+/// Rates at or below this (ops/s) are treated as "off": the generator
+/// skips forward to the next active stretch instead of drawing a
+/// near-infinite gap.
 const MIN_ACTIVE_RATE: f64 = 1e-3;
-
-/// The base point process interarrival gaps are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaseProcess {
-    /// Exponential gaps (memoryless): the classic open-loop arrival model.
-    Poisson,
-    /// Constant gaps: a deterministic metronome at the curve's rate.
-    Periodic,
-}
 
 /// The aggregate arrival rate as a function of time, in ops per second.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +115,13 @@ impl RateCurve {
             } => {
                 finite_nonneg("on_ops_per_s", on_ops_per_s)?;
                 finite_nonneg("off_ops_per_s", off_ops_per_s)?;
+                // The generator hops over a silent off phase into the
+                // burst, so the burst itself must be active.
+                if on_ops_per_s <= MIN_ACTIVE_RATE {
+                    return Err(format!(
+                        "on_ops_per_s = {on_ops_per_s} must be above {MIN_ACTIVE_RATE}"
+                    ));
+                }
                 if period_ns == 0 {
                     return Err("on/off period must be positive".into());
                 }
@@ -188,8 +184,7 @@ impl RateCurve {
 /// A deterministic, seedable arrival-time generator: each call to
 /// [`Self::next_ns`] returns the absolute nanosecond of the next arrival.
 #[derive(Debug, Clone)]
-pub struct ArrivalGen {
-    process: BaseProcess,
+pub(crate) struct ArrivalGen {
     curve: RateCurve,
     rng: StdRng,
     clock_ns: u64,
@@ -200,10 +195,9 @@ impl ArrivalGen {
     ///
     /// # Panics
     /// Panics if the curve fails validation.
-    pub fn new(process: BaseProcess, curve: RateCurve, seed: u64) -> ArrivalGen {
+    pub(crate) fn new(curve: RateCurve, seed: u64) -> ArrivalGen {
         curve.validate().expect("invalid rate curve");
         ArrivalGen {
-            process,
             curve,
             rng: StdRng::seed_from_u64(seed),
             clock_ns: 0,
@@ -212,17 +206,11 @@ impl ArrivalGen {
 
     /// The absolute time of the next arrival, in nanoseconds. Strictly
     /// increasing (gaps clamp to >= 1 ns).
-    pub fn next_ns(&mut self) -> u64 {
+    pub(crate) fn next_ns(&mut self) -> u64 {
         let t = self.curve.next_active(self.clock_ns);
-        let rate = self.curve.rate_at(t);
-        let mean_gap_ns = 1e9 / rate;
-        let gap = match self.process {
-            BaseProcess::Periodic => mean_gap_ns,
-            BaseProcess::Poisson => {
-                let u: f64 = self.rng.random::<f64>().max(1e-12);
-                -u.ln() * mean_gap_ns
-            }
-        };
+        let mean_gap_ns = 1e9 / self.curve.rate_at(t);
+        let u: f64 = self.rng.random::<f64>().max(1e-12);
+        let gap = -u.ln() * mean_gap_ns;
         self.clock_ns = t.saturating_add((gap as u64).max(1));
         self.clock_ns
     }
@@ -264,12 +252,21 @@ mod tests {
         }
         .validate()
         .is_err());
+        // A silent burst: the mean rate is 500 ops/s, but the generator
+        // would hop out of the off phase into a burst with no arrivals.
+        assert!(RateCurve::OnOff {
+            on_ops_per_s: 0.0,
+            off_ops_per_s: 1000.0,
+            period_ns: 1_000_000,
+            duty: 0.5,
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]
     fn poisson_mean_gap_matches_rate() {
         let mut g = ArrivalGen::new(
-            BaseProcess::Poisson,
             RateCurve::Constant {
                 ops_per_s: 10_000.0,
             },
@@ -289,28 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn periodic_is_a_metronome() {
-        let mut g = ArrivalGen::new(
-            BaseProcess::Periodic,
-            RateCurve::Constant {
-                ops_per_s: 1_000_000.0,
-            },
-            0,
-        );
-        assert_eq!(g.next_ns(), 1_000);
-        assert_eq!(g.next_ns(), 2_000);
-        assert_eq!(g.next_ns(), 3_000);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let curve = RateCurve::Diurnal {
             peak_ops_per_s: 50_000.0,
             trough_ops_per_s: 1_000.0,
             period_ns: 10_000_000,
         };
-        let mut a = ArrivalGen::new(BaseProcess::Poisson, curve.clone(), 7);
-        let mut b = ArrivalGen::new(BaseProcess::Poisson, curve, 7);
+        let mut a = ArrivalGen::new(curve.clone(), 7);
+        let mut b = ArrivalGen::new(curve, 7);
         for _ in 0..1000 {
             assert_eq!(a.next_ns(), b.next_ns());
         }
@@ -320,7 +303,6 @@ mod tests {
     fn onoff_concentrates_arrivals_in_bursts() {
         let period = 1_000_000u64; // 1 ms cycle
         let mut g = ArrivalGen::new(
-            BaseProcess::Poisson,
             RateCurve::OnOff {
                 on_ops_per_s: 100_000.0,
                 off_ops_per_s: 0.0,
@@ -349,12 +331,11 @@ mod tests {
     #[test]
     fn onoff_silent_phase_skips_forward() {
         let mut g = ArrivalGen::new(
-            BaseProcess::Periodic,
             RateCurve::OnOff {
-                on_ops_per_s: 2_000_000.0, // 500 ns gaps
+                on_ops_per_s: 2_000_000.0, // 500 ns mean gaps
                 off_ops_per_s: 0.0,
                 period_ns: 10_000,
-                duty: 0.1, // 1 µs on, 9 µs off
+                duty: 0.05, // 0.5 µs on, 9.5 µs off
             },
             0,
         );
@@ -364,7 +345,9 @@ mod tests {
             assert!(t > prev);
             prev = t;
         }
-        // 100 arrivals at ~2 per cycle means we crossed many off phases.
+        // A cycle takes the burst's arrivals (one on average) plus the
+        // one whose gap spills into the off phase: 100 arrivals at ~2 per
+        // cycle means we crossed many off phases.
         assert!(prev > 10_000 * 40, "clock stuck at {prev}");
     }
 

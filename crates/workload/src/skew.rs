@@ -1,14 +1,13 @@
-//! Skew models: who issues each arrival, and where in the volume it lands.
+//! Client skew: who issues each arrival.
 //!
 //! Real client populations are never uniform — the traces the paper
 //! measures (Ali-Cloud, Ten-Cloud, MSR) all show a few tenants dominating
-//! the request stream and a few address ranges dominating the touched
-//! bytes. [`ClientSkew`] models the former (per-arrival client draw),
-//! [`OffsetSkew`] the latter (per-client address locality reshaping, on
-//! top of the trace family's own hot-set parameters).
+//! the request stream. [`ClientSkew`] draws the issuing client per
+//! arrival; where each client's ops land in its volume is the trace
+//! family's own hot-set model (`traces::WorkloadParams`).
 
 use rand::Rng;
-use traces::{AliasZipf, WorkloadParams};
+use traces::AliasZipf;
 
 /// How the issuing client is drawn for each arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,15 +18,6 @@ pub enum ClientSkew {
     Zipf {
         /// Skew in `[0, 1)` (0 degenerates to uniform).
         theta: f64,
-    },
-    /// A hot subset: the first `ceil(hot_fraction * clients)` clients
-    /// receive `hot_share` of all arrivals (uniformly among themselves);
-    /// the rest spread uniformly over the whole population.
-    HotSpot {
-        /// Fraction of clients in the hot set, in `(0, 1]`.
-        hot_fraction: f64,
-        /// Fraction of arrivals directed at the hot set, in `[0, 1]`.
-        hot_share: f64,
     },
 }
 
@@ -42,18 +32,6 @@ impl ClientSkew {
                 }
                 Ok(())
             }
-            ClientSkew::HotSpot {
-                hot_fraction,
-                hot_share,
-            } => {
-                if !(hot_fraction > 0.0 && hot_fraction <= 1.0) {
-                    return Err(format!("hot_fraction = {hot_fraction} must be in (0, 1]"));
-                }
-                if !(0.0..=1.0).contains(&hot_share) {
-                    return Err(format!("hot_share = {hot_share} must be in [0, 1]"));
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -65,10 +43,14 @@ impl ClientSkew {
 /// million-client population costs the same per arrival as a ten-client
 /// one.
 #[derive(Debug, Clone)]
-pub struct ClientPicker {
-    skew: ClientSkew,
-    clients: u64,
-    zipf: Option<AliasZipf>,
+pub(crate) enum ClientPicker {
+    /// Uniform over `0..clients`.
+    Uniform {
+        /// Population size.
+        clients: u64,
+    },
+    /// Zipf-ranked through an alias table.
+    Zipf(AliasZipf),
 }
 
 impl ClientPicker {
@@ -76,98 +58,20 @@ impl ClientPicker {
     ///
     /// # Panics
     /// Panics if the skew fails validation or `clients == 0`.
-    pub fn new(skew: ClientSkew, clients: u64) -> ClientPicker {
+    pub(crate) fn new(skew: ClientSkew, clients: u64) -> ClientPicker {
         skew.validate().expect("invalid client skew");
         assert!(clients > 0, "picker over empty client population");
-        let zipf = match skew {
-            ClientSkew::Zipf { theta } => Some(AliasZipf::new(clients, theta)),
-            _ => None,
-        };
-        ClientPicker {
-            skew,
-            clients,
-            zipf,
+        match skew {
+            ClientSkew::Uniform => ClientPicker::Uniform { clients },
+            ClientSkew::Zipf { theta } => ClientPicker::Zipf(AliasZipf::new(clients, theta)),
         }
     }
 
     /// Draws the issuing client for one arrival.
-    pub fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        match self.skew {
-            ClientSkew::Uniform => rng.random_range(0..self.clients),
-            ClientSkew::Zipf { .. } => self.zipf.as_ref().expect("built with zipf").sample(rng),
-            ClientSkew::HotSpot {
-                hot_fraction,
-                hot_share,
-            } => {
-                let hot_n =
-                    ((self.clients as f64 * hot_fraction).ceil() as u64).clamp(1, self.clients);
-                if rng.random::<f64>() < hot_share {
-                    rng.random_range(0..hot_n)
-                } else {
-                    rng.random_range(0..self.clients)
-                }
-            }
-        }
-    }
-}
-
-/// How each client's address locality is reshaped relative to the trace
-/// family's own parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OffsetSkew {
-    /// Keep the family's hot-set parameters untouched.
-    Family,
-    /// Override the hot set: `access_fraction` of update/read accesses land
-    /// in a `hot_fraction` slice of the written region — a hot-spot offset
-    /// range sharper (or flatter) than the family default.
-    HotRange {
-        /// Fraction of the written region forming the hot range, `(0, 1]`.
-        hot_fraction: f64,
-        /// Fraction of accesses directed at it, `[0, 1]`.
-        access_fraction: f64,
-    },
-    /// Flatten locality entirely: uniform offsets, no sequential runs —
-    /// the adversarial case for locality-exploiting log merging.
-    Uniform,
-}
-
-impl OffsetSkew {
-    /// Validates shape parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            OffsetSkew::Family | OffsetSkew::Uniform => Ok(()),
-            OffsetSkew::HotRange {
-                hot_fraction,
-                access_fraction,
-            } => {
-                if !(hot_fraction > 0.0 && hot_fraction <= 1.0) {
-                    return Err(format!("hot_fraction = {hot_fraction} must be in (0, 1]"));
-                }
-                if !(0.0..=1.0).contains(&access_fraction) {
-                    return Err(format!(
-                        "access_fraction = {access_fraction} must be in [0, 1]"
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies the reshaping to one client's workload parameters.
-    pub fn apply(&self, params: &mut WorkloadParams) {
-        match *self {
-            OffsetSkew::Family => {}
-            OffsetSkew::HotRange {
-                hot_fraction,
-                access_fraction,
-            } => {
-                params.hot_fraction = hot_fraction;
-                params.hot_access_fraction = access_fraction;
-            }
-            OffsetSkew::Uniform => {
-                params.hot_access_fraction = 0.0;
-                params.seq_run_prob = 0.0;
-            }
+    pub(crate) fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match self {
+            ClientPicker::Uniform { clients } => rng.random_range(0..*clients),
+            ClientPicker::Zipf(zipf) => zipf.sample(rng),
         }
     }
 }
@@ -183,30 +87,6 @@ mod tests {
         assert!(ClientSkew::Uniform.validate().is_ok());
         assert!(ClientSkew::Zipf { theta: 0.9 }.validate().is_ok());
         assert!(ClientSkew::Zipf { theta: 1.0 }.validate().is_err());
-        assert!(ClientSkew::HotSpot {
-            hot_fraction: 0.1,
-            hot_share: 0.9
-        }
-        .validate()
-        .is_ok());
-        assert!(ClientSkew::HotSpot {
-            hot_fraction: 0.0,
-            hot_share: 0.9
-        }
-        .validate()
-        .is_err());
-        assert!(OffsetSkew::HotRange {
-            hot_fraction: 0.05,
-            access_fraction: 0.95
-        }
-        .validate()
-        .is_ok());
-        assert!(OffsetSkew::HotRange {
-            hot_fraction: 1.5,
-            access_fraction: 0.95
-        }
-        .validate()
-        .is_err());
     }
 
     fn shares(skew: ClientSkew, clients: u64, draws: usize) -> Vec<usize> {
@@ -228,45 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_gives_hot_clients_their_share() {
-        // 2 of 10 clients take 80 % of arrivals (plus their uniform slice).
-        let counts = shares(
-            ClientSkew::HotSpot {
-                hot_fraction: 0.2,
-                hot_share: 0.8,
-            },
-            10,
-            50_000,
-        );
-        let hot: usize = counts[..2].iter().sum();
-        assert!(
-            hot > 50_000 * 7 / 10,
-            "hot clients drew only {hot}/50000: {counts:?}"
-        );
-    }
-
-    #[test]
     fn zipf_orders_clients_by_popularity() {
         let counts = shares(ClientSkew::Zipf { theta: 0.9 }, 8, 50_000);
         assert!(counts[0] > counts[4] * 2, "counts {counts:?}");
-    }
-
-    #[test]
-    fn offset_skew_rewrites_params() {
-        let mut p = WorkloadParams::ali_cloud(64 << 20);
-        OffsetSkew::HotRange {
-            hot_fraction: 0.02,
-            access_fraction: 0.99,
-        }
-        .apply(&mut p);
-        assert_eq!(p.hot_fraction, 0.02);
-        assert_eq!(p.hot_access_fraction, 0.99);
-        p.validate().unwrap();
-
-        let mut q = WorkloadParams::ali_cloud(64 << 20);
-        OffsetSkew::Uniform.apply(&mut q);
-        assert_eq!(q.hot_access_fraction, 0.0);
-        assert_eq!(q.seq_run_prob, 0.0);
-        q.validate().unwrap();
     }
 }

@@ -1,13 +1,12 @@
-//! Lazy arrival generation: the O(active) alternative to materialising a
-//! whole [`TimedStream`](crate::TimedStream) up front.
+//! Lazy arrival generation: the open-loop schedule, one op at a time.
 //!
 //! [`ArrivalSource`] is an iterator over a spec's arrivals with memory
-//! proportional to the *touched* client set instead of the population:
-//! per-client content generators are created on a client's first pick and
-//! nothing is ever pre-allocated per client. Combined with the alias-table
-//! Zipf picker (`traces::AliasZipf`, O(min(n, 1024)) setup), a
-//! `clients: 1_000_000` spec costs a few KiB to stand up and then O(1) per
-//! arrival.
+//! proportional to the *touched* client set instead of the population or
+//! the schedule length: per-client content generators are created on a
+//! client's first pick and nothing is ever pre-allocated per client.
+//! Combined with the alias-table Zipf picker (`traces::AliasZipf`,
+//! O(min(n, 1024)) setup), a `clients: 1_000_000` spec costs a few KiB to
+//! stand up and then O(1) per arrival.
 //!
 //! Laziness is sound because there is one independent seeded RNG per
 //! concern: each client's `WorkloadGen` consumes only its own
@@ -21,12 +20,21 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traces::{WorkloadGen, WorkloadParams};
+use traces::{TraceOp, WorkloadGen, WorkloadParams};
 
 use crate::arrival::ArrivalGen;
 use crate::skew::ClientPicker;
-use crate::stream::TimedOp;
 use crate::OpenLoopSpec;
+
+/// One offered op: the arrival schedule lives in `op.at_ns`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedOp {
+    /// The issuing client (u64: populations can exceed `usize` indexing
+    /// conventions — sparse runtimes key on the id, never index by it).
+    pub client: u64,
+    /// The op, with `at_ns` as its absolute arrival time.
+    pub op: TraceOp,
+}
 
 /// A lazy, infinite-capable source of timed ops for one open-loop spec.
 ///
@@ -61,14 +69,11 @@ impl ArrivalSource {
     ) -> ArrivalSource {
         spec.validate().expect("invalid open-loop spec");
         assert!(clients > 0, "open-loop load needs at least one client");
-        let mut params = base.clone();
-        spec.offset_skew.apply(&mut params);
         ArrivalSource {
-            params,
+            params: base.clone(),
             seed,
             gens: HashMap::default(),
             arrivals: ArrivalGen::new(
-                spec.process,
                 spec.rate.clone(),
                 seed ^ 0x6172_7269_7661_6c73, // "arrivals"
             ),

@@ -186,14 +186,3 @@ fn parity_append_residency_is_recorded_without_the_delta_log() {
     );
     assert_eq!(res.delta_residency.append_us, 0.0);
 }
-
-#[test]
-fn trace_csv_roundtrips_through_replay_pipeline() {
-    // Generated traces survive CSV export/import unchanged.
-    let mut gen = traces::WorkloadGen::new(traces::WorkloadParams::ten_cloud(32 << 20), 7);
-    let ops = gen.take_ops(500);
-    let mut buf = Vec::new();
-    traces::io::write_csv(&mut buf, &ops).unwrap();
-    let back = traces::io::read_csv(&buf[..]).unwrap();
-    assert_eq!(ops, back);
-}
