@@ -26,7 +26,8 @@ pub enum RateCurve {
     /// `period_ns`, `off_ops_per_s` (which may be 0) for the rest — bursty
     /// on/off traffic.
     OnOff {
-        /// Rate inside the burst (ops/s).
+        /// Rate inside the burst (ops/s; must exceed 0.001, at or below
+        /// which the curve counts as off).
         on_ops_per_s: f64,
         /// Rate between bursts (ops/s; 0 silences the off phase).
         off_ops_per_s: f64,
