@@ -11,19 +11,20 @@
 
 /// Types that can be sampled uniformly from the full generator output.
 pub trait Standard: Sized {
-    /// Draws one value from `next` (a 64-bit generator step).
-    fn sample_standard(next: &mut dyn FnMut() -> u64) -> Self;
+    /// Draws one value from `next` (a 64-bit generator step). Generic, not
+    /// `dyn`, so the step inlines into the caller.
+    fn sample_standard<F: FnMut() -> u64>(next: F) -> Self;
 }
 
 impl Standard for f64 {
-    fn sample_standard(next: &mut dyn FnMut() -> u64) -> f64 {
+    fn sample_standard<F: FnMut() -> u64>(mut next: F) -> f64 {
         // 53 high bits -> uniform in [0, 1).
         (next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
 impl Standard for f32 {
-    fn sample_standard(next: &mut dyn FnMut() -> u64) -> f32 {
+    fn sample_standard<F: FnMut() -> u64>(mut next: F) -> f32 {
         (next() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
@@ -31,7 +32,7 @@ impl Standard for f32 {
 macro_rules! impl_standard_int {
     ($($t:ty),*) => {$(
         impl Standard for $t {
-            fn sample_standard(next: &mut dyn FnMut() -> u64) -> $t {
+            fn sample_standard<F: FnMut() -> u64>(mut next: F) -> $t {
                 next() as $t
             }
         }
@@ -40,7 +41,7 @@ macro_rules! impl_standard_int {
 impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Standard for bool {
-    fn sample_standard(next: &mut dyn FnMut() -> u64) -> bool {
+    fn sample_standard<F: FnMut() -> u64>(mut next: F) -> bool {
         next() & 1 == 1
     }
 }
@@ -48,13 +49,13 @@ impl Standard for bool {
 /// Types with uniform sampling over a half-open `start..end` range.
 pub trait SampleUniform: Sized {
     /// Draws one value in `[start, end)`.
-    fn sample_range(start: Self, end: Self, next: &mut dyn FnMut() -> u64) -> Self;
+    fn sample_range<F: FnMut() -> u64>(start: Self, end: Self, next: F) -> Self;
 }
 
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_range(start: $t, end: $t, next: &mut dyn FnMut() -> u64) -> $t {
+            fn sample_range<F: FnMut() -> u64>(start: $t, end: $t, mut next: F) -> $t {
                 assert!(start < end, "empty range in random_range");
                 let span = (end as u128).wrapping_sub(start as u128) as u128;
                 // Modulo bias is < 2^-64 * span: negligible for simulation.
@@ -67,7 +68,7 @@ macro_rules! impl_uniform_int {
 impl_uniform_int!(u8, u16, u32, u64, usize);
 
 impl SampleUniform for f64 {
-    fn sample_range(start: f64, end: f64, next: &mut dyn FnMut() -> u64) -> f64 {
+    fn sample_range<F: FnMut() -> u64>(start: f64, end: f64, next: F) -> f64 {
         let u = f64::sample_standard(next);
         start + u * (end - start)
     }
@@ -80,14 +81,12 @@ pub trait Rng {
 
     /// Uniform sample of `T` over its standard distribution.
     fn random<T: Standard>(&mut self) -> T {
-        let mut step = || self.next_u64();
-        T::sample_standard(&mut step)
+        T::sample_standard(|| self.next_u64())
     }
 
     /// Uniform sample in `[range.start, range.end)`.
     fn random_range<T: SampleUniform>(&mut self, range: std::ops::Range<T>) -> T {
-        let mut step = || self.next_u64();
-        T::sample_range(range.start, range.end, &mut step)
+        T::sample_range(range.start, range.end, || self.next_u64())
     }
 }
 
