@@ -235,12 +235,34 @@ impl WorkloadGen {
     /// Panics if the parameters fail validation.
     pub fn new(params: WorkloadParams, seed: u64) -> WorkloadGen {
         params.validate().expect("invalid workload parameters");
+        let (_, frontier) = Self::initial_slots(&params);
+        let hot_slots = ((frontier as f64 * params.hot_fraction) as u64).max(4);
+        let zipf_hot = Zipf::new(hot_slots, params.zipf_theta);
+        Self::with_zipf(params, zipf_hot, seed)
+    }
+
+    /// The generator `WorkloadGen::new(self.params().clone(), seed)` builds,
+    /// without recomputing the hot-region [`Zipf`]: its harmonic sum
+    /// depends only on the parameters, so the clone is exact. The new
+    /// generator starts fresh whatever `self` has already yielded — build
+    /// one template per parameter set and derive each client from it.
+    pub fn reseeded(&self, seed: u64) -> WorkloadGen {
+        Self::with_zipf(self.params.clone(), self.zipf_hot.clone(), seed)
+    }
+
+    /// `(total_slots, frontier)` before any op: slots `0..frontier` are
+    /// prefilled.
+    fn initial_slots(params: &WorkloadParams) -> (u64, u64) {
         let total_slots = params.volume_bytes / SLOT;
         let frontier = ((total_slots as f64 * params.prefilled_fraction) as u64).max(8);
-        let hot_slots = ((frontier as f64 * params.hot_fraction) as u64).max(4);
+        (total_slots, frontier)
+    }
+
+    fn with_zipf(params: WorkloadParams, zipf_hot: Zipf, seed: u64) -> WorkloadGen {
+        let (total_slots, frontier) = Self::initial_slots(&params);
+        let hot_slots = zipf_hot.n();
         let mut rng = StdRng::seed_from_u64(seed);
         let hot_base = rng.random_range(0..frontier.saturating_sub(hot_slots).max(1));
-        let zipf_hot = Zipf::new(hot_slots, params.zipf_theta);
         WorkloadGen {
             params,
             rng,
@@ -367,6 +389,22 @@ mod tests {
         let mut a = WorkloadGen::new(WorkloadParams::ali_cloud(VOL), 42);
         let mut b = WorkloadGen::new(WorkloadParams::ali_cloud(VOL), 42);
         assert_eq!(a.take_ops(5000), b.take_ops(5000));
+    }
+
+    #[test]
+    fn reseeded_equals_new() {
+        for params in [
+            WorkloadParams::ali_cloud(VOL),
+            WorkloadParams::ten_cloud(VOL),
+        ] {
+            let mut template = WorkloadGen::new(params.clone(), 0);
+            template.take_ops(300); // progress must not carry over
+            for seed in [1, 9, 1 << 40] {
+                let mut fresh = WorkloadGen::new(params.clone(), seed);
+                let mut derived = template.reseeded(seed);
+                assert_eq!(fresh.take_ops(3000), derived.take_ops(3000));
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub struct TimedOp {
 /// the only state that scales, reported by [`Self::state_bytes`].
 #[derive(Debug, Clone)]
 pub struct ArrivalSource {
-    params: WorkloadParams,
+    /// Builds each client's generator ([`WorkloadGen::reseeded`]), so the
+    /// hot-region Zipf is computed once per source, not once per client.
+    template: WorkloadGen,
     seed: u64,
     /// Per-client content generators, created on first pick. The hasher
     /// has fixed keys, so the map allocates and frees in the same order on
@@ -70,7 +72,7 @@ impl ArrivalSource {
         spec.validate().expect("invalid open-loop spec");
         assert!(clients > 0, "open-loop load needs at least one client");
         ArrivalSource {
-            params: base.clone(),
+            template: WorkloadGen::new(base.clone(), seed),
             seed,
             gens: HashMap::default(),
             arrivals: ArrivalGen::new(
@@ -121,12 +123,11 @@ impl Iterator for ArrivalSource {
         self.remaining -= 1;
         let at_ns = self.arrivals.next_ns();
         let client = self.picker.pick(&mut self.pick_rng);
-        let params = &self.params;
-        let seed = self.seed;
+        let (template, seed) = (&self.template, self.seed);
         let gen = self
             .gens
             .entry(client)
-            .or_insert_with(|| WorkloadGen::new(params.clone(), seed.wrapping_add(client)));
+            .or_insert_with(|| template.reseeded(seed.wrapping_add(client)));
         let mut op = gen.next().expect("generator is infinite");
         op.at_ns = at_ns;
         Some(TimedOp { client, op })
