@@ -7,6 +7,7 @@ use simdisk::{Disk, IoOp};
 use simnet::{FlowClass, NetConfig, Network};
 
 use rscode::ReedSolomon;
+use traces::{OpKind, WorkloadGen, WorkloadParams};
 use tsue::fastmap::FastMap;
 
 use crate::config::ClusterConfig;
@@ -157,14 +158,79 @@ impl Default for Metrics {
     }
 }
 
+/// Runtime state of a closed-loop replay: per client id, the generator
+/// that yields its ops and how many it has left to issue. A client pulls
+/// each op as it issues it and drops its generator after its last, so the
+/// op supply holds O(clients) bytes however long the run. `None` on the
+/// open-loop path.
+#[derive(Debug, Clone)]
+pub struct ClosedLoopRt {
+    clients: Vec<Option<(WorkloadGen, usize)>>,
+    state_bytes: u64,
+}
+
+impl ClosedLoopRt {
+    /// `clients` clients of `ops_per_client` ops each; client `c` draws
+    /// the stream of `WorkloadGen::new(params, seed + c)`.
+    pub fn new(
+        params: WorkloadParams,
+        clients: u64,
+        ops_per_client: usize,
+        seed: u64,
+    ) -> ClosedLoopRt {
+        let template = WorkloadGen::new(params, seed);
+        let clients: Vec<_> = (0..clients)
+            .map(|c| {
+                (ops_per_client > 0)
+                    .then(|| (template.reseeded(seed.wrapping_add(c)), ops_per_client))
+            })
+            .collect();
+        // Counted as `workload::ArrivalSource::state_bytes` counts its
+        // generators: slots × entry size plus each generator's heap. Taken
+        // here, where it peaks — clients only ever drop their generators.
+        let heap: usize = clients
+            .iter()
+            .flatten()
+            .map(|(g, _)| {
+                g.params().name.capacity()
+                    + g.params().size_dist.capacity() * size_of::<(u32, f64)>()
+            })
+            .sum();
+        let slots = clients.capacity() * size_of::<Option<(WorkloadGen, usize)>>();
+        ClosedLoopRt {
+            clients,
+            state_bytes: (slots + heap) as u64,
+        }
+    }
+
+    /// `client`'s next op as `(offset, len, kind)`, or `None` once it has
+    /// issued all of them.
+    pub fn next_op(&mut self, client: u64) -> Option<(u64, u32, OpKind)> {
+        let slot = self.clients.get_mut(client as usize)?;
+        let (gen, left) = slot.as_mut()?;
+        let op = gen.next().expect("generator is infinite");
+        *left -= 1;
+        if *left == 0 {
+            *slot = None;
+        }
+        Some((op.offset, op.len, op.kind))
+    }
+
+    /// Bytes the op supply held at its peak (at install).
+    pub fn state_bytes(&self) -> u64 {
+        self.state_bytes
+    }
+}
+
 /// Open-loop window state for one *active* client: a client with at least
 /// one op outstanding or admitted. Inactive clients hold no state at all.
 #[derive(Debug, Clone, Default)]
 pub struct ClientWindow {
     /// Ops currently outstanding (bounded by the window).
     pub outstanding: usize,
-    /// Arrival times of admitted-but-not-yet-issued ops.
-    pub admission: std::collections::VecDeque<SimTime>,
+    /// Admitted-but-not-yet-issued ops, oldest first: arrival time and
+    /// `(offset, len, kind)`.
+    pub admission: std::collections::VecDeque<(SimTime, (u64, u32, OpKind))>,
 }
 
 /// Runtime state of an open-loop replay: the bounded per-client
@@ -292,11 +358,9 @@ pub struct Cluster {
     /// Client driver installed by the replay engine: called to issue the
     /// client's next op after a completion.
     pub client_driver: Option<fn(&mut Sim<Cluster>, &mut Cluster, u64)>,
-    /// Per-client op queues installed by the replay engine, keyed by
-    /// client id. Sparse: an entry exists only while the client has queued
-    /// op content, and is removed when drained — at million-client scale
-    /// the map never grows past the concurrently active set.
-    pub client_ops: FastMap<u64, std::collections::VecDeque<(u64, u32, traces::OpKind)>>,
+    /// Closed-loop runtime state (each client's op generator); `None` on
+    /// the open-loop path.
+    pub closed_loop: Option<ClosedLoopRt>,
     /// Scheduled-but-not-yet-executed log-forwarding events (drain guard).
     pub forwards_in_flight: u64,
     /// Open-loop runtime state (window, admission queues, offered-load
@@ -358,7 +422,7 @@ impl Cluster {
             metrics: Metrics::default(),
             oracle: Oracle::default(),
             client_driver: None,
-            client_ops: FastMap::default(),
+            closed_loop: None,
             forwards_in_flight: 0,
             open_loop: None,
             faults: FaultState::default(),

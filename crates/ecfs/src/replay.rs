@@ -4,12 +4,11 @@
 
 use simdes::stats::{SampleLog, WindowSet};
 use simdes::{Sim, SimTime};
-use std::collections::VecDeque;
 
-use traces::{OpKind, TraceFamily, WorkloadGen, WorkloadParams};
+use traces::{OpKind, TraceFamily, WorkloadParams};
 use workload::OpenLoopSpec;
 
-use crate::cluster::{Cluster, OpenLoopRt};
+use crate::cluster::{ClientWindow, ClosedLoopRt, Cluster, OpenLoopRt};
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
@@ -457,13 +456,15 @@ pub struct RunResult {
     /// active set as a thousand-client one. 0 on the closed-loop path.
     pub active_clients_peak: u64,
     /// Resident bytes of per-client open-loop runtime state at peak,
-    /// counted from measured peaks × exact struct sizes (sparse window
-    /// maps plus queued-op content). O(active clients), not
-    /// O(population). 0 on the closed-loop path.
+    /// counted from measured peaks × exact struct sizes (the sparse window
+    /// map and the queued ops in its admission queues). O(active clients),
+    /// not O(population). 0 on the closed-loop path.
     pub client_state_bytes: u64,
-    /// Resident bytes held by the open-loop arrival source: its
-    /// per-client generator state scales with *distinct touched* clients.
-    /// 0 on the closed-loop path.
+    /// Resident bytes of the per-client op generators at peak, counted
+    /// from slot capacities, exact struct sizes and each generator's heap.
+    /// On the open loop the arrival source holds one per *distinct
+    /// touched* client; on the closed loop every client holds one, so it
+    /// is O(clients) and independent of the ops per client.
     pub workload_state_bytes: u64,
     /// Highest per-disk fill fraction (block bytes placed / capacity) —
     /// the disk that would run out of space first. On a heterogeneous
@@ -526,29 +527,20 @@ pub struct RunResult {
     /// Engine speed: simulation events per wall-clock second.
     pub events_per_sec: f64,
     /// Wall-clock milliseconds spent building the cluster and installing
-    /// the workload, before the first event ran. The scale sweep's
-    /// setup-cost axis. Nondeterministic like [`Self::wall_ms`].
+    /// the workload's generators, before the first event ran. Both loops
+    /// draw each op when it is issued or delivered, so op generation is
+    /// in the run, not here. The scale sweep's setup-cost axis.
+    /// Nondeterministic like [`Self::wall_ms`].
     pub setup_ms: f64,
 }
 
+/// Completion driver on the closed loop: pulls `client`'s next op from its
+/// generator and issues it now.
 fn client_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-    issue_next_op(sim, cl, client, sim.now());
-}
-
-/// Pops and issues `client`'s next op (see [`issue_op`]).
-fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_at: SimTime) {
-    let Some(queue) = cl.client_ops.get_mut(&client) else {
-        return; // this client is done
-    };
-    let Some(op) = queue.pop_front() else {
-        return; // this client is done
-    };
-    if queue.is_empty() {
-        // Sparse invariant: drained queues leave the map, so resident
-        // op-content state never exceeds the concurrently active set.
-        cl.client_ops.remove(&client);
+    let rt = cl.closed_loop.as_mut().expect("closed-loop replay state");
+    if let Some(op) = rt.next_op(client) {
+        issue_op(sim, cl, client, op, sim.now());
     }
-    issue_op(sim, cl, client, op, issued_at);
 }
 
 /// Issues one of `client`'s ops. `issued_at` anchors the client-observed
@@ -629,20 +621,14 @@ fn open_loop_deliver(sim: &mut Sim<Cluster>, cl: &mut Cluster, _u: u64) {
     let op = (t.op.offset, t.op.len, t.op.kind);
     // Window room implies an empty admission queue (admissions only grow
     // while the window is full, and completions drain them first), so an
-    // op admitted on arrival is issued directly, without passing through
-    // the client's op queue.
+    // op admitted on arrival is issued directly.
     if cw.outstanding < window {
         cw.outstanding += 1;
         ol.queue_delay.record(0);
-        debug_assert!(
-            !cl.client_ops.contains_key(&client),
-            "client {client} admitted an arrival past its queued ops"
-        );
         issue_op(sim, cl, client, op, now);
     } else {
-        cw.admission.push_back(now);
+        cw.admission.push_back((now, op));
         ol.queue_depth.inc();
-        cl.client_ops.entry(client).or_default().push_back(op);
     }
 }
 
@@ -657,10 +643,10 @@ fn open_loop_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
         return; // already retired (defensive: mirrors the old saturating_sub)
     };
     match cw.admission.pop_front() {
-        Some(arrived) => {
+        Some((arrived, op)) => {
             ol.queue_depth.dec();
             ol.queue_delay.record(now.saturating_sub(arrived));
-            issue_next_op(sim, cl, client, arrived);
+            issue_op(sim, cl, client, op, arrived);
         }
         None => {
             cw.outstanding = cw.outstanding.saturating_sub(1);
@@ -684,25 +670,22 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
 
     match &rcfg.workload {
         Workload::ClosedLoop => {
-            // Generate each client's op stream up front (deterministic).
-            // The closed loop is inherently O(population): every client
-            // issues continuously, so there is no sparse win to chase.
-            for c in 0..rcfg.cluster.clients {
-                let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
-                let mut gen = WorkloadGen::new(params, rcfg.seed + c);
-                let ops: VecDeque<(u64, u32, OpKind)> = gen
-                    .take_ops(rcfg.ops_per_client)
-                    .into_iter()
-                    .map(|op| (op.offset, op.len, op.kind))
-                    .collect();
-                cl.client_ops.insert(c, ops);
-            }
+            // Every client issues continuously, so each holds its own
+            // generator (O(clients) state), and pulls an op only when it
+            // issues it: nothing is O(clients × ops).
+            let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
+            cl.closed_loop = Some(ClosedLoopRt::new(
+                params,
+                rcfg.cluster.clients,
+                rcfg.ops_per_client,
+                rcfg.seed,
+            ));
             cl.client_driver = Some(client_next);
         }
         Workload::Open(spec) => {
             // Same per-client content seeding as the closed loop, so an
-            // unsaturated open-loop run replays statistically the same ops
-            // — but pulled lazily: nothing is materialised up front. Only
+            // unsaturated open-loop run replays statistically the same ops,
+            // and pulled as lazily: nothing is materialised up front. Only
             // the first delivery is scheduled here; each delivery pulls
             // and schedules the next, so neither the event calendar nor
             // the cluster ever holds the schedule, and resident state is
@@ -898,14 +881,10 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
             let backlogged = ol.queue_depth.peak() >= (ol.window as u64) * active_peak.max(1);
             // Runtime client state at peak, from measured peaks × exact
             // struct sizes: every active client holds one window entry
-            // and one op-queue entry; every queued arrival holds one
-            // admission timestamp and one op-content tuple.
-            let per_client = (std::mem::size_of::<u64>() * 2
-                + std::mem::size_of::<crate::cluster::ClientWindow>()
-                + std::mem::size_of::<VecDeque<(u64, u32, OpKind)>>())
-                as u64;
-            let per_queued =
-                (std::mem::size_of::<SimTime>() + std::mem::size_of::<(u64, u32, OpKind)>()) as u64;
+            // (key and window); every queued arrival holds one admission
+            // entry (arrival time and op content).
+            let per_client = (size_of::<u64>() + size_of::<ClientWindow>()) as u64;
+            let per_queued = size_of::<(SimTime, (u64, u32, OpKind))>() as u64;
             (
                 ol.offered,
                 rate,
@@ -918,7 +897,10 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
                 ol.source.state_bytes(),
             )
         }
-        None => (0, 0.0, 0.0, 0.0, 0, false, 0, 0, 0),
+        None => {
+            let supply = cl.closed_loop.as_ref().map_or(0, ClosedLoopRt::state_bytes);
+            (0, 0.0, 0.0, 0.0, 0, false, 0, 0, supply)
+        }
     };
     // Both conditions guard against finite-run artefacts: a short stream's
     // completion tail depresses the goodput ratio without any queueing, and

@@ -29,6 +29,21 @@ fn trace_to_cluster_to_oracle_all_families() {
     }
 }
 
+/// The closed loop's op supply is one generator per client, pulled as
+/// each op is issued, so its bytes do not grow with the run length (ops
+/// built before the run held 16 B each: 56 KiB for 4 × 900).
+#[test]
+fn closed_loop_op_supply_is_independent_of_run_length() {
+    let supply_bytes = |ops| {
+        let mut rcfg = replay(Arc::new(Fo), TraceFamily::AliCloud, 4);
+        rcfg.ops_per_client = ops;
+        Replay::run(&rcfg).result.workload_state_bytes
+    };
+    let (short, long) = (supply_bytes(300), supply_bytes(900));
+    assert_eq!(short, long);
+    assert!(short > 0 && short < 4 << 10, "{short} B");
+}
+
 #[test]
 fn recovery_after_live_updates_is_complete() {
     for method in [
