@@ -233,11 +233,13 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
     // The sparse-runtime scale fields, pinned when the O(active) engine
     // landed: all four clients go active at this rate, the runtime state
     // is a few hundred bytes, and the lazy source holds four generators.
-    // `workload_state_bytes` counts host memory (map slots × generator
-    // size), so it moves with `traces::WorkloadGen`'s layout, not with
-    // the simulated model.
+    // Both byte counts are host memory: `client_state_bytes` is 4 window
+    // entries (key and `ClientWindow`, 48 B each) plus 10 queued ops
+    // (arrival time and op content, 24 B each), and `workload_state_bytes`
+    // is map slots × generator size, so they move with the runtime's and
+    // `traces::WorkloadGen`'s layouts, not with the simulated model.
     assert_eq!(active_clients_peak, 4);
-    assert_eq!(client_state_bytes, 592);
+    assert_eq!(client_state_bytes, 432);
     assert_eq!(workload_state_bytes, 2_108);
     assert_eq!(peak_queue_depth, 10);
     assert!(!saturated);
