@@ -11,8 +11,8 @@
 //! * vectorised slice kernels — bulk XOR and multiply-accumulate, one source
 //!   into up to four outputs per pass — that the codec uses to stream whole
 //!   blocks through the field ([`mod@slice`]);
-//! * dense matrices over the field with multiplication, Gaussian inversion,
-//!   and the Cauchy constructor ([`matrix`]).
+//! * dense matrices over the field with Gaussian inversion and the Cauchy
+//!   constructor ([`matrix`]).
 //!
 //! # Example
 //!
@@ -28,7 +28,7 @@
 //! // Reed-Solomon recovery work.
 //! let m = Matrix::cauchy(4, 4);
 //! let inv = m.inverted().expect("Cauchy matrices are non-singular");
-//! assert!(m.mul(&inv).is_identity());
+//! assert_eq!(inv.inverted(), Some(m));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,5 @@
-//! Dense matrices over GF(2^8): multiplication, Gaussian inversion, and the
-//! Cauchy constructor that builds the erasure-coding matrix (Eq. 1 of the
-//! paper).
+//! Dense matrices over GF(2^8): Gaussian inversion and the Cauchy
+//! constructor that builds the erasure-coding matrix (Eq. 1 of the paper).
 
 use core::fmt;
 
@@ -105,10 +104,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs` (the inversion tests' check).
     ///
     /// # Panics
     /// Panics if `self.cols != rhs.rows`.
+    #[cfg(test)]
     pub fn mul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matrix shape mismatch in mul");
         let mut out = Matrix::zero(self.rows, rhs.cols);
@@ -192,7 +192,8 @@ impl Matrix {
         Some(inv)
     }
 
-    /// Whether this is the identity matrix.
+    /// Whether this is the identity matrix (the inversion tests' check).
+    #[cfg(test)]
     pub fn is_identity(&self) -> bool {
         if self.rows != self.cols {
             return false;
@@ -292,6 +293,33 @@ mod tests {
         m.swap_rows(0, 1);
         assert_eq!(m.row(0), &[3, 4]);
         assert_eq!(m.row(1), &[1, 2]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_invertible_matrices_roundtrip(
+            n in 1usize..9,
+            seed in proptest::collection::vec(proptest::prelude::any::<u8>(), 81),
+        ) {
+            let data: Vec<u8> = seed.into_iter().take(n * n).collect();
+            let m = Matrix::from_rows(n, n, &data);
+            if let Some(inv) = m.inverted() {
+                proptest::prop_assert!(m.mul(&inv).is_identity());
+                proptest::prop_assert!(inv.mul(&m).is_identity());
+            }
+        }
+
+        #[test]
+        fn matrix_mul_associates(
+            a_data in proptest::collection::vec(proptest::prelude::any::<u8>(), 9),
+            b_data in proptest::collection::vec(proptest::prelude::any::<u8>(), 9),
+            c_data in proptest::collection::vec(proptest::prelude::any::<u8>(), 9),
+        ) {
+            let a = Matrix::from_rows(3, 3, &a_data);
+            let b = Matrix::from_rows(3, 3, &b_data);
+            let c = Matrix::from_rows(3, 3, &c_data);
+            proptest::prop_assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
+        }
     }
 
     /// All k-combinations of `items` (small inputs only; test helper).
