@@ -57,9 +57,11 @@ macro_rules! impl_uniform_int {
         impl SampleUniform for $t {
             fn sample_range<F: FnMut() -> u64>(start: $t, end: $t, mut next: F) -> $t {
                 assert!(start < end, "empty range in random_range");
-                let span = (end as u128).wrapping_sub(start as u128) as u128;
+                // Every impl type is at most 64 bits wide, so the span fits
+                // a u64 and the reduction needs no 128-bit division.
                 // Modulo bias is < 2^-64 * span: negligible for simulation.
-                let v = (next() as u128) % span;
+                let span = (end as u64).wrapping_sub(start as u64);
+                let v = next() % span;
                 start.wrapping_add(v as $t)
             }
         }
