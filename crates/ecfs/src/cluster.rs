@@ -188,14 +188,7 @@ impl ClosedLoopRt {
         // Counted as `workload::ArrivalSource::state_bytes` counts its
         // generators: slots × entry size plus each generator's heap. Taken
         // here, where it peaks — clients only ever drop their generators.
-        let heap: usize = clients
-            .iter()
-            .flatten()
-            .map(|(g, _)| {
-                g.params().name.capacity()
-                    + g.params().size_dist.capacity() * size_of::<(u32, f64)>()
-            })
-            .sum();
+        let heap: usize = clients.iter().flatten().map(|(g, _)| g.heap_bytes()).sum();
         let slots = clients.capacity() * size_of::<Option<(WorkloadGen, usize)>>();
         ClosedLoopRt {
             clients,

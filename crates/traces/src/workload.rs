@@ -279,6 +279,12 @@ impl WorkloadGen {
         &self.params
     }
 
+    /// Heap bytes the generator owns (its parameters' name and size
+    /// mixture), for the replays' state accounting.
+    pub fn heap_bytes(&self) -> usize {
+        self.params.name.capacity() + self.params.size_dist.capacity() * size_of::<(u32, f64)>()
+    }
+
     /// Current written frontier in bytes.
     pub fn written_bytes(&self) -> u64 {
         self.frontier * SLOT

@@ -101,14 +101,7 @@ impl ArrivalSource {
     pub fn state_bytes(&self) -> u64 {
         let per_entry = size_of::<u64>() + size_of::<WorkloadGen>();
         let map = self.gens.capacity() * per_entry;
-        let heap: usize = self
-            .gens
-            .values()
-            .map(|g| {
-                g.params().name.capacity()
-                    + g.params().size_dist.capacity() * size_of::<(u32, f64)>()
-            })
-            .sum();
+        let heap: usize = self.gens.values().map(WorkloadGen::heap_bytes).sum();
         (map + heap) as u64
     }
 }
