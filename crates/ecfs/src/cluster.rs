@@ -172,7 +172,7 @@ pub struct ClosedLoopRt {
 impl ClosedLoopRt {
     /// `clients` clients of `ops_per_client` ops each; client `c` draws
     /// the stream of `WorkloadGen::new(params, seed + c)`.
-    pub fn new(
+    pub(crate) fn new(
         params: WorkloadParams,
         clients: u64,
         ops_per_client: usize,
@@ -198,7 +198,7 @@ impl ClosedLoopRt {
 
     /// `client`'s next op as `(offset, len, kind)`, or `None` once it has
     /// issued all of them.
-    pub fn next_op(&mut self, client: u64) -> Option<(u64, u32, OpKind)> {
+    pub(crate) fn next_op(&mut self, client: u64) -> Option<(u64, u32, OpKind)> {
         let slot = self.clients.get_mut(client as usize)?;
         let (gen, left) = slot.as_mut()?;
         let op = gen.next().expect("generator is infinite");
@@ -210,7 +210,7 @@ impl ClosedLoopRt {
     }
 
     /// Bytes the op supply held at its peak (at install).
-    pub fn state_bytes(&self) -> u64 {
+    pub(crate) fn state_bytes(&self) -> u64 {
         self.state_bytes
     }
 }

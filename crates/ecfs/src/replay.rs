@@ -685,7 +685,7 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
         Workload::Open(spec) => {
             // Same per-client content seeding as the closed loop, so an
             // unsaturated open-loop run replays statistically the same ops,
-            // and pulled as lazily: nothing is materialised up front. Only
+            // pulled just as lazily: nothing is materialised up front. Only
             // the first delivery is scheduled here; each delivery pulls
             // and schedules the next, so neither the event calendar nor
             // the cluster ever holds the schedule, and resident state is
