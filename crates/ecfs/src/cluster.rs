@@ -1,13 +1,12 @@
 //! The simulated cluster: OSD nodes, network, metrics, and the consistency
 //! oracle shared by every update-method driver.
 
-use simdes::stats::{Gauge, Histogram, SampleLog, TimeSeries};
+use simdes::stats::{Histogram, SampleLog, TimeSeries};
 use simdes::{Sim, SimTime};
 use simdisk::{Disk, IoOp};
 use simnet::{FlowClass, NetConfig, Network};
 
 use rscode::ReedSolomon;
-use traces::{OpKind, WorkloadGen, WorkloadParams};
 use tsue::fastmap::FastMap;
 
 use crate::config::ClusterConfig;
@@ -15,6 +14,7 @@ use crate::fault::FaultState;
 use crate::layout::{BlockAddr, Layout};
 use crate::maintenance::MaintState;
 use crate::methods::{NodeLogState, UpdateCtx};
+use crate::replay::{self, ClientLoop};
 use crate::telemetry::{OpClass, Stage, TraceState, UtilKind};
 
 /// A half-open byte interval set with merging — the consistency oracle's
@@ -88,11 +88,12 @@ pub struct LayerResidency {
 /// Cluster-wide measurement state.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// Updates acknowledged to clients.
+    /// Client updates acknowledged. This and the other completion and
+    /// failure counters count a client op once, at its driving slice.
     pub completed_updates: u64,
-    /// Fresh writes completed.
+    /// Client fresh writes completed.
     pub completed_writes: u64,
-    /// Reads completed.
+    /// Client reads completed.
     pub completed_reads: u64,
     /// Client-observed update latency.
     pub update_latency: Histogram,
@@ -116,7 +117,8 @@ pub struct Metrics {
     pub degraded_reads: u64,
     /// Bytes produced by degraded-read decoding.
     pub degraded_bytes_decoded: u64,
-    /// Client ops aborted because their stripe lost more than `m` blocks.
+    /// Client ops aborted because their driving slice's stripe lost more
+    /// than `m` blocks.
     pub failed_ops: u64,
     /// Timestamped update latencies, attached only when a fault plan is
     /// active (enables degraded-window vs steady-state quantiles).
@@ -154,124 +156,6 @@ impl Default for Metrics {
             read_latency: Histogram::new(),
             read_latency_samples: None,
             setup_ms: 0.0,
-        }
-    }
-}
-
-/// Runtime state of a closed-loop replay: per client id, the generator
-/// that yields its ops and how many it has left to issue. A client pulls
-/// each op as it issues it and drops its generator after its last, so the
-/// op supply holds O(clients) bytes however long the run. `None` on the
-/// open-loop path.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopRt {
-    clients: Vec<Option<(WorkloadGen, usize)>>,
-    state_bytes: u64,
-}
-
-impl ClosedLoopRt {
-    /// `clients` clients of `ops_per_client` ops each; client `c` draws
-    /// the stream of `WorkloadGen::new(params, seed + c)`.
-    pub(crate) fn new(
-        params: WorkloadParams,
-        clients: u64,
-        ops_per_client: usize,
-        seed: u64,
-    ) -> ClosedLoopRt {
-        let template = WorkloadGen::new(params, seed);
-        let clients: Vec<_> = (0..clients)
-            .map(|c| {
-                (ops_per_client > 0)
-                    .then(|| (template.reseeded(seed.wrapping_add(c)), ops_per_client))
-            })
-            .collect();
-        // Counted as `workload::ArrivalSource::state_bytes` counts its
-        // generators: slots × entry size plus each generator's heap. Taken
-        // here, where it peaks — clients only ever drop their generators.
-        let heap: usize = clients.iter().flatten().map(|(g, _)| g.heap_bytes()).sum();
-        let slots = clients.capacity() * size_of::<Option<(WorkloadGen, usize)>>();
-        ClosedLoopRt {
-            clients,
-            state_bytes: (slots + heap) as u64,
-        }
-    }
-
-    /// `client`'s next op as `(offset, len, kind)`, or `None` once it has
-    /// issued all of them.
-    pub(crate) fn next_op(&mut self, client: u64) -> Option<(u64, u32, OpKind)> {
-        let slot = self.clients.get_mut(client as usize)?;
-        let (gen, left) = slot.as_mut()?;
-        let op = gen.next().expect("generator is infinite");
-        *left -= 1;
-        if *left == 0 {
-            *slot = None;
-        }
-        Some((op.offset, op.len, op.kind))
-    }
-
-    /// Bytes the op supply held at its peak (at install).
-    pub(crate) fn state_bytes(&self) -> u64 {
-        self.state_bytes
-    }
-}
-
-/// Open-loop window state for one *active* client: a client with at least
-/// one op outstanding or admitted. Inactive clients hold no state at all.
-#[derive(Debug, Clone, Default)]
-pub struct ClientWindow {
-    /// Ops currently outstanding (bounded by the window).
-    pub outstanding: usize,
-    /// Admitted-but-not-yet-issued ops, oldest first: arrival time and
-    /// `(offset, len, kind)`.
-    pub admission: std::collections::VecDeque<(SimTime, (u64, u32, OpKind))>,
-}
-
-/// Runtime state of an open-loop replay: the bounded per-client
-/// outstanding-op windows, the admission queues behind them, and the
-/// offered-load accounting the saturation metrics are harvested from.
-/// `None` on the (default) closed-loop path.
-///
-/// State is **sparse**: windows are keyed by client id, materialised on a
-/// client's first arrival and retired when its window drains, so resident
-/// cost scales with the number of *concurrently active* clients — a
-/// million-client population at a fixed offered rate costs the same as a
-/// thousand-client one.
-#[derive(Debug, Clone)]
-pub struct OpenLoopRt {
-    /// Maximum ops a client keeps outstanding.
-    pub window: usize,
-    /// Window state of currently active clients, keyed by client id.
-    pub active: FastMap<u64, ClientWindow>,
-    /// Concurrently active clients (current + peak).
-    pub active_clients: Gauge,
-    /// Admission-queue delay per op (0 for ops issued on arrival).
-    pub queue_delay: Histogram,
-    /// Total ops waiting in admission queues (current + peak).
-    pub queue_depth: Gauge,
-    /// Ops offered so far (accumulated as arrivals are delivered).
-    pub offered: u64,
-    /// Arrival time of the latest offered op (the offered-rate horizon).
-    pub horizon: SimTime,
-    /// The remaining arrival schedule, pulled one op ahead.
-    pub source: workload::ArrivalSource,
-    /// The next op, pulled from the source but not yet delivered (its
-    /// delivery event is on the calendar).
-    pub pending: Option<workload::TimedOp>,
-}
-
-impl OpenLoopRt {
-    /// Fresh state with no client active, consuming `source`.
-    pub fn new(window: usize, source: workload::ArrivalSource) -> OpenLoopRt {
-        OpenLoopRt {
-            window,
-            active: FastMap::default(),
-            active_clients: Gauge::new(),
-            queue_delay: Histogram::new(),
-            queue_depth: Gauge::new(),
-            offered: 0,
-            horizon: 0,
-            source,
-            pending: None,
         }
     }
 }
@@ -348,17 +232,12 @@ pub struct Cluster {
     pub metrics: Metrics,
     /// Consistency oracle.
     pub oracle: Oracle,
-    /// Client driver installed by the replay engine: called to issue the
-    /// client's next op after a completion.
-    pub client_driver: Option<fn(&mut Sim<Cluster>, &mut Cluster, u64)>,
-    /// Closed-loop runtime state (each client's op generator); `None` on
-    /// the open-loop path.
-    pub closed_loop: Option<ClosedLoopRt>,
+    /// The clients the replay engine installed (closed or open loop);
+    /// `None` on a cluster driven op by op, where completions issue
+    /// nothing.
+    pub(crate) clients: Option<ClientLoop>,
     /// Scheduled-but-not-yet-executed log-forwarding events (drain guard).
     pub forwards_in_flight: u64,
-    /// Open-loop runtime state (window, admission queues, offered-load
-    /// accounting); `None` on the closed-loop path.
-    pub open_loop: Option<OpenLoopRt>,
     /// Fault-timeline state: injected failures, the repair queue, and
     /// availability counters.
     pub faults: FaultState,
@@ -414,10 +293,8 @@ impl Cluster {
             nodes,
             metrics: Metrics::default(),
             oracle: Oracle::default(),
-            client_driver: None,
-            closed_loop: None,
+            clients: None,
             forwards_in_flight: 0,
-            open_loop: None,
             faults: FaultState::default(),
             maint: MaintState::default(),
             trace: TraceState::new(),
@@ -518,29 +395,24 @@ impl Cluster {
         self.trace.child(stage, node, start, end);
     }
 
-    /// Schedules the op's client to issue its next op at `done_at`, if
-    /// this op is the one driving the closed loop (`ctx.drive`).
+    /// Schedules the op's client to act on its completion at `done_at`
+    /// ([`replay::client_done`]), if this op is the slice driving its
+    /// client (`ctx.drive`) and the replay installed clients.
     ///
     /// Uses the scheduler's unboxed function-pointer path: one of these is
     /// scheduled per completed op, so the saved `Box` is a measurable slice
     /// of per-event overhead.
     fn drive_client(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        if !ctx.drive {
-            return;
-        }
-        if self.client_driver.is_some() {
-            fn call_driver(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-                if let Some(driver) = cl.client_driver {
-                    driver(sim, cl, client);
-                }
-            }
-            sim.schedule_call_u_at(done_at.max(sim.now()), call_driver, ctx.client);
+        if ctx.drive && self.clients.is_some() {
+            sim.schedule_call_u_at(done_at.max(sim.now()), replay::client_done, ctx.client);
         }
     }
 
-    /// Records an update completion and drives the client's next op.
+    /// Records an update completion and drives the client's next op. The
+    /// latency is recorded per slice; the op is counted once, at its
+    /// driving slice.
     pub fn finish_update(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        self.metrics.completed_updates += 1;
+        self.metrics.completed_updates += u64::from(ctx.drive);
         let latency = done_at.saturating_sub(ctx.issued_at);
         self.metrics.update_latency.record(latency);
         if let Some(log) = &mut self.metrics.latency_samples {
@@ -555,7 +427,8 @@ impl Cluster {
         self.drive_client(sim, ctx, done_at);
     }
 
-    /// Records a non-update completion and drives the client's next op.
+    /// Records a non-update completion and drives the client's next op,
+    /// counting the op once, at its driving slice (as [`Self::finish_update`]).
     pub fn finish_other(
         &mut self,
         sim: &mut Sim<Cluster>,
@@ -564,14 +437,14 @@ impl Cluster {
         done_at: SimTime,
     ) {
         if is_read {
-            self.metrics.completed_reads += 1;
+            self.metrics.completed_reads += u64::from(ctx.drive);
             let latency = done_at.saturating_sub(ctx.issued_at);
             self.metrics.read_latency.record(latency);
             if let Some(log) = &mut self.metrics.read_latency_samples {
                 log.record(done_at, latency);
             }
         } else {
-            self.metrics.completed_writes += 1;
+            self.metrics.completed_writes += u64::from(ctx.drive);
         }
         self.trace.close_op(done_at.saturating_sub(ctx.issued_at));
         self.metrics.last_completion = self.metrics.last_completion.max(done_at);
@@ -580,27 +453,10 @@ impl Cluster {
 
     /// Records an op aborted by data loss (its stripe fell below `k`
     /// survivors — an EIO to the client) and drives the client's next op:
-    /// availability failures must not wedge the closed loop.
-    ///
-    /// `kind` re-credits the completion counter for background slices:
-    /// the replay's issue path pre-decrements it expecting a completion
-    /// that a failed op never delivers.
-    pub fn finish_failed(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        ctx: UpdateCtx,
-        kind: traces::OpKind,
-        done_at: SimTime,
-    ) {
-        self.metrics.failed_ops += 1;
-        if !ctx.drive {
-            let counter = match kind {
-                traces::OpKind::Update => &mut self.metrics.completed_updates,
-                traces::OpKind::Write => &mut self.metrics.completed_writes,
-                traces::OpKind::Read => &mut self.metrics.completed_reads,
-            };
-            *counter = counter.wrapping_add(1);
-        }
+    /// availability failures must not wedge the closed loop. The op is
+    /// counted failed once, at its driving slice.
+    pub fn finish_failed(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
+        self.metrics.failed_ops += u64::from(ctx.drive);
         self.metrics.last_completion = self.metrics.last_completion.max(done_at);
         self.drive_client(sim, ctx, done_at);
     }

@@ -192,10 +192,6 @@ impl UpdateMethod for Cord {
         cl.finish_update(sim, ctx, t_ack);
     }
 
-    fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        self.drain_until(sim, cl);
-    }
-
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
         methods::drain_nodes(sim, cl, flush_collector)
     }

@@ -153,9 +153,10 @@ pub struct UpdateCtx {
     /// to wait for an inline rebuild, so the rebuild delay lands in the
     /// client's latency without letting the method book I/O in the past.
     pub start_at: SimTime,
-    /// Whether this op's completion drives the client's next op. The first
-    /// slice of a multi-slice op drives; background remainder slices
-    /// complete without touching the closed loop.
+    /// Whether this op's completion drives the client's next op and counts
+    /// the client op as completed or failed. The first slice of a
+    /// multi-slice op drives; background remainder slices complete without
+    /// touching the client or the op counters.
     pub drive: bool,
 }
 
@@ -210,9 +211,11 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
 
     /// Schedules the flush of all outstanding log state; [`drain_all`]
     /// runs the simulation and re-invokes until [`pending_log_bytes`] hits
-    /// zero.
+    /// zero. The default is [`Self::drain_until`], which flushes everything
+    /// outstanding now; override it only when the end-of-run drain differs
+    /// from the recovery gate's.
     fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        let _ = (sim, cl);
+        self.drain_until(sim, cl);
     }
 
     /// Schedules replay of the log state outstanding *now* — the paper's
@@ -221,11 +224,11 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
     /// applied. Appends arriving later need not be included: mid-replay
     /// repair gates only on the backlog that existed at failure time.
     ///
-    /// The default covers methods with no log state (drain is a no-op and
-    /// reconstruction can start immediately); deferred-recycling drivers
-    /// override it to return their booked flush completion.
+    /// The default covers methods with no log state (nothing to replay,
+    /// so reconstruction can start immediately); deferred-recycling
+    /// drivers override it to return their booked flush completion.
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        self.drain(sim, cl);
+        let _ = cl;
         sim.now()
     }
 }
@@ -236,9 +239,7 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
 /// on live nodes), and the method runs once everything it will touch is
 /// live again.
 pub fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-    if cl.faults.degraded_mode
-        && prepare_write_path(sim, cl, ctx, traces::OpKind::Update, begin_update)
-    {
+    if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_update) {
         return;
     }
     let method = Arc::clone(&cl.cfg.method);
@@ -248,9 +249,7 @@ pub fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
 /// Dispatches a fresh write to the cluster's configured method (degraded
 /// handling as in [`begin_update`]).
 pub fn begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-    if cl.faults.degraded_mode
-        && prepare_write_path(sim, cl, ctx, traces::OpKind::Write, begin_write)
-    {
+    if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_write) {
         return;
     }
     let method = Arc::clone(&cl.cfg.method);
@@ -342,7 +341,8 @@ pub(crate) fn drain_nodes(
 /// * dead home, written → the block is rebuilt inline from `k` survivors
 ///   (write-triggered recovery, racing the background repair scheduler)
 ///   and relocated to its rebuild target;
-/// * stripe below `k` survivors → the op fails (EIO) and is counted in
+/// * stripe below `k` survivors → the slice fails (EIO) through
+///   [`Cluster::finish_failed`], which counts a driving slice's op in
 ///   [`crate::cluster::Metrics::failed_ops`].
 ///
 /// Returns `true` when the op was consumed (deferred behind a rebuild, or
@@ -352,7 +352,6 @@ fn prepare_write_path(
     sim: &mut Sim<Cluster>,
     cl: &mut Cluster,
     ctx: UpdateCtx,
-    kind: traces::OpKind,
     redispatch: fn(&mut Sim<Cluster>, &mut Cluster, UpdateCtx),
 ) -> bool {
     let addr = ctx.slice.addr;
@@ -375,7 +374,7 @@ fn prepare_write_path(
                 ready = ready.max(t_rebuilt);
             }
             Err(_) => {
-                cl.finish_failed(sim, ctx, kind, ctx.start_at);
+                cl.finish_failed(sim, ctx, ctx.start_at);
                 return true;
             }
         }
@@ -408,7 +407,7 @@ fn degraded_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         Ok(s) => s,
         Err(_) => {
             // The stripe lost more than m blocks: unrecoverable, EIO.
-            cl.finish_failed(sim, ctx, traces::OpKind::Read, now);
+            cl.finish_failed(sim, ctx, now);
             return;
         }
     };

@@ -167,10 +167,6 @@ impl UpdateMethod for Parix {
         cl.finish_update(sim, ctx, t_ack);
     }
 
-    fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        self.drain_until(sim, cl);
-    }
-
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
         let t_end = methods::drain_nodes(sim, cl, recycle_node);
         for osd in cl.nodes.iter_mut() {

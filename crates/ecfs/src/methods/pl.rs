@@ -107,10 +107,6 @@ impl UpdateMethod for Pl {
         cl.finish_update(sim, ctx, t_ack);
     }
 
-    fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        self.drain_until(sim, cl);
-    }
-
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
         methods::drain_nodes(sim, cl, recycle_node)
     }

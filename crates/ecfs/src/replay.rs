@@ -2,13 +2,16 @@
 //! offered-load engine, and the measurement harvest every benchmark
 //! consumes.
 
-use simdes::stats::{SampleLog, WindowSet};
+use std::collections::VecDeque;
+
+use simdes::stats::{Gauge, Histogram, SampleLog, WindowSet};
 use simdes::{Sim, SimTime};
 
-use traces::{OpKind, TraceFamily, WorkloadParams};
+use traces::{OpKind, TraceFamily, WorkloadGen, WorkloadParams};
+use tsue::fastmap::FastMap;
 use workload::OpenLoopSpec;
 
-use crate::cluster::{ClientWindow, ClosedLoopRt, Cluster, OpenLoopRt};
+use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
@@ -284,8 +287,7 @@ impl ReplayConfigBuilder {
         self
     }
 
-    /// How load is offered (closed loop, an open-loop spec, or a timed
-    /// stream).
+    /// How load is offered (the closed loop or an open-loop spec).
     ///
     /// ```
     /// use ecfs::prelude::*;
@@ -343,11 +345,14 @@ impl ResidencySummary {
 pub struct RunResult {
     /// Display name of the method under test.
     pub method: String,
-    /// Updates acknowledged.
+    /// Updates acknowledged. The completion counters and
+    /// [`Self::failed_ops`] count each client op once, at its first
+    /// (driving) slice; only the latency histograms, the completion series
+    /// and [`Self::stage_breakdown`] count every block slice.
     pub completed_updates: u64,
-    /// Reads completed.
+    /// Reads completed, counted once per client op.
     pub completed_reads: u64,
-    /// Fresh writes completed.
+    /// Fresh writes completed, counted once per client op.
     pub completed_writes: u64,
     /// Simulated seconds from first issue to last client completion.
     pub duration_s: f64,
@@ -398,7 +403,10 @@ pub struct RunResult {
     pub degraded_reads: u64,
     /// Bytes produced by degraded-read decoding.
     pub degraded_bytes_decoded: u64,
-    /// Ops aborted because their stripe lost more than `m` blocks (EIO).
+    /// Client ops aborted (EIO) because the stripe of their first slice
+    /// lost more than `m` blocks, counted once per op: an op is either
+    /// acked or failed, so on the open loop `offered_ops` equals the
+    /// completion counters plus this.
     pub failed_ops: u64,
     /// Blocks rebuilt inline by the degraded write path.
     pub inline_rebuilds: u64,
@@ -510,8 +518,8 @@ pub struct RunResult {
     /// **every** op regardless of the trace sampling/filter knobs, so
     /// `sum(total_us)` over Update rows divided by their span count
     /// reconciles with `latency_mean_us`. (The rollup counts per *slice*,
-    /// like the latency histogram — a rare multi-block op contributes one
-    /// traced completion per 4 MiB slice, while `completed_updates`
+    /// like the latency histogram — a multi-block op contributes one
+    /// traced completion per block slice, while `completed_updates`
     /// counts the client op once.)
     pub stage_breakdown: Vec<StageRow>,
     /// Spans discarded because the trace ring filled
@@ -534,13 +542,103 @@ pub struct RunResult {
     pub setup_ms: f64,
 }
 
-/// Completion driver on the closed loop: pulls `client`'s next op from its
-/// generator and issues it now.
-fn client_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-    let rt = cl.closed_loop.as_mut().expect("closed-loop replay state");
-    if let Some(op) = rt.next_op(client) {
-        issue_op(sim, cl, client, op, sim.now());
+/// The clients a replay installs on [`Cluster::clients`]. Only this module
+/// knows how they are driven: every driving completion schedules one
+/// [`client_done`].
+pub(crate) enum ClientLoop {
+    /// Each client issues its next op the instant the previous completes.
+    Closed(ClosedLoopRt),
+    /// Ops arrive on a schedule and wait in bounded per-client windows.
+    /// Boxed: the open loop's state is ≈ 1.2 KB, the closed loop's a few
+    /// words.
+    Open(Box<OpenLoopRt>),
+}
+
+/// Closed-loop clients: per client id, the generator that yields its ops
+/// and how many it has left to issue. A client pulls each op as it issues
+/// it and drops its generator after its last, so the op supply holds
+/// O(clients) bytes however long the run.
+pub(crate) struct ClosedLoopRt {
+    clients: Vec<Option<(WorkloadGen, usize)>>,
+    state_bytes: u64,
+}
+
+impl ClosedLoopRt {
+    /// `clients` clients of `ops_per_client` ops each; client `c` draws
+    /// the stream of `WorkloadGen::new(params, seed + c)`.
+    fn new(params: WorkloadParams, clients: u64, ops_per_client: usize, seed: u64) -> Self {
+        let template = WorkloadGen::new(params, seed);
+        let clients: Vec<_> = (0..clients)
+            .map(|c| {
+                (ops_per_client > 0)
+                    .then(|| (template.reseeded(seed.wrapping_add(c)), ops_per_client))
+            })
+            .collect();
+        // Counted as `workload::ArrivalSource::state_bytes` counts its
+        // generators: slots × entry size plus each generator's heap. Taken
+        // here, where it peaks — clients only ever drop their generators.
+        let heap: usize = clients.iter().flatten().map(|(g, _)| g.heap_bytes()).sum();
+        let slots = clients.capacity() * size_of::<Option<(WorkloadGen, usize)>>();
+        ClosedLoopRt {
+            clients,
+            state_bytes: (slots + heap) as u64,
+        }
     }
+
+    /// `client`'s next op as `(offset, len, kind)`, or `None` once it has
+    /// issued all of them.
+    fn next_op(&mut self, client: u64) -> Option<(u64, u32, OpKind)> {
+        let slot = self.clients.get_mut(client as usize)?;
+        let (gen, left) = slot.as_mut()?;
+        let op = gen.next().expect("generator is infinite");
+        *left -= 1;
+        if *left == 0 {
+            *slot = None;
+        }
+        Some((op.offset, op.len, op.kind))
+    }
+}
+
+/// Open-loop window state for one *active* client: a client with at least
+/// one op outstanding or admitted. Inactive clients hold no state at all.
+#[derive(Default)]
+struct ClientWindow {
+    /// Ops currently outstanding (bounded by the window).
+    outstanding: usize,
+    /// Admitted-but-not-yet-issued ops, oldest first: arrival time and
+    /// `(offset, len, kind)`.
+    admission: VecDeque<(SimTime, (u64, u32, OpKind))>,
+}
+
+/// Open-loop clients: the bounded per-client outstanding-op windows, the
+/// admission queues behind them, and the offered-load accounting the
+/// saturation metrics are harvested from.
+///
+/// State is **sparse**: windows are keyed by client id, materialised on a
+/// client's first arrival and retired when its window drains, so resident
+/// cost scales with the number of *concurrently active* clients — a
+/// million-client population at a fixed offered rate costs the same as a
+/// thousand-client one.
+pub(crate) struct OpenLoopRt {
+    /// Maximum ops a client keeps outstanding.
+    window: usize,
+    /// Window state of currently active clients, keyed by client id.
+    active: FastMap<u64, ClientWindow>,
+    /// Concurrently active clients (current + peak).
+    active_clients: Gauge,
+    /// Admission-queue delay per op (0 for ops issued on arrival).
+    queue_delay: Histogram,
+    /// Total ops waiting in admission queues (current + peak).
+    queue_depth: Gauge,
+    /// Ops offered so far (accumulated as arrivals are delivered).
+    offered: u64,
+    /// Arrival time of the latest offered op (the offered-rate horizon).
+    horizon: SimTime,
+    /// The remaining arrival schedule, pulled one op ahead.
+    source: workload::ArrivalSource,
+    /// The next op, pulled from the source but not yet delivered (its
+    /// delivery event is on the calendar).
+    pending: Option<workload::TimedOp>,
 }
 
 /// Issues one of `client`'s ops. `issued_at` anchors the client-observed
@@ -555,37 +653,59 @@ fn issue_op(
     issued_at: SimTime,
 ) {
     let now = sim.now();
-    // Multi-block ops are issued as their first slice only for latency
-    // accounting; the remaining slices are issued concurrently and complete
-    // in the background (rare: ops cross 4 MiB boundaries). `ctx.drive`
-    // marks the driving slice, so a background slice never advances the
-    // closed loop — even when its dispatch is deferred by a park or a
-    // degraded-path rebuild.
+    // An op that crosses block boundaries is issued as all its slices at
+    // once. The first slice drives (`ctx.drive`): it alone advances the
+    // client and counts the op as completed or failed, even when its
+    // dispatch is deferred by a park or a degraded-path rebuild. The other
+    // slices complete in the background and show only in the per-slice
+    // latency histogram, completion series and trace.
     for (i, slice) in cl.layout.slices(client as u32, offset, len).enumerate() {
         let mut ctx = UpdateCtx::new(client, slice, now);
         ctx.issued_at = issued_at;
         ctx.drive = i == 0;
-        // Background slices are counted once per op: the completion-side
-        // increment is cancelled here at issue. Wrapping because a parked
-        // or degraded-deferred dispatch completes *later* — the transient
-        // dip below zero corrects itself at that completion.
         match kind {
-            OpKind::Update => {
-                methods::begin_update(sim, cl, ctx);
-                if i > 0 {
-                    cl.metrics.completed_updates = cl.metrics.completed_updates.wrapping_sub(1);
-                }
+            OpKind::Update => methods::begin_update(sim, cl, ctx),
+            OpKind::Write => methods::begin_write(sim, cl, ctx),
+            OpKind::Read => methods::begin_read(sim, cl, ctx),
+        }
+    }
+}
+
+/// A driving slice's completion, scheduled by the cluster's `finish_*`
+/// paths. On the closed loop the client pulls its next op from its
+/// generator and issues it now. On the open loop it admits its oldest
+/// queued arrival (charging its queue delay), or shrinks its outstanding
+/// count when the queue is empty — retiring the client's window state once
+/// it drains, which is what keeps the runtime O(active clients).
+pub(crate) fn client_done(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
+    let now = sim.now();
+    match cl
+        .clients
+        .as_mut()
+        .expect("only installed clients are driven")
+    {
+        ClientLoop::Closed(rt) => {
+            if let Some(op) = rt.next_op(client) {
+                issue_op(sim, cl, client, op, now);
             }
-            OpKind::Write => {
-                methods::begin_write(sim, cl, ctx);
-                if i > 0 {
-                    cl.metrics.completed_writes = cl.metrics.completed_writes.wrapping_sub(1);
+        }
+        ClientLoop::Open(ol) => {
+            let cw = ol
+                .active
+                .get_mut(&client)
+                .expect("a driving completion finds its client's window");
+            match cw.admission.pop_front() {
+                Some((arrived, op)) => {
+                    ol.queue_depth.dec();
+                    ol.queue_delay.record(now - arrived);
+                    issue_op(sim, cl, client, op, arrived);
                 }
-            }
-            OpKind::Read => {
-                methods::begin_read(sim, cl, ctx);
-                if i > 0 {
-                    cl.metrics.completed_reads = cl.metrics.completed_reads.wrapping_sub(1);
+                None => {
+                    cw.outstanding -= 1;
+                    if cw.outstanding == 0 {
+                        ol.active.remove(&client);
+                        ol.active_clients.dec();
+                    }
                 }
             }
         }
@@ -600,7 +720,9 @@ fn issue_op(
 /// Window state is materialised here, on a client's first arrival.
 fn open_loop_deliver(sim: &mut Sim<Cluster>, cl: &mut Cluster, _u: u64) {
     let now = sim.now();
-    let ol = cl.open_loop.as_mut().expect("open-loop replay state");
+    let Some(ClientLoop::Open(ol)) = cl.clients.as_mut() else {
+        unreachable!("deliveries are scheduled only on the open loop");
+    };
     let t = ol
         .pending
         .take()
@@ -632,32 +754,6 @@ fn open_loop_deliver(sim: &mut Sim<Cluster>, cl: &mut Cluster, _u: u64) {
     }
 }
 
-/// Completion driver on the open loop: admit the client's oldest queued
-/// arrival (charging its queue delay), or shrink the outstanding count
-/// when the queue is empty — retiring the client's window state entirely
-/// once it drains, which is what keeps the runtime O(active clients).
-fn open_loop_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-    let now = sim.now();
-    let ol = cl.open_loop.as_mut().expect("open-loop replay state");
-    let Some(cw) = ol.active.get_mut(&client) else {
-        return; // already retired (defensive: mirrors the old saturating_sub)
-    };
-    match cw.admission.pop_front() {
-        Some((arrived, op)) => {
-            ol.queue_depth.dec();
-            ol.queue_delay.record(now.saturating_sub(arrived));
-            issue_op(sim, cl, client, op, arrived);
-        }
-        None => {
-            cw.outstanding = cw.outstanding.saturating_sub(1);
-            if cw.outstanding == 0 {
-                ol.active.remove(&client);
-                ol.active_clients.dec();
-            }
-        }
-    }
-}
-
 /// Runs only the update phase: builds the cluster, offers every client's
 /// trace (closed-loop by default, open-loop when
 /// [`ReplayConfig::workload`] says so) to completion, and returns the
@@ -668,20 +764,17 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
     let mut cl = Cluster::new(rcfg.cluster.clone());
     let mut sim: Sim<Cluster> = Sim::new();
 
-    match &rcfg.workload {
-        Workload::ClosedLoop => {
-            // Every client issues continuously, so each holds its own
-            // generator (O(clients) state), and pulls an op only when it
-            // issues it: nothing is O(clients × ops).
-            let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
-            cl.closed_loop = Some(ClosedLoopRt::new(
-                params,
-                rcfg.cluster.clients,
-                rcfg.ops_per_client,
-                rcfg.seed,
-            ));
-            cl.client_driver = Some(client_next);
-        }
+    let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
+    cl.clients = Some(match &rcfg.workload {
+        // Every client issues continuously, so each holds its own
+        // generator (O(clients) state), and pulls an op only when it
+        // issues it: nothing is O(clients × ops).
+        Workload::ClosedLoop => ClientLoop::Closed(ClosedLoopRt::new(
+            params,
+            rcfg.cluster.clients,
+            rcfg.ops_per_client,
+            rcfg.seed,
+        )),
         Workload::Open(spec) => {
             // Same per-client content seeding as the closed loop, so an
             // unsaturated open-loop run replays statistically the same ops,
@@ -691,21 +784,27 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
             // the cluster ever holds the schedule, and resident state is
             // O(concurrently active clients) regardless of population or
             // schedule length.
-            let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
             let total = rcfg
                 .total_ops
                 .unwrap_or(rcfg.cluster.clients * rcfg.ops_per_client as u64);
-            let source = spec.source(&params, rcfg.cluster.clients, total, rcfg.seed);
-            let mut ol = OpenLoopRt::new(spec.window, source);
-            if let Some(first) = ol.source.next() {
-                let at = first.op.at_ns;
-                ol.pending = Some(first);
-                sim.schedule_call_u_at(at, open_loop_deliver, 0);
+            let mut source = spec.source(&params, rcfg.cluster.clients, total, rcfg.seed);
+            let pending = source.next();
+            if let Some(first) = &pending {
+                sim.schedule_call_u_at(first.op.at_ns, open_loop_deliver, 0);
             }
-            cl.client_driver = Some(open_loop_next);
-            cl.open_loop = Some(ol);
+            ClientLoop::Open(Box::new(OpenLoopRt {
+                window: spec.window,
+                active: FastMap::default(),
+                active_clients: Gauge::new(),
+                queue_delay: Histogram::new(),
+                queue_depth: Gauge::new(),
+                offered: 0,
+                horizon: 0,
+                source,
+                pending,
+            }))
         }
-    }
+    });
 
     // Arm the fault timeline. With the (default) empty plan nothing is
     // scheduled and no state changes: the replay is byte-for-byte the
@@ -749,12 +848,9 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
     // that queue behind each other at every hop while the fabric sits idle
     // in between. (Open-loop arrivals carry their own schedule.)
     if rcfg.workload.is_closed_loop() {
-        fn kick(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-            client_next(sim, cl, client);
-        }
         for c in 0..rcfg.cluster.clients {
             let stagger = c.wrapping_mul(137) % 4096 * simdes::units::MICROS / 8;
-            sim.schedule_call_u_at(sim.now().saturating_add(stagger), kick, c);
+            sim.schedule_call_u_at(sim.now().saturating_add(stagger), client_done, c);
         }
     }
     cl.metrics.setup_ms = setup_start.elapsed().as_secs_f64() * 1_000.0;
@@ -863,8 +959,8 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         active_clients_peak,
         client_state_bytes,
         workload_state_bytes,
-    ) = match &cl.open_loop {
-        Some(ol) => {
+    ) = match &cl.clients {
+        Some(ClientLoop::Open(ol)) => {
             let horizon_s = simdes::units::as_secs_f64(ol.horizon);
             let rate = if horizon_s > 0.0 {
                 ol.offered as f64 / horizon_s
@@ -897,10 +993,8 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
                 ol.source.state_bytes(),
             )
         }
-        None => {
-            let supply = cl.closed_loop.as_ref().map_or(0, ClosedLoopRt::state_bytes);
-            (0, 0.0, 0.0, 0.0, 0, false, 0, 0, supply)
-        }
+        Some(ClientLoop::Closed(rt)) => (0, 0.0, 0.0, 0.0, 0, false, 0, 0, rt.state_bytes),
+        None => unreachable!("run_update_phase installs the clients"),
     };
     // Both conditions guard against finite-run artefacts: a short stream's
     // completion tail depresses the goodput ratio without any queueing, and
@@ -1048,4 +1142,57 @@ fn p99_split_us(log: &SampleLog, windows: &WindowSet) -> (f64, f64) {
 
 fn log_memory(cl: &Cluster) -> u64 {
     cl.nodes.iter().map(|n| n.state.memory_bytes()).sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::{OpClass, Stage};
+    use rscode::CodeParams;
+
+    /// 4 clients × 400 Ali-Cloud ops on RS(4,2), 8 nodes and 64 KiB
+    /// blocks, traced: ops this size often span two blocks.
+    fn run(method: &str, faults: FaultPlan) -> RunResult {
+        let cluster = ClusterConfig::builder()
+            .code(CodeParams::new(4, 2).unwrap())
+            .nodes(8)
+            .clients(4)
+            .block_bytes(64 << 10)
+            .method_name(method)
+            .build()
+            .unwrap();
+        let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
+            .ops_per_client(400)
+            .faults(faults)
+            .trace(TraceConfig::on())
+            .build()
+            .unwrap();
+        Replay::run(&rcfg).result
+    }
+
+    #[test]
+    fn ops_that_span_blocks_are_counted_once_at_their_driving_slice() {
+        let acked = |r: &RunResult| r.completed_updates + r.completed_reads + r.completed_writes;
+        for method in ["FO", "TSUE", "PLR", "lru(1MiB)+CoRD"] {
+            let r = run(method, FaultPlan::new());
+            // Every traced slice opens with one queue-wait span.
+            let slices = r
+                .stage_breakdown
+                .iter()
+                .find(|row| row.class == OpClass::Update && row.stage == Stage::QueueWait)
+                .map_or(0, |row| row.count);
+            assert_eq!((acked(&r), r.failed_ops), (1_600, 0), "{method}");
+            assert!(slices > r.completed_updates, "{method}: no op spans blocks");
+
+            // Three of eight nodes fail, so stripes that lose more than
+            // m = 2 blocks fail ops; each op is still acked or failed once.
+            let at = 2 * simdes::units::MILLIS;
+            let r = run(
+                method,
+                (1..=3).fold(FaultPlan::new(), |p, n| p.fail_node(at, n)),
+            );
+            assert!(r.failed_ops > 0, "{method}: no op failed");
+            assert_eq!(acked(&r) + r.failed_ops, 1_600, "{method}");
+        }
+    }
 }
