@@ -72,6 +72,63 @@ fn cache_off_is_byte_identical_to_plain_replay() {
     }
 }
 
+/// Exact results of three 150-op cached cells: FO and TSUE behind a
+/// 1 MiB cache, and PLR behind a 64 KiB cache, which evicts. Any change to
+/// how the cache fills, probes, evicts or counts shows here.
+#[test]
+fn cached_cells_match_pinned_goldens() {
+    let code = CodeParams::new(6, 3).unwrap();
+    for (method, cache_bytes, golden) in [
+        (
+            "FO",
+            1u64 << 20,
+            "u=460 r=92 w=48 dur=0.098361845 iops=4676.61012255311 \
+            lat=(702.6588528138528,2097.152) disk=DeviceStats { reads: OpCounter { \
+            ops: 1895, bytes: 89354240 }, writes: OpCounter { ops: 1944, bytes: \
+            89346048 }, overwrites: OpCounter { ops: 1218, bytes: 50112512 }, \
+            random_reads: OpCounter { ops: 1895, bytes: 89354240 }, random_writes: \
+            OpCounter { ops: 1848, bytes: 86163456 }, erases: 0, region_erases: 0, \
+            gc_blocks_scanned: 0, gc_relocated_pages: 0, nand_pages_programmed: \
+            21825, wear_bytes: 12894208 } net=(0.08744215965270996,2642) \
+            logmem=11427520 stalls=0 legacycache=0 cache=(94,47,0.5) \
+            read_mean=254.91045744680852 drain=0.0 viol=0 events=604",
+        ),
+        (
+            "TSUE",
+            1 << 20,
+            "u=460 r=92 w=48 dur=0.056908238 iops=8083.188237175785 \
+            lat=(392.83431601731604,1048.576) disk=DeviceStats { reads: OpCounter { \
+            ops: 525, bytes: 45027328 }, writes: OpCounter { ops: 2106, bytes: \
+            140537856 }, overwrites: OpCounter { ops: 82, bytes: 5865472 }, \
+            random_reads: OpCounter { ops: 525, bytes: 45027328 }, random_writes: \
+            OpCounter { ops: 482, bytes: 41885696 }, erases: 0, region_erases: 0, \
+            gc_blocks_scanned: 0, gc_relocated_pages: 0, nand_pages_programmed: \
+            34323, wear_bytes: 19230720 } net=(0.08636641502380371,2202) \
+            logmem=6638427840 stalls=0 legacycache=4 cache=(94,47,0.5) \
+            read_mean=252.65353191489362 drain=0.021 viol=0 events=748",
+        ),
+        (
+            "PLR",
+            64 << 10,
+            "u=460 r=92 w=48 dur=0.182230457 iops=2524.2761697074598 \
+            lat=(1251.0870303030304,8388.608) disk=DeviceStats { reads: OpCounter { \
+            ops: 2249, bytes: 155283456 }, writes: OpCounter { ops: 3330, bytes: \
+            153968640 }, overwrites: OpCounter { ops: 2496, bytes: 111591424 }, \
+            random_reads: OpCounter { ops: 1940, bytes: 90660864 }, random_writes: \
+            OpCounter { ops: 3234, bytes: 150786048 }, erases: 309, region_erases: \
+            309, gc_blocks_scanned: 0, gc_relocated_pages: 0, nand_pages_programmed: \
+            37602, wear_bytes: 25116672 } net=(0.08744215965270996,2642) \
+            logmem=1002560 stalls=0 legacycache=0 cache=(94,2,0.02127659574468085) \
+            read_mean=283.32255319148936 drain=0.006558989 viol=0 events=605",
+        ),
+    ] {
+        let spec = format!("lru({}KiB)+{method}", cache_bytes >> 10);
+        let cluster = builder(code).method_name(spec).build().unwrap();
+        let res = Replay::run(&replay_cfg(cluster, 150)).result;
+        assert_eq!(canon(&res), golden, "{method} behind {cache_bytes} B");
+    }
+}
+
 /// An armed cache replays deterministically: two runs of the same
 /// decorated config are byte-identical (deterministic LRU replacement, no
 /// clocks anywhere).
