@@ -1,10 +1,9 @@
-//! Cache sweep: the node-local LRU read-cache decorator measured over
-//! every update method via the method-spec grammar.
+//! Cache sweep: the node-local LRU read cache
+//! (`ClusterConfig::read_cache_bytes`) measured under every update method.
 //!
-//! Each method replays the Ali-Cloud mix bare and under `lru(S)+<method>`
-//! for a ramp of cache sizes. The table reports the spec string the cell
-//! was built from (every one must round-trip through `MethodSpec::parse`,
-//! which the sweep asserts per row), the hit ratio, update IOPS and the
+//! Each method replays the Ali-Cloud mix bare and behind a cache for a
+//! ramp of sizes. The table labels a cell `lru(S)+<method>` (bare cells
+//! by the method's name), then reports the hit ratio, update IOPS and the
 //! exact mean read latency.
 //!
 //! Expected shape: hit ratio grows monotonically with cache size for every
@@ -27,9 +26,10 @@ use traces::TraceFamily;
 use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
 use tsue_bench::{ssd_replay, BenchReport};
 
-/// The swept LRU capacities: 64 KiB misses most of the hot set at this
-/// scale, 64 MiB holds effectively all of it.
-const CACHE_SIZES: [&str; 3] = ["64KiB", "1MiB", "64MiB"];
+/// The swept LRU capacities, labelled as the table spells them: 64 KiB
+/// misses most of the hot set at this scale, 64 MiB holds effectively
+/// all of it.
+const CACHE_SIZES: [(&str, u64); 3] = [("64KiB", 64 << 10), ("1MiB", 1 << 20), ("64MiB", 64 << 20)];
 
 /// Every built-in method; the smoke scale keeps FO, PLR and TSUE.
 fn methods() -> Vec<Arc<dyn UpdateMethod>> {
@@ -39,13 +39,12 @@ fn methods() -> Vec<Arc<dyn UpdateMethod>> {
         .collect()
 }
 
-/// One replay cell: the standard SSD testbed running the method `spec`
-/// builds.
-fn cell(spec: &str) -> ReplayConfig {
+/// One replay cell: the standard SSD testbed running `method`, behind a
+/// read cache of `cache_bytes` per node if set.
+fn cell(method: &Arc<dyn UpdateMethod>, cache_bytes: Option<u64>) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
-    let parsed = MethodSpec::parse(spec).expect("sweep specs are well-formed");
-    let method = build_method(&parsed).expect("sweep specs resolve");
-    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
+    let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+    r.cluster.read_cache_bytes = cache_bytes;
     r.volume_bytes = 32 << 20;
     r
 }
@@ -56,14 +55,12 @@ type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
     let mut cells = Vec::new();
-    for method in methods().iter().map(|m| m.name()) {
-        let mut push = |spec: String, size: Option<&'static str>| {
-            let rcfg = cell(&spec);
-            cells.push(((method.to_string(), spec, size), rcfg));
-        };
-        push(method.to_string(), None);
-        for size in CACHE_SIZES {
-            push(format!("lru({size})+{method}"), Some(size));
+    for method in methods() {
+        let name = method.name().to_string();
+        cells.push(((name.clone(), name.clone(), None), cell(&method, None)));
+        for (size, bytes) in CACHE_SIZES {
+            let label = (name.clone(), format!("lru({size})+{name}"), Some(size));
+            cells.push((label, cell(&method, Some(bytes))));
         }
     }
     let title = "Cache sweep: RS(6,3) Ali-Cloud, node-local LRU read cache over every method";
@@ -79,11 +76,9 @@ pub fn sweep() -> Sweep<Label> {
 }
 
 fn check(results: &Results<Label>, report: &mut BenchReport) {
-    for ((_, spec, _), res) in results.iter() {
-        assert_eq!(res.method, *spec, "{spec}: method name drifted");
-        let parsed = MethodSpec::parse(spec).expect("row spec parses");
-        assert_eq!(parsed.to_string(), *spec, "{spec}: not canonical");
-        if parsed.lru.is_some() {
+    for ((method, spec, size), res) in results.iter() {
+        assert_eq!(res.method, *method, "{spec}: method name drifted");
+        if size.is_some() {
             assert!(res.cache_lookups > 0, "{spec}: cache never consulted");
         } else {
             assert_eq!(res.cache_lookups, 0, "{spec}: bare cell probed a cache");
@@ -102,7 +97,7 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
     for method in methods.iter().map(|m| m.name()) {
         let bare = lookup(method, &|spec, _| spec == method);
         let mut ramp = Vec::new();
-        for swept in CACHE_SIZES {
+        for (swept, _) in CACHE_SIZES {
             let res = lookup(method, &|_, size| size == Some(swept));
             report.add_finding(&format!("hit_ratio_{method}_{swept}"), res.cache_hit_ratio);
             ramp.push(res.cache_hit_ratio);
@@ -119,7 +114,7 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
             ramp[0],
             ramp[1],
             ramp[2],
-            CACHE_SIZES,
+            CACHE_SIZES.map(|(size, _)| size),
             gain,
             bare.read_mean_us,
             best.read_mean_us,

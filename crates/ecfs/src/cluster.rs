@@ -9,6 +9,7 @@ use simnet::{FlowClass, NetConfig, Network};
 use rscode::ReedSolomon;
 use tsue::fastmap::FastMap;
 
+use crate::cache::PageCache;
 use crate::config::ClusterConfig;
 use crate::fault::FaultState;
 use crate::layout::{BlockAddr, Layout};
@@ -105,10 +106,10 @@ pub struct Metrics {
     pub last_completion: SimTime,
     /// Reads served from a log read-cache.
     pub cache_read_hits: u64,
-    /// Reads checked against a node-local cache decorator
+    /// Reads checked against the node-local read cache
     /// ([`crate::cache`]); 0 unless a read cache is armed.
     pub cache_lookups: u64,
-    /// Reads served from the node-local cache decorator (memory, no disk).
+    /// Reads served from the node-local read cache (memory, no disk).
     pub cache_hits: u64,
     /// Residency per TSUE log layer, indexed by
     /// [`crate::methods::tsue_drv::Layer`].
@@ -163,7 +164,8 @@ impl Default for Metrics {
 /// A parked continuation awaiting log-recycle progress.
 pub type Waiter = Box<dyn FnOnce(&mut Sim<Cluster>, &mut Cluster) + Send>;
 
-/// One OSD node: a disk, method-specific log state, and stalled waiters.
+/// One OSD node: a disk, method-specific log state, the read cache, and
+/// stalled waiters.
 pub struct Osd {
     /// Node id.
     pub id: usize,
@@ -172,6 +174,9 @@ pub struct Osd {
     /// Method-specific log structures (downcast via
     /// [`dyn NodeLogState::downcast_ref`] in the method's driver).
     pub state: Box<dyn NodeLogState>,
+    /// The node-local LRU read cache ([`crate::cache`]), armed by
+    /// [`ClusterConfig::read_cache_bytes`].
+    pub cache: Option<PageCache>,
     /// Continuations blocked on log back-pressure.
     pub waiters: Vec<Waiter>,
     /// Whether the node is failed (recovery experiments).
@@ -280,6 +285,7 @@ impl Cluster {
                 // (foreground, recycle, repair) runs at that disk's rate.
                 disk: cfg.fleet.build_disk(id),
                 state: cfg.method.new_node_state(&cfg),
+                cache: cfg.read_cache_bytes.map(PageCache::new),
                 waiters: Vec::new(),
                 failed: false,
                 log_cursor: 0,

@@ -2,13 +2,12 @@
 //!
 //! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
 //! driver implementing the trait: a built-in
-//! ([`crate::methods::builtins`]), possibly behind the LRU read-cache
-//! decorator named by a spec string, or one defined outside this crate
-//! and passed by handle.
+//! ([`crate::methods::builtins`]), named or passed by handle, or one
+//! defined outside this crate and passed by handle.
 //!
 //! [`ClusterConfig`] holds what experiments vary: the cluster's shape,
-//! devices and fabric, TSUE's Fig. 7 toggles, log-unit size and Fig. 6b
-//! quota, and FL's recycle threshold. A method's other sizes (PLR's
+//! devices and fabric, the node-local read cache, TSUE's Fig. 7 toggles,
+//! log-unit size and Fig. 6b quota, and FL's recycle threshold. A method's other sizes (PLR's
 //! reserved space, CoRD's collector buffer, PARIX's epoch length, TSUE's
 //! recycle CPU cost) are constants in its driver.
 
@@ -19,8 +18,9 @@ use simdisk::{HddConfig, SsdConfig};
 use tsue::pool::PoolConfig;
 use tsue::MergeMode;
 
+use crate::cache::PAGE_BYTES;
 use crate::fleet::DiskFleet;
-use crate::methods::{build_method, MethodSpec, UpdateMethod};
+use crate::methods::{builtins, UpdateMethod};
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// A rejected configuration, with the reason.
@@ -159,9 +159,12 @@ pub struct ClusterConfig {
     /// the built-ins).
     pub placement: Arc<dyn PlacementPolicy>,
     /// Update method under test (trait object; see
-    /// [`crate::methods::builtins`] for the built-ins and
-    /// [`crate::methods::build_method`] for decorated spec strings).
+    /// [`crate::methods::builtins`] for the built-ins).
     pub method: Arc<dyn UpdateMethod>,
+    /// Capacity in bytes of each node's LRU read cache ([`crate::cache`]),
+    /// at least one 4 KiB page; `None` (the default) arms no cache. It
+    /// works under any method, a custom one included.
+    pub read_cache_bytes: Option<u64>,
     /// TSUE feature toggles (ignored by other methods).
     pub tsue: TsueFeatures,
     /// Log-unit size for TSUE layers.
@@ -194,6 +197,7 @@ impl ClusterConfig {
             oversubscription: 1.0,
             placement: Arc::new(FlatRotate),
             method,
+            read_cache_bytes: None,
             tsue: TsueFeatures::full(),
             tsue_unit_bytes: 16 << 20,
             tsue_max_units: 4,
@@ -311,6 +315,11 @@ impl ClusterConfig {
         if self.net_bandwidth == 0 {
             return Err("net_bandwidth must be positive".into());
         }
+        if let Some(bytes) = self.read_cache_bytes.filter(|&b| b < PAGE_BYTES) {
+            return Err(ConfigError(format!(
+                "read_cache_bytes = {bytes} is below one {PAGE_BYTES} B page"
+            )));
+        }
         self.fleet.validate(self.nodes).map_err(ConfigError)?;
         if self.racks == 0 {
             return Err("racks must be at least 1".into());
@@ -376,6 +385,7 @@ pub struct ClusterConfigBuilder {
     racks: Option<usize>,
     oversubscription: Option<f64>,
     placement: Option<Arc<dyn PlacementPolicy>>,
+    read_cache_bytes: Option<u64>,
     tsue: Option<TsueFeatures>,
     tsue_unit_bytes: Option<u64>,
     tsue_max_units: Option<usize>,
@@ -418,6 +428,8 @@ impl ClusterConfigBuilder {
         oversubscription: f64,
         /// The block-placement policy, e.g. `Arc::new(RackAware)`.
         placement: Arc<dyn PlacementPolicy>,
+        /// Per-node LRU read-cache capacity in bytes (unset: no cache).
+        read_cache_bytes: u64,
         /// TSUE feature toggles.
         tsue: TsueFeatures,
         /// Log-unit size for TSUE layers.
@@ -466,11 +478,10 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// The update method as a *spec string*, `[lru(SIZE)+]NAME` — a
-    /// built-in's name, optionally behind a node-local LRU read cache
-    /// ([`crate::methods::spec`]) — parsed and resolved by
-    /// [`crate::methods::build_method`] at [`Self::build`] time. It is the
-    /// only way to arm the read cache.
+    /// The update method by name: one of the seven built-ins
+    /// ([`crate::methods::builtins`]), in any case, resolved at
+    /// [`Self::build`] time. An unknown name is a [`ConfigError`] listing
+    /// the seven.
     ///
     /// ```
     /// use ecfs::ClusterConfig;
@@ -478,10 +489,12 @@ impl ClusterConfigBuilder {
     ///
     /// let cfg = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method_name("LRU(65536KiB)+plr")
+    ///     .method_name("plr")
+    ///     .read_cache_bytes(64 << 20)
     ///     .build()
     ///     .unwrap();
-    /// assert_eq!(cfg.method.name(), "lru(64MiB)+PLR");
+    /// assert_eq!(cfg.method.name(), "PLR");
+    /// assert_eq!(cfg.read_cache_bytes, Some(64 << 20));
     /// ```
     pub fn method_name(mut self, name: impl Into<String>) -> Self {
         self.method = Some(MethodChoice::Name(name.into()));
@@ -493,9 +506,7 @@ impl ClusterConfigBuilder {
         let code = self.code.ok_or(ConfigError::from("code is required"))?;
         let method = match self.method {
             Some(MethodChoice::Driver(driver)) => driver,
-            Some(MethodChoice::Name(name)) => MethodSpec::parse(&name)
-                .and_then(|spec| build_method(&spec))
-                .map_err(|e| ConfigError(e.to_string()))?,
+            Some(MethodChoice::Name(name)) => builtin(&name)?,
             None => return Err("an update method is required".into()),
         };
         let defaults = ClusterConfig::ssd_testbed(code, Arc::clone(&method));
@@ -511,6 +522,7 @@ impl ClusterConfigBuilder {
             oversubscription: self.oversubscription.unwrap_or(defaults.oversubscription),
             placement: self.placement.unwrap_or(defaults.placement),
             method,
+            read_cache_bytes: self.read_cache_bytes,
             tsue: self.tsue.unwrap_or(defaults.tsue),
             tsue_unit_bytes: self.tsue_unit_bytes.unwrap_or(defaults.tsue_unit_bytes),
             tsue_max_units: self.tsue_max_units.unwrap_or(defaults.tsue_max_units),
@@ -521,6 +533,22 @@ impl ClusterConfigBuilder {
         cfg.validate()?;
         Ok(cfg)
     }
+}
+
+/// The built-in method named `name`, ignoring ASCII case.
+fn builtin(name: &str) -> Result<Arc<dyn UpdateMethod>, ConfigError> {
+    let builtins = builtins();
+    if let Some(m) = builtins
+        .iter()
+        .find(|m| m.name().eq_ignore_ascii_case(name))
+    {
+        return Ok(Arc::clone(m));
+    }
+    let names: Vec<&str> = builtins.iter().map(|m| m.name()).collect();
+    Err(ConfigError(format!(
+        "unknown update method {name:?} (expected one of {})",
+        names.join(", ")
+    )))
 }
 
 #[cfg(test)]
@@ -606,36 +634,31 @@ mod tests {
         assert!(msg.contains("warp-drive") && msg.contains("TSUE"), "{msg}");
     }
 
+    /// A built-in's name is its driver's `name()`, in Fig. 5 order, and
+    /// that name in any case resolves to it.
     #[test]
-    fn builder_parses_decorated_method_names() {
-        let cfg = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method_name("lru(1MiB)+tsue")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.method.name(), "lru(1MiB)+TSUE");
-        // In another case and unit, a spec still reports the canonical
-        // name: the largest exact unit, then the driver's own name.
-        let cfg = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method_name("LRU(1024KiB)+cord")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.method.name(), "lru(1MiB)+CoRD");
-        // Write staging is not a decorator.
-        let err = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method_name("stage(64KiB,1ms)+cord")
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("stage"), "{err}");
-        // A malformed decorator surfaces as a ConfigError, not a panic.
-        let err = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method_name("lru(16B)+FO")
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("cache size"));
+    fn builtins_resolve_by_any_case() {
+        let names: Vec<String> = builtins().iter().map(|m| m.name().to_string()).collect();
+        assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
+        for name in &names {
+            for spelled in [name.clone(), name.to_lowercase(), name.to_uppercase()] {
+                assert_eq!(builtin(&spelled).unwrap().name(), name);
+            }
+        }
+    }
+
+    /// An unknown name lists the seven, and names take no cache prefix.
+    #[test]
+    fn unknown_method_names_the_builtins() {
+        for name in ["warp-drive", "lru(1MiB)+FO", "stage(64KiB,1ms)+cord", ""] {
+            assert_eq!(
+                builtin(name).unwrap_err().0,
+                format!(
+                    "unknown update method {name:?} \
+                     (expected one of FO, FL, PL, PLR, PARIX, CoRD, TSUE)"
+                )
+            );
+        }
     }
 
     #[test]

@@ -38,13 +38,13 @@ pub mod recovery;
 pub mod replay;
 pub mod telemetry;
 
-pub use cache::{Cached, PageCache};
+pub use cache::PageCache;
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures};
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::{MaintenancePlan, MaintenancePolicy};
-pub use methods::{MethodSpec, NodeLogState, ResolveError, UpdateCtx, UpdateMethod};
+pub use methods::{NodeLogState, UpdateCtx, UpdateMethod};
 pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
@@ -60,7 +60,7 @@ pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 /// assert!(rcfg.validate().is_ok());
 /// ```
 pub mod prelude {
-    pub use crate::cache::{Cached, PageCache};
+    pub use crate::cache::PageCache;
     pub use crate::cluster::{Cluster, IntervalSet, Metrics, Oracle, Osd};
     pub use crate::config::{
         ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures,
@@ -72,8 +72,8 @@ pub mod prelude {
         LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, ScrubConfig,
     };
     pub use crate::methods::{
-        build_method, builtins, Cord, Fl, Fo, MethodSpec, NodeLogState, Parix, Pl, PlainState, Plr,
-        ResolveError, Tsue, UpdateCtx, UpdateMethod,
+        builtins, Cord, Fl, Fo, NodeLogState, Parix, Pl, PlainState, Plr, Tsue, UpdateCtx,
+        UpdateMethod,
     };
     pub use crate::placement::{
         CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,

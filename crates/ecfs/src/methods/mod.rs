@@ -8,22 +8,27 @@
 //!   for one sub-block update (time-forwarding style: it books every disk
 //!   op and network hop on the shared resources, then reports the ack time
 //!   via [`crate::cluster::Cluster::finish_update`]);
-//! * [`UpdateMethod::begin_read`] / [`UpdateMethod::begin_write`] — the
-//!   read and fresh-write paths (identical across methods except for log
-//!   read-caches, so the trait provides them as defaults);
 //! * [`UpdateMethod::drain`] — flushes all outstanding log state (end of
 //!   run, and the prerequisite for recovery — the paper's consistency
 //!   argument in §2.3.2);
 //! * [`UpdateMethod::new_node_state`] — the constructor hook producing the
-//!   method's per-node log state ([`NodeLogState`]).
+//!   method's per-node log state ([`NodeLogState`]);
+//! * [`UpdateMethod::parity_reserved_bytes`] — device space the layout
+//!   reserves beside each parity block (PLR's).
+//!
+//! Reads and fresh writes take one path for every method ([`begin_read`],
+//! [`begin_write`]): a read consults the method's log read cache
+//! ([`NodeLogState::read_cache_covers`]) before the disk. The node-local
+//! LRU read cache ([`crate::cache`]) is a cluster setting, not a method:
+//! [`ClusterConfig::read_cache_bytes`] arms it under any driver.
 //!
 //! A method is its driver: the paper's seven are the unit structs
 //! re-exported here ([`Fo`], [`Fl`], [`Pl`], [`Plr`], [`Parix`], [`Cord`],
 //! [`Tsue`]), listed in Fig. 5 order by [`builtins`], and named by what
-//! [`UpdateMethod::name`] returns. A spec string ([`spec`]) names a
-//! built-in, optionally behind the node-local LRU read cache, and
-//! [`build_method`] resolves it. A custom method needs no changes inside
-//! this crate: its driver is passed by handle to
+//! [`UpdateMethod::name`] returns;
+//! [`crate::config::ClusterConfigBuilder::method_name`] resolves that name
+//! in any case. A custom method needs no changes inside this crate: its
+//! driver is passed by handle to
 //! [`crate::config::ClusterConfigBuilder::method`] — see
 //! `crates/ecfs/tests/custom_method.rs`.
 
@@ -33,7 +38,6 @@ pub mod fo;
 pub mod parix;
 pub mod pl;
 pub mod plr;
-pub mod spec;
 pub mod tsue_drv;
 
 use std::any::Any;
@@ -53,11 +57,11 @@ pub use fo::Fo;
 pub use parix::Parix;
 pub use pl::Pl;
 pub use plr::Plr;
-pub use spec::{build_method, MethodSpec, ResolveError};
 pub use tsue_drv::Tsue;
 
 /// The paper's seven update methods, one driver each, in Fig. 5 order
-/// (`FO FL PL PLR PARIX CoRD TSUE`). [`build_method`] resolves spec names
+/// (`FO FL PL PLR PARIX CoRD TSUE`).
+/// [`crate::config::ClusterConfigBuilder::method_name`] resolves names
 /// against them, and sweeps iterate them.
 pub fn builtins() -> [Arc<dyn UpdateMethod>; 7] {
     [
@@ -92,42 +96,17 @@ pub trait NodeLogState: Any + Send {
         let _ = (addr, offset, len);
         false
     }
-
-    /// The wrapped state, for decorator states holding another method's
-    /// state inside ([`crate::cache::CacheNodeState`]). `None` for every
-    /// plain driver state. [`dyn NodeLogState::downcast_ref`] /
-    /// [`dyn NodeLogState::downcast_mut`] recurse through this, so a
-    /// driver's downcasts keep working unchanged under any decorator stack.
-    fn inner(&self) -> Option<&dyn NodeLogState> {
-        None
-    }
-
-    /// Mutable access to the wrapped state (see [`Self::inner`]).
-    fn inner_mut(&mut self) -> Option<&mut dyn NodeLogState> {
-        None
-    }
 }
 
 impl dyn NodeLogState {
-    /// Downcasts to a concrete state type, looking through decorator
-    /// states ([`NodeLogState::inner`]) until a match is found.
+    /// Downcasts to a concrete state type.
     pub fn downcast_ref<T: NodeLogState>(&self) -> Option<&T> {
-        if let Some(t) = (self as &dyn Any).downcast_ref::<T>() {
-            return Some(t);
-        }
-        self.inner().and_then(|s| s.downcast_ref::<T>())
+        (self as &dyn Any).downcast_ref::<T>()
     }
 
-    /// Downcasts to a concrete state type, mutably, looking through
-    /// decorator states ([`NodeLogState::inner_mut`]).
+    /// Downcasts to a concrete state type, mutably.
     pub fn downcast_mut<T: NodeLogState>(&mut self) -> Option<&mut T> {
-        // Two-phase: probing `self` first borrows it mutably for the whole
-        // match in NLL terms, so check the type with an immutable probe
-        // before committing to either branch.
-        if (self as &dyn Any).is::<T>() {
-            return (self as &mut dyn Any).downcast_mut::<T>();
-        }
-        self.inner_mut().and_then(|s| s.downcast_mut::<T>())
+        (self as &mut dyn Any).downcast_mut::<T>()
     }
 }
 
@@ -178,7 +157,8 @@ impl UpdateCtx {
 /// state lives in per-node [`NodeLogState`]), so one `Arc<dyn UpdateMethod>`
 /// serves a whole cluster.
 pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
-    /// Display name (used in results, tables, and spec-string lookups).
+    /// Display name (used in results, tables, and
+    /// [`crate::config::ClusterConfigBuilder::method_name`] lookups).
     fn name(&self) -> &str;
 
     /// Builds the method's per-node log state. The default keeps none.
@@ -196,18 +176,6 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
     /// Runs the method's full front-end path for one sub-block update and
     /// eventually reports the ack via [`Cluster::finish_update`].
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx);
-
-    /// The fresh-write path. The default books the encode-path write shared
-    /// by all methods; override only for methods with a custom ingest path.
-    fn begin_write(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        default_begin_write(sim, cl, ctx);
-    }
-
-    /// The read path. The default consults [`NodeLogState::read_cache_covers`]
-    /// before charging the disk.
-    fn begin_read(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        default_begin_read(sim, cl, ctx);
-    }
 
     /// Schedules the flush of all outstanding log state; [`drain_all`]
     /// runs the simulation and re-invokes until [`pending_log_bytes`] hits
@@ -237,28 +205,32 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
 /// cluster the dispatch first restores the stripe's write path: blocks
 /// homed on dead nodes are rebuilt-and-relocated inline (or freshly placed
 /// on live nodes), and the method runs once everything it will touch is
-/// live again.
+/// live again. An armed read cache ([`crate::cache`]) takes the updated
+/// range first, so later reads of it hit.
 pub fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_update) {
         return;
     }
+    crate::cache::fill(cl, &ctx);
     let method = Arc::clone(&cl.cfg.method);
     method.begin_update(sim, cl, ctx);
 }
 
-/// Dispatches a fresh write to the cluster's configured method (degraded
-/// handling as in [`begin_update`]).
+/// Dispatches a fresh write: every method books the same encode-path
+/// write (degraded handling and read-cache fill as in [`begin_update`]).
 pub fn begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_write) {
         return;
     }
-    let method = Arc::clone(&cl.cfg.method);
-    method.begin_write(sim, cl, ctx);
+    crate::cache::fill(cl, &ctx);
+    write_path(sim, cl, ctx);
 }
 
-/// Dispatches a read to the cluster's configured method. A read whose
-/// target block sits on a dead node is served degraded: the lost block is
-/// decoded from `k` survivors, charged as `k` transfers on the fabric.
+/// Dispatches a read. A read whose target block sits on a dead node is
+/// served degraded: the lost block is decoded from `k` survivors, charged
+/// as `k` transfers on the fabric. Otherwise an armed read cache
+/// ([`crate::cache`]) serves a hit from memory, and a miss reads the disk
+/// unless the method's own log read cache covers the range.
 pub fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     if cl.faults.degraded_mode {
         let addr = ctx.slice.addr;
@@ -274,8 +246,10 @@ pub fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
             cl.layout.place_on(addr, target);
         }
     }
-    let method = Arc::clone(&cl.cfg.method);
-    method.begin_read(sim, cl, ctx);
+    if crate::cache::serve_read(sim, cl, ctx) {
+        return;
+    }
+    read_path(sim, cl, ctx);
 }
 
 /// Dispatches a drain to the cluster's configured method. Run the sim to
@@ -439,7 +413,7 @@ fn degraded_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
 /// The fresh-write path, identical for all methods: the client has already
 /// encoded the stripe, so the data lands as a sequential write on the data
 /// node plus an amortised `m/k` share of sequential parity writes.
-pub fn default_begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+fn write_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let (node, dev_off) = cl.layout.locate(ctx.slice.addr);
     let len = ctx.slice.len as u64;
     let now = ctx.start_at;
@@ -481,7 +455,7 @@ pub fn default_begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
 
 /// The read path: a log read-cache hit (per [`NodeLogState::read_cache_covers`])
 /// skips the disk.
-pub fn default_begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+fn read_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let (node, dev_off) = cl.layout.locate(ctx.slice.addr);
     let len = ctx.slice.len as u64;
     let now = ctx.start_at;

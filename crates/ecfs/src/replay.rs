@@ -15,7 +15,6 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
-use crate::methods::spec::MethodSpec;
 use crate::methods::tsue_drv::Layer;
 use crate::methods::{self, UpdateCtx};
 use crate::recovery;
@@ -157,10 +156,8 @@ impl ReplayConfig {
         }
         // TSUE appends each update slice to one DataLog unit whole, so a
         // unit smaller than the largest slice would panic mid-replay. A
-        // slice is at most one block and one op. (`Cached` names itself by
-        // its canonical spec, so the base name is TSUE's behind a cache.)
-        let spec = MethodSpec::parse(self.cluster.method.name()).ok();
-        if spec.is_some_and(|spec| spec.base.eq_ignore_ascii_case("TSUE")) {
+        // slice is at most one block and one op.
+        if self.cluster.method.name().eq_ignore_ascii_case("TSUE") {
             let block = self.cluster.block_bytes;
             let largest_op = WorkloadParams::for_family(self.family, self.volume_bytes)
                 .size_dist
@@ -343,7 +340,9 @@ impl ResidencySummary {
 /// Everything a benchmark needs from one replay.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Display name of the method under test.
+    /// Display name of the method under test: its driver's
+    /// [`crate::methods::UpdateMethod::name`]. An armed read cache
+    /// ([`ClusterConfig::read_cache_bytes`]) does not change it.
     pub method: String,
     /// Updates acknowledged. The completion counters and
     /// [`Self::failed_ops`] count each client op once, at its first
@@ -374,7 +373,9 @@ pub struct RunResult {
     pub erases: u64,
     /// Update completions per second over time (Fig. 6a series).
     pub series: Vec<(f64, f64)>,
-    /// Log memory footprint at end of run (bytes).
+    /// Log memory footprint at end of run (bytes): every node's
+    /// [`crate::methods::NodeLogState::memory_bytes`], plus the pages an
+    /// armed read cache ([`crate::cache`]) holds.
     pub log_memory_bytes: u64,
     /// DataLog residency.
     pub data_residency: ResidencySummary,
@@ -386,11 +387,11 @@ pub struct RunResult {
     pub stalls: u64,
     /// Reads served from log caches.
     pub cache_read_hits: u64,
-    /// Reads checked against a node-local cache decorator
+    /// Reads checked against the node-local read cache
     /// ([`crate::cache`]); 0 unless a read cache is armed.
     pub cache_lookups: u64,
-    /// Reads served from the node-local cache decorator (no disk, no
-    /// delegation to the wrapped method).
+    /// Reads served from the node-local read cache (no disk, and the
+    /// method's read path not taken).
     pub cache_hits: u64,
     /// [`Self::cache_hits`] over [`Self::cache_lookups`] (0.0 when no
     /// lookups happened).
@@ -1141,7 +1142,10 @@ fn p99_split_us(log: &SampleLog, windows: &WindowSet) -> (f64, f64) {
 }
 
 fn log_memory(cl: &Cluster) -> u64 {
-    cl.nodes.iter().map(|n| n.state.memory_bytes()).sum()
+    cl.nodes
+        .iter()
+        .map(|n| n.state.memory_bytes() + n.cache.as_ref().map_or(0, |c| c.memory_bytes()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -1152,8 +1156,8 @@ mod tests {
 
     /// 4 clients × 400 Ali-Cloud ops on RS(4,2), 8 nodes and 64 KiB
     /// blocks, traced: ops this size often span two blocks.
-    fn run(method: &str, faults: FaultPlan) -> RunResult {
-        let cluster = ClusterConfig::builder()
+    fn run(method: &str, read_cache_bytes: Option<u64>, faults: FaultPlan) -> RunResult {
+        let mut cluster = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .nodes(8)
             .clients(4)
@@ -1161,6 +1165,7 @@ mod tests {
             .method_name(method)
             .build()
             .unwrap();
+        cluster.read_cache_bytes = read_cache_bytes;
         let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
             .ops_per_client(400)
             .faults(faults)
@@ -1173,8 +1178,13 @@ mod tests {
     #[test]
     fn ops_that_span_blocks_are_counted_once_at_their_driving_slice() {
         let acked = |r: &RunResult| r.completed_updates + r.completed_reads + r.completed_writes;
-        for method in ["FO", "TSUE", "PLR", "lru(1MiB)+CoRD"] {
-            let r = run(method, FaultPlan::new());
+        for (method, cache) in [
+            ("FO", None),
+            ("TSUE", None),
+            ("PLR", None),
+            ("CoRD", Some(1 << 20)),
+        ] {
+            let r = run(method, cache, FaultPlan::new());
             // Every traced slice opens with one queue-wait span.
             let slices = r
                 .stage_breakdown
@@ -1189,6 +1199,7 @@ mod tests {
             let at = 2 * simdes::units::MILLIS;
             let r = run(
                 method,
+                cache,
                 (1..=3).fold(FaultPlan::new(), |p, n| p.fail_node(at, n)),
             );
             assert!(r.failed_ops > 0, "{method}: no op failed");

@@ -79,6 +79,24 @@ fn cluster_builder_rejects_with_reasons() {
         .unwrap_err();
     assert!(err.to_string().contains("bandwidth"), "{err}");
 
+    // A read cache smaller than one 4 KiB page; one page is the minimum.
+    for bytes in [0, 16, 4095] {
+        let err = ClusterConfig::builder()
+            .code(code64())
+            .method(Arc::new(Fo))
+            .read_cache_bytes(bytes)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("read_cache_bytes"), "{err}");
+    }
+    let cfg = ClusterConfig::builder()
+        .code(code64())
+        .method(Arc::new(Fo))
+        .read_cache_bytes(4096)
+        .build()
+        .expect("one page is enough");
+    assert_eq!(cfg.read_cache_bytes, Some(4096));
+
     // Zero racks.
     let err = ClusterConfig::builder()
         .code(code64())
@@ -227,7 +245,8 @@ fn replay_builder_rejects_an_on_off_curve_with_a_silent_burst() {
 fn replay_builder_accepts_a_read_cache_with_a_fault_plan() {
     let cached = ClusterConfig::builder()
         .code(code64())
-        .method_name("lru(64MiB)+TSUE")
+        .method_name("TSUE")
+        .read_cache_bytes(64 << 20)
         .build()
         .unwrap();
     ReplayConfig::builder(cached, TraceFamily::AliCloud)
@@ -250,8 +269,10 @@ fn replay_builder_rejects_tsue_units_below_the_largest_record() {
 
     // Ali-Cloud issues 256 KiB ops: a 64 KiB unit cannot take one, plain
     // or behind a read cache.
-    for method in ["TSUE", "lru(64MiB)+TSUE"] {
-        let err = build(cluster(method, 64 << 10), TraceFamily::AliCloud).unwrap_err();
+    let mut cached = cluster("TSUE", 64 << 10);
+    cached.read_cache_bytes = Some(64 << 20);
+    for tsue in [cluster("TSUE", 64 << 10), cached] {
+        let err = build(tsue, TraceFamily::AliCloud).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("65536") && msg.contains("262144"), "{msg}");
     }

@@ -112,3 +112,29 @@ fn custom_method_replays_by_handle() {
         "custom node state must be consulted"
     );
 }
+
+/// The read cache is a cluster setting, so it arms under a method defined
+/// outside the crate just as under a built-in: reads hit, and the oracle
+/// stays clean.
+#[test]
+fn read_cache_arms_under_a_custom_method() {
+    let cluster = ClusterConfig::builder()
+        .code(CodeParams::new(4, 2).unwrap())
+        .method(Arc::new(Teleport::default()))
+        .nodes(8)
+        .clients(4)
+        .read_cache_bytes(1 << 20)
+        .build()
+        .expect("valid config");
+    let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
+        .ops_per_client(300)
+        .volume_bytes(32 << 20)
+        .build()
+        .expect("valid replay config");
+
+    let res = Replay::run(&rcfg).result;
+    assert_eq!(res.method, "TELEPORT");
+    assert_eq!(res.oracle_violations, 0);
+    assert!(res.cache_lookups > 0, "reads bypassed the cache");
+    assert!(res.cache_hits > 0, "the cache never hit");
+}

@@ -1,8 +1,8 @@
 //! The node-local LRU read cache ([`ecfs::cache`]) end to end: cache-off
-//! replays are byte-identical to the pre-decorator engine, an armed cache
-//! serves hits and keeps the consistency oracle clean, and the decorator
-//! composes over all seven built-in methods through the method-spec
-//! grammar.
+//! replays are byte-identical whether a method is named or passed by
+//! handle, an armed cache serves hits and keeps the consistency oracle
+//! clean, and `ClusterConfig::read_cache_bytes` arms it under all seven
+//! built-in methods.
 
 use std::fmt::Write as _;
 
@@ -53,9 +53,8 @@ fn canon(r: &RunResult) -> String {
     s
 }
 
-/// Cache-off golden: a spec-built bare method replays byte-identically to
-/// the driver it names, and every new counter stays zero — the decorator
-/// API redesign cannot perturb undecorated runs.
+/// Cache-off golden: a method built by name replays byte-identically to
+/// the driver passed by handle, and every cache counter stays zero.
 #[test]
 fn cache_off_is_byte_identical_to_plain_replay() {
     let code = CodeParams::new(6, 3).unwrap();
@@ -65,7 +64,7 @@ fn cache_off_is_byte_identical_to_plain_replay() {
         let spec = builder(code).method_name(&name).build().unwrap();
         let a = Replay::run(&replay_cfg(plain, 150)).result;
         let b = Replay::run(&replay_cfg(spec, 150)).result;
-        assert_eq!(canon(&a), canon(&b), "{name}: spec-built diverged");
+        assert_eq!(canon(&a), canon(&b), "{name}: name-built diverged");
         assert_eq!(a.cache_lookups, 0, "{name}");
         assert_eq!(a.cache_hits, 0, "{name}");
         assert_eq!(a.cache_hit_ratio, 0.0, "{name}");
@@ -122,24 +121,33 @@ fn cached_cells_match_pinned_goldens() {
             read_mean=283.32255319148936 drain=0.006558989 viol=0 events=605",
         ),
     ] {
-        let spec = format!("lru({}KiB)+{method}", cache_bytes >> 10);
-        let cluster = builder(code).method_name(spec).build().unwrap();
+        let cluster = builder(code)
+            .method_name(method)
+            .read_cache_bytes(cache_bytes)
+            .build()
+            .unwrap();
         let res = Replay::run(&replay_cfg(cluster, 150)).result;
         assert_eq!(canon(&res), golden, "{method} behind {cache_bytes} B");
     }
 }
 
 /// An armed cache replays deterministically: two runs of the same
-/// decorated config are byte-identical (deterministic LRU replacement, no
+/// cached config are byte-identical (deterministic LRU replacement, no
 /// clocks anywhere).
 #[test]
 fn decorated_replay_is_deterministic() {
     let code = CodeParams::new(6, 3).unwrap();
-    for spec in ["lru(1MiB)+FO", "lru(1MiB)+TSUE"] {
-        let mk = || builder(code).method_name(spec).build().unwrap();
+    for method in ["FO", "TSUE"] {
+        let mk = || {
+            builder(code)
+                .method_name(method)
+                .read_cache_bytes(1 << 20)
+                .build()
+                .unwrap()
+        };
         let a = Replay::run(&replay_cfg(mk(), 150)).result;
         let b = Replay::run(&replay_cfg(mk(), 150)).result;
-        assert_eq!(canon(&a), canon(&b), "{spec}: nondeterministic replay");
+        assert_eq!(canon(&a), canon(&b), "{method}: nondeterministic replay");
     }
 }
 
@@ -149,7 +157,11 @@ fn decorated_replay_is_deterministic() {
 #[test]
 fn read_cache_serves_hits() {
     let code = CodeParams::new(6, 3).unwrap();
-    let cluster = builder(code).method_name("lru(64MiB)+FO").build().unwrap();
+    let cluster = builder(code)
+        .method_name("FO")
+        .read_cache_bytes(64 << 20)
+        .build()
+        .unwrap();
     let res = Replay::run(&replay_cfg(cluster, 300)).result;
     assert_eq!(res.oracle_violations, 0);
     assert!(res.cache_lookups > 0, "no lookups recorded");
@@ -161,25 +173,25 @@ fn read_cache_serves_hits() {
     assert!(res.cache_hit_ratio <= 1.0);
 }
 
-/// The decorator composes over every built-in driver via the spec
-/// grammar, unchanged: consistent oracle, live counters, and a method
-/// name that round-trips through `MethodSpec::parse`.
+/// The cache composes with every built-in driver, unchanged: consistent
+/// oracle, live counters, and the driver's own name in the result.
 #[test]
 fn composes_over_all_seven_builtins() {
     let code = CodeParams::new(6, 3).unwrap();
     for method in builtins() {
-        let spec = format!("lru(1MiB)+{}", method.name());
-        let cluster = builder(code).method_name(&spec).build().unwrap();
-        assert_eq!(cluster.method.name(), spec);
-        let parsed = MethodSpec::parse(cluster.method.name()).unwrap();
-        assert_eq!(parsed.to_string(), spec, "{spec}: name must round-trip");
+        let name = method.name().to_string();
+        let cluster = builder(code)
+            .method(method)
+            .read_cache_bytes(1 << 20)
+            .build()
+            .unwrap();
         let mut rcfg = replay_cfg(cluster, 120);
         rcfg.volume_bytes = 8 << 20;
         let res = Replay::run(&rcfg).result;
-        assert_eq!(res.oracle_violations, 0, "{spec}");
-        assert!(res.completed_updates > 0, "{spec}");
-        assert!(res.cache_lookups > 0, "{spec}: cache bypassed");
-        assert_eq!(res.method, spec);
+        assert_eq!(res.oracle_violations, 0, "{name}");
+        assert!(res.completed_updates > 0, "{name}");
+        assert!(res.cache_lookups > 0, "{name}: cache bypassed");
+        assert_eq!(res.method, name);
     }
 }
 
@@ -189,7 +201,11 @@ fn composes_over_all_seven_builtins() {
 fn rerun_and_tracing_leave_result_unchanged() {
     let code = CodeParams::new(6, 3).unwrap();
     let mk = || {
-        let cluster = builder(code).method_name("lru(1MiB)+TSUE").build().unwrap();
+        let cluster = builder(code)
+            .method_name("TSUE")
+            .read_cache_bytes(1 << 20)
+            .build()
+            .unwrap();
         replay_cfg(cluster, 120)
     };
     let out = Replay::run(&mk());

@@ -2,7 +2,7 @@
 //! `ReplayConfig` twice must produce **byte-for-byte** equal results —
 //! every deterministic `RunResult` field identical — across all seven
 //! update methods, with non-empty fault *and* maintenance plans armed,
-//! on the open loop, and behind the LRU read-cache decorator. Any
+//! on the open loop, and behind the LRU read cache. Any
 //! hash-order or wall-clock dependence in a driver shows up here. The
 //! across-cell counterpart (parallel `run_grid` == serial loop) lives in
 //! `tests/fault_timeline.rs` and `tests/maintenance.rs`.
@@ -198,7 +198,8 @@ fn run_twice_equal_with_cache() {
     let code = CodeParams::new(6, 3).unwrap();
     let cluster = ClusterConfig::builder()
         .code(code)
-        .method_name("lru(1MiB)+TSUE")
+        .method_name("TSUE")
+        .read_cache_bytes(1 << 20)
         .clients(3)
         .build()
         .unwrap();
@@ -239,7 +240,7 @@ fn run_twice_equal_when_every_device_collects_mid_run() {
     }
 }
 
-/// The plain cell: no plan, no decorator, closed loop.
+/// The plain cell: no plan, no read cache, closed loop.
 #[test]
 fn run_twice_equal_plain() {
     assert_runs_twice_equal(replay(Arc::new(Pl), 3, 80));

@@ -280,7 +280,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
     // Tracing is off by default: no rollup rows, no drops.
     assert!(stage_breakdown.is_empty());
     assert_eq!(trace_dropped_spans, 0);
-    // No read-cache decorator armed: the ledger stays zero.
+    // No read cache armed: the ledger stays zero.
     assert_eq!((cache_lookups, cache_hits), (0, 0));
     assert_eq!(cache_hit_ratio, 0.0);
     assert!(sim_events > 0);
