@@ -807,15 +807,19 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
         }
     });
 
+    // Timestamped latencies split the p99s into degraded-window vs steady
+    // and maintenance-busy vs idle quantiles.
+    if !rcfg.faults.is_empty() || !rcfg.maintenance.is_empty() {
+        cl.metrics.latency_samples = Some(SampleLog::new());
+        cl.metrics.read_latency_samples = Some(SampleLog::new());
+    }
+
     // Arm the fault timeline. With the (default) empty plan nothing is
     // scheduled and no state changes: the replay is byte-for-byte the
     // pre-fault-timeline replay.
     if !rcfg.faults.is_empty() {
         cl.faults.recovery_delay = rcfg.faults.recovery_delay_ns;
         cl.faults.repair_bandwidth = rcfg.faults.repair_bandwidth;
-        // Timestamped latencies enable degraded-window vs steady quantiles.
-        cl.metrics.latency_samples = Some(SampleLog::new());
-        cl.metrics.read_latency_samples = Some(SampleLog::new());
         for ev in &rcfg.faults.events {
             let scope = ev.scope;
             sim.schedule_at(ev.at_ns, move |sim, cl: &mut Cluster| {
@@ -827,14 +831,6 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
     // Arm background maintenance. Same contract as the fault timeline:
     // an empty plan schedules nothing and touches no state.
     if !rcfg.maintenance.is_empty() {
-        // Busy-window vs idle-window quantiles need timestamped samples
-        // (the fault plan may already have attached them).
-        if cl.metrics.latency_samples.is_none() {
-            cl.metrics.latency_samples = Some(SampleLog::new());
-        }
-        if cl.metrics.read_latency_samples.is_none() {
-            cl.metrics.read_latency_samples = Some(SampleLog::new());
-        }
         maintenance::arm(&mut sim, &mut cl, &rcfg.maintenance);
     }
 
