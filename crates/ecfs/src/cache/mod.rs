@@ -16,7 +16,7 @@ use simdes::Sim;
 
 use crate::cluster::Cluster;
 use crate::methods::UpdateCtx;
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 
 pub use policy::{PageCache, PAGE_BYTES};
 
@@ -62,14 +62,13 @@ pub(crate) fn serve_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCt
     let t_done = cl.send(t_arrive, node, client_ep, slice.len as u64);
     cl.trace_op(
         &ctx,
-        OpClass::Read,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::CacheHit, t_arrive),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish_other(sim, ctx, true, t_done);
+    cl.finish(sim, ctx, t_done);
     true
 }
 

@@ -7,6 +7,7 @@ use simdisk::{Disk, IoOp};
 use simnet::{FlowClass, NetConfig, Network};
 
 use rscode::ReedSolomon;
+use traces::OpKind;
 use tsue::fastmap::FastMap;
 
 use crate::cache::PageCache;
@@ -89,8 +90,9 @@ pub struct LayerResidency {
 /// Cluster-wide measurement state.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// Client updates acknowledged. This and the other completion and
-    /// failure counters count a client op once, at its driving slice.
+    /// Client updates acknowledged. This, the other completion and
+    /// failure counters, the latency histograms and samples and the
+    /// completion series count a client op once, at its last slice.
     pub completed_updates: u64,
     /// Client fresh writes completed.
     pub completed_writes: u64,
@@ -100,7 +102,7 @@ pub struct Metrics {
     pub update_latency: Histogram,
     /// Update completions over time (Fig. 6a's series).
     pub completions: TimeSeries,
-    /// Appends that hit log back-pressure.
+    /// Parks on log back-pressure (a slice that parks twice counts twice).
     pub stall_waits: u64,
     /// Exact time of the latest client-visible completion.
     pub last_completion: SimTime,
@@ -118,17 +120,17 @@ pub struct Metrics {
     pub degraded_reads: u64,
     /// Bytes produced by degraded-read decoding.
     pub degraded_bytes_decoded: u64,
-    /// Client ops aborted because their driving slice's stripe lost more
-    /// than `m` blocks.
+    /// Client ops aborted because the stripe of one of their slices lost
+    /// more than `m` blocks.
     pub failed_ops: u64,
-    /// Timestamped update latencies, attached only when a fault plan is
-    /// active (enables degraded-window vs steady-state quantiles).
+    /// Timestamped update latencies, attached only when a fault or
+    /// maintenance plan is armed (splits the p99 by window).
     pub latency_samples: Option<SampleLog>,
     /// Client-observed read latency (includes degraded decodes).
     pub read_latency: Histogram,
-    /// Timestamped read latencies, attached only when a fault plan is
-    /// active — the availability-SLO split: read p99 *inside* degraded
-    /// windows vs steady state.
+    /// Timestamped read latencies, attached like [`Self::latency_samples`]
+    /// — the availability-SLO split: read p99 *inside* degraded windows vs
+    /// steady state.
     pub read_latency_samples: Option<SampleLog>,
     /// Wall-clock milliseconds the replay engine spent building the
     /// cluster and installing the workload. Nondeterministic (the one
@@ -161,11 +163,8 @@ impl Default for Metrics {
     }
 }
 
-/// A parked continuation awaiting log-recycle progress.
-pub type Waiter = Box<dyn FnOnce(&mut Sim<Cluster>, &mut Cluster) + Send>;
-
 /// One OSD node: a disk, method-specific log state, the read cache, and
-/// stalled waiters.
+/// parked slices.
 pub struct Osd {
     /// Node id.
     pub id: usize,
@@ -177,8 +176,8 @@ pub struct Osd {
     /// The node-local LRU read cache ([`crate::cache`]), armed by
     /// [`ClusterConfig::read_cache_bytes`].
     pub cache: Option<PageCache>,
-    /// Continuations blocked on log back-pressure.
-    pub waiters: Vec<Waiter>,
+    /// Slices parked on log back-pressure.
+    pub waiters: Vec<UpdateCtx>,
     /// Whether the node is failed (recovery experiments).
     pub failed: bool,
     /// Append cursor within the device's log region (top quarter).
@@ -221,6 +220,59 @@ impl Oracle {
     }
 }
 
+/// The join of an in-flight op that spans blocks, which the replay issues
+/// as one slice per block.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpJoin {
+    /// Slices not yet finished.
+    outstanding: u32,
+    /// Whether a finished slice failed.
+    failed: bool,
+    /// The latest `done_at` of the finished slices: drivers finish a slice
+    /// with a future ack time, so the last caller's need not be the latest.
+    done_at: SimTime,
+}
+
+/// The joins of the in-flight ops that span blocks, in reusable slots that
+/// [`UpdateCtx`]'s `join` names: bounded by the ops outstanding, so a
+/// steady run allocates none. A one-slice op needs no join.
+#[derive(Debug, Default)]
+pub(crate) struct OpJoins {
+    slots: Vec<OpJoin>,
+    free: Vec<u32>,
+}
+
+impl OpJoins {
+    /// Opens the join of an op of `slices` slices.
+    pub(crate) fn open(&mut self, slices: u32) -> u32 {
+        let join = OpJoin {
+            outstanding: slices,
+            ..OpJoin::default()
+        };
+        let Some(id) = self.free.pop() else {
+            self.slots.push(join);
+            return self.slots.len() as u32 - 1;
+        };
+        self.slots[id as usize] = join;
+        id
+    }
+
+    /// Folds a finished slice into join `id`. At the op's last slice, frees
+    /// the slot and returns the latest `done_at` and whether any slice
+    /// failed.
+    fn slice_done(&mut self, id: u32, done_at: SimTime, failed: bool) -> Option<(SimTime, bool)> {
+        let join = &mut self.slots[id as usize];
+        join.outstanding -= 1;
+        join.failed |= failed;
+        join.done_at = join.done_at.max(done_at);
+        if join.outstanding > 0 {
+            return None;
+        }
+        self.free.push(id);
+        Some((join.done_at, join.failed))
+    }
+}
+
 /// The DES world: everything the event handlers touch.
 pub struct Cluster {
     /// Configuration.
@@ -241,6 +293,8 @@ pub struct Cluster {
     /// `None` on a cluster driven op by op, where completions issue
     /// nothing.
     pub(crate) clients: Option<ClientLoop>,
+    /// The joins of the in-flight ops that span blocks.
+    pub(crate) joins: OpJoins,
     /// Scheduled-but-not-yet-executed log-forwarding events (drain guard).
     pub forwards_in_flight: u64,
     /// Fault-timeline state: injected failures, the repair queue, and
@@ -300,6 +354,7 @@ impl Cluster {
             metrics: Metrics::default(),
             oracle: Oracle::default(),
             clients: None,
+            joins: OpJoins::default(),
             forwards_in_flight: 0,
             faults: FaultState::default(),
             maint: MaintState::default(),
@@ -381,16 +436,18 @@ impl Cluster {
         t
     }
 
-    /// Reports a finished op's critical-path stage decomposition to the
-    /// tracing layer (no-op unless tracing is armed). Drivers call this
-    /// immediately before the matching `finish_update`/`finish_other`:
+    /// Reports a finished slice's critical-path stage decomposition to the
+    /// tracing layer, under its op's kind (no-op unless tracing is armed).
+    /// Drivers call this immediately before the matching [`Self::finish`]:
     /// `marks` are `(stage, end_time)` boundaries in timeline order whose
     /// last entry is the ack time, so the resulting spans partition
-    /// `[issued_at, ack]` and sum to the client-observed latency exactly.
-    pub fn trace_op(&mut self, ctx: &UpdateCtx, class: OpClass, marks: &[(Stage, SimTime)]) {
-        if !self.trace.enabled() {
-            return;
-        }
+    /// `[issued_at, ack]` and sum to the slice's latency exactly.
+    pub fn trace_op(&mut self, ctx: &UpdateCtx, marks: &[(Stage, SimTime)]) {
+        let class = match ctx.kind {
+            OpKind::Update => OpClass::Update,
+            OpKind::Read => OpClass::Read,
+            OpKind::Write => OpClass::Write,
+        };
         self.trace
             .record_op(ctx.client, class, ctx.issued_at, ctx.start_at, marks);
     }
@@ -401,70 +458,67 @@ impl Cluster {
         self.trace.child(stage, node, start, end);
     }
 
-    /// Schedules the op's client to act on its completion at `done_at`
-    /// ([`replay::client_done`]), if this op is the slice driving its
-    /// client (`ctx.drive`) and the replay installed clients.
-    ///
-    /// Uses the scheduler's unboxed function-pointer path: one of these is
-    /// scheduled per completed op, so the saved `Box` is a measurable slice
-    /// of per-event overhead.
-    fn drive_client(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        if ctx.drive && self.clients.is_some() {
-            sim.schedule_call_u_at(done_at.max(sim.now()), replay::client_done, ctx.client);
-        }
-    }
-
-    /// Records an update completion and drives the client's next op. The
-    /// latency is recorded per slice; the op is counted once, at its
-    /// driving slice.
-    pub fn finish_update(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        self.metrics.completed_updates += u64::from(ctx.drive);
-        let latency = done_at.saturating_sub(ctx.issued_at);
-        self.metrics.update_latency.record(latency);
-        if let Some(log) = &mut self.metrics.latency_samples {
-            log.record(done_at, latency);
-        }
-        self.metrics.completions.record(done_at, 1);
-        // Attach the metrics-path latency to the op the driver just
-        // traced: the determinism tests pin `sum(stage spans) == latency`
-        // as two independently derived numbers.
-        self.trace.close_op(latency);
-        self.metrics.last_completion = self.metrics.last_completion.max(done_at);
-        self.drive_client(sim, ctx, done_at);
-    }
-
-    /// Records a non-update completion and drives the client's next op,
-    /// counting the op once, at its driving slice (as [`Self::finish_update`]).
-    pub fn finish_other(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        ctx: UpdateCtx,
-        is_read: bool,
-        done_at: SimTime,
-    ) {
-        if is_read {
-            self.metrics.completed_reads += u64::from(ctx.drive);
-            let latency = done_at.saturating_sub(ctx.issued_at);
-            self.metrics.read_latency.record(latency);
-            if let Some(log) = &mut self.metrics.read_latency_samples {
-                log.record(done_at, latency);
-            }
-        } else {
-            self.metrics.completed_writes += u64::from(ctx.drive);
+    /// Records a slice's ack at `done_at` (an update's range in the
+    /// oracle); its op completes once, at its last slice's finish.
+    /// Tracing is per slice: the traced slice closes with its own latency,
+    /// so `sum(stage spans) == latency` holds for every trace record.
+    pub fn finish(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
+        if ctx.kind == OpKind::Update {
+            self.oracle_ack(ctx.slice.addr, ctx.slice.offset, ctx.slice.len);
         }
         self.trace.close_op(done_at.saturating_sub(ctx.issued_at));
-        self.metrics.last_completion = self.metrics.last_completion.max(done_at);
-        self.drive_client(sim, ctx, done_at);
+        self.complete(sim, ctx, done_at, false);
     }
 
-    /// Records an op aborted by data loss (its stripe fell below `k`
-    /// survivors — an EIO to the client) and drives the client's next op:
-    /// availability failures must not wedge the closed loop. The op is
-    /// counted failed once, at its driving slice.
+    /// Records a slice aborted by data loss (its stripe fell below `k`
+    /// survivors — an EIO to the client): its op fails, once, at its last
+    /// slice.
     pub fn finish_failed(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
-        self.metrics.failed_ops += u64::from(ctx.drive);
-        self.metrics.last_completion = self.metrics.last_completion.max(done_at);
-        self.drive_client(sim, ctx, done_at);
+        self.complete(sim, ctx, done_at, true);
+    }
+
+    /// The one completion path. A slice of an op that spans blocks folds
+    /// into the op's join; the op's last slice (a one-slice op's only one)
+    /// finishes it once, at the latest `done_at` of its slices: latency,
+    /// sample, series point and completed count, or the failed count if a
+    /// slice failed, then the client's next step ([`replay::client_done`],
+    /// when the replay installed clients).
+    fn complete(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime, failed: bool) {
+        let (done_at, failed) = match ctx.join {
+            None => (done_at, failed),
+            Some(id) => match self.joins.slice_done(id, done_at, failed) {
+                Some(op) => op,
+                None => return,
+            },
+        };
+        let m = &mut self.metrics;
+        m.last_completion = m.last_completion.max(done_at);
+        let latency = done_at.saturating_sub(ctx.issued_at);
+        match ctx.kind {
+            _ if failed => m.failed_ops += 1,
+            OpKind::Update => {
+                m.completed_updates += 1;
+                m.update_latency.record(latency);
+                if let Some(log) = &mut m.latency_samples {
+                    log.record(done_at, latency);
+                }
+                m.completions.record(done_at, 1);
+            }
+            OpKind::Read => {
+                m.completed_reads += 1;
+                m.read_latency.record(latency);
+                if let Some(log) = &mut m.read_latency_samples {
+                    log.record(done_at, latency);
+                }
+            }
+            OpKind::Write => m.completed_writes += 1,
+        }
+        // The scheduler's unboxed function-pointer path: one of these is
+        // scheduled per completed op, so the saved `Box` is a measurable
+        // slice of per-event overhead.
+        if self.clients.is_some() {
+            sim.schedule_call_u_at(done_at.max(sim.now()), replay::client_done, ctx.client);
+        }
     }
 
     /// Picks a live node to host a rebuilt or degraded-placed block,
@@ -488,17 +542,19 @@ impl Cluster {
         t
     }
 
-    /// Parks a continuation on `node` until its logs make progress.
-    pub fn park_on(&mut self, node: usize, cont: Waiter) {
+    /// Parks a slice on `node` until its logs make progress.
+    pub fn park_on(&mut self, node: usize, ctx: UpdateCtx) {
         self.metrics.stall_waits += 1;
-        self.nodes[node].waiters.push(cont);
+        self.nodes[node].waiters.push(ctx);
     }
 
-    /// Wakes all parked continuations on `node`. The stored boxes are
-    /// scheduled directly — no wrapper closure, no second allocation.
+    /// Wakes the slices parked on `node`: each re-enters its dispatch
+    /// ([`crate::methods::begin`]) and finishes later.
     pub fn wake_waiters(&mut self, sim: &mut Sim<Cluster>, node: usize) {
-        for cont in self.nodes[node].waiters.drain(..) {
-            sim.schedule_boxed(0, cont);
+        for ctx in self.nodes[node].waiters.drain(..) {
+            sim.schedule(0, move |sim, cl: &mut Cluster| {
+                crate::methods::begin(sim, cl, ctx)
+            });
         }
     }
 
@@ -511,37 +567,28 @@ impl Cluster {
         agg
     }
 
-    /// Total erase operations across the cluster (SSD lifespan currency).
-    pub fn total_erases(&self) -> u64 {
-        self.nodes.iter().map(|n| n.disk.stats().erases).sum()
-    }
-
     /// Oracle helpers: record an ack on a data-block range.
     pub fn oracle_ack(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        self.oracle
-            .acked
-            .entry(addr)
-            .or_default()
-            .insert(offset as u64, offset as u64 + len as u64);
+        cover(&mut self.oracle.acked, addr, offset, len);
     }
 
     /// Oracle helpers: record data applied in place.
     pub fn oracle_apply_data(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        self.oracle
-            .applied_data
-            .entry(addr)
-            .or_default()
-            .insert(offset as u64, offset as u64 + len as u64);
+        cover(&mut self.oracle.applied_data, addr, offset, len);
     }
 
     /// Oracle helpers: record parity effect applied for a stripe range.
     pub fn oracle_apply_parity(&mut self, addr: BlockAddr, offset: u32, len: u32) {
-        self.oracle
-            .applied_parity
-            .entry(addr)
-            .or_default()
-            .insert(offset as u64, offset as u64 + len as u64);
+        cover(&mut self.oracle.applied_parity, addr, offset, len);
     }
+}
+
+/// Adds `[offset, offset + len)` of `addr` to one of the oracle's maps.
+fn cover(map: &mut FastMap<BlockAddr, IntervalSet>, addr: BlockAddr, offset: u32, len: u32) {
+    let start = u64::from(offset);
+    map.entry(addr)
+        .or_default()
+        .insert(start, start + u64::from(len));
 }
 
 #[cfg(test)]

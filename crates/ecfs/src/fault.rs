@@ -12,9 +12,8 @@
 //!
 //! While a block's home node is dead and the block has not been re-homed
 //! yet, ops targeting it take the degraded path (see
-//! [`crate::methods::begin_read`] and friends): reads decode the lost
-//! block from `k` survivors, updates first rebuild-and-relocate the block
-//! inline. The empty plan is the default and changes nothing — a replay
+//! [`crate::methods::begin`]): reads decode the lost block from `k`
+//! survivors, updates first rebuild-and-relocate the block inline. The empty plan is the default and changes nothing — a replay
 //! without faults is byte-for-byte the pre-fault-timeline replay.
 
 use std::collections::VecDeque;

@@ -15,7 +15,7 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::{stripe_key, stripe_of};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
 
@@ -137,10 +137,7 @@ impl UpdateMethod for Cord {
             .is_some_and(|s| s.flushing);
         if flushing {
             // Park and retry when the flush completes.
-            cl.park_on(
-                collector,
-                Box::new(move |sim, cl| methods::begin_update(sim, cl, ctx)),
-            );
+            cl.park_on(collector, ctx);
             return;
         }
 
@@ -178,10 +175,8 @@ impl UpdateMethod for Cord {
         }
 
         let t_ack = cl.ack(t_logged, collector, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
         cl.trace_op(
             &ctx,
-            OpClass::Update,
             &[
                 (Stage::NetSend, t_arrive),
                 (Stage::DiskIo, t_write),
@@ -189,7 +184,7 @@ impl UpdateMethod for Cord {
                 (Stage::Ack, t_ack),
             ],
         );
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {

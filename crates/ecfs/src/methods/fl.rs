@@ -14,7 +14,7 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 use tsue::fastmap::FastMap;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
@@ -130,10 +130,7 @@ impl UpdateMethod for Fl {
             .downcast_ref::<FlState>()
             .is_some_and(|s| s.recycling);
         if busy {
-            cl.park_on(
-                dnode,
-                Box::new(move |sim, cl| methods::begin_update(sim, cl, ctx)),
-            );
+            cl.park_on(dnode, ctx);
             return;
         }
 
@@ -187,10 +184,8 @@ impl UpdateMethod for Fl {
         }
 
         let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
         cl.trace_op(
             &ctx,
-            OpClass::Update,
             &[
                 (Stage::NetSend, t_arrive),
                 (Stage::LogAppend, t_local),
@@ -198,7 +193,7 @@ impl UpdateMethod for Fl {
                 (Stage::Ack, t_ack),
             ],
         );
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {

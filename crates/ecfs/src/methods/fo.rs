@@ -11,7 +11,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::methods::{UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 
 /// The Full-Overwrite driver (stateless; no per-node log state).
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,10 +50,8 @@ impl UpdateMethod for Fo {
         }
 
         let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
         cl.trace_op(
             &ctx,
-            OpClass::Update,
             &[
                 (Stage::NetSend, t_arrive),
                 (Stage::DiskIo, t_write),
@@ -61,6 +59,6 @@ impl UpdateMethod for Fo {
                 (Stage::Ack, t_ack),
             ],
         );
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 }

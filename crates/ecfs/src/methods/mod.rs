@@ -7,7 +7,7 @@
 //! * [`UpdateMethod::begin_update`] — runs the method's full front-end path
 //!   for one sub-block update (time-forwarding style: it books every disk
 //!   op and network hop on the shared resources, then reports the ack time
-//!   via [`crate::cluster::Cluster::finish_update`]);
+//!   via [`crate::cluster::Cluster::finish`]);
 //! * [`UpdateMethod::drain`] — flushes all outstanding log state (end of
 //!   run, and the prerequisite for recovery — the paper's consistency
 //!   argument in §2.3.2);
@@ -16,8 +16,8 @@
 //! * [`UpdateMethod::parity_reserved_bytes`] — device space the layout
 //!   reserves beside each parity block (PLR's).
 //!
-//! Reads and fresh writes take one path for every method ([`begin_read`],
-//! [`begin_write`]): a read consults the method's log read cache
+//! Reads and fresh writes take one path for every method ([`begin`]): a
+//! read consults the method's log read cache
 //! ([`NodeLogState::read_cache_covers`]) before the disk. The node-local
 //! LRU read cache ([`crate::cache`]) is a cluster setting, not a method:
 //! [`ClusterConfig::read_cache_bytes`] arms it under any driver.
@@ -45,11 +45,12 @@ use std::sync::Arc;
 
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
+use traces::OpKind;
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::{BlockAddr, BlockSlice};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 
 pub use cord::Cord;
 pub use fl::Fl;
@@ -117,7 +118,7 @@ pub struct PlainState;
 
 impl NodeLogState for PlainState {}
 
-/// One in-flight client op (a single block slice).
+/// One block slice of an in-flight client op.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateCtx {
     /// Issuing client.
@@ -132,22 +133,24 @@ pub struct UpdateCtx {
     /// to wait for an inline rebuild, so the rebuild delay lands in the
     /// client's latency without letting the method book I/O in the past.
     pub start_at: SimTime,
-    /// Whether this op's completion drives the client's next op and counts
-    /// the client op as completed or failed. The first slice of a
-    /// multi-slice op drives; background remainder slices complete without
-    /// touching the client or the op counters.
-    pub drive: bool,
+    /// What the op does; its completion is counted under this kind.
+    pub kind: OpKind,
+    /// The join of an op that spans blocks
+    /// ([`crate::cluster::Cluster::finish`] completes the op at its last
+    /// slice); `None` for a one-slice op.
+    pub(crate) join: Option<u32>,
 }
 
 impl UpdateCtx {
-    /// A driving op issued (and startable) at `now`.
+    /// A one-slice update issued (and startable) at `now`.
     pub fn new(client: u64, slice: BlockSlice, now: SimTime) -> UpdateCtx {
         UpdateCtx {
             client,
             slice,
             issued_at: now,
             start_at: now,
-            drive: true,
+            kind: OpKind::Update,
+            join: None,
         }
     }
 }
@@ -174,7 +177,7 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
     }
 
     /// Runs the method's full front-end path for one sub-block update and
-    /// eventually reports the ack via [`Cluster::finish_update`].
+    /// eventually reports the ack via [`Cluster::finish`].
     fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx);
 
     /// Schedules the flush of all outstanding log state; [`drain_all`]
@@ -201,37 +204,34 @@ pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Dispatches an update to the cluster's configured method. On a degraded
-/// cluster the dispatch first restores the stripe's write path: blocks
-/// homed on dead nodes are rebuilt-and-relocated inline (or freshly placed
-/// on live nodes), and the method runs once everything it will touch is
-/// live again. An armed read cache ([`crate::cache`]) takes the updated
-/// range first, so later reads of it hit.
-pub fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-    if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_update) {
+/// Dispatches a slice by its op's kind. An update runs the cluster's
+/// configured method and a fresh write the encode-path write every method
+/// shares. On a degraded cluster both first restore the stripe's write
+/// path: blocks homed on dead nodes are rebuilt-and-relocated inline (or
+/// freshly placed on live nodes), and the slice runs once everything it
+/// will touch is live again. An armed read cache ([`crate::cache`]) takes
+/// the range first, so later reads of it hit.
+pub fn begin(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    if ctx.kind == OpKind::Read {
+        return begin_read(sim, cl, ctx);
+    }
+    if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx) {
         return;
     }
     crate::cache::fill(cl, &ctx);
+    if ctx.kind == OpKind::Write {
+        return write_path(sim, cl, ctx);
+    }
     let method = Arc::clone(&cl.cfg.method);
     method.begin_update(sim, cl, ctx);
 }
 
-/// Dispatches a fresh write: every method books the same encode-path
-/// write (degraded handling and read-cache fill as in [`begin_update`]).
-pub fn begin_write(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-    if cl.faults.degraded_mode && prepare_write_path(sim, cl, ctx, begin_write) {
-        return;
-    }
-    crate::cache::fill(cl, &ctx);
-    write_path(sim, cl, ctx);
-}
-
-/// Dispatches a read. A read whose target block sits on a dead node is
-/// served degraded: the lost block is decoded from `k` survivors, charged
-/// as `k` transfers on the fabric. Otherwise an armed read cache
-/// ([`crate::cache`]) serves a hit from memory, and a miss reads the disk
-/// unless the method's own log read cache covers the range.
-pub fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+/// A read whose target block sits on a dead node is served degraded: the
+/// lost block is decoded from `k` survivors, charged as `k` transfers on
+/// the fabric. Otherwise an armed read cache ([`crate::cache`]) serves a
+/// hit from memory, and a miss reads the disk unless the method's own log
+/// read cache covers the range.
+fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     if cl.faults.degraded_mode {
         let addr = ctx.slice.addr;
         let home = cl.layout.current_node(addr);
@@ -316,18 +316,13 @@ pub(crate) fn drain_nodes(
 ///   (write-triggered recovery, racing the background repair scheduler)
 ///   and relocated to its rebuild target;
 /// * stripe below `k` survivors → the slice fails (EIO) through
-///   [`Cluster::finish_failed`], which counts a driving slice's op in
+///   [`Cluster::finish_failed`], which counts its op in
 ///   [`crate::cluster::Metrics::failed_ops`].
 ///
 /// Returns `true` when the op was consumed (deferred behind a rebuild, or
 /// failed); `false` when every home is live and the caller should
 /// dispatch immediately.
-fn prepare_write_path(
-    sim: &mut Sim<Cluster>,
-    cl: &mut Cluster,
-    ctx: UpdateCtx,
-    redispatch: fn(&mut Sim<Cluster>, &mut Cluster, UpdateCtx),
-) -> bool {
+fn prepare_write_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) -> bool {
     let addr = ctx.slice.addr;
     let k = cl.cfg.code.k() as u16;
     let parities = (k..k + cl.cfg.code.m() as u16).map(|index| BlockAddr { index, ..addr });
@@ -359,7 +354,7 @@ fn prepare_write_path(
         let mut deferred = ctx;
         deferred.start_at = ready;
         sim.schedule_at(ready.max(sim.now()), move |sim, cl: &mut Cluster| {
-            redispatch(sim, cl, deferred);
+            begin(sim, cl, deferred);
         });
         return true;
     }
@@ -404,10 +399,9 @@ fn degraded_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     cl.metrics.degraded_bytes_decoded += len;
     cl.trace_op(
         &ctx,
-        OpClass::Read,
         &[(Stage::DiskIo, ready), (Stage::Decode, ready + decode_ns)],
     );
-    cl.finish_other(sim, ctx, true, ready + decode_ns);
+    cl.finish(sim, ctx, ready + decode_ns);
 }
 
 /// The fresh-write path, identical for all methods: the client has already
@@ -443,14 +437,13 @@ fn write_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let t_done = cl.ack(t_data.max(t_parity), node, client_ep);
     cl.trace_op(
         &ctx,
-        OpClass::Write,
         &[
             (Stage::NetSend, t_arrive.max(t_psend)),
             (Stage::Encode, t_data.max(t_parity)),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish_other(sim, ctx, false, t_done);
+    cl.finish(sim, ctx, t_done);
 }
 
 /// The read path: a log read-cache hit (per [`NodeLogState::read_cache_covers`])
@@ -480,14 +473,13 @@ fn read_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let t_done = cl.send(t_read, node, client_ep, len);
     cl.trace_op(
         &ctx,
-        OpClass::Read,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_read),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish_other(sim, ctx, true, t_done);
+    cl.finish(sim, ctx, t_done);
 }
 
 /// Bytes of log state still pending across the cluster (drain progress).

@@ -16,7 +16,7 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 
 /// The Parity-Logging driver.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,10 +93,8 @@ impl UpdateMethod for Pl {
         }
 
         let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
         cl.trace_op(
             &ctx,
-            OpClass::Update,
             &[
                 (Stage::NetSend, t_arrive),
                 (Stage::DiskIo, t_write),
@@ -104,7 +102,7 @@ impl UpdateMethod for Pl {
                 (Stage::Ack, t_ack),
             ],
         );
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {

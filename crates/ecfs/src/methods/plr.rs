@@ -19,7 +19,7 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 
 /// Reserved log space adjacent to each parity block, in bytes.
 const RESERVED_BYTES: u64 = 256 << 10;
@@ -184,10 +184,8 @@ impl UpdateMethod for Plr {
         }
 
         let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
         cl.trace_op(
             &ctx,
-            OpClass::Update,
             &[
                 (Stage::NetSend, t_arrive),
                 (Stage::DiskIo, t_write),
@@ -195,7 +193,7 @@ impl UpdateMethod for Plr {
                 (Stage::Ack, t_ack),
             ],
         );
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {

@@ -32,7 +32,7 @@ use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
-use crate::telemetry::{OpClass, Stage};
+use crate::telemetry::Stage;
 use tsue::fastmap::FastMap;
 use tsue::layers::{
     group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
@@ -230,10 +230,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
             .downcast_ref::<TsueState>()
             .is_some_and(|ts| ts.recycling[Layer::Data as usize] > 0);
         if busy {
-            cl.park_on(
-                dnode,
-                Box::new(move |sim, cl| methods::begin_update(sim, cl, ctx)),
-            );
+            cl.park_on(dnode, ctx);
             return;
         }
     }
@@ -255,10 +252,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     };
     if matches!(outcome, AppendOutcome::Stalled) {
         // Quota exhausted: the client's update waits for a recycle.
-        cl.park_on(
-            dnode,
-            Box::new(move |sim, cl| methods::begin_update(sim, cl, ctx)),
-        );
+        cl.park_on(dnode, ctx);
         // Make sure a recycle is actually running.
         schedule_recycle(sim, Layer::Data, dnode, sim.now());
         return;
@@ -289,13 +283,11 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     }
 
     let t_ack = cl.ack(t_local.max(t_replica), dnode, client_ep);
-    cl.oracle_ack(slice.addr, slice.offset, slice.len);
     // The replica append is TSUE's redundancy work on the critical path —
     // charged to ParityIo so cross-method waterfalls compare like for like
     // (FO's parity RMW vs TSUE's replicated sequential append).
     cl.trace_op(
         &ctx,
-        OpClass::Update,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::LogAppend, t_local),
@@ -303,7 +295,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish_update(sim, ctx, t_ack);
+    cl.finish(sim, ctx, t_ack);
 }
 
 /// Schedules a recycle of `layer` on `node` at `at` (or now, if later).

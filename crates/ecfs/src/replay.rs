@@ -344,10 +344,10 @@ pub struct RunResult {
     /// [`crate::methods::UpdateMethod::name`]. An armed read cache
     /// ([`ClusterConfig::read_cache_bytes`]) does not change it.
     pub method: String,
-    /// Updates acknowledged. The completion counters and
-    /// [`Self::failed_ops`] count each client op once, at its first
-    /// (driving) slice; only the latency histograms, the completion series
-    /// and [`Self::stage_breakdown`] count every block slice.
+    /// Updates acknowledged. The completion counters, [`Self::failed_ops`],
+    /// the latency fields and [`Self::series`] count each client op once,
+    /// at its last block slice; only [`Self::stage_breakdown`] counts every
+    /// slice.
     pub completed_updates: u64,
     /// Reads completed, counted once per client op.
     pub completed_reads: u64,
@@ -359,7 +359,7 @@ pub struct RunResult {
     pub update_iops: f64,
     /// Mean client-observed update latency (µs).
     pub latency_mean_us: f64,
-    /// p99 update latency (µs, bucket upper bound).
+    /// p99 update latency (µs, bucket upper bound, up to 2× the true value).
     pub latency_p99_us: f64,
     /// Cluster-aggregated device statistics.
     pub disk: simdisk::DeviceStats,
@@ -383,7 +383,7 @@ pub struct RunResult {
     pub delta_residency: ResidencySummary,
     /// ParityLog residency.
     pub parity_residency: ResidencySummary,
-    /// Client ops that hit log back-pressure.
+    /// Parks on log back-pressure (a slice that parks twice counts twice).
     pub stalls: u64,
     /// Reads served from log caches.
     pub cache_read_hits: u64,
@@ -404,7 +404,7 @@ pub struct RunResult {
     pub degraded_reads: u64,
     /// Bytes produced by degraded-read decoding.
     pub degraded_bytes_decoded: u64,
-    /// Client ops aborted (EIO) because the stripe of their first slice
+    /// Client ops aborted (EIO) because the stripe of one of their slices
     /// lost more than `m` blocks, counted once per op: an op is either
     /// acked or failed, so on the open loop `offered_ops` equals the
     /// completion counters plus this.
@@ -422,21 +422,26 @@ pub struct RunResult {
     /// Worst failure-to-repair-completion time over the fault plan,
     /// seconds (0 without faults).
     pub mttr_s: f64,
-    /// p99 update latency (µs) *inside* degraded windows — between a
-    /// failure and the end of its repair. 0 without faults.
+    /// p99 update latency (µs, bucket upper bound, up to 2× the true value)
+    /// *inside* degraded windows — between a failure and the end of its
+    /// repair. 0 without faults.
     pub degraded_p99_us: f64,
-    /// p99 update latency (µs) outside degraded windows. Equals
-    /// [`Self::latency_p99_us`] without faults.
+    /// p99 update latency (µs, bucket upper bound, up to 2× the true value)
+    /// outside degraded windows. Equals [`Self::latency_p99_us`] without
+    /// faults.
     pub steady_p99_us: f64,
     /// Mean client-observed read latency (µs), degraded decodes included.
     pub read_mean_us: f64,
-    /// p99 client-observed read latency (µs), degraded decodes included.
+    /// p99 client-observed read latency (µs, bucket upper bound, up to 2×
+    /// the true value), degraded decodes included.
     pub read_p99_us: f64,
-    /// p99 read latency (µs) inside degraded windows — the availability
-    /// SLO a fault sweep reports. 0 without faults.
+    /// p99 read latency (µs, bucket upper bound, up to 2× the true value)
+    /// inside degraded windows — the availability SLO a fault sweep
+    /// reports. 0 without faults.
     pub degraded_read_p99_us: f64,
-    /// p99 read latency (µs) outside degraded windows. Equals
-    /// [`Self::read_p99_us`] without faults.
+    /// p99 read latency (µs, bucket upper bound, up to 2× the true value)
+    /// outside degraded windows. Equals [`Self::read_p99_us`] without
+    /// faults.
     pub steady_read_p99_us: f64,
     /// Ops the open-loop schedule offered (0 on the closed-loop path).
     pub offered_ops: u64,
@@ -448,8 +453,9 @@ pub struct RunResult {
     pub goodput_ops_per_s: f64,
     /// Mean admission-queue delay (µs; open loop only, 0 otherwise).
     pub queue_delay_mean_us: f64,
-    /// p99 admission-queue delay (µs; open loop only). This is the
-    /// queueing-collapse signature: it explodes past the saturation knee.
+    /// p99 admission-queue delay (µs, bucket upper bound, up to 2× the true
+    /// value; open loop only). This is the queueing-collapse signature: it
+    /// explodes past the saturation knee.
     pub queue_delay_p99_us: f64,
     /// Peak total admission-queue depth across all clients.
     pub peak_queue_depth: u64,
@@ -508,20 +514,21 @@ pub struct RunResult {
     /// non-zero sample — compare against the end-of-run
     /// [`RunResult::wear_spread`] for the before/after story.
     pub wear_spread_before: f64,
-    /// Foreground update p99 (µs) inside maintenance-busy windows —
-    /// the latency cost attribution of "free" background hygiene.
+    /// Foreground update p99 (µs, bucket upper bound, up to 2× the true
+    /// value) inside maintenance-busy windows — the latency cost
+    /// attribution of "free" background hygiene.
     pub maint_busy_p99_us: f64,
-    /// Foreground update p99 (µs) outside maintenance-busy windows.
+    /// Foreground update p99 (µs, bucket upper bound, up to 2× the true
+    /// value) outside maintenance-busy windows.
     pub maint_idle_p99_us: f64,
     /// Per-stage latency attribution: one row per `(op class, stage)`
     /// observed while tracing was armed, in canonical (class, stage id)
     /// order. Empty when [`ReplayConfig::trace`] is off. The rollup sees
-    /// **every** op regardless of the trace sampling/filter knobs, so
-    /// `sum(total_us)` over Update rows divided by their span count
-    /// reconciles with `latency_mean_us`. (The rollup counts per *slice*,
-    /// like the latency histogram — a multi-block op contributes one
-    /// traced completion per block slice, while `completed_updates`
-    /// counts the client op once.)
+    /// **every** op regardless of the trace sampling/filter knobs, one
+    /// record per block slice closed with that slice's latency, so
+    /// `sum(total_us)` over Update rows divided by their span count equals
+    /// `latency_mean_us` unless ops span blocks (each counts once there, at
+    /// its latest slice).
     pub stage_breakdown: Vec<StageRow>,
     /// Spans discarded because the trace ring filled
     /// ([`TraceConfig::capacity`]). Sampling and filter exclusions are
@@ -544,7 +551,7 @@ pub struct RunResult {
 }
 
 /// The clients a replay installs on [`Cluster::clients`]. Only this module
-/// knows how they are driven: every driving completion schedules one
+/// knows how they are driven: every op's completion schedules one
 /// [`client_done`].
 pub(crate) enum ClientLoop {
     /// Each client issues its next op the instant the previous completes.
@@ -655,25 +662,24 @@ fn issue_op(
 ) {
     let now = sim.now();
     // An op that crosses block boundaries is issued as all its slices at
-    // once. The first slice drives (`ctx.drive`): it alone advances the
-    // client and counts the op as completed or failed, even when its
-    // dispatch is deferred by a park or a degraded-path rebuild. The other
-    // slices complete in the background and show only in the per-slice
-    // latency histogram, completion series and trace.
-    for (i, slice) in cl.layout.slices(client as u32, offset, len).enumerate() {
+    // once, joined so that it completes once, at its last slice, even when
+    // a slice's dispatch is deferred by a park or a degraded-path rebuild.
+    let slices = cl.layout.slices(client as u32, offset, len);
+    let join = match slices.count() {
+        1 => None,
+        n => Some(cl.joins.open(n as u32)),
+    };
+    for slice in slices {
         let mut ctx = UpdateCtx::new(client, slice, now);
         ctx.issued_at = issued_at;
-        ctx.drive = i == 0;
-        match kind {
-            OpKind::Update => methods::begin_update(sim, cl, ctx),
-            OpKind::Write => methods::begin_write(sim, cl, ctx),
-            OpKind::Read => methods::begin_read(sim, cl, ctx),
-        }
+        ctx.kind = kind;
+        ctx.join = join;
+        methods::begin(sim, cl, ctx);
     }
 }
 
-/// A driving slice's completion, scheduled by the cluster's `finish_*`
-/// paths. On the closed loop the client pulls its next op from its
+/// An op's completion, scheduled by the cluster's `finish*` paths at its
+/// last slice. On the closed loop the client pulls its next op from its
 /// generator and issues it now. On the open loop it admits its oldest
 /// queued arrival (charging its queue delay), or shrinks its outstanding
 /// count when the queue is empty — retiring the client's window state once
@@ -694,7 +700,7 @@ pub(crate) fn client_done(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64)
             let cw = ol
                 .active
                 .get_mut(&client)
-                .expect("a driving completion finds its client's window");
+                .expect("a completion finds its client's window");
             match cw.admission.pop_front() {
                 Some((arrived, op)) => {
                     ol.queue_depth.dec();
@@ -931,21 +937,14 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     let mttr_s = cl.faults.mttr_s(sim_end);
 
     let m = &cl.metrics;
-    let update_iops = if duration_s > 0.0 {
-        m.completed_updates as f64 / duration_s
-    } else {
-        0.0
-    };
+    let disk = cl.disk_stats();
+    let update_iops = ratio(m.completed_updates as f64, duration_s);
 
     // Offered-vs-acked accounting: goodput is what clients actually got
     // acknowledged per second of run; on the open loop it is compared
     // against the schedule's offered rate to flag saturation.
     let acked = m.completed_updates + m.completed_reads + m.completed_writes;
-    let goodput_ops_per_s = if duration_s > 0.0 {
-        acked as f64 / duration_s
-    } else {
-        0.0
-    };
+    let goodput_ops_per_s = ratio(acked as f64, duration_s);
     let (
         offered_ops,
         offered_ops_per_s,
@@ -959,11 +958,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     ) = match &cl.clients {
         Some(ClientLoop::Open(ol)) => {
             let horizon_s = simdes::units::as_secs_f64(ol.horizon);
-            let rate = if horizon_s > 0.0 {
-                ol.offered as f64 / horizon_s
-            } else {
-                0.0
-            };
+            let rate = ratio(ol.offered as f64, horizon_s);
             let active_peak = ol.active_clients.peak();
             // "Backed up": at some point the admission queues held at
             // least one full window of the peak active set — more waiting
@@ -1014,11 +1009,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         wear_total += wear;
     }
     let wear_mean = wear_total as f64 / cl.nodes.len().max(1) as f64;
-    let wear_spread = if wear_mean > 0.0 {
-        wear_max_bytes as f64 / wear_mean
-    } else {
-        0.0
-    };
+    let wear_spread = ratio(wear_max_bytes as f64, wear_mean);
     let copysets_used = cl.layout.distinct_copysets();
 
     // Maintenance harvest. LSE ground truth comes from the per-device
@@ -1045,11 +1036,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     let (stage_breakdown, trace_dropped_spans, trace) = cl.trace.finish(rcfg.cluster.method.name());
     let sim_events = sim.events_executed();
     let wall_ms = wall_start.elapsed().as_secs_f64() * 1_000.0;
-    let events_per_sec = if wall_ms > 0.0 {
-        sim_events as f64 / (wall_ms / 1_000.0)
-    } else {
-        0.0
-    };
+    let events_per_sec = ratio(sim_events as f64, wall_ms / 1_000.0);
     let result = RunResult {
         method: rcfg.cluster.method.name().to_string(),
         completed_updates: m.completed_updates,
@@ -1059,11 +1046,11 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         update_iops,
         latency_mean_us: m.update_latency.mean() / 1_000.0,
         latency_p99_us: m.update_latency.quantile(0.99) as f64 / 1_000.0,
-        disk: cl.disk_stats(),
+        erases: disk.erases,
+        disk,
         net_gib: cl.net.traffic().total_gib(),
         net_cross_rack_gib: cl.net.traffic().cross_rack_gib(),
         net_msgs: cl.net.traffic().total_messages(),
-        erases: cl.total_erases(),
         series: m.completions.rates_per_sec(),
         log_memory_bytes: log_memory(&cl),
         data_residency: ResidencySummary::from_layer(&m.residency[Layer::Data as usize]),
@@ -1073,11 +1060,7 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
         cache_read_hits: m.cache_read_hits,
         cache_lookups: m.cache_lookups,
         cache_hits: m.cache_hits,
-        cache_hit_ratio: if m.cache_lookups > 0 {
-            m.cache_hits as f64 / m.cache_lookups as f64
-        } else {
-            0.0
-        },
+        cache_hit_ratio: ratio(m.cache_hits as f64, m.cache_lookups as f64),
         drain_s,
         oracle_violations: violations.len(),
         degraded_reads: m.degraded_reads,
@@ -1128,6 +1111,15 @@ fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
     RunOutcome { result, trace }
 }
 
+/// `n / d`, or 0 when `d` is not positive.
+fn ratio(n: f64, d: f64) -> f64 {
+    if d > 0.0 {
+        n / d
+    } else {
+        0.0
+    }
+}
+
 /// The p99 (µs) of the samples inside `windows` and of those outside.
 fn p99_split_us(log: &SampleLog, windows: &WindowSet) -> (f64, f64) {
     let (inside, outside) = log.split(windows);
@@ -1150,9 +1142,15 @@ mod tests {
     use crate::telemetry::{OpClass, Stage};
     use rscode::CodeParams;
 
-    /// 4 clients × 400 Ali-Cloud ops on RS(4,2), 8 nodes and 64 KiB
-    /// blocks, traced: ops this size often span two blocks.
-    fn run(method: &str, read_cache_bytes: Option<u64>, faults: FaultPlan) -> RunResult {
+    /// The update phase of 4 clients × 400 Ali-Cloud ops on RS(4,2), 8
+    /// nodes and 64 KiB blocks, traced: ops this size often span two
+    /// blocks.
+    fn run(
+        method: &str,
+        read_cache_bytes: Option<u64>,
+        workload: Workload,
+        faults: FaultPlan,
+    ) -> Cluster {
         let mut cluster = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .nodes(8)
@@ -1164,42 +1162,74 @@ mod tests {
         cluster.read_cache_bytes = read_cache_bytes;
         let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
             .ops_per_client(400)
+            .workload(workload)
             .faults(faults)
             .trace(TraceConfig::on())
             .build()
             .unwrap();
-        Replay::run(&rcfg).result
+        run_update_phase(&rcfg).1
     }
 
     #[test]
-    fn ops_that_span_blocks_are_counted_once_at_their_driving_slice() {
-        let acked = |r: &RunResult| r.completed_updates + r.completed_reads + r.completed_writes;
+    fn ops_that_span_blocks_are_counted_once_at_their_last_slice() {
+        let acked = |m: &crate::cluster::Metrics| {
+            m.completed_updates + m.completed_reads + m.completed_writes
+        };
+        // Three of eight nodes fail, so stripes that lose more than m = 2
+        // blocks fail ops; each op is still acked or failed once.
+        let at = 2 * simdes::units::MILLIS;
+        let three_fail = || (1..=3).fold(FaultPlan::new(), |p, n| p.fail_node(at, n));
         for (method, cache) in [
             ("FO", None),
             ("TSUE", None),
             ("PLR", None),
             ("CoRD", Some(1 << 20)),
         ] {
-            let r = run(method, cache, FaultPlan::new());
+            let mut cl = run(method, cache, Workload::ClosedLoop, FaultPlan::new());
+            let m = &cl.metrics;
+            assert_eq!((acked(m), m.failed_ops), (1_600, 0), "{method}");
+            // The series, the latency histogram and the counter each see
+            // every update once.
+            let series: f64 = m.completions.rates_per_sec().iter().map(|&(_, r)| r).sum();
+            assert_eq!(
+                (series as u64, m.update_latency.count()),
+                (m.completed_updates, m.completed_updates),
+                "{method}"
+            );
             // Every traced slice opens with one queue-wait span.
-            let slices = r
-                .stage_breakdown
+            let slices = cl
+                .trace
+                .finish(method)
+                .0
                 .iter()
                 .find(|row| row.class == OpClass::Update && row.stage == Stage::QueueWait)
                 .map_or(0, |row| row.count);
-            assert_eq!((acked(&r), r.failed_ops), (1_600, 0), "{method}");
-            assert!(slices > r.completed_updates, "{method}: no op spans blocks");
+            assert!(slices > m.completed_updates, "{method}: no op spans blocks");
 
-            // Three of eight nodes fail, so stripes that lose more than
-            // m = 2 blocks fail ops; each op is still acked or failed once.
-            let at = 2 * simdes::units::MILLIS;
-            let r = run(
-                method,
-                cache,
-                (1..=3).fold(FaultPlan::new(), |p, n| p.fail_node(at, n)),
+            let cl = run(method, cache, Workload::ClosedLoop, three_fail());
+            assert!(cl.metrics.failed_ops > 0, "{method}: no op failed");
+            assert_eq!(
+                acked(&cl.metrics) + cl.metrics.failed_ops,
+                1_600,
+                "{method}"
             );
-            assert!(r.failed_ops > 0, "{method}: no op failed");
-            assert_eq!(acked(&r) + r.failed_ops, 1_600, "{method}");
+
+            // The open loop offers its ops whatever completes: each is
+            // still acked or failed once.
+            let open = Workload::Open(OpenLoopSpec::poisson(20_000.0));
+            let cl = run(method, cache, open, three_fail());
+            let Some(ClientLoop::Open(ol)) = &cl.clients else {
+                unreachable!("an open-loop replay installs open-loop clients")
+            };
+            assert!(
+                cl.metrics.failed_ops > 0,
+                "{method}: no open-loop op failed"
+            );
+            assert_eq!(
+                (ol.offered, acked(&cl.metrics) + cl.metrics.failed_ops),
+                (1_600, 1_600),
+                "{method}"
+            );
         }
     }
 }

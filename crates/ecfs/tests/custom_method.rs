@@ -64,8 +64,7 @@ impl UpdateMethod for Teleport {
         self.updates.fetch_add(1, Ordering::Relaxed);
 
         let t_ack = cl.ack(t_write, dnode, client_ep);
-        cl.oracle_ack(slice.addr, slice.offset, slice.len);
-        cl.finish_update(sim, ctx, t_ack);
+        cl.finish(sim, ctx, t_ack);
     }
 }
 

@@ -60,7 +60,7 @@ fn empty_plan_reproduces_maintenance_free_golden() {
     assert_eq!(r.net_msgs, 3_466, "message count drifted");
     assert_eq!(r.disk.rw_ops(), 3_688, "disk ops drifted");
     let duration_ns = (r.duration_s * 1e9).round() as u64;
-    assert_eq!(duration_ns, 93_118_876, "timing drifted");
+    assert_eq!(duration_ns, 93_204_202, "timing drifted");
     assert_eq!(r.oracle_violations, 0);
 
     // No policy armed: every maintenance counter is exactly zero.
