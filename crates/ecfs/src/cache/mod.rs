@@ -81,7 +81,7 @@ mod tests {
     use crate::methods::Tsue;
 
     /// Arming the cache gives every node its own page cache, and the
-    /// node's log state still downcasts to the driver's own type.
+    /// node's log state is still the driver's own type.
     #[test]
     fn node_state_stays_the_drivers_own_under_a_cache() {
         let code = rscode::CodeParams::new(6, 3).unwrap();
@@ -92,9 +92,9 @@ mod tests {
             .all(|n| n.cache.is_none()));
         cfg.read_cache_bytes = Some(1 << 20);
         let mut cl = crate::Cluster::new(cfg);
-        for node in &mut cl.nodes {
-            assert!(node.cache.is_some());
-            assert!(node.state.downcast_mut::<TsueState>().is_some());
+        for node in 0..cl.cfg.nodes {
+            assert!(cl.nodes[node].cache.is_some());
+            cl.state_mut::<TsueState>(node);
         }
     }
 }

@@ -1,12 +1,13 @@
 //! The simulated cluster: OSD nodes, network, metrics, and the consistency
 //! oracle shared by every update-method driver.
 
+use std::any::Any;
+
 use simdes::stats::{Histogram, SampleLog, TimeSeries};
 use simdes::{Sim, SimTime};
 use simdisk::{Disk, IoOp};
 use simnet::{FlowClass, NetConfig, Network};
 
-use rscode::ReedSolomon;
 use traces::OpKind;
 use tsue::fastmap::FastMap;
 
@@ -170,8 +171,8 @@ pub struct Osd {
     pub id: usize,
     /// The device.
     pub disk: Disk,
-    /// Method-specific log structures (downcast via
-    /// [`dyn NodeLogState::downcast_ref`] in the method's driver).
+    /// Method-specific log structures; a driver reaches its own type
+    /// through [`Cluster::state_mut`].
     pub state: Box<dyn NodeLogState>,
     /// The node-local LRU read cache ([`crate::cache`]), armed by
     /// [`ClusterConfig::read_cache_bytes`].
@@ -277,8 +278,6 @@ impl OpJoins {
 pub struct Cluster {
     /// Configuration.
     pub cfg: ClusterConfig,
-    /// The codec (coefficients for delta math; sizes only here).
-    pub rs: ReedSolomon,
     /// Placement and allocation.
     pub layout: Layout,
     /// The network fabric.
@@ -316,7 +315,6 @@ impl Cluster {
     /// Panics on invalid configuration.
     pub fn new(cfg: ClusterConfig) -> Cluster {
         cfg.validate().expect("invalid cluster config");
-        let rs = ReedSolomon::new(cfg.code);
         let parity_extra = cfg.method.parity_reserved_bytes();
         let layout = Layout::with_placement(
             cfg.code,
@@ -347,7 +345,6 @@ impl Cluster {
             })
             .collect();
         Cluster {
-            rs,
             layout,
             net,
             nodes,
@@ -360,6 +357,23 @@ impl Cluster {
             maint: MaintState::default(),
             trace: TraceState::new(),
             cfg,
+        }
+    }
+
+    /// `node`'s log state as the driver's own type `T`.
+    ///
+    /// # Panics
+    /// Panics if the node holds another type's state: a driver reached
+    /// for a state its method did not build.
+    pub fn state_mut<T: NodeLogState>(&mut self, node: usize) -> &mut T {
+        let state: &mut dyn Any = self.nodes[node].state.as_mut();
+        match state.downcast_mut::<T>() {
+            Some(state) => state,
+            None => panic!(
+                "node {node} holds {} log state, not {}",
+                self.cfg.method.name(),
+                std::any::type_name::<T>()
+            ),
         }
     }
 
@@ -676,6 +690,19 @@ mod tests {
         b.insert(50, 60);
         assert!(a.covers_all(&b));
         assert!(!b.covers_all(&a));
+    }
+
+    /// A driver that reaches for another method's state panics, naming
+    /// both, instead of silently dropping its work.
+    #[test]
+    #[should_panic(expected = "node 0 holds FO log state, not ecfs::methods::tsue_drv::TsueState")]
+    fn state_mut_panics_on_a_foreign_state_type() {
+        use crate::methods::tsue_drv::TsueState;
+        use crate::methods::Fo;
+        let code = rscode::CodeParams::new(6, 3).unwrap();
+        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, std::sync::Arc::new(Fo)));
+        cl.state_mut::<crate::methods::PlainState>(0);
+        cl.state_mut::<TsueState>(0);
     }
 
     #[test]

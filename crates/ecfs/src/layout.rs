@@ -7,6 +7,7 @@
 //! [`FlatRotate`] rotates a per-stripe hash over all nodes), and each OSD
 //! allocates device space for its blocks with a bump allocator.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use rscode::CodeParams;
@@ -15,7 +16,15 @@ use tsue::fastmap::FastMap;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// Globally unique block id: `(volume, stripe, index within stripe)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The logs key their records by the address itself. [`Hash`] feeds a
+/// hasher one packed word: the volume's low 16 bits at 48..64, the stripe
+/// at 8..48, the index at 0..8 and the volume's high 16 bits folded into
+/// 28..44. Words may coincide for volume ids of 2^16 or more, which costs
+/// a bucket collision and nothing else, since keys compare by [`Eq`].
+/// Pool routing (`tsue::layers::LogPoolSet::pool_for`) hashes that word,
+/// so records keep their pools across the key's change of type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BlockAddr {
     /// Volume (client/file) id.
     pub volume: u32,
@@ -25,27 +34,15 @@ pub struct BlockAddr {
     pub index: u16,
 }
 
-impl BlockAddr {
-    /// A compact u64 key (for log-pool hashing).
-    ///
-    /// Layout: volume low 16 bits at 48..64, stripe at 8..48, index at
-    /// 0..8 — and the volume's *high* 16 bits folded into bits 28..44,
-    /// which keeps the key bit-identical to the legacy packing for
-    /// volumes below 65 536 (every pinned golden) while staying injective
-    /// for the full 32-bit volume space (million-client populations, one
-    /// volume per client) as long as `stripe < 2^20` (≥ 24 TiB per volume
-    /// at 6 × 4 MiB stripes). The legacy packing simply shifted the whole
-    /// volume to bit 48 and silently aliased clients beyond 65 535.
-    pub fn key(&self) -> u64 {
+impl Hash for BlockAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         let v = self.volume as u64;
-        debug_assert!(
-            v < 1 << 16 || self.stripe < 1 << 20,
-            "stripe beyond the injective key range for wide volume ids"
-        );
-        debug_assert!(self.index < 1 << 8, "index beyond 8-bit key space");
-        (v & 0xffff) << 48 ^ (v >> 16) << 28 ^ self.stripe << 8 ^ self.index as u64
+        state
+            .write_u64((v & 0xffff) << 48 ^ (v >> 16) << 28 ^ self.stripe << 8 ^ self.index as u64);
     }
+}
 
+impl BlockAddr {
     /// Whether this is a data block under the given code.
     pub fn is_data(&self, code: CodeParams) -> bool {
         (self.index as usize) < code.k()
@@ -53,9 +50,8 @@ impl BlockAddr {
 }
 
 /// A stripe-global identifier (volume + stripe) used by delta/parity keys.
-/// 24 bits of volume (16 M clients) above 40 bits of stripe — unlike
-/// [`BlockAddr::key`], this packing already covers million-client
-/// populations without aliasing.
+/// 24 bits of volume (16 M clients) above 40 bits of stripe, so
+/// million-client populations do not alias.
 pub fn stripe_key(volume: u32, stripe: u64) -> u64 {
     debug_assert!((volume as u64) < 1 << 24, "volume beyond 24-bit key space");
     debug_assert!(stripe < 1 << 40, "stripe beyond 40-bit key space");
@@ -596,22 +592,108 @@ mod tests {
         assert!(p.iter().all(|a| (a.volume, a.stripe) == (2, 9)));
     }
 
-    #[test]
-    fn block_key_unique_for_small_space() {
-        let mut seen = std::collections::HashSet::new();
-        for v in 0..3u32 {
-            for s in 0..100u64 {
-                for i in 0..10u16 {
-                    assert!(seen.insert(
-                        BlockAddr {
-                            volume: v,
-                            stripe: s,
-                            index: i
-                        }
-                        .key()
-                    ));
+    /// The packing `BlockAddr` hashes, kept as the reference the logs were
+    /// keyed by before they were keyed by the address itself.
+    fn packed(a: BlockAddr) -> u64 {
+        let v = a.volume as u64;
+        (v & 0xffff) << 48 ^ (v >> 16) << 28 ^ a.stripe << 8 ^ a.index as u64
+    }
+
+    fn hash_with<H: Hasher + Default>(value: impl Hash) -> u64 {
+        let mut h = H::default();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// Addresses around the packing's edges: volumes on both sides of
+    /// 2^16, stripes near 2^20 and indices up to a wide code's parity.
+    fn grid() -> Vec<BlockAddr> {
+        let volumes = [
+            0,
+            1,
+            7,
+            65_534,
+            65_535,
+            65_536,
+            65_537,
+            70_000,
+            1 << 20,
+            u32::MAX,
+        ];
+        let stripes = [0, 1, 2, 255, 4_096, (1 << 20) - 1, 1 << 20, (1 << 20) + 1];
+        let mut v = Vec::new();
+        for volume in volumes {
+            for stripe in stripes {
+                for index in [0, 1, 5, 8, 15, 255] {
+                    v.push(BlockAddr {
+                        volume,
+                        stripe,
+                        index,
+                    });
                 }
             }
         }
+        v
+    }
+
+    /// Hashing an address equals hashing the packed word under both the
+    /// pool router's `DefaultHasher` and the maps' `FastHasher`, so
+    /// records land in the same pool and bucket as under `u64` keys.
+    #[test]
+    fn hash_equals_the_packed_word() {
+        use std::collections::hash_map::DefaultHasher;
+        use tsue::fastmap::FastHasher;
+        for a in grid() {
+            assert_eq!(
+                hash_with::<DefaultHasher>(a),
+                hash_with::<DefaultHasher>(packed(a)),
+                "{a:?}"
+            );
+            assert_eq!(
+                hash_with::<FastHasher>(a),
+                hash_with::<FastHasher>(packed(a)),
+                "{a:?}"
+            );
+        }
+    }
+
+    /// Below volume 2^16 the derived order is the packed word's order, so
+    /// a log unit's recycle (sorted by key) replays in the same order. At
+    /// 2^16 and above the packing folded the volume's high bits into the
+    /// stripe's and could alias: there the orders part.
+    #[test]
+    fn order_equals_the_packed_order_below_volume_2_16() {
+        let mut by_ord: Vec<BlockAddr> =
+            grid().into_iter().filter(|a| a.volume < 1 << 16).collect();
+        let mut by_word = by_ord.clone();
+        by_ord.sort_unstable();
+        by_word.sort_unstable_by_key(|&a| packed(a));
+        assert_eq!(by_ord, by_word);
+
+        let wide = BlockAddr {
+            volume: 1 << 16,
+            stripe: 0,
+            index: 0,
+        };
+        let narrow_far = BlockAddr {
+            volume: 0,
+            stripe: 1 << 20,
+            index: 0,
+        };
+        assert!(narrow_far < wide);
+        assert_eq!(
+            packed(wide),
+            packed(narrow_far),
+            "the packing aliased these two"
+        );
+        let later = BlockAddr {
+            stripe: 1 << 20,
+            ..wide
+        };
+        assert!(wide < later);
+        assert!(
+            packed(wide) > packed(later),
+            "the packing ordered them the other way"
+        );
     }
 }

@@ -43,7 +43,7 @@ pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, TsueFeatures};
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
-pub use maintenance::{MaintenancePlan, MaintenancePolicy};
+pub use maintenance::MaintenancePlan;
 pub use methods::{NodeLogState, UpdateCtx, UpdateMethod};
 pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
@@ -68,9 +68,7 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultPlan, FaultScope, FaultState, InjectedFault};
     pub use crate::fleet::{DiskFleet, DiskProfile};
     pub use crate::layout::{BlockAddr, BlockSlice, Layout};
-    pub use crate::maintenance::{
-        LseConfig, MaintState, MaintenancePlan, MaintenancePolicy, ScrubConfig,
-    };
+    pub use crate::maintenance::{LseConfig, MaintState, MaintenancePlan, ScrubConfig};
     pub use crate::methods::{
         builtins, Cord, Fl, Fo, NodeLogState, Parix, Pl, PlainState, Plr, Tsue, UpdateCtx,
         UpdateMethod,

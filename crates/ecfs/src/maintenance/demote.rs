@@ -15,82 +15,62 @@ use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::any::Any;
-
 use crate::cluster::Cluster;
-use crate::maintenance::MaintenancePolicy;
 
 /// Pacing interval between demotion moves.
-const INTERVAL_NS: SimTime = 4 * MILLIS;
+pub(crate) const INTERVAL_NS: SimTime = 4 * MILLIS;
 
-/// The tier-demotion policy (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct Demote;
+/// Moves the first parity block still on a live flash node to the
+/// least-written live spindle.
+pub(crate) fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> Option<SimTime> {
+    let now = sim.now();
+    let code = cl.cfg.code;
 
-impl MaintenancePolicy for Demote {
-    fn name(&self) -> &'static str {
-        "demote"
-    }
-
-    fn interval_ns(&self, _cl: &Cluster) -> SimTime {
-        INTERVAL_NS
-    }
-
-    fn init_state(&self) -> Box<dyn Any + Send> {
-        // Stateless: the "cursor" is whatever parity still sits on flash.
-        Box::new(())
-    }
-
-    fn tick(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, _slot: usize) -> Option<SimTime> {
-        let now = sim.now();
-        let code = cl.cfg.code;
-
-        // First parity block still homed on a live flash node, in
-        // (node, offset) order — deterministic.
-        let mut pick = None;
-        'nodes: for node in 0..cl.cfg.nodes {
-            if cl.nodes[node].failed || !cl.cfg.fleet.is_ssd(node) {
-                continue;
-            }
-            for (addr, dev_off) in cl.layout.blocks_on(node) {
-                if !addr.is_data(code) {
-                    pick = Some((node, addr, dev_off));
-                    break 'nodes;
-                }
+    // First parity block still homed on a live flash node, in
+    // (node, offset) order — deterministic.
+    let mut pick = None;
+    'nodes: for node in 0..cl.cfg.nodes {
+        if cl.nodes[node].failed || !cl.cfg.fleet.is_ssd(node) {
+            continue;
+        }
+        for (addr, dev_off) in cl.layout.blocks_on(node) {
+            if !addr.is_data(code) {
+                pick = Some((node, addr, dev_off));
+                break 'nodes;
             }
         }
-        let (node, addr, dev_off) = pick?;
-
-        // The least-written live spindle takes it. Fill barely moves per
-        // demotion (one block on an 8 GiB spindle), so a fill-based pick
-        // would tie-break onto the same HDD forever; bytes written move
-        // with every demotion, rotating the target across the spindles
-        // and spreading both the writes and the future recycle reads.
-        let mut target: Option<usize> = None;
-        let mut best = u64::MAX;
-        for i in 0..cl.cfg.nodes {
-            if cl.nodes[i].failed || cl.cfg.fleet.is_ssd(i) {
-                continue;
-            }
-            let w = cl.nodes[i].disk.wear_bytes();
-            if w < best {
-                best = w;
-                target = Some(i);
-            }
-        }
-        let target = target?;
-
-        let span = cl.cfg.block_bytes + cl.cfg.method.parity_reserved_bytes();
-        let t_read = cl.disk_io(node, now, IoOp::read(dev_off, span, Pattern::Sequential));
-        let t_net = cl.send_repair(t_read, node, target, span);
-        let new_off = cl.log_offset(target, span);
-        let t_write = cl.disk_io(
-            target,
-            t_net,
-            IoOp::write(new_off, span, Pattern::Sequential),
-        );
-        cl.layout.relocate(addr, target, new_off);
-        cl.maint.demoted_bytes += span;
-        Some(t_write)
     }
+    let (node, addr, dev_off) = pick?;
+
+    // The least-written live spindle takes it. Fill barely moves per
+    // demotion (one block on an 8 GiB spindle), so a fill-based pick
+    // would tie-break onto the same HDD forever; bytes written move
+    // with every demotion, rotating the target across the spindles
+    // and spreading both the writes and the future recycle reads.
+    let mut target: Option<usize> = None;
+    let mut best = u64::MAX;
+    for i in 0..cl.cfg.nodes {
+        if cl.nodes[i].failed || cl.cfg.fleet.is_ssd(i) {
+            continue;
+        }
+        let w = cl.nodes[i].disk.wear_bytes();
+        if w < best {
+            best = w;
+            target = Some(i);
+        }
+    }
+    let target = target?;
+
+    let span = cl.cfg.block_bytes + cl.cfg.method.parity_reserved_bytes();
+    let t_read = cl.disk_io(node, now, IoOp::read(dev_off, span, Pattern::Sequential));
+    let t_net = cl.send_repair(t_read, node, target, span);
+    let new_off = cl.log_offset(target, span);
+    let t_write = cl.disk_io(
+        target,
+        t_net,
+        IoOp::write(new_off, span, Pattern::Sequential),
+    );
+    cl.layout.relocate(addr, target, new_off);
+    cl.maint.demoted_bytes += span;
+    Some(t_write)
 }

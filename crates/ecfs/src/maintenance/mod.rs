@@ -7,9 +7,6 @@
 //! disks, racks, and spines. This module generalises the one-shot repair
 //! pump into a policy engine:
 //!
-//! * [`MaintenancePolicy`] — the object-safe contract a background task
-//!   implements: a pacing interval plus a `tick` that books one bounded
-//!   unit of work (time-forwarding style, exactly like the repair pump);
 //! * [`MaintenancePlan`] — the validated, declarative configuration
 //!   carried by [`crate::replay::ReplayConfig`]. An **empty plan is
 //!   byte-for-byte the old behaviour**: nothing is armed, no state is
@@ -17,27 +14,27 @@
 //!   their rates and densities; rebalance and demotion are switched on
 //!   or off and pace themselves by constants in their own modules, as
 //!   does the LSE model's seed;
-//! * three built-in policies:
-//!   [`scrub::Scrub`] (periodic media scan that detects injected latent
-//!   sector errors and repairs them through the normal rebuild path),
-//!   [`rebalance::Rebalance`] (migrates block extents off the most-worn
-//!   device, closing the loop on the observed-only `wear_bytes`
-//!   counters), [`demote::Demote`] (the paper's §5.4 insight automated:
-//!   parity blocks drain from flash to spindles on mixed fleets).
+//! * a closed set of three policies, the variants of one crate-private
+//!   `Policy` enum, each holding its own `Copy` state: scrub (periodic
+//!   media scan that detects injected latent sector errors and repairs
+//!   them through the normal rebuild path; a round-robin cursor),
+//!   rebalance (migrates block extents off the most-worn device, closing
+//!   the loop on the observed-only `wear_bytes` counters; a rotation
+//!   cursor and a sampled flag) and demote (the paper's §5.4 insight
+//!   automated: parity blocks drain from flash to spindles on mixed
+//!   fleets; stateless).
 //!
-//! Every policy runs under one horizon-bounded scheduler (`tick`):
-//! one work item per event, rescheduled at
-//! `max(now + interval, completion)`, stopping at the plan horizon so
-//! the event loop always drains. Busy spans are recorded in a
+//! Every policy runs under one horizon-bounded scheduler (`tick`), an
+//! unboxed event carrying the policy's slot: one bounded work item per
+//! event, booked time-forwarding style like the repair pump and
+//! rescheduled at `max(now + interval, completion)`, stopping at the plan
+//! horizon so the event loop always drains. Busy spans are recorded in a
 //! [`WindowSet`] so the replay engine can attribute foreground latency
 //! to maintenance-busy versus maintenance-idle windows.
 
-pub mod demote;
-pub mod rebalance;
-pub mod scrub;
-
-use std::any::Any;
-use std::sync::Arc;
+mod demote;
+mod rebalance;
+mod scrub;
 
 use simdes::stats::WindowSet;
 use simdes::units::MILLIS;
@@ -216,28 +213,40 @@ impl MaintenancePlan {
     }
 }
 
-/// The object-safe contract for one background-maintenance task.
-///
-/// Policies are stateless handles; all mutable state lives in a
-/// per-policy slot on [`MaintState`] as `Box<dyn Any + Send>` (the
-/// same pattern as [`crate::methods::NodeLogState`]). Each `tick`
-/// books **one bounded work item** in time-forwarding style on the
-/// shared cluster resources and returns its completion time, or `None`
-/// when there was nothing to do this round.
-pub trait MaintenancePolicy: Send + Sync + std::fmt::Debug {
-    /// Display name (used in results and logs).
-    fn name(&self) -> &'static str;
+/// One armed background task, holding its own state. Each `tick` books
+/// **one bounded work item** in time-forwarding style on the shared
+/// cluster resources and returns its completion time, or `None` when
+/// there was nothing to do this round.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Policy {
+    /// Periodic scrubbing, with its round-robin cursor.
+    Scrub(scrub::Scrub),
+    /// Wear-leveling rebalance, with its rotation cursor.
+    Rebalance(rebalance::Rebalance),
+    /// Tier demotion (stateless: its cursor is whatever parity is left on
+    /// flash).
+    Demote,
+}
 
-    /// Pacing interval between ticks. Takes the cluster so rate-based
-    /// policies (scrub) can derive their cadence from block size.
-    fn interval_ns(&self, cl: &Cluster) -> SimTime;
-
-    /// Builds the policy's slot state (cursors, dedup sets, ...).
-    fn init_state(&self) -> Box<dyn Any + Send>;
+impl Policy {
+    /// Pacing interval between ticks.
+    fn interval_ns(&self, cl: &Cluster) -> SimTime {
+        match self {
+            Policy::Scrub(s) => s.interval_ns(cl),
+            Policy::Rebalance(_) => rebalance::INTERVAL_NS,
+            Policy::Demote => demote::INTERVAL_NS,
+        }
+    }
 
     /// Performs one bounded unit of work at `sim.now()`; returns the
     /// completion time of the booked I/O, or `None` for an idle tick.
-    fn tick(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: usize) -> Option<SimTime>;
+    fn tick(&mut self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> Option<SimTime> {
+        match self {
+            Policy::Scrub(s) => s.tick(sim, cl),
+            Policy::Rebalance(r) => r.tick(sim, cl),
+            Policy::Demote => demote::tick(sim, cl),
+        }
+    }
 }
 
 /// Runtime maintenance state, held on [`Cluster`]. `Default` (inactive,
@@ -248,8 +257,8 @@ pub struct MaintState {
     pub active: bool,
     /// Absolute scheduling horizon copied from the plan.
     pub horizon: SimTime,
-    /// Per-policy opaque state, indexed by arming order.
-    pub slots: Vec<Box<dyn Any + Send>>,
+    /// The armed policies, indexed by arming order (a tick's slot).
+    pub(crate) policies: Vec<Policy>,
     /// Union of maintenance-busy time spans, for foreground-latency
     /// cost attribution.
     pub windows: WindowSet,
@@ -294,24 +303,17 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
     }
     cl.maint.pin_appends = plan.demote;
 
-    let mut policies: Vec<Arc<dyn MaintenancePolicy>> = Vec::new();
-    if let Some(c) = plan.scrub {
-        policies.push(Arc::new(scrub::Scrub::new(c)));
-    }
-    if plan.rebalance {
-        policies.push(Arc::new(rebalance::Rebalance));
-    }
-    if plan.demote {
-        policies.push(Arc::new(demote::Demote));
-    }
-    for policy in policies {
-        let slot = cl.maint.slots.len();
-        cl.maint.slots.push(policy.init_state());
+    let scrub = plan.scrub.map(|c| Policy::Scrub(scrub::Scrub::new(c)));
+    let rebalance = plan
+        .rebalance
+        .then(|| Policy::Rebalance(rebalance::Rebalance::default()));
+    let demote = plan.demote.then_some(Policy::Demote);
+    for policy in [scrub, rebalance, demote].into_iter().flatten() {
+        let slot = cl.maint.policies.len();
+        cl.maint.policies.push(policy);
         let first = sim.now() + policy.interval_ns(cl).max(1);
         if first < cl.maint.horizon {
-            sim.schedule_at(first, move |sim, cl: &mut Cluster| {
-                tick(sim, cl, policy, slot);
-            });
+            sim.schedule_call_u_at(first, tick, slot as u64);
         }
     }
 }
@@ -320,26 +322,26 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
 /// span for cost attribution, and reschedule at
 /// `max(now + interval, completion)` — strictly before the horizon so
 /// the event loop always drains.
-fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, policy: Arc<dyn MaintenancePolicy>, slot: usize) {
+fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: u64) {
     let now = sim.now();
     if now >= cl.maint.horizon {
         return;
     }
-    let done = policy.tick(sim, cl, slot);
+    let mut policy = cl.maint.policies[slot as usize];
+    let done = policy.tick(sim, cl);
+    cl.maint.policies[slot as usize] = policy;
     let mut next = now + policy.interval_ns(cl).max(1);
     if let Some(t) = done {
         if t > now {
             cl.maint.windows.insert(now, t);
             // One background lane per policy slot: the busy window the
             // cost-attribution split uses, visible in the trace too.
-            cl.trace_child(crate::telemetry::Stage::Maintenance, slot, now, t);
+            cl.trace_child(crate::telemetry::Stage::Maintenance, slot as usize, now, t);
         }
         next = next.max(t);
     }
     if next < cl.maint.horizon {
-        sim.schedule_at(next, move |sim, cl: &mut Cluster| {
-            tick(sim, cl, policy, slot);
-        });
+        sim.schedule_call_u_at(next, tick, slot);
     }
 }
 
@@ -348,6 +350,7 @@ mod tests {
     use super::*;
     use crate::methods::Tsue;
     use rscode::CodeParams;
+    use std::sync::Arc;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue))

@@ -20,46 +20,27 @@ use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::any::Any;
-
 use crate::cluster::Cluster;
-use crate::maintenance::MaintenancePolicy;
 
 /// Pacing interval between rebalance decisions.
-const INTERVAL_NS: SimTime = 2 * MILLIS;
+pub(crate) const INTERVAL_NS: SimTime = 2 * MILLIS;
 
 /// Migration triggers when `max_wear > TRIGGER_RATIO * mean_wear` across
 /// live devices (1.0 would always rebalance; higher is lazier).
 const TRIGGER_RATIO: f64 = 1.05;
 
-/// The wear-leveling policy (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct Rebalance;
-
-/// Rotation cursor over the worn node's blocks plus the one-shot
-/// before-spread sample flag.
-struct RebState {
+/// The wear-leveling policy (see module docs): a rotation cursor over the
+/// worn node's blocks plus the one-shot before-spread sample flag.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Rebalance {
     cursor: usize,
     sampled: bool,
 }
 
-impl MaintenancePolicy for Rebalance {
-    fn name(&self) -> &'static str {
-        "rebalance"
-    }
-
-    fn interval_ns(&self, _cl: &Cluster) -> SimTime {
-        INTERVAL_NS
-    }
-
-    fn init_state(&self) -> Box<dyn Any + Send> {
-        Box::new(RebState {
-            cursor: 0,
-            sampled: false,
-        })
-    }
-
-    fn tick(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: usize) -> Option<SimTime> {
+impl Rebalance {
+    /// Moves one block off the most-worn device when the spread is past
+    /// the trigger.
+    pub(crate) fn tick(&mut self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> Option<SimTime> {
         let now = sim.now();
 
         // Mixed fleet: level flash only (see module docs). On uniform
@@ -88,18 +69,9 @@ impl MaintenancePolicy for Rebalance {
         }
         let mean = sum as f64 / live.max(1) as f64;
 
-        let (mut cursor, sampled) = {
-            let st = cl.maint.slots[slot]
-                .downcast_ref::<RebState>()
-                .expect("rebalance slot state");
-            (st.cursor, st.sampled)
-        };
-        if !sampled && mean > 0.0 {
+        if !self.sampled && mean > 0.0 {
             cl.maint.wear_spread_before = max_wear as f64 / mean;
-            cl.maint.slots[slot]
-                .downcast_mut::<RebState>()
-                .expect("rebalance slot state")
-                .sampled = true;
+            self.sampled = true;
         }
 
         if mean <= 0.0 || (max_wear as f64) <= TRIGGER_RATIO * mean {
@@ -126,12 +98,8 @@ impl MaintenancePolicy for Rebalance {
         if blocks.is_empty() {
             return None;
         }
-        let (addr, dev_off) = blocks[cursor % blocks.len()];
-        cursor += 1;
-        cl.maint.slots[slot]
-            .downcast_mut::<RebState>()
-            .expect("rebalance slot state")
-            .cursor = cursor;
+        let (addr, dev_off) = blocks[self.cursor % blocks.len()];
+        self.cursor += 1;
 
         let mut span = cl.cfg.block_bytes;
         if !addr.is_data(cl.cfg.code) {

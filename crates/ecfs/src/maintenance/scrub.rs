@@ -16,54 +16,42 @@ use simdes::units::SECS;
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
-use std::any::Any;
-
 use crate::cluster::Cluster;
-use crate::maintenance::{MaintenancePolicy, ScrubConfig};
+use crate::maintenance::ScrubConfig;
 
-/// The periodic-scrub policy (see module docs).
+/// The periodic-scrub policy (see module docs) and its round-robin
+/// position over (node, block index).
 #[derive(Debug, Clone, Copy)]
-pub struct Scrub {
+pub(crate) struct Scrub {
     cfg: ScrubConfig,
-}
-
-/// Round-robin position over (node, block index).
-struct Cursor {
     node: usize,
     idx: usize,
 }
 
 impl Scrub {
-    /// Builds the policy from its configuration.
-    pub fn new(cfg: ScrubConfig) -> Scrub {
-        Scrub { cfg }
+    /// Builds the policy from its configuration, its cursor at node 0's
+    /// first block.
+    pub(crate) fn new(cfg: ScrubConfig) -> Scrub {
+        Scrub {
+            cfg,
+            node: 0,
+            idx: 0,
+        }
     }
-}
 
-impl MaintenancePolicy for Scrub {
-    fn name(&self) -> &'static str {
-        "scrub"
-    }
-
-    fn interval_ns(&self, cl: &Cluster) -> SimTime {
-        // One block per tick at `bytes_per_sec` of scanned media.
+    /// Pacing interval: one block per tick at `bytes_per_sec` of scanned
+    /// media.
+    pub(crate) fn interval_ns(&self, cl: &Cluster) -> SimTime {
         (cl.cfg.block_bytes * SECS / self.cfg.bytes_per_sec.max(1)).max(1)
     }
 
-    fn init_state(&self) -> Box<dyn Any + Send> {
-        Box::new(Cursor { node: 0, idx: 0 })
-    }
-
-    fn tick(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: usize) -> Option<SimTime> {
+    /// Scans the next placed block at or after the cursor and repairs any
+    /// latent errors it crosses.
+    pub(crate) fn tick(&mut self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> Option<SimTime> {
         let now = sim.now();
         let n = cl.cfg.nodes;
         let block_bytes = cl.cfg.block_bytes;
-        let (mut node, mut idx) = {
-            let c = cl.maint.slots[slot]
-                .downcast_ref::<Cursor>()
-                .expect("scrub slot state");
-            (c.node, c.idx)
-        };
+        let (mut node, mut idx) = (self.node, self.idx);
 
         // Find the next placed block at or after the cursor, skipping
         // failed nodes and exhausted ones.
@@ -113,11 +101,8 @@ impl MaintenancePolicy for Scrub {
             done
         });
 
-        let c = cl.maint.slots[slot]
-            .downcast_mut::<Cursor>()
-            .expect("scrub slot state");
-        c.node = node;
-        c.idx = idx;
+        self.node = node;
+        self.idx = idx;
         result
     }
 }

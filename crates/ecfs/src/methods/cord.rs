@@ -72,13 +72,9 @@ fn collector_of(cl: &mut Cluster, volume: u32, stripe: u64) -> usize {
 /// Flushes a collector's buffer: per merged stripe-range, ship one combined
 /// delta to each parity node and RMW the parity block. Returns completion.
 fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
-    let mut contents = match cl.nodes[node].state.downcast_mut::<CordState>() {
-        Some(state) => {
-            state.buffered = 0;
-            state.buffer.drain_all()
-        }
-        None => return from,
-    };
+    let state = cl.state_mut::<CordState>(node);
+    state.buffered = 0;
+    let mut contents = state.buffer.drain_all();
     // The backing index drains in hash order; sorted replay keeps the
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
@@ -131,25 +127,17 @@ impl UpdateMethod for Cord {
         // The collector's single buffer: if it is flushing, the append (and the
         // client's ack) waits for the whole flush. The flush is triggered in
         // the foreground when the buffer fills.
-        let flushing = cl.nodes[collector]
-            .state
-            .downcast_ref::<CordState>()
-            .is_some_and(|s| s.flushing);
-        if flushing {
+        if cl.state_mut::<CordState>(collector).flushing {
             // Park and retry when the flush completes.
             cl.park_on(collector, ctx);
             return;
         }
 
         let skey = stripe_key(slice.addr.volume, slice.addr.stripe);
-        let must_flush = match cl.nodes[collector].state.downcast_mut::<CordState>() {
-            Some(state) => {
-                state.buffer.insert(skey, slice.offset, Ghost(slice.len));
-                state.buffered += len;
-                state.buffered >= state.capacity
-            }
-            None => false,
-        };
+        let state = cl.state_mut::<CordState>(collector);
+        state.buffer.insert(skey, slice.offset, Ghost(slice.len));
+        state.buffered += len;
+        let must_flush = state.buffered >= state.capacity;
         // Persist the buffered delta (sequential log write on the collector).
         let log_off = cl.log_offset(collector, len);
         let mut t_logged = cl.disk_io(
@@ -159,17 +147,13 @@ impl UpdateMethod for Cord {
         );
 
         if must_flush {
-            if let Some(state) = cl.nodes[collector].state.downcast_mut::<CordState>() {
-                state.flushing = true;
-            }
+            cl.state_mut::<CordState>(collector).flushing = true;
             let t_flush = flush_collector(cl, collector, t_logged);
             cl.trace_child(Stage::Recycle, collector, t_logged, t_flush);
             t_logged = t_flush;
             // Unblock parked updates once the flush finishes.
             sim.schedule_at(t_flush, move |sim, cl: &mut Cluster| {
-                if let Some(state) = cl.nodes[collector].state.downcast_mut::<CordState>() {
-                    state.flushing = false;
-                }
+                cl.state_mut::<CordState>(collector).flushing = false;
                 cl.wake_waiters(sim, collector);
             });
         }

@@ -15,7 +15,6 @@ use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
-use tsue::fastmap::FastMap;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
 
@@ -26,9 +25,7 @@ pub struct Fl;
 /// Per-node FL state: one big log with a merged view for recycle/reads.
 pub struct FlState {
     /// Merged view of logged data (data node) / deltas (parity node).
-    pub log: TwoLevelIndex<u64, Ghost>,
-    /// Block addr per key.
-    pub addr_of: FastMap<u64, BlockAddr>,
+    pub log: TwoLevelIndex<BlockAddr, Ghost>,
     /// Raw logged bytes.
     pub bytes: u64,
     /// Recycle threshold.
@@ -42,7 +39,6 @@ impl FlState {
     pub fn new(cfg: &ClusterConfig) -> FlState {
         FlState {
             log: TwoLevelIndex::new(MergeMode::Overwrite),
-            addr_of: FastMap::default(),
             bytes: 0,
             threshold: cfg.fl_threshold_bytes,
             recycling: false,
@@ -51,7 +47,7 @@ impl FlState {
 
     /// Read-cache coverage check.
     pub fn covers(&self, addr: BlockAddr, off: u32, len: u32) -> bool {
-        self.log.covers(&addr.key(), off, len)
+        self.log.covers(&addr, off, len)
     }
 }
 
@@ -69,22 +65,15 @@ impl NodeLogState for FlState {
 /// role) and logged deltas into parity (parity node role). Returns
 /// completion time.
 fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
-    let (mut contents, addr_of) = match cl.nodes[node].state.downcast_mut::<FlState>() {
-        Some(state) => {
-            state.bytes = 0;
-            // Every key the drained log holds was mapped when it was
-            // appended, so the whole map leaves with the log.
-            (state.log.drain_all(), std::mem::take(&mut state.addr_of))
-        }
-        None => return from,
-    };
+    let state = cl.state_mut::<FlState>(node);
+    state.bytes = 0;
+    let mut contents = state.log.drain_all();
     // The backing index drains in hash order; sorted replay keeps the
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
     let code = cl.cfg.code;
-    for (key, ranges) in contents {
-        let addr = addr_of[&key];
+    for (addr, ranges) in contents {
         let (bnode, bdev) = cl.layout.locate(addr);
         for (off, g) in ranges {
             let len = g.0 as u64;
@@ -125,11 +114,7 @@ impl UpdateMethod for Fl {
         let client_ep = cl.cfg.client_endpoint(ctx.client);
 
         // Single-log exclusivity: a recycling node cannot accept appends.
-        let busy = cl.nodes[dnode]
-            .state
-            .downcast_ref::<FlState>()
-            .is_some_and(|s| s.recycling);
-        if busy {
+        if cl.state_mut::<FlState>(dnode).recycling {
             cl.park_on(dnode, ctx);
             return;
         }
@@ -142,14 +127,10 @@ impl UpdateMethod for Fl {
             t_arrive,
             IoOp::write(log_off, len, Pattern::Sequential),
         );
-        let mut must_recycle_data = false;
-        if let Some(state) = cl.nodes[dnode].state.downcast_mut::<FlState>() {
-            let key = slice.addr.key();
-            state.log.insert(key, slice.offset, Ghost(slice.len));
-            state.addr_of.insert(key, slice.addr);
-            state.bytes += len;
-            must_recycle_data = state.bytes >= state.threshold;
-        }
+        let state = cl.state_mut::<FlState>(dnode);
+        state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
+        state.bytes += len;
+        let must_recycle_data = state.bytes >= state.threshold;
 
         // Forward the new data to every parity node's log. Note: the parity
         // *delta* cannot be computed without the old data, so FL logs the data
@@ -160,25 +141,18 @@ impl UpdateMethod for Fl {
             let t_send = cl.send(t_local, dnode, pnode, len);
             let plog = cl.log_offset(pnode, len);
             let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
-            if let Some(state) = cl.nodes[pnode].state.downcast_mut::<FlState>() {
-                let key = paddr.key();
-                state.log.insert(key, slice.offset, Ghost(slice.len));
-                state.addr_of.insert(key, paddr);
-                state.bytes += len;
-            }
+            let state = cl.state_mut::<FlState>(pnode);
+            state.log.insert(paddr, slice.offset, Ghost(slice.len));
+            state.bytes += len;
             t_done = t_done.max(t_append);
         }
 
         if must_recycle_data {
-            if let Some(state) = cl.nodes[dnode].state.downcast_mut::<FlState>() {
-                state.recycling = true;
-            }
+            cl.state_mut::<FlState>(dnode).recycling = true;
             let t_rec = recycle_node(cl, dnode, t_done);
             cl.trace_child(Stage::Recycle, dnode, t_done, t_rec);
             sim.schedule_at(t_rec, move |sim, cl: &mut Cluster| {
-                if let Some(state) = cl.nodes[dnode].state.downcast_mut::<FlState>() {
-                    state.recycling = false;
-                }
+                cl.state_mut::<FlState>(dnode).recycling = false;
                 cl.wake_waiters(sim, dnode);
             });
         }
@@ -209,7 +183,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn recycle_empties_the_address_map() {
+    fn recycle_empties_the_log_and_applies_its_blocks() {
         let code = CodeParams::new(6, 3).unwrap();
         let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Arc::new(Fl)));
         let mut sim = Sim::new();
@@ -227,13 +201,21 @@ mod tests {
             Fl.begin_update(&mut sim, &mut cl, UpdateCtx::new(0, slice, 0));
         }
         let node = cl.layout.current_node(addr(0));
-        let state = |cl: &Cluster| {
-            let s = cl.nodes[node].state.downcast_ref::<FlState>().unwrap();
-            (s.addr_of.len(), s.bytes)
+        let state = |cl: &mut Cluster| {
+            let s = cl.state_mut::<FlState>(node);
+            (s.log.block_keys().count(), s.bytes)
         };
-        assert!(state(&cl).0 > 0, "the update logged its block");
+        assert!(state(&mut cl).0 > 0, "the update logged its block");
         recycle_node(&mut cl, node, 0);
-        assert_eq!(state(&cl), (0, 0), "a recycle leaves no mapped key behind");
-        assert!(cl.oracle.applied_data.contains_key(&addr(0)));
+        assert_eq!(
+            state(&mut cl),
+            (0, 0),
+            "a recycle leaves no logged block behind"
+        );
+        let applied = &cl.oracle.applied_data[&addr(0)];
+        assert!(
+            applied.covers(0, 4096),
+            "the logged range was folded in place"
+        );
     }
 }

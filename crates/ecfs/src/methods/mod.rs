@@ -77,8 +77,8 @@ pub fn builtins() -> [Arc<dyn UpdateMethod>; 7] {
 }
 
 /// Per-node, method-specific log state, held as a trait object on every
-/// [`crate::cluster::Osd`]. Drivers downcast to their concrete state via
-/// [`dyn NodeLogState::downcast_ref`] / [`dyn NodeLogState::downcast_mut`].
+/// [`crate::cluster::Osd`]. A driver reaches its own state type through
+/// [`Cluster::state_mut`], which panics on any other.
 pub trait NodeLogState: Any + Send {
     /// Bytes of log state awaiting recycle on this node (drives the drain
     /// loop and the paper's Fig. 6 pending-bytes accounting).
@@ -96,18 +96,6 @@ pub trait NodeLogState: Any + Send {
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
         let _ = (addr, offset, len);
         false
-    }
-}
-
-impl dyn NodeLogState {
-    /// Downcasts to a concrete state type.
-    pub fn downcast_ref<T: NodeLogState>(&self) -> Option<&T> {
-        (self as &dyn Any).downcast_ref::<T>()
-    }
-
-    /// Downcasts to a concrete state type, mutably.
-    pub fn downcast_mut<T: NodeLogState>(&mut self) -> Option<&mut T> {
-        (self as &mut dyn Any).downcast_mut::<T>()
     }
 }
 

@@ -40,9 +40,7 @@ pub struct ParixState {
     /// At parity nodes: logged locations, merged newest-wins — PARIX's
     /// temporal-locality exploitation: only the latest value per location
     /// matters at recycle, plus the retained original.
-    pub log: TwoLevelIndex<u64, Ghost>,
-    /// Parity block addr per log key.
-    pub addr_of: FastMap<u64, BlockAddr>,
+    pub log: TwoLevelIndex<BlockAddr, Ghost>,
     /// Raw logged bytes (new data + forwarded originals).
     pub bytes: u64,
 }
@@ -52,7 +50,6 @@ impl Default for ParixState {
         ParixState {
             old_sent: FastMap::default(),
             log: TwoLevelIndex::new(MergeMode::Overwrite),
-            addr_of: FastMap::default(),
             bytes: 0,
         }
     }
@@ -88,17 +85,15 @@ impl UpdateMethod for Parix {
         // First touch since the last recycle? Then the parity side needs the
         // original value: data node reads it and ships it — a serial extra
         // round on the critical path.
-        let first_touch = match cl.nodes[dnode].state.downcast_mut::<ParixState>() {
-            Some(state) => {
-                let sent = state.old_sent.entry(slice.addr).or_default();
-                let covered = sent.covers(slice.offset as u64, slice.offset as u64 + len);
-                if !covered {
-                    sent.insert(slice.offset as u64, slice.offset as u64 + len);
-                }
-                !covered
-            }
-            None => false,
-        };
+        let sent = cl
+            .state_mut::<ParixState>(dnode)
+            .old_sent
+            .entry(slice.addr)
+            .or_default();
+        let first_touch = !sent.covers(slice.offset as u64, slice.offset as u64 + len);
+        if first_touch {
+            sent.insert(slice.offset as u64, slice.offset as u64 + len);
+        }
         // NOTE: the in-place write above already clobbered the old value; real
         // PARIX reads old before writing new on first touch. Order the read
         // before the write for timing purposes.
@@ -130,16 +125,10 @@ impl UpdateMethod for Parix {
                     IoOp::write(log_off2, len, Pattern::Sequential),
                 );
             }
-            let over_threshold =
-                if let Some(state) = cl.nodes[pnode].state.downcast_mut::<ParixState>() {
-                    let key = paddr.key();
-                    state.log.insert(key, slice.offset, Ghost(slice.len));
-                    state.addr_of.insert(key, paddr);
-                    state.bytes += len * if first_touch { 2 } else { 1 };
-                    state.bytes >= epoch_bytes
-                } else {
-                    false
-                };
+            let state = cl.state_mut::<ParixState>(pnode);
+            state.log.insert(paddr, slice.offset, Ghost(slice.len));
+            state.bytes += len * if first_touch { 2 } else { 1 };
+            let over_threshold = state.bytes >= epoch_bytes;
             // Epoch boundary: the parity log reached its threshold. The hot
             // log segment rolls over (old segments go cold and are recycled
             // lazily), so first-touch tracking resets: the next update of each
@@ -167,10 +156,8 @@ impl UpdateMethod for Parix {
 
     fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
         let t_end = methods::drain_nodes(sim, cl, recycle_node);
-        for osd in cl.nodes.iter_mut() {
-            if let Some(state) = osd.state.downcast_mut::<ParixState>() {
-                state.old_sent.clear();
-            }
+        for node in 0..cl.cfg.nodes {
+            cl.state_mut::<ParixState>(node).old_sent.clear();
         }
         t_end
     }
@@ -180,13 +167,9 @@ impl UpdateMethod for Parix {
 /// every data block whose stripe logs here, and resets the byte counter
 /// (the cold segments remain accounted until drain).
 fn epoch_reset(cl: &mut Cluster, node: usize) {
-    let addrs: Vec<BlockAddr> = match cl.nodes[node].state.downcast_mut::<ParixState>() {
-        Some(state) => {
-            state.bytes = 0;
-            state.addr_of.values().copied().collect()
-        }
-        None => return,
-    };
+    let state = cl.state_mut::<ParixState>(node);
+    state.bytes = 0;
+    let addrs: Vec<BlockAddr> = state.log.block_keys().copied().collect();
     for paddr in addrs {
         forget_originals(cl, paddr);
     }
@@ -203,30 +186,21 @@ fn forget_originals(cl: &mut Cluster, paddr: BlockAddr) {
             index: idx,
         };
         let dnode = cl.layout.current_node(daddr);
-        if let Some(ds) = cl.nodes[dnode].state.downcast_mut::<ParixState>() {
-            ds.old_sent.remove(&daddr);
-        }
+        cl.state_mut::<ParixState>(dnode).old_sent.remove(&daddr);
     }
 }
 
 /// Recycles one node's PARIX log: per merged location, compute the delta
 /// from the logged (original, newest) pair and RMW the parity block.
 pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
-    let (mut contents, addr_of) = match cl.nodes[node].state.downcast_mut::<ParixState>() {
-        Some(state) => {
-            let c = state.log.drain_all();
-            state.bytes = 0;
-            let a = std::mem::take(&mut state.addr_of);
-            (c, a)
-        }
-        None => return from,
-    };
+    let state = cl.state_mut::<ParixState>(node);
+    state.bytes = 0;
+    let mut contents = state.log.drain_all();
     // The backing index drains in hash order; sorted replay keeps the
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
-    for (key, ranges) in &contents {
-        let paddr = addr_of[key];
+    for (paddr, ranges) in contents {
         forget_originals(cl, paddr);
         let (pnode, pdev) = cl.layout.locate(paddr);
         for (off, g) in ranges {
@@ -239,10 +213,10 @@ pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
             if pnode != node {
                 t_pair = cl.send(t_pair, node, pnode, 2 * len);
             }
-            let poff = pdev + *off as u64;
+            let poff = pdev + off as u64;
             t = cl.disk_io(pnode, t_pair, IoOp::read(poff, len, Pattern::Random));
             t = cl.disk_io(pnode, t, IoOp::write(poff, len, Pattern::Random));
-            cl.oracle_apply_parity(paddr, *off, g.0);
+            cl.oracle_apply_parity(paddr, off, g.0);
         }
     }
     t

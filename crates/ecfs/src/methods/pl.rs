@@ -81,14 +81,13 @@ impl UpdateMethod for Pl {
                 t_delta,
                 IoOp::write(log_off, len, Pattern::Sequential),
             );
-            if let Some(state) = cl.nodes[pnode].state.downcast_mut::<PlState>() {
-                state.records.push(PlRecord {
-                    parity: paddr,
-                    offset: slice.offset,
-                    len: slice.len,
-                });
-                state.bytes += len;
-            }
+            let state = cl.state_mut::<PlState>(pnode);
+            state.records.push(PlRecord {
+                parity: paddr,
+                offset: slice.offset,
+                len: slice.len,
+            });
+            state.bytes += len;
             t_done = t_done.max(t_append);
         }
 
@@ -114,14 +113,9 @@ impl UpdateMethod for Pl {
 /// completion time. Every record costs a random read of the logged delta
 /// plus a read-modify-write of the parity block — PL's recycle storm.
 pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
-    let records = match cl.nodes[node].state.downcast_mut::<PlState>() {
-        Some(state) => {
-            let r = std::mem::take(&mut state.records);
-            state.bytes = 0;
-            r
-        }
-        None => return from,
-    };
+    let state = cl.state_mut::<PlState>(node);
+    state.bytes = 0;
+    let records = std::mem::take(&mut state.records);
     let mut t = from;
     for rec in records {
         let len = rec.len as u64;

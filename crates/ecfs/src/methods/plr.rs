@@ -55,16 +55,13 @@ impl NodeLogState for PlrState {
 /// have re-homed the block, in which case the replayed deltas cross the
 /// network to the rebuild target. Returns completion time.
 fn recycle_reserved(cl: &mut Cluster, node: usize, paddr: BlockAddr, from: SimTime) -> SimTime {
-    let (used, pending) = match cl.nodes[node].state.downcast_mut::<PlrState>() {
-        Some(state) => {
-            let r = state.reserved.entry(paddr).or_default();
-            let used = r.used;
-            let pending = std::mem::take(&mut r.pending);
-            r.used = 0;
-            (used, pending)
-        }
-        None => return from,
-    };
+    let r = cl
+        .state_mut::<PlrState>(node)
+        .reserved
+        .entry(paddr)
+        .or_default();
+    let used = std::mem::take(&mut r.used);
+    let pending = std::mem::take(&mut r.pending);
     if pending.is_empty() {
         return from;
     }
@@ -101,10 +98,12 @@ fn recycle_reserved(cl: &mut Cluster, node: usize, paddr: BlockAddr, from: SimTi
 /// Applies every reserved log tracked on `node`, one parity block after
 /// another from `from`. Returns completion time.
 fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
-    let mut addrs: Vec<BlockAddr> = match cl.nodes[node].state.downcast_ref::<PlrState>() {
-        Some(state) => state.reserved.keys().copied().collect(),
-        None => return from,
-    };
+    let mut addrs: Vec<BlockAddr> = cl
+        .state_mut::<PlrState>(node)
+        .reserved
+        .keys()
+        .copied()
+        .collect();
     // HashMap iteration order is nondeterministic; sorted replay keeps the
     // drain reproducible.
     addrs.sort_unstable();
@@ -148,13 +147,12 @@ impl UpdateMethod for Plr {
 
             // Does the reserved region overflow? Then recycle it *first*, in
             // the foreground — the PLR critical-path penalty.
-            let needs_recycle = match cl.nodes[pnode].state.downcast_mut::<PlrState>() {
-                Some(state) => {
-                    let r = state.reserved.entry(paddr).or_default();
-                    r.used + len > RESERVED_BYTES
-                }
-                None => false,
-            };
+            let r = cl
+                .state_mut::<PlrState>(pnode)
+                .reserved
+                .entry(paddr)
+                .or_default();
+            let needs_recycle = r.used + len > RESERVED_BYTES;
             let t_space = if needs_recycle {
                 let t_rec = recycle_reserved(cl, pnode, paddr, t_delta);
                 cl.trace_child(Stage::Recycle, pnode, t_delta, t_rec);
@@ -165,16 +163,14 @@ impl UpdateMethod for Plr {
 
             // Append into the reserved region: a *random* write from the
             // device's point of view (regions are scattered).
-            let append_off = match cl.nodes[pnode].state.downcast_mut::<PlrState>() {
-                Some(state) => {
-                    let r = state.reserved.entry(paddr).or_default();
-                    let o = pdev + block + r.used;
-                    r.used += len;
-                    r.pending.push((slice.offset, slice.len));
-                    o
-                }
-                None => pdev + block,
-            };
+            let r = cl
+                .state_mut::<PlrState>(pnode)
+                .reserved
+                .entry(paddr)
+                .or_default();
+            let append_off = pdev + block + r.used;
+            r.used += len;
+            r.pending.push((slice.offset, slice.len));
             let t_append = cl.disk_io(
                 pnode,
                 t_space,

@@ -33,7 +33,6 @@ use crate::config::ClusterConfig;
 use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
-use tsue::fastmap::FastMap;
 use tsue::layers::{
     group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
 };
@@ -128,14 +127,12 @@ impl Layer {
 
 /// Per-node TSUE state: the three log-pool sets plus bookkeeping.
 pub struct TsueState {
-    /// DataLog pools (keyed by data-block key).
-    pub data: LogPoolSet<u64, Ghost>,
+    /// DataLog pools, keyed by data block.
+    pub data: LogPoolSet<BlockAddr, Ghost>,
     /// DeltaLog pools (keyed by stripe + data block index).
     pub delta: LogPoolSet<StripeBlock, Ghost>,
     /// ParityLog pools (keyed by stripe + parity index).
     pub parity: LogPoolSet<ParityKey, Ghost>,
-    /// Data-block address per DataLog key.
-    pub addr_of: FastMap<u64, BlockAddr>,
     /// Recycles in flight per [`Layer`] (drives the O3-off exclusivity and
     /// the drain loop).
     pub recycling: [u32; 3],
@@ -151,7 +148,6 @@ impl TsueState {
             data: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Overwrite)),
             delta: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Xor)),
             parity: LogPoolSet::new(pools, cfg.tsue_pool_cfg(MergeMode::Xor)),
-            addr_of: FastMap::default(),
             recycling: [0; 3],
             pending: [0; 3],
         }
@@ -177,15 +173,8 @@ impl NodeLogState for TsueState {
     }
 
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
-        self.data.covers(&addr.key(), offset, len)
+        self.data.covers(&addr, offset, len)
     }
-}
-
-fn tsue_state(cl: &mut Cluster, node: usize) -> &mut TsueState {
-    cl.nodes[node]
-        .state
-        .downcast_mut::<TsueState>()
-        .expect("TSUE driver on non-TSUE node")
 }
 
 /// The replica node for a data log: the next live OSD on the ring — or,
@@ -224,27 +213,20 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let client_ep = cl.cfg.client_endpoint(ctx.client);
 
     // O3 off: single log — appends are exclusive with recycling.
-    if !cl.cfg.tsue.log_pool {
-        let busy = cl.nodes[dnode]
-            .state
-            .downcast_ref::<TsueState>()
-            .is_some_and(|ts| ts.recycling[Layer::Data as usize] > 0);
-        if busy {
-            cl.park_on(dnode, ctx);
-            return;
-        }
+    let data = Layer::Data as usize;
+    if !cl.cfg.tsue.log_pool && cl.state_mut::<TsueState>(dnode).recycling[data] > 0 {
+        cl.park_on(dnode, ctx);
+        return;
     }
 
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-    let key = slice.addr.key();
 
     // Append to the DataLog.
     let outcome = {
-        let ts = tsue_state(cl, dnode);
-        ts.addr_of.insert(key, slice.addr);
+        let ts = cl.state_mut::<TsueState>(dnode);
         let (_, out) = ts
             .data
-            .append(key, slice.offset, Ghost(slice.len), t_arrive);
+            .append(slice.addr, slice.offset, Ghost(slice.len), t_arrive);
         if !matches!(out, AppendOutcome::Stalled) {
             ts.pending[Layer::Data as usize] += len;
         }
@@ -338,7 +320,7 @@ fn start_recycle<K>(
     now: SimTime,
     take: impl FnOnce(&mut TsueState) -> Option<(usize, TakenUnit<K, Ghost>)>,
 ) -> Option<(Ticket, TakenUnit<K, Ghost>, SimTime)> {
-    let ts = tsue_state(cl, node);
+    let ts = cl.state_mut::<TsueState>(node);
     let (pool, taken) = take(ts)?;
     ts.recycling[layer as usize] += 1;
     if let Some(first) = taken.first_append_at {
@@ -368,7 +350,7 @@ fn end_recycle(sim: &mut Sim<Cluster>, cl: &mut Cluster, ticket: Ticket, t_end: 
     sim.schedule_at(t_end, move |sim, cl: &mut Cluster| {
         let l = ticket.layer as usize;
         let more = {
-            let ts = tsue_state(cl, ticket.node);
+            let ts = cl.state_mut::<TsueState>(ticket.node);
             let more = match ticket.layer {
                 Layer::Data => ts.data.finish_recycle(ticket.pool, ticket.unit),
                 Layer::Delta => ts.delta.finish_recycle(ticket.pool, ticket.unit),
@@ -408,7 +390,7 @@ fn log_downstream(
     cl.metrics.residency[layer as usize]
         .append
         .record(t_persist.saturating_sub(t_send));
-    let ts = tsue_state(cl, to);
+    let ts = cl.state_mut::<TsueState>(to);
     ts.pending[layer as usize] += bytes;
     if let AppendOutcome::AppendedAndSealed(_) = append(ts, t_send) {
         schedule_recycle(sim, layer, to, t_persist);
@@ -441,8 +423,7 @@ fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     // forward that block's deltas immediately — sends pace out across the
     // recycle window instead of bursting on the egress link at the end.
     let mut t_io = start;
-    for (key, ranges) in taken.contents {
-        let addr = tsue_state(cl, node).addr_of[&key];
+    for (addr, ranges) in taken.contents {
         let (bnode, bdev) = cl.layout.locate(addr);
         for &(off, g) in &ranges {
             let len = g.0 as u64;
@@ -650,7 +631,7 @@ fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, until: SimTime) {
     let mut pending = 0u64;
     for node in 0..cl.cfg.nodes {
         let idle = {
-            let ts = tsue_state(cl, node);
+            let ts = cl.state_mut::<TsueState>(node);
             ts.data.seal_all_active();
             ts.delta.seal_all_active();
             ts.parity.seal_all_active();
@@ -702,12 +683,11 @@ mod tests {
             stripe: 3,
             index: 1,
         };
-        let key = addr.key();
         // Unit 0: [0, 4 KiB) plus a record that fills it; unit 1: [2 KiB,
         // 6 KiB).
-        ts.data.append(key, 0, Ghost(4096), 0);
-        ts.data.append(key, 1 << 20, Ghost((64 << 10) - 4096), 0);
-        ts.data.append(key, 2048, Ghost(4096), 1);
+        ts.data.append(addr, 0, Ghost(4096), 0);
+        ts.data.append(addr, 1 << 20, Ghost((64 << 10) - 4096), 0);
+        ts.data.append(addr, 2048, Ghost(4096), 1);
         assert!(ts.read_cache_covers(addr, 0, 6144));
         assert!(ts.read_cache_covers(addr, 1024, 4096));
         assert!(
@@ -733,7 +713,7 @@ mod tests {
                 "{recycled:?}"
             );
             for node in 0..cl.cfg.nodes {
-                let ts = tsue_state(&mut cl, node);
+                let ts = cl.state_mut::<TsueState>(node);
                 let what = format!("delta_log {delta_log}, node {node}");
                 assert_eq!(ts.recycling, [0; 3], "{what}");
                 assert_eq!(ts.pending, [0; 3], "{what}");

@@ -462,18 +462,6 @@ impl TraceState {
         });
     }
 
-    /// Accumulates `busy_ns` of booked service time into a utilization
-    /// lane at time `t` (called at resource-booking sites).
-    pub fn book(&mut self, kind: UtilKind, id: u32, t: SimTime, busy_ns: SimTime) {
-        if !self.on || busy_ns == 0 {
-            return;
-        }
-        self.util
-            .entry((kind.id(), id))
-            .or_insert_with(|| TimeSeries::new(UTIL_BUCKET_NS))
-            .record(t, busy_ns);
-    }
-
     /// Samples a *cumulative* busy counter (e.g. `Disk::busy_time`,
     /// `Network::egress_busy`) into a utilization lane: the delta since
     /// the last sample of the same lane lands in the bucket containing
@@ -569,7 +557,7 @@ mod tests {
         assert!(!t.enabled());
         t.record_op(1, OpClass::Update, 0, 10, &[(Stage::Ack, 50)]);
         t.child(Stage::Repair, 3, 0, 100);
-        t.book(UtilKind::Disk, 0, 0, 1000);
+        t.book_total(UtilKind::Disk, 0, 0, 1000);
         t.close_op(50);
         let (rows, dropped, trace) = t.finish("FO");
         assert!(rows.is_empty());
@@ -684,8 +672,8 @@ mod tests {
         let mut t = TraceState::new();
         t.arm(TraceConfig::on());
         t.child(Stage::Repair, 4, 1000, 5000);
-        t.book(UtilKind::Disk, 4, 1000, 4000);
-        t.book(UtilKind::Spine, 0, 2000, 100);
+        t.book_total(UtilKind::Disk, 4, 1000, 4000);
+        t.book_total(UtilKind::Spine, 0, 2000, 100);
         let (rows, _, trace) = t.finish("FO");
         let trace = trace.unwrap();
         assert_eq!(trace.spans.len(), 1);

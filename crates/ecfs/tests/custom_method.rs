@@ -58,9 +58,7 @@ impl UpdateMethod for Teleport {
         for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
             cl.oracle_apply_parity(paddr, slice.offset, slice.len);
         }
-        if let Some(state) = cl.nodes[dnode].state.downcast_mut::<TeleportState>() {
-            state.appended += len;
-        }
+        cl.state_mut::<TeleportState>(dnode).appended += len;
         self.updates.fetch_add(1, Ordering::Relaxed);
 
         let t_ack = cl.ack(t_write, dnode, client_ep);

@@ -1,10 +1,12 @@
 //! In-memory stripe: `k` data blocks plus `m` parity blocks kept
 //! consistent under sub-block updates.
 //!
-//! `Stripe` is the ground-truth model used by integration tests and by the
-//! cluster simulator's consistency oracle: every update path in the paper
-//! (FO, PL, PLR, PARIX, CoRD, TSUE) must converge to the state a `Stripe`
-//! reaches via direct incremental updates.
+//! `Stripe` is the byte-level ground truth of `tests/full_stack.rs` and of
+//! this crate's proptests: the real-byte engine and the incremental
+//! update paths must converge to the state a `Stripe` reaches via direct
+//! incremental updates. The cluster simulator's consistency oracle
+//! (`ecfs::cluster::Oracle`) does not use it: it tracks coverage
+//! intervals only.
 
 use gf256::slice;
 

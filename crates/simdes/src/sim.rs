@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 pub type SimTime = u64;
 
 /// A boxed, owned continuation — the general (capturing) callback shape.
-pub type BoxedCallback<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W) + Send>;
+type BoxedCallback<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W) + Send>;
 
 /// A scheduled continuation.
 ///
@@ -148,14 +148,6 @@ impl<W> Sim<W> {
         self.push(t, Callback::FnU(f, arg));
     }
 
-    /// Schedules an already-boxed continuation `delay` nanoseconds from
-    /// now. Callers holding a `Box<dyn FnOnce ...>` (e.g. a stored waiter
-    /// continuation) use this to avoid re-boxing it inside a wrapper
-    /// closure.
-    pub fn schedule_boxed(&mut self, delay: SimTime, cb: BoxedCallback<W>) {
-        self.push(self.now.saturating_add(delay), Callback::Boxed(cb));
-    }
-
     /// Runs until the event queue drains. Returns the final time.
     pub fn run(&mut self, world: &mut W) -> SimTime {
         self.run_until(world, SimTime::MAX)
@@ -262,7 +254,7 @@ mod tests {
         sim.schedule(5, |_, w: &mut Vec<u32>| w.push(1));
         sim.schedule_call(5, push7);
         sim.schedule_call_u_at(5, push_arg, 9);
-        sim.schedule_boxed(5, Box::new(|_, w: &mut Vec<u32>| w.push(2)));
+        sim.schedule(5, |_, w: &mut Vec<u32>| w.push(2));
         sim.run(&mut world);
         assert_eq!(world, vec![1, 7, 9, 2]);
     }

@@ -204,10 +204,4 @@ impl Disk {
     pub fn lse_latent(&self, now: SimTime) -> usize {
         self.lse().map_or(0, |m| m.latent(now))
     }
-
-    /// Whether `[offset, offset + len)` holds an unrepaired onset LSE site.
-    pub fn lse_overlaps_latent(&self, now: SimTime, offset: u64, len: u64) -> bool {
-        self.lse()
-            .is_some_and(|m| m.overlaps_latent(now, offset, len))
-    }
 }

@@ -66,9 +66,4 @@ impl TraceOp {
     pub fn end(&self) -> u64 {
         self.offset + self.len as u64
     }
-
-    /// Whether this is a write of either kind.
-    pub fn is_write(&self) -> bool {
-        matches!(self.kind, OpKind::Write | OpKind::Update)
-    }
 }
