@@ -16,15 +16,7 @@ use tsue::fastmap::FastMap;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// Globally unique block id: `(volume, stripe, index within stripe)`.
-///
-/// The logs key their records by the address itself. [`Hash`] feeds a
-/// hasher one packed word: the volume's low 16 bits at 48..64, the stripe
-/// at 8..48, the index at 0..8 and the volume's high 16 bits folded into
-/// 28..44. Words may coincide for volume ids of 2^16 or more, which costs
-/// a bucket collision and nothing else, since keys compare by [`Eq`].
-/// Pool routing (`tsue::layers::LogPoolSet::pool_for`) hashes that word,
-/// so records keep their pools across the key's change of type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockAddr {
     /// Volume (client/file) id.
     pub volume: u32,
@@ -34,11 +26,31 @@ pub struct BlockAddr {
     pub index: u16,
 }
 
-impl Hash for BlockAddr {
+/// A block address as the logs key their records: TSUE's DataLog and the
+/// FL and PARIX indexes.
+///
+/// [`Hash`] feeds a hasher one packed word: the volume's low 16 bits at
+/// 48..64, the stripe at 8..48, the index at 0..8 and the volume's high 16
+/// bits folded into 28..44. Pool routing
+/// (`tsue::layers::LogPoolSet::pool_for`) hashes that word, so a record
+/// lands in the pool its block's word picks. Words may coincide for volume
+/// ids of 2^16 or more, which costs a bucket collision and nothing else,
+/// since keys compare by [`Eq`]. [`BlockAddr`] keeps its field-by-field
+/// hash: under `tsue::fastmap::FastHasher` the word's top 16 bits never
+/// reach a small table's bucket index, so a map over many volumes' blocks
+/// (the layout's, the oracle's) would probe long chains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LogKey(pub BlockAddr);
+
+impl Hash for LogKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let v = self.volume as u64;
-        state
-            .write_u64((v & 0xffff) << 48 ^ (v >> 16) << 28 ^ self.stripe << 8 ^ self.index as u64);
+        let BlockAddr {
+            volume,
+            stripe,
+            index,
+        } = self.0;
+        let v = volume as u64;
+        state.write_u64((v & 0xffff) << 48 ^ (v >> 16) << 28 ^ stripe << 8 ^ index as u64);
     }
 }
 
@@ -592,8 +604,8 @@ mod tests {
         assert!(p.iter().all(|a| (a.volume, a.stripe) == (2, 9)));
     }
 
-    /// The packing `BlockAddr` hashes, kept as the reference the logs were
-    /// keyed by before they were keyed by the address itself.
+    /// The packing `LogKey` hashes, kept as the reference: the logs were
+    /// keyed by this `u64` before they were keyed by the address.
     fn packed(a: BlockAddr) -> u64 {
         let v = a.volume as u64;
         (v & 0xffff) << 48 ^ (v >> 16) << 28 ^ a.stripe << 8 ^ a.index as u64
@@ -636,7 +648,7 @@ mod tests {
         v
     }
 
-    /// Hashing an address equals hashing the packed word under both the
+    /// Hashing a log key equals hashing the packed word under both the
     /// pool router's `DefaultHasher` and the maps' `FastHasher`, so
     /// records land in the same pool and bucket as under `u64` keys.
     #[test]
@@ -645,12 +657,12 @@ mod tests {
         use tsue::fastmap::FastHasher;
         for a in grid() {
             assert_eq!(
-                hash_with::<DefaultHasher>(a),
+                hash_with::<DefaultHasher>(LogKey(a)),
                 hash_with::<DefaultHasher>(packed(a)),
                 "{a:?}"
             );
             assert_eq!(
-                hash_with::<FastHasher>(a),
+                hash_with::<FastHasher>(LogKey(a)),
                 hash_with::<FastHasher>(packed(a)),
                 "{a:?}"
             );
@@ -663,11 +675,14 @@ mod tests {
     /// stripe's and could alias: there the orders part.
     #[test]
     fn order_equals_the_packed_order_below_volume_2_16() {
-        let mut by_ord: Vec<BlockAddr> =
-            grid().into_iter().filter(|a| a.volume < 1 << 16).collect();
+        let mut by_ord: Vec<LogKey> = grid()
+            .into_iter()
+            .filter(|a| a.volume < 1 << 16)
+            .map(LogKey)
+            .collect();
         let mut by_word = by_ord.clone();
         by_ord.sort_unstable();
-        by_word.sort_unstable_by_key(|&a| packed(a));
+        by_word.sort_unstable_by_key(|&LogKey(a)| packed(a));
         assert_eq!(by_ord, by_word);
 
         let wide = BlockAddr {

@@ -12,7 +12,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::layout::BlockAddr;
+use crate::layout::{BlockAddr, LogKey};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
 use tsue::index::{MergeMode, TwoLevelIndex};
@@ -25,7 +25,7 @@ pub struct Fl;
 /// Per-node FL state: one big log with a merged view for recycle/reads.
 pub struct FlState {
     /// Merged view of logged data (data node) / deltas (parity node).
-    pub log: TwoLevelIndex<BlockAddr, Ghost>,
+    pub log: TwoLevelIndex<LogKey, Ghost>,
     /// Raw logged bytes.
     pub bytes: u64,
     /// Recycle threshold.
@@ -47,7 +47,7 @@ impl FlState {
 
     /// Read-cache coverage check.
     pub fn covers(&self, addr: BlockAddr, off: u32, len: u32) -> bool {
-        self.log.covers(&addr, off, len)
+        self.log.covers(&LogKey(addr), off, len)
     }
 }
 
@@ -73,7 +73,7 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
     let code = cl.cfg.code;
-    for (addr, ranges) in contents {
+    for (LogKey(addr), ranges) in contents {
         let (bnode, bdev) = cl.layout.locate(addr);
         for (off, g) in ranges {
             let len = g.0 as u64;
@@ -128,7 +128,9 @@ impl UpdateMethod for Fl {
             IoOp::write(log_off, len, Pattern::Sequential),
         );
         let state = cl.state_mut::<FlState>(dnode);
-        state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
+        state
+            .log
+            .insert(LogKey(slice.addr), slice.offset, Ghost(slice.len));
         state.bytes += len;
         let must_recycle_data = state.bytes >= state.threshold;
 
@@ -142,7 +144,9 @@ impl UpdateMethod for Fl {
             let plog = cl.log_offset(pnode, len);
             let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
             let state = cl.state_mut::<FlState>(pnode);
-            state.log.insert(paddr, slice.offset, Ghost(slice.len));
+            state
+                .log
+                .insert(LogKey(paddr), slice.offset, Ghost(slice.len));
             state.bytes += len;
             t_done = t_done.max(t_append);
         }

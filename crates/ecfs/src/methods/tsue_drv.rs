@@ -30,7 +30,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::layout::{stripe_key, stripe_of, BlockAddr};
+use crate::layout::{stripe_key, stripe_of, BlockAddr, LogKey};
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
 use tsue::layers::{
@@ -128,7 +128,7 @@ impl Layer {
 /// Per-node TSUE state: the three log-pool sets plus bookkeeping.
 pub struct TsueState {
     /// DataLog pools, keyed by data block.
-    pub data: LogPoolSet<BlockAddr, Ghost>,
+    pub data: LogPoolSet<LogKey, Ghost>,
     /// DeltaLog pools (keyed by stripe + data block index).
     pub delta: LogPoolSet<StripeBlock, Ghost>,
     /// ParityLog pools (keyed by stripe + parity index).
@@ -173,7 +173,7 @@ impl NodeLogState for TsueState {
     }
 
     fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
-        self.data.covers(&addr, offset, len)
+        self.data.covers(&LogKey(addr), offset, len)
     }
 }
 
@@ -226,7 +226,7 @@ fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         let ts = cl.state_mut::<TsueState>(dnode);
         let (_, out) = ts
             .data
-            .append(slice.addr, slice.offset, Ghost(slice.len), t_arrive);
+            .append(LogKey(slice.addr), slice.offset, Ghost(slice.len), t_arrive);
         if !matches!(out, AppendOutcome::Stalled) {
             ts.pending[Layer::Data as usize] += len;
         }
@@ -423,7 +423,7 @@ fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     // forward that block's deltas immediately — sends pace out across the
     // recycle window instead of bursting on the egress link at the end.
     let mut t_io = start;
-    for (addr, ranges) in taken.contents {
+    for (LogKey(addr), ranges) in taken.contents {
         let (bnode, bdev) = cl.layout.locate(addr);
         for &(off, g) in &ranges {
             let len = g.0 as u64;
@@ -685,9 +685,10 @@ mod tests {
         };
         // Unit 0: [0, 4 KiB) plus a record that fills it; unit 1: [2 KiB,
         // 6 KiB).
-        ts.data.append(addr, 0, Ghost(4096), 0);
-        ts.data.append(addr, 1 << 20, Ghost((64 << 10) - 4096), 0);
-        ts.data.append(addr, 2048, Ghost(4096), 1);
+        let key = LogKey(addr);
+        ts.data.append(key, 0, Ghost(4096), 0);
+        ts.data.append(key, 1 << 20, Ghost((64 << 10) - 4096), 0);
+        ts.data.append(key, 2048, Ghost(4096), 1);
         assert!(ts.read_cache_covers(addr, 0, 6144));
         assert!(ts.read_cache_covers(addr, 1024, 4096));
         assert!(
