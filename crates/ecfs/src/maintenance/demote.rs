@@ -6,10 +6,13 @@
 //! folds, parity deltas) is background sequential I/O a spindle handles
 //! fine. On a mixed fleet this policy therefore (a) drains parity
 //! blocks — recycle targets, never read synchronously — from flash
-//! nodes to the emptiest spindle node, one block per tick, and (b)
+//! nodes to the least-written spindle node, one block per tick, and (b)
 //! pins TSUE's replica append to flash nodes
 //! ([`crate::maintenance::MaintState::pin_appends`]) so the
 //! two-append critical path never waits on a seek.
+//!
+//! The policy keeps no state (`Policy::Demote` is a bare variant): its
+//! cursor is whatever parity still sits on flash.
 
 use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};

@@ -15,6 +15,10 @@
 //! is a flash-lifetime currency, and "leveling" onto the least-written
 //! spindle would concentrate block traffic on a single HDD (slow for
 //! the foreground, meaningless for endurance).
+//!
+//! The policy's state, carried in its `Policy::Rebalance` variant, is a
+//! rotation cursor over the donor's blocks and the flag that samples the
+//! before-spread once.
 
 use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};

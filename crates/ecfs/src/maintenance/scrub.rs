@@ -11,6 +11,9 @@
 //! the same device queue); when the read crosses an onset error site
 //! the block is decoded from `k` survivors and rewritten, and the site
 //! is marked repaired.
+//!
+//! The policy's state, carried in its `Policy::Scrub` variant, is its
+//! configuration and a round-robin `(node, block index)` cursor.
 
 use simdes::units::SECS;
 use simdes::{Sim, SimTime};
