@@ -32,16 +32,18 @@ pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
 /// starts from the same zero state.
 pub type FastBuild = BuildHasherDefault<FastHasher>;
 
-/// Multiply-rotate hasher: each word is added into the state, which is
-/// then multiplied by an odd constant; [`Hasher::finish`] rotates the
-/// result.
+/// Multiply-fold hasher: each word is added into the state, which is
+/// then multiplied by an odd constant; [`Hasher::finish`] folds the high
+/// half of the state into the low half, multiplies once more and rotates.
 ///
 /// A product carries entropy only upward, so its low bits depend on the
-/// low bits of the input alone. The table takes its bucket index from the
-/// low bits of the hash, and compact block keys (a stripe shifted above a
-/// small block index in the low byte) differ mostly above their low bits,
-/// so the final rotation moves the well-mixed high half of the product
-/// down to where it is used.
+/// low bits of the input alone, and its top bits never come down. The
+/// table takes its bucket index from the low bits of the hash and its
+/// control byte from the top seven, while keys differ in their high bits
+/// (a packed block word holds the volume at 48..64) as often as in their
+/// low ones. The fold brings every input bit into the low half, the second
+/// product spreads it upward again, and the rotation moves the well-mixed
+/// high half down to the bucket index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastHasher {
     hash: u64,
@@ -99,7 +101,8 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
+        let h = self.hash;
+        (h ^ h >> 32).wrapping_mul(MULTIPLIER).rotate_left(26)
     }
 }
 
@@ -107,6 +110,7 @@ impl Hasher for FastHasher {
 mod tests {
     use super::*;
     use crate::layers::StripeBlock;
+    use std::collections::HashSet;
     use std::hash::BuildHasher;
 
     #[test]
@@ -126,11 +130,41 @@ mod tests {
     #[test]
     fn block_keys_spread_over_low_bits() {
         let build = FastBuild::default();
-        let mut buckets = std::collections::HashSet::new();
+        let mut buckets = HashSet::new();
         for stripe in 0..1024u64 {
             buckets.insert(build.hash_one(stripe << 8) & 1023);
         }
         assert!(buckets.len() > 500, "{} of 1024 buckets", buckets.len());
+    }
+
+    /// Distinct bucket indices (`hash & 1023`) and control bytes
+    /// (`hash >> 57`) the packed block words of `addrs` reach.
+    fn spread(addrs: impl Iterator<Item = (u64, u64, u64)>) -> (usize, usize) {
+        let build = FastBuild::default();
+        let (mut buckets, mut controls) = (HashSet::new(), HashSet::new());
+        for (volume, stripe, index) in addrs {
+            let word = (volume & 0xffff) << 48 ^ (volume >> 16) << 28 ^ stripe << 8 ^ index;
+            let hash = build.hash_one(word);
+            buckets.insert(hash & 1023);
+            controls.insert(hash >> 57);
+        }
+        (buckets.len(), controls.len())
+    }
+
+    /// Packed block words (`ecfs`'s `BlockAddr` hash: the volume at
+    /// 48..64, the stripe at 8..48, the index at 0..8) differ in their top
+    /// bits from volume to volume; those bits must reach both the bucket
+    /// index and the control byte.
+    #[test]
+    fn packed_block_words_reach_buckets_and_control_bytes() {
+        let cells = (0..64).flat_map(|v| (0..2).flat_map(move |s| (0..9).map(move |i| (v, s, i))));
+        let (buckets, controls) = spread(cells);
+        assert!(buckets >= 512, "{buckets} of 1024 buckets");
+        assert!(controls >= 64, "{controls} of 128 control bytes");
+
+        let (buckets, controls) = spread((0..1000).map(|v| (v, 0, 0)));
+        assert!(buckets >= 512, "{buckets} of 1024 buckets");
+        assert!(controls >= 64, "{controls} of 128 control bytes");
     }
 
     #[test]

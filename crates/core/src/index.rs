@@ -1,5 +1,5 @@
 //! The two-level index (§3.3.1): block hash map on top, offset-sorted
-//! non-overlapping ranges below, with a bitmap accelerator per block.
+//! non-overlapping ranges below.
 //!
 //! All spatio-temporal merging happens at insert time, so a log unit's index
 //! always holds the *minimal* set of ranges needed to recycle it:
@@ -8,9 +8,7 @@
 //!   ([`MergeMode::Overwrite`]), XOR-fold for deltas ([`MergeMode::Xor`],
 //!   Eq. 3 of the paper);
 //! * **adjacent** records concatenate into one larger range, turning many
-//!   small random I/Os into few large ones;
-//! * a per-block bitmap gives O(1) "definitely not present" answers so read
-//!   lookups skip blocks that never saw an update.
+//!   small random I/Os into few large ones.
 //!
 //! The upper level is a [`FastMap`], hashed without a per-map seed, so two
 //! indexes built by one insert sequence list their blocks in one order. The
@@ -18,13 +16,14 @@
 //! of `block_len` bytes holds at most `block_len / 2` of them, and far
 //! fewer in practice. Merging the paper's 4 KiB-aligned records leaves a
 //! gap of at least 4 KiB after every range, so a 4 MiB block holds at most
-//! 512, and an insert's shift moves a few KiB at most.
+//! 512, and an insert's shift moves a few KiB at most. A block that never
+//! saw an update has no entry in the map, and within a block one binary
+//! search answers whether a range holds any byte, so the index keeps no
+//! presence structure beside its ranges.
 //!
 //! An insert costs the record plus the entries it absorbs, not the merged
-//! range: it marks only its own chunks in the bitmap (a merged range's
-//! chunks are the union of its parts', each marked when it was inserted,
-//! and bits are never cleared), and it splices the merged payload from the
-//! removed entries one at a time, with no scratch vectors.
+//! range: it splices the merged payload from the removed entries one at a
+//! time, with no scratch vectors.
 //!
 //! Offsets are `u32`. A query's range may run past `u32::MAX`: it answers
 //! for its part below `u32::MAX`, since no range can hold a byte there.
@@ -34,9 +33,6 @@ use std::hash::Hash;
 
 use crate::fastmap::FastMap;
 use crate::payload::Payload;
-
-/// Bitmap chunk granularity (bytes per presence bit).
-const SUB_GRAIN: u32 = 4096;
 
 /// How same-position content resolves when records collide.
 ///
@@ -55,7 +51,7 @@ pub enum MergeMode {
 }
 
 /// Per-block second level: offset-sorted, non-overlapping, non-adjacent
-/// ranges in one vector, plus the presence bitmap.
+/// ranges in one vector.
 ///
 /// Lookups find a range's predecessor by binary search; an insert that
 /// absorbs entries drains them and inserts the merged range in their
@@ -63,7 +59,6 @@ pub enum MergeMode {
 #[derive(Debug, Clone)]
 pub struct BlockIndex<P> {
     entries: Vec<(u32, P)>,
-    bitmap: Vec<u64>,
 }
 
 impl<P: Payload> Default for BlockIndex<P> {
@@ -77,7 +72,6 @@ impl<P: Payload> BlockIndex<P> {
     pub fn new() -> BlockIndex<P> {
         BlockIndex {
             entries: Vec::new(),
-            bitmap: Vec::new(),
         }
     }
 
@@ -86,40 +80,27 @@ impl<P: Payload> BlockIndex<P> {
         self.entries.len()
     }
 
-    /// Sets the presence bits of every chunk `[start, end)` touches, a word
-    /// at a time. An insert marks only its own record: the entries it
-    /// absorbs had their chunks marked when they were inserted, so the
-    /// merged range's bits are already the union of its parts'.
-    fn mark_bitmap(&mut self, start: u32, end: u32) {
-        let first = (start / SUB_GRAIN) as usize;
-        let last = ((end - 1) / SUB_GRAIN) as usize;
-        if last / 64 >= self.bitmap.len() {
-            self.bitmap.resize(last / 64 + 1, 0);
-        }
-        for (word, mask) in chunk_words(first, last) {
-            self.bitmap[word] |= mask;
-        }
-    }
-
     /// Index of the first entry starting after `off`: the entry before it,
     /// if any, is the only one that can hold byte `off`.
     fn after(&self, off: u32) -> usize {
         self.entries.partition_point(|&(s, _)| s <= off)
     }
 
-    /// Definite-miss test: `true` means no byte of `[off, off+len)` can be
-    /// present (the fast path that spares the binary search).
+    /// Whether no byte of `[off, off+len)` is present: exactly when
+    /// [`BlockIndex::lookup`] would return nothing. Ranges are sorted and
+    /// disjoint, so their ends rise with their starts, and the last range
+    /// starting before the query's end is the only one that can reach it.
     pub fn definitely_absent(&self, off: u32, len: u32) -> bool {
         // Clipped to `u32::MAX`: no range holds a byte past it.
         let end = off.saturating_add(len);
         if end == off {
             return true;
         }
-        let first = (off / SUB_GRAIN) as usize;
-        let last = ((end - 1) / SUB_GRAIN) as usize;
-        chunk_words(first, last)
-            .map_while(|(word, mask)| self.bitmap.get(word).map(|w| w & mask))
-            .all(|hits| hits == 0)
+        let before_end = self.entries.partition_point(|&(s, _)| s < end);
+        before_end.checked_sub(1).is_none_or(|i| {
+            let (s, e) = &self.entries[i];
+            s + e.len() <= off
+        })
     }
 
     /// Inserts a record at `off`, merging with everything it overlaps or
@@ -143,7 +124,6 @@ impl<P: Payload> BlockIndex<P> {
         let len = payload.len();
         assert!(len > 0, "empty payload");
         let end = off.checked_add(len).expect("offset overflow");
-        self.mark_bitmap(off, end);
 
         // Entries are non-overlapping and non-adjacent, so at most one can
         // start at or before `off` and still reach it, and no entry starts
@@ -209,16 +189,13 @@ impl<P: Payload> BlockIndex<P> {
     /// Pieces of `[off, off+len)` that are present, clipped to the query,
     /// as `(piece_offset, payload)` sorted by offset.
     pub fn lookup(&self, off: u32, len: u32) -> Vec<(u32, P)> {
-        if self.definitely_absent(off, len) {
-            return Vec::new();
-        }
         let end = off.saturating_add(len);
         let after = self.after(off);
         let mut out = Vec::new();
         if let Some((s, e)) = after.checked_sub(1).map(|i| &self.entries[i]) {
-            let e_end = s + e.len();
+            let e_end = (s + e.len()).min(end);
             if e_end > off {
-                out.push((off, e.slice(off - s, e_end.min(end) - s)));
+                out.push((off, e.slice(off - s, e_end - s)));
             }
         }
         for (s, e) in self.entries[after..].iter().take_while(|&&(s, _)| s < end) {
@@ -233,9 +210,6 @@ impl<P: Payload> BlockIndex<P> {
     pub fn covers(&self, off: u32, len: u32) -> bool {
         if len == 0 {
             return true;
-        }
-        if self.definitely_absent(off, len) {
-            return false;
         }
         let Some(end) = off.checked_add(len) else {
             return false;
@@ -270,15 +244,6 @@ impl<P: Payload> BlockIndex<P> {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &P)> {
         self.entries.iter().map(|(o, p)| (*o, p))
     }
-}
-
-/// `(word, mask)` pairs covering bitmap chunks `first..=last`.
-fn chunk_words(first: usize, last: usize) -> impl Iterator<Item = (usize, u64)> {
-    (first / 64..=last / 64).map(move |word| {
-        let lo = first.max(word * 64) % 64;
-        let hi = last.min(word * 64 + 63) % 64;
-        (word, (u64::MAX >> (63 - hi)) & (u64::MAX << lo))
-    })
 }
 
 /// Appends `piece` to the range being spliced.
@@ -341,7 +306,7 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
         self.blocks.get(key)?.range_end_at(off)
     }
 
-    /// Fast definite-miss test.
+    /// Whether no byte of a range under `key` is present.
     pub fn definitely_absent(&self, key: &K, off: u32, len: u32) -> bool {
         self.blocks
             .get(key)
@@ -386,6 +351,9 @@ impl<K: Hash + Eq + Clone, P: Payload> TwoLevelIndex<K, P> {
 mod tests {
     use super::*;
     use crate::payload::{Data, Ghost};
+
+    /// The paper's record granularity.
+    const SUB_GRAIN: u32 = 4096;
 
     #[test]
     fn duplicate_records_merge_to_one() {
@@ -471,12 +439,17 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_definite_absent() {
+    fn absent_answers_exactly_inside_a_touched_chunk() {
         let mut b: BlockIndex<Ghost> = BlockIndex::new();
         b.insert(0, Ghost(100), MergeMode::Overwrite);
+        b.insert(300, Ghost(100), MergeMode::Overwrite);
         assert!(!b.definitely_absent(0, 10));
-        assert!(!b.definitely_absent(200, 10)); // same 4 KiB chunk: maybe
-        assert!(b.definitely_absent(1 << 20, 10)); // far away: definitely not
+        assert!(!b.definitely_absent(50, 300)); // spans the gap
+        assert!(b.definitely_absent(100, 200)); // the gap, in the same 4 KiB
+        assert!(b.definitely_absent(200, 10));
+        assert!(!b.definitely_absent(250, 51)); // one byte into the next range
+        assert!(b.definitely_absent(1 << 20, 10));
+        assert!(b.definitely_absent(50, 0));
     }
 
     #[test]
@@ -562,8 +535,7 @@ mod tests {
     impl<P: Payload> BlockIndex<P> {
         /// The insert the splice replaced, kept as the reference: collect
         /// every colliding entry by a linear scan, sweep their boundary
-        /// points, re-sort, and re-mark the whole merged span one chunk at
-        /// a time.
+        /// points and re-sort.
         fn reference_insert(&mut self, off: u32, payload: P, mode: MergeMode) {
             let len = payload.len();
             assert!(len > 0, "empty payload");
@@ -573,20 +545,9 @@ mod tests {
                 .into_iter()
                 .partition(|(s, e)| *s <= end && s + e.len() >= off);
 
-            let (span_start, merged_payload) = Self::sweep_merge(off, payload, &collected, mode);
-            let span_end = span_start + merged_payload.len();
-            kept.push((span_start, merged_payload));
+            kept.push(Self::sweep_merge(off, payload, &collected, mode));
             kept.sort_by_key(|&(s, _)| s);
             self.entries = kept;
-
-            let first = (span_start / SUB_GRAIN) as usize;
-            let last = ((span_end - 1) / SUB_GRAIN) as usize;
-            if last / 64 >= self.bitmap.len() {
-                self.bitmap.resize(last / 64 + 1, 0);
-            }
-            for chunk in first..=last {
-                self.bitmap[chunk / 64] |= 1 << (chunk % 64);
-            }
         }
 
         /// Segment sweep producing the single merged range covering the new
@@ -646,23 +607,6 @@ mod tests {
             (span_start, result.expect("at least one segment"))
         }
 
-        /// The per-chunk definite-miss test the word masks replaced.
-        fn reference_definitely_absent(&self, off: u32, len: u32) -> bool {
-            if len == 0 {
-                return true;
-            }
-            let first = (off / SUB_GRAIN) as usize;
-            let last = ((off + len - 1) / SUB_GRAIN) as usize;
-            for chunk in first..=last {
-                if let Some(word) = self.bitmap.get(chunk / 64) {
-                    if word >> (chunk % 64) & 1 == 1 {
-                        return false;
-                    }
-                }
-            }
-            true
-        }
-
         /// Coverage read off [`BlockIndex::lookup`]'s clipped pieces.
         fn reference_covers(&self, off: u32, len: u32) -> bool {
             let mut cursor = off;
@@ -700,7 +644,6 @@ mod tests {
             b.iter().map(|(o, p)| (o, p.as_slice())).collect()
         }
         assert!(entries(fast) == entries(slow), "{what}: entries differ");
-        assert_eq!(fast.bitmap, slow.bitmap, "{what}: bitmap");
     }
 
     /// Views a reader holds, each with a copy of its bytes.
@@ -715,17 +658,17 @@ mod tests {
     }
 
     /// The splicing insert against the reference sweep on real bytes:
-    /// equal entries, bytes and bitmap words after every
-    /// insert, in both merge modes, through a fixed prefix of the edge
-    /// cases, a stream that fills a block with the most ranges it can
-    /// hold, and then seeded churn; `definitely_absent` and `covers` are
-    /// checked on random queries against their per-chunk and
-    /// lookup-based references. Lookup pieces and entry slices held across
-    /// an insert, in-place folds included, keep their bytes.
+    /// equal entries and bytes after every insert, in both merge modes,
+    /// through a fixed prefix of the edge cases, a stream that fills a
+    /// block with the most ranges it can hold, and then seeded churn;
+    /// `definitely_absent` and `covers` are checked on random queries
+    /// against [`BlockIndex::lookup`]. Lookup pieces and entry slices held
+    /// across an insert, in-place folds included, keep their bytes.
     #[test]
     fn insert_matches_reference_sweep() {
         const BLOCK: u32 = 512 << 10;
-        const WORD: u32 = 64 * SUB_GRAIN;
+        // Queries reach this far past the block's end.
+        const PAST: u32 = 256 << 10;
         // (offset, length), in order, starting from an empty block.
         let prefix = [
             (10_000, 100),
@@ -739,7 +682,7 @@ mod tests {
             (41_000, 500),     // ...
             (42_000, 500),     // ...
             (39_800, 3_000),   // bridges all three
-            (WORD - 100, 101), // crosses a word, ending one byte into chunk 64
+            (PAST - 100, 101), // crosses a 4 KiB boundary by one byte
         ];
         for mode in [MergeMode::Overwrite, MergeMode::Xor] {
             let mut x = 99;
@@ -826,14 +769,10 @@ mod tests {
                     held_in_place += (in_place && !held.is_empty()) as u32;
 
                     for _ in 0..4 {
-                        let q_off = (lcg(&mut x) % (BLOCK + WORD) as u64) as u32;
+                        let q_off = (lcg(&mut x) % (BLOCK + PAST) as u64) as u32;
                         let q_len = (lcg(&mut x) % (1 << (lcg(&mut x) % 17))) as u32;
                         let absent = fast.definitely_absent(q_off, q_len);
-                        assert_eq!(
-                            absent,
-                            fast.reference_definitely_absent(q_off, q_len),
-                            "{what}"
-                        );
+                        assert_eq!(absent, fast.lookup(q_off, q_len).is_empty(), "{what}");
                         let covers = fast.covers(q_off, q_len);
                         assert_eq!(covers, fast.reference_covers(q_off, q_len), "{what}");
                         absent_queries += (absent && q_len > 0) as u32;

@@ -3,8 +3,8 @@
 //! This crate implements the paper's contribution proper (§3):
 //!
 //! * a **two-level index** — block hash map on top, offset-sorted
-//!   non-overlapping ranges below, with a bitmap accelerator — that merges
-//!   duplicate and adjacent update records ([`index`]);
+//!   non-overlapping ranges below — that merges duplicate and adjacent
+//!   update records ([`index`]);
 //! * fixed-size **log units** with the EMPTY → RECYCLABLE → RECYCLING →
 //!   RECYCLED lifecycle ([`mod@unit`]);
 //! * a FIFO **log pool** of those units that supports concurrent append and

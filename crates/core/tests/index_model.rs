@@ -114,12 +114,12 @@ proptest! {
                 abs
             );
         }
-        // The bitmap fast path must never contradict the oracle.
-        if idx.definitely_absent(q_off, q_len) {
-            for i in 0..q_len as usize {
-                prop_assert!(oracle[q_off as usize + i].is_none());
-            }
-        }
+        // Absent exactly when the oracle holds no byte of the query.
+        let range = q_off as usize..(q_off + q_len) as usize;
+        prop_assert_eq!(
+            idx.definitely_absent(q_off, q_len),
+            oracle[range].iter().all(Option::is_none)
+        );
     }
 }
 

@@ -12,7 +12,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::layout::{BlockAddr, LogKey};
+use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
 use tsue::index::{MergeMode, TwoLevelIndex};
@@ -24,8 +24,9 @@ pub struct Fl;
 
 /// Per-node FL state: one big log with a merged view for recycle/reads.
 pub struct FlState {
-    /// Merged view of logged data (data node) / deltas (parity node).
-    pub log: TwoLevelIndex<LogKey, Ghost>,
+    /// Merged view of logged data (data node) / deltas (parity node), keyed
+    /// by the block the records update.
+    pub log: TwoLevelIndex<BlockAddr, Ghost>,
     /// Raw logged bytes.
     pub bytes: u64,
     /// Recycle threshold.
@@ -47,7 +48,7 @@ impl FlState {
 
     /// Read-cache coverage check.
     pub fn covers(&self, addr: BlockAddr, off: u32, len: u32) -> bool {
-        self.log.covers(&LogKey(addr), off, len)
+        self.log.covers(&addr, off, len)
     }
 }
 
@@ -73,7 +74,7 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
     let code = cl.cfg.code;
-    for (LogKey(addr), ranges) in contents {
+    for (addr, ranges) in contents {
         let (bnode, bdev) = cl.layout.locate(addr);
         for (off, g) in ranges {
             let len = g.0 as u64;
@@ -128,9 +129,7 @@ impl UpdateMethod for Fl {
             IoOp::write(log_off, len, Pattern::Sequential),
         );
         let state = cl.state_mut::<FlState>(dnode);
-        state
-            .log
-            .insert(LogKey(slice.addr), slice.offset, Ghost(slice.len));
+        state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
         state.bytes += len;
         let must_recycle_data = state.bytes >= state.threshold;
 
@@ -144,9 +143,7 @@ impl UpdateMethod for Fl {
             let plog = cl.log_offset(pnode, len);
             let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
             let state = cl.state_mut::<FlState>(pnode);
-            state
-                .log
-                .insert(LogKey(paddr), slice.offset, Ghost(slice.len));
+            state.log.insert(paddr, slice.offset, Ghost(slice.len));
             state.bytes += len;
             t_done = t_done.max(t_append);
         }

@@ -14,7 +14,7 @@ use simdisk::{IoOp, Pattern};
 
 use crate::cluster::{Cluster, IntervalSet};
 use crate::config::ClusterConfig;
-use crate::layout::{BlockAddr, LogKey};
+use crate::layout::BlockAddr;
 use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
 use crate::telemetry::Stage;
 use tsue::fastmap::FastMap;
@@ -39,8 +39,9 @@ pub struct ParixState {
     pub old_sent: FastMap<BlockAddr, IntervalSet>,
     /// At parity nodes: logged locations, merged newest-wins — PARIX's
     /// temporal-locality exploitation: only the latest value per location
-    /// matters at recycle, plus the retained original.
-    pub log: TwoLevelIndex<LogKey, Ghost>,
+    /// matters at recycle, plus the retained original. Keyed by parity
+    /// block.
+    pub log: TwoLevelIndex<BlockAddr, Ghost>,
     /// Raw logged bytes (new data + forwarded originals).
     pub bytes: u64,
 }
@@ -126,9 +127,7 @@ impl UpdateMethod for Parix {
                 );
             }
             let state = cl.state_mut::<ParixState>(pnode);
-            state
-                .log
-                .insert(LogKey(paddr), slice.offset, Ghost(slice.len));
+            state.log.insert(paddr, slice.offset, Ghost(slice.len));
             state.bytes += len * if first_touch { 2 } else { 1 };
             let over_threshold = state.bytes >= epoch_bytes;
             // Epoch boundary: the parity log reached its threshold. The hot
@@ -171,7 +170,7 @@ impl UpdateMethod for Parix {
 fn epoch_reset(cl: &mut Cluster, node: usize) {
     let state = cl.state_mut::<ParixState>(node);
     state.bytes = 0;
-    let addrs: Vec<BlockAddr> = state.log.block_keys().map(|k| k.0).collect();
+    let addrs: Vec<BlockAddr> = state.log.block_keys().copied().collect();
     for paddr in addrs {
         forget_originals(cl, paddr);
     }
@@ -202,7 +201,7 @@ pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
-    for (LogKey(paddr), ranges) in contents {
+    for (paddr, ranges) in contents {
         forget_originals(cl, paddr);
         let (pnode, pdev) = cl.layout.locate(paddr);
         for (off, g) in ranges {
