@@ -143,15 +143,6 @@ impl LseModel {
             .count()
     }
 
-    /// Whether `[offset, offset + len)` holds any unrepaired onset site at
-    /// `now` — used to count rebuilds reading from silently-bad extents.
-    pub fn overlaps_latent(&self, now: SimTime, offset: u64, len: u64) -> bool {
-        let end = offset.saturating_add(len);
-        self.sites
-            .iter()
-            .any(|s| s.onset <= now && !s.repaired && s.offset >= offset && s.offset < end)
-    }
-
     /// The raw sites, offset-sorted (inspection and tests).
     pub fn sites(&self) -> &[LseSite] {
         &self.sites
@@ -220,12 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn overlaps_latent_tracks_extents() {
+    fn scrub_and_clear_track_extents() {
         let mut m = LseModel::seeded(5, 1 << 16, 3, 0);
         let first = m.sites()[0].offset;
-        assert!(m.overlaps_latent(0, first, 1));
-        m.scrub(0, first, 1);
-        m.clear(first, 1);
-        assert!(!m.overlaps_latent(0, first, 1));
+        let at_first = m.sites().iter().filter(|s| s.offset == first).count();
+        assert_eq!(m.scrub(0, first, 1), at_first);
+        assert_eq!(m.clear(first, 1), at_first);
+        assert_eq!(m.latent(0), 3 - at_first, "sites outside the extent stay");
+        assert!(m.sites().iter().all(|s| s.repaired == (s.offset == first)));
     }
 }

@@ -88,11 +88,6 @@ impl Topology {
         self.racks
     }
 
-    /// Whether this is a single-rack (flat) fabric.
-    pub fn is_flat(&self) -> bool {
-        self.racks == 1
-    }
-
     /// The rack hosting endpoint `ep`.
     pub fn rack_of(&self, ep: usize) -> usize {
         self.rack_of[ep]
@@ -138,16 +133,6 @@ impl NetConfig {
         }
     }
 
-    /// 40 Gb/s InfiniBand with a 5 µs overhead (the paper's HDD testbed).
-    pub fn infiniband_40g(endpoints: usize) -> NetConfig {
-        NetConfig {
-            endpoints,
-            bandwidth: 40_000_000_000 / 8,
-            rpc_overhead: 5 * simdes::units::MICROS,
-            topology: Topology::flat(endpoints),
-        }
-    }
-
     /// Replaces the topology (builder-style).
     pub fn with_topology(mut self, topology: Topology) -> NetConfig {
         self.topology = topology;
@@ -179,10 +164,8 @@ pub struct TrafficMatrix {
     tier_bytes: [u64; 2],
     /// `[intra-rack, cross-rack]` message totals.
     tier_messages: [u64; 2],
-    /// `[foreground, repair]` byte totals.
-    class_bytes: [u64; 2],
-    /// `[foreground, repair]` message totals.
-    class_messages: [u64; 2],
+    /// Repair byte total; the rest is foreground.
+    repair_bytes: u64,
 }
 
 impl TrafficMatrix {
@@ -193,8 +176,7 @@ impl TrafficMatrix {
             messages: vec![0; n * n],
             tier_bytes: [0; 2],
             tier_messages: [0; 2],
-            class_bytes: [0; 2],
-            class_messages: [0; 2],
+            repair_bytes: 0,
         }
     }
 
@@ -248,24 +230,10 @@ impl TrafficMatrix {
         self.cross_rack_bytes() as f64 / (1u64 << 30) as f64
     }
 
-    /// Bytes carried for foreground (client-visible) flows.
-    pub fn foreground_bytes(&self) -> u64 {
-        self.class_bytes[0]
-    }
-
-    /// Bytes carried for repair (rebuild) flows.
+    /// Bytes carried for repair (rebuild) flows; the rest of
+    /// [`TrafficMatrix::total_bytes`] is foreground.
     pub fn repair_bytes(&self) -> u64 {
-        self.class_bytes[1]
-    }
-
-    /// Messages carried for foreground flows.
-    pub fn foreground_messages(&self) -> u64 {
-        self.class_messages[0]
-    }
-
-    /// Messages carried for repair flows.
-    pub fn repair_messages(&self) -> u64 {
-        self.class_messages[1]
+        self.repair_bytes
     }
 
     /// Repair bytes in GiB.
@@ -279,9 +247,9 @@ impl TrafficMatrix {
         let tier = cross as usize;
         self.tier_bytes[tier] += bytes;
         self.tier_messages[tier] += 1;
-        let cls = (class == FlowClass::Repair) as usize;
-        self.class_bytes[cls] += bytes;
-        self.class_messages[cls] += 1;
+        if class == FlowClass::Repair {
+            self.repair_bytes += bytes;
+        }
     }
 }
 
@@ -450,11 +418,6 @@ impl Network {
     pub fn uplink_busy(&self, rack: usize) -> u64 {
         self.uplink[rack].busy_time()
     }
-
-    /// Busy time booked on a rack's spine downlink (diagnostics).
-    pub fn downlink_busy(&self, rack: usize) -> u64 {
-        self.downlink[rack].busy_time()
-    }
 }
 
 #[cfg(test)]
@@ -549,15 +512,9 @@ mod tests {
         assert!(t2 >= t1 + n.wire_time(bytes) - 1, "t1 {t1} t2 {t2}");
         n.rpc(0, 1, 2);
         let t = n.traffic();
-        assert_eq!(t.foreground_bytes(), bytes + 64);
         assert_eq!(t.repair_bytes(), bytes);
-        assert_eq!(t.foreground_bytes() + t.repair_bytes(), t.total_bytes());
-        assert_eq!(t.foreground_messages(), 2);
-        assert_eq!(t.repair_messages(), 1);
-        assert_eq!(
-            t.foreground_messages() + t.repair_messages(),
-            t.total_messages()
-        );
+        assert_eq!(t.total_bytes() - t.repair_bytes(), bytes + 64, "foreground");
+        assert_eq!(t.total_messages(), 3);
     }
 
     #[test]
@@ -575,13 +532,6 @@ mod tests {
             b.traffic().cross_rack_bytes(),
             "tier accounting is class-independent"
         );
-    }
-
-    #[test]
-    fn infiniband_has_lower_overhead() {
-        let mut ib = Network::new(NetConfig::infiniband_40g(2));
-        let mut eth = net(2);
-        assert!(ib.send(0, 0, 1, 64) < eth.send(0, 0, 1, 64));
     }
 
     #[test]
@@ -685,7 +635,6 @@ mod tests {
         assert_eq!(n.uplink_busy(0), 0);
         n.send(0, 0, 2, 50 << 20);
         assert!(n.uplink_busy(0) > 0);
-        assert!(n.downlink_busy(1) > 0);
         assert_eq!(n.uplink_busy(1), 0, "reverse direction unused");
     }
 
@@ -698,8 +647,7 @@ mod tests {
         assert_eq!(t.members(2), 1);
         assert!(t.crosses_spine(0, 4));
         assert!(!t.crosses_spine(2, 3));
-        assert!(!t.is_flat());
-        assert!(Topology::flat(8).is_flat());
+        assert_eq!(Topology::flat(8).racks(), 1);
     }
 
     #[test]
