@@ -18,12 +18,15 @@
 //!   competing with the foreground for the same disks.
 //!
 //! Findings the sweep asserts: scrubbing shrinks the latent-error exposure
-//! (`lse_latent`), rebalance and demotion together narrow the fleet's wear
-//! spread below the no-maintenance baseline (at default scale a full plan
-//! without demotion leaves TSUE at 1.59 against the baseline's 1.42, so
-//! demotion owns part of this finding), scrub coverage is nonzero while the
-//! foreground p99 stays finite, and the per-method foreground-p99 cost
-//! of the full plan under diurnal load is reported explicitly.
+//! (`lse_latent`), the full plan narrows TSUE's diurnal wear spread below
+//! the no-maintenance baseline in the median over ten seeds (one seed's
+//! spread moves by ±0.1 under any timing change, so a single pair can read
+//! either way), scrub coverage is nonzero while the foreground p99 stays
+//! finite, and the per-method foreground-p99 cost of the full plan under
+//! diurnal load is reported explicitly. The rebalancer carries the wear
+//! finding: on the default seed a full plan without demotion reads 1.401,
+//! below the baseline, while scrub plus demotion alone is wider than no
+//! maintenance in 8 of 10 seeds for TSUE and 9 of 10 for FO and PL.
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
@@ -105,8 +108,13 @@ fn plans() -> Vec<(&'static str, MaintenancePlan)> {
     ]
 }
 
-/// A cell: rate curve, maintenance plan, method.
-type Label = (&'static str, &'static str, String);
+/// Seeds the wear check takes its medians over: the replay's own seed plus
+/// `0..WEAR_SEEDS`.
+const WEAR_SEEDS: u64 = 10;
+
+/// A cell: rate curve, maintenance plan, method and seed offset. Cells at
+/// a nonzero offset feed only the wear check and print no row.
+type Label = (&'static str, &'static str, String, u64);
 type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
@@ -116,22 +124,35 @@ pub fn sweep() -> Sweep<Label> {
     for (curve_name, curve) in curves() {
         for (plan_name, plan) in plans() {
             for method in &methods {
-                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
-                r.cluster.fleet = DiskFleet::tiered(8, 8);
-                // Small log units keep TSUE's real-time recycling active on
-                // the HDD-homed log regions within a short run (cf.
-                // `hdd_replay`).
-                r.cluster.tsue_unit_bytes = 1 << 20;
-                r.ops_per_client = tsue_bench::ops_per_client() / 2;
-                let arrivals = OpenLoopSpec::poisson(STEADY_OPS_PER_S).with_rate(curve.clone());
-                r.workload = Workload::Open(arrivals);
-                r.maintenance = plan.clone();
-                cells.push(((curve_name, plan_name, method.name().to_string()), r));
+                // TSUE's diurnal none/full pair also runs at the other
+                // seeds, for the wear check.
+                let wear = curve_name == "diurnal" && matches!(plan_name, "none" | "full");
+                let seeds = if wear && method.name() == "TSUE" {
+                    WEAR_SEEDS
+                } else {
+                    1
+                };
+                for seed in 0..seeds {
+                    let mut r =
+                        ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+                    r.cluster.fleet = DiskFleet::tiered(8, 8);
+                    // Small log units keep TSUE's real-time recycling
+                    // active on the HDD-homed log regions within a short
+                    // run (cf. `hdd_replay`).
+                    r.cluster.tsue_unit_bytes = 1 << 20;
+                    r.ops_per_client = tsue_bench::ops_per_client() / 2;
+                    let arrivals = OpenLoopSpec::poisson(STEADY_OPS_PER_S).with_rate(curve.clone());
+                    r.workload = Workload::Open(arrivals);
+                    r.maintenance = plan.clone();
+                    r.seed += seed;
+                    cells.push(((curve_name, plan_name, method.name().to_string(), seed), r));
+                }
             }
         }
     }
     let title = "Maintenance sweep: RS(6,3) Ali-Cloud, tiered fleet, curve x plan x method";
-    Sweep::new("maint", title, cells, check).columns([
+    let sweep = Sweep::new("maint", title, cells, check).rows(|label, _| (label.3 == 0) as usize);
+    sweep.columns([
         Column::key("curve", |r| r.label.0).show("curve", plain),
         Column::key("plan", |r| r.label.1).show("plan", plain),
         Column::key("method", |r| r.label.2.clone()).show("method", plain),
@@ -157,12 +178,25 @@ fn latent(res: &RunResult) -> u64 {
     res.lse_injected - res.lse_repaired
 }
 
+/// The median of TSUE's diurnal wear spread under `plan` over the seeds.
+fn median_wear_spread(results: &Results<Label>, plan: &str) -> f64 {
+    let mut spreads: Vec<f64> = results
+        .iter()
+        .filter(|((c, p, m, _), _)| *c == "diurnal" && *p == plan && m == "TSUE")
+        .map(|(_, res)| res.wear_spread)
+        .collect();
+    assert_eq!(spreads.len() as u64, WEAR_SEEDS, "plan {plan}");
+    spreads.sort_by(f64::total_cmp);
+    let mid = spreads.len() / 2;
+    (spreads[mid - 1] + spreads[mid]) / 2.0
+}
+
 fn check(results: &Results<Label>, report: &mut BenchReport) {
-    for ((_, plan, method), res) in results.iter() {
-        assert_eq!(res.data_loss_blocks, 0, "{method} plan {plan}");
+    for ((_, plan, method, seed), res) in results.iter() {
+        assert_eq!(res.data_loss_blocks, 0, "{method} plan {plan} seed +{seed}");
     }
     let cell = |curve: &str, plan: &str, method: &str| {
-        results.get(|(c, p, m)| *c == curve && *p == plan && m == method)
+        results.get(|(c, p, m, s)| *c == curve && *p == plan && m == method && *s == 0)
     };
 
     // 1. The data-protection story: unscrubbed LSEs stay latent for the
@@ -188,21 +222,26 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
         "scrubbing must shrink the latent exposure ({latent_scrubbed} vs {latent_exposed})"
     );
 
-    // 2. The wear story: the full plan's rebalancer and demoter together
-    // narrow the fleet's wear spread below the no-maintenance baseline.
-    // Demotion carries its share: at default scale, dropping it from the
-    // full plan leaves TSUE at 1.59 against the baseline's 1.42.
+    // 2. The wear story: the full plan narrows the fleet's wear spread
+    // below the no-maintenance baseline, in the median over the seeds. The
+    // rebalancer carries it: on the default seed the full plan without
+    // demotion reads 1.401 against the baseline's 1.421 at default scale,
+    // and scrub plus demotion alone reads wider than the baseline in most
+    // seeds.
     let none = cell("diurnal", "none", "TSUE");
     let full = cell("diurnal", "full", "TSUE");
+    let (none_median, full_median) = (
+        median_wear_spread(results, "none"),
+        median_wear_spread(results, "full"),
+    );
     println!(
-        "  -> TSUE wear spread: {:.2} without maintenance, {:.2} under the full plan",
+        "  -> TSUE wear spread: {:.2} without maintenance, {:.2} under the full plan \
+         (medians over {WEAR_SEEDS} seeds: {none_median:.2} vs {full_median:.2})",
         none.wear_spread, full.wear_spread
     );
     assert!(
-        full.wear_spread < none.wear_spread,
-        "rebalance + demotion must narrow the wear spread ({:.3} vs {:.3})",
-        full.wear_spread,
-        none.wear_spread
+        full_median < none_median,
+        "the full plan must narrow the median wear spread ({full_median:.3} vs {none_median:.3})"
     );
     assert!(full.scrub_gib > 0.0, "full plan never scrubbed");
 
@@ -234,5 +273,7 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
     report.add_finding("lse_repaired_scrub_tsue", scrubbed.lse_repaired as f64);
     report.add_finding("wear_spread_none_tsue", none.wear_spread);
     report.add_finding("wear_spread_full_tsue", full.wear_spread);
+    report.add_finding("wear_spread_none_tsue_median", none_median);
+    report.add_finding("wear_spread_full_tsue_median", full_median);
     report.add_finding("scrub_gib_full_tsue", full.scrub_gib);
 }
