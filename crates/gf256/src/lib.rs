@@ -10,7 +10,9 @@
 //!   ([`tables`]);
 //! * vectorised slice kernels — bulk XOR and multiply-accumulate, one source
 //!   into up to four outputs per pass — that the codec uses to stream whole
-//!   blocks through the field ([`mod@slice`]);
+//!   blocks through the field ([`mod@slice`]). The multiply picks its kernel
+//!   at run time: AVX2 split-nibble lookups where the CPU has them, a
+//!   portable bit decomposition elsewhere;
 //! * dense matrices over the field with Gaussian inversion and the Cauchy
 //!   constructor ([`matrix`]).
 //!
@@ -31,7 +33,12 @@
 //! assert_eq!(inv.inverted(), Some(m));
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere but the one module that holds the AVX2
+// kernel (`slice::avx2`, `x86_64` only), which allows it; every unsafe
+// block there states why it is sound.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod field;

@@ -3,15 +3,25 @@
 //! Erasure coding streams entire blocks (kilobytes to megabytes) through the
 //! field with a fixed coefficient per (data block, parity block) pair. These
 //! kernels are the hot path: `xor` runs at memory bandwidth by chunking
-//! through `u64` words, and the one multiply kernel works on whole 16-byte
-//! lanes by bit decomposition, `c·x = ⊕_{j : bit j of x set} c·2^j`. Each of
-//! its eight steps takes the lane's top bits as a byte mask (a signed
-//! compare with zero), ANDs it into the precomputed product `c·2^j`, XORs
-//! that into the accumulator and doubles the lane — whole-lane operations
-//! that baseline SSE2 has, so safe Rust auto-vectorises them with no
-//! runtime feature detection. The masks do not depend on `c`, so one pass
-//! over a source serves up to four outputs ([`mul_acc_rows`]). Only the
-//! < 16-byte tail looks bytes up in a [`MUL`] row.
+//! through `u64` words, and the multiply has two kernels, chosen at run
+//! time on every call (the feature check is a cached load):
+//!
+//! * on `x86_64` with AVX2, a split-nibble kernel: `c·x = c·(x & 0x0f) ⊕
+//!   c·(x & 0xf0)`, each half one lookup (`vpshufb`) in a 16-entry table of
+//!   `c`'s products, 32 bytes at a time. The nibbles of a 32-byte chunk are
+//!   split once and shared by every row. This module's `avx2` submodule
+//!   holds the crate's only `unsafe`;
+//! * everywhere else, a portable kernel on whole 16-byte lanes by bit
+//!   decomposition, `c·x = ⊕_{j : bit j of x set} c·2^j`. Each of its
+//!   eight steps takes the lane's top bits as a byte mask (a signed
+//!   compare with zero), ANDs it into the precomputed product `c·2^j`,
+//!   XORs that into the accumulator and doubles the lane — whole-lane
+//!   operations that baseline SSE2 has, so safe Rust auto-vectorises them.
+//!   It is also the reference the AVX2 kernel is tested against.
+//!
+//! Neither kernel's work on a source depends on `c`, so one pass over a
+//! source serves up to four outputs ([`mul_acc_rows`]). Only the tail
+//! shorter than a chunk (32 or 16 bytes) looks bytes up in a [`MUL`] row.
 //!
 //! Coefficients 0 and 1 never reach the multiply kernel: [`mul_acc`] and
 //! [`mul_acc_rows`] skip a 0 row and send a 1 row to [`xor`], so a code
@@ -114,10 +124,22 @@ pub fn mul_acc_rows(dsts: &mut [&mut [u8]], src: &[u8], cs: &[u8]) {
 }
 
 /// The multiply kernel: `dsts[r] ^= cs[r] · src` for `M` rows (lengths
-/// already checked by the caller), by bit decomposition over 16-byte lanes.
+/// already checked by the caller). On `x86_64` with AVX2 it is the
+/// split-nibble kernel of [`avx2`]; on any other CPU, [`rows_portable`].
 fn rows<const M: usize>(dsts: &mut [&mut [u8]], src: &[u8], cs: &[u8]) {
     let dsts: &mut [&mut [u8]; M] = dsts.try_into().expect("M rows");
     let cs: &[u8; M] = cs.try_into().expect("M coefficients");
+    #[cfg(target_arch = "x86_64")]
+    if avx2::rows(dsts, src, cs) {
+        return;
+    }
+    rows_portable(dsts, src, cs);
+}
+
+/// The portable multiply kernel, by bit decomposition over 16-byte lanes:
+/// safe Rust that baseline SSE2 auto-vectorises, and the reference the
+/// AVX2 kernel is tested against.
+fn rows_portable<const M: usize>(dsts: &mut [&mut [u8]; M], src: &[u8], cs: &[u8; M]) {
     // basis[r][t] = cs[r]·2^(7-t), broadcast across a lane: what bit 7 - t
     // of a source byte contributes to row r.
     let basis: [[[u8; LANE]; 8]; M] =
@@ -148,23 +170,108 @@ fn rows<const M: usize>(dsts: &mut [&mut [u8]], src: &[u8], cs: &[u8]) {
         }
     }
     for ((_, d), &c) in split.iter_mut().zip(cs) {
-        let row = &MUL[c as usize];
-        for (d, &s) in d.iter_mut().zip(src_tail) {
-            *d ^= row[s as usize];
-        }
+        mul_acc_table(d, src_tail, c);
     }
 }
 
-/// Computes `out[i] = a[i] ^ b[i]` — the "data delta" `D^n - D^{n-1}` of the
-/// paper's Eq. (2) — without mutating either input.
+/// `dst[i] ^= MUL[c][src[i]]`, a byte at a time: the kernels' tails.
+fn mul_acc_table(dst: &mut [u8], src: &[u8], c: u8) {
+    let row = &MUL[c as usize];
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= row[s as usize];
+    }
+}
+
+/// The split-nibble kernel: `c·x = c·(x & 0x0f) ⊕ c·(x & 0xf0)`, each half
+/// one 16-entry table lookup, 32 bytes at a time by `vpshufb`.
 ///
-/// # Panics
-/// Panics if any slice length differs.
-pub fn delta(out: &mut [u8], a: &[u8], b: &[u8]) {
-    assert_eq!(out.len(), a.len(), "delta: length mismatch");
-    assert_eq!(a.len(), b.len(), "delta: length mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x ^ y;
+/// The crate's only `unsafe`: the AVX2 kernel may run only where the CPU
+/// feature was detected, and its unaligned loads and stores take raw
+/// pointers, each into an array of exactly one 32-byte chunk.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
+        _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_xor_si256, _mm_loadu_si128,
+    };
+
+    use super::mul_acc_table;
+    use crate::tables::MUL;
+
+    /// Bytes per kernel chunk: one 256-bit vector register.
+    const CHUNK: usize = 32;
+
+    /// `dsts[r] ^= cs[r] · src` for `M` rows, if this CPU has AVX2; returns
+    /// whether it ran. Every row must be as long as `src`.
+    pub(super) fn rows<const M: usize>(
+        dsts: &mut [&mut [u8]; M],
+        src: &[u8],
+        cs: &[u8; M],
+    ) -> bool {
+        if !is_x86_feature_detected!("avx2") {
+            return false;
+        }
+        // SAFETY: AVX2 was detected just above, the one feature `rows_avx2`
+        // enables.
+        unsafe { rows_avx2(dsts, src, cs) };
+        true
+    }
+
+    /// Loads one chunk.
+    #[target_feature(enable = "avx2")]
+    fn load(chunk: &[u8; CHUNK]) -> __m256i {
+        // SAFETY: the pointer reads exactly the 32 bytes of `chunk`; the
+        // load is unaligned, and AVX2 is enabled on this function.
+        unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) }
+    }
+
+    /// `MUL[c][0..16]` in both 128-bit halves, since vpshufb looks up
+    /// within a half.
+    #[target_feature(enable = "avx2")]
+    fn table(c: u8) -> __m256i {
+        let row: &[u8; 16] = MUL[c as usize][..16].try_into().unwrap();
+        // SAFETY: the pointer reads exactly the 16 bytes of `row`; the load
+        // is unaligned, and AVX2 is enabled on this function.
+        _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(row.as_ptr().cast()) })
+    }
+
+    /// The kernel itself; [`rows`] calls it only once AVX2 is detected.
+    #[target_feature(enable = "avx2")]
+    fn rows_avx2<const M: usize>(dsts: &mut [&mut [u8]; M], src: &[u8], cs: &[u8; M]) {
+        // Row r's products of the low and the high nibble: c·i and
+        // c·(i << 4) = (c·16)·i, both one contiguous 16-entry row of MUL.
+        let mut lo = [_mm256_set1_epi8(0); M];
+        let mut hi = [_mm256_set1_epi8(0); M];
+        for r in 0..M {
+            lo[r] = table(cs[r]);
+            hi[r] = table(MUL[cs[r] as usize][16]);
+        }
+        let nibble = _mm256_set1_epi8(0x0f);
+        let (src_body, src_tail) = src.split_at(src.len() - src.len() % CHUNK);
+        let mut split = dsts.each_mut().map(|d| d.split_at_mut(src_body.len()));
+        let mut chunks = split.each_mut().map(|(d, _)| d.chunks_exact_mut(CHUNK));
+        for chunk in src_body.chunks_exact(CHUNK) {
+            let x = load(chunk.try_into().unwrap());
+            // The nibbles, shared by all M rows; the shift crosses bytes
+            // within each 64-bit word, and the mask drops what crossed.
+            let x_lo = _mm256_and_si256(x, nibble);
+            let x_hi = _mm256_and_si256(_mm256_srli_epi64::<4>(x), nibble);
+            for (d, (&l, &h)) in chunks.iter_mut().zip(lo.iter().zip(&hi)) {
+                let d: &mut [u8; CHUNK] = d.next().unwrap().try_into().unwrap();
+                let p =
+                    _mm256_xor_si256(_mm256_shuffle_epi8(l, x_lo), _mm256_shuffle_epi8(h, x_hi));
+                let acc = _mm256_xor_si256(load(d), p);
+                // SAFETY: the pointer writes exactly the 32 bytes of `d`;
+                // the store is unaligned, and AVX2 is enabled on this
+                // function.
+                unsafe { _mm256_storeu_si256(d.as_mut_ptr().cast(), acc) };
+            }
+        }
+        for ((_, d), &c) in split.iter_mut().zip(cs) {
+            mul_acc_table(d, src_tail, c);
+        }
     }
 }
 
@@ -182,12 +289,37 @@ mod tests {
         }
     }
 
-    /// 4 096 + 7 bytes (+ 15 for sliding) in which every lane position sees
-    /// all 256 byte values: `src[16q + p] = 17q + p`, and 17 is odd.
+    /// 4 096 + 7 bytes (+ 31 for sliding) in which every position of a
+    /// 16-byte lane sees all 256 byte values: `src[16q + p] = 17q + p`, and
+    /// 17 is odd. A 32-byte chunk holds two lanes, so between offsets 0
+    /// and 16 every chunk position sees all 256 values too.
     fn every_value_at_every_position(salt: usize) -> Vec<u8> {
-        (0..4096 + 7 + 15)
+        (0..4096 + 7 + 31)
             .map(|i| (i / LANE * 17 + i % LANE + salt) as u8)
             .collect()
+    }
+
+    /// One kernel, called as `mul_acc` calls it: one row, lengths equal.
+    type Kernel = fn(&mut [&mut [u8]; 1], &[u8], &[u8; 1]);
+
+    /// Every coefficient × every byte value at every chunk position, every
+    /// length 0..=72 and one long odd length, at every offset 0..32.
+    fn exhaustive_matches_table_walk(kernel: Kernel) {
+        let src = every_value_at_every_position(0);
+        let init = every_value_at_every_position(0x5a);
+        let lens = (0..=72).chain([4096 + 7]);
+        for c in 0..=255u8 {
+            for len in lens.clone() {
+                for off in 0..32 {
+                    let s = &src[off..off + len];
+                    let mut fast = init[off..off + len].to_vec();
+                    let mut slow = fast.clone();
+                    kernel(&mut [&mut fast], s, &[c]);
+                    ref_mul_acc(&mut slow, s, c);
+                    assert_eq!(fast, slow, "c = {c}, len {len}, offset {off}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -240,23 +372,23 @@ mod tests {
 
     #[test]
     fn mul_acc_exhaustive_matches_table_walk() {
-        // Every coefficient × every byte value at every lane position, every
-        // length 0..=40 and one long odd length, at every alignment 0..16.
-        let src = every_value_at_every_position(0);
-        let init = every_value_at_every_position(0x5a);
-        let lens = (0..=40).chain([4096 + 7]);
-        for c in 0..=255u8 {
-            for len in lens.clone() {
-                for off in 0..LANE {
-                    let s = &src[off..off + len];
-                    let mut fast = init[off..off + len].to_vec();
-                    let mut slow = fast.clone();
-                    mul_acc(&mut fast, s, c);
-                    ref_mul_acc(&mut slow, s, c);
-                    assert_eq!(fast, slow, "c = {c}, len {len}, offset {off}");
-                }
-            }
+        // The kernel `mul_acc` dispatches to on this CPU, whichever it is.
+        exhaustive_matches_table_walk(|d, s, c| mul_acc(d[0], s, c[0]));
+    }
+
+    #[test]
+    fn portable_kernel_exhaustive_matches_table_walk() {
+        exhaustive_matches_table_walk(rows_portable::<1>);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_kernel_exhaustive_matches_table_walk() {
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!("this CPU lacks AVX2: the split-nibble kernel is not run");
+            return;
         }
+        exhaustive_matches_table_walk(|d, s, c| assert!(avx2::rows(d, s, c)));
     }
 
     #[test]
@@ -266,7 +398,7 @@ mod tests {
         let cs = [0x1d, 0, 1, 0x1d, 0xff, 2, 1, 0x80, 0];
         let src = every_value_at_every_position(3);
         for n in 1..=cs.len() {
-            for len in [0usize, 1, 15, 16, 17, 100, 4096 + 7] {
+            for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 4096 + 7] {
                 let s = &src[..len];
                 let init: Vec<Vec<u8>> = (0..n)
                     .map(|r| (0..len).map(|i| (i * 13 + r * 101) as u8).collect())
@@ -295,15 +427,6 @@ mod tests {
             mul_acc(&mut back, &scaled, Gf(c).inverse().unwrap().0);
             assert_eq!(back, orig, "c = {c}");
         }
-    }
-
-    #[test]
-    fn delta_is_xor_of_inputs() {
-        let a = [1u8, 2, 3, 4];
-        let b = [5u8, 6, 7, 0];
-        let mut out = [0u8; 4];
-        delta(&mut out, &a, &b);
-        assert_eq!(out, [4, 4, 4, 4]);
     }
 
     #[test]

@@ -25,9 +25,7 @@ use crate::codec::ReedSolomon;
 /// Panics if lengths differ.
 pub fn data_delta(old: &[u8], new: &[u8]) -> Vec<u8> {
     assert_eq!(old.len(), new.len(), "data_delta: length mismatch");
-    let mut out = vec![0u8; old.len()];
-    slice::delta(&mut out, old, new);
-    out
+    old.iter().zip(new).map(|(&a, &b)| a ^ b).collect()
 }
 
 /// Eq. (2): folds `∂(parity_idx, data_idx) · data_delta` into `parity_acc`.
