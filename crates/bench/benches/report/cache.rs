@@ -31,19 +31,19 @@ use tsue_bench::{ssd_replay, BenchReport};
 /// all of it.
 const CACHE_SIZES: [(&str, u64); 3] = [("64KiB", 64 << 10), ("1MiB", 1 << 20), ("64MiB", 64 << 20)];
 
-/// Every built-in method; the smoke scale keeps FO, PLR and TSUE.
-fn methods() -> Vec<Arc<dyn UpdateMethod>> {
-    builtins()
+/// Every method; the smoke scale keeps FO, PLR and TSUE.
+fn methods() -> Vec<Method> {
+    Method::ALL
         .into_iter()
-        .filter(|m| !tsue_bench::smoke() || matches!(m.name(), "FO" | "PLR" | "TSUE"))
+        .filter(|m| !tsue_bench::smoke() || matches!(m, Method::Fo | Method::Plr | Method::Tsue))
         .collect()
 }
 
 /// One replay cell: the standard SSD testbed running `method`, behind a
 /// read cache of `cache_bytes` per node if set.
-fn cell(method: &Arc<dyn UpdateMethod>, cache_bytes: Option<u64>) -> ReplayConfig {
+fn cell(method: Method, cache_bytes: Option<u64>) -> ReplayConfig {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
-    let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
     r.cluster.read_cache_bytes = cache_bytes;
     r.volume_bytes = 32 << 20;
     r
@@ -57,10 +57,10 @@ pub fn sweep() -> Sweep<Label> {
     let mut cells = Vec::new();
     for method in methods() {
         let name = method.name().to_string();
-        cells.push(((name.clone(), name.clone(), None), cell(&method, None)));
+        cells.push(((name.clone(), name.clone(), None), cell(method, None)));
         for (size, bytes) in CACHE_SIZES {
             let label = (name.clone(), format!("lru({size})+{name}"), Some(size));
-            cells.push((label, cell(&method, Some(bytes))));
+            cells.push((label, cell(method, Some(bytes))));
         }
     }
     let title = "Cache sweep: RS(6,3) Ali-Cloud, node-local LRU read cache over every method";

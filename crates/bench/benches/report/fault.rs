@@ -42,14 +42,13 @@ type Label = (String, String, &'static str);
 type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
-    let methods: [Arc<dyn UpdateMethod>; 4] =
-        [Arc::new(Fo), Arc::new(Pl), Arc::new(Plr), Arc::new(Tsue)];
+    let methods: [Method; 4] = [Method::Fo, Method::Pl, Method::Plr, Method::Tsue];
     let flat: Arc<dyn PlacementPolicy> = Arc::new(FlatRotate);
     let aware: Arc<dyn PlacementPolicy> = Arc::new(RackAware);
     let clients = if tsue_bench::smoke() { 8 } else { 16 };
     let mut cells = Vec::new();
     for (plan_name, plan) in plans() {
-        for method in &methods {
+        for &method in &methods {
             // Rack failures need the rack-aware stripe budget to stay
             // recoverable; node failures also run under the topology-blind
             // default to show placement does not change single-node MTTR.
@@ -58,7 +57,7 @@ pub fn sweep() -> Sweep<Label> {
                 _ => vec![&aware],
             };
             for placement in placements {
-                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+                let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
                 r.cluster.racks = RACKS;
                 r.cluster.oversubscription = OVERSUB;
                 r.cluster.placement = Arc::clone(placement);

@@ -7,8 +7,6 @@
 //! on Ten-Cloud than Ali-Cloud; the bench prints both families, and that
 //! ordering is not reproduced here (an open fidelity row in ROADMAP.md).
 
-use std::sync::Arc;
-
 use traces::TraceFamily;
 use tsue_bench::sweep::{Results, Sweep};
 use tsue_bench::{fig5_codes, fig5_methods, kfmt, print_table, ssd_replay, BenchReport};
@@ -36,7 +34,7 @@ pub fn sweep() -> Sweep<Label> {
         for (family, fam_name) in FAMILIES {
             for method in fig5_methods() {
                 for c in clients() {
-                    let rcfg = ssd_replay(k, m, Arc::clone(&method), family, c);
+                    let rcfg = ssd_replay(k, m, method, family, c);
                     cells.push(((k, m, fam_name, c), rcfg));
                 }
             }

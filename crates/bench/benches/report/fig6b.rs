@@ -10,9 +10,7 @@
 //! non-decreasing in the quota and larger at 20 than at 4 (default scale:
 //! 59.0k IOPS at every quota, 836 → 898 MiB).
 
-use std::sync::Arc;
-
-use ecfs::methods::Tsue;
+use ecfs::Method;
 use traces::TraceFamily;
 use tsue_bench::sweep::{fixed, kilo, plain, Results, Sweep};
 use tsue_bench::{ssd_replay, BenchReport};
@@ -28,7 +26,7 @@ pub fn sweep() -> Sweep<Label> {
     let cells = [2usize, 4, 6, 8, 12, 16, 20]
         .into_iter()
         .map(|max_units| {
-            let mut rcfg = ssd_replay(6, 2, Arc::new(Tsue), TraceFamily::AliCloud, 64);
+            let mut rcfg = ssd_replay(6, 2, Method::Tsue, TraceFamily::AliCloud, 64);
             rcfg.cluster.tsue_max_units = max_units;
             rcfg.cluster.tsue_unit_bytes = 1 << 20;
             (max_units, rcfg)

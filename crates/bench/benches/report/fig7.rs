@@ -5,9 +5,7 @@
 //! Paper claims: O1 contributes more than O2; O3 (the log pool) is the
 //! largest single jump; O4 is minimal; O5 adds ~30%.
 
-use std::sync::Arc;
-
-use ecfs::methods::Tsue;
+use ecfs::Method;
 use ecfs::TsueFeatures;
 use traces::TraceFamily;
 use tsue_bench::sweep::{Results, Sweep};
@@ -27,7 +25,7 @@ pub fn sweep() -> Sweep<Label> {
     ] {
         for m in [2usize, 3, 4] {
             for (rung, feats) in TsueFeatures::ladder() {
-                let mut rcfg = ssd_replay(6, m, Arc::new(Tsue), family, 48);
+                let mut rcfg = ssd_replay(6, m, Method::Tsue, family, 48);
                 rcfg.cluster.tsue = feats;
                 // Smaller units so the recycle pipeline is active during the
                 // (simulation-scale) run; the paper's 16 MiB units assume

@@ -52,7 +52,7 @@ fn fleets() -> Vec<(&'static str, DiskFleet)> {
 }
 
 pub fn sweep() -> Sweep<Label> {
-    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
+    let methods: [Method; 3] = [Method::Fo, Method::Pl, Method::Tsue];
     let placements: [Arc<dyn PlacementPolicy>; 2] =
         [Arc::new(FlatRotate), Arc::new(CapacityWeighted)];
     let mut grid: Vec<(&str, DiskFleet, Arc<dyn PlacementPolicy>)> = Vec::new();
@@ -67,8 +67,8 @@ pub fn sweep() -> Sweep<Label> {
     let clients = if tsue_bench::smoke() { 6 } else { 12 };
     let mut cells = Vec::new();
     for (fleet_name, fleet, placement) in grid {
-        for method in &methods {
-            let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+        for &method in &methods {
+            let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
             r.cluster.fleet = fleet.clone();
             r.cluster.placement = Arc::clone(&placement);
             // Small log units keep TSUE's real-time recycling active on the

@@ -40,9 +40,9 @@ fn rates() -> Vec<f64> {
 pub fn sweep() -> Sweep<Label> {
     let clients = if tsue_bench::smoke() { 6 } else { 8 };
     let mut cells = Vec::new();
-    for method in builtins() {
+    for method in Method::ALL {
         for rate in rates() {
-            let mut r = ssd_replay(6, 3, Arc::clone(&method), TraceFamily::AliCloud, clients);
+            let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
             r.volume_bytes = 32 << 20;
             r.workload = Workload::Open(OpenLoopSpec::poisson(rate).with_window(4));
             cells.push(((method.name().to_string(), rate), r));
@@ -73,9 +73,8 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
     // next rung is saturated too — `knee_index` hysteresis filters a
     // one-rung queue-depth blip from a real capacity cliff).
     println!();
-    let methods = builtins();
     let mut knees = Vec::new();
-    for method in methods.iter().map(|m| m.name()) {
+    for method in Method::ALL.map(Method::name) {
         let ladder: Vec<(f64, &RunResult)> = results
             .iter()
             .filter(|((m, _), _)| m == method)

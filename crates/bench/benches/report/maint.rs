@@ -118,12 +118,12 @@ type Label = (&'static str, &'static str, String, u64);
 type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
-    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
+    let methods: [Method; 3] = [Method::Fo, Method::Pl, Method::Tsue];
     let clients = if tsue_bench::smoke() { 6 } else { 12 };
     let mut cells = Vec::new();
     for (curve_name, curve) in curves() {
         for (plan_name, plan) in plans() {
-            for method in &methods {
+            for &method in &methods {
                 // TSUE's diurnal none/full pair also runs at the other
                 // seeds, for the wear check.
                 let wear = curve_name == "diurnal" && matches!(plan_name, "none" | "full");
@@ -133,8 +133,7 @@ pub fn sweep() -> Sweep<Label> {
                     1
                 };
                 for seed in 0..seeds {
-                    let mut r =
-                        ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+                    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
                     r.cluster.fleet = DiskFleet::tiered(8, 8);
                     // Small log units keep TSUE's real-time recycling
                     // active on the HDD-homed log regions within a short

@@ -87,12 +87,12 @@ type Label = (u64, usize, String, f64);
 type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
-    let methods: [Arc<dyn UpdateMethod>; 2] = [Arc::new(Fo), Arc::new(Tsue)];
+    let methods: [Method; 2] = [Method::Fo, Method::Tsue];
     let mut cells = Vec::new();
     for (population, nodes) in populations() {
-        for method in &methods {
+        for &method in &methods {
             for rate in rates(nodes) {
-                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, population);
+                let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, population);
                 r.cluster.nodes = nodes;
                 r.volume_bytes = 32 << 20;
                 r.total_ops = Some(cell_ops());

@@ -10,10 +10,8 @@
 //! traces, `BUFFER` exceeds both `APPEND` and `RECYCLE`. The tightest case
 //! is Ali-Cloud's DELTA_LOG at smoke scale (614 vs 437 / 105 µs).
 
-use std::sync::Arc;
-
-use ecfs::methods::Tsue;
 use ecfs::prelude::{ResidencySummary, RunResult};
+use ecfs::Method;
 use traces::TraceFamily;
 use tsue_bench::sweep::{fixed, plain, Results, Row, Sweep};
 use tsue_bench::{ssd_replay, BenchReport};
@@ -45,7 +43,7 @@ pub fn sweep() -> Sweep<Label> {
     ]
     .into_iter()
     .map(|(family, fam_name)| {
-        let mut rcfg = ssd_replay(12, 4, Arc::new(Tsue), family, 16);
+        let mut rcfg = ssd_replay(12, 4, Method::Tsue, family, 16);
         rcfg.ops_per_client = tsue_bench::ops_per_client() * 2;
         (fam_name, rcfg)
     })

@@ -31,7 +31,7 @@ type Label = (usize, String, String);
 type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
-    let methods: [Arc<dyn UpdateMethod>; 3] = [Arc::new(Fo), Arc::new(Pl), Arc::new(Tsue)];
+    let methods: [Method; 3] = [Method::Fo, Method::Pl, Method::Tsue];
     let placements: [Arc<dyn PlacementPolicy>; 3] = [
         Arc::new(FlatRotate),
         Arc::new(RackAware),
@@ -41,8 +41,8 @@ pub fn sweep() -> Sweep<Label> {
     let mut cells = Vec::new();
     for racks in [1usize, RACKS] {
         for placement in &placements {
-            for method in &methods {
-                let mut r = ssd_replay(6, 3, Arc::clone(method), TraceFamily::AliCloud, clients);
+            for &method in &methods {
+                let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
                 r.cluster.racks = racks;
                 r.cluster.oversubscription = if racks > 1 { OVERSUB } else { 1.0 };
                 r.cluster.placement = Arc::clone(placement);

@@ -53,7 +53,7 @@ fn stage<'a>(r: &Row<'a, Label>) -> &'a StageRow {
 pub fn sweep() -> Sweep<Label> {
     let mut cells = Vec::new();
     for method in fig5_methods() {
-        let mut r = ssd_replay(6, 3, Arc::clone(&method), TraceFamily::AliCloud, 6);
+        let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, 6);
         r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
         r.volume_bytes = 32 << 20;
         r.trace = TraceConfig::on();

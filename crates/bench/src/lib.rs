@@ -103,15 +103,15 @@ pub(crate) fn fan_out<C: Sync, T: Send>(items: &[C], run: impl Fn(&C) -> T + Syn
         .collect()
 }
 
-/// The six methods of Fig. 5 (every built-in but FL), in the paper's order.
-pub fn fig5_methods() -> [Arc<dyn UpdateMethod>; 6] {
+/// The six methods of Fig. 5 (every method but FL), in the paper's order.
+pub fn fig5_methods() -> [Method; 6] {
     [
-        Arc::new(Fo),
-        Arc::new(Pl),
-        Arc::new(Plr),
-        Arc::new(Parix),
-        Arc::new(Cord),
-        Arc::new(Tsue),
+        Method::Fo,
+        Method::Pl,
+        Method::Plr,
+        Method::Parix,
+        Method::Cord,
+        Method::Tsue,
     ]
 }
 
@@ -124,7 +124,7 @@ pub fn fig5_codes() -> Vec<(usize, usize)> {
 pub fn ssd_replay(
     k: usize,
     m: usize,
-    method: Arc<dyn UpdateMethod>,
+    method: Method,
     family: TraceFamily,
     clients: u64,
 ) -> ReplayConfig {
@@ -141,7 +141,7 @@ pub fn ssd_replay(
 pub fn hdd_replay(
     k: usize,
     m: usize,
-    method: Arc<dyn UpdateMethod>,
+    method: Method,
     family: TraceFamily,
     clients: u64,
 ) -> ReplayConfig {
@@ -239,9 +239,9 @@ mod tests {
 
     #[test]
     fn replay_builders_validate() {
-        let r = ssd_replay(6, 4, Arc::new(Tsue), TraceFamily::AliCloud, 8);
+        let r = ssd_replay(6, 4, Method::Tsue, TraceFamily::AliCloud, 8);
         assert!(r.cluster.validate().is_ok());
-        let h = hdd_replay(6, 4, Arc::new(Pl), TraceFamily::TenCloud, 8);
+        let h = hdd_replay(6, 4, Method::Pl, TraceFamily::TenCloud, 8);
         assert!(h.cluster.validate().is_ok());
         assert!(matches!(
             h.cluster.fleet,
@@ -277,11 +277,7 @@ mod tests {
         // Parallel fan-out must be a pure wall-clock optimisation: results
         // arrive in input order and match a serial run field for field.
         let mut configs = Vec::new();
-        for method in [
-            Arc::new(Fo) as Arc<dyn UpdateMethod>,
-            Arc::new(Pl),
-            Arc::new(Tsue),
-        ] {
+        for method in [Method::Fo, Method::Pl, Method::Tsue] {
             let mut r = ssd_replay(4, 2, method, TraceFamily::AliCloud, 3);
             r.ops_per_client = 120;
             r.volume_bytes = 32 << 20;

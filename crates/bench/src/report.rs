@@ -534,7 +534,7 @@ pub fn check_chrome_trace(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfs::prelude::{Arc, Fo, Replay, TraceFamily};
+    use ecfs::prelude::{Method, Replay, TraceFamily};
 
     #[test]
     fn render_parse_roundtrip() {
@@ -571,7 +571,7 @@ mod tests {
 
     #[test]
     fn accessors_navigate_reports() {
-        let mut rcfg = crate::ssd_replay(4, 2, Arc::new(Fo), TraceFamily::AliCloud, 2);
+        let mut rcfg = crate::ssd_replay(4, 2, Method::Fo, TraceFamily::AliCloud, 2);
         rcfg.ops_per_client = 25;
         rcfg.volume_bytes = 32 << 20;
         let res = Replay::run(&rcfg).result;

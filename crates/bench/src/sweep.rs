@@ -263,13 +263,13 @@ mod tests {
 
     #[test]
     fn one_column_list_orders_keys_and_headers_and_cells_are_checked() {
-        let cell = |label, method: Arc<dyn UpdateMethod>| {
+        let cell = |label, method: Method| {
             let mut rcfg = crate::ssd_replay(4, 2, method, TraceFamily::AliCloud, 2);
             rcfg.ops_per_client = 25;
             rcfg.volume_bytes = 32 << 20;
             (label, rcfg)
         };
-        let cells = vec![cell("cell-a", Arc::new(Fo)), cell("cell-b", Arc::new(Tsue))];
+        let cells = vec![cell("cell-a", Method::Fo), cell("cell-b", Method::Tsue)];
         let columns = [
             Column::key("label", |r| *r.label).show("cell", plain),
             Column::key("method", |r| r.res.method.clone()),

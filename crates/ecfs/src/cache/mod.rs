@@ -8,7 +8,7 @@
 //! the method's own path unchanged, so every update is acked exactly when
 //! the method acks it. The method never sees the cache: it is separate
 //! from a method's log read cache
-//! ([`crate::methods::NodeLogState::read_cache_covers`], TSUE's DataLog).
+//! ([`crate::methods::NodeState::read_cache_covers`], TSUE's DataLog).
 
 pub mod policy;
 
@@ -74,18 +74,17 @@ pub(crate) fn serve_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCt
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
 
     use crate::config::ClusterConfig;
     use crate::methods::tsue_drv::TsueState;
-    use crate::methods::Tsue;
+    use crate::methods::Method;
 
     /// Arming the cache gives every node its own page cache, and the
     /// node's log state is still the driver's own type.
     #[test]
     fn node_state_stays_the_drivers_own_under_a_cache() {
         let code = rscode::CodeParams::new(6, 3).unwrap();
-        let mut cfg = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cfg = ClusterConfig::ssd_testbed(code, Method::Tsue);
         assert!(crate::Cluster::new(cfg.clone())
             .nodes
             .iter()

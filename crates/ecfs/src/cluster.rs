@@ -1,8 +1,6 @@
 //! The simulated cluster: OSD nodes, network, metrics, and the consistency
 //! oracle shared by every update-method driver.
 
-use std::any::Any;
-
 use simdes::stats::{Histogram, SampleLog, TimeSeries};
 use simdes::{Sim, SimTime};
 use simdisk::{Disk, IoOp};
@@ -16,7 +14,7 @@ use crate::config::ClusterConfig;
 use crate::fault::FaultState;
 use crate::layout::{BlockAddr, Layout};
 use crate::maintenance::MaintState;
-use crate::methods::{NodeLogState, UpdateCtx};
+use crate::methods::{NodeState, OwnState, UpdateCtx};
 use crate::replay::{self, ClientLoop};
 use crate::telemetry::{OpClass, Stage, TraceState, UtilKind};
 
@@ -171,9 +169,9 @@ pub struct Osd {
     pub id: usize,
     /// The device.
     pub disk: Disk,
-    /// Method-specific log structures; a driver reaches its own type
-    /// through [`Cluster::state_mut`].
-    pub state: Box<dyn NodeLogState>,
+    /// Method-specific log structures; a driver reaches its own variant
+    /// through `Cluster::state_mut`.
+    pub state: NodeState,
     /// The node-local LRU read cache ([`crate::cache`]), armed by
     /// [`ClusterConfig::read_cache_bytes`].
     pub cache: Option<PageCache>,
@@ -360,14 +358,13 @@ impl Cluster {
         }
     }
 
-    /// `node`'s log state as the driver's own type `T`.
+    /// `node`'s log state as the driver's own variant `T`.
     ///
     /// # Panics
-    /// Panics if the node holds another type's state: a driver reached
+    /// Panics if the node holds another method's state: a driver reached
     /// for a state its method did not build.
-    pub fn state_mut<T: NodeLogState>(&mut self, node: usize) -> &mut T {
-        let state: &mut dyn Any = self.nodes[node].state.as_mut();
-        match state.downcast_mut::<T>() {
+    pub(crate) fn state_mut<T: OwnState>(&mut self, node: usize) -> &mut T {
+        match T::of(&mut self.nodes[node].state) {
             Some(state) => state,
             None => panic!(
                 "node {node} holds {} log state, not {}",
@@ -380,7 +377,7 @@ impl Cluster {
     /// Allocates `len` bytes in `node`'s log region (the top quarter of the
     /// device), wrapping when exhausted — log space is recycled, so reuse
     /// (and the overwrite accounting it triggers) is intentional.
-    pub fn log_offset(&mut self, node: usize, len: u64) -> u64 {
+    pub(crate) fn log_offset(&mut self, node: usize, len: u64) -> u64 {
         let cap = self.nodes[node].disk.capacity();
         let base = cap / 4 * 3;
         let osd = &mut self.nodes[node];
@@ -393,7 +390,7 @@ impl Cluster {
     }
 
     /// Books a disk op on `node`, returning its completion time.
-    pub fn disk_io(&mut self, node: usize, now: SimTime, op: IoOp) -> SimTime {
+    pub(crate) fn disk_io(&mut self, node: usize, now: SimTime, op: IoOp) -> SimTime {
         let done = self.nodes[node].disk.submit(now, op);
         if self.trace.enabled() {
             let busy = self.nodes[node].disk.busy_time();
@@ -429,7 +426,13 @@ impl Cluster {
 
     /// Sends rebuild `bytes` between endpoints: reserves the same fabric
     /// resources as [`Self::send`] but is accounted as repair traffic.
-    pub fn send_repair(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> SimTime {
+    pub(crate) fn send_repair(
+        &mut self,
+        now: SimTime,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+    ) -> SimTime {
         let t = self
             .net
             .send_classed(now, src, dst, bytes, FlowClass::Repair);
@@ -444,7 +447,7 @@ impl Cluster {
     }
 
     /// Small control message (ack) between endpoints.
-    pub fn ack(&mut self, now: SimTime, src: usize, dst: usize) -> SimTime {
+    pub(crate) fn ack(&mut self, now: SimTime, src: usize, dst: usize) -> SimTime {
         let t = self.net.rpc(now, src, dst);
         self.trace_net(now, src);
         t
@@ -456,7 +459,7 @@ impl Cluster {
     /// `marks` are `(stage, end_time)` boundaries in timeline order whose
     /// last entry is the ack time, so the resulting spans partition
     /// `[issued_at, ack]` and sum to the slice's latency exactly.
-    pub fn trace_op(&mut self, ctx: &UpdateCtx, marks: &[(Stage, SimTime)]) {
+    pub(crate) fn trace_op(&mut self, ctx: &UpdateCtx, marks: &[(Stage, SimTime)]) {
         let class = match ctx.kind {
             OpKind::Update => OpClass::Update,
             OpKind::Read => OpClass::Read,
@@ -468,7 +471,7 @@ impl Cluster {
 
     /// Records a background child span (recycle, repair, maintenance) on
     /// `node`'s lane (no-op unless tracing is armed).
-    pub fn trace_child(&mut self, stage: Stage, node: usize, start: SimTime, end: SimTime) {
+    pub(crate) fn trace_child(&mut self, stage: Stage, node: usize, start: SimTime, end: SimTime) {
         self.trace.child(stage, node, start, end);
     }
 
@@ -487,7 +490,12 @@ impl Cluster {
     /// Records a slice aborted by data loss (its stripe fell below `k`
     /// survivors — an EIO to the client): its op fails, once, at its last
     /// slice.
-    pub fn finish_failed(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
+    pub(crate) fn finish_failed(
+        &mut self,
+        sim: &mut Sim<Cluster>,
+        ctx: UpdateCtx,
+        done_at: SimTime,
+    ) {
         self.complete(sim, ctx, done_at, true);
     }
 
@@ -542,7 +550,7 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics if every node is failed.
-    pub fn next_live_target(&mut self, after: usize) -> usize {
+    pub(crate) fn next_live_target(&mut self, after: usize) -> usize {
         let n = self.cfg.nodes;
         let salt = (self.faults.rebuild_seq as usize) % n;
         self.faults.rebuild_seq += 1;
@@ -557,14 +565,14 @@ impl Cluster {
     }
 
     /// Parks a slice on `node` until its logs make progress.
-    pub fn park_on(&mut self, node: usize, ctx: UpdateCtx) {
+    pub(crate) fn park_on(&mut self, node: usize, ctx: UpdateCtx) {
         self.metrics.stall_waits += 1;
         self.nodes[node].waiters.push(ctx);
     }
 
     /// Wakes the slices parked on `node`: each re-enters its dispatch
     /// ([`crate::methods::begin`]) and finishes later.
-    pub fn wake_waiters(&mut self, sim: &mut Sim<Cluster>, node: usize) {
+    pub(crate) fn wake_waiters(&mut self, sim: &mut Sim<Cluster>, node: usize) {
         for ctx in self.nodes[node].waiters.drain(..) {
             sim.schedule(0, move |sim, cl: &mut Cluster| {
                 crate::methods::begin(sim, cl, ctx)
@@ -587,12 +595,12 @@ impl Cluster {
     }
 
     /// Oracle helpers: record data applied in place.
-    pub fn oracle_apply_data(&mut self, addr: BlockAddr, offset: u32, len: u32) {
+    pub(crate) fn oracle_apply_data(&mut self, addr: BlockAddr, offset: u32, len: u32) {
         cover(&mut self.oracle.applied_data, addr, offset, len);
     }
 
     /// Oracle helpers: record parity effect applied for a stripe range.
-    pub fn oracle_apply_parity(&mut self, addr: BlockAddr, offset: u32, len: u32) {
+    pub(crate) fn oracle_apply_parity(&mut self, addr: BlockAddr, offset: u32, len: u32) {
         cover(&mut self.oracle.applied_parity, addr, offset, len);
     }
 }
@@ -698,10 +706,9 @@ mod tests {
     #[should_panic(expected = "node 0 holds FO log state, not ecfs::methods::tsue_drv::TsueState")]
     fn state_mut_panics_on_a_foreign_state_type() {
         use crate::methods::tsue_drv::TsueState;
-        use crate::methods::Fo;
+        use crate::methods::Method;
         let code = rscode::CodeParams::new(6, 3).unwrap();
-        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, std::sync::Arc::new(Fo)));
-        cl.state_mut::<crate::methods::PlainState>(0);
+        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Method::Fo));
         cl.state_mut::<TsueState>(0);
     }
 

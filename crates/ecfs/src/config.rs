@@ -1,9 +1,7 @@
 //! Cluster and method configuration.
 //!
-//! The update method under test is an [`Arc<dyn UpdateMethod>`] — any
-//! driver implementing the trait: a built-in
-//! ([`crate::methods::builtins`]), named or passed by handle, or one
-//! defined outside this crate and passed by handle.
+//! The update method under test is a [`Method`], given as a variant or
+//! by name.
 //!
 //! [`ClusterConfig`] holds what experiments vary: the cluster's shape,
 //! devices and fabric, the node-local read cache, TSUE's Fig. 7 toggles,
@@ -20,7 +18,7 @@ use tsue::MergeMode;
 
 use crate::cache::PAGE_BYTES;
 use crate::fleet::DiskFleet;
-use crate::methods::{builtins, UpdateMethod};
+use crate::methods::Method;
 use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
 
 /// A rejected configuration, with the reason.
@@ -158,12 +156,11 @@ pub struct ClusterConfig {
     /// Block-placement policy (trait object; see [`crate::placement`] for
     /// the built-ins).
     pub placement: Arc<dyn PlacementPolicy>,
-    /// Update method under test (trait object; see
-    /// [`crate::methods::builtins`] for the built-ins).
-    pub method: Arc<dyn UpdateMethod>,
+    /// Update method under test.
+    pub method: Method,
     /// Capacity in bytes of each node's LRU read cache ([`crate::cache`]),
     /// at least one 4 KiB page; `None` (the default) arms no cache. It
-    /// works under any method, a custom one included.
+    /// works under any method.
     pub read_cache_bytes: Option<u64>,
     /// TSUE feature toggles (ignored by other methods).
     pub tsue: TsueFeatures,
@@ -184,7 +181,7 @@ impl ClusterConfig {
     }
 
     /// The paper's SSD testbed: 16 nodes, 25 Gb/s, one SSD each.
-    pub fn ssd_testbed(code: CodeParams, method: Arc<dyn UpdateMethod>) -> ClusterConfig {
+    pub fn ssd_testbed(code: CodeParams, method: Method) -> ClusterConfig {
         ClusterConfig {
             nodes: 16,
             clients: 16,
@@ -207,7 +204,7 @@ impl ClusterConfig {
 
     /// The paper's HDD testbed: 16 nodes, 40 Gb/s InfiniBand. The paper
     /// disables the DeltaLog on HDDs (§5.4).
-    pub fn hdd_testbed(code: CodeParams, method: Arc<dyn UpdateMethod>) -> ClusterConfig {
+    pub fn hdd_testbed(code: CodeParams, method: Method) -> ClusterConfig {
         let mut cfg = Self::ssd_testbed(code, method);
         cfg.fleet = DiskFleet::uniform_hdd();
         cfg.net_bandwidth = 40_000_000_000 / 8;
@@ -349,15 +346,12 @@ impl ClusterConfig {
 /// (either [`Self::method`] or [`Self::method_name`]) before building:
 ///
 /// ```
-/// use std::sync::Arc;
-///
-/// use ecfs::methods::{Fo, Tsue};
-/// use ecfs::ClusterConfig;
+/// use ecfs::{ClusterConfig, Method};
 /// use rscode::CodeParams;
 ///
 /// let cfg = ClusterConfig::builder()
 ///     .code(CodeParams::new(6, 3).unwrap())
-///     .method(Arc::new(Tsue))
+///     .method(Method::Tsue)
 ///     .clients(8)
 ///     .build()
 ///     .unwrap();
@@ -366,7 +360,7 @@ impl ClusterConfig {
 /// // Invalid shapes are rejected with the reason:
 /// let err = ClusterConfig::builder()
 ///     .code(CodeParams::new(12, 4).unwrap())
-///     .method(Arc::new(Fo))
+///     .method(Method::Fo)
 ///     .nodes(10)
 ///     .build()
 ///     .unwrap_err();
@@ -375,7 +369,7 @@ impl ClusterConfig {
 #[derive(Debug, Clone, Default)]
 pub struct ClusterConfigBuilder {
     code: Option<CodeParams>,
-    method: Option<MethodChoice>,
+    method: Option<Result<Method, ConfigError>>,
     nodes: Option<usize>,
     clients: Option<u64>,
     block_bytes: Option<u64>,
@@ -390,12 +384,6 @@ pub struct ClusterConfigBuilder {
     tsue_unit_bytes: Option<u64>,
     tsue_max_units: Option<usize>,
     fl_threshold_bytes: Option<u64>,
-}
-
-#[derive(Debug, Clone)]
-enum MethodChoice {
-    Driver(Arc<dyn UpdateMethod>),
-    Name(String),
 }
 
 macro_rules! builder_setters {
@@ -443,15 +431,12 @@ impl ClusterConfigBuilder {
     /// The per-node disk population.
     ///
     /// ```
-    /// use std::sync::Arc;
-    ///
-    /// use ecfs::methods::Tsue;
-    /// use ecfs::{ClusterConfig, DiskFleet};
+    /// use ecfs::{ClusterConfig, DiskFleet, Method};
     /// use rscode::CodeParams;
     ///
     /// let cfg = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method(Arc::new(Tsue))
+    ///     .method(Method::Tsue)
     ///     .fleet(DiskFleet::tiered(8, 8))
     ///     .build()
     ///     .unwrap();
@@ -460,7 +445,7 @@ impl ClusterConfigBuilder {
     /// // A fleet not covering every node is rejected with the reason:
     /// let err = ClusterConfig::builder()
     ///     .code(CodeParams::new(6, 3).unwrap())
-    ///     .method(Arc::new(Tsue))
+    ///     .method(Method::Tsue)
     ///     .fleet(DiskFleet::tiered(8, 4))
     ///     .build()
     ///     .unwrap_err();
@@ -471,17 +456,15 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// The update method's driver, e.g. `Arc::new(Tsue)`: any
-    /// [`UpdateMethod`], including one defined outside this crate.
-    pub fn method(mut self, method: Arc<dyn UpdateMethod>) -> Self {
-        self.method = Some(MethodChoice::Driver(method));
+    /// The update method, e.g. `Method::Tsue`.
+    pub fn method(mut self, method: Method) -> Self {
+        self.method = Some(Ok(method));
         self
     }
 
-    /// The update method by name: one of the seven built-ins
-    /// ([`crate::methods::builtins`]), in any case, resolved at
-    /// [`Self::build`] time. An unknown name is a [`ConfigError`] listing
-    /// the seven.
+    /// The update method by name: one of [`Method::ALL`]'s names, in any
+    /// case. An unknown name fails [`Self::build`] with a [`ConfigError`]
+    /// listing the seven.
     ///
     /// ```
     /// use ecfs::ClusterConfig;
@@ -496,20 +479,18 @@ impl ClusterConfigBuilder {
     /// assert_eq!(cfg.method.name(), "PLR");
     /// assert_eq!(cfg.read_cache_bytes, Some(64 << 20));
     /// ```
-    pub fn method_name(mut self, name: impl Into<String>) -> Self {
-        self.method = Some(MethodChoice::Name(name.into()));
+    pub fn method_name(mut self, name: &str) -> Self {
+        self.method = Some(name.parse());
         self
     }
 
     /// Assembles and validates the configuration.
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
         let code = self.code.ok_or(ConfigError::from("code is required"))?;
-        let method = match self.method {
-            Some(MethodChoice::Driver(driver)) => driver,
-            Some(MethodChoice::Name(name)) => builtin(&name)?,
-            None => return Err("an update method is required".into()),
-        };
-        let defaults = ClusterConfig::ssd_testbed(code, Arc::clone(&method));
+        let method = self
+            .method
+            .ok_or(ConfigError::from("an update method is required"))??;
+        let defaults = ClusterConfig::ssd_testbed(code, method);
         let cfg = ClusterConfig {
             nodes: self.nodes.unwrap_or(defaults.nodes),
             clients: self.clients.unwrap_or(defaults.clients),
@@ -535,34 +516,17 @@ impl ClusterConfigBuilder {
     }
 }
 
-/// The built-in method named `name`, ignoring ASCII case.
-fn builtin(name: &str) -> Result<Arc<dyn UpdateMethod>, ConfigError> {
-    let builtins = builtins();
-    if let Some(m) = builtins
-        .iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-    {
-        return Ok(Arc::clone(m));
-    }
-    let names: Vec<&str> = builtins.iter().map(|m| m.name()).collect();
-    Err(ConfigError(format!(
-        "unknown update method {name:?} (expected one of {})",
-        names.join(", ")
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{Cord, Fo, Pl, Tsue};
 
     #[test]
     fn testbed_configs_validate() {
         let code = CodeParams::new(6, 4).unwrap();
-        assert!(ClusterConfig::ssd_testbed(code, Arc::new(Tsue))
+        assert!(ClusterConfig::ssd_testbed(code, Method::Tsue)
             .validate()
             .is_ok());
-        assert!(ClusterConfig::hdd_testbed(code, Arc::new(Pl))
+        assert!(ClusterConfig::hdd_testbed(code, Method::Pl)
             .validate()
             .is_ok());
     }
@@ -570,7 +534,7 @@ mod tests {
     #[test]
     fn too_few_nodes_rejected() {
         let code = CodeParams::new(12, 4).unwrap();
-        let mut cfg = ClusterConfig::ssd_testbed(code, Arc::new(Fo));
+        let mut cfg = ClusterConfig::ssd_testbed(code, Method::Fo);
         cfg.nodes = 10;
         assert!(cfg.validate().is_err());
     }
@@ -587,7 +551,7 @@ mod tests {
     #[test]
     fn hdd_testbed_disables_delta_log() {
         let code = CodeParams::new(6, 4).unwrap();
-        let cfg = ClusterConfig::hdd_testbed(code, Arc::new(Tsue));
+        let cfg = ClusterConfig::hdd_testbed(code, Method::Tsue);
         assert!(!cfg.tsue.delta_log);
         assert!(matches!(cfg.fleet, DiskFleet::Uniform(DiskKind::Hdd(_))));
     }
@@ -597,13 +561,13 @@ mod tests {
         let code = CodeParams::new(6, 3).unwrap();
         let cfg = ClusterConfig::builder()
             .code(code)
-            .method(Arc::new(Cord))
+            .method(Method::Cord)
             .build()
             .unwrap();
-        let reference = ClusterConfig::ssd_testbed(code, Arc::new(Cord));
+        let reference = ClusterConfig::ssd_testbed(code, Method::Cord);
         assert_eq!(cfg.nodes, reference.nodes);
         assert_eq!(cfg.block_bytes, reference.block_bytes);
-        assert_eq!(cfg.method.name(), "CoRD");
+        assert_eq!(cfg.method, Method::Cord);
     }
 
     #[test]
@@ -617,33 +581,32 @@ mod tests {
             .contains("method"));
     }
 
+    /// Every method's name resolves to it in any case, the names in
+    /// Fig. 5 order; an unknown name fails the build.
     #[test]
     fn builder_resolves_builtin_names() {
-        let cfg = ClusterConfig::builder()
-            .code(CodeParams::new(4, 2).unwrap())
-            .method_name("parix")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.method.name(), "PARIX");
+        let names = Method::ALL.map(Method::name);
+        assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
+        for method in Method::ALL {
+            let name = method.name();
+            for spelled in [name.to_string(), name.to_lowercase(), name.to_uppercase()] {
+                let cfg = ClusterConfig::builder()
+                    .code(CodeParams::new(4, 2).unwrap())
+                    .method_name(&spelled)
+                    .build()
+                    .unwrap();
+                assert_eq!(cfg.method, method, "{spelled}");
+            }
+        }
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
             .method_name("warp-drive")
             .build()
             .unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("warp-drive") && msg.contains("TSUE"), "{msg}");
-    }
-
-    /// A built-in's name is its driver's `name()`, in Fig. 5 order, and
-    /// that name in any case resolves to it.
-    #[test]
-    fn builtins_resolve_by_any_case() {
-        let names: Vec<String> = builtins().iter().map(|m| m.name().to_string()).collect();
-        assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
-        for name in &names {
-            for spelled in [name.clone(), name.to_lowercase(), name.to_uppercase()] {
-                assert_eq!(builtin(&spelled).unwrap().name(), name);
-            }
+        assert!(msg.contains("warp-drive"), "{msg}");
+        for name in names {
+            assert!(msg.contains(name), "{msg}");
         }
     }
 
@@ -652,7 +615,7 @@ mod tests {
     fn unknown_method_names_the_builtins() {
         for name in ["warp-drive", "lru(1MiB)+FO", "stage(64KiB,1ms)+cord", ""] {
             assert_eq!(
-                builtin(name).unwrap_err().0,
+                name.parse::<Method>().unwrap_err().0,
                 format!(
                     "unknown update method {name:?} \
                      (expected one of FO, FL, PL, PLR, PARIX, CoRD, TSUE)"
@@ -665,7 +628,7 @@ mod tests {
     fn builder_rejects_bad_unit_size() {
         let err = ClusterConfig::builder()
             .code(CodeParams::new(4, 2).unwrap())
-            .method(Arc::new(Tsue))
+            .method(Method::Tsue)
             .tsue_unit_bytes(512)
             .build()
             .unwrap_err();

@@ -230,14 +230,13 @@ impl FaultState {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
 
     use super::*;
-    use crate::methods::Tsue;
+    use crate::methods::Method;
     use rscode::CodeParams;
 
     fn cfg() -> ClusterConfig {
-        let mut c = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue));
+        let mut c = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Tsue);
         c.racks = 4;
         c
     }

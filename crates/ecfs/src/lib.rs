@@ -1,10 +1,11 @@
-//! ECFS: a simulated erasure-coded cluster file system with pluggable
-//! update methods.
+//! ECFS: a simulated erasure-coded cluster file system that runs the
+//! paper's seven update methods.
 //!
 //! Reimplements, over the deterministic DES substrate, the system the paper
 //! built its evaluation on (§4): a cluster of OSD nodes each with one
 //! simulated disk, a metadata service for stripe placement, closed-loop
-//! clients replaying block traces, and **seven update methods**:
+//! clients replaying block traces, and **seven update methods**
+//! ([`Method`]):
 //!
 //! | method | front-end critical path | back-end |
 //! |---|---|---|
@@ -44,7 +45,7 @@ pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, DiskKind, Tsu
 pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::MaintenancePlan;
-pub use methods::{NodeLogState, UpdateCtx, UpdateMethod};
+pub use methods::{Method, UpdateCtx};
 pub use placement::{PlacementPolicy, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
@@ -55,7 +56,7 @@ pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 /// ```
 /// use ecfs::prelude::*;
 ///
-/// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue));
+/// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Tsue);
 /// let rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
 /// assert!(rcfg.validate().is_ok());
 /// ```
@@ -69,10 +70,7 @@ pub mod prelude {
     pub use crate::fleet::{DiskFleet, DiskProfile};
     pub use crate::layout::{BlockAddr, BlockSlice, Layout};
     pub use crate::maintenance::{LseConfig, MaintState, MaintenancePlan, ScrubConfig};
-    pub use crate::methods::{
-        builtins, Cord, Fl, Fo, NodeLogState, Parix, Pl, PlainState, Plr, Tsue, UpdateCtx,
-        UpdateMethod,
-    };
+    pub use crate::methods::{Method, UpdateCtx};
     pub use crate::placement::{
         CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,
     };
@@ -87,7 +85,7 @@ pub mod prelude {
         OpClass, OpRecord, Stage, StageRow, Trace, TraceConfig, TraceState, UtilKind, UtilLane,
     };
     // The foreign types every experiment needs alongside the cluster
-    // (`Arc` names a method or placement: `Arc::new(Tsue)`).
+    // (`Arc` names a placement: `Arc::new(RackAware)`).
     pub use rscode::CodeParams;
     pub use simdisk::{HddConfig, SsdConfig};
     pub use std::sync::Arc;

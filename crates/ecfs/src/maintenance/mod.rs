@@ -348,12 +348,11 @@ fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::Tsue;
+    use crate::methods::Method;
     use rscode::CodeParams;
-    use std::sync::Arc;
 
     fn cfg() -> ClusterConfig {
-        ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Tsue))
+        ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Tsue)
     }
 
     #[test]

@@ -14,7 +14,7 @@ use simdisk::{IoOp, Pattern};
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::{stripe_key, stripe_of};
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::UpdateCtx;
 use crate::telemetry::Stage;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
@@ -22,10 +22,6 @@ use tsue::payload::Ghost;
 /// Collector buffer bytes per node at `m = 2`; the budget scales with `m`
 /// (one share per parity block).
 const BUFFER_BYTES_AT_M2: u64 = 12 << 20;
-
-/// The CoRD collector-aggregation driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cord;
 
 /// Per-node collector state (only populated on nodes that collect for some
 /// stripe — every node, in general, since collectors rotate with stripes).
@@ -53,12 +49,6 @@ impl CordState {
     }
 }
 
-impl NodeLogState for CordState {
-    fn pending_bytes(&self) -> u64 {
-        self.buffered
-    }
-}
-
 /// The collector for a stripe: the node hosting its first parity block.
 fn collector_of(cl: &mut Cluster, volume: u32, stripe: u64) -> usize {
     let paddr = cl
@@ -71,7 +61,7 @@ fn collector_of(cl: &mut Cluster, volume: u32, stripe: u64) -> usize {
 
 /// Flushes a collector's buffer: per merged stripe-range, ship one combined
 /// delta to each parity node and RMW the parity block. Returns completion.
-fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+pub(crate) fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let state = cl.state_mut::<CordState>(node);
     state.buffered = 0;
     let mut contents = state.buffer.drain_all();
@@ -98,80 +88,68 @@ fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     t_done
 }
 
-impl UpdateMethod for Cord {
-    fn name(&self) -> &str {
-        "CoRD"
+/// Runs one CoRD update and eventually reports its ack via
+/// [`Cluster::finish`].
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, ddev) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
+
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    // Write-after-read on the data block (CoRD keeps the delta path).
+    let off = ddev + slice.offset as u64;
+    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
+    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
+
+    // Ship the delta to the stripe's collector.
+    let collector = collector_of(cl, slice.addr.volume, slice.addr.stripe);
+    let t_delta = cl.send(t_write, dnode, collector, len);
+
+    // The collector's single buffer: if it is flushing, the append (and the
+    // client's ack) waits for the whole flush. The flush is triggered in
+    // the foreground when the buffer fills.
+    if cl.state_mut::<CordState>(collector).flushing {
+        // Park and retry when the flush completes.
+        cl.park_on(collector, ctx);
+        return;
     }
 
-    fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::new(CordState::new(cfg))
+    let skey = stripe_key(slice.addr.volume, slice.addr.stripe);
+    let state = cl.state_mut::<CordState>(collector);
+    state.buffer.insert(skey, slice.offset, Ghost(slice.len));
+    state.buffered += len;
+    let must_flush = state.buffered >= state.capacity;
+    // Persist the buffered delta (sequential log write on the collector).
+    let log_off = cl.log_offset(collector, len);
+    let mut t_logged = cl.disk_io(
+        collector,
+        t_delta,
+        IoOp::write(log_off, len, Pattern::Sequential),
+    );
+
+    if must_flush {
+        cl.state_mut::<CordState>(collector).flushing = true;
+        let t_flush = flush_collector(cl, collector, t_logged);
+        cl.trace_child(Stage::Recycle, collector, t_logged, t_flush);
+        t_logged = t_flush;
+        // Unblock parked updates once the flush finishes.
+        sim.schedule_at(t_flush, move |sim, cl: &mut Cluster| {
+            cl.state_mut::<CordState>(collector).flushing = false;
+            cl.wake_waiters(sim, collector);
+        });
     }
 
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, ddev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        // Write-after-read on the data block (CoRD keeps the delta path).
-        let off = ddev + slice.offset as u64;
-        let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-        let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
-        cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
-
-        // Ship the delta to the stripe's collector.
-        let collector = collector_of(cl, slice.addr.volume, slice.addr.stripe);
-        let t_delta = cl.send(t_write, dnode, collector, len);
-
-        // The collector's single buffer: if it is flushing, the append (and the
-        // client's ack) waits for the whole flush. The flush is triggered in
-        // the foreground when the buffer fills.
-        if cl.state_mut::<CordState>(collector).flushing {
-            // Park and retry when the flush completes.
-            cl.park_on(collector, ctx);
-            return;
-        }
-
-        let skey = stripe_key(slice.addr.volume, slice.addr.stripe);
-        let state = cl.state_mut::<CordState>(collector);
-        state.buffer.insert(skey, slice.offset, Ghost(slice.len));
-        state.buffered += len;
-        let must_flush = state.buffered >= state.capacity;
-        // Persist the buffered delta (sequential log write on the collector).
-        let log_off = cl.log_offset(collector, len);
-        let mut t_logged = cl.disk_io(
-            collector,
-            t_delta,
-            IoOp::write(log_off, len, Pattern::Sequential),
-        );
-
-        if must_flush {
-            cl.state_mut::<CordState>(collector).flushing = true;
-            let t_flush = flush_collector(cl, collector, t_logged);
-            cl.trace_child(Stage::Recycle, collector, t_logged, t_flush);
-            t_logged = t_flush;
-            // Unblock parked updates once the flush finishes.
-            sim.schedule_at(t_flush, move |sim, cl: &mut Cluster| {
-                cl.state_mut::<CordState>(collector).flushing = false;
-                cl.wake_waiters(sim, collector);
-            });
-        }
-
-        let t_ack = cl.ack(t_logged, collector, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::DiskIo, t_write),
-                (Stage::LogAppend, t_logged),
-                (Stage::Ack, t_ack),
-            ],
-        );
-        cl.finish(sim, ctx, t_ack);
-    }
-
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        methods::drain_nodes(sim, cl, flush_collector)
-    }
+    let t_ack = cl.ack(t_logged, collector, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::DiskIo, t_write),
+            (Stage::LogAppend, t_logged),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }

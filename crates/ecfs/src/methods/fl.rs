@@ -13,14 +13,10 @@ use simdisk::{IoOp, Pattern};
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::UpdateCtx;
 use crate::telemetry::Stage;
 use tsue::index::{MergeMode, TwoLevelIndex};
 use tsue::payload::Ghost;
-
-/// The Full-Logging driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fl;
 
 /// Per-node FL state: one big log with a merged view for recycle/reads.
 pub struct FlState {
@@ -52,20 +48,10 @@ impl FlState {
     }
 }
 
-impl NodeLogState for FlState {
-    fn pending_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
-        self.covers(addr, offset, len)
-    }
-}
-
 /// Recycles one node's FL log: fold logged data into blocks (data node
 /// role) and logged deltas into parity (parity node role). Returns
 /// completion time.
-fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+pub(crate) fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let state = cl.state_mut::<FlState>(node);
     state.bytes = 0;
     let mut contents = state.log.drain_all();
@@ -99,94 +85,82 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     t
 }
 
-impl UpdateMethod for Fl {
-    fn name(&self) -> &str {
-        "FL"
+/// Runs one FL update and eventually reports its ack via
+/// [`Cluster::finish`].
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, _) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
+
+    // Single-log exclusivity: a recycling node cannot accept appends.
+    if cl.state_mut::<FlState>(dnode).recycling {
+        cl.park_on(dnode, ctx);
+        return;
     }
 
-    fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::new(FlState::new(cfg))
-    }
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    // Append new data to the local log (sequential).
+    let log_off = cl.log_offset(dnode, len);
+    let t_local = cl.disk_io(
+        dnode,
+        t_arrive,
+        IoOp::write(log_off, len, Pattern::Sequential),
+    );
+    let state = cl.state_mut::<FlState>(dnode);
+    state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
+    state.bytes += len;
+    let must_recycle_data = state.bytes >= state.threshold;
 
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, _) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-
-        // Single-log exclusivity: a recycling node cannot accept appends.
-        if cl.state_mut::<FlState>(dnode).recycling {
-            cl.park_on(dnode, ctx);
-            return;
-        }
-
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        // Append new data to the local log (sequential).
-        let log_off = cl.log_offset(dnode, len);
-        let t_local = cl.disk_io(
-            dnode,
-            t_arrive,
-            IoOp::write(log_off, len, Pattern::Sequential),
-        );
-        let state = cl.state_mut::<FlState>(dnode);
-        state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
+    // Forward the new data to every parity node's log. Note: the parity
+    // *delta* cannot be computed without the old data, so FL logs the data
+    // itself — the storage-overhead critique of §2.2.
+    let mut t_done = t_local;
+    for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
+        let (pnode, _) = cl.layout.locate(paddr);
+        let t_send = cl.send(t_local, dnode, pnode, len);
+        let plog = cl.log_offset(pnode, len);
+        let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
+        let state = cl.state_mut::<FlState>(pnode);
+        state.log.insert(paddr, slice.offset, Ghost(slice.len));
         state.bytes += len;
-        let must_recycle_data = state.bytes >= state.threshold;
-
-        // Forward the new data to every parity node's log. Note: the parity
-        // *delta* cannot be computed without the old data, so FL logs the data
-        // itself — the storage-overhead critique of §2.2.
-        let mut t_done = t_local;
-        for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
-            let (pnode, _) = cl.layout.locate(paddr);
-            let t_send = cl.send(t_local, dnode, pnode, len);
-            let plog = cl.log_offset(pnode, len);
-            let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
-            let state = cl.state_mut::<FlState>(pnode);
-            state.log.insert(paddr, slice.offset, Ghost(slice.len));
-            state.bytes += len;
-            t_done = t_done.max(t_append);
-        }
-
-        if must_recycle_data {
-            cl.state_mut::<FlState>(dnode).recycling = true;
-            let t_rec = recycle_node(cl, dnode, t_done);
-            cl.trace_child(Stage::Recycle, dnode, t_done, t_rec);
-            sim.schedule_at(t_rec, move |sim, cl: &mut Cluster| {
-                cl.state_mut::<FlState>(dnode).recycling = false;
-                cl.wake_waiters(sim, dnode);
-            });
-        }
-
-        let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::LogAppend, t_local),
-                (Stage::ParityIo, t_done),
-                (Stage::Ack, t_ack),
-            ],
-        );
-        cl.finish(sim, ctx, t_ack);
+        t_done = t_done.max(t_append);
     }
 
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        methods::drain_nodes(sim, cl, recycle_node)
+    if must_recycle_data {
+        cl.state_mut::<FlState>(dnode).recycling = true;
+        let t_rec = recycle_node(cl, dnode, t_done);
+        cl.trace_child(Stage::Recycle, dnode, t_done, t_rec);
+        sim.schedule_at(t_rec, move |sim, cl: &mut Cluster| {
+            cl.state_mut::<FlState>(dnode).recycling = false;
+            cl.wake_waiters(sim, dnode);
+        });
     }
+
+    let t_ack = cl.ack(t_done, dnode, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::LogAppend, t_local),
+            (Stage::ParityIo, t_done),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::BlockSlice;
+    use crate::methods::Method;
     use rscode::CodeParams;
-    use std::sync::Arc;
 
     #[test]
     fn recycle_empties_the_log_and_applies_its_blocks() {
         let code = CodeParams::new(6, 3).unwrap();
-        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Arc::new(Fl)));
+        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Method::Fl));
         let mut sim = Sim::new();
         let addr = |stripe| BlockAddr {
             volume: 0,
@@ -199,7 +173,7 @@ mod tests {
                 offset: 0,
                 len: 4096,
             };
-            Fl.begin_update(&mut sim, &mut cl, UpdateCtx::new(0, slice, 0));
+            begin_update(&mut sim, &mut cl, UpdateCtx::new(0, slice, 0));
         }
         let node = cl.layout.current_node(addr(0));
         let state = |cl: &mut Cluster| {

@@ -10,55 +10,46 @@ use simdes::Sim;
 use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
-use crate::methods::{UpdateCtx, UpdateMethod};
+use crate::methods::UpdateCtx;
 use crate::telemetry::Stage;
 
-/// The Full-Overwrite driver (stateless; no per-node log state).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fo;
+/// Runs one FO update: data and every parity read-modify-written in place.
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, ddev) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
 
-impl UpdateMethod for Fo {
-    fn name(&self) -> &str {
-        "FO"
+    // Client -> data node.
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    // Write-after-read on the data block (delta computation, Eq. 2).
+    let off = ddev + slice.offset as u64;
+    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
+    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
+
+    // Parity deltas fan out; each parity block is read-modify-written in
+    // place. The ack waits for the slowest parity.
+    let mut t_done = t_write;
+    for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
+        let (pnode, pdev) = cl.layout.locate(paddr);
+        let t_delta = cl.send(t_write, dnode, pnode, len);
+        let poff = pdev + slice.offset as u64;
+        let t_pr = cl.disk_io(pnode, t_delta, IoOp::read(poff, len, Pattern::Random));
+        let t_pw = cl.disk_io(pnode, t_pr, IoOp::write(poff, len, Pattern::Random));
+        cl.oracle_apply_parity(paddr, slice.offset, slice.len);
+        t_done = t_done.max(t_pw);
     }
 
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, ddev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-
-        // Client -> data node.
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        // Write-after-read on the data block (delta computation, Eq. 2).
-        let off = ddev + slice.offset as u64;
-        let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-        let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
-        cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
-
-        // Parity deltas fan out; each parity block is read-modify-written in
-        // place. The ack waits for the slowest parity.
-        let mut t_done = t_write;
-        for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
-            let (pnode, pdev) = cl.layout.locate(paddr);
-            let t_delta = cl.send(t_write, dnode, pnode, len);
-            let poff = pdev + slice.offset as u64;
-            let t_pr = cl.disk_io(pnode, t_delta, IoOp::read(poff, len, Pattern::Random));
-            let t_pw = cl.disk_io(pnode, t_pr, IoOp::write(poff, len, Pattern::Random));
-            cl.oracle_apply_parity(paddr, slice.offset, slice.len);
-            t_done = t_done.max(t_pw);
-        }
-
-        let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::DiskIo, t_write),
-                (Stage::ParityIo, t_done),
-                (Stage::Ack, t_ack),
-            ],
-        );
-        cl.finish(sim, ctx, t_ack);
-    }
+    let t_ack = cl.ack(t_done, dnode, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::DiskIo, t_write),
+            (Stage::ParityIo, t_done),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }

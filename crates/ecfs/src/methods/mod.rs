@@ -1,36 +1,28 @@
-//! Update-method drivers: FO, FL, PL, PLR, PARIX, CoRD, TSUE — and the
-//! open [`UpdateMethod`] API that lets out-of-tree methods plug into the
-//! same cluster, replay engine, and recovery drills.
+//! Update-method drivers: FO, FL, PL, PLR, PARIX, CoRD, TSUE.
 //!
-//! Every driver implements the [`UpdateMethod`] trait:
+//! [`Method`] names the paper's seven methods, in Fig. 5 order
+//! ([`Method::ALL`]); [`Method::name`] is what results report, and
+//! [`crate::config::ClusterConfigBuilder::method_name`] parses it in any
+//! case. Each method's driver is one module of free functions, and the
+//! dispatchers here match on the cluster's method:
 //!
-//! * [`UpdateMethod::begin_update`] — runs the method's full front-end path
-//!   for one sub-block update (time-forwarding style: it books every disk
-//!   op and network hop on the shared resources, then reports the ack time
-//!   via [`crate::cluster::Cluster::finish`]);
-//! * [`UpdateMethod::drain`] — flushes all outstanding log state (end of
-//!   run, and the prerequisite for recovery — the paper's consistency
-//!   argument in §2.3.2);
-//! * [`UpdateMethod::new_node_state`] — the constructor hook producing the
-//!   method's per-node log state ([`NodeLogState`]);
-//! * [`UpdateMethod::parity_reserved_bytes`] — device space the layout
-//!   reserves beside each parity block (PLR's).
+//! * [`begin`] — runs the method's full front-end path for one sub-block
+//!   update (time-forwarding style: it books every disk op and network
+//!   hop on the shared resources, then reports the ack time via
+//!   [`crate::cluster::Cluster::finish`]);
+//! * [`drain`] — flushes all outstanding log state (end of run, and the
+//!   prerequisite for recovery — the paper's consistency argument in
+//!   §2.3.2); [`drain_until`] replays only the backlog outstanding now;
+//! * [`Method::parity_reserved_bytes`] — device space the layout reserves
+//!   beside each parity block (PLR's).
+//!
+//! A method's per-node log state is its [`NodeState`] variant.
 //!
 //! Reads and fresh writes take one path for every method ([`begin`]): a
 //! read consults the method's log read cache
-//! ([`NodeLogState::read_cache_covers`]) before the disk. The node-local
+//! ([`NodeState::read_cache_covers`]) before the disk. The node-local
 //! LRU read cache ([`crate::cache`]) is a cluster setting, not a method:
-//! [`ClusterConfig::read_cache_bytes`] arms it under any driver.
-//!
-//! A method is its driver: the paper's seven are the unit structs
-//! re-exported here ([`Fo`], [`Fl`], [`Pl`], [`Plr`], [`Parix`], [`Cord`],
-//! [`Tsue`]), listed in Fig. 5 order by [`builtins`], and named by what
-//! [`UpdateMethod::name`] returns;
-//! [`crate::config::ClusterConfigBuilder::method_name`] resolves that name
-//! in any case. A custom method needs no changes inside this crate: its
-//! driver is passed by handle to
-//! [`crate::config::ClusterConfigBuilder::method`] — see
-//! `crates/ecfs/tests/custom_method.rs`.
+//! [`ClusterConfig::read_cache_bytes`] arms it under any method.
 
 pub mod cord;
 pub mod fl;
@@ -40,71 +32,191 @@ pub mod pl;
 pub mod plr;
 pub mod tsue_drv;
 
-use std::any::Any;
-use std::sync::Arc;
-
 use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 use traces::OpKind;
 
 use crate::cluster::Cluster;
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, ConfigError};
 use crate::layout::{BlockAddr, BlockSlice};
 use crate::telemetry::Stage;
 
-pub use cord::Cord;
-pub use fl::Fl;
-pub use fo::Fo;
-pub use parix::Parix;
-pub use pl::Pl;
-pub use plr::Plr;
-pub use tsue_drv::Tsue;
+use cord::CordState;
+use fl::FlState;
+use parix::ParixState;
+use pl::PlState;
+use plr::PlrState;
+use tsue_drv::TsueState;
 
-/// The paper's seven update methods, one driver each, in Fig. 5 order
-/// (`FO FL PL PLR PARIX CoRD TSUE`).
-/// [`crate::config::ClusterConfigBuilder::method_name`] resolves names
-/// against them, and sweeps iterate them.
-pub fn builtins() -> [Arc<dyn UpdateMethod>; 7] {
-    [
-        Arc::new(Fo),
-        Arc::new(Fl),
-        Arc::new(Pl),
-        Arc::new(Plr),
-        Arc::new(Parix),
-        Arc::new(Cord),
-        Arc::new(Tsue),
-    ]
+/// An update method: one of the paper's seven, declared in Fig. 5 order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// Full Overwrite ([`fo`]).
+    Fo,
+    /// Full Logging ([`fl`]).
+    Fl,
+    /// Parity Logging ([`pl`]).
+    Pl,
+    /// Parity Logging with Reserved space ([`plr`]).
+    Plr,
+    /// Speculative partial writes ([`parix`]).
+    Parix,
+    /// Collector aggregation ([`cord`]).
+    Cord,
+    /// The paper's two-stage update ([`tsue_drv`]).
+    Tsue,
 }
 
-/// Per-node, method-specific log state, held as a trait object on every
-/// [`crate::cluster::Osd`]. A driver reaches its own state type through
-/// [`Cluster::state_mut`], which panics on any other.
-pub trait NodeLogState: Any + Send {
+impl Method {
+    /// The seven methods in Fig. 5 order (`FO FL PL PLR PARIX CoRD TSUE`).
+    pub const ALL: [Method; 7] = [
+        Method::Fo,
+        Method::Fl,
+        Method::Pl,
+        Method::Plr,
+        Method::Parix,
+        Method::Cord,
+        Method::Tsue,
+    ];
+
+    /// Display name, as results and tables report it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::Fo => "FO",
+            Method::Fl => "FL",
+            Method::Pl => "PL",
+            Method::Plr => "PLR",
+            Method::Parix => "PARIX",
+            Method::Cord => "CoRD",
+            Method::Tsue => "TSUE",
+        }
+    }
+
+    /// Extra device bytes the layout must reserve adjacent to each parity
+    /// block (PLR's reserved log space; zero for everything else).
+    pub fn parity_reserved_bytes(self) -> u64 {
+        match self {
+            Method::Plr => plr::RESERVED_BYTES,
+            _ => 0,
+        }
+    }
+
+    /// Builds the method's per-node log state.
+    pub(crate) fn new_node_state(self, cfg: &ClusterConfig) -> NodeState {
+        match self {
+            Method::Fo => NodeState::Plain,
+            Method::Fl => NodeState::Fl(FlState::new(cfg)),
+            Method::Pl => NodeState::Pl(PlState::default()),
+            Method::Plr => NodeState::Plr(PlrState::default()),
+            Method::Parix => NodeState::Parix(ParixState::default()),
+            Method::Cord => NodeState::Cord(CordState::new(cfg)),
+            Method::Tsue => NodeState::Tsue(TsueState::new(cfg)),
+        }
+    }
+}
+
+impl std::str::FromStr for Method {
+    type Err = ConfigError;
+
+    /// The method whose [`Method::name`] is `name`, ignoring ASCII case;
+    /// an unknown name's error lists the seven.
+    fn from_str(name: &str) -> Result<Method, ConfigError> {
+        if let Some(m) = Method::ALL
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+        {
+            return Ok(m);
+        }
+        let names: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
+        Err(ConfigError(format!(
+            "unknown update method {name:?} (expected one of {})",
+            names.join(", ")
+        )))
+    }
+}
+
+/// Per-node log state, held on every [`crate::cluster::Osd`]: one variant
+/// per method that keeps any. A driver reaches its own variant through
+/// `Cluster::state_mut`, which panics on any other.
+pub enum NodeState {
+    /// FO keeps no log state.
+    Plain,
+    /// FL's single log.
+    Fl(FlState),
+    /// PL's parity log.
+    Pl(PlState),
+    /// PLR's reserved regions.
+    Plr(PlrState),
+    /// PARIX's first-touch set and parity log.
+    Parix(ParixState),
+    /// CoRD's collector buffer.
+    Cord(CordState),
+    /// TSUE's three log-pool sets.
+    Tsue(TsueState),
+}
+
+impl NodeState {
     /// Bytes of log state awaiting recycle on this node (drives the drain
     /// loop and the paper's Fig. 6 pending-bytes accounting).
-    fn pending_bytes(&self) -> u64 {
-        0
+    pub fn pending_bytes(&self) -> u64 {
+        match self {
+            NodeState::Plain => 0,
+            NodeState::Fl(s) => s.bytes,
+            NodeState::Pl(s) => s.bytes,
+            NodeState::Plr(s) => s.reserved.values().map(|r| r.used).sum(),
+            NodeState::Parix(s) => s.bytes,
+            NodeState::Cord(s) => s.buffered,
+            NodeState::Tsue(s) => s.pending_bytes(),
+        }
     }
 
     /// In-memory footprint of the node's log structures (Fig. 6b).
-    fn memory_bytes(&self) -> u64 {
-        0
+    pub fn memory_bytes(&self) -> u64 {
+        match self {
+            NodeState::Tsue(s) => s.memory_bytes(),
+            _ => 0,
+        }
     }
 
     /// Whether a read of `[offset, offset + len)` in `addr` can be served
     /// from the method's in-memory log cache, skipping the disk.
-    fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
-        let _ = (addr, offset, len);
-        false
+    pub fn read_cache_covers(&self, addr: BlockAddr, offset: u32, len: u32) -> bool {
+        match self {
+            NodeState::Fl(s) => s.covers(addr, offset, len),
+            NodeState::Tsue(s) => s.read_cache_covers(addr, offset, len),
+            _ => false,
+        }
     }
 }
 
-/// Log state for methods that keep none (FO, and any custom method that
-/// acknowledges synchronously).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PlainState;
+/// A driver's own [`NodeState`] variant, as [`Cluster::state_mut`] asks
+/// for it.
+pub(crate) trait OwnState {
+    /// `state`'s payload, when `state` is this type's variant.
+    fn of(state: &mut NodeState) -> Option<&mut Self>;
+}
 
-impl NodeLogState for PlainState {}
+macro_rules! own_state {
+    ($($variant:ident($ty:ty)),+ $(,)?) => {$(
+        impl OwnState for $ty {
+            fn of(state: &mut NodeState) -> Option<&mut Self> {
+                match state {
+                    NodeState::$variant(s) => Some(s),
+                    _ => None,
+                }
+            }
+        }
+    )+};
+}
+
+own_state!(
+    Fl(FlState),
+    Pl(PlState),
+    Plr(PlrState),
+    Parix(ParixState),
+    Cord(CordState),
+    Tsue(TsueState),
+);
 
 /// One block slice of an in-flight client op.
 #[derive(Debug, Clone, Copy)]
@@ -143,55 +255,6 @@ impl UpdateCtx {
     }
 }
 
-/// An update method: the object-safe contract every driver — built-in or
-/// out-of-tree — implements. Methods are stateless handles (all mutable
-/// state lives in per-node [`NodeLogState`]), so one `Arc<dyn UpdateMethod>`
-/// serves a whole cluster.
-pub trait UpdateMethod: Send + Sync + std::fmt::Debug {
-    /// Display name (used in results, tables, and
-    /// [`crate::config::ClusterConfigBuilder::method_name`] lookups).
-    fn name(&self) -> &str;
-
-    /// Builds the method's per-node log state. The default keeps none.
-    fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        let _ = cfg;
-        Box::new(PlainState)
-    }
-
-    /// Extra device bytes the layout must reserve adjacent to each parity
-    /// block (PLR's reserved log space; zero for everything else).
-    fn parity_reserved_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Runs the method's full front-end path for one sub-block update and
-    /// eventually reports the ack via [`Cluster::finish`].
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx);
-
-    /// Schedules the flush of all outstanding log state; [`drain_all`]
-    /// runs the simulation and re-invokes until [`pending_log_bytes`] hits
-    /// zero. The default is [`Self::drain_until`], which flushes everything
-    /// outstanding now; override it only when the end-of-run drain differs
-    /// from the recovery gate's.
-    fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        self.drain_until(sim, cl);
-    }
-
-    /// Schedules replay of the log state outstanding *now* — the paper's
-    /// §2.3.2 consistency prerequisite before reconstruction can start —
-    /// and returns the simulation time at which that state is durably
-    /// applied. Appends arriving later need not be included: mid-replay
-    /// repair gates only on the backlog that existed at failure time.
-    ///
-    /// The default covers methods with no log state (nothing to replay,
-    /// so reconstruction can start immediately); deferred-recycling
-    /// drivers override it to return their booked flush completion.
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let _ = cl;
-        sim.now()
-    }
-}
-
 /// Dispatches a slice by its op's kind. An update runs the cluster's
 /// configured method and a fresh write the encode-path write every method
 /// shares. On a degraded cluster both first restore the stripe's write
@@ -210,8 +273,15 @@ pub fn begin(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     if ctx.kind == OpKind::Write {
         return write_path(sim, cl, ctx);
     }
-    let method = Arc::clone(&cl.cfg.method);
-    method.begin_update(sim, cl, ctx);
+    match cl.cfg.method {
+        Method::Fo => fo::begin_update(sim, cl, ctx),
+        Method::Fl => fl::begin_update(sim, cl, ctx),
+        Method::Pl => pl::begin_update(sim, cl, ctx),
+        Method::Plr => plr::begin_update(sim, cl, ctx),
+        Method::Parix => parix::begin_update(sim, cl, ctx),
+        Method::Cord => cord::begin_update(sim, cl, ctx),
+        Method::Tsue => tsue_drv::begin_update(sim, cl, ctx),
+    }
 }
 
 /// A read whose target block sits on a dead node is served degraded: the
@@ -240,11 +310,17 @@ fn begin_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     read_path(sim, cl, ctx);
 }
 
-/// Dispatches a drain to the cluster's configured method. Run the sim to
-/// completion afterwards.
+/// Schedules the flush of all outstanding log state; [`drain_all`] runs
+/// the simulation and re-invokes until [`pending_log_bytes`] hits zero.
+/// Every method but TSUE flushes what [`drain_until`] would; TSUE ticks
+/// until its logs are empty.
 pub fn drain(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-    let method = Arc::clone(&cl.cfg.method);
-    method.drain(sim, cl);
+    match cl.cfg.method {
+        Method::Tsue => tsue_drv::drain_tick(sim, cl, SimTime::MAX),
+        _ => {
+            drain_until(sim, cl);
+        }
+    }
 }
 
 /// Drains to quiescence: dispatches [`drain`] and runs the simulation
@@ -265,18 +341,29 @@ pub fn drain_all(sim: &mut Sim<Cluster>, cl: &mut Cluster) {
     }
 }
 
-/// Dispatches [`UpdateMethod::drain_until`]: schedules replay of the log
-/// backlog outstanding now and returns when it is durably applied.
+/// Schedules replay of the log state outstanding *now* — the paper's
+/// §2.3.2 consistency prerequisite before reconstruction can start — and
+/// returns the simulation time at which that state is durably applied.
+/// Appends arriving later need not be included: mid-replay repair gates
+/// only on the backlog that existed at failure time. FO keeps no log, so
+/// reconstruction can start immediately.
 pub fn drain_until(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-    let method = Arc::clone(&cl.cfg.method);
-    method.drain_until(sim, cl)
+    match cl.cfg.method {
+        Method::Fo => sim.now(),
+        Method::Fl => drain_nodes(sim, cl, fl::recycle_node),
+        Method::Pl => drain_nodes(sim, cl, pl::recycle_node),
+        Method::Plr => drain_nodes(sim, cl, plr::recycle_node),
+        Method::Parix => parix::drain_until(sim, cl),
+        Method::Cord => drain_nodes(sim, cl, cord::flush_collector),
+        Method::Tsue => tsue_drv::drain_until(sim, cl),
+    }
 }
 
 /// The drain of a deferred-recycling driver: replays every node's backlog
 /// with the driver's `recycle_node` from the simulation present, traces
 /// each node's replay as a [`Stage::Recycle`] span, and advances the clock
 /// to the last completion, which it returns.
-pub(crate) fn drain_nodes(
+fn drain_nodes(
     sim: &mut Sim<Cluster>,
     cl: &mut Cluster,
     recycle_node: fn(&mut Cluster, usize, SimTime) -> SimTime,
@@ -434,7 +521,7 @@ fn write_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     cl.finish(sim, ctx, t_done);
 }
 
-/// The read path: a log read-cache hit (per [`NodeLogState::read_cache_covers`])
+/// The read path: a log read-cache hit (per [`NodeState::read_cache_covers`])
 /// skips the disk.
 fn read_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let (node, dev_off) = cl.layout.locate(ctx.slice.addr);

@@ -13,9 +13,8 @@ use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
 use crate::cluster::{Cluster, IntervalSet};
-use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::{self, UpdateCtx};
 use crate::telemetry::Stage;
 use tsue::fastmap::FastMap;
 use tsue::index::{MergeMode, TwoLevelIndex};
@@ -27,10 +26,6 @@ use tsue::payload::Ghost;
 /// per-node budget scales with `m²` to keep the per-stripe reset rate
 /// comparable across code shapes.
 const EPOCH_BYTES_AT_M2: u64 = 4 << 20;
-
-/// The PARIX speculative-partial-write driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Parix;
 
 /// Per-node PARIX state.
 pub struct ParixState {
@@ -56,112 +51,99 @@ impl Default for ParixState {
     }
 }
 
-impl NodeLogState for ParixState {
-    fn pending_bytes(&self) -> u64 {
-        self.bytes
+/// Runs one PARIX update and eventually reports its ack via
+/// [`Cluster::finish`].
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, ddev) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
+
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    // In-place data write — no read! That is PARIX's front-end saving.
+    let off = ddev + slice.offset as u64;
+    let t_write = cl.disk_io(dnode, t_arrive, IoOp::write(off, len, Pattern::Random));
+    cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
+
+    // First touch since the last recycle? Then the parity side needs the
+    // original value: data node reads it and ships it — a serial extra
+    // round on the critical path.
+    let sent = cl
+        .state_mut::<ParixState>(dnode)
+        .old_sent
+        .entry(slice.addr)
+        .or_default();
+    let first_touch = !sent.covers(slice.offset as u64, slice.offset as u64 + len);
+    if first_touch {
+        sent.insert(slice.offset as u64, slice.offset as u64 + len);
     }
+    // NOTE: the in-place write above already clobbered the old value; real
+    // PARIX reads old before writing new on first touch. Order the read
+    // before the write for timing purposes.
+    let t_old_ready = if first_touch {
+        cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random))
+    } else {
+        t_arrive
+    };
+
+    let m = cl.cfg.code.m() as u64;
+    let epoch_bytes = EPOCH_BYTES_AT_M2 * m * m / 4;
+    let mut t_done = t_write;
+    for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
+        let (pnode, _) = cl.layout.locate(paddr);
+        // Forward new data; log it sequentially.
+        let t_new = cl.send(t_arrive, dnode, pnode, len);
+        let log_off = cl.log_offset(pnode, len);
+        let mut t_append = cl.disk_io(pnode, t_new, IoOp::write(log_off, len, Pattern::Sequential));
+        if first_touch {
+            // Serial extra round: parity asks, data node answers with the
+            // original bytes, which are logged too.
+            let t_req = cl.ack(t_append, pnode, dnode);
+            let t_old = cl.send(t_req.max(t_old_ready), dnode, pnode, len);
+            let log_off2 = cl.log_offset(pnode, len);
+            t_append = cl.disk_io(
+                pnode,
+                t_old,
+                IoOp::write(log_off2, len, Pattern::Sequential),
+            );
+        }
+        let state = cl.state_mut::<ParixState>(pnode);
+        state.log.insert(paddr, slice.offset, Ghost(slice.len));
+        state.bytes += len * if first_touch { 2 } else { 1 };
+        let over_threshold = state.bytes >= epoch_bytes;
+        // Epoch boundary: the parity log reached its threshold. The hot
+        // log segment rolls over (old segments go cold and are recycled
+        // lazily), so first-touch tracking resets: the next update of each
+        // location pays the extra round again (§2.2: PARIX "does not fully
+        // exploit temporal locality"). The deferred recycle I/O itself is
+        // paid at drain time, like PL.
+        if over_threshold {
+            epoch_reset(cl, pnode);
+        }
+        t_done = t_done.max(t_append);
+    }
+
+    let t_ack = cl.ack(t_done, dnode, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::DiskIo, t_write),
+            (Stage::LogAppend, t_done),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }
 
-impl UpdateMethod for Parix {
-    fn name(&self) -> &str {
-        "PARIX"
+/// Recycles every node's log from now and forgets every first touch;
+/// returns when the logs are applied.
+pub(crate) fn drain_until(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
+    let t_end = methods::drain_nodes(sim, cl, recycle_node);
+    for node in 0..cl.cfg.nodes {
+        cl.state_mut::<ParixState>(node).old_sent.clear();
     }
-
-    fn new_node_state(&self, _cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::<ParixState>::default()
-    }
-
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, ddev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        // In-place data write — no read! That is PARIX's front-end saving.
-        let off = ddev + slice.offset as u64;
-        let t_write = cl.disk_io(dnode, t_arrive, IoOp::write(off, len, Pattern::Random));
-        cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
-
-        // First touch since the last recycle? Then the parity side needs the
-        // original value: data node reads it and ships it — a serial extra
-        // round on the critical path.
-        let sent = cl
-            .state_mut::<ParixState>(dnode)
-            .old_sent
-            .entry(slice.addr)
-            .or_default();
-        let first_touch = !sent.covers(slice.offset as u64, slice.offset as u64 + len);
-        if first_touch {
-            sent.insert(slice.offset as u64, slice.offset as u64 + len);
-        }
-        // NOTE: the in-place write above already clobbered the old value; real
-        // PARIX reads old before writing new on first touch. Order the read
-        // before the write for timing purposes.
-        let t_old_ready = if first_touch {
-            cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random))
-        } else {
-            t_arrive
-        };
-
-        let m = cl.cfg.code.m() as u64;
-        let epoch_bytes = EPOCH_BYTES_AT_M2 * m * m / 4;
-        let mut t_done = t_write;
-        for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
-            let (pnode, _) = cl.layout.locate(paddr);
-            // Forward new data; log it sequentially.
-            let t_new = cl.send(t_arrive, dnode, pnode, len);
-            let log_off = cl.log_offset(pnode, len);
-            let mut t_append =
-                cl.disk_io(pnode, t_new, IoOp::write(log_off, len, Pattern::Sequential));
-            if first_touch {
-                // Serial extra round: parity asks, data node answers with the
-                // original bytes, which are logged too.
-                let t_req = cl.ack(t_append, pnode, dnode);
-                let t_old = cl.send(t_req.max(t_old_ready), dnode, pnode, len);
-                let log_off2 = cl.log_offset(pnode, len);
-                t_append = cl.disk_io(
-                    pnode,
-                    t_old,
-                    IoOp::write(log_off2, len, Pattern::Sequential),
-                );
-            }
-            let state = cl.state_mut::<ParixState>(pnode);
-            state.log.insert(paddr, slice.offset, Ghost(slice.len));
-            state.bytes += len * if first_touch { 2 } else { 1 };
-            let over_threshold = state.bytes >= epoch_bytes;
-            // Epoch boundary: the parity log reached its threshold. The hot
-            // log segment rolls over (old segments go cold and are recycled
-            // lazily), so first-touch tracking resets: the next update of each
-            // location pays the extra round again (§2.2: PARIX "does not fully
-            // exploit temporal locality"). The deferred recycle I/O itself is
-            // paid at drain time, like PL.
-            if over_threshold {
-                epoch_reset(cl, pnode);
-            }
-            t_done = t_done.max(t_append);
-        }
-
-        let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::DiskIo, t_write),
-                (Stage::LogAppend, t_done),
-                (Stage::Ack, t_ack),
-            ],
-        );
-        cl.finish(sim, ctx, t_ack);
-    }
-
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        let t_end = methods::drain_nodes(sim, cl, recycle_node);
-        for node in 0..cl.cfg.nodes {
-            cl.state_mut::<ParixState>(node).old_sent.clear();
-        }
-        t_end
-    }
+    t_end
 }
 
 /// Rolls a parity node's log epoch: resets the first-touch tracking of
@@ -193,7 +175,7 @@ fn forget_originals(cl: &mut Cluster, paddr: BlockAddr) {
 
 /// Recycles one node's PARIX log: per merged location, compute the delta
 /// from the logged (original, newest) pair and RMW the parity block.
-pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let state = cl.state_mut::<ParixState>(node);
     state.bytes = 0;
     let mut contents = state.log.drain_all();

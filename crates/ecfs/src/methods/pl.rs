@@ -13,14 +13,9 @@ use simdes::{Sim, SimTime};
 use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
-use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::UpdateCtx;
 use crate::telemetry::Stage;
-
-/// The Parity-Logging driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pl;
 
 /// One logged parity delta.
 #[derive(Debug, Clone, Copy)]
@@ -42,77 +37,59 @@ pub struct PlState {
     pub bytes: u64,
 }
 
-impl NodeLogState for PlState {
-    fn pending_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
+/// Runs one PL update and eventually reports its ack via
+/// [`Cluster::finish`].
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, ddev) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
 
-impl UpdateMethod for Pl {
-    fn name(&self) -> &str {
-        "PL"
-    }
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    // Write-after-read on the data block.
+    let off = ddev + slice.offset as u64;
+    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
+    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
-    fn new_node_state(&self, _cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::<PlState>::default()
-    }
-
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, ddev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
-
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        // Write-after-read on the data block.
-        let off = ddev + slice.offset as u64;
-        let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-        let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
-        cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
-
-        // Parity deltas go to logs: sequential appends.
-        let mut t_done = t_write;
-        for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
-            let (pnode, _) = cl.layout.locate(paddr);
-            let t_delta = cl.send(t_write, dnode, pnode, len);
-            let log_off = cl.log_offset(pnode, len);
-            let t_append = cl.disk_io(
-                pnode,
-                t_delta,
-                IoOp::write(log_off, len, Pattern::Sequential),
-            );
-            let state = cl.state_mut::<PlState>(pnode);
-            state.records.push(PlRecord {
-                parity: paddr,
-                offset: slice.offset,
-                len: slice.len,
-            });
-            state.bytes += len;
-            t_done = t_done.max(t_append);
-        }
-
-        let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::DiskIo, t_write),
-                (Stage::LogAppend, t_done),
-                (Stage::Ack, t_ack),
-            ],
+    // Parity deltas go to logs: sequential appends.
+    let mut t_done = t_write;
+    for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
+        let (pnode, _) = cl.layout.locate(paddr);
+        let t_delta = cl.send(t_write, dnode, pnode, len);
+        let log_off = cl.log_offset(pnode, len);
+        let t_append = cl.disk_io(
+            pnode,
+            t_delta,
+            IoOp::write(log_off, len, Pattern::Sequential),
         );
-        cl.finish(sim, ctx, t_ack);
+        let state = cl.state_mut::<PlState>(pnode);
+        state.records.push(PlRecord {
+            parity: paddr,
+            offset: slice.offset,
+            len: slice.len,
+        });
+        state.bytes += len;
+        t_done = t_done.max(t_append);
     }
 
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        methods::drain_nodes(sim, cl, recycle_node)
-    }
+    let t_ack = cl.ack(t_done, dnode, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::DiskIo, t_write),
+            (Stage::LogAppend, t_done),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }
 
 /// Recycles the parity log of one node starting at `from`; returns the
 /// completion time. Every record costs a random read of the logged delta
 /// plus a read-modify-write of the parity block — PL's recycle storm.
-pub fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+pub(crate) fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let state = cl.state_mut::<PlState>(node);
     state.bytes = 0;
     let records = std::mem::take(&mut state.records);

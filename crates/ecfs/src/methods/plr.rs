@@ -16,17 +16,12 @@ use simdisk::{IoOp, Pattern};
 use tsue::fastmap::FastMap;
 
 use crate::cluster::Cluster;
-use crate::config::ClusterConfig;
 use crate::layout::BlockAddr;
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::UpdateCtx;
 use crate::telemetry::Stage;
 
 /// Reserved log space adjacent to each parity block, in bytes.
-const RESERVED_BYTES: u64 = 256 << 10;
-
-/// The Parity-Logging-with-Reserved-space driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Plr;
+pub(crate) const RESERVED_BYTES: u64 = 256 << 10;
 
 /// Pending deltas in one parity block's reserved region.
 #[derive(Debug, Default, Clone)]
@@ -42,12 +37,6 @@ pub struct Reserved {
 pub struct PlrState {
     /// Reserved-region occupancy per parity block hosted here.
     pub reserved: FastMap<BlockAddr, Reserved>,
-}
-
-impl NodeLogState for PlrState {
-    fn pending_bytes(&self) -> u64 {
-        self.reserved.values().map(|r| r.used).sum()
-    }
 }
 
 /// Applies one parity block's reserved log (tracked on `node`): read
@@ -97,7 +86,7 @@ fn recycle_reserved(cl: &mut Cluster, node: usize, paddr: BlockAddr, from: SimTi
 
 /// Applies every reserved log tracked on `node`, one parity block after
 /// another from `from`. Returns completion time.
-fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
+pub(crate) fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     let mut addrs: Vec<BlockAddr> = cl
         .state_mut::<PlrState>(node)
         .reserved
@@ -114,85 +103,69 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
     t
 }
 
-impl UpdateMethod for Plr {
-    fn name(&self) -> &str {
-        "PLR"
-    }
+/// Runs one PLR update and eventually reports its ack via
+/// [`Cluster::finish`].
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+    let slice = ctx.slice;
+    let len = slice.len as u64;
+    let (dnode, ddev) = cl.layout.locate(slice.addr);
+    let client_ep = cl.cfg.client_endpoint(ctx.client);
 
-    fn new_node_state(&self, _cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::<PlrState>::default()
-    }
+    let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
+    let off = ddev + slice.offset as u64;
+    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
+    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
-    fn parity_reserved_bytes(&self) -> u64 {
-        RESERVED_BYTES
-    }
+    let block = cl.cfg.block_bytes;
+    let mut t_done = t_write;
+    for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
+        let (pnode, pdev) = cl.layout.locate(paddr);
+        let t_delta = cl.send(t_write, dnode, pnode, len);
 
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        let slice = ctx.slice;
-        let len = slice.len as u64;
-        let (dnode, ddev) = cl.layout.locate(slice.addr);
-        let client_ep = cl.cfg.client_endpoint(ctx.client);
+        // Does the reserved region overflow? Then recycle it *first*, in
+        // the foreground — the PLR critical-path penalty.
+        let r = cl
+            .state_mut::<PlrState>(pnode)
+            .reserved
+            .entry(paddr)
+            .or_default();
+        let needs_recycle = r.used + len > RESERVED_BYTES;
+        let t_space = if needs_recycle {
+            let t_rec = recycle_reserved(cl, pnode, paddr, t_delta);
+            cl.trace_child(Stage::Recycle, pnode, t_delta, t_rec);
+            t_rec
+        } else {
+            t_delta
+        };
 
-        let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-        let off = ddev + slice.offset as u64;
-        let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-        let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
-        cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
-
-        let block = cl.cfg.block_bytes;
-        let mut t_done = t_write;
-        for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
-            let (pnode, pdev) = cl.layout.locate(paddr);
-            let t_delta = cl.send(t_write, dnode, pnode, len);
-
-            // Does the reserved region overflow? Then recycle it *first*, in
-            // the foreground — the PLR critical-path penalty.
-            let r = cl
-                .state_mut::<PlrState>(pnode)
-                .reserved
-                .entry(paddr)
-                .or_default();
-            let needs_recycle = r.used + len > RESERVED_BYTES;
-            let t_space = if needs_recycle {
-                let t_rec = recycle_reserved(cl, pnode, paddr, t_delta);
-                cl.trace_child(Stage::Recycle, pnode, t_delta, t_rec);
-                t_rec
-            } else {
-                t_delta
-            };
-
-            // Append into the reserved region: a *random* write from the
-            // device's point of view (regions are scattered).
-            let r = cl
-                .state_mut::<PlrState>(pnode)
-                .reserved
-                .entry(paddr)
-                .or_default();
-            let append_off = pdev + block + r.used;
-            r.used += len;
-            r.pending.push((slice.offset, slice.len));
-            let t_append = cl.disk_io(
-                pnode,
-                t_space,
-                IoOp::write(append_off, len, Pattern::Random),
-            );
-            t_done = t_done.max(t_append);
-        }
-
-        let t_ack = cl.ack(t_done, dnode, client_ep);
-        cl.trace_op(
-            &ctx,
-            &[
-                (Stage::NetSend, t_arrive),
-                (Stage::DiskIo, t_write),
-                (Stage::ParityIo, t_done),
-                (Stage::Ack, t_ack),
-            ],
+        // Append into the reserved region: a *random* write from the
+        // device's point of view (regions are scattered).
+        let r = cl
+            .state_mut::<PlrState>(pnode)
+            .reserved
+            .entry(paddr)
+            .or_default();
+        let append_off = pdev + block + r.used;
+        r.used += len;
+        r.pending.push((slice.offset, slice.len));
+        let t_append = cl.disk_io(
+            pnode,
+            t_space,
+            IoOp::write(append_off, len, Pattern::Random),
         );
-        cl.finish(sim, ctx, t_ack);
+        t_done = t_done.max(t_append);
     }
 
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        methods::drain_nodes(sim, cl, recycle_node)
-    }
+    let t_ack = cl.ack(t_done, dnode, client_ep);
+    cl.trace_op(
+        &ctx,
+        &[
+            (Stage::NetSend, t_arrive),
+            (Stage::DiskIo, t_write),
+            (Stage::ParityIo, t_done),
+            (Stage::Ack, t_ack),
+        ],
+    );
+    cl.finish(sim, ctx, t_ack);
 }

@@ -31,7 +31,7 @@ use simdisk::{IoOp, Pattern};
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::layout::{stripe_key, stripe_of, BlockAddr};
-use crate::methods::{self, NodeLogState, UpdateCtx, UpdateMethod};
+use crate::methods::{self, UpdateCtx};
 use crate::telemetry::Stage;
 use tsue::layers::{
     group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
@@ -44,67 +44,47 @@ use tsue::MergeMode;
 /// memcpy, checksum): the thread-pool cost of §3.2.1.
 const RECYCLE_CPU_PER_RECORD_NS: u64 = 25_000;
 
-/// The paper's two-stage update driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tsue;
-
-impl UpdateMethod for Tsue {
-    fn name(&self) -> &str {
-        "TSUE"
-    }
-
-    fn new_node_state(&self, cfg: &ClusterConfig) -> Box<dyn NodeLogState> {
-        Box::new(TsueState::new(cfg))
-    }
-
-    fn begin_update(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
-        begin_update(sim, cl, ctx);
-    }
-
-    fn drain(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) {
-        drain_tick(sim, cl, SimTime::MAX);
-    }
-
-    fn drain_until(&self, sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
-        // TSUE recycles in real time, so the backlog at a failure is at
-        // most the active log units. The recycle chains are event-driven
-        // (their exact completion is not known up front), so the recovery
-        // gate charges the backlog at a conservative replay rate — the
-        // paper's point survives intact: this is typically megabytes,
-        // versus the gigabytes deferred methods must replay. The replay
-        // itself is bounded by that gate: force-seal ticks stop there, and
-        // appends arriving later recycle through the ordinary seal-driven
-        // chains, as in steady state.
-        let now = sim.now();
-        let backlog = methods::pending_log_bytes(cl);
-        // Charge the replay scan to the disks that actually perform it:
-        // each node's pending log bytes are re-read sequentially from
-        // its log region — and a *dead* node's backlog is scanned on its
-        // replica holder (§2.3.2), whose queue then contends with the
-        // foreground and repair traffic it is serving.
-        let mut gate = now;
-        for node in 0..cl.cfg.nodes {
-            let pending = cl.nodes[node].state.pending_bytes();
-            if pending == 0 {
-                continue;
-            }
-            let replayer = if cl.nodes[node].failed {
-                replica_of(cl, node)
-            } else {
-                node
-            };
-            let cap = cl.nodes[replayer].disk.capacity();
-            let base = cap / 4 * 3;
-            let len = pending.min(cap - base);
-            let t = cl.disk_io(replayer, now, IoOp::read(base, len, Pattern::Sequential));
-            gate = gate.max(t);
+/// The recovery gate: replays the backlog outstanding now and returns
+/// when it is charged as applied.
+pub(crate) fn drain_until(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
+    // TSUE recycles in real time, so the backlog at a failure is at
+    // most the active log units. The recycle chains are event-driven
+    // (their exact completion is not known up front), so the recovery
+    // gate charges the backlog at a conservative replay rate — the
+    // paper's point survives intact: this is typically megabytes,
+    // versus the gigabytes deferred methods must replay. The replay
+    // itself is bounded by that gate: force-seal ticks stop there, and
+    // appends arriving later recycle through the ordinary seal-driven
+    // chains, as in steady state.
+    let now = sim.now();
+    let backlog = methods::pending_log_bytes(cl);
+    // Charge the replay scan to the disks that actually perform it:
+    // each node's pending log bytes are re-read sequentially from
+    // its log region — and a *dead* node's backlog is scanned on its
+    // replica holder (§2.3.2), whose queue then contends with the
+    // foreground and repair traffic it is serving.
+    let mut gate = now;
+    for node in 0..cl.cfg.nodes {
+        let pending = cl.nodes[node].state.pending_bytes();
+        if pending == 0 {
+            continue;
         }
-        // ~2 GB/s merge CPU on top of the booked scan, plus one
-        // scheduling quantum.
-        let gate = gate.max(now + backlog / 2) + simdes::units::MILLIS;
-        drain_tick(sim, cl, gate);
-        gate
+        let replayer = if cl.nodes[node].failed {
+            replica_of(cl, node)
+        } else {
+            node
+        };
+        let cap = cl.nodes[replayer].disk.capacity();
+        let base = cap / 4 * 3;
+        let len = pending.min(cap - base);
+        let t = cl.disk_io(replayer, now, IoOp::read(base, len, Pattern::Sequential));
+        gate = gate.max(t);
     }
+    // ~2 GB/s merge CPU on top of the booked scan, plus one
+    // scheduling quantum.
+    let gate = gate.max(now + backlog / 2) + simdes::units::MILLIS;
+    drain_tick(sim, cl, gate);
+    gate
 }
 
 /// One of TSUE's three log layers. It indexes the per-layer ledgers of
@@ -162,18 +142,19 @@ impl TsueState {
             Layer::Parity => self.parity.is_fully_drained(),
         }
     }
-}
 
-impl NodeLogState for TsueState {
-    fn pending_bytes(&self) -> u64 {
+    /// Bytes appended and not yet recycled, over all three layers.
+    pub fn pending_bytes(&self) -> u64 {
         self.pending.iter().sum()
     }
 
-    fn memory_bytes(&self) -> u64 {
+    /// In-memory footprint of the three pool sets.
+    pub fn memory_bytes(&self) -> u64 {
         self.data.memory_bytes() + self.delta.memory_bytes() + self.parity.memory_bytes()
     }
 
-    fn read_cache_covers(&mut self, addr: BlockAddr, offset: u32, len: u32) -> bool {
+    /// Whether the DataLog holds every byte of `[offset, offset + len)`.
+    pub fn read_cache_covers(&self, addr: BlockAddr, offset: u32, len: u32) -> bool {
         self.data.covers(&addr, offset, len)
     }
 }
@@ -207,7 +188,7 @@ fn replica_of(cl: &Cluster, node: usize) -> usize {
 }
 
 /// Runs one TSUE update (front end only; the back end self-schedules).
-fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
+pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let slice = ctx.slice;
     let len = slice.len as u64;
     let (dnode, _) = cl.layout.locate(slice.addr);
@@ -623,11 +604,11 @@ fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
 /// simulated millisecond later while log bytes remain and `now < until`.
 ///
 /// The end-of-run drain passes [`SimTime::MAX`] and ticks until no log
-/// bytes remain. [`UpdateMethod::drain_until`] passes its recovery gate,
+/// bytes remain. [`methods::drain_until`] passes its recovery gate,
 /// so the §2.3.2 replay covers the backlog outstanding at the failure and
 /// does not keep slicing the units the foreground fills afterwards; units
 /// still recycling at the bound finish through their own chains.
-fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, until: SimTime) {
+pub(crate) fn drain_tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, until: SimTime) {
     let now = sim.now();
     let mut pending = 0u64;
     for node in 0..cl.cfg.nodes {
@@ -660,7 +641,7 @@ mod tests {
     /// A short TSUE replay whose small log units make every layer recycle.
     fn small_replay(delta_log: bool) -> ReplayConfig {
         let code = CodeParams::new(6, 3).unwrap();
-        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cluster.clients = 8;
         cluster.tsue.delta_log = delta_log;
         cluster.tsue_unit_bytes = 256 << 10;
@@ -676,7 +657,7 @@ mod tests {
     #[test]
     fn read_cache_counts_overlapping_pieces_once() {
         let code = CodeParams::new(6, 3).unwrap();
-        let mut cfg = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cfg = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cfg.tsue_unit_bytes = 64 << 10;
         let mut ts = TsueState::new(&cfg);
         let addr = BlockAddr {

@@ -677,7 +677,7 @@ mod tests {
     fn zero_copyset_budget_is_a_config_error_not_a_panic() {
         let err = crate::ClusterConfig::builder()
             .code(CodeParams::new(6, 3).unwrap())
-            .method(Arc::new(crate::methods::Tsue))
+            .method(crate::methods::Method::Tsue)
             .placement(Arc::new(Copyset::new(0)))
             .build()
             .unwrap_err();

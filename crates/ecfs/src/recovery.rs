@@ -4,7 +4,7 @@
 //! traffic on the same disks and fabric. Both rebuild every lost block
 //! through one path, `rebuild_block`: `k` survivors chosen by
 //! `select_survivors`, a live target from
-//! [`Cluster::next_live_target`], and transfers booked as repair traffic
+//! `Cluster::next_live_target`, and transfers booked as repair traffic
 //! ([`simnet::FlowClass::Repair`]). A drill books its rebuilds from the
 //! end of its drain on an otherwise idle cluster.
 //!
@@ -28,7 +28,7 @@
 //! Mid-replay, [`inject_fault`] marks the scope dead and schedules
 //! repair on the shared [`Sim`] timeline: after the plan's detection lag,
 //! the method's outstanding log backlog is replayed
-//! ([`crate::methods::UpdateMethod::drain_until`], the §2.3.2 gate), then
+//! ([`crate::methods::drain_until`], the §2.3.2 gate), then
 //! lost blocks rebuild one per event — every survivor read, repair
 //! transfer ([`simnet::FlowClass::Repair`]), and rebuilt-block write is
 //! booked at the simulation present, so it genuinely queues against
@@ -100,7 +100,7 @@ impl std::error::Error for RecoveryError {}
 
 /// The Fig. 8b drill: drains logs, fails `node`, and reconstructs its
 /// blocks onto the other nodes, each block's target picked by
-/// [`Cluster::next_live_target`] as the repair pump picks it. Returns the
+/// `Cluster::next_live_target` as the repair pump picks it. Returns the
 /// timing breakdown.
 ///
 /// # Panics

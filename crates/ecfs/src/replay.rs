@@ -108,17 +108,11 @@ impl ReplayConfig {
     /// A builder over [`Self::new`]'s defaults with fail-fast validation.
     ///
     /// ```
-    /// use std::sync::Arc;
-    ///
-    /// use ecfs::methods::Tsue;
-    /// use ecfs::{ClusterConfig, ReplayConfig};
+    /// use ecfs::{ClusterConfig, Method, ReplayConfig};
     /// use rscode::CodeParams;
     /// use traces::TraceFamily;
     ///
-    /// let cluster = ClusterConfig::ssd_testbed(
-    ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
-    /// );
+    /// let cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Tsue);
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .ops_per_client(500)
     ///     .volume_bytes(64 << 20)
@@ -198,7 +192,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
+    ///     Method::Tsue,
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .workload(Workload::Open(OpenLoopSpec::poisson(20_000.0)))
@@ -231,7 +225,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
+    ///     Method::Tsue,
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .faults(FaultPlan::new().fail_node(10_000_000, 3))
@@ -251,7 +245,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
+    ///     Method::Tsue,
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .maintenance(MaintenancePlan::new().with_scrub(ScrubConfig::default()))
@@ -271,7 +265,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
+    ///     Method::Tsue,
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .trace(TraceConfig::on())
@@ -291,7 +285,7 @@ impl ReplayConfigBuilder {
     ///
     /// let cluster = ClusterConfig::ssd_testbed(
     ///     CodeParams::new(6, 3).unwrap(),
-    ///     Arc::new(Tsue),
+    ///     Method::Tsue,
     /// );
     /// let rcfg = ReplayConfig::builder(cluster, TraceFamily::AliCloud)
     ///     .workload(Workload::Open(OpenLoopSpec::poisson(20_000.0)))
@@ -341,7 +335,7 @@ impl ResidencySummary {
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Display name of the method under test: its driver's
-    /// [`crate::methods::UpdateMethod::name`]. An armed read cache
+    /// [`crate::methods::Method::name`]. An armed read cache
     /// ([`ClusterConfig::read_cache_bytes`]) does not change it.
     pub method: String,
     /// Updates acknowledged. The completion counters, [`Self::failed_ops`],
@@ -374,7 +368,7 @@ pub struct RunResult {
     /// Update completions per second over time (Fig. 6a series).
     pub series: Vec<(f64, f64)>,
     /// Log memory footprint at end of run (bytes): every node's
-    /// [`crate::methods::NodeLogState::memory_bytes`], plus the pages an
+    /// [`crate::methods::NodeState::memory_bytes`], plus the pages an
     /// armed read cache ([`crate::cache`]) holds.
     pub log_memory_bytes: u64,
     /// DataLog residency.
@@ -886,7 +880,7 @@ impl Replay {
     ///
     /// let cluster = ClusterConfig::builder()
     ///     .code(CodeParams::new(4, 2).unwrap())
-    ///     .method(Arc::new(Fo))
+    ///     .method(Method::Fo)
     ///     .nodes(6)
     ///     .clients(2)
     ///     .build()
@@ -900,215 +894,212 @@ impl Replay {
     /// assert!(out.trace.is_none()); // tracing was not armed
     /// ```
     pub fn run(rcfg: &ReplayConfig) -> RunOutcome {
-        run_replay(rcfg)
-    }
-}
+        let wall_start = std::time::Instant::now();
+        let (mut sim, mut cl) = run_update_phase(rcfg);
+        let run_end = cl.metrics.last_completion;
+        let duration_s = simdes::units::as_secs_f64(run_end);
 
-fn run_replay(rcfg: &ReplayConfig) -> RunOutcome {
-    let wall_start = std::time::Instant::now();
-    let (mut sim, mut cl) = run_update_phase(rcfg);
-    let run_end = cl.metrics.last_completion;
-    let duration_s = simdes::units::as_secs_f64(run_end);
+        // Drain all logs (real-time for TSUE means little remains; deferred
+        // methods pay here).
+        let drain_start = sim.now();
+        methods::drain_all(&mut sim, &mut cl);
+        let drain_s = simdes::units::as_secs_f64(sim.now().saturating_sub(drain_start));
 
-    // Drain all logs (real-time for TSUE means little remains; deferred
-    // methods pay here).
-    let drain_start = sim.now();
-    methods::drain_all(&mut sim, &mut cl);
-    let drain_s = simdes::units::as_secs_f64(sim.now().saturating_sub(drain_start));
+        let violations = cl.oracle.violations(&cl.layout);
 
-    let violations = cl.oracle.violations(&cl.layout);
-
-    // Availability harvest: degraded windows run from each injected fault
-    // to its repair completion (or the end of the simulation when repair
-    // never finished).
-    let sim_end = sim.now();
-    let windows = cl.faults.windows(sim_end);
-    let (degraded_p99_us, steady_p99_us) = match &cl.metrics.latency_samples {
-        Some(log) => p99_split_us(log, &windows),
-        None => (
-            0.0,
-            cl.metrics.update_latency.quantile(0.99) as f64 / 1_000.0,
-        ),
-    };
-    let (degraded_read_p99_us, steady_read_p99_us) = match &cl.metrics.read_latency_samples {
-        Some(log) => p99_split_us(log, &windows),
-        None => (0.0, cl.metrics.read_latency.quantile(0.99) as f64 / 1_000.0),
-    };
-    let mttr_s = cl.faults.mttr_s(sim_end);
-
-    let m = &cl.metrics;
-    let disk = cl.disk_stats();
-    let update_iops = ratio(m.completed_updates as f64, duration_s);
-
-    // Offered-vs-acked accounting: goodput is what clients actually got
-    // acknowledged per second of run; on the open loop it is compared
-    // against the schedule's offered rate to flag saturation.
-    let acked = m.completed_updates + m.completed_reads + m.completed_writes;
-    let goodput_ops_per_s = ratio(acked as f64, duration_s);
-    let (
-        offered_ops,
-        offered_ops_per_s,
-        queue_delay_mean_us,
-        queue_delay_p99_us,
-        peak_queue_depth,
-        backlogged,
-        active_clients_peak,
-        client_state_bytes,
-        workload_state_bytes,
-    ) = match &cl.clients {
-        Some(ClientLoop::Open(ol)) => {
-            let horizon_s = simdes::units::as_secs_f64(ol.horizon);
-            let rate = ratio(ol.offered as f64, horizon_s);
-            let active_peak = ol.active_clients.peak();
-            // "Backed up": at some point the admission queues held at
-            // least one full window of the peak active set — more waiting
-            // than the clients actually competing were even allowed to
-            // have in flight. Keyed to the *active* set, not the
-            // population, so the signature survives million-client id
-            // spaces where most clients never arrive.
-            let backlogged = ol.queue_depth.peak() >= (ol.window as u64) * active_peak.max(1);
-            // Runtime client state at peak, from measured peaks × exact
-            // struct sizes: every active client holds one window entry
-            // (key and window); every queued arrival holds one admission
-            // entry (arrival time and op content).
-            let per_client = (size_of::<u64>() + size_of::<ClientWindow>()) as u64;
-            let per_queued = size_of::<(SimTime, (u64, u32, OpKind))>() as u64;
-            (
-                ol.offered,
-                rate,
-                ol.queue_delay.mean() / 1_000.0,
-                ol.queue_delay.quantile(0.99) as f64 / 1_000.0,
-                ol.queue_depth.peak(),
-                backlogged,
-                active_peak,
-                active_peak * per_client + ol.queue_depth.peak() * per_queued,
-                ol.source.state_bytes(),
-            )
-        }
-        Some(ClientLoop::Closed(rt)) => (0, 0.0, 0.0, 0.0, 0, false, 0, 0, rt.state_bytes),
-        None => unreachable!("run_update_phase installs the clients"),
-    };
-    // Both conditions guard against finite-run artefacts: a short stream's
-    // completion tail depresses the goodput ratio without any queueing, and
-    // a transient queue blip is not a collapse without a goodput shortfall.
-    let saturated = offered_ops > 0
-        && goodput_ops_per_s < SATURATION_GOODPUT_RATIO * offered_ops_per_s
-        && backlogged;
-
-    // Fleet-resource harvest: per-disk fill and wear, after all rebuilds.
-    let mut disk_fill_max = 0.0f64;
-    let mut disk_fill_min = f64::INFINITY;
-    let mut wear_max_bytes = 0u64;
-    let mut wear_total = 0u64;
-    for n in &cl.nodes {
-        let fill = cl.layout.allocated(n.id) as f64 / n.disk.capacity().max(1) as f64;
-        disk_fill_max = disk_fill_max.max(fill);
-        disk_fill_min = disk_fill_min.min(fill);
-        let wear = n.disk.wear_bytes();
-        wear_max_bytes = wear_max_bytes.max(wear);
-        wear_total += wear;
-    }
-    let wear_mean = wear_total as f64 / cl.nodes.len().max(1) as f64;
-    let wear_spread = ratio(wear_max_bytes as f64, wear_mean);
-    let copysets_used = cl.layout.distinct_copysets();
-
-    // Maintenance harvest. LSE ground truth comes from the per-device
-    // oracles (not the policy counters), so a scrub that claims a repair
-    // it never booked would show up as a mismatch here.
-    let mut lse_injected = 0u64;
-    let mut lse_detected = 0u64;
-    let mut lse_repaired = 0u64;
-    for n in &cl.nodes {
-        if let Some(model) = n.disk.lse() {
-            lse_injected += model.injected() as u64;
-            lse_detected += model.detected() as u64;
-            lse_repaired += model.repaired() as u64;
-        }
-    }
-    let (maint_busy_p99_us, maint_idle_p99_us) =
-        match (&cl.metrics.latency_samples, cl.maint.active) {
-            (Some(log), true) => p99_split_us(log, &cl.maint.windows),
-            _ => (0.0, 0.0),
+        // Availability harvest: degraded windows run from each injected fault
+        // to its repair completion (or the end of the simulation when repair
+        // never finished).
+        let sim_end = sim.now();
+        let windows = cl.faults.windows(sim_end);
+        let (degraded_p99_us, steady_p99_us) = match &cl.metrics.latency_samples {
+            Some(log) => p99_split_us(log, &windows),
+            None => (
+                0.0,
+                cl.metrics.update_latency.quantile(0.99) as f64 / 1_000.0,
+            ),
         };
-    const GIB: f64 = (1u64 << 30) as f64;
-    // Harvest tracing after the drain so recycle/maintenance child spans
-    // emitted while draining are included. `finish` resets the state.
-    let (stage_breakdown, trace_dropped_spans, trace) = cl.trace.finish(rcfg.cluster.method.name());
-    let sim_events = sim.events_executed();
-    let wall_ms = wall_start.elapsed().as_secs_f64() * 1_000.0;
-    let events_per_sec = ratio(sim_events as f64, wall_ms / 1_000.0);
-    let result = RunResult {
-        method: rcfg.cluster.method.name().to_string(),
-        completed_updates: m.completed_updates,
-        completed_reads: m.completed_reads,
-        completed_writes: m.completed_writes,
-        duration_s,
-        update_iops,
-        latency_mean_us: m.update_latency.mean() / 1_000.0,
-        latency_p99_us: m.update_latency.quantile(0.99) as f64 / 1_000.0,
-        erases: disk.erases,
-        disk,
-        net_gib: cl.net.traffic().total_gib(),
-        net_cross_rack_gib: cl.net.traffic().cross_rack_gib(),
-        net_msgs: cl.net.traffic().total_messages(),
-        series: m.completions.rates_per_sec(),
-        log_memory_bytes: log_memory(&cl),
-        data_residency: ResidencySummary::from_layer(&m.residency[Layer::Data as usize]),
-        delta_residency: ResidencySummary::from_layer(&m.residency[Layer::Delta as usize]),
-        parity_residency: ResidencySummary::from_layer(&m.residency[Layer::Parity as usize]),
-        stalls: m.stall_waits,
-        cache_read_hits: m.cache_read_hits,
-        cache_lookups: m.cache_lookups,
-        cache_hits: m.cache_hits,
-        cache_hit_ratio: ratio(m.cache_hits as f64, m.cache_lookups as f64),
-        drain_s,
-        oracle_violations: violations.len(),
-        degraded_reads: m.degraded_reads,
-        degraded_bytes_decoded: m.degraded_bytes_decoded,
-        failed_ops: m.failed_ops,
-        inline_rebuilds: cl.faults.inline_rebuilds,
-        repaired_blocks: cl.faults.repaired_blocks,
-        repaired_bytes: cl.faults.repaired_bytes,
-        data_loss_blocks: cl.faults.data_loss_blocks,
-        net_repair_gib: cl.net.traffic().repair_gib(),
-        mttr_s,
-        degraded_p99_us,
-        steady_p99_us,
-        read_mean_us: m.read_latency.mean() / 1_000.0,
-        read_p99_us: m.read_latency.quantile(0.99) as f64 / 1_000.0,
-        degraded_read_p99_us,
-        steady_read_p99_us,
-        offered_ops,
-        offered_ops_per_s,
-        goodput_ops_per_s,
-        queue_delay_mean_us,
-        queue_delay_p99_us,
-        peak_queue_depth,
-        saturated,
-        active_clients_peak,
-        client_state_bytes,
-        workload_state_bytes,
-        disk_fill_max,
-        disk_fill_min,
-        wear_max_bytes,
-        wear_spread,
-        copysets_used,
-        scrub_gib: cl.maint.scrub_bytes as f64 / GIB,
-        lse_injected,
-        lse_found: lse_detected,
-        lse_repaired,
-        maint_migrated_gib: (cl.maint.migrated_bytes + cl.maint.demoted_bytes) as f64 / GIB,
-        wear_spread_before: cl.maint.wear_spread_before,
-        maint_busy_p99_us,
-        maint_idle_p99_us,
-        stage_breakdown,
-        trace_dropped_spans,
-        sim_events,
-        wall_ms,
-        events_per_sec,
-        setup_ms: cl.metrics.setup_ms,
-    };
-    RunOutcome { result, trace }
+        let (degraded_read_p99_us, steady_read_p99_us) = match &cl.metrics.read_latency_samples {
+            Some(log) => p99_split_us(log, &windows),
+            None => (0.0, cl.metrics.read_latency.quantile(0.99) as f64 / 1_000.0),
+        };
+        let mttr_s = cl.faults.mttr_s(sim_end);
+
+        let m = &cl.metrics;
+        let disk = cl.disk_stats();
+        let update_iops = ratio(m.completed_updates as f64, duration_s);
+
+        // Offered-vs-acked accounting: goodput is what clients actually got
+        // acknowledged per second of run; on the open loop it is compared
+        // against the schedule's offered rate to flag saturation.
+        let acked = m.completed_updates + m.completed_reads + m.completed_writes;
+        let goodput_ops_per_s = ratio(acked as f64, duration_s);
+        let (
+            offered_ops,
+            offered_ops_per_s,
+            queue_delay_mean_us,
+            queue_delay_p99_us,
+            peak_queue_depth,
+            backlogged,
+            active_clients_peak,
+            client_state_bytes,
+            workload_state_bytes,
+        ) = match &cl.clients {
+            Some(ClientLoop::Open(ol)) => {
+                let horizon_s = simdes::units::as_secs_f64(ol.horizon);
+                let rate = ratio(ol.offered as f64, horizon_s);
+                let active_peak = ol.active_clients.peak();
+                // "Backed up": at some point the admission queues held at
+                // least one full window of the peak active set — more waiting
+                // than the clients actually competing were even allowed to
+                // have in flight. Keyed to the *active* set, not the
+                // population, so the signature survives million-client id
+                // spaces where most clients never arrive.
+                let backlogged = ol.queue_depth.peak() >= (ol.window as u64) * active_peak.max(1);
+                // Runtime client state at peak, from measured peaks × exact
+                // struct sizes: every active client holds one window entry
+                // (key and window); every queued arrival holds one admission
+                // entry (arrival time and op content).
+                let per_client = (size_of::<u64>() + size_of::<ClientWindow>()) as u64;
+                let per_queued = size_of::<(SimTime, (u64, u32, OpKind))>() as u64;
+                (
+                    ol.offered,
+                    rate,
+                    ol.queue_delay.mean() / 1_000.0,
+                    ol.queue_delay.quantile(0.99) as f64 / 1_000.0,
+                    ol.queue_depth.peak(),
+                    backlogged,
+                    active_peak,
+                    active_peak * per_client + ol.queue_depth.peak() * per_queued,
+                    ol.source.state_bytes(),
+                )
+            }
+            Some(ClientLoop::Closed(rt)) => (0, 0.0, 0.0, 0.0, 0, false, 0, 0, rt.state_bytes),
+            None => unreachable!("run_update_phase installs the clients"),
+        };
+        // Both conditions guard against finite-run artefacts: a short stream's
+        // completion tail depresses the goodput ratio without any queueing, and
+        // a transient queue blip is not a collapse without a goodput shortfall.
+        let saturated = offered_ops > 0
+            && goodput_ops_per_s < SATURATION_GOODPUT_RATIO * offered_ops_per_s
+            && backlogged;
+
+        // Fleet-resource harvest: per-disk fill and wear, after all rebuilds.
+        let mut disk_fill_max = 0.0f64;
+        let mut disk_fill_min = f64::INFINITY;
+        let mut wear_max_bytes = 0u64;
+        let mut wear_total = 0u64;
+        for n in &cl.nodes {
+            let fill = cl.layout.allocated(n.id) as f64 / n.disk.capacity().max(1) as f64;
+            disk_fill_max = disk_fill_max.max(fill);
+            disk_fill_min = disk_fill_min.min(fill);
+            let wear = n.disk.wear_bytes();
+            wear_max_bytes = wear_max_bytes.max(wear);
+            wear_total += wear;
+        }
+        let wear_mean = wear_total as f64 / cl.nodes.len().max(1) as f64;
+        let wear_spread = ratio(wear_max_bytes as f64, wear_mean);
+        let copysets_used = cl.layout.distinct_copysets();
+
+        // Maintenance harvest. LSE ground truth comes from the per-device
+        // oracles (not the policy counters), so a scrub that claims a repair
+        // it never booked would show up as a mismatch here.
+        let mut lse_injected = 0u64;
+        let mut lse_detected = 0u64;
+        let mut lse_repaired = 0u64;
+        for n in &cl.nodes {
+            if let Some(model) = n.disk.lse() {
+                lse_injected += model.injected() as u64;
+                lse_detected += model.detected() as u64;
+                lse_repaired += model.repaired() as u64;
+            }
+        }
+        let (maint_busy_p99_us, maint_idle_p99_us) =
+            match (&cl.metrics.latency_samples, cl.maint.active) {
+                (Some(log), true) => p99_split_us(log, &cl.maint.windows),
+                _ => (0.0, 0.0),
+            };
+        const GIB: f64 = (1u64 << 30) as f64;
+        // Harvest tracing after the drain so recycle/maintenance child spans
+        // emitted while draining are included. `finish` resets the state.
+        let (stage_breakdown, trace_dropped_spans, trace) =
+            cl.trace.finish(rcfg.cluster.method.name());
+        let sim_events = sim.events_executed();
+        let wall_ms = wall_start.elapsed().as_secs_f64() * 1_000.0;
+        let events_per_sec = ratio(sim_events as f64, wall_ms / 1_000.0);
+        let result = RunResult {
+            method: rcfg.cluster.method.name().to_string(),
+            completed_updates: m.completed_updates,
+            completed_reads: m.completed_reads,
+            completed_writes: m.completed_writes,
+            duration_s,
+            update_iops,
+            latency_mean_us: m.update_latency.mean() / 1_000.0,
+            latency_p99_us: m.update_latency.quantile(0.99) as f64 / 1_000.0,
+            erases: disk.erases,
+            disk,
+            net_gib: cl.net.traffic().total_gib(),
+            net_cross_rack_gib: cl.net.traffic().cross_rack_gib(),
+            net_msgs: cl.net.traffic().total_messages(),
+            series: m.completions.rates_per_sec(),
+            log_memory_bytes: log_memory(&cl),
+            data_residency: ResidencySummary::from_layer(&m.residency[Layer::Data as usize]),
+            delta_residency: ResidencySummary::from_layer(&m.residency[Layer::Delta as usize]),
+            parity_residency: ResidencySummary::from_layer(&m.residency[Layer::Parity as usize]),
+            stalls: m.stall_waits,
+            cache_read_hits: m.cache_read_hits,
+            cache_lookups: m.cache_lookups,
+            cache_hits: m.cache_hits,
+            cache_hit_ratio: ratio(m.cache_hits as f64, m.cache_lookups as f64),
+            drain_s,
+            oracle_violations: violations.len(),
+            degraded_reads: m.degraded_reads,
+            degraded_bytes_decoded: m.degraded_bytes_decoded,
+            failed_ops: m.failed_ops,
+            inline_rebuilds: cl.faults.inline_rebuilds,
+            repaired_blocks: cl.faults.repaired_blocks,
+            repaired_bytes: cl.faults.repaired_bytes,
+            data_loss_blocks: cl.faults.data_loss_blocks,
+            net_repair_gib: cl.net.traffic().repair_gib(),
+            mttr_s,
+            degraded_p99_us,
+            steady_p99_us,
+            read_mean_us: m.read_latency.mean() / 1_000.0,
+            read_p99_us: m.read_latency.quantile(0.99) as f64 / 1_000.0,
+            degraded_read_p99_us,
+            steady_read_p99_us,
+            offered_ops,
+            offered_ops_per_s,
+            goodput_ops_per_s,
+            queue_delay_mean_us,
+            queue_delay_p99_us,
+            peak_queue_depth,
+            saturated,
+            active_clients_peak,
+            client_state_bytes,
+            workload_state_bytes,
+            disk_fill_max,
+            disk_fill_min,
+            wear_max_bytes,
+            wear_spread,
+            copysets_used,
+            scrub_gib: cl.maint.scrub_bytes as f64 / GIB,
+            lse_injected,
+            lse_found: lse_detected,
+            lse_repaired,
+            maint_migrated_gib: (cl.maint.migrated_bytes + cl.maint.demoted_bytes) as f64 / GIB,
+            wear_spread_before: cl.maint.wear_spread_before,
+            maint_busy_p99_us,
+            maint_idle_p99_us,
+            stage_breakdown,
+            trace_dropped_spans,
+            sim_events,
+            wall_ms,
+            events_per_sec,
+            setup_ms: cl.metrics.setup_ms,
+        };
+        RunOutcome { result, trace }
+    }
 }
 
 /// `n / d`, or 0 when `d` is not positive.

@@ -11,13 +11,13 @@ fn code64() -> CodeParams {
 #[test]
 fn cluster_builder_accepts_paper_shapes() {
     for (k, m) in [(6, 2), (12, 2), (6, 3), (12, 3), (6, 4), (12, 4)] {
-        for method in builtins() {
+        for method in Method::ALL {
             let cfg = ClusterConfig::builder()
                 .code(CodeParams::new(k, m).unwrap())
-                .method(Arc::clone(&method))
+                .method(method)
                 .build()
                 .unwrap_or_else(|e| panic!("RS({k},{m}) x {}: {e}", method.name()));
-            assert_eq!(cfg.method.name(), method.name());
+            assert_eq!(cfg.method, method);
             assert_eq!(cfg.nodes, 16);
         }
     }
@@ -28,7 +28,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Too few nodes for the stripe width.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .nodes(6)
         .build()
         .unwrap_err();
@@ -37,7 +37,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Zero clients.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .clients(0)
         .build()
         .unwrap_err();
@@ -46,7 +46,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Unaligned block size.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .block_bytes(6000)
         .build()
         .unwrap_err();
@@ -55,7 +55,7 @@ fn cluster_builder_rejects_with_reasons() {
     // TSUE log unit below the slice granularity.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
         .tsue_unit_bytes(100)
         .build()
         .unwrap_err();
@@ -64,7 +64,7 @@ fn cluster_builder_rejects_with_reasons() {
     // A TSUE pool quota that leaves no unit to append while one recycles.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
         .tsue_max_units(1)
         .build()
         .unwrap_err();
@@ -73,7 +73,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Dead network.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
         .net_bandwidth(0)
         .build()
         .unwrap_err();
@@ -83,7 +83,7 @@ fn cluster_builder_rejects_with_reasons() {
     for bytes in [0, 16, 4095] {
         let err = ClusterConfig::builder()
             .code(code64())
-            .method(Arc::new(Fo))
+            .method(Method::Fo)
             .read_cache_bytes(bytes)
             .build()
             .unwrap_err();
@@ -91,7 +91,7 @@ fn cluster_builder_rejects_with_reasons() {
     }
     let cfg = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .read_cache_bytes(4096)
         .build()
         .expect("one page is enough");
@@ -100,7 +100,7 @@ fn cluster_builder_rejects_with_reasons() {
     // Zero racks.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .racks(0)
         .build()
         .unwrap_err();
@@ -109,7 +109,7 @@ fn cluster_builder_rejects_with_reasons() {
     // More racks than nodes.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .racks(17)
         .build()
         .unwrap_err();
@@ -119,7 +119,7 @@ fn cluster_builder_rejects_with_reasons() {
     for bad in [0.5, 0.0, f64::NAN, f64::INFINITY] {
         let err = ClusterConfig::builder()
             .code(code64())
-            .method(Arc::new(Fo))
+            .method(Method::Fo)
             .racks(4)
             .oversubscription(bad)
             .build()
@@ -131,7 +131,7 @@ fn cluster_builder_rejects_with_reasons() {
     // 4 parity slots in one rack, but 16 nodes / 8 racks = 2 per rack.
     let err = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .racks(8)
         .placement(Arc::new(RackLocal))
         .build()
@@ -143,7 +143,7 @@ fn cluster_builder_rejects_with_reasons() {
 fn cluster_builder_topology_overrides_apply() {
     let cfg = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
         .racks(4)
         .oversubscription(4.0)
         .placement(Arc::new(RackAware))
@@ -169,7 +169,7 @@ fn cluster_builder_topology_overrides_apply() {
 fn cluster_builder_overrides_apply() {
     let cfg = ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
         .nodes(24)
         .clients(48)
         .tsue(TsueFeatures::baseline())
@@ -187,7 +187,7 @@ fn cluster_builder_overrides_apply() {
 
 #[test]
 fn replay_builder_validates_ops_and_volume() {
-    let cluster = || ClusterConfig::ssd_testbed(code64(), Arc::new(Tsue));
+    let cluster = || ClusterConfig::ssd_testbed(code64(), Method::Tsue);
 
     let err = ReplayConfig::builder(cluster(), TraceFamily::AliCloud)
         .ops_per_client(0)
@@ -220,7 +220,7 @@ fn replay_builder_validates_ops_and_volume() {
 
 #[test]
 fn replay_builder_rejects_an_on_off_curve_with_a_silent_burst() {
-    let cluster = || ClusterConfig::ssd_testbed(code64(), Arc::new(Fo));
+    let cluster = || ClusterConfig::ssd_testbed(code64(), Method::Fo);
     let open = |on_ops_per_s: f64| {
         ReplayConfig::builder(cluster(), TraceFamily::AliCloud)
             .workload(Workload::Open(OpenLoopSpec::poisson(0.0).with_rate(
@@ -317,7 +317,7 @@ fn engine_builder_validates_pipeline_shape() {
 fn ssd_fleet(ssd: SsdConfig) -> Result<ClusterConfig, ConfigError> {
     ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .fleet(DiskFleet::uniform(DiskKind::Ssd(ssd)))
         .build()
 }
@@ -391,7 +391,7 @@ fn ssd_devices_in_use_stay_valid() {
     );
     assert!(ClusterConfig::builder()
         .code(code64())
-        .method(Arc::new(Fo))
+        .method(Method::Fo)
         .fleet(quarter)
         .build()
         .is_ok());

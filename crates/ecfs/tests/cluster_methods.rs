@@ -2,14 +2,11 @@
 //! satisfies the consistency oracle; relative performance matches the
 //! paper's ordering.
 
-use std::sync::Arc;
-
-use ecfs::methods::{builtins, Fo, Tsue, UpdateMethod};
-use ecfs::{ClusterConfig, Replay, ReplayConfig};
+use ecfs::{ClusterConfig, Method, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
-fn small_replay(method: Arc<dyn UpdateMethod>, family: TraceFamily) -> ReplayConfig {
+fn small_replay(method: Method, family: TraceFamily) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = 8;
@@ -21,8 +18,8 @@ fn small_replay(method: Arc<dyn UpdateMethod>, family: TraceFamily) -> ReplayCon
 
 #[test]
 fn every_method_completes_and_is_consistent() {
-    for method in builtins() {
-        let rcfg = small_replay(Arc::clone(&method), TraceFamily::AliCloud);
+    for method in Method::ALL {
+        let rcfg = small_replay(method, TraceFamily::AliCloud);
         let res = Replay::run(&rcfg).result;
         assert_eq!(
             res.oracle_violations,
@@ -50,7 +47,7 @@ fn every_method_completes_and_is_consistent() {
 
 #[test]
 fn replay_is_deterministic() {
-    let rcfg = small_replay(Arc::new(Tsue), TraceFamily::TenCloud);
+    let rcfg = small_replay(Method::Tsue, TraceFamily::TenCloud);
     let a = Replay::run(&rcfg).result;
     let b = Replay::run(&rcfg).result;
     assert_eq!(a.completed_updates, b.completed_updates);
@@ -62,7 +59,7 @@ fn replay_is_deterministic() {
 #[test]
 fn tsue_beats_every_baseline_on_ssd() {
     let mut iops = std::collections::HashMap::new();
-    for method in builtins().into_iter().filter(|m| m.name() != "FL") {
+    for method in Method::ALL.into_iter().filter(|&m| m != Method::Fl) {
         let r = Replay::run(&small_replay(method, TraceFamily::AliCloud)).result;
         iops.insert(r.method, r.update_iops);
     }
@@ -87,8 +84,8 @@ fn tsue_has_lowest_overwrites() {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
         Replay::run(&rcfg).result.disk.overwrites.ops
     };
-    let tsue = overwrites(Arc::new(Tsue));
-    let fo = overwrites(Arc::new(Fo));
+    let tsue = overwrites(Method::Tsue);
+    let fo = overwrites(Method::Fo);
     assert!(
         tsue * 3 < fo,
         "TSUE overwrites ({tsue}) must be well below FO's ({fo})"
@@ -101,8 +98,8 @@ fn tsue_erases_fewer_flash_blocks_than_fo() {
         let rcfg = small_replay(method, TraceFamily::TenCloud);
         Replay::run(&rcfg).result.erases
     };
-    let tsue = erases(Arc::new(Tsue));
-    let fo = erases(Arc::new(Fo));
+    let tsue = erases(Method::Tsue);
+    let fo = erases(Method::Fo);
     assert!(
         tsue <= fo,
         "TSUE erases ({tsue}) must not exceed FO's ({fo})"
@@ -115,8 +112,8 @@ fn update_latency_tsue_below_fo() {
         let rcfg = small_replay(method, TraceFamily::AliCloud);
         Replay::run(&rcfg).result.latency_mean_us
     };
-    let tsue = lat(Arc::new(Tsue));
-    let fo = lat(Arc::new(Fo));
+    let tsue = lat(Method::Tsue);
+    let fo = lat(Method::Fo);
     assert!(
         tsue < fo,
         "TSUE mean latency ({tsue:.0} us) must be below FO's ({fo:.0} us)"

@@ -8,7 +8,7 @@ use simdisk::Disk;
 fn builder() -> ClusterConfigBuilder {
     ClusterConfig::builder()
         .code(CodeParams::new(6, 3).unwrap())
-        .method(Arc::new(Tsue))
+        .method(Method::Tsue)
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn degenerate_multipliers_rejected_at_build() {
 fn replay_validation_covers_the_fleet() {
     // The fleet check also runs through ReplayConfig::validate, so a bad
     // fleet cannot reach a replay.
-    let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Arc::new(Fo));
+    let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Fo);
     cluster.fleet = DiskFleet::tiered(2, 2);
     let rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
     assert!(rcfg.validate().is_err());
@@ -79,7 +79,7 @@ fn replay_validation_covers_the_fleet() {
 fn hdd_testbed_routes_through_uniform_hdd() {
     // Exactly one way to say "all-HDD": the testbed constructor and the
     // canonical constructor must agree on every node's device.
-    let cfg = ClusterConfig::hdd_testbed(CodeParams::new(6, 4).unwrap(), Arc::new(Pl));
+    let cfg = ClusterConfig::hdd_testbed(CodeParams::new(6, 4).unwrap(), Method::Pl);
     let canonical = DiskFleet::uniform_hdd();
     assert_eq!(cfg.fleet.name(), canonical.name());
     for n in 0..cfg.nodes {

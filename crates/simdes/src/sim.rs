@@ -150,18 +150,7 @@ impl<W> Sim<W> {
 
     /// Runs until the event queue drains. Returns the final time.
     pub fn run(&mut self, world: &mut W) -> SimTime {
-        self.run_until(world, SimTime::MAX)
-    }
-
-    /// Runs until the queue drains or the next event would be after
-    /// `deadline`; the clock never passes `deadline`. Returns current time.
-    fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time > deadline {
-                self.now = deadline.max(self.now);
-                return self.now;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        while let Some(Reverse(ev)) = self.queue.pop() {
             debug_assert!(ev.time >= self.now, "event queue went backwards");
             self.now = ev.time;
             self.executed += 1;
@@ -213,21 +202,6 @@ mod tests {
         sim.run(&mut world);
         assert_eq!(world, 5);
         assert_eq!(sim.now(), 4 * 7);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        sim.schedule(10, |_, w: &mut u32| *w += 1);
-        sim.schedule(20, |_, w| *w += 1);
-        sim.schedule(30, |_, w| *w += 1);
-        sim.run_until(&mut world, 20);
-        assert_eq!(world, 2);
-        assert_eq!(sim.now(), 20);
-        assert_eq!(sim.queue.len(), 1);
-        sim.run(&mut world);
-        assert_eq!(world, 3);
     }
 
     #[test]

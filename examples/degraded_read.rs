@@ -12,7 +12,7 @@ fn main() {
     // every stripe within the m-erasure budget per rack, so the rack
     // failure is survivable.
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+    let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
     cluster.clients = 8;
     cluster.racks = 4;
     cluster.oversubscription = 2.0;

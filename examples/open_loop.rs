@@ -19,7 +19,7 @@
 
 use ecfs::prelude::*;
 
-fn replay(method: Arc<dyn UpdateMethod>, spec: OpenLoopSpec) -> ReplayConfig {
+fn replay(method: Method, spec: OpenLoopSpec) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = 8;
@@ -51,7 +51,7 @@ fn main() {
     let spec = OpenLoopSpec::poisson(0.0).with_rate(bursts).with_window(4);
 
     let mut results = Vec::new();
-    for method in [Arc::new(Fo) as Arc<dyn UpdateMethod>, Arc::new(Tsue)] {
+    for method in [Method::Fo, Method::Tsue] {
         let r = Replay::run(&replay(method, spec.clone())).result;
         assert_eq!(r.oracle_violations, 0);
         println!("{}:", r.method);

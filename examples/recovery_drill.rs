@@ -24,13 +24,13 @@ fn main() {
         "method", "blocks", "drain (s)", "rebuild (s)", "recovery MiB/s"
     );
     for method in [
-        Arc::new(Fo) as Arc<dyn UpdateMethod>,
-        Arc::new(Pl),
-        Arc::new(Plr),
-        Arc::new(Parix),
-        Arc::new(Tsue),
+        Method::Fo,
+        Method::Pl,
+        Method::Plr,
+        Method::Parix,
+        Method::Tsue,
     ] {
-        let mut cluster = ClusterConfig::hdd_testbed(code, Arc::clone(&method));
+        let mut cluster = ClusterConfig::hdd_testbed(code, method);
         cluster.clients = 8;
         // Small units keep TSUE's real-time recycling active in a short run.
         cluster.tsue_unit_bytes = 1 << 20;
@@ -66,7 +66,7 @@ fn main() {
         Arc::new(RackAware) as Arc<dyn PlacementPolicy>,
         Arc::new(FlatRotate),
     ] {
-        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cluster.clients = 8;
         cluster.racks = 4;
         cluster.oversubscription = 4.0;

@@ -14,7 +14,7 @@
 use ecfs::prelude::*;
 use ecfs::telemetry::{OpClass, StageRow, STAGES};
 
-fn replay(method: Arc<dyn UpdateMethod>) -> ReplayConfig {
+fn replay(method: Method) -> ReplayConfig {
     // The open_loop example's schedule: 20 ms cycles, 8 ms bursts at
     // 120 kop/s — mean 54 kop/s, between FO's knee and TSUE's.
     let bursts = RateCurve::OnOff {
@@ -54,8 +54,8 @@ fn bar(us: f64, scale: f64) -> String {
 
 fn main() {
     println!("Replaying the open_loop burst schedule with tracing armed...\n");
-    let fo = Replay::run(&replay(Arc::new(Fo))).result;
-    let tsue = Replay::run(&replay(Arc::new(Tsue))).result;
+    let fo = Replay::run(&replay(Method::Fo)).result;
+    let tsue = Replay::run(&replay(Method::Tsue)).result;
     assert_eq!(fo.trace_dropped_spans, 0);
     assert_eq!(tsue.trace_dropped_spans, 0);
 

@@ -1,7 +1,7 @@
 //! The replay's op path as an exact allocation count. A counting global
 //! allocator tallies the heap allocations (fresh and resized) the test
 //! thread makes while a small cell replays: a closed-loop cell per
-//! built-in method, and open-loop cells for FO and TSUE. The budget is the
+//! method, and open-loop cells for FO and TSUE. The budget is the
 //! *marginal* count: the cell runs at two lengths and the difference is
 //! divided by the extra completed ops, so cluster construction and
 //! workload generation, which do not grow with the run, drop out.
@@ -51,7 +51,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// A small replay cell: 32 MiB volumes on an RS(6, 3) SSD testbed.
-fn cell(method: Arc<dyn UpdateMethod>, clients: u64) -> ReplayConfig {
+fn cell(method: Method, clients: u64) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -81,7 +81,7 @@ fn marginal(short: &ReplayConfig, long: &ReplayConfig) -> f64 {
 
 /// Marginal allocations per completed op between a 300- and a 900-op
 /// closed-loop run of 4 clients.
-fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
+fn allocations_per_op(method: Method) -> f64 {
     let mut short = cell(method, 4);
     short.ops_per_client = 300;
     let mut long = short.clone();
@@ -92,7 +92,7 @@ fn allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
 /// Marginal allocations per completed op between 1 200 and 3 600 ops
 /// offered open-loop: Poisson arrivals at 8 000 ops/s over 16 clients,
 /// each holding at most 4 ops outstanding.
-fn open_loop_allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
+fn open_loop_allocations_per_op(method: Method) -> f64 {
     let mut short = cell(method, 16);
     short.workload = Workload::Open(OpenLoopSpec::poisson(8_000.0).with_window(4));
     short.total_ops = Some(1_200);
@@ -103,10 +103,7 @@ fn open_loop_allocations_per_op(method: Arc<dyn UpdateMethod>) -> f64 {
 
 /// Checks each `(method, bound, before)` budget and lists the methods over
 /// their bound.
-fn over_budget(
-    budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)>,
-    per_op: fn(Arc<dyn UpdateMethod>) -> f64,
-) -> Vec<String> {
+fn over_budget(budgets: Vec<(Method, f64, f64)>, per_op: fn(Method) -> f64) -> Vec<String> {
     let mut over = Vec::new();
     for (method, bound, before) in budgets {
         let name = method.name().to_string();
@@ -128,14 +125,14 @@ fn over_budget(
 fn op_path_allocations_stay_within_budget() {
     // (method, bound, marginal allocations per op before the log index
     // kept each block's ranges in a sorted vector)
-    let budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)> = vec![
-        (Arc::new(Fo), 0.05, 0.022),
-        (Arc::new(Fl), 0.05, 0.080),
-        (Arc::new(Pl), 0.05, 0.030),
-        (Arc::new(Plr), 1.0, 0.762),
-        (Arc::new(Parix), 0.3, 0.130),
-        (Arc::new(Cord), 0.05, 0.048),
-        (Arc::new(Tsue), 0.8, 0.364),
+    let budgets: Vec<(Method, f64, f64)> = vec![
+        (Method::Fo, 0.05, 0.022),
+        (Method::Fl, 0.05, 0.080),
+        (Method::Pl, 0.05, 0.030),
+        (Method::Plr, 1.0, 0.762),
+        (Method::Parix, 0.3, 0.130),
+        (Method::Cord, 0.05, 0.048),
+        (Method::Tsue, 0.8, 0.364),
     ];
     let over = over_budget(budgets, allocations_per_op);
     assert!(over.is_empty(), "over the allocation budget: {over:?}");
@@ -149,8 +146,8 @@ fn op_path_allocations_stay_within_budget() {
 fn open_loop_allocations_stay_within_budget() {
     // (method, bound, marginal allocations per op when every admitted
     // arrival passed through a freshly allocated client queue)
-    let budgets: Vec<(Arc<dyn UpdateMethod>, f64, f64)> =
-        vec![(Arc::new(Fo), 0.1, 1.064), (Arc::new(Tsue), 0.6, 1.495)];
+    let budgets: Vec<(Method, f64, f64)> =
+        vec![(Method::Fo, 0.1, 1.064), (Method::Tsue, 0.6, 1.495)];
     let over = over_budget(budgets, open_loop_allocations_per_op);
     assert!(
         over.is_empty(),

@@ -1,8 +1,8 @@
 //! The node-local LRU read cache ([`ecfs::cache`]) end to end: cache-off
-//! replays are byte-identical whether a method is named or passed by
-//! handle, an armed cache serves hits and keeps the consistency oracle
+//! replays are byte-identical whether a method is named or given as a
+//! `Method`, an armed cache serves hits and keeps the consistency oracle
 //! clean, and `ClusterConfig::read_cache_bytes` arms it under all seven
-//! built-in methods.
+//! methods.
 
 use std::fmt::Write as _;
 
@@ -54,11 +54,11 @@ fn canon(r: &RunResult) -> String {
 }
 
 /// Cache-off golden: a method built by name replays byte-identically to
-/// the driver passed by handle, and every cache counter stays zero.
+/// the same `Method` given directly, and every cache counter stays zero.
 #[test]
 fn cache_off_is_byte_identical_to_plain_replay() {
     let code = CodeParams::new(6, 3).unwrap();
-    for method in builtins() {
+    for method in Method::ALL {
         let name = method.name().to_string();
         let plain = builder(code).method(method).build().unwrap();
         let spec = builder(code).method_name(&name).build().unwrap();
@@ -180,7 +180,7 @@ fn read_cache_serves_hits() {
 #[test]
 fn composes_over_all_seven_builtins() {
     let code = CodeParams::new(6, 3).unwrap();
-    for method in builtins() {
+    for method in Method::ALL {
         let name = method.name().to_string();
         let cluster = builder(code)
             .method(method)

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use ecfs::prelude::*;
 
-fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -162,7 +162,7 @@ fn assert_runs_twice_equal(rcfg: ReplayConfig) -> RunResult {
 /// The headline: all seven methods, faults + maintenance armed.
 #[test]
 fn run_twice_equal_all_methods_with_plans_armed() {
-    for method in builtins() {
+    for method in Method::ALL {
         let mut rcfg = replay(method, 3, 100);
         armed_plans(&mut rcfg);
         assert_runs_twice_equal(rcfg);
@@ -173,7 +173,7 @@ fn run_twice_equal_all_methods_with_plans_armed() {
 /// first repair is still in flight.
 #[test]
 fn run_twice_equal_at_the_wider_plan() {
-    for method in [Arc::new(Fo) as Arc<dyn UpdateMethod>, Arc::new(Tsue)] {
+    for method in [Method::Fo, Method::Tsue] {
         let mut rcfg = replay(method, 6, 100);
         armed_plans(&mut rcfg);
         rcfg.faults = rcfg.faults.clone().fail_node(6 * simdes::units::MILLIS, 9);
@@ -185,7 +185,7 @@ fn run_twice_equal_at_the_wider_plan() {
 /// admission window, and saturation accounting, with a node failure.
 #[test]
 fn run_twice_equal_open_loop() {
-    let mut rcfg = replay(Arc::new(Tsue), 6, 100);
+    let mut rcfg = replay(Method::Tsue, 6, 100);
     rcfg.workload = Workload::Open(OpenLoopSpec::poisson(64_000.0).with_window(4));
     rcfg.faults = FaultPlan::new().fail_node(5 * simdes::units::MILLIS, 2);
     assert_runs_twice_equal(rcfg);
@@ -214,7 +214,7 @@ fn run_twice_equal_with_cache() {
 /// mid-replay: every method still checks clean and repeats byte for byte.
 #[test]
 fn run_twice_equal_when_every_device_collects_mid_run() {
-    for method in builtins() {
+    for method in Method::ALL {
         let name = method.name().to_string();
         let mut cluster = ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), method);
         // 6 MiB devices collect once 6.5 MiB are written; 256 KiB blocks
@@ -243,5 +243,5 @@ fn run_twice_equal_when_every_device_collects_mid_run() {
 /// The plain cell: no plan, no read cache, closed loop.
 #[test]
 fn run_twice_equal_plain() {
-    assert_runs_twice_equal(replay(Arc::new(Pl), 3, 80));
+    assert_runs_twice_equal(replay(Method::Pl, 3, 80));
 }

@@ -56,7 +56,7 @@ fn recovery_of_every_node_succeeds() {
     // Whichever node dies, the cluster recovers and the oracle holds.
     let code = CodeParams::new(4, 2).unwrap();
     for victim in [0usize, 3, 7] {
-        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cluster.clients = 4;
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
         rcfg.ops_per_client = 200;
@@ -75,7 +75,7 @@ fn tiny_log_quota_still_completes_via_backpressure() {
     // nothing is lost. The effect only binds at saturation — a high
     // client-to-node ratio, like the paper's 64-client peak configuration.
     let code = CodeParams::new(4, 2).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+    let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
     cluster.nodes = 8;
     cluster.clients = 64;
     cluster.tsue_max_units = 2;
@@ -107,7 +107,7 @@ fn oracle_catches_injected_loss() {
     // Sanity-check the oracle itself: forge an ack that was never applied
     // and confirm the verifier reports it.
     let code = CodeParams::new(4, 2).unwrap();
-    let cluster = ClusterConfig::ssd_testbed(code, Arc::new(Fo));
+    let cluster = ClusterConfig::ssd_testbed(code, Method::Fo);
     let mut cl = ecfs::Cluster::new(cluster);
     let addr = ecfs::layout::BlockAddr {
         volume: 0,

@@ -4,7 +4,7 @@
 
 use ecfs::prelude::*;
 
-fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -14,7 +14,7 @@ fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConf
     r
 }
 
-fn racked_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn racked_replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let mut r = replay(method, clients, ops);
     r.cluster.racks = 4;
     r.cluster.oversubscription = 2.0;
@@ -29,14 +29,10 @@ const FAULT_AT: u64 = 40 * simdes::units::MILLIS;
 
 #[test]
 fn node_failure_mid_replay_repairs_and_stays_consistent() {
-    for method in [
-        Arc::new(Tsue) as Arc<dyn UpdateMethod>,
-        Arc::new(Fo),
-        Arc::new(Pl),
-    ] {
-        let baseline = Replay::run(&replay(Arc::clone(&method), 4, 250)).result;
+    for method in [Method::Tsue, Method::Fo, Method::Pl] {
+        let baseline = Replay::run(&replay(method, 4, 250)).result;
 
-        let mut rcfg = replay(Arc::clone(&method), 4, 250);
+        let mut rcfg = replay(method, 4, 250);
         rcfg.faults = FaultPlan::new().fail_node(FAULT_AT, 3);
         rcfg.validate().expect("faulted config validates");
         let r = Replay::run(&rcfg).result;
@@ -79,7 +75,7 @@ fn rack_failure_mid_replay_serves_degraded_reads() {
     // A whole rack (4 of 16 nodes) dies mid-replay under rack-aware
     // placement: reads reaching lost blocks before their rebuild must be
     // served by survivor decode, charged as k transfers on the fabric.
-    let mut rcfg = racked_replay(Arc::new(Tsue), 8, 250);
+    let mut rcfg = racked_replay(Method::Tsue, 8, 250);
     rcfg.faults = FaultPlan::new()
         .fail_rack(FAULT_AT, 1)
         .with_recovery_delay(20 * simdes::units::MILLIS);
@@ -108,18 +104,14 @@ fn parallel_faulted_grid_matches_serial() {
     // with non-empty fault plans fans out across threads and produces
     // results identical to serial runs, field for field.
     let mut configs = Vec::new();
-    for method in [
-        Arc::new(Fo) as Arc<dyn UpdateMethod>,
-        Arc::new(Pl),
-        Arc::new(Tsue),
-    ] {
+    for method in [Method::Fo, Method::Pl, Method::Tsue] {
         let mut r = replay(method, 3, 120);
         r.faults = FaultPlan::new()
             .fail_node(5 * simdes::units::MILLIS, 2)
             .with_repair_bandwidth(200 << 20);
         configs.push(r);
     }
-    let mut rack = racked_replay(Arc::new(Tsue), 4, 120);
+    let mut rack = racked_replay(Method::Tsue, 4, 120);
     rack.faults = FaultPlan::new().fail_rack(5 * simdes::units::MILLIS, 2);
     configs.push(rack);
 
@@ -148,7 +140,7 @@ fn parallel_faulted_grid_matches_serial() {
 /// caught the same way the flat-topology goldens catch baseline drift.
 #[test]
 fn faulted_scenario_golden() {
-    let mut rcfg = replay(Arc::new(Tsue), 4, 250);
+    let mut rcfg = replay(Method::Tsue, 4, 250);
     rcfg.faults = FaultPlan::new().fail_node(FAULT_AT, 3);
     let r = Replay::run(&rcfg).result;
     assert_eq!(r.completed_updates, 768);
@@ -185,7 +177,7 @@ fn rebuild_target_death_retargets_onto_live_node() {
     let mut hit_race = false;
     for gap_us in [200u64, 500, 1_000, 2_000, 4_000] {
         for second in [4usize, 5, 9] {
-            let mut rcfg = replay(Arc::new(Fo), 4, 250);
+            let mut rcfg = replay(Method::Fo, 4, 250);
             rcfg.faults = FaultPlan::new()
                 .fail_node(FAULT_AT, 3)
                 .fail_node(FAULT_AT + gap_us * simdes::units::MICROS, second);
@@ -224,7 +216,7 @@ fn mid_replay_failure_composes_with_post_replay_drills() {
     // Layout::relocate re-homing — post-replay recover_scope drills on
     // *other* nodes still succeed, and nothing written remains homed on
     // the dead node.
-    let mut rcfg = racked_replay(Arc::new(Fo), 8, 200);
+    let mut rcfg = racked_replay(Method::Fo, 8, 200);
     rcfg.faults = FaultPlan::new().fail_node(FAULT_AT, 4);
     let (mut sim, mut cl) = run_update_phase(&rcfg);
     assert!(cl.nodes[4].failed, "injection must have fired");
@@ -256,12 +248,12 @@ fn mid_replay_failure_composes_with_post_replay_drills() {
 #[test]
 fn repair_throttle_stretches_mttr() {
     let base = {
-        let mut r = replay(Arc::new(Fo), 4, 200);
+        let mut r = replay(Method::Fo, 4, 200);
         r.faults = FaultPlan::new().fail_node(FAULT_AT, 2);
         Replay::run(&r).result
     };
     let throttled = {
-        let mut r = replay(Arc::new(Fo), 4, 200);
+        let mut r = replay(Method::Fo, 4, 200);
         r.faults = FaultPlan::new()
             .fail_node(FAULT_AT, 2)
             .with_repair_bandwidth(20 << 20); // 20 MiB/s
@@ -289,13 +281,13 @@ fn deferred_logs_slow_mid_replay_repair() {
     // an identical fault exceeds TSUE's real-time-recycled MTTR.
     // Fault late in the run (~80 ms), when PL's deferred parity logs have
     // grown while TSUE's real-time recycling kept its backlog bounded.
-    let mttr_of = |method: Arc<dyn UpdateMethod>| {
+    let mttr_of = |method: Method| {
         let mut r = replay(method, 4, 250);
         r.faults = FaultPlan::new().fail_node(80 * simdes::units::MILLIS, 3);
         Replay::run(&r).result.mttr_s
     };
-    let tsue = mttr_of(Arc::new(Tsue));
-    let pl = mttr_of(Arc::new(Pl));
+    let tsue = mttr_of(Method::Tsue);
+    let pl = mttr_of(Method::Pl);
     assert!(
         pl > tsue,
         "PL's log replay must delay repair: PL {pl:.4}s vs TSUE {tsue:.4}s"
@@ -311,7 +303,7 @@ fn tsue_failure_replay_does_not_grow_with_run_length() {
     // the faulted-minus-calm event count where it was.
     let extra_events = |ops_per_client: usize| {
         let run = |faults: FaultPlan| {
-            let mut r = replay(Arc::new(Tsue), 16, ops_per_client);
+            let mut r = replay(Method::Tsue, 16, ops_per_client);
             r.workload = Workload::Open(OpenLoopSpec::poisson(24_000.0).with_window(4));
             r.faults = faults;
             r.validate().expect("open-loop faulted config validates");
@@ -340,7 +332,7 @@ fn flat_rotate_rack_failure_reports_data_loss() {
     // ops rather than fabricate data — and the replay still terminates.
     let mut any_loss = false;
     for rack in 0..4 {
-        let mut rcfg = racked_replay(Arc::new(Fo), 4, 150);
+        let mut rcfg = racked_replay(Method::Fo, 4, 150);
         rcfg.cluster.placement = Arc::new(FlatRotate);
         rcfg.faults = FaultPlan::new().fail_rack(FAULT_AT, rack);
         let r = Replay::run(&rcfg).result;

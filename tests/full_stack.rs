@@ -6,7 +6,7 @@ use rscode::{ReedSolomon, Stripe};
 use traces::workload::MsrVolume;
 use tsue::engine::{EngineConfig, TsueEngine};
 
-fn replay(method: Arc<dyn UpdateMethod>, family: TraceFamily, clients: u64) -> ReplayConfig {
+fn replay(method: Method, family: TraceFamily, clients: u64) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -23,7 +23,7 @@ fn trace_to_cluster_to_oracle_all_families() {
         TraceFamily::TenCloud,
         TraceFamily::Msr(MsrVolume::Src10),
     ] {
-        let res = Replay::run(&replay(Arc::new(Tsue), family, 6)).result;
+        let res = Replay::run(&replay(Method::Tsue, family, 6)).result;
         assert_eq!(res.oracle_violations, 0, "{family:?}");
         assert!(res.completed_updates > 0, "{family:?}");
     }
@@ -35,7 +35,7 @@ fn trace_to_cluster_to_oracle_all_families() {
 #[test]
 fn closed_loop_op_supply_is_independent_of_run_length() {
     let supply_bytes = |ops| {
-        let mut rcfg = replay(Arc::new(Fo), TraceFamily::AliCloud, 4);
+        let mut rcfg = replay(Method::Fo, TraceFamily::AliCloud, 4);
         rcfg.ops_per_client = ops;
         Replay::run(&rcfg).result.workload_state_bytes
     };
@@ -46,12 +46,8 @@ fn closed_loop_op_supply_is_independent_of_run_length() {
 
 #[test]
 fn recovery_after_live_updates_is_complete() {
-    for method in [
-        Arc::new(Tsue) as Arc<dyn UpdateMethod>,
-        Arc::new(Pl),
-        Arc::new(Fo),
-    ] {
-        let rcfg = replay(Arc::clone(&method), TraceFamily::AliCloud, 6);
+    for method in [Method::Tsue, Method::Pl, Method::Fo] {
+        let rcfg = replay(method, TraceFamily::AliCloud, 6);
         let (mut sim, mut cl) = run_update_phase(&rcfg);
         let res = recover_node(&mut sim, &mut cl, 2);
         assert!(res.blocks > 0, "{method:?}: no blocks to recover");
@@ -69,11 +65,11 @@ fn recovery_after_live_updates_is_complete() {
 #[test]
 fn tsue_recovery_drains_less_than_pl() {
     let pl = {
-        let (mut sim, mut cl) = run_update_phase(&replay(Arc::new(Pl), TraceFamily::AliCloud, 6));
+        let (mut sim, mut cl) = run_update_phase(&replay(Method::Pl, TraceFamily::AliCloud, 6));
         recover_node(&mut sim, &mut cl, 2)
     };
     let tsue = {
-        let (mut sim, mut cl) = run_update_phase(&replay(Arc::new(Tsue), TraceFamily::AliCloud, 6));
+        let (mut sim, mut cl) = run_update_phase(&replay(Method::Tsue, TraceFamily::AliCloud, 6));
         recover_node(&mut sim, &mut cl, 2)
     };
     assert!(
@@ -136,9 +132,9 @@ fn hdd_cluster_inverts_fo_ranking() {
         rcfg.volume_bytes = 64 << 20;
         Replay::run(&rcfg).result
     };
-    let fo = run(Arc::new(Fo));
-    let pl = run(Arc::new(Pl));
-    let tsue = run(Arc::new(Tsue));
+    let fo = run(Method::Fo);
+    let pl = run(Method::Pl);
+    let tsue = run(Method::Tsue);
     assert_eq!(fo.oracle_violations, 0);
     assert!(
         pl.update_iops > fo.update_iops,
@@ -164,7 +160,7 @@ fn fig7_ladder_is_monotonic_enough() {
     let mut prev = 0.0f64;
     for (label, feats) in ecfs::TsueFeatures::ladder() {
         // The ladder's effects bind at saturation (high client:node ratio).
-        let mut rcfg = replay(Arc::new(Tsue), TraceFamily::AliCloud, 48);
+        let mut rcfg = replay(Method::Tsue, TraceFamily::AliCloud, 48);
         rcfg.cluster.tsue = feats;
         rcfg.cluster.tsue_unit_bytes = 2 << 20; // small units: recycling active
         rcfg.ops_per_client = 400;
@@ -189,7 +185,7 @@ fn parity_append_residency_is_recorded_without_the_delta_log() {
     // With the DeltaLog off (the HDD testbed, Fig. 7's rungs below O5),
     // data deltas go straight to every ParityLog: those appends are the
     // ParityLog's append residency, and there is no DeltaLog traffic.
-    let mut rcfg = replay(Arc::new(Tsue), TraceFamily::AliCloud, 8);
+    let mut rcfg = replay(Method::Tsue, TraceFamily::AliCloud, 8);
     rcfg.cluster.tsue.delta_log = false;
     rcfg.cluster.tsue_unit_bytes = 256 << 10; // small units: recycling active
     let res = Replay::run(&rcfg).result;

@@ -23,7 +23,7 @@ fn skewed_fleet() -> DiskFleet {
 
 fn skewed_replay(placement: Arc<dyn PlacementPolicy>) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+    let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
     cluster.clients = 6;
     cluster.fleet = skewed_fleet();
     cluster.placement = placement;
@@ -107,7 +107,7 @@ const PINNED_FLAT_SMALL_BYTES: u64 = 10 << 20;
 fn recovery_runs_at_target_disk_rates() {
     let drill = |fleet: DiskFleet| {
         let code = CodeParams::new(6, 3).unwrap();
-        let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+        let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cluster.clients = 4;
         cluster.fleet = fleet;
         let mut r = ReplayConfig::new(cluster, TraceFamily::AliCloud);
@@ -161,7 +161,7 @@ fn run_result_reports_fill_wear_and_copysets() {
 #[test]
 fn tiered_fleet_survives_mid_replay_fault() {
     let code = CodeParams::new(6, 3).unwrap();
-    let mut cluster = ClusterConfig::ssd_testbed(code, Arc::new(Tsue));
+    let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
     cluster.clients = 4;
     cluster.fleet = DiskFleet::tiered(8, 8);
     cluster.tsue_unit_bytes = 1 << 20;

@@ -6,7 +6,7 @@
 
 use ecfs::prelude::*;
 
-fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -16,7 +16,7 @@ fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConf
     r
 }
 
-fn tiered_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn tiered_replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let mut r = replay(method, clients, ops);
     r.cluster.fleet = DiskFleet::tiered(8, 8);
     r
@@ -46,7 +46,7 @@ fn dense_lse() -> LseConfig {
 /// plan armed something.
 #[test]
 fn empty_plan_reproduces_maintenance_free_golden() {
-    let mut rcfg = replay(Arc::new(Tsue), 4, 250);
+    let mut rcfg = replay(Method::Tsue, 4, 250);
     rcfg.maintenance = MaintenancePlan::default();
     assert!(rcfg.maintenance.is_empty());
     rcfg.validate().expect("empty plan validates");
@@ -79,8 +79,8 @@ fn empty_plan_reproduces_maintenance_free_golden() {
 /// detected by the sweep and rebuilt from the surviving chunks.
 #[test]
 fn scrub_finds_and_repairs_injected_lses() {
-    for method in [Arc::new(Tsue) as Arc<dyn UpdateMethod>, Arc::new(Fo)] {
-        let mut rcfg = replay(Arc::clone(&method), 4, 250);
+    for method in [Method::Tsue, Method::Fo] {
+        let mut rcfg = replay(method, 4, 250);
         rcfg.maintenance = MaintenancePlan::new()
             .with_scrub(fast_scrub())
             .with_lse(dense_lse());
@@ -110,10 +110,10 @@ fn scrub_finds_and_repairs_injected_lses() {
 /// be real (counted) work.
 #[test]
 fn rebalancer_narrows_wear_spread() {
-    let baseline = Replay::run(&replay(Arc::new(Tsue), 4, 250)).result;
+    let baseline = Replay::run(&replay(Method::Tsue, 4, 250)).result;
     assert!(baseline.wear_spread > 1.0, "workload wear is already even");
 
-    let mut rcfg = replay(Arc::new(Tsue), 4, 250);
+    let mut rcfg = replay(Method::Tsue, 4, 250);
     // Horizon past the post-run drain: the final log drain adds skewed
     // wear after the clients stop, and the leveler must outlive it to be
     // judged on the final wear census.
@@ -142,7 +142,7 @@ fn rebalancer_narrows_wear_spread() {
 /// the flash tier; appends stay pinned to flash replicas.
 #[test]
 fn demotion_moves_parity_off_flash_on_tiered_fleet() {
-    let mut rcfg = tiered_replay(Arc::new(Tsue), 4, 250);
+    let mut rcfg = tiered_replay(Method::Tsue, 4, 250);
     rcfg.maintenance = MaintenancePlan::new().with_demote();
     rcfg.validate().expect("demote plan validates");
     let r = Replay::run(&rcfg).result;
@@ -156,7 +156,7 @@ fn demotion_moves_parity_off_flash_on_tiered_fleet() {
 
     // Demotion on a flash-only fleet is a configuration error, caught at
     // validation time rather than silently doing nothing.
-    let mut flat = replay(Arc::new(Tsue), 4, 250);
+    let mut flat = replay(Method::Tsue, 4, 250);
     flat.maintenance = MaintenancePlan::new().with_demote();
     assert!(flat.validate().is_err(), "demote on flash-only fleet");
 }
@@ -168,11 +168,7 @@ fn demotion_moves_parity_off_flash_on_tiered_fleet() {
 #[test]
 fn parallel_maintained_grid_matches_serial() {
     let mut configs = Vec::new();
-    for method in [
-        Arc::new(Fo) as Arc<dyn UpdateMethod>,
-        Arc::new(Pl),
-        Arc::new(Tsue),
-    ] {
+    for method in [Method::Fo, Method::Pl, Method::Tsue] {
         let mut r = replay(method, 3, 120);
         r.maintenance = MaintenancePlan::new()
             .with_scrub(fast_scrub())
@@ -180,7 +176,7 @@ fn parallel_maintained_grid_matches_serial() {
             .with_rebalance();
         configs.push(r);
     }
-    let mut full = tiered_replay(Arc::new(Tsue), 4, 120);
+    let mut full = tiered_replay(Method::Tsue, 4, 120);
     full.maintenance = MaintenancePlan::full().with_lse(dense_lse());
     configs.push(full);
     for rcfg in &configs {
@@ -215,7 +211,7 @@ fn parallel_maintained_grid_matches_serial() {
 /// still repairs both the lost blocks and the latent errors.
 #[test]
 fn maintenance_composes_with_fault_timeline() {
-    let mut rcfg = replay(Arc::new(Tsue), 4, 250);
+    let mut rcfg = replay(Method::Tsue, 4, 250);
     rcfg.faults = FaultPlan::new().fail_node(40 * simdes::units::MILLIS, 3);
     rcfg.maintenance = MaintenancePlan::new()
         .with_scrub(fast_scrub())

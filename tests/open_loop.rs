@@ -4,7 +4,7 @@
 
 use ecfs::prelude::*;
 
-fn closed_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn closed_replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -14,7 +14,7 @@ fn closed_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> Rep
     r
 }
 
-fn open_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize, rate: f64) -> ReplayConfig {
+fn open_replay(method: Method, clients: u64, ops: usize, rate: f64) -> ReplayConfig {
     let mut r = closed_replay(method, clients, ops);
     r.workload = Workload::Open(OpenLoopSpec::poisson(rate).with_window(4));
     r
@@ -22,7 +22,7 @@ fn open_replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize, rate: f6
 
 #[test]
 fn open_loop_validates() {
-    let mut r = open_replay(Arc::new(Tsue), 4, 100, 10_000.0);
+    let mut r = open_replay(Method::Tsue, 4, 100, 10_000.0);
     r.validate().unwrap();
     r.workload = Workload::Open(OpenLoopSpec::poisson(0.0));
     assert!(r.validate().is_err(), "zero rate must be rejected");
@@ -35,11 +35,7 @@ fn open_loop_parallel_grid_matches_serial() {
     // The open-loop engine must stay a pure function of its config: the
     // parallel grid fan-out returns field-for-field the serial results.
     let mut configs = Vec::new();
-    for method in [
-        Arc::new(Fo) as Arc<dyn UpdateMethod>,
-        Arc::new(Pl),
-        Arc::new(Tsue),
-    ] {
+    for method in [Method::Fo, Method::Pl, Method::Tsue] {
         configs.push(open_replay(method, 3, 120, 24_000.0));
     }
     let parallel = tsue_bench::run_grid(&configs);
@@ -63,13 +59,13 @@ fn unsaturated_open_loop_tracks_offered_rate() {
     // Closed loop measures the self-throttled capacity; an open loop
     // offered well below it must ride the schedule: goodput ≈ offered,
     // no saturation, near-empty admission queues.
-    let closed = Replay::run(&closed_replay(Arc::new(Tsue), 4, 250)).result;
+    let closed = Replay::run(&closed_replay(Method::Tsue, 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
     assert!(capacity > 0.0);
     assert_eq!(closed.offered_ops, 0, "closed loop offers no schedule");
     assert!(!closed.saturated);
 
-    let low = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, capacity * 0.4)).result;
+    let low = Replay::run(&open_replay(Method::Tsue, 4, 250, capacity * 0.4)).result;
     assert_eq!(low.oracle_violations, 0);
     assert!(!low.saturated, "40% of capacity must not saturate");
     assert!(
@@ -89,10 +85,10 @@ fn unsaturated_open_loop_tracks_offered_rate() {
 fn overdriven_open_loop_saturates_and_caps_at_capacity() {
     // Offered far above capacity: the saturation flag trips, goodput
     // decouples from the schedule, and the queue-delay signature appears.
-    let closed = Replay::run(&closed_replay(Arc::new(Fo), 4, 250)).result;
+    let closed = Replay::run(&closed_replay(Method::Fo, 4, 250)).result;
     let capacity = closed.goodput_ops_per_s;
 
-    let hot = Replay::run(&open_replay(Arc::new(Fo), 4, 250, capacity * 8.0)).result;
+    let hot = Replay::run(&open_replay(Method::Fo, 4, 250, capacity * 8.0)).result;
     assert_eq!(hot.oracle_violations, 0);
     assert!(hot.saturated, "8x capacity must saturate");
     assert!(
@@ -124,7 +120,7 @@ fn overdriven_open_loop_saturates_and_caps_at_capacity() {
 /// functions of the config.
 #[test]
 fn open_loop_golden() {
-    let r = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, 30_000.0)).result;
+    let r = Replay::run(&open_replay(Method::Tsue, 4, 250, 30_000.0)).result;
     assert_eq!(r.offered_ops, 1000);
     // The op mix differs slightly from the closed-loop golden (768/157/75):
     // arrivals are drawn per client, so clients consume different depths of
@@ -216,7 +212,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
         wall_ms: _,
         events_per_sec: _,
         setup_ms: _,
-    } = Replay::run(&open_replay(Arc::new(Tsue), 4, 250, 30_000.0)).result;
+    } = Replay::run(&open_replay(Method::Tsue, 4, 250, 30_000.0)).result;
 
     // The open_loop_golden pins (same run, re-asserted here so this test
     // stands alone).
@@ -293,7 +289,7 @@ fn sparse_runtime_matches_dense_golden_exhaustively() {
 #[test]
 fn million_client_population_stays_o_active() {
     let build = |pop: u64| {
-        let mut r = closed_replay(Arc::new(Tsue), pop, 250);
+        let mut r = closed_replay(Method::Tsue, pop, 250);
         r.total_ops = Some(1_000);
         r.workload = Workload::Open(
             OpenLoopSpec::poisson(30_000.0)
@@ -355,7 +351,7 @@ fn bursty_and_skewed_specs_replay_consistently() {
         OpenLoopSpec::poisson(20_000.0).with_client_skew(ClientSkew::Zipf { theta: 0.9 }),
     ];
     for spec in specs {
-        let mut r = closed_replay(Arc::new(Tsue), 4, 150);
+        let mut r = closed_replay(Method::Tsue, 4, 150);
         r.workload = Workload::Open(spec);
         r.validate().unwrap();
         let res = Replay::run(&r).result;

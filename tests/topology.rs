@@ -3,7 +3,7 @@
 
 use ecfs::prelude::*;
 
-fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -14,7 +14,7 @@ fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConf
 }
 
 fn racked_replay(
-    method: Arc<dyn UpdateMethod>,
+    method: Method,
     placement: Arc<dyn PlacementPolicy>,
     racks: usize,
     oversub: f64,
@@ -35,7 +35,7 @@ fn racked_replay(
 #[test]
 fn flat_topology_reproduces_pre_refactor_goldens() {
     struct Golden {
-        method: Arc<dyn UpdateMethod>,
+        method: Method,
         net_bytes: u64,
         net_msgs: u64,
         rw_ops: u64,
@@ -44,7 +44,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
     }
     let goldens = [
         Golden {
-            method: Arc::new(Fo),
+            method: Method::Fo,
             net_bytes: 146_201_664,
             net_msgs: 4_414,
             rw_ops: 6_497,
@@ -52,7 +52,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
             duration_ns: 160_914_287,
         },
         Golden {
-            method: Arc::new(Pl),
+            method: Method::Pl,
             net_bytes: 146_201_664,
             net_msgs: 4_414,
             rw_ops: 11_135,
@@ -60,7 +60,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
             duration_ns: 137_930_548,
         },
         Golden {
-            method: Arc::new(Tsue),
+            method: Method::Tsue,
             net_bytes: 132_512_832,
             net_msgs: 3_466,
             rw_ops: 3_688,
@@ -69,7 +69,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
         },
     ];
     for g in goldens {
-        let r = Replay::run(&replay(Arc::clone(&g.method), 4, 250)).result;
+        let r = Replay::run(&replay(g.method, 4, 250)).result;
         let name = g.method.name();
         assert_eq!(r.completed_updates, 768, "{name}");
         assert_eq!(r.completed_reads, 157, "{name}");
@@ -93,7 +93,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
 fn per_tier_traffic_partitions_the_total() {
     // On a racked fabric the two tiers must partition the totals exactly,
     // and both tiers must actually carry traffic.
-    let rcfg = racked_replay(Arc::new(Tsue), Arc::new(RackAware), 4, 4.0);
+    let rcfg = racked_replay(Method::Tsue, Arc::new(RackAware), 4, 4.0);
     let (_, cl) = run_update_phase(&rcfg);
     let t = cl.net.traffic();
     assert_eq!(t.intra_rack_bytes() + t.cross_rack_bytes(), t.total_bytes());
@@ -105,7 +105,7 @@ fn per_tier_traffic_partitions_the_total() {
     assert!(t.intra_rack_bytes() > 0, "some traffic must stay in-rack");
 
     // One rack: everything is intra-rack by definition.
-    let flat = Replay::run(&replay(Arc::new(Pl), 4, 150)).result;
+    let flat = Replay::run(&replay(Method::Pl, 4, 150)).result;
     assert_eq!(flat.net_cross_rack_gib, 0.0);
     assert!(flat.net_gib > 0.0);
 }
@@ -114,8 +114,8 @@ fn per_tier_traffic_partitions_the_total() {
 fn oversubscription_slows_cross_rack_replay() {
     // The same racked workload under a starved spine must take longer in
     // simulated time (identical op mix, shared uplinks serialise).
-    let fat = Replay::run(&racked_replay(Arc::new(Fo), Arc::new(RackAware), 4, 1.0)).result;
-    let thin = Replay::run(&racked_replay(Arc::new(Fo), Arc::new(RackAware), 4, 16.0)).result;
+    let fat = Replay::run(&racked_replay(Method::Fo, Arc::new(RackAware), 4, 1.0)).result;
+    let thin = Replay::run(&racked_replay(Method::Fo, Arc::new(RackAware), 4, 16.0)).result;
     assert_eq!(fat.completed_updates, thin.completed_updates);
     assert!(
         thin.duration_s > fat.duration_s,
@@ -131,8 +131,8 @@ fn rack_failure_recovers_under_rack_aware_placement() {
     // RS(6,3) over 16 nodes in 4 racks: rack-aware placement leaves at
     // most 3 = m blocks of any stripe per rack, so a whole-rack failure is
     // reconstructible from the surviving racks.
-    for method in [Arc::new(Tsue) as Arc<dyn UpdateMethod>, Arc::new(Fo)] {
-        let rcfg = racked_replay(Arc::clone(&method), Arc::new(RackAware), 4, 2.0);
+    for method in [Method::Tsue, Method::Fo] {
+        let rcfg = racked_replay(method, Arc::new(RackAware), 4, 2.0);
         let (mut sim, mut cl) = run_update_phase(&rcfg);
         let res = recover_rack(&mut sim, &mut cl, 1).expect("rack failure must be recoverable");
         assert!(res.blocks > 0, "{method:?}: rack 1 hosted no blocks");
@@ -170,7 +170,7 @@ fn rack_failure_under_flat_rotate_loses_data() {
     for rack in 0..4 {
         // A fresh cluster per drill: recovery state accumulates, and a
         // second drill on a half-dead cluster would fail under any policy.
-        let rcfg = racked_replay(Arc::new(Fo), Arc::new(FlatRotate), 4, 2.0);
+        let rcfg = racked_replay(Method::Fo, Arc::new(FlatRotate), 4, 2.0);
         let (mut sim, mut cl) = run_update_phase(&rcfg);
         if let Err(e) = recover_rack(&mut sim, &mut cl, rack) {
             assert!(e.survivors < e.needed);
@@ -187,7 +187,7 @@ fn rack_failure_under_flat_rotate_loses_data() {
 
 #[test]
 fn single_node_recovery_still_works_on_racked_clusters() {
-    let rcfg = racked_replay(Arc::new(Pl), Arc::new(RackLocal), 4, 4.0);
+    let rcfg = racked_replay(Method::Pl, Arc::new(RackLocal), 4, 4.0);
     let (mut sim, mut cl) = run_update_phase(&rcfg);
     let res = recover_node(&mut sim, &mut cl, 5);
     assert!(res.blocks > 0);
@@ -200,7 +200,7 @@ fn sequential_drills_compose() {
     // Drills must compose: blocks rebuilt by drill 1 are re-homed in the
     // layout, so drill 2 counts them as survivors at their new location
     // and never books reads against the dead node.
-    let rcfg = racked_replay(Arc::new(Fo), Arc::new(RackAware), 4, 2.0);
+    let rcfg = racked_replay(Method::Fo, Arc::new(RackAware), 4, 2.0);
     let (mut sim, mut cl) = run_update_phase(&rcfg);
     let first = recover_node(&mut sim, &mut cl, 4);
     assert!(first.blocks > 0);
@@ -224,8 +224,8 @@ fn sequential_drills_compose() {
 fn rack_local_cuts_tsue_spine_traffic_vs_rack_aware() {
     // The acceptance shape of the topology refactor, at test scale: TSUE's
     // parity→parity pipeline stays in-rack under rack-local placement.
-    let aware = Replay::run(&racked_replay(Arc::new(Tsue), Arc::new(RackAware), 4, 4.0)).result;
-    let local = Replay::run(&racked_replay(Arc::new(Tsue), Arc::new(RackLocal), 4, 4.0)).result;
+    let aware = Replay::run(&racked_replay(Method::Tsue, Arc::new(RackAware), 4, 4.0)).result;
+    let local = Replay::run(&racked_replay(Method::Tsue, Arc::new(RackLocal), 4, 4.0)).result;
     assert_eq!(aware.oracle_violations, 0);
     assert_eq!(local.oracle_violations, 0);
     assert!(

@@ -16,7 +16,7 @@
 use ecfs::prelude::*;
 use ecfs::telemetry::{binary, chrome};
 
-fn replay(method: Arc<dyn UpdateMethod>, clients: u64, ops: usize) -> ReplayConfig {
+fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, method);
     cluster.clients = clients;
@@ -57,7 +57,7 @@ fn legacy_canon(r: &RunResult) -> String {
 
 #[test]
 fn tracing_changes_no_legacy_field() {
-    let mut off = replay(Arc::new(Tsue), 3, 100);
+    let mut off = replay(Method::Tsue, 3, 100);
     armed_plans(&mut off);
     let mut on = off.clone();
     on.trace = TraceConfig::on();
@@ -84,7 +84,7 @@ fn tracing_changes_no_legacy_field() {
 
 #[test]
 fn trace_is_bit_identical_across_runs() {
-    let mut rcfg = replay(Arc::new(Tsue), 3, 100);
+    let mut rcfg = replay(Method::Tsue, 3, 100);
     armed_plans(&mut rcfg);
     rcfg.trace = TraceConfig::on();
     rcfg.validate().expect("traced config validates");
@@ -105,8 +105,8 @@ fn trace_is_bit_identical_across_runs() {
 
 #[test]
 fn stage_spans_partition_client_latency_for_every_method() {
-    for method in builtins() {
-        let mut rcfg = replay(Arc::clone(&method), 3, 100);
+    for method in Method::ALL {
+        let mut rcfg = replay(method, 3, 100);
         rcfg.trace = TraceConfig::on();
         let RunOutcome { result, trace } = Replay::run(&rcfg);
         let trace = trace.expect("trace");
@@ -131,7 +131,7 @@ fn stage_spans_partition_client_latency_for_every_method() {
 
 #[test]
 fn binary_log_round_trips_and_chrome_export_parses() {
-    let mut rcfg = replay(Arc::new(Fo), 2, 60);
+    let mut rcfg = replay(Method::Fo, 2, 60);
     rcfg.trace = TraceConfig::on();
     let trace = Replay::run(&rcfg).trace.expect("trace");
 
@@ -149,17 +149,17 @@ fn binary_log_round_trips_and_chrome_export_parses() {
 #[test]
 fn capacity_is_validated_and_bounds_retention() {
     // A zero budget is rejected at validate() time.
-    let mut rcfg = replay(Arc::new(Fo), 2, 60);
+    let mut rcfg = replay(Method::Fo, 2, 60);
     rcfg.trace = TraceConfig::on().with_capacity(0);
     assert!(rcfg.validate().is_err(), "accepted a zero span budget");
 
-    let mut all = replay(Arc::new(Fo), 2, 60);
+    let mut all = replay(Method::Fo, 2, 60);
     all.trace = TraceConfig::on();
     let r_all = Replay::run(&all).result;
 
     // A tiny capacity drops honestly instead of silently, and bounds
     // retention but never the rollup.
-    let mut tiny = replay(Arc::new(Fo), 2, 60);
+    let mut tiny = replay(Method::Fo, 2, 60);
     tiny.trace = TraceConfig::on().with_capacity(8);
     let out_tiny = Replay::run(&tiny);
     let (r_tiny, t_tiny) = (out_tiny.result, out_tiny.trace);
