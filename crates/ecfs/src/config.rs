@@ -581,12 +581,24 @@ mod tests {
             .contains("method"));
     }
 
-    /// Every method's name resolves to it in any case, the names in
-    /// Fig. 5 order; an unknown name fails the build.
+    /// A method's name is its `name()`, in Fig. 5 order, and that name in
+    /// any case parses back to it.
     #[test]
-    fn builder_resolves_builtin_names() {
+    fn builtins_resolve_by_any_case() {
         let names = Method::ALL.map(Method::name);
         assert_eq!(names, ["FO", "FL", "PL", "PLR", "PARIX", "CoRD", "TSUE"]);
+        for method in Method::ALL {
+            let name = method.name();
+            for spelled in [name.to_string(), name.to_lowercase(), name.to_uppercase()] {
+                assert_eq!(spelled.parse::<Method>().unwrap(), method, "{spelled}");
+            }
+        }
+    }
+
+    /// The builder resolves every method's name in any case; an unknown
+    /// name fails the build, naming the seven.
+    #[test]
+    fn builder_resolves_builtin_names() {
         for method in Method::ALL {
             let name = method.name();
             for spelled in [name.to_string(), name.to_lowercase(), name.to_uppercase()] {
@@ -605,7 +617,7 @@ mod tests {
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("warp-drive"), "{msg}");
-        for name in names {
+        for name in Method::ALL.map(Method::name) {
             assert!(msg.contains(name), "{msg}");
         }
     }
