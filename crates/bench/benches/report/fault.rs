@@ -43,8 +43,6 @@ type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
     let methods: [Method; 4] = [Method::Fo, Method::Pl, Method::Plr, Method::Tsue];
-    let flat: Arc<dyn PlacementPolicy> = Arc::new(FlatRotate);
-    let aware: Arc<dyn PlacementPolicy> = Arc::new(RackAware);
     let clients = if tsue_bench::smoke() { 8 } else { 16 };
     let mut cells = Vec::new();
     for (plan_name, plan) in plans() {
@@ -53,14 +51,14 @@ pub fn sweep() -> Sweep<Label> {
             // recoverable; node failures also run under the topology-blind
             // default to show placement does not change single-node MTTR.
             let placements = match plan_name {
-                "node@40ms" => vec![&flat, &aware],
-                _ => vec![&aware],
+                "node@40ms" => vec![Placement::FlatRotate, Placement::RackAware],
+                _ => vec![Placement::RackAware],
             };
             for placement in placements {
                 let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
                 r.cluster.racks = RACKS;
                 r.cluster.oversubscription = OVERSUB;
-                r.cluster.placement = Arc::clone(placement);
+                r.cluster.placement = placement;
                 r.faults = plan.clone();
                 let (m, p) = (method.name().to_string(), placement.name().to_string());
                 cells.push(((m, p, plan_name), r));

@@ -53,16 +53,16 @@ fn fleets() -> Vec<(&'static str, DiskFleet)> {
 
 pub fn sweep() -> Sweep<Label> {
     let methods: [Method; 3] = [Method::Fo, Method::Pl, Method::Tsue];
-    let placements: [Arc<dyn PlacementPolicy>; 2] =
-        [Arc::new(FlatRotate), Arc::new(CapacityWeighted)];
-    let mut grid: Vec<(&str, DiskFleet, Arc<dyn PlacementPolicy>)> = Vec::new();
+    let mut grid: Vec<(&str, DiskFleet, Placement)> = Vec::new();
     for (fleet_name, fleet) in fleets() {
-        for placement in &placements {
-            grid.push((fleet_name, fleet.clone(), Arc::clone(placement)));
+        for placement in [Placement::FlatRotate, Placement::CapacityWeighted] {
+            grid.push((fleet_name, fleet.clone(), placement));
         }
     }
     // The copyset trio: uniform fleet, blast radius capped at the budget.
-    let copyset = Arc::new(Copyset::new(COPYSET_BUDGET));
+    let copyset = Placement::Copyset {
+        budget: COPYSET_BUDGET,
+    };
     grid.push(("uniform-ssd", DiskFleet::uniform_ssd(), copyset));
     let clients = if tsue_bench::smoke() { 6 } else { 12 };
     let mut cells = Vec::new();
@@ -70,7 +70,7 @@ pub fn sweep() -> Sweep<Label> {
         for &method in &methods {
             let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
             r.cluster.fleet = fleet.clone();
-            r.cluster.placement = Arc::clone(&placement);
+            r.cluster.placement = placement;
             // Small log units keep TSUE's real-time recycling active on the
             // HDD-homed log regions within a short run (cf. `hdd_replay`).
             r.cluster.tsue_unit_bytes = 1 << 20;

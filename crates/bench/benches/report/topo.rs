@@ -32,20 +32,20 @@ type Column = tsue_bench::sweep::Column<Label>;
 
 pub fn sweep() -> Sweep<Label> {
     let methods: [Method; 3] = [Method::Fo, Method::Pl, Method::Tsue];
-    let placements: [Arc<dyn PlacementPolicy>; 3] = [
-        Arc::new(FlatRotate),
-        Arc::new(RackAware),
-        Arc::new(RackLocal),
+    let placements = [
+        Placement::FlatRotate,
+        Placement::RackAware,
+        Placement::RackLocal,
     ];
     let clients = if tsue_bench::smoke() { 8 } else { 16 };
     let mut cells = Vec::new();
     for racks in [1usize, RACKS] {
-        for placement in &placements {
+        for placement in placements {
             for &method in &methods {
                 let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, clients);
                 r.cluster.racks = racks;
                 r.cluster.oversubscription = if racks > 1 { OVERSUB } else { 1.0 };
-                r.cluster.placement = Arc::clone(placement);
+                r.cluster.placement = placement;
                 let (p, m) = (placement.name().to_string(), method.name().to_string());
                 cells.push(((racks, p, m), r));
             }

@@ -314,11 +314,11 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Cluster {
         cfg.validate().expect("invalid cluster config");
         let parity_extra = cfg.method.parity_reserved_bytes();
-        let layout = Layout::with_placement(
+        let layout = Layout::new(
             cfg.code,
             cfg.block_bytes,
             parity_extra,
-            std::sync::Arc::clone(&cfg.placement),
+            cfg.placement,
             cfg.rack_map(),
         );
         let net = Network::new(NetConfig {

@@ -9,8 +9,6 @@
 //! reserved space, CoRD's collector buffer, PARIX's epoch length, TSUE's
 //! recycle CPU cost) are constants in its driver.
 
-use std::sync::Arc;
-
 use rscode::CodeParams;
 use simdisk::{HddConfig, SsdConfig};
 use tsue::pool::PoolConfig;
@@ -19,7 +17,7 @@ use tsue::MergeMode;
 use crate::cache::PAGE_BYTES;
 use crate::fleet::DiskFleet;
 use crate::methods::Method;
-use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
+use crate::placement::{Placement, RackMap};
 
 /// A rejected configuration, with the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,9 +151,8 @@ pub struct ClusterConfig {
     /// Spine oversubscription ratio (`1.0` = full bisection; only
     /// meaningful with `racks > 1`).
     pub oversubscription: f64,
-    /// Block-placement policy (trait object; see [`crate::placement`] for
-    /// the built-ins).
-    pub placement: Arc<dyn PlacementPolicy>,
+    /// Block-placement policy (one of the five in [`crate::placement`]).
+    pub placement: Placement,
     /// Update method under test.
     pub method: Method,
     /// Capacity in bytes of each node's LRU read cache ([`crate::cache`]),
@@ -192,7 +189,7 @@ impl ClusterConfig {
             net_rpc_overhead: 100_000,
             racks: 1,
             oversubscription: 1.0,
-            placement: Arc::new(FlatRotate),
+            placement: Placement::FlatRotate,
             method,
             read_cache_bytes: None,
             tsue: TsueFeatures::full(),
@@ -378,7 +375,7 @@ pub struct ClusterConfigBuilder {
     net_rpc_overhead: Option<u64>,
     racks: Option<usize>,
     oversubscription: Option<f64>,
-    placement: Option<Arc<dyn PlacementPolicy>>,
+    placement: Option<Placement>,
     read_cache_bytes: Option<u64>,
     tsue: Option<TsueFeatures>,
     tsue_unit_bytes: Option<u64>,
@@ -414,8 +411,8 @@ impl ClusterConfigBuilder {
         racks: usize,
         /// Spine oversubscription ratio.
         oversubscription: f64,
-        /// The block-placement policy, e.g. `Arc::new(RackAware)`.
-        placement: Arc<dyn PlacementPolicy>,
+        /// The block-placement policy, e.g. `Placement::RackAware`.
+        placement: Placement,
         /// Per-node LRU read-cache capacity in bytes (unset: no cache).
         read_cache_bytes: u64,
         /// TSUE feature toggles.

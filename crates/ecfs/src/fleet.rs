@@ -19,7 +19,7 @@
 //! every disk booking — foreground I/O, log recycling, and crucially the
 //! repair pump's rebuilt-block writes — runs at the *target* node's own
 //! device rate, and capacity-aware machinery (the log-region allocator,
-//! [`crate::placement::CapacityWeighted`] via [`RackMap`] node weights)
+//! [`crate::Placement::CapacityWeighted`] via [`RackMap`] node weights)
 //! sees each node's true capacity.
 //!
 //! [`RackMap`]: crate::placement::RackMap

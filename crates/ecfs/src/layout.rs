@@ -3,17 +3,16 @@
 //! Each client owns one logical volume (one large file). A volume is
 //! striped: stripe `s` covers bytes `[s·kB, (s+1)·kB)` in `k` blocks of `B`
 //! bytes, followed by `m` parity blocks. The `k + m` blocks of a stripe are
-//! placed on distinct OSDs by a pluggable [`PlacementPolicy`] (the default
-//! [`FlatRotate`] rotates a per-stripe hash over all nodes), and each OSD
-//! allocates device space for its blocks with a bump allocator.
+//! placed on distinct OSDs by a [`Placement`] (the default
+//! [`Placement::FlatRotate`] rotates a per-stripe hash over all nodes), and
+//! each OSD allocates device space for its blocks with a bump allocator.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use rscode::CodeParams;
 use tsue::fastmap::FastMap;
 
-use crate::placement::{FlatRotate, PlacementPolicy, RackMap};
+use crate::placement::{Placement, RackMap};
 
 /// Globally unique block id: `(volume, stripe, index within stripe)`.
 ///
@@ -127,7 +126,7 @@ pub struct Layout {
     code: CodeParams,
     block_bytes: u64,
     /// The placement policy mapping blocks to OSDs.
-    policy: Arc<dyn PlacementPolicy>,
+    placement: Placement,
     /// Node → rack assignment the policy consults.
     racks: RackMap,
     /// Extra device bytes reserved after each parity block (PLR's reserved
@@ -140,47 +139,26 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// New single-rack layout over `nodes` OSDs under [`FlatRotate`].
-    pub fn new(code: CodeParams, block_bytes: u64, nodes: usize) -> Layout {
-        Self::with_parity_extra(code, block_bytes, nodes, 0)
-    }
-
-    /// Single-rack [`FlatRotate`] layout reserving `parity_extra` bytes
-    /// adjacent to each parity block.
-    pub fn with_parity_extra(
-        code: CodeParams,
-        block_bytes: u64,
-        nodes: usize,
-        parity_extra: u64,
-    ) -> Layout {
-        Self::with_placement(
-            code,
-            block_bytes,
-            parity_extra,
-            Arc::new(FlatRotate),
-            RackMap::contiguous(nodes, 1),
-        )
-    }
-
-    /// Fully explicit layout: a placement policy over a rack map.
+    /// A layout placing blocks by `placement` over `racks`, reserving
+    /// `parity_extra` device bytes after each parity block.
     ///
     /// # Panics
-    /// Panics if the policy rejects the `(code, racks)` shape.
-    pub fn with_placement(
+    /// Panics if the placement rejects the `(code, racks)` shape.
+    pub fn new(
         code: CodeParams,
         block_bytes: u64,
         parity_extra: u64,
-        policy: Arc<dyn PlacementPolicy>,
+        placement: Placement,
         racks: RackMap,
     ) -> Layout {
-        policy
+        placement
             .check(code, &racks)
             .expect("placement policy rejected the cluster shape");
         let nodes = racks.nodes();
         Layout {
             code,
             block_bytes,
-            policy,
+            placement,
             racks,
             parity_extra,
             cursors: vec![0; nodes],
@@ -191,11 +169,6 @@ impl Layout {
     /// The code shape.
     pub fn code(&self) -> CodeParams {
         self.code
-    }
-
-    /// The placement policy in force.
-    pub fn placement(&self) -> &Arc<dyn PlacementPolicy> {
-        &self.policy
     }
 
     /// The node → rack assignment.
@@ -219,15 +192,10 @@ impl Layout {
         }
     }
 
-    /// The OSD hosting a block, per the configured [`PlacementPolicy`];
-    /// the `k + m` blocks of one stripe always land on distinct nodes.
+    /// The OSD hosting a block, per the configured [`Placement`]; the
+    /// `k + m` blocks of one stripe always land on distinct nodes.
     pub fn node_of(&self, addr: BlockAddr) -> usize {
-        self.policy.node_of(addr, self.code, &self.racks)
-    }
-
-    /// The rack hosting a block.
-    pub fn rack_of(&self, addr: BlockAddr) -> usize {
-        self.racks.rack_of(self.node_of(addr))
+        self.placement.node_of(addr, self.code, &self.racks)
     }
 
     /// Node and device offset of a block, allocating on first touch.
@@ -366,7 +334,13 @@ mod tests {
     use super::*;
 
     fn layout() -> Layout {
-        Layout::new(CodeParams::new(6, 3).unwrap(), 1 << 20, 16)
+        Layout::new(
+            CodeParams::new(6, 3).unwrap(),
+            1 << 20,
+            0,
+            Placement::FlatRotate,
+            RackMap::contiguous(16, 1),
+        )
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use fault::{FaultEvent, FaultPlan, FaultScope};
 pub use fleet::{DiskFleet, DiskProfile};
 pub use maintenance::MaintenancePlan;
 pub use methods::{Method, UpdateCtx};
-pub use placement::{PlacementPolicy, RackMap};
+pub use placement::{Placement, RackMap};
 pub use replay::{Replay, ReplayConfig, ReplayConfigBuilder, RunOutcome, RunResult, Workload};
 pub use telemetry::{OpClass, Stage, StageRow, Trace, TraceConfig};
 
@@ -71,9 +71,7 @@ pub mod prelude {
     pub use crate::layout::{BlockAddr, BlockSlice, Layout};
     pub use crate::maintenance::{LseConfig, MaintState, MaintenancePlan, ScrubConfig};
     pub use crate::methods::{Method, UpdateCtx};
-    pub use crate::placement::{
-        CapacityWeighted, Copyset, FlatRotate, PlacementPolicy, RackAware, RackLocal, RackMap,
-    };
+    pub use crate::placement::{Placement, RackMap};
     pub use crate::recovery::{
         inject_fault, recover_node, recover_rack, recover_scope, RecoveryError, RecoveryResult,
     };
@@ -84,11 +82,9 @@ pub mod prelude {
     pub use crate::telemetry::{
         OpClass, OpRecord, Stage, StageRow, Trace, TraceConfig, TraceState, UtilKind, UtilLane,
     };
-    // The foreign types every experiment needs alongside the cluster
-    // (`Arc` names a placement: `Arc::new(RackAware)`).
+    // The foreign types every experiment needs alongside the cluster.
     pub use rscode::CodeParams;
     pub use simdisk::{HddConfig, SsdConfig};
-    pub use std::sync::Arc;
     pub use traces::{TraceFamily, WorkloadGen, WorkloadParams};
     // The open-loop offered-load engine (crate `workload`).
     pub use workload::{ClientSkew, OpenLoopSpec, RateCurve, TimedOp};

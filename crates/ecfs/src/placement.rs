@@ -1,8 +1,9 @@
-//! Pluggable block placement: the policy deciding which OSD hosts each
-//! block of a stripe, rack-aware where the topology has racks.
+//! Block placement: the policy deciding which OSD hosts each block of a
+//! stripe, rack-aware where the topology has racks.
 //!
-//! The MDS's placement decision is an object-safe [`PlacementPolicy`], so
-//! clusters can trade fault tolerance against cross-rack traffic:
+//! The MDS's placement decision is a [`Placement`], one of five built-in
+//! policies, so clusters can trade fault tolerance against cross-rack
+//! traffic:
 //!
 //! | policy | stripe blocks | rack failure | cross-rack update traffic |
 //! |---|---|---|---|
@@ -22,10 +23,17 @@
 //! multi-node failure intersects few stripes (the copyset argument of
 //! Cidon et al.).
 //!
-//! Every policy must map the `k + m` blocks of one stripe to distinct
-//! nodes. [`FlatRotate`] on a single rack is the default. A cluster takes
-//! a policy as `Arc<dyn PlacementPolicy>`, e.g. `Arc::new(RackAware)` or
-//! `Arc::new(Copyset::new(4))`; reports print its [`PlacementPolicy::name`].
+//! Every policy maps the `k + m` blocks of one stripe to distinct nodes.
+//! [`FlatRotate`] on a single rack is the default. A cluster takes a
+//! policy as a variant, e.g. `Placement::RackAware` or
+//! `Placement::Copyset { budget: 4 }`; reports print its
+//! [`Placement::name`].
+//!
+//! [`FlatRotate`]: Placement::FlatRotate
+//! [`RackAware`]: Placement::RackAware
+//! [`RackLocal`]: Placement::RackLocal
+//! [`CapacityWeighted`]: Placement::CapacityWeighted
+//! [`Copyset`]: Placement::Copyset
 
 use rscode::CodeParams;
 
@@ -65,7 +73,7 @@ impl RackMap {
     }
 
     /// Replaces the per-node capacity weights (builder-style). Weights are
-    /// relative: only ratios matter to [`CapacityWeighted`].
+    /// relative: only ratios matter to [`Placement::CapacityWeighted`].
     ///
     /// # Panics
     /// Panics if `weights.len()` differs from the node count or any weight
@@ -103,179 +111,92 @@ impl RackMap {
     }
 
     /// The smallest rack's size.
-    pub fn min_rack_size(&self) -> usize {
+    fn min_rack_size(&self) -> usize {
         self.members.iter().map(Vec::len).min().unwrap_or(0)
     }
 }
 
-/// An object-safe block-placement policy. Implementations must be pure
-/// functions of `(addr, code, racks)` — the layout caches nothing about
-/// them — and must place the `k + m` blocks of any one stripe on distinct
-/// nodes.
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
-    /// Display name (used in benches and tables).
-    fn name(&self) -> &str;
-
-    /// The OSD hosting `addr`.
-    fn node_of(&self, addr: BlockAddr, code: CodeParams, racks: &RackMap) -> usize;
-
-    /// Rejects shapes the policy cannot place (e.g. more blocks per rack
-    /// than the rack has nodes). The default only requires enough nodes.
-    fn check(&self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
-        if racks.nodes() < code.total() {
-            return Err(format!(
-                "{} nodes cannot hold RS({},{}) stripes",
-                racks.nodes(),
-                code.k(),
-                code.m()
-            ));
-        }
-        Ok(())
-    }
+/// A block-placement policy. Each is a pure function of
+/// `(addr, code, racks)` — the layout caches nothing about it — and places
+/// the `k + m` blocks of any one stripe on distinct nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Placement {
+    /// Topology-blind hash rotation over all nodes — the pre-policy
+    /// behaviour and the default. A stripe's blocks land on consecutive
+    /// nodes of a per-stripe-rotated ring, so load spreads evenly; racks
+    /// are ignored, so a rack failure can take out more than `m` blocks of
+    /// one stripe.
+    #[default]
+    FlatRotate,
+    /// Rack-fault-tolerant spread: consecutive blocks of a stripe
+    /// round-robin across racks, rotating within each rack, so any one
+    /// rack holds at most `⌈(k+m)/racks⌉` blocks of a stripe. Once
+    /// `racks ≥ ⌈(k+m)/m⌉` that bound drops to `m`, so a whole-rack
+    /// failure stays reconstructible.
+    RackAware,
+    /// Update-traffic-minimising placement: a stripe's `m` parity blocks
+    /// share one rack (rotated per stripe), so parity-delta forwarding —
+    /// the bulk of every logging method's background traffic — stays
+    /// behind a single top-of-rack switch; data blocks round-robin over the
+    /// remaining racks. The price is availability: losing the parity rack
+    /// costs all `m` parity blocks of the stripes homed there.
+    RackLocal,
+    /// Capacity-weighted placement over a (possibly heterogeneous) fleet:
+    /// each stripe samples its `k + m` nodes without replacement with
+    /// probability proportional to the node's capacity weight
+    /// ([`RackMap::weight_of`], filled from the [`crate::DiskFleet`] by
+    /// [`crate::ClusterConfig::rack_map`]).
+    ///
+    /// The sampler is the exponential-clocks form of weighted sampling
+    /// (Efraimidis–Spirakis): node `i` draws a deterministic per-stripe
+    /// uniform `u_i` and is ranked by `-ln(u_i) / w_i`; the stripe takes
+    /// the `k + m` smallest ranks. Big disks therefore absorb
+    /// proportionally more stripes, keeping every disk's *fill fraction*
+    /// (bytes placed / capacity) aligned instead of every disk's byte
+    /// count.
+    ///
+    /// **Documented fill bound** ([`Placement::FILL_SPREAD_BOUND`]): for
+    /// fleets with per-node weight ratios up to 4× and at least `2·(k+m)`
+    /// nodes, the max/min per-disk fill ratio stays under the bound once
+    /// enough stripes have been placed (the placement-bounds proptest pins
+    /// this across random fleets). The bound is loose by design — sampling
+    /// without replacement flattens extreme weights: a node cannot hold
+    /// more than one block of any stripe, so a disk weighted above
+    /// `W/(k+m)` of the total cannot be filled proportionally and the
+    /// spread degrades toward the weight ratio as `k + m` approaches the
+    /// node count.
+    CapacityWeighted,
+    /// Copyset placement: every stripe is confined to one of at most
+    /// `budget` fixed node groups ("copysets") of `k + m` nodes, rotating
+    /// blocks within the group. Fewer distinct co-location sets means a
+    /// simultaneous multi-node failure is overwhelmingly likely to hit
+    /// *zero* copysets in full — the blast radius caps at the stripes of
+    /// the few copysets the victims intersect — at the price of less
+    /// balanced rebuild fan-out.
+    ///
+    /// The number of distinct co-location sets an actual run produced is
+    /// reported per replay as
+    /// [`crate::replay::RunResult::copysets_used`] (a fault run can exceed
+    /// the budget only through rebuild relocations, which re-home blocks
+    /// onto arbitrary live nodes).
+    Copyset {
+        /// The most distinct copysets stripes may use. A zero budget is
+        /// rejected by [`Placement::check`], so it surfaces as a
+        /// [`crate::ConfigError`] at config validation, not as a panic.
+        budget: usize,
+    },
 }
 
-/// The per-stripe base hash every built-in policy rotates from.
+/// The per-stripe base hash every policy rotates from.
 fn stripe_base(addr: BlockAddr) -> u64 {
     (addr.volume as u64)
         .wrapping_mul(0x9e3779b97f4a7c15)
         .wrapping_add(addr.stripe.wrapping_mul(0xd1b54a32d192ed03))
 }
 
-/// Topology-blind hash rotation over all nodes — the pre-policy behaviour
-/// and the default. A stripe's blocks land on consecutive nodes of a
-/// per-stripe-rotated ring, so load spreads evenly; racks are ignored, so
-/// a rack failure can take out more than `m` blocks of one stripe.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlatRotate;
-
-impl PlacementPolicy for FlatRotate {
-    fn name(&self) -> &str {
-        "flat-rotate"
-    }
-
-    fn node_of(&self, addr: BlockAddr, _code: CodeParams, racks: &RackMap) -> usize {
-        ((stripe_base(addr) as usize) + addr.index as usize) % racks.nodes()
-    }
-}
-
-/// Rack-fault-tolerant spread: consecutive blocks of a stripe round-robin
-/// across racks, rotating within each rack, so any one rack holds at most
-/// `⌈(k+m)/racks⌉` blocks of a stripe. Once `racks ≥ ⌈(k+m)/m⌉` that bound
-/// drops to `m`, so a whole-rack failure stays reconstructible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RackAware;
-
-impl PlacementPolicy for RackAware {
-    fn name(&self) -> &str {
-        "rack-aware"
-    }
-
-    fn node_of(&self, addr: BlockAddr, _code: CodeParams, racks: &RackMap) -> usize {
-        let base = stripe_base(addr) as usize;
-        let nr = racks.racks();
-        let rack = (base + addr.index as usize) % nr;
-        let members = racks.members(rack);
-        // Blocks i and j land in the same rack iff i ≡ j (mod racks), so
-        // rotating by i / racks keeps same-rack blocks on distinct nodes as
-        // long as the per-rack block count fits the rack (see `check`).
-        let slot = (base / nr + addr.index as usize / nr) % members.len();
-        members[slot]
-    }
-
-    fn check(&self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
-        if racks.nodes() < code.total() {
-            return Err(format!(
-                "{} nodes cannot hold RS({},{}) stripes",
-                racks.nodes(),
-                code.k(),
-                code.m()
-            ));
-        }
-        let per_rack = code.total().div_ceil(racks.racks());
-        if per_rack > racks.min_rack_size() {
-            return Err(format!(
-                "rack-aware placement needs {} slots per rack but the smallest rack has {}",
-                per_rack,
-                racks.min_rack_size()
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Update-traffic-minimising placement: a stripe's `m` parity blocks share
-/// one rack (rotated per stripe), so parity-delta forwarding — the bulk of
-/// every logging method's background traffic — stays behind a single
-/// top-of-rack switch; data blocks round-robin over the remaining racks.
-/// The price is availability: losing the parity rack costs all `m` parity
-/// blocks of the stripes homed there.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RackLocal;
-
-impl PlacementPolicy for RackLocal {
-    fn name(&self) -> &str {
-        "rack-local"
-    }
-
-    fn node_of(&self, addr: BlockAddr, code: CodeParams, racks: &RackMap) -> usize {
-        let base = stripe_base(addr) as usize;
-        let nr = racks.racks();
-        if nr == 1 {
-            // Degenerate single-rack case: plain rotation (≡ FlatRotate).
-            return (base + addr.index as usize) % racks.nodes();
-        }
-        let parity_rack = base % nr;
-        let i = addr.index as usize;
-        let k = code.k();
-        if i >= k {
-            // Parity block p on the stripe's parity rack.
-            let members = racks.members(parity_rack);
-            let p = i - k;
-            return members[(base / nr + p) % members.len()];
-        }
-        // Data blocks round-robin over the other racks.
-        let rack = (parity_rack + 1 + (base + i) % (nr - 1)) % nr;
-        let members = racks.members(rack);
-        // Data blocks i and j share a rack iff i ≡ j (mod racks - 1).
-        let slot = (base / nr + i / (nr - 1)) % members.len();
-        members[slot]
-    }
-
-    fn check(&self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
-        if racks.nodes() < code.total() {
-            return Err(format!(
-                "{} nodes cannot hold RS({},{}) stripes",
-                racks.nodes(),
-                code.k(),
-                code.m()
-            ));
-        }
-        let nr = racks.racks();
-        if nr == 1 {
-            return Ok(());
-        }
-        if code.m() > racks.min_rack_size() {
-            return Err(format!(
-                "rack-local placement co-racks {} parity blocks but the smallest rack has {} nodes",
-                code.m(),
-                racks.min_rack_size()
-            ));
-        }
-        let data_per_rack = code.k().div_ceil(nr - 1);
-        if data_per_rack > racks.min_rack_size() {
-            return Err(format!(
-                "rack-local placement needs {} data slots per rack but the smallest rack has {}",
-                data_per_rack,
-                racks.min_rack_size()
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// A 64-bit mix of the stripe base and a node id (splitmix64 finaliser) —
-/// the per-(stripe, node) uniform draw [`CapacityWeighted`] keys its
-/// weighted sampling on.
+/// the per-(stripe, node) uniform draw [`Placement::CapacityWeighted`]
+/// keys its weighted sampling on.
 fn node_hash(base: u64, node: usize) -> u64 {
     let mut z = base ^ (node as u64).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -283,117 +204,109 @@ fn node_hash(base: u64, node: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Capacity-weighted placement over a (possibly heterogeneous) fleet: each
-/// stripe samples its `k + m` nodes without replacement with probability
-/// proportional to the node's capacity weight ([`RackMap::weight_of`],
-/// filled from the [`crate::DiskFleet`] by
-/// [`crate::ClusterConfig::rack_map`]).
-///
-/// The sampler is the exponential-clocks form of weighted sampling
-/// (Efraimidis–Spirakis): node `i` draws a deterministic per-stripe
-/// uniform `u_i` and is ranked by `-ln(u_i) / w_i`; the stripe takes the
-/// `k + m` smallest ranks. Big disks therefore absorb proportionally more
-/// stripes, keeping every disk's *fill fraction* (bytes placed / capacity)
-/// aligned instead of every disk's byte count.
-///
-/// **Documented fill bound** ([`Self::FILL_SPREAD_BOUND`]): for fleets
-/// with per-node weight ratios up to 4× and at least `2·(k+m)` nodes, the
-/// max/min per-disk fill ratio stays under the bound once enough stripes
-/// have been placed (the placement-bounds proptest pins this across
-/// random fleets). The bound is loose by design — sampling without
-/// replacement flattens extreme weights: a node cannot hold more than one
-/// block of any stripe, so a disk weighted above `W/(k+m)` of the total
-/// cannot be filled proportionally and the spread degrades toward the
-/// weight ratio as `k + m` approaches the node count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CapacityWeighted;
-
-impl CapacityWeighted {
-    /// Documented max/min fill-ratio bound (see the type-level docs for
-    /// the fleet shapes it covers).
+impl Placement {
+    /// Documented max/min fill-ratio bound of
+    /// [`Placement::CapacityWeighted`] (see its docs for the fleet shapes
+    /// it covers).
     pub const FILL_SPREAD_BOUND: f64 = 2.0;
-}
 
-impl PlacementPolicy for CapacityWeighted {
-    fn name(&self) -> &str {
-        "capacity-weighted"
+    /// Display name (used in benches and tables).
+    pub fn name(self) -> &'static str {
+        match self {
+            Placement::FlatRotate => "flat-rotate",
+            Placement::RackAware => "rack-aware",
+            Placement::RackLocal => "rack-local",
+            Placement::CapacityWeighted => "capacity-weighted",
+            Placement::Copyset { .. } => "copyset",
+        }
     }
 
-    fn node_of(&self, addr: BlockAddr, _code: CodeParams, racks: &RackMap) -> usize {
-        // The ranking depends only on the stripe, so the k+m calls for one
-        // stripe recompute it; the trait is a pure function (no cache), and
-        // at fleet sizes (tens of nodes) the sort is noise next to one
-        // simulated I/O.
-        let base = stripe_base(addr);
-        let n = racks.nodes();
-        let mut ranked: Vec<(f64, usize)> = (0..n)
-            .map(|i| {
-                // Uniform in (0, 1]: take 53 high bits, map 0 to 1.
-                let h = node_hash(base, i);
-                let u = ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
-                let key = -u.ln() / racks.weight_of(i) as f64;
-                (key, i)
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        ranked[addr.index as usize].1
+    /// The OSD hosting `addr`.
+    pub fn node_of(self, addr: BlockAddr, code: CodeParams, racks: &RackMap) -> usize {
+        match self {
+            Placement::FlatRotate => {
+                ((stripe_base(addr) as usize) + addr.index as usize) % racks.nodes()
+            }
+            Placement::RackAware => {
+                let base = stripe_base(addr) as usize;
+                let nr = racks.racks();
+                let rack = (base + addr.index as usize) % nr;
+                let members = racks.members(rack);
+                // Blocks i and j land in the same rack iff i ≡ j (mod
+                // racks), so rotating by i / racks keeps same-rack blocks
+                // on distinct nodes as long as the per-rack block count
+                // fits the rack (see `check`).
+                let slot = (base / nr + addr.index as usize / nr) % members.len();
+                members[slot]
+            }
+            Placement::RackLocal => {
+                let base = stripe_base(addr) as usize;
+                let nr = racks.racks();
+                if nr == 1 {
+                    // Degenerate single-rack case: plain rotation
+                    // (≡ FlatRotate).
+                    return (base + addr.index as usize) % racks.nodes();
+                }
+                let parity_rack = base % nr;
+                let i = addr.index as usize;
+                let k = code.k();
+                if i >= k {
+                    // Parity block p on the stripe's parity rack.
+                    let members = racks.members(parity_rack);
+                    let p = i - k;
+                    return members[(base / nr + p) % members.len()];
+                }
+                // Data blocks round-robin over the other racks.
+                let rack = (parity_rack + 1 + (base + i) % (nr - 1)) % nr;
+                let members = racks.members(rack);
+                // Data blocks i and j share a rack iff i ≡ j (mod racks - 1).
+                let slot = (base / nr + i / (nr - 1)) % members.len();
+                members[slot]
+            }
+            Placement::CapacityWeighted => {
+                // The ranking depends only on the stripe, so the k+m calls
+                // for one stripe recompute it; placement is a pure
+                // function (no cache), and at fleet sizes (tens of nodes)
+                // the sort is noise next to one simulated I/O.
+                let base = stripe_base(addr);
+                let n = racks.nodes();
+                let mut ranked: Vec<(f64, usize)> = (0..n)
+                    .map(|i| {
+                        // Uniform in (0, 1]: take 53 high bits, map 0 to 1.
+                        let h = node_hash(base, i);
+                        let u = ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+                        let key = -u.ln() / racks.weight_of(i) as f64;
+                        (key, i)
+                    })
+                    .collect();
+                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                ranked[addr.index as usize].1
+            }
+            Placement::Copyset { budget } => {
+                let base = stripe_base(addr);
+                let n = racks.nodes();
+                let total = code.total();
+                // The stripe's copyset: a run of `total` consecutive nodes
+                // whose start is one of `budget` evenly spaced anchors.
+                // `check` rejected budget 0 before any placement runs. The
+                // anchor's product is taken in u128, so no budget overflows
+                // it.
+                let cs = (base % budget as u64) as usize;
+                let start = (cs as u128 * n as u128 / budget as u128) as usize;
+                // Rotate blocks within the set (per-stripe) so every member
+                // takes each stripe role; the *set* of nodes stays the
+                // copyset.
+                let spin = (base / budget as u64) as usize;
+                (start + (addr.index as usize + spin) % total) % n
+            }
+        }
     }
-}
 
-/// Copyset placement: every stripe is confined to one of at most `budget`
-/// fixed node groups ("copysets") of `k + m` nodes, rotating blocks within
-/// the group. Fewer distinct co-location sets means a simultaneous
-/// multi-node failure is overwhelmingly likely to hit *zero* copysets in
-/// full — the blast radius caps at the stripes of the few copysets the
-/// victims intersect — at the price of less balanced rebuild fan-out.
-///
-/// The number of distinct co-location sets an actual run produced is
-/// reported per replay as
-/// [`crate::replay::RunResult::copysets_used`] (a fault run can exceed
-/// the budget only through rebuild relocations, which re-home blocks onto
-/// arbitrary live nodes).
-#[derive(Debug, Clone, Copy)]
-pub struct Copyset {
-    budget: usize,
-}
-
-impl Copyset {
-    /// A policy allowing at most `budget` distinct copysets. Construction
-    /// is infallible so a bad budget surfaces as the documented
-    /// [`crate::ConfigError`] at config-validation time
-    /// ([`PlacementPolicy::check`] rejects `budget == 0`), not a panic.
-    pub fn new(budget: usize) -> Copyset {
-        Copyset { budget }
-    }
-
-    /// The configured copyset budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-}
-
-impl PlacementPolicy for Copyset {
-    fn name(&self) -> &str {
-        "copyset"
-    }
-
-    fn node_of(&self, addr: BlockAddr, code: CodeParams, racks: &RackMap) -> usize {
-        let base = stripe_base(addr);
-        let n = racks.nodes();
-        let total = code.total();
-        // The stripe's copyset: a run of `total` consecutive nodes whose
-        // start is one of `budget` evenly spaced anchors. `check` rejected
-        // budget 0 before any placement runs.
-        let cs = (base % self.budget as u64) as usize;
-        let start = cs * n / self.budget;
-        // Rotate blocks within the set (per-stripe) so every member takes
-        // each stripe role; the *set* of nodes stays the copyset.
-        let spin = (base / self.budget as u64) as usize;
-        (start + (addr.index as usize + spin) % total) % n
-    }
-
-    fn check(&self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
-        if self.budget == 0 {
+    /// Rejects shapes the policy cannot place: a zero copyset budget, fewer
+    /// nodes than a stripe has blocks, or more blocks per rack than the
+    /// smallest rack has nodes.
+    pub fn check(self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
+        if self == (Placement::Copyset { budget: 0 }) {
             return Err("copyset budget must be at least 1".to_string());
         }
         if racks.nodes() < code.total() {
@@ -404,18 +317,44 @@ impl PlacementPolicy for Copyset {
                 code.m()
             ));
         }
+        let nr = racks.racks();
+        let smallest = racks.min_rack_size();
+        match self {
+            Placement::RackAware => {
+                let per_rack = code.total().div_ceil(nr);
+                if per_rack > smallest {
+                    return Err(format!(
+                        "rack-aware placement needs {per_rack} slots per rack but the smallest rack has {smallest}"
+                    ));
+                }
+            }
+            Placement::RackLocal if nr > 1 => {
+                if code.m() > smallest {
+                    return Err(format!(
+                        "rack-local placement co-racks {} parity blocks but the smallest rack has {smallest} nodes",
+                        code.m()
+                    ));
+                }
+                let data_per_rack = code.k().div_ceil(nr - 1);
+                if data_per_rack > smallest {
+                    return Err(format!(
+                        "rack-local placement needs {data_per_rack} data slots per rack but the smallest rack has {smallest}"
+                    ));
+                }
+            }
+            _ => {}
+        }
         Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
+    use Placement::{CapacityWeighted, Copyset, FlatRotate, RackAware, RackLocal};
 
     /// The weight-blind topology trio.
-    const TRIO: [&dyn PlacementPolicy; 3] = [&FlatRotate, &RackAware, &RackLocal];
+    const TRIO: [Placement; 3] = [FlatRotate, RackAware, RackLocal];
 
     fn addr(volume: u32, stripe: u64, index: u16) -> BlockAddr {
         BlockAddr {
@@ -426,7 +365,7 @@ mod tests {
     }
 
     fn stripe_nodes(
-        policy: &dyn PlacementPolicy,
+        policy: Placement,
         code: CodeParams,
         racks: &RackMap,
         volume: u32,
@@ -437,7 +376,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_distinct(policy: &dyn PlacementPolicy, code: CodeParams, racks: &RackMap) {
+    fn assert_distinct(policy: Placement, code: CodeParams, racks: &RackMap) {
         for volume in 0..3u32 {
             for stripe in 0..200u64 {
                 let nodes = stripe_nodes(policy, code, racks, volume, stripe);
@@ -447,8 +386,7 @@ mod tests {
                 assert_eq!(
                     sorted.len(),
                     code.total(),
-                    "{} vol {volume} stripe {stripe}: {nodes:?}",
-                    policy.name()
+                    "{policy:?} vol {volume} stripe {stripe}: {nodes:?}"
                 );
             }
         }
@@ -479,13 +417,26 @@ mod tests {
     #[test]
     fn all_policies_place_stripes_on_distinct_nodes() {
         let code = CodeParams::new(6, 3).unwrap();
+        let copysets = [1, 3, 7].map(|budget| Copyset { budget });
         for racks in [1usize, 2, 3, 4] {
-            let rm = RackMap::contiguous(16, racks);
-            for policy in TRIO {
+            // Weighted, so capacity-weighted sampling sees a skewed fleet;
+            // the other policies ignore weights.
+            let rm = RackMap::contiguous(16, racks)
+                .with_node_weights((0..16).map(|n| 1 + n as u64 % 4).collect());
+            for policy in TRIO.into_iter().chain([CapacityWeighted]).chain(copysets) {
                 policy.check(code, &rm).unwrap();
                 assert_distinct(policy, code, &rm);
             }
         }
+    }
+
+    #[test]
+    fn copyset_anchor_does_not_overflow_at_the_largest_budget() {
+        let code = CodeParams::new(6, 3).unwrap();
+        let rm = RackMap::contiguous(16, 1);
+        let policy = Copyset { budget: usize::MAX };
+        policy.check(code, &rm).unwrap();
+        assert_distinct(policy, code, &rm);
     }
 
     #[test]
@@ -529,7 +480,7 @@ mod tests {
         let rm = RackMap::contiguous(16, 4);
         let cap = code.total().div_ceil(4); // 3
         for stripe in 0..200u64 {
-            let nodes = stripe_nodes(&RackAware, code, &rm, 0, stripe);
+            let nodes = stripe_nodes(RackAware, code, &rm, 0, stripe);
             let mut per_rack = vec![0usize; 4];
             for n in nodes {
                 per_rack[rm.rack_of(n)] += 1;
@@ -550,7 +501,7 @@ mod tests {
         let rm = RackMap::contiguous(16, 4);
         let mut parity_racks_seen = std::collections::HashSet::new();
         for stripe in 0..100u64 {
-            let nodes = stripe_nodes(&RackLocal, code, &rm, 0, stripe);
+            let nodes = stripe_nodes(RackLocal, code, &rm, 0, stripe);
             let parity_racks: Vec<usize> =
                 nodes[code.k()..].iter().map(|&n| rm.rack_of(n)).collect();
             assert!(
@@ -586,21 +537,24 @@ mod tests {
 
     #[test]
     fn policy_names_are_report_keys() {
-        let names: Vec<&str> = TRIO.iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["flat-rotate", "rack-aware", "rack-local"]);
-        assert_eq!(CapacityWeighted.name(), "capacity-weighted");
-        assert_eq!(Copyset::new(4).name(), "copyset");
-    }
-
-    #[test]
-    fn resource_policies_place_stripes_on_distinct_nodes() {
-        let code = CodeParams::new(6, 3).unwrap();
-        let weighted = RackMap::contiguous(16, 1)
-            .with_node_weights((0..16).map(|n| 1 + n as u64 % 4).collect());
-        assert_distinct(&CapacityWeighted, code, &weighted);
-        for budget in [1usize, 3, 7] {
-            assert_distinct(&Copyset::new(budget), code, &weighted);
-        }
+        let names = [
+            FlatRotate,
+            RackAware,
+            RackLocal,
+            CapacityWeighted,
+            Copyset { budget: 4 },
+        ]
+        .map(Placement::name);
+        assert_eq!(
+            names,
+            [
+                "flat-rotate",
+                "rack-aware",
+                "rack-local",
+                "capacity-weighted",
+                "copyset"
+            ]
+        );
     }
 
     #[test]
@@ -614,7 +568,7 @@ mod tests {
         let mut light = [0usize; 15];
         let stripes = 600u64;
         for stripe in 0..stripes {
-            for n in stripe_nodes(&CapacityWeighted, code, &rm, 0, stripe) {
+            for n in stripe_nodes(CapacityWeighted, code, &rm, 0, stripe) {
                 if n == 0 {
                     heavy += 1;
                 } else {
@@ -630,8 +584,8 @@ mod tests {
         // Fill fraction (blocks per unit weight) stays aligned.
         let fill_heavy = heavy as f64 / 4.0;
         assert!(
-            (fill_heavy / light_mean) < CapacityWeighted::FILL_SPREAD_BOUND
-                && (light_mean / fill_heavy) < CapacityWeighted::FILL_SPREAD_BOUND,
+            (fill_heavy / light_mean) < Placement::FILL_SPREAD_BOUND
+                && (light_mean / fill_heavy) < Placement::FILL_SPREAD_BOUND,
             "fill skewed: heavy {fill_heavy:.0} vs light {light_mean:.0}"
         );
     }
@@ -641,11 +595,11 @@ mod tests {
         let code = CodeParams::new(6, 3).unwrap();
         let rm = RackMap::contiguous(16, 1);
         for budget in [1usize, 2, 4, 6] {
-            let policy = Copyset::new(budget);
+            let policy = Copyset { budget };
             policy.check(code, &rm).unwrap();
             let mut sets = std::collections::HashSet::new();
             for stripe in 0..300u64 {
-                let mut nodes = stripe_nodes(&policy, code, &rm, 0, stripe);
+                let mut nodes = stripe_nodes(policy, code, &rm, 0, stripe);
                 nodes.sort_unstable();
                 sets.insert(nodes);
             }
@@ -665,12 +619,13 @@ mod tests {
     fn copyset_rejects_zero_budget_and_tiny_clusters() {
         let code = CodeParams::new(12, 4).unwrap();
         let rm = RackMap::contiguous(8, 1);
-        // Construction is infallible; the zero budget is rejected fallibly
-        // at check time, so config validation reports it as a ConfigError.
-        assert!(Copyset::new(0)
+        // The budget is a plain field; the zero budget is rejected
+        // fallibly at check time, so config validation reports it as a
+        // ConfigError.
+        assert!(Copyset { budget: 0 }
             .check(code, &RackMap::contiguous(16, 1))
             .is_err());
-        assert!(Copyset::new(3).check(code, &rm).is_err());
+        assert!(Copyset { budget: 3 }.check(code, &rm).is_err());
     }
 
     #[test]
@@ -678,7 +633,7 @@ mod tests {
         let err = crate::ClusterConfig::builder()
             .code(CodeParams::new(6, 3).unwrap())
             .method(crate::methods::Method::Tsue)
-            .placement(Arc::new(Copyset::new(0)))
+            .placement(Copyset { budget: 0 })
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");

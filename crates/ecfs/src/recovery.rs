@@ -14,7 +14,7 @@
 //! leaves almost nothing to drain and recovers at FO-like speed.
 //!
 //! Rack drills add the topology dimension: whether a rack failure is
-//! recoverable at all depends on the [`crate::placement::PlacementPolicy`]
+//! recoverable at all depends on the [`crate::placement::Placement`]
 //! (rack-aware placement bounds a stripe's per-rack block count; the flat
 //! default does not), and the rebuild streams cross the spine, so the
 //! drill reports its spine traffic alongside the timing breakdown.

@@ -489,7 +489,7 @@ pub struct RunResult {
     pub wear_spread: f64,
     /// Distinct stripe co-location sets the run left behind
     /// ([`crate::layout::Layout::distinct_copysets`]) — bounded by the
-    /// budget under a [`crate::placement::Copyset`] policy (modulo rebuild
+    /// budget under a [`crate::Placement::Copyset`] policy (modulo rebuild
     /// relocations), stripe-count-scale under rotation placements.
     pub copysets_used: usize,
     /// Media GiB scanned by the scrub policy (0 when no plan armed).

@@ -133,7 +133,7 @@ fn cluster_builder_rejects_with_reasons() {
         .code(code64())
         .method(Method::Fo)
         .racks(8)
-        .placement(Arc::new(RackLocal))
+        .placement(Placement::RackLocal)
         .build()
         .unwrap_err();
     assert!(err.to_string().contains("rack-local"), "{err}");
@@ -146,7 +146,7 @@ fn cluster_builder_topology_overrides_apply() {
         .method(Method::Tsue)
         .racks(4)
         .oversubscription(4.0)
-        .placement(Arc::new(RackAware))
+        .placement(Placement::RackAware)
         .build()
         .unwrap();
     assert_eq!(cfg.racks, 4);

@@ -5,12 +5,7 @@
 use ecfs::prelude::*;
 use proptest::prelude::*;
 
-fn stripe_nodes(
-    policy: &dyn PlacementPolicy,
-    code: CodeParams,
-    racks: &RackMap,
-    stripe: u64,
-) -> Vec<usize> {
+fn stripe_nodes(policy: Placement, code: CodeParams, racks: &RackMap, stripe: u64) -> Vec<usize> {
     (0..code.total() as u16)
         .map(|index| {
             policy.node_of(
@@ -41,12 +36,12 @@ proptest! {
     ) {
         let code = CodeParams::new(4, 2).unwrap();
         let rm = RackMap::contiguous(nodes, 1).with_node_weights(weights[..nodes].to_vec());
-        let policy = CapacityWeighted;
+        let policy = Placement::CapacityWeighted;
         policy.check(code, &rm).unwrap();
         let stripes = 600u64;
         let mut count = vec![0u64; nodes];
         for stripe in 0..stripes {
-            let placed = stripe_nodes(&policy, code, &rm, stripe);
+            let placed = stripe_nodes(policy, code, &rm, stripe);
             let mut sorted = placed.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -62,10 +57,10 @@ proptest! {
         let min = fills.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert!(min > 0.0, "some disk got no blocks at all: {:?}", count);
         prop_assert!(
-            max / min < CapacityWeighted::FILL_SPREAD_BOUND,
+            max / min < Placement::FILL_SPREAD_BOUND,
             "fill spread {:.2} exceeds the documented bound {} (weights {:?}, counts {:?})",
             max / min,
-            CapacityWeighted::FILL_SPREAD_BOUND,
+            Placement::FILL_SPREAD_BOUND,
             &weights[..nodes],
             count
         );
@@ -81,11 +76,11 @@ proptest! {
     ) {
         let code = CodeParams::new(4, 2).unwrap();
         let rm = RackMap::contiguous(nodes, 1);
-        let policy = Copyset::new(budget);
+        let policy = Placement::Copyset { budget };
         policy.check(code, &rm).unwrap();
         let mut sets = std::collections::HashSet::new();
         for stripe in 0..300u64 {
-            let mut placed = stripe_nodes(&policy, code, &rm, stripe);
+            let mut placed = stripe_nodes(policy, code, &rm, stripe);
             placed.sort_unstable();
             placed.dedup();
             prop_assert_eq!(placed.len(), code.total(), "stripe {} co-located blocks", stripe);
@@ -111,7 +106,7 @@ proptest! {
         let rm = RackMap::contiguous(nodes, 1).with_node_weights(weights);
         let mut count = vec![0u64; nodes];
         for stripe in 0..600u64 {
-            for n in stripe_nodes(&CapacityWeighted, code, &rm, stripe) {
+            for n in stripe_nodes(Placement::CapacityWeighted, code, &rm, stripe) {
                 count[n] += 1;
             }
         }

@@ -16,7 +16,7 @@ fn main() {
     cluster.clients = 8;
     cluster.racks = 4;
     cluster.oversubscription = 2.0;
-    cluster.placement = Arc::new(RackAware);
+    cluster.placement = Placement::RackAware;
 
     // Rack 1 dies 40 ms into the replay (well after its blocks are
     // populated); detection takes another 20 ms, and repair is throttled

@@ -62,15 +62,12 @@ fn main() {
     // at m, the topology-blind default does not.
     println!("\nrack drill: 16 nodes in 4 racks (4:1 spine), rack 1 fails; RS(6,3), SSD\n");
     let code = CodeParams::new(6, 3).unwrap();
-    for placement in [
-        Arc::new(RackAware) as Arc<dyn PlacementPolicy>,
-        Arc::new(FlatRotate),
-    ] {
+    for placement in [Placement::RackAware, Placement::FlatRotate] {
         let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
         cluster.clients = 8;
         cluster.racks = 4;
         cluster.oversubscription = 4.0;
-        cluster.placement = Arc::clone(&placement);
+        cluster.placement = placement;
         let mut rcfg = ReplayConfig::new(cluster, TraceFamily::AliCloud);
         rcfg.ops_per_client = 300;
         rcfg.volume_bytes = 96 << 20;

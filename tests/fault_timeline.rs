@@ -18,7 +18,7 @@ fn racked_replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     let mut r = replay(method, clients, ops);
     r.cluster.racks = 4;
     r.cluster.oversubscription = 2.0;
-    r.cluster.placement = Arc::new(RackAware);
+    r.cluster.placement = Placement::RackAware;
     r
 }
 
@@ -333,7 +333,7 @@ fn flat_rotate_rack_failure_reports_data_loss() {
     let mut any_loss = false;
     for rack in 0..4 {
         let mut rcfg = racked_replay(Method::Fo, 4, 150);
-        rcfg.cluster.placement = Arc::new(FlatRotate);
+        rcfg.cluster.placement = Placement::FlatRotate;
         rcfg.faults = FaultPlan::new().fail_rack(FAULT_AT, rack);
         let r = Replay::run(&rcfg).result;
         if r.data_loss_blocks > 0 || r.failed_ops > 0 {

@@ -21,7 +21,7 @@ fn skewed_fleet() -> DiskFleet {
     )
 }
 
-fn skewed_replay(placement: Arc<dyn PlacementPolicy>) -> ReplayConfig {
+fn skewed_replay(placement: Placement) -> ReplayConfig {
     let code = CodeParams::new(6, 3).unwrap();
     let mut cluster = ClusterConfig::ssd_testbed(code, Method::Tsue);
     cluster.clients = 6;
@@ -42,8 +42,8 @@ fn skewed_replay(placement: Arc<dyn PlacementPolicy>) -> ReplayConfig {
 /// stripes away from it.
 #[test]
 fn capacity_weighted_shifts_placement_off_the_small_disk() {
-    let (_, flat) = run_update_phase(&skewed_replay(Arc::new(FlatRotate)));
-    let (_, capw) = run_update_phase(&skewed_replay(Arc::new(CapacityWeighted)));
+    let (_, flat) = run_update_phase(&skewed_replay(Placement::FlatRotate));
+    let (_, capw) = run_update_phase(&skewed_replay(Placement::CapacityWeighted));
 
     let allocated = |cl: &Cluster| -> (u64, f64) {
         let on_small = cl.layout.allocated(0);
@@ -88,7 +88,7 @@ fn capacity_weighted_shifts_placement_off_the_small_disk() {
         "flat must overfill the small disk: ratio {flat_fill_ratio:.2}"
     );
     assert!(
-        capw_fill_ratio < CapacityWeighted::FILL_SPREAD_BOUND,
+        capw_fill_ratio < Placement::FILL_SPREAD_BOUND,
         "capacity weighting must keep the small disk near the fleet fill: \
          ratio {capw_fill_ratio:.2}"
     );
@@ -133,7 +133,7 @@ fn recovery_runs_at_target_disk_rates() {
 /// The fleet-resource metrics surface through `RunResult` on every run.
 #[test]
 fn run_result_reports_fill_wear_and_copysets() {
-    let r = Replay::run(&skewed_replay(Arc::new(FlatRotate))).result;
+    let r = Replay::run(&skewed_replay(Placement::FlatRotate)).result;
     assert_eq!(r.oracle_violations, 0);
     assert!(r.disk_fill_max >= r.disk_fill_min && r.disk_fill_min > 0.0);
     assert!(r.disk_fill_max < 1.0, "nothing overflows in a short run");
@@ -147,7 +147,7 @@ fn run_result_reports_fill_wear_and_copysets() {
 
     // A copyset policy bounds the co-location sets end to end.
     let budget = 5;
-    let copy = Replay::run(&skewed_replay(Arc::new(Copyset::new(budget)))).result;
+    let copy = Replay::run(&skewed_replay(Placement::Copyset { budget })).result;
     assert_eq!(copy.oracle_violations, 0);
     assert!(
         copy.copysets_used <= budget,

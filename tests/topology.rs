@@ -13,12 +13,7 @@ fn replay(method: Method, clients: u64, ops: usize) -> ReplayConfig {
     r
 }
 
-fn racked_replay(
-    method: Method,
-    placement: Arc<dyn PlacementPolicy>,
-    racks: usize,
-    oversub: f64,
-) -> ReplayConfig {
+fn racked_replay(method: Method, placement: Placement, racks: usize, oversub: f64) -> ReplayConfig {
     let mut r = replay(method, 8, 200);
     r.cluster.racks = racks;
     r.cluster.oversubscription = oversub;
@@ -93,7 +88,7 @@ fn flat_topology_reproduces_pre_refactor_goldens() {
 fn per_tier_traffic_partitions_the_total() {
     // On a racked fabric the two tiers must partition the totals exactly,
     // and both tiers must actually carry traffic.
-    let rcfg = racked_replay(Method::Tsue, Arc::new(RackAware), 4, 4.0);
+    let rcfg = racked_replay(Method::Tsue, Placement::RackAware, 4, 4.0);
     let (_, cl) = run_update_phase(&rcfg);
     let t = cl.net.traffic();
     assert_eq!(t.intra_rack_bytes() + t.cross_rack_bytes(), t.total_bytes());
@@ -114,8 +109,8 @@ fn per_tier_traffic_partitions_the_total() {
 fn oversubscription_slows_cross_rack_replay() {
     // The same racked workload under a starved spine must take longer in
     // simulated time (identical op mix, shared uplinks serialise).
-    let fat = Replay::run(&racked_replay(Method::Fo, Arc::new(RackAware), 4, 1.0)).result;
-    let thin = Replay::run(&racked_replay(Method::Fo, Arc::new(RackAware), 4, 16.0)).result;
+    let fat = Replay::run(&racked_replay(Method::Fo, Placement::RackAware, 4, 1.0)).result;
+    let thin = Replay::run(&racked_replay(Method::Fo, Placement::RackAware, 4, 16.0)).result;
     assert_eq!(fat.completed_updates, thin.completed_updates);
     assert!(
         thin.duration_s > fat.duration_s,
@@ -132,7 +127,7 @@ fn rack_failure_recovers_under_rack_aware_placement() {
     // most 3 = m blocks of any stripe per rack, so a whole-rack failure is
     // reconstructible from the surviving racks.
     for method in [Method::Tsue, Method::Fo] {
-        let rcfg = racked_replay(method, Arc::new(RackAware), 4, 2.0);
+        let rcfg = racked_replay(method, Placement::RackAware, 4, 2.0);
         let (mut sim, mut cl) = run_update_phase(&rcfg);
         let res = recover_rack(&mut sim, &mut cl, 1).expect("rack failure must be recoverable");
         assert!(res.blocks > 0, "{method:?}: rack 1 hosted no blocks");
@@ -170,7 +165,7 @@ fn rack_failure_under_flat_rotate_loses_data() {
     for rack in 0..4 {
         // A fresh cluster per drill: recovery state accumulates, and a
         // second drill on a half-dead cluster would fail under any policy.
-        let rcfg = racked_replay(Method::Fo, Arc::new(FlatRotate), 4, 2.0);
+        let rcfg = racked_replay(Method::Fo, Placement::FlatRotate, 4, 2.0);
         let (mut sim, mut cl) = run_update_phase(&rcfg);
         if let Err(e) = recover_rack(&mut sim, &mut cl, rack) {
             assert!(e.survivors < e.needed);
@@ -187,7 +182,7 @@ fn rack_failure_under_flat_rotate_loses_data() {
 
 #[test]
 fn single_node_recovery_still_works_on_racked_clusters() {
-    let rcfg = racked_replay(Method::Pl, Arc::new(RackLocal), 4, 4.0);
+    let rcfg = racked_replay(Method::Pl, Placement::RackLocal, 4, 4.0);
     let (mut sim, mut cl) = run_update_phase(&rcfg);
     let res = recover_node(&mut sim, &mut cl, 5);
     assert!(res.blocks > 0);
@@ -200,7 +195,7 @@ fn sequential_drills_compose() {
     // Drills must compose: blocks rebuilt by drill 1 are re-homed in the
     // layout, so drill 2 counts them as survivors at their new location
     // and never books reads against the dead node.
-    let rcfg = racked_replay(Method::Fo, Arc::new(RackAware), 4, 2.0);
+    let rcfg = racked_replay(Method::Fo, Placement::RackAware, 4, 2.0);
     let (mut sim, mut cl) = run_update_phase(&rcfg);
     let first = recover_node(&mut sim, &mut cl, 4);
     assert!(first.blocks > 0);
@@ -224,8 +219,8 @@ fn sequential_drills_compose() {
 fn rack_local_cuts_tsue_spine_traffic_vs_rack_aware() {
     // The acceptance shape of the topology refactor, at test scale: TSUE's
     // parity→parity pipeline stays in-rack under rack-local placement.
-    let aware = Replay::run(&racked_replay(Method::Tsue, Arc::new(RackAware), 4, 4.0)).result;
-    let local = Replay::run(&racked_replay(Method::Tsue, Arc::new(RackLocal), 4, 4.0)).result;
+    let aware = Replay::run(&racked_replay(Method::Tsue, Placement::RackAware, 4, 4.0)).result;
+    let local = Replay::run(&racked_replay(Method::Tsue, Placement::RackLocal, 4, 4.0)).result;
     assert_eq!(aware.oracle_violations, 0);
     assert_eq!(local.oracle_violations, 0);
     assert!(
