@@ -119,14 +119,13 @@ impl RackMap {
 /// A block-placement policy. Each is a pure function of
 /// `(addr, code, racks)` — the layout caches nothing about it — and places
 /// the `k + m` blocks of any one stripe on distinct nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Topology-blind hash rotation over all nodes — the pre-policy
     /// behaviour and the default. A stripe's blocks land on consecutive
     /// nodes of a per-stripe-rotated ring, so load spreads evenly; racks
     /// are ignored, so a rack failure can take out more than `m` blocks of
     /// one stripe.
-    #[default]
     FlatRotate,
     /// Rack-fault-tolerant spread: consecutive blocks of a stripe
     /// round-robin across racks, rotating within each rack, so any one
@@ -306,7 +305,7 @@ impl Placement {
     /// nodes than a stripe has blocks, or more blocks per rack than the
     /// smallest rack has nodes.
     pub fn check(self, code: CodeParams, racks: &RackMap) -> Result<(), String> {
-        if self == (Placement::Copyset { budget: 0 }) {
+        if matches!(self, Placement::Copyset { budget: 0 }) {
             return Err("copyset budget must be at least 1".to_string());
         }
         if racks.nodes() < code.total() {
