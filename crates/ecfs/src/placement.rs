@@ -416,13 +416,24 @@ mod tests {
     #[test]
     fn all_policies_place_stripes_on_distinct_nodes() {
         let code = CodeParams::new(6, 3).unwrap();
+        for racks in [1usize, 2, 3, 4] {
+            let rm = RackMap::contiguous(16, racks);
+            for policy in TRIO {
+                policy.check(code, &rm).unwrap();
+                assert_distinct(policy, code, &rm);
+            }
+        }
+    }
+
+    #[test]
+    fn resource_policies_place_stripes_on_distinct_nodes() {
+        let code = CodeParams::new(6, 3).unwrap();
         let copysets = [1, 3, 7].map(|budget| Copyset { budget });
         for racks in [1usize, 2, 3, 4] {
-            // Weighted, so capacity-weighted sampling sees a skewed fleet;
-            // the other policies ignore weights.
+            // Weighted, so capacity-weighted sampling sees a skewed fleet.
             let rm = RackMap::contiguous(16, racks)
                 .with_node_weights((0..16).map(|n| 1 + n as u64 % 4).collect());
-            for policy in TRIO.into_iter().chain([CapacityWeighted]).chain(copysets) {
+            for policy in [CapacityWeighted].into_iter().chain(copysets) {
                 policy.check(code, &rm).unwrap();
                 assert_distinct(policy, code, &rm);
             }
