@@ -127,7 +127,7 @@ pub fn sweep() -> Sweep<Label> {
                 // TSUE's diurnal none/full pair also runs at the other
                 // seeds, for the wear check.
                 let wear = curve_name == "diurnal" && matches!(plan_name, "none" | "full");
-                let seeds = if wear && method.name() == "TSUE" {
+                let seeds = if wear && method == Method::Tsue {
                     WEAR_SEEDS
                 } else {
                     1

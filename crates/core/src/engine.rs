@@ -31,7 +31,9 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rscode::{delta::data_delta, CodeParams, ReedSolomon};
 
 use crate::index::MergeMode;
-use crate::layers::{group_delta_jobs, union_ranges, BlockId, LogPoolSet, ParityKey, StripeBlock};
+use crate::layers::{
+    group_delta_jobs, union_ranges, BlockId, Layer, LogPoolSet, ParityKey, StripeBlock,
+};
 use crate::payload::{Data, Payload};
 use crate::pool::{AppendOutcome, PoolConfig, TakenUnit};
 
@@ -510,15 +512,6 @@ fn accumulate(
     accs.into_iter().map(Data::from_vec).collect()
 }
 
-/// The log layer an append targets (see [`Shared::append_with_backpressure`]),
-/// in pipeline order (the index of its [`EngineStats::recycled`] slot).
-#[derive(Clone, Copy)]
-enum Layer {
-    Data,
-    Delta,
-    Parity,
-}
-
 /// Exact counters of the engine's back-pressure protocol (see
 /// [`TsueEngine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -537,7 +530,7 @@ pub struct EngineStats {
     /// Units recycled inline by an appender stalled on back-pressure (the
     /// writer, or a recycler forwarding to a full downstream layer).
     pub inline_recycles: u64,
-    /// Units recycled per layer: DataLog, DeltaLog, ParityLog.
+    /// Units recycled per [`Layer`]: DataLog, DeltaLog, ParityLog.
     pub recycled: [u64; 3],
     /// Delta bytes × parity rows the DeltaLog recycle sent through the
     /// GF(2⁸) multiply (a coefficient other than 0 or 1). At most `m - 1`

@@ -29,6 +29,25 @@ use crate::unit::UnitState;
 /// inode, stripe and block numbers).
 pub type BlockId = u64;
 
+/// One of the three log layers, in pipeline order. It indexes the
+/// per-layer slots both executors keep: the engine's recycle counters
+/// ([`crate::engine::EngineStats::recycled`]) and a simulated driver's
+/// per-layer ledgers and residency histograms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The DataLog: update data, on the data block's node.
+    Data,
+    /// The DeltaLog: data deltas, on the stripe's first parity node.
+    Delta,
+    /// The ParityLog: parity deltas, on each parity block's node.
+    Parity,
+}
+
+impl Layer {
+    /// Every layer, in pipeline order.
+    pub const ALL: [Layer; 3] = [Layer::Data, Layer::Delta, Layer::Parity];
+}
+
 /// DeltaLog key: one data block within one stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StripeBlock {

@@ -60,15 +60,15 @@ pub(crate) fn serve_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCt
     let client_ep = cl.cfg.client_endpoint(ctx.client);
     let t_arrive = cl.ack(ctx.start_at, client_ep, node);
     let t_done = cl.send(t_arrive, node, client_ep, slice.len as u64);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::CacheHit, t_arrive),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish(sim, ctx, t_done);
     true
 }
 

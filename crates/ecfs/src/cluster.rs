@@ -1,9 +1,13 @@
 //! The simulated cluster: OSD nodes, network, metrics, and the consistency
 //! oracle shared by every update-method driver.
+//!
+//! Drivers book I/O through its crate-private verbs (`rmw`, `log_append`,
+//! `fold`, `move_block`, `rehome`; see [`crate::methods`]) and end each
+//! slice in `finish` with its trace marks, whose last mark is its ack.
 
 use simdes::stats::{Histogram, SampleLog, TimeSeries};
 use simdes::{Sim, SimTime};
-use simdisk::{Disk, IoOp};
+use simdisk::{Disk, IoOp, Pattern};
 use simnet::{FlowClass, NetConfig, Network};
 
 use traces::OpKind;
@@ -18,62 +22,9 @@ use crate::methods::{NodeState, OwnState, UpdateCtx};
 use crate::replay::{self, ClientLoop};
 use crate::telemetry::{OpClass, Stage, TraceState, UtilKind};
 
-/// A half-open byte interval set with merging — the consistency oracle's
-/// bookkeeping unit.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalSet {
-    /// Sorted, disjoint `(start, end)` intervals.
-    spans: Vec<(u64, u64)>,
-}
-
-impl IntervalSet {
-    /// Inserts `[start, end)`, merging overlaps.
-    pub fn insert(&mut self, start: u64, end: u64) {
-        assert!(start < end, "empty interval");
-        let idx = self.spans.partition_point(|&(_, e)| e < start);
-        let mut new = (start, end);
-        let mut remove_to = idx;
-        while remove_to < self.spans.len() && self.spans[remove_to].0 <= new.1 {
-            new.0 = new.0.min(self.spans[remove_to].0);
-            new.1 = new.1.max(self.spans[remove_to].1);
-            remove_to += 1;
-        }
-        if remove_to == idx {
-            self.spans.insert(idx, new);
-        } else {
-            self.spans[idx] = new;
-            self.spans.drain(idx + 1..remove_to);
-        }
-    }
-
-    /// Whether `[start, end)` is fully covered.
-    pub fn covers(&self, start: u64, end: u64) -> bool {
-        // The only candidate is the first span whose end reaches `end`;
-        // spans are disjoint, so any earlier span ends before `end` and any
-        // later span starts after it.
-        let idx = self.spans.partition_point(|&(_, e)| e < end);
-        self.spans
-            .get(idx)
-            .is_some_and(|&(s, e)| s <= start && end <= e)
-    }
-
-    /// Whether this set covers every interval of `other`.
-    pub fn covers_all(&self, other: &IntervalSet) -> bool {
-        other.spans.iter().all(|&(s, e)| self.covers(s, e))
-    }
-
-    /// Total bytes covered.
-    #[cfg(test)]
-    fn total(&self) -> u64 {
-        self.spans.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Number of disjoint spans.
-    #[cfg(test)]
-    fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-}
+/// The consistency oracle's bookkeeping unit: a merging set of half-open
+/// byte intervals.
+pub use simdes::stats::IntervalSet;
 
 /// Residency timing per log layer (paper Table 2).
 #[derive(Debug, Clone, Default)]
@@ -113,7 +64,7 @@ pub struct Metrics {
     /// Reads served from the node-local read cache (memory, no disk).
     pub cache_hits: u64,
     /// Residency per TSUE log layer, indexed by
-    /// [`crate::methods::tsue_drv::Layer`].
+    /// [`tsue::layers::Layer`].
     pub residency: [LayerResidency; 3],
     /// Reads served by decoding the lost block from `k` survivors.
     pub degraded_reads: u64,
@@ -400,6 +351,83 @@ impl Cluster {
         done
     }
 
+    /// Books a read-modify-write of `len` bytes at `dev_off` on `node` from
+    /// `t`: a random read, then the random write that depends on it.
+    /// Returns the write's completion.
+    pub(crate) fn rmw(&mut self, node: usize, t: SimTime, dev_off: u64, len: u64) -> SimTime {
+        let t_read = self.disk_io(node, t, IoOp::read(dev_off, len, Pattern::Random));
+        self.disk_io(node, t_read, IoOp::write(dev_off, len, Pattern::Random))
+    }
+
+    /// Appends `len` bytes to `node`'s log region from `t`: one sequential
+    /// write at [`Self::log_offset`]. Returns its completion.
+    pub(crate) fn log_append(&mut self, node: usize, t: SimTime, len: u64) -> SimTime {
+        let off = self.log_offset(node, len);
+        self.disk_io(node, t, IoOp::write(off, len, Pattern::Sequential))
+    }
+
+    /// Folds `[off, off + len)` of `addr`, logged on `from`, into the block
+    /// from `t`: at the block's current home, which a rebuild may have moved
+    /// off `from` (the range then crosses the network first), one
+    /// [`Self::rmw`], then the oracle's data or parity apply. Returns the
+    /// write's completion.
+    pub(crate) fn fold(
+        &mut self,
+        from: usize,
+        t: SimTime,
+        addr: BlockAddr,
+        off: u32,
+        len: u32,
+    ) -> SimTime {
+        let (home, dev) = self.layout.locate(addr);
+        let bytes = u64::from(len);
+        let t_at = if home == from {
+            t
+        } else {
+            self.send(t, from, home, bytes)
+        };
+        let done = self.rmw(home, t_at, dev + u64::from(off), bytes);
+        if addr.is_data(self.cfg.code) {
+            self.oracle_apply_data(addr, off, len);
+        } else {
+            self.oracle_apply_parity(addr, off, len);
+        }
+        done
+    }
+
+    /// Moves `addr`, held on `from` at `dev_off`, to `target` from `t`: a
+    /// sequential read of its [`Layout::span`], a repair-class transfer,
+    /// then [`Self::rehome`]. Returns when the copy lands.
+    pub(crate) fn move_block(
+        &mut self,
+        t: SimTime,
+        addr: BlockAddr,
+        from: usize,
+        dev_off: u64,
+        target: usize,
+    ) -> SimTime {
+        let span = self.layout.span(addr);
+        let t_read = self.disk_io(from, t, IoOp::read(dev_off, span, Pattern::Sequential));
+        let t_net = self.send_repair(t_read, from, target, span);
+        self.rehome(t_net, addr, target, span)
+    }
+
+    /// Writes `len` bytes of `addr` into `target`'s log region from `t`,
+    /// allocating the block's whole [`Layout::span`] there, and re-homes
+    /// the block to it. Returns the write's completion.
+    pub(crate) fn rehome(
+        &mut self,
+        t: SimTime,
+        addr: BlockAddr,
+        target: usize,
+        len: u64,
+    ) -> SimTime {
+        let off = self.log_offset(target, self.layout.span(addr));
+        let done = self.disk_io(target, t, IoOp::write(off, len, Pattern::Sequential));
+        self.layout.relocate(addr, target, off);
+        done
+    }
+
     /// Samples the fabric's cumulative busy counters into the trace's
     /// utilization lanes (no-op unless tracing is armed).
     fn trace_net(&mut self, now: SimTime, src: usize) {
@@ -453,13 +481,29 @@ impl Cluster {
         t
     }
 
-    /// Reports a finished slice's critical-path stage decomposition to the
-    /// tracing layer, under its op's kind (no-op unless tracing is armed).
-    /// Drivers call this immediately before the matching [`Self::finish`]:
-    /// `marks` are `(stage, end_time)` boundaries in timeline order whose
-    /// last entry is the ack time, so the resulting spans partition
-    /// `[issued_at, ack]` and sum to the slice's latency exactly.
-    pub(crate) fn trace_op(&mut self, ctx: &UpdateCtx, marks: &[(Stage, SimTime)]) {
+    /// Records a background child span (recycle, repair, maintenance) on
+    /// `node`'s lane (no-op unless tracing is armed).
+    pub(crate) fn trace_child(&mut self, stage: Stage, node: usize, start: SimTime, end: SimTime) {
+        self.trace.child(stage, node, start, end);
+    }
+
+    /// Records a slice's ack at the last of its `marks` (an update's range
+    /// in the oracle); its op completes once, at its last slice's finish.
+    /// `marks` are the slice's critical-path `(stage, end_time)` boundaries
+    /// in timeline order, reported to the tracing layer under its op's
+    /// kind, so the stage spans partition `[issued_at, ack]`. Tracing is
+    /// per slice: the traced slice closes with its own latency, so
+    /// `sum(stage spans) == latency` holds for every trace record.
+    ///
+    /// # Panics
+    /// Panics if `marks` is empty.
+    pub(crate) fn finish(
+        &mut self,
+        sim: &mut Sim<Cluster>,
+        ctx: UpdateCtx,
+        marks: &[(Stage, SimTime)],
+    ) {
+        let &(_, done_at) = marks.last().expect("a finished slice has an ack mark");
         let class = match ctx.kind {
             OpKind::Update => OpClass::Update,
             OpKind::Read => OpClass::Read,
@@ -467,19 +511,6 @@ impl Cluster {
         };
         self.trace
             .record_op(ctx.client, class, ctx.issued_at, ctx.start_at, marks);
-    }
-
-    /// Records a background child span (recycle, repair, maintenance) on
-    /// `node`'s lane (no-op unless tracing is armed).
-    pub(crate) fn trace_child(&mut self, stage: Stage, node: usize, start: SimTime, end: SimTime) {
-        self.trace.child(stage, node, start, end);
-    }
-
-    /// Records a slice's ack at `done_at` (an update's range in the
-    /// oracle); its op completes once, at its last slice's finish.
-    /// Tracing is per slice: the traced slice closes with its own latency,
-    /// so `sum(stage spans) == latency` holds for every trace record.
-    pub fn finish(&mut self, sim: &mut Sim<Cluster>, ctx: UpdateCtx, done_at: SimTime) {
         if ctx.kind == OpKind::Update {
             self.oracle_ack(ctx.slice.addr, ctx.slice.offset, ctx.slice.len);
         }
@@ -622,10 +653,10 @@ mod tests {
         let mut s = IntervalSet::default();
         s.insert(0, 10);
         s.insert(20, 30);
-        assert_eq!(s.span_count(), 2);
+        assert_eq!(s.len(), 2);
         assert_eq!(s.total(), 20);
         s.insert(5, 25); // bridges
-        assert_eq!(s.span_count(), 1);
+        assert_eq!(s.len(), 1);
         assert_eq!(s.total(), 30);
         assert!(s.covers(0, 30));
         assert!(!s.covers(0, 31));
@@ -636,7 +667,7 @@ mod tests {
         let mut s = IntervalSet::default();
         s.insert(0, 10);
         s.insert(10, 20);
-        assert_eq!(s.span_count(), 1);
+        assert_eq!(s.len(), 1);
         assert!(s.covers(0, 20));
     }
 
@@ -676,7 +707,7 @@ mod tests {
         s.insert(10, 20);
         s.insert(20, 30);
         // Adjacent inserts merge; queries across the former seams succeed.
-        assert_eq!(s.span_count(), 1);
+        assert_eq!(s.len(), 1);
         assert!(s.covers(5, 25));
         assert!(s.covers(0, 30));
         assert!(s.covers(9, 11));
@@ -728,8 +759,56 @@ mod tests {
         }
         let total: u64 = naive.iter().filter(|&&b| b).count() as u64;
         assert_eq!(s.total(), total);
-        for w in s.spans.windows(2) {
-            assert!(w[0].1 < w[1].0, "overlapping spans");
-        }
+        // Disjoint, merged spans: one per maximal run of covered bytes.
+        let runs = naive.windows(2).filter(|w| w[1] && !w[0]).count() + usize::from(naive[0]);
+        assert_eq!(s.len(), runs, "overlapping or unmerged spans");
+    }
+
+    /// The booking verbs' contract: `rmw` is one random read and one
+    /// write, `log_append` advances the log cursor, and `fold` books its
+    /// read-modify-write at the block's home, shipping the range there
+    /// first only once the block was re-homed off the folding node.
+    #[test]
+    fn fold_ships_only_to_a_rehomed_block() {
+        use crate::methods::Method;
+        let code = rscode::CodeParams::new(6, 3).unwrap();
+        let mut cl = Cluster::new(ClusterConfig::ssd_testbed(code, Method::Pl));
+        // (reads, random reads, writes) booked on `node`.
+        let ops = |cl: &Cluster, node: usize| {
+            let s = cl.nodes[node].disk.stats();
+            (s.reads.ops, s.random_reads.ops, s.writes.ops)
+        };
+        let net = |cl: &Cluster| {
+            let t = cl.net.traffic();
+            (t.total_messages(), t.total_bytes())
+        };
+        let parity = BlockAddr {
+            volume: 0,
+            stripe: 0,
+            index: 6,
+        };
+        let (node, dev) = cl.layout.locate(parity);
+
+        assert!(cl.rmw(node, 0, dev, 4096) > 0);
+        assert_eq!(ops(&cl, node), (1, 1, 1), "one random read, one write");
+
+        let t = cl.log_append(node, 0, 4096);
+        let cursor = cl.nodes[node].log_cursor;
+        cl.log_append(node, t, 4096);
+        assert_eq!(cl.nodes[node].log_cursor, cursor + 4096);
+        assert_eq!(ops(&cl, node), (1, 1, 3), "one write per append");
+
+        cl.fold(node, 0, parity, 0, 4096);
+        assert_eq!(net(&cl), (0, 0), "a fold at home sends nothing");
+        assert_eq!(ops(&cl, node), (2, 2, 4));
+        assert!(cl.oracle.applied_parity[&parity].covers(0, 4096));
+
+        let target = (node + 1) % cl.cfg.nodes;
+        cl.layout.relocate(parity, target, 0);
+        cl.fold(node, 0, parity, 4096, 4096);
+        assert_eq!(net(&cl), (1, 4096), "a re-homed fold ships its range");
+        assert_eq!(ops(&cl, node), (2, 2, 4), "nothing more on the old home");
+        assert_eq!(ops(&cl, target), (1, 1, 1), "the rmw lands on the new home");
+        assert!(cl.oracle.applied_parity[&parity].covers(0, 8192));
     }
 }

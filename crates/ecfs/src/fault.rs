@@ -206,8 +206,8 @@ impl FaultState {
     /// The degraded windows: `[fault, repair completion)` per injected
     /// fault, with `fallback_end` closing windows whose repair never
     /// finished (data loss, or the run ended first).
-    pub fn windows(&self, fallback_end: SimTime) -> simdes::stats::WindowSet {
-        let mut w = simdes::stats::WindowSet::new();
+    pub fn windows(&self, fallback_end: SimTime) -> simdes::stats::IntervalSet {
+        let mut w = simdes::stats::IntervalSet::new();
         for f in &self.injected {
             let end = f.repair_done.unwrap_or(fallback_end).max(f.at + 1);
             w.insert(f.at, end);

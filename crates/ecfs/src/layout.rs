@@ -198,22 +198,32 @@ impl Layout {
         self.placement.node_of(addr, self.code, &self.racks)
     }
 
-    /// Node and device offset of a block, allocating on first touch.
-    /// Parity blocks also reserve `parity_extra` adjacent bytes.
+    /// Device bytes a block occupies: the block, plus the reserved
+    /// `parity_extra` extent after a parity block.
+    pub fn span(&self, addr: BlockAddr) -> u64 {
+        if addr.is_data(self.code) {
+            self.block_bytes
+        } else {
+            self.block_bytes + self.parity_extra
+        }
+    }
+
+    /// Node and device offset of a block, allocating its [`Self::span`] on
+    /// first touch.
     pub fn locate(&mut self, addr: BlockAddr) -> (usize, u64) {
         if let Some(&loc) = self.table.get(&addr) {
             return loc;
         }
         let node = self.node_of(addr);
+        (node, self.allocate(addr, node))
+    }
+
+    /// Allocates the block's [`Self::span`] on `node` and homes it there.
+    fn allocate(&mut self, addr: BlockAddr, node: usize) -> u64 {
         let dev_off = self.cursors[node];
-        let span = if addr.is_data(self.code) {
-            self.block_bytes
-        } else {
-            self.block_bytes + self.parity_extra
-        };
-        self.cursors[node] += span;
+        self.cursors[node] += self.span(addr);
         self.table.insert(addr, (node, dev_off));
-        (node, dev_off)
+        dev_off
     }
 
     /// Re-homes a block (recovery rebuilt it elsewhere): subsequent
@@ -249,15 +259,7 @@ impl Layout {
             !self.is_placed(addr),
             "place_on called on an already-placed block"
         );
-        let dev_off = self.cursors[node];
-        let span = if addr.is_data(self.code) {
-            self.block_bytes
-        } else {
-            self.block_bytes + self.parity_extra
-        };
-        self.cursors[node] += span;
-        self.table.insert(addr, (node, dev_off));
-        dev_off
+        self.allocate(addr, node)
     }
 
     /// Device bytes allocated on `node` so far.

@@ -16,7 +16,6 @@
 
 use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
-use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 
@@ -64,16 +63,7 @@ pub(crate) fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> Option<SimTime> 
     }
     let target = target?;
 
-    let span = cl.cfg.block_bytes + cl.cfg.method.parity_reserved_bytes();
-    let t_read = cl.disk_io(node, now, IoOp::read(dev_off, span, Pattern::Sequential));
-    let t_net = cl.send_repair(t_read, node, target, span);
-    let new_off = cl.log_offset(target, span);
-    let t_write = cl.disk_io(
-        target,
-        t_net,
-        IoOp::write(new_off, span, Pattern::Sequential),
-    );
-    cl.layout.relocate(addr, target, new_off);
-    cl.maint.demoted_bytes += span;
+    let t_write = cl.move_block(now, addr, node, dev_off, target);
+    cl.maint.demoted_bytes += cl.layout.span(addr);
     Some(t_write)
 }

@@ -28,15 +28,15 @@
 //! unboxed event carrying the policy's slot: one bounded work item per
 //! event, booked time-forwarding style like the repair pump and
 //! rescheduled at `max(now + interval, completion)`, stopping at the plan
-//! horizon so the event loop always drains. Busy spans are recorded in a
-//! [`WindowSet`] so the replay engine can attribute foreground latency
+//! horizon so the event loop always drains. Busy spans are recorded in
+//! an [`IntervalSet`] so the replay engine can attribute foreground latency
 //! to maintenance-busy versus maintenance-idle windows.
 
 mod demote;
 mod rebalance;
 mod scrub;
 
-use simdes::stats::WindowSet;
+use simdes::stats::IntervalSet;
 use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
 use simdisk::LseModel;
@@ -261,7 +261,7 @@ pub struct MaintState {
     pub(crate) policies: Vec<Policy>,
     /// Union of maintenance-busy time spans, for foreground-latency
     /// cost attribution.
-    pub windows: WindowSet,
+    pub windows: IntervalSet,
     /// Whether TSUE appends should prefer flash replicas (set whenever
     /// the plan arms demotion).
     pub pin_appends: bool,

@@ -4,12 +4,11 @@
 //!
 //! Every `INTERVAL_NS` the policy compares the live fleet's maximum
 //! wear against the mean; when `max > TRIGGER_RATIO * mean` one block is
-//! moved from the most-worn device to the least-worn (sequential read,
-//! repair-class transfer, sequential log-region write, metadata
-//! relocate). The
-//! migration itself costs a write on the target — wear leveling is
-//! never free — but the write lands where it hurts least, so the
-//! max/mean spread falls.
+//! moved from the most-worn device to the least-worn with
+//! `Cluster::move_block` (sequential read, repair-class transfer,
+//! sequential log-region write, metadata relocate). The migration itself
+//! costs a write on the target — wear leveling is never free — but the
+//! write lands where it hurts least, so the max/mean spread falls.
 //!
 //! On a mixed flash/HDD fleet only the flash devices participate: wear
 //! is a flash-lifetime currency, and "leveling" onto the least-written
@@ -22,7 +21,6 @@
 
 use simdes::units::MILLIS;
 use simdes::{Sim, SimTime};
-use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 
@@ -105,20 +103,8 @@ impl Rebalance {
         let (addr, dev_off) = blocks[self.cursor % blocks.len()];
         self.cursor += 1;
 
-        let mut span = cl.cfg.block_bytes;
-        if !addr.is_data(cl.cfg.code) {
-            span += cl.cfg.method.parity_reserved_bytes();
-        }
-        let t_read = cl.disk_io(worn, now, IoOp::read(dev_off, span, Pattern::Sequential));
-        let t_net = cl.send_repair(t_read, worn, target, span);
-        let new_off = cl.log_offset(target, span);
-        let t_write = cl.disk_io(
-            target,
-            t_net,
-            IoOp::write(new_off, span, Pattern::Sequential),
-        );
-        cl.layout.relocate(addr, target, new_off);
-        cl.maint.migrated_bytes += span;
+        let t_write = cl.move_block(now, addr, worn, dev_off, target);
+        cl.maint.migrated_bytes += cl.layout.span(addr);
         Some(t_write)
     }
 }

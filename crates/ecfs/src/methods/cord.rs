@@ -9,7 +9,6 @@
 //! still pays the data-block write-after-read.
 
 use simdes::{Sim, SimTime};
-use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
@@ -77,9 +76,7 @@ pub(crate) fn flush_collector(cl: &mut Cluster, node: usize, from: SimTime) -> S
             for (off, g) in &ranges {
                 let len = g.0 as u64;
                 let t_send = cl.send(t, node, pnode, len);
-                let poff = pdev + *off as u64;
-                let t_pr = cl.disk_io(pnode, t_send, IoOp::read(poff, len, Pattern::Random));
-                t = cl.disk_io(pnode, t_pr, IoOp::write(poff, len, Pattern::Random));
+                t = cl.rmw(pnode, t_send, pdev + *off as u64, len);
                 cl.oracle_apply_parity(paddr, *off, g.0);
             }
             t_done = t_done.max(t);
@@ -98,9 +95,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
 
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
     // Write-after-read on the data block (CoRD keeps the delta path).
-    let off = ddev + slice.offset as u64;
-    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    let t_write = cl.rmw(dnode, t_arrive, ddev + slice.offset as u64, len);
     cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
     // Ship the delta to the stripe's collector.
@@ -122,12 +117,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     state.buffered += len;
     let must_flush = state.buffered >= state.capacity;
     // Persist the buffered delta (sequential log write on the collector).
-    let log_off = cl.log_offset(collector, len);
-    let mut t_logged = cl.disk_io(
-        collector,
-        t_delta,
-        IoOp::write(log_off, len, Pattern::Sequential),
-    );
+    let mut t_logged = cl.log_append(collector, t_delta, len);
 
     if must_flush {
         cl.state_mut::<CordState>(collector).flushing = true;
@@ -142,8 +132,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     let t_ack = cl.ack(t_logged, collector, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_write),
@@ -151,5 +142,4 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }

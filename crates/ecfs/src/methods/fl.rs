@@ -8,7 +8,6 @@
 //! a node recycles, its appends stall.
 
 use simdes::{Sim, SimTime};
-use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
@@ -59,27 +58,9 @@ pub(crate) fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimT
     // chained I/O bookings deterministic across threads and processes.
     contents.sort_unstable_by_key(|(k, _)| *k);
     let mut t = from;
-    let code = cl.cfg.code;
     for (addr, ranges) in contents {
-        let (bnode, bdev) = cl.layout.locate(addr);
         for (off, g) in ranges {
-            let len = g.0 as u64;
-            let boff = bdev + off as u64;
-            // A failure may have re-homed the block since it was logged:
-            // the folded range then crosses the network to its new home.
-            let t_at = if bnode != node {
-                cl.send(t, node, bnode, len)
-            } else {
-                t
-            };
-            // Data blocks: read old + write new. Parity blocks: RMW too.
-            t = cl.disk_io(bnode, t_at, IoOp::read(boff, len, Pattern::Random));
-            t = cl.disk_io(bnode, t, IoOp::write(boff, len, Pattern::Random));
-            if addr.is_data(code) {
-                cl.oracle_apply_data(addr, off, g.0);
-            } else {
-                cl.oracle_apply_parity(addr, off, g.0);
-            }
+            t = cl.fold(node, t, addr, off, g.0);
         }
     }
     t
@@ -101,12 +82,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
 
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
     // Append new data to the local log (sequential).
-    let log_off = cl.log_offset(dnode, len);
-    let t_local = cl.disk_io(
-        dnode,
-        t_arrive,
-        IoOp::write(log_off, len, Pattern::Sequential),
-    );
+    let t_local = cl.log_append(dnode, t_arrive, len);
     let state = cl.state_mut::<FlState>(dnode);
     state.log.insert(slice.addr, slice.offset, Ghost(slice.len));
     state.bytes += len;
@@ -119,8 +95,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
         let (pnode, _) = cl.layout.locate(paddr);
         let t_send = cl.send(t_local, dnode, pnode, len);
-        let plog = cl.log_offset(pnode, len);
-        let t_append = cl.disk_io(pnode, t_send, IoOp::write(plog, len, Pattern::Sequential));
+        let t_append = cl.log_append(pnode, t_send, len);
         let state = cl.state_mut::<FlState>(pnode);
         state.log.insert(paddr, slice.offset, Ghost(slice.len));
         state.bytes += len;
@@ -138,8 +113,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     let t_ack = cl.ack(t_done, dnode, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::LogAppend, t_local),
@@ -147,7 +123,6 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }
 
 #[cfg(test)]

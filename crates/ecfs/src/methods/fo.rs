@@ -7,7 +7,6 @@
 //! nothing to drain and recovery starts immediately.
 
 use simdes::Sim;
-use simdisk::{IoOp, Pattern};
 
 use crate::cluster::Cluster;
 use crate::methods::UpdateCtx;
@@ -23,9 +22,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     // Client -> data node.
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
     // Write-after-read on the data block (delta computation, Eq. 2).
-    let off = ddev + slice.offset as u64;
-    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    let t_write = cl.rmw(dnode, t_arrive, ddev + slice.offset as u64, len);
     cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
     // Parity deltas fan out; each parity block is read-modify-written in
@@ -34,16 +31,15 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
         let (pnode, pdev) = cl.layout.locate(paddr);
         let t_delta = cl.send(t_write, dnode, pnode, len);
-        let poff = pdev + slice.offset as u64;
-        let t_pr = cl.disk_io(pnode, t_delta, IoOp::read(poff, len, Pattern::Random));
-        let t_pw = cl.disk_io(pnode, t_pr, IoOp::write(poff, len, Pattern::Random));
+        let t_pw = cl.rmw(pnode, t_delta, pdev + slice.offset as u64, len);
         cl.oracle_apply_parity(paddr, slice.offset, slice.len);
         t_done = t_done.max(t_pw);
     }
 
     let t_ack = cl.ack(t_done, dnode, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_write),
@@ -51,5 +47,4 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }

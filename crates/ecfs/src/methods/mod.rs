@@ -8,8 +8,8 @@
 //!
 //! * [`begin`] — runs the method's full front-end path for one sub-block
 //!   update (time-forwarding style: it books every disk op and network
-//!   hop on the shared resources, then reports the ack time via
-//!   [`crate::cluster::Cluster::finish`]);
+//!   hop on the shared resources, then reports the slice's trace marks,
+//!   the last of which is its ack, via `Cluster::finish`);
 //! * [`drain`] — flushes all outstanding log state (end of run, and the
 //!   prerequisite for recovery — the paper's consistency argument in
 //!   §2.3.2); [`drain_until`] replays only the backlog outstanding now;
@@ -17,6 +17,16 @@
 //!   beside each parity block (PLR's).
 //!
 //! A method's per-node log state is its [`NodeState`] variant.
+//!
+//! Drivers speak one booking vocabulary, the crate-private verbs on
+//! [`Cluster`]: `rmw` for a random read and the write that depends on it
+//! (the in-place cost FO, PL, PLR, PARIX and CoRD pay), `log_append` for
+//! a sequential log write (the cost TSUE turns it into), `fold` for a
+//! logged range applied at its block's current home (FL's, PL's and
+//! TSUE's recycles), and `move_block` / `rehome` for a block copied into
+//! another node's log region and re-homed (rebalance, demotion,
+//! rebuilds), plus [`Cluster::send`], `ack` and, for any other shape,
+//! `disk_io`.
 //!
 //! Reads and fresh writes take one path for every method ([`begin`]): a
 //! read consults the method's log read cache
@@ -472,11 +482,11 @@ fn degraded_read(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
     let decode_ns = len * k as u64 / 10;
     cl.metrics.degraded_reads += 1;
     cl.metrics.degraded_bytes_decoded += len;
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[(Stage::DiskIo, ready), (Stage::Decode, ready + decode_ns)],
     );
-    cl.finish(sim, ctx, ready + decode_ns);
 }
 
 /// The fresh-write path, identical for all methods: the client has already
@@ -510,15 +520,15 @@ fn write_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         IoOp::write(poff, pshare, Pattern::Sequential),
     );
     let t_done = cl.ack(t_data.max(t_parity), node, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive.max(t_psend)),
             (Stage::Encode, t_data.max(t_parity)),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish(sim, ctx, t_done);
 }
 
 /// The read path: a log read-cache hit (per [`NodeState::read_cache_covers`])
@@ -546,15 +556,15 @@ fn read_path(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: UpdateCtx) {
         )
     };
     let t_done = cl.send(t_read, node, client_ep, len);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_read),
             (Stage::Ack, t_done),
         ],
     );
-    cl.finish(sim, ctx, t_done);
 }
 
 /// Bytes of log state still pending across the cluster (drain progress).

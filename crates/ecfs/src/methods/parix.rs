@@ -93,19 +93,13 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
         let (pnode, _) = cl.layout.locate(paddr);
         // Forward new data; log it sequentially.
         let t_new = cl.send(t_arrive, dnode, pnode, len);
-        let log_off = cl.log_offset(pnode, len);
-        let mut t_append = cl.disk_io(pnode, t_new, IoOp::write(log_off, len, Pattern::Sequential));
+        let mut t_append = cl.log_append(pnode, t_new, len);
         if first_touch {
             // Serial extra round: parity asks, data node answers with the
             // original bytes, which are logged too.
             let t_req = cl.ack(t_append, pnode, dnode);
             let t_old = cl.send(t_req.max(t_old_ready), dnode, pnode, len);
-            let log_off2 = cl.log_offset(pnode, len);
-            t_append = cl.disk_io(
-                pnode,
-                t_old,
-                IoOp::write(log_off2, len, Pattern::Sequential),
-            );
+            t_append = cl.log_append(pnode, t_old, len);
         }
         let state = cl.state_mut::<ParixState>(pnode);
         state.log.insert(paddr, slice.offset, Ghost(slice.len));
@@ -124,8 +118,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     let t_ack = cl.ack(t_done, dnode, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_write),
@@ -133,7 +128,6 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }
 
 /// Recycles every node's log from now and forgets every first touch;
@@ -196,9 +190,7 @@ fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimTime {
             if pnode != node {
                 t_pair = cl.send(t_pair, node, pnode, 2 * len);
             }
-            let poff = pdev + off as u64;
-            t = cl.disk_io(pnode, t_pair, IoOp::read(poff, len, Pattern::Random));
-            t = cl.disk_io(pnode, t, IoOp::write(poff, len, Pattern::Random));
+            t = cl.rmw(pnode, t_pair, pdev + off as u64, len);
             cl.oracle_apply_parity(paddr, off, g.0);
         }
     }

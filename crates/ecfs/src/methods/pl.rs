@@ -47,9 +47,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
 
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
     // Write-after-read on the data block.
-    let off = ddev + slice.offset as u64;
-    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    let t_write = cl.rmw(dnode, t_arrive, ddev + slice.offset as u64, len);
     cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
     // Parity deltas go to logs: sequential appends.
@@ -57,12 +55,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     for paddr in cl.layout.parity_addrs(slice.addr.volume, slice.addr.stripe) {
         let (pnode, _) = cl.layout.locate(paddr);
         let t_delta = cl.send(t_write, dnode, pnode, len);
-        let log_off = cl.log_offset(pnode, len);
-        let t_append = cl.disk_io(
-            pnode,
-            t_delta,
-            IoOp::write(log_off, len, Pattern::Sequential),
-        );
+        let t_append = cl.log_append(pnode, t_delta, len);
         let state = cl.state_mut::<PlState>(pnode);
         state.records.push(PlRecord {
             parity: paddr,
@@ -74,8 +67,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     let t_ack = cl.ack(t_done, dnode, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_write),
@@ -83,7 +77,6 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }
 
 /// Recycles the parity log of one node starting at `from`; returns the
@@ -99,18 +92,8 @@ pub(crate) fn recycle_node(cl: &mut Cluster, node: usize, from: SimTime) -> SimT
         // Read the delta back from the log (random: the log interleaves
         // deltas of many parity blocks).
         let log_off = cl.log_offset(node, len);
-        let mut t_delta = cl.disk_io(node, t, IoOp::read(log_off, len, Pattern::Random));
-        let (pnode, pdev) = cl.layout.locate(rec.parity);
-        // A failure may have re-homed the parity block since the delta was
-        // logged: the replayed delta then crosses the network to the
-        // block's rebuild target.
-        if pnode != node {
-            t_delta = cl.send(t_delta, node, pnode, len);
-        }
-        let poff = pdev + rec.offset as u64;
-        t = cl.disk_io(pnode, t_delta, IoOp::read(poff, len, Pattern::Random));
-        t = cl.disk_io(pnode, t, IoOp::write(poff, len, Pattern::Random));
-        cl.oracle_apply_parity(rec.parity, rec.offset, rec.len);
+        let t_delta = cl.disk_io(node, t, IoOp::read(log_off, len, Pattern::Random));
+        t = cl.fold(node, t_delta, rec.parity, rec.offset, rec.len);
     }
     t
 }

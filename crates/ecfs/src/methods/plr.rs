@@ -71,9 +71,7 @@ fn recycle_reserved(cl: &mut Cluster, node: usize, paddr: BlockAddr, from: SimTi
     // Apply each logged delta: parity read-modify-write (random within the
     // block; PLR has no merging index).
     for (off, len) in pending {
-        let poff = pdev + off as u64;
-        t = cl.disk_io(pnode, t, IoOp::read(poff, len as u64, Pattern::Random));
-        t = cl.disk_io(pnode, t, IoOp::write(poff, len as u64, Pattern::Random));
+        t = cl.rmw(pnode, t, pdev + off as u64, len as u64);
         cl.oracle_apply_parity(paddr, off, len);
     }
     // The reserved region is a *fixed* device extent: reusing it requires
@@ -112,9 +110,7 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     let client_ep = cl.cfg.client_endpoint(ctx.client);
 
     let t_arrive = cl.send(ctx.start_at, client_ep, dnode, len);
-    let off = ddev + slice.offset as u64;
-    let t_read = cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random));
-    let t_write = cl.disk_io(dnode, t_read, IoOp::write(off, len, Pattern::Random));
+    let t_write = cl.rmw(dnode, t_arrive, ddev + slice.offset as u64, len);
     cl.oracle_apply_data(slice.addr, slice.offset, slice.len);
 
     let block = cl.cfg.block_bytes;
@@ -158,8 +154,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     let t_ack = cl.ack(t_done, dnode, client_ep);
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::DiskIo, t_write),
@@ -167,5 +164,4 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }

@@ -34,7 +34,7 @@ use crate::layout::{stripe_key, stripe_of, BlockAddr};
 use crate::methods::{self, UpdateCtx};
 use crate::telemetry::Stage;
 use tsue::layers::{
-    group_delta_jobs, union_ranges, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
+    group_delta_jobs, union_ranges, Layer, LogPoolSet, ParityKey, StripeBlock, StripeDeltaJob,
 };
 use tsue::payload::Ghost;
 use tsue::pool::{AppendOutcome, TakenUnit};
@@ -85,24 +85,6 @@ pub(crate) fn drain_until(sim: &mut Sim<Cluster>, cl: &mut Cluster) -> SimTime {
     let gate = gate.max(now + backlog / 2) + simdes::units::MILLIS;
     drain_tick(sim, cl, gate);
     gate
-}
-
-/// One of TSUE's three log layers. It indexes the per-layer ledgers of
-/// [`TsueState`] and the residency histograms of
-/// [`crate::cluster::Metrics::residency`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
-    /// The DataLog: update data, on the data block's node.
-    Data,
-    /// The DeltaLog: data deltas, on the stripe's first parity node.
-    Delta,
-    /// The ParityLog: parity deltas, on each parity block's node.
-    Parity,
-}
-
-impl Layer {
-    /// Every layer, in ledger order.
-    pub const ALL: [Layer; 3] = [Layer::Data, Layer::Delta, Layer::Parity];
 }
 
 /// Per-node TSUE state: the three log-pool sets plus bookkeeping.
@@ -223,24 +205,14 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     }
 
     // Persist locally (sequential) and on the replica node.
-    let log_off = cl.log_offset(dnode, len);
-    let t_local = cl.disk_io(
-        dnode,
-        t_arrive,
-        IoOp::write(log_off, len, Pattern::Sequential),
-    );
+    let t_local = cl.log_append(dnode, t_arrive, len);
     cl.metrics.residency[Layer::Data as usize]
         .append
         .record(t_local.saturating_sub(t_arrive));
 
     let rnode = replica_of(cl, dnode);
     let t_rsend = cl.send(t_arrive, dnode, rnode, len);
-    let rlog_off = cl.log_offset(rnode, len);
-    let t_replica = cl.disk_io(
-        rnode,
-        t_rsend,
-        IoOp::write(rlog_off, len, Pattern::Sequential),
-    );
+    let t_replica = cl.log_append(rnode, t_rsend, len);
 
     if let AppendOutcome::AppendedAndSealed(_) = outcome {
         schedule_recycle(sim, Layer::Data, dnode, t_local);
@@ -250,8 +222,9 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     // The replica append is TSUE's redundancy work on the critical path —
     // charged to ParityIo so cross-method waterfalls compare like for like
     // (FO's parity RMW vs TSUE's replicated sequential append).
-    cl.trace_op(
-        &ctx,
+    cl.finish(
+        sim,
+        ctx,
         &[
             (Stage::NetSend, t_arrive),
             (Stage::LogAppend, t_local),
@@ -259,7 +232,6 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
             (Stage::Ack, t_ack),
         ],
     );
-    cl.finish(sim, ctx, t_ack);
 }
 
 /// Schedules a recycle of `layer` on `node` at `at` (or now, if later).
@@ -367,8 +339,7 @@ fn log_downstream(
 ) {
     let bytes = len as u64;
     let t_send = cl.send(sim.now(), from, to, bytes);
-    let log_off = cl.log_offset(to, bytes);
-    let t_persist = cl.disk_io(to, t_send, IoOp::write(log_off, bytes, Pattern::Sequential));
+    let t_persist = cl.log_append(to, t_send, bytes);
     cl.metrics.residency[layer as usize]
         .append
         .record(t_persist.saturating_sub(t_send));
@@ -406,30 +377,17 @@ fn recycle_data(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     // recycle window instead of bursting on the egress link at the end.
     let mut t_io = start;
     for (addr, ranges) in taken.contents {
-        let (bnode, bdev) = cl.layout.locate(addr);
         for &(off, g) in &ranges {
-            let len = g.0 as u64;
             if use_merged {
-                // A failure may have re-homed the block since its updates
-                // were logged: the merged range is then folded at its
-                // rebuild target, one network hop away.
-                let boff = bdev + off as u64;
-                let t_at = if bnode != node {
-                    cl.send(t_io, node, bnode, len)
-                } else {
-                    t_io
-                };
-                let t_r = cl.disk_io(bnode, t_at, IoOp::read(boff, len, Pattern::Random));
-                t_io = cl.disk_io(bnode, t_r, IoOp::write(boff, len, Pattern::Random));
+                t_io = cl.fold(node, t_io, addr, off, g.0);
             } else {
                 // O1 off: write-after-read per raw record, not per range.
                 for _ in 0..ops_per_range {
                     let roff = cl.log_offset(node, avg);
-                    let t_r = cl.disk_io(node, t_io, IoOp::read(roff, avg, Pattern::Random));
-                    t_io = cl.disk_io(node, t_r, IoOp::write(roff, avg, Pattern::Random));
+                    t_io = cl.rmw(node, t_io, roff, avg);
                 }
+                cl.oracle_apply_data(addr, off, g.0);
             }
-            cl.oracle_apply_data(addr, off, g.0);
         }
         // Forward this block's deltas once its I/O completes. Scheduling a
         // real event (instead of forward-booking the network now) keeps
@@ -473,8 +431,7 @@ fn forward_block_deltas(
             // Copy on the second parity node: disk + net only.
             let len = g.0 as u64;
             let t_send2 = cl.send(now, node, p2, len);
-            let plog2 = cl.log_offset(p2, len);
-            cl.disk_io(p2, t_send2, IoOp::write(plog2, len, Pattern::Sequential));
+            cl.log_append(p2, t_send2, len);
         }
     } else {
         // O5 off: parity deltas straight to every parity node's log.
@@ -565,20 +522,8 @@ fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
     if cl.cfg.tsue.parity_locality {
         for (key, ranges) in taken.contents {
             let paddr = parity_addr(cl, key);
-            let (pn, pdev) = cl.layout.locate(paddr);
             for (off, g) in ranges {
-                let len = g.0 as u64;
-                let poff = pdev + off as u64;
-                // Fold at the parity block's current home (a rebuild may
-                // have moved it off this node mid-replay).
-                let t_at = if pn != node {
-                    cl.send(t_end.max(now), node, pn, len)
-                } else {
-                    t_end.max(now)
-                };
-                let t_r = cl.disk_io(pn, t_at, IoOp::read(poff, len, Pattern::Random));
-                t_end = cl.disk_io(pn, t_r, IoOp::write(poff, len, Pattern::Random));
-                cl.oracle_apply_parity(paddr, off, g.0);
+                t_end = cl.fold(node, t_end.max(now), paddr, off, g.0);
             }
         }
     } else {
@@ -586,8 +531,7 @@ fn recycle_parity(sim: &mut Sim<Cluster>, cl: &mut Cluster, node: usize) {
         let avg = (taken.bytes / taken.records.max(1)).max(1);
         for _ in 0..taken.records {
             let off = cl.log_offset(node, avg);
-            let t_r = cl.disk_io(node, t_end, IoOp::read(off, avg, Pattern::Random));
-            t_end = cl.disk_io(node, t_r, IoOp::write(off, avg, Pattern::Random));
+            t_end = cl.rmw(node, t_end, off, avg);
         }
         for (key, ranges) in taken.contents {
             let paddr = parity_addr(cl, key);

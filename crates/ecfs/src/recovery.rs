@@ -340,18 +340,7 @@ pub(crate) fn rebuild_block(
     // re-allocates its method-reserved adjacent extent (PLR's log space)
     // at the new home, so reserved-region replays stay within bounds.
     let decode_ns = block_bytes / 10; // ~10 bytes per ns ≈ 10 GB/s
-    let span = if addr.is_data(cl.cfg.code) {
-        block_bytes
-    } else {
-        block_bytes + cl.cfg.method.parity_reserved_bytes()
-    };
-    let rebuilt_off = cl.log_offset(target, span);
-    let t_write = cl.disk_io(
-        target,
-        ready + decode_ns,
-        IoOp::write(rebuilt_off, block_bytes, Pattern::Sequential),
-    );
-    cl.layout.relocate(addr, target, rebuilt_off);
+    let t_write = cl.rehome(ready + decode_ns, addr, target, block_bytes);
     cl.trace_child(crate::telemetry::Stage::Repair, target, from, t_write);
     Ok(t_write)
 }

@@ -4,19 +4,19 @@
 
 use std::collections::VecDeque;
 
-use simdes::stats::{Gauge, Histogram, SampleLog, WindowSet};
+use simdes::stats::{Gauge, Histogram, IntervalSet, SampleLog};
 use simdes::{Sim, SimTime};
 
 use traces::{OpKind, TraceFamily, WorkloadGen, WorkloadParams};
 use tsue::fastmap::FastMap;
+use tsue::layers::Layer;
 use workload::OpenLoopSpec;
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::fault::FaultPlan;
 use crate::maintenance::{self, MaintenancePlan};
-use crate::methods::tsue_drv::Layer;
-use crate::methods::{self, UpdateCtx};
+use crate::methods::{self, Method, UpdateCtx};
 use crate::recovery;
 use crate::telemetry::{StageRow, Trace, TraceConfig};
 
@@ -151,7 +151,7 @@ impl ReplayConfig {
         // TSUE appends each update slice to one DataLog unit whole, so a
         // unit smaller than the largest slice would panic mid-replay. A
         // slice is at most one block and one op.
-        if self.cluster.method.name().eq_ignore_ascii_case("TSUE") {
+        if self.cluster.method == Method::Tsue {
             let block = self.cluster.block_bytes;
             let largest_op = WorkloadParams::for_family(self.family, self.volume_bytes)
                 .size_dist
@@ -1112,7 +1112,7 @@ fn ratio(n: f64, d: f64) -> f64 {
 }
 
 /// The p99 (µs) of the samples inside `windows` and of those outside.
-fn p99_split_us(log: &SampleLog, windows: &WindowSet) -> (f64, f64) {
+fn p99_split_us(log: &SampleLog, windows: &IntervalSet) -> (f64, f64) {
     let (inside, outside) = log.split(windows);
     (
         inside.quantile(0.99) as f64 / 1_000.0,

@@ -245,27 +245,28 @@ impl Gauge {
     }
 }
 
-/// A set of half-open `[start, end)` time windows, merged on insert — the
-/// unit of phase-aware measurement (e.g. "degraded windows" between a
-/// failure injection and the end of its repair).
+/// A set of half-open `[start, end)` intervals, merged on insert: the unit
+/// of phase-aware measurement (time windows, e.g. the degraded windows
+/// between a failure injection and the end of its repair) and of byte-range
+/// coverage (a consistency oracle's acked and applied ranges).
 #[derive(Debug, Clone, Default)]
-pub struct WindowSet {
-    /// Sorted, disjoint `(start, end)` windows.
-    spans: Vec<(SimTime, SimTime)>,
+pub struct IntervalSet {
+    /// Sorted, disjoint `(start, end)` intervals.
+    spans: Vec<(u64, u64)>,
 }
 
-impl WindowSet {
-    /// Empty window set.
-    pub fn new() -> WindowSet {
-        WindowSet::default()
+impl IntervalSet {
+    /// Empty set.
+    pub fn new() -> IntervalSet {
+        IntervalSet::default()
     }
 
-    /// Inserts `[start, end)`, merging overlapping and touching windows.
+    /// Inserts `[start, end)`, merging overlapping and touching intervals.
     ///
     /// # Panics
     /// Panics if `start >= end`.
-    pub fn insert(&mut self, start: SimTime, end: SimTime) {
-        assert!(start < end, "empty window");
+    pub fn insert(&mut self, start: u64, end: u64) {
+        assert!(start < end, "empty interval");
         let idx = self.spans.partition_point(|&(_, e)| e < start);
         let mut new = (start, end);
         let mut remove_to = idx;
@@ -274,27 +275,48 @@ impl WindowSet {
             new.1 = new.1.max(self.spans[remove_to].1);
             remove_to += 1;
         }
-        self.spans.splice(idx..remove_to, [new]);
+        if remove_to == idx {
+            self.spans.insert(idx, new);
+        } else {
+            self.spans[idx] = new;
+            self.spans.drain(idx + 1..remove_to);
+        }
     }
 
-    /// Whether `t` falls inside some window.
-    pub fn contains(&self, t: SimTime) -> bool {
+    /// Whether `t` falls inside some interval.
+    pub fn contains(&self, t: u64) -> bool {
         let idx = self.spans.partition_point(|&(_, e)| e <= t);
         self.spans.get(idx).is_some_and(|&(s, _)| s <= t)
     }
 
-    /// Whether no window has been inserted.
+    /// Whether `[start, end)` is fully covered.
+    pub fn covers(&self, start: u64, end: u64) -> bool {
+        // The only candidate is the first interval whose end reaches `end`:
+        // intervals are disjoint, so any earlier one ends before `end` and
+        // any later one starts after it.
+        let idx = self.spans.partition_point(|&(_, e)| e < end);
+        self.spans
+            .get(idx)
+            .is_some_and(|&(s, e)| s <= start && end <= e)
+    }
+
+    /// Whether this set covers every interval of `other`.
+    pub fn covers_all(&self, other: &IntervalSet) -> bool {
+        other.spans.iter().all(|&(s, e)| self.covers(s, e))
+    }
+
+    /// Whether nothing has been inserted.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
-    /// Number of disjoint windows.
+    /// Number of disjoint intervals.
     pub fn len(&self) -> usize {
         self.spans.len()
     }
 
-    /// Total covered time.
-    pub fn total(&self) -> SimTime {
+    /// Total length covered.
+    pub fn total(&self) -> u64 {
         self.spans.iter().map(|&(s, e)| e - s).sum()
     }
 }
@@ -303,7 +325,7 @@ impl WindowSet {
 const SAMPLE_CHUNK: usize = 4096;
 
 /// A log of `(time, value)` samples that can be re-aggregated against a
-/// [`WindowSet`] after the fact — latency quantiles *during* rebuild
+/// [`IntervalSet`] after the fact — latency quantiles *during* rebuild
 /// windows vs steady state, without deciding the windows up front.
 ///
 /// Memory grows with the sample count, so replay engines only attach one
@@ -347,8 +369,8 @@ impl SampleLog {
     }
 
     /// Splits the samples into `(inside, outside)` histograms against the
-    /// window set. An empty window set puts every sample in `outside`.
-    pub fn split(&self, windows: &WindowSet) -> (Histogram, Histogram) {
+    /// windows. No windows put every sample in `outside`.
+    pub fn split(&self, windows: &IntervalSet) -> (Histogram, Histogram) {
         let mut inside = Histogram::new();
         let mut outside = Histogram::new();
         for (t, v) in self.iter() {
@@ -474,7 +496,7 @@ mod tests {
 
     #[test]
     fn window_set_merges_and_contains() {
-        let mut w = WindowSet::new();
+        let mut w = IntervalSet::new();
         assert!(w.is_empty());
         w.insert(100, 200);
         w.insert(300, 400);
@@ -494,7 +516,7 @@ mod tests {
 
     #[test]
     fn window_set_adjacent_merge() {
-        let mut w = WindowSet::new();
+        let mut w = IntervalSet::new();
         w.insert(0, 10);
         w.insert(10, 20);
         assert_eq!(w.len(), 1);
@@ -503,9 +525,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty window")]
+    #[should_panic(expected = "empty interval")]
     fn window_set_rejects_empty() {
-        WindowSet::new().insert(5, 5);
+        IntervalSet::new().insert(5, 5);
     }
 
     #[test]
@@ -517,14 +539,14 @@ mod tests {
             log.record(t, v);
         }
         assert_eq!(log.len(), 100);
-        let mut w = WindowSet::new();
+        let mut w = IntervalSet::new();
         w.insert(40, 60);
         let (inside, outside) = log.split(&w);
         assert_eq!(inside.count(), 20);
         assert_eq!(outside.count(), 80);
         assert!(inside.mean() > outside.mean() * 5.0);
-        // Empty window set: everything is outside.
-        let (ins, outs) = log.split(&WindowSet::new());
+        // No windows: everything is outside.
+        let (ins, outs) = log.split(&IntervalSet::new());
         assert_eq!(ins.count(), 0);
         assert_eq!(outs.count(), 100);
     }
@@ -540,7 +562,7 @@ mod tests {
         // The borrowing paths see every sample in record order without
         // cloning into histograms.
         assert!(log.iter().eq((0..n).map(|t| (t, t * 10))));
-        let mut w = WindowSet::new();
+        let mut w = IntervalSet::new();
         w.insert(10, 20);
         let inside_sum: u64 = log
             .iter()
@@ -551,7 +573,7 @@ mod tests {
         assert_eq!(inside.count(), 10);
         assert_eq!(inside_sum, (10..20u64).map(|t| t * 10).sum::<u64>());
         // split(empty windows) == (empty, all): the borrowing path agrees.
-        let (ins, outs) = log.split(&WindowSet::new());
+        let (ins, outs) = log.split(&IntervalSet::new());
         assert_eq!(ins.count(), 0);
         assert_eq!(outs.count() as usize, log.len());
     }
