@@ -759,6 +759,11 @@ mod tests {
         }
         let total: u64 = naive.iter().filter(|&&b| b).count() as u64;
         assert_eq!(s.total(), total);
+        // Exact coverage, byte by byte; with `total` equal, no span
+        // overlaps another or reaches past the covered bytes.
+        for i in 0..10_000u64 {
+            assert_eq!(s.contains(i), naive[i as usize], "byte {i}");
+        }
         // Disjoint, merged spans: one per maximal run of covered bytes.
         let runs = naive.windows(2).filter(|w| w[1] && !w[0]).count() + usize::from(naive[0]);
         assert_eq!(s.len(), runs, "overlapping or unmerged spans");
