@@ -14,8 +14,8 @@
 //!   loss.
 //! - `scrub` — periodic scrubbing over the same LSE injection: the
 //!   detector working alone.
-//! - `full` — scrub + wear-leveling rebalance + tier demotion, all
-//!   competing with the foreground for the same disks.
+//! - `full` — scrub + wear-leveling rebalance over the same LSE
+//!   injection, both competing with the foreground for the same disks.
 //!
 //! Findings the sweep asserts: scrubbing shrinks the latent-error exposure
 //! (`lse_latent`), the full plan narrows TSUE's diurnal wear spread below
@@ -24,9 +24,10 @@
 //! either way), scrub coverage is nonzero while the foreground p99 stays
 //! finite, and the per-method foreground-p99 cost of the full plan under
 //! diurnal load is reported explicitly. The rebalancer carries the wear
-//! finding: on the default seed a full plan without demotion reads 1.401,
-//! below the baseline, while scrub plus demotion alone is wider than no
-//! maintenance in 8 of 10 seeds for TSUE and 9 of 10 for FO and PL.
+//! finding: TSUE's diurnal medians read 1.41 under the full plan against
+//! 1.51 without maintenance at default scale (1.81 against 2.01 at
+//! smoke), while scrub alone is wider than no maintenance on the default
+//! seed (1.45 against 1.42).
 
 use ecfs::prelude::*;
 use traces::TraceFamily;
@@ -222,11 +223,12 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
     );
 
     // 2. The wear story: the full plan narrows the fleet's wear spread
-    // below the no-maintenance baseline, in the median over the seeds. The
-    // rebalancer carries it: on the default seed the full plan without
-    // demotion reads 1.401 against the baseline's 1.421 at default scale,
-    // and scrub plus demotion alone reads wider than the baseline in most
-    // seeds.
+    // below the no-maintenance baseline, in the median over the seeds
+    // (1.41 against 1.51 at default scale, 1.81 against 2.01 at smoke).
+    // The rebalancer carries it: on the default seed the full plan reads
+    // 1.401 against the baseline's 1.421 at default scale, and scrub
+    // alone reads 1.45. The spread is taken over every device, spindles
+    // included, while the rebalancer levels only the flash tier.
     let none = cell("diurnal", "none", "TSUE");
     let full = cell("diurnal", "full", "TSUE");
     let (none_median, full_median) = (

@@ -2,27 +2,25 @@
 //! foreground traffic on the shared simulation timeline.
 //!
 //! Real EC clusters spend a standing fraction of their I/O budget on
-//! maintenance — scrubbing for latent sector errors, wear leveling, tier
-//! migration — and that traffic contends with clients on the very same
-//! disks, racks, and spines. This module generalises the one-shot repair
-//! pump into a policy engine:
+//! maintenance — scrubbing for latent sector errors, wear leveling — and
+//! that traffic contends with clients on the very same disks, racks, and
+//! spines. This module generalises the one-shot repair pump into a
+//! policy engine:
 //!
 //! * [`MaintenancePlan`] — the validated, declarative configuration
 //!   carried by [`crate::replay::ReplayConfig`]. An **empty plan is
 //!   byte-for-byte the old behaviour**: nothing is armed, no state is
 //!   touched, every existing golden holds. Scrub and LSE injection carry
-//!   their rates and densities; rebalance and demotion are switched on
-//!   or off and pace themselves by constants in their own modules, as
-//!   does the LSE model's seed;
-//! * a closed set of three policies, the variants of one crate-private
+//!   their rates and densities; rebalance is switched on or off and
+//!   paces itself by constants in its own module, as does the LSE
+//!   model's seed;
+//! * a closed set of two policies, the variants of one crate-private
 //!   `Policy` enum, each holding its own `Copy` state: scrub (periodic
 //!   media scan that detects injected latent sector errors and repairs
-//!   them through the normal rebuild path; a round-robin cursor),
+//!   them through the normal rebuild path; a round-robin cursor) and
 //!   rebalance (migrates block extents off the most-worn device, closing
 //!   the loop on the observed-only `wear_bytes` counters; a rotation
-//!   cursor and a sampled flag) and demote (the paper's §5.4 insight
-//!   automated: parity blocks drain from flash to spindles on mixed
-//!   fleets; stateless).
+//!   cursor and a sampled flag).
 //!
 //! Every policy runs under one horizon-bounded scheduler (`tick`), an
 //! unboxed event carrying the policy's slot: one bounded work item per
@@ -32,7 +30,6 @@
 //! an [`IntervalSet`] so the replay engine can attribute foreground latency
 //! to maintenance-busy versus maintenance-idle windows.
 
-mod demote;
 mod rebalance;
 mod scrub;
 
@@ -42,7 +39,7 @@ use simdes::{Sim, SimTime};
 use simdisk::LseModel;
 
 use crate::cluster::Cluster;
-use crate::config::{ClusterConfig, ConfigError};
+use crate::config::ConfigError;
 
 /// Periodic-scrub configuration: a whole-block media read every
 /// `block_bytes / bytes_per_sec` of simulated time.
@@ -104,10 +101,6 @@ pub struct MaintenancePlan {
     pub scrub: Option<ScrubConfig>,
     /// Whether wear-leveling rebalance is enabled.
     pub rebalance: bool,
-    /// Whether tier-aware parity demotion is enabled. While it is, TSUE's
-    /// synchronous log appends also prefer flash nodes
-    /// ([`MaintState::pin_appends`]).
-    pub demote: bool,
     /// Latent-sector-error injection, if enabled. An LSE-only plan is
     /// legal: it seeds errors without any policy to find them — the
     /// exposure baseline the scrub policy is measured against.
@@ -123,7 +116,6 @@ impl Default for MaintenancePlan {
         MaintenancePlan {
             scrub: None,
             rebalance: false,
-            demote: false,
             lse: None,
             horizon_ns: 80 * MILLIS,
         }
@@ -136,13 +128,13 @@ impl MaintenancePlan {
         MaintenancePlan::default()
     }
 
-    /// All three policies plus LSE injection, at default settings — the
-    /// bench's "full hygiene" configuration.
+    /// Both policies (scrub and wear-leveling rebalance) plus LSE
+    /// injection, at default settings — the bench's "full hygiene"
+    /// configuration. It is valid on any fleet.
     pub fn full() -> MaintenancePlan {
         MaintenancePlan::new()
             .with_scrub(ScrubConfig::default())
             .with_rebalance()
-            .with_demote()
             .with_lse(LseConfig::default())
     }
 
@@ -155,12 +147,6 @@ impl MaintenancePlan {
     /// Enables wear-leveling rebalance.
     pub fn with_rebalance(mut self) -> MaintenancePlan {
         self.rebalance = true;
-        self
-    }
-
-    /// Enables tier-aware parity demotion.
-    pub fn with_demote(mut self) -> MaintenancePlan {
-        self.demote = true;
         self
     }
 
@@ -178,11 +164,12 @@ impl MaintenancePlan {
 
     /// Whether the plan enables anything at all.
     pub fn is_empty(&self) -> bool {
-        self.scrub.is_none() && !self.rebalance && !self.demote && self.lse.is_none()
+        self.scrub.is_none() && !self.rebalance && self.lse.is_none()
     }
 
-    /// Validates the plan against the cluster it will run on.
-    pub fn validate(&self, cfg: &ClusterConfig) -> Result<(), ConfigError> {
+    /// Validates the plan's settings. No check depends on the cluster:
+    /// every policy runs on any fleet.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.is_empty() {
             return Ok(());
         }
@@ -192,13 +179,6 @@ impl MaintenancePlan {
         if let Some(s) = &self.scrub {
             if s.bytes_per_sec == 0 {
                 return Err("scrub rate must be non-zero".into());
-            }
-        }
-        if self.demote {
-            let any_ssd = (0..cfg.nodes).any(|n| cfg.fleet.is_ssd(n));
-            let any_hdd = (0..cfg.nodes).any(|n| !cfg.fleet.is_ssd(n));
-            if !any_ssd || !any_hdd {
-                return Err("tier demotion needs a mixed fleet (>=1 SSD and >=1 HDD node)".into());
             }
         }
         if let Some(l) = &self.lse {
@@ -223,9 +203,6 @@ pub(crate) enum Policy {
     Scrub(scrub::Scrub),
     /// Wear-leveling rebalance, with its rotation cursor.
     Rebalance(rebalance::Rebalance),
-    /// Tier demotion (stateless: its cursor is whatever parity is left on
-    /// flash).
-    Demote,
 }
 
 impl Policy {
@@ -234,7 +211,6 @@ impl Policy {
         match self {
             Policy::Scrub(s) => s.interval_ns(cl),
             Policy::Rebalance(_) => rebalance::INTERVAL_NS,
-            Policy::Demote => demote::INTERVAL_NS,
         }
     }
 
@@ -244,7 +220,6 @@ impl Policy {
         match self {
             Policy::Scrub(s) => s.tick(sim, cl),
             Policy::Rebalance(r) => r.tick(sim, cl),
-            Policy::Demote => demote::tick(sim, cl),
         }
     }
 }
@@ -262,9 +237,6 @@ pub struct MaintState {
     /// Union of maintenance-busy time spans, for foreground-latency
     /// cost attribution.
     pub windows: IntervalSet,
-    /// Whether TSUE appends should prefer flash replicas (set whenever
-    /// the plan arms demotion).
-    pub pin_appends: bool,
     /// Media bytes scanned by the scrubber.
     pub scrub_bytes: u64,
     /// Whole blocks scanned by the scrubber.
@@ -275,17 +247,17 @@ pub struct MaintState {
     pub lse_repaired: u64,
     /// Bytes migrated by the wear-leveling rebalancer.
     pub migrated_bytes: u64,
-    /// Bytes demoted from flash to spindles.
-    pub demoted_bytes: u64,
-    /// Live-fleet wear spread (max/mean) sampled at the rebalancer's
-    /// first sight of non-zero wear — the "before" of before/after.
+    /// Wear spread (max/mean) over the devices the rebalancer levels
+    /// (live flash on a mixed fleet, every live device on a uniform one),
+    /// sampled at its first sight of non-zero wear. See
+    /// [`crate::replay::RunResult::wear_spread_before`] for how it
+    /// compares with the end-of-run spread.
     pub wear_spread_before: f64,
 }
 
 /// Arms a validated non-empty plan on the cluster: installs per-device
-/// LSE oracles, sets the append-pinning flag, and schedules the first
-/// tick of every enabled policy. Called once by the replay engine at
-/// the start of the update phase.
+/// LSE oracles and schedules the first tick of every enabled policy.
+/// Called once by the replay engine at the start of the update phase.
 pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePlan) {
     cl.maint.active = true;
     cl.maint.horizon = plan.horizon_ns;
@@ -301,14 +273,12 @@ pub(crate) fn arm(sim: &mut Sim<Cluster>, cl: &mut Cluster, plan: &MaintenancePl
             cl.nodes[node].disk.install_lse(model);
         }
     }
-    cl.maint.pin_appends = plan.demote;
 
     let scrub = plan.scrub.map(|c| Policy::Scrub(scrub::Scrub::new(c)));
     let rebalance = plan
         .rebalance
         .then(|| Policy::Rebalance(rebalance::Rebalance::default()));
-    let demote = plan.demote.then_some(Policy::Demote);
-    for policy in [scrub, rebalance, demote].into_iter().flatten() {
+    for policy in [scrub, rebalance].into_iter().flatten() {
         let slot = cl.maint.policies.len();
         cl.maint.policies.push(policy);
         let first = sim.now() + policy.interval_ns(cl).max(1);
@@ -348,20 +318,16 @@ fn tick(sim: &mut Sim<Cluster>, cl: &mut Cluster, slot: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::Method;
-    use rscode::CodeParams;
-
-    fn cfg() -> ClusterConfig {
-        ClusterConfig::ssd_testbed(CodeParams::new(6, 3).unwrap(), Method::Tsue)
-    }
+    use crate::config::ClusterConfig;
+    use crate::replay::ReplayConfig;
 
     #[test]
     fn empty_plan_is_valid_and_empty() {
         let plan = MaintenancePlan::default();
         assert!(plan.is_empty());
-        assert!(plan.validate(&cfg()).is_ok());
+        assert!(plan.validate().is_ok());
         // Even a zero horizon is fine when nothing is armed.
-        assert!(plan.clone().with_horizon(0).validate(&cfg()).is_ok());
+        assert!(plan.clone().with_horizon(0).validate().is_ok());
     }
 
     #[test]
@@ -369,9 +335,14 @@ mod tests {
         let plan = MaintenancePlan::full();
         assert!(plan.scrub.is_some());
         assert!(plan.rebalance);
-        assert!(plan.demote);
         assert!(plan.lse.is_some());
         assert!(!plan.is_empty());
+        // The full plan runs on any fleet, the uniform flash testbed too.
+        let code = rscode::CodeParams::new(6, 3).unwrap();
+        let cluster = ClusterConfig::ssd_testbed(code, crate::methods::Method::Tsue);
+        let mut rcfg = ReplayConfig::new(cluster, traces::TraceFamily::AliCloud);
+        rcfg.maintenance = plan;
+        assert!(rcfg.validate().is_ok());
     }
 
     #[test]
@@ -379,23 +350,13 @@ mod tests {
         let plan = MaintenancePlan::new()
             .with_scrub(ScrubConfig::default())
             .with_horizon(0);
-        assert!(plan.validate(&cfg()).is_err());
+        assert!(plan.validate().is_err());
     }
 
     #[test]
     fn zero_scrub_rate_rejected() {
         let plan = MaintenancePlan::new().with_scrub(ScrubConfig { bytes_per_sec: 0 });
-        assert!(plan.validate(&cfg()).is_err());
-    }
-
-    #[test]
-    fn demote_requires_mixed_fleet() {
-        let plan = MaintenancePlan::new().with_demote();
-        // ssd_testbed is a uniform all-SSD fleet: no spindles to demote to.
-        assert!(plan.validate(&cfg()).is_err());
-        let mut mixed = cfg();
-        mixed.fleet = crate::fleet::DiskFleet::tiered(8, 8);
-        assert!(plan.validate(&mixed).is_ok());
+        assert!(plan.validate().is_err());
     }
 
     #[test]
@@ -404,11 +365,11 @@ mod tests {
             per_device: 0,
             ..LseConfig::default()
         };
-        assert!(MaintenancePlan::new().with_lse(l).validate(&cfg()).is_err());
+        assert!(MaintenancePlan::new().with_lse(l).validate().is_err());
         let l = LseConfig {
             span_bytes: 0,
             ..LseConfig::default()
         };
-        assert!(MaintenancePlan::new().with_lse(l).validate(&cfg()).is_err());
+        assert!(MaintenancePlan::new().with_lse(l).validate().is_err());
     }
 }

@@ -24,9 +24,8 @@
 //! a sequential log write (the cost TSUE turns it into), `fold` for a
 //! logged range applied at its block's current home (FL's, PL's and
 //! TSUE's recycles), and `move_block` / `rehome` for a block copied into
-//! another node's log region and re-homed (rebalance, demotion,
-//! rebuilds), plus [`Cluster::send`], `ack` and, for any other shape,
-//! `disk_io`.
+//! another node's log region and re-homed (rebalance, rebuilds), plus
+//! [`Cluster::send`], `ack` and, for any other shape, `disk_io`.
 //!
 //! Reads and fresh writes take one path for every method ([`begin`]): a
 //! read consults the method's log read cache

@@ -77,9 +77,10 @@ pub(crate) fn begin_update(sim: &mut Sim<Cluster>, cl: &mut Cluster, ctx: Update
     if first_touch {
         sent.insert(slice.offset as u64, slice.offset as u64 + len);
     }
-    // NOTE: the in-place write above already clobbered the old value; real
-    // PARIX reads old before writing new on first touch. Order the read
-    // before the write for timing purposes.
+    // Real PARIX reads the old value before writing the new one on a first
+    // touch. Here the read is booked after the in-place write above, both
+    // at `t_arrive`, so the device queues the read behind the write. The
+    // reorder moves PARIX's results; see ROADMAP item 2.
     let t_old_ready = if first_touch {
         cl.disk_io(dnode, t_arrive, IoOp::read(off, len, Pattern::Random))
     } else {

@@ -141,25 +141,10 @@ impl TsueState {
     }
 }
 
-/// The replica node for a data log: the next live OSD on the ring — or,
-/// when the maintenance plan arms demotion
-/// ([`crate::maintenance::MaintState::pin_appends`]), the next live
-/// *flash* OSD, so the synchronous replica append never waits on a
-/// spindle seek. Without demotion the flag is false and the path is
-/// byte-for-byte the plain ring walk.
+/// The replica node for a data log: the next live OSD on the ring.
 fn replica_of(cl: &Cluster, node: usize) -> usize {
     let n = cl.cfg.nodes;
     let mut r = (node + 1) % n;
-    if cl.maint.pin_appends {
-        let mut f = r;
-        for _ in 0..n {
-            if f != node && !cl.nodes[f].failed && cl.cfg.fleet.is_ssd(f) {
-                return f;
-            }
-            f = (f + 1) % n;
-        }
-        // No live flash node left: fall back to the plain ring walk.
-    }
     let mut guard = 0;
     while cl.nodes[r].failed {
         r = (r + 1) % n;

@@ -143,7 +143,7 @@ impl ReplayConfig {
             )));
         }
         self.faults.validate(&self.cluster)?;
-        self.maintenance.validate(&self.cluster)?;
+        self.maintenance.validate()?;
         self.trace.validate().map_err(crate::config::ConfigError)?;
         if let Workload::Open(spec) = &self.workload {
             spec.validate().map_err(crate::config::ConfigError)?;
@@ -482,10 +482,12 @@ pub struct RunResult {
     /// Lowest per-disk fill fraction.
     pub disk_fill_min: f64,
     /// Bytes physically written to the most-worn disk (the fleet wear
-    /// high-water; see [`simdisk::DeviceStats::wear_bytes`]).
+    /// high-water; see [`simdisk::DeviceStats::wear_bytes`]), over every
+    /// device, failed ones and spindles included.
     pub wear_max_bytes: u64,
     /// Most-worn disk's wear over the fleet mean (1.0 = perfectly even;
-    /// 0.0 when nothing was written).
+    /// 0.0 when nothing was written), over every device, failed ones and
+    /// spindles included.
     pub wear_spread: f64,
     /// Distinct stripe co-location sets the run left behind
     /// ([`crate::layout::Layout::distinct_copysets`]) — bounded by the
@@ -502,11 +504,14 @@ pub struct RunResult {
     /// — `lse_injected - lse_repaired` is the exposure a correlated
     /// failure would turn into data loss.
     pub lse_repaired: u64,
-    /// GiB migrated by wear-leveling rebalance plus tier demotion.
+    /// GiB migrated by the wear-leveling rebalancer.
     pub maint_migrated_gib: f64,
-    /// Live-fleet wear spread (max/mean) at the rebalancer's first
-    /// non-zero sample — compare against the end-of-run
-    /// [`RunResult::wear_spread`] for the before/after story.
+    /// Wear spread (max/mean) at the rebalancer's first non-zero census,
+    /// over the devices it levels: the live flash devices on a mixed
+    /// fleet, every live device on a uniform one. On a uniform fleet with
+    /// no failure it covers the devices [`RunResult::wear_spread`] does,
+    /// and the two read as before and after; on a mixed fleet they cover
+    /// different devices and are not a before/after pair.
     pub wear_spread_before: f64,
     /// Foreground update p99 (µs, bucket upper bound, up to 2× the true
     /// value) inside maintenance-busy windows — the latency cost
@@ -1087,7 +1092,7 @@ impl Replay {
             lse_injected,
             lse_found: lse_detected,
             lse_repaired,
-            maint_migrated_gib: (cl.maint.migrated_bytes + cl.maint.demoted_bytes) as f64 / GIB,
+            maint_migrated_gib: cl.maint.migrated_bytes as f64 / GIB,
             wear_spread_before: cl.maint.wear_spread_before,
             maint_busy_p99_us,
             maint_idle_p99_us,

@@ -1,7 +1,7 @@
 //! Maintenance-subsystem integration tests: the empty-plan byte-for-byte
 //! guarantee, scrub/LSE detection and repair, wear-leveling rebalance,
-//! tier demotion, and parallel-grid determinism with
-//! non-empty plans — mirroring the fault-plan precedent in
+//! and parallel-grid determinism with non-empty plans (the full plan on
+//! a tiered fleet among them) — mirroring the fault-plan precedent in
 //! `tests/fault_timeline.rs`.
 
 use ecfs::prelude::*;
@@ -136,29 +136,6 @@ fn rebalancer_narrows_wear_spread() {
         r.wear_spread,
         baseline.wear_spread
     );
-}
-
-/// On a mixed flash/HDD fleet the demotion policy moves parity blocks off
-/// the flash tier; appends stay pinned to flash replicas.
-#[test]
-fn demotion_moves_parity_off_flash_on_tiered_fleet() {
-    let mut rcfg = tiered_replay(Method::Tsue, 4, 250);
-    rcfg.maintenance = MaintenancePlan::new().with_demote();
-    rcfg.validate().expect("demote plan validates");
-    let r = Replay::run(&rcfg).result;
-
-    assert_eq!(r.oracle_violations, 0);
-    assert_eq!(r.failed_ops, 0);
-    assert!(
-        r.maint_migrated_gib > 0.0,
-        "demotion moved no parity off flash"
-    );
-
-    // Demotion on a flash-only fleet is a configuration error, caught at
-    // validation time rather than silently doing nothing.
-    let mut flat = replay(Method::Tsue, 4, 250);
-    flat.maintenance = MaintenancePlan::new().with_demote();
-    assert!(flat.validate().is_err(), "demote on flash-only fleet");
 }
 
 /// Maintenance must preserve the parallel-replay guarantee: a grid with
