@@ -12,9 +12,12 @@
 //! is the lowest swept rate whose goodput falls more than 10 % short of
 //! offered while the admission queues back up.
 //!
-//! Expected shape: FO's random in-place parity path saturates first;
-//! PL-family logs push the knee out; TSUE's sequential append front end
-//! sustains the highest offered rate before collapsing.
+//! Measured ladder at default scale (knee's offered rate, goodput there):
+//! PLR saturates first, at 32k ops/s offered and 14.2k of goodput; FO,
+//! PL, PARIX and CoRD at 64k (37.9k, 48.1k, 40.9k and 51.9k of goodput);
+//! FL and TSUE at 128k (58.5k and 80.4k). The check asserts that TSUE's
+//! knee comes no earlier than any other method's and that TSUE's capped
+//! goodput is above FO's.
 
 use ecfs::prelude::*;
 use traces::TraceFamily;

@@ -69,6 +69,8 @@ fn gib(bytes: u64) -> f64 {
 }
 
 /// Prints the lifespan table: each method's erases against TSUE's.
+/// Outside smoke scale every method's devices must have cycled, so no
+/// ratio is formed from a zero.
 fn check(results: &Results<Label>, _: &mut BenchReport) {
     let grid = if tsue_bench::smoke() {
         "table"
@@ -80,6 +82,15 @@ fn check(results: &Results<Label>, _: &mut BenchReport) {
         .filter(|(label, _)| **label == grid)
         .map(|(_, res)| res)
         .collect();
+    if grid == "lifespan" {
+        for res in &cycled {
+            assert!(
+                res.erases > 0,
+                "lifespan: {} never cycled its flash",
+                res.method
+            );
+        }
+    }
     let tsue = cycled
         .iter()
         .find(|r| r.method == "TSUE")

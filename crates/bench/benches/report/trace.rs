@@ -12,8 +12,8 @@
 //!
 //! Findings per method, each asserted by the sweep:
 //!
-//! * `trace_dropped_spans_<m>` — must be 0 at smoke scale (the default
-//!   retention budget fits the whole run, so a drop means a leak);
+//! * `trace_dropped_spans_<m>` — must be 0 (the default retention
+//!   budget fits every cell's whole run, so a drop means a leak);
 //! * `attribution_<m>` — Σ span durations / Σ op latencies over the
 //!   retained ops, must be ≥ 0.95 (it is 1.0 by construction unless a
 //!   driver forgets to tag a stage);
@@ -22,14 +22,29 @@
 //!   independently-derived `latency_mean_us`, must be within 1%.
 //!
 //! The exported TSUE trace must carry spans and utilization lanes.
+//!
+//! Two more cells, `FO burst` and `TSUE burst`, offer one bursty
+//! open-loop schedule to FO and TSUE at the same fixed scale at every
+//! scale setting ([`burst`]). Their stage rows are the p99 waterfall of
+//! a burst, and the check asserts what it shows (`burst_*` findings):
+//!
+//! * FO saturates (falls behind the schedule) and TSUE does not;
+//! * TSUE's goodput is higher than FO's (55.3k vs 37.7k ops/s);
+//! * TSUE's admission-queue p99 is lower than FO's (4.2 vs 67.1 ms);
+//! * FO's `queue_wait` stage p99 is higher than TSUE's.
+//!
+//! FO's parity read-modify-write inside every update makes each update
+//! slow enough that bursts pile up at admission, while TSUE's
+//! replicated log append keeps service fast and the queue drained.
 
 use ecfs::prelude::*;
 use ecfs::telemetry::{binary, chrome, OpClass, StageRow};
+use simdes::units::MILLIS;
 use traces::TraceFamily;
 use tsue_bench::sweep::{fixed, plain, Results, Row, Sweep};
-use tsue_bench::{fig5_methods, report_dir, ssd_replay, BenchReport};
+use tsue_bench::{fig5_methods, kfmt, report_dir, ssd_replay, BenchReport};
 
-/// A cell: its method's name.
+/// A cell: its method's name, or `<method> burst` for the burst pair.
 type Label = String;
 type Column = tsue_bench::sweep::Column<Label>;
 
@@ -50,17 +65,41 @@ fn stage<'a>(r: &Row<'a, Label>) -> &'a StageRow {
     update_rows(r.res)[r.part]
 }
 
+/// The burst pair's cell: RS(6,3) Ali-Cloud, 8 clients, 500 ops/client
+/// on a 32 MiB volume, offered 20 ms on/off cycles (8 ms at 120 kop/s,
+/// 12 ms at 10 kop/s: a mean of 54 kop/s, above FO's sustainable rate
+/// and below TSUE's) through windows of 4.
+fn burst(method: Method) -> ReplayConfig {
+    let bursts = RateCurve::OnOff {
+        on_ops_per_s: 120_000.0,
+        off_ops_per_s: 10_000.0,
+        period_ns: 20 * MILLIS,
+        duty: 0.4,
+    };
+    let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, 8);
+    r.ops_per_client = 500;
+    r.volume_bytes = 32 << 20;
+    r.workload = Workload::Open(OpenLoopSpec::poisson(0.0).with_rate(bursts).with_window(4));
+    r
+}
+
 pub fn sweep() -> Sweep<Label> {
     let mut cells = Vec::new();
     for method in fig5_methods() {
         let mut r = ssd_replay(6, 3, method, TraceFamily::AliCloud, 6);
         r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
         r.volume_bytes = 32 << 20;
-        r.trace = TraceConfig::on();
-        r.validate().expect("traced cell validates");
         cells.push((method.name().to_string(), r));
     }
-    let title = "Trace sweep: per-stage update latency attribution (AliCloud smoke cell)";
+    for method in [Method::Fo, Method::Tsue] {
+        cells.push((format!("{} burst", method.name()), burst(method)));
+    }
+    for (_, r) in &mut cells {
+        r.trace = TraceConfig::on();
+        r.validate().expect("traced cell validates");
+    }
+    let title =
+        "Trace sweep: per-stage update latency attribution (AliCloud smoke cell, burst pair)";
     Sweep::new("trace", title, cells, check)
         .columns([
             Column::key("method", |r| r.label.clone()).show("method", plain),
@@ -79,7 +118,9 @@ pub fn sweep() -> Sweep<Label> {
 }
 
 fn check(results: &Results<Label>, report: &mut BenchReport) {
-    for (name, out) in &results.cells {
+    for (label, out) in &results.cells {
+        // Finding keys name the cell without spaces: `FO_burst`.
+        let name = label.replace(' ', "_");
         let res = &out.result;
         let trace = out.trace.as_ref().expect("traced run returns a trace");
 
@@ -111,16 +152,16 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
         report.add_finding(&format!("recon_err_{name}"), recon_err);
         assert!(
             res.trace_dropped_spans == 0,
-            "{name}: smoke-scale run overflowed the default trace budget"
+            "{label}: run overflowed the default trace budget"
         );
         assert!(
             attribution >= 0.95,
-            "{name}: stage spans attribute only {:.1}% of client latency",
+            "{label}: stage spans attribute only {:.1}% of client latency",
             attribution * 100.0
         );
         assert!(
             recon_err < 0.01,
-            "{name}: rollup mean {rollup_mean_us:.2} us disagrees with \
+            "{label}: rollup mean {rollup_mean_us:.2} us disagrees with \
              latency_mean_us {:.2}",
             res.latency_mean_us
         );
@@ -143,6 +184,61 @@ fn check(results: &Results<Label>, report: &mut BenchReport) {
             report.add_finding("trace_util_lanes_tsue", trace.util.len());
         }
     }
+
+    // The burst pair: one schedule, FO falls behind it and TSUE rides it.
+    let fo = results.get(|l| l == "FO burst");
+    let tsue = results.get(|l| l == "TSUE burst");
+    // The update path's `queue_wait` stage p99 (0 when no update waited).
+    let wait = |res: &RunResult| {
+        let row = update_rows(res)
+            .into_iter()
+            .find(|r| r.stage == Stage::QueueWait);
+        row.map_or(0.0, |r| r.p99_us)
+    };
+    println!();
+    for res in [fo, tsue] {
+        println!(
+            "  -> burst: {:>4} offered {:>6}/s, goodput {:>6}/s, queue p99 {:.1} ms, \
+             queue_wait p99 {:.1} ms ({})",
+            res.method,
+            kfmt(res.offered_ops_per_s),
+            kfmt(res.goodput_ops_per_s),
+            res.queue_delay_p99_us / 1e3,
+            wait(res) / 1e3,
+            if res.saturated { "SAT" } else { "ok" },
+        );
+        let m = res.method.to_lowercase();
+        report.add_finding(&format!("burst_goodput_{m}"), res.goodput_ops_per_s);
+        report.add_finding(&format!("burst_queue_p99_us_{m}"), res.queue_delay_p99_us);
+        report.add_finding(&format!("burst_queue_wait_p99_us_{m}"), wait(res));
+    }
+    assert!(
+        tsue.goodput_ops_per_s > fo.goodput_ops_per_s,
+        "burst: TSUE's goodput ({:.0}/s) must exceed FO's ({:.0}/s)",
+        tsue.goodput_ops_per_s,
+        fo.goodput_ops_per_s
+    );
+    assert!(
+        tsue.queue_delay_p99_us < fo.queue_delay_p99_us,
+        "burst: TSUE's queue p99 ({:.0} us) must be below FO's ({:.0} us)",
+        tsue.queue_delay_p99_us,
+        fo.queue_delay_p99_us
+    );
+    assert!(
+        wait(fo) > wait(tsue),
+        "burst: FO's queue_wait p99 ({:.0} us) must exceed TSUE's ({:.0} us)",
+        wait(fo),
+        wait(tsue)
+    );
+    assert!(
+        fo.saturated,
+        "FO burst: FO must fall behind the {} ops/s offered schedule",
+        kfmt(fo.offered_ops_per_s)
+    );
+    assert!(
+        !tsue.saturated,
+        "TSUE burst: TSUE must ride the schedule FO falls behind"
+    );
 
     println!(
         "perfetto trace: {} (load at ui.perfetto.dev)",

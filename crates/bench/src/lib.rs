@@ -8,9 +8,10 @@
 //! `cargo bench -p tsue-bench --bench report` reproduces the entire
 //! evaluation and `... -- load fig5` runs the named values only.
 //!
-//! Scale knobs: all 14 values' default grids finish in about 9 s after
-//! the build (median of 5 runs through `cargo bench` on a 2-CPU VM); set
-//! `TSUE_BENCH_FULL=1` for the paper-scale grid (more clients, more ops).
+//! Scale knobs: all 14 values' default grids finish in about 5 s after
+//! the build (median 5.3 s of 5 runs through `cargo bench` on a 2-CPU
+//! VM; a busier 2-CPU VM took 12.5 s); set `TSUE_BENCH_FULL=1` for the
+//! paper-scale grid (more clients, more ops).
 
 use ecfs::prelude::*;
 
